@@ -347,7 +347,7 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv := protocol.NewServer(ingestBenchD, 100)
-		col := transport.NewCollector()
+		col := eval.NewCollector()
 		dec := transport.NewDecoder(bytes.NewReader(streams[0]))
 		for {
 			m, err := dec.Next()
@@ -700,7 +700,7 @@ func startMemberBench(b *testing.B, n, k, d int, scale float64) *memberBench {
 	var members []membership.Member
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("b%d", i)
-		srv := transport.NewShardMapIngestServer(transport.NewShardMapCollector(d, scale, memberBenchShards, id))
+		srv := transport.NewIngestServer(transport.NewShardMap(transport.BoolMode(d, scale), memberBenchShards, id))
 		ready := make(chan net.Addr, 1)
 		done := make(chan error, 1)
 		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()

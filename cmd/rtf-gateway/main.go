@@ -43,6 +43,13 @@
 // whose ownership changed (snapshot handoff over the wire), and bumps
 // the epoch.
 //
+// Both modes are one serving core (transport.Server) over the resolved
+// transport.Mode; they differ in what forwarding a run and gathering for
+// a read mean. -members supports the Boolean and exact-domain modes
+// only, and refuses -hedge, -fetch-timeout and -answer-cache-ttl, which
+// the member gateway does not implement (see the "serving core" section
+// of README.md).
+//
 // The process logs in logfmt to stderr and -metrics mounts a JSON
 // snapshot of every instrument — including per-backend scatter-fetch
 // latency histograms — at http://ADDR/metrics. -queue bounds
@@ -61,6 +68,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -74,138 +82,195 @@ import (
 	"rtf/internal/cluster"
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
+	"rtf/internal/membership"
 	"rtf/internal/obs"
 	"rtf/internal/transport"
 	"rtf/ldp"
 )
 
-func main() {
-	var (
-		addr     = flag.String("addr", ":7609", "TCP listen address")
-		backends = flag.String("backends", "", "comma-separated rtf-serve backend addresses; the order is the partition map (user mod N) and must match every other gateway")
-		mech     = flag.String("mechanism", "futurerand", "mechanism the backends host (must have the clustered capability); must match backends and clients")
-		d        = flag.Int("d", 1024, "time periods (power of two); must match backends and clients")
-		k        = flag.Int("k", 8, "max changes per user; must match backends and clients")
-		m        = flag.Int("m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match backends and clients")
-		encName  = flag.String("encoding", hh.EncodingExact, "domain encoding with -m: exact or loloha; must match backends and clients")
-		buckets  = flag.Int("buckets", 0, "bucket count g with -encoding loloha (2..4096); must match backends and clients")
-		hseed    = flag.Uint64("hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match backends and clients")
-		eps      = flag.Float64("eps", 1.0, "privacy budget (0 < eps <= 1); must match backends and clients")
-		attempts = flag.Int("dial-attempts", 10, "re-dial attempts per backend operation (exponential backoff between attempts)")
-		pool     = flag.Int("pool", 4, "idle connections pooled per backend")
-		grace    = flag.Duration("grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
-		metrics  = flag.String("metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
-		queue    = flag.Int("queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole before any forward, legacy batches block (0 = unbounded)")
-		fetchTO  = flag.Duration("fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline)")
-		hedge    = flag.Duration("hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off)")
-		members  = flag.String("members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
-		replicas = flag.Int("replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
-		vshards  = flag.Int("vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
-		cacheTTL = flag.Duration("answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced (0 = off; the cache then serves only provably exact entries)")
-		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
-	)
-	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, "rtf-gateway")
+// config is the parsed and cross-checked flag set.
+type config struct {
+	addr, mech string
+	d, k, m    int
+	eps        float64
+	enc        hh.DomainEncoding // hashed mode only; zero otherwise
+	scale      float64
+	opts       transport.ClusterOptions
+	grace      time.Duration
+	metrics    string
+	queue      int
+	cacheTTL   time.Duration
+	pprof      bool
 
-	if !dyadic.IsPow2(*d) {
-		fatal(fmt.Errorf("d=%d is not a power of two", *d))
+	backends []string // static partition map; nil under -members
+
+	members  []membership.Member // dynamic membership; nil under -backends
+	replicas int
+	vshards  int
+}
+
+// parseConfig parses args and refuses every unsupported combination
+// with a message naming the flags at fault, before anything listens or
+// dials.
+func parseConfig(args []string) (config, error) {
+	var (
+		c                 config
+		backends, members string
+		encName           string
+		buckets           int
+		hseed             uint64
+	)
+	fs := flag.NewFlagSet("rtf-gateway", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
+	fs.StringVar(&backends, "backends", "", "comma-separated rtf-serve backend addresses; the order is the partition map (user mod N) and must match every other gateway")
+	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism the backends host (must have the clustered capability); must match backends and clients")
+	fs.IntVar(&c.d, "d", 1024, "time periods (power of two); must match backends and clients")
+	fs.IntVar(&c.k, "k", 8, "max changes per user; must match backends and clients")
+	fs.IntVar(&c.m, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match backends and clients")
+	fs.StringVar(&encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact or loloha; must match backends and clients")
+	fs.IntVar(&buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match backends and clients")
+	fs.Uint64Var(&hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match backends and clients")
+	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget (0 < eps <= 1); must match backends and clients")
+	fs.IntVar(&c.opts.DialAttempts, "dial-attempts", 10, "re-dial attempts per backend operation (exponential backoff between attempts)")
+	fs.IntVar(&c.opts.PoolSize, "pool", 4, "idle connections pooled per backend")
+	fs.DurationVar(&c.grace, "grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
+	fs.StringVar(&c.metrics, "metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
+	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole before any forward, legacy batches block (0 = unbounded)")
+	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline; not supported with -members)")
+	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off; not supported with -members)")
+	fs.StringVar(&members, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
+	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
+	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
+	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced (0 = off; the cache then serves only provably exact entries; not supported with -members)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
-	mc, ok := ldp.Lookup(ldp.Protocol(*mech))
+
+	if !dyadic.IsPow2(c.d) {
+		return c, fmt.Errorf("d=%d is not a power of two", c.d)
+	}
+	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
 	if !ok {
-		fatal(fmt.Errorf("unknown mechanism %q; clustered mechanisms: %s", *mech, clustered()))
+		return c, fmt.Errorf("unknown mechanism %q; clustered mechanisms: %s", c.mech, clustered())
 	}
 	if !mc.Caps.Clustered {
-		fatal(fmt.Errorf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: %s", *mech, clustered()))
+		return c, fmt.Errorf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: %s", c.mech, clustered())
 	}
-	hashedMode := false
-	var enc hh.DomainEncoding
-	if *m > 0 {
-		if err := ldp.ValidateDomainSize(*m, *encName); err != nil {
-			fatal(err)
+	if c.m > 0 {
+		if err := ldp.ValidateDomainSize(c.m, encName); err != nil {
+			return c, err
 		}
 		if !mc.Caps.Domain {
-			fatal(fmt.Errorf("mechanism %q cannot host domain tracking", *mech))
+			return c, fmt.Errorf("mechanism %q cannot host domain tracking", c.mech)
 		}
-		hashedMode = *encName == hh.EncodingLoloha
-		if hashedMode {
+		if encName == hh.EncodingLoloha {
 			if !mc.Caps.HashedDomain {
-				fatal(fmt.Errorf("mechanism %q cannot host hashed domain tracking", *mech))
+				return c, fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
 			}
-			enc = hh.LolohaEncoding(*m, *buckets, *hseed)
-			if err := enc.Validate(); err != nil {
-				fatal(err)
+			c.enc = hh.LolohaEncoding(c.m, buckets, hseed)
+			if err := c.enc.Validate(); err != nil {
+				return c, err
 			}
-			if *members != "" {
-				fatal(fmt.Errorf("-members does not support -encoding loloha yet; use -backends"))
+			if members != "" {
+				return c, fmt.Errorf("-members does not support -encoding loloha yet; use -backends")
 			}
-		} else if *buckets != 0 || *hseed != 0 {
-			fatal(fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha"))
+		} else if buckets != 0 || hseed != 0 {
+			return c, fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
 		}
-	} else if *encName != hh.EncodingExact || *buckets != 0 || *hseed != 0 {
-		fatal(fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)"))
+	} else if encName != hh.EncodingExact || buckets != 0 || hseed != 0 {
+		return c, fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
 	}
-	scale, err := mc.EstimatorScale(ldp.Params{D: *d, K: *k, Eps: *eps})
+	var err error
+	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
+		return c, err
+	}
+	if members == "" {
+		c.backends, err = parseBackends(backends)
+		return c, err
+	}
+	if backends != "" {
+		return c, fmt.Errorf("-members and -backends are mutually exclusive: one gateway fronts either a static partition map or a dynamic member set")
+	}
+	// The member gateway has no hedged or deadlined fetches and no
+	// answer cache; accepting the flags would silently ignore them.
+	switch {
+	case c.opts.HedgeDelay != 0:
+		return c, fmt.Errorf("-members does not support -hedge yet; drop -hedge")
+	case c.opts.FetchTimeout != 0:
+		return c, fmt.Errorf("-members does not support -fetch-timeout yet; drop -fetch-timeout")
+	case c.cacheTTL != 0:
+		return c, fmt.Errorf("-members does not support -answer-cache-ttl yet; drop -answer-cache-ttl")
+	}
+	if c.members, err = membership.ParseMembers(members); err != nil {
+		return c, err
+	}
+	if c.vshards < 1 || c.vshards > membership.MaxShards {
+		return c, fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
+	}
+	return c, nil
+}
+
+func main() {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	opts := transport.ClusterOptions{
-		DialAttempts: *attempts,
-		PoolSize:     *pool,
-		FetchTimeout: *fetchTO,
-		HedgeDelay:   *hedge,
-	}
-	if *members != "" {
-		if *backends != "" {
-			fatal(fmt.Errorf("-members and -backends are mutually exclusive: one gateway fronts either a static partition map or a dynamic member set"))
-		}
-		runMember(logger, memberConfig{
-			addr: *addr, members: *members, mech: *mech,
-			d: *d, k: *k, m: *m, eps: *eps, scale: scale,
-			replicas: *replicas, vshards: *vshards,
-			opts: opts, grace: *grace, metrics: *metrics, queue: *queue,
-			pprof: *pprofOn,
-		})
+	logger := obs.NewLogger(os.Stderr, "rtf-gateway")
+	if cfg.members != nil {
+		runMember(logger, cfg)
 		return
 	}
-	addrs, err := parseBackends(*backends)
-	if err != nil {
-		fatal(err)
-	}
-	client, err := transport.NewClusterClient(addrs, opts)
+	client, err := transport.NewClusterClient(cfg.backends, cfg.opts)
 	if err != nil {
 		fatal(err)
 	}
 	var gw *cluster.Gateway
 	switch {
-	case hashedMode:
-		gw = cluster.NewHashedDomain(*d, enc, scale, client)
-	case *m > 0:
-		gw = cluster.NewDomain(*d, *m, scale, client)
+	case cfg.enc.Hashed():
+		gw = cluster.NewHashedDomain(cfg.d, cfg.enc, cfg.scale, client)
+	case cfg.m > 0:
+		gw = cluster.NewDomain(cfg.d, cfg.m, cfg.scale, client)
 	default:
-		gw = cluster.New(*d, scale, client)
+		gw = cluster.New(cfg.d, cfg.scale, client)
 	}
-	gw.ErrorLog = func(err error) { logger.Error("gateway", "err", err) }
-	gw.AnswerCacheTTL = *cacheTTL
+	gw.AnswerCacheTTL = cfg.cacheTTL
+	serve(logger, cfg, gw.Server, nil,
+		[]any{"backends", strings.Join(cfg.backends, ",")})
+}
 
+// serve runs one gateway front to completion: metrics registry and
+// listener (mount adds front-specific instruments and handlers), signal
+// handling, and the listening line. It does not return except through
+// fatal or a clean drain.
+func serve(logger *obs.Logger, cfg config, srv *transport.Server,
+	mount func(reg *obs.Registry, mux *http.ServeMux), listening []any) {
+	srv.ErrorLog = func(err error) { logger.Error("gateway", "err", err) }
 	reg := obs.NewRegistry()
 	reg.SetInfo("component", "rtf-gateway")
-	reg.SetInfo("mechanism", *mech)
+	reg.SetInfo("mechanism", cfg.mech)
 	obs.RegisterProcessMetrics(reg)
-	gw.Metrics = transport.NewServerMetrics(reg)
-	if *queue > 0 {
-		gw.Queue = transport.NewIngestQueue(*queue)
-		gw.Metrics.RegisterQueue(gw.Queue)
+	srv.Metrics = transport.NewServerMetrics(reg)
+	if cfg.queue > 0 {
+		srv.Queue = transport.NewIngestQueue(cfg.queue)
+		srv.Metrics.RegisterQueue(srv.Queue)
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", reg)
+	if mount != nil {
+		mount(reg, mux)
 	}
 	metricsAddr := ""
-	if *metrics != "" {
-		mln, err := net.Listen("tcp", *metrics)
+	if cfg.metrics != "" {
+		mln, err := net.Listen("tcp", cfg.metrics)
 		if err != nil {
 			fatal(err)
 		}
 		metricsAddr = mln.Addr().String()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg)
-		if *pprofOn {
+		if cfg.pprof {
 			obs.MountPprof(mux)
 		}
 		go http.Serve(mln, mux)
@@ -215,23 +280,23 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
-		logger.Info("draining", "signal", s, "grace", *grace)
+		logger.Info("draining", "signal", s, "grace", cfg.grace)
 		go func() {
 			<-sig
 			logger.Error("second signal: exiting immediately")
 			os.Exit(1)
 		}()
-		gw.Shutdown(*grace)
+		srv.Shutdown(cfg.grace)
 	}()
 
 	ready := make(chan net.Addr, 1)
 	errc := make(chan error, 1)
-	go func() { errc <- gw.ListenAndServe(*addr, ready) }()
+	go func() { errc <- srv.ListenAndServe(cfg.addr, ready) }()
 	select {
 	case a := <-ready:
-		logger.Info("listening", "addr", a, "metrics", metricsAddr,
-			"mechanism", *mech, "d", *d, "k", *k, "m", *m, "eps", *eps,
-			"queue", *queue, "backends", strings.Join(addrs, ","))
+		logger.Info("listening", append([]any{"addr", a, "metrics", metricsAddr,
+			"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
+			"queue", cfg.queue}, listening...)...)
 	case err := <-errc:
 		fatal(err)
 	}

@@ -60,3 +60,78 @@ func TestParseBackends(t *testing.T) {
 		})
 	}
 }
+
+// TestParseConfig is the mode × topology table of rtf-gateway
+// (README.md, "serving core"): one accepted row per served cell, and
+// every refused combination with the message the operator sees.
+func TestParseConfig(t *testing.T) {
+	split := func(s string) []string { return strings.Fields(s) }
+	const (
+		static  = "-backends a:1,b:2"
+		members = "-members n0=a:1,n1=b:2,n2=c:3"
+		loloha  = "-m 100000 -encoding loloha -buckets 64 -hash-seed 7"
+	)
+
+	accepted := []struct {
+		name, args string
+		backends   int
+		members    int
+		hashed     bool
+	}{
+		{name: "bool static", args: static, backends: 2},
+		{name: "bool static with read-path flags", args: static + " -hedge 5ms -fetch-timeout 1s -answer-cache-ttl 50ms", backends: 2},
+		{name: "exact static", args: static + " -m 64", backends: 2},
+		{name: "hashed static", args: static + " " + loloha, backends: 2, hashed: true},
+		{name: "bool members", args: members + " -replicas 2 -vshards 16", members: 3},
+		{name: "exact members", args: members + " -m 64", members: 3},
+	}
+	for _, tc := range accepted {
+		t.Run("accepts "+tc.name, func(t *testing.T) {
+			cfg, err := parseConfig(split(tc.args))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cfg.backends) != tc.backends || len(cfg.members) != tc.members || cfg.enc.Hashed() != tc.hashed {
+				t.Fatalf("resolved %d backends, %d members, hashed=%v; want %d, %d, %v",
+					len(cfg.backends), len(cfg.members), cfg.enc.Hashed(), tc.backends, tc.members, tc.hashed)
+			}
+			if cfg.scale <= 0 {
+				t.Fatalf("estimator scale %v not resolved", cfg.scale)
+			}
+		})
+	}
+
+	refused := []struct {
+		name, args, want string
+	}{
+		{"no topology", "", "-backends is required"},
+		{"non-pow2 d", static + " -d 1000", "d=1000 is not a power of two"},
+		{"unknown mechanism", static + " -mechanism nope", `unknown mechanism "nope"`},
+		{"mechanism not clustered", static + " -mechanism naive-split", "cannot be clustered"},
+		{"domain size below 2", static + " -m 1", "m=1 must be at least 2"},
+		{"buckets without loloha", static + " -m 64 -buckets 8", "-buckets and -hash-seed only apply with -encoding loloha"},
+		{"encoding without -m", static + " -encoding loloha", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
+		{"hash-seed without -m", static + " -hash-seed 3", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
+		{"members × loloha", members + " " + loloha, "-members does not support -encoding loloha yet"},
+		{"members with backends", members + " " + static, "-members and -backends are mutually exclusive"},
+		{"members × hedge", members + " -hedge 5ms", "-members does not support -hedge yet"},
+		{"members × fetch-timeout", members + " -fetch-timeout 1s", "-members does not support -fetch-timeout yet"},
+		{"members × answer-cache-ttl", members + " -answer-cache-ttl 50ms", "-members does not support -answer-cache-ttl yet"},
+		{"malformed member", "-members n0", "is not id=addr"},
+		{"vshards out of range", members + " -vshards 0", "vshards=0 outside"},
+		{"duplicate backend", "-backends a:1,a:1", "lists a:1 twice"},
+		{"eps out of range", static + " -eps 0", "epsilon 0 must be positive"},
+		{"unknown flag", "-no-such-flag", "flag provided but not defined"},
+	}
+	for _, tc := range refused {
+		t.Run("refuses "+tc.name, func(t *testing.T) {
+			_, err := parseConfig(split(tc.args))
+			if err == nil {
+				t.Fatalf("parseConfig(%q) accepted", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseConfig(%q) error = %q, want it to contain %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}

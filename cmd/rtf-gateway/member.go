@@ -1,13 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"rtf/internal/cluster"
 	"rtf/internal/membership"
@@ -15,89 +9,25 @@ import (
 	"rtf/internal/transport"
 )
 
-// memberConfig carries the resolved flag set into the dynamic-
-// membership serving path.
-type memberConfig struct {
-	addr    string
-	members string
-	mech    string
-	d, k, m int
-	eps     float64
-	scale   float64
-
-	replicas int
-	vshards  int
-
-	opts    transport.ClusterOptions
-	grace   time.Duration
-	metrics string
-	queue   int
-	pprof   bool
-}
-
 // runMember serves the dynamic-membership mode: the gateway fronts a
 // versioned member set, replicates every ingested sub-batch to its
 // shard's K rendezvous owners, answers queries by quorum reads, and
 // exposes the reshard admin API next to /metrics. It does not return
 // except through fatal.
-func runMember(logger *obs.Logger, cfg memberConfig) {
-	mems, err := membership.ParseMembers(cfg.members)
-	if err != nil {
-		fatal(err)
-	}
-	if cfg.vshards < 1 || cfg.vshards > membership.MaxShards {
-		fatal(fmt.Errorf("vshards=%d outside [1..%d]", cfg.vshards, membership.MaxShards))
-	}
+func runMember(logger *obs.Logger, cfg config) {
 	rc := transport.NewReplicaClient(cfg.opts)
-	var gw *cluster.MemberGateway
+	var (
+		gw  *cluster.MemberGateway
+		err error
+	)
 	if cfg.m > 0 {
-		gw, err = cluster.NewMemberDomain(cfg.d, cfg.m, cfg.scale, cfg.vshards, cfg.replicas, mems, rc)
+		gw, err = cluster.NewMemberDomain(cfg.d, cfg.m, cfg.scale, cfg.vshards, cfg.replicas, cfg.members, rc)
 	} else {
-		gw, err = cluster.NewMember(cfg.d, cfg.scale, cfg.vshards, cfg.replicas, mems, rc)
+		gw, err = cluster.NewMember(cfg.d, cfg.scale, cfg.vshards, cfg.replicas, cfg.members, rc)
 	}
 	if err != nil {
 		fatal(err)
 	}
-	gw.ErrorLog = func(err error) { logger.Error("gateway", "err", err) }
-
-	reg := obs.NewRegistry()
-	reg.SetInfo("component", "rtf-gateway")
-	reg.SetInfo("mechanism", cfg.mech)
-	reg.SetInfo("mode", "membership")
-	obs.RegisterProcessMetrics(reg)
-	gw.Metrics = transport.NewServerMetrics(reg)
-	if cfg.queue > 0 {
-		gw.Queue = transport.NewIngestQueue(cfg.queue)
-		gw.Metrics.RegisterQueue(gw.Queue)
-	}
-	reg.GaugeFunc("membership_epoch", func() float64 { return float64(gw.Epoch()) })
-	reg.GaugeFunc("membership_members", func() float64 { return float64(len(gw.View().Members)) })
-	reg.GaugeFunc("membership_transfers_total", func() float64 { return float64(gw.TransfersTotal()) })
-	reg.GaugeFunc("membership_divergences_total", func() float64 { return float64(gw.Divergences()) })
-	reg.GaugeFunc("membership_short_reads_total", func() float64 { return float64(gw.ShortReads()) })
-
-	metricsAddr := ""
-	if cfg.metrics != "" {
-		mln, err := net.Listen("tcp", cfg.metrics)
-		if err != nil {
-			fatal(err)
-		}
-		metricsAddr = mln.Addr().String()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg)
-		admin := gw.AdminHandler()
-		mux.Handle("/membership/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			admin.ServeHTTP(w, r)
-			if r.Method == http.MethodPost {
-				logView(logger, gw.View())
-			}
-		}))
-		if cfg.pprof {
-			obs.MountPprof(mux)
-		}
-		go http.Serve(mln, mux)
-	}
-
 	// Backends may still be coming up; the announce rides the replica
 	// client's dial backoff.
 	if err := gw.AnnounceView(); err != nil {
@@ -105,34 +35,21 @@ func runMember(logger *obs.Logger, cfg memberConfig) {
 	}
 	logView(logger, gw.View())
 
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining", "signal", s, "grace", cfg.grace)
-		go func() {
-			<-sig
-			logger.Error("second signal: exiting immediately")
-			os.Exit(1)
-		}()
-		gw.Shutdown(cfg.grace)
-	}()
-
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- gw.ListenAndServe(cfg.addr, ready) }()
-	select {
-	case a := <-ready:
-		logger.Info("listening", "addr", a, "metrics", metricsAddr,
-			"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
-			"queue", cfg.queue, "members", len(mems), "replicas", cfg.replicas, "vshards", cfg.vshards)
-	case err := <-errc:
-		fatal(err)
-	}
-	if err := <-errc; err != nil {
-		fatal(err)
-	}
-	logger.Info("done")
+	serve(logger, cfg, gw.Server, func(reg *obs.Registry, mux *http.ServeMux) {
+		reg.SetInfo("mode", "membership")
+		reg.GaugeFunc("membership_epoch", func() float64 { return float64(gw.Epoch()) })
+		reg.GaugeFunc("membership_members", func() float64 { return float64(len(gw.View().Members)) })
+		reg.GaugeFunc("membership_transfers_total", func() float64 { return float64(gw.TransfersTotal()) })
+		reg.GaugeFunc("membership_divergences_total", func() float64 { return float64(gw.Divergences()) })
+		reg.GaugeFunc("membership_short_reads_total", func() float64 { return float64(gw.ShortReads()) })
+		admin := gw.AdminHandler()
+		mux.Handle("/membership/", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			admin.ServeHTTP(w, r)
+			if r.Method == http.MethodPost {
+				logView(logger, gw.View())
+			}
+		}))
+	}, []any{"members", len(cfg.members), "replicas", cfg.replicas, "vshards", cfg.vshards})
 }
 
 // logView logs the installed cluster view in logfmt.

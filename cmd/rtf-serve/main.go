@@ -36,6 +36,12 @@
 // Boolean mode, where a shard install cuts its own snapshot so a
 // handoff survives a crash.
 //
+// Whatever the flags select, the process is one transport.IngestServer
+// over one transport.Store of the resolved transport.Mode (see the
+// "serving core" section of README.md for the mode × topology ×
+// durability table); combinations outside the table are refused at
+// startup by parseConfig.
+//
 // With -data-dir the service is durable: every ingested frame is
 // appended to a write-ahead log before it is applied, periodic
 // snapshots (-snapshot-every) supersede and compact the log, and on
@@ -69,6 +75,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -84,181 +91,179 @@ import (
 	"rtf/internal/membership"
 	"rtf/internal/obs"
 	"rtf/internal/persist"
-	"rtf/internal/protocol"
 	"rtf/internal/transport"
 	"rtf/ldp"
 )
 
-func main() {
-	var (
-		addr    = flag.String("addr", ":7609", "TCP listen address")
-		mech    = flag.String("mechanism", "futurerand", "mechanism to host (must have the sharded capability); must match clients")
-		d       = flag.Int("d", 1024, "time periods (power of two); must match clients")
-		k       = flag.Int("k", 8, "max changes per user; must match clients")
-		m       = flag.Int("m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match clients")
-		encName = flag.String("encoding", hh.EncodingExact, "domain encoding with -m: exact (one row per item) or loloha (hash to -buckets rows); must match clients")
-		buckets = flag.Int("buckets", 0, "bucket count g with -encoding loloha (2..4096); must match clients")
-		hseed   = flag.Uint64("hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match clients")
-		eps     = flag.Float64("eps", 1.0, "privacy budget (0 < eps <= 1); must match clients")
-		shards  = flag.Int("shards", runtime.GOMAXPROCS(0), "accumulator shards (>= 1)")
-		stats   = flag.Duration("stats", 0, "print throughput every interval (0 = off)")
-		dataDir = flag.String("data-dir", "", "persist state here (snapshot + write-ahead log); empty = in-memory only")
-		snapEvy = flag.Duration("snapshot-every", time.Minute, "periodic snapshot interval with -data-dir (0 = final snapshot only)")
-		fsync   = flag.Bool("fsync", false, "fsync the WAL after every append (survive power loss, not just crashes)")
-		walGrp  = flag.Duration("wal-commit-interval", 0, "WAL group-commit coalescing window: batches from all connections arriving within it are committed with one write and at most one fsync; acks still mean journaled/durable (0 = one write+fsync per batch)")
-		tornOK  = flag.Bool("tolerate-torn-tail", false, "boot through a torn final WAL record (the artifact of a power loss mid-append) by truncating it; off = fail with a descriptive error so the operator decides")
-		grace   = flag.Duration("grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
-		metrics = flag.String("metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
-		queue   = flag.Int("queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole, legacy batches block (0 = unbounded)")
-		pprofOn = flag.Bool("pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
-		member  = flag.Bool("membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
-		id      = flag.String("id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")
-		vshards = flag.Int("vshards", 64, "virtual shard count under -membership; must match the gateway's -vshards")
-	)
-	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, "rtf-serve")
+// config is the parsed and cross-checked flag set, with the protocol
+// mode it resolves to.
+type config struct {
+	addr, mech string
+	d, k, m    int
+	encName    string
+	buckets    int
+	hseed      uint64
+	eps        float64
+	shards     int
+	stats      time.Duration
+	dataDir    string
+	snapEvery  time.Duration
+	durable    transport.DurableOptions
+	grace      time.Duration
+	metrics    string
+	queue      int
+	pprof      bool
+	membership bool
+	id         string
+	vshards    int
 
-	if !dyadic.IsPow2(*d) {
-		fatal(fmt.Errorf("d=%d is not a power of two", *d))
+	scale float64
+	mode  transport.Mode
+}
+
+// parseConfig parses args and refuses every unsupported combination
+// with a message naming the flags at fault, before anything listens.
+func parseConfig(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("rtf-serve", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
+	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism to host (must have the sharded capability); must match clients")
+	fs.IntVar(&c.d, "d", 1024, "time periods (power of two); must match clients")
+	fs.IntVar(&c.k, "k", 8, "max changes per user; must match clients")
+	fs.IntVar(&c.m, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match clients")
+	fs.StringVar(&c.encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact (one row per item) or loloha (hash to -buckets rows); must match clients")
+	fs.IntVar(&c.buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match clients")
+	fs.Uint64Var(&c.hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match clients")
+	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget (0 < eps <= 1); must match clients")
+	fs.IntVar(&c.shards, "shards", runtime.GOMAXPROCS(0), "accumulator shards (>= 1)")
+	fs.DurationVar(&c.stats, "stats", 0, "print throughput every interval (0 = off)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "persist state here (snapshot + write-ahead log); empty = in-memory only")
+	fs.DurationVar(&c.snapEvery, "snapshot-every", time.Minute, "periodic snapshot interval with -data-dir (0 = final snapshot only)")
+	fs.BoolVar(&c.durable.Fsync, "fsync", false, "fsync the WAL after every append (survive power loss, not just crashes)")
+	fs.DurationVar(&c.durable.GroupCommitInterval, "wal-commit-interval", 0, "WAL group-commit coalescing window: batches from all connections arriving within it are committed with one write and at most one fsync; acks still mean journaled/durable (0 = one write+fsync per batch)")
+	fs.BoolVar(&c.durable.TolerateTornTail, "tolerate-torn-tail", false, "boot through a torn final WAL record (the artifact of a power loss mid-append) by truncating it; off = fail with a descriptive error so the operator decides")
+	fs.DurationVar(&c.grace, "grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
+	fs.StringVar(&c.metrics, "metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
+	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole, legacy batches block (0 = unbounded)")
+	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
+	fs.BoolVar(&c.membership, "membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
+	fs.StringVar(&c.id, "id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")
+	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -membership; must match the gateway's -vshards")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
-	mc, ok := ldp.Lookup(ldp.Protocol(*mech))
+
+	if !dyadic.IsPow2(c.d) {
+		return c, fmt.Errorf("d=%d is not a power of two", c.d)
+	}
+	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
 	if !ok {
-		fatal(fmt.Errorf("unknown mechanism %q; registered: %s", *mech, hostable(false)))
+		return c, fmt.Errorf("unknown mechanism %q; registered: %s", c.mech, hostable(false))
 	}
-	domainMode := *m > 0
-	hashedMode := false
-	var enc hh.DomainEncoding
-	if domainMode {
-		if err := ldp.ValidateDomainSize(*m, *encName); err != nil {
-			fatal(err)
+	hashed := false
+	if c.m > 0 {
+		if err := ldp.ValidateDomainSize(c.m, c.encName); err != nil {
+			return c, err
 		}
 		if !mc.Caps.Domain {
-			fatal(fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", *mech, hostable(true)))
+			return c, fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", c.mech, hostable(true))
 		}
-		hashedMode = *encName == hh.EncodingLoloha
-		if hashedMode {
-			if !mc.Caps.HashedDomain {
-				fatal(fmt.Errorf("mechanism %q cannot host hashed domain tracking", *mech))
-			}
-			enc = hh.LolohaEncoding(*m, *buckets, *hseed)
-			if err := enc.Validate(); err != nil {
-				fatal(err)
-			}
-			if *member {
-				fatal(fmt.Errorf("-membership does not support -encoding loloha yet; drop -membership"))
-			}
-		} else if *buckets != 0 || *hseed != 0 {
-			fatal(fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha"))
+		hashed = c.encName == hh.EncodingLoloha
+		if !hashed && (c.buckets != 0 || c.hseed != 0) {
+			return c, fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
 		}
 	} else {
-		if *encName != hh.EncodingExact || *buckets != 0 || *hseed != 0 {
-			fatal(fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)"))
+		if c.encName != hh.EncodingExact || c.buckets != 0 || c.hseed != 0 {
+			return c, fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
 		}
 		if !mc.Caps.Sharded {
-			fatal(fmt.Errorf("mechanism %q cannot be hosted on the sharded accumulator; hostable: %s", *mech, hostable(false)))
+			return c, fmt.Errorf("mechanism %q cannot be hosted on the sharded accumulator; hostable: %s", c.mech, hostable(false))
 		}
 	}
-	scale, err := mc.EstimatorScale(ldp.Params{D: *d, K: *k, Eps: *eps})
+	var err error
+	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
+		return c, err
+	}
+	switch {
+	case hashed:
+		if !mc.Caps.HashedDomain {
+			return c, fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
+		}
+		enc := hh.LolohaEncoding(c.m, c.buckets, c.hseed)
+		if err := enc.Validate(); err != nil {
+			return c, err
+		}
+		if c.membership {
+			return c, fmt.Errorf("-membership does not support -encoding loloha yet; drop -membership")
+		}
+		c.mode = transport.HashedMode(c.d, enc, c.scale)
+	case c.m > 0:
+		c.mode = transport.DomainMode(c.d, c.m, c.scale)
+	default:
+		c.mode = transport.BoolMode(c.d, c.scale)
+	}
+	if c.shards < 1 {
+		return c, fmt.Errorf("shards=%d must be >= 1", c.shards)
+	}
+	if c.membership {
+		if c.id == "" {
+			return c, fmt.Errorf("-membership requires -id (the member ID the gateway routes by)")
+		}
+		if c.vshards < 1 || c.vshards > membership.MaxShards {
+			return c, fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
+		}
+		if c.m > 0 && c.dataDir != "" {
+			return c, fmt.Errorf("-membership -m does not support -data-dir yet (domain shard snapshots are not implemented); drop -data-dir")
+		}
+	}
+	return c, nil
+}
+
+// meta describes the hosting configuration recorded in (and checked
+// against) every snapshot.
+func (c config) meta() persist.Meta {
+	meta := persist.Meta{Mechanism: c.mech, D: c.d, K: c.k, M: c.m, Eps: c.eps, Scale: c.scale}
+	if c.encName == hh.EncodingLoloha {
+		meta.Encoding, meta.G, meta.HashSeed = c.encName, c.buckets, c.hseed
+	}
+	return meta
+}
+
+func main() {
+	cfg, err := parseConfig(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
 	if err != nil {
 		fatal(err)
 	}
-	if *shards < 1 {
-		fatal(fmt.Errorf("shards=%d must be >= 1", *shards))
-	}
-	if *member {
-		if *id == "" {
-			fatal(fmt.Errorf("-membership requires -id (the member ID the gateway routes by)"))
-		}
-		if *vshards < 1 || *vshards > membership.MaxShards {
-			fatal(fmt.Errorf("vshards=%d outside [1..%d]", *vshards, membership.MaxShards))
-		}
-	}
+	logger := obs.NewLogger(os.Stderr, "rtf-serve")
 
-	// The mode-specific wiring: an ingest server over the right
-	// collector, plus the stats and snapshot hooks shared below.
+	// One store of the resolved mode: a collector or (membership) a
+	// shard map, journaled when -data-dir is set.
 	var (
-		srv        *transport.IngestServer
-		statsFn    func() (hellos, reports, batches int64)
-		snapshotFn func() (uint64, error) // nil when in-memory
-		closeFn    func() error
-		durable    transport.DurabilityStatser // nil when in-memory
-		epochFn    func() uint64               // membership mode: current view epoch
-		ownedFn    func() int                  // membership mode: shards owned under it
+		store   transport.Store
+		sm      *transport.ShardMap
+		durable *transport.Durable
 	)
-	switch {
-	case *member && domainMode:
-		if *dataDir != "" {
-			fatal(fmt.Errorf("-membership -m does not support -data-dir yet (domain shard snapshots are not implemented); drop -data-dir"))
+	if cfg.membership {
+		sm = transport.NewShardMap(cfg.mode, cfg.vshards, cfg.id)
+		store = sm
+	} else {
+		store = transport.NewCollector(cfg.mode, cfg.shards)
+	}
+	if cfg.dataDir != "" {
+		var rec transport.RecoveryStats
+		if durable, rec, err = transport.OpenDurableStore(store, cfg.dataDir, cfg.meta(), cfg.durable); err != nil {
+			fatal(err)
 		}
-		col := transport.NewDomainShardMapCollector(*d, *m, scale, *vshards, *id)
-		srv = transport.NewDomainShardMapIngestServer(col)
-		statsFn, epochFn, ownedFn = col.Stats, col.Epoch, col.OwnedShards
-	case *member:
-		sm := transport.NewShardMapCollector(*d, scale, *vshards, *id)
-		epochFn, ownedFn = sm.Epoch, sm.OwnedShards
-		if *dataDir != "" {
-			meta := persist.Meta{Mechanism: *mech, D: *d, K: *k, Eps: *eps, Scale: scale}
-			dc, rec, err := transport.OpenDurableShardMap(sm, *dataDir, meta, transport.DurableOptions{Fsync: *fsync, TolerateTornTail: *tornOK, GroupCommitInterval: *walGrp})
-			if err != nil {
-				fatal(err)
-			}
-			srv = transport.NewShardMapIngestServer(dc)
-			statsFn, snapshotFn, closeFn, durable = dc.Stats, dc.Snapshot, dc.Close, dc
-			logRecovery(logger, *dataDir, rec, int(rec.Hellos))
-		} else {
-			srv = transport.NewShardMapIngestServer(sm)
-			statsFn = sm.Stats
-		}
-	case hashedMode:
-		hs := hh.NewHashedDomainServer(*d, enc, scale, *shards)
-		if *dataDir != "" {
-			meta := persist.Meta{Mechanism: *mech, D: *d, K: *k, M: *m, Eps: *eps, Scale: scale,
-				Encoding: enc.Name, G: enc.G, HashSeed: enc.Seed}
-			dc, rec, err := transport.OpenDurableHashedDomain(hs, *dataDir, meta, transport.DurableOptions{Fsync: *fsync, TolerateTornTail: *tornOK, GroupCommitInterval: *walGrp})
-			if err != nil {
-				fatal(err)
-			}
-			srv = transport.NewHashedDomainIngestServer(dc)
-			statsFn, snapshotFn, closeFn, durable = dc.Stats, dc.Snapshot, dc.Close, dc
-			logRecovery(logger, *dataDir, rec, hs.Users())
-		} else {
-			dc := transport.NewHashedDomainCollector(hs)
-			srv = transport.NewHashedDomainIngestServer(dc)
-			statsFn = dc.Stats
-		}
-	case domainMode:
-		ds := hh.NewDomainServer(*d, *m, scale, *shards)
-		if *dataDir != "" {
-			meta := persist.Meta{Mechanism: *mech, D: *d, K: *k, M: *m, Eps: *eps, Scale: scale}
-			dc, rec, err := transport.OpenDurableDomain(ds, *dataDir, meta, transport.DurableOptions{Fsync: *fsync, TolerateTornTail: *tornOK, GroupCommitInterval: *walGrp})
-			if err != nil {
-				fatal(err)
-			}
-			srv = transport.NewDomainIngestServer(dc)
-			statsFn, snapshotFn, closeFn, durable = dc.Stats, dc.Snapshot, dc.Close, dc
-			logRecovery(logger, *dataDir, rec, ds.Users())
-		} else {
-			dc := transport.NewDomainCollector(ds)
-			srv = transport.NewDomainIngestServer(dc)
-			statsFn = dc.Stats
-		}
-	default:
-		acc := protocol.NewSharded(*d, scale, *shards)
-		if *dataDir != "" {
-			meta := persist.Meta{Mechanism: *mech, D: *d, K: *k, Eps: *eps, Scale: scale}
-			dc, rec, err := transport.OpenDurable(acc, *dataDir, meta, transport.DurableOptions{Fsync: *fsync, TolerateTornTail: *tornOK, GroupCommitInterval: *walGrp})
-			if err != nil {
-				fatal(err)
-			}
-			srv = transport.NewIngestServer(dc)
-			statsFn, snapshotFn, closeFn, durable = dc.Stats, dc.Snapshot, dc.Close, dc
-			logRecovery(logger, *dataDir, rec, acc.Users())
-		} else {
-			col := transport.NewShardedCollector(acc)
-			srv = transport.NewIngestServer(col)
-			statsFn = col.Stats
+		store = durable
+		if rec.SnapshotCursor > 0 || rec.Replayed > 0 {
+			logger.Info("recovered", "dir", cfg.dataDir, "cursor", rec.SnapshotCursor,
+				"replayed", rec.Replayed, "hellos", rec.Hellos, "reports", rec.Reports, "users", store.Users())
 		}
 	}
+	srv := transport.NewIngestServer(store)
 	srv.ErrorLog = func(err error) { logger.Error("serve", "err", err) }
 
 	// Observability: every serving instrument lives in one registry,
@@ -267,31 +272,31 @@ func main() {
 	// back-pressures legacy batch connections.
 	reg := obs.NewRegistry()
 	reg.SetInfo("component", "rtf-serve")
-	reg.SetInfo("mechanism", *mech)
+	reg.SetInfo("mechanism", cfg.mech)
 	obs.RegisterProcessMetrics(reg)
 	srv.Metrics = transport.NewServerMetrics(reg)
-	if *queue > 0 {
-		srv.Queue = transport.NewIngestQueue(*queue)
+	if cfg.queue > 0 {
+		srv.Queue = transport.NewIngestQueue(cfg.queue)
 		srv.Metrics.RegisterQueue(srv.Queue)
 	}
 	if durable != nil {
 		srv.Metrics.RegisterDurability(durable)
 	}
-	if *member {
-		reg.SetInfo("member_id", *id)
-		reg.GaugeFunc("membership_epoch", func() float64 { return float64(epochFn()) })
-		reg.GaugeFunc("membership_owned_shards", func() float64 { return float64(ownedFn()) })
+	if sm != nil {
+		reg.SetInfo("member_id", cfg.id)
+		reg.GaugeFunc("membership_epoch", func() float64 { return float64(sm.Epoch()) })
+		reg.GaugeFunc("membership_owned_shards", func() float64 { return float64(sm.OwnedShards()) })
 	}
 	metricsAddr := ""
-	if *metrics != "" {
-		mln, err := net.Listen("tcp", *metrics)
+	if cfg.metrics != "" {
+		mln, err := net.Listen("tcp", cfg.metrics)
 		if err != nil {
 			fatal(err)
 		}
 		metricsAddr = mln.Addr().String()
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg)
-		if *pprofOn {
+		if cfg.pprof {
 			obs.MountPprof(mux)
 		}
 		go http.Serve(mln, mux)
@@ -302,24 +307,24 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
-		logger.Info("draining", "signal", s, "grace", *grace)
+		logger.Info("draining", "signal", s, "grace", cfg.grace)
 		go func() {
 			<-sig
 			logger.Error("second signal: exiting immediately")
 			os.Exit(1)
 		}()
 		close(stop)
-		srv.Shutdown(*grace)
+		srv.Shutdown(cfg.grace)
 	}()
 
-	if snapshotFn != nil && *snapEvy > 0 {
+	if durable != nil && cfg.snapEvery > 0 {
 		go func() {
-			tick := time.NewTicker(*snapEvy)
+			tick := time.NewTicker(cfg.snapEvery)
 			defer tick.Stop()
 			for {
 				select {
 				case <-tick.C:
-					if _, err := snapshotFn(); err != nil {
+					if _, err := durable.Snapshot(); err != nil {
 						logger.Error("snapshot", "err", err)
 					}
 				case <-stop:
@@ -329,14 +334,14 @@ func main() {
 		}()
 	}
 
-	if *stats > 0 {
+	if cfg.stats > 0 {
 		go func() {
-			tick := time.NewTicker(*stats)
+			tick := time.NewTicker(cfg.stats)
 			defer tick.Stop()
 			var lastReports int64
 			last := time.Now()
 			for range tick.C {
-				hellos, reports, batches := statsFn()
+				hellos, reports, batches := store.Stats()
 				now := time.Now()
 				rate := float64(reports-lastReports) / now.Sub(last).Seconds()
 				logger.Info("throughput", "users", hellos, "reports", reports,
@@ -348,18 +353,18 @@ func main() {
 
 	ready := make(chan net.Addr, 1)
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*addr, ready) }()
+	go func() { errc <- srv.ListenAndServe(cfg.addr, ready) }()
 	select {
 	case a := <-ready:
-		if *member {
+		if cfg.membership {
 			logger.Info("listening", "addr", a, "metrics", metricsAddr,
-				"mechanism", *mech, "d", *d, "k", *k, "m", *m, "eps", *eps,
-				"member_id", *id, "vshards", *vshards, "queue", *queue, "durable", snapshotFn != nil)
+				"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
+				"member_id", cfg.id, "vshards", cfg.vshards, "queue", cfg.queue, "durable", durable != nil)
 		} else {
 			logger.Info("listening", "addr", a, "metrics", metricsAddr,
-				"mechanism", *mech, "d", *d, "k", *k, "m", *m, "eps", *eps,
-				"encoding", *encName, "buckets", *buckets,
-				"shards", *shards, "queue", *queue, "durable", snapshotFn != nil)
+				"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
+				"encoding", cfg.encName, "buckets", cfg.buckets,
+				"shards", cfg.shards, "queue", cfg.queue, "durable", durable != nil)
 		}
 	case err := <-errc:
 		fatal(err)
@@ -371,26 +376,18 @@ func main() {
 	// The serve loop has returned and every connection goroutine has
 	// exited: the accumulator is quiescent. Flush the final snapshot so
 	// a clean shutdown restarts without any WAL replay.
-	if snapshotFn != nil {
-		if cursor, err := snapshotFn(); err != nil {
+	if durable != nil {
+		cursor, err := durable.Snapshot()
+		if err != nil {
 			fatal(err)
-		} else {
-			logger.Info("final snapshot", "cursor", cursor)
 		}
-		if err := closeFn(); err != nil {
+		logger.Info("final snapshot", "cursor", cursor)
+		if err := durable.Close(); err != nil {
 			fatal(err)
 		}
 	}
-	hellos, reports, batches := statsFn()
+	hellos, reports, batches := store.Stats()
 	logger.Info("done", "users", hellos, "reports", reports, "batches", batches)
-}
-
-// logRecovery reports what boot recovery reconstructed.
-func logRecovery(logger *obs.Logger, dataDir string, rec transport.RecoveryStats, users int) {
-	if rec.SnapshotCursor > 0 || rec.Replayed > 0 {
-		logger.Info("recovered", "dir", dataDir, "cursor", rec.SnapshotCursor,
-			"replayed", rec.Replayed, "hellos", rec.Hellos, "reports", rec.Reports, "users", users)
-	}
 }
 
 // hostable lists the registered mechanisms rtf-serve can host in the

@@ -1,0 +1,78 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestParseConfig is the mode × topology × durability table of
+// rtf-serve (README.md, "serving core"): one accepted row per served
+// cell, and every refused combination with the message the operator
+// sees.
+func TestParseConfig(t *testing.T) {
+	split := func(s string) []string { return strings.Fields(s) }
+	const loloha = "-m 100000 -encoding loloha -buckets 64 -hash-seed 7"
+
+	accepted := []struct {
+		name, args, mode string
+	}{
+		{"bool single", "", "boolean"},
+		{"bool single durable", "-data-dir /tmp/x -fsync -wal-commit-interval 1ms", "boolean"},
+		{"bool membership", "-membership -id n0", "boolean"},
+		{"bool membership durable", "-membership -id n0 -vshards 16 -data-dir /tmp/x", "boolean"},
+		{"exact single", "-m 64", "domain"},
+		{"exact single durable", "-m 64 -data-dir /tmp/x", "domain"},
+		{"exact membership", "-m 64 -membership -id n0", "domain"},
+		{"hashed single", loloha, "hashed-domain"},
+		{"hashed single durable", loloha + " -data-dir /tmp/x", "hashed-domain"},
+		{"other mechanism", "-mechanism erlingsson -d 256 -k 4 -eps 0.5 -shards 16", "boolean"},
+	}
+	for _, tc := range accepted {
+		t.Run("accepts "+tc.name, func(t *testing.T) {
+			cfg, err := parseConfig(split(tc.args))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.mode.Name(); got != tc.mode {
+				t.Fatalf("resolved mode %q, want %q", got, tc.mode)
+			}
+			if cfg.scale <= 0 {
+				t.Fatalf("estimator scale %v not resolved", cfg.scale)
+			}
+		})
+	}
+
+	refused := []struct {
+		name, args, want string
+	}{
+		{"non-pow2 d", "-d 1000", "d=1000 is not a power of two"},
+		{"unknown mechanism", "-mechanism nope", `unknown mechanism "nope"`},
+		{"mechanism not sharded", "-mechanism naive-split", "cannot be hosted on the sharded accumulator"},
+		{"mechanism not domain-capable", "-mechanism central-binary -m 8", "cannot host domain tracking"},
+		{"domain size below 2", "-m 1", "m=1 must be at least 2"},
+		{"exact domain over the row cap", "-m 5000", "exceeds the exact encoding's 4096 limit"},
+		{"buckets without loloha", "-m 64 -buckets 8", "-buckets and -hash-seed only apply with -encoding loloha"},
+		{"hash-seed without loloha", "-m 64 -hash-seed 3", "-buckets and -hash-seed only apply with -encoding loloha"},
+		{"encoding without -m", "-encoding loloha", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
+		{"buckets without -m", "-buckets 8", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
+		{"loloha without buckets", "-m 100000 -encoding loloha", "bucket count g=0"},
+		{"membership × loloha", loloha + " -membership -id n0", "-membership does not support -encoding loloha yet"},
+		{"membership × -m × -data-dir", "-m 64 -membership -id n0 -data-dir /tmp/x", "-membership -m does not support -data-dir yet"},
+		{"membership without id", "-membership", "-membership requires -id"},
+		{"vshards out of range", "-membership -id n0 -vshards 0", "vshards=0 outside"},
+		{"shards below 1", "-shards 0", "shards=0 must be >= 1"},
+		{"eps out of range", "-eps 0", "epsilon 0 must be positive"},
+		{"unknown flag", "-no-such-flag", "flag provided but not defined"},
+	}
+	for _, tc := range refused {
+		t.Run("refuses "+tc.name, func(t *testing.T) {
+			_, err := parseConfig(split(tc.args))
+			if err == nil {
+				t.Fatalf("parseConfig(%q) accepted", tc.args)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("parseConfig(%q) error = %q, want it to contain %q", tc.args, err, tc.want)
+			}
+		})
+	}
+}

@@ -20,7 +20,7 @@
 // The aggregation service is durable: rtf/internal/persist provides a
 // segmented write-ahead log and checksummed snapshot files, the
 // transport layer journals every ingested frame before applying it
-// (DurableCollector), and mechanisms expose their server state through
+// (transport.Durable), and mechanisms expose their server state through
 // the ldp Snapshotter/Restorer capability, so a crashed rtf-serve
 // restarts from snapshot + WAL replay answering every query bit-for-bit
 // as if uninterrupted — reports are spent privacy budget and can never

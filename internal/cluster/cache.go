@@ -4,8 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"rtf/internal/hh"
-	"rtf/internal/protocol"
 	"rtf/internal/transport"
 )
 
@@ -39,40 +37,15 @@ import (
 // staleness in exchange for a scatter-free read path under sustained
 // ingest. Off by default.
 
-// cacheEntry is one completed cluster-wide gather. frames (Boolean) or
-// domainFrames (exact/hashed domain) hold the raw per-backend sums;
-// the folded servers that answer shaped queries are built lazily, at
-// most once, so sums-only traffic never pays the fold. Entries are
-// immutable after fill (the fold memoizes under its own synchronization
-// and every server read path is pure or internally locked), so any
-// number of connections may share one entry concurrently.
+// cacheEntry is one completed cluster-wide gather: the raw per-backend
+// sums, with the fold that answers shaped queries built lazily, at most
+// once, so sums-only traffic never pays it. Entries are immutable after
+// fill (see transport.Gathered), so any number of connections may share
+// one entry concurrently.
 type cacheEntry struct {
+	*transport.Gathered
 	stamp  uint64    // ingest epoch loaded before the gather's first fetch
 	filled time.Time // gather completion, for the opt-in TTL mode
-
-	srv    *protocol.Server      // Boolean mode: folded eagerly by gather
-	frames []transport.SumsFrame // Boolean mode: raw per-backend frames
-
-	domainFrames []transport.DomainSumsFrame // exact + hashed domain modes
-
-	foldOnce sync.Once // a gateway serves one mode, so one fold suffices
-	ds       *hh.DomainServer
-	hs       *hh.HashedDomainServer
-	foldErr  error
-}
-
-// domainServer folds the gathered frames into the exact-domain server,
-// at most once per entry.
-func (e *cacheEntry) domainServer(g *Gateway) (*hh.DomainServer, error) {
-	e.foldOnce.Do(func() { e.ds, e.foldErr = g.foldDomain(e.domainFrames) })
-	return e.ds, e.foldErr
-}
-
-// hashedServer folds the gathered frames into the hashed-domain server,
-// at most once per entry.
-func (e *cacheEntry) hashedServer(g *Gateway) (*hh.HashedDomainServer, error) {
-	e.foldOnce.Do(func() { e.hs, e.foldErr = g.foldHashedDomain(e.domainFrames) })
-	return e.hs, e.foldErr
 }
 
 // answerCache is the entry slot plus the single-flight latch. Both are
@@ -121,15 +94,15 @@ const joinAttempts = 2
 
 // acquireEntry obtains the gathered cluster state one query needs:
 // from the cache when the entry is current, by joining an in-flight
-// gather, or by running gather itself (becoming the flight leader other
+// gather, or by scattering itself (becoming the flight leader other
 // clean sessions coalesce onto). It reports whether the answer came
 // from the warm cache (hit: no gather ran anywhere on behalf of this
 // query) and whether this query coalesced onto another session's
 // flight. Sessions with unfenced forwards bypass the cache entirely —
 // see the package comment at the top of this file.
-func (g *Gateway) acquireEntry(s *session, gather func() (*cacheEntry, error)) (e *cacheEntry, hit, coalesced bool, err error) {
+func (g *Gateway) acquireEntry(s *session) (e *cacheEntry, hit, coalesced bool, err error) {
 	if !s.clean() {
-		e, err = gather()
+		e, err = s.scatter()
 		return e, false, false, err
 	}
 	c := &g.cache
@@ -146,7 +119,7 @@ func (g *Gateway) acquireEntry(s *session, gather func() (*cacheEntry, error)) (
 			f = &gatherFlight{done: make(chan struct{})}
 			c.flight = f
 			c.mu.Unlock()
-			e, err = gather()
+			e, err = s.scatter()
 			if err == nil {
 				// epoch was loaded before the fetches began, so the stamp
 				// is conservative: equal-epoch readers are provably exact.
@@ -176,7 +149,7 @@ func (g *Gateway) acquireEntry(s *session, gather func() (*cacheEntry, error)) (
 		// The flight's result went stale while we waited; retry — the
 		// next round finds a fresher entry, a newer flight, or leads.
 	}
-	e, err = gather()
+	e, err = s.scatter()
 	return e, false, false, err
 }
 

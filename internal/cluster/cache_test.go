@@ -454,7 +454,7 @@ func testCacheChurnDomain(t *testing.T, hashed bool) {
 		var done chan error
 		if hashed {
 			hs := hh.NewHashedDomainServer(d, enc, scale, 2)
-			srv = transport.NewHashedDomainIngestServer(transport.NewHashedDomainCollector(hs))
+			srv = transport.NewIngestServer(transport.NewHashedDomainCollector(hs))
 			ready := make(chan net.Addr, 1)
 			done = make(chan error, 1)
 			go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()

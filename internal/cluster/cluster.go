@@ -32,47 +32,35 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
-	"rtf/internal/protocol"
 	"rtf/internal/transport"
 )
 
 // Gateway fronts a partitioned set of rtf-serve backends with the
-// rtf-serve wire protocol: batched hello/report ingestion, v1 point
-// queries, versioned v2 queries, and raw-sums requests (so gateways
-// stack: a gateway is itself a valid backend). Every backend must be
-// started with the same mechanism parameters (d, scale) as the gateway.
+// rtf-serve wire protocol of its Mode: batched ingestion, every query
+// shape, and raw-sums requests (so gateways stack: a gateway is itself
+// a valid backend). It is the serving core (transport.Server) with
+// sessions whose Apply partitions and forwards and whose Gather is a
+// cached scatter/gather. Every backend must be started with the same
+// mode parameters as the gateway; a gateway serves exactly one mode,
+// like its backends, and off-mode frames fail the connection.
 type Gateway struct {
+	// Server carries the listener lifecycle and the ErrorLog, Metrics
+	// and Queue fields. Queue admission runs before anything is
+	// forwarded, so a shed batch reaches no backend at all; admitted
+	// batches forward downstream as ordinary blocking batches, so
+	// backends never shed a forward and a batch cannot end up applied on
+	// one partition and dropped on another.
+	*transport.Server
+
 	client *transport.ClusterClient
-	d      int
-	scale  float64
-	// m is the row count when the gateway fronts domain-mode backends
-	// (the richer-domain reduction): the domain size under the exact
-	// encoding, the bucket count under a hashed one. 0 means the Boolean
-	// protocol. A gateway serves exactly one mode, like its backends.
-	m int
-	// enc is the hashed domain encoding when the gateway fronts
-	// hashed-domain backends; the zero value means exact or Boolean.
-	enc hh.DomainEncoding
-
-	// ErrorLog, when non-nil, receives per-connection decode/validation
-	// failures (which close that connection but not the gateway).
-	ErrorLog func(err error)
-
-	// Metrics, when non-nil, instruments the gateway: forwarded batches
-	// and messages, per-backend scatter latency, per-mechanism query
-	// counters, hedge accounting, live connection count, and acked-batch
-	// shed accounting. Nil keeps every path metric-free.
-	Metrics *transport.ServerMetrics
+	mode   transport.Mode
 
 	// AnswerCacheTTL, when positive, opts the gateway into bounded-
 	// staleness reads: a cached gather younger than this may answer a
@@ -82,16 +70,6 @@ type Gateway struct {
 	// fresh scatter/gather. See cache.go.
 	AnswerCacheTTL time.Duration
 
-	// Queue, when non-nil, bounds concurrent in-flight batches at the
-	// gateway's front door — before anything is forwarded, so a shed
-	// batch is rejected whole and never reaches any backend. Legacy
-	// batches block for a slot (TCP backpressure); acked batches are
-	// shed with a negative ack. Admitted batches forward downstream as
-	// ordinary blocking batches, so backends never shed a forward and a
-	// batch cannot end up applied on one partition and dropped on
-	// another.
-	Queue *transport.IngestQueue
-
 	// ingestEpoch advances whenever the cluster-wide answer could have
 	// changed: a forward starting, a fence certifying forwards as
 	// applied, or an unfenced lease dying. Cache entries are stamped
@@ -100,130 +78,64 @@ type Gateway struct {
 	// cache is the version-stamped gathered-sums cache and the
 	// single-flight latch coalescing concurrent identical gathers.
 	cache answerCache
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
-// New builds a gateway for horizon d and estimator scale over the given
-// cluster client.
+// New builds a Boolean gateway for horizon d and estimator scale over
+// the given cluster client.
 func New(d int, scale float64, client *transport.ClusterClient) *Gateway {
-	if !dyadic.IsPow2(d) {
-		panic(fmt.Sprintf("cluster: d=%d not a power of two", d))
-	}
-	return &Gateway{
-		client: client,
-		d:      d,
-		scale:  scale,
-		conns:  make(map[net.Conn]struct{}),
-	}
+	return newGateway(d, transport.BoolMode(d, scale), client)
 }
 
 // NewDomain builds a gateway fronting domain-mode backends: horizon d,
 // domain size m, and the Boolean mechanism's estimator scale (the
 // per-item scale m × scale is computed identically on every node).
 func NewDomain(d, m int, scale float64, client *transport.ClusterClient) *Gateway {
-	if !dyadic.IsPow2(d) {
-		panic(fmt.Sprintf("cluster: d=%d not a power of two", d))
-	}
 	if m < 2 {
 		panic(fmt.Sprintf("cluster: domain size m=%d must be at least 2", m))
 	}
-	return &Gateway{
-		client: client,
-		d:      d,
-		scale:  scale,
-		m:      m,
-		conns:  make(map[net.Conn]struct{}),
-	}
+	return newGateway(d, transport.DomainMode(d, m, scale), client)
 }
 
 // NewHashedDomain builds a gateway fronting hashed-domain backends:
 // horizon d, the shared domain encoding (catalogue size, bucket count,
-// epoch hash seed — checked against every backend on each gather), and
-// the Boolean mechanism's estimator scale. The gateway's row space is
-// the bucket space, so the verbatim domain fold and merge paths apply
-// with m = g. Panics on an invalid or non-hashed encoding, mirroring
-// NewDomain's contract.
+// epoch hash seed — checked by every backend on each gather), and the
+// Boolean mechanism's estimator scale. Panics on an invalid or
+// non-hashed encoding, mirroring NewDomain's contract.
 func NewHashedDomain(d int, enc hh.DomainEncoding, scale float64, client *transport.ClusterClient) *Gateway {
-	if !dyadic.IsPow2(d) {
-		panic(fmt.Sprintf("cluster: d=%d not a power of two", d))
-	}
 	if err := enc.Validate(); err != nil {
 		panic("cluster: " + err.Error())
 	}
 	if !enc.Hashed() {
 		panic(fmt.Sprintf("cluster: encoding %q is not hashed", enc.Name))
 	}
-	return &Gateway{
-		client: client,
-		d:      d,
-		scale:  scale,
-		m:      enc.G,
-		enc:    enc,
-		conns:  make(map[net.Conn]struct{}),
+	return newGateway(d, transport.HashedMode(d, enc, scale), client)
+}
+
+func newGateway(d int, mode transport.Mode, client *transport.ClusterClient) *Gateway {
+	if !dyadic.IsPow2(d) {
+		panic(fmt.Sprintf("cluster: d=%d not a power of two", d))
 	}
+	g := &Gateway{client: client, mode: mode}
+	g.Server = transport.NewServer(mode, mode.Name(), func(int) transport.Session {
+		n := client.N()
+		return &session{
+			g:        g,
+			leases:   make([]*transport.BackendConn, n),
+			bufs:     make([][]transport.Msg, n),
+			unfenced: make([]bool, n),
+		}
+	}, client.Close)
+	return g
 }
 
 // Client returns the gateway's cluster client.
 func (g *Gateway) Client() *transport.ClusterClient { return g.client }
 
-// Serve accepts connections on l until Close is called (or the
-// listener fails) and then waits for in-flight connections to drain.
-func (g *Gateway) Serve(l net.Listener) error {
-	defer g.wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if g.isClosed() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if !g.track(conn) {
-			conn.Close()
-			return nil
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.untrack(conn)
-			if err := g.serveConn(conn); err != nil && g.ErrorLog != nil {
-				g.ErrorLog(fmt.Errorf("cluster: %w", err))
-			}
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves. The chosen address (useful
-// with ":0") is sent on ready, if non-nil, once the listener is up.
-func (g *Gateway) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		l.Close()
-		return errors.New("cluster: gateway closed")
-	}
-	g.listener = l
-	g.mu.Unlock()
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return g.Serve(l)
-}
-
 // session is the per-client-connection state: one leased backend
 // connection per partition, acquired lazily. Using one connection per
 // backend for the whole session makes the backend's in-order frame
-// handling a fence: a sums fetch (or query) sees everything this
-// session forwarded before it.
+// handling a fence: a sums fetch sees everything this session forwarded
+// before it.
 type session struct {
 	g      *Gateway
 	leases []*transport.BackendConn
@@ -261,8 +173,8 @@ func (s *session) drop(i int) {
 	}
 }
 
-// close releases every lease; healthy connections return to the pool.
-func (s *session) close(healthy bool) {
+// Close releases every lease; healthy connections return to the pool.
+func (s *session) Close(healthy bool) {
 	for i, bc := range s.leases {
 		if bc != nil {
 			s.g.client.Release(i, bc, healthy)
@@ -278,8 +190,8 @@ const fetchAttempts = 3
 
 // fetchResult carries one fetch outcome together with the connection
 // that produced it, so a hedged race knows which connection won.
-type fetchResult[T any] struct {
-	f   T
+type fetchResult struct {
+	f   transport.RawSums
 	err error
 	bc  *transport.BackendConn
 }
@@ -290,20 +202,18 @@ type fetchResult[T any] struct {
 // error retries on a fresh connection, and a clean-session attempt that
 // outlives HedgeDelay is raced against a second fetch on a freshly
 // leased connection (hedged read — safe because the fetch is read-only
-// and idempotent). fetch is the round-trip to race: FetchSums or
-// FetchDomainSums.
-func fetchBackend[T any](s *session, i int, fetch func(*transport.BackendConn) (T, error)) (T, error) {
-	var zero T
+// and idempotent).
+func (s *session) fetchBackend(i int) (transport.RawSums, error) {
 	opts := s.g.client.Options()
-	bounded := func(bc *transport.BackendConn) fetchResult[T] {
+	bounded := func(bc *transport.BackendConn) fetchResult {
 		if opts.FetchTimeout > 0 {
 			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
 		}
-		f, err := fetch(bc)
+		f, err := bc.FetchSums(s.g.mode, -1)
 		if err == nil && opts.FetchTimeout > 0 {
 			err = bc.SetDeadline(time.Time{})
 		}
-		return fetchResult[T]{f: f, err: err, bc: bc}
+		return fetchResult{f: f, err: err, bc: bc}
 	}
 	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
@@ -312,16 +222,16 @@ func fetchBackend[T any](s *session, i int, fetch func(*transport.BackendConn) (
 			lastErr = err
 			continue
 		}
-		var r fetchResult[T]
+		var r fetchResult
 		if opts.HedgeDelay > 0 && !s.unfenced[i] {
-			r = hedge(s, i, bc, opts.HedgeDelay, bounded)
+			r = s.hedge(i, bc, opts.HedgeDelay, bounded)
 		} else {
 			r = bounded(bc)
 		}
 		if r.err != nil {
 			s.drop(i)
 			if s.unfenced[i] {
-				return zero, fmt.Errorf("backend %d connection failed with unacknowledged forwards: %w", i, r.err)
+				return transport.RawSums{}, fmt.Errorf("backend %d connection failed with unacknowledged forwards: %w", i, r.err)
 			}
 			lastErr = r.err
 			continue
@@ -341,7 +251,7 @@ func fetchBackend[T any](s *session, i int, fetch func(*transport.BackendConn) (
 		}
 		return r.f, nil
 	}
-	return zero, fmt.Errorf("fetching sums from backend %d: %w", i, lastErr)
+	return transport.RawSums{}, fmt.Errorf("fetching sums from backend %d: %w", i, lastErr)
 }
 
 // hedge races bounded(primary) against a second fetch on a freshly
@@ -349,9 +259,9 @@ func fetchBackend[T any](s *session, i int, fetch func(*transport.BackendConn) (
 // loser's connection is closed (its response, if any, dies with it), so
 // whichever connection this returns is the only one with a completed —
 // or no — round-trip outstanding.
-func hedge[T any](s *session, i int, primary *transport.BackendConn, delay time.Duration,
-	bounded func(*transport.BackendConn) fetchResult[T]) fetchResult[T] {
-	ch := make(chan fetchResult[T], 2)
+func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Duration,
+	bounded func(*transport.BackendConn) fetchResult) fetchResult {
+	ch := make(chan fetchResult, 2) // one slot per racer: neither send blocks
 	go func() { ch <- bounded(primary) }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -387,16 +297,16 @@ func hedge[T any](s *session, i int, primary *transport.BackendConn, delay time.
 	return r
 }
 
-// forward partitions one run of validated hello/report messages by
-// user mod N and ships each non-empty sub-batch to its backend. Dial
-// failures retry with backoff inside Lease, but once a sub-batch has
-// been written a connection failure fails the session: the sub-batch
-// (and any earlier unfenced forwards on that lease) may or may not
-// have been applied, and only the client — which sees its connection
-// die, exactly as when a single server crashes — can decide what to
-// re-send. A batch is only guaranteed applied once a later fence or
-// query round-trips on the same session.
-func (s *session) forward(ms []transport.Msg) error {
+// Apply partitions one run of validated ingest messages by user mod N
+// and ships each non-empty sub-batch to its backend. Dial failures
+// retry with backoff inside Lease, but once a sub-batch has been
+// written a connection failure fails the session: the sub-batch (and
+// any earlier unfenced forwards on that lease) may or may not have been
+// applied, and only the client — which sees its connection die, exactly
+// as when a single server crashes — can decide what to re-send. A batch
+// is only guaranteed applied once a later read round-trips on the same
+// session.
+func (s *session) Apply(ms []transport.Msg) error {
 	// Bump the epoch before anything is written: once a sub-batch is on
 	// the wire its reports may land at any later moment, so no gather
 	// whose stamp predates this forward may be served as exact again.
@@ -429,11 +339,24 @@ func (s *session) forward(ms []transport.Msg) error {
 	return nil
 }
 
-// gather is the scatter/gather core: it fetches every backend's raw
-// sums in parallel (each fetch fencing this session's prior forwards on
-// that backend) and folds them into a fresh serial protocol.Server. The
-// returned server answers any query shape bit-for-bit like a single
-// server fed all the backends' reports.
+// Gather obtains the cluster-wide sums one read is answered from:
+// from the cache, by joining an in-flight gather, or by scattering
+// itself (see cache.go).
+func (s *session) Gather() (transport.Reader, func(), error) {
+	e, hit, coalesced, err := s.g.acquireEntry(s)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.g.countCacheOutcome(hit, coalesced)
+	return e.Gathered, nil, nil
+}
+
+// scatter is the fetch half of scatter/gather: it fetches every
+// backend's raw sums in parallel (each fetch fencing this session's
+// prior forwards on that backend), in backend order. Merging and
+// folding are left to the transport.Gathered that wraps them, so a
+// raw-sums answer — which only needs the frames — never allocates the
+// accumulators of a fold.
 //
 // A fetch that fails on a lease carrying unfenced forwards fails the
 // session: retrying on a fresh connection would answer — and so fence —
@@ -441,9 +364,9 @@ func (s *session) forward(ms []transport.Msg) error {
 // With nothing unfenced the fetch is read-only and idempotent, so it
 // retries across fresh connections (dials back off inside Lease),
 // riding out a backend restart.
-func (s *session) gather() (*protocol.Server, []transport.SumsFrame, error) {
+func (s *session) scatter() (*cacheEntry, error) {
 	n := s.g.client.N()
-	frames := make([]transport.SumsFrame, n)
+	frames := make([]transport.RawSums, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -451,55 +374,9 @@ func (s *session) gather() (*protocol.Server, []transport.SumsFrame, error) {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			f, err := fetchBackend(s, i, (*transport.BackendConn).FetchSums)
-			if err != nil {
-				errs[i] = err
+			if frames[i], errs[i] = s.fetchBackend(i); errs[i] != nil {
 				return
 			}
-			frames[i] = f
-			if m := s.g.Metrics; m != nil {
-				m.ObserveScatter(i, time.Since(start))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	srv := protocol.NewServer(s.g.d, s.g.scale)
-	for i := range frames {
-		if err := frames[i].MergeInto(srv); err != nil {
-			return nil, nil, fmt.Errorf("merging sums from backend %d: %w", i, err)
-		}
-	}
-	return srv, frames, nil
-}
-
-// gatherDomain is the fetch half of domain scatter/gather: it fetches
-// every backend's per-item raw sums in parallel (each fetch fencing
-// this session's prior forwards on that backend). The retry discipline
-// is identical to gather: a fetch failing over unfenced forwards fails
-// the session, a clean fetch retries across fresh connections. Folding
-// is left to foldDomain, so a MsgDomainSums answer — which only needs
-// the raw frames — never allocates the m per-item accumulators.
-func (s *session) gatherDomain() ([]transport.DomainSumsFrame, error) {
-	n := s.g.client.N()
-	frames := make([]transport.DomainSumsFrame, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			f, err := fetchBackend(s, i, (*transport.BackendConn).FetchDomainSums)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			frames[i] = f
 			if m := s.g.Metrics; m != nil {
 				m.ObserveScatter(i, time.Since(start))
 			}
@@ -511,591 +388,5 @@ func (s *session) gatherDomain() ([]transport.DomainSumsFrame, error) {
 			return nil, err
 		}
 	}
-	return frames, nil
-}
-
-// foldDomain merges gathered per-backend frames into a fresh serial
-// hh.DomainServer, which answers any item-scoped query shape —
-// point-item, series-item, top-k — bit-for-bit like a single server
-// fed all the backends' reports.
-func (g *Gateway) foldDomain(frames []transport.DomainSumsFrame) (*hh.DomainServer, error) {
-	ds := hh.NewDomainServer(g.d, g.m, g.scale, 1)
-	for i := range frames {
-		if err := frames[i].MergeInto(ds); err != nil {
-			return nil, fmt.Errorf("merging domain sums from backend %d: %w", i, err)
-		}
-	}
-	return ds, nil
-}
-
-// mergeDomainFrames folds the gathered per-backend frames into one
-// cluster-wide DomainSumsFrame, so a domain gateway can itself answer
-// MsgDomainSums (and stack under another gateway). Each frame's
-// configuration is checked against the gateway's — this path answers
-// straight from the raw frames, without the per-item fold whose
-// MergeInto would otherwise catch a misconfigured backend.
-func (g *Gateway) mergeDomainFrames(frames []transport.DomainSumsFrame) (transport.DomainSumsFrame, error) {
-	out := transport.DomainSumsFrame{
-		D:     g.d,
-		M:     g.m,
-		Scale: g.scale,
-		Items: make([]transport.ItemSums, g.m),
-	}
-	for x := range out.Items {
-		out.Items[x] = transport.ItemSums{
-			PerOrder: make([]int64, dyadic.NumOrders(g.d)),
-			Sums:     make([]int64, dyadic.TotalIntervals(g.d)),
-		}
-	}
-	for i, f := range frames {
-		if f.D != g.d || f.M != g.m || f.Scale != g.scale || len(f.Items) != g.m {
-			return transport.DomainSumsFrame{}, fmt.Errorf(
-				"backend %d serves d=%d m=%d scale=%v (%d items), gateway configured with d=%d m=%d scale=%v",
-				i, f.D, f.M, f.Scale, len(f.Items), g.d, g.m, g.scale)
-		}
-		for x, it := range f.Items {
-			o := &out.Items[x]
-			o.Users += it.Users
-			for h, v := range it.PerOrder {
-				o.PerOrder[h] += v
-			}
-			for i, v := range it.Sums {
-				o.Sums[i] += v
-			}
-		}
-	}
-	return out, nil
-}
-
-// mergeFrames folds the gathered per-backend frames into one cluster-
-// wide SumsFrame, so a gateway can itself answer MsgSums (and stack
-// under another gateway).
-func (g *Gateway) mergeFrames(frames []transport.SumsFrame) transport.SumsFrame {
-	out := transport.SumsFrame{
-		D:        g.d,
-		Scale:    g.scale,
-		PerOrder: make([]int64, dyadic.NumOrders(g.d)),
-		Sums:     make([]int64, dyadic.TotalIntervals(g.d)),
-	}
-	for _, f := range frames {
-		out.Users += f.Users
-		for h, v := range f.PerOrder {
-			out.PerOrder[h] += v
-		}
-		for i, v := range f.Sums {
-			out.Sums[i] += v
-		}
-	}
-	return out
-}
-
-// serveConn runs the decode loop for one client connection: ingest runs
-// are partitioned and forwarded, queries are answered by scatter/gather.
-func (g *Gateway) serveConn(conn net.Conn) error {
-	dec := transport.NewDecoder(conn)
-	enc := transport.NewEncoder(conn)
-	s := &session{
-		g:        g,
-		leases:   make([]*transport.BackendConn, g.client.N()),
-		bufs:     make([][]transport.Msg, g.client.N()),
-		unfenced: make([]bool, g.client.N()),
-	}
-	healthy := false
-	defer func() { s.close(healthy) }()
-	err := g.serveFrames(s, dec, enc)
-	if err == nil {
-		healthy = true
-	}
-	return err
-}
-
-func (g *Gateway) serveFrames(s *session, dec *transport.Decoder, enc *transport.Encoder) error {
-	if g.enc.Hashed() {
-		return g.serveHashedDomainFrames(s, dec, enc)
-	}
-	if g.m > 0 {
-		return g.serveDomainFrames(s, dec, enc)
-	}
-	isQuery := func(m transport.Msg) bool {
-		return m.Type == transport.MsgQuery || m.Type == transport.MsgQueryV2 || m.Type == transport.MsgSums
-	}
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or gateway shutdown
-			}
-			return err
-		}
-		acked := dec.AckedBatch()
-		start := time.Now()
-		ingest := 0
-		// Atomic batches, as on a single server: validate every frame
-		// before forwarding or answering anything.
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case transport.MsgQuery:
-				if m.T < 1 || m.T > g.d {
-					return fmt.Errorf("query time %d out of range [1..%d]", m.T, g.d)
-				}
-			case transport.MsgQueryV2:
-				if err := transport.ValidateQuery(g.d, m); err != nil {
-					return err
-				}
-			case transport.MsgSums:
-				// No parameters to validate.
-			default:
-				// The identical checks the backend collector runs, so a
-				// batch the gateway accepts cannot be rejected downstream
-				// mid-forward.
-				if err := transport.ValidateIngest(g.d, m); err != nil {
-					return err
-				}
-				ingest++
-			}
-		}
-		shed, holding, err := g.admitBatch(acked, enc)
-		if err != nil {
-			return err
-		}
-		if shed {
-			continue
-		}
-		err = transport.BatchRuns(ms, isQuery,
-			s.forward,
-			func(m transport.Msg) error {
-				if g.Metrics != nil {
-					g.Metrics.CountQuery("boolean", transport.QueryKindName(m))
-				}
-				e, hit, coalesced, err := g.acquireEntry(s, func() (*cacheEntry, error) {
-					srv, frames, err := s.gather()
-					if err != nil {
-						return nil, err
-					}
-					return &cacheEntry{srv: srv, frames: frames}, nil
-				})
-				if err != nil {
-					return err
-				}
-				g.countCacheOutcome(hit, coalesced)
-				switch m.Type {
-				case transport.MsgQuery:
-					if err := enc.Encode(transport.Estimate(m.T, e.srv.EstimateAt(m.T))); err != nil {
-						return err
-					}
-				case transport.MsgQueryV2:
-					ans, err := transport.AnswerQuery(e.srv, m)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeAnswer(ans); err != nil {
-						return err
-					}
-				case transport.MsgSums:
-					if err := enc.EncodeSums(g.mergeFrames(e.frames)); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
-		if holding {
-			g.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := g.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
-		}
-	}
-}
-
-// admitBatch mirrors the ingest server's admission at the gateway's
-// front door: it runs before anything is forwarded, so a shed batch
-// never reaches any backend — whole-batch rejection holds cluster-wide.
-func (g *Gateway) admitBatch(acked bool, enc *transport.Encoder) (shed, holding bool, err error) {
-	if g.Queue == nil {
-		return false, false, nil
-	}
-	if !acked {
-		g.Queue.Acquire()
-		return false, true, nil
-	}
-	if g.Queue.TryAcquire() {
-		return false, true, nil
-	}
-	if g.Metrics != nil {
-		g.Metrics.ObserveShed()
-	}
-	if err := enc.EncodeBatchAck(false); err != nil {
-		return false, false, err
-	}
-	return true, false, enc.Flush()
-}
-
-// finishBatch acknowledges a forwarded acked batch and records its
-// metrics. The positive ack certifies the batch was written whole to
-// the session's backend leases; as with legacy batches, application is
-// certified by the next fence or query on this session.
-func (g *Gateway) finishBatch(acked bool, enc *transport.Encoder, n int, start time.Time) error {
-	if acked {
-		if err := enc.EncodeBatchAck(true); err != nil {
-			return err
-		}
-		if err := enc.Flush(); err != nil {
-			return err
-		}
-	}
-	if g.Metrics != nil {
-		g.Metrics.ObserveBatch(n, time.Since(start), acked)
-	}
-	return nil
-}
-
-// serveDomainFrames is serveFrames for a domain gateway: item-tagged
-// ingest runs are partitioned by user and forwarded, item-scoped
-// queries are answered by per-item scatter/gather. Boolean frames fail
-// the connection, mirroring a domain-mode rtf-serve.
-func (g *Gateway) serveDomainFrames(s *session, dec *transport.Decoder, enc *transport.Encoder) error {
-	isQuery := func(m transport.Msg) bool {
-		return m.Type == transport.MsgDomainQuery || m.Type == transport.MsgDomainSums
-	}
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or gateway shutdown
-			}
-			return err
-		}
-		acked := dec.AckedBatch()
-		start := time.Now()
-		ingest := 0
-		// Atomic batches, as on a single server: validate every frame
-		// before forwarding or answering anything.
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case transport.MsgDomainQuery:
-				if err := transport.ValidateDomainQuery(g.d, g.m, m); err != nil {
-					return err
-				}
-			case transport.MsgDomainSums:
-				// No parameters to validate.
-			default:
-				// The identical checks the backend collector runs, so a
-				// batch the gateway accepts cannot be rejected downstream
-				// mid-forward.
-				if err := transport.ValidateDomainIngest(g.d, g.m, m); err != nil {
-					return err
-				}
-				ingest++
-			}
-		}
-		shed, holding, err := g.admitBatch(acked, enc)
-		if err != nil {
-			return err
-		}
-		if shed {
-			continue
-		}
-		err = transport.BatchRuns(ms, isQuery,
-			s.forward,
-			func(m transport.Msg) error {
-				if g.Metrics != nil {
-					g.Metrics.CountQuery("domain", transport.QueryKindName(m))
-				}
-				e, hit, coalesced, err := g.acquireEntry(s, func() (*cacheEntry, error) {
-					frames, err := s.gatherDomain()
-					if err != nil {
-						return nil, err
-					}
-					return &cacheEntry{domainFrames: frames}, nil
-				})
-				if err != nil {
-					return err
-				}
-				g.countCacheOutcome(hit, coalesced)
-				switch m.Type {
-				case transport.MsgDomainQuery:
-					ds, err := e.domainServer(g)
-					if err != nil {
-						return err
-					}
-					ans, err := transport.AnswerDomainQuery(ds, m)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeDomainAnswer(ans); err != nil {
-						return err
-					}
-				case transport.MsgDomainSums:
-					merged, err := g.mergeDomainFrames(e.domainFrames)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeDomainSums(merged); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
-		if holding {
-			g.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := g.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
-		}
-	}
-}
-
-// gatherHashedDomain is gatherDomain against hashed-domain backends:
-// the fetch carries the gateway's encoding parameters, so a backend
-// hashing under a different seed (or sized differently) refuses the
-// request instead of handing over incompatible bucket counters.
-func (s *session) gatherHashedDomain() ([]transport.DomainSumsFrame, error) {
-	n := s.g.client.N()
-	frames := make([]transport.DomainSumsFrame, n)
-	errs := make([]error, n)
-	enc := s.g.enc
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			start := time.Now()
-			f, err := fetchBackend(s, i, func(bc *transport.BackendConn) (transport.DomainSumsFrame, error) {
-				return bc.FetchHashedDomainSums(enc.M, enc.G, enc.Seed)
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			frames[i] = f
-			if m := s.g.Metrics; m != nil {
-				m.ObserveScatter(i, time.Since(start))
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return frames, nil
-}
-
-// foldHashedDomain merges gathered per-backend bucket frames into a
-// fresh serial hashed domain server: the raw g-row fold is foldDomain
-// verbatim (MergeInto checks each frame's dimensions), and the decode
-// layer on top answers item-scoped queries bit-for-bit like a single
-// hashed server fed every backend's reports.
-func (g *Gateway) foldHashedDomain(frames []transport.DomainSumsFrame) (*hh.HashedDomainServer, error) {
-	hs := hh.NewHashedDomainServer(g.d, g.enc, g.scale, 1)
-	for i := range frames {
-		if err := frames[i].MergeInto(hs.Inner()); err != nil {
-			return nil, fmt.Errorf("merging domain sums from backend %d: %w", i, err)
-		}
-	}
-	return hs, nil
-}
-
-// serveHashedDomainFrames is serveDomainFrames for a hashed-domain
-// gateway: bucket-tagged ingest runs are partitioned by user and
-// forwarded, item-scoped queries are validated against the catalogue
-// and answered by bucket-space scatter/gather plus the decode layer.
-// Encoding-checked sums requests (MsgHashedDomainSums) are answered
-// after the same parameter check a backend applies, so gateways stack;
-// plain MsgDomainSums — like every other off-mode frame — fails the
-// connection, mirroring a hashed-domain rtf-serve.
-func (g *Gateway) serveHashedDomainFrames(s *session, dec *transport.Decoder, enc *transport.Encoder) error {
-	isQuery := func(m transport.Msg) bool {
-		return m.Type == transport.MsgDomainQuery || m.Type == transport.MsgHashedDomainSums
-	}
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or gateway shutdown
-			}
-			return err
-		}
-		acked := dec.AckedBatch()
-		start := time.Now()
-		ingest := 0
-		// Atomic batches, as on a single server: validate every frame
-		// before forwarding or answering anything.
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case transport.MsgDomainQuery:
-				if err := transport.ValidateHashedDomainQuery(g.d, g.enc.M, m); err != nil {
-					return err
-				}
-			case transport.MsgHashedDomainSums:
-				if m.Item != g.enc.M || m.K != g.enc.G || m.Seed != g.enc.Seed {
-					return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, gateway encodes m=%d g=%d under a different seed",
-						m.Item, m.K, m.Seed, g.enc.M, g.enc.G)
-				}
-			default:
-				// The identical checks the backend collector runs, so a
-				// batch the gateway accepts cannot be rejected downstream
-				// mid-forward.
-				if err := transport.ValidateHashedDomainIngest(g.d, g.enc, m); err != nil {
-					return err
-				}
-				ingest++
-			}
-		}
-		shed, holding, err := g.admitBatch(acked, enc)
-		if err != nil {
-			return err
-		}
-		if shed {
-			continue
-		}
-		err = transport.BatchRuns(ms, isQuery,
-			s.forward,
-			func(m transport.Msg) error {
-				if g.Metrics != nil {
-					g.Metrics.CountQuery("hashed-domain", transport.QueryKindName(m))
-				}
-				e, hit, coalesced, err := g.acquireEntry(s, func() (*cacheEntry, error) {
-					frames, err := s.gatherHashedDomain()
-					if err != nil {
-						return nil, err
-					}
-					return &cacheEntry{domainFrames: frames}, nil
-				})
-				if err != nil {
-					return err
-				}
-				g.countCacheOutcome(hit, coalesced)
-				switch m.Type {
-				case transport.MsgDomainQuery:
-					hs, err := e.hashedServer(g)
-					if err != nil {
-						return err
-					}
-					ans, err := transport.AnswerHashedDomainQuery(hs, m)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeDomainAnswer(ans); err != nil {
-						return err
-					}
-				case transport.MsgHashedDomainSums:
-					merged, err := g.mergeDomainFrames(e.domainFrames)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeDomainSums(merged); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
-		if holding {
-			g.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := g.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
-		}
-	}
-}
-
-// Shutdown drains the gateway gracefully: it stops accepting new
-// connections and closes the listener, then gives in-flight client
-// connections up to grace to finish before force-closing whatever
-// remains.
-func (g *Gateway) Shutdown(grace time.Duration) error {
-	g.mu.Lock()
-	g.closed = true
-	l := g.listener
-	g.listener = nil
-	g.mu.Unlock()
-	var lerr error
-	if l != nil {
-		lerr = l.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	timer := time.NewTimer(grace)
-	defer timer.Stop()
-	select {
-	case <-done:
-	case <-timer.C:
-		g.mu.Lock()
-		for conn := range g.conns {
-			conn.Close()
-		}
-		g.mu.Unlock()
-		<-done
-	}
-	g.client.Close()
-	return lerr
-}
-
-// Close stops accepting connections, closes the listener and all live
-// client connections, and unblocks Serve.
-func (g *Gateway) Close() error {
-	g.mu.Lock()
-	g.closed = true
-	l := g.listener
-	g.listener = nil
-	for conn := range g.conns {
-		conn.Close()
-	}
-	g.mu.Unlock()
-	g.client.Close()
-	if l != nil {
-		return l.Close()
-	}
-	return nil
-}
-
-func (g *Gateway) isClosed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
-
-func (g *Gateway) track(conn net.Conn) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	g.conns[conn] = struct{}{}
-	if g.Metrics != nil {
-		g.Metrics.ActiveConns.Add(1)
-	}
-	return true
-}
-
-func (g *Gateway) untrack(conn net.Conn) {
-	g.mu.Lock()
-	delete(g.conns, conn)
-	if g.Metrics != nil {
-		g.Metrics.ActiveConns.Add(-1)
-	}
-	g.mu.Unlock()
-	conn.Close()
+	return &cacheEntry{Gathered: transport.NewGathered(s.g.mode, frames)}, nil
 }

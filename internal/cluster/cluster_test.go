@@ -197,58 +197,6 @@ func TestGatewayScatterGather(t *testing.T) {
 	}
 }
 
-// TestGatewayBatchAtomicity checks the gateway-level atomic-batch
-// guarantee: a batch of [reports…, malformed query, reports…] forwards
-// nothing at all — no backend sees any of it.
-func TestGatewayBatchAtomicity(t *testing.T) {
-	const d, scale = 32, 2.0
-	var addrs []string
-	var backends []*testBackend
-	for i := 0; i < 3; i++ {
-		b := startBackend(t, d, scale)
-		backends = append(backends, b)
-		addrs = append(addrs, b.addr)
-		defer b.stop(t)
-	}
-	gw, gwAddr, gwDone := startGateway(t, d, scale, addrs, transport.ClusterOptions{})
-
-	conn, err := net.Dial("tcp", gwAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	ms := []transport.Msg{
-		transport.Hello(0, 1),
-		transport.FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1}),
-		transport.QueryV2(transport.QueryWindow, 5, d+9), // out of range
-		transport.FromReport(protocol.Report{User: 2, Order: 0, J: 4, Bit: 1}),
-	}
-	if err := enc.EncodeBatch(ms); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The gateway must drop the connection without forwarding anything.
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("expected the gateway to close the connection")
-	}
-	for i, b := range backends {
-		hellos, reports, _ := b.srv.Collector.Stats()
-		if hellos != 0 || reports != 0 {
-			t.Errorf("backend %d saw %d hellos, %d reports from an invalid batch", i, hellos, reports)
-		}
-	}
-	if err := gw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-gwDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGatewayBackendRestart kills one backend's listener mid-session
 // and restarts a fresh server on the same address and accumulator: the
 // gateway's pooled connections are dead, so the next query exercises
@@ -507,7 +455,7 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 func startDomainBackend(t *testing.T, d, m int, scale float64) (*transport.IngestServer, *hh.DomainServer, string, chan error) {
 	t.Helper()
 	ds := hh.NewDomainServer(d, m, scale, 2)
-	srv := transport.NewDomainIngestServer(transport.NewDomainCollector(ds))
+	srv := transport.NewIngestServer(transport.NewDomainCollector(ds))
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()

@@ -1,0 +1,558 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"testing"
+	"time"
+
+	"rtf/internal/hh"
+	"rtf/internal/membership"
+	"rtf/internal/persist"
+	"rtf/internal/protocol"
+	"rtf/internal/transport"
+	"rtf/ldp"
+)
+
+// This file is the conformance table of the serving core: the frame-loop
+// contract asserted once, over every supported (mode, front) cell,
+// instead of once per hand-copied loop. Each cell applies acked batches,
+// then throws everything at the front that must NOT change state — a
+// batch poisoned by a malformed query or a malformed ingest message, a
+// query inside an acked batch, off-mode frames, an acked batch against a
+// full queue — and finally asks every query kind and compares the
+// answers, bit for bit, with a serial ldp engine fed exactly the acked
+// batches. Anything that leaked past validation or admission shows up as
+// a differing bit or a differing applied-message count.
+
+const (
+	confD   = 16
+	confK   = 2
+	confEps = 1.0
+	confM   = 5 // exact domain size
+)
+
+var confEnc = hh.LolohaEncoding(1000, 8, 0xfeed)
+
+// confOracle is the serial reference.
+type confOracle struct {
+	b *ldp.Server
+	d *ldp.DomainServer
+}
+
+func (o *confOracle) feed(t *testing.T, ms []transport.Msg) {
+	t.Helper()
+	for _, m := range ms {
+		r := ldp.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit}
+		var err error
+		switch m.Type {
+		case transport.MsgHello:
+			err = o.b.Register(m.Order)
+		case transport.MsgReport:
+			err = o.b.Ingest(r)
+		case transport.MsgDomainHello, transport.MsgHashedDomainHello:
+			err = o.d.Register(m.Item, m.Order)
+		case transport.MsgDomainReport:
+			err = o.d.Ingest(ldp.DomainReport{Item: m.Item, Report: r})
+		default:
+			t.Fatalf("oracle fed message type %d", m.Type)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// confMode is one row axis: a protocol mode, its traffic and its reads.
+type confMode struct {
+	name string
+	mode transport.Mode
+	meta persist.Meta
+	// domain is the item-domain size (0 for Boolean) and opts the ldp
+	// options of the serial reference.
+	domain int
+	opts   []ldp.Option
+	// user builds one user's hello and reports.
+	user func(u int) []transport.Msg
+	// poison are range-invalid frames of the mode (queries and ingest);
+	// offMode are frames of another mode (or another seed).
+	poison, offMode []transport.Msg
+	// check asks every query kind on the connection and compares with
+	// the oracle.
+	check func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle)
+}
+
+func confReport(u, r int) protocol.Report {
+	order := u % 3
+	bit := int8(1)
+	if (u+r)%2 == 0 {
+		bit = -1
+	}
+	return protocol.Report{User: u, Order: order, J: 1 + (u*7+r*3)%(confD>>uint(order)), Bit: bit}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func confModes(t *testing.T) []confMode {
+	mech, ok := ldp.Lookup(ldp.FutureRand)
+	if !ok {
+		t.Fatal("futurerand not registered")
+	}
+	scale, err := mech.EstimatorScale(ldp.Params{D: confD, K: confK, Eps: confEps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := []ldp.Option{ldp.WithMechanism(ldp.FutureRand), ldp.WithSparsity(confK), ldp.WithEpsilon(confEps)}
+	meta := persist.Meta{Mechanism: string(ldp.FutureRand), D: confD, K: confK, Eps: confEps, Scale: scale}
+
+	send := func(t *testing.T, enc *transport.Encoder, q transport.Msg) {
+		t.Helper()
+		if err := enc.Encode(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkBool := func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle) {
+		t.Helper()
+		ask := func(q ldp.Query) ldp.Answer {
+			a, err := o.b.Answer(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		for _, tt := range []int{1, confD / 2, confD} {
+			send(t, enc, transport.Query(tt))
+			got, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ask(ldp.PointQuery(tt)).Value; got.Type != transport.MsgEstimate || got.T != tt ||
+				math.Float64bits(got.Value) != math.Float64bits(want) {
+				t.Fatalf("v1 point %d: got %+v, want %v", tt, got, want)
+			}
+		}
+		for _, c := range []struct {
+			wire transport.Msg
+			want []float64
+		}{
+			{transport.QueryV2(transport.QueryPoint, 3, 3), []float64{ask(ldp.PointQuery(3)).Value}},
+			{transport.QueryV2(transport.QueryChange, 2, confD-1), []float64{ask(ldp.ChangeQuery(2, confD-1)).Value}},
+			{transport.QueryV2(transport.QuerySeries, 0, 0), ask(ldp.SeriesQuery()).Series},
+			{transport.QueryV2(transport.QueryWindow, 3, 9), ask(ldp.WindowQuery(3, 9)).Series},
+		} {
+			send(t, enc, c.wire)
+			got, err := dec.ReadAnswer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameBits(got.Values, c.want) {
+				t.Fatalf("%s: got %v, want %v", c.wire.Kind, got.Values, c.want)
+			}
+		}
+	}
+	checkDomain := func(m int) func(*testing.T, *transport.Encoder, *transport.Decoder, *confOracle) {
+		return func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle) {
+			t.Helper()
+			for _, c := range []struct {
+				wire transport.Msg
+				q    ldp.Query
+			}{
+				{transport.DomainQuery(transport.QueryPointItem, 1, confD, 0, 0), ldp.PointItemQuery(1, confD)},
+				{transport.DomainQuery(transport.QueryPointItem, m-1, 2, 0, 0), ldp.PointItemQuery(m-1, 2)},
+				{transport.DomainQuery(transport.QuerySeriesItem, 2, 0, 0, 0), ldp.SeriesItemQuery(2)},
+				{transport.DomainQuery(transport.QueryTopK, 0, confD, 0, 3), ldp.TopKQuery(confD, 3)},
+				{transport.DomainQuery(transport.QueryTopK, 0, confD/2, 0, 1), ldp.TopKQuery(confD/2, 1)},
+			} {
+				want, err := o.d.Answer(c.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantVals := want.Series
+				if c.q.Kind == ldp.PointItem {
+					wantVals = []float64{want.Value}
+				}
+				send(t, enc, c.wire)
+				got, err := dec.ReadDomainAnswer()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(got.Values, wantVals) || fmt.Sprint(got.Items) != fmt.Sprint(want.Items) {
+					t.Fatalf("%s: got %v %v, want %v %v", c.wire.Kind, got.Items, got.Values, want.Items, wantVals)
+				}
+			}
+		}
+	}
+
+	exactMeta, hashedMeta := meta, meta
+	exactMeta.M = confM
+	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = confEnc.M, confEnc.G, confEnc.Name, confEnc.Seed
+	boolHello, domainHello := transport.Hello(900, 0), transport.DomainHello(900, 0, 0)
+	return []confMode{
+		{
+			name: "bool", mode: transport.BoolMode(confD, scale), meta: meta, opts: base,
+			user: func(u int) []transport.Msg {
+				ms := []transport.Msg{transport.Hello(u, u%3)}
+				for r := 0; r < 3; r++ {
+					ms = append(ms, transport.FromReport(confReport(u, r)))
+				}
+				return ms
+			},
+			poison: []transport.Msg{transport.QueryV2(transport.QueryWindow, 1, confD+5), transport.Query(confD + 1),
+				{Type: transport.MsgReport, User: 901, Order: 0, J: confD + 1, Bit: 1}},
+			offMode: []transport.Msg{domainHello, transport.DomainQuery(transport.QueryTopK, 0, 1, 0, 1), transport.DomainSums()},
+			check:   checkBool,
+		},
+		{
+			name: "exact", mode: transport.DomainMode(confD, confM, scale), meta: exactMeta, domain: confM, opts: base,
+			user: func(u int) []transport.Msg {
+				ms := []transport.Msg{transport.DomainHello(u, u%confM, u%3)}
+				for r := 0; r < 3; r++ {
+					ms = append(ms, transport.FromDomainReport(u%confM, confReport(u, r)))
+				}
+				return ms
+			},
+			poison: []transport.Msg{transport.DomainQuery(transport.QueryPointItem, confM+3, 1, 0, 0),
+				{Type: transport.MsgDomainReport, User: 901, Item: confM, Order: 0, J: 1, Bit: 1}},
+			offMode: []transport.Msg{boolHello, transport.Query(1), transport.Sums(),
+				transport.HashedDomainHello(900, 0, 0, confEnc.Seed), transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
+			check: checkDomain(confM),
+		},
+		{
+			name: "hashed", mode: transport.HashedMode(confD, confEnc, scale), meta: hashedMeta, domain: confEnc.M,
+			opts: append(append([]ldp.Option(nil), base...),
+				ldp.WithDomainEncoding(hh.EncodingLoloha), ldp.WithBuckets(confEnc.G), ldp.WithHashSeed(confEnc.Seed)),
+			user: func(u int) []transport.Msg {
+				ms := []transport.Msg{transport.HashedDomainHello(u, u%confEnc.G, u%3, confEnc.Seed)}
+				for r := 0; r < 3; r++ {
+					ms = append(ms, transport.FromDomainReport(u%confEnc.G, confReport(u, r)))
+				}
+				return ms
+			},
+			poison: []transport.Msg{transport.DomainQuery(transport.QueryPointItem, confEnc.M, 1, 0, 0),
+				{Type: transport.MsgDomainReport, User: 901, Item: confEnc.G, Order: 0, J: 1, Bit: 1}},
+			offMode: []transport.Msg{boolHello, domainHello, transport.DomainSums(),
+				transport.HashedDomainHello(900, 0, 0, confEnc.Seed+1),
+				transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed+1)},
+			check: checkDomain(confEnc.M),
+		},
+	}
+}
+
+// confFront is the other row axis: a running front over a mode.
+type confFront struct {
+	srv  *transport.Server
+	addr string
+	// applied sums the ingest messages the front's stores hold;
+	// replicas is how many stores hold each one.
+	applied  func() (hellos, reports int64)
+	replicas int64
+	// lastSeq is the WAL position of a durable front (nil otherwise).
+	lastSeq func() uint64
+	stop    func()
+}
+
+// serveFront starts srv on a loopback port with a one-slot queue.
+func serveFront(t *testing.T, srv *transport.Server) (addr string, stop func()) {
+	t.Helper()
+	srv.Queue = transport.NewIngestQueue(1)
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+	return (<-ready).String(), func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+func storeFront(t *testing.T, store transport.Store) confFront {
+	srv := transport.NewIngestServer(store)
+	addr, stop := serveFront(t, srv.Server)
+	return confFront{srv: srv.Server, addr: addr, replicas: 1, stop: stop,
+		applied: func() (int64, int64) { h, r, _ := store.Stats(); return h, r }}
+}
+
+// backends starts n unqueued single-node backends over the given stores
+// and returns their addresses, summed stats and a stop function.
+func startBackends(t *testing.T, stores []transport.Store) (addrs []string, applied func() (int64, int64), stop func()) {
+	var stops []func()
+	for _, st := range stores {
+		srv := transport.NewIngestServer(st)
+		ready := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+		addrs = append(addrs, (<-ready).String())
+		stops = append(stops, func() {
+			srv.Close()
+			<-done
+		})
+	}
+	applied = func() (h, r int64) {
+		for _, st := range stores {
+			sh, sr, _ := st.Stats()
+			h, r = h+sh, r+sr
+		}
+		return h, r
+	}
+	return addrs, applied, func() {
+		for _, s := range stops {
+			s()
+		}
+	}
+}
+
+var confFronts = []struct {
+	name string
+	// hashed reports whether the front serves the hashed mode; the
+	// membership fronts refuse it at startup (see parseConfig).
+	hashed bool
+	start  func(t *testing.T, m confMode) confFront
+}{
+	{"single", true, func(t *testing.T, m confMode) confFront {
+		return storeFront(t, transport.NewCollector(m.mode, 2))
+	}},
+	{"single-durable", true, func(t *testing.T, m confMode) confFront {
+		dc, _, err := transport.OpenDurableStore(transport.NewCollector(m.mode, 2), t.TempDir(), m.meta, transport.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := storeFront(t, dc)
+		stop := f.stop
+		f.lastSeq = func() uint64 { return dc.DurabilityStats().LastSeq }
+		f.stop = func() {
+			stop()
+			if err := dc.Close(); err != nil {
+				t.Error(err)
+			}
+		}
+		return f
+	}},
+	{"shard-map", false, func(t *testing.T, m confMode) confFront {
+		return storeFront(t, transport.NewShardMap(m.mode, 4, "n0"))
+	}},
+	{"static-gateway", true, func(t *testing.T, m confMode) confFront {
+		stores := []transport.Store{transport.NewCollector(m.mode, 2), transport.NewCollector(m.mode, 2)}
+		addrs, applied, stopBackends := startBackends(t, stores)
+		client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw := newGateway(confD, m.mode, client)
+		addr, stop := serveFront(t, gw.Server)
+		return confFront{srv: gw.Server, addr: addr, applied: applied, replicas: 1,
+			stop: func() { stop(); stopBackends() }}
+	}},
+	{"member-gateway", false, func(t *testing.T, m confMode) confFront {
+		const S, K = 4, 2
+		ids := []string{"n0", "n1", "n2"}
+		stores := make([]transport.Store, len(ids))
+		for i, id := range ids {
+			stores[i] = transport.NewShardMap(m.mode, S, id)
+		}
+		addrs, applied, stopBackends := startBackends(t, stores)
+		members := make([]membership.Member, len(ids))
+		for i, id := range ids {
+			members[i] = membership.Member{ID: id, Addr: addrs[i]}
+		}
+		gw, err := newMember(confD, m.mode, S, K, members, transport.NewReplicaClient(fastOpts()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gw.AnnounceView(); err != nil {
+			t.Fatal(err)
+		}
+		addr, stop := serveFront(t, gw.Server)
+		return confFront{srv: gw.Server, addr: addr, applied: applied, replicas: K,
+			stop: func() { stop(); stopBackends() }}
+	}},
+}
+
+// expectDrop writes frames on a fresh connection and requires the front
+// to close it without answering.
+func expectDrop(t *testing.T, addr, what string, write func(enc *transport.Encoder) error) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc := transport.NewEncoder(conn)
+	if err := write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("%s: front answered (%d bytes) instead of failing the connection", what, n)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("%s: front neither answered nor closed the connection", what)
+	}
+}
+
+func TestFrameLoopConformance(t *testing.T) {
+	for _, m := range confModes(t) {
+		for _, fr := range confFronts {
+			if m.name == "hashed" && !fr.hashed {
+				continue
+			}
+			t.Run(m.name+"/"+fr.name, func(t *testing.T) {
+				f := fr.start(t, m)
+				defer f.stop()
+				oracle := &confOracle{}
+				var err error
+				if m.domain == 0 {
+					oracle.b, err = ldp.NewServer(confD, m.opts...)
+				} else {
+					oracle.d, err = ldp.NewDomainServer(confD, m.domain, m.opts...)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var hellos, reports int64
+				accept := func(ms []transport.Msg) {
+					oracle.feed(t, ms)
+					for _, msg := range ms {
+						switch msg.Type {
+						case transport.MsgReport, transport.MsgDomainReport:
+							reports++
+						default:
+							hellos++
+						}
+					}
+				}
+
+				conn, err := net.Dial("tcp", f.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				enc, dec := transport.NewEncoder(conn), transport.NewDecoder(conn)
+				sendAcked := func(ms []transport.Msg) bool {
+					t.Helper()
+					if err := enc.EncodeAckedBatch(ms); err != nil {
+						t.Fatal(err)
+					}
+					if err := enc.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					applied, err := dec.ReadBatchAck()
+					if err != nil {
+						t.Fatal(err)
+					}
+					return applied
+				}
+
+				// Acked batches that apply: four users each.
+				for b := 0; b < 3; b++ {
+					var batch []transport.Msg
+					for u := 4 * b; u < 4*b+4; u++ {
+						batch = append(batch, m.user(u)...)
+					}
+					if !sendAcked(batch) {
+						t.Fatal("acked batch shed by an idle queue")
+					}
+					accept(batch)
+				}
+				// A read fences the acked batches on the gateway fronts, so
+				// the applied counts below are settled.
+				m.check(t, enc, dec, oracle)
+				var journaled uint64
+				if f.lastSeq != nil {
+					journaled = f.lastSeq()
+				}
+
+				// Atomic batches: a malformed frame anywhere — a query or an
+				// ingest message — poisons the whole batch.
+				good := m.user(100)
+				for _, bad := range m.poison {
+					batch := append(append(append([]transport.Msg(nil), good...), bad), m.user(101)...)
+					expectDrop(t, f.addr, fmt.Sprintf("batch poisoned by malformed frame type %d", bad.Type),
+						func(e *transport.Encoder) error { return e.EncodeBatch(batch) })
+				}
+				// An acked batch carries ingest only.
+				expectDrop(t, f.addr, "query inside an acked batch", func(e *transport.Encoder) error {
+					return e.EncodeAckedBatch(append(append([]transport.Msg(nil), good...), m.mode.SumsRequest()))
+				})
+				// A front serves exactly one mode (and one hash seed).
+				for _, off := range m.offMode {
+					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d", off.Type), func(e *transport.Encoder) error {
+						return e.Encode(off)
+					})
+					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d after valid ingest", off.Type), func(e *transport.Encoder) error {
+						return e.EncodeBatch(append(append([]transport.Msg(nil), good...), off))
+					})
+				}
+
+				// A full queue sheds an acked batch whole and blocks a
+				// legacy one until a slot frees.
+				f.srv.Queue.Acquire()
+				if sendAcked(m.user(102)) {
+					t.Fatal("acked batch applied through a full queue")
+				}
+				legacy := m.user(103)
+				answered := make(chan error, 1)
+				go func() {
+					// The connection is this goroutine's until it reports.
+					err := enc.EncodeBatch(legacy)
+					if err == nil {
+						err = enc.Encode(m.mode.SumsRequest())
+					}
+					if err == nil {
+						err = enc.Flush()
+					}
+					if err == nil {
+						_, err = m.mode.ReadSums(dec)
+					}
+					answered <- err
+				}()
+				select {
+				case err := <-answered:
+					t.Fatalf("legacy batch and the read behind it went through a full queue (err=%v)", err)
+				case <-time.After(100 * time.Millisecond):
+				}
+				f.srv.Queue.Release()
+				select {
+				case err := <-answered:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("legacy batch still blocked after the queue drained")
+				}
+				accept(legacy)
+
+				// Nothing refused above left a trace: every answer is the
+				// serial engine's, the stores hold exactly the accepted
+				// messages, and the WAL exactly the accepted runs.
+				m.check(t, enc, dec, oracle)
+				if h, r := f.applied(); h != hellos*f.replicas || r != reports*f.replicas {
+					t.Fatalf("stores hold %d hellos / %d reports, want %d / %d", h, r, hellos*f.replicas, reports*f.replicas)
+				}
+				if f.lastSeq != nil {
+					if got := f.lastSeq(); got != journaled+1 {
+						t.Fatalf("WAL at record %d, want %d (the settled prefix plus the one legacy batch)", got, journaled+1)
+					}
+				}
+			})
+		}
+	}
+}

@@ -249,7 +249,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				// stop the backend so the leased connection dies.
 				deadline := time.Now().Add(2 * time.Second)
 				for {
-					if _, reports, _ := real.srv.Collector.Stats(); reports >= 10 {
+					if _, reports, _ := real.srv.Store().Stats(); reports >= 10 {
 						break
 					}
 					if time.Now().After(deadline) {
@@ -374,7 +374,7 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 		t.Fatalf("want shed, got applied=%v err=%v", applied, err)
 	}
 	for i, b := range backends {
-		if hellos, reports, _ := b.srv.Collector.Stats(); hellos != 0 || reports != 0 {
+		if hellos, reports, _ := b.srv.Store().Stats(); hellos != 0 || reports != 0 {
 			t.Fatalf("backend %d saw %d hellos, %d reports from a shed batch", i, hellos, reports)
 		}
 	}

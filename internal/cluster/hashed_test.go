@@ -24,7 +24,7 @@ func hashedClusterEnc() hh.DomainEncoding {
 func startHashedBackend(t *testing.T, d int, enc hh.DomainEncoding, scale float64) (*transport.IngestServer, string, chan error) {
 	t.Helper()
 	hs := hh.NewHashedDomainServer(d, enc, scale, 2)
-	srv := transport.NewHashedDomainIngestServer(transport.NewHashedDomainCollector(hs))
+	srv := transport.NewIngestServer(transport.NewHashedDomainCollector(hs))
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()

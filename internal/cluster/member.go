@@ -1,18 +1,13 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"io"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rtf/internal/dyadic"
-	"rtf/internal/hh"
 	"rtf/internal/membership"
-	"rtf/internal/protocol"
 	"rtf/internal/transport"
 )
 
@@ -37,28 +32,17 @@ import (
 // keeps the moved set near the minimum: adding a member moves about
 // S·K/N of the S·K shard replicas, nothing else.
 type MemberGateway struct {
-	rc    *transport.ReplicaClient
-	d     int
-	scale float64
-	// m is the domain size when the gateway fronts domain-mode
-	// membership backends; 0 means the Boolean protocol.
-	m int
+	// Server carries the listener lifecycle and the ErrorLog, Metrics
+	// and Queue fields, exactly as on Gateway: a shed batch never
+	// reaches any member.
+	*transport.Server
 
-	// ErrorLog, when non-nil, receives per-connection decode/validation
-	// failures (which close that connection but not the gateway).
-	ErrorLog func(err error)
-
-	// Metrics, when non-nil, instruments the gateway exactly like
-	// Gateway.Metrics.
-	Metrics *transport.ServerMetrics
-
-	// Queue, when non-nil, bounds concurrent in-flight batches at the
-	// front door, as on Gateway: a shed batch never reaches any member.
-	Queue *transport.IngestQueue
+	rc   *transport.ReplicaClient
+	mode transport.Mode
 
 	// vmu is the epoch fence: sessions hold it shared for the duration
-	// of one client batch, Reshard holds it exclusively. While Reshard
-	// runs, every session is parked between batches, so its backend
+	// of one ingest run, Reshard holds it exclusively. While Reshard
+	// runs, every session is parked between runs, so its backend
 	// leases are quiescent and the resharder may round-trip fences on
 	// them.
 	vmu  sync.RWMutex
@@ -71,19 +55,13 @@ type MemberGateway struct {
 	transfers   atomic.Int64 // shard snapshots shipped by reshards
 	divergences atomic.Int64 // quorum reads that found replica mismatch
 	shortReads  atomic.Int64 // shards answered by fewer than K replicas
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewMember builds a Boolean member gateway for horizon d and estimator
 // scale over an initial member set: numShards virtual shards, each
 // placed on k of the members by rendezvous hashing, at epoch 1.
 func NewMember(d int, scale float64, numShards, k int, members []membership.Member, rc *transport.ReplicaClient) (*MemberGateway, error) {
-	return newMember(d, 0, scale, numShards, k, members, rc)
+	return newMember(d, transport.BoolMode(d, scale), numShards, k, members, rc)
 }
 
 // NewMemberDomain builds a domain-mode member gateway: horizon d,
@@ -92,10 +70,10 @@ func NewMemberDomain(d, m int, scale float64, numShards, k int, members []member
 	if m < 2 {
 		return nil, fmt.Errorf("cluster: domain size m=%d must be at least 2", m)
 	}
-	return newMember(d, m, scale, numShards, k, members, rc)
+	return newMember(d, transport.DomainMode(d, m, scale), numShards, k, members, rc)
 }
 
-func newMember(d, m int, scale float64, numShards, k int, members []membership.Member, rc *transport.ReplicaClient) (*MemberGateway, error) {
+func newMember(d int, mode transport.Mode, numShards, k int, members []membership.Member, rc *transport.ReplicaClient) (*MemberGateway, error) {
 	if !dyadic.IsPow2(d) {
 		return nil, fmt.Errorf("cluster: d=%d not a power of two", d)
 	}
@@ -103,15 +81,9 @@ func newMember(d, m int, scale float64, numShards, k int, members []membership.M
 	if err := v.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: initial view: %w", err)
 	}
-	return &MemberGateway{
-		rc:       rc,
-		d:        d,
-		scale:    scale,
-		m:        m,
-		view:     v.Clone(),
-		sessions: make(map[*memberSession]struct{}),
-		conns:    make(map[net.Conn]struct{}),
-	}, nil
+	g := &MemberGateway{rc: rc, mode: mode, view: v.Clone(), sessions: make(map[*memberSession]struct{})}
+	g.Server = transport.NewServer(mode, transport.MemberLabel("member", mode), g.openSession, rc.Close)
+	return g, nil
 }
 
 // Client returns the gateway's replica client.
@@ -300,54 +272,6 @@ func (g *MemberGateway) installShard(dst membership.Member, shard int, state []b
 	return nil
 }
 
-// Serve accepts connections on l until Close is called (or the
-// listener fails) and then waits for in-flight connections to drain.
-func (g *MemberGateway) Serve(l net.Listener) error {
-	defer g.wg.Wait()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if g.isClosed() || errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if !g.track(conn) {
-			conn.Close()
-			return nil
-		}
-		g.wg.Add(1)
-		go func() {
-			defer g.wg.Done()
-			defer g.untrack(conn)
-			if err := g.serveConn(conn); err != nil && g.ErrorLog != nil {
-				g.ErrorLog(fmt.Errorf("cluster: %w", err))
-			}
-		}()
-	}
-}
-
-// ListenAndServe listens on addr and serves. The chosen address is sent
-// on ready, if non-nil, once the listener is up.
-func (g *MemberGateway) ListenAndServe(addr string, ready chan<- net.Addr) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		l.Close()
-		return errors.New("cluster: gateway closed")
-	}
-	g.listener = l
-	g.mu.Unlock()
-	if ready != nil {
-		ready <- l.Addr()
-	}
-	return g.Serve(l)
-}
-
 // memberLease is one session's connection to one member, keyed by the
 // member ID it was opened for (the address travels along so the lease
 // can be released even after the member leaves the view).
@@ -390,9 +314,9 @@ type memberSession struct {
 	poisoned error
 }
 
-func (g *MemberGateway) serveConn(conn net.Conn) error {
-	dec := transport.NewDecoder(conn)
-	enc := transport.NewEncoder(conn)
+// openSession registers a new client connection's session under the
+// current view.
+func (g *MemberGateway) openSession(int) transport.Session {
 	s := &memberSession{
 		g:        g,
 		leases:   make(map[string]*memberLease),
@@ -404,26 +328,23 @@ func (g *MemberGateway) serveConn(conn net.Conn) error {
 	g.smu.Lock()
 	g.sessions[s] = struct{}{}
 	g.smu.Unlock()
-	healthy := false
-	defer func() {
-		g.smu.Lock()
-		delete(g.sessions, s)
-		g.smu.Unlock()
-		// Closing races no resharder: either the session is registered
-		// (resharder fences it) or it is gone from the registry before
-		// the resharder collects sessions.
-		s.lmu.Lock()
-		for id, l := range s.leases {
-			g.rc.Release(l.addr, l.bc, healthy && !s.unfenced[id])
-			delete(s.leases, id)
-		}
-		s.lmu.Unlock()
-	}()
-	err := g.serveFrames(s, dec, enc)
-	if err == nil {
-		healthy = true
+	return s
+}
+
+// Close deregisters the session and releases its leases. Closing races
+// no resharder: either the session is registered (resharder fences it)
+// or it is gone from the registry before the resharder collects
+// sessions.
+func (s *memberSession) Close(healthy bool) {
+	s.g.smu.Lock()
+	delete(s.g.sessions, s)
+	s.g.smu.Unlock()
+	s.lmu.Lock()
+	for id, l := range s.leases {
+		s.g.rc.Release(l.addr, l.bc, healthy && !s.unfenced[id])
+		delete(s.leases, id)
 	}
-	return err
+	s.lmu.Unlock()
 }
 
 // adopt installs a view into the session: owner table resolved, leases
@@ -487,8 +408,8 @@ func (s *memberSession) drop(id string) {
 
 // fenceForReshard round-trips a fence on every lease carrying unfenced
 // forwards. Called via fenceSessions under the exclusive view lock —
-// by Reshard before cutting snapshots and by beginQuery before a
-// quorum read — so the session is parked between batches and its
+// by Reshard before cutting snapshots and by Gather before a quorum
+// read — so the session is parked between batches and its
 // leases are quiescent. A fence failure poisons the session (its
 // forwards are indeterminate) but fencing continues on the other
 // leases — every member copy that can still be confirmed applied
@@ -507,13 +428,7 @@ func (s *memberSession) fenceForReshard() {
 	}
 	s.lmu.Unlock()
 	for _, p := range todo {
-		var err error
-		if s.g.m > 0 {
-			_, err = p.l.bc.FetchShardDomainSums(0)
-		} else {
-			_, err = p.l.bc.FetchShardSums(0)
-		}
-		if err != nil {
+		if _, err := p.l.bc.FetchSums(s.g.mode, 0); err != nil {
 			if s.poisoned == nil {
 				s.poisoned = fmt.Errorf("member %s connection failed with unacknowledged forwards during a fence: %w", p.id, err)
 			}
@@ -576,8 +491,7 @@ const memberFetchAttempts = 2
 // its session lease (the first fetch fences prior forwards). A failure
 // over unfenced forwards is fatal to the session; a clean failure
 // retries once on a fresh connection and then reports the member down.
-func fetchMember[T any](s *memberSession, mem membership.Member, shards []int,
-	fetch func(*transport.BackendConn, int) (T, error)) (frames []T, fatal bool, err error) {
+func (s *memberSession) fetchMember(mem membership.Member, shards []int) (frames []transport.RawSums, fatal bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < memberFetchAttempts; attempt++ {
 		bc, err := s.lease(mem)
@@ -588,7 +502,7 @@ func fetchMember[T any](s *memberSession, mem membership.Member, shards []int,
 		frames = frames[:0]
 		ok := true
 		for _, sh := range shards {
-			f, err := fetch(bc, sh)
+			f, err := bc.FetchSums(s.g.mode, sh)
 			if err != nil {
 				s.lmu.Lock()
 				unfenced := s.unfenced[mem.ID]
@@ -618,14 +532,12 @@ func fetchMember[T any](s *memberSession, mem membership.Member, shards []int,
 // parallel across members (sequential per member, so each member's
 // first fetch fences that member's prior forwards), verifies the copies
 // of each shard agree by exact integer comparison, and returns one
-// chosen frame per shard in shard order. equal must compare frames
-// exactly; fetch round-trips one shard.
-func quorumGather[T any](s *memberSession,
-	fetch func(*transport.BackendConn, int) (T, error),
-	equal func(a, b T) bool) ([]T, error) {
+// chosen frame per shard in shard order — the fixed fold order that
+// keeps answers bit-for-bit.
+func (s *memberSession) quorumGather() ([]transport.RawSums, error) {
 	v := &s.view
 	type result struct {
-		frames []T
+		frames []transport.RawSums
 		fatal  bool
 		err    error
 	}
@@ -648,7 +560,7 @@ func quorumGather[T any](s *memberSession,
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			frames, fatal, err := fetchMember(s, v.Members[i], ownedBy[i], fetch)
+			frames, fatal, err := s.fetchMember(v.Members[i], ownedBy[i])
 			results[i] = result{frames: frames, fatal: fatal, err: err}
 			if err == nil && s.g.Metrics != nil {
 				s.g.Metrics.ObserveScatter(i, time.Since(start))
@@ -657,8 +569,8 @@ func quorumGather[T any](s *memberSession,
 	}
 	wg.Wait()
 
-	votes := make([][]T, v.NumShards)    // per-shard frames, owner order
-	voters := make([][]int, v.NumShards) // the member index behind each vote
+	votes := make([][]transport.RawSums, v.NumShards) // per-shard frames, owner order
+	voters := make([][]int, v.NumShards)              // the member index behind each vote
 	for i := range v.Members {
 		r := &results[i]
 		if len(ownedBy[i]) == 0 {
@@ -688,7 +600,7 @@ func quorumGather[T any](s *memberSession,
 		}
 	}
 
-	chosen := make([]T, v.NumShards)
+	chosen := make([]transport.RawSums, v.NumShards)
 	for sh := 0; sh < v.NumShards; sh++ {
 		vs := votes[sh]
 		if len(vs) == 0 {
@@ -698,7 +610,7 @@ func quorumGather[T any](s *memberSession,
 			s.g.shortReads.Add(1)
 		}
 		for j := 1; j < len(vs); j++ {
-			if !equal(vs[0], vs[j]) {
+			if !vs[0].Equal(vs[j]) {
 				s.g.divergences.Add(1)
 				return nil, fmt.Errorf("replica divergence on shard %d: members %s and %s disagree on raw sums",
 					sh, v.Members[voters[sh][0]].ID, v.Members[voters[sh][j]].ID)
@@ -709,161 +621,12 @@ func quorumGather[T any](s *memberSession,
 	return chosen, nil
 }
 
-// sumsEqual compares two raw-sums frames exactly — integer for integer.
-func sumsEqual(a, b transport.SumsFrame) bool {
-	if a.D != b.D || a.Scale != b.Scale || a.Users != b.Users ||
-		len(a.PerOrder) != len(b.PerOrder) || len(a.Sums) != len(b.Sums) {
-		return false
-	}
-	for i := range a.PerOrder {
-		if a.PerOrder[i] != b.PerOrder[i] {
-			return false
-		}
-	}
-	for i := range a.Sums {
-		if a.Sums[i] != b.Sums[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// domainSumsEqual compares two per-item raw-sums frames exactly.
-func domainSumsEqual(a, b transport.DomainSumsFrame) bool {
-	if a.D != b.D || a.M != b.M || a.Scale != b.Scale || len(a.Items) != len(b.Items) {
-		return false
-	}
-	for x := range a.Items {
-		ai, bi := &a.Items[x], &b.Items[x]
-		if ai.Users != bi.Users || len(ai.PerOrder) != len(bi.PerOrder) || len(ai.Sums) != len(bi.Sums) {
-			return false
-		}
-		for i := range ai.PerOrder {
-			if ai.PerOrder[i] != bi.PerOrder[i] {
-				return false
-			}
-		}
-		for i := range ai.Sums {
-			if ai.Sums[i] != bi.Sums[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// gather runs a Boolean quorum read and folds the chosen per-shard
-// frames, in fixed shard order, into a fresh serial server.
-func (s *memberSession) gather() (*protocol.Server, []transport.SumsFrame, error) {
-	frames, err := quorumGather(s, (*transport.BackendConn).FetchShardSums, sumsEqual)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := protocol.NewServer(s.g.d, s.g.scale)
-	for sh := range frames {
-		if err := frames[sh].MergeInto(srv); err != nil {
-			return nil, nil, fmt.Errorf("merging sums of shard %d: %w", sh, err)
-		}
-	}
-	return srv, frames, nil
-}
-
-// gatherDomain runs a domain quorum read, returning the chosen per-
-// shard frames in shard order.
-func (s *memberSession) gatherDomain() ([]transport.DomainSumsFrame, error) {
-	return quorumGather(s, (*transport.BackendConn).FetchShardDomainSums, domainSumsEqual)
-}
-
-// foldDomain merges chosen per-shard frames into a fresh serial domain
-// server (fixed shard order keeps answers bit-for-bit).
-func (g *MemberGateway) foldDomain(frames []transport.DomainSumsFrame) (*hh.DomainServer, error) {
-	ds := hh.NewDomainServer(g.d, g.m, g.scale, 1)
-	for sh := range frames {
-		if err := frames[sh].MergeInto(ds); err != nil {
-			return nil, fmt.Errorf("merging domain sums of shard %d: %w", sh, err)
-		}
-	}
-	return ds, nil
-}
-
-// mergeMemberFrames folds chosen per-shard frames into one cluster-wide
-// SumsFrame (the MsgSums answer, so member gateways stack like plain
-// gateways).
-func (g *MemberGateway) mergeMemberFrames(frames []transport.SumsFrame) transport.SumsFrame {
-	out := transport.SumsFrame{
-		D:        g.d,
-		Scale:    g.scale,
-		PerOrder: make([]int64, dyadic.NumOrders(g.d)),
-		Sums:     make([]int64, dyadic.TotalIntervals(g.d)),
-	}
-	for _, f := range frames {
-		out.Users += f.Users
-		for h, v := range f.PerOrder {
-			out.PerOrder[h] += v
-		}
-		for i, v := range f.Sums {
-			out.Sums[i] += v
-		}
-	}
-	return out
-}
-
-// mergeMemberDomainFrames folds chosen per-shard frames into one
-// cluster-wide DomainSumsFrame (the MsgDomainSums answer). Each frame's
-// configuration is checked against the gateway's.
-func (g *MemberGateway) mergeMemberDomainFrames(frames []transport.DomainSumsFrame) (transport.DomainSumsFrame, error) {
-	out := transport.DomainSumsFrame{
-		D:     g.d,
-		M:     g.m,
-		Scale: g.scale,
-		Items: make([]transport.ItemSums, g.m),
-	}
-	for x := range out.Items {
-		out.Items[x] = transport.ItemSums{
-			PerOrder: make([]int64, dyadic.NumOrders(g.d)),
-			Sums:     make([]int64, dyadic.TotalIntervals(g.d)),
-		}
-	}
-	for sh, f := range frames {
-		if f.D != g.d || f.M != g.m || f.Scale != g.scale || len(f.Items) != g.m {
-			return transport.DomainSumsFrame{}, fmt.Errorf(
-				"shard %d serves d=%d m=%d scale=%v (%d items), gateway configured with d=%d m=%d scale=%v",
-				sh, f.D, f.M, f.Scale, len(f.Items), g.d, g.m, g.scale)
-		}
-		for x, it := range f.Items {
-			o := &out.Items[x]
-			o.Users += it.Users
-			for h, v := range it.PerOrder {
-				o.PerOrder[h] += v
-			}
-			for i, v := range it.Sums {
-				o.Sums[i] += v
-			}
-		}
-	}
-	return out, nil
-}
-
-func (g *MemberGateway) serveFrames(s *memberSession, dec *transport.Decoder, enc *transport.Encoder) error {
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or gateway shutdown
-			}
-			return err
-		}
-		if err := g.runBatch(s, ms, dec, enc); err != nil {
-			return err
-		}
-	}
-}
-
-// forwardRun ships one run of ingest messages under the shared view
-// lock: Reshard cannot interleave with a run, so a run forwards under
-// exactly one epoch (and its copies are fenced before any snapshot of
-// them is cut).
-func (g *MemberGateway) forwardRun(s *memberSession, run []transport.Msg) error {
+// Apply ships one run of ingest messages under the shared view lock:
+// Reshard cannot interleave with a run, so a run forwards under exactly
+// one epoch (and its copies are fenced before any snapshot of them is
+// cut).
+func (s *memberSession) Apply(run []transport.Msg) error {
+	g := s.g
 	g.vmu.RLock()
 	defer g.vmu.RUnlock()
 	if s.poisoned != nil {
@@ -875,307 +638,29 @@ func (g *MemberGateway) forwardRun(s *memberSession, run []transport.Msg) error 
 	return s.forward(run)
 }
 
-// beginQuery prepares a quorum read: it takes the exclusive view lock —
-// parking every ingest session between batches — and fences every
+// Gather runs a fenced quorum read: it takes the exclusive view lock —
+// parking every ingest session between runs — and fences every
 // outstanding forward, so all replicas sit at the same settled prefix
 // of the ingest stream. Without the global fence, a read racing another
 // session's in-flight forward would see one replica with the sub-batch
 // applied and one without, and exact-integer divergence detection would
-// misfire on healthy replicas. The returned unlock must be called when
-// the read (and its answer) is done.
-func (g *MemberGateway) beginQuery(s *memberSession) (unlock func(), err error) {
+// misfire on healthy replicas. The lock is held until the answer is
+// done.
+func (s *memberSession) Gather() (transport.Reader, func(), error) {
+	g := s.g
 	g.vmu.Lock()
 	g.fenceSessions()
 	if s.poisoned != nil {
 		g.vmu.Unlock()
-		return nil, s.poisoned
+		return nil, nil, s.poisoned
 	}
 	if s.view.Epoch != g.view.Epoch {
 		s.adopt(g.view.Clone())
 	}
-	return g.vmu.Unlock, nil
-}
-
-// runBatch processes one decoded client batch: ingest runs forward
-// under the shared view lock, queries quorum-read under the exclusive
-// one (see beginQuery).
-func (g *MemberGateway) runBatch(s *memberSession, ms []transport.Msg, dec *transport.Decoder, enc *transport.Encoder) error {
-	if g.m > 0 {
-		return g.runDomainBatch(s, ms, dec, enc)
-	}
-	isQuery := func(m transport.Msg) bool {
-		return m.Type == transport.MsgQuery || m.Type == transport.MsgQueryV2 || m.Type == transport.MsgSums
-	}
-	acked := dec.AckedBatch()
-	start := time.Now()
-	ingest := 0
-	for _, m := range ms {
-		if acked && isQuery(m) {
-			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-		}
-		switch m.Type {
-		case transport.MsgQuery:
-			if m.T < 1 || m.T > g.d {
-				return fmt.Errorf("query time %d out of range [1..%d]", m.T, g.d)
-			}
-		case transport.MsgQueryV2:
-			if err := transport.ValidateQuery(g.d, m); err != nil {
-				return err
-			}
-		case transport.MsgSums:
-			// No parameters to validate.
-		default:
-			if err := transport.ValidateIngest(g.d, m); err != nil {
-				return err
-			}
-			ingest++
-		}
-	}
-	shed, holding, err := g.admitBatch(acked, enc)
+	frames, err := s.quorumGather()
 	if err != nil {
-		return err
+		g.vmu.Unlock()
+		return nil, nil, err
 	}
-	if shed {
-		return nil
-	}
-	err = transport.BatchRuns(ms, isQuery,
-		func(run []transport.Msg) error { return g.forwardRun(s, run) },
-		func(m transport.Msg) error {
-			if g.Metrics != nil {
-				g.Metrics.CountQuery("member", transport.QueryKindName(m))
-			}
-			unlock, err := g.beginQuery(s)
-			if err != nil {
-				return err
-			}
-			defer unlock()
-			srv, frames, err := s.gather()
-			if err != nil {
-				return err
-			}
-			switch m.Type {
-			case transport.MsgQuery:
-				if err := enc.Encode(transport.Estimate(m.T, srv.EstimateAt(m.T))); err != nil {
-					return err
-				}
-			case transport.MsgQueryV2:
-				ans, err := transport.AnswerQuery(srv, m)
-				if err != nil {
-					return err
-				}
-				if err := enc.EncodeAnswer(ans); err != nil {
-					return err
-				}
-			case transport.MsgSums:
-				if err := enc.EncodeSums(g.mergeMemberFrames(frames)); err != nil {
-					return err
-				}
-			}
-			return enc.Flush()
-		})
-	if holding {
-		g.Queue.Release()
-	}
-	if err != nil {
-		return err
-	}
-	return g.finishBatch(acked, enc, ingest, start)
-}
-
-// runDomainBatch is runBatch for a domain-mode member gateway.
-func (g *MemberGateway) runDomainBatch(s *memberSession, ms []transport.Msg, dec *transport.Decoder, enc *transport.Encoder) error {
-	isQuery := func(m transport.Msg) bool {
-		return m.Type == transport.MsgDomainQuery || m.Type == transport.MsgDomainSums
-	}
-	acked := dec.AckedBatch()
-	start := time.Now()
-	ingest := 0
-	for _, m := range ms {
-		if acked && isQuery(m) {
-			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-		}
-		switch m.Type {
-		case transport.MsgDomainQuery:
-			if err := transport.ValidateDomainQuery(g.d, g.m, m); err != nil {
-				return err
-			}
-		case transport.MsgDomainSums:
-			// No parameters to validate.
-		default:
-			if err := transport.ValidateDomainIngest(g.d, g.m, m); err != nil {
-				return err
-			}
-			ingest++
-		}
-	}
-	shed, holding, err := g.admitBatch(acked, enc)
-	if err != nil {
-		return err
-	}
-	if shed {
-		return nil
-	}
-	err = transport.BatchRuns(ms, isQuery,
-		func(run []transport.Msg) error { return g.forwardRun(s, run) },
-		func(m transport.Msg) error {
-			if g.Metrics != nil {
-				g.Metrics.CountQuery("member-domain", transport.QueryKindName(m))
-			}
-			unlock, err := g.beginQuery(s)
-			if err != nil {
-				return err
-			}
-			defer unlock()
-			frames, err := s.gatherDomain()
-			if err != nil {
-				return err
-			}
-			switch m.Type {
-			case transport.MsgDomainQuery:
-				ds, err := g.foldDomain(frames)
-				if err != nil {
-					return err
-				}
-				ans, err := transport.AnswerDomainQuery(ds, m)
-				if err != nil {
-					return err
-				}
-				if err := enc.EncodeDomainAnswer(ans); err != nil {
-					return err
-				}
-			case transport.MsgDomainSums:
-				merged, err := g.mergeMemberDomainFrames(frames)
-				if err != nil {
-					return err
-				}
-				if err := enc.EncodeDomainSums(merged); err != nil {
-					return err
-				}
-			}
-			return enc.Flush()
-		})
-	if holding {
-		g.Queue.Release()
-	}
-	if err != nil {
-		return err
-	}
-	return g.finishBatch(acked, enc, ingest, start)
-}
-
-// admitBatch mirrors Gateway.admitBatch at the member gateway's front
-// door.
-func (g *MemberGateway) admitBatch(acked bool, enc *transport.Encoder) (shed, holding bool, err error) {
-	if g.Queue == nil {
-		return false, false, nil
-	}
-	if !acked {
-		g.Queue.Acquire()
-		return false, true, nil
-	}
-	if g.Queue.TryAcquire() {
-		return false, true, nil
-	}
-	if g.Metrics != nil {
-		g.Metrics.ObserveShed()
-	}
-	if err := enc.EncodeBatchAck(false); err != nil {
-		return false, false, err
-	}
-	return true, false, enc.Flush()
-}
-
-// finishBatch mirrors Gateway.finishBatch.
-func (g *MemberGateway) finishBatch(acked bool, enc *transport.Encoder, n int, start time.Time) error {
-	if acked {
-		if err := enc.EncodeBatchAck(true); err != nil {
-			return err
-		}
-		if err := enc.Flush(); err != nil {
-			return err
-		}
-	}
-	if g.Metrics != nil {
-		g.Metrics.ObserveBatch(n, time.Since(start), acked)
-	}
-	return nil
-}
-
-// Shutdown drains the gateway gracefully, mirroring Gateway.Shutdown.
-func (g *MemberGateway) Shutdown(grace time.Duration) error {
-	g.mu.Lock()
-	g.closed = true
-	l := g.listener
-	g.listener = nil
-	g.mu.Unlock()
-	var lerr error
-	if l != nil {
-		lerr = l.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	timer := time.NewTimer(grace)
-	defer timer.Stop()
-	select {
-	case <-done:
-	case <-timer.C:
-		g.mu.Lock()
-		for conn := range g.conns {
-			conn.Close()
-		}
-		g.mu.Unlock()
-		<-done
-	}
-	g.rc.Close()
-	return lerr
-}
-
-// Close stops accepting connections, closes the listener and all live
-// client connections, and unblocks Serve.
-func (g *MemberGateway) Close() error {
-	g.mu.Lock()
-	g.closed = true
-	l := g.listener
-	g.listener = nil
-	for conn := range g.conns {
-		conn.Close()
-	}
-	g.mu.Unlock()
-	g.rc.Close()
-	if l != nil {
-		return l.Close()
-	}
-	return nil
-}
-
-func (g *MemberGateway) isClosed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
-
-func (g *MemberGateway) track(conn net.Conn) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	g.conns[conn] = struct{}{}
-	if g.Metrics != nil {
-		g.Metrics.ActiveConns.Add(1)
-	}
-	return true
-}
-
-func (g *MemberGateway) untrack(conn net.Conn) {
-	g.mu.Lock()
-	delete(g.conns, conn)
-	if g.Metrics != nil {
-		g.Metrics.ActiveConns.Add(-1)
-	}
-	g.mu.Unlock()
-	conn.Close()
+	return transport.NewGathered(g.mode, frames), g.vmu.Unlock, nil
 }

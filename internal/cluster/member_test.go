@@ -18,7 +18,7 @@ import (
 // memberBackend is one in-process membership-mode rtf-serve.
 type memberBackend struct {
 	id   string
-	sm   *transport.ShardMapCollector
+	sm   *transport.ShardMap
 	srv  *transport.IngestServer
 	addr string
 	done chan error
@@ -26,8 +26,8 @@ type memberBackend struct {
 
 func startMemberBackend(t *testing.T, d int, scale float64, numShards int, id string) *memberBackend {
 	t.Helper()
-	sm := transport.NewShardMapCollector(d, scale, numShards, id)
-	srv := transport.NewShardMapIngestServer(sm)
+	sm := transport.NewShardMap(transport.BoolMode(d, scale), numShards, id)
+	srv := transport.NewIngestServer(sm)
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
@@ -204,14 +204,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		if len(holders) != K {
 			t.Fatalf("shard %d has %d owners, want %d", sh, len(holders), K)
 		}
-		a, err := holders[0].sm.ShardSums(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := holders[1].sm.ShardSums(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b2 := holders[0].sm.ShardSums(sh).Items[0], holders[1].sm.ShardSums(sh).Items[0]
 		if a.Users != b2.Users {
 			t.Fatalf("shard %d replicas disagree: %d vs %d users", sh, a.Users, b2.Users)
 		}
@@ -220,11 +213,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 			if view.Owns(b.id, sh) {
 				continue
 			}
-			f, err := b.sm.ShardSums(sh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Users != 0 {
+			if f := b.sm.ShardSums(sh).Items[0]; f.Users != 0 {
 				t.Fatalf("non-owner %s holds %d users of shard %d", b.id, f.Users, sh)
 			}
 		}
@@ -405,12 +394,8 @@ func TestMemberGatewayDivergence(t *testing.T) {
 	if _, err := dec.Next(); err != nil {
 		t.Fatal(err)
 	}
-	empty := transport.NewShardMapCollector(d, scale, S, "empty")
-	state, err := empty.ExportShard(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b1.sm.InstallShard(0, state); err != nil {
+	empty := transport.BoolMode(d, scale).NewState(1).MarshalState()
+	if err := b1.sm.InstallShard(0, empty); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(transport.Query(1)); err != nil {

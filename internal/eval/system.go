@@ -163,8 +163,8 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 		return nil, nil, 0, 0, err
 	}
 	srv := protocol.NewServer(wl.D, protocol.EstimatorScale(wl.D, factories[0].CGap()))
-	coll := transport.NewCollector()
-	link := transport.NewLossyLink(dropProb, g)
+	coll := NewCollector()
+	link := NewLossyLink(dropProb, g)
 	for u, us := range wl.Users {
 		c := protocol.NewClient(u, wl.D, factories, g)
 		if err := coll.Send(transport.Hello(u, c.Order())); err != nil {

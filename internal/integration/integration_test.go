@@ -14,6 +14,7 @@ import (
 
 	"rtf/internal/consistency"
 	"rtf/internal/dyadic"
+	"rtf/internal/eval"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/sim"
@@ -99,7 +100,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := protocol.NewServer(d, protocol.EstimatorScale(d, factories[0].CGap()))
-	coll := transport.NewCollector()
+	coll := eval.NewCollector()
 	base := rng.New(5, 6)
 
 	var wg sync.WaitGroup

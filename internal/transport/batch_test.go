@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 )
@@ -298,8 +299,72 @@ func TestShardedCollector(t *testing.T) {
 		"bit":          {Type: MsgReport, J: 1},
 		"query":        Query(3),
 	} {
-		if err := c.Send(0, m); err == nil {
+		if err := c.SendBatch(0, []Msg{m}); err == nil {
 			t.Errorf("%s: expected error", name)
+		}
+	}
+}
+
+// TestStoreSendBatchAtomic pins run atomicity below the frame loop, for
+// every mode and store shape: a run with one invalid message — out of
+// range, off-mode or wrong-seed — applies (and journals) nothing, and
+// the store still accepts the valid prefix afterwards.
+func TestStoreSendBatchAtomic(t *testing.T) {
+	const d, scale, m = 16, 2.0, 4
+	enc := hashedTestEnc()
+	rep := protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}
+	for _, tc := range []struct {
+		name   string
+		mode   Mode
+		meta   persist.Meta
+		good   []Msg
+		poison []Msg
+	}{
+		{"bool", BoolMode(d, scale), persist.Meta{D: d, Scale: scale},
+			[]Msg{Hello(1, 0), FromReport(rep)},
+			[]Msg{FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), DomainHello(2, 0, 0), Query(1)}},
+		{"exact", DomainMode(d, m, scale), persist.Meta{D: d, M: m, Scale: scale},
+			[]Msg{DomainHello(1, 0, 0), FromDomainReport(0, rep)},
+			[]Msg{{Type: MsgDomainReport, User: 2, Item: m + 5, Order: 0, J: 1, Bit: 1}, Hello(2, 0)}},
+		{"hashed", HashedMode(d, enc, scale),
+			persist.Meta{D: d, M: enc.M, G: enc.G, Encoding: enc.Name, HashSeed: enc.Seed, Scale: scale},
+			[]Msg{HashedDomainHello(1, 0, 0, enc.Seed), FromDomainReport(0, rep)},
+			[]Msg{HashedDomainHello(2, 0, 0, enc.Seed+1), DomainHello(2, 0, 0)}},
+	} {
+		stores := map[string]func(t *testing.T) Store{
+			"collector": func(*testing.T) Store { return NewCollector(tc.mode, 2) },
+			"shard-map": func(*testing.T) Store { return NewShardMap(tc.mode, 4, "n0") },
+			"durable": func(t *testing.T) Store {
+				dc, _, err := OpenDurableStore(NewCollector(tc.mode, 2), t.TempDir(), tc.meta, DurableOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { dc.Close() })
+				return dc
+			},
+		}
+		for kind, mk := range stores {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				st := mk(t)
+				for _, bad := range tc.poison {
+					run := append(append(append([]Msg(nil), tc.good...), bad), tc.good[0])
+					if err := st.SendBatch(0, run); err == nil {
+						t.Fatalf("run with invalid message %+v accepted", bad)
+					}
+				}
+				if h, r, b := st.Stats(); h != 0 || r != 0 || b != 0 || st.Users() != 0 {
+					t.Fatalf("rejected runs left state behind: %d hellos, %d reports, %d batches, %d users", h, r, b, st.Users())
+				}
+				if dc, ok := st.(*Durable); ok && dc.DurabilityStats().LastSeq != 0 {
+					t.Fatalf("rejected runs reached the WAL (record %d)", dc.DurabilityStats().LastSeq)
+				}
+				if err := st.SendBatch(1, tc.good); err != nil {
+					t.Fatal(err)
+				}
+				if h, r, b := st.Stats(); h != 1 || r != 1 || b != 1 || st.Users() != 1 {
+					t.Fatalf("stats after one valid run: %d hellos, %d reports, %d batches, %d users", h, r, b, st.Users())
+				}
+			})
 		}
 	}
 }

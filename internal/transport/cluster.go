@@ -84,46 +84,26 @@ func (b *BackendConn) SendBatch(ms []Msg) error { return b.enc.EncodeBatch(ms) }
 // Flush flushes buffered frames to the backend.
 func (b *BackendConn) Flush() error { return b.enc.Flush() }
 
-// FetchSums round-trips a raw-sums request: everything sent earlier on
-// this connection is applied before the response is cut (the backend
-// handles frames in order), so the fetch doubles as a fence.
-func (b *BackendConn) FetchSums() (SumsFrame, error) {
-	if err := b.enc.Encode(Sums()); err != nil {
-		return SumsFrame{}, err
+// FetchSums round-trips the mode's raw-sums request — for the whole
+// node when shard is negative, for one virtual shard of a
+// membership-mode backend otherwise. Everything sent earlier on this
+// connection is applied before the response is cut (the backend handles
+// frames in order), so the fetch doubles as a fence. A hashed-domain
+// backend refuses the whole-node request unless its catalogue size,
+// bucket count and epoch hash seed all match, so bucket counters from
+// disagreeing deployments can never merge.
+func (b *BackendConn) FetchSums(mode Mode, shard int) (RawSums, error) {
+	req := mode.SumsRequest()
+	if shard >= 0 {
+		req = ShardSums(shard)
+	}
+	if err := b.enc.Encode(req); err != nil {
+		return RawSums{}, err
 	}
 	if err := b.enc.Flush(); err != nil {
-		return SumsFrame{}, err
+		return RawSums{}, err
 	}
-	return b.dec.ReadSums()
-}
-
-// FetchDomainSums round-trips a per-item raw-sums request against a
-// domain-mode backend: everything sent earlier on this connection is
-// applied before the response is cut, so the fetch doubles as a fence.
-func (b *BackendConn) FetchDomainSums() (DomainSumsFrame, error) {
-	if err := b.enc.Encode(DomainSums()); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	return b.dec.ReadDomainSums()
-}
-
-// FetchHashedDomainSums round-trips an encoding-checked raw-sums
-// request against a hashed-domain backend: the backend refuses the
-// request unless its catalogue size, bucket count and epoch hash seed
-// all match, so bucket counters from disagreeing deployments can never
-// merge. Everything sent earlier on this connection is applied before
-// the response is cut, so the fetch doubles as a fence.
-func (b *BackendConn) FetchHashedDomainSums(m, g int, seed uint64) (DomainSumsFrame, error) {
-	if err := b.enc.Encode(HashedDomainSums(m, g, seed)); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	return b.dec.ReadDomainSums()
+	return mode.ReadSums(b.dec)
 }
 
 // Fence round-trips a trivial point query, proving the backend applied
@@ -202,24 +182,34 @@ func (c *ClusterClient) Lease(i int) (*BackendConn, error) {
 		return bc, nil
 	default:
 	}
-	backoff := c.opts.BackoffBase
+	bc, err := dialBackend(c.addrs[i], c.opts)
+	if err != nil {
+		return nil, fmt.Errorf("transport: backend %d (%s) unreachable after %d attempts: %w",
+			i, c.addrs[i], c.opts.DialAttempts, err)
+	}
+	return bc, nil
+}
+
+// dialBackend dials addr with exponential backoff across
+// o.DialAttempts, returning the last dial error when all fail.
+func dialBackend(addr string, o ClusterOptions) (*BackendConn, error) {
+	backoff := o.BackoffBase
 	var lastErr error
-	for attempt := 0; attempt < c.opts.DialAttempts; attempt++ {
+	for attempt := 0; attempt < o.DialAttempts; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
-			if backoff *= 2; backoff > c.opts.BackoffMax {
-				backoff = c.opts.BackoffMax
+			if backoff *= 2; backoff > o.BackoffMax {
+				backoff = o.BackoffMax
 			}
 		}
-		conn, err := net.DialTimeout("tcp", c.addrs[i], c.opts.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
 		if err != nil {
 			lastErr = err
 			continue
 		}
 		return &BackendConn{conn: conn, enc: NewEncoder(conn), dec: NewDecoder(conn)}, nil
 	}
-	return nil, fmt.Errorf("transport: backend %d (%s) unreachable after %d attempts: %w",
-		i, c.addrs[i], c.opts.DialAttempts, lastErr)
+	return nil, lastErr
 }
 
 // Release returns a leased connection. A healthy connection goes back
@@ -243,28 +233,13 @@ func (c *ClusterClient) Release(i int, bc *BackendConn, healthy bool) {
 		return
 	}
 	bc.Close()
-	for {
-		select {
-		case idle := <-c.idle[i]:
-			idle.Close()
-		default:
-			return
-		}
-	}
+	drainPool(c.idle[i])
 }
 
 // Close closes every pooled idle connection. Leased connections are
 // closed by their holders via Release.
 func (c *ClusterClient) Close() {
-	for i := range c.idle {
-		for {
-			select {
-			case bc := <-c.idle[i]:
-				bc.Close()
-			default:
-				goto next
-			}
-		}
-	next:
+	for _, p := range c.idle {
+		drainPool(p)
 	}
 }

@@ -57,11 +57,11 @@ func TestClusterClientBasics(t *testing.T) {
 	if err := bc.Fence(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := bc.FetchSums()
+	f, err := bc.FetchSums(BoolMode(16, 1), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.D != 16 || f.Users != 1 {
+	if f.D != 16 || f.Items[0].Users != 1 {
 		t.Fatalf("bad sums frame %+v", f)
 	}
 	c.Release(0, bc, true)

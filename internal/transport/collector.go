@@ -1,0 +1,117 @@
+package transport
+
+import (
+	"sync/atomic"
+
+	"rtf/internal/hh"
+	"rtf/internal/protocol"
+)
+
+// Store is the state behind a single-node front: the in-memory
+// Collector, the membership-mode ShardMap, or a Durable journal around
+// either. It answers the mode's read frames from its live counters.
+type Store interface {
+	Reader
+	// Mode returns the protocol mode the store was built for.
+	Mode() Mode
+	// SendBatch validates a run of ingest messages and applies it (a
+	// durable store journals it in between). The run is atomic: on a
+	// validation or journaling error nothing is applied. shard is a
+	// routing hint — typically the connection id — that spreads hot
+	// counters across cache lines.
+	SendBatch(shard int, ms []Msg) error
+	// Stats returns the number of hellos, reports and batches ingested.
+	Stats() (hellos, reports, batches int64)
+	// Users returns the number of registered users.
+	Users() int
+}
+
+// ingestStats counts what a store has applied.
+type ingestStats struct {
+	hellos, reports, batches atomic.Int64
+}
+
+func (c *ingestStats) count(hellos, reports int64) {
+	if hellos > 0 {
+		c.hellos.Add(hellos)
+	}
+	c.reports.Add(reports)
+	c.batches.Add(1)
+}
+
+// Stats returns the number of hellos, reports and batches ingested.
+func (c *ingestStats) Stats() (hellos, reports, batches int64) {
+	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
+}
+
+// Collector is the concurrent fan-in point of the batch-ingest service:
+// any number of connection goroutines push decoded batches, and the
+// collector validates them and applies them to one lock-free
+// accumulator of its Mode.
+type Collector struct {
+	mode Mode
+	st   State
+	ingestStats
+}
+
+// NewCollector builds a collector over a fresh accumulator of the given
+// mode, spread over shards counter shards.
+func NewCollector(mode Mode, shards int) *Collector {
+	return &Collector{mode: mode, st: mode.NewState(shards)}
+}
+
+// NewShardedCollector builds a Boolean collector over the given
+// accumulator.
+func NewShardedCollector(acc *protocol.Sharded) *Collector {
+	return &Collector{mode: BoolMode(acc.D(), acc.Scale()), st: boolState{acc}}
+}
+
+// NewDomainCollector builds an exact-domain collector over the given
+// domain server.
+func NewDomainCollector(ds *hh.DomainServer) *Collector {
+	return &Collector{mode: DomainMode(ds.D(), ds.M(), ds.BoolScale()), st: domainState{ds}}
+}
+
+// NewHashedDomainCollector builds a hashed-domain collector over the
+// given server.
+func NewHashedDomainCollector(hs *hh.HashedDomainServer) *Collector {
+	return &Collector{
+		mode: HashedMode(hs.D(), hs.Encoding(), hs.Inner().BoolScale()),
+		st:   hashedState{domainState{hs.Inner()}, hs},
+	}
+}
+
+// Mode implements Store.
+func (c *Collector) Mode() Mode { return c.mode }
+
+// Users implements Store.
+func (c *Collector) Users() int { return c.st.Users() }
+
+// Answer implements Reader from the live accumulator.
+func (c *Collector) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	return c.st.Answer(m, e, sc)
+}
+
+// SendBatch implements Store; the per-message work is one validation
+// plus one atomic add.
+func (c *Collector) SendBatch(shard int, ms []Msg) error {
+	if err := c.mode.ValidateIngest(ms); err != nil {
+		return err
+	}
+	c.applyJournaled(shard, ms)
+	return nil
+}
+
+// applyJournaled accumulates a validated run (the journal's callback,
+// and the tail of SendBatch).
+func (c *Collector) applyJournaled(shard int, ms []Msg) {
+	hellos, reports := c.st.Apply(shard, ms)
+	// Batch-amortized invalidation of the version-keyed read memos.
+	if reports > 0 {
+		c.st.AdvanceVersion(shard)
+	}
+	c.count(hellos, reports)
+}
+
+func (c *Collector) marshalState() []byte        { return c.st.MarshalState() }
+func (c *Collector) restoreState(b []byte) error { return c.st.RestoreState(b) }

@@ -6,18 +6,16 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync/atomic"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
-	"rtf/internal/protocol"
 )
 
 // This file is the transport substrate of domain-valued tracking (the
 // richer-domain reduction): item-tagged ingest validation, the
 // variable-length answer frame for item-scoped queries, the per-item
-// raw-sums frame a cluster gateway ships between nodes, and the
-// collectors that fan decoded domain batches into an hh.DomainServer.
+// raw-sums frame a cluster gateway ships between nodes. The exact and
+// hashed domain Modes (mode.go) are built from these.
 // The scalar encodings of MsgDomainHello, MsgDomainReport,
 // MsgDomainQuery and MsgDomainSums live in transport.go beside the
 // Boolean ones, so domain messages batch, journal and replay through
@@ -500,124 +498,4 @@ func (d *Decoder) ReadDomainSums() (DomainSumsFrame, error) {
 		f.Items[x] = it
 	}
 	return f, nil
-}
-
-// ---------------------------------------------------------------------------
-// Collectors.
-
-// DomainBatchCollector is the domain counterpart of BatchCollector: the
-// fan-in point a domain-mode IngestServer feeds — the plain in-memory
-// DomainCollector, or the DurableDomainCollector that journals every
-// frame to a write-ahead log first.
-type DomainBatchCollector interface {
-	// Domain returns the underlying domain server (for queries).
-	Domain() *hh.DomainServer
-	// Send validates and ingests one domain hello or report message.
-	Send(shard int, m Msg) error
-	// SendBatch validates and ingests a whole decoded batch atomically.
-	SendBatch(shard int, ms []Msg) error
-	// Validate checks one message against the server's parameters
-	// without side effects.
-	Validate(m Msg) error
-	// Stats returns the number of hellos, reports and batches ingested.
-	Stats() (hellos, reports, batches int64)
-}
-
-// DomainCollector fans decoded domain messages into an hh.DomainServer:
-// the domain counterpart of ShardedCollector. The shard argument is a
-// routing hint that spreads hot counters across cache lines;
-// correctness does not depend on it.
-type DomainCollector struct {
-	srv     *hh.DomainServer
-	reports atomic.Int64
-	hellos  atomic.Int64
-	batches atomic.Int64
-}
-
-// NewDomainCollector builds a collector over the given domain server.
-func NewDomainCollector(srv *hh.DomainServer) *DomainCollector {
-	return &DomainCollector{srv: srv}
-}
-
-// Domain returns the underlying domain server (for queries).
-func (c *DomainCollector) Domain() *hh.DomainServer { return c.srv }
-
-// Validate checks one domain hello or report message against the
-// server's parameters without side effects.
-func (c *DomainCollector) Validate(m Msg) error {
-	d := c.srv.D()
-	return validateDomainIngest(d, c.srv.M(), dyadic.Log2(d), &m)
-}
-
-// apply accumulates one validated message; callers must have run
-// Validate first. It takes a pointer so the batch loops never copy
-// each Msg out of the decoded slice.
-func (c *DomainCollector) apply(shard int, m *Msg, hellos, reports *int64) {
-	if m.Type == MsgDomainHello {
-		c.srv.Register(shard, m.Item, m.Order)
-		*hellos++
-	} else {
-		c.srv.Ingest(shard, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-		*reports++
-	}
-}
-
-// Send validates one domain message and applies it to the server via
-// the given shard. It is safe for concurrent use.
-func (c *DomainCollector) Send(shard int, m Msg) error {
-	if err := c.Validate(m); err != nil {
-		return err
-	}
-	var hellos, reports int64
-	c.apply(shard, &m, &hellos, &reports)
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	if reports > 0 {
-		c.srv.AdvanceVersion(shard)
-	}
-	return nil
-}
-
-// SendBatch applies a decoded batch to the server via the given shard.
-// The batch is atomic: it is validated in full first, and on error
-// nothing is applied.
-func (c *DomainCollector) SendBatch(shard int, ms []Msg) error {
-	d, m := c.srv.D(), c.srv.M()
-	maxOrder := dyadic.Log2(d)
-	for i := range ms {
-		if !domainIngestOK(d, m, maxOrder, &ms[i]) {
-			return validateDomainIngest(d, m, maxOrder, &ms[i])
-		}
-	}
-	c.applyBatch(shard, ms)
-	return nil
-}
-
-// applyBatch accumulates a fully validated batch, then advances the
-// server's version stamp once — batch-amortized invalidation for the
-// version-keyed read caches (Ingest itself is version-silent to keep
-// the hot path at one index computation and one atomic add).
-func (c *DomainCollector) applyBatch(shard int, ms []Msg) {
-	var hellos, reports int64
-	for i := range ms {
-		c.apply(shard, &ms[i], &hellos, &reports)
-	}
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	c.batches.Add(1)
-	if reports > 0 {
-		c.srv.AdvanceVersion(shard)
-	}
-}
-
-// applyJournaled implements batchApplier for the durable collector.
-func (c *DomainCollector) applyJournaled(shard int, ms []Msg) { c.applyBatch(shard, ms) }
-
-// Stats returns the number of hellos, reports and batches ingested.
-func (c *DomainCollector) Stats() (hellos, reports, batches int64) {
-	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
 }

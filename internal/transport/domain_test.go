@@ -404,49 +404,13 @@ func TestAnswerDomainQuery(t *testing.T) {
 	}
 }
 
-// TestDomainCollectorAtomicBatch pins batch atomicity: a batch with one
-// invalid message applies nothing.
-func TestDomainCollectorAtomicBatch(t *testing.T) {
-	ds := hh.NewDomainServer(16, 4, 2, 1)
-	col := NewDomainCollector(ds)
-	batch := []Msg{
-		DomainHello(1, 0, 0),
-		FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}),
-		{Type: MsgDomainReport, User: 2, Item: 9, Order: 0, J: 1, Bit: 1}, // invalid item
-		DomainHello(3, 1, 0),
-	}
-	if err := col.SendBatch(0, batch); err == nil {
-		t.Fatal("invalid batch accepted")
-	}
-	hellos, reports, batches := col.Stats()
-	if hellos != 0 || reports != 0 || batches != 0 {
-		t.Fatalf("partial application: hellos=%d reports=%d batches=%d", hellos, reports, batches)
-	}
-	if ds.Users() != 0 {
-		t.Fatalf("users registered from a rejected batch: %d", ds.Users())
-	}
-	if err := col.SendBatch(1, batch[:2]); err != nil {
-		t.Fatal(err)
-	}
-	hellos, reports, batches = col.Stats()
-	if hellos != 1 || reports != 1 || batches != 1 {
-		t.Fatalf("stats: hellos=%d reports=%d batches=%d", hellos, reports, batches)
-	}
-	if err := col.Send(0, DomainHello(5, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if ds.Users() != 2 {
-		t.Fatalf("users = %d, want 2", ds.Users())
-	}
-}
-
 // TestDomainIngestServer drives the TCP domain mode end to end: ingest
 // batches, item-scoped queries, per-item sums fetches, and batch
 // atomicity across query boundaries.
 func TestDomainIngestServer(t *testing.T) {
 	const d, m, scale = 16, 4, 2.0
 	ds := hh.NewDomainServer(d, m, scale, 4)
-	srv := NewDomainIngestServer(NewDomainCollector(ds))
+	srv := NewIngestServer(NewDomainCollector(ds))
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
@@ -554,7 +518,7 @@ func TestDomainIngestServer(t *testing.T) {
 	}
 	defer conn2.Close()
 	enc2 := NewEncoder(conn2)
-	before, _, _ := srv.Domain.Stats()
+	before, _, _ := srv.store.Stats()
 	poison := []Msg{
 		DomainHello(9999, 0, 0),
 		DomainQuery(QueryPointItem, m+3, 1, 0, 0), // invalid item
@@ -568,7 +532,7 @@ func TestDomainIngestServer(t *testing.T) {
 	if _, err := NewDecoder(conn2).ReadDomainAnswer(); err == nil {
 		t.Fatal("poisoned batch answered")
 	}
-	after, _, _ := srv.Domain.Stats()
+	after, _, _ := srv.store.Stats()
 	if after != before {
 		t.Fatalf("poisoned batch applied %d hellos", after-before)
 	}
@@ -610,7 +574,7 @@ func TestDurableDomainCollector(t *testing.T) {
 	}
 	ref := hh.NewDomainServer(d, m, scale, 1)
 	g := rng.New(21, 4)
-	feed := func(c *DurableDomainCollector, lo, hi int) {
+	feed := func(c *Durable, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			item := g.IntN(m)
 			h := g.IntN(dyadic.NumOrders(d))

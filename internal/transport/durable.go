@@ -9,32 +9,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 )
 
-// BatchCollector is the fan-in point an IngestServer feeds: the plain
-// in-memory ShardedCollector, or the DurableCollector that journals
-// every frame to a write-ahead log first.
-type BatchCollector interface {
-	// Acc returns the underlying accumulator (for estimate queries).
-	Acc() *protocol.Sharded
-	// Send validates and ingests one hello or report message.
-	Send(shard int, m Msg) error
-	// SendBatch validates and ingests a whole decoded batch atomically.
-	SendBatch(shard int, ms []Msg) error
-	// Validate checks one hello or report message against the
-	// accumulator's parameters without side effects; the ingest server
-	// pre-validates whole batches this way so an invalid message later
-	// in a batch cannot leave an applied (or journaled) prefix behind.
-	Validate(m Msg) error
-	// Stats returns the number of hellos, reports and batches ingested.
-	Stats() (hellos, reports, batches int64)
-}
-
-// DurableOptions configures OpenDurable and OpenDurableDomain.
+// DurableOptions configures OpenDurableStore and its per-mode shorthands.
 type DurableOptions struct {
 	// Fsync syncs the WAL after every append and snapshot writes before
 	// rename. Off, a kill -9 still loses nothing (records are written
@@ -72,8 +52,7 @@ type RecoveryStats struct {
 	Hellos, Reports int64
 }
 
-// durableJournal is the persistence machinery shared by the Boolean and
-// domain durable collectors: the write-ahead log, the snapshot
+// durableJournal is the persistence machinery behind Durable: the write-ahead log, the snapshot
 // directory, and the lock that orders journal+apply pairs against
 // snapshot cuts. What state gets restored, applied and marshalled is
 // the wrapping collector's business; the journal only moves bytes.
@@ -276,144 +255,107 @@ func (j *durableJournal) close() error {
 	return j.wal.Close()
 }
 
-// DurableCollector wraps a ShardedCollector with the persistence
-// subsystem: every frame is validated, journaled to the write-ahead
-// log, and only then applied, so an acknowledged frame survives a
-// crash. Snapshot cuts a consistent point-in-time copy of the
-// accumulator with its WAL cursor and compacts the log behind it.
-type DurableCollector struct {
-	inner *ShardedCollector
-	j     *durableJournal
+// journaled is what a Durable wraps: a store that can apply an
+// already-journaled run and move its whole state in and out of a
+// snapshot. Collector and ShardMap implement it.
+type journaled interface {
+	Store
+	batchApplier
+	marshalState() []byte
+	restoreState(state []byte) error
 }
 
-// OpenDurable recovers the accumulator's durable state from dir (newest
-// snapshot, then WAL replay past its cursor) and returns a collector
-// that journals all further ingestion there. The accumulator must be
-// freshly constructed; meta must describe the hosting configuration.
-func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o DurableOptions) (*DurableCollector, RecoveryStats, error) {
-	inner := NewShardedCollector(acc)
-	j, stats, err := openJournal(dir, meta, o,
-		acc.RestoreState,
-		func(ms []Msg) error { return inner.SendBatch(0, ms) })
+// Durable wraps a Collector or a ShardMap with the persistence
+// subsystem: every run is validated, journaled to the write-ahead log,
+// and only then applied, so an acknowledged frame survives a crash.
+// Snapshot cuts a consistent point-in-time copy of the state with its
+// WAL cursor and compacts the log behind it.
+type Durable struct {
+	journaled
+	j *durableJournal
+}
+
+// OpenDurableStore recovers inner's durable state from dir (newest
+// snapshot, then WAL replay past its cursor) and returns a store that
+// journals all further ingestion there. inner must be freshly
+// constructed; meta must describe the hosting configuration, and is
+// checked against both the mode and the newest snapshot, so a data
+// directory written under different parameters is rejected rather than
+// misinterpreted.
+func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
+	in, ok := inner.(journaled)
+	if !ok {
+		return nil, RecoveryStats{}, fmt.Errorf("transport: %T cannot be journaled", inner)
+	}
+	if err := in.Mode().CheckMeta(meta); err != nil {
+		return nil, RecoveryStats{}, err
+	}
+	j, stats, err := openJournal(dir, meta, o, in.restoreState,
+		func(ms []Msg) error { return in.SendBatch(0, ms) })
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.Hellos, stats.Reports, _ = inner.Stats()
-	return &DurableCollector{inner: inner, j: j}, stats, nil
+	stats.Hellos, stats.Reports, _ = in.Stats()
+	return &Durable{journaled: in, j: j}, stats, nil
 }
 
-// Acc returns the underlying accumulator (for estimate queries).
-func (c *DurableCollector) Acc() *protocol.Sharded { return c.inner.Acc() }
-
-// Stats returns the number of hellos, reports and batches ingested,
-// including those recovered at boot.
-func (c *DurableCollector) Stats() (hellos, reports, batches int64) { return c.inner.Stats() }
-
-// Send journals and ingests one hello or report message.
-func (c *DurableCollector) Send(shard int, m Msg) error {
-	return c.SendBatch(shard, []Msg{m})
+// OpenDurable is OpenDurableStore over a Boolean collector on acc.
+func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
+	return OpenDurableStore(NewShardedCollector(acc), dir, meta, o)
 }
 
-// Validate checks one message without journaling or applying anything.
-func (c *DurableCollector) Validate(m Msg) error { return c.inner.validate(&m) }
+// OpenDurableDomain is OpenDurableStore over an exact-domain collector
+// on ds (Meta.M is the domain size).
+func OpenDurableDomain(ds *hh.DomainServer, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
+	return OpenDurableStore(NewDomainCollector(ds), dir, meta, o)
+}
 
-// SendBatch validates the batch, appends its wire encoding to the
-// write-ahead log, and applies it to the accumulator — in that order,
-// so any batch a query response can reflect is already durable. On a
-// validation or journaling error nothing is applied.
-func (c *DurableCollector) SendBatch(shard int, ms []Msg) error {
-	for i := range ms {
-		if err := c.inner.validate(&ms[i]); err != nil {
-			return err
-		}
+// OpenDurableHashedDomain is OpenDurableStore over a hashed-domain
+// collector on hs (Meta.M the catalogue size, Meta.G the bucket count,
+// Meta.Encoding and Meta.HashSeed the encoding identity).
+func OpenDurableHashedDomain(hs *hh.HashedDomainServer, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
+	return OpenDurableStore(NewHashedDomainCollector(hs), dir, meta, o)
+}
+
+// SendBatch validates the run, appends its wire encoding to the
+// write-ahead log, and applies it — in that order, so any batch a query
+// response can reflect is already durable. On a validation or
+// journaling error nothing is applied.
+func (c *Durable) SendBatch(shard int, ms []Msg) error {
+	if err := c.Mode().ValidateIngest(ms); err != nil {
+		return err
 	}
-	return c.j.journal(shard, ms, c.inner)
+	return c.j.journal(shard, ms, c.journaled)
 }
 
-// Snapshot writes a durable snapshot of the current accumulator state
-// and compacts the WAL segments (and older snapshots) it supersedes. It
-// returns the snapshot's cursor.
-func (c *DurableCollector) Snapshot() (uint64, error) {
-	return c.j.snapshot(c.inner.Acc().MarshalState)
+// InstallShard replaces one virtual shard's state (the store must wrap
+// a ShardMap) and immediately cuts a snapshot: the WAL journals only
+// ingest frames, so without the cut a crash after the install would
+// silently roll the shard back to its pre-handoff state.
+func (c *Durable) InstallShard(shard int, state []byte) error {
+	sm, ok := c.journaled.(*ShardMap)
+	if !ok {
+		return errors.New("transport: store has no shard map")
+	}
+	if err := sm.InstallShard(shard, state); err != nil {
+		return err
+	}
+	if _, err := c.Snapshot(); err != nil {
+		return fmt.Errorf("transport: snapshot after installing shard %d: %w", shard, err)
+	}
+	return nil
 }
 
-// DurabilityStats reads the collector's current WAL and snapshot state
+// Snapshot writes a durable snapshot of the current state and compacts
+// the WAL segments (and older snapshots) it supersedes. It returns the
+// snapshot's cursor.
+func (c *Durable) Snapshot() (uint64, error) { return c.j.snapshot(c.marshalState) }
+
+// DurabilityStats reads the store's current WAL and snapshot state
 // (lock-free on the snapshot side; the WAL sequence takes the WAL's own
 // short mutex).
-func (c *DurableCollector) DurabilityStats() DurabilityStats { return c.j.durabilityStats() }
+func (c *Durable) DurabilityStats() DurabilityStats { return c.j.durabilityStats() }
 
 // Close closes the write-ahead log. It does not snapshot; callers that
 // want a final cut call Snapshot first.
-func (c *DurableCollector) Close() error { return c.j.close() }
-
-// DurableDomainCollector is the domain counterpart of DurableCollector:
-// a DomainCollector whose every frame is journaled before it is
-// applied, with per-item accumulator state snapshotted and recovered
-// through the same snapshot+WAL machinery.
-type DurableDomainCollector struct {
-	inner *DomainCollector
-	j     *durableJournal
-}
-
-// OpenDurableDomain recovers the domain server's durable state from dir
-// and returns a collector that journals all further ingestion there.
-// The server must be freshly constructed; meta must describe the
-// hosting configuration (Meta.M is the domain size).
-func OpenDurableDomain(ds *hh.DomainServer, dir string, meta persist.Meta, o DurableOptions) (*DurableDomainCollector, RecoveryStats, error) {
-	if meta.M != ds.M() {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: meta domain size %d does not match server's %d", meta.M, ds.M())
-	}
-	inner := NewDomainCollector(ds)
-	j, stats, err := openJournal(dir, meta, o,
-		ds.RestoreState,
-		func(ms []Msg) error { return inner.SendBatch(0, ms) })
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Hellos, stats.Reports, _ = inner.Stats()
-	return &DurableDomainCollector{inner: inner, j: j}, stats, nil
-}
-
-// Domain returns the underlying domain server (for queries).
-func (c *DurableDomainCollector) Domain() *hh.DomainServer { return c.inner.Domain() }
-
-// Stats returns the number of hellos, reports and batches ingested,
-// including those recovered at boot.
-func (c *DurableDomainCollector) Stats() (hellos, reports, batches int64) {
-	return c.inner.Stats()
-}
-
-// Send journals and ingests one domain hello or report message.
-func (c *DurableDomainCollector) Send(shard int, m Msg) error {
-	return c.SendBatch(shard, []Msg{m})
-}
-
-// Validate checks one message without journaling or applying anything.
-func (c *DurableDomainCollector) Validate(m Msg) error { return c.inner.Validate(m) }
-
-// SendBatch validates the batch, appends its wire encoding to the
-// write-ahead log, and applies it to the domain server — in that
-// order. On a validation or journaling error nothing is applied.
-func (c *DurableDomainCollector) SendBatch(shard int, ms []Msg) error {
-	d, m := c.inner.Domain().D(), c.inner.Domain().M()
-	maxOrder := dyadic.Log2(d)
-	for i := range ms {
-		if !domainIngestOK(d, m, maxOrder, &ms[i]) {
-			return validateDomainIngest(d, m, maxOrder, &ms[i])
-		}
-	}
-	return c.j.journal(shard, ms, c.inner)
-}
-
-// Snapshot writes a durable snapshot of the current per-item state and
-// compacts the WAL (and older snapshots) behind it.
-func (c *DurableDomainCollector) Snapshot() (uint64, error) {
-	return c.j.snapshot(c.inner.Domain().MarshalState)
-}
-
-// DurabilityStats reads the collector's current WAL and snapshot state.
-func (c *DurableDomainCollector) DurabilityStats() DurabilityStats { return c.j.durabilityStats() }
-
-// Close closes the write-ahead log. It does not snapshot; callers that
-// want a final cut call Snapshot first.
-func (c *DurableDomainCollector) Close() error { return c.j.close() }
+func (c *Durable) Close() error { return c.j.close() }

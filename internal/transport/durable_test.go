@@ -2,11 +2,15 @@ package transport
 
 import (
 	"net"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 )
@@ -74,7 +78,7 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 	if err := dc.SendBatch(2, ms[third:2*third]); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.Send(3, ms[2*third]); err != nil {
+	if err := dc.SendBatch(3, ms[2*third:2*third+1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.SendBatch(0, ms[2*third+1:]); err != nil {
@@ -300,5 +304,100 @@ func TestShutdownDrains(t *testing.T) {
 	}
 	if acc.Users() != 1 {
 		t.Fatalf("users after drain: %d", acc.Users())
+	}
+}
+
+// TestRecoverParentDataDir opens data directories written by the commit
+// before the serving-core refactor (one per durable store shape: a
+// snapshot cut mid-stream plus a WAL suffix, abandoned without Close)
+// and checks the recovered counters equal a fresh store fed the same
+// stream: the snapshot format, the WAL records and the meta checks did
+// not move. testdata/parent-datadir was generated with that commit's
+// OpenDurable, OpenDurableDomain, OpenDurableHashedDomain and
+// OpenDurableShardMap over fixtureStream.
+func TestRecoverParentDataDir(t *testing.T) {
+	const d, scale, m, users, S = 16, 2.5, 4, 12, 4
+	enc := hh.LolohaEncoding(1000, 8, 0xfeed)
+	base := persist.Meta{Mechanism: "fixture", D: d, K: 2, Eps: 1, Scale: scale}
+	domainMeta, hashedMeta := base, base
+	domainMeta.M = m
+	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = enc.M, enc.G, enc.Name, enc.Seed
+
+	fixtureStream := func(mode Mode) []Msg {
+		var ms []Msg
+		for u := 0; u < users; u++ {
+			order := u % 3
+			switch mode.Name() {
+			case "boolean":
+				ms = append(ms, Hello(u, order))
+			case "domain":
+				ms = append(ms, DomainHello(u, u%m, order))
+			default:
+				ms = append(ms, HashedDomainHello(u, u%enc.G, order, enc.Seed))
+			}
+			for r := 0; r < 3; r++ {
+				bit := int8(1)
+				if (u+r)%2 == 0 {
+					bit = -1
+				}
+				rep := protocol.Report{User: u, Order: order, J: 1 + (u*7+r*3)%(d>>uint(order)), Bit: bit}
+				switch mode.Name() {
+				case "boolean":
+					ms = append(ms, FromReport(rep))
+				case "domain":
+					ms = append(ms, FromDomainReport(u%m, rep))
+				default:
+					ms = append(ms, FromDomainReport(u%enc.G, rep))
+				}
+			}
+		}
+		return ms
+	}
+
+	for _, tc := range []struct {
+		dir  string
+		meta persist.Meta
+		mk   func() Store
+	}{
+		{"bool", base, func() Store { return NewCollector(BoolMode(d, scale), 2) }},
+		{"domain", domainMeta, func() Store { return NewCollector(DomainMode(d, m, scale), 2) }},
+		{"hashed", hashedMeta, func() Store { return NewCollector(HashedMode(d, enc, scale), 2) }},
+		{"shardmap", base, func() Store { return NewShardMap(BoolMode(d, scale), S, "n0") }},
+	} {
+		t.Run(tc.dir, func(t *testing.T) {
+			// Recovery writes into the directory, so it runs on a copy.
+			dir, src := t.TempDir(), filepath.Join("testdata", "parent-datadir", tc.dir)
+			files, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				b, err := os.ReadFile(filepath.Join(src, f.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, f.Name()), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, rec, err := OpenDurableStore(tc.mk(), dir, tc.meta, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			if rec.SnapshotCursor != 1 || rec.Replayed != 1 {
+				t.Fatalf("recovered %+v, want the snapshot at cursor 1 plus one replayed record", rec)
+			}
+			want := tc.mk()
+			if err := want.SendBatch(0, fixtureStream(want.Mode())); err != nil {
+				t.Fatal(err)
+			}
+			if g, w := sumsOf(t, got, -1), sumsOf(t, want, -1); !reflect.DeepEqual(g, w) {
+				t.Fatalf("recovered sums %+v, want %+v", g, w)
+			}
+			if got.Users() != users {
+				t.Fatalf("recovered %d users, want %d", got.Users(), users)
+			}
+		})
 	}
 }

@@ -2,18 +2,15 @@ package transport
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
-	"rtf/internal/persist"
-	"rtf/internal/protocol"
 )
 
 // This file is the transport substrate of hashed domain encodings
 // (LOLOHA): ingest validation that pins the shared epoch hash seed,
-// item-scoped query answering through the bucket decoder, and the
-// collectors that fan decoded batches into an hh.HashedDomainServer.
+// and item-scoped query answering through the bucket decoder; the
+// hashed Mode (mode.go) is built from these.
 // The hot ingest path reuses MsgDomainReport verbatim (Item = bucket),
 // so batching, journaling and replay go through the ordinary decoder;
 // only the hello (MsgHashedDomainHello, seed-carrying) and the
@@ -144,208 +141,3 @@ func AnswerHashedDomainQueryInto(hs *hh.HashedDomainServer, msg Msg, a *DomainAn
 	}
 	return cached, nil
 }
-
-// HashedDomainBatchCollector is the hashed counterpart of
-// DomainBatchCollector: the fan-in point a hashed-mode IngestServer
-// feeds — the plain in-memory HashedDomainCollector, or the durable one
-// that journals every frame first.
-type HashedDomainBatchCollector interface {
-	// Hashed returns the underlying hashed domain server (for queries).
-	Hashed() *hh.HashedDomainServer
-	// Send validates and ingests one hashed hello or report message.
-	Send(shard int, m Msg) error
-	// SendBatch validates and ingests a whole decoded batch atomically.
-	SendBatch(shard int, ms []Msg) error
-	// Validate checks one message against the server's parameters
-	// without side effects.
-	Validate(m Msg) error
-	// Stats returns the number of hellos, reports and batches ingested.
-	Stats() (hellos, reports, batches int64)
-}
-
-// HashedDomainCollector fans decoded hashed domain messages into an
-// hh.HashedDomainServer. The shard argument is a routing hint that
-// spreads hot counters across cache lines; correctness does not depend
-// on it.
-type HashedDomainCollector struct {
-	srv     *hh.HashedDomainServer
-	enc     hh.DomainEncoding
-	reports atomic.Int64
-	hellos  atomic.Int64
-	batches atomic.Int64
-}
-
-// NewHashedDomainCollector builds a collector over the given server.
-func NewHashedDomainCollector(srv *hh.HashedDomainServer) *HashedDomainCollector {
-	return &HashedDomainCollector{srv: srv, enc: srv.Encoding()}
-}
-
-// Hashed returns the underlying hashed domain server (for queries).
-func (c *HashedDomainCollector) Hashed() *hh.HashedDomainServer { return c.srv }
-
-// Validate checks one hashed hello or report message against the
-// server's parameters without side effects.
-func (c *HashedDomainCollector) Validate(m Msg) error {
-	d := c.srv.D()
-	return validateHashedDomainIngest(d, c.enc, dyadic.Log2(d), &m)
-}
-
-// apply accumulates one validated message; callers must have run
-// Validate first.
-func (c *HashedDomainCollector) apply(shard int, m *Msg, hellos, reports *int64) {
-	if m.Type == MsgHashedDomainHello {
-		c.srv.Register(shard, m.Item, m.Order)
-		*hellos++
-	} else {
-		c.srv.Ingest(shard, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-		*reports++
-	}
-}
-
-// Send validates one hashed domain message and applies it to the
-// server via the given shard. It is safe for concurrent use.
-func (c *HashedDomainCollector) Send(shard int, m Msg) error {
-	if err := c.Validate(m); err != nil {
-		return err
-	}
-	var hellos, reports int64
-	c.apply(shard, &m, &hellos, &reports)
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	if reports > 0 {
-		c.srv.AdvanceVersion(shard)
-	}
-	return nil
-}
-
-// SendBatch applies a decoded batch to the server via the given shard.
-// The batch is atomic: it is validated in full first, and on error
-// nothing is applied.
-func (c *HashedDomainCollector) SendBatch(shard int, ms []Msg) error {
-	d := c.srv.D()
-	maxOrder := dyadic.Log2(d)
-	for i := range ms {
-		if !hashedDomainIngestOK(d, maxOrder, &c.enc, &ms[i]) {
-			return validateHashedDomainIngest(d, c.enc, maxOrder, &ms[i])
-		}
-	}
-	c.applyBatch(shard, ms)
-	return nil
-}
-
-// applyBatch accumulates a fully validated batch, then advances the
-// server's version stamp once — batch-amortized invalidation for the
-// version-keyed read caches (Ingest itself is version-silent to keep
-// the hot path at one index computation and one atomic add).
-func (c *HashedDomainCollector) applyBatch(shard int, ms []Msg) {
-	var hellos, reports int64
-	for i := range ms {
-		c.apply(shard, &ms[i], &hellos, &reports)
-	}
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	c.batches.Add(1)
-	if reports > 0 {
-		c.srv.AdvanceVersion(shard)
-	}
-}
-
-// applyJournaled implements batchApplier for the durable collector.
-func (c *HashedDomainCollector) applyJournaled(shard int, ms []Msg) { c.applyBatch(shard, ms) }
-
-// Stats returns the number of hellos, reports and batches ingested.
-func (c *HashedDomainCollector) Stats() (hellos, reports, batches int64) {
-	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
-}
-
-// DurableHashedDomainCollector is the durable counterpart of
-// HashedDomainCollector: every frame is journaled before it is applied,
-// with the g-row bucket state snapshotted and recovered through the
-// same snapshot+WAL machinery as every other collector.
-type DurableHashedDomainCollector struct {
-	inner *HashedDomainCollector
-	j     *durableJournal
-}
-
-// OpenDurableHashedDomain recovers the hashed server's durable state
-// from dir and returns a collector that journals all further ingestion
-// there. The server must be freshly constructed; meta must describe the
-// hosting configuration — Meta.M the catalogue size, Meta.G the bucket
-// count, Meta.Encoding and Meta.HashSeed the encoding identity — so a
-// data directory written under a different encoding (or a different
-// epoch seed, whose bucket counters mean different items) is rejected
-// rather than misinterpreted.
-func OpenDurableHashedDomain(hs *hh.HashedDomainServer, dir string, meta persist.Meta, o DurableOptions) (*DurableHashedDomainCollector, RecoveryStats, error) {
-	enc := hs.Encoding()
-	if meta.M != hs.M() {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: meta catalogue size %d does not match server's %d", meta.M, hs.M())
-	}
-	if meta.G != hs.G() {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: meta bucket count %d does not match server's %d", meta.G, hs.G())
-	}
-	if meta.Encoding != enc.Name {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: meta encoding %q does not match server's %q", meta.Encoding, enc.Name)
-	}
-	if meta.HashSeed != enc.Seed {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: meta hash seed %d does not match server's %d", meta.HashSeed, enc.Seed)
-	}
-	inner := NewHashedDomainCollector(hs)
-	j, stats, err := openJournal(dir, meta, o,
-		hs.Inner().RestoreState,
-		func(ms []Msg) error { return inner.SendBatch(0, ms) })
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Hellos, stats.Reports, _ = inner.Stats()
-	return &DurableHashedDomainCollector{inner: inner, j: j}, stats, nil
-}
-
-// Hashed returns the underlying hashed domain server (for queries).
-func (c *DurableHashedDomainCollector) Hashed() *hh.HashedDomainServer { return c.inner.Hashed() }
-
-// Stats returns the number of hellos, reports and batches ingested,
-// including those recovered at boot.
-func (c *DurableHashedDomainCollector) Stats() (hellos, reports, batches int64) {
-	return c.inner.Stats()
-}
-
-// Send journals and ingests one hashed hello or report message.
-func (c *DurableHashedDomainCollector) Send(shard int, m Msg) error {
-	return c.SendBatch(shard, []Msg{m})
-}
-
-// Validate checks one message without journaling or applying anything.
-func (c *DurableHashedDomainCollector) Validate(m Msg) error { return c.inner.Validate(m) }
-
-// SendBatch validates the batch, appends its wire encoding to the
-// write-ahead log, and applies it to the hashed server — in that
-// order. On a validation or journaling error nothing is applied.
-func (c *DurableHashedDomainCollector) SendBatch(shard int, ms []Msg) error {
-	d := c.inner.srv.D()
-	maxOrder := dyadic.Log2(d)
-	for i := range ms {
-		if !hashedDomainIngestOK(d, maxOrder, &c.inner.enc, &ms[i]) {
-			return validateHashedDomainIngest(d, c.inner.enc, maxOrder, &ms[i])
-		}
-	}
-	return c.j.journal(shard, ms, c.inner)
-}
-
-// Snapshot writes a durable snapshot of the current bucket state and
-// compacts the WAL (and older snapshots) behind it.
-func (c *DurableHashedDomainCollector) Snapshot() (uint64, error) {
-	return c.j.snapshot(c.inner.Hashed().Inner().MarshalState)
-}
-
-// DurabilityStats reads the collector's current WAL and snapshot state.
-func (c *DurableHashedDomainCollector) DurabilityStats() DurabilityStats {
-	return c.j.durabilityStats()
-}
-
-// Close closes the write-ahead log. It does not snapshot; callers that
-// want a final cut call Snapshot first.
-func (c *DurableHashedDomainCollector) Close() error { return c.j.close() }

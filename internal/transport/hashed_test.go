@@ -183,7 +183,7 @@ func TestValidateHashedDomainQuery(t *testing.T) {
 
 // fillHashedPair feeds the same deterministic stream into a sharded
 // hashed server (through the collector) and a serial reference.
-func fillHashedPair(t *testing.T, col *HashedDomainCollector, serial *hh.HashedDomainServer, d, n int) {
+func fillHashedPair(t *testing.T, col *Collector, serial *hh.HashedDomainServer, d, n int) {
 	t.Helper()
 	g := rng.New(99, 3)
 	for u := 0; u < n; u++ {
@@ -211,7 +211,8 @@ func fillHashedPair(t *testing.T, col *HashedDomainCollector, serial *hh.HashedD
 func TestAnswerHashedDomainQuery(t *testing.T) {
 	const d, scale, n = 16, 2.0, 500
 	enc := hashedTestEnc()
-	col := NewHashedDomainCollector(hh.NewHashedDomainServer(d, enc, scale, 4))
+	live := hh.NewHashedDomainServer(d, enc, scale, 4)
+	col := NewHashedDomainCollector(live)
 	serial := hh.NewHashedDomainServer(d, enc, scale, 1)
 	fillHashedPair(t, col, serial, d, n)
 
@@ -227,7 +228,7 @@ func TestAnswerHashedDomainQuery(t *testing.T) {
 		DomainQuery(QueryTopK, 0, d/2, 0, 1),
 	}
 	for _, q := range queries {
-		got, err := AnswerHashedDomainQuery(col.Hashed(), q)
+		got, err := AnswerHashedDomainQuery(live, q)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
@@ -239,29 +240,8 @@ func TestAnswerHashedDomainQuery(t *testing.T) {
 			t.Fatalf("%+v: sharded answered %+v, serial %+v", q, got, want)
 		}
 	}
-	if _, err := AnswerHashedDomainQuery(col.Hashed(), DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
+	if _, err := AnswerHashedDomainQuery(live, DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
 		t.Fatal("out-of-catalogue query answered")
-	}
-}
-
-// TestHashedDomainCollectorAtomicBatch checks a batch with one invalid
-// message applies nothing.
-func TestHashedDomainCollectorAtomicBatch(t *testing.T) {
-	const d = 16
-	col := NewHashedDomainCollector(hh.NewHashedDomainServer(d, hashedTestEnc(), 2.0, 2))
-	poison := []Msg{
-		HashedDomainHello(1, 0, 0, hashedTestSeed),
-		FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}),
-		HashedDomainHello(2, 0, 0, hashedTestSeed+1), // wrong seed
-	}
-	if err := col.SendBatch(0, poison); err == nil {
-		t.Fatal("poisoned batch accepted")
-	}
-	if h, r, b := col.Stats(); h != 0 || r != 0 || b != 0 {
-		t.Fatalf("poisoned batch left stats (%d, %d, %d)", h, r, b)
-	}
-	if col.Hashed().Users() != 0 {
-		t.Fatal("poisoned batch registered users")
 	}
 }
 
@@ -278,7 +258,7 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 		batch = 64
 	)
 	enc0 := hashedTestEnc()
-	srv := NewHashedDomainIngestServer(NewHashedDomainCollector(hh.NewHashedDomainServer(d, enc0, scale, conns)))
+	srv := NewIngestServer(NewHashedDomainCollector(hh.NewHashedDomainServer(d, enc0, scale, conns)))
 	srv.ErrorLog = func(err error) { t.Error(err) }
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
@@ -429,7 +409,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 	}
 	ref := hh.NewHashedDomainServer(d, enc, scale, 1)
 	g := rng.New(77, 4)
-	feed := func(c *DurableHashedDomainCollector, lo, hi int) {
+	feed := func(c *Durable, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			b := g.IntN(hashedTestG)
 			h := g.IntN(dyadic.NumOrders(d))

@@ -8,7 +8,7 @@ import (
 )
 
 // ServerMetrics is the instrument set of a serving process, shared by
-// the ingest server and the cluster gateway. All instruments live in
+// every front of the serving core. All instruments live in
 // one obs.Registry (mounted at /metrics by the binaries), and the hot
 // ones are plain atomic handles resolved once at construction:
 //
@@ -19,9 +19,11 @@ import (
 //	ingest_batch_size          histogram: sizes of applied batches
 //	ingest_latency_seconds     histogram: decode-to-applied latency per batch
 //	conns_active               gauge: currently served connections
-//	queries_total{mechanism,kind} counters: answered queries by mechanism
-//	    ("boolean" or "domain") and kind ("point", "change", "series",
-//	    "window", "sums", or "point_v1")
+//	queries_total{mechanism,kind} counters: answered reads by the
+//	    front's label (the Mode's name — "boolean", "domain",
+//	    "hashed-domain" — or, on the membership fronts, "membership" /
+//	    "member" with a "-domain" suffix in domain mode) and kind (see
+//	    QueryKindName)
 //
 // Shed batches are deliberately excluded from the size and latency
 // histograms and the message counter — those describe applied work, and
@@ -138,8 +140,7 @@ func (m *ServerMetrics) RegisterQueue(q *IngestQueue) {
 	m.reg.GaugeFunc("ingest_queue_capacity", func() float64 { return float64(q.Capacity()) })
 }
 
-// DurabilityStatser is satisfied by DurableCollector and
-// DurableDomainCollector.
+// DurabilityStatser is satisfied by Durable.
 type DurabilityStatser interface {
 	DurabilityStats() DurabilityStats
 }

@@ -1,0 +1,527 @@
+package transport
+
+import (
+	"fmt"
+	"sync"
+
+	"rtf/internal/dyadic"
+	"rtf/internal/hh"
+	"rtf/internal/persist"
+	"rtf/internal/protocol"
+)
+
+// This file is the Mode contract: the one place that knows, for each of
+// the three protocol modes a deployment can serve — Boolean, exact
+// domain, hashed domain — which frame types are reads, how ingest and
+// read frames are validated, how a validated run is applied, how a read
+// is answered, and how raw sums are exported, fetched, merged and
+// restored. The serving core (serve.go), the collectors and both
+// gateways are written once against it; the mode is chosen at
+// construction and nothing above this file names a mode-specific frame
+// type.
+
+// FrameSet is a set of scalar message types: the data form of "which
+// frames does this mode read", so the frame loop classifies a message
+// with one inlined mask test instead of a call.
+type FrameSet uint32
+
+func frameSet(ts ...MsgType) FrameSet {
+	var s FrameSet
+	for _, t := range ts {
+		s |= 1 << t
+	}
+	return s
+}
+
+// Has reports whether t is in the set.
+func (s FrameSet) Has(t MsgType) bool { return t < 32 && s>>t&1 != 0 }
+
+// Mode is the protocol mode of a deployment. It holds the mode's
+// parameters and no counters; NewState builds the accumulator it
+// describes. Ingest-side methods take a whole run, never one message,
+// so each mode keeps its own monomorphic inner loop.
+type Mode interface {
+	// Name is the mode's queries_total mechanism label: "boolean",
+	// "domain" or "hashed-domain".
+	Name() string
+	// Reads is the set of frame types the mode answers (queries and
+	// its raw-sums request); every other type must validate as ingest.
+	Reads() FrameSet
+	// SumsRequest is the frame that asks a node of this mode for its
+	// raw sums.
+	SumsRequest() Msg
+	// ValidateIngest range-checks a run of ingest messages without side
+	// effects. A front runs it over every run of a decoded batch before
+	// anything is applied or forwarded, which is what makes batches
+	// atomic and lets a gateway promise its backends accept what it
+	// accepted.
+	ValidateIngest(ms []Msg) error
+	// ValidateRead range-checks one read frame.
+	ValidateRead(m Msg) error
+	// NewState builds an empty accumulator spread over the given number
+	// of counter shards (1 for a folded, read-only state).
+	NewState(shards int) State
+	// ReadSums decodes the response to SumsRequest (or to a per-shard
+	// sums request, which every mode answers in the same frame).
+	ReadSums(d *Decoder) (RawSums, error)
+	// EncodeSums writes that response.
+	EncodeSums(e *Encoder, f RawSums) error
+	// MergeSums adds frames element-wise into one, refusing a frame
+	// accumulated under different parameters.
+	MergeSums(frames []RawSums) (RawSums, error)
+	// CheckMeta refuses a data directory written under a different
+	// domain size or encoding.
+	CheckMeta(meta persist.Meta) error
+}
+
+// Reader answers a mode's read frames from some state: a live
+// accumulator, a fold of gathered sums, or a shard map.
+type Reader interface {
+	// Answer writes the response to read frame m (already validated) on
+	// e, without flushing. memo reports that the answer path is backed
+	// by a version-keyed memo and hit that the memo was warm; only live
+	// states report either.
+	Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error)
+}
+
+// State is one mode's accumulator: integer dyadic counters plus the
+// fixed linear estimator over them.
+type State interface {
+	Reader
+	// Apply accumulates a validated run via the given counter shard (a
+	// routing hint; addition is exact and commutative). It is
+	// version-silent, keeping the hot path at one atomic add per report;
+	// a caller whose reads go through the state's version-keyed memos
+	// calls AdvanceVersion once per run that applied reports.
+	Apply(shard int, ms []Msg) (hellos, reports int64)
+	AdvanceVersion(shard int)
+	// Sums exports the raw counters. They are loaded atomically; fence
+	// ingestion first when a consistent cut matters.
+	Sums() RawSums
+	// Merge folds gathered raw counters in, frame by frame in the given
+	// order (integer addition: any order yields the same counters).
+	Merge(frames []RawSums) error
+	MarshalState() []byte
+	RestoreState(b []byte) error
+	Users() int
+}
+
+// AnswerScratch is the per-connection answer frame and selection
+// buffer: warm top-k and point-item answers reuse it and allocate
+// nothing (pinned by TestAnswerIntoAllocFree).
+type AnswerScratch struct {
+	frame DomainAnswerFrame
+	topK  TopKScratch
+}
+
+// RawSums is the raw accumulator state the fronts move between nodes,
+// in mode-neutral form: one row of counters per item or bucket, the
+// Boolean accumulator being the one-row case (M = 0). Only a Mode
+// converts it to and from its wire frame.
+type RawSums = DomainSumsFrame
+
+// rows is the frame's row count.
+func (f RawSums) rows() int { return max(f.M, 1) }
+
+// Equal compares two frames exactly — integer for integer. It is the
+// divergence test of a quorum read.
+func (f RawSums) Equal(o RawSums) bool {
+	if f.D != o.D || f.M != o.M || f.Scale != o.Scale || len(f.Items) != len(o.Items) {
+		return false
+	}
+	for x := range f.Items {
+		a, b := &f.Items[x], &o.Items[x]
+		if a.Users != b.Users || !equalInt64s(a.PerOrder, b.PerOrder) || !equalInt64s(a.Sums, b.Sums) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalInt64s(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// dims are the parameters every mode shares: horizon, row parameter (0
+// for Boolean, m for exact, g for hashed) and the Boolean estimator
+// scale.
+type dims struct {
+	d, m  int
+	scale float64
+}
+
+// MergeSums implements Mode for all three modes: exact element-wise
+// integer addition in frame order. Each frame's configuration is
+// checked here because this path answers straight from the raw frames,
+// without the fold whose Merge would otherwise catch a misconfigured
+// backend.
+func (p dims) MergeSums(frames []RawSums) (RawSums, error) {
+	out := RawSums{D: p.d, M: p.m, Scale: p.scale}
+	out.Items = make([]ItemSums, out.rows())
+	// One backing array for every row's counters, not two allocations
+	// per row.
+	orders, width := dyadic.NumOrders(p.d), dyadic.NumOrders(p.d)+dyadic.TotalIntervals(p.d)
+	flat := make([]int64, len(out.Items)*width)
+	for x := range out.Items {
+		row := flat[x*width : (x+1)*width : (x+1)*width]
+		out.Items[x] = ItemSums{PerOrder: row[:orders:orders], Sums: row[orders:]}
+	}
+	for i, f := range frames {
+		if f.D != p.d || f.M != p.m || f.Scale != p.scale || len(f.Items) != len(out.Items) {
+			return RawSums{}, fmt.Errorf("transport: sums frame %d has d=%d m=%d scale=%v (%d rows), configured d=%d m=%d scale=%v",
+				i, f.D, f.M, f.Scale, len(f.Items), p.d, p.m, p.scale)
+		}
+		for x, it := range f.Items {
+			o := &out.Items[x]
+			o.Users += it.Users
+			for h, v := range it.PerOrder {
+				o.PerOrder[h] += v
+			}
+			for j, v := range it.Sums {
+				o.Sums[j] += v
+			}
+		}
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// Boolean mode.
+
+type boolMode struct{ dims }
+
+// BoolMode is the Boolean protocol at horizon d (a power of two) and
+// estimator scale.
+func BoolMode(d int, scale float64) Mode { return boolMode{dims{d: d, scale: scale}} }
+
+func (boolMode) Name() string     { return "boolean" }
+func (boolMode) Reads() FrameSet  { return frameSet(MsgQuery, MsgQueryV2, MsgSums) }
+func (boolMode) SumsRequest() Msg { return Sums() }
+
+func (p boolMode) ValidateIngest(ms []Msg) error {
+	maxOrder := dyadic.Log2(p.d)
+	for i := range ms {
+		if !ingestOK(p.d, maxOrder, &ms[i]) {
+			return validateIngest(p.d, maxOrder, &ms[i])
+		}
+	}
+	return nil
+}
+
+func (p boolMode) ValidateRead(m Msg) error {
+	switch m.Type {
+	case MsgQuery:
+		if m.T < 1 || m.T > p.d {
+			return fmt.Errorf("query time %d out of range [1..%d]", m.T, p.d)
+		}
+	case MsgQueryV2:
+		return ValidateQuery(p.d, m)
+	}
+	return nil
+}
+
+func (p boolMode) NewState(shards int) State {
+	return boolState{protocol.NewSharded(p.d, p.scale, shards)}
+}
+
+func (boolMode) ReadSums(d *Decoder) (RawSums, error) {
+	f, err := d.ReadSums()
+	return f.raw(), err
+}
+
+func (boolMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeSums(f.boolFrame()) }
+
+func (boolMode) CheckMeta(persist.Meta) error { return nil }
+
+// raw is the frame as the one-row RawSums; boolFrame is its inverse.
+func (f SumsFrame) raw() RawSums {
+	return RawSums{D: f.D, Scale: f.Scale, Items: []ItemSums{{Users: f.Users, PerOrder: f.PerOrder, Sums: f.Sums}}}
+}
+
+func (f RawSums) boolFrame() SumsFrame {
+	it := f.Items[0]
+	return SumsFrame{D: f.D, Scale: f.Scale, Users: it.Users, PerOrder: it.PerOrder, Sums: it.Sums}
+}
+
+type boolState struct{ acc *protocol.Sharded }
+
+func (s boolState) Apply(shard int, ms []Msg) (hellos, reports int64) {
+	for i := range ms {
+		m := &ms[i]
+		if m.Type == MsgHello {
+			s.acc.Register(shard, m.Order)
+			hellos++
+		} else {
+			s.acc.Ingest(shard, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+			reports++
+		}
+	}
+	return hellos, reports
+}
+
+func (s boolState) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
+
+func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
+	switch m.Type {
+	case MsgQuery:
+		err = e.Encode(Estimate(m.T, s.acc.EstimateAt(m.T)))
+	case MsgQueryV2:
+		var ans AnswerFrame
+		if ans, err = AnswerQuery(s.acc, m); err == nil {
+			err = e.EncodeAnswer(ans)
+		}
+	default:
+		err = e.EncodeSums(SumsFromSharded(s.acc))
+	}
+	return false, false, err
+}
+
+func (s boolState) Sums() RawSums { return SumsFromSharded(s.acc).raw() }
+
+// Merge adds the frames up with plain integer additions first and folds
+// the total in once: the accumulator's own merge is an atomic add per
+// counter, which a quorum read over many shard frames would pay per
+// frame.
+func (s boolState) Merge(frames []RawSums) error {
+	total, err := dims{d: s.acc.D(), scale: s.acc.Scale()}.MergeSums(frames)
+	if err != nil {
+		return err
+	}
+	return total.boolFrame().MergeInto(s.acc)
+}
+
+func (s boolState) MarshalState() []byte        { return s.acc.MarshalState() }
+func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
+func (s boolState) Users() int                  { return s.acc.Users() }
+
+// ---------------------------------------------------------------------------
+// Exact domain mode.
+
+type domainMode struct{ dims }
+
+// DomainMode is domain-valued tracking under the exact encoding: one
+// counter row per item of a size-m domain.
+func DomainMode(d, m int, scale float64) Mode { return domainMode{dims{d, m, scale}} }
+
+func (domainMode) Name() string     { return "domain" }
+func (domainMode) Reads() FrameSet  { return frameSet(MsgDomainQuery, MsgDomainSums) }
+func (domainMode) SumsRequest() Msg { return DomainSums() }
+
+func (p domainMode) ValidateIngest(ms []Msg) error {
+	maxOrder := dyadic.Log2(p.d)
+	for i := range ms {
+		if !domainIngestOK(p.d, p.m, maxOrder, &ms[i]) {
+			return validateDomainIngest(p.d, p.m, maxOrder, &ms[i])
+		}
+	}
+	return nil
+}
+
+func (p domainMode) ValidateRead(m Msg) error {
+	if m.Type == MsgDomainQuery {
+		return ValidateDomainQuery(p.d, p.m, m)
+	}
+	return nil
+}
+
+func (p domainMode) NewState(shards int) State {
+	return domainState{hh.NewDomainServer(p.d, p.m, p.scale, shards)}
+}
+
+func (domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
+func (domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
+
+func (p domainMode) CheckMeta(meta persist.Meta) error {
+	if meta.M != p.m {
+		return fmt.Errorf("transport: meta domain size %d does not match server's %d", meta.M, p.m)
+	}
+	return nil
+}
+
+// domainState is the row accumulator of both domain modes; the hashed
+// state wraps it with its decode layer.
+type domainState struct{ ds *hh.DomainServer }
+
+func (s domainState) Apply(shard int, ms []Msg) (hellos, reports int64) {
+	for i := range ms {
+		m := &ms[i]
+		if m.Type == MsgDomainReport {
+			s.ds.Ingest(shard, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+			reports++
+		} else {
+			s.ds.Register(shard, m.Item, m.Order)
+			hellos++
+		}
+	}
+	return hellos, reports
+}
+
+func (s domainState) AdvanceVersion(shard int) { s.ds.AdvanceVersion(shard) }
+
+func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	if m.Type != MsgDomainQuery {
+		return false, false, e.EncodeDomainSums(DomainSumsFromServer(s.ds))
+	}
+	if hit, err = AnswerDomainQueryInto(s.ds, m, &sc.frame, &sc.topK); err != nil {
+		return false, false, err
+	}
+	// Only top-k goes through the version-keyed memo on the exact
+	// encoding; point estimates read counters directly.
+	return m.Kind == QueryTopK, hit, e.EncodeDomainAnswer(sc.frame)
+}
+
+func (s domainState) Sums() RawSums { return DomainSumsFromServer(s.ds) }
+func (s domainState) Merge(frames []RawSums) error {
+	for i, f := range frames {
+		if err := f.MergeInto(s.ds); err != nil {
+			return fmt.Errorf("merging sums frame %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+func (s domainState) MarshalState() []byte        { return s.ds.MarshalState() }
+func (s domainState) RestoreState(b []byte) error { return s.ds.RestoreState(b) }
+func (s domainState) Users() int                  { return s.ds.Users() }
+
+// ---------------------------------------------------------------------------
+// Hashed domain mode (LOLOHA).
+
+type hashedMode struct {
+	dims
+	enc hh.DomainEncoding
+}
+
+// HashedMode is domain-valued tracking under a hashed encoding: g
+// bucket rows stand in for a catalogue of enc.M items, and item queries
+// are answered through the bucket decoder. The encoding must be valid
+// and hashed.
+func HashedMode(d int, enc hh.DomainEncoding, scale float64) Mode {
+	return hashedMode{dims{d, enc.G, scale}, enc}
+}
+
+func (hashedMode) Name() string       { return "hashed-domain" }
+func (hashedMode) Reads() FrameSet    { return frameSet(MsgDomainQuery, MsgHashedDomainSums) }
+func (p hashedMode) SumsRequest() Msg { return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed) }
+
+func (p hashedMode) ValidateIngest(ms []Msg) error {
+	maxOrder := dyadic.Log2(p.d)
+	for i := range ms {
+		if !hashedDomainIngestOK(p.d, maxOrder, &p.enc, &ms[i]) {
+			return validateHashedDomainIngest(p.d, p.enc, maxOrder, &ms[i])
+		}
+	}
+	return nil
+}
+
+// ValidateRead checks a query against the catalogue and a sums request
+// against the full encoding: two deployments hashing differently must
+// never merge bucket counters.
+func (p hashedMode) ValidateRead(m Msg) error {
+	if m.Type == MsgDomainQuery {
+		return ValidateHashedDomainQuery(p.d, p.enc.M, m)
+	}
+	if m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed {
+		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
+			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
+	}
+	return nil
+}
+
+func (p hashedMode) NewState(shards int) State {
+	hs := hh.NewHashedDomainServer(p.d, p.enc, p.scale, shards)
+	return hashedState{domainState{hs.Inner()}, hs}
+}
+
+func (hashedMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
+func (hashedMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
+
+// CheckMeta refuses a directory written under a different catalogue,
+// bucket count, encoding or epoch seed — bucket counters under another
+// seed mean different items.
+func (p hashedMode) CheckMeta(meta persist.Meta) error {
+	switch {
+	case meta.M != p.enc.M:
+		return fmt.Errorf("transport: meta catalogue size %d does not match server's %d", meta.M, p.enc.M)
+	case meta.G != p.enc.G:
+		return fmt.Errorf("transport: meta bucket count %d does not match server's %d", meta.G, p.enc.G)
+	case meta.Encoding != p.enc.Name:
+		return fmt.Errorf("transport: meta encoding %q does not match server's %q", meta.Encoding, p.enc.Name)
+	case meta.HashSeed != p.enc.Seed:
+		return fmt.Errorf("transport: meta hash seed %d does not match server's %d", meta.HashSeed, p.enc.Seed)
+	}
+	return nil
+}
+
+// hashedState is the g-row accumulator (everything but Answer is the
+// embedded domainState over hs.Inner()) plus the bucket decoder.
+type hashedState struct {
+	domainState
+	hs *hh.HashedDomainServer
+}
+
+func (s hashedState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	if m.Type != MsgDomainQuery {
+		return s.domainState.Answer(m, e, sc)
+	}
+	if hit, err = AnswerHashedDomainQueryInto(s.hs, m, &sc.frame, &sc.topK); err != nil {
+		return false, false, err
+	}
+	// Top-k and point-item both go through the decoder's version-keyed
+	// decode memo.
+	return m.Kind == QueryTopK || m.Kind == QueryPointItem, hit, e.EncodeDomainAnswer(sc.frame)
+}
+
+// ---------------------------------------------------------------------------
+// Gathered sums.
+
+// Gathered is a completed gather: raw-sums frames in a fixed order (per
+// backend, per virtual shard) that answer every read frame of the mode.
+// A raw-sums request is answered by merging the frames (so fronts
+// stack); a shaped query folds them, at most once, into a fresh
+// single-shard state. Because the fold adds exact integers and the
+// estimator is a fixed linear function of them, the answer is
+// bit-for-bit a serial server's. Immutable after the gather, so any
+// number of connections may share one.
+type Gathered struct {
+	mode   Mode
+	frames []RawSums
+
+	foldOnce sync.Once // sums-only traffic never pays the fold
+	st       State
+	foldErr  error
+}
+
+// NewGathered wraps gathered frames.
+func NewGathered(mode Mode, frames []RawSums) *Gathered {
+	return &Gathered{mode: mode, frames: frames}
+}
+
+// Answer implements Reader. The folded state's memo is private to this
+// gather, so it never reports as a cache.
+func (g *Gathered) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	if m.Type == g.mode.SumsRequest().Type {
+		merged, err := g.mode.MergeSums(g.frames)
+		if err != nil {
+			return false, false, err
+		}
+		return false, false, g.mode.EncodeSums(e, merged)
+	}
+	g.foldOnce.Do(func() {
+		g.st = g.mode.NewState(1)
+		g.foldErr = g.st.Merge(g.frames)
+	})
+	if g.foldErr != nil {
+		return false, false, g.foldErr
+	}
+	_, _, err = g.st.Answer(m, e, sc)
+	return false, false, err
+}

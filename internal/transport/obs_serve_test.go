@@ -373,7 +373,7 @@ func TestAckedBatchRejectsQueries(t *testing.T) {
 func TestDomainAckedBatchServing(t *testing.T) {
 	ds := hh.NewDomainServer(16, 8, 2.0, 2)
 	col := NewDomainCollector(ds)
-	srv := NewDomainIngestServer(col)
+	srv := NewIngestServer(col)
 	srv.ErrorLog = func(err error) { t.Error(err) }
 	srv.Metrics = NewServerMetrics(obs.NewRegistry())
 	srv.Queue = NewIngestQueue(1)

@@ -129,10 +129,10 @@ func TestNegativeUserRejected(t *testing.T) {
 	}
 
 	col := NewShardedCollector(protocol.NewSharded(16, 1, 1))
-	if err := col.Send(0, Msg{Type: MsgHello, User: -1, Order: 0}); err == nil {
+	if err := col.SendBatch(0, []Msg{{Type: MsgHello, User: -1, Order: 0}}); err == nil {
 		t.Error("collector accepted a negative hello user")
 	}
-	if err := col.Send(0, Msg{Type: MsgReport, User: -1, Order: 0, J: 1, Bit: 1}); err == nil {
+	if err := col.SendBatch(0, []Msg{{Type: MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
 		t.Error("collector accepted a negative report user")
 	}
 	if err := col.SendBatch(0, []Msg{{Type: MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {

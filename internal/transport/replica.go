@@ -2,9 +2,7 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"rtf/internal/membership"
 )
@@ -13,35 +11,9 @@ import (
 // ReplicaClient pools connections per backend address — keyed by
 // address rather than by a fixed index, because the member set changes
 // across epochs — and BackendConn grows the membership round-trips
-// (per-shard sums for quorum reads, shard state export, shard transfer
-// install, view push). Placement is the member gateway's business
+// (shard state export, shard transfer install, view push; per-shard
+// sums for quorum reads go through FetchSums). Placement is the member gateway's business
 // (internal/cluster); this layer only moves frames.
-
-// FetchShardSums round-trips a per-shard raw-sums request against a
-// membership-mode Boolean backend. Like FetchSums, the in-order frame
-// handling makes it a fence for everything sent earlier on this
-// connection.
-func (b *BackendConn) FetchShardSums(shard int) (SumsFrame, error) {
-	if err := b.enc.Encode(ShardSums(shard)); err != nil {
-		return SumsFrame{}, err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return SumsFrame{}, err
-	}
-	return b.dec.ReadSums()
-}
-
-// FetchShardDomainSums round-trips a per-shard raw-sums request
-// against a membership-mode domain backend.
-func (b *BackendConn) FetchShardDomainSums(shard int) (DomainSumsFrame, error) {
-	if err := b.enc.Encode(ShardSums(shard)); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	return b.dec.ReadDomainSums()
-}
 
 // FetchShardState round-trips a shard-snapshot request: the backend
 // answers with the shard's serialized state (the reshard transfer
@@ -140,24 +112,11 @@ func (c *ReplicaClient) Lease(addr string) (*BackendConn, error) {
 		return bc, nil
 	default:
 	}
-	backoff := c.opts.BackoffBase
-	var lastErr error
-	for attempt := 0; attempt < c.opts.DialAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			if backoff *= 2; backoff > c.opts.BackoffMax {
-				backoff = c.opts.BackoffMax
-			}
-		}
-		conn, err := net.DialTimeout("tcp", addr, c.opts.DialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return &BackendConn{conn: conn, enc: NewEncoder(conn), dec: NewDecoder(conn)}, nil
+	bc, err := dialBackend(addr, c.opts)
+	if err != nil {
+		return nil, fmt.Errorf("transport: member %s unreachable after %d attempts: %w", addr, c.opts.DialAttempts, err)
 	}
-	return nil, fmt.Errorf("transport: member %s unreachable after %d attempts: %w",
-		addr, c.opts.DialAttempts, lastErr)
+	return bc, nil
 }
 
 // Release returns a leased connection. A healthy connection goes back

@@ -9,50 +9,35 @@ import (
 	"time"
 )
 
-// IngestServer is the network half of the batch-ingest aggregation
-// service: it accepts any number of TCP (or other net.Listener)
-// connections, decodes framed messages and batches from each, fans them
-// into a ShardedCollector, and answers MsgQuery frames with MsgEstimate
-// responses computed from the live accumulator. Each connection is
-// served by its own goroutine and routed to shard (connection id mod
-// NumShards), so ingestion scales with cores while estimates remain
-// bit-for-bit identical to a serial server fed the same reports.
-type IngestServer struct {
-	Collector BatchCollector
+// This file is the serving core: the one frame loop and the one
+// connection lifecycle every front runs. A front — the single-node
+// IngestServer here, the static and member gateways in internal/cluster
+// — is a Server plus a Session factory, and fronts differ only in what
+// a session's Apply means (collector / partition-and-forward / K-way
+// replicate under the view lock) and what its Gather means (live state
+// / cached scatter-gather / fenced quorum read).
 
-	// Domain, when non-nil, puts the server in domain mode: it serves
-	// item-tagged ingest frames (MsgDomainHello, MsgDomainReport),
-	// item-scoped queries (MsgDomainQuery) and per-item raw-sums
-	// requests (MsgDomainSums) instead of the Boolean protocol. A server
-	// hosts exactly one of the two modes; Boolean frames on a domain
-	// server (and vice versa) fail that connection.
-	Domain DomainBatchCollector
+// Session is one client connection's state inside a front.
+type Session interface {
+	// Apply takes one validated run of ingest messages.
+	Apply(run []Msg) error
+	// Gather returns the state one read frame is answered from. done,
+	// when non-nil, is called once the answer has been flushed.
+	Gather() (r Reader, done func(), err error)
+	// Close releases the session. healthy reports a clean client close
+	// (or server shutdown) rather than a failed connection.
+	Close(healthy bool)
+}
 
-	// HashedDomain, when non-nil, puts the server in hashed-domain mode:
-	// it serves seed-pinned hellos (MsgHashedDomainHello), bucket-tagged
-	// reports (MsgDomainReport with Item = bucket), item-scoped queries
-	// answered through the bucket decoder (MsgDomainQuery), and
-	// encoding-checked raw-sums requests (MsgHashedDomainSums). Plain
-	// domain hellos and sums requests fail the connection: an
-	// exact-encoding peer and a hashed server must never interoperate
-	// silently.
-	HashedDomain HashedDomainBatchCollector
-
-	// ShardMap, when non-nil, puts the server in membership mode: one
-	// accumulator per virtual shard, ingest routed by the user's
-	// shard, plus the membership control plane (view pushes, per-shard
-	// sums for quorum reads, shard state export and transfer
-	// installs). See shardserve.go.
-	ShardMap ShardMapBatchCollector
-
-	// DomainShardMap is membership mode for domain-valued tracking.
-	DomainShardMap *DomainShardMapCollector
-
+// Server accepts any number of TCP (or other net.Listener) connections
+// and runs the frame loop on each, in its own goroutine, against a
+// Session opened for it.
+type Server struct {
 	// ErrorLog, when non-nil, receives per-connection decode/validation
 	// failures (which close that connection but not the server).
 	ErrorLog func(err error)
 
-	// Metrics, when non-nil, instruments the serving loops: applied
+	// Metrics, when non-nil, instruments the serving loop: applied
 	// batches and messages, batch-size and ingest-latency histograms,
 	// live connection count, per-kind query counters, and acked-batch
 	// shed accounting. Nil keeps every serving path metric-free (and
@@ -60,10 +45,18 @@ type IngestServer struct {
 	Metrics *ServerMetrics
 
 	// Queue, when non-nil, bounds concurrent in-flight batches across
-	// all connections. Legacy batches block for a slot (TCP
-	// backpressure); acked batches are shed whole — acknowledged but
-	// never applied — when no slot is free. See IngestQueue.
+	// all connections, before anything is applied or forwarded. Legacy
+	// batches block for a slot (TCP backpressure); acked batches are
+	// shed whole — acknowledged but never applied, journaled or
+	// forwarded anywhere — when no slot is free. See IngestQueue.
 	Queue *IngestQueue
+
+	mode    Mode
+	label   string // queries_total mechanism label
+	open    func(id int) Session
+	onClose func()    // runs once the connections are gone; may be nil
+	control *ShardMap // membership control plane; nil on every other front
+	install func(shard int, state []byte) error
 
 	mu       sync.Mutex
 	listener net.Listener // set by ListenAndServe so Close can unblock it
@@ -73,31 +66,72 @@ type IngestServer struct {
 	wg       sync.WaitGroup
 }
 
-// NewIngestServer builds a server over the given collector — a plain
-// ShardedCollector for in-memory serving, or a DurableCollector for a
+// NewServer builds a serving core for mode. label is the front's
+// queries_total mechanism label; open builds the Session of connection
+// id; onClose, when non-nil, runs after Shutdown or Close has dealt
+// with the connections (the gateways close their backend pools there).
+func NewServer(mode Mode, label string, open func(id int) Session, onClose func()) *Server {
+	return &Server{mode: mode, label: label, open: open, onClose: onClose, conns: make(map[net.Conn]struct{})}
+}
+
+// IngestServer is the single-node front, the engine behind
+// cmd/rtf-serve: sessions apply runs to a Store under their connection's
+// counter shard (so ingestion scales with cores) and answer reads from
+// the store's live state, bit-for-bit like a serial server fed the same
+// reports. Over a ShardMap (membership mode) it also serves the
+// membership control plane on the same connections.
+type IngestServer struct {
+	*Server
+	store Store
+}
+
+// NewIngestServer builds a server over the given store — a Collector or
+// ShardMap for in-memory serving, or a Durable around either for a
 // restartable service.
-func NewIngestServer(c BatchCollector) *IngestServer {
-	return &IngestServer{Collector: c, conns: make(map[net.Conn]struct{})}
+func NewIngestServer(store Store) *IngestServer {
+	s := &IngestServer{store: store}
+	s.Server = NewServer(store.Mode(), store.Mode().Name(),
+		func(id int) Session { return storeSession{store, id} }, nil)
+	switch st := store.(type) {
+	case *ShardMap:
+		s.control, s.install = st, st.InstallShard
+	case *Durable:
+		// A durable install also cuts a snapshot; see Durable.InstallShard.
+		s.control, _ = st.journaled.(*ShardMap)
+		s.install = st.InstallShard
+	}
+	if s.control != nil {
+		s.label = MemberLabel("membership", s.mode)
+	}
+	return s
 }
 
-// NewDomainIngestServer builds a domain-mode server over the given
-// collector — a plain DomainCollector for in-memory serving, or a
-// DurableDomainCollector for a restartable service.
-func NewDomainIngestServer(c DomainBatchCollector) *IngestServer {
-	return &IngestServer{Domain: c, conns: make(map[net.Conn]struct{})}
+// Store returns the store the server feeds.
+func (s *IngestServer) Store() Store { return s.store }
+
+// MemberLabel is the queries_total mechanism label of a membership
+// front: the prefix alone for the Boolean mode, prefix-mode otherwise.
+func MemberLabel(prefix string, mode Mode) string {
+	if name := mode.Name(); name != "boolean" {
+		return prefix + "-" + name
+	}
+	return prefix
 }
 
-// NewHashedDomainIngestServer builds a hashed-domain-mode server over
-// the given collector — a plain HashedDomainCollector for in-memory
-// serving, or a DurableHashedDomainCollector for a restartable service.
-func NewHashedDomainIngestServer(c HashedDomainBatchCollector) *IngestServer {
-	return &IngestServer{HashedDomain: c, conns: make(map[net.Conn]struct{})}
+// storeSession is a connection of the single-node front.
+type storeSession struct {
+	store Store
+	id    int
 }
+
+func (s storeSession) Apply(run []Msg) error           { return s.store.SendBatch(s.id, run) }
+func (s storeSession) Gather() (Reader, func(), error) { return s.store, nil, nil }
+func (s storeSession) Close(bool)                      {}
 
 // Serve accepts connections on l until Close is called (or the listener
 // fails) and then waits for in-flight connections to drain. The caller
 // retains ownership of l only until Serve returns; Close closes it.
-func (s *IngestServer) Serve(l net.Listener) error {
+func (s *Server) Serve(l net.Listener) error {
 	defer s.wg.Wait()
 	for {
 		conn, err := l.Accept()
@@ -107,11 +141,11 @@ func (s *IngestServer) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		if !s.track(conn) {
+		id, ok := s.track(conn)
+		if !ok {
 			conn.Close()
 			return nil
 		}
-		id := s.connID()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -125,7 +159,7 @@ func (s *IngestServer) Serve(l net.Listener) error {
 
 // ListenAndServe listens on addr and serves. The chosen address (useful
 // with ":0") is sent on ready, if non-nil, once the listener is up.
-func (s *IngestServer) ListenAndServe(addr string, ready chan<- net.Addr) error {
+func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -144,64 +178,97 @@ func (s *IngestServer) ListenAndServe(addr string, ready chan<- net.Addr) error 
 	return s.Serve(l)
 }
 
-// BatchRuns applies a fully validated mixed batch in stream order:
-// contiguous runs of ingest messages go to forward as whole batches,
-// and each frame isQuery selects goes to answer between them. It is
-// the shared core of the atomic-batch discipline on every serving path
-// — the Boolean and domain ingest servers and both gateway modes —
-// so callers MUST validate every frame of the batch before invoking
-// it; a malformed frame anywhere then aborts before anything applies.
-func BatchRuns(ms []Msg, isQuery func(Msg) bool, forward func([]Msg) error, answer func(Msg) error) error {
+// BatchRuns walks a mixed batch in stream order: contiguous runs of
+// ingest messages go to ingest as whole runs, and each frame reads
+// selects goes to read between them. The frame loop makes two passes
+// with it — validate everything, then apply everything — which is the
+// atomic-batch discipline: a malformed frame anywhere aborts before
+// anything applies.
+func BatchRuns(ms []Msg, reads FrameSet, ingest func([]Msg) error, read func(Msg) error) error {
 	run := 0
-	for i, m := range ms {
-		if !isQuery(m) {
+	for i := range ms {
+		if !reads.Has(ms[i].Type) {
 			continue
 		}
 		if i > run {
-			if err := forward(ms[run:i]); err != nil {
+			if err := ingest(ms[run:i]); err != nil {
 				return err
 			}
 		}
 		run = i + 1
-		if err := answer(m); err != nil {
+		if err := read(ms[i]); err != nil {
 			return err
 		}
 	}
 	if run < len(ms) {
-		return forward(ms[run:])
+		return ingest(ms[run:])
 	}
 	return nil
 }
 
-// serveConn runs the decode loop for one connection: hello/report
-// messages and batches go to the collector under this connection's
-// shard; queries (and raw-sums requests from a cluster gateway) are
-// answered immediately from the live accumulator.
+// serveConn runs the frame loop for one connection: ingest runs go to
+// the session's Apply; read frames are answered from what its Gather
+// returns, and because frames are handled in order, a read doubles as a
+// fence for everything the connection sent before it.
 //
-// Batches are atomic: every frame in a decoded batch — ingest messages
-// through the collector's validate-only path, query frames through
-// ValidateQuery — is validated before anything is applied, so a batch
-// of [reports…, malformed query, reports…] applies (and, under a
-// DurableCollector, journals) nothing at all rather than a prefix.
-func (s *IngestServer) serveConn(id int, conn net.Conn) error {
-	dec := NewDecoder(conn)
-	enc := NewEncoder(conn)
-	if s.DomainShardMap != nil {
-		return s.serveDomainShardConn(id, dec, enc)
+// Batches are atomic: every frame in a decoded batch is validated —
+// ingest runs through the mode's validate-only path, reads through
+// ValidateRead — before anything is applied, so a batch of [reports…,
+// malformed query, reports…] applies (and, on a durable store,
+// journals; on a gateway, forwards) nothing at all rather than a
+// prefix. An acked batch may carry ingest messages only.
+func (s *Server) serveConn(id int, conn net.Conn) (err error) {
+	dec, enc := NewDecoder(conn), NewEncoder(conn)
+	sess := s.open(id)
+	defer func() { sess.Close(err == nil) }()
+
+	reads := s.mode.Reads()
+	if s.control != nil {
+		reads |= frameSet(MsgShardSums, MsgShardState)
 	}
-	if s.ShardMap != nil {
-		return s.serveShardConn(id, dec, enc)
+	var (
+		sc     AnswerScratch
+		acked  bool
+		ingest int
+	)
+	validateRun := func(run []Msg) error {
+		ingest += len(run)
+		return s.mode.ValidateIngest(run)
 	}
-	if s.HashedDomain != nil {
-		return s.serveHashedDomainConn(id, dec, enc)
+	validateRead := func(m Msg) error {
+		if acked {
+			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
+		}
+		if m.Type == MsgShardSums || m.Type == MsgShardState {
+			if n := s.control.NumShards(); m.Shard < 0 || m.Shard >= n {
+				return fmt.Errorf("shard %d out of range [0..%d)", m.Shard, n)
+			}
+			return nil
+		}
+		return s.mode.ValidateRead(m)
 	}
-	if s.Domain != nil {
-		return s.serveDomainConn(id, dec, enc)
+	answer := func(m Msg) error {
+		if s.Metrics != nil {
+			s.Metrics.CountQuery(s.label, QueryKindName(m))
+		}
+		r, done, err := sess.Gather()
+		if err != nil {
+			return err
+		}
+		if done != nil {
+			defer done()
+		}
+		memo, hit, err := r.Answer(m, enc, &sc)
+		if err != nil {
+			return err
+		}
+		if memo && s.Metrics != nil {
+			s.Metrics.CountCacheEligible()
+			s.Metrics.CountCacheResult(hit)
+		}
+		return enc.Flush()
 	}
-	acc := s.Collector.Acc()
-	isQuery := func(m Msg) bool {
-		return m.Type == MsgQuery || m.Type == MsgQueryV2 || m.Type == MsgSums
-	}
+	apply := sess.Apply
 	for {
 		ms, err := dec.NextBatch()
 		if err != nil {
@@ -210,30 +277,18 @@ func (s *IngestServer) serveConn(id int, conn net.Conn) error {
 			}
 			return err
 		}
-		acked := dec.AckedBatch()
+		if s.control != nil && len(ms) == 1 {
+			if handled, err := s.handleControl(ms[0], dec, enc); handled {
+				if err != nil {
+					return err
+				}
+				continue
+			}
+		}
+		acked, ingest = dec.AckedBatch(), 0
 		start := time.Now()
-		ingest := 0
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case MsgQuery:
-				if m.T < 1 || m.T > acc.D() {
-					return fmt.Errorf("query time %d out of range [1..%d]", m.T, acc.D())
-				}
-			case MsgQueryV2:
-				if err := ValidateQuery(acc.D(), m); err != nil {
-					return err
-				}
-			case MsgSums:
-				// No parameters to validate.
-			default:
-				if err := s.Collector.Validate(m); err != nil {
-					return err
-				}
-				ingest++
-			}
+		if err := BatchRuns(ms, reads, validateRun, validateRead); err != nil {
+			return err
 		}
 		shed, holding, err := s.admitBatch(acked, enc)
 		if err != nil {
@@ -242,32 +297,7 @@ func (s *IngestServer) serveConn(id int, conn net.Conn) error {
 		if shed {
 			continue
 		}
-		err = BatchRuns(ms, isQuery,
-			func(run []Msg) error { return s.Collector.SendBatch(id, run) },
-			func(m Msg) error {
-				if s.Metrics != nil {
-					s.Metrics.CountQuery("boolean", QueryKindName(m))
-				}
-				switch m.Type {
-				case MsgQuery:
-					if err := enc.Encode(Estimate(m.T, acc.EstimateAt(m.T))); err != nil {
-						return err
-					}
-				case MsgQueryV2:
-					ans, err := AnswerQuery(acc, m)
-					if err != nil {
-						return err
-					}
-					if err := enc.EncodeAnswer(ans); err != nil {
-						return err
-					}
-				case MsgSums:
-					if err := enc.EncodeSums(SumsFromSharded(acc)); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
+		err = BatchRuns(ms, reads, apply, answer)
 		if holding {
 			s.Queue.Release()
 		}
@@ -280,12 +310,39 @@ func (s *IngestServer) serveConn(id int, conn net.Conn) error {
 	}
 }
 
+// handleControl is the frame loop's one hook for the membership control
+// plane of a shard-mapped backend: a view push or shard-transfer
+// install, each acknowledged with one MsgMemberAck. It reports whether
+// the frame was one of them. An install or hard view failure still acks
+// (negatively) before surfacing the error, so the pushing gateway sees
+// a refusal rather than a hang.
+func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder) (handled bool, err error) {
+	applied := true
+	switch m.Type {
+	case MsgView:
+		applied, err = s.control.SetView(dec.TakeView())
+	case MsgShardTransfer:
+		err = s.install(m.Shard, dec.TakeShardState())
+	default:
+		return false, nil
+	}
+	if err != nil {
+		enc.EncodeMemberAck(false)
+		enc.Flush()
+		return true, err
+	}
+	if err := enc.EncodeMemberAck(applied); err != nil {
+		return true, err
+	}
+	return true, enc.Flush()
+}
+
 // admitBatch runs queue admission for one decoded batch: legacy batches
 // block for a slot, acked batches are shed whole when the queue is
 // full. It reports whether the batch was shed (already answered with a
 // negative ack; the caller skips it entirely) and whether a slot is
 // held and must be released after the batch is applied.
-func (s *IngestServer) admitBatch(acked bool, enc *Encoder) (shed, holding bool, err error) {
+func (s *Server) admitBatch(acked bool, enc *Encoder) (shed, holding bool, err error) {
 	if s.Queue == nil {
 		return false, false, nil
 	}
@@ -306,8 +363,10 @@ func (s *IngestServer) admitBatch(acked bool, enc *Encoder) (shed, holding bool,
 }
 
 // finishBatch acknowledges an applied acked batch and records its
-// metrics.
-func (s *IngestServer) finishBatch(acked bool, enc *Encoder, n int, start time.Time) error {
+// metrics. On a gateway the positive ack certifies the batch was
+// written whole to the session's backend leases; as with legacy
+// batches, application is certified by the next read on the session.
+func (s *Server) finishBatch(acked bool, enc *Encoder, n int, start time.Time) error {
 	if acked {
 		if err := enc.EncodeBatchAck(true); err != nil {
 			return err
@@ -320,191 +379,6 @@ func (s *IngestServer) finishBatch(acked bool, enc *Encoder, n int, start time.T
 		s.Metrics.ObserveBatch(n, time.Since(start), acked)
 	}
 	return nil
-}
-
-// serveDomainConn is serveConn for a domain-mode server: item-tagged
-// hello/report messages and batches go to the domain collector under
-// this connection's shard; item-scoped queries (and per-item raw-sums
-// requests from a cluster gateway) are answered immediately from the
-// live per-item accumulators. Batches are atomic, exactly as on the
-// Boolean path.
-func (s *IngestServer) serveDomainConn(id int, dec *Decoder, enc *Encoder) error {
-	ds := s.Domain.Domain()
-	isQuery := func(m Msg) bool {
-		return m.Type == MsgDomainQuery || m.Type == MsgDomainSums
-	}
-	// One answer frame and selection scratch per connection: warm
-	// top-k and point-item answers reuse these buffers and allocate
-	// nothing (pinned by TestAnswerIntoAllocFree).
-	var ans DomainAnswerFrame
-	var sc TopKScratch
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or server shutdown
-			}
-			return err
-		}
-		acked := dec.AckedBatch()
-		start := time.Now()
-		ingest := 0
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case MsgDomainQuery:
-				if err := ValidateDomainQuery(ds.D(), ds.M(), m); err != nil {
-					return err
-				}
-			case MsgDomainSums:
-				// No parameters to validate.
-			default:
-				if err := s.Domain.Validate(m); err != nil {
-					return err
-				}
-				ingest++
-			}
-		}
-		shed, holding, err := s.admitBatch(acked, enc)
-		if err != nil {
-			return err
-		}
-		if shed {
-			continue
-		}
-		err = BatchRuns(ms, isQuery,
-			func(run []Msg) error { return s.Domain.SendBatch(id, run) },
-			func(m Msg) error {
-				if s.Metrics != nil {
-					s.Metrics.CountQuery("domain", QueryKindName(m))
-				}
-				switch m.Type {
-				case MsgDomainQuery:
-					cached, err := AnswerDomainQueryInto(ds, m, &ans, &sc)
-					if err != nil {
-						return err
-					}
-					// Only top-k goes through the version-keyed memo on
-					// the exact encoding; point estimates read counters
-					// directly.
-					if s.Metrics != nil && m.Kind == QueryTopK {
-						s.Metrics.CountCacheEligible()
-						s.Metrics.CountCacheResult(cached)
-					}
-					if err := enc.EncodeDomainAnswer(ans); err != nil {
-						return err
-					}
-				case MsgDomainSums:
-					if err := enc.EncodeDomainSums(DomainSumsFromServer(ds)); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
-		if holding {
-			s.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
-		}
-	}
-}
-
-// serveHashedDomainConn is serveConn for a hashed-domain server:
-// seed-pinned hellos and bucket-tagged reports go to the hashed
-// collector under this connection's shard; item-scoped queries are
-// answered through the bucket decoder, and encoding-checked raw-sums
-// requests with the g-row bucket state. Batches are atomic, exactly as
-// on the other paths.
-func (s *IngestServer) serveHashedDomainConn(id int, dec *Decoder, enc *Encoder) error {
-	hs := s.HashedDomain.Hashed()
-	seed := hs.Encoding().Seed
-	isQuery := func(m Msg) bool {
-		return m.Type == MsgDomainQuery || m.Type == MsgHashedDomainSums
-	}
-	var ans DomainAnswerFrame
-	var sc TopKScratch
-	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-				return nil // clean client close or server shutdown
-			}
-			return err
-		}
-		acked := dec.AckedBatch()
-		start := time.Now()
-		ingest := 0
-		for _, m := range ms {
-			if acked && isQuery(m) {
-				return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
-			}
-			switch m.Type {
-			case MsgDomainQuery:
-				if err := ValidateHashedDomainQuery(hs.D(), hs.M(), m); err != nil {
-					return err
-				}
-			case MsgHashedDomainSums:
-				if m.Item != hs.M() || m.K != hs.G() || m.Seed != seed {
-					return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, server encodes m=%d g=%d under a different seed", m.Item, m.K, m.Seed, hs.M(), hs.G())
-				}
-			default:
-				if err := s.HashedDomain.Validate(m); err != nil {
-					return err
-				}
-				ingest++
-			}
-		}
-		shed, holding, err := s.admitBatch(acked, enc)
-		if err != nil {
-			return err
-		}
-		if shed {
-			continue
-		}
-		err = BatchRuns(ms, isQuery,
-			func(run []Msg) error { return s.HashedDomain.SendBatch(id, run) },
-			func(m Msg) error {
-				if s.Metrics != nil {
-					s.Metrics.CountQuery("hashed-domain", QueryKindName(m))
-				}
-				switch m.Type {
-				case MsgDomainQuery:
-					cached, err := AnswerHashedDomainQueryInto(hs, m, &ans, &sc)
-					if err != nil {
-						return err
-					}
-					// Top-k and point-item both go through the hashed
-					// decoder's version-keyed decode memo.
-					if s.Metrics != nil && (m.Kind == QueryTopK || m.Kind == QueryPointItem) {
-						s.Metrics.CountCacheEligible()
-						s.Metrics.CountCacheResult(cached)
-					}
-					if err := enc.EncodeDomainAnswer(ans); err != nil {
-						return err
-					}
-				case MsgHashedDomainSums:
-					if err := enc.EncodeDomainSums(DomainSumsFromServer(hs.Inner())); err != nil {
-						return err
-					}
-				}
-				return enc.Flush()
-			})
-		if holding {
-			s.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
-		}
-	}
 }
 
 // Estimator is the read side of a dyadic accumulator: both the
@@ -578,9 +452,9 @@ func AnswerQuery(est Estimator, m Msg) (AnswerFrame, error) {
 // connections and closes the listener, then gives in-flight connections
 // up to grace to finish their streams (clients see the listener gone
 // and close when done) before force-closing whatever remains. It
-// returns once every connection goroutine has exited, so the collector
-// is quiescent — safe to snapshot — when Shutdown returns.
-func (s *IngestServer) Shutdown(grace time.Duration) error {
+// returns once every connection goroutine has exited, so the store is
+// quiescent — safe to snapshot — when Shutdown returns.
+func (s *Server) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
 	s.closed = true
 	l := s.listener
@@ -600,53 +474,65 @@ func (s *IngestServer) Shutdown(grace time.Duration) error {
 	select {
 	case <-done:
 	case <-timer.C:
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
+		s.closeConns()
 		<-done
+	}
+	if s.onClose != nil {
+		s.onClose()
 	}
 	return lerr
 }
 
 // Close stops accepting connections, closes the listener and all live
 // connections, and unblocks Serve.
-func (s *IngestServer) Close() error {
+func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true
 	l := s.listener
 	s.listener = nil
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.mu.Unlock()
+	s.closeConns()
+	if s.onClose != nil {
+		s.onClose()
+	}
 	if l != nil {
 		return l.Close()
 	}
 	return nil
 }
 
-func (s *IngestServer) isClosed() bool {
+func (s *Server) closeConns() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+}
+
+func (s *Server) isClosed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.closed
 }
 
-func (s *IngestServer) track(conn net.Conn) bool {
+// track registers an accepted connection and assigns its id; it refuses
+// once the server is closed.
+func (s *Server) track(conn net.Conn) (id int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return false
+		return 0, false
 	}
 	s.conns[conn] = struct{}{}
 	if s.Metrics != nil {
 		s.Metrics.ActiveConns.Add(1)
 	}
-	return true
+	id = s.nextID
+	s.nextID++
+	return id, true
 }
 
-func (s *IngestServer) untrack(conn net.Conn) {
+func (s *Server) untrack(conn net.Conn) {
 	s.mu.Lock()
 	delete(s.conns, conn)
 	if s.Metrics != nil {
@@ -654,12 +540,4 @@ func (s *IngestServer) untrack(conn net.Conn) {
 	}
 	s.mu.Unlock()
 	conn.Close()
-}
-
-func (s *IngestServer) connID() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextID
-	s.nextID++
-	return id
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 )
@@ -146,11 +145,11 @@ func TestIngestServerEndToEnd(t *testing.T) {
 	}
 	conn.Close()
 
-	hellos, reports, _ := srv.Collector.Stats()
+	hellos, reports, _ := srv.store.Stats()
 	if hellos != conns*4 || reports != conns*perC {
 		t.Fatalf("stats: got %d hellos, %d reports", hellos, reports)
 	}
-	if got, want := srv.Collector.Acc().Users(), conns*4; got != want {
+	if got, want := srv.store.Users(), conns*4; got != want {
 		t.Fatalf("users: got %d, want %d", got, want)
 	}
 
@@ -160,116 +159,6 @@ func TestIngestServerEndToEnd(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestIngestServerBatchAtomicity is the regression test for the
-// split-run atomicity bug: a batch of [reports…, malformed query,
-// reports…] used to apply (and, under a DurableCollector, journal) the
-// prefix before the query's validation dropped the connection. The
-// whole batch must now be rejected up front: nothing applied to the
-// accumulator, nothing journaled to the write-ahead log.
-func TestIngestServerBatchAtomicity(t *testing.T) {
-	const d, scale = 16, 2.0
-	mixed := []Msg{
-		Hello(1, 2),
-		FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1}),
-		QueryV2(QueryWindow, 1, d+5), // out of range: poisons the batch
-		FromReport(protocol.Report{User: 2, Order: 0, J: 4, Bit: 1}),
-	}
-	// The same check with a v1 query out of range.
-	mixedV1 := []Msg{
-		Hello(3, 1),
-		Query(d + 1),
-		FromReport(protocol.Report{User: 3, Order: 1, J: 2, Bit: -1}),
-	}
-
-	sendAndExpectDrop := func(t *testing.T, addr string, batch []Msg) {
-		t.Helper()
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		enc := NewEncoder(conn)
-		if err := enc.EncodeBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 1)
-		if _, err := conn.Read(buf); err == nil {
-			t.Fatal("expected the server to drop the connection")
-		}
-	}
-	checkUntouched := func(t *testing.T, col BatchCollector) {
-		t.Helper()
-		hellos, reports, batches := col.Stats()
-		if hellos != 0 || reports != 0 || batches != 0 {
-			t.Fatalf("invalid batch left state behind: %d hellos, %d reports, %d batches", hellos, reports, batches)
-		}
-		if got := col.Acc().Users(); got != 0 {
-			t.Fatalf("invalid batch registered %d users", got)
-		}
-		for tt := 1; tt <= d; tt++ {
-			if est := col.Acc().EstimateAt(tt); est != 0 {
-				t.Fatalf("invalid batch moved the estimate at t=%d to %v", tt, est)
-			}
-		}
-	}
-
-	t.Run("in-memory", func(t *testing.T) {
-		col := NewShardedCollector(protocol.NewSharded(d, scale, 2))
-		srv := NewIngestServer(col)
-		ready := make(chan net.Addr, 1)
-		done := make(chan error, 1)
-		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-		addr := (<-ready).String()
-		sendAndExpectDrop(t, addr, mixed)
-		sendAndExpectDrop(t, addr, mixedV1)
-		checkUntouched(t, col)
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("durable", func(t *testing.T) {
-		dir := t.TempDir()
-		meta := persist.Meta{Mechanism: "test", D: d, K: 2, Eps: 1, Scale: scale}
-		col, _, err := OpenDurable(protocol.NewSharded(d, scale, 2), dir, meta, DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewIngestServer(col)
-		ready := make(chan net.Addr, 1)
-		done := make(chan error, 1)
-		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-		addr := (<-ready).String()
-		sendAndExpectDrop(t, addr, mixed)
-		checkUntouched(t, col)
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		if err := col.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The WAL must be empty: a fresh recovery replays nothing.
-		col2, rec, err := OpenDurable(protocol.NewSharded(d, scale, 2), dir, meta, DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer col2.Close()
-		if rec.Replayed != 0 || rec.Hellos != 0 || rec.Reports != 0 {
-			t.Fatalf("invalid batch reached the WAL: replayed %d records (%d hellos, %d reports)",
-				rec.Replayed, rec.Hellos, rec.Reports)
-		}
-	})
 }
 
 // TestIngestServerBadInput checks that a malformed connection is closed

@@ -3,12 +3,9 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
-	"rtf/internal/dyadic"
-	"rtf/internal/hh"
 	"rtf/internal/membership"
-	"rtf/internal/protocol"
+	"rtf/internal/persist"
 )
 
 // This file is the backend half of dynamic membership: a membership-
@@ -21,49 +18,23 @@ import (
 // serial accumulator, so answers stay bit-for-bit identical to a
 // single serial server fed the same reports.
 
-// ShardMapBatchCollector is the fan-in point of a membership-mode
-// Boolean ingest server: the plain in-memory ShardMapCollector, or the
-// DurableShardMapCollector that journals every frame first.
-type ShardMapBatchCollector interface {
-	// Map returns the underlying shard map (for queries, shard export
-	// and view bookkeeping).
-	Map() *ShardMapCollector
-	// SendBatch validates and ingests a whole decoded batch
-	// atomically, routing each message to its user's virtual shard.
-	SendBatch(ms []Msg) error
-	// Validate checks one hello or report message without side
-	// effects.
-	Validate(m Msg) error
-	// Stats returns the number of hellos, reports and batches
-	// ingested.
-	Stats() (hellos, reports, batches int64)
-	// InstallShard replaces one virtual shard's state with the given
-	// serialized snapshot (a reshard handoff).
-	InstallShard(shard int, state []byte) error
-}
+// ShardMap keeps one accumulator of its Mode per virtual shard and
+// routes every ingested message to its user's shard. It is safe for
+// concurrent use: ingestion and reads take a shared lock, shard
+// installs take it exclusively (an install REPLACES the shard's
+// accumulator — restore folds additively, so installs build a fresh
+// accumulator and swap it in; a member that re-gains a shard it once
+// held must not double-count its stale copy).
+type ShardMap struct {
+	mode Mode
+	ingestStats
 
-// ShardMapCollector keeps one protocol.Sharded accumulator per virtual
-// shard and routes every ingested message to its user's shard. It is
-// safe for concurrent use: ingestion and reads take a shared lock,
-// shard installs take it exclusively (an install REPLACES the shard's
-// accumulator — protocol restore folds additively, so installs build a
-// fresh accumulator and swap it in; a member that re-gains a shard it
-// once held must not double-count its stale copy).
-type ShardMapCollector struct {
-	d         int
-	scale     float64
-	numShards int
-	accs      []atomic.Pointer[protocol.Sharded]
-
-	// imu orders message application against shard installs: apply
-	// holds it shared, InstallShard exclusively. The per-shard
+	// imu orders message application and reads against shard installs:
+	// apply holds it shared, InstallShard exclusively. The per-shard
 	// accumulators are themselves lock-free; this lock only prevents a
 	// swap from stranding an in-flight write on a replaced accumulator.
-	imu sync.RWMutex
-
-	hellos  atomic.Int64
-	reports atomic.Int64
-	batches atomic.Int64
+	imu    sync.RWMutex
+	shards []State
 
 	// vmu guards the pushed cluster view (bookkeeping only: routing
 	// is by the message's user id, queries fold every shard; the view
@@ -73,147 +44,100 @@ type ShardMapCollector struct {
 	selfID string
 }
 
-// NewShardMapCollector builds a membership-mode collector with
-// numShards empty virtual shards. selfID is this backend's member ID
-// (used to reject views that do not list it and to compute owned-shard
-// gauges).
-func NewShardMapCollector(d int, scale float64, numShards int, selfID string) *ShardMapCollector {
+// NewShardMap builds a membership-mode store with numShards empty
+// virtual shards. selfID is this backend's member ID (used to compute
+// the owned-shards gauge).
+func NewShardMap(mode Mode, numShards int, selfID string) *ShardMap {
 	if numShards < 1 || numShards > membership.MaxShards {
 		panic(fmt.Sprintf("transport: numShards %d outside [1..%d]", numShards, membership.MaxShards))
 	}
-	c := &ShardMapCollector{d: d, scale: scale, numShards: numShards, selfID: selfID}
-	c.accs = make([]atomic.Pointer[protocol.Sharded], numShards)
-	for s := range c.accs {
-		c.accs[s].Store(protocol.NewSharded(d, scale, 1))
+	c := &ShardMap{mode: mode, selfID: selfID, shards: make([]State, numShards)}
+	for s := range c.shards {
+		c.shards[s] = mode.NewState(1)
 	}
 	return c
 }
 
-// D returns the horizon.
-func (c *ShardMapCollector) D() int { return c.d }
+// Mode implements Store.
+func (c *ShardMap) Mode() Mode { return c.mode }
 
 // NumShards returns the virtual-shard count.
-func (c *ShardMapCollector) NumShards() int { return c.numShards }
+func (c *ShardMap) NumShards() int { return len(c.shards) }
 
-// SelfID returns this backend's member ID.
-func (c *ShardMapCollector) SelfID() string { return c.selfID }
-
-// Map returns the collector itself (the plain in-memory case of
-// ShardMapBatchCollector).
-func (c *ShardMapCollector) Map() *ShardMapCollector { return c }
-
-// Validate checks one hello or report message against the horizon
-// without side effects.
-func (c *ShardMapCollector) Validate(m Msg) error { return ValidateIngest(c.d, m) }
-
-// SendBatch validates the whole batch, then applies each message to
-// its user's virtual shard. The batch is atomic: on error nothing is
-// applied.
-func (c *ShardMapCollector) SendBatch(ms []Msg) error {
-	maxOrder := dyadic.Log2(c.d)
-	for i := range ms {
-		if !ingestOK(c.d, maxOrder, &ms[i]) {
-			return validateIngest(c.d, maxOrder, &ms[i])
-		}
+// Users implements Store.
+func (c *ShardMap) Users() int {
+	c.imu.RLock()
+	defer c.imu.RUnlock()
+	n := 0
+	for _, st := range c.shards {
+		n += st.Users()
 	}
-	c.applyBatch(ms)
+	return n
+}
+
+// SendBatch implements Store; the connection shard is unused, the map
+// routes by user.
+func (c *ShardMap) SendBatch(_ int, ms []Msg) error {
+	if err := c.mode.ValidateIngest(ms); err != nil {
+		return err
+	}
+	c.applyJournaled(0, ms)
 	return nil
 }
 
-// applyBatch accumulates a fully validated batch.
-func (c *ShardMapCollector) applyBatch(ms []Msg) {
-	c.imu.RLock()
+// applyJournaled accumulates a validated run, handing each maximal
+// stretch of messages bound for one virtual shard to that shard's state
+// whole (a user's hello and reports travel together, so stretches are
+// long).
+func (c *ShardMap) applyJournaled(_ int, ms []Msg) {
+	n := len(c.shards)
 	var hellos, reports int64
-	for i := range ms {
-		m := &ms[i]
-		acc := c.accs[membership.ShardOf(m.User, c.numShards)].Load()
-		if m.Type == MsgHello {
-			acc.Register(0, m.Order)
-			hellos++
-		} else {
-			acc.Ingest(0, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-			reports++
+	c.imu.RLock()
+	for i := 0; i < len(ms); {
+		sh := membership.ShardOf(ms[i].User, n)
+		j := i + 1
+		for j < len(ms) && membership.ShardOf(ms[j].User, n) == sh {
+			j++
 		}
+		h, r := c.shards[sh].Apply(0, ms[i:j])
+		hellos, reports = hellos+h, reports+r
+		i = j
 	}
 	c.imu.RUnlock()
-	if hellos > 0 {
-		c.hellos.Add(hellos)
+	c.count(hellos, reports)
+}
+
+// Answer implements Reader. The shard-scoped control reads — one
+// shard's raw sums for a quorum-reading gateway, one shard's serialized
+// state for a reshard handoff — answer from that shard alone; every
+// other read answers from all shards' sums gathered in fixed shard
+// order.
+func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	switch m.Type {
+	case MsgShardSums:
+		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard))
+	case MsgShardState:
+		// The protocol state encoding — the same bytes the durability
+		// snapshots use — is the transfer format of a reshard.
+		c.imu.RLock()
+		state := c.shards[m.Shard].MarshalState()
+		c.imu.RUnlock()
+		return false, false, e.EncodeShardState(m.Shard, state)
 	}
-	c.reports.Add(reports)
-	c.batches.Add(1)
+	frames := make([]RawSums, len(c.shards))
+	c.imu.RLock()
+	for s, st := range c.shards {
+		frames[s] = st.Sums()
+	}
+	c.imu.RUnlock()
+	return NewGathered(c.mode, frames).Answer(m, e, sc)
 }
 
-// applyJournaled implements batchApplier for the durable collector;
-// the shard map routes by user, so the connection shard is unused.
-func (c *ShardMapCollector) applyJournaled(_ int, ms []Msg) { c.applyBatch(ms) }
-
-// Stats returns the number of hellos, reports and batches ingested.
-func (c *ShardMapCollector) Stats() (hellos, reports, batches int64) {
-	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
-}
-
-// Estimator folds every virtual shard's raw integer sums, in fixed
-// shard order, into a fresh serial server. Because the fold merges
-// exact integers and the estimator is a fixed linear function of them,
-// the result answers every query shape bit-for-bit like a single
-// serial server fed the same reports.
-func (c *ShardMapCollector) Estimator() (*protocol.Server, error) {
-	srv := protocol.NewServer(c.d, c.scale)
+// ShardSums exports one virtual shard's raw sums.
+func (c *ShardMap) ShardSums(shard int) RawSums {
 	c.imu.RLock()
 	defer c.imu.RUnlock()
-	for s := 0; s < c.numShards; s++ {
-		users, perOrder, sums := c.accs[s].Load().Fold()
-		if err := srv.MergeRaw(users, perOrder, sums); err != nil {
-			return nil, fmt.Errorf("transport: folding shard %d: %w", s, err)
-		}
-	}
-	return srv, nil
-}
-
-// GlobalSums folds every shard into one raw-sums frame (the answer to
-// a legacy MsgSums request): exact element-wise integer addition.
-func (c *ShardMapCollector) GlobalSums() SumsFrame {
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	var f SumsFrame
-	for s := 0; s < c.numShards; s++ {
-		users, perOrder, sums := c.accs[s].Load().Fold()
-		if s == 0 {
-			f = SumsFrame{D: c.d, Scale: c.scale, Users: users, PerOrder: perOrder, Sums: sums}
-			continue
-		}
-		f.Users += users
-		for i := range perOrder {
-			f.PerOrder[i] += perOrder[i]
-		}
-		for i := range sums {
-			f.Sums[i] += sums[i]
-		}
-	}
-	return f
-}
-
-// ShardSums exports one virtual shard's raw sums (the answer to a
-// MsgShardSums request from a quorum-reading gateway).
-func (c *ShardMapCollector) ShardSums(shard int) (SumsFrame, error) {
-	if shard < 0 || shard >= c.numShards {
-		return SumsFrame{}, fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
-	}
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	return SumsFromSharded(c.accs[shard].Load()), nil
-}
-
-// ExportShard serializes one virtual shard's state (the protocol
-// state encoding — the same bytes the durability snapshots use), the
-// transfer format of a reshard handoff.
-func (c *ShardMapCollector) ExportShard(shard int) ([]byte, error) {
-	if shard < 0 || shard >= c.numShards {
-		return nil, fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
-	}
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	return c.accs[shard].Load().MarshalState(), nil
+	return c.shards[shard].Sums()
 }
 
 // InstallShard REPLACES one virtual shard's accumulator with the given
@@ -221,17 +145,54 @@ func (c *ShardMapCollector) ExportShard(shard int) ([]byte, error) {
 // swapped in whole. Restore folds additively, so installing into the
 // live accumulator would double-count on a member that already held a
 // (stale) copy of the shard.
-func (c *ShardMapCollector) InstallShard(shard int, state []byte) error {
-	if shard < 0 || shard >= c.numShards {
-		return fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
+func (c *ShardMap) InstallShard(shard int, state []byte) error {
+	if shard < 0 || shard >= len(c.shards) {
+		return fmt.Errorf("transport: shard %d out of range [0..%d)", shard, len(c.shards))
 	}
-	fresh := protocol.NewSharded(c.d, c.scale, 1)
+	fresh := c.mode.NewState(1)
 	if err := fresh.RestoreState(state); err != nil {
 		return fmt.Errorf("transport: restoring shard %d state: %w", shard, err)
 	}
 	c.imu.Lock()
-	c.accs[shard].Store(fresh)
+	c.shards[shard] = fresh
 	c.imu.Unlock()
+	return nil
+}
+
+// marshalState serializes every virtual shard into the snapshot
+// container, so recovery restores each shard independently. Called
+// under the journal's exclusive snapshot lock, so the cut is consistent
+// with the WAL cursor.
+func (c *ShardMap) marshalState() []byte {
+	states := make([][]byte, len(c.shards))
+	c.imu.RLock()
+	for s, st := range c.shards {
+		states[s] = st.MarshalState()
+	}
+	c.imu.RUnlock()
+	b, err := persist.EncodeShardStates(states)
+	if err != nil {
+		// Lengths are bounded by construction; an error here is a bug.
+		panic(fmt.Sprintf("transport: encoding shard states: %v", err))
+	}
+	return b
+}
+
+// restoreState installs a snapshot container; its shard count must
+// match the map's.
+func (c *ShardMap) restoreState(b []byte) error {
+	states, err := persist.DecodeShardStates(b)
+	if err != nil {
+		return err
+	}
+	if len(states) != len(c.shards) {
+		return fmt.Errorf("transport: snapshot has %d shards, collector has %d", len(states), len(c.shards))
+	}
+	for s, st := range states {
+		if err := c.InstallShard(s, st); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -242,12 +203,12 @@ func (c *ShardMapCollector) InstallShard(shard int, state []byte) error {
 // accepted — that is how a drain looks from the drained backend, and
 // tracking it drops the owned-shards gauge to zero so the operator
 // sees the drain took effect.
-func (c *ShardMapCollector) SetView(v membership.View) (applied bool, err error) {
+func (c *ShardMap) SetView(v membership.View) (applied bool, err error) {
 	if err := v.Validate(); err != nil {
 		return false, err
 	}
-	if v.NumShards != c.numShards {
-		return false, fmt.Errorf("transport: view has %d shards, backend has %d", v.NumShards, c.numShards)
+	if v.NumShards != len(c.shards) {
+		return false, fmt.Errorf("transport: view has %d shards, backend has %d", v.NumShards, len(c.shards))
 	}
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
@@ -260,7 +221,7 @@ func (c *ShardMapCollector) SetView(v membership.View) (applied bool, err error)
 
 // View returns the most recently pushed cluster view (zero before any
 // push).
-func (c *ShardMapCollector) View() membership.View {
+func (c *ShardMap) View() membership.View {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	return c.view.Clone()
@@ -268,10 +229,8 @@ func (c *ShardMapCollector) View() membership.View {
 
 // OwnedShards counts the shards this member owns under the current
 // view (0 before any push), for the owned-shards gauge.
-func (c *ShardMapCollector) OwnedShards() int {
-	c.vmu.Lock()
-	v := c.view.Clone()
-	c.vmu.Unlock()
+func (c *ShardMap) OwnedShards() int {
+	v := c.View()
 	if len(v.Members) == 0 {
 		return 0
 	}
@@ -279,194 +238,7 @@ func (c *ShardMapCollector) OwnedShards() int {
 }
 
 // Epoch returns the current view's epoch (0 before any push).
-func (c *ShardMapCollector) Epoch() uint64 {
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
-	return c.view.Epoch
-}
-
-// DomainShardMapCollector is the domain-mode counterpart of
-// ShardMapCollector: one hh.DomainServer per virtual shard, the same
-// replace-on-install discipline, and query folds that merge the
-// per-item raw integer sums in fixed shard order.
-type DomainShardMapCollector struct {
-	d, m      int
-	scale     float64
-	numShards int
-	srvs      []atomic.Pointer[hh.DomainServer]
-
-	imu sync.RWMutex
-
-	hellos  atomic.Int64
-	reports atomic.Int64
-	batches atomic.Int64
-
-	vmu    sync.Mutex
-	view   membership.View
-	selfID string
-}
-
-// NewDomainShardMapCollector builds a domain membership-mode collector
-// with numShards empty virtual shards.
-func NewDomainShardMapCollector(d, m int, scale float64, numShards int, selfID string) *DomainShardMapCollector {
-	if numShards < 1 || numShards > membership.MaxShards {
-		panic(fmt.Sprintf("transport: numShards %d outside [1..%d]", numShards, membership.MaxShards))
-	}
-	c := &DomainShardMapCollector{d: d, m: m, scale: scale, numShards: numShards, selfID: selfID}
-	c.srvs = make([]atomic.Pointer[hh.DomainServer], numShards)
-	for s := range c.srvs {
-		c.srvs[s].Store(hh.NewDomainServer(d, m, scale, 1))
-	}
-	return c
-}
-
-// D returns the horizon.
-func (c *DomainShardMapCollector) D() int { return c.d }
-
-// M returns the domain size.
-func (c *DomainShardMapCollector) M() int { return c.m }
-
-// NumShards returns the virtual-shard count.
-func (c *DomainShardMapCollector) NumShards() int { return c.numShards }
-
-// SelfID returns this backend's member ID.
-func (c *DomainShardMapCollector) SelfID() string { return c.selfID }
-
-// Validate checks one domain hello or report message without side
-// effects.
-func (c *DomainShardMapCollector) Validate(m Msg) error { return ValidateDomainIngest(c.d, c.m, m) }
-
-// SendBatch validates the whole batch, then applies each message to
-// its user's virtual shard. The batch is atomic.
-func (c *DomainShardMapCollector) SendBatch(ms []Msg) error {
-	maxOrder := dyadic.Log2(c.d)
-	for i := range ms {
-		if !domainIngestOK(c.d, c.m, maxOrder, &ms[i]) {
-			return validateDomainIngest(c.d, c.m, maxOrder, &ms[i])
-		}
-	}
-	c.imu.RLock()
-	var hellos, reports int64
-	for i := range ms {
-		msg := &ms[i]
-		srv := c.srvs[membership.ShardOf(msg.User, c.numShards)].Load()
-		if msg.Type == MsgDomainHello {
-			srv.Register(0, msg.Item, msg.Order)
-			hellos++
-		} else {
-			srv.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
-			reports++
-		}
-	}
-	c.imu.RUnlock()
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	c.batches.Add(1)
-	return nil
-}
-
-// Stats returns the number of hellos, reports and batches ingested.
-func (c *DomainShardMapCollector) Stats() (hellos, reports, batches int64) {
-	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
-}
-
-// Fold merges every virtual shard's per-item raw sums, in fixed shard
-// order, into a fresh domain server, so item queries answer bit-for-
-// bit like a single serial domain server fed the same reports.
-func (c *DomainShardMapCollector) Fold() (*hh.DomainServer, error) {
-	out := hh.NewDomainServer(c.d, c.m, c.scale, 1)
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	for s := 0; s < c.numShards; s++ {
-		srv := c.srvs[s].Load()
-		for x := 0; x < c.m; x++ {
-			users, perOrder, sums := srv.FoldItem(x)
-			if err := out.MergeRawItem(x, users, perOrder, sums); err != nil {
-				return nil, fmt.Errorf("transport: folding shard %d item %d: %w", s, x, err)
-			}
-		}
-	}
-	return out, nil
-}
-
-// ShardSums exports one virtual shard's per-item raw sums (the answer
-// to a MsgShardSums request from a quorum-reading domain gateway).
-func (c *DomainShardMapCollector) ShardSums(shard int) (DomainSumsFrame, error) {
-	if shard < 0 || shard >= c.numShards {
-		return DomainSumsFrame{}, fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
-	}
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	return DomainSumsFromServer(c.srvs[shard].Load()), nil
-}
-
-// ExportShard serializes one virtual shard's per-item state.
-func (c *DomainShardMapCollector) ExportShard(shard int) ([]byte, error) {
-	if shard < 0 || shard >= c.numShards {
-		return nil, fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
-	}
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	return c.srvs[shard].Load().MarshalState(), nil
-}
-
-// InstallShard REPLACES one virtual shard's domain server with the
-// given serialized state (fresh server, restore, swap — see the
-// Boolean InstallShard for why replace, not fold).
-func (c *DomainShardMapCollector) InstallShard(shard int, state []byte) error {
-	if shard < 0 || shard >= c.numShards {
-		return fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.numShards)
-	}
-	fresh := hh.NewDomainServer(c.d, c.m, c.scale, 1)
-	if err := fresh.RestoreState(state); err != nil {
-		return fmt.Errorf("transport: restoring domain shard %d state: %w", shard, err)
-	}
-	c.imu.Lock()
-	c.srvs[shard].Store(fresh)
-	c.imu.Unlock()
-	return nil
-}
-
-// SetView records a pushed cluster view (see ShardMapCollector.SetView).
-func (c *DomainShardMapCollector) SetView(v membership.View) (applied bool, err error) {
-	if err := v.Validate(); err != nil {
-		return false, err
-	}
-	if v.NumShards != c.numShards {
-		return false, fmt.Errorf("transport: view has %d shards, backend has %d", v.NumShards, c.numShards)
-	}
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
-	if c.view.Epoch > 0 && v.Epoch < c.view.Epoch {
-		return false, nil
-	}
-	c.view = v.Clone()
-	return true, nil
-}
-
-// View returns the most recently pushed cluster view.
-func (c *DomainShardMapCollector) View() membership.View {
-	c.vmu.Lock()
-	defer c.vmu.Unlock()
-	return c.view.Clone()
-}
-
-// OwnedShards counts the shards this member owns under the current
-// view.
-func (c *DomainShardMapCollector) OwnedShards() int {
-	c.vmu.Lock()
-	v := c.view.Clone()
-	c.vmu.Unlock()
-	if len(v.Members) == 0 {
-		return 0
-	}
-	return len(v.OwnedShards(c.selfID))
-}
-
-// Epoch returns the current view's epoch (0 before any push).
-func (c *DomainShardMapCollector) Epoch() uint64 {
+func (c *ShardMap) Epoch() uint64 {
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
 	return c.view.Epoch

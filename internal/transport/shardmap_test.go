@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"reflect"
 	"strings"
@@ -26,6 +27,56 @@ func applySerial(d int, scale float64, ms []Msg) *protocol.Sharded {
 	return ref
 }
 
+// answerTo answers read frame m from r and returns a decoder positioned
+// on the response.
+func answerTo(t *testing.T, r Reader, m Msg) *Decoder {
+	t.Helper()
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	if _, _, err := r.Answer(m, e, new(AnswerScratch)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return NewDecoder(&buf)
+}
+
+// sumsOf asks a store for raw sums: one virtual shard's, or (shard < 0)
+// the whole store's.
+func sumsOf(t *testing.T, st Store, shard int) RawSums {
+	t.Helper()
+	req := st.Mode().SumsRequest()
+	if shard >= 0 {
+		req = ShardSums(shard)
+	}
+	f, err := st.Mode().ReadSums(answerTo(t, st, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// exportShard asks a shard map for one shard's serialized state.
+func exportShard(t *testing.T, sm *ShardMap, shard int) []byte {
+	t.Helper()
+	state, err := answerTo(t, sm, ShardState(shard)).ReadShardState(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return state
+}
+
+// seriesOf asks a Boolean store for its full estimate series.
+func seriesOf(t *testing.T, st Store) []float64 {
+	t.Helper()
+	ans, err := answerTo(t, st, QueryV2(QuerySeries, 0, 0)).ReadAnswer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ans.Values
+}
+
 // TestShardMapEquivalence pins the core exactness claim: a shard map
 // with S virtual shards answers every estimate bit-for-bit like one
 // serial accumulator fed the same stream, and its folded sums frames
@@ -33,35 +84,28 @@ func applySerial(d int, scale float64, ms []Msg) *protocol.Sharded {
 func TestShardMapEquivalence(t *testing.T) {
 	const d, scale, S = 64, 5.5, 8
 	ms := genMsgs(d, 100)
-	sm := NewShardMapCollector(d, scale, S, "n0")
-	if err := sm.SendBatch(ms); err != nil {
+	sm := NewShardMap(BoolMode(d, scale), S, "n0")
+	if err := sm.SendBatch(0, ms); err != nil {
 		t.Fatal(err)
 	}
 	ref := applySerial(d, scale, ms)
 
-	est, err := sm.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := est.EstimateSeries(), ref.EstimateSeries()
+	got, want := seriesOf(t, sm), ref.EstimateSeries()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("EstimateSeries[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 
-	if g, w := sm.GlobalSums(), SumsFromSharded(ref); !reflect.DeepEqual(g, w) {
-		t.Fatalf("GlobalSums = %+v, want %+v", g, w)
+	if g, w := sumsOf(t, sm, -1), SumsFromSharded(ref).raw(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
 
 	// Per-shard frames re-merge to the same serial server.
 	merged := protocol.NewServer(d, scale)
 	for s := 0; s < S; s++ {
-		f, err := sm.ShardSums(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.MergeInto(merged); err != nil {
+		it := sumsOf(t, sm, s).Items[0]
+		if err := merged.MergeRaw(it.Users, it.PerOrder, it.Sums); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -71,13 +115,6 @@ func TestShardMapEquivalence(t *testing.T) {
 	if g, w := merged.EstimateSeries(), ref.EstimateSeries(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("merged series = %v, want %v", g, w)
 	}
-
-	if _, err := sm.ShardSums(S); err == nil {
-		t.Error("ShardSums accepted an out-of-range shard")
-	}
-	if _, err := sm.ExportShard(-1); err == nil {
-		t.Error("ExportShard accepted a negative shard")
-	}
 }
 
 // TestShardMapInstallReplaces pins the replace-not-fold discipline:
@@ -86,33 +123,23 @@ func TestShardMapEquivalence(t *testing.T) {
 // twice.
 func TestShardMapInstallReplaces(t *testing.T) {
 	const d, scale, S = 32, 3.5, 4
-	src := NewShardMapCollector(d, scale, S, "src")
-	if err := src.SendBatch(genMsgs(d, 60)); err != nil {
+	src := NewShardMap(BoolMode(d, scale), S, "src")
+	if err := src.SendBatch(0, genMsgs(d, 60)); err != nil {
 		t.Fatal(err)
 	}
-	dst := NewShardMapCollector(d, scale, S, "dst")
+	dst := NewShardMap(BoolMode(d, scale), S, "dst")
 	// Give dst its own stale copy in every shard first.
-	if err := dst.SendBatch(genMsgs(d, 20)); err != nil {
+	if err := dst.SendBatch(0, genMsgs(d, 20)); err != nil {
 		t.Fatal(err)
 	}
 	const shard = 2
-	state, err := src.ExportShard(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := src.ShardSums(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := exportShard(t, src, shard)
+	want := sumsOf(t, src, shard)
 	for i := 0; i < 2; i++ { // a re-install must not double-count
 		if err := dst.InstallShard(shard, state); err != nil {
 			t.Fatal(err)
 		}
-		got, err := dst.ShardSums(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := sumsOf(t, dst, shard); !reflect.DeepEqual(got, want) {
 			t.Fatalf("install %d: shard sums = %+v, want %+v", i, got, want)
 		}
 	}
@@ -129,7 +156,7 @@ func TestShardMapInstallReplaces(t *testing.T) {
 // shard-count mismatch is a hard error.
 func TestShardMapSetView(t *testing.T) {
 	const S = 4
-	sm := NewShardMapCollector(16, 2, S, "n1")
+	sm := NewShardMap(BoolMode(16, 2), S, "n1")
 	mkView := func(epoch uint64, ids ...string) membership.View {
 		v := membership.View{Epoch: epoch, K: 1, NumShards: S}
 		for _, id := range ids {
@@ -189,8 +216,8 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 		}
 		ms = append(ms, FromDomainReport(item, protocol.Report{User: u, Order: order, J: j, Bit: bit}))
 	}
-	sm := NewDomainShardMapCollector(d, m, scale, S, "n0")
-	if err := sm.SendBatch(ms); err != nil {
+	sm := NewShardMap(DomainMode(d, m, scale), S, "n0")
+	if err := sm.SendBatch(0, ms); err != nil {
 		t.Fatal(err)
 	}
 	ref := hh.NewDomainServer(d, m, scale, 1)
@@ -201,8 +228,8 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 			ref.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
 		}
 	}
-	folded, err := sm.Fold()
-	if err != nil {
+	folded := hh.NewDomainServer(d, m, scale, 1)
+	if err := sumsOf(t, sm, -1).MergeInto(folded); err != nil {
 		t.Fatal(err)
 	}
 	for x := 0; x < m; x++ {
@@ -215,27 +242,17 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 	}
 
 	// Install replaces on the domain side too.
-	dst := NewDomainShardMapCollector(d, m, scale, S, "dst")
-	if err := dst.SendBatch(ms[:20]); err != nil {
+	dst := NewShardMap(DomainMode(d, m, scale), S, "dst")
+	if err := dst.SendBatch(0, ms[:20]); err != nil {
 		t.Fatal(err)
 	}
-	state, err := sm.ExportShard(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sm.ShardSums(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	state := exportShard(t, sm, 1)
+	want := sumsOf(t, sm, 1)
 	for i := 0; i < 2; i++ {
 		if err := dst.InstallShard(1, state); err != nil {
 			t.Fatal(err)
 		}
-		got, err := dst.ShardSums(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := sumsOf(t, dst, 1); !reflect.DeepEqual(got, want) {
 			t.Fatalf("install %d: domain shard sums diverged", i)
 		}
 	}
@@ -260,46 +277,43 @@ func TestDurableShardMapRecovery(t *testing.T) {
 	meta := durableMeta(d, scale)
 
 	first, second := genMsgs(d, 40), genMsgs(d, 90)[40*5:] // users 40..89
-	donor := NewShardMapCollector(d, scale, S, "donor")
-	if err := donor.SendBatch(genMsgs(d, 25)); err != nil {
+	donor := NewShardMap(BoolMode(d, scale), S, "donor")
+	if err := donor.SendBatch(0, genMsgs(d, 25)); err != nil {
 		t.Fatal(err)
 	}
 	const shard = 3
-	donorState, err := donor.ExportShard(shard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	donorState := exportShard(t, donor, shard)
 
-	dc, stats, err := OpenDurableShardMap(NewShardMapCollector(d, scale, S, "n0"), dir, meta, DurableOptions{})
+	dc, stats, err := OpenDurableStore(NewShardMap(BoolMode(d, scale), S, "n0"), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Hellos != 0 || stats.Reports != 0 {
 		t.Fatalf("fresh open recovered %d hellos / %d reports", stats.Hellos, stats.Reports)
 	}
-	if err := dc.SendBatch(first); err != nil {
+	if err := dc.SendBatch(0, first); err != nil {
 		t.Fatal(err)
 	}
 	if err := dc.InstallShard(shard, donorState); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.SendBatch(second); err != nil {
+	if err := dc.SendBatch(0, second); err != nil {
 		t.Fatal(err)
 	}
 	// Expected state: first, then shard 3 replaced by the donor copy,
 	// then second — replayed on an in-memory twin.
-	twin := NewShardMapCollector(d, scale, S, "twin")
-	if err := twin.SendBatch(first); err != nil {
+	twin := NewShardMap(BoolMode(d, scale), S, "twin")
+	if err := twin.SendBatch(0, first); err != nil {
 		t.Fatal(err)
 	}
 	if err := twin.InstallShard(shard, donorState); err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.SendBatch(second); err != nil {
+	if err := twin.SendBatch(0, second); err != nil {
 		t.Fatal(err)
 	}
 	// Crash: abandon dc without snapshot or close.
-	rec, rstats, err := OpenDurableShardMap(NewShardMapCollector(d, scale, S, "n0"), dir, meta, DurableOptions{})
+	rec, rstats, err := OpenDurableStore(NewShardMap(BoolMode(d, scale), S, "n0"), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,27 +322,11 @@ func TestDurableShardMapRecovery(t *testing.T) {
 		t.Error("recovery loaded no snapshot despite the install cutting one")
 	}
 	for s := 0; s < S; s++ {
-		g, err := rec.Map().ShardSums(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err := twin.ShardSums(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(g, w) {
+		if g, w := sumsOf(t, rec, s), sumsOf(t, twin, s); !reflect.DeepEqual(g, w) {
 			t.Fatalf("recovered shard %d diverged from twin", s)
 		}
 	}
-	ge, err := rec.Map().Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	we, err := twin.Estimator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ge.EstimateSeries(), we.EstimateSeries()) {
+	if !reflect.DeepEqual(seriesOf(t, rec), seriesOf(t, twin)) {
 		t.Fatal("recovered series diverged from twin")
 	}
 }
@@ -368,9 +366,9 @@ func TestShardStatesContainer(t *testing.T) {
 
 // startShardServer boots a membership-mode Boolean server for the
 // round-trip tests.
-func startShardServer(t *testing.T, col ShardMapBatchCollector) (string, func()) {
+func startShardServer(t *testing.T, col Store) (string, func()) {
 	t.Helper()
-	srv := NewShardMapIngestServer(col)
+	srv := NewIngestServer(col)
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
@@ -391,7 +389,8 @@ func startShardServer(t *testing.T, col ShardMapBatchCollector) (string, func())
 // install, and view push — all via a ReplicaClient lease.
 func TestMembershipServeRoundTrip(t *testing.T) {
 	const d, scale, S = 64, 5.5, 8
-	sm := NewShardMapCollector(d, scale, S, "n0")
+	mode := BoolMode(d, scale)
+	sm := NewShardMap(mode, S, "n0")
 	addr, stop := startShardServer(t, sm)
 	defer stop()
 
@@ -415,11 +414,12 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	// serial reference.
 	merged := protocol.NewServer(d, scale)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchShardSums(s)
+		f, err := bc.FetchSums(mode, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.MergeInto(merged); err != nil {
+		it := f.Items[0]
+		if err := merged.MergeRaw(it.Users, it.PerOrder, it.Sums); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -428,11 +428,11 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	}
 
 	// Global sums and v2 answers still work on the same connection.
-	f, err := bc.FetchSums()
+	f, err := bc.FetchSums(mode, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := f, SumsFromSharded(ref); !reflect.DeepEqual(g, w) {
+	if g, w := f, SumsFromSharded(ref).raw(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
 	if err := bc.enc.Encode(QueryV2(QueryPoint, d/2, d/2)); err != nil {
@@ -454,7 +454,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm2 := NewShardMapCollector(d, scale, S, "n1")
+	sm2 := NewShardMap(mode, S, "n1")
 	addr2, stop2 := startShardServer(t, sm2)
 	defer stop2()
 	bc2, err := rc.Lease(addr2)
@@ -464,11 +464,8 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	if err := bc2.TransferShard(5, state); err != nil {
 		t.Fatal(err)
 	}
-	want5, err := sm.ShardSums(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got5, err := bc2.FetchShardSums(5)
+	want5 := sumsOf(t, sm, 5)
+	got5, err := bc2.FetchSums(mode, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +489,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		t.Fatalf("stale view push error = %v", err)
 	}
 	// An out-of-range shard request kills the connection with an error.
-	if _, err := bc.FetchShardSums(S); err == nil {
+	if _, err := bc.FetchSums(mode, S); err == nil {
 		t.Error("backend answered an out-of-range shard request")
 	}
 	rc.Release(addr, bc, false)
@@ -504,8 +501,9 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 // two backends.
 func TestDomainMembershipServeRoundTrip(t *testing.T) {
 	const d, m, scale, S = 32, 8, 4.5, 4
-	col := NewDomainShardMapCollector(d, m, scale, S, "n0")
-	srv := NewDomainShardMapIngestServer(col)
+	mode := DomainMode(d, m, scale)
+	col := NewShardMap(mode, S, "n0")
+	srv := NewIngestServer(col)
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
@@ -546,7 +544,7 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 
 	folded := hh.NewDomainServer(d, m, scale, 1)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchShardDomainSums(s)
+		f, err := bc.FetchSums(mode, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -564,19 +562,11 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col2 := NewDomainShardMapCollector(d, m, scale, S, "n1")
+	col2 := NewShardMap(mode, S, "n1")
 	if err := col2.InstallShard(2, state); err != nil {
 		t.Fatal(err)
 	}
-	want, err := col.ShardSums(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := col2.ShardSums(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got, want := sumsOf(t, col2, 2), sumsOf(t, col, 2); !reflect.DeepEqual(got, want) {
 		t.Fatal("domain shard transfer diverged")
 	}
 

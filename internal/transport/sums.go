@@ -48,16 +48,21 @@ func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
 	return SumsFrame{D: acc.D(), Scale: acc.Scale(), Users: users, PerOrder: perOrder, Sums: sums}
 }
 
-// MergeInto folds the frame's raw state into a serial server, which
-// must have the frame's horizon and scale.
-func (f SumsFrame) MergeInto(srv *protocol.Server) error {
-	if f.D != srv.D() {
-		return fmt.Errorf("transport: sums frame has horizon d=%d, server has d=%d", f.D, srv.D())
+// MergeInto folds the frame's raw state into a dyadic accumulator — a
+// serial protocol.Server or a protocol.Sharded — which must have the
+// frame's horizon and scale.
+func (f SumsFrame) MergeInto(acc interface {
+	D() int
+	Scale() float64
+	MergeRaw(users int64, perOrder, sums []int64) error
+}) error {
+	if f.D != acc.D() {
+		return fmt.Errorf("transport: sums frame has horizon d=%d, server has d=%d", f.D, acc.D())
 	}
-	if f.Scale != srv.Scale() {
-		return fmt.Errorf("transport: sums frame has estimator scale %v, server has %v", f.Scale, srv.Scale())
+	if f.Scale != acc.Scale() {
+		return fmt.Errorf("transport: sums frame has estimator scale %v, server has %v", f.Scale, acc.Scale())
 	}
-	return srv.MergeRaw(f.Users, f.PerOrder, f.Sums)
+	return acc.MergeRaw(f.Users, f.PerOrder, f.Sums)
 }
 
 // EncodeSums writes one MsgSumsFrame response.

@@ -1,17 +1,20 @@
 // Package transport provides the system substrate between clients and
 // the server: a compact varint wire format for the protocol's messages
 // (order announcements, per-period reports, batch frames carrying many
-// of either, and estimate query/response pairs), a concurrency-safe
-// in-process Collector, a lock-free ShardedCollector that fans decoded
-// batches into a protocol.Sharded accumulator, a TCP IngestServer that
-// serves batched ingestion and online estimate queries (the engine
-// behind cmd/rtf-serve), and a lossy-link simulator for robustness
-// experiments (E15).
+// of either, query/answer and raw-sums pairs, the membership control
+// frames), and the serving core built on it — the Mode contract
+// (mode.go) that alone knows what distinguishes the Boolean, exact
+// domain and hashed domain protocols, one frame loop and connection
+// lifecycle (serve.go), and one in-memory collector, one shard-map
+// collector and one durable journal around either (collector.go,
+// shardmap.go, durable.go). cmd/rtf-serve is an IngestServer over one of
+// those stores; internal/cluster's gateways run the same frame loop over
+// backend connections.
 //
 // The paper's protocol is transport-agnostic; this package exists so the
 // repository exercises the client/server split as an actual distributed
 // system — message framing, batching, concurrent sharded ingestion,
-// loss — rather than as in-process function calls only.
+// durability, scale-out — rather than as in-process function calls only.
 package transport
 
 import (
@@ -21,13 +24,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/membership"
 	"rtf/internal/protocol"
-	"rtf/internal/rng"
 )
 
 // MsgType discriminates wire messages.
@@ -1421,75 +1421,6 @@ func (d *Decoder) ReadBatchAck() (applied bool, err error) {
 	return status == 1, nil
 }
 
-// Collector is a concurrency-safe fan-in point: any number of client
-// goroutines Send messages; one consumer drains them in arrival order.
-type Collector struct {
-	mu     sync.Mutex
-	closed bool
-	msgs   []Msg
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Send appends a message. It returns an error after Close.
-func (c *Collector) Send(m Msg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("transport: collector closed")
-	}
-	c.msgs = append(c.msgs, m)
-	return nil
-}
-
-// Close stops accepting messages.
-func (c *Collector) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-}
-
-// Len returns the number of collected messages.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.msgs)
-}
-
-// Drain invokes fn on every collected message and clears the buffer.
-func (c *Collector) Drain(fn func(Msg)) {
-	c.mu.Lock()
-	msgs := c.msgs
-	c.msgs = nil
-	c.mu.Unlock()
-	for _, m := range msgs {
-		fn(m)
-	}
-}
-
-// ShardedCollector is the concurrent fan-in point of the batch-ingest
-// service: any number of connection goroutines push decoded messages or
-// whole batches, and the collector validates them and applies them to a
-// lock-free protocol.Sharded accumulator. The shard argument is a
-// routing hint (typically the connection id) that spreads hot counters
-// across cache lines; correctness does not depend on it, because the
-// accumulator's addition is exact and commutative.
-type ShardedCollector struct {
-	acc     *protocol.Sharded
-	reports atomic.Int64
-	hellos  atomic.Int64
-	batches atomic.Int64
-}
-
-// NewShardedCollector builds a collector over the given accumulator.
-func NewShardedCollector(acc *protocol.Sharded) *ShardedCollector {
-	return &ShardedCollector{acc: acc}
-}
-
-// Acc returns the underlying accumulator (for estimate queries).
-func (c *ShardedCollector) Acc() *protocol.Sharded { return c.acc }
-
 // ValidateIngest range-checks one hello or report message against the
 // dyadic-accumulator parameters for horizon d. It is the single source
 // of ingest validation: the collectors run it before applying (or
@@ -1548,123 +1479,3 @@ func validateIngest(d, maxOrder int, m *Msg) error {
 	}
 	return nil
 }
-
-// validate checks one hello or report message against the accumulator's
-// parameters without side effects. The durable collector validates a
-// whole batch this way before journaling it, so nothing invalid ever
-// reaches the write-ahead log.
-func (c *ShardedCollector) validate(m *Msg) error {
-	d := c.acc.D()
-	return validateIngest(d, dyadic.Log2(d), m)
-}
-
-// apply accumulates one validated message; callers must have run
-// validate first. It takes a pointer so the batch loops never copy
-// each Msg out of the decoded slice.
-func (c *ShardedCollector) apply(shard int, m *Msg, hellos, reports *int64) {
-	if m.Type == MsgHello {
-		c.acc.Register(shard, m.Order)
-		*hellos++
-	} else {
-		c.acc.Ingest(shard, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-		*reports++
-	}
-}
-
-// Validate checks one hello or report message against the accumulator's
-// parameters without side effects — the validate-only half of Send.
-func (c *ShardedCollector) Validate(m Msg) error { return c.validate(&m) }
-
-// Send validates one hello or report message and applies it to the
-// accumulator via the given shard. It is safe for concurrent use.
-func (c *ShardedCollector) Send(shard int, m Msg) error {
-	if err := c.validate(&m); err != nil {
-		return err
-	}
-	var hellos, reports int64
-	c.apply(shard, &m, &hellos, &reports)
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	if reports > 0 {
-		c.acc.AdvanceVersion(shard)
-	}
-	return nil
-}
-
-// SendBatch applies a decoded batch to the accumulator via the given
-// shard, amortizing the stats counters over the whole batch (the
-// per-message work is then one validation plus one atomic add). The
-// batch is atomic: it is validated in full first, and on error nothing
-// is applied.
-func (c *ShardedCollector) SendBatch(shard int, ms []Msg) error {
-	d := c.acc.D()
-	maxOrder := dyadic.Log2(d)
-	for i := range ms {
-		if !ingestOK(d, maxOrder, &ms[i]) {
-			return validateIngest(d, maxOrder, &ms[i])
-		}
-	}
-	c.applyBatch(shard, ms)
-	return nil
-}
-
-// applyBatch accumulates a fully validated batch, then advances the
-// accumulator's version stamp once — batch-amortized invalidation for
-// the version-keyed read caches (Ingest itself is version-silent to
-// keep the hot path at one atomic add per report).
-func (c *ShardedCollector) applyBatch(shard int, ms []Msg) {
-	var hellos, reports int64
-	for i := range ms {
-		c.apply(shard, &ms[i], &hellos, &reports)
-	}
-	if hellos > 0 {
-		c.hellos.Add(hellos)
-	}
-	c.reports.Add(reports)
-	c.batches.Add(1)
-	if reports > 0 {
-		c.acc.AdvanceVersion(shard)
-	}
-}
-
-// applyJournaled implements batchApplier for the durable collector.
-func (c *ShardedCollector) applyJournaled(shard int, ms []Msg) { c.applyBatch(shard, ms) }
-
-// Stats returns the number of hellos, reports and batches ingested.
-func (c *ShardedCollector) Stats() (hellos, reports, batches int64) {
-	return c.hellos.Load(), c.reports.Load(), c.batches.Load()
-}
-
-// LossyLink drops each delivered message independently with probability
-// DropProb — the failure-injection half of experiment E15. It is not safe
-// for concurrent use; give each sender its own link (sharing the counts
-// through Stats if needed).
-type LossyLink struct {
-	DropProb  float64
-	g         *rng.RNG
-	delivered int
-	dropped   int
-}
-
-// NewLossyLink builds a link with the given drop probability in [0, 1].
-func NewLossyLink(dropProb float64, g *rng.RNG) *LossyLink {
-	if dropProb < 0 || dropProb > 1 {
-		panic(fmt.Sprintf("transport: drop probability %v outside [0,1]", dropProb))
-	}
-	return &LossyLink{DropProb: dropProb, g: g}
-}
-
-// Deliver reports whether the next message survives the link.
-func (l *LossyLink) Deliver() bool {
-	if l.g.Bernoulli(l.DropProb) {
-		l.dropped++
-		return false
-	}
-	l.delivered++
-	return true
-}
-
-// Stats returns (delivered, dropped) counts so far.
-func (l *LossyLink) Stats() (delivered, dropped int) { return l.delivered, l.dropped }
