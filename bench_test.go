@@ -1,6 +1,7 @@
 package rtf_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -1081,11 +1082,10 @@ func BenchmarkHashedDomainIngest(b *testing.B) {
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
 
-// BenchmarkAnswerTopKHashed measures the top-k query on a populated
-// hashed server: g per-bucket point estimates, the unbiased decode, and
-// an O(m) min-heap sweep over the million-item catalogue — the sweep,
-// not the counters, is the m-dependent cost.
-func BenchmarkAnswerTopKHashed(b *testing.B) {
+// populateHashedBench builds the hashed server behind the two top-k
+// benchmarks below, fed ingestBenchReports bucket-tagged reports.
+func populateHashedBench(b *testing.B) *hh.HashedDomainServer {
+	b.Helper()
 	hs := hh.NewHashedDomainServer(ingestBenchD, hashedBenchEnc, 100, 2)
 	col := transport.NewHashedDomainCollector(hs)
 	for _, stream := range encodeHashedDomainStreams(b, 2) {
@@ -1100,13 +1100,106 @@ func BenchmarkAnswerTopKHashed(b *testing.B) {
 			}
 		}
 	}
+	return hs
+}
+
+// BenchmarkAnswerTopKHashedCold is the uncached top-k query on a
+// populated hashed server over a million-item catalogue: every
+// iteration advances the version stamp, so g per-bucket point
+// estimates, the unbiased decode and the item sweep all run. The sweep
+// stops at the k-th item of the best bucket (about g·k items in), so
+// the catalogue size is not in the cost.
+func BenchmarkAnswerTopKHashedCold(b *testing.B) {
+	hs := populateHashedBench(b)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	var ans transport.DomainAnswerFrame
+	var sc transport.TopKScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := transport.AnswerHashedDomainQuery(hs, q); err != nil {
+		hs.AdvanceVersion(0)
+		if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAnswerTopKHashedWarm is the same query against an unchanged
+// version stamp: a copy out of the memo.
+func BenchmarkAnswerTopKHashedWarm(b *testing.B) {
+	hs := populateHashedBench(b)
+	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	var ans transport.DomainAnswerFrame
+	var sc transport.TopKScratch
+	if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGatewayGatherHashed is the CPU of one cold read through a
+// hashed gateway over two backends, without the sockets: each backend
+// exports and encodes its raw sums, the gateway decodes both frames
+// (through a read buffer of a backend connection's size), merges them,
+// folds the total into the state it answers from and runs a cold top-10
+// over the catalogue — at the gateway-hashed workload's sizes (g = 256,
+// d = 128, m = 2^18). Every period's first read behind rtf-gateway pays
+// this once.
+func BenchmarkGatewayGatherHashed(b *testing.B) {
+	const d, g, m = 128, 256, 1 << 18
+	mode := transport.HashedMode(d, hh.LolohaEncoding(m, g, 0xbeef), 100)
+	backends := [2]transport.State{mode.NewState(2), mode.NewState(2)}
+	r := rng.New(17, 18)
+	for i := 0; i < ingestBenchReports; i++ {
+		h := r.IntN(dyadic.NumOrders(d))
+		ms := []transport.Msg{transport.FromDomainReport(r.IntN(g), protocol.Report{
+			User: i, Order: h, J: 1 + r.IntN(d>>uint(h)), Bit: int8(1 - 2*r.IntN(2)),
+		})}
+		if i%8 == 0 {
+			ms = append(ms, transport.DomainHello(i, r.IntN(g), h))
+		}
+		backends[i%2].Apply(i%2, ms)
+	}
+	var wire bytes.Buffer
+	enc := transport.NewEncoder(&wire)
+	src := bytes.NewReader(nil)
+	dec := transport.NewDecoder(bufio.NewReaderSize(src, 64<<10))
+	out := transport.NewEncoder(io.Discard)
+	var sc transport.AnswerScratch
+	q := transport.DomainQuery(transport.QueryTopK, 0, d/2, 0, 10)
+	frames := make([]transport.RawSums, len(backends))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wire.Reset()
+		for _, st := range backends {
+			if _, _, err := st.Answer(mode.SumsRequest(), enc, &sc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := enc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		src.Reset(wire.Bytes())
+		for j := range frames {
+			var err error
+			if frames[j], err = mode.ReadSums(dec); err != nil {
+				b.Fatal(err)
+			}
+		}
+		gathered, err := transport.NewGathered(mode, frames)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := gathered.Answer(q, out, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(wire.Len())/float64(len(backends)), "frame-bytes")
 }
 
 // ---------------------------------------------------------------------------

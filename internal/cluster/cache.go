@@ -37,11 +37,10 @@ import (
 // staleness in exchange for a scatter-free read path under sustained
 // ingest. Off by default.
 
-// cacheEntry is one completed cluster-wide gather: the raw per-backend
-// sums, with the fold that answers shaped queries built lazily, at most
-// once, so sums-only traffic never pays it. Entries are immutable after
-// fill (see transport.Gathered), so any number of connections may share
-// one entry concurrently.
+// cacheEntry is one completed cluster-wide gather: the backends' sums
+// merged and folded once. Entries are immutable after fill (see
+// transport.Gathered), so any number of connections may share one entry
+// concurrently.
 type cacheEntry struct {
 	*transport.Gathered
 	stamp  uint64    // ingest epoch loaded before the gather's first fetch

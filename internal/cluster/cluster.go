@@ -3,8 +3,8 @@
 // front, hash-partitions ingested users across N rtf-serve backends
 // (user id mod N) on its back, and answers every query shape by
 // scatter/gather — it fetches each backend's raw per-interval bit sums
-// (MsgSums → SumsFrame) and folds them into a fresh protocol.Server
-// before estimating.
+// (MsgSums → SumsFrame), adds them up and estimates from an accumulator
+// built over the total.
 //
 // Merging raw integer sums, not scaled float answers, is what keeps the
 // cluster exact: the dyadic accumulator is additive (Σ over backends of
@@ -209,7 +209,11 @@ func (s *session) fetchBackend(i int) (transport.RawSums, error) {
 		if opts.FetchTimeout > 0 {
 			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
 		}
+		before := bc.BytesRead()
 		f, err := bc.FetchSums(s.g.mode, -1)
+		if m := s.g.Metrics; m != nil && err == nil {
+			m.CountSumsFrameBytes(bc.BytesRead() - before)
+		}
 		if err == nil && opts.FetchTimeout > 0 {
 			err = bc.SetDeadline(time.Time{})
 		}
@@ -351,12 +355,10 @@ func (s *session) Gather() (transport.Reader, func(), error) {
 	return e.Gathered, nil, nil
 }
 
-// scatter is the fetch half of scatter/gather: it fetches every
-// backend's raw sums in parallel (each fetch fencing this session's
-// prior forwards on that backend), in backend order. Merging and
-// folding are left to the transport.Gathered that wraps them, so a
-// raw-sums answer — which only needs the frames — never allocates the
-// accumulators of a fold.
+// scatter is one scatter/gather round: it fetches every backend's raw
+// sums in parallel (each fetch fencing this session's prior forwards on
+// that backend), in backend order, then merges and folds them once into
+// the transport.Gathered every reader of this gather shares.
 //
 // A fetch that fails on a lease carrying unfenced forwards fails the
 // session: retrying on a fresh connection would answer — and so fence —
@@ -369,6 +371,7 @@ func (s *session) scatter() (*cacheEntry, error) {
 	frames := make([]transport.RawSums, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
+	start := time.Now()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -388,5 +391,13 @@ func (s *session) scatter() (*cacheEntry, error) {
 			return nil, err
 		}
 	}
-	return &cacheEntry{Gathered: transport.NewGathered(s.g.mode, frames)}, nil
+	fetched := time.Now()
+	gathered, err := transport.NewGathered(s.g.mode, frames)
+	if err != nil {
+		return nil, err
+	}
+	if m := s.g.Metrics; m != nil {
+		m.ObserveGather(fetched.Sub(start), time.Since(fetched))
+	}
+	return &cacheEntry{Gathered: gathered}, nil
 }

@@ -697,8 +697,9 @@ func serialUsersAcross(t *testing.T, addrs []string, d, m int, scale float64) in
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, it := range f.Items {
-			total += int(it.Users)
+		for x := 0; x < f.M; x++ {
+			users, _, _ := f.Row(x)
+			total += int(users)
 		}
 		conn.Close()
 	}

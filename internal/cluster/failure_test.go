@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"strings"
@@ -425,5 +426,25 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 		if !ok || h.Count < 1 {
 			t.Fatalf("missing scatter latency histogram for backend %d (have %v)", i, s.Histograms)
 		}
+	}
+	// The one gather behind that query, split by layer, and the wire
+	// size of exactly the frames it fetched.
+	for _, name := range []string{"gather_fetch_seconds", "gather_fold_seconds"} {
+		if h := s.Histograms[name]; h.Count != 1 {
+			t.Fatalf("%s observed %d gathers, want 1", name, h.Count)
+		}
+	}
+	var frames bytes.Buffer
+	enc = transport.NewEncoder(&frames)
+	for _, b := range backends {
+		if err := enc.EncodeSums(transport.SumsFromSharded(b.acc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Counters["sums_frame_bytes_total"]; got != int64(frames.Len()) {
+		t.Fatalf("sums_frame_bytes_total = %d, the fetched frames are %d bytes", got, frames.Len())
 	}
 }

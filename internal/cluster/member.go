@@ -662,5 +662,10 @@ func (s *memberSession) Gather() (transport.Reader, func(), error) {
 		g.vmu.Unlock()
 		return nil, nil, err
 	}
-	return transport.NewGathered(g.mode, frames), g.vmu.Unlock, nil
+	gathered, err := transport.NewGathered(g.mode, frames)
+	if err != nil {
+		g.vmu.Unlock()
+		return nil, nil, err
+	}
+	return gathered, g.vmu.Unlock, nil
 }

@@ -187,8 +187,8 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Users != int64(serial.Users()) {
-		t.Fatalf("sums users %d, want %d", f.Users, serial.Users())
+	if users := f.Counters[0]; users != int64(serial.Users()) {
+		t.Fatalf("sums users %d, want %d", users, serial.Users())
 	}
 
 	// K-way replication: every shard is held by exactly K backends, and
@@ -204,17 +204,18 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		if len(holders) != K {
 			t.Fatalf("shard %d has %d owners, want %d", sh, len(holders), K)
 		}
-		a, b2 := holders[0].sm.ShardSums(sh).Items[0], holders[1].sm.ShardSums(sh).Items[0]
-		if a.Users != b2.Users {
-			t.Fatalf("shard %d replicas disagree: %d vs %d users", sh, a.Users, b2.Users)
+		a, _, _ := holders[0].sm.ShardSums(sh).Row(0)
+		b2, _, _ := holders[1].sm.ShardSums(sh).Row(0)
+		if a != b2 {
+			t.Fatalf("shard %d replicas disagree: %d vs %d users", sh, a, b2)
 		}
 		// Non-owners hold nothing for the shard.
 		for _, b := range backends {
 			if view.Owns(b.id, sh) {
 				continue
 			}
-			if f := b.sm.ShardSums(sh).Items[0]; f.Users != 0 {
-				t.Fatalf("non-owner %s holds %d users of shard %d", b.id, f.Users, sh)
+			if users, _, _ := b.sm.ShardSums(sh).Row(0); users != 0 {
+				t.Fatalf("non-owner %s holds %d users of shard %d", b.id, users, sh)
 			}
 		}
 	}

@@ -14,6 +14,7 @@ package hh
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rtf/internal/protocol"
 )
@@ -35,7 +36,7 @@ const MaxDomainRows = 1 << 12
 
 // MaxHashedDomainM caps the catalogue size of hashed encodings. The
 // catalogue is never materialized server-side — only g rows are — but
-// query answering sweeps it (TopK hashes every item), so it is bounded
+// query answering sweeps it (TopK may hash every item), so it is bounded
 // too.
 const MaxHashedDomainM = 1 << 24
 
@@ -224,7 +225,16 @@ func NewHashedDomainServer(d int, enc DomainEncoding, boolScale float64, shards 
 	if !enc.Hashed() {
 		panic(fmt.Sprintf("hh: encoding %q is not hashed", enc.Name))
 	}
-	return &HashedDomainServer{enc: enc, inner: NewDomainServer(d, enc.G, boolScale, shards)}
+	return HashedDomainServerOver(enc, NewDomainServer(d, enc.G, boolScale, shards))
+}
+
+// HashedDomainServerOver puts the encoding's decoder on top of an
+// existing g-row bucket server, which it takes over (Inner returns it).
+func HashedDomainServerOver(enc DomainEncoding, inner *DomainServer) *HashedDomainServer {
+	if inner.M() != enc.G {
+		panic(fmt.Sprintf("hh: %d bucket rows under an encoding with g=%d", inner.M(), enc.G))
+	}
+	return &HashedDomainServer{enc: enc, inner: inner}
 }
 
 // Encoding returns the server's encoding.
@@ -353,8 +363,10 @@ func (s *HashedDomainServer) EstimateItemSeries(item int) []float64 {
 // TopK returns the k catalogue items with the largest decoded estimate
 // at time t, in decreasing order with ties broken toward the smaller
 // item — the same ordering contract as the exact DomainServer. The
-// sweep hashes every catalogue item but keeps only a k-bounded
-// selection, so memory is O(g + k), never O(m).
+// sweep hashes catalogue items in ascending order into a k-bounded
+// selection, so memory is O(g + k), never O(m), and it stops at the
+// k-th item of the best bucket (see selectTopK): about g·k items in
+// unless that bucket holds fewer than k.
 func (s *HashedDomainServer) TopK(t, k int) []ItemCount {
 	out, _ := s.AppendTopK(nil, t, k)
 	return out
@@ -383,7 +395,7 @@ func (s *HashedDomainServer) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount,
 		return append(dst, mm.top...), true
 	}
 	dec := s.decodeLocked(t, v)
-	mm.top = selectTopK(mm.top, s.enc.M, k, func(x int) float64 { return dec[s.enc.Bucket(x)] })
+	mm.top = selectTopK(mm.top, s.enc.M, k, slices.Max(dec), func(x int) float64 { return dec[s.enc.Bucket(x)] })
 	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
 	return append(dst, mm.top...), false
 }

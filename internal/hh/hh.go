@@ -30,6 +30,7 @@ package hh
 
 import (
 	"fmt"
+	"math"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
@@ -249,6 +250,19 @@ func NewDomainServer(d, m int, boolScale float64, shards int) *DomainServer {
 	}
 }
 
+// DomainServerOver builds a single-shard server whose counters are the
+// given raw matrix, adopted without a copy (see
+// protocol.DomainShardedOver): the read-only state a gateway answers a
+// completed gather from.
+func DomainServerOver(d, m int, boolScale float64, cells []int64) (*DomainServer, error) {
+	itemScale := float64(m) * boolScale
+	acc, err := protocol.DomainShardedOver(d, m, itemScale, cells)
+	if err != nil {
+		return nil, err
+	}
+	return &DomainServer{d: d, m: m, boolScale: boolScale, itemScale: itemScale, acc: acc}, nil
+}
+
 // D returns the horizon.
 func (s *DomainServer) D() int { return s.d }
 
@@ -364,7 +378,9 @@ func (s *DomainServer) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool)
 		return append(dst, mm.top...), true
 	}
 	est := s.estimateAllLocked(t, v)
-	mm.top = selectTopK(mm.top, s.m, k, func(x int) float64 { return est[x] })
+	// No ceiling: distinct items rarely tie at the maximum, so finding it
+	// would cost a pass over m estimates to save nothing.
+	mm.top = selectTopK(mm.top, s.m, k, math.Inf(1), func(x int) float64 { return est[x] })
 	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
 	return append(dst, mm.top...), false
 }
@@ -387,25 +403,20 @@ func (s *DomainServer) estimateAllLocked(t int, v uint64) []float64 {
 	return mm.est
 }
 
-// FoldItem returns one item's raw accumulator state — user count,
-// per-order counts, per-interval bit sums — the exact integers a
-// cluster gateway ships between nodes.
-func (s *DomainServer) FoldItem(item int) (users int64, perOrder, sums []int64) {
-	s.checkItem(item)
-	return s.acc.FoldItem(item)
-}
+// FoldInto overwrites dst with every item's raw accumulator state — m
+// rows of protocol.RawStride(d): user count, per-order counts,
+// per-interval bit sums — the exact integers a cluster gateway ships
+// between nodes.
+func (s *DomainServer) FoldInto(dst []int64) { s.acc.FoldInto(dst) }
 
-// MergeRawItem folds raw accumulator state (as produced by FoldItem,
-// possibly on another machine) into one item's accumulator. Because
-// every estimate is a fixed linear function of these integers, merging
-// the raw sums of N partitioned servers reproduces one serial server
-// bit for bit.
-func (s *DomainServer) MergeRawItem(item int, users int64, perOrder, sums []int64) error {
-	if item < 0 || item >= s.m {
-		return fmt.Errorf("hh: item %d outside [0..%d)", item, s.m)
-	}
-	return s.acc.MergeRawItem(item, users, perOrder, sums)
-}
+// FoldRowInto is FoldInto for one item's row.
+func (s *DomainServer) FoldRowInto(item int, row []int64) { s.acc.FoldRowInto(item, row) }
+
+// MergeRaw folds a raw matrix (as produced by FoldInto, possibly on
+// another machine) into the server. Because every estimate is a fixed
+// linear function of these integers, merging the raw sums of N
+// partitioned servers reproduces one serial server bit for bit.
+func (s *DomainServer) MergeRaw(cells []int64) error { return s.acc.MergeRaw(cells) }
 
 // MarshalState serializes all per-item accumulator state for a durable
 // snapshot — byte-for-byte the same kind-3 payload the old per-item

@@ -1,6 +1,7 @@
 package hh
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -461,13 +462,24 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 		}
 	}
 	merged := NewDomainServer(w.D, w.M, scale, 1)
+	total := make([]int64, w.M*protocol.RawStride(w.D))
 	for _, part := range parts {
-		for x := 0; x < w.M; x++ {
-			users, perOrder, sums := part.FoldItem(x)
-			if err := merged.MergeRawItem(x, users, perOrder, sums); err != nil {
-				t.Fatal(err)
-			}
+		raw := make([]int64, len(total))
+		part.FoldInto(raw)
+		if err := merged.MergeRaw(raw); err != nil {
+			t.Fatal(err)
 		}
+		for j, v := range raw {
+			total[j] += v
+		}
+	}
+	// A server built over the summed matrix is the same server.
+	over, err := DomainServerOver(w.D, w.M, scale, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(over.MarshalState(), merged.MarshalState()) {
+		t.Fatal("DomainServerOver state differs from the merged server's")
 	}
 	for x := 0; x < w.M; x++ {
 		a, b := serial.EstimateItemSeries(x), merged.EstimateItemSeries(x)
@@ -484,13 +496,15 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 		}
 	}
 	// Merge validation.
-	if err := merged.MergeRawItem(-1, 0, nil, nil); err == nil {
-		t.Error("negative item accepted")
+	if err := merged.MergeRaw(nil); err == nil {
+		t.Error("empty matrix accepted")
 	}
-	if err := merged.MergeRawItem(0, -1, make([]int64, 5), make([]int64, 31)); err == nil {
+	bad := make([]int64, w.M*protocol.RawStride(w.D))
+	bad[0] = -1
+	if err := merged.MergeRaw(bad); err == nil {
 		t.Error("negative user count accepted")
 	}
-	if err := merged.MergeRawItem(0, 0, make([]int64, 2), make([]int64, 31)); err == nil {
-		t.Error("short per-order accepted")
+	if err := merged.MergeRaw(bad[1:]); err == nil {
+		t.Error("short matrix accepted")
 	}
 }

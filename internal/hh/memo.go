@@ -53,7 +53,18 @@ type estMemo struct {
 // candidate should displace. Items arrive in ascending order, so a
 // candidate equal to the root never displaces it — among boundary ties
 // the smaller items win, matching the full sort.
-func selectTopK(h []ItemCount, n, k int, count func(int) float64) []ItemCount {
+//
+// ceiling must be at least every count(x); +Inf is always valid. Once
+// the heap is full and its root equals the ceiling, all k entries sit
+// at the ceiling and every later item is both no larger and a bigger
+// index, so nothing can displace an entry and the sweep stops. On a
+// hashed catalogue every item of a bucket shares the bucket's value, so
+// with the largest bucket value as ceiling the sweep ends at the k-th
+// item of the best bucket — about g·k items in, not m. It never fires
+// while the items at the ceiling seen so far number fewer than k (a
+// best bucket holding under k items), where the sweep is the full one
+// it always was.
+func selectTopK(h []ItemCount, n, k int, ceiling float64, count func(int) float64) []ItemCount {
 	if k > n {
 		k = n
 	}
@@ -96,13 +107,16 @@ func selectTopK(h []ItemCount, n, k int, count func(int) float64) []ItemCount {
 				h[i], h[p] = h[p], h[i]
 				i = p
 			}
+		} else if worse(h[0], c) {
+			h[0] = c
+			siftDown(0)
+		} else {
 			continue
 		}
-		if !worse(h[0], c) {
-			continue
+		// Only a change to the heap can bring its root up to the ceiling.
+		if len(h) == k && h[0].Count == ceiling {
+			break
 		}
-		h[0] = c
-		siftDown(0)
 	}
 	sort.Slice(h, func(i, j int) bool {
 		if h[i].Count != h[j].Count {

@@ -3,6 +3,7 @@ package hh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -59,7 +60,7 @@ func TestSelectTopKMatchesFullSort(t *testing.T) {
 			if k < 0 {
 				continue
 			}
-			got := selectTopK(nil, n, k, func(x int) float64 { return est[x] })
+			got := selectTopK(nil, n, k, slices.Max(est), func(x int) float64 { return est[x] })
 			want := refTopK(est, k)
 			if !sameTopK(got, want) {
 				t.Fatalf("n=%d k=%d: selectTopK %v != full sort %v (est %v)", n, k, got, want, est)
@@ -303,6 +304,137 @@ func TestTopKMemoUnderConcurrentIngest(t *testing.T) {
 		got, _ := srv.AppendTopK(nil, tt, k)
 		if !sameTopK(got, want) {
 			t.Fatalf("t=%d: quiesced TopK %v != reference %v", tt, got, want)
+		}
+	}
+}
+
+// shapedHashed builds a hashed server whose bucket b holds weight[b]
+// users' +1 reports at every period, so bucket (and hence item)
+// estimates at any t order like the weights, ties included.
+func shapedHashed(d int, enc DomainEncoding, weight []int) *HashedDomainServer {
+	srv := NewHashedDomainServer(d, enc, 1.5, 2)
+	for b, w := range weight {
+		for u := 0; u < w; u++ {
+			srv.Register(u%2, b, 0)
+			for tt := 1; tt <= d; tt++ {
+				srv.Ingest(u%2, b, protocol.Report{User: u, Order: 0, J: tt, Bit: 1})
+			}
+		}
+	}
+	srv.AdvanceVersion(0)
+	return srv
+}
+
+// TestTopKAgainstFullSort checks TopK on both servers — the selection's
+// early exit included — against a specification that shares no code
+// with it: all m items sorted by (−estimate, item) and truncated. The
+// hashed cases shape the bucket values to sit on the exit's edges.
+func TestTopKAgainstFullSort(t *testing.T) {
+	const d = 4
+	ks := func(m int, more ...int) []int { return append([]int{0, 1, 2, m - 1, m, m + 7}, more...) }
+	check := func(t *testing.T, m int, estimate func(x, tt int) float64, topK func(tt, k int) []ItemCount, ks []int) {
+		t.Helper()
+		for tt := 1; tt <= d; tt++ {
+			est := make([]float64, m)
+			for x := range est {
+				est[x] = estimate(x, tt)
+			}
+			for _, k := range ks {
+				if got, want := topK(tt, k), refTopK(est, k); !sameTopK(got, want) {
+					t.Fatalf("t=%d k=%d: TopK %v != full sort %v", tt, k, got, want)
+				}
+			}
+		}
+	}
+	hashed := func(m, g int, weight func(enc DomainEncoding, b int) int, more ...int) func(*testing.T) {
+		return func(t *testing.T) {
+			enc := LolohaEncoding(m, g, 0xabc)
+			w := make([]int, g)
+			for b := range w {
+				w[b] = weight(enc, b)
+			}
+			srv := shapedHashed(d, enc, w)
+			check(t, m, srv.EstimateItemAt, srv.TopK, ks(m, more...))
+		}
+	}
+	population := func(enc DomainEncoding, b int) (n int) {
+		for x := 0; x < enc.M; x++ {
+			if enc.Bucket(x) == b {
+				n++
+			}
+		}
+		return n
+	}
+	// All buckets equal: every item ties at the ceiling, the exit fires
+	// as soon as the heap is full, and the answer is items 0..k−1.
+	t.Run("hashed/all-equal", hashed(300, 16, func(DomainEncoding, int) int { return 3 }, 5, 50))
+	// Two buckets tie for best.
+	t.Run("hashed/two-best", hashed(300, 16, func(_ DomainEncoding, b int) int { return 2 + 4*(b%8/7) }, 5, 50))
+	// One best bucket; k up to and beyond its population, so the exit
+	// fires for small k and cannot for large.
+	t.Run("hashed/k-over-best-bucket", hashed(400, 16, func(_ DomainEncoding, b int) int { return 1 + 9*(b/15) }, 10, 24, 25, 26, 60))
+	// The best bucket is item 0's: with k = 1 the exit fires on the very
+	// item that fills the heap.
+	t.Run("hashed/exit-on-fill", hashed(300, 16, func(enc DomainEncoding, b int) int {
+		if b == enc.Bucket(0) {
+			return 8
+		}
+		return b % 3
+	}))
+	// Fewer items than buckets, and about as many: most buckets hold no
+	// item, and the largest value sits in an empty one, so the ceiling
+	// is never reached.
+	emptyBest := func(enc DomainEncoding, b int) int {
+		if population(enc, b) == 0 {
+			return 9
+		}
+		return b % 4
+	}
+	t.Run("hashed/m<g", hashed(5, 64, emptyBest))
+	t.Run("hashed/m~g", hashed(60, 64, emptyBest))
+
+	t.Run("exact", func(t *testing.T) {
+		// Few users over many items: most estimates tie, several at the
+		// maximum.
+		const m = 40
+		srv := NewDomainServer(d, m, 1.5, 2)
+		r := rand.New(rand.NewSource(9))
+		for u := 0; u < 30; u++ {
+			x := r.Intn(m)
+			srv.Register(u%2, x, 0)
+			for tt := 1; tt <= d; tt++ {
+				srv.Ingest(u%2, x, protocol.Report{User: u, Order: 0, J: tt, Bit: int8(1 - 2*r.Intn(2))})
+			}
+		}
+		srv.AdvanceVersion(0)
+		check(t, m, srv.EstimateItemAt, srv.TopK, ks(m, 3, 10))
+	})
+}
+
+// TestSelectTopKStopsEarly pins the early exit itself: the sweep ends
+// at the k-th item at the ceiling, and runs to the end when fewer than
+// k items reach it.
+func TestSelectTopKStopsEarly(t *testing.T) {
+	const n, g = 10000, 16
+	// Item x's stand-in bucket value; the ceiling g−1 is reached by the
+	// n/g items x ≡ 9 (mod 16).
+	val := func(x int) float64 { return float64(x * 7 % g) }
+	est := make([]float64, n)
+	for x := range est {
+		est[x] = val(x)
+	}
+	for _, k := range []int{1, 5, n / g, n/g + 1} {
+		calls := 0
+		got := selectTopK(nil, n, k, g-1, func(x int) float64 { calls++; return val(x) })
+		if !sameTopK(got, refTopK(est, k)) {
+			t.Fatalf("k=%d: selection differs from the full sort", k)
+		}
+		want := 9 + 16*(k-1) + 1 // through the k-th item at the ceiling
+		if k > n/g {
+			want = n
+		}
+		if calls != want {
+			t.Fatalf("k=%d: swept %d items, want %d", k, calls, want)
 		}
 	}
 }

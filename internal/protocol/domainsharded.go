@@ -9,20 +9,35 @@ import (
 	"rtf/internal/dyadic"
 )
 
+// RawStride is the length of one row of a raw counter matrix at horizon
+// d: the row's registered-user count, its per-order user counts, then
+// its per-interval bit sums in flat dyadic-tree order. It is the layout
+// of a DomainSharded shard, of the raw-sums frames cluster nodes
+// exchange, and — one row — of a Sharded fold, so counters move between
+// the three without being rearranged.
+func RawStride(d int) int { return 1 + dyadic.NumOrders(d) + dyadic.TotalIntervals(d) }
+
+// SplitRaw returns the three parts of one raw row at horizon d. The
+// slices alias row.
+func SplitRaw(d int, row []int64) (users int64, perOrder, sums []int64) {
+	off := 1 + dyadic.NumOrders(d)
+	return row[0], row[1:off:off], row[off:]
+}
+
 // DomainSharded is the flat-matrix accumulator behind domain-valued
 // tracking: the counters of m independent dyadic accumulators (one per
-// domain item) stored as one contiguous [m × intervals] int64 matrix
-// per shard, instead of m separately allocated Sharded structs. A
-// report lands with a single index computation — item·rowLen + flat —
-// and one atomic add, with no pointer chase through a per-item struct,
-// and whole-domain sweeps (fold, merge, the top-k estimate pass) walk
-// flat rows in item-major order, which is what keeps server-side
-// aggregation cheap as the domain grows.
+// domain item) stored as one contiguous row-major [m × RawStride(d)]
+// int64 matrix per shard, instead of m separately allocated Sharded
+// structs. A report lands with a single index computation —
+// item·stride + flat — and one atomic add, with no pointer chase
+// through a per-item struct, and whole-domain sweeps (fold, merge, the
+// top-k estimate pass) walk flat rows in item-major order, which is
+// what keeps server-side aggregation cheap as the domain grows.
 //
 // The semantics are exactly m Sharded accumulators sharing one scale:
 // all mutation is atomic ±1 (or exact integer) addition, so estimates
 // are bit-for-bit identical to m serial servers fed the same reports in
-// any order, and FoldItem/MergeRawItem ship the same raw integers a
+// any order, and FoldInto/MergeRaw ship the same raw integers a
 // cluster gateway exchanges between nodes. MarshalState emits the
 // identical kind-3 domain payload that MarshalDomainState produces over
 // per-item Sharded accumulators, so snapshots written under either
@@ -34,21 +49,18 @@ type DomainSharded struct {
 	d, m   int
 	scale  float64
 	tree   *dyadic.Tree
-	sumRow int // interval counters per item row
-	ordRow int // per-order counters per item row
+	stride int // counters per item row: RawStride(d)
+	sumOff int // offset of the interval sums inside a row
 	shards []domainShard
 }
 
-// domainShard is one shard's counter matrix. The slices are allocated
-// separately per shard so concurrent writers on different shards touch
-// disjoint cache lines; within a shard, item x's counters occupy the
-// contiguous rows sums[x·sumRow : (x+1)·sumRow] and
-// perOrder[x·ordRow : (x+1)·ordRow].
+// domainShard is one shard's counter matrix, allocated separately per
+// shard so concurrent writers on different shards touch disjoint cache
+// lines; item x's counters are the row cells[x·stride : (x+1)·stride]
+// in RawStride layout.
 type domainShard struct {
-	sums     []int64 // m × sumRow, item-major (atomic)
-	perOrder []int64 // m × ordRow, item-major (atomic)
-	users    []int64 // one registered-user count per item (atomic)
-	version  int64   // monotone mutation counter (atomic), see Version
+	cells   []int64 // m × stride, item-major (atomic)
+	version int64   // monotone mutation counter (atomic), see Version
 }
 
 // NewDomainSharded builds a flat domain accumulator for horizon d (a
@@ -56,6 +68,33 @@ type domainShard struct {
 // and shard count (at least 1; shard assignment never affects
 // estimates).
 func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
+	if shards < 1 {
+		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
+	}
+	s := newDomainSharded(d, m, scale)
+	s.shards = make([]domainShard, shards)
+	for i := range s.shards {
+		s.shards[i].cells = make([]int64, m*s.stride)
+	}
+	return s
+}
+
+// DomainShardedOver builds a single-shard accumulator whose counters
+// ARE the given raw matrix (m rows of RawStride(d), as FoldInto exports
+// and cluster nodes exchange): the slice is adopted, not copied, so the
+// caller must not touch it afterwards. A gateway builds the state it
+// answers a gather from this way, straight over the merged frames. It
+// fails on a mismatched length or a negative count.
+func DomainShardedOver(d, m int, scale float64, cells []int64) (*DomainSharded, error) {
+	s := newDomainSharded(d, m, scale)
+	if err := s.checkRaw(cells); err != nil {
+		return nil, err
+	}
+	s.shards = []domainShard{{cells: cells}}
+	return s, nil
+}
+
+func newDomainSharded(d, m int, scale float64) *DomainSharded {
 	if !dyadic.IsPow2(d) {
 		panic(fmt.Sprintf("protocol: d=%d not a power of two", d))
 	}
@@ -65,24 +104,10 @@ func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("protocol: invalid estimator scale %v", scale))
 	}
-	if shards < 1 {
-		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
+	return &DomainSharded{
+		d: d, m: m, scale: scale, tree: dyadic.NewTree(d),
+		stride: RawStride(d), sumOff: 1 + dyadic.NumOrders(d),
 	}
-	tr := dyadic.NewTree(d)
-	s := &DomainSharded{
-		d: d, m: m, scale: scale, tree: tr,
-		sumRow: tr.Size(),
-		ordRow: dyadic.NumOrders(d),
-		shards: make([]domainShard, shards),
-	}
-	for i := range s.shards {
-		s.shards[i] = domainShard{
-			sums:     make([]int64, m*s.sumRow),
-			perOrder: make([]int64, m*s.ordRow),
-			users:    make([]int64, m),
-		}
-	}
-	return s
 }
 
 // NumShards returns the number of shards.
@@ -116,12 +141,13 @@ func (s *DomainSharded) checkItem(item int) {
 // shard.
 func (s *DomainSharded) Register(shard, item, order int) {
 	s.checkItem(item)
-	if order < 0 || order >= s.ordRow {
+	if order < 0 || order >= s.sumOff-1 {
 		panic(fmt.Sprintf("protocol: order %d out of range", order))
 	}
 	sh := s.shard(shard)
-	atomic.AddInt64(&sh.users[item], 1)
-	atomic.AddInt64(&sh.perOrder[item*s.ordRow+order], 1)
+	row := sh.cells[item*s.stride:]
+	atomic.AddInt64(&row[0], 1)
+	atomic.AddInt64(&row[1+order], 1)
 	atomic.AddInt64(&sh.version, 1)
 }
 
@@ -138,7 +164,7 @@ func (s *DomainSharded) AdvanceVersion(shard int) {
 // Version folds the per-shard mutation counters into one monotone
 // stamp. Each component only grows, so the sum observed by a reader can
 // only grow; if two Version calls bracketing a derived computation
-// return the same value, no Register/MergeRawItem/RestoreState/
+// return the same value, no Register/MergeRaw/RestoreState/
 // AdvanceVersion completed in between, and the derived result may be
 // served again verbatim. At quiescence (all writers' batches applied
 // and advanced) an unchanged stamp therefore certifies bit-for-bit
@@ -159,8 +185,8 @@ func (s *DomainSharded) Ingest(shard, item int, r Report) {
 	if uint(item) >= uint(s.m) || (r.Bit != 1 && r.Bit != -1) {
 		s.ingestPanic(item, r)
 	}
-	flat := s.tree.FlatIndex(dyadic.Interval{Order: r.Order, Index: r.J})
-	atomic.AddInt64(&s.shard(shard).sums[item*s.sumRow+flat], int64(r.Bit))
+	flat := s.sumOff + s.tree.FlatIndex(dyadic.Interval{Order: r.Order, Index: r.J})
+	atomic.AddInt64(&s.shard(shard).cells[item*s.stride+flat], int64(r.Bit))
 }
 
 // ingestPanic reproduces Ingest's panic messages for an invalid item
@@ -173,10 +199,8 @@ func (s *DomainSharded) ingestPanic(item int, r Report) {
 // Users returns the number of registered users across all items.
 func (s *DomainSharded) Users() int {
 	var n int64
-	for i := range s.shards {
-		for _, u := range s.shards[i].users {
-			n += atomic.LoadInt64(&u)
-		}
+	for x := 0; x < s.m; x++ {
+		n += s.itemCell(x, 0)
 	}
 	return int(n)
 }
@@ -184,24 +208,22 @@ func (s *DomainSharded) Users() int {
 // UsersAt returns the number of users whose sampled target is item.
 func (s *DomainSharded) UsersAt(item int) int {
 	s.checkItem(item)
-	var n int64
-	for i := range s.shards {
-		n += atomic.LoadInt64(&s.shards[i].users[item])
-	}
-	return int(n)
+	return int(s.itemCell(item, 0))
 }
 
-// itemSum folds one item's counter for one flat interval index across
-// shards. Pure int64 addition, so the result is independent of shard
-// assignment.
-func (s *DomainSharded) itemSum(item, flat int) int64 {
+// itemCell folds one counter of one item's row across shards. Pure
+// int64 addition, so the result is independent of shard assignment.
+func (s *DomainSharded) itemCell(item, col int) int64 {
 	var sum int64
-	off := item*s.sumRow + flat
+	off := item*s.stride + col
 	for i := range s.shards {
-		sum += atomic.LoadInt64(&s.shards[i].sums[off])
+		sum += atomic.LoadInt64(&s.shards[i].cells[off])
 	}
 	return sum
 }
+
+// itemSum is itemCell at one flat interval index.
+func (s *DomainSharded) itemSum(item, flat int) int64 { return s.itemCell(item, s.sumOff+flat) }
 
 // EstimateAt returns item's â[t] via the dyadic decomposition C(t),
 // reading the live counters — the same decomposition order and float
@@ -243,14 +265,14 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 		est[x] = 0
 	}
 	for _, iv := range dyadic.Decompose(t, s.d) {
-		flat := s.tree.FlatIndex(iv)
+		col := s.sumOff + s.tree.FlatIndex(iv)
 		for x := range tmp {
 			tmp[x] = 0
 		}
 		for i := range s.shards {
-			sums := s.shards[i].sums
+			cells := s.shards[i].cells
 			for x := 0; x < s.m; x++ {
-				tmp[x] += atomic.LoadInt64(&sums[x*s.sumRow+flat])
+				tmp[x] += atomic.LoadInt64(&cells[x*s.stride+col])
 			}
 		}
 		for x := 0; x < s.m; x++ {
@@ -286,70 +308,72 @@ func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 	return out
 }
 
-// FoldItem returns one item's raw accumulator state summed across
-// shards — user count, per-order counts, per-interval bit sums in flat
-// tree order — the exact integers a cluster gateway ships between
-// nodes. Counters are loaded atomically, but a fold taken concurrently
-// with ingestion is not a point-in-time cut; quiesce first when
-// exactness matters.
-func (s *DomainSharded) FoldItem(item int) (users int64, perOrder, sums []int64) {
+// FoldRowInto overwrites row (RawStride(d) counters) with one item's
+// raw accumulator state summed across shards — the exact integers a
+// cluster gateway ships between nodes. Counters are loaded atomically,
+// but a fold taken concurrently with ingestion is not a point-in-time
+// cut; quiesce first when exactness matters.
+func (s *DomainSharded) FoldRowInto(item int, row []int64) {
 	s.checkItem(item)
-	perOrder = make([]int64, s.ordRow)
-	sums = make([]int64, s.sumRow)
-	s.foldItemInto(item, &users, perOrder, sums)
-	return users, perOrder, sums
-}
-
-// foldItemInto accumulates one item's raw state into caller-owned
-// buffers (which must be zeroed and correctly sized).
-func (s *DomainSharded) foldItemInto(item int, users *int64, perOrder, sums []int64) {
+	row = row[:s.stride]
 	for i := range s.shards {
-		sh := &s.shards[i]
-		*users += atomic.LoadInt64(&sh.users[item])
-		po := sh.perOrder[item*s.ordRow : (item+1)*s.ordRow]
-		for h := range po {
-			perOrder[h] += atomic.LoadInt64(&po[h])
+		cells := s.shards[i].cells[item*s.stride : (item+1)*s.stride]
+		if i == 0 {
+			for j := range row {
+				row[j] = atomic.LoadInt64(&cells[j])
+			}
+			continue
 		}
-		row := sh.sums[item*s.sumRow : (item+1)*s.sumRow]
-		for f := range row {
-			sums[f] += atomic.LoadInt64(&row[f])
+		for j := range row {
+			row[j] += atomic.LoadInt64(&cells[j])
 		}
 	}
 }
 
-// MergeRawItem folds raw accumulator state — as produced by FoldItem,
-// possibly on another machine — into one item's row of shard 0. Shard
-// assignment never affects estimates (addition is exact and
-// commutative), so merging into one shard is equivalent to replaying
-// the original ingestion. It fails, without modifying the accumulator,
-// on mismatched lengths or negative counts.
-func (s *DomainSharded) MergeRawItem(item int, users int64, perOrder, sums []int64) error {
-	if item < 0 || item >= s.m {
-		return fmt.Errorf("protocol: item %d outside [0..%d)", item, s.m)
+// FoldInto overwrites dst (m rows of RawStride(d)) with every item's
+// FoldRowInto: the whole counter matrix summed across shards.
+func (s *DomainSharded) FoldInto(dst []int64) {
+	if len(dst) != s.m*s.stride {
+		panic(fmt.Sprintf("protocol: folding into %d counters, matrix has %d", len(dst), s.m*s.stride))
 	}
-	if users < 0 {
-		return fmt.Errorf("protocol: merging negative user count %d", users)
+	for x := 0; x < s.m; x++ {
+		s.FoldRowInto(x, dst[x*s.stride:(x+1)*s.stride])
 	}
-	if len(perOrder) != s.ordRow {
-		return fmt.Errorf("protocol: merging %d per-order counts into an accumulator with %d orders", len(perOrder), s.ordRow)
+}
+
+// checkRaw validates a raw matrix against the accumulator's shape: the
+// length, and no negative user or per-order count in any row.
+func (s *DomainSharded) checkRaw(cells []int64) error {
+	if len(cells) != s.m*s.stride {
+		return fmt.Errorf("protocol: raw matrix of %d counters for an accumulator with %d (m=%d rows of %d)", len(cells), s.m*s.stride, s.m, s.stride)
 	}
-	if len(sums) != s.sumRow {
-		return fmt.Errorf("protocol: merging %d interval sums into an accumulator with %d intervals", len(sums), s.sumRow)
-	}
-	for h, c := range perOrder {
-		if c < 0 {
-			return fmt.Errorf("protocol: merging negative count %d at order %d", c, h)
+	for x := 0; x < s.m; x++ {
+		users, perOrder, _ := SplitRaw(s.d, cells[x*s.stride:(x+1)*s.stride])
+		if users < 0 {
+			return fmt.Errorf("protocol: item %d: merging negative user count %d", x, users)
 		}
+		for h, c := range perOrder {
+			if c < 0 {
+				return fmt.Errorf("protocol: item %d: merging negative count %d at order %d", x, c, h)
+			}
+		}
+	}
+	return nil
+}
+
+// MergeRaw folds a raw matrix — as produced by FoldInto, possibly on
+// another machine — into shard 0. Shard assignment never affects
+// estimates (addition is exact and commutative), so merging into one
+// shard is equivalent to replaying the original ingestion. It fails,
+// without modifying the accumulator, on a mismatched length or negative
+// counts.
+func (s *DomainSharded) MergeRaw(cells []int64) error {
+	if err := s.checkRaw(cells); err != nil {
+		return err
 	}
 	sh := &s.shards[0]
-	row := sh.sums[item*s.sumRow : (item+1)*s.sumRow]
-	for f, v := range sums {
-		atomic.AddInt64(&row[f], v)
-	}
-	atomic.AddInt64(&sh.users[item], users)
-	po := sh.perOrder[item*s.ordRow : (item+1)*s.ordRow]
-	for h, c := range perOrder {
-		atomic.AddInt64(&po[h], c)
+	for j, v := range cells {
+		atomic.AddInt64(&sh.cells[j], v)
 	}
 	atomic.AddInt64(&sh.version, 1)
 	return nil
@@ -364,22 +388,14 @@ func (s *DomainSharded) MergeRawItem(item int, users int64, perOrder, sums []int
 // (the durable collector holds its snapshot lock for exactly this
 // reason).
 func (s *DomainSharded) MarshalState() []byte {
-	b := make([]byte, 0, 16+s.m*(16+10*s.sumRow))
+	b := make([]byte, 0, 16+s.m*(16+10*s.stride))
 	b = append(b, stateVersion, stateKindDomain)
 	b = binary.AppendUvarint(b, uint64(s.m))
-	users := int64(0)
-	perOrder := make([]int64, s.ordRow)
-	sums := make([]int64, s.sumRow)
-	item := make([]byte, 0, 16+10*s.sumRow)
+	row := make([]int64, s.stride)
+	item := make([]byte, 0, 16+10*s.stride)
 	for x := 0; x < s.m; x++ {
-		users = 0
-		for i := range perOrder {
-			perOrder[i] = 0
-		}
-		for i := range sums {
-			sums[i] = 0
-		}
-		s.foldItemInto(x, &users, perOrder, sums)
+		s.FoldRowInto(x, row)
+		users, perOrder, sums := SplitRaw(s.d, row)
 		item = appendDyadicState(item[:0], s.d, s.scale, users, perOrder, sums)
 		b = binary.AppendUvarint(b, uint64(len(item)))
 		b = append(b, item...)
@@ -425,14 +441,13 @@ func (s *DomainSharded) RestoreState(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("protocol: item %d: %w", x, err)
 		}
-		row := sh.sums[x*s.sumRow : (x+1)*s.sumRow]
+		_, perOrder, sums := SplitRaw(s.d, sh.cells[x*s.stride:(x+1)*s.stride])
 		for f, v := range st.sums {
-			atomic.AddInt64(&row[f], v)
+			atomic.AddInt64(&sums[f], v)
 		}
-		atomic.AddInt64(&sh.users[x], st.users)
-		po := sh.perOrder[x*s.ordRow : (x+1)*s.ordRow]
+		atomic.AddInt64(&sh.cells[x*s.stride], st.users)
 		for h, c := range st.perOrder {
-			atomic.AddInt64(&po[h], c)
+			atomic.AddInt64(&perOrder[h], c)
 		}
 	}
 	if r.off != len(b) {

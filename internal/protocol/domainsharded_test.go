@@ -84,20 +84,22 @@ func TestDomainShardedMatchesPerItemLayout(t *testing.T) {
 	}
 
 	// Folds: the raw integers a cluster gateway ships must be equal.
+	raw := make([]int64, m*RawStride(d))
+	flat.FoldInto(raw)
 	for x := range old {
 		wu, wp, ws := old[x].Fold()
-		gu, gp, gs := flat.FoldItem(x)
+		gu, gp, gs := SplitRaw(d, raw[x*RawStride(d):(x+1)*RawStride(d)])
 		if gu != wu {
-			t.Fatalf("FoldItem(%d) users = %d, want %d", x, gu, wu)
+			t.Fatalf("FoldInto row %d users = %d, want %d", x, gu, wu)
 		}
 		for i := range wp {
 			if gp[i] != wp[i] {
-				t.Fatalf("FoldItem(%d) perOrder[%d] = %d, want %d", x, i, gp[i], wp[i])
+				t.Fatalf("FoldInto row %d perOrder[%d] = %d, want %d", x, i, gp[i], wp[i])
 			}
 		}
 		for i := range ws {
 			if gs[i] != ws[i] {
-				t.Fatalf("FoldItem(%d) sums[%d] = %d, want %d", x, i, gs[i], ws[i])
+				t.Fatalf("FoldInto row %d sums[%d] = %d, want %d", x, i, gs[i], ws[i])
 			}
 		}
 	}
@@ -147,41 +149,60 @@ func TestDomainShardedStateCrossRestore(t *testing.T) {
 	}
 }
 
-// TestDomainShardedMergeRawItem checks that merging one layout's folds
-// into the other reproduces the source exactly — the cluster merge path
-// is raw-integer addition in both layouts.
-func TestDomainShardedMergeRawItem(t *testing.T) {
+// perItemRaw folds per-item accumulators into one raw matrix.
+func perItemRaw(d int, old []*Sharded) []int64 {
+	stride := RawStride(d)
+	raw := make([]int64, len(old)*stride)
+	for x := range old {
+		old[x].FoldInto(raw[x*stride : (x+1)*stride])
+	}
+	return raw
+}
+
+// TestDomainShardedMergeRaw checks that merging one layout's folds into
+// the other reproduces the source exactly — the cluster merge path is
+// raw-integer addition in both layouts — and that an accumulator built
+// directly over the raw matrix is the same accumulator.
+func TestDomainShardedMergeRaw(t *testing.T) {
 	const d, m, shards = 32, 4, 2
 	flat, old := feedDomain(t, d, m, shards, 2000, 7)
 
 	merged := NewDomainSharded(d, m, flat.Scale(), 1)
-	for x := range old {
-		u, p, s := old[x].Fold()
-		if err := merged.MergeRawItem(x, u, p, s); err != nil {
-			t.Fatalf("MergeRawItem(%d): %v", x, err)
-		}
+	if err := merged.MergeRaw(perItemRaw(d, old)); err != nil {
+		t.Fatalf("MergeRaw: %v", err)
+	}
+	over, err := DomainShardedOver(d, m, flat.Scale(), perItemRaw(d, old))
+	if err != nil {
+		t.Fatalf("DomainShardedOver: %v", err)
 	}
 	for tm := 1; tm <= d; tm++ {
-		all := merged.EstimateAllAt(tm)
+		all, allOver := merged.EstimateAllAt(tm), over.EstimateAllAt(tm)
 		for x := range old {
-			want := old[x].EstimateAt(tm)
-			if math.Float64bits(all[x]) != math.Float64bits(want) {
-				t.Fatalf("merged EstimateAllAt(%d)[%d] = %v, want %v", tm, x, all[x], want)
+			want := math.Float64bits(old[x].EstimateAt(tm))
+			if math.Float64bits(all[x]) != want || math.Float64bits(allOver[x]) != want {
+				t.Fatalf("EstimateAllAt(%d)[%d]: merged %v, over %v, want %v", tm, x, all[x], allOver[x], old[x].EstimateAt(tm))
 			}
 		}
 	}
-	if !bytes.Equal(merged.MarshalState(), flat.MarshalState()) {
+	if !bytes.Equal(merged.MarshalState(), flat.MarshalState()) || !bytes.Equal(over.MarshalState(), flat.MarshalState()) {
 		t.Fatal("merged flat state differs from directly ingested flat state")
 	}
 
-	// A malformed merge must reject without modifying anything.
+	// A malformed matrix must be rejected without modifying anything.
 	before := merged.MarshalState()
-	u, p, s := old[0].Fold()
-	if err := merged.MergeRawItem(0, u, p[:1], s); err == nil {
-		t.Fatal("MergeRawItem accepted a short perOrder slice")
+	raw := perItemRaw(d, old)
+	if err := merged.MergeRaw(raw[:len(raw)-1]); err == nil {
+		t.Fatal("MergeRaw accepted a short matrix")
 	}
-	if err := merged.MergeRawItem(m+3, u, p, s); err == nil {
-		t.Fatal("MergeRawItem accepted an out-of-range item")
+	for _, bad := range []int{0, RawStride(d) + 2} { // a user count, a per-order count
+		raw := perItemRaw(d, old)
+		raw[bad] = -1
+		if err := merged.MergeRaw(raw); err == nil {
+			t.Fatalf("MergeRaw accepted a negative count at %d", bad)
+		}
+		if _, err := DomainShardedOver(d, m, flat.Scale(), raw); err == nil {
+			t.Fatalf("DomainShardedOver accepted a negative count at %d", bad)
+		}
 	}
 	if !bytes.Equal(before, merged.MarshalState()) {
 		t.Fatal("failed merges modified state")

@@ -216,11 +216,20 @@ func (s *Sharded) EstimateChange(l, r int) float64 {
 // sums across machines reproduces a single serial server bit for bit,
 // which merging scaled float answers would not.
 func (s *Sharded) Fold() (users int64, perOrder, sums []int64) {
-	perOrder = make([]int64, len(s.shards[0].perOrder))
-	sums = make([]int64, len(s.shards[0].sums))
+	row := make([]int64, RawStride(s.d))
+	s.FoldInto(row)
+	return SplitRaw(s.d, row)
+}
+
+// FoldInto overwrites one RawStride(d) row with the same raw state —
+// the Boolean accumulator is the one-row case of the raw counter
+// matrix.
+func (s *Sharded) FoldInto(row []int64) {
+	clear(row)
+	_, perOrder, sums := SplitRaw(s.d, row)
 	for i := range s.shards {
 		sh := &s.shards[i]
-		users += atomic.LoadInt64(&sh.users)
+		row[0] += atomic.LoadInt64(&sh.users)
 		for h := range sh.perOrder {
 			perOrder[h] += atomic.LoadInt64(&sh.perOrder[h])
 		}
@@ -228,7 +237,6 @@ func (s *Sharded) Fold() (users int64, perOrder, sums []int64) {
 			sums[f] += atomic.LoadInt64(&sh.sums[f])
 		}
 	}
-	return users, perOrder, sums
 }
 
 // MergeRaw folds raw accumulator state — a user count, per-order user

@@ -81,15 +81,16 @@ func TestDomainShardedVersionAdvances(t *testing.T) {
 	}
 	v2 := acc.Version()
 
-	users, perOrder, sums := acc.FoldItem(2)
+	raw := make([]int64, 4*RawStride(8))
+	acc.FoldInto(raw)
 	if v := acc.Version(); v != v2 {
-		t.Fatalf("FoldItem (a read) moved version: %d -> %d", v2, v)
+		t.Fatalf("FoldInto (a read) moved version: %d -> %d", v2, v)
 	}
-	if err := acc.MergeRawItem(2, users, perOrder, sums); err != nil {
-		t.Fatalf("MergeRawItem: %v", err)
+	if err := acc.MergeRaw(raw); err != nil {
+		t.Fatalf("MergeRaw: %v", err)
 	}
 	if v := acc.Version(); v <= v2 {
-		t.Fatalf("MergeRawItem did not advance version: %d -> %d", v2, v)
+		t.Fatalf("MergeRaw did not advance version: %d -> %d", v2, v)
 	}
 	v3 := acc.Version()
 

@@ -153,30 +153,74 @@ func TestEmptyBatchFlood(t *testing.T) {
 }
 
 // TestPendingBufferReleased checks that the decoder does not pin a
-// maximal batch's decode buffer for the lifetime of the connection.
+// large batch's decode buffer for the lifetime of the connection: after
+// a run of frames that leave it mostly unused — batches and scalars
+// alike, through NextBatch and Next — it is let go, and not before.
 func TestPendingBufferReleased(t *testing.T) {
-	big := testBatch(maxRetainedBatch + 1)
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.EncodeBatch(big); err != nil {
+	big := testBatch(2 * maxRetainedBatch)
+	for _, scalar := range []bool{false, true} {
+		var buf bytes.Buffer
+		enc := NewEncoder(&buf)
+		if err := enc.EncodeBatch(big); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < smallFramesToRelease+1; i++ {
+			var err error
+			if scalar {
+				err = enc.Encode(big[0])
+			} else {
+				err = enc.EncodeBatch(big[:4])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		dec := NewDecoder(&buf)
+		if ms, err := dec.NextBatch(); err != nil || len(ms) != len(big) {
+			t.Fatalf("big batch: got %d msgs, %v", len(ms), err)
+		}
+		// A frame's use is judged when the next one starts, so the buffer
+		// survives smallFramesToRelease small frames and goes with the
+		// one after.
+		for i := 0; i < smallFramesToRelease+1; i++ {
+			var err error
+			if scalar {
+				_, err = dec.Next()
+			} else {
+				_, err = dec.NextBatch()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if held := cap(dec.pending) > maxRetainedBatch; held != (i < smallFramesToRelease) {
+				t.Fatalf("scalar=%v: after small frame %d the big buffer is held=%v (cap %d)", scalar, i, held, cap(dec.pending))
+			}
+		}
+	}
+}
+
+// TestPendingBufferRetainedWhileUsed pins the other half: a stream of
+// batches above maxRetainedBatch reuses one decode buffer instead of
+// reallocating it on every frame.
+func TestPendingBufferRetainedWhileUsed(t *testing.T) {
+	frame, err := appendBatch(nil, testBatch(2*maxRetainedBatch))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.EncodeBatch(big[:4]); err != nil {
-		t.Fatal(err)
+	src := bytes.NewReader(nil)
+	dec := NewDecoder(src)
+	next := func() {
+		src.Reset(frame)
+		if ms, err := dec.NextBatch(); err != nil || len(ms) != 2*maxRetainedBatch {
+			t.Fatalf("got %d msgs, %v", len(ms), err)
+		}
 	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder(&buf)
-	if ms, err := dec.NextBatch(); err != nil || len(ms) != len(big) {
-		t.Fatalf("big batch: got %d msgs, %v", len(ms), err)
-	}
-	ms, err := dec.NextBatch()
-	if err != nil || len(ms) != 4 {
-		t.Fatalf("small batch: got %d msgs, %v", len(ms), err)
-	}
-	if cap(dec.pending) > maxRetainedBatch {
-		t.Fatalf("pending capacity %d retained past the %d cap", cap(dec.pending), maxRetainedBatch)
+	next() // sizes the buffer
+	if allocs := testing.AllocsPerRun(20, next); allocs != 0 {
+		t.Fatalf("steady %d-message frames allocate %v times per frame", 2*maxRetainedBatch, allocs)
 	}
 }
 

@@ -76,7 +76,26 @@ type BackendConn struct {
 	conn net.Conn
 	enc  *Encoder
 	dec  *Decoder
+	read int64 // bytes read off conn, see BytesRead
 }
+
+// backendReadBuffer sizes a backend connection's read buffer for what
+// it carries back: raw-sums frames of tens of kilobytes, which the
+// 4 KiB default that client-facing connections keep would take in
+// seventeen reads apiece.
+const backendReadBuffer = 64 << 10
+
+// Read counts what the decoder pulls off the connection.
+func (b *BackendConn) Read(p []byte) (int, error) {
+	n, err := b.conn.Read(p)
+	b.read += int64(n)
+	return n, err
+}
+
+// BytesRead returns the bytes read from the backend so far. The
+// connection is strict request/response, so the difference across a
+// FetchSums is that sums frame's wire size.
+func (b *BackendConn) BytesRead() int64 { return b.read }
 
 // SendBatch writes one batch frame (buffered until Flush).
 func (b *BackendConn) SendBatch(ms []Msg) error { return b.enc.EncodeBatch(ms) }
@@ -207,7 +226,9 @@ func dialBackend(addr string, o ClusterOptions) (*BackendConn, error) {
 			lastErr = err
 			continue
 		}
-		return &BackendConn{conn: conn, enc: NewEncoder(conn), dec: NewDecoder(conn)}, nil
+		bc := &BackendConn{conn: conn, enc: NewEncoder(conn)}
+		bc.dec = newDecoderSize(bc, backendReadBuffer)
+		return bc, nil
 	}
 	return nil, lastErr
 }

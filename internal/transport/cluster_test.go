@@ -61,7 +61,7 @@ func TestClusterClientBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.D != 16 || f.Items[0].Users != 1 {
+	if users, _, _ := f.Row(0); f.D != 16 || users != 1 {
 		t.Fatalf("bad sums frame %+v", f)
 	}
 	c.Release(0, bc, true)

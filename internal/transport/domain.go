@@ -13,9 +13,9 @@ import (
 
 // This file is the transport substrate of domain-valued tracking (the
 // richer-domain reduction): item-tagged ingest validation, the
-// variable-length answer frame for item-scoped queries, the per-item
-// raw-sums frame a cluster gateway ships between nodes. The exact and
-// hashed domain Modes (mode.go) are built from these.
+// variable-length answer frame for item-scoped queries. The exact and
+// hashed domain Modes (mode.go) are built from these; the raw-sums
+// frame a cluster gateway ships between nodes is in sums.go.
 // The scalar encodings of MsgDomainHello, MsgDomainReport,
 // MsgDomainQuery and MsgDomainSums live in transport.go beside the
 // Boolean ones, so domain messages batch, journal and replay through
@@ -307,195 +307,4 @@ func (d *Decoder) ReadDomainAnswer() (DomainAnswerFrame, error) {
 		a.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 	}
 	return a, nil
-}
-
-// ---------------------------------------------------------------------------
-// Per-item raw sums: the cluster's exactness carrier for domains.
-
-// ItemSums is one item's raw accumulator state inside a
-// DomainSumsFrame.
-type ItemSums struct {
-	Users    int64
-	PerOrder []int64
-	Sums     []int64
-}
-
-// DomainSumsFrame is the per-item raw accumulator state of one domain
-// backend: the horizon, domain size and Boolean estimator scale it was
-// accumulated under (checked on merge), plus every item's user count,
-// per-order counts and per-interval ±1 bit sums in flat dyadic-tree
-// order. Scale is the Boolean mechanism's; the per-item estimator scale
-// is m × Scale, computed identically everywhere, so merged raw integers
-// reproduce a single serial server's answers bit for bit.
-type DomainSumsFrame struct {
-	D, M  int
-	Scale float64
-	Items []ItemSums
-}
-
-// DomainSumsFromServer folds the live per-item accumulators into a
-// frame. Counters are loaded atomically; fence ingestion first (a query
-// round-trip on the same connection) when a consistent cut matters.
-func DomainSumsFromServer(ds *hh.DomainServer) DomainSumsFrame {
-	f := DomainSumsFrame{D: ds.D(), M: ds.M(), Scale: ds.BoolScale(), Items: make([]ItemSums, ds.M())}
-	for x := 0; x < ds.M(); x++ {
-		users, perOrder, sums := ds.FoldItem(x)
-		f.Items[x] = ItemSums{Users: users, PerOrder: perOrder, Sums: sums}
-	}
-	return f
-}
-
-// MergeInto folds the frame's raw per-item state into a domain server,
-// which must have the frame's horizon, domain size and Boolean scale.
-func (f DomainSumsFrame) MergeInto(ds *hh.DomainServer) error {
-	if f.D != ds.D() {
-		return fmt.Errorf("transport: domain sums frame has horizon d=%d, server has d=%d", f.D, ds.D())
-	}
-	if f.M != ds.M() {
-		return fmt.Errorf("transport: domain sums frame has m=%d items, server has m=%d", f.M, ds.M())
-	}
-	if f.Scale != ds.BoolScale() {
-		return fmt.Errorf("transport: domain sums frame has estimator scale %v, server has %v", f.Scale, ds.BoolScale())
-	}
-	if len(f.Items) != f.M {
-		return fmt.Errorf("transport: domain sums frame has %d item entries, header says %d", len(f.Items), f.M)
-	}
-	for x, it := range f.Items {
-		if err := ds.MergeRawItem(x, it.Users, it.PerOrder, it.Sums); err != nil {
-			return fmt.Errorf("transport: merging item %d: %w", x, err)
-		}
-	}
-	return nil
-}
-
-// validDomainDims checks the (d, m) header of a domain sums frame.
-func validDomainDims(d, m int) error {
-	if !dyadic.IsPow2(d) || d > MaxSumsD {
-		return fmt.Errorf("transport: domain sums frame horizon %d invalid (power of two, at most %d)", d, MaxSumsD)
-	}
-	if m < 2 || m > MaxDomainM {
-		return fmt.Errorf("transport: domain sums frame domain size %d outside [2..%d]", m, MaxDomainM)
-	}
-	if total := m * dyadic.TotalIntervals(d); total > MaxDomainSums {
-		return fmt.Errorf("transport: domain sums frame carries %d counters, over the %d limit", total, MaxDomainSums)
-	}
-	return nil
-}
-
-// EncodeDomainSums writes one MsgDomainSumsFrame response.
-func (e *Encoder) EncodeDomainSums(f DomainSumsFrame) error {
-	if err := validDomainDims(f.D, f.M); err != nil {
-		return err
-	}
-	if len(f.Items) != f.M {
-		return fmt.Errorf("transport: domain sums frame has %d item entries, header says %d", len(f.Items), f.M)
-	}
-	for x, it := range f.Items {
-		if it.Users < 0 {
-			return fmt.Errorf("transport: domain sums frame item %d has negative user count %d", x, it.Users)
-		}
-		if len(it.PerOrder) != dyadic.NumOrders(f.D) {
-			return fmt.Errorf("transport: domain sums frame item %d has %d per-order counts, want %d", x, len(it.PerOrder), dyadic.NumOrders(f.D))
-		}
-		if len(it.Sums) != dyadic.TotalIntervals(f.D) {
-			return fmt.Errorf("transport: domain sums frame item %d has %d interval sums, want %d", x, len(it.Sums), dyadic.TotalIntervals(f.D))
-		}
-	}
-	b := e.scratch[:0]
-	b = append(b, byte(MsgDomainSumsFrame), queryWireVersion)
-	b = binary.AppendUvarint(b, uint64(f.D))
-	b = binary.AppendUvarint(b, uint64(f.M))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Scale))
-	for _, it := range f.Items {
-		b = binary.AppendVarint(b, it.Users)
-		for _, v := range it.PerOrder {
-			b = binary.AppendVarint(b, v)
-		}
-		for _, v := range it.Sums {
-			b = binary.AppendVarint(b, v)
-		}
-	}
-	e.scratch = b[:0] // keep the grown buffer for the next frame
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
-}
-
-// ReadDomainSums decodes one MsgDomainSumsFrame. It must be called when
-// a domain sums frame is the next frame on the stream — after sending a
-// MsgDomainSums request — and fails on any other frame type. The
-// declared horizon and domain size are validated before any array is
-// allocated, and every array length is fully determined by them, so a
-// corrupt header cannot force a huge allocation.
-func (d *Decoder) ReadDomainSums() (DomainSumsFrame, error) {
-	if d.next < len(d.pending) {
-		return DomainSumsFrame{}, errors.New("transport: domain sums frame inside batch")
-	}
-	tb, err := d.r.ReadByte()
-	if err != nil {
-		return DomainSumsFrame{}, err // io.EOF passes through
-	}
-	if MsgType(tb) != MsgDomainSumsFrame {
-		return DomainSumsFrame{}, fmt.Errorf("transport: expected domain sums frame, got message type %d", tb)
-	}
-	ver, err := d.r.ReadByte()
-	if err != nil {
-		return DomainSumsFrame{}, truncated(err)
-	}
-	if ver != queryWireVersion {
-		return DomainSumsFrame{}, fmt.Errorf("transport: unsupported domain sums version %d", ver)
-	}
-	du, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return DomainSumsFrame{}, truncated(err)
-	}
-	mu, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return DomainSumsFrame{}, truncated(err)
-	}
-	if du > MaxSumsD || mu > MaxDomainM {
-		return DomainSumsFrame{}, fmt.Errorf("transport: domain sums frame dims d=%d m=%d out of bounds", du, mu)
-	}
-	f := DomainSumsFrame{D: int(du), M: int(mu)}
-	if err := validDomainDims(f.D, f.M); err != nil {
-		return DomainSumsFrame{}, err
-	}
-	var raw [8]byte
-	if _, err := io.ReadFull(d.r, raw[:]); err != nil {
-		return DomainSumsFrame{}, truncated(err)
-	}
-	f.Scale = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-	f.Items = make([]ItemSums, f.M)
-	for x := range f.Items {
-		it := ItemSums{
-			PerOrder: make([]int64, dyadic.NumOrders(f.D)),
-			Sums:     make([]int64, dyadic.TotalIntervals(f.D)),
-		}
-		it.Users, err = binary.ReadVarint(d.r)
-		if err != nil {
-			return DomainSumsFrame{}, truncated(err)
-		}
-		if it.Users < 0 {
-			return DomainSumsFrame{}, fmt.Errorf("transport: domain sums frame item %d has negative user count %d", x, it.Users)
-		}
-		for h := range it.PerOrder {
-			v, err := binary.ReadVarint(d.r)
-			if err != nil {
-				return DomainSumsFrame{}, truncated(err)
-			}
-			if v < 0 {
-				return DomainSumsFrame{}, fmt.Errorf("transport: domain sums frame item %d has negative count %d at order %d", x, v, h)
-			}
-			it.PerOrder[h] = v
-		}
-		for i := range it.Sums {
-			v, err := binary.ReadVarint(d.r)
-			if err != nil {
-				return DomainSumsFrame{}, truncated(err)
-			}
-			it.Sums[i] = v
-		}
-		f.Items[x] = it
-	}
-	return f, nil
 }

@@ -282,14 +282,14 @@ func TestDomainSumsCorruption(t *testing.T) {
 		t.Error("wrong frame type accepted")
 	}
 	// Encoder-side validation.
-	if err := enc.EncodeDomainSums(DomainSumsFrame{D: 16, M: 1}); err == nil {
+	if err := enc.EncodeDomainSums(RawSums{D: 16, M: 1}); err == nil {
 		t.Error("domain of one encoded")
 	}
-	if err := enc.EncodeDomainSums(DomainSumsFrame{D: 16, M: MaxDomainM + 1}); err == nil {
+	if err := enc.EncodeDomainSums(RawSums{D: 16, M: MaxDomainM + 1}); err == nil {
 		t.Error("oversized domain encoded")
 	}
 	f := DomainSumsFromServer(ds)
-	f.Items[0].Users = -1
+	f.Counters[0] = -1
 	if err := enc.EncodeDomainSums(f); err == nil {
 		t.Error("negative user count encoded")
 	}

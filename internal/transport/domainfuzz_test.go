@@ -159,12 +159,12 @@ func FuzzDomainQueryDecode(f *testing.F) {
 			t.Fatal("empty error message")
 		}
 		if s, err := NewDecoder(bytes.NewReader(data)).ReadDomainSums(); err == nil {
-			if s.M < 2 || s.M > MaxDomainM || len(s.Items) != s.M {
-				t.Fatalf("decoded invalid domain sums dims: m=%d items=%d", s.M, len(s.Items))
+			if s.M < 2 || s.M > MaxDomainM || len(s.Counters) != s.M*protocol.RawStride(s.D) {
+				t.Fatalf("decoded invalid domain sums dims: m=%d counters=%d", s.M, len(s.Counters))
 			}
-			for _, it := range s.Items {
-				if it.Users < 0 {
-					t.Fatalf("decoded negative user count %d", it.Users)
+			for x := 0; x < s.M; x++ {
+				if users, _, _ := s.Row(x); users < 0 {
+					t.Fatalf("decoded negative user count %d", users)
 				}
 			}
 		}

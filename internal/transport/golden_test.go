@@ -100,3 +100,60 @@ func TestWireGoldenBytes(t *testing.T) {
 		}
 	}
 }
+
+// Sums-frame bytes captured at the commit before the raw-sums path went
+// flat, from the same counters the sums fuzzers are seeded with: the
+// frame a gateway and its backends exchange is part of the wire
+// surface, and the in-memory layout behind it is not.
+const (
+	goldenSumsHex       = "0901100000000000000440d0050814066416a50f9e088709830181058a08b603f004e20d39e202338c0abf08e10990039f0cbf0ce70bc6018203eb0b8409c403ec09e30ea90e9506c9039a07c80c"
+	goldenDomainSumsHex = "0f0108030000000000000040020200000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000010000000000"
+)
+
+// goldenSumsFrames returns the two pinned frames' wire bytes, Boolean
+// then domain, freshly encoded.
+func goldenSumsFrames(t testing.TB) [2][]byte {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	if err := enc.EncodeDomainSums(DomainSumsFromServer(testFuzzDomainServer())); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return [2][]byte{encodeSumsBytes(testSumsFrame(16, 2.5, 21)), buf.Bytes()}
+}
+
+// TestSumsGoldenBytes pins both sums frames byte for byte, and checks
+// the pinned bytes decode to counters that encode back to themselves.
+func TestSumsGoldenBytes(t *testing.T) {
+	frames := goldenSumsFrames(t)
+	for i, want := range []string{goldenSumsHex, goldenDomainSumsHex} {
+		if got := hex.EncodeToString(frames[i]); got != want {
+			t.Errorf("sums frame %d changed:\n got  %s\n want %s", i, got, want)
+		}
+		raw, err := hex.DecodeString(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mode := Mode(BoolMode(16, 2.5))
+		if i == 1 {
+			mode = DomainMode(8, 3, 2)
+		}
+		f, err := mode.ReadSums(NewDecoder(bytes.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("sums frame %d: %v", i, err)
+		}
+		var back bytes.Buffer
+		enc := NewEncoder(&back)
+		if err := mode.EncodeSums(enc, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Bytes(), raw) {
+			t.Errorf("sums frame %d does not re-encode to its pinned bytes", i)
+		}
+	}
+}

@@ -91,6 +91,22 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 	).Observe(d.Seconds())
 }
 
+// ObserveGather records one completed scatter/gather round under the
+// benchmark ledger's layer names: gather_fetch_seconds is the fetch
+// phase (every backend's fenced sums round-trip, in parallel, up to the
+// last frame decoded) and gather_fold_seconds the merge of the frames
+// plus the construction of the state the answer is read from.
+func (m *ServerMetrics) ObserveGather(fetch, fold time.Duration) {
+	m.reg.Histogram("gather_fetch_seconds", obs.ExpBuckets(1e-5, 2, 20)).Observe(fetch.Seconds())
+	m.reg.Histogram("gather_fold_seconds", obs.ExpBuckets(1e-6, 2, 20)).Observe(fold.Seconds())
+}
+
+// CountSumsFrameBytes adds one fetched sums frame's wire size to
+// sums_frame_bytes_total.
+func (m *ServerMetrics) CountSumsFrameBytes(n int64) {
+	m.reg.Counter("sums_frame_bytes_total").Add(n)
+}
+
 // CountHedge records one hedged fetch: armed when the primary fetch
 // outlived the hedge delay, and won when the hedge connection answered
 // first.

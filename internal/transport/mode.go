@@ -2,7 +2,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
@@ -59,16 +58,20 @@ type Mode interface {
 	// ValidateRead range-checks one read frame.
 	ValidateRead(m Msg) error
 	// NewState builds an empty accumulator spread over the given number
-	// of counter shards (1 for a folded, read-only state).
+	// of counter shards.
 	NewState(shards int) State
+	// Fold adds gathered frames up element-wise — plain integer
+	// additions into the first, in frame order, refusing a frame
+	// accumulated under different parameters — and builds the read-only
+	// single-shard state that holds exactly the total by constructing it
+	// over that matrix, not by adding into a zeroed accumulator. The
+	// frames are consumed.
+	Fold(frames []RawSums) (State, error)
 	// ReadSums decodes the response to SumsRequest (or to a per-shard
 	// sums request, which every mode answers in the same frame).
 	ReadSums(d *Decoder) (RawSums, error)
 	// EncodeSums writes that response.
 	EncodeSums(e *Encoder, f RawSums) error
-	// MergeSums adds frames element-wise into one, refusing a frame
-	// accumulated under different parameters.
-	MergeSums(frames []RawSums) (RawSums, error)
 	// CheckMeta refuses a data directory written under a different
 	// domain size or encoding.
 	CheckMeta(meta persist.Meta) error
@@ -98,9 +101,6 @@ type State interface {
 	// Sums exports the raw counters. They are loaded atomically; fence
 	// ingestion first when a consistent cut matters.
 	Sums() RawSums
-	// Merge folds gathered raw counters in, frame by frame in the given
-	// order (integer addition: any order yields the same counters).
-	Merge(frames []RawSums) error
 	MarshalState() []byte
 	RestoreState(b []byte) error
 	Users() int
@@ -114,42 +114,6 @@ type AnswerScratch struct {
 	topK  TopKScratch
 }
 
-// RawSums is the raw accumulator state the fronts move between nodes,
-// in mode-neutral form: one row of counters per item or bucket, the
-// Boolean accumulator being the one-row case (M = 0). Only a Mode
-// converts it to and from its wire frame.
-type RawSums = DomainSumsFrame
-
-// rows is the frame's row count.
-func (f RawSums) rows() int { return max(f.M, 1) }
-
-// Equal compares two frames exactly — integer for integer. It is the
-// divergence test of a quorum read.
-func (f RawSums) Equal(o RawSums) bool {
-	if f.D != o.D || f.M != o.M || f.Scale != o.Scale || len(f.Items) != len(o.Items) {
-		return false
-	}
-	for x := range f.Items {
-		a, b := &f.Items[x], &o.Items[x]
-		if a.Users != b.Users || !equalInt64s(a.PerOrder, b.PerOrder) || !equalInt64s(a.Sums, b.Sums) {
-			return false
-		}
-	}
-	return true
-}
-
-func equalInt64s(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // dims are the parameters every mode shares: horizon, row parameter (0
 // for Boolean, m for exact, g for hashed) and the Boolean estimator
 // scale.
@@ -158,39 +122,36 @@ type dims struct {
 	scale float64
 }
 
-// MergeSums implements Mode for all three modes: exact element-wise
-// integer addition in frame order. Each frame's configuration is
-// checked here because this path answers straight from the raw frames,
-// without the fold whose Merge would otherwise catch a misconfigured
-// backend.
-func (p dims) MergeSums(frames []RawSums) (RawSums, error) {
-	out := RawSums{D: p.d, M: p.m, Scale: p.scale}
-	out.Items = make([]ItemSums, out.rows())
-	// One backing array for every row's counters, not two allocations
-	// per row.
-	orders, width := dyadic.NumOrders(p.d), dyadic.NumOrders(p.d)+dyadic.TotalIntervals(p.d)
-	flat := make([]int64, len(out.Items)*width)
-	for x := range out.Items {
-		row := flat[x*width : (x+1)*width : (x+1)*width]
-		out.Items[x] = ItemSums{PerOrder: row[:orders:orders], Sums: row[orders:]}
+// merge adds the frames' matrices into the first one's and returns it
+// (a zero matrix for no frames). Each frame's configuration is checked
+// here because the state built over the total never sees the frames.
+func (p dims) merge(frames []RawSums) ([]int64, error) {
+	n := max(p.m, 1) * protocol.RawStride(p.d)
+	if len(frames) == 0 {
+		return make([]int64, n), nil
 	}
+	total := frames[0].Counters
 	for i, f := range frames {
-		if f.D != p.d || f.M != p.m || f.Scale != p.scale || len(f.Items) != len(out.Items) {
-			return RawSums{}, fmt.Errorf("transport: sums frame %d has d=%d m=%d scale=%v (%d rows), configured d=%d m=%d scale=%v",
-				i, f.D, f.M, f.Scale, len(f.Items), p.d, p.m, p.scale)
+		if f.D != p.d || f.M != p.m || f.Scale != p.scale || len(f.Counters) != n {
+			return nil, fmt.Errorf("transport: sums frame %d has d=%d m=%d scale=%v (%d counters), configured d=%d m=%d scale=%v (%d counters)",
+				i, f.D, f.M, f.Scale, len(f.Counters), p.d, p.m, p.scale, n)
 		}
-		for x, it := range f.Items {
-			o := &out.Items[x]
-			o.Users += it.Users
-			for h, v := range it.PerOrder {
-				o.PerOrder[h] += v
-			}
-			for j, v := range it.Sums {
-				o.Sums[j] += v
+		if i > 0 {
+			for j, v := range f.Counters {
+				total[j] += v
 			}
 		}
 	}
-	return out, nil
+	return total, nil
+}
+
+// foldDomain is Fold's row accumulator for both domain modes.
+func (p dims) foldDomain(frames []RawSums) (*hh.DomainServer, error) {
+	total, err := p.merge(frames)
+	if err != nil {
+		return nil, err
+	}
+	return hh.DomainServerOver(p.d, p.m, p.scale, total)
 }
 
 // ---------------------------------------------------------------------------
@@ -232,24 +193,22 @@ func (p boolMode) NewState(shards int) State {
 	return boolState{protocol.NewSharded(p.d, p.scale, shards)}
 }
 
-func (boolMode) ReadSums(d *Decoder) (RawSums, error) {
-	f, err := d.ReadSums()
-	return f.raw(), err
+func (p boolMode) Fold(frames []RawSums) (State, error) {
+	total, err := p.merge(frames)
+	if err != nil {
+		return nil, err
+	}
+	acc := protocol.NewSharded(p.d, p.scale, 1)
+	if err := acc.MergeRaw(protocol.SplitRaw(p.d, total)); err != nil {
+		return nil, err
+	}
+	return boolState{acc}, nil
 }
 
-func (boolMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeSums(f.boolFrame()) }
+func (boolMode) ReadSums(d *Decoder) (RawSums, error)   { return d.readSums(MsgSumsFrame) }
+func (boolMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeSums(SumsFrame(f)) }
 
 func (boolMode) CheckMeta(persist.Meta) error { return nil }
-
-// raw is the frame as the one-row RawSums; boolFrame is its inverse.
-func (f SumsFrame) raw() RawSums {
-	return RawSums{D: f.D, Scale: f.Scale, Items: []ItemSums{{Users: f.Users, PerOrder: f.PerOrder, Sums: f.Sums}}}
-}
-
-func (f RawSums) boolFrame() SumsFrame {
-	it := f.Items[0]
-	return SumsFrame{D: f.D, Scale: f.Scale, Users: it.Users, PerOrder: it.PerOrder, Sums: it.Sums}
-}
 
 type boolState struct{ acc *protocol.Sharded }
 
@@ -284,19 +243,7 @@ func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, 
 	return false, false, err
 }
 
-func (s boolState) Sums() RawSums { return SumsFromSharded(s.acc).raw() }
-
-// Merge adds the frames up with plain integer additions first and folds
-// the total in once: the accumulator's own merge is an atomic add per
-// counter, which a quorum read over many shard frames would pay per
-// frame.
-func (s boolState) Merge(frames []RawSums) error {
-	total, err := dims{d: s.acc.D(), scale: s.acc.Scale()}.MergeSums(frames)
-	if err != nil {
-		return err
-	}
-	return total.boolFrame().MergeInto(s.acc)
-}
+func (s boolState) Sums() RawSums { return RawSums(SumsFromSharded(s.acc)) }
 
 func (s boolState) MarshalState() []byte        { return s.acc.MarshalState() }
 func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
@@ -336,6 +283,14 @@ func (p domainMode) NewState(shards int) State {
 	return domainState{hh.NewDomainServer(p.d, p.m, p.scale, shards)}
 }
 
+func (p domainMode) Fold(frames []RawSums) (State, error) {
+	ds, err := p.foldDomain(frames)
+	if err != nil {
+		return nil, err
+	}
+	return domainState{ds}, nil
+}
+
 func (domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
 func (domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
 
@@ -368,7 +323,7 @@ func (s domainState) AdvanceVersion(shard int) { s.ds.AdvanceVersion(shard) }
 
 func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	if m.Type != MsgDomainQuery {
-		return false, false, e.EncodeDomainSums(DomainSumsFromServer(s.ds))
+		return false, false, e.encodeLiveDomainSums(s.ds)
 	}
 	if hit, err = AnswerDomainQueryInto(s.ds, m, &sc.frame, &sc.topK); err != nil {
 		return false, false, err
@@ -378,16 +333,7 @@ func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 	return m.Kind == QueryTopK, hit, e.EncodeDomainAnswer(sc.frame)
 }
 
-func (s domainState) Sums() RawSums { return DomainSumsFromServer(s.ds) }
-func (s domainState) Merge(frames []RawSums) error {
-	for i, f := range frames {
-		if err := f.MergeInto(s.ds); err != nil {
-			return fmt.Errorf("merging sums frame %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
+func (s domainState) Sums() RawSums               { return DomainSumsFromServer(s.ds) }
 func (s domainState) MarshalState() []byte        { return s.ds.MarshalState() }
 func (s domainState) RestoreState(b []byte) error { return s.ds.RestoreState(b) }
 func (s domainState) Users() int                  { return s.ds.Users() }
@@ -441,6 +387,14 @@ func (p hashedMode) NewState(shards int) State {
 	return hashedState{domainState{hs.Inner()}, hs}
 }
 
+func (p hashedMode) Fold(frames []RawSums) (State, error) {
+	ds, err := p.foldDomain(frames)
+	if err != nil {
+		return nil, err
+	}
+	return hashedState{domainState{ds}, hh.HashedDomainServerOver(p.enc, ds)}, nil
+}
+
 func (hashedMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
 func (hashedMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
 
@@ -483,45 +437,28 @@ func (s hashedState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 // ---------------------------------------------------------------------------
 // Gathered sums.
 
-// Gathered is a completed gather: raw-sums frames in a fixed order (per
-// backend, per virtual shard) that answer every read frame of the mode.
-// A raw-sums request is answered by merging the frames (so fronts
-// stack); a shaped query folds them, at most once, into a fresh
-// single-shard state. Because the fold adds exact integers and the
-// estimator is a fixed linear function of them, the answer is
-// bit-for-bit a serial server's. Immutable after the gather, so any
-// number of connections may share one.
-type Gathered struct {
-	mode   Mode
-	frames []RawSums
+// Gathered is a completed gather: the raw-sums frames of every backend
+// or virtual shard folded into one read-only state, which answers every
+// read frame of the mode — a raw-sums request included, so fronts
+// stack. Because the fold adds exact integers and the estimator is a
+// fixed linear function of them, the answer is bit-for-bit a serial
+// server's. Immutable once built, so any number of connections may
+// share one.
+type Gathered struct{ st State }
 
-	foldOnce sync.Once // sums-only traffic never pays the fold
-	st       State
-	foldErr  error
-}
-
-// NewGathered wraps gathered frames.
-func NewGathered(mode Mode, frames []RawSums) *Gathered {
-	return &Gathered{mode: mode, frames: frames}
+// NewGathered folds gathered frames, given in a fixed order (per
+// backend, per virtual shard). It takes the frames over: see Mode.Fold.
+func NewGathered(mode Mode, frames []RawSums) (*Gathered, error) {
+	st, err := mode.Fold(frames)
+	if err != nil {
+		return nil, err
+	}
+	return &Gathered{st}, nil
 }
 
 // Answer implements Reader. The folded state's memo is private to this
 // gather, so it never reports as a cache.
 func (g *Gathered) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
-	if m.Type == g.mode.SumsRequest().Type {
-		merged, err := g.mode.MergeSums(g.frames)
-		if err != nil {
-			return false, false, err
-		}
-		return false, false, g.mode.EncodeSums(e, merged)
-	}
-	g.foldOnce.Do(func() {
-		g.st = g.mode.NewState(1)
-		g.foldErr = g.st.Merge(g.frames)
-	})
-	if g.foldErr != nil {
-		return false, false, g.foldErr
-	}
 	_, _, err = g.st.Answer(m, e, sc)
 	return false, false, err
 }

@@ -130,7 +130,11 @@ func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool,
 		frames[s] = st.Sums()
 	}
 	c.imu.RUnlock()
-	return NewGathered(c.mode, frames).Answer(m, e, sc)
+	g, err := NewGathered(c.mode, frames)
+	if err != nil {
+		return false, false, err
+	}
+	return g.Answer(m, e, sc)
 }
 
 // ShardSums exports one virtual shard's raw sums.

@@ -97,15 +97,14 @@ func TestShardMapEquivalence(t *testing.T) {
 		}
 	}
 
-	if g, w := sumsOf(t, sm, -1), SumsFromSharded(ref).raw(); !reflect.DeepEqual(g, w) {
+	if g, w := sumsOf(t, sm, -1), RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
 		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
 
 	// Per-shard frames re-merge to the same serial server.
 	merged := protocol.NewServer(d, scale)
 	for s := 0; s < S; s++ {
-		it := sumsOf(t, sm, s).Items[0]
-		if err := merged.MergeRaw(it.Users, it.PerOrder, it.Sums); err != nil {
+		if err := merged.MergeRaw(sumsOf(t, sm, s).Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -418,8 +417,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := f.Items[0]
-		if err := merged.MergeRaw(it.Users, it.PerOrder, it.Sums); err != nil {
+		if err := merged.MergeRaw(f.Row(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -432,7 +430,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := f, SumsFromSharded(ref).raw(); !reflect.DeepEqual(g, w) {
+	if g, w := f, RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
 		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
 	if err := bc.enc.Encode(QueryV2(QueryPoint, d/2, d/2)); err != nil {

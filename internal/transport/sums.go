@@ -4,48 +4,83 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"rtf/internal/dyadic"
+	"rtf/internal/hh"
 	"rtf/internal/protocol"
 )
 
 // This file carries raw accumulator state between cluster nodes: a
-// MsgSums request (a scalar message, see transport.go) is answered with
-// one SumsFrame holding the server's live per-interval bit sums and
-// user counts. The cluster gateway scatters the request to every
-// backend and folds the responses into a fresh protocol.Server with
-// MergeInto; because the estimator is a fixed linear function of these
-// integers, the merged server answers every query shape bit-for-bit
-// like a single serial server fed all the backends' reports — which
-// merging scaled float answers would not (float addition is not
-// associative).
+// raw-sums request (a scalar message, see transport.go) is answered
+// with one frame holding the node's live counters. The cluster gateway
+// scatters the request to every backend, adds the frames up and answers
+// from a state built over the total; because the estimator is a fixed
+// linear function of these integers, that state answers every query
+// shape bit-for-bit like a single serial server fed all the backends'
+// reports — which merging scaled float answers would not (float
+// addition is not associative).
 
 // MaxSumsD bounds the horizon a sums frame may declare, so a corrupt or
 // adversarial frame cannot force a huge allocation on decode (the frame
-// carries 2d−1 interval sums).
+// carries 2d−1 interval sums per row).
 const MaxSumsD = 1 << 20
 
-// SumsFrame is the raw accumulator state of one backend: the horizon
-// and estimator scale it was accumulated under (checked on merge, so
-// mismatched backends are rejected rather than silently mixed), the
-// registered-user count, the per-order user counts, and the
-// per-interval ±1 bit sums in flat dyadic-tree order.
-type SumsFrame struct {
-	D        int
+// RawSums is the raw accumulator state of one node in mode-neutral
+// form: the horizon, row parameter and Boolean estimator scale it was
+// accumulated under (checked on merge, so mismatched backends are
+// rejected rather than silently mixed), and one row-major counter
+// matrix with a row of protocol.RawStride(D) counters — user count,
+// per-order user counts, per-interval ±1 bit sums in flat dyadic-tree
+// order — per item or bucket. The Boolean accumulator is the one-row
+// case, M = 0. Counters appear on the wire in matrix order, so export,
+// encode, decode, merge and fold are each one pass over one slice.
+// Scale is the Boolean mechanism's; the per-item estimator scale is
+// m × Scale, computed identically everywhere, so merged raw integers
+// reproduce a single serial server's answers bit for bit.
+type RawSums struct {
+	D, M     int
 	Scale    float64
-	Users    int64
-	PerOrder []int64
-	Sums     []int64
+	Counters []int64
+}
+
+// SumsFrame is the Boolean node's RawSums: the same value under the
+// name whose MergeInto takes a Boolean accumulator.
+type SumsFrame RawSums
+
+// rows is the frame's row count.
+func (f RawSums) rows() int { return max(f.M, 1) }
+
+// Row returns row x's user count, per-order counts and interval sums.
+// The slices alias the frame.
+func (f RawSums) Row(x int) (users int64, perOrder, sums []int64) {
+	stride := protocol.RawStride(f.D)
+	return protocol.SplitRaw(f.D, f.Counters[x*stride:(x+1)*stride])
+}
+
+// Equal compares two frames exactly — integer for integer. It is the
+// divergence test of a quorum read.
+func (f RawSums) Equal(o RawSums) bool {
+	return f.D == o.D && f.M == o.M && f.Scale == o.Scale && slices.Equal(f.Counters, o.Counters)
 }
 
 // SumsFromSharded folds the live accumulator into a frame. Counters are
 // loaded atomically; fence ingestion first (a query round-trip on the
 // same connection) when a consistent cut matters.
 func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
-	users, perOrder, sums := acc.Fold()
-	return SumsFrame{D: acc.D(), Scale: acc.Scale(), Users: users, PerOrder: perOrder, Sums: sums}
+	f := SumsFrame{D: acc.D(), Scale: acc.Scale(), Counters: make([]int64, protocol.RawStride(acc.D()))}
+	acc.FoldInto(f.Counters)
+	return f
+}
+
+// DomainSumsFromServer folds the live counter matrix into a frame in
+// one pass per shard. Counters are loaded atomically; fence ingestion
+// first when a consistent cut matters.
+func DomainSumsFromServer(ds *hh.DomainServer) RawSums {
+	f := RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale(), Counters: make([]int64, ds.M()*protocol.RawStride(ds.D()))}
+	ds.FoldInto(f.Counters)
+	return f
 }
 
 // MergeInto folds the frame's raw state into a dyadic accumulator — a
@@ -62,33 +97,110 @@ func (f SumsFrame) MergeInto(acc interface {
 	if f.Scale != acc.Scale() {
 		return fmt.Errorf("transport: sums frame has estimator scale %v, server has %v", f.Scale, acc.Scale())
 	}
-	return acc.MergeRaw(f.Users, f.PerOrder, f.Sums)
+	if len(f.Counters) != protocol.RawStride(f.D) {
+		return fmt.Errorf("transport: sums frame has %d counters, want %d", len(f.Counters), protocol.RawStride(f.D))
+	}
+	return acc.MergeRaw(RawSums(f).Row(0))
 }
 
-// EncodeSums writes one MsgSumsFrame response.
-func (e *Encoder) EncodeSums(f SumsFrame) error {
+// MergeInto folds the frame's raw per-item state into a domain server,
+// which must have the frame's horizon, domain size and Boolean scale.
+func (f RawSums) MergeInto(ds *hh.DomainServer) error {
+	if f.D != ds.D() {
+		return fmt.Errorf("transport: domain sums frame has horizon d=%d, server has d=%d", f.D, ds.D())
+	}
+	if f.M != ds.M() {
+		return fmt.Errorf("transport: domain sums frame has m=%d items, server has m=%d", f.M, ds.M())
+	}
+	if f.Scale != ds.BoolScale() {
+		return fmt.Errorf("transport: domain sums frame has estimator scale %v, server has %v", f.Scale, ds.BoolScale())
+	}
+	return ds.MergeRaw(f.Counters)
+}
+
+// checkDims validates the header of a frame of the given wire type: a
+// Boolean frame has no row parameter, a domain frame an (d, m) pair
+// within the allocation bounds.
+func (f RawSums) checkDims(typ MsgType) error {
 	if !dyadic.IsPow2(f.D) || f.D > MaxSumsD {
 		return fmt.Errorf("transport: sums frame horizon %d invalid (power of two, at most %d)", f.D, MaxSumsD)
 	}
-	if f.Users < 0 {
-		return fmt.Errorf("transport: sums frame with negative user count %d", f.Users)
+	if typ == MsgSumsFrame {
+		if f.M != 0 {
+			return fmt.Errorf("transport: Boolean sums frame with %d rows", f.M)
+		}
+		return nil
 	}
-	if len(f.PerOrder) != dyadic.NumOrders(f.D) {
-		return fmt.Errorf("transport: sums frame has %d per-order counts, want %d", len(f.PerOrder), dyadic.NumOrders(f.D))
+	if f.M < 2 || f.M > MaxDomainM {
+		return fmt.Errorf("transport: domain sums frame domain size %d outside [2..%d]", f.M, MaxDomainM)
 	}
-	if len(f.Sums) != dyadic.TotalIntervals(f.D) {
-		return fmt.Errorf("transport: sums frame has %d interval sums, want %d", len(f.Sums), dyadic.TotalIntervals(f.D))
+	if total := f.M * dyadic.TotalIntervals(f.D); total > MaxDomainSums {
+		return fmt.Errorf("transport: domain sums frame carries %d counters, over the %d limit", total, MaxDomainSums)
 	}
-	b := e.scratch[:0]
-	b = append(b, byte(MsgSumsFrame), queryWireVersion)
+	return nil
+}
+
+// checkCounts rejects a negative user or per-order count in row x.
+func checkCounts(d, x int, row []int64) error {
+	users, perOrder, _ := protocol.SplitRaw(d, row)
+	if users < 0 {
+		return fmt.Errorf("transport: sums frame row %d has negative user count %d", x, users)
+	}
+	for h, c := range perOrder {
+		if c < 0 {
+			return fmt.Errorf("transport: sums frame row %d has negative count %d at order %d", x, c, h)
+		}
+	}
+	return nil
+}
+
+// EncodeSums writes one MsgSumsFrame response.
+func (e *Encoder) EncodeSums(f SumsFrame) error { return e.encodeSums(MsgSumsFrame, RawSums(f), nil) }
+
+// EncodeDomainSums writes one MsgDomainSumsFrame response.
+func (e *Encoder) EncodeDomainSums(f RawSums) error { return e.encodeSums(MsgDomainSumsFrame, f, nil) }
+
+// encodeLiveDomainSums writes a domain server's MsgDomainSumsFrame
+// straight from its live counters, a row at a time — the bytes of
+// EncodeDomainSums(DomainSumsFromServer(ds)) without the matrix in
+// between, which on a wide domain is megabytes per request.
+func (e *Encoder) encodeLiveDomainSums(ds *hh.DomainServer) error {
+	return e.encodeSums(MsgDomainSumsFrame, RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale()}, ds.FoldRowInto)
+}
+
+// encodeSums is the one sums-frame encoder: type and version bytes, the
+// horizon, the row count on a domain frame, the scale, then every
+// counter as a zigzag varint, row by row. The rows are those of
+// f.Counters, or, given live, whatever live writes for each row index.
+func (e *Encoder) encodeSums(typ MsgType, f RawSums, live func(x int, row []int64)) error {
+	if err := f.checkDims(typ); err != nil {
+		return err
+	}
+	stride := protocol.RawStride(f.D)
+	var row []int64
+	if live != nil {
+		row = make([]int64, stride)
+	} else if len(f.Counters) != f.rows()*stride {
+		return fmt.Errorf("transport: sums frame has %d counters, header says %d rows of %d", len(f.Counters), f.rows(), stride)
+	}
+	b := append(e.scratch[:0], byte(typ), queryWireVersion)
 	b = binary.AppendUvarint(b, uint64(f.D))
-	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Scale))
-	b = binary.AppendVarint(b, f.Users)
-	for _, v := range f.PerOrder {
-		b = binary.AppendVarint(b, v)
+	if typ == MsgDomainSumsFrame {
+		b = binary.AppendUvarint(b, uint64(f.M))
 	}
-	for _, v := range f.Sums {
-		b = binary.AppendVarint(b, v)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Scale))
+	for x := 0; x < f.rows(); x++ {
+		if live != nil {
+			live(x, row)
+		} else {
+			row = f.Counters[x*stride : (x+1)*stride]
+		}
+		if err := checkCounts(f.D, x, row); err != nil {
+			return err
+		}
+		for _, v := range row {
+			b = binary.AppendVarint(b, v)
+		}
 	}
 	e.scratch = b[:0] // keep the grown buffer for the next frame
 	n, err := e.w.Write(b)
@@ -98,66 +210,121 @@ func (e *Encoder) EncodeSums(f SumsFrame) error {
 
 // ReadSums decodes one MsgSumsFrame. It must be called when a sums
 // frame is the next frame on the stream — after sending a MsgSums
-// request — and fails on any other frame type. The declared horizon is
-// validated (power of two, bounded by MaxSumsD) before either array is
-// allocated, and the array lengths are fully determined by it, so a
-// corrupt length cannot force a huge allocation.
+// request — and fails on any other frame type.
 func (d *Decoder) ReadSums() (SumsFrame, error) {
+	f, err := d.readSums(MsgSumsFrame)
+	return SumsFrame(f), err
+}
+
+// ReadDomainSums decodes one MsgDomainSumsFrame, under the same
+// contract as ReadSums.
+func (d *Decoder) ReadDomainSums() (RawSums, error) { return d.readSums(MsgDomainSumsFrame) }
+
+// readSums is the one sums-frame decoder. The declared horizon and row
+// count are validated before the matrix is allocated, and its size is
+// fully determined by them, so a corrupt header cannot force a huge
+// allocation.
+func (d *Decoder) readSums(typ MsgType) (RawSums, error) {
 	if d.next < len(d.pending) {
-		return SumsFrame{}, errors.New("transport: sums frame inside batch")
+		return RawSums{}, errors.New("transport: sums frame inside batch")
 	}
 	tb, err := d.r.ReadByte()
 	if err != nil {
-		return SumsFrame{}, err // io.EOF passes through
+		return RawSums{}, err // io.EOF passes through
 	}
-	if MsgType(tb) != MsgSumsFrame {
-		return SumsFrame{}, fmt.Errorf("transport: expected sums frame, got message type %d", tb)
+	if MsgType(tb) != typ {
+		return RawSums{}, fmt.Errorf("transport: expected sums frame (type %d), got message type %d", typ, tb)
 	}
 	ver, err := d.r.ReadByte()
 	if err != nil {
-		return SumsFrame{}, truncated(err)
+		return RawSums{}, truncated(err)
 	}
 	if ver != queryWireVersion {
-		return SumsFrame{}, fmt.Errorf("transport: unsupported sums version %d", ver)
+		return RawSums{}, fmt.Errorf("transport: unsupported sums version %d", ver)
 	}
 	du, err := binary.ReadUvarint(d.r)
 	if err != nil {
-		return SumsFrame{}, truncated(err)
+		return RawSums{}, truncated(err)
 	}
-	if du > MaxSumsD || !dyadic.IsPow2(int(du)) {
-		return SumsFrame{}, fmt.Errorf("transport: sums frame horizon %d invalid (power of two, at most %d)", du, MaxSumsD)
+	var mu uint64
+	if typ == MsgDomainSumsFrame {
+		if mu, err = binary.ReadUvarint(d.r); err != nil {
+			return RawSums{}, truncated(err)
+		}
 	}
-	f := SumsFrame{D: int(du)}
-	var raw [8]byte
-	if _, err := io.ReadFull(d.r, raw[:]); err != nil {
-		return SumsFrame{}, truncated(err)
+	if du > MaxSumsD || mu > MaxDomainM {
+		return RawSums{}, fmt.Errorf("transport: sums frame dims d=%d m=%d out of bounds", du, mu)
 	}
-	f.Scale = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-	f.Users, err = binary.ReadVarint(d.r)
+	f := RawSums{D: int(du), M: int(mu)}
+	if err := f.checkDims(typ); err != nil {
+		return RawSums{}, err
+	}
+	raw, err := d.r.Peek(8)
 	if err != nil {
-		return SumsFrame{}, truncated(err)
+		return RawSums{}, truncated(err)
 	}
-	if f.Users < 0 {
-		return SumsFrame{}, fmt.Errorf("transport: sums frame with negative user count %d", f.Users)
-	}
-	f.PerOrder = make([]int64, dyadic.NumOrders(f.D))
-	for h := range f.PerOrder {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return SumsFrame{}, truncated(err)
+	f.Scale = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+	d.r.Discard(8)
+	stride := protocol.RawStride(f.D)
+	f.Counters = make([]int64, f.rows()*stride)
+	for x := 0; x < f.rows(); x++ {
+		row := f.Counters[x*stride : (x+1)*stride]
+		if err := d.readVarints(row); err != nil {
+			return RawSums{}, err
 		}
-		if v < 0 {
-			return SumsFrame{}, fmt.Errorf("transport: sums frame with negative count %d at order %d", v, h)
+		if err := checkCounts(f.D, x, row); err != nil {
+			return RawSums{}, err
 		}
-		f.PerOrder[h] = v
-	}
-	f.Sums = make([]int64, dyadic.TotalIntervals(f.D))
-	for i := range f.Sums {
-		v, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return SumsFrame{}, truncated(err)
-		}
-		f.Sums[i] = v
 	}
 	return f, nil
+}
+
+// readVarints decodes len(dst) zigzag varints into dst — value for
+// value, and failure for failure, what len(dst) binary.ReadVarint calls
+// would. It reads them in bulk out of the buffered window: one Peek and
+// one Discard per window instead of an interface call per byte,
+// single-byte values (nearly every counter) without any call, and
+// binary.ReadVarint only for a multi-byte value that the window's end
+// may cut short, which also performs the refill. It never asks the
+// stream for more than the values still owed need.
+func (d *Decoder) readVarints(dst []int64) error {
+	for len(dst) > 0 {
+		win, _ := d.r.Peek(d.r.Buffered())
+		used := 0
+		for len(dst) > 0 && used < len(win) {
+			// The run of single-byte values at the front of the window.
+			run := win[used:]
+			if len(run) > len(dst) {
+				run = run[:len(dst)]
+			}
+			n := 0
+			for n < len(run) && run[n] < 0x80 {
+				dst[n] = int64(run[n]>>1) ^ -int64(run[n]&1)
+				n++
+			}
+			used, dst = used+n, dst[n:]
+			if n == len(run) {
+				continue
+			}
+			if len(win)-used < binary.MaxVarintLen64 {
+				break
+			}
+			v, size := binary.Varint(win[used:])
+			if size <= 0 {
+				return errors.New("transport: varint overflows a 64-bit integer")
+			}
+			dst[0] = v
+			used, dst = used+size, dst[1:]
+		}
+		d.r.Discard(used)
+		if len(dst) > 0 {
+			v, err := binary.ReadVarint(d.r)
+			if err != nil {
+				return truncated(err)
+			}
+			dst[0] = v
+			dst = dst[1:]
+		}
+	}
+	return nil
 }

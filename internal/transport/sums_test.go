@@ -1,11 +1,16 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
@@ -16,18 +21,14 @@ import (
 // contents.
 func testSumsFrame(d int, scale float64, seed uint64) SumsFrame {
 	g := rng.New(seed, 13)
-	f := SumsFrame{
-		D:        d,
-		Scale:    scale,
-		Users:    int64(g.IntN(1000)),
-		PerOrder: make([]int64, dyadic.NumOrders(d)),
-		Sums:     make([]int64, dyadic.TotalIntervals(d)),
+	f := SumsFrame{D: d, Scale: scale, Counters: make([]int64, protocol.RawStride(d))}
+	_, perOrder, sums := RawSums(f).Row(0)
+	f.Counters[0] = int64(g.IntN(1000))
+	for h := range perOrder {
+		perOrder[h] = int64(g.IntN(100))
 	}
-	for h := range f.PerOrder {
-		f.PerOrder[h] = int64(g.IntN(100))
-	}
-	for i := range f.Sums {
-		f.Sums[i] = int64(g.IntN(2001)) - 1000 // sums go negative
+	for i := range sums {
+		sums[i] = int64(g.IntN(2001)) - 1000 // sums go negative
 	}
 	return f
 }
@@ -46,23 +47,7 @@ func encodeSumsBytes(f SumsFrame) []byte {
 	return buf.Bytes()
 }
 
-func framesEqual(a, b SumsFrame) bool {
-	if a.D != b.D || a.Scale != b.Scale || a.Users != b.Users ||
-		len(a.PerOrder) != len(b.PerOrder) || len(a.Sums) != len(b.Sums) {
-		return false
-	}
-	for i := range a.PerOrder {
-		if a.PerOrder[i] != b.PerOrder[i] {
-			return false
-		}
-	}
-	for i := range a.Sums {
-		if a.Sums[i] != b.Sums[i] {
-			return false
-		}
-	}
-	return true
-}
+func framesEqual(a, b SumsFrame) bool { return RawSums(a).Equal(RawSums(b)) }
 
 // TestSumsRoundTrip checks frames of several horizons survive the wire
 // bit-exactly, back to back on one stream.
@@ -71,7 +56,7 @@ func TestSumsRoundTrip(t *testing.T) {
 		testSumsFrame(1, 0.5, 1),
 		testSumsFrame(16, 2.25, 2),
 		testSumsFrame(1024, 100, 3),
-		{D: 4, Scale: 1, PerOrder: make([]int64, 3), Sums: make([]int64, 7)}, // all zero
+		{D: 4, Scale: 1, Counters: make([]int64, protocol.RawStride(4))}, // all zero
 	}
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
@@ -182,9 +167,10 @@ func TestSumsEncodeValidation(t *testing.T) {
 	for name, f := range map[string]func(SumsFrame) SumsFrame{
 		"horizon not a power of two": func(f SumsFrame) SumsFrame { f.D = 17; return f },
 		"horizon over the limit":     func(f SumsFrame) SumsFrame { f.D = MaxSumsD * 2; return f },
-		"negative user count":        func(f SumsFrame) SumsFrame { f.Users = -1; return f },
-		"short per-order counts":     func(f SumsFrame) SumsFrame { f.PerOrder = f.PerOrder[:2]; return f },
-		"short interval sums":        func(f SumsFrame) SumsFrame { f.Sums = f.Sums[:5]; return f },
+		"a row parameter":            func(f SumsFrame) SumsFrame { f.M = 2; return f },
+		"negative user count":        func(f SumsFrame) SumsFrame { f.Counters = append([]int64{-1}, f.Counters[1:]...); return f },
+		"negative per-order count":   func(f SumsFrame) SumsFrame { f.Counters = append([]int64{0, 0, -1}, f.Counters[3:]...); return f },
+		"short counters":             func(f SumsFrame) SumsFrame { f.Counters = f.Counters[:5]; return f },
 	} {
 		if err := enc.EncodeSums(f(good)); err == nil {
 			t.Errorf("encoder accepted a frame with %s", name)
@@ -275,11 +261,12 @@ func TestIngestServerAnswersSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.D != d || f.Scale != scale || f.Users != 1 {
+	users, perOrder, _ := RawSums(f).Row(0)
+	if f.D != d || f.Scale != scale || users != 1 {
 		t.Fatalf("bad frame header %+v", f)
 	}
-	if f.PerOrder[3] != 1 {
-		t.Fatalf("per-order counts %v, want order 3 = 1", f.PerOrder)
+	if perOrder[3] != 1 {
+		t.Fatalf("per-order counts %v, want order 3 = 1", perOrder)
 	}
 	want := protocol.NewServer(d, scale)
 	want.Register(3)
@@ -332,16 +319,14 @@ func FuzzSumsDecode(f *testing.F) {
 		if !dyadic.IsPow2(frame.D) || frame.D > MaxSumsD {
 			t.Fatalf("decoded invalid horizon %d", frame.D)
 		}
-		if frame.Users < 0 {
-			t.Fatalf("decoded negative user count %d", frame.Users)
+		if len(frame.Counters) != protocol.RawStride(frame.D) {
+			t.Fatalf("decoded %d counters for d=%d", len(frame.Counters), frame.D)
 		}
-		if len(frame.PerOrder) != dyadic.NumOrders(frame.D) {
-			t.Fatalf("decoded %d per-order counts for d=%d", len(frame.PerOrder), frame.D)
+		users, perOrder, _ := RawSums(frame).Row(0)
+		if users < 0 {
+			t.Fatalf("decoded negative user count %d", users)
 		}
-		if len(frame.Sums) != dyadic.TotalIntervals(frame.D) {
-			t.Fatalf("decoded %d interval sums for d=%d", len(frame.Sums), frame.D)
-		}
-		for h, c := range frame.PerOrder {
+		for h, c := range perOrder {
 			if c < 0 {
 				t.Fatalf("decoded negative count %d at order %d", c, h)
 			}
@@ -376,4 +361,107 @@ func FuzzSumsRoundTrip(f *testing.F) {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
 		}
 	})
+}
+
+// FuzzReadVarintsDifferential holds the bulk counter decoder to the
+// per-value decoder it replaced: on arbitrary bytes, readVarints and n
+// calls of binary.ReadVarint must produce the same values and leave the
+// stream at the same byte, or both fail. The bulk side runs over three
+// kinds of window — everything buffered, the smallest buffer bufio
+// offers (so multi-byte values straddle refills), and one byte per
+// read.
+func FuzzReadVarintsDifferential(f *testing.F) {
+	for _, frame := range goldenSumsFrames(f) {
+		f.Add(frame[11:], uint16(36)) // counters only (the longer header's length)
+	}
+	f.Add(binary.AppendVarint(binary.AppendVarint(nil, math.MaxInt64), math.MinInt64), uint16(2))          // 10-byte values
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00, 0x81, 0x80, 0x00}, uint16(2)) // overlong encodings
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, uint16(1))                   // overflows in the 10th byte
+	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, uint16(2))       // overflows past it
+	f.Add(append(bytes.Repeat([]byte{0x05}, 14), 0xe5, 0x8e, 0x26, 0x03), uint16(16))                      // value across a 16-byte refill
+	f.Add([]byte{0x01, 0x80}, uint16(2))                                                                   // cut inside a value
+	f.Fuzz(func(t *testing.T, data []byte, n uint16) {
+		count := int(n % 512)
+		ref := bufio.NewReader(bytes.NewReader(data))
+		want := make([]int64, count)
+		var wantErr error
+		for i := range want {
+			if want[i], wantErr = binary.ReadVarint(ref); wantErr != nil {
+				break
+			}
+		}
+		wantRest, _ := io.ReadAll(ref)
+		for name, dec := range map[string]*Decoder{
+			"buffered": NewDecoder(bytes.NewReader(data)),
+			"min":      newDecoderSize(bytes.NewReader(data), 16),
+			"one-byte": NewDecoder(iotest.OneByteReader(bytes.NewReader(data))),
+		} {
+			got := make([]int64, count)
+			err := dec.readVarints(got)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s: bulk error %v, per-value error %v", name, err, wantErr)
+			}
+			if err != nil {
+				continue
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: bulk %v, per-value %v", name, got, want)
+			}
+			if rest, _ := io.ReadAll(dec.r); !bytes.Equal(rest, wantRest) {
+				t.Fatalf("%s: bulk decode left %d bytes, per-value %d", name, len(rest), len(wantRest))
+			}
+		}
+	})
+}
+
+// TestSumsPathAllocs pins the flat path's allocation profile: serving a
+// frame costs one allocation (a row buffer) and decoding one (the
+// matrix), whatever the row count — and what is served is what
+// exporting the matrix and encoding it would have written.
+func TestSumsPathAllocs(t *testing.T) {
+	const d = 16
+	for _, m := range []int{4, 256} {
+		mode := DomainMode(d, m, 2)
+		st := mode.NewState(2)
+		st.Apply(0, []Msg{DomainHello(1, m-1, 2), FromDomainReport(m-1, protocol.Report{User: 1, Order: 2, J: 3, Bit: -1})})
+		var wire bytes.Buffer
+		enc := NewEncoder(&wire)
+		var sc AnswerScratch
+		export := func() {
+			wire.Reset()
+			if _, _, err := st.Answer(mode.SumsRequest(), enc, &sc); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		export() // sizes the encoder's buffer
+		var viaMatrix bytes.Buffer
+		enc2 := NewEncoder(&viaMatrix)
+		if err := enc2.EncodeDomainSums(st.Sums()); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc2.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wire.Bytes(), viaMatrix.Bytes()) {
+			t.Fatalf("m=%d: the served frame differs from the encoded export", m)
+		}
+		if allocs := testing.AllocsPerRun(10, export); allocs != 1 {
+			t.Errorf("m=%d: exporting and encoding a frame allocates %v times, want 1", m, allocs)
+		}
+		frame := append([]byte(nil), wire.Bytes()...)
+		src := bytes.NewReader(nil)
+		dec := NewDecoder(src)
+		allocs := testing.AllocsPerRun(10, func() {
+			src.Reset(frame)
+			if _, err := mode.ReadSums(dec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("m=%d: decoding a frame allocates %v times, want 1", m, allocs)
+		}
+	}
 }

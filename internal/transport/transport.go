@@ -52,7 +52,7 @@ const (
 	MsgDomainQuery     MsgType = 12 // versioned item-scoped query frame
 	MsgDomainAnswer    MsgType = 13 // response: items and/or values (DomainAnswerFrame)
 	MsgDomainSums      MsgType = 14 // gateway asks for the per-item raw sums
-	MsgDomainSumsFrame MsgType = 15 // response: per-item raw state (DomainSumsFrame)
+	MsgDomainSumsFrame MsgType = 15 // response: per-item raw state (a multi-row RawSums)
 
 	// Overload-aware ingest: an acknowledged batch frame carries only
 	// ingest messages and is answered — in order, one ack per frame —
@@ -202,7 +202,7 @@ func DomainQuery(kind QueryKind, item, l, r, k int) Msg {
 }
 
 // DomainSums constructs a per-item raw-sums request: the server answers
-// with one DomainSumsFrame carrying every item's live accumulator
+// with one MsgDomainSumsFrame carrying every item's live accumulator
 // state. The cluster gateway scatters this to every backend and merges
 // the responses.
 func DomainSums() Msg {
@@ -221,7 +221,7 @@ func HashedDomainHello(user, bucket, order int, seed uint64) Msg {
 // HashedDomainSums constructs a per-bucket raw-sums request carrying
 // the requester's full encoding parameters: catalogue size m (in Item),
 // bucket count g (in K) and the epoch hash seed. The server answers
-// with one ordinary DomainSumsFrame over its g bucket rows — but only
+// with one ordinary MsgDomainSumsFrame over its g bucket rows — but only
 // after checking all three parameters match its own encoding, so two
 // deployments hashing differently can never silently merge counters.
 func HashedDomainSums(m, g int, seed uint64) Msg {
@@ -229,8 +229,8 @@ func HashedDomainSums(m, g int, seed uint64) Msg {
 }
 
 // ShardSums constructs a per-virtual-shard raw-sums request: a
-// membership-mode server answers with one SumsFrame (Boolean) or
-// DomainSumsFrame (domain) scoped to that shard's accumulator. The
+// membership-mode server answers with one MsgSumsFrame (Boolean) or
+// MsgDomainSumsFrame (domain) scoped to that shard's accumulator. The
 // member gateway scatters these to a quorum of the shard's replicas
 // and compares the exact integer counters.
 func ShardSums(shard int) Msg {
@@ -489,6 +489,9 @@ type Decoder struct {
 	// transparently unbatch; NextBatch reuses the same backing array.
 	pending []Msg
 	next    int
+	// small counts consecutive frames that left an oversized pending
+	// buffer mostly unused, see maxRetainedBatch.
+	small int
 
 	// acked records whether the most recently decoded batch frame was a
 	// MsgBatchAcked (the server owes its sender exactly one BatchAck).
@@ -505,8 +508,10 @@ type Decoder struct {
 }
 
 // NewDecoder wraps a reader.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReader(r)}
+func NewDecoder(r io.Reader) *Decoder { return newDecoderSize(r, 4096) }
+
+func newDecoderSize(r io.Reader, size int) *Decoder {
+	return &Decoder{r: bufio.NewReaderSize(r, size)}
 }
 
 // Next decodes one scalar message. Batch frames are unbatched
@@ -557,11 +562,18 @@ func (d *Decoder) NextBatch() ([]Msg, error) {
 	}
 }
 
-// maxRetainedBatch caps the capacity of the pending buffer a Decoder
-// keeps between frames: one maximal batch (MaxBatchLen messages, tens
-// of megabytes decoded) must not stay pinned for the connection's
-// lifetime.
-const maxRetainedBatch = 1 << 12
+// maxRetainedBatch is the capacity up to which a Decoder keeps its
+// pending buffer unconditionally. A larger one — one maximal batch is
+// MaxBatchLen messages, tens of megabytes decoded — must not stay pinned
+// for the connection's lifetime, but neither may it be dropped while
+// the stream still fills it, or every frame of a sender whose batches
+// exceed this size would reallocate it: it is released after
+// smallFramesToRelease consecutive frames that each used under a
+// quarter of it.
+const (
+	maxRetainedBatch     = 1 << 12
+	smallFramesToRelease = 32
+)
 
 // AckedBatch reports whether the most recent frame decoded by NextBatch
 // was an acknowledged batch (MsgBatchAcked): the peer is waiting for
@@ -572,9 +584,16 @@ func (d *Decoder) AckedBatch() bool { return d.acked }
 // acked) it fills d.pending with the inner messages and returns a Msg
 // with Type MsgBatch; otherwise it returns the scalar message.
 func (d *Decoder) scalarOrBatch() (Msg, error) {
-	if cap(d.pending) > maxRetainedBatch {
-		d.pending = nil // release an oversized buffer from a past batch
+	// Both callers have consumed pending; its length is what the last
+	// frame needed.
+	if c := cap(d.pending); c > maxRetainedBatch {
+		if len(d.pending) >= c/4 {
+			d.small = 0
+		} else if d.small++; d.small == smallFramesToRelease {
+			d.pending, d.small = nil, 0
+		}
 	}
+	d.pending, d.next = d.pending[:0], 0
 	tb, err := d.r.ReadByte()
 	if err != nil {
 		return Msg{}, err // io.EOF passes through
@@ -614,8 +633,6 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 		// (the encoder refuses to produce one).
 		return Msg{}, errors.New("transport: empty acked batch")
 	}
-	d.pending = d.pending[:0]
-	d.next = 0
 	for i := uint64(0); i < n; {
 		// Fast path: decode every fully buffered message straight out of
 		// the buffered window in one tight loop — one Peek and one
