@@ -364,6 +364,41 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
 
+// servedIngest is what rtf-serve's frame loop does with a connection's
+// ingest frames: decode a frame, validate it once, and hand the store's
+// trusted entry the run together with the bytes it arrived as.
+func servedIngest(st transport.Store, shard int, stream []byte) error {
+	dec := transport.NewDecoder(bytes.NewReader(stream))
+	for {
+		ms, err := dec.NextBatch()
+		if err != nil {
+			return nil // end of stream
+		}
+		if err := st.Mode().ValidateIngest(ms); err != nil {
+			return err
+		}
+		if err := st.Apply(shard, ms, dec.Wire(0, len(ms))); err != nil {
+			return err
+		}
+	}
+}
+
+// reencodedIngest is the store's other entry, SendBatch, as WAL replay
+// and the benchmark ladder's journal rung call it: the run comes without
+// wire bytes, so a durable store encodes it before journaling.
+func reencodedIngest(st transport.Store, shard int, stream []byte) error {
+	dec := transport.NewDecoder(bytes.NewReader(stream))
+	for {
+		ms, err := dec.NextBatch()
+		if err != nil {
+			return nil // end of stream
+		}
+		if err := st.SendBatch(shard, ms); err != nil {
+			return err
+		}
+	}
+}
+
 // BenchmarkIngestBatchedSharded is the rtf-serve data path: per-stream
 // goroutines decode batch frames and fan them into the lock-free
 // sharded accumulator through the ShardedCollector. With GOMAXPROCS ≥
@@ -390,16 +425,8 @@ func BenchmarkIngestBatchedSharded(b *testing.B) {
 					wg.Add(1)
 					go func(s int) {
 						defer wg.Done()
-						dec := transport.NewDecoder(bytes.NewReader(streams[s]))
-						for {
-							ms, err := dec.NextBatch()
-							if err != nil {
-								return
-							}
-							if err := col.SendBatch(s, ms); err != nil {
-								b.Error(err)
-								return
-							}
+						if err := servedIngest(col, s, streams[s]); err != nil {
+							b.Error(err)
 						}
 					}(s)
 				}
@@ -411,10 +438,11 @@ func BenchmarkIngestBatchedSharded(b *testing.B) {
 }
 
 // benchDurableIngest runs the batched sharded ingest workload of
-// BenchmarkIngestBatchedSharded through a DurableCollector opened with
-// the given persistence options: four concurrent streams, every batch
-// journaled before it is applied.
-func benchDurableIngest(b *testing.B, o transport.DurableOptions) {
+// BenchmarkIngestBatchedSharded through a durable store opened with the
+// given persistence options: four concurrent streams, every batch
+// journaled before it is applied, through the given entry (servedIngest
+// or reencodedIngest).
+func benchDurableIngest(b *testing.B, o transport.DurableOptions, ingest func(transport.Store, int, []byte) error) {
 	const shards = 4
 	streams := encodeIngestStreams(b, shards, true)
 	var total int64
@@ -437,16 +465,8 @@ func benchDurableIngest(b *testing.B, o transport.DurableOptions) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				dec := transport.NewDecoder(bytes.NewReader(streams[s]))
-				for {
-					ms, err := dec.NextBatch()
-					if err != nil {
-						return
-					}
-					if err := col.SendBatch(s, ms); err != nil {
-						b.Error(err)
-						return
-					}
+				if err := ingest(col, s, streams[s]); err != nil {
+					b.Error(err)
 				}
 			}(s)
 		}
@@ -459,10 +479,13 @@ func benchDurableIngest(b *testing.B, o transport.DurableOptions) {
 // BenchmarkIngestDurableWAL measures the write-ahead-logging overhead
 // on the rtf-serve data path: the same batched sharded ingestion as
 // BenchmarkIngestBatchedSharded, but every batch is journaled through a
-// DurableCollector (no fsync — the kill -9 durability level) before it
-// is applied.
+// durable store (no fsync — the kill -9 durability level) before it is
+// applied. served journals each frame's received bytes, as rtf-serve
+// does; reencode is SendBatch, which has no wire bytes and encodes the
+// run first.
 func BenchmarkIngestDurableWAL(b *testing.B) {
-	benchDurableIngest(b, transport.DurableOptions{})
+	b.Run("served", func(b *testing.B) { benchDurableIngest(b, transport.DurableOptions{}, servedIngest) })
+	b.Run("reencode", func(b *testing.B) { benchDurableIngest(b, transport.DurableOptions{}, reencodedIngest) })
 }
 
 // BenchmarkIngestGroupCommit measures what WAL group commit buys on the
@@ -477,13 +500,13 @@ func BenchmarkIngestDurableWAL(b *testing.B) {
 func BenchmarkIngestGroupCommit(b *testing.B) {
 	const interval = 20 * time.Microsecond
 	b.Run("fsync-direct", func(b *testing.B) {
-		benchDurableIngest(b, transport.DurableOptions{Fsync: true})
+		benchDurableIngest(b, transport.DurableOptions{Fsync: true}, servedIngest)
 	})
 	b.Run("fsync-group", func(b *testing.B) {
-		benchDurableIngest(b, transport.DurableOptions{Fsync: true, GroupCommitInterval: interval})
+		benchDurableIngest(b, transport.DurableOptions{Fsync: true, GroupCommitInterval: interval}, servedIngest)
 	})
 	b.Run("kill9-group", func(b *testing.B) {
-		benchDurableIngest(b, transport.DurableOptions{GroupCommitInterval: interval})
+		benchDurableIngest(b, transport.DurableOptions{GroupCommitInterval: interval}, servedIngest)
 	})
 }
 

@@ -19,7 +19,8 @@
 //
 // The aggregation service is durable: rtf/internal/persist provides a
 // segmented write-ahead log and checksummed snapshot files, the
-// transport layer journals every ingested frame before applying it
+// transport layer journals every ingested frame — the bytes it
+// received, not a re-encoding of what it decoded — before applying it
 // (transport.Durable), and mechanisms expose their server state through
 // the ldp Snapshotter/Restorer capability, so a crashed rtf-serve
 // restarts from snapshot + WAL replay answering every query bit-for-bit

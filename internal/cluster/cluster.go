@@ -309,8 +309,9 @@ func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Durati
 // applied, and only the client — which sees its connection die, exactly
 // as when a single server crashes — can decide what to re-send. A batch
 // is only guaranteed applied once a later read round-trips on the same
-// session.
-func (s *session) Apply(ms []transport.Msg) error {
+// session. The run's wire bytes are unused: it is re-partitioned and
+// re-encoded per backend.
+func (s *session) Apply(ms []transport.Msg, _ []byte) error {
 	// Bump the epoch before anything is written: once a sub-batch is on
 	// the wire its reports may land at any later moment, so no gather
 	// whose stamp predates this forward may be served as exact again.

@@ -624,8 +624,8 @@ func (s *memberSession) quorumGather() ([]transport.RawSums, error) {
 // Apply ships one run of ingest messages under the shared view lock:
 // Reshard cannot interleave with a run, so a run forwards under exactly
 // one epoch (and its copies are fenced before any snapshot of them is
-// cut).
-func (s *memberSession) Apply(run []transport.Msg) error {
+// cut). The run's wire bytes are unused: forward re-encodes per member.
+func (s *memberSession) Apply(run []transport.Msg, _ []byte) error {
 	g := s.g
 	g.vmu.RLock()
 	defer g.vmu.RUnlock()

@@ -36,10 +36,11 @@ type GroupCommitter struct {
 	bufs [][]byte  // payload slices for AppendBatch, reused (loop-owned)
 }
 
-// groupEntry is one caller's pending append: the payload to journal,
-// the result slots, and a one-slot channel the committer signals when
-// the group holding the entry has committed or failed. Signaling by
-// send (not close) keeps the channel — and the entry — reusable.
+// groupEntry is one caller's pending append: its own copy of the payload
+// to journal (the buffer is recycled with the entry), the result slots,
+// and a one-slot channel the committer signals when the group holding
+// the entry has committed or failed. Signaling by send (not close) keeps
+// the channel — and the entry — reusable.
 type groupEntry struct {
 	payload []byte
 	seq     uint64
@@ -67,21 +68,24 @@ func NewGroupCommitter(wal *WAL, interval time.Duration) *GroupCommitter {
 // ErrCommitterClosed rejects commits after Close.
 var ErrCommitterClosed = errors.New("persist: group committer closed")
 
-// Commit journals payload as one WAL record inside the next group and
-// blocks until that group has committed, returning the record's
-// sequence number. The payload must stay untouched until Commit
-// returns. Safe for concurrent use; the steady state allocates
-// nothing (entries and queues are recycled).
-func (c *GroupCommitter) Commit(payload []byte) (uint64, error) {
+// Commit journals one WAL record — its payload is the given parts back
+// to back, as for WAL.Append — inside the next group and blocks until
+// that group has committed, returning the record's sequence number. The
+// parts are copied before the entry is queued. Safe for concurrent use;
+// the steady state allocates nothing (entries, their payload buffers
+// and the queues are recycled).
+func (c *GroupCommitter) Commit(parts ...[]byte) (uint64, error) {
 	e, _ := c.pool.Get().(*groupEntry)
 	if e == nil {
 		e = &groupEntry{done: make(chan struct{}, 1)}
 	}
-	e.payload = payload
+	e.payload = e.payload[:0]
+	for _, p := range parts {
+		e.payload = append(e.payload, p...)
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		e.payload = nil
 		c.pool.Put(e)
 		return 0, ErrCommitterClosed
 	}
@@ -93,7 +97,7 @@ func (c *GroupCommitter) Commit(payload []byte) (uint64, error) {
 	}
 	<-e.done
 	seq, err := e.seq, e.err
-	e.payload, e.seq, e.err = nil, 0, nil
+	e.seq, e.err = 0, nil
 	c.pool.Put(e)
 	return seq, err
 }
@@ -164,7 +168,7 @@ func (c *GroupCommitter) commit(q []*groupEntry) {
 	}
 	first, err := c.wal.AppendBatch(c.bufs)
 	for i := range c.bufs {
-		c.bufs[i] = nil // don't pin payload buffers until the next group
+		c.bufs[i] = nil // the buffers go back to their callers with the entries
 	}
 	for i, e := range q {
 		if err == nil {

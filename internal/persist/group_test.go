@@ -83,7 +83,8 @@ func TestGroupCommitterConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				payload := fmt.Sprintf("w%d-%d", wr, i)
-				seq, err := gc.Commit([]byte(payload))
+				// In two parts: the record is their concatenation.
+				seq, err := gc.Commit([]byte(payload[:2]), []byte(payload[2:]))
 				if err != nil {
 					t.Errorf("Commit: %v", err)
 					return

@@ -34,13 +34,18 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 	want := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma gamma")}
 	for i, p := range want {
-		seq, err := w.Append(p)
+		// A payload handed over in parts is the record of their
+		// concatenation.
+		seq, err := w.Append(p[:i], p[i:])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if seq != uint64(i+1) {
 			t.Fatalf("append %d: seq %d", i, seq)
 		}
+	}
+	if fi, err := os.Stat(segPath(dir, 1)); err != nil || fi.Size() != w.AppendedBytes() {
+		t.Fatalf("AppendedBytes = %d, segment on disk: %v, %v", w.AppendedBytes(), fi, err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

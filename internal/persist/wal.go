@@ -40,6 +40,7 @@ type WAL struct {
 	f      *os.File
 	size   int64
 	last   uint64 // last assigned sequence number
+	wrote  int64  // bytes written to segment files since open
 	buf    []byte // scratch for record assembly
 	crc    *crc32Scratch
 	close  bool
@@ -135,49 +136,37 @@ func (w *WAL) LastSeq() uint64 {
 	return w.last
 }
 
-// Append assigns the next sequence number to payload and writes the
-// record in one write call, rotating segments at the size threshold.
-// With Fsync the segment is synced before Append returns; without it
-// the record still survives process death (it is in the page cache),
-// just not power loss.
-func (w *WAL) Append(payload []byte) (uint64, error) {
-	if len(payload) > MaxRecordLen {
-		return 0, fmt.Errorf("persist: record of %d bytes exceeds limit %d", len(payload), MaxRecordLen)
+// AppendedBytes returns the bytes this WAL has written to segment files
+// since it was opened: record headers, payloads and segment headers.
+func (w *WAL) AppendedBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.wrote
+}
+
+// Append assigns the next sequence number to one record — its payload
+// is the given parts back to back — and writes it in one write call,
+// rotating segments at the size threshold. The parts are copied before
+// Append returns. With Fsync the segment is synced before Append
+// returns; without it the record still survives process death (it is in
+// the page cache), just not power loss.
+func (w *WAL) Append(parts ...[]byte) (uint64, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > MaxRecordLen {
+		return 0, fmt.Errorf("persist: record of %d bytes exceeds limit %d", n, MaxRecordLen)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.close {
-		return 0, fmt.Errorf("persist: append to closed WAL")
-	}
-	if w.broken != nil {
-		return 0, fmt.Errorf("persist: WAL disabled after unrecoverable append failure: %w", w.broken)
-	}
-	if w.f == nil || w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return 0, err
-		}
+	if err := w.readyLocked(); err != nil {
+		return 0, err
 	}
 	seq := w.last + 1
-	b := w.buf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = binary.LittleEndian.AppendUint32(b, w.crc.sum(seq, payload))
-	b = binary.LittleEndian.AppendUint64(b, seq)
-	b = append(b, payload...)
-	w.buf = b[:0]
-	if _, err := w.f.Write(b); err != nil {
-		w.undoPartialLocked(err)
-		return 0, fmt.Errorf("persist: appending record %d: %w", seq, err)
+	if err := w.commitLocked(w.appendRecord(w.buf[:0], seq, parts...), seq, seq); err != nil {
+		return 0, err
 	}
-	if w.opts.Fsync {
-		if err := w.f.Sync(); err != nil {
-			// The record is written but not durable; remove it so the
-			// sequence is not consumed by a record we cannot vouch for.
-			w.undoPartialLocked(err)
-			return 0, fmt.Errorf("persist: syncing record %d: %w", seq, err)
-		}
-	}
-	w.last = seq
-	w.size += int64(len(b))
 	return seq, nil
 }
 
@@ -200,47 +189,89 @@ func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.close {
-		return 0, fmt.Errorf("persist: append to closed WAL")
-	}
-	if w.broken != nil {
-		return 0, fmt.Errorf("persist: WAL disabled after unrecoverable append failure: %w", w.broken)
-	}
 	if len(payloads) == 0 {
-		return w.last + 1, nil
-	}
-	if w.f == nil || w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
+		if err := w.usableLocked(); err != nil {
 			return 0, err
 		}
+		return w.last + 1, nil
+	}
+	if err := w.readyLocked(); err != nil {
+		return 0, err
 	}
 	first := w.last + 1
 	seq := w.last
 	b := w.buf[:0]
 	for _, p := range payloads {
 		seq++
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
-		b = binary.LittleEndian.AppendUint32(b, w.crc.sum(seq, p))
-		b = binary.LittleEndian.AppendUint64(b, seq)
+		b = w.appendRecord(b, seq, p)
+	}
+	if err := w.commitLocked(b, first, seq); err != nil {
+		return 0, err
+	}
+	return first, nil
+}
+
+// usableLocked refuses appends to a closed or broken log.
+func (w *WAL) usableLocked() error {
+	if w.close {
+		return fmt.Errorf("persist: append to closed WAL")
+	}
+	if w.broken != nil {
+		return fmt.Errorf("persist: WAL disabled after unrecoverable append failure: %w", w.broken)
+	}
+	return nil
+}
+
+// readyLocked makes the log ready for one write: usable, with an active
+// segment below the rotation threshold.
+func (w *WAL) readyLocked() error {
+	if err := w.usableLocked(); err != nil {
+		return err
+	}
+	if w.f == nil || w.size >= w.opts.SegmentBytes {
+		return w.rotateLocked()
+	}
+	return nil
+}
+
+var zeroRecordHeader [recordHeaderLen]byte
+
+// appendRecord frames one record onto b: the header, then the payload
+// parts back to back. The checksum is taken over the assembled copy, so
+// each part is read exactly once and need not outlive the call.
+func (w *WAL) appendRecord(b []byte, seq uint64, parts ...[]byte) []byte {
+	at := len(b)
+	b = append(b, zeroRecordHeader[:]...)
+	for _, p := range parts {
 		b = append(b, p...)
 	}
+	payload := b[at+recordHeaderLen:]
+	binary.LittleEndian.PutUint32(b[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[at+4:], w.crc.sum(seq, payload))
+	binary.LittleEndian.PutUint64(b[at+8:], seq)
+	return b
+}
+
+// commitLocked writes the assembled records first..last in one write
+// call (and, with Fsync, one sync) and only then advances the log. A
+// failed write or sync truncates the partial bytes away, so the sequence
+// numbers are not consumed by records the log cannot vouch for.
+func (w *WAL) commitLocked(b []byte, first, last uint64) error {
 	w.buf = b[:0]
 	if _, err := w.f.Write(b); err != nil {
 		w.undoPartialLocked(err)
-		return 0, fmt.Errorf("persist: appending records %d..%d: %w", first, seq, err)
+		return fmt.Errorf("persist: appending records %d..%d: %w", first, last, err)
 	}
 	if w.opts.Fsync {
 		if err := w.f.Sync(); err != nil {
-			// The group is written but not durable; remove it so its
-			// sequence numbers are not consumed by records we cannot
-			// vouch for.
 			w.undoPartialLocked(err)
-			return 0, fmt.Errorf("persist: syncing records %d..%d: %w", first, seq, err)
+			return fmt.Errorf("persist: syncing records %d..%d: %w", first, last, err)
 		}
 	}
-	w.last = seq
+	w.last = last
 	w.size += int64(len(b))
-	return first, nil
+	w.wrote += int64(len(b))
+	return nil
 }
 
 // undoPartialLocked truncates the active segment back to the last good
@@ -293,6 +324,7 @@ func (w *WAL) rotateLocked() error {
 		syncDir(w.dir)
 	}
 	w.f, w.size = f, headerLen
+	w.wrote += headerLen
 	return nil
 }
 

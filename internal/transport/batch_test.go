@@ -122,6 +122,14 @@ func TestBatchMixedConsumption(t *testing.T) {
 			t.Fatalf("tail %d: got %+v, want %+v", i, m, ms[4+i])
 		}
 	}
+	// Wire indexes the slice NextBatch returned, not the frame.
+	want, err := appendMsgs(nil, ms[5:7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Wire(1, 3); !bytes.Equal(got, want) {
+		t.Fatalf("Wire(1, 3) of the tail = %x, want the encoding of its messages 1 and 2, %x", got, want)
+	}
 }
 
 // TestEmptyBatchFlood checks that a long run of empty batch frames is
@@ -206,7 +214,7 @@ func TestPendingBufferReleased(t *testing.T) {
 // batches above maxRetainedBatch reuses one decode buffer instead of
 // reallocating it on every frame.
 func TestPendingBufferRetainedWhileUsed(t *testing.T) {
-	frame, err := appendBatch(nil, testBatch(2*maxRetainedBatch))
+	frame, err := appendBatch(nil, MsgBatch, testBatch(2*maxRetainedBatch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,21 @@ type Store interface {
 	Reader
 	// Mode returns the protocol mode the store was built for.
 	Mode() Mode
-	// SendBatch validates a run of ingest messages and applies it (a
-	// durable store journals it in between). The run is atomic: on a
-	// validation or journaling error nothing is applied. shard is a
-	// routing hint — typically the connection id — that spreads hot
-	// counters across cache lines.
+	// SendBatch is the untrusted entry: it validates a run of ingest
+	// messages with Mode().ValidateIngest, then hands it to Apply with no
+	// wire bytes. The run is atomic: on a validation or journaling error
+	// nothing is applied. shard is a routing hint — typically the
+	// connection id — that spreads hot counters across cache lines.
 	SendBatch(shard int, ms []Msg) error
+	// Apply is the trusted entry: it applies a run the caller has already
+	// validated (a durable store journals it first) and checks nothing
+	// itself. The frame loop, which validates every run of a frame
+	// before applying any, calls it directly, so a served message is
+	// validated exactly once. wire, when not empty, must be the bytes
+	// that encoded exactly run (Decoder.Wire): a durable store journals
+	// them as they are instead of re-encoding run, and is done with them
+	// when Apply returns. An in-memory store ignores them.
+	Apply(shard int, run []Msg, wire []byte) error
 	// Stats returns the number of hellos, reports and batches ingested.
 	Stats() (hellos, reports, batches int64)
 	// Users returns the number of registered users.
@@ -92,25 +101,27 @@ func (c *Collector) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool
 	return c.st.Answer(m, e, sc)
 }
 
-// SendBatch implements Store; the per-message work is one validation
-// plus one atomic add.
-func (c *Collector) SendBatch(shard int, ms []Msg) error {
-	if err := c.mode.ValidateIngest(ms); err != nil {
+// sendBatch is every store's SendBatch: validate, then the trusted
+// entry.
+func sendBatch(s Store, shard int, ms []Msg) error {
+	if err := s.Mode().ValidateIngest(ms); err != nil {
 		return err
 	}
-	c.applyJournaled(shard, ms)
-	return nil
+	return s.Apply(shard, ms, nil)
 }
 
-// applyJournaled accumulates a validated run (the journal's callback,
-// and the tail of SendBatch).
-func (c *Collector) applyJournaled(shard int, ms []Msg) {
-	hellos, reports := c.st.Apply(shard, ms)
+// SendBatch implements Store.
+func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
+
+// Apply implements Store; the per-message work is one atomic add.
+func (c *Collector) Apply(shard int, run []Msg, _ []byte) error {
+	hellos, reports := c.st.Apply(shard, run)
 	// Batch-amortized invalidation of the version-keyed read memos.
 	if reports > 0 {
 		c.st.AdvanceVersion(shard)
 	}
 	c.count(hellos, reports)
+	return nil
 }
 
 func (c *Collector) marshalState() []byte        { return c.st.MarshalState() }

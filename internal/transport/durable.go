@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -77,7 +78,9 @@ type durableJournal struct {
 	snapCursor   atomic.Uint64
 	snapUnixNano atomic.Int64
 
-	scratch sync.Pool // *[]byte buffers for frame re-encoding
+	// scratch holds *[]byte buffers for encoding a run that arrived
+	// without wire bytes; the served path never touches it.
+	scratch sync.Pool
 }
 
 // DurabilityStats is a point-in-time reading of a durable collector's
@@ -90,6 +93,10 @@ type DurabilityStats struct {
 	// WALLagRecords is LastSeq − SnapshotCursor: the records a restart
 	// would replay.
 	WALLagRecords uint64
+	// WALAppendedBytes is what the log has written since open, record
+	// and segment headers included: divided by the reports ingested over
+	// the same time it is the WAL's bytes per report.
+	WALAppendedBytes int64
 	// SnapshotAge is the time since the newest snapshot was written, or
 	// since the journal was opened when no snapshot has been cut yet.
 	SnapshotAge time.Duration
@@ -104,10 +111,11 @@ func (j *durableJournal) durabilityStats() DurabilityStats {
 		lag = last - cur
 	}
 	return DurabilityStats{
-		LastSeq:        last,
-		SnapshotCursor: cur,
-		WALLagRecords:  lag,
-		SnapshotAge:    time.Since(time.Unix(0, j.snapUnixNano.Load())),
+		LastSeq:          last,
+		SnapshotCursor:   cur,
+		WALLagRecords:    lag,
+		WALAppendedBytes: j.wal.AppendedBytes(),
+		SnapshotAge:      time.Since(time.Unix(0, j.snapUnixNano.Load())),
 	}
 }
 
@@ -180,29 +188,33 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions,
 	return j, stats, nil
 }
 
-// batchApplier folds a validated, journaled batch into in-memory
-// state. The journal calls it through this interface rather than a
-// closure so the steady-state ingest path allocates nothing.
-type batchApplier interface {
-	applyJournaled(shard int, ms []Msg)
-}
-
-// journal re-encodes the batch, appends it to the write-ahead log, and
-// applies it via app — in that order, under the shared half of the
-// snapshot lock, so any batch a query response can reflect is already
-// durable. The batch must be pre-validated; on a journaling error the
-// apply never runs.
-func (j *durableJournal) journal(shard int, ms []Msg, app batchApplier) error {
-	bp, _ := j.scratch.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
+// journal appends one validated run to the write-ahead log and applies
+// it to inner — in that order, under the shared half of the snapshot
+// lock, so any batch a query response can reflect is already durable; on
+// a journaling error the apply never runs. The journal validates
+// nothing: the record is a MsgBatch header counting the run followed by
+// wire, the bytes that encoded the run as they arrived (Decoder.Wire) —
+// which replay reads back through the ordinary decoder, and which are
+// the bytes appendBatch would produce whenever the sender encoded
+// canonically. Both append paths copy wire before they return, group
+// commit included (it blocks until its group has landed), so the caller's
+// buffer is free again when journal returns. Only a run that came with
+// no wire bytes (SendBatch) is encoded here.
+func (j *durableJournal) journal(shard int, run []Msg, wire []byte, inner Store) error {
+	if len(wire) == 0 {
+		bp, _ := j.scratch.Get().(*[]byte)
+		if bp == nil {
+			bp = new([]byte)
+		}
+		defer j.scratch.Put(bp)
+		var err error
+		if wire, err = appendMsgs((*bp)[:0], run); err != nil {
+			return err
+		}
+		*bp = wire[:0]
 	}
-	payload, err := appendBatch((*bp)[:0], ms)
-	if err != nil {
-		return err
-	}
-	*bp = payload[:0]
-	defer j.scratch.Put(bp)
+	var hdr [1 + binary.MaxVarintLen32]byte
+	head := appendBatchHeader(hdr[:0], MsgBatch, len(run))
 
 	// The shared lock is held while a group commit is in flight, so a
 	// snapshot cut (which takes it exclusively) always sees a cursor
@@ -211,14 +223,13 @@ func (j *durableJournal) journal(shard int, ms []Msg, app batchApplier) error {
 	j.mu.RLock()
 	defer j.mu.RUnlock()
 	if j.gc != nil {
-		if _, err := j.gc.Commit(payload); err != nil {
+		if _, err := j.gc.Commit(head, wire); err != nil {
 			return err
 		}
-	} else if _, err := j.wal.Append(payload); err != nil {
+	} else if _, err := j.wal.Append(head, wire); err != nil {
 		return err
 	}
-	app.applyJournaled(shard, ms)
-	return nil
+	return inner.Apply(shard, run, nil)
 }
 
 // snapshot writes a durable snapshot of the state produced by marshal
@@ -255,19 +266,17 @@ func (j *durableJournal) close() error {
 	return j.wal.Close()
 }
 
-// journaled is what a Durable wraps: a store that can apply an
-// already-journaled run and move its whole state in and out of a
-// snapshot. Collector and ShardMap implement it.
+// journaled is what a Durable wraps: a store that can move its whole
+// state in and out of a snapshot. Collector and ShardMap implement it.
 type journaled interface {
 	Store
-	batchApplier
 	marshalState() []byte
 	restoreState(state []byte) error
 }
 
 // Durable wraps a Collector or a ShardMap with the persistence
-// subsystem: every run is validated, journaled to the write-ahead log,
-// and only then applied, so an acknowledged frame survives a crash.
+// subsystem: every validated run is journaled to the write-ahead log and
+// only then applied, so an acknowledged frame survives a crash.
 // Snapshot cuts a consistent point-in-time copy of the state with its
 // WAL cursor and compacts the log behind it.
 type Durable struct {
@@ -317,15 +326,15 @@ func OpenDurableHashedDomain(hs *hh.HashedDomainServer, dir string, meta persist
 	return OpenDurableStore(NewHashedDomainCollector(hs), dir, meta, o)
 }
 
-// SendBatch validates the run, appends its wire encoding to the
-// write-ahead log, and applies it — in that order, so any batch a query
-// response can reflect is already durable. On a validation or
-// journaling error nothing is applied.
-func (c *Durable) SendBatch(shard int, ms []Msg) error {
-	if err := c.Mode().ValidateIngest(ms); err != nil {
-		return err
-	}
-	return c.j.journal(shard, ms, c.journaled)
+// SendBatch implements Store: validate, then Apply — not the wrapped
+// store's SendBatch, which would skip the journal.
+func (c *Durable) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
+
+// Apply implements Store: the validated run is journaled — as wire when
+// the caller has the bytes that encoded it, re-encoded otherwise — and
+// then applied to the wrapped store. See durableJournal.journal.
+func (c *Durable) Apply(shard int, run []Msg, wire []byte) error {
+	return c.j.journal(shard, run, wire, c.journaled)
 }
 
 // InstallShard replaces one virtual shard's state (the store must wrap

@@ -150,9 +150,24 @@ func TestDurableGroupCommitCrashLosesOnlyUnacked(t *testing.T) {
 	}
 }
 
+// loopReader replays one byte stream forever.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
 // TestDurableIngestSteadyStateAllocs pins the allocation behavior of
-// the durable hot path: once the scratch pools and WAL buffer are warm,
-// journaling and applying a report batch allocates nothing.
+// the durable hot path, on both entries: once the decoder's and the
+// WAL's buffers are warm, the served path — decode a frame, validate it,
+// journal its wire bytes, apply it — allocates nothing, and neither does
+// SendBatch, which has no wire bytes and encodes the run into a pooled
+// buffer instead.
 func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -176,18 +191,34 @@ func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 			User: i, Order: i % 3, J: 1 + i%(d>>uint(i%3)), Bit: bit,
 		}))
 	}
-	// Warm the scratch pool and the WAL's record buffer.
-	for i := 0; i < 8; i++ {
+	frame, err := appendBatch(nil, MsgBatchAcked, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder(&loopReader{b: frame})
+	served := func() {
+		ms, err := dec.NextBatch()
+		if err == nil {
+			err = dc.Mode().ValidateIngest(ms)
+		}
+		if err == nil {
+			err = dc.Apply(0, ms, dec.Wire(0, len(ms)))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	unserved := func() {
 		if err := dc.SendBatch(0, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := dc.SendBatch(0, batch); err != nil {
-			t.Fatal(err)
+	for name, run := range map[string]func(){"decode → Apply with wire": served, "SendBatch": unserved} {
+		for i := 0; i < 8; i++ {
+			run() // warm the decoder, the scratch pool and the WAL's record buffer
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state durable SendBatch allocates %.1f times per batch, want 0", allocs)
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("steady-state durable %s allocates %.1f times per batch, want 0", name, allocs)
+		}
 	}
 }

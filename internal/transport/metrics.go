@@ -162,13 +162,18 @@ type DurabilityStatser interface {
 }
 
 // RegisterDurability exports a durable collector's WAL and snapshot
-// state: wal_last_seq, wal_lag_records (records appended since the
-// newest snapshot's cursor — the replay debt a restart would pay), and
-// snapshot_age_seconds (time since the newest snapshot was written, or
-// since boot when none has been).
+// state: wal_last_seq, wal_appended_bytes_total (bytes the log has
+// written since boot, headers included — over ingest_messages_total it
+// is the benchmark's persist.wal_bytes_per_report), wal_lag_records (records
+// appended since the newest snapshot's cursor — the replay debt a
+// restart would pay), and snapshot_age_seconds (time since the newest
+// snapshot was written, or since boot when none has been).
 func (m *ServerMetrics) RegisterDurability(ds DurabilityStatser) {
 	m.reg.GaugeFunc("wal_last_seq", func() float64 {
 		return float64(ds.DurabilityStats().LastSeq)
+	})
+	m.reg.GaugeFunc("wal_appended_bytes_total", func() float64 {
+		return float64(ds.DurabilityStats().WALAppendedBytes)
 	})
 	m.reg.GaugeFunc("wal_lag_records", func() float64 {
 		return float64(ds.DurabilityStats().WALLagRecords)

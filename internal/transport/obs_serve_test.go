@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -454,6 +456,24 @@ func TestDurabilityGauges(t *testing.T) {
 	}
 	if last := s.Gauges["wal_last_seq"]; last != 3 {
 		t.Fatalf("wal_last_seq = %v, want 3", last)
+	}
+	// The byte counter is the log's size on disk — segment and record
+	// headers included — which is what the benchmark's
+	// persist.wal_bytes_per_report divides by the reports journaled.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("WAL segments: %v, %v", segs, err)
+	}
+	var onDisk int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+	}
+	if got := s.Gauges["wal_appended_bytes_total"]; got != float64(onDisk) {
+		t.Fatalf("wal_appended_bytes_total = %v, log holds %d bytes", got, onDisk)
 	}
 	if age := s.Gauges["snapshot_age_seconds"]; age < 0 || age > 60 {
 		t.Fatalf("snapshot_age_seconds = %v, want small positive", age)

@@ -19,8 +19,11 @@ import (
 
 // Session is one client connection's state inside a front.
 type Session interface {
-	// Apply takes one validated run of ingest messages.
-	Apply(run []Msg) error
+	// Apply takes one validated run of ingest messages and the bytes
+	// that encoded it (Decoder.Wire: valid until Apply returns, empty
+	// when the run did not come off a socket). The frame loop has
+	// validated the run; a session does not validate it again.
+	Apply(run []Msg, wire []byte) error
 	// Gather returns the state one read frame is answered from. done,
 	// when non-nil, is called once the answer has been flushed.
 	Gather() (r Reader, done func(), err error)
@@ -124,9 +127,9 @@ type storeSession struct {
 	id    int
 }
 
-func (s storeSession) Apply(run []Msg) error           { return s.store.SendBatch(s.id, run) }
-func (s storeSession) Gather() (Reader, func(), error) { return s.store, nil, nil }
-func (s storeSession) Close(bool)                      {}
+func (s storeSession) Apply(run []Msg, wire []byte) error { return s.store.Apply(s.id, run, wire) }
+func (s storeSession) Gather() (Reader, func(), error)    { return s.store, nil, nil }
+func (s storeSession) Close(bool)                         {}
 
 // Serve accepts connections on l until Close is called (or the listener
 // fails) and then waits for in-flight connections to drain. The caller
@@ -178,20 +181,21 @@ func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
 	return s.Serve(l)
 }
 
-// BatchRuns walks a mixed batch in stream order: contiguous runs of
-// ingest messages go to ingest as whole runs, and each frame reads
+// BatchRuns walks a mixed batch in stream order: each contiguous run
+// ms[a:b] of ingest messages goes to ingest as a whole, by its bounds (so
+// the caller can map it to the frame's bytes), and each frame reads
 // selects goes to read between them. The frame loop makes two passes
 // with it — validate everything, then apply everything — which is the
 // atomic-batch discipline: a malformed frame anywhere aborts before
 // anything applies.
-func BatchRuns(ms []Msg, reads FrameSet, ingest func([]Msg) error, read func(Msg) error) error {
+func BatchRuns(ms []Msg, reads FrameSet, ingest func(a, b int) error, read func(Msg) error) error {
 	run := 0
 	for i := range ms {
 		if !reads.Has(ms[i].Type) {
 			continue
 		}
 		if i > run {
-			if err := ingest(ms[run:i]); err != nil {
+			if err := ingest(run, i); err != nil {
 				return err
 			}
 		}
@@ -201,7 +205,7 @@ func BatchRuns(ms []Msg, reads FrameSet, ingest func([]Msg) error, read func(Msg
 		}
 	}
 	if run < len(ms) {
-		return ingest(ms[run:])
+		return ingest(run, len(ms))
 	}
 	return nil
 }
@@ -216,7 +220,9 @@ func BatchRuns(ms []Msg, reads FrameSet, ingest func([]Msg) error, read func(Msg
 // ValidateRead — before anything is applied, so a batch of [reports…,
 // malformed query, reports…] applies (and, on a durable store,
 // journals; on a gateway, forwards) nothing at all rather than a
-// prefix. An acked batch may carry ingest messages only.
+// prefix. An acked batch may carry ingest messages only. This is the
+// one place a served message is validated: Apply is handed validated
+// runs, with the bytes that encoded them, and trusts both.
 func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 	dec, enc := NewDecoder(conn), NewEncoder(conn)
 	sess := s.open(id)
@@ -228,13 +234,15 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 	}
 	var (
 		sc     AnswerScratch
+		ms     []Msg
 		acked  bool
 		ingest int
 	)
-	validateRun := func(run []Msg) error {
-		ingest += len(run)
-		return s.mode.ValidateIngest(run)
+	validateRun := func(a, b int) error {
+		ingest += b - a
+		return s.mode.ValidateIngest(ms[a:b])
 	}
+	apply := func(a, b int) error { return sess.Apply(ms[a:b], dec.Wire(a, b)) }
 	validateRead := func(m Msg) error {
 		if acked {
 			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
@@ -268,10 +276,9 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 		}
 		return enc.Flush()
 	}
-	apply := sess.Apply
 	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
+		var err error
+		if ms, err = dec.NextBatch(); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // clean client close or server shutdown
 			}

@@ -75,21 +75,14 @@ func (c *ShardMap) Users() int {
 	return n
 }
 
-// SendBatch implements Store; the connection shard is unused, the map
-// routes by user.
-func (c *ShardMap) SendBatch(_ int, ms []Msg) error {
-	if err := c.mode.ValidateIngest(ms); err != nil {
-		return err
-	}
-	c.applyJournaled(0, ms)
-	return nil
-}
+// SendBatch implements Store.
+func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
 
-// applyJournaled accumulates a validated run, handing each maximal
-// stretch of messages bound for one virtual shard to that shard's state
-// whole (a user's hello and reports travel together, so stretches are
-// long).
-func (c *ShardMap) applyJournaled(_ int, ms []Msg) {
+// Apply implements Store, handing each maximal stretch of messages bound
+// for one virtual shard to that shard's state whole (a user's hello and
+// reports travel together, so stretches are long). The connection shard
+// is unused: the map routes by user.
+func (c *ShardMap) Apply(_ int, ms []Msg, _ []byte) error {
 	n := len(c.shards)
 	var hellos, reports int64
 	c.imu.RLock()
@@ -105,6 +98,7 @@ func (c *ShardMap) applyJournaled(_ int, ms []Msg) {
 	}
 	c.imu.RUnlock()
 	c.count(hellos, reports)
+	return nil
 }
 
 // Answer implements Reader. The shard-scoped control reads — one

@@ -29,7 +29,7 @@ func applySerial(d int, scale float64, ms []Msg) *protocol.Sharded {
 
 // answerTo answers read frame m from r and returns a decoder positioned
 // on the response.
-func answerTo(t *testing.T, r Reader, m Msg) *Decoder {
+func answerTo(t testing.TB, r Reader, m Msg) *Decoder {
 	t.Helper()
 	var buf bytes.Buffer
 	e := NewEncoder(&buf)
@@ -44,7 +44,7 @@ func answerTo(t *testing.T, r Reader, m Msg) *Decoder {
 
 // sumsOf asks a store for raw sums: one virtual shard's, or (shard < 0)
 // the whole store's.
-func sumsOf(t *testing.T, st Store, shard int) RawSums {
+func sumsOf(t testing.TB, st Store, shard int) RawSums {
 	t.Helper()
 	req := st.Mode().SumsRequest()
 	if shard >= 0 {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/membership"
@@ -278,7 +279,7 @@ func NewEncoder(w io.Writer) *Encoder {
 
 // Encode writes one scalar message.
 func (e *Encoder) Encode(m Msg) error {
-	b, err := appendMsg(e.scratch[:0], m)
+	b, err := appendMsg(e.scratch[:0], &m)
 	if err != nil {
 		return err
 	}
@@ -287,8 +288,9 @@ func (e *Encoder) Encode(m Msg) error {
 	return err
 }
 
-// appendMsg appends the scalar wire encoding of m to b.
-func appendMsg(b []byte, m Msg) ([]byte, error) {
+// appendMsg appends the scalar wire encoding of m to b. It takes the
+// ~100-byte Msg by pointer: this is the inner loop of every batch encode.
+func appendMsg(b []byte, m *Msg) ([]byte, error) {
 	b = append(b, byte(m.Type))
 	switch m.Type {
 	case MsgHello:
@@ -397,52 +399,49 @@ func appendMsg(b []byte, m Msg) ([]byte, error) {
 	return b, nil
 }
 
-// appendBatch appends one batch frame carrying all the given hello and
-// report messages: the MsgBatch type byte, a uvarint count, then each
-// message in its scalar encoding. The write-ahead log journals exactly
-// these bytes, so recovery replays through the ordinary decoder.
-func appendBatch(b []byte, ms []Msg) ([]byte, error) {
-	return appendBatchTyped(b, MsgBatch, ms)
+// appendBatchHeader appends a batch frame's header: the type byte —
+// MsgBatch for fire-and-forget batches, MsgBatchAcked for batches the
+// server must acknowledge (applied whole or shed whole) — and a uvarint
+// message count.
+func appendBatchHeader(b []byte, typ MsgType, n int) []byte {
+	return binary.AppendUvarint(append(b, byte(typ)), uint64(n))
 }
 
-// appendBatchTyped is appendBatch parameterized over the frame type:
-// MsgBatch for fire-and-forget batches, MsgBatchAcked for batches the
-// server must acknowledge (applied whole or shed whole).
-func appendBatchTyped(b []byte, typ MsgType, ms []Msg) ([]byte, error) {
-	if len(ms) > MaxBatchLen {
-		return nil, fmt.Errorf("transport: batch of %d messages exceeds limit %d", len(ms), MaxBatchLen)
-	}
-	if typ == MsgBatchAcked && len(ms) == 0 {
-		return nil, errors.New("transport: empty acked batch")
-	}
-	b = append(b, byte(typ))
-	b = binary.AppendUvarint(b, uint64(len(ms)))
+// appendMsgs appends the scalar encodings of ms back to back: a batch
+// frame's body.
+func appendMsgs(b []byte, ms []Msg) ([]byte, error) {
 	var err error
-	for _, m := range ms {
-		if m.Type == MsgBatch || m.Type == MsgBatchAcked {
+	for i := range ms {
+		if t := ms[i].Type; t == MsgBatch || t == MsgBatchAcked {
 			return nil, errors.New("transport: nested batch")
 		}
-		if b, err = appendMsg(b, m); err != nil {
+		if b, err = appendMsg(b, &ms[i]); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
 }
 
+// appendBatch appends one batch frame carrying all the given hello and
+// report messages: header, then body. A write-ahead-log record is a
+// MsgBatch frame too — header, then the body bytes as they arrived (see
+// durableJournal.journal) — so recovery replays through the ordinary
+// decoder.
+func appendBatch(b []byte, typ MsgType, ms []Msg) ([]byte, error) {
+	if len(ms) > MaxBatchLen {
+		return nil, fmt.Errorf("transport: batch of %d messages exceeds limit %d", len(ms), MaxBatchLen)
+	}
+	if typ == MsgBatchAcked && len(ms) == 0 {
+		return nil, errors.New("transport: empty acked batch")
+	}
+	return appendMsgs(appendBatchHeader(b, typ, len(ms)), ms)
+}
+
 // EncodeBatch writes one batch frame (see appendBatch). Compared with
 // per-message frames a batch costs the same bytes plus a two-to-four-
 // byte header, but lets the receiver amortize dispatch over the whole
 // batch.
-func (e *Encoder) EncodeBatch(ms []Msg) error {
-	b, err := appendBatch(e.scratch[:0], ms)
-	if err != nil {
-		return err
-	}
-	e.scratch = b[:0] // keep the grown buffer for the next batch
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
-}
+func (e *Encoder) EncodeBatch(ms []Msg) error { return e.encodeBatch(MsgBatch, ms) }
 
 // EncodeAckedBatch writes one acknowledged batch frame: identical to
 // EncodeBatch except the server must answer it with exactly one
@@ -452,8 +451,10 @@ func (e *Encoder) EncodeBatch(ms []Msg) error {
 // query frames inside one. The caller must read the acks — senders that
 // stream acked batches without draining acks eventually deadlock on TCP
 // flow control.
-func (e *Encoder) EncodeAckedBatch(ms []Msg) error {
-	b, err := appendBatchTyped(e.scratch[:0], MsgBatchAcked, ms)
+func (e *Encoder) EncodeAckedBatch(ms []Msg) error { return e.encodeBatch(MsgBatchAcked, ms) }
+
+func (e *Encoder) encodeBatch(typ MsgType, ms []Msg) error {
+	b, err := appendBatch(e.scratch[:0], typ, ms)
 	if err != nil {
 		return err
 	}
@@ -492,6 +493,17 @@ type Decoder struct {
 	// small counts consecutive frames that left an oversized pending
 	// buffer mostly unused, see maxRetainedBatch.
 	small int
+
+	// wire holds the bytes of the frame in pending exactly as they
+	// arrived — the scalar encodings back to back, a batch frame's header
+	// excluded — and offs one offset per message boundary, so pending[a:b]
+	// was encoded by wire[offs[a]:offs[b]] (see Wire). The windowed fast
+	// path and the byte-at-a-time slow path both fill them; they share
+	// pending's lifetime and its retention rule. first is the index in
+	// pending of the first message the last NextBatch returned.
+	wire  []byte
+	offs  []uint32
+	first int
 
 	// acked records whether the most recently decoded batch frame was a
 	// MsgBatchAcked (the server owes its sender exactly one BatchAck).
@@ -546,7 +558,7 @@ func (d *Decoder) NextBatch() ([]Msg, error) {
 	for {
 		if d.next < len(d.pending) {
 			ms := d.pending[d.next:]
-			d.next = len(d.pending)
+			d.first, d.next = d.next, len(d.pending)
 			return ms, nil
 		}
 		m, err := d.scalarOrBatch()
@@ -555,6 +567,7 @@ func (d *Decoder) NextBatch() ([]Msg, error) {
 		}
 		if m.Type != MsgBatch {
 			d.pending = append(d.pending[:0], m)
+			d.offs = append(d.offs, uint32(len(d.wire)))
 			d.next = 0
 		}
 		// Loop: the refilled d.pending (empty for an empty batch) is
@@ -575,6 +588,17 @@ const (
 	smallFramesToRelease = 32
 )
 
+// Wire returns the bytes that encoded messages [a:b) of the slice the
+// last NextBatch returned, exactly as they arrived: prefixed with a batch
+// header counting b-a messages they are a frame this decoder reads back
+// as that run, which is what lets a durable store journal a run without
+// re-encoding it. Like the slice they are valid only until the next
+// Decoder call. A frame that is not a batch or scalar message (a view,
+// a shard transfer) has no such bytes: Wire is empty for it.
+func (d *Decoder) Wire(a, b int) []byte {
+	return d.wire[d.offs[d.first+a]:d.offs[d.first+b]]
+}
+
 // AckedBatch reports whether the most recent frame decoded by NextBatch
 // was an acknowledged batch (MsgBatchAcked): the peer is waiting for
 // exactly one BatchAck for it.
@@ -590,10 +614,11 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 		if len(d.pending) >= c/4 {
 			d.small = 0
 		} else if d.small++; d.small == smallFramesToRelease {
-			d.pending, d.small = nil, 0
+			d.pending, d.wire, d.offs, d.small = nil, nil, nil, 0
 		}
 	}
 	d.pending, d.next = d.pending[:0], 0
+	d.wire, d.offs = d.wire[:0], append(d.offs[:0], 0)
 	tb, err := d.r.ReadByte()
 	if err != nil {
 		return Msg{}, err // io.EOF passes through
@@ -618,6 +643,7 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 		return Msg{Type: MsgShardTransfer, Shard: shard}, nil
 	}
 	if MsgType(tb) != MsgBatch && MsgType(tb) != MsgBatchAcked {
+		d.wire = append(d.wire, tb)
 		return d.scalarBody(MsgType(tb))
 	}
 	n, err := binary.ReadUvarint(d.r)
@@ -660,10 +686,11 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 			} else {
 				d.pending = append(d.pending[:cap(d.pending)], make([]Msg, base+k-cap(d.pending))...)
 			}
+			d.offs = slices.Grow(d.offs, k)[:base+1+k]
 			// One vectorized clear for the whole window instead of a
 			// ~100-byte struct zero inside every decodeScalarInto call.
 			clear(d.pending[base:])
-			used, j := 0, base
+			used, j, kept := 0, base, len(d.wire)
 			for j < base+k && len(win)-used >= maxScalarWire {
 				consumed, err := decodeScalarInto(win[used:], &d.pending[j])
 				if err != nil {
@@ -678,8 +705,13 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 				}
 				used += consumed
 				j++
+				d.offs[j] = uint32(kept + used)
 			}
-			d.pending = d.pending[:j]
+			d.pending, d.offs = d.pending[:j], d.offs[:j+1]
+			// The window is the reader's own buffer, overwritten by its
+			// next fill: keep this stretch of the frame — one copy per
+			// window, not per message.
+			d.wire = append(d.wire, win[:used]...)
 			i = uint64(j)
 			d.r.Discard(used)
 			continue
@@ -691,11 +723,13 @@ func (d *Decoder) scalarOrBatch() (Msg, error) {
 		if MsgType(tb) == MsgBatch || MsgType(tb) == MsgBatchAcked {
 			return Msg{}, errors.New("transport: nested batch")
 		}
+		d.wire = append(d.wire, tb)
 		m, err := d.scalarBody(MsgType(tb))
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		d.pending = append(d.pending, m)
+		d.offs = append(d.offs, uint32(len(d.wire)))
 		i++
 	}
 	return Msg{Type: MsgBatch}, nil
@@ -1032,17 +1066,30 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 	return off, nil
 }
 
+// wireTap is the byte source of the byte-at-a-time path: the buffered
+// reader, with every byte it yields kept in the decoder's wire buffer.
+type wireTap struct{ d *Decoder }
+
+func (t wireTap) ReadByte() (byte, error) {
+	b, err := t.d.r.ReadByte()
+	if err == nil {
+		t.d.wire = append(t.d.wire, b)
+	}
+	return b, err
+}
+
 // scalarBody decodes the body of a scalar message whose type byte has
 // already been consumed.
 func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 	m := Msg{Type: typ}
+	br := wireTap{d}
 	switch typ {
 	case MsgHello:
-		user, err := binary.ReadUvarint(d.r)
+		user, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		h, err := binary.ReadUvarint(d.r)
+		h, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1051,19 +1098,19 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.User, m.Order = int(user), int(h)
 	case MsgReport:
-		user, err := binary.ReadUvarint(d.r)
+		user, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		h, err := binary.ReadUvarint(d.r)
+		h, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		j, err := binary.ReadUvarint(d.r)
+		j, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		bb, err := d.r.ReadByte()
+		bb, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1080,39 +1127,41 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 			return Msg{}, fmt.Errorf("transport: invalid bit byte %d", bb)
 		}
 	case MsgQuery:
-		t, err := binary.ReadUvarint(d.r)
+		t, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		m.T = int(t)
 	case MsgEstimate:
-		t, err := binary.ReadUvarint(d.r)
+		t, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		var raw [8]byte
-		if _, err := io.ReadFull(d.r, raw[:]); err != nil {
-			return Msg{}, truncated(err)
+		for i := range raw {
+			if raw[i], err = br.ReadByte(); err != nil {
+				return Msg{}, truncated(err)
+			}
 		}
 		m.T = int(t)
 		m.Value = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 	case MsgQueryV2:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		if ver != queryWireVersion {
 			return Msg{}, fmt.Errorf("transport: unsupported query version %d", ver)
 		}
-		kind, err := d.r.ReadByte()
+		kind, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		l, err := binary.ReadUvarint(d.r)
+		l, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		r, err := binary.ReadUvarint(d.r)
+		r, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1121,7 +1170,7 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.Kind, m.L, m.R = QueryKind(kind), int(l), int(r)
 	case MsgSums:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1129,15 +1178,15 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 			return Msg{}, fmt.Errorf("transport: unsupported sums-request version %d", ver)
 		}
 	case MsgDomainHello:
-		user, err := binary.ReadUvarint(d.r)
+		user, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		item, err := binary.ReadUvarint(d.r)
+		item, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		h, err := binary.ReadUvarint(d.r)
+		h, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1149,23 +1198,23 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.User, m.Item, m.Order = int(user), int(item), int(h)
 	case MsgDomainReport:
-		user, err := binary.ReadUvarint(d.r)
+		user, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		item, err := binary.ReadUvarint(d.r)
+		item, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		h, err := binary.ReadUvarint(d.r)
+		h, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		j, err := binary.ReadUvarint(d.r)
+		j, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		bb, err := d.r.ReadByte()
+		bb, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1185,30 +1234,30 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 			return Msg{}, fmt.Errorf("transport: invalid bit byte %d", bb)
 		}
 	case MsgDomainQuery:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		if ver != queryWireVersion {
 			return Msg{}, fmt.Errorf("transport: unsupported domain query version %d", ver)
 		}
-		kind, err := d.r.ReadByte()
+		kind, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		item, err := binary.ReadUvarint(d.r)
+		item, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		l, err := binary.ReadUvarint(d.r)
+		l, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		r, err := binary.ReadUvarint(d.r)
+		r, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		k, err := binary.ReadUvarint(d.r)
+		k, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1217,7 +1266,7 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.Kind, m.Item, m.L, m.R, m.K = QueryKind(kind), int(item), int(l), int(r), int(k)
 	case MsgDomainSums:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1225,19 +1274,19 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 			return Msg{}, fmt.Errorf("transport: unsupported domain-sums-request version %d", ver)
 		}
 	case MsgHashedDomainHello:
-		user, err := binary.ReadUvarint(d.r)
+		user, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		bucket, err := binary.ReadUvarint(d.r)
+		bucket, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		h, err := binary.ReadUvarint(d.r)
+		h, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		seed, err := binary.ReadUvarint(d.r)
+		seed, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1249,22 +1298,22 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.User, m.Item, m.Order, m.Seed = int(user), int(bucket), int(h), seed
 	case MsgHashedDomainSums:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		if ver != queryWireVersion {
 			return Msg{}, fmt.Errorf("transport: unsupported hashed-sums-request version %d", ver)
 		}
-		mm, err := binary.ReadUvarint(d.r)
+		mm, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		g, err := binary.ReadUvarint(d.r)
+		g, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
-		seed, err := binary.ReadUvarint(d.r)
+		seed, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
@@ -1273,14 +1322,14 @@ func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
 		}
 		m.Item, m.K, m.Seed = int(mm), int(g), seed
 	case MsgShardSums, MsgShardState:
-		ver, err := d.r.ReadByte()
+		ver, err := br.ReadByte()
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
 		if ver != queryWireVersion {
 			return Msg{}, fmt.Errorf("transport: unsupported shard-request version %d", ver)
 		}
-		shard, err := binary.ReadUvarint(d.r)
+		shard, err := binary.ReadUvarint(br)
 		if err != nil {
 			return Msg{}, truncated(err)
 		}
