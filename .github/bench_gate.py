@@ -6,8 +6,9 @@ with -count=6), compares per-benchmark median ns/op, writes the
 comparison as a JSON artifact, and exits non-zero when any gated
 benchmark (BenchmarkIngest*/BenchmarkAnswer*/BenchmarkCluster*/
 BenchmarkDomain*/BenchmarkHashed*/BenchmarkReplicated*/
-BenchmarkQuorum*/BenchmarkGateway*/BenchmarkConcurrent*) slows down
-by more than the threshold. Benchmarks present on only one side (added or removed by
+BenchmarkQuorum*/BenchmarkGateway*/BenchmarkConcurrent*/
+BenchmarkClient*/BenchmarkNewClient*) slows down by more than the
+threshold. Benchmarks present on only one side (added or removed by
 the PR) are reported but never gate.
 
 Usage: bench_gate.py BASE.txt HEAD.txt OUT.json [--threshold 0.15]
@@ -18,7 +19,7 @@ import re
 import statistics
 import sys
 
-GATED = re.compile(r"^Benchmark(Ingest|Answer|Cluster|Domain|Hashed|Replicated|Quorum|Gateway|Concurrent)")
+GATED = re.compile(r"^Benchmark(Ingest|Answer|Cluster|Domain|Hashed|Replicated|Quorum|Gateway|Concurrent|Client|NewClient)")
 # "BenchmarkFoo/sub-8   	     123	   9876 ns/op	..." — the -N
 # GOMAXPROCS suffix is stripped so the name is stable across runners.
 LINE = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+)\s+ns/op")

@@ -165,24 +165,84 @@ func BenchmarkPerturb(b *testing.B) {
 	})
 }
 
-// BenchmarkClientObserve measures the full client pipeline per time
-// period (boundary tracking + scheduling + randomizer).
-func BenchmarkClientObserve(b *testing.B) {
-	const d = 1024
-	factories, err := protocol.FutureRandFactories(d, 8, 1.0)
+// clientGrid is the sparsity axis of the client benchmarks; clientBurst
+// is the fleet-online harness's unit of work (bench/rtf-bench): one
+// cohort of users advanced through one block of periods, user-major.
+var clientGrid = []int{1, 8, 64, 128}
+
+const (
+	clientCohort = 8192
+	clientBlock  = 32
+)
+
+func clientFactory(b *testing.B, d, k int) *ldp.ClientFactory {
+	b.Helper()
+	f, err := ldp.NewClientFactory(d, ldp.WithSparsity(k), ldp.WithEpsilon(1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := rng.New(5, 6)
-	b.ResetTimer()
-	var c *protocol.Client
-	for i := 0; i < b.N; i++ {
-		if i%d == 0 {
-			c = protocol.NewClient(0, d, factories, g)
+	return f
+}
+
+// BenchmarkClientObserve measures what one period costs the shipped
+// ldp.Client (FutureRand) in the harness's shape: per-user seeds, an
+// 8,192-user cohort advanced 32 periods at a time, each user changing
+// value once. The paper's pre-computation claim (Section 5.3) is that
+// this is O(1): ns/period must be flat in both d and k.
+func BenchmarkClientObserve(b *testing.B) {
+	for _, d := range []int{256, 1024, 16384} {
+		for _, k := range clientGrid {
+			b.Run(fmt.Sprintf("d=%d/k=%d", d, k), func(b *testing.B) {
+				f := clientFactory(b, d, k)
+				clients := make([]*ldp.Client, clientCohort)
+				reports, block := 0, d/clientBlock // start by building the cohort
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if block == d/clientBlock {
+						b.StopTimer()
+						for u := range clients {
+							c, err := f.NewClient(u, int64(i)*1_000_003+int64(u))
+							if err != nil {
+								b.Fatal(err)
+							}
+							clients[u] = c
+						}
+						block = 0
+						b.StartTimer()
+					}
+					for u, c := range clients {
+						change := 1 + u%d
+						for t := block*clientBlock + 1; t <= (block+1)*clientBlock; t++ {
+							if _, ok := c.Observe(t >= change); ok {
+								reports++
+							}
+						}
+					}
+					block++
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*clientCohort*clientBlock), "ns/period")
+				if reports == 0 {
+					b.Fatal("no client reported")
+				}
+			})
 		}
-		// Constant value 1: exactly one change (the implicit 0→1 at t=1),
-		// well within the k=8 sparsity contract.
-		c.Observe(1)
+	}
+}
+
+// BenchmarkNewClient measures M.init for the shipped client — the one
+// cost that may grow with k (b̃ = R̃(1^k) is k coin flips).
+func BenchmarkNewClient(b *testing.B) {
+	for _, k := range clientGrid {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			f := clientFactory(b, 1024, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := f.NewClient(i, int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

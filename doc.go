@@ -15,7 +15,17 @@
 // -drive), and bench_test.go in this directory
 // carries one benchmark per experiment plus micro-benchmarks of every
 // hot path, including the batched-versus-single-message ingestion
-// comparison.
+// comparison and the client's per-period cost over a d × k grid.
+//
+// A streaming client is one object behind one interface dispatch:
+// ldp.Report is the protocol layer's Report, the protocol clients are
+// the ldp client engines and the domain reduction's observers, and a
+// protocol.Client holds its boundary state (Observation 3.7), its
+// randomizer (core.Instance, the pre-computed b̃ of Algorithm 3) and
+// its generator (rng.RNG over an embedded PCG) by value — the paper's
+// pre-computation claim, O(1) per period independent of d and k, is
+// pinned by BenchmarkClientObserve and TestClientSteadyStateAllocs, and
+// ldp's golden-stream test pins every mechanism's output draw for draw.
 //
 // The aggregation service is durable: rtf/internal/persist provides a
 // segmented write-ahead log and checksummed snapshot files, the

@@ -108,7 +108,7 @@ func main() {
 			}
 			vals := w.Users[u].Values(periods)
 			for t := 1; t <= periods; t++ {
-				if rep, ok := c.Observe(vals[t-1]); ok {
+				if rep, ok := c.Observe(vals[t-1] != 0); ok {
 					if err := enc.Encode(transport.FromReport(rep)); err != nil {
 						log.Fatal(err)
 					}

@@ -147,28 +147,38 @@ func (v Vec) WeightMinus() int {
 	return d
 }
 
-// FlipEach returns a copy of v with every coordinate independently negated
-// with probability p. This is the i.i.d. application of the basic
-// randomizer R (Eq 14) to each coordinate, with flip probability
+// FlipEach negates every coordinate of v independently with probability
+// p, in place, and returns v. This is the i.i.d. application of the
+// basic randomizer R (Eq 14) to each coordinate, with flip probability
 // p = 1/(e^ε̃+1).
 func (v Vec) FlipEach(g *rng.RNG, p float64) Vec {
-	out := v.Clone()
 	for i := 0; i < v.k; i++ {
 		if g.Bernoulli(p) {
-			out.Flip(i)
+			v.Flip(i)
 		}
 	}
-	return out
+	return v
 }
 
-// FlipSubset returns a copy of v with the coordinates listed in idx
-// negated. Indices must be distinct and in range.
-func (v Vec) FlipSubset(idx []int) Vec {
-	out := v.Clone()
-	for _, i := range idx {
-		out.Flip(i)
+// Times multiplies v coordinatewise by u, in place, and returns v. It
+// panics if lengths differ.
+func (v Vec) Times(u Vec) Vec {
+	if v.k != u.k {
+		panic("bitvec: length mismatch")
 	}
-	return out
+	for i := range v.w {
+		v.w[i] ^= u.w[i]
+	}
+	return v
+}
+
+// FlipSubset negates the coordinates of v listed in idx, in place, and
+// returns v. Indices must be distinct and in range.
+func (v Vec) FlipSubset(idx []int) Vec {
+	for _, i := range idx {
+		v.Flip(i)
+	}
+	return v
 }
 
 // Signs expands v to a slice of ±1 entries.

@@ -139,18 +139,41 @@ func TestWeightMinusIsDistanceToOnes(t *testing.T) {
 func TestFlipEachExtremes(t *testing.T) {
 	g := rng.New(7, 8)
 	v := Uniform(g, 100)
-	same := v.FlipEach(g, 0)
+	same := v.Clone().FlipEach(g, 0)
 	if !same.Equal(v) {
 		t.Error("FlipEach(p=0) changed the vector")
 	}
-	all := v.FlipEach(g, 1)
+	all := v.Clone()
+	if got := all.FlipEach(g, 1); !got.Equal(all) {
+		t.Error("FlipEach did not return its (mutated) receiver")
+	}
 	if all.Hamming(v) != 100 {
 		t.Errorf("FlipEach(p=1) flipped %d of 100", all.Hamming(v))
 	}
-	// Input must be unchanged (FlipEach copies).
-	if v.Equal(all) {
-		t.Error("FlipEach mutated its receiver")
+}
+
+// TestTimes checks the coordinatewise product against At, including the
+// identity (1^k) and the length check.
+func TestTimes(t *testing.T) {
+	g := rng.New(7, 9)
+	for _, k := range []int{1, 63, 64, 65, 200} {
+		v, u := Uniform(g, k), Uniform(g, k)
+		prod := v.Clone().Times(u)
+		for i := 0; i < k; i++ {
+			if prod.At(i) != v.At(i)*u.At(i) {
+				t.Fatalf("k=%d coordinate %d: %d, want %d·%d", k, i, prod.At(i), v.At(i), u.At(i))
+			}
+		}
+		if !v.Clone().Times(Ones(k)).Equal(v) {
+			t.Fatalf("k=%d: multiplying by 1^k changed the vector", k)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Times accepted mismatched lengths")
+		}
+	}()
+	Ones(3).Times(Ones(4))
 }
 
 func TestFlipEachMeanDistance(t *testing.T) {
@@ -160,7 +183,7 @@ func TestFlipEachMeanDistance(t *testing.T) {
 	v := Uniform(g, k)
 	sum := 0.0
 	for i := 0; i < trials; i++ {
-		sum += float64(v.FlipEach(g, p).Hamming(v))
+		sum += float64(v.Clone().FlipEach(g, p).Hamming(v))
 	}
 	mean := sum / trials
 	want := float64(k) * p
@@ -174,7 +197,7 @@ func TestFlipSubset(t *testing.T) {
 	g := rng.New(11, 12)
 	v := Uniform(g, 90)
 	idx := []int{0, 17, 63, 64, 89}
-	u := v.FlipSubset(idx)
+	u := v.Clone().FlipSubset(idx)
 	if u.Hamming(v) != len(idx) {
 		t.Fatalf("FlipSubset distance %d, want %d", u.Hamming(v), len(idx))
 	}

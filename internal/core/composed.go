@@ -33,24 +33,40 @@ func NewComposed(ann *probmath.Annulus) *Composed {
 // Annulus exposes the exact distribution parameters of the sampler.
 func (c *Composed) Annulus() *probmath.Annulus { return c.ann }
 
-// Sample draws R̃(b). The input must have length k; it is not modified.
+// Sample draws R̃(b) = b ⊙ R̃(1^k): the flips and the annulus test depend
+// only on which coordinates differ from the input, which is the symmetry
+// the pre-computation technique rests on. The input must have length k;
+// it is not modified.
 func (c *Composed) Sample(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
 	if b.Len() != c.ann.K {
 		panic("core: input length does not match annulus k")
 	}
-	bp := b.FlipEach(g, c.ann.P)
-	if c.ann.Inside(bp.Hamming(b)) {
+	return c.SampleOnes(g).Times(b)
+}
+
+// SampleOnes draws R̃(1^k) — the b̃ of M.init — allocating nothing but
+// the vector it returns (and, outside the annulus, the subset drawn).
+func (c *Composed) SampleOnes(g *rng.RNG) bitvec.Vec {
+	bp := bitvec.Ones(c.ann.K).FlipEach(g, c.ann.P)
+	if c.ann.Inside(bp.WeightMinus()) {
 		return bp
 	}
-	return c.SampleComplement(g, b)
+	return c.complementOf(g, bp.Times(bp)) // v ⊙ v = 1^k: reuse the rejected vector
 }
 
 // SampleComplement draws a uniform element of {−1,1}^k \ Ann(b), by
 // inverse-CDF sampling of the Hamming distance (weights C(k,i) outside
 // [LB..UB]) followed by a uniform choice of which coordinates differ.
 // This is exact and fast even when the annulus covers almost the whole
-// cube, as it does for the Bun et al. parameters.
+// cube, as it does for the Bun et al. parameters. The input is not
+// modified.
 func (c *Composed) SampleComplement(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
+	return c.complementOf(g, bitvec.Ones(c.ann.K)).Times(b)
+}
+
+// complementOf is SampleComplement at b = 1^k, written into the given
+// all-ones vector.
+func (c *Composed) complementOf(g *rng.RNG, ones bitvec.Vec) bitvec.Vec {
 	cdf := c.ann.ComplementDistCDF()
 	u := g.Float64()
 	i := sort.SearchFloat64s(cdf, u)
@@ -60,7 +76,7 @@ func (c *Composed) SampleComplement(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
 	if i > c.ann.K {
 		i = c.ann.K
 	}
-	return b.FlipSubset(g.KSubset(c.ann.K, i))
+	return ones.FlipSubset(g.KSubset(c.ann.K, i))
 }
 
 // SampleComplementRejection draws a uniform element of the complement by

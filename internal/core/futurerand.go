@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"rtf/internal/bitvec"
 	"rtf/internal/probmath"
 	"rtf/internal/rng"
 )
@@ -87,38 +86,8 @@ func (f *ComposedFactory) K() int { return f.k }
 
 // NewInstance implements Factory. It performs M.init(L, k, ε): the
 // composed randomizer is invoked once on the all-ones vector, and the
-// result is kept for the lifetime of the instance.
+// result is kept for the lifetime of the instance. Thereafter the j-th
+// non-zero input v is answered v·b̃_j (Algorithm 3, lines 12–17).
 func (f *ComposedFactory) NewInstance(g *rng.RNG) Instance {
-	return &composedInstance{
-		f:      f,
-		g:      g,
-		btilde: f.composed.Sample(g, bitvec.Ones(f.k)),
-	}
-}
-
-// composedInstance is the per-user online state: the pre-computed noise
-// vector b̃ and the count nnz of non-zero inputs seen so far.
-type composedInstance struct {
-	f      *ComposedFactory
-	g      *rng.RNG
-	btilde bitvec.Vec
-	seen   int
-	nnz    int
-}
-
-// Perturb implements M^(j)(v_j) of Algorithm 3 (lines 12–17).
-func (m *composedInstance) Perturb(v int8) int8 {
-	checkValue(v)
-	m.seen++
-	if m.seen > m.f.l {
-		panic(fmt.Sprintf("core: more than L=%d inputs", m.f.l))
-	}
-	if v == 0 {
-		return m.g.Sign()
-	}
-	m.nnz++
-	if m.nnz > m.f.k {
-		panic(fmt.Sprintf("core: more than k=%d non-zero inputs", m.f.k))
-	}
-	return v * m.btilde.At(m.nnz-1)
+	return Instance{l: f.l, k: f.k, g: g, btilde: f.composed.SampleOnes(g)}
 }

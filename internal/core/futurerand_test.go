@@ -326,7 +326,7 @@ func TestOnlineEqualsPrecomputedVector(t *testing.T) {
 	// pre-computed b̃, independent of zero positions in between.
 	f := newFR(t, 10, 4, 1.0)
 	g1 := rng.New(99, 100)
-	inst := f.NewInstance(g1).(*composedInstance)
+	inst := f.NewInstance(g1)
 	bt := inst.btilde.Clone()
 	v := []int8{0, 1, 0, 0, -1, 1, 0, 0, 0, -1}
 	nz := 0

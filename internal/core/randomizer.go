@@ -14,18 +14,49 @@ package core
 import (
 	"fmt"
 
+	"rtf/internal/bitvec"
 	"rtf/internal/probmath"
 	"rtf/internal/rng"
 )
 
-// Instance is the online randomizer M of Section 4.2. The j-th call to
-// Perturb is M^(j)(v_j): it consumes the next sequence value in
-// {−1, 0, +1} and emits a ±1 report. Implementations enforce the input
+// Instance is the online randomizer M of Section 4.2, for every
+// randomizer in the package: the j-th call to Perturb is M^(j)(v_j), which
+// consumes the next sequence value in {−1, 0, +1} and emits a ±1 report.
+// A zero is answered with a fresh fair coin (Property III); a non-zero v
+// with v·b̃_nnz when the factory pre-computed a noise vector (the composed
+// randomizers) and with an independent keepProb-coin otherwise. It is a
+// value, so a client can hold it inline; Perturb enforces the input
 // contract (at most L values, at most k of them non-zero) by panicking,
 // since a violation means protocol code is broken, not user error.
-type Instance interface {
-	// Perturb perturbs the next sequence value.
-	Perturb(v int8) int8
+type Instance struct {
+	l, k      int // k == 0 disables the non-zero cap (basic randomizer)
+	seen, nnz int
+	g         *rng.RNG
+	btilde    bitvec.Vec // b̃ = R̃(1^k), drawn at M.init; empty if independent
+	keepProb  float64    // independent: chance a non-zero keeps its sign
+}
+
+// Perturb perturbs the next sequence value.
+func (m *Instance) Perturb(v int8) int8 {
+	checkValue(v)
+	m.seen++
+	if m.seen > m.l {
+		panic(fmt.Sprintf("core: more than L=%d inputs", m.l))
+	}
+	if v == 0 {
+		return m.g.Sign()
+	}
+	m.nnz++
+	if m.k > 0 && m.nnz > m.k {
+		panic(fmt.Sprintf("core: more than k=%d non-zero inputs", m.k))
+	}
+	if m.btilde.Len() > 0 {
+		return v * m.btilde.At(m.nnz-1)
+	}
+	if m.g.Bernoulli(m.keepProb) {
+		return v
+	}
+	return -v
 }
 
 // Factory builds per-user randomizer instances with shared parameters.
@@ -86,7 +117,7 @@ func (f *BasicFactory) Name() string { return "basic" }
 
 // NewInstance implements Factory.
 func (f *BasicFactory) NewInstance(g *rng.RNG) Instance {
-	return &independentInstance{l: f.l, keepProb: f.keepProb, g: g}
+	return Instance{l: f.l, keepProb: f.keepProb, g: g}
 }
 
 // ---------------------------------------------------------------------------
@@ -129,37 +160,7 @@ func (f *IndependentFactory) Name() string { return "independent-eps/k" }
 
 // NewInstance implements Factory.
 func (f *IndependentFactory) NewInstance(g *rng.RNG) Instance {
-	return &independentInstance{l: f.l, k: f.k, keepProb: f.keepProb, g: g}
-}
-
-// independentInstance serves both BasicFactory (k = 0 means "no non-zero
-// budget limit", used with one effective non-zero by construction) and
-// IndependentFactory.
-type independentInstance struct {
-	l, k     int // k == 0 disables the non-zero cap (basic randomizer)
-	keepProb float64
-	g        *rng.RNG
-	seen     int
-	nnz      int
-}
-
-func (m *independentInstance) Perturb(v int8) int8 {
-	checkValue(v)
-	m.seen++
-	if m.seen > m.l {
-		panic(fmt.Sprintf("core: more than L=%d inputs", m.l))
-	}
-	if v == 0 {
-		return m.g.Sign()
-	}
-	m.nnz++
-	if m.k > 0 && m.nnz > m.k {
-		panic(fmt.Sprintf("core: more than k=%d non-zero inputs", m.k))
-	}
-	if m.g.Bernoulli(m.keepProb) {
-		return v
-	}
-	return -v
+	return Instance{l: f.l, k: f.k, keepProb: f.keepProb, g: g}
 }
 
 func checkLK(l, k int) error {

@@ -42,7 +42,7 @@ func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]f
 				}
 			}
 			clippedTruth[t-1] += int(eff)
-			if rep, ok := c.Observe(v); ok {
+			if rep, ok := c.Observe(v != 0); ok {
 				srv.Ingest(rep)
 			}
 		}

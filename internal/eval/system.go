@@ -172,7 +172,7 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 		}
 		vals := us.Values(wl.D)
 		for t := 1; t <= wl.D; t++ {
-			rep, ok := c.Observe(vals[t-1])
+			rep, ok := c.Observe(vals[t-1] != 0)
 			if !ok {
 				continue
 			}

@@ -143,14 +143,15 @@ func OptimalBuckets(epsPerm, eps1 float64) int {
 	return int(g)
 }
 
-// HashedDomainClient is the client half of a hashed encoding: it maps
-// the user's current catalogue item to its bucket and runs the ordinary
-// bucket-space DomainClient (sampled target bucket, Boolean indicator
-// stream) on the result. Its wire frames are therefore the ordinary
+// HashedDomainClient is the client half of a hashed encoding: it holds
+// the user's sampled target bucket and feeds the mechanism client the
+// bucket indicator 1{B(v_u[t]) = bucket} — the item-indicator reduction
+// run in bucket space. Its wire frames are therefore the ordinary
 // item-tagged frames with Item = the sampled bucket.
 type HashedDomainClient struct {
-	enc   DomainEncoding
-	inner *DomainClient // bucket space: item = sampled bucket, m = g
+	enc    DomainEncoding
+	bucket int
+	inner  Observer
 }
 
 // NewHashedDomainClient builds the client for one user whose sampled
@@ -163,16 +164,15 @@ func NewHashedDomainClient(bucket int, enc DomainEncoding, inner Observer) (*Has
 	if !enc.Hashed() {
 		return nil, fmt.Errorf("hh: encoding %q is not hashed", enc.Name)
 	}
-	c, err := NewDomainClient(bucket, enc.G, inner)
-	if err != nil {
-		return nil, err
+	if bucket < 0 || bucket >= enc.G {
+		return nil, fmt.Errorf("hh: target bucket %d outside [0..%d)", bucket, enc.G)
 	}
-	return &HashedDomainClient{enc: enc, inner: c}, nil
+	return &HashedDomainClient{enc: enc, bucket: bucket, inner: inner}, nil
 }
 
 // Bucket returns the client's sampled target bucket — the value carried
 // as Item in its wire hello.
-func (c *HashedDomainClient) Bucket() int { return c.inner.Item() }
+func (c *HashedDomainClient) Bucket() int { return c.bucket }
 
 // Order returns the inner mechanism client's announced order.
 func (c *HashedDomainClient) Order() int { return c.inner.Order() }
@@ -181,17 +181,16 @@ func (c *HashedDomainClient) Order() int { return c.inner.Order() }
 func (c *HashedDomainClient) Encoding() DomainEncoding { return c.enc }
 
 // Observe consumes the user's current catalogue value (−1 = no item)
-// for the next period, hashes it to its bucket, and feeds the bucket
-// indicator to the mechanism client.
+// for the next period and feeds the mechanism client whether the value
+// hashes to the target bucket. The value is checked here, against the
+// catalogue — the space this layer owns; a bucket is in range by
+// construction.
 func (c *HashedDomainClient) Observe(value int) (protocol.Report, bool, error) {
 	if value < -1 || value >= c.enc.M {
-		return protocol.Report{}, false, fmt.Errorf("hh: value %d outside [-1..%d)", value, c.enc.M)
+		return protocol.Report{}, false, fmt.Errorf("hh: value %d outside [0..%d) (or -1 for unset)", value, c.enc.M)
 	}
-	b := -1
-	if value >= 0 {
-		b = c.enc.Bucket(value)
-	}
-	return c.inner.Observe(b)
+	r, ok := c.inner.Observe(value >= 0 && c.enc.Bucket(value) == c.bucket)
+	return r, ok, nil
 }
 
 // HashedDomainServer serves item queries over a hashed encoding: the

@@ -3,6 +3,7 @@ package hh
 import (
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"rtf/internal/protocol"
@@ -147,8 +148,10 @@ func TestHashedClientIndicator(t *testing.T) {
 	}
 	// Out-of-range values are rejected without touching the inner client.
 	seen := len(obs.vals)
-	if _, _, err := c.Observe(1000); err == nil {
-		t.Error("value m accepted")
+	// The one range check names the catalogue — the space this layer
+	// owns — not the bucket space beneath it.
+	if _, _, err := c.Observe(1000); err == nil || !strings.Contains(err.Error(), "[0..1000)") {
+		t.Errorf("value m: error %v, want one naming the catalogue range [0..1000)", err)
 	}
 	if _, _, err := c.Observe(-2); err == nil {
 		t.Error("value -2 accepted")
@@ -157,8 +160,8 @@ func TestHashedClientIndicator(t *testing.T) {
 		t.Error("rejected value reached the inner client")
 	}
 	// Constructor validation.
-	if _, err := NewHashedDomainClient(8, e, obs); err == nil {
-		t.Error("bucket == g accepted")
+	if _, err := NewHashedDomainClient(8, e, obs); err == nil || !strings.Contains(err.Error(), "bucket 8") {
+		t.Errorf("bucket == g: error %v, want one naming the bucket", err)
 	}
 	if _, err := NewHashedDomainClient(0, ExactEncoding(8), obs); err == nil {
 		t.Error("exact encoding accepted by hashed client")
@@ -198,7 +201,7 @@ func runHashedStreaming(t *testing.T, w *DomainWorkload, buckets int, eps float6
 	srv := NewHashedDomainServer(w.D, enc, scale, 1)
 	for u, us := range w.Users {
 		bucket := g.IntN(enc.G)
-		c, err := NewHashedDomainClient(bucket, enc, boolClient{protocol.NewClient(u, w.D, factories, g.Split())})
+		c, err := NewHashedDomainClient(bucket, enc, protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -157,9 +157,10 @@ func (w *DomainWorkload) Truth() [][]int {
 
 // Observer is the Boolean streaming client shape the reduction wraps:
 // one Boolean value in per period, an occasional protocol report out.
-// Every streaming framework mechanism (futurerand, independent, bun,
-// erlingsson) provides it; the ldp package adapts its registry client
-// engines into this shape.
+// The protocol clients of every streaming dyadic mechanism (futurerand,
+// independent, bun, erlingsson) implement it directly, and it is the
+// same method set as ldp.ClientEngine, so a registry engine is wrapped
+// as is.
 type Observer interface {
 	// Order returns the client's announced order h_u.
 	Order() int

@@ -36,19 +36,6 @@ func TestDomainStreamValues(t *testing.T) {
 	}
 }
 
-// boolClient adapts the protocol-level framework client to the Observer
-// shape, the same way the ldp engines do.
-type boolClient struct{ c *protocol.Client }
-
-func (b boolClient) Order() int { return b.c.Order() }
-func (b boolClient) Observe(v bool) (protocol.Report, bool) {
-	var u uint8
-	if v {
-		u = 1
-	}
-	return b.c.Observe(u)
-}
-
 // TestDomainClientIndicator pins the reduction: the wrapped Boolean
 // client must see exactly the indicator stream 1{v = item}, which
 // changes at most as often as the value stream.
@@ -217,7 +204,7 @@ func runStreaming(t *testing.T, w *DomainWorkload, eps float64, g *rng.RNG) *Dom
 	srv := NewDomainServer(w.D, w.M, scale, 1)
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, w.M, boolClient{protocol.NewClient(u, w.D, factories, g.Split())})
+		c, err := NewDomainClient(item, w.M, protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -442,7 +429,7 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 	}
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, w.M, boolClient{protocol.NewClient(u, w.D, factories, g.Split())})
+		c, err := NewDomainClient(item, w.M, protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 			srv.Register(c.Order())
 			vals := us.Values(d)
 			for tt := 1; tt <= d; tt++ {
-				rep, ok := c.Observe(vals[tt-1])
+				rep, ok := c.Observe(vals[tt-1] != 0)
 				if !ok {
 					continue
 				}
@@ -115,7 +115,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 			}
 			vals := w.Users[u].Values(d)
 			for tt := 1; tt <= d; tt++ {
-				if rep, ok := c.Observe(vals[tt-1]); ok {
+				if rep, ok := c.Observe(vals[tt-1] != 0); ok {
 					if err := coll.Send(transport.FromReport(rep)); err != nil {
 						t.Error(err)
 						return
@@ -172,7 +172,7 @@ func TestNetPipeTransport(t *testing.T) {
 		vals := []uint8{0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 			0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 		for tt := 1; tt <= d; tt++ {
-			if rep, ok := c.Observe(vals[tt-1]); ok {
+			if rep, ok := c.Observe(vals[tt-1] != 0); ok {
 				sent = append(sent, rep)
 				if err := enc.Encode(transport.FromReport(rep)); err != nil {
 					t.Error(err)

@@ -62,7 +62,7 @@ func StreamEnumerator(d, k int) [][]uint8 {
 	return out
 }
 
-// clientDist computes the exact output distribution of the client Aclt on
+// ClientDist computes the exact output distribution of the client Aclt on
 // stream st: a map from (h, ω) to probability. The report vector ω for
 // order h has length L = d/2^h; outcomes are encoded as ω interpreted as
 // an L-bit integer (bit set ⇔ −1).
@@ -74,7 +74,7 @@ func StreamEnumerator(d, k int) [][]uint8 {
 // the prefix marginals of R̃(1^k) (Section 5.4): for a pattern w on the
 // support with m₁ mismatches w_{j_i} ≠ v_{j_i}, the probability is
 // MarginalPrefix(σ, m₁).
-func clientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
+func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
 	out := make(map[[2]int]float64)
 	numOrders := dyadic.NumOrders(d)
 	pOrder := 1 / float64(numOrders)
@@ -126,7 +126,7 @@ func ClientRatio(d, k int, eps float64) (RatioReport, error) {
 	streams := StreamEnumerator(d, k)
 	dists := make([]map[[2]int]float64, len(streams))
 	for i, st := range streams {
-		dists[i] = clientDist(st, d, p)
+		dists[i] = ClientDist(st, d, p)
 		// Sanity: the distribution must sum to 1.
 		sum := 0.0
 		for _, pr := range dists[i] {

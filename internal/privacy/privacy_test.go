@@ -51,7 +51,7 @@ func TestClientDistributionsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range StreamEnumerator(4, 2) {
-		dist := clientDist(st, 4, p)
+		dist := ClientDist(st, 4, p)
 		sum := 0.0
 		for _, pr := range dist {
 			if pr < 0 {

@@ -20,40 +20,44 @@ import (
 // fewer than k changes — the server multiplies its estimator by k and
 // remains unbiased.
 
-// ErlingssonClient implements the baseline client.
+// ErlingssonClient implements the baseline client. Like Client it must
+// not be copied once built.
 type ErlingssonClient struct {
-	user     int
-	d, k     int
-	order    int
+	reporter
 	keepIdx  int // which change (1-based) survives sampling
 	changes  int // changes seen so far in the true stream
 	prevVal  uint8
 	keptTime int  // time of the kept change (0 if none yet)
 	keptSign int8 // sign of the kept coordinate of X_u: ±1
-	inst     core.Instance
-	t        int
 }
 
-// NewErlingssonClient builds a baseline client; the per-order factory
-// table must contain basic-randomizer factories at ε̃ = ε/2 (see
-// ErlingssonFactories).
+// NewErlingssonClient builds a baseline client drawing from g; the
+// per-order factory table must contain basic-randomizer factories at
+// ε̃ = ε/2 (see ErlingssonFactories).
 func NewErlingssonClient(user, d, k int, factories []core.Factory, g *rng.RNG) *ErlingssonClient {
+	c := new(ErlingssonClient)
+	c.init(user, d, k, factories, g)
+	return c
+}
+
+// NewSeededErlingssonClient is NewErlingssonClient drawing the stream
+// rng.NewFromSeed(seed) would produce from a generator inside the
+// client (one allocation, as NewSeededClient).
+func NewSeededErlingssonClient(user, d, k int, factories []core.Factory, seed int64) *ErlingssonClient {
+	c := new(ErlingssonClient)
+	c.own.Seed(seed)
+	c.init(user, d, k, factories, &c.own)
+	return c
+}
+
+func (c *ErlingssonClient) init(user, d, k int, factories []core.Factory, g *rng.RNG) {
 	if k < 1 {
 		panic("protocol: Erlingsson baseline needs k >= 1")
 	}
 	h := SampleOrder(g, d)
-	return &ErlingssonClient{
-		user:    user,
-		d:       d,
-		k:       k,
-		order:   h,
-		keepIdx: 1 + g.IntN(k),
-		inst:    factories[h].NewInstance(g),
-	}
+	c.keepIdx = 1 + g.IntN(k)
+	c.reporter.init(user, d, h, factories[h], g)
 }
-
-// Order returns the sampled order h_u.
-func (c *ErlingssonClient) Order() int { return c.order }
 
 // Observe consumes st_u[t] and emits a report at multiples of 2^h, like
 // Client.Observe, but over the sparsified derivative X'_u, which keeps
@@ -61,15 +65,9 @@ func (c *ErlingssonClient) Order() int { return c.order }
 // X'_u has a single non-zero coordinate, so the partial sum of order h at
 // a reporting time t is keptSign if the kept change falls inside the
 // interval (t−2^h, t], and 0 otherwise.
-func (c *ErlingssonClient) Observe(v uint8) (Report, bool) {
-	c.t++
-	if c.t > c.d {
-		panic("protocol: more observations than time periods")
-	}
-	if v > 1 {
-		panic("protocol: stream value must be 0/1")
-	}
-	if v != c.prevVal {
+func (c *ErlingssonClient) Observe(value bool) (Report, bool) {
+	reporting := c.tick()
+	if v := bit(value); v != c.prevVal {
 		c.changes++
 		if c.changes == c.keepIdx {
 			c.keptTime = c.t
@@ -77,15 +75,14 @@ func (c *ErlingssonClient) Observe(v uint8) (Report, bool) {
 		}
 		c.prevVal = v
 	}
-	width := 1 << uint(c.order)
-	if c.t%width != 0 {
+	if !reporting {
 		return Report{}, false
 	}
 	var sum int8
-	if c.keptTime > c.t-width && c.keptTime <= c.t {
+	if c.keptTime >= c.t-c.mask {
 		sum = c.keptSign
 	}
-	return Report{User: c.user, Order: c.order, J: c.t >> uint(c.order), Bit: c.inst.Perturb(sum)}, true
+	return c.report(sum), true
 }
 
 // ErlingssonFactories returns the per-order basic-randomizer table at

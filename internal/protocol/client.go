@@ -13,7 +13,6 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/probmath"
 	"rtf/internal/rng"
-	"rtf/internal/sparse"
 )
 
 // Report is a single perturbed partial sum sent to the server: user u,
@@ -31,22 +30,71 @@ func SampleOrder(g *rng.RNG, d int) int {
 	return g.IntN(dyadic.NumOrders(d))
 }
 
+// reporter is what the dyadic clients share: the user's identity and
+// sampled order, the clock, the randomizer M and — for a client built
+// from a seed — the generator M draws from, all held by value so one
+// client is one object.
+type reporter struct {
+	user, d, order int
+	t              int
+	mask           int // 2^h − 1: period t reports when t&mask == 0
+	inst           core.Instance
+	own            rng.RNG // unseeded when the caller supplied the generator
+}
+
+// init fixes the (already sampled) order h and performs M.init from f,
+// which must be parameterized for sequences of length L = d/2^h.
+func (r *reporter) init(user, d, h int, f core.Factory, g *rng.RNG) {
+	if h < 0 || h > dyadic.Log2(d) {
+		panic(fmt.Sprintf("protocol: order %d out of range for d=%d", h, d))
+	}
+	r.user, r.d, r.order, r.mask = user, d, h, 1<<uint(h)-1
+	r.inst = f.NewInstance(g)
+}
+
+// Order returns the sampled order h_u, which the client reports to the
+// server in the clear (it is data-independent).
+func (r *reporter) Order() int { return r.order }
+
+// User returns the client's user id.
+func (r *reporter) User() int { return r.user }
+
+// tick moves the clock to the next period and reports whether 2^h
+// divides it, i.e. whether the client owes the server a report.
+func (r *reporter) tick() bool {
+	r.t++
+	if r.t > r.d {
+		panic("protocol: more observations than time periods")
+	}
+	return r.t&r.mask == 0
+}
+
+// report perturbs the partial sum of the order-h interval ending now.
+func (r *reporter) report(sum int8) Report {
+	return Report{User: r.user, Order: r.order, J: r.t >> uint(r.order), Bit: r.inst.Perturb(sum)}
+}
+
+// bit is the stream value st_u[t] ∈ {0, 1} of a Boolean observation.
+func bit(value bool) uint8 {
+	if value {
+		return 1
+	}
+	return 0
+}
+
 // Client is the client-side algorithm Aclt. Feed it one stream value per
 // time period with Observe; it emits a report exactly when 2^h divides t.
+// A Client must not be copied once built: a seeded one holds the
+// generator its randomizer points at.
 type Client struct {
-	user    int
-	d       int
-	order   int
-	tracker *sparse.BoundaryTracker
-	inst    core.Instance
-	t       int
+	reporter
+	lastVal uint8 // st_u at the previous multiple of 2^h (Observation 3.7; st_u[0] = 0)
 
-	// Clipping state: when clip is true, the client freezes its effective
+	// Clipping state: when clipK ≥ 1 the client freezes its effective
 	// stream after clipK changes so the sparsity contract holds even if
 	// the true stream exceeds the bound (a deployment necessity the paper
 	// assumes away). prevEff is the effective value at t−1; changes counts
 	// effective changes per Definition 3.1 (the implicit st[0] = 0).
-	clip    bool
 	clipK   int
 	prevEff uint8
 	changes int
@@ -54,9 +102,8 @@ type Client struct {
 
 // NewClient builds a client for user u over horizon d. The order h_u is
 // sampled from g, and the randomizer instance is initialized from the
-// factory (M.init). The factory's L must equal d/2^h for the sampled
-// order — use NewClientGroup or a per-order factory table; for a single
-// client, NewClientWithOrder is the primitive.
+// order's entry in the per-order factory table (M.init), which keeps
+// drawing from g afterwards.
 func NewClient(user, d int, factories []core.Factory, g *rng.RNG) *Client {
 	h := SampleOrder(g, d)
 	return NewClientWithOrder(user, d, h, factories[h], g)
@@ -66,16 +113,9 @@ func NewClient(user, d int, factories []core.Factory, g *rng.RNG) *Client {
 // order h. The factory must be parameterized for sequences of length
 // L = d/2^h.
 func NewClientWithOrder(user, d, h int, f core.Factory, g *rng.RNG) *Client {
-	if h < 0 || h > dyadic.Log2(d) {
-		panic(fmt.Sprintf("protocol: order %d out of range for d=%d", h, d))
-	}
-	return &Client{
-		user:    user,
-		d:       d,
-		order:   h,
-		tracker: sparse.NewBoundaryTracker(h),
-		inst:    f.NewInstance(g),
-	}
+	c := new(Client)
+	c.init(user, d, h, f, g)
+	return c
 }
 
 // NewClippedClient is NewClient for streams that may exceed the k bound:
@@ -88,44 +128,43 @@ func NewClippedClient(user, d, k int, factories []core.Factory, g *rng.RNG) *Cli
 		panic("protocol: clipping bound must be >= 1")
 	}
 	c := NewClient(user, d, factories, g)
-	c.clip = true
 	c.clipK = k
 	return c
 }
 
-// Order returns the sampled order h_u, which the client reports to the
-// server in the clear (it is data-independent).
-func (c *Client) Order() int { return c.order }
-
-// User returns the client's user id.
-func (c *Client) User() int { return c.user }
+// NewSeededClient is NewClient (clipK = 0) or NewClippedClient
+// (clipK ≥ 1) drawing the stream rng.NewFromSeed(seed) would produce
+// from a generator inside the client, so the client, its randomizer and
+// its generator are one allocation.
+func NewSeededClient(user, d, clipK int, factories []core.Factory, seed int64) *Client {
+	c := &Client{clipK: clipK}
+	c.own.Seed(seed)
+	h := SampleOrder(&c.own, d)
+	c.init(user, d, h, factories[h], &c.own)
+	return c
+}
 
 // Observe consumes st_u[t] for the next time period and returns the
 // report to send, if this is a reporting time for the client's order.
-func (c *Client) Observe(v uint8) (Report, bool) {
-	c.t++
-	if c.t > c.d {
-		panic("protocol: more observations than time periods")
-	}
-	if v > 1 {
-		panic("protocol: stream value must be 0/1")
-	}
-	if c.clip {
-		if v != c.prevEff {
-			if c.changes >= c.clipK {
-				v = c.prevEff // frozen: drop changes beyond the budget
-			} else {
-				c.changes++
-				c.prevEff = v
-			}
+// It panics when fed more than d periods: the horizon is fixed at
+// construction, so a (d+1)-th observation is a caller bug.
+func (c *Client) Observe(value bool) (Report, bool) {
+	reporting := c.tick()
+	v := bit(value)
+	if c.clipK > 0 && v != c.prevEff {
+		if c.changes >= c.clipK {
+			v = c.prevEff // frozen: drop changes beyond the budget
+		} else {
+			c.changes++
+			c.prevEff = v
 		}
 	}
-	sum, ok := c.tracker.Observe(c.t, v)
-	if !ok {
+	if !reporting {
 		return Report{}, false
 	}
-	j := c.t >> uint(c.order)
-	return Report{User: c.user, Order: c.order, J: j, Bit: c.inst.Perturb(sum)}, true
+	sum := int8(v) - int8(c.lastVal)
+	c.lastVal = v
+	return c.report(sum), true
 }
 
 // FactoryTable builds one randomizer factory per order h ∈ [0..log₂ d],

@@ -8,6 +8,7 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/probmath"
 	"rtf/internal/rng"
+	"rtf/internal/sparse"
 )
 
 func frFactories(t *testing.T, d, k int, eps float64) []core.Factory {
@@ -80,7 +81,7 @@ func TestClientReportingSchedule(t *testing.T) {
 			t.Fatalf("metadata wrong: order %d user %d", c.Order(), c.User())
 		}
 		for tt := 1; tt <= d; tt++ {
-			rep, ok := c.Observe(0)
+			rep, ok := c.Observe(false)
 			wantOK := tt%(1<<uint(h)) == 0
 			if ok != wantOK {
 				t.Fatalf("h=%d t=%d: report=%v, want %v", h, tt, ok, wantOK)
@@ -97,18 +98,67 @@ func TestClientReportingSchedule(t *testing.T) {
 	}
 }
 
+// TestClientSumsMatchPartialSums checks the boundary state the client
+// carries (Observation 3.7: the stream value at the previous multiple
+// of 2^h) against sparse.PartialSum at every order, for seeded clients
+// and clients drawing from a caller's generator alike. The randomizer is
+// made transparent for non-zero sums (ε̃ = 60 keeps a sign with
+// probability 1.0 in float64) and its non-zero cap is set to the
+// stream's exact support at that order, so a spurious non-zero panics
+// and a dropped one becomes a fair coin that disagrees half the time.
+func TestClientSumsMatchPartialSums(t *testing.T) {
+	const d = 64
+	g := rng.New(5, 6)
+	for trial := 0; trial < 100; trial++ {
+		st := make([]uint8, d)
+		v := uint8(0)
+		for i := range st {
+			if g.Bernoulli(0.15) {
+				v = 1 - v
+			}
+			st[i] = v
+		}
+		for h := 0; h <= dyadic.Log2(d); h++ {
+			k := max(1, sparse.SupportAtOrder(st, h))
+			fs, err := FactoryTable(d, k, 60*float64(k), func(l, k int, eps float64) (core.Factory, error) {
+				return core.NewIndependentFactory(l, k, eps)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := NewClientWithOrder(0, d, h, fs[h], g)
+			var seeded *Client
+			for seed := int64(trial); seeded == nil || seeded.Order() != h; seed += 1000 {
+				seeded = NewSeededClient(0, d, 0, fs, seed)
+			}
+			for tt := 1; tt <= d; tt++ {
+				for name, c := range map[string]*Client{"shared": shared, "seeded": seeded} {
+					rep, ok := c.Observe(st[tt-1] != 0)
+					if !ok {
+						continue
+					}
+					want := sparse.PartialSum(st, dyadic.Interval{Order: h, Index: rep.J})
+					if want != 0 && rep.Bit != want {
+						t.Fatalf("trial %d h=%d j=%d (%s): reported %d for partial sum %d", trial, h, rep.J, name, rep.Bit, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestClientTooManyObservations(t *testing.T) {
 	fs := frFactories(t, 4, 1, 1.0)
 	c := NewClientWithOrder(0, 4, 0, fs[0], rng.New(5, 6))
 	for tt := 0; tt < 4; tt++ {
-		c.Observe(1)
+		c.Observe(true)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("5th observation did not panic")
 		}
 	}()
-	c.Observe(1)
+	c.Observe(true)
 }
 
 func TestNewClientSamplesOrder(t *testing.T) {
@@ -145,7 +195,7 @@ func TestClippedClientSurvivesExcessChanges(t *testing.T) {
 		c := NewClippedClient(0, d, 2, fs, g)
 		n := 0
 		for tt := 1; tt <= d; tt++ {
-			if _, ok := c.Observe(vals[tt-1]); ok {
+			if _, ok := c.Observe(vals[tt-1] != 0); ok {
 				n++
 			}
 		}
@@ -180,7 +230,7 @@ func TestClippedClientFreezesAfterBudget(t *testing.T) {
 		}
 		cgap = fs[0].CGap()
 		for tt := 1; tt <= d; tt++ {
-			rep, ok := c.Observe(vals[tt-1])
+			rep, ok := c.Observe(vals[tt-1] != 0)
 			if !ok {
 				t.Fatal("order-0 client must report every period")
 			}
@@ -212,8 +262,8 @@ func TestClippedClientMatchesUnclippedWithinBudget(t *testing.T) {
 	a := NewClippedClient(0, d, 3, fs, rng.New(45, 46))
 	b := NewClient(0, d, fs, rng.New(45, 46))
 	for tt := 1; tt <= d; tt++ {
-		ra, oka := a.Observe(vals[tt-1])
-		rb, okb := b.Observe(vals[tt-1])
+		ra, oka := a.Observe(vals[tt-1] != 0)
+		rb, okb := b.Observe(vals[tt-1] != 0)
 		if oka != okb || ra != rb {
 			t.Fatalf("t=%d: clipped %v/%v, unclipped %v/%v", tt, ra, oka, rb, okb)
 		}
@@ -329,7 +379,7 @@ func TestErlingssonClientSparsification(t *testing.T) {
 		c := NewErlingssonClient(0, d, 3, fs, g)
 		n := 0
 		for tt := 1; tt <= d; tt++ {
-			if _, ok := c.Observe(vals[tt-1]); ok {
+			if _, ok := c.Observe(vals[tt-1] != 0); ok {
 				n++
 			}
 		}
@@ -354,7 +404,7 @@ func TestErlingssonKeepsOneSignedChange(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		c := NewErlingssonClient(0, d, 2, fs, g)
 		for tt := 1; tt <= d; tt++ {
-			c.Observe(vals[tt-1])
+			c.Observe(vals[tt-1] != 0)
 		}
 		switch c.keptTime {
 		case 2:
@@ -393,7 +443,7 @@ func TestErlingssonFewerChangesThanK(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		c := NewErlingssonClient(0, d, 3, fs, g)
 		for tt := 1; tt <= d; tt++ {
-			c.Observe(vals[tt-1])
+			c.Observe(vals[tt-1] != 0)
 		}
 		if c.keptTime != 0 {
 			kept++
@@ -470,14 +520,14 @@ func TestErlingssonObserveOverfeedPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewErlingssonClient(0, 2, 1, fs, rng.New(19, 20))
-	c.Observe(0)
-	c.Observe(0)
+	c.Observe(false)
+	c.Observe(false)
 	defer func() {
 		if recover() == nil {
 			t.Error("overfeed did not panic")
 		}
 	}()
-	c.Observe(0)
+	c.Observe(false)
 }
 
 func TestServerAccessors(t *testing.T) {

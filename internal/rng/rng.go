@@ -18,9 +18,14 @@ import (
 // protocol: fair bits and signs, Bernoulli trials, Laplace and geometric
 // noise, binomial counts, Zipf-like integers and random subsets.
 //
+// An RNG owns its PCG state, so it can be a field of the object that
+// draws from it and be seeded there with Seed; the zero value is
+// unseeded. Do not copy an RNG once it is seeded: the copy would replay
+// the original's stream instead of continuing it.
+//
 // RNG is not safe for concurrent use; derive one per goroutine with Split.
 type RNG struct {
-	r *rand.Rand
+	pcg rand.PCG
 	// seed state retained so Split can derive child streams.
 	s0, s1 uint64
 	splits uint64
@@ -28,19 +33,32 @@ type RNG struct {
 
 // New returns an RNG seeded from the two given words.
 func New(seed0, seed1 uint64) *RNG {
-	return &RNG{
-		r:  rand.New(rand.NewPCG(seed0, seed1)),
-		s0: seed0,
-		s1: seed1,
-	}
+	g := &RNG{s0: seed0, s1: seed1}
+	g.pcg.Seed(seed0, seed1)
+	return g
 }
 
 // NewFromSeed returns an RNG seeded from a single int64, convenient for
 // CLI flags. Negative seeds are permitted.
 func NewFromSeed(seed int64) *RNG {
-	u := uint64(seed)
-	return New(splitmix(u), splitmix(u+0x9e3779b97f4a7c15))
+	g := new(RNG)
+	g.Seed(seed)
+	return g
 }
+
+// Seed is NewFromSeed in place: it resets g to the start of the stream
+// NewFromSeed(seed) returns, Split counter included, without allocating.
+func (g *RNG) Seed(seed int64) {
+	u := uint64(seed)
+	*g = RNG{s0: splitmix(u), s1: splitmix(u + 0x9e3779b97f4a7c15)}
+	g.pcg.Seed(g.s0, g.s1)
+}
+
+// rand views g's PCG through math/rand/v2 for the samplers that live
+// there (Float64, IntN, NormFloat64, Perm), so they consume the same
+// state, word for word, as the direct draws below. The view is one
+// interface word pair on the caller's stack, not an allocation.
+func (g *RNG) rand() *rand.Rand { return rand.New(&g.pcg) }
 
 // splitmix is the SplitMix64 finalizer, a high-quality 64-bit mixer.
 func splitmix(x uint64) uint64 {
@@ -72,16 +90,16 @@ func (g *RNG) Derive(idx uint64) *RNG {
 }
 
 // Uint64 returns a uniformly random 64-bit word.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
+func (g *RNG) Uint64() uint64 { return g.pcg.Uint64() }
 
 // Int64 returns a uniformly random non-negative int64.
-func (g *RNG) Int64() int64 { return int64(g.r.Uint64() >> 1) }
+func (g *RNG) Int64() int64 { return int64(g.pcg.Uint64() >> 1) }
 
 // IntN returns a uniform integer in [0, n). It panics if n <= 0.
-func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
+func (g *RNG) IntN(n int) int { return g.rand().IntN(n) }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.rand().Float64() }
 
 // Bernoulli reports true with probability p. Values of p outside [0, 1]
 // are clamped.
@@ -92,25 +110,25 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.rand().Float64() < p
 }
 
 // Sign returns −1 or +1 with equal probability.
 func (g *RNG) Sign() int8 {
-	if g.r.Uint64()&1 == 0 {
+	if g.pcg.Uint64()&1 == 0 {
 		return 1
 	}
 	return -1
 }
 
 // Bit returns 0 or 1 with equal probability.
-func (g *RNG) Bit() uint8 { return uint8(g.r.Uint64() & 1) }
+func (g *RNG) Bit() uint8 { return uint8(g.pcg.Uint64() & 1) }
 
 // Laplace returns a sample from the Laplace distribution with mean 0 and
 // the given scale (density (1/2b)·exp(−|x|/b)).
 func (g *RNG) Laplace(scale float64) float64 {
 	// Inverse CDF on u ∈ (−1/2, 1/2): x = −b·sgn(u)·ln(1−2|u|).
-	u := g.r.Float64() - 0.5
+	u := g.rand().Float64() - 0.5
 	if u >= 0 {
 		return -scale * math.Log(1-2*u)
 	}
@@ -128,9 +146,9 @@ func (g *RNG) Geometric(p float64) int {
 		return 0
 	}
 	// Inversion: floor(ln U / ln(1−p)).
-	u := g.r.Float64()
+	u := g.rand().Float64()
 	for u == 0 {
-		u = g.r.Float64()
+		u = g.rand().Float64()
 	}
 	return int(math.Log(u) / math.Log1p(-p))
 }
@@ -143,10 +161,10 @@ func (g *RNG) BinomialHalf(n int) int {
 	}
 	c := 0
 	for ; n >= 64; n -= 64 {
-		c += bits.OnesCount64(g.r.Uint64())
+		c += bits.OnesCount64(g.pcg.Uint64())
 	}
 	if n > 0 {
-		c += bits.OnesCount64(g.r.Uint64() & (1<<uint(n) - 1))
+		c += bits.OnesCount64(g.pcg.Uint64() & (1<<uint(n) - 1))
 	}
 	return c
 }
@@ -177,7 +195,7 @@ func (g *RNG) Binomial(n int, p float64) int {
 		// Direct per-trial sampling.
 		c := 0
 		for i := 0; i < n; i++ {
-			if g.r.Float64() < p {
+			if g.rand().Float64() < p {
 				c++
 			}
 		}
@@ -206,7 +224,7 @@ func (g *RNG) SignedBinomialHalfSum(n int) int {
 }
 
 // Normal returns a standard normal sample.
-func (g *RNG) Normal() float64 { return g.r.NormFloat64() }
+func (g *RNG) Normal() float64 { return g.rand().NormFloat64() }
 
 // BinomialApprox returns a sample of Binomial(n, p), using the exact
 // sampler when the distribution is small or skewed and the (rounded,
@@ -237,7 +255,7 @@ func (g *RNG) BinomialApprox(n int, p float64) int {
 }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.rand().Perm(n) }
 
 // KSubset returns k distinct integers drawn uniformly from [0, n), in
 // increasing order. It panics if k > n or either argument is negative.
@@ -255,17 +273,17 @@ func (g *RNG) KSubset(n, k int) []int {
 			idx[i] = i
 		}
 		for i := 0; i < k; i++ {
-			j := i + g.r.IntN(n-i)
+			j := i + g.rand().IntN(n-i)
 			idx[i], idx[j] = idx[j], idx[i]
 		}
-		out := append([]int(nil), idx[:k]...)
+		out := idx[:k:k] // n ≤ 3k, so the tail kept alive is at most 2k entries
 		insertionSort(out)
 		return out
 	}
 	// Sparse Floyd's algorithm.
 	chosen := make(map[int]struct{}, k)
 	for j := n - k; j < n; j++ {
-		t := g.r.IntN(j + 1)
+		t := g.rand().IntN(j + 1)
 		if _, ok := chosen[t]; ok {
 			t = j
 		}

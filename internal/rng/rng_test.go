@@ -479,3 +479,72 @@ func TestPerm(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+// TestRNGInPlaceSeedMatchesNew pins the in-place seeding entry against
+// the allocating constructor: the same mixed draws, word for word, the
+// same Split and Derive children, and a re-Seed that restarts the
+// stream (Split counter included). It also pins that the math/rand/v2
+// view behind Float64/IntN costs no allocation.
+func TestRNGInPlaceSeedMatchesNew(t *testing.T) {
+	draw := func(g *RNG, i int) uint64 {
+		switch i % 4 {
+		case 0:
+			return g.Uint64()
+		case 1:
+			return math.Float64bits(g.Float64())
+		case 2:
+			return uint64(g.IntN(1 + i))
+		default:
+			return uint64(uint8(g.Sign()))
+		}
+	}
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		want := NewFromSeed(seed)
+		var holder struct {
+			pad [3]uint64
+			g   RNG
+		}
+		got := &holder.g
+		got.Seed(seed)
+		for i := 0; i < 1000; i++ {
+			if a, b := draw(got, i), draw(want, i); a != b {
+				t.Fatalf("seed %d draw %d: in-place %#x, NewFromSeed %#x", seed, i, a, b)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if a, b := got.Split().Uint64(), want.Split().Uint64(); a != b {
+				t.Fatalf("seed %d: Split child %d differs", seed, i)
+			}
+			if a, b := got.Derive(uint64(i)).Float64(), want.Derive(uint64(i)).Float64(); a != b {
+				t.Fatalf("seed %d: Derive child %d differs", seed, i)
+			}
+		}
+		got.Seed(seed)
+		fresh := NewFromSeed(seed)
+		if got.Uint64() != fresh.Uint64() || got.Split().Uint64() != fresh.Split().Uint64() {
+			t.Fatalf("seed %d: re-seeding did not restart the stream", seed)
+		}
+	}
+	// The stream itself, pinned from the generator this one replaced (a
+	// rand.Rand over a heap PCG): direct and math/rand/v2 draws interleave
+	// over one state.
+	p := NewFromSeed(42)
+	got := []uint64{p.Uint64(), math.Float64bits(p.Float64()), uint64(p.IntN(1000)), uint64(p.Perm(5)[0]),
+		math.Float64bits(p.Normal()), p.Split().Uint64(), p.Derive(3).Uint64(), p.Uint64()}
+	want := []uint64{0x61c88529c9612c1b, 0x3fd1b1460eb542d0, 328, 3,
+		0xbfdcc344294e22a8, 0x9bd62670a7ada3ac, 0x4abf5fd428472f9a, 0xb861fcb318761276}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("pinned draw %d: %#x, want %#x", i, got[i], want[i])
+		}
+	}
+	g := NewFromSeed(3)
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		g.Seed(3)
+		sink += g.Float64() + float64(g.IntN(10)) + g.Normal() + float64(g.Sign())
+	}); n != 0 {
+		t.Errorf("Seed + Float64 + IntN + Normal + Sign allocate %v times, want 0", n)
+	}
+	_ = sink
+}

@@ -176,7 +176,7 @@ func runFrameworkExact(w *workload.Workload, factories []core.Factory, srv *prot
 		srv.Register(c.Order())
 		vals := us.Values(w.D)
 		for t := 1; t <= w.D; t++ {
-			if rep, ok := c.Observe(vals[t-1]); ok {
+			if rep, ok := c.Observe(vals[t-1] != 0); ok {
 				srv.Ingest(rep)
 			}
 		}
@@ -342,7 +342,7 @@ func (e Erlingsson) runExact(w *workload.Workload, k int, factories []core.Facto
 		srv.Register(c.Order())
 		vals := us.Values(w.D)
 		for t := 1; t <= w.D; t++ {
-			if rep, ok := c.Observe(vals[t-1]); ok {
+			if rep, ok := c.Observe(vals[t-1] != 0); ok {
 				srv.Ingest(rep)
 			}
 		}

@@ -97,43 +97,3 @@ func SupportAtOrder(st []uint8, h int) int {
 	}
 	return n
 }
-
-// BoundaryTracker incrementally computes the partial sums a client with
-// sampled order h must report, using O(1) memory: it remembers the stream
-// value at the previous order-h boundary (Observation 3.7). Feed values in
-// time order with Observe; it returns the partial sum S_u(I_{h,j}) exactly
-// at reporting times t = j·2^h.
-type BoundaryTracker struct {
-	h        int
-	mask     int
-	lastVal  uint8 // st at the previous multiple of 2^h (st[0] = 0)
-	nextTime int   // expected next t (1-based)
-}
-
-// NewBoundaryTracker creates a tracker for order h ≥ 0.
-func NewBoundaryTracker(h int) *BoundaryTracker {
-	if h < 0 {
-		panic("sparse: negative order")
-	}
-	return &BoundaryTracker{h: h, mask: 1<<uint(h) - 1, nextTime: 1}
-}
-
-// Observe consumes st_u[t] for the next time period t. It returns the
-// partial sum of the order-h interval ending at t and report=true when
-// 2^h divides t; otherwise report is false. Values outside {0,1} and
-// out-of-order calls panic.
-func (b *BoundaryTracker) Observe(t int, v uint8) (sum int8, report bool) {
-	if v > 1 {
-		panic("sparse: stream value must be 0/1")
-	}
-	if t != b.nextTime {
-		panic(fmt.Sprintf("sparse: Observe(%d) out of order, want t=%d", t, b.nextTime))
-	}
-	b.nextTime++
-	if t&b.mask != 0 {
-		return 0, false
-	}
-	sum = int8(v) - int8(b.lastVal)
-	b.lastVal = v
-	return sum, true
-}

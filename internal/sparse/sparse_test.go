@@ -190,64 +190,3 @@ func TestSupportBoundObservation36(t *testing.T) {
 		}
 	}
 }
-
-func TestBoundaryTrackerMatchesPartialSums(t *testing.T) {
-	g := rng.New(5, 6)
-	for trial := 0; trial < 50; trial++ {
-		d := 64
-		st := make([]uint8, d)
-		v := uint8(0)
-		for i := range st {
-			if g.Bernoulli(0.3) {
-				v = 1 - v
-			}
-			st[i] = v
-		}
-		for h := 0; h <= 6; h++ {
-			want := PartialSumsAtOrder(st, h)
-			bt := NewBoundaryTracker(h)
-			j := 0
-			for tt := 1; tt <= d; tt++ {
-				sum, report := bt.Observe(tt, st[tt-1])
-				if wantReport := tt%(1<<uint(h)) == 0; report != wantReport {
-					t.Fatalf("h=%d t=%d: report=%v, want %v", h, tt, report, wantReport)
-				}
-				if report {
-					if sum != want[j] {
-						t.Fatalf("h=%d interval %d: sum %d, want %d", h, j+1, sum, want[j])
-					}
-					j++
-				}
-			}
-			if j != len(want) {
-				t.Fatalf("h=%d: %d reports, want %d", h, j, len(want))
-			}
-		}
-	}
-}
-
-func TestBoundaryTrackerPanics(t *testing.T) {
-	bt := NewBoundaryTracker(1)
-	bt.Observe(1, 0)
-	for name, f := range map[string]func(){
-		"out of order": func() { bt.Observe(3, 0) },
-		"bad value":    func() { bt.Observe(2, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s did not panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative order did not panic")
-			}
-		}()
-		NewBoundaryTracker(-1)
-	}()
-}

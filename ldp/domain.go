@@ -6,7 +6,6 @@ import (
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
-	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/stats"
 	"rtf/internal/transport"
@@ -139,20 +138,6 @@ type DomainReport struct {
 	Report
 }
 
-// engineObserver adapts a registry ClientEngine to the hh.Observer
-// shape the reduction engine wraps.
-type engineObserver struct{ eng ClientEngine }
-
-func (o engineObserver) Order() int { return o.eng.Order() }
-
-func (o engineObserver) Observe(value bool) (protocol.Report, bool) {
-	r, ok := o.eng.Observe(value)
-	if !ok {
-		return protocol.Report{}, false
-	}
-	return protocol.Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}, true
-}
-
 // DomainClient is the client-side half of domain tracking for one user:
 // it holds the sampled target item (exact encoding) or target bucket
 // (hashed encoding) and feeds the derived indicator stream into the
@@ -235,7 +220,7 @@ func (f *DomainClientFactory) NewClient(user int, seed int64) (*DomainClient, er
 		if err != nil {
 			return nil, err
 		}
-		hashed, err := hh.NewHashedDomainClient(bucket, f.enc, engineObserver{eng})
+		hashed, err := hh.NewHashedDomainClient(bucket, f.enc, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +231,7 @@ func (f *DomainClientFactory) NewClient(user int, seed int64) (*DomainClient, er
 	if err != nil {
 		return nil, err
 	}
-	inner, err := hh.NewDomainClient(item, f.m, engineObserver{eng})
+	inner, err := hh.NewDomainClient(item, f.m, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -284,19 +269,13 @@ func (c *DomainClient) Observe(value int) (DomainReport, bool, error) {
 		if err != nil || !ok {
 			return DomainReport{}, false, err
 		}
-		return DomainReport{
-			Item:   c.hashed.Bucket(),
-			Report: Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit},
-		}, true, nil
+		return DomainReport{Item: c.hashed.Bucket(), Report: r}, true, nil
 	}
 	r, ok, err := c.inner.Observe(value)
 	if err != nil || !ok {
 		return DomainReport{}, false, err
 	}
-	return DomainReport{
-		Item:   c.inner.Item(),
-		Report: Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit},
-	}, true, nil
+	return DomainReport{Item: c.inner.Item(), Report: r}, true, nil
 }
 
 // DomainServer is the server-side half of domain tracking: one dyadic
@@ -409,12 +388,11 @@ func (s *DomainServer) Ingest(r DomainReport) error {
 	if r.J < 1 || r.J > s.d>>uint(r.Order) {
 		return fmt.Errorf("ldp: report index %d out of range for order %d", r.J, r.Order)
 	}
-	rep := protocol.Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}
 	if s.hashed != nil {
-		s.hashed.Ingest(0, r.Item, rep)
+		s.hashed.Ingest(0, r.Item, r.Report)
 		s.hashed.AdvanceVersion(0)
 	} else {
-		s.inner.Ingest(0, r.Item, rep)
+		s.inner.Ingest(0, r.Item, r.Report)
 		s.inner.AdvanceVersion(0)
 	}
 	return nil

@@ -140,30 +140,6 @@ func baselineSystem(mk func(o Options) sim.System) func(o Options) (System, erro
 // ---------------------------------------------------------------------------
 // Client engines.
 
-// protoObserver is the shape shared by protocol.Client and
-// protocol.ErlingssonClient.
-type protoObserver interface {
-	Order() int
-	Observe(v uint8) (protocol.Report, bool)
-}
-
-// protoClientEngine adapts a protocol-level client to ClientEngine.
-type protoClientEngine struct{ inner protoObserver }
-
-func (c protoClientEngine) Order() int { return c.inner.Order() }
-
-func (c protoClientEngine) Observe(value bool) (Report, bool) {
-	var v uint8
-	if value {
-		v = 1
-	}
-	r, ok := c.inner.Observe(v)
-	if !ok {
-		return Report{}, false
-	}
-	return Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}, true
-}
-
 // frameworkClients builds per-user framework clients sharing one factory
 // table (and so one annulus computation) across all users.
 func frameworkClients(kind sim.RandomizerKind) func(p Params) (ClientBuilder, error) {
@@ -175,16 +151,15 @@ func frameworkClients(kind sim.RandomizerKind) func(p Params) (ClientBuilder, er
 		if err != nil {
 			return nil, err
 		}
-		d, k, clip := p.D, p.K, p.Clip
+		d, clipK := p.D, 0
+		if p.Clip {
+			clipK = p.K
+		}
 		return func(user int, seed int64) (ClientEngine, error) {
 			if user < 0 {
 				return nil, fmt.Errorf("ldp: negative user id %d", user)
 			}
-			g := rng.NewFromSeed(seed)
-			if clip {
-				return protoClientEngine{protocol.NewClippedClient(user, d, k, factories, g)}, nil
-			}
-			return protoClientEngine{protocol.NewClient(user, d, factories, g)}, nil
+			return protocol.NewSeededClient(user, d, clipK, factories, seed), nil
 		}, nil
 	}
 }
@@ -208,7 +183,7 @@ func erlingssonClients(p Params) (ClientBuilder, error) {
 		if user < 0 {
 			return nil, fmt.Errorf("ldp: negative user id %d", user)
 		}
-		return protoClientEngine{protocol.NewErlingssonClient(user, d, k, factories, rng.NewFromSeed(seed))}, nil
+		return protocol.NewSeededErlingssonClient(user, d, k, factories, seed), nil
 	}, nil
 }
 
@@ -313,7 +288,7 @@ func (e *dyadicEngine) Ingest(r Report) error {
 	if r.J < 1 || r.J > e.inner.D()>>uint(r.Order) {
 		return fmt.Errorf("ldp: report index %d out of range for order %d", r.J, r.Order)
 	}
-	e.inner.Ingest(protocol.Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit})
+	e.inner.Ingest(r)
 	return nil
 }
 

@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"rtf/internal/probmath"
+	"rtf/internal/protocol"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
 	"rtf/workload"
@@ -176,12 +177,10 @@ func ErrorBound(n, d, k int, eps, beta float64) (float64, error) {
 // Report is one report shipped from a client to the server. For dyadic
 // mechanisms it is a perturbed partial sum at interval (Order, J); the
 // per-period baselines use Order 0 with J as the time period. Bit is ±1.
-type Report struct {
-	User  int
-	Order int
-	J     int
-	Bit   int8
-}
+// It is the protocol layer's report type itself (fields User, Order, J,
+// Bit), so a report crosses client → wire → accumulator without being
+// re-packed.
+type Report = protocol.Report
 
 // Option configures the streaming constructors (NewClient, NewServer,
 // NewClientFactory).
@@ -352,7 +351,9 @@ func (c *Client) Order() int { return c.eng.Order() }
 
 // Observe consumes the user's current Boolean value for the next time
 // period and returns a report to ship when this period is a reporting
-// time for the client.
+// time for the client. The horizon d is fixed at construction: a
+// (d+1)-th call is a caller bug and panics ("more observations than
+// time periods") rather than returning an error.
 func (c *Client) Observe(value bool) (Report, bool) {
 	return c.eng.Observe(value)
 }

@@ -221,6 +221,20 @@ func TestStreamingValidation(t *testing.T) {
 	if _, err := srv.EstimateAt(9); err == nil {
 		t.Error("t>d accepted")
 	}
+	// Feeding a client past its horizon is a caller bug: Observe keeps its
+	// (Report, bool) signature and panics, with this message.
+	c, err := NewClient(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Observe(true)
+	c.Observe(true)
+	defer func() {
+		if r := recover(); r != "protocol: more observations than time periods" {
+			t.Errorf("third Observe on d=2 recovered %v, want the documented horizon panic", r)
+		}
+	}()
+	c.Observe(true)
 }
 
 func TestClippedClientPublic(t *testing.T) {

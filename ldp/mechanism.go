@@ -66,7 +66,9 @@ type Params struct {
 
 // ClientEngine is the mechanism-side implementation behind a streaming
 // Client: it announces a sampled order and converts one Boolean value
-// per period into an occasional wire report.
+// per period into an occasional wire report. The built-in dyadic
+// mechanisms return their protocol-layer client as the engine, so
+// Client.Observe is one dispatch away from the state it updates.
 type ClientEngine interface {
 	// Order returns the client's announced order h_u (0 for
 	// mechanisms without order sampling).
