@@ -425,28 +425,29 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 }
 
 // servedIngest is what rtf-serve's frame loop does with a connection's
-// ingest frames: decode a frame, validate it once, and hand the store's
-// trusted entry the run together with the bytes it arrived as.
+// ingest frames, minus the socket: decode a frame into validated records
+// under the mode's contract and hand the store's trusted entry the
+// records together with the bytes they arrived as.
 func servedIngest(st transport.Store, shard int, stream []byte) error {
 	dec := transport.NewDecoder(bytes.NewReader(stream))
+	ingest := st.Mode().Ingest()
 	for {
-		ms, err := dec.NextBatch()
+		f, err := dec.NextFrame(&ingest)
 		if err != nil {
 			return nil // end of stream
 		}
-		if err := st.Mode().ValidateIngest(ms); err != nil {
-			return err
-		}
-		if err := st.Apply(shard, ms, dec.Wire(0, len(ms))); err != nil {
+		if err := st.Apply(shard, f.Recs, f.Wire); err != nil {
 			return err
 		}
 	}
 }
 
-// reencodedIngest is the store's other entry, SendBatch, as WAL replay
-// and the benchmark ladder's journal rung call it: the run comes without
-// wire bytes, so a durable store encodes it before journaling.
-func reencodedIngest(st transport.Store, shard int, stream []byte) error {
+// msgViewIngest is the store's other entry as mode-less callers reach it
+// (the benchmark ladder's rungs, ldp.Server.IngestFrom's shape): decode a
+// frame into Msgs, then SendBatch, which checks each Msg against the
+// contract, converts the run to records and — on a durable store —
+// encodes it again for the journal. No front serves this combination.
+func msgViewIngest(st transport.Store, shard int, stream []byte) error {
 	dec := transport.NewDecoder(bytes.NewReader(stream))
 	for {
 		ms, err := dec.NextBatch()
@@ -459,11 +460,13 @@ func reencodedIngest(st transport.Store, shard int, stream []byte) error {
 	}
 }
 
-// BenchmarkIngestBatchedSharded is the rtf-serve data path: per-stream
-// goroutines decode batch frames and fan them into the lock-free
-// sharded accumulator through the ShardedCollector. With GOMAXPROCS ≥
-// shards the streams decode in parallel; even single-threaded, batching
-// amortizes the per-message collector and dispatch overhead.
+// BenchmarkIngestBatchedSharded is batched Boolean ingest in process, as
+// the frame loop does it minus the socket (servedIngest; the real thing
+// over loopback is BenchmarkIngestServed): per-stream goroutines decode
+// batch frames into records and fan them into the lock-free sharded
+// accumulator. With GOMAXPROCS ≥ shards the streams decode in parallel;
+// even single-threaded, batching amortizes the per-message collector
+// and dispatch overhead.
 func BenchmarkIngestBatchedSharded(b *testing.B) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	if counts[2] == counts[1] || counts[2] == counts[0] {
@@ -501,7 +504,7 @@ func BenchmarkIngestBatchedSharded(b *testing.B) {
 // BenchmarkIngestBatchedSharded through a durable store opened with the
 // given persistence options: four concurrent streams, every batch
 // journaled before it is applied, through the given entry (servedIngest
-// or reencodedIngest).
+// or msgViewIngest).
 func benchDurableIngest(b *testing.B, o transport.DurableOptions, ingest func(transport.Store, int, []byte) error) {
 	const shards = 4
 	streams := encodeIngestStreams(b, shards, true)
@@ -537,15 +540,14 @@ func benchDurableIngest(b *testing.B, o transport.DurableOptions, ingest func(tr
 }
 
 // BenchmarkIngestDurableWAL measures the write-ahead-logging overhead
-// on the rtf-serve data path: the same batched sharded ingestion as
-// BenchmarkIngestBatchedSharded, but every batch is journaled through a
-// durable store (no fsync — the kill -9 durability level) before it is
-// applied. served journals each frame's received bytes, as rtf-serve
-// does; reencode is SendBatch, which has no wire bytes and encodes the
-// run first.
+// in process: four streams of batch frames, every batch journaled
+// through a durable store (no fsync — the kill -9 durability level)
+// before it is applied. served decodes to records and journals each
+// frame's received bytes, as rtf-serve does; reencode is the Msg view,
+// SendBatch, which has no wire bytes and encodes the run again.
 func BenchmarkIngestDurableWAL(b *testing.B) {
 	b.Run("served", func(b *testing.B) { benchDurableIngest(b, transport.DurableOptions{}, servedIngest) })
-	b.Run("reencode", func(b *testing.B) { benchDurableIngest(b, transport.DurableOptions{}, reencodedIngest) })
+	b.Run("reencode", func(b *testing.B) { benchDurableIngest(b, transport.DurableOptions{}, msgViewIngest) })
 }
 
 // BenchmarkIngestGroupCommit measures what WAL group commit buys on the
@@ -568,6 +570,173 @@ func BenchmarkIngestGroupCommit(b *testing.B) {
 	b.Run("kill9-group", func(b *testing.B) {
 		benchDurableIngest(b, transport.DurableOptions{GroupCommitInterval: interval}, servedIngest)
 	})
+}
+
+// servedBenchFrame is the shape of the domain-rw write burst: 2,048
+// reports per acked frame, eight frames in flight.
+const (
+	servedBenchFrame  = 2048
+	servedBenchWindow = 8
+	servedBenchFrames = 16 // distinct frames cycled through
+)
+
+// servedBenchCase is one mode of the served-ingest benchmarks: the mode
+// and the report messages its clients send.
+type servedBenchCase struct {
+	name   string
+	mode   transport.Mode
+	report func(item int, r protocol.Report) transport.Msg
+	rows   int
+}
+
+func servedBenchCases() []servedBenchCase {
+	boolReport := func(_ int, r protocol.Report) transport.Msg { return transport.FromReport(r) }
+	return []servedBenchCase{
+		{"boolean", transport.BoolMode(ingestBenchD, 100), boolReport, 1},
+		{"domain", transport.DomainMode(ingestBenchD, domainBenchM, 100), transport.FromDomainReport, domainBenchM},
+		{"hashed", transport.HashedMode(ingestBenchD, hashedBenchEnc, 100), transport.FromDomainReport, hashedBenchEnc.G},
+	}
+}
+
+// frames pre-encodes servedBenchFrames acked frames of servedBenchFrame
+// reports each, user ids spread over two- and three-byte varints the way
+// a real population's are.
+func (c servedBenchCase) frames(b *testing.B) [][]byte {
+	b.Helper()
+	g := rng.New(61, 62)
+	out := make([][]byte, servedBenchFrames)
+	batch := make([]transport.Msg, servedBenchFrame)
+	for f := range out {
+		for i := range batch {
+			h := g.IntN(dyadic.NumOrders(ingestBenchD))
+			batch[i] = c.report(g.IntN(c.rows), protocol.Report{
+				User: g.IntN(200_000), Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: int8(1 - 2*g.IntN(2)),
+			})
+		}
+		var buf bytes.Buffer
+		enc := transport.NewEncoder(&buf)
+		if err := enc.EncodeAckedBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+		if err := enc.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		out[f] = buf.Bytes()
+	}
+	return out
+}
+
+// BenchmarkIngestServed is the path that ships: a real IngestServer on
+// loopback, one connection writing pre-encoded 2,048-report acked frames
+// with eight in flight and reading the acks — socket read, fused decode
+// and validation into records, (journal,) apply, coalesced ack. One op is
+// one frame; steady state allocates nothing on either side. The durable
+// cell journals every frame (no fsync) and cuts a snapshot outside the
+// timer every 512 frames so the log stays a few segments long.
+func BenchmarkIngestServed(b *testing.B) {
+	cases := servedBenchCases()
+	durable := cases[0]
+	durable.name = "durable"
+	for i, c := range append(cases, durable) {
+		b.Run(c.name, func(b *testing.B) {
+			var store transport.Store = transport.NewCollector(c.mode, 2)
+			snapshot := func() {}
+			if i == len(cases) {
+				dur, _, err := transport.OpenDurableStore(store, b.TempDir(),
+					persist.Meta{Mechanism: "bench", D: ingestBenchD, K: 8, Eps: 1, Scale: 100}, transport.DurableOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer dur.Close()
+				store = dur
+				snapshot = func() {
+					if _, err := dur.Snapshot(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			srv := transport.NewIngestServer(store)
+			ready := make(chan net.Addr, 1)
+			done := make(chan error, 1)
+			go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+			defer func() {
+				srv.Close()
+				<-done
+			}()
+			conn, err := net.Dial("tcp", (<-ready).String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			frames := c.frames(b)
+			acks := bufio.NewReader(conn)
+			inflight := 0
+			var ack [2]byte
+			readAck := func() {
+				if _, err := io.ReadFull(acks, ack[:]); err != nil || ack != [2]byte{byte(transport.MsgBatchAck), 1} {
+					b.Fatalf("ack %v, %v", ack, err)
+				}
+				inflight--
+			}
+			send := func(i int) {
+				if inflight == servedBenchWindow {
+					readAck()
+				}
+				if _, err := conn.Write(frames[i%len(frames)]); err != nil {
+					b.Fatal(err)
+				}
+				inflight++
+			}
+			drain := func() {
+				for inflight > 0 {
+					readAck()
+				}
+			}
+			for i := 0; i < 4*servedBenchWindow; i++ {
+				send(i) // grows the connection's buffers on both sides
+			}
+			drain()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%512 == 511 {
+					drain()
+					b.StopTimer()
+					snapshot()
+					b.StartTimer()
+				}
+				send(i)
+			}
+			drain()
+			b.ReportMetric(servedBenchFrame*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+		})
+	}
+}
+
+// BenchmarkIngestKernel is the decode half alone: the same frames, in
+// memory, through Decoder.NextFrame into validated 24-byte records —
+// no socket, no apply.
+func BenchmarkIngestKernel(b *testing.B) {
+	for _, c := range servedBenchCases() {
+		b.Run(c.name, func(b *testing.B) {
+			stream := bytes.Join(c.frames(b), nil)
+			src := bytes.NewReader(nil)
+			dec := transport.NewDecoder(src)
+			ingest := c.mode.Ingest()
+			b.SetBytes(int64(len(stream)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				src.Reset(stream)
+				for f := 0; f < servedBenchFrames; f++ {
+					if fr, err := dec.NextFrame(&ingest); err != nil || len(fr.Recs) != servedBenchFrame {
+						b.Fatalf("frame %d: %v", f, err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*servedBenchFrames*servedBenchFrame), "ns/report")
+		})
+	}
 }
 
 // BenchmarkAnswerChangeVsDiffPoints compares the two ways to estimate a
@@ -982,9 +1151,10 @@ func encodeDomainStreams(b *testing.B, streams int) [][]byte {
 	return out
 }
 
-// BenchmarkDomainIngest is the rtf-serve -m data path: per-stream
-// goroutines decode item-tagged batch frames and fan them into the
-// per-item sharded accumulators through the DomainCollector.
+// BenchmarkDomainIngest is the Msg view of exact-domain ingest (what
+// rtf-serve -m runs is BenchmarkIngestServed/domain): per-stream
+// goroutines decode item-tagged batch frames into Msgs and fan them into
+// the per-item sharded accumulators through SendBatch.
 func BenchmarkDomainIngest(b *testing.B) {
 	const shards = 4
 	streams := encodeDomainStreams(b, shards)
@@ -1128,9 +1298,10 @@ func encodeHashedDomainStreams(b *testing.B, streams int) [][]byte {
 	return out
 }
 
-// BenchmarkHashedDomainIngest is the rtf-serve -encoding loloha data
-// path: per-stream goroutines decode bucket-tagged batch frames and fan
-// them into the g-row hashed server through the HashedDomainCollector.
+// BenchmarkHashedDomainIngest is the Msg view of hashed-domain ingest
+// (what rtf-serve -encoding loloha runs is BenchmarkIngestServed/hashed):
+// per-stream goroutines decode bucket-tagged batch frames into Msgs and
+// fan them into the g-row hashed server through SendBatch.
 func BenchmarkHashedDomainIngest(b *testing.B) {
 	const shards = 4
 	streams := encodeHashedDomainStreams(b, shards)
@@ -1239,13 +1410,11 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 	r := rng.New(17, 18)
 	for i := 0; i < ingestBenchReports; i++ {
 		h := r.IntN(dyadic.NumOrders(d))
-		ms := []transport.Msg{transport.FromDomainReport(r.IntN(g), protocol.Report{
-			User: i, Order: h, J: 1 + r.IntN(d>>uint(h)), Bit: int8(1 - 2*r.IntN(2)),
-		})}
+		run := []transport.Rec{{User: i, Item: uint32(r.IntN(g)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))}}
 		if i%8 == 0 {
-			ms = append(ms, transport.DomainHello(i, r.IntN(g), h))
+			run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(g)), Order: uint8(h)})
 		}
-		backends[i%2].Apply(i%2, ms)
+		backends[i%2].Apply(i%2, run)
 	}
 	var wire bytes.Buffer
 	enc := transport.NewEncoder(&wire)

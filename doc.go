@@ -27,6 +27,19 @@
 // pinned by BenchmarkClientObserve and TestClientSteadyStateAllocs, and
 // ldp's golden-stream test pins every mechanism's output draw for draw.
 //
+// The server does almost nothing per report — one ±1 into one dyadic
+// node — and the serving path is built to cost about that: a served
+// report goes from bytes to a validated 24-byte record to a counter
+// (transport.Decoder.NextFrame, one fused decode-and-validate kernel
+// driven by the mode's ingest contract), never through the general
+// message struct; a connection's frames are read through a buffer that
+// holds a whole frame, and acknowledgements are buffered and flushed
+// when the frame loop is about to block, so a burst of pipelined frames
+// costs one read and one write per wake-up. BenchmarkIngestServed and
+// BenchmarkIngestKernel keep both numbers in the CI bench gate, and
+// FuzzIngestKernel pins the kernel, field for field and error for
+// error, to the general decoder it replaced.
+//
 // The aggregation service is durable: rtf/internal/persist provides a
 // segmented write-ahead log and checksummed snapshot files, the
 // transport layer journals every ingested frame — the bytes it
@@ -100,12 +113,12 @@
 // gauges, histograms, a JSON /metrics endpoint mounted by -metrics,
 // and a logfmt structured logger both binaries write to stderr), and
 // transport.ServerMetrics instruments ingest rate, batch sizes,
-// apply latency, queue occupancy, WAL lag, snapshot age, per-backend
-// scatter latency and per-mechanism query counts across rtf-serve and
-// rtf-gateway. A bounded admission queue (-queue) sheds acked batches
-// whole — a negative ack, never a partial apply; on the gateway the
-// check runs before any forward — while legacy batches block for
-// natural TCP backpressure; the gateway read path adds per-backend
+// apply latency, ack coalescing, queue occupancy, WAL lag, snapshot
+// age, per-backend scatter latency and per-mechanism query counts
+// across rtf-serve and rtf-gateway. A bounded admission queue (-queue)
+// sheds acked batches whole — a negative ack, never a partial apply; on
+// the gateway the check runs before any forward — while legacy batches
+// block for natural TCP backpressure; the gateway read path adds per-backend
 // fetch deadlines (-fetch-timeout) and hedged reads (-hedge) against
 // slow backends. cmd/rtf-sim -soak closes the loop: a paced load
 // harness that spawns either topology, scrapes /metrics, bursts until

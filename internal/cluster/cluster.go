@@ -121,7 +121,7 @@ func newGateway(d int, mode transport.Mode, client *transport.ClusterClient) *Ga
 		return &session{
 			g:        g,
 			leases:   make([]*transport.BackendConn, n),
-			bufs:     make([][]transport.Msg, n),
+			bufs:     make([]transport.RawBatch, n),
 			unfenced: make([]bool, n),
 		}
 	}, client.Close)
@@ -139,8 +139,8 @@ func (g *Gateway) Client() *transport.ClusterClient { return g.client }
 type session struct {
 	g      *Gateway
 	leases []*transport.BackendConn
-	// bufs are reused per-backend partition buffers.
-	bufs [][]transport.Msg
+	// bufs are the reused per-backend forward frames.
+	bufs []transport.RawBatch
 	// unfenced[i] records that the current lease on backend i carries
 	// forwards not yet covered by a successful fetch. Losing such a
 	// lease makes those forwards indeterminate, so the session must
@@ -301,37 +301,44 @@ func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Durati
 	return r
 }
 
-// Apply partitions one run of validated ingest messages by user mod N
-// and ships each non-empty sub-batch to its backend. Dial failures
-// retry with backoff inside Lease, but once a sub-batch has been
-// written a connection failure fails the session: the sub-batch (and
-// any earlier unfenced forwards on that lease) may or may not have been
-// applied, and only the client — which sees its connection die, exactly
-// as when a single server crashes — can decide what to re-send. A batch
-// is only guaranteed applied once a later read round-trips on the same
-// session. The run's wire bytes are unused: it is re-partitioned and
-// re-encoded per backend.
-func (s *session) Apply(ms []transport.Msg, _ []byte) error {
+// Apply partitions one run of records by user mod N and ships each
+// non-empty sub-batch to its backend — as the bytes that arrived: each
+// stretch of consecutive records bound for one backend is one copy of
+// its stretch of wire behind that backend's batch header, nothing is
+// re-encoded (a hashed hello's seed travels in those bytes). Dial
+// failures retry with backoff inside Lease, but once a sub-batch has
+// been written a connection failure fails the session: the sub-batch
+// (and any earlier unfenced forwards on that lease) may or may not have
+// been applied, and only the client — which sees its connection die,
+// exactly as when a single server crashes — can decide what to re-send.
+// A batch is only guaranteed applied once a later read round-trips on
+// the same session.
+func (s *session) Apply(run []transport.Rec, wire []byte) error {
 	// Bump the epoch before anything is written: once a sub-batch is on
 	// the wire its reports may land at any later moment, so no gather
 	// whose stamp predates this forward may be served as exact again.
 	s.g.ingestEpoch.Add(1)
 	for i := range s.bufs {
-		s.bufs[i] = s.bufs[i][:0]
+		s.bufs[i].Reset()
 	}
-	for _, m := range ms {
-		i := s.g.client.Route(m.User)
-		s.bufs[i] = append(s.bufs[i], m)
+	for i, off := 0, 0; i < len(run); {
+		to, j, end := s.g.client.Route(run[i].User), i+1, off+int(run[i].Len)
+		for j < len(run) && s.g.client.Route(run[j].User) == to {
+			end += int(run[j].Len)
+			j++
+		}
+		s.bufs[to].Append(j-i, wire[off:end])
+		i, off = j, end
 	}
 	for i := range s.bufs {
-		if len(s.bufs[i]) == 0 {
+		if s.bufs[i].Len() == 0 {
 			continue
 		}
 		bc, err := s.lease(i)
 		if err != nil {
 			return fmt.Errorf("forwarding to backend %d: %w", i, err)
 		}
-		err = bc.SendBatch(s.bufs[i])
+		err = bc.SendRaw(&s.bufs[i])
 		if err == nil {
 			err = bc.Flush()
 		}

@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"rtf/internal/hh"
 	"rtf/internal/membership"
+	"rtf/internal/obs"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
@@ -252,10 +257,43 @@ func confModes(t *testing.T) []confMode {
 	}
 }
 
+// connIO counts the socket calls a front makes on its client
+// connections: what the flush discipline is pinned with.
+type connIO struct{ reads, writes atomic.Int64 }
+
+type countingListener struct {
+	net.Listener
+	io *connIO
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.io}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	io *connIO
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.io.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.io.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
 // confFront is the other row axis: a running front over a mode.
 type confFront struct {
 	srv  *transport.Server
 	addr string
+	io   *connIO
 	// applied sums the ingest messages the front's stores hold;
 	// replicas is how many stores hold each one.
 	applied  func() (hellos, reports int64)
@@ -265,28 +303,34 @@ type confFront struct {
 	stop    func()
 }
 
-// serveFront starts srv on a loopback port with a one-slot queue.
-func serveFront(t *testing.T, srv *transport.Server) (addr string, stop func()) {
+// serveFront starts srv on a loopback port with a one-slot queue, its
+// client connections' socket calls counted.
+func serveFront(t *testing.T, srv *transport.Server) confFront {
 	t.Helper()
 	srv.Queue = transport.NewIngestQueue(1)
-	ready := make(chan net.Addr, 1)
+	srv.Metrics = transport.NewServerMetrics(obs.NewRegistry())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io := new(connIO)
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-	return (<-ready).String(), func() {
+	go func() { done <- srv.Serve(countingListener{l, io}) }()
+	return confFront{srv: srv, addr: l.Addr().String(), io: io, replicas: 1, stop: func() {
 		if err := srv.Close(); err != nil {
 			t.Error(err)
 		}
+		l.Close()
 		if err := <-done; err != nil {
 			t.Error(err)
 		}
-	}
+	}}
 }
 
 func storeFront(t *testing.T, store transport.Store) confFront {
-	srv := transport.NewIngestServer(store)
-	addr, stop := serveFront(t, srv.Server)
-	return confFront{srv: srv.Server, addr: addr, replicas: 1, stop: stop,
-		applied: func() (int64, int64) { h, r, _ := store.Stats(); return h, r }}
+	f := serveFront(t, transport.NewIngestServer(store).Server)
+	f.applied = func() (int64, int64) { h, r, _ := store.Stats(); return h, r }
+	return f
 }
 
 // backends starts n unqueued single-node backends over the given stores
@@ -354,10 +398,10 @@ var confFronts = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw := newGateway(confD, m.mode, client)
-		addr, stop := serveFront(t, gw.Server)
-		return confFront{srv: gw.Server, addr: addr, applied: applied, replicas: 1,
-			stop: func() { stop(); stopBackends() }}
+		f := serveFront(t, newGateway(confD, m.mode, client).Server)
+		stop := f.stop
+		f.applied, f.stop = applied, func() { stop(); stopBackends() }
+		return f
 	}},
 	{"member-gateway", false, func(t *testing.T, m confMode) confFront {
 		const S, K = 4, 2
@@ -378,9 +422,10 @@ var confFronts = []struct {
 		if err := gw.AnnounceView(); err != nil {
 			t.Fatal(err)
 		}
-		addr, stop := serveFront(t, gw.Server)
-		return confFront{srv: gw.Server, addr: addr, applied: applied, replicas: K,
-			stop: func() { stop(); stopBackends() }}
+		f := serveFront(t, gw.Server)
+		stop := f.stop
+		f.applied, f.replicas, f.stop = applied, K, func() { stop(); stopBackends() }
+		return f
 	}},
 }
 
@@ -551,6 +596,178 @@ func TestFrameLoopConformance(t *testing.T) {
 					if got := f.lastSeq(); got != journaled+1 {
 						t.Fatalf("WAL at record %d, want %d (the settled prefix plus the one legacy batch)", got, journaled+1)
 					}
+				}
+			})
+		}
+	}
+}
+
+// TestFlushDiscipline pins, on every cell of the same table, how the
+// frame loop spends syscalls: acks are buffered and leave when the loop
+// answers a read or is about to block on the socket, never later — so a
+// burst costs one write per wake-up and a client that stops mid-frame
+// still gets every ack it is owed.
+func TestFlushDiscipline(t *testing.T) {
+	for _, m := range confModes(t) {
+		for _, fr := range confFronts {
+			if m.name == "hashed" && !fr.hashed {
+				continue
+			}
+			t.Run(m.name+"/"+fr.name, func(t *testing.T) {
+				f := fr.start(t, m)
+				defer f.stop()
+				conn, err := net.Dial("tcp", f.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer conn.Close()
+				conn.SetDeadline(time.Now().Add(30 * time.Second))
+				dec := transport.NewDecoder(conn)
+				// frame encodes one batch frame over users [u, u+n).
+				frame := func(acked bool, u, n int, more ...transport.Msg) []byte {
+					t.Helper()
+					var ms []transport.Msg
+					for i := u; i < u+n; i++ {
+						ms = append(ms, m.user(i)...)
+					}
+					var buf bytes.Buffer
+					enc := transport.NewEncoder(&buf)
+					encode := enc.EncodeBatch
+					if acked {
+						encode = enc.EncodeAckedBatch
+					}
+					if err := encode(append(ms, more...)); err != nil {
+						t.Fatal(err)
+					}
+					if err := enc.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					return buf.Bytes()
+				}
+				write := func(bs ...[]byte) {
+					t.Helper()
+					if _, err := conn.Write(bytes.Join(bs, nil)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				acks := func(want ...bool) {
+					t.Helper()
+					for i, w := range want {
+						if got, err := dec.ReadBatchAck(); err != nil || got != w {
+							t.Fatalf("ack %d of %d: applied=%v (%v), want %v", i+1, len(want), got, err, w)
+						}
+					}
+				}
+
+				// A client that writes one frame and half of the next, then
+				// waits for its ack, gets it: the loop flushes before it
+				// blocks on the rest of the second frame.
+				next := frame(true, 4, 4)
+				write(frame(true, 0, 4), next[:len(next)/2])
+				acks(true)
+				write(next[len(next)/2:])
+				acks(true)
+
+				// Steady state: once the read buffer has grown, a 16 KB
+				// frame written in one Write costs at most two reads.
+				big := func(i int) []byte { return frame(true, 1000+600*i, 600) } // 2,400 messages, ≈ 17 KB
+				for i := 0; i < 3; i++ {
+					write(big(i))
+					acks(true)
+				}
+				reads := f.io.reads.Load()
+				const steady = 10
+				for i := 3; i < 3+steady; i++ {
+					write(big(i))
+					acks(true)
+				}
+				if got := f.io.reads.Load() - reads; got > 2*steady {
+					t.Errorf("%d reads for %d frames of %d bytes each, want at most two per frame", got, steady, len(big(0)))
+				}
+
+				// Eight pipelined frames: eight acks in order, in at most
+				// three writes, and the metrics say so.
+				var burst [][]byte
+				for i := 0; i < 8; i++ {
+					burst = append(burst, frame(true, 20000+40*i, 40))
+				}
+				writes := f.io.writes.Load()
+				acked, flushes := f.srv.Metrics.AckedBatches.Value(), f.srv.Metrics.AckFlushes.Value()
+				write(burst...)
+				acks(true, true, true, true, true, true, true, true)
+				if got := f.io.writes.Load() - writes; got > 3 {
+					t.Errorf("eight pipelined frames were acknowledged in %d writes, want at most 3", got)
+				}
+				if a, fl := f.srv.Metrics.AckedBatches.Value()-acked, f.srv.Metrics.AckFlushes.Value()-flushes; a != 8 || fl > 3 || fl < 1 {
+					t.Errorf("metrics count %d acked batches in %d ack flushes, want 8 in 1..3", a, fl)
+				}
+
+				// Shed frames' negative acks are buffered like positive ones
+				// and keep their place: two shed frames and half a third,
+				// one write carrying both verdicts in order.
+				f.srv.Queue.Acquire()
+				writes = f.io.writes.Load()
+				next = frame(true, 30010, 4)
+				write(frame(true, 30000, 4), frame(true, 30005, 4), next[:len(next)/2])
+				acks(false, false)
+				if got := f.io.writes.Load() - writes; got != 1 {
+					t.Errorf("two shed frames were acknowledged in %d writes, want 1", got)
+				}
+				f.srv.Queue.Release()
+				write(next[len(next)/2:])
+				acks(true)
+
+				// An answer inside a legacy mixed batch is flushed at once and
+				// fences exactly what preceded it: it counts the first run's
+				// users, not the second's; the read behind the batch counts
+				// both.
+				users := func() (n int64) {
+					t.Helper()
+					sums, err := m.mode.ReadSums(dec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for x := 0; x < max(sums.M, 1); x++ {
+						u, _, _ := sums.Row(x)
+						n += u
+					}
+					return n
+				}
+				var probe bytes.Buffer
+				penc := transport.NewEncoder(&probe)
+				if err := penc.Encode(m.mode.SumsRequest()); err != nil {
+					t.Fatal(err)
+				}
+				if err := penc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				write(probe.Bytes())
+				before := users()
+				var second []transport.Msg
+				for i := 40100; i < 40107; i++ {
+					second = append(second, m.user(i)...)
+				}
+				write(frame(false, 40000, 5, append([]transport.Msg{m.mode.SumsRequest()}, second...)...), probe.Bytes())
+				if mid, after := users(), users(); mid != before+5 || after != before+12 {
+					t.Errorf("in-batch read saw %d users and the read behind the batch %d, want %d and %d", mid, after, before+5, before+12)
+				}
+
+				// Shutdown does not strand an ack: the frame applied before
+				// it is acknowledged before the connection goes away.
+				next = frame(true, 50010, 4)
+				write(frame(true, 50000, 4), next[:len(next)/2])
+				shut := make(chan error, 1)
+				go func() { shut <- f.srv.Shutdown(50 * time.Millisecond) }()
+				acks(true)
+				if _, err := dec.ReadBatchAck(); err == nil {
+					t.Error("half a frame was acknowledged")
+				} else if ne := net.Error(nil); errors.As(err, &ne) && ne.Timeout() {
+					t.Errorf("connection survived Shutdown: %v", err)
+				} else if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+					t.Logf("connection ended with %v", err)
+				}
+				if err := <-shut; err != nil {
+					t.Error(err)
 				}
 			})
 		}

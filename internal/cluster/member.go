@@ -306,7 +306,7 @@ type memberSession struct {
 	// from surviving replicas) — a dead replica must not stall every
 	// subsequent query on redial timeouts.
 	down map[string]bool
-	bufs map[string][]transport.Msg
+	bufs map[string]*transport.RawBatch
 
 	// poisoned is set by the resharder when a fence on this session's
 	// unfenced forwards failed: the forwards are indeterminate and the
@@ -322,7 +322,7 @@ func (g *MemberGateway) openSession(int) transport.Session {
 		leases:   make(map[string]*memberLease),
 		unfenced: make(map[string]bool),
 		down:     make(map[string]bool),
-		bufs:     make(map[string][]transport.Msg),
+		bufs:     make(map[string]*transport.RawBatch),
 	}
 	s.adopt(g.View())
 	g.smu.Lock()
@@ -441,34 +441,46 @@ func (s *memberSession) fenceForReshard() {
 	}
 }
 
-// forward partitions one run of validated ingest messages by virtual
-// shard and ships each message to every owner of its shard — K-way
-// replicated ingest. A member write failure fails the session exactly
-// as on Gateway: the sub-batch is indeterminate there, and only the
-// client can decide what to re-send. Down members are not skipped;
-// ingest requires every replica to accept (reads survive dead replicas,
-// writes do not mask them).
-func (s *memberSession) forward(ms []transport.Msg) error {
-	for id := range s.bufs {
-		s.bufs[id] = s.bufs[id][:0]
+// forward partitions one run of records by virtual shard and ships each
+// stretch of one shard's records — as the bytes that arrived, see
+// session.Apply — to every owner of that shard: K-way replicated ingest.
+// A member write failure fails the session exactly as on Gateway: the
+// sub-batch is indeterminate there, and only the client can decide what
+// to re-send. Down members are not skipped; ingest requires every
+// replica to accept (reads survive dead replicas, writes do not mask
+// them).
+func (s *memberSession) forward(run []transport.Rec, wire []byte) error {
+	for _, buf := range s.bufs {
+		buf.Reset()
 	}
-	for _, m := range ms {
-		sh := membership.ShardOf(m.User, s.view.NumShards)
+	shards := s.view.NumShards
+	for i, off := 0, 0; i < len(run); {
+		sh, j, end := membership.ShardOf(run[i].User, shards), i+1, off+int(run[i].Len)
+		for j < len(run) && membership.ShardOf(run[j].User, shards) == sh {
+			end += int(run[j].Len)
+			j++
+		}
 		for _, oi := range s.owners[sh] {
 			id := s.view.Members[oi].ID
-			s.bufs[id] = append(s.bufs[id], m)
+			buf := s.bufs[id]
+			if buf == nil {
+				buf = new(transport.RawBatch)
+				s.bufs[id] = buf
+			}
+			buf.Append(j-i, wire[off:end])
 		}
+		i, off = j, end
 	}
 	for _, mem := range s.view.Members {
 		buf := s.bufs[mem.ID]
-		if len(buf) == 0 {
+		if buf == nil || buf.Len() == 0 {
 			continue
 		}
 		bc, err := s.lease(mem)
 		if err != nil {
 			return fmt.Errorf("forwarding to member %s: %w", mem.ID, err)
 		}
-		err = bc.SendBatch(buf)
+		err = bc.SendRaw(buf)
 		if err == nil {
 			err = bc.Flush()
 		}
@@ -624,8 +636,8 @@ func (s *memberSession) quorumGather() ([]transport.RawSums, error) {
 // Apply ships one run of ingest messages under the shared view lock:
 // Reshard cannot interleave with a run, so a run forwards under exactly
 // one epoch (and its copies are fenced before any snapshot of them is
-// cut). The run's wire bytes are unused: forward re-encodes per member.
-func (s *memberSession) Apply(run []transport.Msg, _ []byte) error {
+// cut).
+func (s *memberSession) Apply(run []transport.Rec, wire []byte) error {
 	g := s.g
 	g.vmu.RLock()
 	defer g.vmu.RUnlock()
@@ -635,7 +647,7 @@ func (s *memberSession) Apply(run []transport.Msg, _ []byte) error {
 	if s.view.Epoch != g.view.Epoch {
 		s.adopt(g.view.Clone())
 	}
-	return s.forward(run)
+	return s.forward(run, wire)
 }
 
 // Gather runs a fenced quorum read: it takes the exclusive view lock —

@@ -286,9 +286,9 @@ func (s *DomainServer) checkItem(x int) {
 }
 
 // Register records a user's announced (item, order) pair into the given
-// shard.
+// shard. As with Ingest, the accumulator owns the bounds checks and
+// panics on an out-of-range item or order.
 func (s *DomainServer) Register(shard, item, order int) {
-	s.checkItem(item)
 	s.acc.Register(shard, item, order)
 }
 

@@ -122,14 +122,6 @@ func TestBatchMixedConsumption(t *testing.T) {
 			t.Fatalf("tail %d: got %+v, want %+v", i, m, ms[4+i])
 		}
 	}
-	// Wire indexes the slice NextBatch returned, not the frame.
-	want, err := appendMsgs(nil, ms[5:7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec.Wire(1, 3); !bytes.Equal(got, want) {
-		t.Fatalf("Wire(1, 3) of the tail = %x, want the encoding of its messages 1 and 2, %x", got, want)
-	}
 }
 
 // TestEmptyBatchFlood checks that a long run of empty batch frames is

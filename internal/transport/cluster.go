@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net"
 	"time"
@@ -79,12 +80,6 @@ type BackendConn struct {
 	read int64 // bytes read off conn, see BytesRead
 }
 
-// backendReadBuffer sizes a backend connection's read buffer for what
-// it carries back: raw-sums frames of tens of kilobytes, which the
-// 4 KiB default that client-facing connections keep would take in
-// seventeen reads apiece.
-const backendReadBuffer = 64 << 10
-
 // Read counts what the decoder pulls off the connection.
 func (b *BackendConn) Read(p []byte) (int, error) {
 	n, err := b.conn.Read(p)
@@ -99,6 +94,46 @@ func (b *BackendConn) BytesRead() int64 { return b.read }
 
 // SendBatch writes one batch frame (buffered until Flush).
 func (b *BackendConn) SendBatch(ms []Msg) error { return b.enc.EncodeBatch(ms) }
+
+// RawBatch is a batch frame assembled out of received bytes: a gateway
+// appends each stretch of a run's wire bytes bound for one backend and
+// forwards the lot behind a batch header, instead of copying the
+// messages out and re-encoding them. The zero value is ready to use.
+type RawBatch struct {
+	n int
+	b []byte // rawHeaderRoom bytes for the header, then the body
+}
+
+// rawHeaderRoom is the space a RawBatch keeps in front of its body for
+// the header, which is only known once the body is complete.
+const rawHeaderRoom = 1 + binary.MaxVarintLen32
+
+// Reset empties the batch, keeping its buffer.
+func (r *RawBatch) Reset() { r.n, r.b = 0, append(r.b[:0], make([]byte, rawHeaderRoom)...) }
+
+// Append adds the wire bytes of n messages.
+func (r *RawBatch) Append(n int, wire []byte) {
+	if len(r.b) == 0 {
+		r.Reset()
+	}
+	r.n, r.b = r.n+n, append(r.b, wire...)
+}
+
+// Len returns the number of messages appended since Reset.
+func (r *RawBatch) Len() int { return r.n }
+
+// SendRaw writes r as one plain batch frame (buffered until Flush). The
+// header is laid down right in front of the body, so the frame leaves in
+// one write.
+func (b *BackendConn) SendRaw(r *RawBatch) error {
+	var hdr [rawHeaderRoom]byte
+	h := appendBatchHeader(hdr[:0], MsgBatch, r.n)
+	frame := r.b[rawHeaderRoom-len(h):]
+	copy(frame, h)
+	n, err := b.enc.w.Write(frame)
+	b.enc.n += int64(n)
+	return err
+}
 
 // Flush flushes buffered frames to the backend.
 func (b *BackendConn) Flush() error { return b.enc.Flush() }
@@ -227,7 +262,7 @@ func dialBackend(addr string, o ClusterOptions) (*BackendConn, error) {
 			continue
 		}
 		bc := &BackendConn{conn: conn, enc: NewEncoder(conn)}
-		bc.dec = newDecoderSize(bc, backendReadBuffer)
+		bc.dec = newDecoderSize(bc, largeReadBuffer)
 		return bc, nil
 	}
 	return nil, lastErr

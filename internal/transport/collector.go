@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rtf/internal/hh"
@@ -14,21 +16,20 @@ type Store interface {
 	Reader
 	// Mode returns the protocol mode the store was built for.
 	Mode() Mode
-	// SendBatch is the untrusted entry: it validates a run of ingest
-	// messages with Mode().ValidateIngest, then hands it to Apply with no
-	// wire bytes. The run is atomic: on a validation or journaling error
+	// SendBatch is the untrusted adapter: it checks each message of a
+	// run against Mode().Ingest(), converts the run to records and hands
+	// it to Apply. The run is atomic: on a validation or journaling error
 	// nothing is applied. shard is a routing hint — typically the
 	// connection id — that spreads hot counters across cache lines.
 	SendBatch(shard int, ms []Msg) error
-	// Apply is the trusted entry: it applies a run the caller has already
-	// validated (a durable store journals it first) and checks nothing
-	// itself. The frame loop, which validates every run of a frame
-	// before applying any, calls it directly, so a served message is
-	// validated exactly once. wire, when not empty, must be the bytes
-	// that encoded exactly run (Decoder.Wire): a durable store journals
-	// them as they are instead of re-encoding run, and is done with them
-	// when Apply returns. An in-memory store ignores them.
-	Apply(shard int, run []Msg, wire []byte) error
+	// Apply is the trusted entry: it applies a run of records (a durable
+	// store journals it first) and checks nothing itself — a record only
+	// exists once its message passed the contract. The frame loop calls
+	// it directly, so a served message is validated exactly once, in the
+	// decoder. wire must be the bytes that encoded exactly run (a stretch
+	// of Frame.Wire): a durable store journals them as they are, and is
+	// done with them when Apply returns. An in-memory store ignores them.
+	Apply(shard int, run []Rec, wire []byte) error
 	// Stats returns the number of hellos, reports and batches ingested.
 	Stats() (hellos, reports, batches int64)
 	// Users returns the number of registered users.
@@ -101,20 +102,43 @@ func (c *Collector) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool
 	return c.st.Answer(m, e, sc)
 }
 
-// sendBatch is every store's SendBatch: validate, then the trusted
-// entry.
-func sendBatch(s Store, shard int, ms []Msg) error {
-	if err := s.Mode().ValidateIngest(ms); err != nil {
+// sendScratch holds the record (and, for a durable store, wire) buffers
+// of SendBatch calls in flight.
+type sendScratch struct {
+	recs []Rec
+	wire []byte
+}
+
+var sendPool = sync.Pool{New: func() any { return new(sendScratch) }}
+
+// sendBatch is every store's SendBatch: the one contract check per
+// message, then the trusted entry. journal asks for the run's canonical
+// encoding to be handed to Apply as its wire bytes.
+func sendBatch(s Store, shard int, ms []Msg, journal bool) error {
+	sc := sendPool.Get().(*sendScratch)
+	defer sendPool.Put(sc)
+	c := s.Mode().Ingest()
+	sc.recs = slices.Grow(sc.recs[:0], len(ms))[:len(ms)]
+	for i := range ms {
+		if !c.check(&ms[i], &sc.recs[i]) {
+			return c.explain(&ms[i])
+		}
+	}
+	if !journal {
+		return s.Apply(shard, sc.recs, nil)
+	}
+	var err error
+	if sc.wire, err = appendMsgs(sc.wire[:0], ms); err != nil {
 		return err
 	}
-	return s.Apply(shard, ms, nil)
+	return s.Apply(shard, sc.recs, sc.wire)
 }
 
 // SendBatch implements Store.
-func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
+func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
 
 // Apply implements Store; the per-message work is one atomic add.
-func (c *Collector) Apply(shard int, run []Msg, _ []byte) error {
+func (c *Collector) Apply(shard int, run []Rec, _ []byte) error {
 	hellos, reports := c.st.Apply(shard, run)
 	// Batch-amortized invalidation of the version-keyed read memos.
 	if reports > 0 {

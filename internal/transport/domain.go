@@ -33,39 +33,16 @@ const MaxDomainM = hh.MaxDomainRows
 const MaxDomainSums = 1 << 24
 
 // ValidateDomainIngest range-checks one domain hello or report message
-// against a domain server's parameters (horizon d, domain size m). It
-// is the single source of domain ingest validation: the collectors run
-// it before applying (or journaling) anything, and the cluster gateway
-// runs the identical checks before forwarding.
+// against a domain server's parameters (horizon d, domain size m): the
+// exact-domain ingest contract (Ingest.check) with the refusal spelled
+// out.
 func ValidateDomainIngest(d, m int, msg Msg) error {
 	return validateDomainIngest(d, m, dyadic.Log2(d), &msg)
 }
 
-// domainIngestOK is the branch-only core of validateDomainIngest: the
-// same checks with no error construction, small enough to inline into
-// the batch loops. The hot path costs one inlined call per message;
-// only a failing message pays for validateDomainIngest's fmt.Errorf
-// machinery (the batch loops re-run it to build the precise error).
-func domainIngestOK(d, m, maxOrder int, msg *Msg) bool {
-	switch msg.Type {
-	case MsgDomainReport:
-		return msg.User >= 0 && uint(msg.Item) < uint(m) &&
-			(msg.Bit == 1 || msg.Bit == -1) &&
-			uint(msg.Order) <= uint(maxOrder) &&
-			uint(msg.J-1) < uint(d>>uint(msg.Order))
-	case MsgDomainHello:
-		return msg.User >= 0 && uint(msg.Item) < uint(m) &&
-			uint(msg.Order) <= uint(maxOrder)
-	}
-	return false
-}
-
-// validateDomainIngest is the pointer-based body of
-// ValidateDomainIngest: the collectors run it over whole batches
-// without copying each ~100-byte Msg out of the slice. maxOrder must
-// be dyadic.Log2(d); the batch loops compute it once instead of per
-// message (Log2's not-a-power-of-two panic keeps it from inlining).
-// It agrees with domainIngestOK on every input.
+// validateDomainIngest is the body of ValidateDomainIngest and the
+// exact-domain contract's error builder: it returns nil exactly when
+// Ingest.check accepts msg. maxOrder must be dyadic.Log2(d).
 func validateDomainIngest(d, m, maxOrder int, msg *Msg) error {
 	switch msg.Type {
 	case MsgDomainHello:

@@ -77,10 +77,6 @@ type durableJournal struct {
 	// without taking the snapshot lock.
 	snapCursor   atomic.Uint64
 	snapUnixNano atomic.Int64
-
-	// scratch holds *[]byte buffers for encoding a run that arrived
-	// without wire bytes; the served path never touches it.
-	scratch sync.Pool
 }
 
 // DurabilityStats is a point-in-time reading of a durable collector's
@@ -121,11 +117,14 @@ func (j *durableJournal) durabilityStats() DurabilityStats {
 
 // openJournal recovers durable state from dir — newest snapshot
 // through restore, then WAL replay past its cursor through replay — and
-// returns a journal accepting further appends there. meta is checked
-// against the snapshot's, so a data directory written under different
-// parameters is rejected rather than misinterpreted.
-func openJournal(dir string, meta persist.Meta, o DurableOptions,
-	restore func(state []byte) error, replay func(ms []Msg) error) (*durableJournal, RecoveryStats, error) {
+// returns a journal accepting further appends there. A record is decoded
+// like a live frame, under the mode's ingest contract (the log holds no
+// reads, so none are allowed). meta is checked against the snapshot's, so
+// a data directory written under different parameters is rejected rather
+// than misinterpreted.
+func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
+	restore func(state []byte) error, replay func(run []Rec) error) (*durableJournal, RecoveryStats, error) {
+	ingest.Reads = 0
 	var stats RecoveryStats
 	if err := persist.CleanTemp(dir); err != nil {
 		return nil, stats, fmt.Errorf("transport: cleaning stale snapshot temp files: %w", err)
@@ -150,14 +149,14 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions,
 		func(seq uint64, payload []byte) error {
 			dec := NewDecoder(bytes.NewReader(payload))
 			for {
-				ms, err := dec.NextBatch()
+				f, err := dec.NextFrame(&ingest)
 				if errors.Is(err, io.EOF) {
 					return nil
 				}
 				if err != nil {
 					return fmt.Errorf("decoding record %d: %w", seq, err)
 				}
-				if err := replay(ms); err != nil {
+				if err := replay(f.Recs); err != nil {
 					return fmt.Errorf("applying record %d: %w", seq, err)
 				}
 			}
@@ -188,30 +187,20 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions,
 	return j, stats, nil
 }
 
-// journal appends one validated run to the write-ahead log and applies
-// it to inner — in that order, under the shared half of the snapshot
-// lock, so any batch a query response can reflect is already durable; on
-// a journaling error the apply never runs. The journal validates
-// nothing: the record is a MsgBatch header counting the run followed by
-// wire, the bytes that encoded the run as they arrived (Decoder.Wire) —
-// which replay reads back through the ordinary decoder, and which are
-// the bytes appendBatch would produce whenever the sender encoded
-// canonically. Both append paths copy wire before they return, group
-// commit included (it blocks until its group has landed), so the caller's
-// buffer is free again when journal returns. Only a run that came with
-// no wire bytes (SendBatch) is encoded here.
-func (j *durableJournal) journal(shard int, run []Msg, wire []byte, inner Store) error {
-	if len(wire) == 0 {
-		bp, _ := j.scratch.Get().(*[]byte)
-		if bp == nil {
-			bp = new([]byte)
-		}
-		defer j.scratch.Put(bp)
-		var err error
-		if wire, err = appendMsgs((*bp)[:0], run); err != nil {
-			return err
-		}
-		*bp = wire[:0]
+// journal appends one run to the write-ahead log and applies it to
+// inner — in that order, under the shared half of the snapshot lock, so
+// any batch a query response can reflect is already durable; on a
+// journaling error the apply never runs. The journal validates nothing:
+// the record is a MsgBatch header counting the run followed by wire, the
+// bytes that encoded the run as they arrived (Frame.Wire) — which replay
+// reads back like a live frame, and which are the bytes appendBatch
+// would produce whenever the sender encoded canonically. Both append
+// paths copy wire before they return, group commit included (it blocks
+// until its group has landed), so the caller's buffer is free again when
+// journal returns.
+func (j *durableJournal) journal(shard int, run []Rec, wire []byte, inner Store) error {
+	if len(wire) == 0 && len(run) > 0 {
+		return errors.New("transport: durable store handed a run without its wire bytes")
 	}
 	var hdr [1 + binary.MaxVarintLen32]byte
 	head := appendBatchHeader(hdr[:0], MsgBatch, len(run))
@@ -275,7 +264,7 @@ type journaled interface {
 }
 
 // Durable wraps a Collector or a ShardMap with the persistence
-// subsystem: every validated run is journaled to the write-ahead log and
+// subsystem: every run is journaled to the write-ahead log and
 // only then applied, so an acknowledged frame survives a crash.
 // Snapshot cuts a consistent point-in-time copy of the state with its
 // WAL cursor and compacts the log behind it.
@@ -299,8 +288,8 @@ func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptio
 	if err := in.Mode().CheckMeta(meta); err != nil {
 		return nil, RecoveryStats{}, err
 	}
-	j, stats, err := openJournal(dir, meta, o, in.restoreState,
-		func(ms []Msg) error { return in.SendBatch(0, ms) })
+	j, stats, err := openJournal(dir, meta, o, in.Mode().Ingest(), in.restoreState,
+		func(run []Rec) error { return in.Apply(0, run, nil) })
 	if err != nil {
 		return nil, stats, err
 	}
@@ -326,14 +315,14 @@ func OpenDurableHashedDomain(hs *hh.HashedDomainServer, dir string, meta persist
 	return OpenDurableStore(NewHashedDomainCollector(hs), dir, meta, o)
 }
 
-// SendBatch implements Store: validate, then Apply — not the wrapped
-// store's SendBatch, which would skip the journal.
-func (c *Durable) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
+// SendBatch implements Store: check, convert, encode, then Apply — not
+// the wrapped store's SendBatch, which would skip the journal.
+func (c *Durable) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, true) }
 
-// Apply implements Store: the validated run is journaled — as wire when
-// the caller has the bytes that encoded it, re-encoded otherwise — and
-// then applied to the wrapped store. See durableJournal.journal.
-func (c *Durable) Apply(shard int, run []Msg, wire []byte) error {
+// Apply implements Store: the run is journaled as wire, the bytes that
+// encoded it, and then applied to the wrapped store. See
+// durableJournal.journal.
+func (c *Durable) Apply(shard int, run []Rec, wire []byte) error {
 	return c.j.journal(shard, run, wire, c.journaled)
 }
 

@@ -196,13 +196,11 @@ func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dec := NewDecoder(&loopReader{b: frame})
+	ingest := dc.Mode().Ingest()
 	served := func() {
-		ms, err := dec.NextBatch()
+		f, err := dec.NextFrame(&ingest)
 		if err == nil {
-			err = dc.Mode().ValidateIngest(ms)
-		}
-		if err == nil {
-			err = dc.Apply(0, ms, dec.Wire(0, len(ms)))
+			err = dc.Apply(0, f.Recs, f.Wire)
 		}
 		if err != nil {
 			t.Fatal(err)

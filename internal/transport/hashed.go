@@ -24,49 +24,33 @@ import (
 // would silently corrupt the aggregate. Plain MsgDomainHello is
 // rejected — an exact-encoding client cannot feed a hashed server.
 func ValidateHashedDomainIngest(d int, enc hh.DomainEncoding, msg Msg) error {
-	return validateHashedDomainIngest(d, enc, dyadic.Log2(d), &msg)
+	return validateHashedDomainIngest(d, enc.G, enc.Seed, dyadic.Log2(d), &msg)
 }
 
-// hashedDomainIngestOK is the branch-only core of
-// validateHashedDomainIngest, small enough to inline into the batch
-// loops; it agrees with it on every input.
-func hashedDomainIngestOK(d, maxOrder int, enc *hh.DomainEncoding, msg *Msg) bool {
-	switch msg.Type {
-	case MsgDomainReport:
-		return msg.User >= 0 && uint(msg.Item) < uint(enc.G) &&
-			(msg.Bit == 1 || msg.Bit == -1) &&
-			uint(msg.Order) <= uint(maxOrder) &&
-			uint(msg.J-1) < uint(d>>uint(msg.Order))
-	case MsgHashedDomainHello:
-		return msg.User >= 0 && uint(msg.Item) < uint(enc.G) &&
-			uint(msg.Order) <= uint(maxOrder) && msg.Seed == enc.Seed
-	}
-	return false
-}
-
-// validateHashedDomainIngest is the pointer-based, error-building body
-// of ValidateHashedDomainIngest.
-func validateHashedDomainIngest(d int, enc hh.DomainEncoding, maxOrder int, msg *Msg) error {
+// validateHashedDomainIngest is the body of ValidateHashedDomainIngest
+// and the hashed contract's error builder (g buckets, epoch seed): it
+// returns nil exactly when Ingest.check accepts msg.
+func validateHashedDomainIngest(d, g int, seed uint64, maxOrder int, msg *Msg) error {
 	switch msg.Type {
 	case MsgHashedDomainHello:
 		if msg.User < 0 {
 			return fmt.Errorf("transport: negative user id %d", msg.User)
 		}
-		if uint(msg.Item) >= uint(enc.G) {
-			return fmt.Errorf("transport: hello bucket %d out of range [0..%d)", msg.Item, enc.G)
+		if uint(msg.Item) >= uint(g) {
+			return fmt.Errorf("transport: hello bucket %d out of range [0..%d)", msg.Item, g)
 		}
 		if uint(msg.Order) > uint(maxOrder) {
 			return fmt.Errorf("transport: hello order %d out of range [0..%d]", msg.Order, maxOrder)
 		}
-		if msg.Seed != enc.Seed {
+		if msg.Seed != seed {
 			return fmt.Errorf("transport: hello hash seed %d does not match the server's epoch seed", msg.Seed)
 		}
 	case MsgDomainReport:
 		if msg.User < 0 {
 			return fmt.Errorf("transport: negative user id %d", msg.User)
 		}
-		if uint(msg.Item) >= uint(enc.G) {
-			return fmt.Errorf("transport: report bucket %d out of range [0..%d)", msg.Item, enc.G)
+		if uint(msg.Item) >= uint(g) {
+			return fmt.Errorf("transport: report bucket %d out of range [0..%d)", msg.Item, g)
 		}
 		if msg.Bit != 1 && msg.Bit != -1 {
 			return fmt.Errorf("transport: report bit %d not ±1", msg.Bit)

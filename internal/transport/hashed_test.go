@@ -146,6 +146,7 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 		{"plain hello", Hello(1, 0), false},
 		{"query", DomainQuery(QueryPointItem, 1, 1, 0, 0), false},
 	}
+	ingest := HashedMode(d, enc, 1).Ingest()
 	for _, c := range cases {
 		err := ValidateHashedDomainIngest(d, enc, c.msg)
 		if c.ok && err != nil {
@@ -154,9 +155,9 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
-		// The branch-only core used on the batch path must agree.
-		if got := hashedDomainIngestOK(d, dyadic.Log2(d), &enc, &c.msg); got != (err == nil) {
-			t.Errorf("%s: fast path says %v, slow path says %v", c.name, got, err)
+		// The contract check every served message goes through must agree.
+		if got := ingest.check(&c.msg, new(Rec)); got != (err == nil) {
+			t.Errorf("%s: contract says %v, error builder says %v", c.name, got, err)
 		}
 	}
 	// And the exact-domain validator must symmetrically reject the

@@ -156,21 +156,49 @@ func (c *streamConn) Read(p []byte) (int, error) {
 }
 func (c *streamConn) Write(p []byte) (int, error) { return len(p), nil }
 
+// recMsgs is the Msg view of a run of records decoded under c.
+func recMsgs(c Ingest, run []Rec) []Msg {
+	ms := make([]Msg, len(run))
+	for i, r := range run {
+		ms[i] = Msg{Type: c.Report, User: r.User, Item: int(r.Item), Order: int(r.Order), J: int(r.J), Bit: r.Bit}
+		if r.Bit == 0 {
+			ms[i].Type = c.Hello
+			if c.Hello == MsgHashedDomainHello {
+				ms[i].Seed = c.Seed
+			}
+		}
+	}
+	return ms
+}
+
 // auditStore sits where the frame loop's trusted entry is: it checks
 // that the wire bytes it is handed are a spelling of exactly the run it
-// is handed, keeps a copy of the run, and passes both on.
+// is handed — as a whole and message by message, each record's Len bytes
+// of them — keeps a copy of the run, and passes both on.
 type auditStore struct {
 	Store
 	t    testing.TB
 	runs [][]Msg
 }
 
-func (a *auditStore) Apply(shard int, run []Msg, wire []byte) error {
+func (a *auditStore) Apply(shard int, run []Rec, wire []byte) error {
+	ms := recMsgs(a.Mode().Ingest(), run)
 	got, err := NewDecoder(bytes.NewReader(append(appendBatchHeader(nil, MsgBatch, len(run)), wire...))).NextBatch()
-	if err != nil || !slices.Equal(got, run) {
+	if err != nil || !slices.Equal(got, ms) {
 		a.t.Errorf("wire bytes of a %d-message run decode to %d messages (%v)", len(run), len(got), err)
 	}
-	a.runs = append(a.runs, slices.Clone(run))
+	rest := wire
+	for i, r := range run {
+		var m Msg
+		if n, err := decodeScalarInto(rest[:min(int(r.Len), len(rest))], &m); err != nil || n != int(r.Len) || m != ms[i] {
+			a.t.Fatalf("record %d claims %d wire bytes; they decode to %+v (%d bytes, %v), want %+v", i, r.Len, m, n, err, ms[i])
+		}
+		rest = rest[r.Len:]
+	}
+	if len(rest) != 0 {
+		a.t.Errorf("run of %d records came with %d wire bytes too many", len(run), len(rest))
+	}
+	a.runs = append(a.runs, ms)
 	return a.Store.Apply(shard, run, wire)
 }
 
@@ -276,9 +304,9 @@ func mixedStream(t testing.TB, c wireCase, padded bool) (stream []byte, runs [][
 // TestJournalIsAppliedRuns drives mixedStream through the frame loop
 // into a durable store for every mode, in canonical and overlong
 // spelling, with the reader handing the decoder 1…64 bytes at a time
-// (below maxScalarWire every message takes the byte-at-a-time path; above
-// it the windowed path runs on windows a few messages long, so every
-// hand-over between the two is crossed) and all at once.
+// (below maxScalarWire every message reaches the general decoder one
+// refill at a time; above it the kernel runs on windows a few messages
+// long, so every hand-over between the two is crossed) and all at once.
 func TestJournalIsAppliedRuns(t *testing.T) {
 	for _, c := range wireCases() {
 		for _, padded := range []bool{false, true} {

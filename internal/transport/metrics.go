@@ -16,8 +16,13 @@ import (
 //	ingest_batches_total       counter: batches applied
 //	ingest_acked_batches_total counter: acked batches received (applied or shed)
 //	ingest_shed_batches_total  counter: acked batches shed whole by the queue
+//	ingest_ack_flushes_total   counter: writes that carried batch acks; acks
+//	    are buffered until the frame loop answers a read or goes back to
+//	    the socket, so ingest_acked_batches_total over this is the
+//	    coalescing factor (1 when every frame is sent and awaited alone)
 //	ingest_batch_size          histogram: sizes of applied batches
-//	ingest_latency_seconds     histogram: decode-to-applied latency per batch
+//	ingest_latency_seconds     histogram: frame-decoded to applied-and-ack-
+//	    buffered latency per batch (the ack's own write is not in it)
 //	conns_active               gauge: currently served connections
 //	queries_total{mechanism,kind} counters: answered reads by the
 //	    front's label (the Mode's name — "boolean", "domain",
@@ -36,6 +41,7 @@ type ServerMetrics struct {
 	Batches      *obs.Counter
 	AckedBatches *obs.Counter
 	ShedBatches  *obs.Counter
+	AckFlushes   *obs.Counter
 	BatchSize    *obs.Histogram
 	Latency      *obs.Histogram
 	ActiveConns  *obs.Gauge
@@ -49,6 +55,7 @@ func NewServerMetrics(r *obs.Registry) *ServerMetrics {
 		Batches:      r.Counter("ingest_batches_total"),
 		AckedBatches: r.Counter("ingest_acked_batches_total"),
 		ShedBatches:  r.Counter("ingest_shed_batches_total"),
+		AckFlushes:   r.Counter("ingest_ack_flushes_total"),
 		BatchSize:    r.Histogram("ingest_batch_size", obs.ExpBuckets(1, 2, 16)),
 		Latency:      r.Histogram("ingest_latency_seconds", obs.ExpBuckets(1e-5, 2, 20)),
 		ActiveConns:  r.Gauge("conns_active"),

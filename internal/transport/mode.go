@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
@@ -37,24 +36,26 @@ func (s FrameSet) Has(t MsgType) bool { return t < 32 && s>>t&1 != 0 }
 
 // Mode is the protocol mode of a deployment. It holds the mode's
 // parameters and no counters; NewState builds the accumulator it
-// describes. Ingest-side methods take a whole run, never one message,
-// so each mode keeps its own monomorphic inner loop.
+// describes. What a mode ingests is data (Ingest), so one decode loop
+// serves every mode; how it applies a run is a method that takes the
+// whole run, so each mode keeps its own monomorphic inner loop.
 type Mode interface {
 	// Name is the mode's queries_total mechanism label: "boolean",
 	// "domain" or "hashed-domain".
 	Name() string
 	// Reads is the set of frame types the mode answers (queries and
-	// its raw-sums request); every other type must validate as ingest.
+	// its raw-sums request); every other type must pass the ingest
+	// contract.
 	Reads() FrameSet
+	// Ingest is the mode's ingest contract: the two message types it
+	// ingests and the ranges of their fields. A front decodes every frame
+	// under it (Decoder.NextFrame) before anything is applied or
+	// forwarded, which is what makes batches atomic and lets a gateway
+	// promise its backends accept what it accepted.
+	Ingest() Ingest
 	// SumsRequest is the frame that asks a node of this mode for its
 	// raw sums.
 	SumsRequest() Msg
-	// ValidateIngest range-checks a run of ingest messages without side
-	// effects. A front runs it over every run of a decoded batch before
-	// anything is applied or forwarded, which is what makes batches
-	// atomic and lets a gateway promise its backends accept what it
-	// accepted.
-	ValidateIngest(ms []Msg) error
 	// ValidateRead range-checks one read frame.
 	ValidateRead(m Msg) error
 	// NewState builds an empty accumulator spread over the given number
@@ -91,12 +92,12 @@ type Reader interface {
 // fixed linear estimator over them.
 type State interface {
 	Reader
-	// Apply accumulates a validated run via the given counter shard (a
+	// Apply accumulates a run of records via the given counter shard (a
 	// routing hint; addition is exact and commutative). It is
 	// version-silent, keeping the hot path at one atomic add per report;
 	// a caller whose reads go through the state's version-keyed memos
 	// calls AdvanceVersion once per run that applied reports.
-	Apply(shard int, ms []Msg) (hellos, reports int64)
+	Apply(shard int, run []Rec) (hellos, reports int64)
 	AdvanceVersion(shard int)
 	// Sums exports the raw counters. They are loaded atomically; fence
 	// ingestion first when a consistent cut matters.
@@ -167,15 +168,7 @@ func (boolMode) Name() string     { return "boolean" }
 func (boolMode) Reads() FrameSet  { return frameSet(MsgQuery, MsgQueryV2, MsgSums) }
 func (boolMode) SumsRequest() Msg { return Sums() }
 
-func (p boolMode) ValidateIngest(ms []Msg) error {
-	maxOrder := dyadic.Log2(p.d)
-	for i := range ms {
-		if !ingestOK(p.d, maxOrder, &ms[i]) {
-			return validateIngest(p.d, maxOrder, &ms[i])
-		}
-	}
-	return nil
-}
+func (p boolMode) Ingest() Ingest { return newIngest(MsgHello, MsgReport, p.dims, 0, p.Reads()) }
 
 func (p boolMode) ValidateRead(m Msg) error {
 	switch m.Type {
@@ -212,18 +205,17 @@ func (boolMode) CheckMeta(persist.Meta) error { return nil }
 
 type boolState struct{ acc *protocol.Sharded }
 
-func (s boolState) Apply(shard int, ms []Msg) (hellos, reports int64) {
-	for i := range ms {
-		m := &ms[i]
-		if m.Type == MsgHello {
-			s.acc.Register(shard, m.Order)
+func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
+	for i := range run {
+		r := &run[i]
+		if r.Bit == 0 {
+			s.acc.Register(shard, int(r.Order))
 			hellos++
 		} else {
-			s.acc.Ingest(shard, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-			reports++
+			s.acc.Ingest(shard, protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
 		}
 	}
-	return hellos, reports
+	return hellos, int64(len(run)) - hellos
 }
 
 func (s boolState) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
@@ -262,14 +254,8 @@ func (domainMode) Name() string     { return "domain" }
 func (domainMode) Reads() FrameSet  { return frameSet(MsgDomainQuery, MsgDomainSums) }
 func (domainMode) SumsRequest() Msg { return DomainSums() }
 
-func (p domainMode) ValidateIngest(ms []Msg) error {
-	maxOrder := dyadic.Log2(p.d)
-	for i := range ms {
-		if !domainIngestOK(p.d, p.m, maxOrder, &ms[i]) {
-			return validateDomainIngest(p.d, p.m, maxOrder, &ms[i])
-		}
-	}
-	return nil
+func (p domainMode) Ingest() Ingest {
+	return newIngest(MsgDomainHello, MsgDomainReport, p.dims, 0, p.Reads())
 }
 
 func (p domainMode) ValidateRead(m Msg) error {
@@ -305,18 +291,17 @@ func (p domainMode) CheckMeta(meta persist.Meta) error {
 // state wraps it with its decode layer.
 type domainState struct{ ds *hh.DomainServer }
 
-func (s domainState) Apply(shard int, ms []Msg) (hellos, reports int64) {
-	for i := range ms {
-		m := &ms[i]
-		if m.Type == MsgDomainReport {
-			s.ds.Ingest(shard, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
-			reports++
-		} else {
-			s.ds.Register(shard, m.Item, m.Order)
+func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
+	for i := range run {
+		r := &run[i]
+		if r.Bit == 0 {
+			s.ds.Register(shard, int(r.Item), int(r.Order))
 			hellos++
+		} else {
+			s.ds.Ingest(shard, int(r.Item), protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
 		}
 	}
-	return hellos, reports
+	return hellos, int64(len(run)) - hellos
 }
 
 func (s domainState) AdvanceVersion(shard int) { s.ds.AdvanceVersion(shard) }
@@ -358,14 +343,8 @@ func (hashedMode) Name() string       { return "hashed-domain" }
 func (hashedMode) Reads() FrameSet    { return frameSet(MsgDomainQuery, MsgHashedDomainSums) }
 func (p hashedMode) SumsRequest() Msg { return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed) }
 
-func (p hashedMode) ValidateIngest(ms []Msg) error {
-	maxOrder := dyadic.Log2(p.d)
-	for i := range ms {
-		if !hashedDomainIngestOK(p.d, maxOrder, &p.enc, &ms[i]) {
-			return validateHashedDomainIngest(p.d, p.enc, maxOrder, &ms[i])
-		}
-	}
-	return nil
+func (p hashedMode) Ingest() Ingest {
+	return newIngest(MsgHashedDomainHello, MsgDomainReport, p.dims, p.enc.Seed, p.Reads())
 }
 
 // ValidateRead checks a query against the catalogue and a sums request

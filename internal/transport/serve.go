@@ -19,11 +19,11 @@ import (
 
 // Session is one client connection's state inside a front.
 type Session interface {
-	// Apply takes one validated run of ingest messages and the bytes
-	// that encoded it (Decoder.Wire: valid until Apply returns, empty
-	// when the run did not come off a socket). The frame loop has
-	// validated the run; a session does not validate it again.
-	Apply(run []Msg, wire []byte) error
+	// Apply takes one run of a frame's records and the bytes that encoded
+	// it (a stretch of Frame.Wire, valid until Apply returns). The frame
+	// loop decoded the run under the mode's ingest contract; a session
+	// does not validate it again.
+	Apply(run []Rec, wire []byte) error
 	// Gather returns the state one read frame is answered from. done,
 	// when non-nil, is called once the answer has been flushed.
 	Gather() (r Reader, done func(), err error)
@@ -127,7 +127,7 @@ type storeSession struct {
 	id    int
 }
 
-func (s storeSession) Apply(run []Msg, wire []byte) error { return s.store.Apply(s.id, run, wire) }
+func (s storeSession) Apply(run []Rec, wire []byte) error { return s.store.Apply(s.id, run, wire) }
 func (s storeSession) Gather() (Reader, func(), error)    { return s.store, nil, nil }
 func (s storeSession) Close(bool)                         {}
 
@@ -181,33 +181,20 @@ func (s *Server) ListenAndServe(addr string, ready chan<- net.Addr) error {
 	return s.Serve(l)
 }
 
-// BatchRuns walks a mixed batch in stream order: each contiguous run
-// ms[a:b] of ingest messages goes to ingest as a whole, by its bounds (so
-// the caller can map it to the frame's bytes), and each frame reads
-// selects goes to read between them. The frame loop makes two passes
-// with it — validate everything, then apply everything — which is the
-// atomic-batch discipline: a malformed frame anywhere aborts before
-// anything applies.
-func BatchRuns(ms []Msg, reads FrameSet, ingest func(a, b int) error, read func(Msg) error) error {
-	run := 0
-	for i := range ms {
-		if !reads.Has(ms[i].Type) {
-			continue
-		}
-		if i > run {
-			if err := ingest(run, i); err != nil {
-				return err
-			}
-		}
-		run = i + 1
-		if err := read(ms[i]); err != nil {
-			return err
-		}
+// flushBeforeRead is the decoder's source on a served connection: the
+// frame loop buffers its acks, and whatever it has buffered goes out
+// before the loop can block on the socket — one write per wake-up, never
+// later than the moment the server would otherwise sleep.
+type flushBeforeRead struct {
+	r     io.Reader
+	flush func() error
+}
+
+func (s flushBeforeRead) Read(p []byte) (int, error) {
+	if err := s.flush(); err != nil {
+		return 0, err
 	}
-	if run < len(ms) {
-		return ingest(run, len(ms))
-	}
-	return nil
+	return s.r.Read(p)
 }
 
 // serveConn runs the frame loop for one connection: ingest runs go to
@@ -215,35 +202,47 @@ func BatchRuns(ms []Msg, reads FrameSet, ingest func(a, b int) error, read func(
 // returns, and because frames are handled in order, a read doubles as a
 // fence for everything the connection sent before it.
 //
-// Batches are atomic: every frame in a decoded batch is validated —
-// ingest runs through the mode's validate-only path, reads through
-// ValidateRead — before anything is applied, so a batch of [reports…,
-// malformed query, reports…] applies (and, on a durable store,
-// journals; on a gateway, forwards) nothing at all rather than a
-// prefix. An acked batch may carry ingest messages only. This is the
-// one place a served message is validated: Apply is handed validated
-// runs, with the bytes that encoded them, and trusts both.
+// Batches are atomic: the decoder validates every ingest message of a
+// frame against the mode's contract as it decodes it, and every read is
+// checked through ValidateRead, before anything is applied — so a batch
+// of [reports…, malformed query, reports…] applies (and, on a durable
+// store, journals; on a gateway, forwards) nothing at all rather than a
+// prefix. An acked batch may carry ingest messages only. This is the one
+// place a served message is validated: Apply is handed records, with
+// the bytes that encoded them, and trusts both.
+//
+// Acks are buffered and leave with the next answer or, at the latest,
+// when the decoder goes back to the socket (flushBeforeRead): a burst of
+// pipelined frames read in one wake-up is acknowledged in one write, in
+// order, negative acks of shed frames included.
 func (s *Server) serveConn(id int, conn net.Conn) (err error) {
-	dec, enc := NewDecoder(conn), NewEncoder(conn)
+	enc := NewEncoder(conn)
+	acks := 0 // encoded since the last flush
+	flush := func() error {
+		if enc.Buffered() == 0 {
+			return nil
+		}
+		if acks > 0 && s.Metrics != nil {
+			s.Metrics.AckFlushes.Inc()
+		}
+		acks = 0
+		return enc.Flush()
+	}
+	dec := NewDecoder(flushBeforeRead{conn, flush})
 	sess := s.open(id)
-	defer func() { sess.Close(err == nil) }()
+	defer func() {
+		// Frames applied before a failure keep their acks, if the
+		// connection still takes them.
+		_ = flush()
+		sess.Close(err == nil)
+	}()
 
-	reads := s.mode.Reads()
+	ingest := s.mode.Ingest()
 	if s.control != nil {
-		reads |= frameSet(MsgShardSums, MsgShardState)
+		ingest.Reads |= frameSet(MsgShardSums, MsgShardState, MsgView, MsgShardTransfer)
 	}
-	var (
-		sc     AnswerScratch
-		ms     []Msg
-		acked  bool
-		ingest int
-	)
-	validateRun := func(a, b int) error {
-		ingest += b - a
-		return s.mode.ValidateIngest(ms[a:b])
-	}
-	apply := func(a, b int) error { return sess.Apply(ms[a:b], dec.Wire(a, b)) }
-	validateRead := func(m Msg) error {
+	var sc AnswerScratch
+	validateRead := func(acked bool, m Msg) error {
 		if acked {
 			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
 		}
@@ -274,45 +273,48 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 			s.Metrics.CountCacheEligible()
 			s.Metrics.CountCacheResult(hit)
 		}
-		return enc.Flush()
+		return flush()
 	}
 	for {
-		var err error
-		if ms, err = dec.NextBatch(); err != nil {
+		f, err := dec.NextFrame(&ingest)
+		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil // clean client close or server shutdown
 			}
 			return err
 		}
-		if s.control != nil && len(ms) == 1 {
-			if handled, err := s.handleControl(ms[0], dec, enc); handled {
+		if s.control != nil && len(f.Reads) == 1 && len(f.Recs) == 0 {
+			if handled, err := s.handleControl(f.Reads[0].Msg, dec, enc, flush); handled {
 				if err != nil {
 					return err
 				}
 				continue
 			}
 		}
-		acked, ingest = dec.AckedBatch(), 0
 		start := time.Now()
-		if err := BatchRuns(ms, reads, validateRun, validateRead); err != nil {
-			return err
+		for i := range f.Reads {
+			if err := validateRead(f.Acked, f.Reads[i].Msg); err != nil {
+				return err
+			}
 		}
-		shed, holding, err := s.admitBatch(acked, enc)
+		shed, holding, err := s.admitBatch(f.Acked, enc, flush)
 		if err != nil {
 			return err
 		}
-		if shed {
-			continue
+		if !shed {
+			err = BatchRuns(f, sess.Apply, answer)
+			if holding {
+				s.Queue.Release()
+			}
+			if err != nil {
+				return err
+			}
+			if err := s.finishBatch(f.Acked, enc, len(f.Recs), start); err != nil {
+				return err
+			}
 		}
-		err = BatchRuns(ms, reads, apply, answer)
-		if holding {
-			s.Queue.Release()
-		}
-		if err != nil {
-			return err
-		}
-		if err := s.finishBatch(acked, enc, ingest, start); err != nil {
-			return err
+		if f.Acked {
+			acks++
 		}
 	}
 }
@@ -323,7 +325,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 // the frame was one of them. An install or hard view failure still acks
 // (negatively) before surfacing the error, so the pushing gateway sees
 // a refusal rather than a hang.
-func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder) (handled bool, err error) {
+func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder, flush func() error) (handled bool, err error) {
 	applied := true
 	switch m.Type {
 	case MsgView:
@@ -334,27 +336,35 @@ func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder) (handled bool,
 		return false, nil
 	}
 	if err != nil {
-		enc.EncodeMemberAck(false)
-		enc.Flush()
+		// Best effort: the connection is about to fail with err.
+		_ = enc.EncodeMemberAck(false)
+		_ = flush()
 		return true, err
 	}
 	if err := enc.EncodeMemberAck(applied); err != nil {
 		return true, err
 	}
-	return true, enc.Flush()
+	return true, flush()
 }
 
 // admitBatch runs queue admission for one decoded batch: legacy batches
 // block for a slot, acked batches are shed whole when the queue is
-// full. It reports whether the batch was shed (already answered with a
-// negative ack; the caller skips it entirely) and whether a slot is
-// held and must be released after the batch is applied.
-func (s *Server) admitBatch(acked bool, enc *Encoder) (shed, holding bool, err error) {
+// full. It reports whether the batch was shed (its negative ack is
+// buffered, keeping its place among the positive ones; the caller skips
+// the batch entirely) and whether a slot is held and must be released
+// after the batch is applied.
+func (s *Server) admitBatch(acked bool, enc *Encoder, flush func() error) (shed, holding bool, err error) {
 	if s.Queue == nil {
 		return false, false, nil
 	}
 	if !acked {
-		s.Queue.Acquire()
+		if !s.Queue.TryAcquire() {
+			// About to sleep for a slot: buffered acks go out first.
+			if err := flush(); err != nil {
+				return false, false, err
+			}
+			s.Queue.Acquire()
+		}
 		return false, true, nil
 	}
 	if s.Queue.TryAcquire() {
@@ -363,22 +373,17 @@ func (s *Server) admitBatch(acked bool, enc *Encoder) (shed, holding bool, err e
 	if s.Metrics != nil {
 		s.Metrics.ObserveShed()
 	}
-	if err := enc.EncodeBatchAck(false); err != nil {
-		return false, false, err
-	}
-	return true, false, enc.Flush()
+	return true, false, enc.EncodeBatchAck(false)
 }
 
-// finishBatch acknowledges an applied acked batch and records its
-// metrics. On a gateway the positive ack certifies the batch was
-// written whole to the session's backend leases; as with legacy
-// batches, application is certified by the next read on the session.
+// finishBatch acknowledges an applied acked batch — into the encoder's
+// buffer, see serveConn — and records its metrics. On a gateway the
+// positive ack certifies the batch was written whole to the session's
+// backend leases; as with legacy batches, application is certified by
+// the next read on the session.
 func (s *Server) finishBatch(acked bool, enc *Encoder, n int, start time.Time) error {
 	if acked {
 		if err := enc.EncodeBatchAck(true); err != nil {
-			return err
-		}
-		if err := enc.Flush(); err != nil {
 			return err
 		}
 	}

@@ -76,23 +76,23 @@ func (c *ShardMap) Users() int {
 }
 
 // SendBatch implements Store.
-func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms) }
+func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
 
-// Apply implements Store, handing each maximal stretch of messages bound
+// Apply implements Store, handing each maximal stretch of records bound
 // for one virtual shard to that shard's state whole (a user's hello and
 // reports travel together, so stretches are long). The connection shard
 // is unused: the map routes by user.
-func (c *ShardMap) Apply(_ int, ms []Msg, _ []byte) error {
+func (c *ShardMap) Apply(_ int, run []Rec, _ []byte) error {
 	n := len(c.shards)
 	var hellos, reports int64
 	c.imu.RLock()
-	for i := 0; i < len(ms); {
-		sh := membership.ShardOf(ms[i].User, n)
+	for i := 0; i < len(run); {
+		sh := membership.ShardOf(run[i].User, n)
 		j := i + 1
-		for j < len(ms) && membership.ShardOf(ms[j].User, n) == sh {
+		for j < len(run) && membership.ShardOf(run[j].User, n) == sh {
 			j++
 		}
-		h, r := c.shards[sh].Apply(0, ms[i:j])
+		h, r := c.shards[sh].Apply(0, run[i:j])
 		hellos, reports = hellos+h, reports+r
 		i = j
 	}

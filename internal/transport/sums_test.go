@@ -423,7 +423,7 @@ func TestSumsPathAllocs(t *testing.T) {
 	for _, m := range []int{4, 256} {
 		mode := DomainMode(d, m, 2)
 		st := mode.NewState(2)
-		st.Apply(0, []Msg{DomainHello(1, m-1, 2), FromDomainReport(m-1, protocol.Report{User: 1, Order: 2, J: 3, Bit: -1})})
+		st.Apply(0, []Rec{{User: 1, Item: uint32(m - 1), Order: 2}, {User: 1, Item: uint32(m - 1), Order: 2, J: 3, Bit: -1}})
 		var wire bytes.Buffer
 		enc := NewEncoder(&wire)
 		var sc AnswerScratch

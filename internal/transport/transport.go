@@ -4,10 +4,11 @@
 // of either, query/answer and raw-sums pairs, the membership control
 // frames), and the serving core built on it — the Mode contract
 // (mode.go) that alone knows what distinguishes the Boolean, exact
-// domain and hashed domain protocols, one frame loop and connection
-// lifecycle (serve.go), and one in-memory collector, one shard-map
-// collector and one durable journal around either (collector.go,
-// shardmap.go, durable.go). cmd/rtf-serve is an IngestServer over one of
+// domain and hashed domain protocols, the ingest path from bytes to
+// validated 24-byte records under that contract (ingest.go), one frame
+// loop and connection lifecycle (serve.go), and one in-memory collector,
+// one shard-map collector and one durable journal around either
+// (collector.go, shardmap.go, durable.go). cmd/rtf-serve is an IngestServer over one of
 // those stores; internal/cluster's gateways run the same frame loop over
 // backend connections.
 //
@@ -19,12 +20,12 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/membership"
@@ -289,7 +290,7 @@ func (e *Encoder) Encode(m Msg) error {
 }
 
 // appendMsg appends the scalar wire encoding of m to b. It takes the
-// ~100-byte Msg by pointer: this is the inner loop of every batch encode.
+// Msg by pointer: this is the inner loop of every batch encode.
 func appendMsg(b []byte, m *Msg) ([]byte, error) {
 	b = append(b, byte(m.Type))
 	switch m.Type {
@@ -470,7 +471,7 @@ func (e *Encoder) EncodeBatchAck(applied bool) error {
 	if applied {
 		status = 1
 	}
-	n, err := e.w.Write([]byte{byte(MsgBatchAck), status})
+	n, err := e.w.Write(append(e.scratch[:0], byte(MsgBatchAck), status))
 	e.n += int64(n)
 	return err
 }
@@ -478,36 +479,32 @@ func (e *Encoder) EncodeBatchAck(applied bool) error {
 // Flush flushes buffered bytes to the underlying writer.
 func (e *Encoder) Flush() error { return e.w.Flush() }
 
+// Buffered returns the number of encoded bytes not yet flushed.
+func (e *Encoder) Buffered() int { return e.w.Buffered() }
+
 // BytesWritten returns the total encoded payload size so far (possibly
 // still buffered).
 func (e *Encoder) BytesWritten() int64 { return e.n }
 
-// Decoder reads messages from a stream.
+// Decoder reads messages from a stream. It has two views of an ingest
+// frame, filled by the same window loop (readFrame): NextFrame decodes
+// straight into validated records under a mode's contract — what every
+// server runs — and Next / NextBatch decode into Msgs for callers that
+// have no mode.
 type Decoder struct {
-	r *bufio.Reader
+	r   *bufio.Reader
+	src io.Reader // what r reads from, kept so the buffer can grow
 
 	// pending holds the unread tail of the last batch frame, so Next can
 	// transparently unbatch; NextBatch reuses the same backing array.
 	pending []Msg
 	next    int
-	// small counts consecutive frames that left an oversized pending
-	// buffer mostly unused, see maxRetainedBatch.
+	// f is the last frame NextFrame decoded; it reuses its backing arrays.
+	// Its Acked is kept for either view.
+	f Frame
+	// small counts consecutive frames that left an oversized pending or
+	// record buffer mostly unused, see maxRetainedBatch.
 	small int
-
-	// wire holds the bytes of the frame in pending exactly as they
-	// arrived — the scalar encodings back to back, a batch frame's header
-	// excluded — and offs one offset per message boundary, so pending[a:b]
-	// was encoded by wire[offs[a]:offs[b]] (see Wire). The windowed fast
-	// path and the byte-at-a-time slow path both fill them; they share
-	// pending's lifetime and its retention rule. first is the index in
-	// pending of the first message the last NextBatch returned.
-	wire  []byte
-	offs  []uint32
-	first int
-
-	// acked records whether the most recently decoded batch frame was a
-	// MsgBatchAcked (the server owes its sender exactly one BatchAck).
-	acked bool
 
 	// view and shardState hold the payloads of the most recent MsgView
 	// and MsgShardTransfer frames. Both frames are variable-length, so
@@ -519,11 +516,23 @@ type Decoder struct {
 	shardState []byte
 }
 
+// Read buffer sizes. A connection starts with the small one, which is
+// all a stream of scalar queries ever needs; the first batch frame that
+// overruns it (readFrame finds the buffer full with the frame still
+// going) moves the connection to the large one for good, so a typical
+// ingest frame arrives in one or two reads instead of one per 4 KiB.
+// Backend connections start large: they carry raw-sums frames of tens of
+// kilobytes back.
+const (
+	smallReadBuffer = 4 << 10
+	largeReadBuffer = 64 << 10
+)
+
 // NewDecoder wraps a reader.
-func NewDecoder(r io.Reader) *Decoder { return newDecoderSize(r, 4096) }
+func NewDecoder(r io.Reader) *Decoder { return newDecoderSize(r, smallReadBuffer) }
 
 func newDecoderSize(r io.Reader, size int) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, size)}
+	return &Decoder{r: bufio.NewReaderSize(r, size), src: r}
 }
 
 // Next decodes one scalar message. Batch frames are unbatched
@@ -532,21 +541,13 @@ func newDecoderSize(r io.Reader, size int) *Decoder {
 // truncated message. Empty batch frames are skipped iteratively, so a
 // stream of them cannot grow the stack.
 func (d *Decoder) Next() (Msg, error) {
-	for {
-		if d.next < len(d.pending) {
-			m := d.pending[d.next]
-			d.next++
-			return m, nil
-		}
-		m, err := d.scalarOrBatch()
-		if err != nil {
+	for d.next == len(d.pending) {
+		if err := d.readFrame(nil); err != nil {
 			return Msg{}, err
 		}
-		if m.Type != MsgBatch {
-			return m, nil
-		}
-		// Batch decoded into d.pending (possibly empty): loop to pop it.
 	}
+	d.next++
+	return d.pending[d.next-1], nil
 }
 
 // NextBatch decodes one frame: a batch frame yields all its messages, a
@@ -555,184 +556,233 @@ func (d *Decoder) Next() (Msg, error) {
 // partially Next-consumed batch are returned first. Empty batch frames
 // are skipped.
 func (d *Decoder) NextBatch() ([]Msg, error) {
-	for {
-		if d.next < len(d.pending) {
-			ms := d.pending[d.next:]
-			d.first, d.next = d.next, len(d.pending)
-			return ms, nil
-		}
-		m, err := d.scalarOrBatch()
-		if err != nil {
+	for d.next == len(d.pending) {
+		if err := d.readFrame(nil); err != nil {
 			return nil, err
 		}
-		if m.Type != MsgBatch {
-			d.pending = append(d.pending[:0], m)
-			d.offs = append(d.offs, uint32(len(d.wire)))
-			d.next = 0
+	}
+	ms := d.pending[d.next:]
+	d.next = len(d.pending)
+	return ms, nil
+}
+
+// NextFrame decodes one frame under a mode's ingest contract: every
+// ingest message becomes a validated record, every type in c.Reads is
+// handed back as a read at its position, and anything else fails the
+// frame with the error the mode's Validate*Ingest gives it — before the
+// caller has seen, let alone applied, any of it. Empty batch frames are
+// skipped. The frame is valid until the next Decoder call.
+func (d *Decoder) NextFrame(c *Ingest) (*Frame, error) {
+	for {
+		if err := d.readFrame(c); err != nil {
+			return nil, err
 		}
-		// Loop: the refilled d.pending (empty for an empty batch) is
-		// served by the branch above.
+		if len(d.f.Recs) > 0 || len(d.f.Reads) > 0 {
+			return &d.f, nil
+		}
 	}
 }
 
-// maxRetainedBatch is the capacity up to which a Decoder keeps its
-// pending buffer unconditionally. A larger one — one maximal batch is
-// MaxBatchLen messages, tens of megabytes decoded — must not stay pinned
-// for the connection's lifetime, but neither may it be dropped while
-// the stream still fills it, or every frame of a sender whose batches
-// exceed this size would reallocate it: it is released after
-// smallFramesToRelease consecutive frames that each used under a
+// maxRetainedBatch is the capacity, in messages, up to which a Decoder
+// keeps its pending and record buffers unconditionally. A larger one —
+// one maximal batch is MaxBatchLen messages: 24 bytes of record and up to
+// maxScalarWire bytes of wire each, a Msg each for a mode-less caller —
+// must not stay pinned for the connection's lifetime, but neither may it
+// be dropped while the stream still fills it, or every frame of a sender
+// whose batches exceed this size would reallocate it: it is released
+// after smallFramesToRelease consecutive frames that each used under a
 // quarter of it.
 const (
 	maxRetainedBatch     = 1 << 12
 	smallFramesToRelease = 32
 )
 
-// Wire returns the bytes that encoded messages [a:b) of the slice the
-// last NextBatch returned, exactly as they arrived: prefixed with a batch
-// header counting b-a messages they are a frame this decoder reads back
-// as that run, which is what lets a durable store journal a run without
-// re-encoding it. Like the slice they are valid only until the next
-// Decoder call. A frame that is not a batch or scalar message (a view,
-// a shard transfer) has no such bytes: Wire is empty for it.
-func (d *Decoder) Wire(a, b int) []byte {
-	return d.wire[d.offs[d.first+a]:d.offs[d.first+b]]
-}
-
 // AckedBatch reports whether the most recent frame decoded by NextBatch
 // was an acknowledged batch (MsgBatchAcked): the peer is waiting for
 // exactly one BatchAck for it.
-func (d *Decoder) AckedBatch() bool { return d.acked }
+func (d *Decoder) AckedBatch() bool { return d.f.Acked }
 
-// scalarOrBatch decodes the next frame. For a batch frame (plain or
-// acked) it fills d.pending with the inner messages and returns a Msg
-// with Type MsgBatch; otherwise it returns the scalar message.
-func (d *Decoder) scalarOrBatch() (Msg, error) {
-	// Both callers have consumed pending; its length is what the last
+// readFrame decodes the next frame into d.f (under contract c) or, with
+// no contract, into d.pending. A scalar frame is the one-message case of
+// a batch: same loop, no header.
+func (d *Decoder) readFrame(c *Ingest) error {
+	// The caller has consumed the last frame; its length is what that
 	// frame needed.
-	if c := cap(d.pending); c > maxRetainedBatch {
-		if len(d.pending) >= c/4 {
+	if used, kept := len(d.pending)+len(d.f.Recs), max(cap(d.pending), cap(d.f.Recs)); kept > maxRetainedBatch {
+		if used >= kept/4 {
 			d.small = 0
 		} else if d.small++; d.small == smallFramesToRelease {
-			d.pending, d.wire, d.offs, d.small = nil, nil, nil, 0
+			d.pending, d.f, d.small = nil, Frame{}, 0
 		}
 	}
 	d.pending, d.next = d.pending[:0], 0
-	d.wire, d.offs = d.wire[:0], append(d.offs[:0], 0)
-	tb, err := d.r.ReadByte()
+	d.f = Frame{Recs: d.f.Recs[:0], Wire: d.f.Wire[:0], Reads: d.f.Reads[:0]}
+	head, err := d.r.Peek(1)
 	if err != nil {
-		return Msg{}, err // io.EOF passes through
+		return err // io.EOF passes through
 	}
-	d.acked = MsgType(tb) == MsgBatchAcked
-	switch MsgType(tb) {
-	case MsgView:
-		// Variable-length frame: decode into side-state, return a
-		// marker (see TakeView).
-		v, err := d.readViewBody()
-		if err != nil {
-			return Msg{}, err
+	typ := MsgType(head[0])
+	d.f.Acked = typ == MsgBatchAcked
+	n := 1
+	switch typ {
+	case MsgView, MsgShardTransfer:
+		// Variable-length frames: decode into side-state and surface a
+		// marker (see TakeView, TakeShardState).
+		d.r.Discard(1)
+		m := Msg{Type: typ}
+		if typ == MsgView {
+			d.view, err = d.readViewBody()
+		} else {
+			m.Shard, d.shardState, err = d.readShardPayloadBody()
 		}
-		d.view = v
-		return Msg{Type: MsgView}, nil
-	case MsgShardTransfer:
-		shard, state, err := d.readShardPayloadBody()
-		if err != nil {
-			return Msg{}, err
+		switch {
+		case err != nil:
+			return err
+		case c == nil:
+			d.pending = append(d.pending, m)
+		case c.Reads.Has(typ):
+			d.f.Reads = append(d.f.Reads, FrameRead{Msg: m})
+		default:
+			return c.explain(&m)
 		}
-		d.shardState = state
-		return Msg{Type: MsgShardTransfer, Shard: shard}, nil
+		return nil
+	case MsgBatch, MsgBatchAcked:
+		d.r.Discard(1)
+		declared, err := binary.ReadUvarint(d.r)
+		if err != nil {
+			return truncated(err)
+		}
+		if declared > MaxBatchLen {
+			return fmt.Errorf("transport: batch length %d exceeds limit %d", declared, MaxBatchLen)
+		}
+		if d.f.Acked && declared == 0 {
+			// An empty acked batch would be skipped by the unbatching loops
+			// and its ack silently owed forever; reject it at the frame level
+			// (the encoder refuses to produce one).
+			return errors.New("transport: empty acked batch")
+		}
+		n = int(declared)
+	case MsgBatchAck:
+		return errors.New("transport: batch ack outside ReadBatchAck")
 	}
-	if MsgType(tb) != MsgBatch && MsgType(tb) != MsgBatchAcked {
-		d.wire = append(d.wire, tb)
-		return d.scalarBody(MsgType(tb))
+	for done := 0; done < n; {
+		// Decode every message the buffered window holds whole in one
+		// tight loop — one Peek and one Discard per window, not per
+		// message — and go back to the source only when the window runs
+		// out inside a message, for whatever one read returns: the peer
+		// may be waiting for a response mid-stream.
+		win, _ := d.r.Peek(d.r.Buffered())
+		used, k, err := d.window(c, win, n-done, n)
+		d.r.Discard(used)
+		if err != nil {
+			d.pending, d.f.Recs, d.f.Reads = d.pending[:0], d.f.Recs[:0], d.f.Reads[:0]
+			return err
+		}
+		if done += k; done == n {
+			break
+		}
+		if len(win) == d.r.Size() && len(win) < largeReadBuffer {
+			// The frame overran a full buffer: see smallReadBuffer.
+			rest, _ := d.r.Peek(d.r.Buffered())
+			d.r = bufio.NewReaderSize(io.MultiReader(bytes.NewReader(bytes.Clone(rest)), d.src), largeReadBuffer)
+		}
+		if _, err := d.r.Peek(d.r.Buffered() + 1); err != nil {
+			return truncated(err)
+		}
 	}
-	n, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return Msg{}, truncated(err)
+	return nil
+}
+
+// roomFor returns s with capacity for extra more elements, growing it by
+// doubling but never past limit, the length its frame declared — so what
+// a frame makes the decoder hold is bounded by what it declared, and
+// what it allocates by the bytes that actually arrived.
+func roomFor[T any](s []T, extra, limit int) []T {
+	if need := len(s) + extra; need > cap(s) {
+		s = append(make([]T, 0, min(max(need, 2*cap(s)), limit)), s...)
 	}
-	if n > MaxBatchLen {
-		return Msg{}, fmt.Errorf("transport: batch length %d exceeds limit %d", n, MaxBatchLen)
+	return s
+}
+
+// window decodes up to want messages of a frame declaring limit out of
+// win, the reader's buffered bytes, and returns the bytes consumed and
+// the messages decoded; it stops early, without error, at a message the
+// window cuts short. The per-message step is the view's: without a
+// contract the general decoder fills a Msg; with one the kernel fills a
+// record, and the general decoder only sees what the kernel does not
+// take — a read, a refusal, an odd spelling, or the last maxScalarWire
+// bytes of the window, where the kernel's precondition fails — and what
+// it decodes goes through the same contract.
+func (d *Decoder) window(c *Ingest, win []byte, want, limit int) (used, k int, err error) {
+	// Make room for every message this window could hold (each scalar is
+	// at least two bytes; a lone type byte can already be refused), so
+	// the loop indexes slots with no per-message capacity check.
+	want = min(want, (len(win)+1)/2)
+	var (
+		msgs []Msg
+		recs []Rec
+	)
+	base, nr := len(d.pending), len(d.f.Recs)
+	if c == nil {
+		d.pending = roomFor(d.pending, want, limit)
+		msgs = d.pending[base : base+want]
+		// decodeScalarInto writes only the fields it decodes: one
+		// vectorized clear of the reused slots instead of a struct zero
+		// per message.
+		clear(msgs)
+	} else {
+		recs = roomFor(d.f.Recs, want, limit)[:nr+want]
 	}
-	if d.acked && n == 0 {
-		// An empty acked batch would be skipped by the unbatching loops
-		// and its ack silently owed forever; reject it at the frame level
-		// (the encoder refuses to produce one).
-		return Msg{}, errors.New("transport: empty acked batch")
-	}
-	for i := uint64(0); i < n; {
-		// Fast path: decode every fully buffered message straight out of
-		// the buffered window in one tight loop — one Peek and one
-		// Discard per run of buffered messages, instead of one of each
-		// per message. Never block for more than is needed: with fewer
-		// than one message's worth of bytes buffered, fall back to the
-		// byte-at-a-time path, which reads exactly one message — crucial
-		// when the peer is waiting for a response mid-stream.
-		if buffered := d.r.Buffered(); buffered >= maxScalarWire {
-			win, _ := d.r.Peek(buffered)
-			// Pre-extend pending for every message this window could hold
-			// (each scalar is at least two bytes), so the decode loop
-			// indexes slots with no per-message capacity check. Growth is
-			// bounded by bytes actually buffered, never by the declared n.
-			// Re-sliced slots are stale entries from a past batch, which
-			// decodeScalarInto fully overwrites; the trim below drops the
-			// slots this window didn't fill.
-			base := int(i)
-			k := len(win) / 2
-			if rem := int(n) - base; rem < k {
-				k = rem
+loop:
+	for ; k < want; k++ {
+		rest, n := win[used:], 0
+		switch {
+		case c == nil:
+			if n, err = decodeScalarInto(rest, &msgs[k]); err != nil {
+				break loop
 			}
-			if base+k <= cap(d.pending) {
-				d.pending = d.pending[:base+k]
-			} else {
-				d.pending = append(d.pending[:cap(d.pending)], make([]Msg, base+k-cap(d.pending))...)
+		case len(rest) >= maxScalarWire:
+			n = c.decode(rest, &recs[nr])
+		}
+		if n == 0 {
+			// Under a contract, and not the kernel's: the general decoder,
+			// then the same contract.
+			var m Msg
+			if n, err = decodeScalarInto(rest, &m); err != nil {
+				break loop
 			}
-			d.offs = slices.Grow(d.offs, k)[:base+1+k]
-			// One vectorized clear for the whole window instead of a
-			// ~100-byte struct zero inside every decodeScalarInto call.
-			clear(d.pending[base:])
-			used, j, kept := 0, base, len(d.wire)
-			for j < base+k && len(win)-used >= maxScalarWire {
-				consumed, err := decodeScalarInto(win[used:], &d.pending[j])
-				if err != nil {
-					d.r.Discard(used)
-					d.pending = d.pending[:0]
-					if errors.Is(err, errShortMsg) {
-						// maxScalarWire bytes cover every valid message;
-						// short here means an overlong varint.
-						err = errors.New("transport: malformed message in batch")
-					}
-					return Msg{}, err
-				}
-				used += consumed
-				j++
-				d.offs[j] = uint32(kept + used)
+			if c.Reads.Has(m.Type) {
+				off := len(d.f.Wire) + used
+				d.f.Reads = append(d.f.Reads, FrameRead{At: nr, Off: off, End: off + n, Msg: m})
+				used += n
+				continue
 			}
-			d.pending, d.offs = d.pending[:j], d.offs[:j+1]
-			// The window is the reader's own buffer, overwritten by its
-			// next fill: keep this stretch of the frame — one copy per
-			// window, not per message.
-			d.wire = append(d.wire, win[:used]...)
-			i = uint64(j)
-			d.r.Discard(used)
-			continue
+			if !c.check(&m, &recs[nr]) {
+				err = c.explain(&m)
+				break loop
+			}
+			recs[nr].Len = uint8(n)
 		}
-		tb, err := d.r.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if MsgType(tb) == MsgBatch || MsgType(tb) == MsgBatchAcked {
-			return Msg{}, errors.New("transport: nested batch")
-		}
-		d.wire = append(d.wire, tb)
-		m, err := d.scalarBody(MsgType(tb))
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		d.pending = append(d.pending, m)
-		d.offs = append(d.offs, uint32(len(d.wire)))
-		i++
+		used += n
+		nr++
 	}
-	return Msg{Type: MsgBatch}, nil
+	if c == nil {
+		d.pending = d.pending[:base+k]
+	} else {
+		// The window is the reader's own buffer, overwritten by its next
+		// fill: keep this stretch of the frame — one copy per window, not
+		// per message.
+		d.f.Recs, d.f.Wire = recs[:nr], append(d.f.Wire, win[:used]...)
+	}
+	if errors.Is(err, errShortMsg) {
+		err = nil
+		if len(win)-used >= maxScalarWire {
+			// maxScalarWire bytes cover every valid message; short here
+			// means an overlong varint.
+			err = errors.New("transport: malformed message")
+		}
+	}
+	return used, k, err
 }
 
 // maxScalarWire is the largest wire size of a scalar message: a domain
@@ -750,26 +800,20 @@ var errShortMsg = errors.New("transport: short message")
 // binary.Uvarint's for every input.
 func uvarintMulti(b []byte) (uint64, int) {
 	if len(b) >= 3 && b[0] >= 0x80 {
-		b1 := b[1]
-		if b1 < 0x80 {
-			return uint64(b[0]&0x7f) | uint64(b1)<<7, 2
-		}
-		if b2 := b[2]; b2 < 0x80 {
-			return uint64(b[0]&0x7f) | uint64(b1&0x7f)<<7 | uint64(b2)<<14, 3
+		if v, n := uvarint23(b, 0); n != 0 {
+			return v, n
 		}
 	}
 	return binary.Uvarint(b)
 }
 
-// decodeScalarInto decodes one scalar message from the front of b
-// directly into *m, returning the number of bytes consumed. The caller
-// must pass a zero Msg: only the decoded fields are written, so the
-// batch loop can clear a whole window of reused slots with one
-// vectorized clear instead of a ~100-byte struct zero per message.
-// Decoding in place is what keeps the batch fast path free of
-// per-message Msg copies — the struct is ~100 bytes, and the old
-// decode-return-append shape copied it twice per message. It returns
-// errShortMsg when b ends mid-message.
+// decodeScalarInto is the general scalar decoder: it decodes one message
+// of any type from the front of b directly into *m, returning the number
+// of bytes consumed. The caller must pass a zero Msg: only the decoded
+// fields are written, so the Msg view's window loop can clear a whole
+// window of reused slots at once. It returns errShortMsg when b ends
+// mid-message, and also for a varint of more than ten bytes, which no
+// number of further bytes completes.
 func decodeScalarInto(b []byte, m *Msg) (int, error) {
 	if len(b) == 0 {
 		return 0, errShortMsg
@@ -1066,303 +1110,6 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 	return off, nil
 }
 
-// wireTap is the byte source of the byte-at-a-time path: the buffered
-// reader, with every byte it yields kept in the decoder's wire buffer.
-type wireTap struct{ d *Decoder }
-
-func (t wireTap) ReadByte() (byte, error) {
-	b, err := t.d.r.ReadByte()
-	if err == nil {
-		t.d.wire = append(t.d.wire, b)
-	}
-	return b, err
-}
-
-// scalarBody decodes the body of a scalar message whose type byte has
-// already been consumed.
-func (d *Decoder) scalarBody(typ MsgType) (Msg, error) {
-	m := Msg{Type: typ}
-	br := wireTap{d}
-	switch typ {
-	case MsgHello:
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if user > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		m.User, m.Order = int(user), int(h)
-	case MsgReport:
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		j, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		bb, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if user > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		m.User, m.Order, m.J = int(user), int(h), int(j)
-		switch bb {
-		case 1:
-			m.Bit = 1
-		case 0:
-			m.Bit = -1
-		default:
-			return Msg{}, fmt.Errorf("transport: invalid bit byte %d", bb)
-		}
-	case MsgQuery:
-		t, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		m.T = int(t)
-	case MsgEstimate:
-		t, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		var raw [8]byte
-		for i := range raw {
-			if raw[i], err = br.ReadByte(); err != nil {
-				return Msg{}, truncated(err)
-			}
-		}
-		m.T = int(t)
-		m.Value = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
-	case MsgQueryV2:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported query version %d", ver)
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		r, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if l > math.MaxInt || r > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: query bound overflows")
-		}
-		m.Kind, m.L, m.R = QueryKind(kind), int(l), int(r)
-	case MsgSums:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported sums-request version %d", ver)
-		}
-	case MsgDomainHello:
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		item, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if user > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if item > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: item %d overflows", item)
-		}
-		m.User, m.Item, m.Order = int(user), int(item), int(h)
-	case MsgDomainReport:
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		item, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		j, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		bb, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if user > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if item > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: item %d overflows", item)
-		}
-		m.User, m.Item, m.Order, m.J = int(user), int(item), int(h), int(j)
-		switch bb {
-		case 1:
-			m.Bit = 1
-		case 0:
-			m.Bit = -1
-		default:
-			return Msg{}, fmt.Errorf("transport: invalid bit byte %d", bb)
-		}
-	case MsgDomainQuery:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported domain query version %d", ver)
-		}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		item, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		r, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		k, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if item > math.MaxInt || l > math.MaxInt || r > math.MaxInt || k > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: domain query field overflows")
-		}
-		m.Kind, m.Item, m.L, m.R, m.K = QueryKind(kind), int(item), int(l), int(r), int(k)
-	case MsgDomainSums:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported domain-sums-request version %d", ver)
-		}
-	case MsgHashedDomainHello:
-		user, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		bucket, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		seed, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if user > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if bucket > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: bucket %d overflows", bucket)
-		}
-		m.User, m.Item, m.Order, m.Seed = int(user), int(bucket), int(h), seed
-	case MsgHashedDomainSums:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported hashed-sums-request version %d", ver)
-		}
-		mm, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		g, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		seed, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if mm > math.MaxInt || g > math.MaxInt {
-			return Msg{}, fmt.Errorf("transport: hashed-sums field overflows")
-		}
-		m.Item, m.K, m.Seed = int(mm), int(g), seed
-	case MsgShardSums, MsgShardState:
-		ver, err := br.ReadByte()
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if ver != queryWireVersion {
-			return Msg{}, fmt.Errorf("transport: unsupported shard-request version %d", ver)
-		}
-		shard, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Msg{}, truncated(err)
-		}
-		if shard > membership.MaxShards {
-			return Msg{}, fmt.Errorf("transport: shard %d exceeds limit %d", shard, membership.MaxShards)
-		}
-		m.Shard = int(shard)
-	case MsgView:
-		// scalarBody handles MsgView only from inside a batch frame:
-		// at top level the decoder intercepts it first (scalarOrBatch).
-		return Msg{}, errors.New("transport: view frame inside batch")
-	case MsgShardTransfer:
-		return Msg{}, errors.New("transport: shard transfer frame inside batch")
-	case MsgShardStateFrame:
-		return Msg{}, errors.New("transport: shard state frame outside ReadShardState")
-	case MsgMemberAck:
-		return Msg{}, errors.New("transport: member ack outside ReadMemberAck")
-	case MsgBatchAck:
-		return Msg{}, errors.New("transport: batch ack outside ReadBatchAck")
-	case MsgAnswer:
-		return Msg{}, errors.New("transport: answer frame outside ReadAnswer")
-	case MsgSumsFrame:
-		return Msg{}, errors.New("transport: sums frame outside ReadSums")
-	case MsgDomainAnswer:
-		return Msg{}, errors.New("transport: domain answer frame outside ReadDomainAnswer")
-	case MsgDomainSumsFrame:
-		return Msg{}, errors.New("transport: domain sums frame outside ReadDomainSums")
-	default:
-		return Msg{}, fmt.Errorf("transport: unknown message type %d", typ)
-	}
-	return m, nil
-}
-
 func truncated(err error) error {
 	if errors.Is(err, io.EOF) {
 		return io.ErrUnexpectedEOF
@@ -1488,36 +1235,15 @@ func (d *Decoder) ReadBatchAck() (applied bool, err error) {
 }
 
 // ValidateIngest range-checks one hello or report message against the
-// dyadic-accumulator parameters for horizon d. It is the single source
-// of ingest validation: the collectors run it before applying (or
-// journaling) anything, and the cluster gateway runs the identical
-// checks before forwarding, so a batch the gateway accepts cannot be
-// rejected downstream by a backend.
+// dyadic-accumulator parameters for horizon d: the Boolean ingest
+// contract (Ingest.check) with the refusal spelled out. Every front
+// decodes under the same contract, so a batch a gateway accepts cannot
+// be rejected downstream by a backend.
 func ValidateIngest(d int, m Msg) error { return validateIngest(d, dyadic.Log2(d), &m) }
 
-// ingestOK is the branch-only core of validateIngest: the same checks
-// with no error construction, small enough to inline into the batch
-// loops. The hot path costs one inlined call per message; only a
-// failing message pays for validateIngest's fmt.Errorf machinery (the
-// batch loops re-run it to build the precise error).
-func ingestOK(d, maxOrder int, m *Msg) bool {
-	switch m.Type {
-	case MsgReport:
-		return m.User >= 0 && (m.Bit == 1 || m.Bit == -1) &&
-			uint(m.Order) <= uint(maxOrder) &&
-			uint(m.J-1) < uint(d>>uint(m.Order))
-	case MsgHello:
-		return m.User >= 0 && uint(m.Order) <= uint(maxOrder)
-	}
-	return false
-}
-
-// validateIngest is the pointer-based body of ValidateIngest: the
-// collectors run it over whole batches without copying each ~100-byte
-// Msg out of the slice. maxOrder must be dyadic.Log2(d); the batch
-// loops compute it once instead of per message (Log2's not-a-power-
-// of-two panic keeps it from inlining). It agrees with ingestOK on
-// every input.
+// validateIngest is the body of ValidateIngest and the Boolean
+// contract's error builder: it returns nil exactly when Ingest.check
+// accepts m. maxOrder must be dyadic.Log2(d).
 func validateIngest(d, maxOrder int, m *Msg) error {
 	switch m.Type {
 	case MsgHello:
