@@ -1401,57 +1401,108 @@ func BenchmarkAnswerTopKHashedWarm(b *testing.B) {
 // (through a read buffer of a backend connection's size), merges them,
 // folds the total into the state it answers from and runs a cold top-10
 // over the catalogue — at the gateway-hashed workload's sizes (g = 256,
-// d = 128, m = 2^18). Every period's first read behind rtf-gateway pays
-// this once.
+// m = 2^18) and at two horizons. Every period's first read behind
+// rtf-gateway pays this once. /scoped is what that read costs: the
+// gather asks for the columns the top-k evaluates; /full is a gather of
+// every column, what a Series read (and every read before scopes) costs.
+// The first stops growing with d, the second is linear in it.
 func BenchmarkGatewayGatherHashed(b *testing.B) {
-	const d, g, m = 128, 256, 1 << 18
-	mode := transport.HashedMode(d, hh.LolohaEncoding(m, g, 0xbeef), 100)
-	backends := [2]transport.State{mode.NewState(2), mode.NewState(2)}
-	r := rng.New(17, 18)
+	const g, m = 256, 1 << 18
+	for _, d := range []int{128, 1024} {
+		mode := transport.HashedMode(d, hh.LolohaEncoding(m, g, 0xbeef), 100)
+		backends := [2]transport.State{mode.NewState(2), mode.NewState(2)}
+		r := rng.New(17, 18)
+		for i := 0; i < ingestBenchReports; i++ {
+			h := r.IntN(dyadic.NumOrders(d))
+			run := []transport.Rec{{User: i, Item: uint32(r.IntN(g)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))}}
+			if i%8 == 0 {
+				run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(g)), Order: uint8(h)})
+			}
+			backends[i%2].Apply(i%2, run)
+		}
+		q := transport.DomainQuery(transport.QueryTopK, 0, d/2-1, 0, 10)
+		for _, scoped := range []bool{false, true} {
+			req, name := mode.SumsRequest(), "full"
+			if scoped {
+				sc := mode.Scope(q)
+				req.L, req.R, name = sc.L, sc.R, "scoped"
+			}
+			b.Run(fmt.Sprintf("d=%d/%s", d, name), func(b *testing.B) {
+				var wire bytes.Buffer
+				enc := transport.NewEncoder(&wire)
+				src := bytes.NewReader(nil)
+				dec := transport.NewDecoder(bufio.NewReaderSize(src, 64<<10))
+				out := transport.NewEncoder(io.Discard)
+				var sc transport.AnswerScratch
+				frames := make([]transport.RawSums, len(backends))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					wire.Reset()
+					for _, st := range backends {
+						if _, _, err := st.Answer(req, enc, &sc); err != nil {
+							b.Fatal(err)
+						}
+					}
+					if err := enc.Flush(); err != nil {
+						b.Fatal(err)
+					}
+					src.Reset(wire.Bytes())
+					for j := range frames {
+						var err error
+						if frames[j], err = mode.ReadSums(dec); err != nil {
+							b.Fatal(err)
+						}
+					}
+					gathered, err := transport.NewGathered(mode, frames)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, _, err := gathered.Answer(q, out, &sc); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(wire.Len())/float64(len(backends)), "frame-bytes")
+			})
+		}
+	}
+}
+
+// BenchmarkShardMapPointRead is one point-item read at a shard-mapped
+// exact-domain store (16 virtual shards, m = 256, d = 256): every read
+// there folds the shards' raw sums into a fresh state. /scoped is the
+// read as served — each shard exports the columns the query evaluates —
+// and /full a SeriesItem read of the same item, which needs them all.
+func BenchmarkShardMapPointRead(b *testing.B) {
+	const d, m, shards = 256, 256, 16
+	sm := transport.NewShardMap(transport.DomainMode(d, m, 100), shards, "n0")
+	r := rng.New(23, 24)
+	run := make([]transport.Rec, 0, 4096)
 	for i := 0; i < ingestBenchReports; i++ {
 		h := r.IntN(dyadic.NumOrders(d))
-		run := []transport.Rec{{User: i, Item: uint32(r.IntN(g)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))}}
-		if i%8 == 0 {
-			run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(g)), Order: uint8(h)})
+		run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(m)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))})
+		if len(run) == cap(run) || i == ingestBenchReports-1 {
+			if err := sm.Apply(0, run, nil); err != nil {
+				b.Fatal(err)
+			}
+			run = run[:0]
 		}
-		backends[i%2].Apply(i%2, run)
 	}
-	var wire bytes.Buffer
-	enc := transport.NewEncoder(&wire)
-	src := bytes.NewReader(nil)
-	dec := transport.NewDecoder(bufio.NewReaderSize(src, 64<<10))
 	out := transport.NewEncoder(io.Discard)
 	var sc transport.AnswerScratch
-	q := transport.DomainQuery(transport.QueryTopK, 0, d/2, 0, 10)
-	frames := make([]transport.RawSums, len(backends))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wire.Reset()
-		for _, st := range backends {
-			if _, _, err := st.Answer(mode.SumsRequest(), enc, &sc); err != nil {
-				b.Fatal(err)
+	for name, q := range map[string]transport.Msg{
+		"full":   transport.DomainQuery(transport.QuerySeriesItem, 3, 0, 0, 0),
+		"scoped": transport.DomainQuery(transport.QueryPointItem, 3, d/2-1, 0, 0),
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sm.Answer(q, out, &sc); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		if err := enc.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		src.Reset(wire.Bytes())
-		for j := range frames {
-			var err error
-			if frames[j], err = mode.ReadSums(dec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		gathered, err := transport.NewGathered(mode, frames)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := gathered.Answer(q, out, &sc); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
-	b.ReportMetric(float64(wire.Len())/float64(len(backends)), "frame-bytes")
 }
 
 // ---------------------------------------------------------------------------

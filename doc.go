@@ -62,7 +62,12 @@
 // across them (user id mod N) and answering every query shape by
 // scatter/gather — each backend ships its raw per-interval integer
 // sums (a SumsFrame on the wire), and the gateway folds them into a
-// fresh accumulator before estimating. Because the dyadic state is
+// fresh accumulator before estimating. A gather moves what the paper's
+// estimator reads, not the accumulator: the request carries the period
+// range the read is evaluated over (transport.Scope), the frame the
+// header counts and the at most 2·log₂ d interval sums of that range's
+// dyadic cover, and the folded state is built over that narrow matrix —
+// only series-shaped reads move all 2d−1 columns. Because the dyadic state is
 // additive in exact integers and the estimator is a fixed linear
 // function of them, gateway answers are bit-for-bit those of a single
 // serial server fed every report; a dead backend stalls (re-dial with

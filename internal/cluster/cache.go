@@ -36,11 +36,21 @@ import (
 // an entry younger than the TTL even when its stamp is stale — bounded
 // staleness in exchange for a scatter-free read path under sustained
 // ingest. Off by default.
+//
+// Scope. A gather fetches the columns its read evaluates
+// (transport.Scope: a point or top-k at t needs [1..t]'s dyadic cover,
+// a dozen counters a row, not the whole matrix), and the entry it fills
+// answers only reads that scope covers. A clean read that finds a
+// current entry which does not cover it has just learned that this
+// epoch is being read at more than one range, so it gathers every
+// column, once: an ingest epoch costs at most one scoped and one full
+// gather however many periods a client sweeps, and the common case —
+// every reader at the current period — never moves a full matrix.
 
 // cacheEntry is one completed cluster-wide gather: the backends' sums
-// merged and folded once. Entries are immutable after fill (see
-// transport.Gathered), so any number of connections may share one entry
-// concurrently.
+// merged and folded once, under the scope the embedded Gathered records.
+// Entries are immutable after fill (see transport.Gathered), so any
+// number of connections may share one entry concurrently.
 type cacheEntry struct {
 	*transport.Gathered
 	stamp  uint64    // ingest epoch loaded before the gather's first fetch
@@ -60,7 +70,8 @@ type answerCache struct {
 // queries may join instead of scattering themselves.
 type gatherFlight struct {
 	done  chan struct{}
-	entry *cacheEntry // nil when err != nil
+	scope transport.Scope // what the leader gathers; joiners need it to cover them
+	entry *cacheEntry     // nil when err != nil
 	err   error
 }
 
@@ -91,17 +102,17 @@ func (g *Gateway) entryCurrent(e *cacheEntry, epoch uint64, now time.Time) bool 
 // rides before giving up and gathering itself.
 const joinAttempts = 2
 
-// acquireEntry obtains the gathered cluster state one query needs:
-// from the cache when the entry is current, by joining an in-flight
-// gather, or by scattering itself (becoming the flight leader other
-// clean sessions coalesce onto). It reports whether the answer came
-// from the warm cache (hit: no gather ran anywhere on behalf of this
-// query) and whether this query coalesced onto another session's
-// flight. Sessions with unfenced forwards bypass the cache entirely —
-// see the package comment at the top of this file.
-func (g *Gateway) acquireEntry(s *session) (e *cacheEntry, hit, coalesced bool, err error) {
+// acquireEntry obtains the gathered cluster state a query of the given
+// scope needs: from the cache when the entry is current and covers it,
+// by joining an in-flight gather that covers it, or by scattering itself
+// (becoming the flight leader other clean sessions coalesce onto). It
+// reports whether the answer came from the warm cache (hit: no gather
+// ran anywhere on behalf of this query) and whether this query coalesced
+// onto another session's flight. Sessions with unfenced forwards bypass
+// the cache entirely — see the package comment at the top of this file.
+func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry, hit, coalesced bool, err error) {
 	if !s.clean() {
-		e, err = s.scatter()
+		e, err = s.scatter(scope)
 		return e, false, false, err
 	}
 	c := &g.cache
@@ -109,16 +120,20 @@ func (g *Gateway) acquireEntry(s *session) (e *cacheEntry, hit, coalesced bool, 
 		epoch := g.ingestEpoch.Load()
 		c.mu.Lock()
 		if e := c.entry; e != nil && g.entryCurrent(e, epoch, time.Now()) {
-			c.mu.Unlock()
-			return e, true, false, nil
+			if e.Scope().Covers(scope) {
+				c.mu.Unlock()
+				return e, true, false, nil
+			}
+			// A second range inside one epoch: gather every column.
+			scope = transport.Scope{}
 		}
 		f := c.flight
 		if f == nil {
 			// Become the leader: gather once, publish, wake the joiners.
-			f = &gatherFlight{done: make(chan struct{})}
+			f = &gatherFlight{done: make(chan struct{}), scope: scope}
 			c.flight = f
 			c.mu.Unlock()
-			e, err = s.scatter()
+			e, err = s.scatter(scope)
 			if err == nil {
 				// epoch was loaded before the fetches began, so the stamp
 				// is conservative: equal-epoch readers are provably exact.
@@ -135,6 +150,10 @@ func (g *Gateway) acquireEntry(s *session) (e *cacheEntry, hit, coalesced bool, 
 			return e, false, false, err
 		}
 		c.mu.Unlock()
+		if !f.scope.Covers(scope) {
+			// Not our columns; this query gathers its own, unshared.
+			break
+		}
 		<-f.done
 		if f.err != nil {
 			// The leader's failure may be specific to its session's
@@ -148,7 +167,7 @@ func (g *Gateway) acquireEntry(s *session) (e *cacheEntry, hit, coalesced bool, 
 		// The flight's result went stale while we waited; retry — the
 		// next round finds a fresher entry, a newer flight, or leads.
 	}
-	e, err = s.scatter()
+	e, err = s.scatter(scope)
 	return e, false, false, err
 }
 

@@ -627,3 +627,400 @@ func testCacheChurnDomain(t *testing.T, hashed bool) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Scope: a gather fetches the columns its read evaluates, and a cache
+// entry answers only the reads its scope covers.
+
+// point round-trips one v2 point query.
+func (c *gwClient) point(t *testing.T, at int) float64 {
+	t.Helper()
+	if err := c.enc.Encode(transport.QueryV2(transport.QueryPoint, at, at)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := c.dec.ReadAnswer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Values[0]
+}
+
+// gathersOf reads gathers_total{scope="range"} and {scope="full"}.
+func gathersOf(reg *obs.Registry) (ranged, full int64) {
+	return reg.Counter(obs.Label("gathers_total", "scope", "range")).Value(),
+		reg.Counter(obs.Label("gathers_total", "scope", "full")).Value()
+}
+
+func serialOf(d int, scale float64, batches ...[]transport.Msg) *protocol.Server {
+	serial := protocol.NewServer(d, scale)
+	for _, ms := range batches {
+		for _, m := range ms {
+			if m.Type == transport.MsgHello {
+				serial.Register(m.Order)
+			} else {
+				serial.Ingest(m.Report())
+			}
+		}
+	}
+	return serial
+}
+
+// scopeCluster is two metered Boolean backends behind a metered gateway.
+func scopeCluster(t *testing.T, d int, scale float64, configure func(*Gateway)) (gw *Gateway, gwReg *obs.Registry, gwAddr string, backendRegs []*obs.Registry) {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		b, reg := startMeteredBackend(t, d, scale)
+		addrs = append(addrs, b.addr)
+		backendRegs = append(backendRegs, reg)
+		t.Cleanup(func() { b.stop(t) })
+	}
+	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw = New(d, scale, client)
+	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
+	gwReg = obs.NewRegistry()
+	gw.Metrics = transport.NewServerMetrics(gwReg)
+	if configure != nil {
+		configure(gw)
+	}
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- gw.ListenAndServe("127.0.0.1:0", ready) }()
+	gwAddr = (<-ready).String()
+	t.Cleanup(func() {
+		gw.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	})
+	return gw, gwReg, gwAddr, backendRegs
+}
+
+// TestGatewayCacheScope pins the cache's scope rules on one deterministic
+// interleaving: a fence gather is scoped and never cached; a clean miss
+// fills an entry of its read's scope, which hits for that range only; the
+// second range inside the epoch costs exactly one full gather, and from
+// then on every read of the epoch hits.
+func TestGatewayCacheScope(t *testing.T) {
+	const d, scale = 16, 2.0
+	gw, gwReg, gwAddr, _ := scopeCluster(t, d, scale, nil)
+	batch := clusterMsgs(61, d, 40, 6)
+	serial := serialOf(d, scale, batch)
+	expect := func(what string, ranged, full int64) {
+		t.Helper()
+		if r, f := gathersOf(gwReg); r != ranged || f != full {
+			t.Fatalf("%s: gathers range/full = %d/%d, want %d/%d", what, r, f, ranged, full)
+		}
+	}
+
+	writer := dialGateway(t, gwAddr)
+	defer writer.close()
+	writer.ingestAndFence(t, batch)
+	expect("fence", 1, 0)
+	if gw.cache.entry != nil {
+		t.Fatal("an unclean session's fence gather was cached")
+	}
+
+	reader := dialGateway(t, gwAddr)
+	defer reader.close()
+	if got, want := reader.point(t, 5), serial.EstimateAt(5); got != want {
+		t.Fatalf("point 5 = %v, want %v", got, want)
+	}
+	expect("clean miss", 2, 0)
+	if sc := gw.cache.entry.Scope(); sc != (transport.Scope{L: 1, R: 5}) {
+		t.Fatalf("entry scope %v, want [1..5]", sc)
+	}
+	reader.point(t, 5)
+	expect("repeat of the same range", 2, 0)
+
+	// Another period: the scoped entry must not answer it.
+	if got, want := reader.point(t, 7), serial.EstimateAt(7); got != want {
+		t.Fatalf("point 7 = %v, want %v (a [1..5] entry answered another period?)", got, want)
+	}
+	expect("second range in the epoch", 2, 1)
+	want := serial.EstimateSeries()
+	for i := 0; i < 4; i++ {
+		for at := 1; at <= d; at++ {
+			if got := reader.point(t, at); got != want[at-1] {
+				t.Fatalf("point %d = %v, want %v", at, got, want[at-1])
+			}
+		}
+		for i, v := range reader.series(t) {
+			if v != want[i] {
+				t.Fatalf("series value %d = %v, want %v", i, v, want[i])
+			}
+		}
+	}
+	expect("a sweep of every period", 2, 1)
+	hits, misses := gwReg.Counter("query_cache_hits_total").Value(), gwReg.Counter("query_cache_misses_total").Value()
+	if misses != 3 || hits != 1+4*(d+1) {
+		t.Fatalf("hits/misses = %d/%d, want %d/3", hits, misses, 1+4*(d+1))
+	}
+}
+
+// TestGatewayCacheScopeSweep sends the read shape of rtf-bench's accuracy
+// pass through a hashed gateway — 8 periods × 1,024 PointItem — behind a
+// fenced write: one scoped gather, one full gather, 8,190 hits, every
+// answer the serial server's.
+func TestGatewayCacheScopeSweep(t *testing.T) {
+	const d, scale, users = 32, 2.5, 200
+	enc0 := hashedClusterEnc()
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, addr, done := startHashedBackend(t, d, enc0, scale)
+		addrs = append(addrs, addr)
+		defer func() {
+			srv.Close()
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := NewHashedDomain(d, enc0, scale, client)
+	reg := obs.NewRegistry()
+	gw.Metrics = transport.NewServerMetrics(reg)
+	ready := make(chan net.Addr, 1)
+	gwDone := make(chan error, 1)
+	go func() { gwDone <- gw.ListenAndServe("127.0.0.1:0", ready) }()
+	c := dialGateway(t, (<-ready).String())
+	defer func() {
+		c.close()
+		gw.Close()
+		if err := <-gwDone; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	ms := hashedMsgs(71, d, users, 5)
+	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
+	for _, m := range ms {
+		if m.Type == transport.MsgHashedDomainHello {
+			serial.Register(0, m.Item, m.Order)
+		} else {
+			serial.Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+		}
+	}
+	pointItem := func(item, at int) float64 {
+		t.Helper()
+		if err := c.enc.Encode(transport.DomainQuery(transport.QueryPointItem, item, at, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		a, err := c.dec.ReadDomainAnswer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a.Values[0]
+	}
+	if err := c.enc.EncodeBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	pointItem(0, d) // the fence: scoped, uncached
+	if r, f := gathersOf(reg); r != 1 || f != 0 {
+		t.Fatalf("fence: gathers range/full = %d/%d, want 1/0", r, f)
+	}
+	for i := 1; i <= 8; i++ {
+		at := i * d / 8
+		for x := 0; x < 1024; x++ {
+			if got, want := pointItem(x, at), serial.EstimateItemAt(x, at); got != want {
+				t.Fatalf("item %d at %d: gateway %v, serial %v", x, at, got, want)
+			}
+		}
+	}
+	if r, f := gathersOf(reg); r != 2 || f != 1 {
+		t.Fatalf("8 × 1,024 PointItem sweep: gathers range/full = %d/%d, want 2/1", r, f)
+	}
+}
+
+// TestGatewayCacheScopeTTL pins that bounded staleness is bounded by
+// coverage too: within the TTL a stale entry keeps answering its own
+// range, never another.
+func TestGatewayCacheScopeTTL(t *testing.T) {
+	const d, scale = 16, 2.0
+	_, gwReg, gwAddr, _ := scopeCluster(t, d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
+	first, second := clusterMsgs(81, d, 40, 6), clusterMsgs(82, d, 30, 4)
+	writer := dialGateway(t, gwAddr)
+	defer writer.close()
+	writer.ingestAndFence(t, first)
+	reader := dialGateway(t, gwAddr)
+	defer reader.close()
+	cached := reader.point(t, 5)
+	writer.ingestAndFence(t, second)
+	if got := reader.point(t, 5); got != cached {
+		t.Fatalf("within the TTL the [1..5] entry answered %v, cached %v", got, cached)
+	}
+	both := serialOf(d, scale, first, second)
+	if got, want := reader.point(t, 7), both.EstimateAt(7); got != want {
+		t.Fatalf("point 7 = %v, want the fresh %v: a stale [1..5] entry has no period 7", got, want)
+	}
+	if r, f := gathersOf(gwReg); f != 1 {
+		t.Fatalf("gathers range/full = %d/%d, want one full gather", r, f)
+	}
+	// The full entry that gather filled now answers everything.
+	if got, want := reader.point(t, 5), both.EstimateAt(5); got != want {
+		t.Fatalf("point 5 after the full gather = %v, want %v", got, want)
+	}
+}
+
+// TestGatewayFlightScope pins the single-flight rule: a clean read joins
+// an in-flight gather only if that gather covers its scope; otherwise it
+// gathers its own columns at once and publishes nothing.
+func TestGatewayFlightScope(t *testing.T) {
+	const d, scale = 16, 2.0
+	gw, _, gwAddr, _ := scopeCluster(t, d, scale, nil)
+	writer := dialGateway(t, gwAddr)
+	defer writer.close()
+	writer.ingestAndFence(t, clusterMsgs(91, d, 40, 6))
+	open := func() *session {
+		n := gw.client.N()
+		s := &session{g: gw, leases: make([]*transport.BackendConn, n), bufs: make([]transport.RawBatch, n), unfenced: make([]bool, n)}
+		t.Cleanup(func() { s.Close(true) })
+		return s
+	}
+	five, seven := transport.Scope{L: 1, R: 5}, transport.Scope{L: 1, R: 7}
+
+	// A leader is out gathering [1..5] and will not be back for a while.
+	flight := &gatherFlight{done: make(chan struct{}), scope: five}
+	gw.cache.flight = flight
+	e, hit, coalesced, err := gw.acquireEntry(open(), seven)
+	if err != nil || hit || coalesced || e.Scope() != seven {
+		t.Fatalf("a [1..7] read beside a [1..5] flight: entry %v hit=%v coalesced=%v err=%v; want its own [1..7] gather", e, hit, coalesced, err)
+	}
+	if gw.cache.entry != nil || gw.cache.flight != flight {
+		t.Fatal("the uncovered read published its gather or disturbed the flight")
+	}
+
+	// A [1..5] read joins; the leader's entry is what it gets.
+	joined := make(chan *cacheEntry, 1)
+	go func() {
+		e, _, coalesced, err := gw.acquireEntry(open(), five)
+		if err != nil || !coalesced {
+			t.Errorf("a [1..5] read beside a [1..5] flight: coalesced=%v err=%v", coalesced, err)
+		}
+		joined <- e
+	}()
+	select {
+	case <-joined:
+		t.Fatal("the covered read did not wait for the flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	led, err := open().scatter(five)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.stamp = gw.ingestEpoch.Load()
+	gw.cache.mu.Lock()
+	gw.cache.flight, flight.entry = nil, led
+	gw.cache.mu.Unlock()
+	close(flight.done)
+	if got := <-joined; got != led {
+		t.Fatalf("the joiner got %v, the leader gathered %v", got, led)
+	}
+
+	// A full flight covers every read.
+	flight = &gatherFlight{done: make(chan struct{}), scope: transport.Scope{}}
+	gw.cache.flight = flight
+	go func() {
+		e, _, _, _ := gw.acquireEntry(open(), seven)
+		joined <- e
+	}()
+	whole, err := open().scatter(transport.Scope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole.stamp = gw.ingestEpoch.Load()
+	gw.cache.mu.Lock()
+	gw.cache.flight, flight.entry = nil, whole
+	gw.cache.mu.Unlock()
+	close(flight.done)
+	if got := <-joined; got != whole {
+		t.Fatalf("a [1..7] read beside a full flight got %v, want the flight's %v", got, whole)
+	}
+}
+
+// TestGatewayStackedScope checks scopes pass through stacked gateways: a
+// point read at the outer one is a scoped request at the inner one and a
+// scoped fetch at the backends, a scoped sums request is answered with
+// the scoped frame, and an unscoped one with the full version-1 frame.
+func TestGatewayStackedScope(t *testing.T) {
+	const d, scale = 16, 2.5
+	_, innerReg, innerAddr, backendRegs := scopeCluster(t, d, scale, nil)
+	client, err := transport.NewClusterClient([]string{innerAddr}, transport.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer := New(d, scale, client)
+	outerReg := obs.NewRegistry()
+	outer.Metrics = transport.NewServerMetrics(outerReg)
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- outer.ListenAndServe("127.0.0.1:0", ready) }()
+	c := dialGateway(t, (<-ready).String())
+	defer func() {
+		c.close()
+		outer.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	ms := clusterMsgs(95, d, 40, 4)
+	serial := serialOf(d, scale, ms)
+	if err := c.enc.EncodeBatch(ms); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.point(t, 11), serial.EstimateAt(11); got != want {
+		t.Fatalf("stacked point 11 = %v, want %v", got, want)
+	}
+	for name, reg := range map[string]*obs.Registry{"outer": outerReg, "inner": innerReg} {
+		if r, f := gathersOf(reg); r != 1 || f != 0 {
+			t.Fatalf("%s gateway: gathers range/full = %d/%d, want 1/0", name, r, f)
+		}
+	}
+	if got := sumsFetches(backendRegs[0]) + sumsFetches(backendRegs[1]); got != 2 {
+		t.Fatalf("backends answered %d sums requests, want 2", got)
+	}
+
+	sums := func(req transport.Msg) transport.RawSums {
+		t.Helper()
+		if err := c.enc.Encode(req); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.enc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.dec.ReadSums()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return transport.RawSums(f)
+	}
+	scoped := transport.Sums()
+	scoped.L, scoped.R = 3, 12
+	got, whole := sums(scoped), sums(transport.Sums())
+	if got.Scope != (transport.Scope{L: 3, R: 12}) || whole.Scope != (transport.Scope{}) || len(whole.Counters) != protocol.RawStride(d) {
+		t.Fatalf("scoped request answered with scope %v, unscoped with scope %v and %d counters", got.Scope, whole.Scope, len(whole.Counters))
+	}
+	st, err := transport.BoolMode(d, scale).Fold([]transport.RawSums{whole})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := st.Sums(got.Scope); !got.Equal(want) {
+		t.Fatalf("scoped frame through two gateways %+v, the full frame's columns %+v", got, want)
+	}
+	if users, _, _ := got.Row(0); users != 40 {
+		t.Fatalf("scoped frame counts %d users, want 40", users)
+	}
+}

@@ -196,21 +196,21 @@ type fetchResult struct {
 	bc  *transport.BackendConn
 }
 
-// fetchBackend runs one fenced sums fetch against backend i with the
-// session's full failure discipline: FetchTimeout bounds each attempt,
-// an error over unfenced forwards fails the session, a clean-session
-// error retries on a fresh connection, and a clean-session attempt that
-// outlives HedgeDelay is raced against a second fetch on a freshly
-// leased connection (hedged read — safe because the fetch is read-only
-// and idempotent).
-func (s *session) fetchBackend(i int) (transport.RawSums, error) {
+// fetchBackend runs one fenced sums fetch against backend i, under the
+// given scope, with the session's full failure discipline: FetchTimeout
+// bounds each attempt, an error over unfenced forwards fails the
+// session, a clean-session error retries on a fresh connection, and a
+// clean-session attempt that outlives HedgeDelay is raced against a
+// second fetch on a freshly leased connection (hedged read — safe
+// because the fetch is read-only and idempotent).
+func (s *session) fetchBackend(i int, scope transport.Scope) (transport.RawSums, error) {
 	opts := s.g.client.Options()
 	bounded := func(bc *transport.BackendConn) fetchResult {
 		if opts.FetchTimeout > 0 {
 			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
 		}
 		before := bc.BytesRead()
-		f, err := bc.FetchSums(s.g.mode, -1)
+		f, err := bc.FetchSums(s.g.mode, -1, scope)
 		if m := s.g.Metrics; m != nil && err == nil {
 			m.CountSumsFrameBytes(bc.BytesRead() - before)
 		}
@@ -351,11 +351,11 @@ func (s *session) Apply(run []transport.Rec, wire []byte) error {
 	return nil
 }
 
-// Gather obtains the cluster-wide sums one read is answered from:
-// from the cache, by joining an in-flight gather, or by scattering
-// itself (see cache.go).
-func (s *session) Gather() (transport.Reader, func(), error) {
-	e, hit, coalesced, err := s.g.acquireEntry(s)
+// Gather obtains the cluster-wide sums read m is answered from — the
+// columns m evaluates, or every column: from the cache, by joining an
+// in-flight gather, or by scattering itself (see cache.go).
+func (s *session) Gather(m transport.Msg) (transport.Reader, func(), error) {
+	e, hit, coalesced, err := s.g.acquireEntry(s, s.g.mode.Scope(m))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,9 +364,10 @@ func (s *session) Gather() (transport.Reader, func(), error) {
 }
 
 // scatter is one scatter/gather round: it fetches every backend's raw
-// sums in parallel (each fetch fencing this session's prior forwards on
-// that backend), in backend order, then merges and folds them once into
-// the transport.Gathered every reader of this gather shares.
+// sums under the given scope in parallel (each fetch fencing this
+// session's prior forwards on that backend), in backend order, then
+// merges and folds them once into the transport.Gathered every reader of
+// this gather shares.
 //
 // A fetch that fails on a lease carrying unfenced forwards fails the
 // session: retrying on a fresh connection would answer — and so fence —
@@ -374,7 +375,7 @@ func (s *session) Gather() (transport.Reader, func(), error) {
 // With nothing unfenced the fetch is read-only and idempotent, so it
 // retries across fresh connections (dials back off inside Lease),
 // riding out a backend restart.
-func (s *session) scatter() (*cacheEntry, error) {
+func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
 	n := s.g.client.N()
 	frames := make([]transport.RawSums, n)
 	errs := make([]error, n)
@@ -385,7 +386,7 @@ func (s *session) scatter() (*cacheEntry, error) {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			if frames[i], errs[i] = s.fetchBackend(i); errs[i] != nil {
+			if frames[i], errs[i] = s.fetchBackend(i, scope); errs[i] != nil {
 				return
 			}
 			if m := s.g.Metrics; m != nil {
@@ -405,7 +406,7 @@ func (s *session) scatter() (*cacheEntry, error) {
 		return nil, err
 	}
 	if m := s.g.Metrics; m != nil {
-		m.ObserveGather(fetched.Sub(start), time.Since(fetched))
+		m.ObserveGather(scope, fetched.Sub(start), time.Since(fetched))
 	}
 	return &cacheEntry{Gathered: gathered}, nil
 }

@@ -7,10 +7,12 @@ import (
 	"io"
 	"math"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/membership"
 	"rtf/internal/obs"
@@ -86,6 +88,10 @@ type confMode struct {
 	// check asks every query kind on the connection and compares with
 	// the oracle.
 	check func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle)
+	// ranged are reads evaluated over one period range, which a front
+	// that gathers raw sums must gather under that range's scope; whole
+	// are reads that need every column.
+	ranged, whole []transport.Msg
 }
 
 func confReport(u, r int) protocol.Report {
@@ -202,6 +208,9 @@ func confModes(t *testing.T) []confMode {
 		}
 	}
 
+	domainRanged := []transport.Msg{transport.DomainQuery(transport.QueryPointItem, 1, confD-1, 0, 0),
+		transport.DomainQuery(transport.QueryTopK, 0, confD/2+1, 0, 3)}
+	seriesItem := transport.DomainQuery(transport.QuerySeriesItem, 2, 0, 0, 0)
 	exactMeta, hashedMeta := meta, meta
 	exactMeta.M = confM
 	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = confEnc.M, confEnc.G, confEnc.Name, confEnc.Seed
@@ -220,6 +229,9 @@ func confModes(t *testing.T) []confMode {
 				{Type: transport.MsgReport, User: 901, Order: 0, J: confD + 1, Bit: 1}},
 			offMode: []transport.Msg{domainHello, transport.DomainQuery(transport.QueryTopK, 0, 1, 0, 1), transport.DomainSums()},
 			check:   checkBool,
+			ranged: []transport.Msg{transport.Query(5), transport.QueryV2(transport.QueryPoint, confD-1, confD-1),
+				transport.QueryV2(transport.QueryChange, 2, confD-1)},
+			whole: []transport.Msg{transport.QueryV2(transport.QuerySeries, 0, 0), transport.QueryV2(transport.QueryWindow, 3, 9), transport.Sums()},
 		},
 		{
 			name: "exact", mode: transport.DomainMode(confD, confM, scale), meta: exactMeta, domain: confM, opts: base,
@@ -234,7 +246,8 @@ func confModes(t *testing.T) []confMode {
 				{Type: transport.MsgDomainReport, User: 901, Item: confM, Order: 0, J: 1, Bit: 1}},
 			offMode: []transport.Msg{boolHello, transport.Query(1), transport.Sums(),
 				transport.HashedDomainHello(900, 0, 0, confEnc.Seed), transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
-			check: checkDomain(confM),
+			check:  checkDomain(confM),
+			ranged: domainRanged, whole: []transport.Msg{seriesItem, transport.DomainSums()},
 		},
 		{
 			name: "hashed", mode: transport.HashedMode(confD, confEnc, scale), meta: hashedMeta, domain: confEnc.M,
@@ -252,7 +265,9 @@ func confModes(t *testing.T) []confMode {
 			offMode: []transport.Msg{boolHello, domainHello, transport.DomainSums(),
 				transport.HashedDomainHello(900, 0, 0, confEnc.Seed+1),
 				transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed+1)},
-			check: checkDomain(confEnc.M),
+			check:  checkDomain(confEnc.M),
+			ranged: domainRanged,
+			whole:  []transport.Msg{seriesItem, transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
 		},
 	}
 }
@@ -289,6 +304,46 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// backendTap records what a gateway's backends write back to it, one
+// entry per Write: at this table's sizes a response leaves in one.
+type backendTap struct {
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (b *backendTap) take() [][]byte {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	w := b.writes
+	b.writes = nil
+	return w
+}
+
+type tapListener struct {
+	net.Listener
+	tap *backendTap
+}
+
+func (l tapListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return tapConn{c, l.tap}, nil
+}
+
+type tapConn struct {
+	net.Conn
+	tap *backendTap
+}
+
+func (c tapConn) Write(p []byte) (int, error) {
+	c.tap.mu.Lock()
+	c.tap.writes = append(c.tap.writes, bytes.Clone(p))
+	c.tap.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
 // confFront is the other row axis: a running front over a mode.
 type confFront struct {
 	srv  *transport.Server
@@ -300,7 +355,9 @@ type confFront struct {
 	replicas int64
 	// lastSeq is the WAL position of a durable front (nil otherwise).
 	lastSeq func() uint64
-	stop    func()
+	// tap sees the backends' responses on a gateway front (nil otherwise).
+	tap  *backendTap
+	stop func()
 }
 
 // serveFront starts srv on a loopback port with a one-slot queue, its
@@ -334,17 +391,23 @@ func storeFront(t *testing.T, store transport.Store) confFront {
 }
 
 // backends starts n unqueued single-node backends over the given stores
-// and returns their addresses, summed stats and a stop function.
-func startBackends(t *testing.T, stores []transport.Store) (addrs []string, applied func() (int64, int64), stop func()) {
+// and returns their addresses, summed stats, a tap on what they write
+// and a stop function.
+func startBackends(t *testing.T, stores []transport.Store) (addrs []string, applied func() (int64, int64), tap *backendTap, stop func()) {
 	var stops []func()
+	tap = new(backendTap)
 	for _, st := range stores {
 		srv := transport.NewIngestServer(st)
-		ready := make(chan net.Addr, 1)
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
 		done := make(chan error, 1)
-		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-		addrs = append(addrs, (<-ready).String())
+		go func() { done <- srv.Serve(tapListener{l, tap}) }()
+		addrs = append(addrs, l.Addr().String())
 		stops = append(stops, func() {
 			srv.Close()
+			l.Close()
 			<-done
 		})
 	}
@@ -355,11 +418,29 @@ func startBackends(t *testing.T, stores []transport.Store) (addrs []string, appl
 		}
 		return h, r
 	}
-	return addrs, applied, func() {
+	return addrs, applied, tap, func() {
 		for _, s := range stops {
 			s()
 		}
 	}
+}
+
+// durableFront serves store through a journal in a fresh directory.
+func durableFront(t *testing.T, m confMode, store transport.Store) confFront {
+	dc, _, err := transport.OpenDurableStore(store, t.TempDir(), m.meta, transport.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := storeFront(t, dc)
+	stop := f.stop
+	f.lastSeq = func() uint64 { return dc.DurabilityStats().LastSeq }
+	f.stop = func() {
+		stop()
+		if err := dc.Close(); err != nil {
+			t.Error(err)
+		}
+	}
+	return f
 }
 
 var confFronts = []struct {
@@ -367,50 +448,43 @@ var confFronts = []struct {
 	// hashed reports whether the front serves the hashed mode; the
 	// membership fronts refuse it at startup (see parseConfig).
 	hashed bool
-	start  func(t *testing.T, m confMode) confFront
+	// gathers reports whether the front answers reads from raw sums it
+	// gathers per read — from backends, or from its own virtual shards.
+	gathers bool
+	start   func(t *testing.T, m confMode) confFront
 }{
-	{"single", true, func(t *testing.T, m confMode) confFront {
+	{"single", true, false, func(t *testing.T, m confMode) confFront {
 		return storeFront(t, transport.NewCollector(m.mode, 2))
 	}},
-	{"single-durable", true, func(t *testing.T, m confMode) confFront {
-		dc, _, err := transport.OpenDurableStore(transport.NewCollector(m.mode, 2), t.TempDir(), m.meta, transport.DurableOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := storeFront(t, dc)
-		stop := f.stop
-		f.lastSeq = func() uint64 { return dc.DurabilityStats().LastSeq }
-		f.stop = func() {
-			stop()
-			if err := dc.Close(); err != nil {
-				t.Error(err)
-			}
-		}
-		return f
+	{"single-durable", true, false, func(t *testing.T, m confMode) confFront {
+		return durableFront(t, m, transport.NewCollector(m.mode, 2))
 	}},
-	{"shard-map", false, func(t *testing.T, m confMode) confFront {
+	{"shard-map", false, true, func(t *testing.T, m confMode) confFront {
 		return storeFront(t, transport.NewShardMap(m.mode, 4, "n0"))
 	}},
-	{"static-gateway", true, func(t *testing.T, m confMode) confFront {
+	{"shard-map-durable", false, true, func(t *testing.T, m confMode) confFront {
+		return durableFront(t, m, transport.NewShardMap(m.mode, 4, "n0"))
+	}},
+	{"static-gateway", true, true, func(t *testing.T, m confMode) confFront {
 		stores := []transport.Store{transport.NewCollector(m.mode, 2), transport.NewCollector(m.mode, 2)}
-		addrs, applied, stopBackends := startBackends(t, stores)
+		addrs, applied, tap, stopBackends := startBackends(t, stores)
 		client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		f := serveFront(t, newGateway(confD, m.mode, client).Server)
 		stop := f.stop
-		f.applied, f.stop = applied, func() { stop(); stopBackends() }
+		f.applied, f.tap, f.stop = applied, tap, func() { stop(); stopBackends() }
 		return f
 	}},
-	{"member-gateway", false, func(t *testing.T, m confMode) confFront {
+	{"member-gateway", false, true, func(t *testing.T, m confMode) confFront {
 		const S, K = 4, 2
 		ids := []string{"n0", "n1", "n2"}
 		stores := make([]transport.Store, len(ids))
 		for i, id := range ids {
 			stores[i] = transport.NewShardMap(m.mode, S, id)
 		}
-		addrs, applied, stopBackends := startBackends(t, stores)
+		addrs, applied, tap, stopBackends := startBackends(t, stores)
 		members := make([]membership.Member, len(ids))
 		for i, id := range ids {
 			members[i] = membership.Member{ID: id, Addr: addrs[i]}
@@ -424,7 +498,7 @@ var confFronts = []struct {
 		}
 		f := serveFront(t, gw.Server)
 		stop := f.stop
-		f.applied, f.replicas, f.stop = applied, K, func() { stop(); stopBackends() }
+		f.applied, f.replicas, f.tap, f.stop = applied, K, tap, func() { stop(); stopBackends() }
 		return f
 	}},
 }
@@ -584,6 +658,92 @@ func TestFrameLoopConformance(t *testing.T) {
 					t.Fatal("legacy batch still blocked after the queue drained")
 				}
 				accept(legacy)
+				legacyBatches := uint64(1)
+
+				// A front that gathers raw sums gathers the columns the read
+				// evaluates: a read over one period range moves at most
+				// 1 + orders + 2·log₂ d counters a row, and only a read that
+				// needs every column (or an unscoped sums request, which is
+				// answered with the version-1 frame it always was) moves the
+				// matrix. Each read rides behind a one-user batch, so it is its
+				// session's fence and gathers for itself whatever is cached.
+				if fr.gathers {
+					rows := max(m.mode.Ingest().Rows, 1)
+					gathers := func(scope string) int64 {
+						return f.srv.Metrics.Registry().Counter(obs.Label("gathers_total", "scope", scope)).Value()
+					}
+					for i, q := range append(append([]transport.Msg(nil), m.ranged...), m.whole...) {
+						ranged := i < len(m.ranged)
+						batch := m.user(200 + i)
+						if f.tap != nil {
+							f.tap.take()
+						}
+						before := [2]int64{gathers("range"), gathers("full")}
+						if err := enc.EncodeBatch(batch); err != nil {
+							t.Fatal(err)
+						}
+						if err := enc.Encode(q); err != nil {
+							t.Fatal(err)
+						}
+						if err := enc.Flush(); err != nil {
+							t.Fatal(err)
+						}
+						accept(batch)
+						legacyBatches++
+						var err error
+						switch q.Type {
+						case transport.MsgQuery:
+							_, err = dec.Next()
+						case transport.MsgQueryV2:
+							_, err = dec.ReadAnswer()
+						case transport.MsgDomainQuery:
+							_, err = dec.ReadDomainAnswer()
+						default:
+							var sums transport.RawSums
+							if sums, err = m.mode.ReadSums(dec); err == nil && (sums.Scope != transport.Scope{} || len(sums.Counters) != rows*protocol.RawStride(confD)) {
+								t.Fatalf("unscoped sums request answered with scope %v, %d counters", sums.Scope, len(sums.Counters))
+							}
+						}
+						if err != nil {
+							t.Fatalf("read %+v: %v", q, err)
+						}
+						want := [2]int64{before[0], before[1] + 1}
+						if ranged {
+							want = [2]int64{before[0] + 1, before[1]}
+						}
+						if got := [2]int64{gathers("range"), gathers("full")}; got != want {
+							t.Fatalf("read %+v: gathers_total range/full went %v -> %v, want %v", q, before, got, want)
+						}
+						if f.tap == nil {
+							continue
+						}
+						frames := 0
+						for _, w := range f.tap.take() {
+							if t := transport.MsgType(w[0]); t != transport.MsgSumsFrame && t != transport.MsgDomainSumsFrame {
+								continue
+							}
+							sums, err := m.mode.ReadSums(transport.NewDecoder(bytes.NewReader(w)))
+							if err != nil {
+								t.Fatalf("read %+v: backend frame: %v", q, err)
+							}
+							if fence := (transport.Scope{L: 1, R: 1}); sums.Scope == fence && m.mode.Scope(q) != fence {
+								continue // the member gateway fencing its leases before the quorum read
+							}
+							frames++
+							bound := rows * (1 + dyadic.NumOrders(confD) + 2*dyadic.Log2(confD))
+							if ranged && (sums.Scope != m.mode.Scope(q) || len(sums.Counters) > bound) {
+								t.Fatalf("read %+v fetched a frame of scope %v, %d counters; want scope %v, at most %d",
+									q, sums.Scope, len(sums.Counters), m.mode.Scope(q), bound)
+							}
+							if !ranged && len(sums.Counters) != rows*protocol.RawStride(confD) {
+								t.Fatalf("read %+v fetched a frame of %d counters, want the full %d", q, len(sums.Counters), rows*protocol.RawStride(confD))
+							}
+						}
+						if frames == 0 {
+							t.Fatalf("read %+v fetched no backend frame", q)
+						}
+					}
+				}
 
 				// Nothing refused above left a trace: every answer is the
 				// serial engine's, the stores hold exactly the accepted
@@ -593,8 +753,8 @@ func TestFrameLoopConformance(t *testing.T) {
 					t.Fatalf("stores hold %d hellos / %d reports, want %d / %d", h, r, hellos*f.replicas, reports*f.replicas)
 				}
 				if f.lastSeq != nil {
-					if got := f.lastSeq(); got != journaled+1 {
-						t.Fatalf("WAL at record %d, want %d (the settled prefix plus the one legacy batch)", got, journaled+1)
+					if got := f.lastSeq(); got != journaled+legacyBatches {
+						t.Fatalf("WAL at record %d, want %d (the settled prefix plus the %d legacy batches)", got, journaled+legacyBatches, legacyBatches)
 					}
 				}
 			})

@@ -428,7 +428,7 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 		}
 	}
 	// The one gather behind that query, split by layer, and the wire
-	// size of exactly the frames it fetched.
+	// size of exactly the frames it fetched: the point query's columns.
 	for _, name := range []string{"gather_fetch_seconds", "gather_fold_seconds"} {
 		if h := s.Histograms[name]; h.Count != 1 {
 			t.Fatalf("%s observed %d gathers, want 1", name, h.Count)
@@ -436,13 +436,18 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 	}
 	var frames bytes.Buffer
 	enc = transport.NewEncoder(&frames)
+	scoped := transport.Sums()
+	scoped.L, scoped.R = 1, 5
 	for _, b := range backends {
-		if err := enc.EncodeSums(transport.SumsFromSharded(b.acc)); err != nil {
+		if _, _, err := transport.NewShardedCollector(b.acc).Answer(scoped, enc, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.Counters[`gathers_total{scope="range"}`]; got != 1 {
+		t.Fatalf(`gathers_total{scope="range"} = %d, want 1`, got)
 	}
 	if got := s.Counters["sums_frame_bytes_total"]; got != int64(frames.Len()) {
 		t.Fatalf("sums_frame_bytes_total = %d, the fetched frames are %d bytes", got, frames.Len())

@@ -428,7 +428,8 @@ func (s *memberSession) fenceForReshard() {
 	}
 	s.lmu.Unlock()
 	for _, p := range todo {
-		if _, err := p.l.bc.FetchSums(s.g.mode, 0); err != nil {
+		// The fence is the round-trip; one interval sum is the cheapest frame.
+		if _, err := p.l.bc.FetchSums(s.g.mode, 0, transport.Scope{L: 1, R: 1}); err != nil {
 			if s.poisoned == nil {
 				s.poisoned = fmt.Errorf("member %s connection failed with unacknowledged forwards during a fence: %w", p.id, err)
 			}
@@ -499,11 +500,12 @@ func (s *memberSession) forward(run []transport.Rec, wire []byte) error {
 // quorum fetch; each retry re-dials with the replica client's backoff.
 const memberFetchAttempts = 2
 
-// fetchMember fetches every owned shard of one member sequentially on
-// its session lease (the first fetch fences prior forwards). A failure
-// over unfenced forwards is fatal to the session; a clean failure
-// retries once on a fresh connection and then reports the member down.
-func (s *memberSession) fetchMember(mem membership.Member, shards []int) (frames []transport.RawSums, fatal bool, err error) {
+// fetchMember fetches every owned shard of one member, under the given
+// scope, sequentially on its session lease (the first fetch fences prior
+// forwards). A failure over unfenced forwards is fatal to the session; a
+// clean failure retries once on a fresh connection and then reports the
+// member down.
+func (s *memberSession) fetchMember(mem membership.Member, shards []int, scope transport.Scope) (frames []transport.RawSums, fatal bool, err error) {
 	var lastErr error
 	for attempt := 0; attempt < memberFetchAttempts; attempt++ {
 		bc, err := s.lease(mem)
@@ -513,8 +515,9 @@ func (s *memberSession) fetchMember(mem membership.Member, shards []int) (frames
 		}
 		frames = frames[:0]
 		ok := true
+		before := bc.BytesRead()
 		for _, sh := range shards {
-			f, err := bc.FetchSums(s.g.mode, sh)
+			f, err := bc.FetchSums(s.g.mode, sh, scope)
 			if err != nil {
 				s.lmu.Lock()
 				unfenced := s.unfenced[mem.ID]
@@ -535,18 +538,21 @@ func (s *memberSession) fetchMember(mem membership.Member, shards []int) (frames
 		s.lmu.Lock()
 		s.unfenced[mem.ID] = false
 		s.lmu.Unlock()
+		if m := s.g.Metrics; m != nil {
+			m.CountSumsFrameBytes(bc.BytesRead() - before)
+		}
 		return frames, false, nil
 	}
 	return nil, false, fmt.Errorf("member %s unreachable: %w", mem.ID, lastErr)
 }
 
-// quorumGather fetches every live owner's copy of every shard in
-// parallel across members (sequential per member, so each member's
-// first fetch fences that member's prior forwards), verifies the copies
-// of each shard agree by exact integer comparison, and returns one
-// chosen frame per shard in shard order — the fixed fold order that
-// keeps answers bit-for-bit.
-func (s *memberSession) quorumGather() ([]transport.RawSums, error) {
+// quorumGather fetches every live owner's copy of every shard, under the
+// given scope, in parallel across members (sequential per member, so
+// each member's first fetch fences that member's prior forwards),
+// verifies the copies of each shard agree by exact integer comparison,
+// and returns one chosen frame per shard in shard order — the fixed fold
+// order that keeps answers bit-for-bit.
+func (s *memberSession) quorumGather(scope transport.Scope) ([]transport.RawSums, error) {
 	v := &s.view
 	type result struct {
 		frames []transport.RawSums
@@ -572,7 +578,7 @@ func (s *memberSession) quorumGather() ([]transport.RawSums, error) {
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			frames, fatal, err := s.fetchMember(v.Members[i], ownedBy[i])
+			frames, fatal, err := s.fetchMember(v.Members[i], ownedBy[i], scope)
 			results[i] = result{frames: frames, fatal: fatal, err: err}
 			if err == nil && s.g.Metrics != nil {
 				s.g.Metrics.ObserveScatter(i, time.Since(start))
@@ -657,8 +663,8 @@ func (s *memberSession) Apply(run []transport.Rec, wire []byte) error {
 // session's in-flight forward would see one replica with the sub-batch
 // applied and one without, and exact-integer divergence detection would
 // misfire on healthy replicas. The lock is held until the answer is
-// done.
-func (s *memberSession) Gather() (transport.Reader, func(), error) {
+// done. Only the columns read m evaluates are fetched and compared.
+func (s *memberSession) Gather(m transport.Msg) (transport.Reader, func(), error) {
 	g := s.g
 	g.vmu.Lock()
 	g.fenceSessions()
@@ -669,15 +675,20 @@ func (s *memberSession) Gather() (transport.Reader, func(), error) {
 	if s.view.Epoch != g.view.Epoch {
 		s.adopt(g.view.Clone())
 	}
-	frames, err := s.quorumGather()
+	scope, start := g.mode.Scope(m), time.Now()
+	frames, err := s.quorumGather(scope)
 	if err != nil {
 		g.vmu.Unlock()
 		return nil, nil, err
 	}
+	fetched := time.Now()
 	gathered, err := transport.NewGathered(g.mode, frames)
 	if err != nil {
 		g.vmu.Unlock()
 		return nil, nil, err
+	}
+	if mt := g.Metrics; mt != nil {
+		mt.ObserveGather(scope, fetched.Sub(start), time.Since(fetched))
 	}
 	return gathered, g.vmu.Unlock, nil
 }

@@ -204,8 +204,8 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		if len(holders) != K {
 			t.Fatalf("shard %d has %d owners, want %d", sh, len(holders), K)
 		}
-		a, _, _ := holders[0].sm.ShardSums(sh).Row(0)
-		b2, _, _ := holders[1].sm.ShardSums(sh).Row(0)
+		a, _, _ := holders[0].sm.ShardSums(sh, transport.Scope{}).Row(0)
+		b2, _, _ := holders[1].sm.ShardSums(sh, transport.Scope{}).Row(0)
 		if a != b2 {
 			t.Fatalf("shard %d replicas disagree: %d vs %d users", sh, a, b2)
 		}
@@ -214,7 +214,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 			if view.Owns(b.id, sh) {
 				continue
 			}
-			if users, _, _ := b.sm.ShardSums(sh).Row(0); users != 0 {
+			if users, _, _ := b.sm.ShardSums(sh, transport.Scope{}).Row(0); users != 0 {
 				t.Fatalf("non-owner %s holds %d users of shard %d", b.id, users, sh)
 			}
 		}

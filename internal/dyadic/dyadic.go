@@ -117,7 +117,7 @@ func DecomposeRange(l, r, d int) []Interval {
 	if l < 1 || r > d || l > r {
 		panic(fmt.Sprintf("dyadic: range [%d..%d] invalid for d=%d", l, r, d))
 	}
-	var out []Interval
+	out := make([]Interval, 0, 2*bits.Len(uint(r-l+1)))
 	for l <= r {
 		// Largest h such that 2^h divides (l−1) and l−1+2^h ≤ r.
 		h := 0

@@ -252,12 +252,12 @@ func NewDomainServer(d, m int, boolScale float64, shards int) *DomainServer {
 }
 
 // DomainServerOver builds a single-shard server whose counters are the
-// given raw matrix, adopted without a copy (see
-// protocol.DomainShardedOver): the read-only state a gateway answers a
-// completed gather from.
-func DomainServerOver(d, m int, boolScale float64, cells []int64) (*DomainServer, error) {
+// given raw matrix — rows scoped to periods [l..r], full rows for
+// l = r = 0 — adopted without a copy (see protocol.DomainShardedOver):
+// the read-only state a gateway answers a completed gather from.
+func DomainServerOver(d, m int, boolScale float64, l, r int, cells []int64) (*DomainServer, error) {
 	itemScale := float64(m) * boolScale
-	acc, err := protocol.DomainShardedOver(d, m, itemScale, cells)
+	acc, err := protocol.DomainShardedOver(d, m, itemScale, l, r, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -410,8 +410,14 @@ func (s *DomainServer) estimateAllLocked(t int, v uint64) []float64 {
 // between nodes.
 func (s *DomainServer) FoldInto(dst []int64) { s.acc.FoldInto(dst) }
 
-// FoldRowInto is FoldInto for one item's row.
-func (s *DomainServer) FoldRowInto(item int, row []int64) { s.acc.FoldRowInto(item, row) }
+// Columns derives, once per request, the columns FoldRowInto gathers for
+// rows scoped to periods [l..r]; see protocol.DomainSharded.Columns.
+func (s *DomainServer) Columns(l, r int) []int { return s.acc.Columns(l, r) }
+
+// FoldRowInto is FoldInto for one item's row, or for its columns cols.
+func (s *DomainServer) FoldRowInto(item int, cols []int, row []int64) {
+	s.acc.FoldRowInto(item, cols, row)
+}
 
 // MergeRaw folds a raw matrix (as produced by FoldInto, possibly on
 // another machine) into the server. Because every estimate is a fixed

@@ -461,7 +461,7 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 		}
 	}
 	// A server built over the summed matrix is the same server.
-	over, err := DomainServerOver(w.D, w.M, scale, total)
+	over, err := DomainServerOver(w.D, w.M, scale, 0, 0, total)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,47 @@ func SplitRaw(d int, row []int64) (users int64, perOrder, sums []int64) {
 	return row[0], row[1:off:off], row[off:]
 }
 
+// A raw row can be restricted to a scope: the periods [l..r] a read will
+// be evaluated over (a point or top-k estimate at t is [1..t], a change
+// is [l..r]). A scoped row keeps the header columns — user and per-order
+// counts — and, of the 2d−1 interval sums, only those of the range's
+// dyadic cover, in cover order: the at most 2·log₂ d counters the
+// estimators read. l = r = 0 is no scope, every column.
+
+// ScopedStride is the length of a raw row scoped to periods [l..r].
+func ScopedStride(d, l, r int) int {
+	if l == 0 && r == 0 {
+		return RawStride(d)
+	}
+	return 1 + dyadic.NumOrders(d) + len(dyadic.DecomposeRange(l, r, d))
+}
+
+// scopeColumns returns the flat tree indexes of the interval sums a row
+// scoped to [l..r] keeps, in row order; nil is every column.
+func scopeColumns(tree *dyadic.Tree, l, r int) []int {
+	if l == 0 && r == 0 {
+		return nil
+	}
+	ivs := dyadic.DecomposeRange(l, r, tree.D())
+	cols := make([]int, len(ivs))
+	for i, iv := range ivs {
+		cols[i] = tree.FlatIndex(iv)
+	}
+	return cols
+}
+
+// sumAt returns where interval sum flat sits among the sums of a scoped
+// row that keeps cols. Asking a scoped state for a counter it was not
+// gathered with is a bug upstream, never a zero.
+func sumAt(cols []int, flat int) int {
+	for i, f := range cols {
+		if f == flat {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("protocol: interval sum %d is outside the scope this state was built over", flat))
+}
+
 // DomainSharded is the flat-matrix accumulator behind domain-valued
 // tracking: the counters of m independent dyadic accumulators (one per
 // domain item) stored as one contiguous row-major [m × RawStride(d)]
@@ -49,8 +90,9 @@ type DomainSharded struct {
 	d, m   int
 	scale  float64
 	tree   *dyadic.Tree
-	stride int // counters per item row: RawStride(d)
-	sumOff int // offset of the interval sums inside a row
+	stride int   // counters per item row: RawStride(d), less under a scope
+	sumOff int   // offset of the interval sums inside a row
+	cols   []int // the interval sums a row keeps (see scopeColumns); nil on every live accumulator
 	shards []domainShard
 }
 
@@ -79,14 +121,19 @@ func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 	return s
 }
 
-// DomainShardedOver builds a single-shard accumulator whose counters
-// ARE the given raw matrix (m rows of RawStride(d), as FoldInto exports
-// and cluster nodes exchange): the slice is adopted, not copied, so the
-// caller must not touch it afterwards. A gateway builds the state it
-// answers a gather from this way, straight over the merged frames. It
-// fails on a mismatched length or a negative count.
-func DomainShardedOver(d, m int, scale float64, cells []int64) (*DomainSharded, error) {
+// DomainShardedOver builds a read-only single-shard accumulator whose
+// counters ARE the given raw matrix — m rows scoped to periods [l..r]
+// (l = r = 0: full rows), as FoldRowInto exports and cluster nodes
+// exchange: the slice is adopted, not copied, so the caller must not
+// touch it afterwards. A gateway builds the state it answers a gather
+// from this way, straight over the merged frames; under a scope it
+// answers the reads that scope covers and panics on any other counter.
+// It fails on a mismatched length or a negative count.
+func DomainShardedOver(d, m int, scale float64, l, r int, cells []int64) (*DomainSharded, error) {
 	s := newDomainSharded(d, m, scale)
+	if s.cols = scopeColumns(s.tree, l, r); s.cols != nil {
+		s.stride = s.sumOff + len(s.cols)
+	}
 	if err := s.checkRaw(cells); err != nil {
 		return nil, err
 	}
@@ -222,8 +269,16 @@ func (s *DomainSharded) itemCell(item, col int) int64 {
 	return sum
 }
 
+// sumCol is the row column holding interval sum flat.
+func (s *DomainSharded) sumCol(flat int) int {
+	if s.cols != nil {
+		flat = sumAt(s.cols, flat)
+	}
+	return s.sumOff + flat
+}
+
 // itemSum is itemCell at one flat interval index.
-func (s *DomainSharded) itemSum(item, flat int) int64 { return s.itemCell(item, s.sumOff+flat) }
+func (s *DomainSharded) itemSum(item, flat int) int64 { return s.itemCell(item, s.sumCol(flat)) }
 
 // EstimateAt returns item's â[t] via the dyadic decomposition C(t),
 // reading the live counters — the same decomposition order and float
@@ -265,7 +320,7 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 		est[x] = 0
 	}
 	for _, iv := range dyadic.Decompose(t, s.d) {
-		col := s.sumOff + s.tree.FlatIndex(iv)
+		col := s.sumCol(s.tree.FlatIndex(iv))
 		for x := range tmp {
 			tmp[x] = 0
 		}
@@ -308,24 +363,47 @@ func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 	return out
 }
 
-// FoldRowInto overwrites row (RawStride(d) counters) with one item's
-// raw accumulator state summed across shards — the exact integers a
-// cluster gateway ships between nodes. Counters are loaded atomically,
-// but a fold taken concurrently with ingestion is not a point-in-time
-// cut; quiesce first when exactness matters.
-func (s *DomainSharded) FoldRowInto(item int, row []int64) {
+// Columns returns the row columns holding the interval sums of a row
+// scoped to periods [l..r], in that row's order (nil for l = r = 0):
+// derived once per request, then handed to FoldRowInto for every row.
+func (s *DomainSharded) Columns(l, r int) []int {
+	cols := scopeColumns(s.tree, l, r)
+	for i, flat := range cols {
+		cols[i] = s.sumCol(flat)
+	}
+	return cols
+}
+
+// FoldRowInto overwrites row with one item's raw accumulator state
+// summed across shards — the exact integers a cluster gateway ships
+// between nodes: the header columns, then the interval sums at cols (as
+// Columns returns them; nil is every column, RawStride(d) counters in
+// all). Counters are loaded atomically, but a fold taken concurrently
+// with ingestion is not a point-in-time cut; quiesce first when
+// exactness matters.
+func (s *DomainSharded) FoldRowInto(item int, cols []int, row []int64) {
 	s.checkItem(item)
-	row = row[:s.stride]
+	head := row[:s.sumOff]
+	if cols == nil {
+		head = row[:s.stride]
+	}
+	sums := row[len(head) : len(head)+len(cols)]
 	for i := range s.shards {
 		cells := s.shards[i].cells[item*s.stride : (item+1)*s.stride]
 		if i == 0 {
-			for j := range row {
-				row[j] = atomic.LoadInt64(&cells[j])
+			for j := range head {
+				head[j] = atomic.LoadInt64(&cells[j])
+			}
+			for j, c := range cols {
+				sums[j] = atomic.LoadInt64(&cells[c])
 			}
 			continue
 		}
-		for j := range row {
-			row[j] += atomic.LoadInt64(&cells[j])
+		for j := range head {
+			head[j] += atomic.LoadInt64(&cells[j])
+		}
+		for j, c := range cols {
+			sums[j] += atomic.LoadInt64(&cells[c])
 		}
 	}
 }
@@ -337,7 +415,7 @@ func (s *DomainSharded) FoldInto(dst []int64) {
 		panic(fmt.Sprintf("protocol: folding into %d counters, matrix has %d", len(dst), s.m*s.stride))
 	}
 	for x := 0; x < s.m; x++ {
-		s.FoldRowInto(x, dst[x*s.stride:(x+1)*s.stride])
+		s.FoldRowInto(x, nil, dst[x*s.stride:(x+1)*s.stride])
 	}
 }
 
@@ -394,7 +472,7 @@ func (s *DomainSharded) MarshalState() []byte {
 	row := make([]int64, s.stride)
 	item := make([]byte, 0, 16+10*s.stride)
 	for x := 0; x < s.m; x++ {
-		s.FoldRowInto(x, row)
+		s.FoldRowInto(x, nil, row)
 		users, perOrder, sums := SplitRaw(s.d, row)
 		item = appendDyadicState(item[:0], s.d, s.scale, users, perOrder, sums)
 		b = binary.AppendUvarint(b, uint64(len(item)))

@@ -154,7 +154,7 @@ func perItemRaw(d int, old []*Sharded) []int64 {
 	stride := RawStride(d)
 	raw := make([]int64, len(old)*stride)
 	for x := range old {
-		old[x].FoldInto(raw[x*stride : (x+1)*stride])
+		old[x].FoldInto(nil, raw[x*stride:(x+1)*stride])
 	}
 	return raw
 }
@@ -171,7 +171,7 @@ func TestDomainShardedMergeRaw(t *testing.T) {
 	if err := merged.MergeRaw(perItemRaw(d, old)); err != nil {
 		t.Fatalf("MergeRaw: %v", err)
 	}
-	over, err := DomainShardedOver(d, m, flat.Scale(), perItemRaw(d, old))
+	over, err := DomainShardedOver(d, m, flat.Scale(), 0, 0, perItemRaw(d, old))
 	if err != nil {
 		t.Fatalf("DomainShardedOver: %v", err)
 	}
@@ -200,7 +200,7 @@ func TestDomainShardedMergeRaw(t *testing.T) {
 		if err := merged.MergeRaw(raw); err == nil {
 			t.Fatalf("MergeRaw accepted a negative count at %d", bad)
 		}
-		if _, err := DomainShardedOver(d, m, flat.Scale(), raw); err == nil {
+		if _, err := DomainShardedOver(d, m, flat.Scale(), 0, 0, raw); err == nil {
 			t.Fatalf("DomainShardedOver accepted a negative count at %d", bad)
 		}
 	}

@@ -25,6 +25,7 @@ type Sharded struct {
 	d      int
 	scale  float64
 	tree   *dyadic.Tree
+	cols   []int // the interval sums a shard keeps (see scopeColumns); nil on every live accumulator
 	shards []accShard
 }
 
@@ -41,24 +42,60 @@ type accShard struct {
 // NewSharded builds a sharded accumulator for horizon d with the given
 // estimator scale and shard count (at least 1).
 func NewSharded(d int, scale float64, shards int) *Sharded {
+	if shards < 1 {
+		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
+	}
+	s := newSharded(d, scale)
+	s.shards = make([]accShard, shards)
+	for i := range s.shards {
+		s.shards[i] = accShard{
+			sums:     make([]int64, s.tree.Size()),
+			perOrder: make([]int64, dyadic.NumOrders(d)),
+		}
+	}
+	return s
+}
+
+func newSharded(d int, scale float64) *Sharded {
 	if !dyadic.IsPow2(d) {
 		panic(fmt.Sprintf("protocol: d=%d not a power of two", d))
 	}
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("protocol: invalid estimator scale %v", scale))
 	}
-	if shards < 1 {
-		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
+	return &Sharded{d: d, scale: scale, tree: dyadic.NewTree(d)}
+}
+
+// ShardedOver builds a read-only single-shard accumulator whose counters
+// ARE the given raw row, scoped to periods [l..r] (l = r = 0: a full
+// row) — the Boolean counterpart of DomainShardedOver, with the same
+// contract: adopted, not copied; a read the scope does not cover
+// panics; a mismatched length or a negative count is an error.
+func ShardedOver(d int, scale float64, l, r int, row []int64) (*Sharded, error) {
+	s := newSharded(d, scale)
+	s.cols = scopeColumns(s.tree, l, r)
+	if want := ScopedStride(d, l, r); len(row) != want {
+		return nil, fmt.Errorf("protocol: raw row of %d counters for an accumulator with %d", len(row), want)
 	}
-	tr := dyadic.NewTree(d)
-	sh := make([]accShard, shards)
-	for i := range sh {
-		sh[i] = accShard{
-			sums:     make([]int64, tr.Size()),
-			perOrder: make([]int64, dyadic.NumOrders(d)),
+	users, perOrder, sums := SplitRaw(d, row)
+	if err := checkCounts(users, perOrder); err != nil {
+		return nil, err
+	}
+	s.shards = []accShard{{sums: sums, users: users, perOrder: perOrder}}
+	return s, nil
+}
+
+// checkCounts refuses raw state with a negative user or per-order count.
+func checkCounts(users int64, perOrder []int64) error {
+	if users < 0 {
+		return fmt.Errorf("protocol: merging negative user count %d", users)
+	}
+	for h, c := range perOrder {
+		if c < 0 {
+			return fmt.Errorf("protocol: merging negative count %d at order %d", c, h)
 		}
 	}
-	return &Sharded{d: d, scale: scale, tree: tr, shards: sh}
+	return nil
 }
 
 // NumShards returns the number of shards.
@@ -147,6 +184,9 @@ func (s *Sharded) Users() int {
 // intervalSum folds one interval's counter across shards. Pure int64
 // addition, so the result is independent of shard assignment.
 func (s *Sharded) intervalSum(flat int) int64 {
+	if s.cols != nil {
+		flat = sumAt(s.cols, flat)
+	}
 	var sum int64
 	for i := range s.shards {
 		sum += atomic.LoadInt64(&s.shards[i].sums[flat])
@@ -216,15 +256,29 @@ func (s *Sharded) EstimateChange(l, r int) float64 {
 // sums across machines reproduces a single serial server bit for bit,
 // which merging scaled float answers would not.
 func (s *Sharded) Fold() (users int64, perOrder, sums []int64) {
-	row := make([]int64, RawStride(s.d))
-	s.FoldInto(row)
+	row := make([]int64, 1+len(s.shards[0].perOrder)+len(s.shards[0].sums))
+	s.FoldInto(nil, row)
 	return SplitRaw(s.d, row)
 }
 
-// FoldInto overwrites one RawStride(d) row with the same raw state —
-// the Boolean accumulator is the one-row case of the raw counter
-// matrix.
-func (s *Sharded) FoldInto(row []int64) {
+// Columns returns where in a shard's sums the interval sums of a row
+// scoped to periods [l..r] sit, in that row's order (nil for l = r = 0):
+// FoldInto's column argument, derived once per request.
+func (s *Sharded) Columns(l, r int) []int {
+	cols := scopeColumns(s.tree, l, r)
+	if s.cols != nil {
+		for i, flat := range cols {
+			cols[i] = sumAt(s.cols, flat)
+		}
+	}
+	return cols
+}
+
+// FoldInto overwrites one raw row with the same state — the Boolean
+// accumulator is the one-row case of the raw counter matrix: the header
+// columns, then the interval sums at cols (as Columns returns them; nil
+// is every one, RawStride(d) counters in all).
+func (s *Sharded) FoldInto(cols []int, row []int64) {
 	clear(row)
 	_, perOrder, sums := SplitRaw(s.d, row)
 	for i := range s.shards {
@@ -233,8 +287,13 @@ func (s *Sharded) FoldInto(row []int64) {
 		for h := range sh.perOrder {
 			perOrder[h] += atomic.LoadInt64(&sh.perOrder[h])
 		}
-		for f := range sh.sums {
-			sums[f] += atomic.LoadInt64(&sh.sums[f])
+		if cols == nil {
+			for f := range sh.sums {
+				sums[f] += atomic.LoadInt64(&sh.sums[f])
+			}
+		}
+		for j, f := range cols {
+			sums[j] += atomic.LoadInt64(&sh.sums[f])
 		}
 	}
 }
@@ -248,19 +307,14 @@ func (s *Sharded) FoldInto(row []int64) {
 // accumulator, on mismatched lengths or negative counts.
 func (s *Sharded) MergeRaw(users int64, perOrder, sums []int64) error {
 	sh := &s.shards[0]
-	if users < 0 {
-		return fmt.Errorf("protocol: merging negative user count %d", users)
-	}
 	if len(perOrder) != len(sh.perOrder) {
 		return fmt.Errorf("protocol: merging %d per-order counts into an accumulator with %d orders", len(perOrder), len(sh.perOrder))
 	}
 	if len(sums) != len(sh.sums) {
 		return fmt.Errorf("protocol: merging %d interval sums into an accumulator with %d intervals", len(sums), len(sh.sums))
 	}
-	for h, c := range perOrder {
-		if c < 0 {
-			return fmt.Errorf("protocol: merging negative count %d at order %d", c, h)
-		}
+	if err := checkCounts(users, perOrder); err != nil {
+		return err
 	}
 	for f, v := range sums {
 		atomic.AddInt64(&sh.sums[f], v)

@@ -138,19 +138,20 @@ func (b *BackendConn) SendRaw(r *RawBatch) error {
 // Flush flushes buffered frames to the backend.
 func (b *BackendConn) Flush() error { return b.enc.Flush() }
 
-// FetchSums round-trips the mode's raw-sums request — for the whole
-// node when shard is negative, for one virtual shard of a
+// FetchSums round-trips the mode's raw-sums request under a scope — for
+// the whole node when shard is negative, for one virtual shard of a
 // membership-mode backend otherwise. Everything sent earlier on this
 // connection is applied before the response is cut (the backend handles
 // frames in order), so the fetch doubles as a fence. A hashed-domain
 // backend refuses the whole-node request unless its catalogue size,
 // bucket count and epoch hash seed all match, so bucket counters from
 // disagreeing deployments can never merge.
-func (b *BackendConn) FetchSums(mode Mode, shard int) (RawSums, error) {
+func (b *BackendConn) FetchSums(mode Mode, shard int, scope Scope) (RawSums, error) {
 	req := mode.SumsRequest()
 	if shard >= 0 {
 		req = ShardSums(shard)
 	}
+	req.L, req.R = scope.L, scope.R
 	if err := b.enc.Encode(req); err != nil {
 		return RawSums{}, err
 	}

@@ -57,7 +57,7 @@ func TestClusterClientBasics(t *testing.T) {
 	if err := bc.Fence(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := bc.FetchSums(BoolMode(16, 1), -1)
+	f, err := bc.FetchSums(BoolMode(16, 1), -1, Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"strconv"
+	"sync"
 	"time"
 
 	"rtf/internal/obs"
@@ -45,6 +46,11 @@ type ServerMetrics struct {
 	BatchSize    *obs.Histogram
 	Latency      *obs.Histogram
 	ActiveConns  *obs.Gauge
+
+	// scatter holds the scatter_latency_seconds{backend="i"} histograms,
+	// each resolved at backend i's first fetch.
+	scatterMu sync.Mutex
+	scatter   []*obs.Histogram
 }
 
 // NewServerMetrics resolves the ingest instrument set in r.
@@ -92,10 +98,28 @@ func (m *ServerMetrics) ObserveShed() {
 // in scatter_latency_seconds{backend="i"} — the gateway's per-backend
 // read-path latency.
 func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
-	m.reg.Histogram(
-		obs.Label("scatter_latency_seconds", "backend", strconv.Itoa(i)),
-		obs.ExpBuckets(1e-5, 2, 20),
-	).Observe(d.Seconds())
+	m.scatterMu.Lock()
+	if i >= len(m.scatter) {
+		m.scatter = append(m.scatter, make([]*obs.Histogram, i+1-len(m.scatter))...)
+	}
+	if m.scatter[i] == nil {
+		m.scatter[i] = m.reg.Histogram(obs.Label("scatter_latency_seconds", "backend", strconv.Itoa(i)), obs.ExpBuckets(1e-5, 2, 20))
+	}
+	h := m.scatter[i]
+	m.scatterMu.Unlock()
+	h.Observe(d.Seconds())
+}
+
+// CountGather records one gather of raw sums — a gateway's scatter/gather
+// round, a shard map's fold of its virtual shards — in
+// gathers_total{scope}: "range" when it moved only the columns of one
+// period range, "full" when it moved every column.
+func (m *ServerMetrics) CountGather(scope Scope) {
+	label := "range"
+	if scope == (Scope{}) {
+		label = "full"
+	}
+	m.reg.Counter(obs.Label("gathers_total", "scope", label)).Inc()
 }
 
 // ObserveGather records one completed scatter/gather round under the
@@ -103,7 +127,8 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 // phase (every backend's fenced sums round-trip, in parallel, up to the
 // last frame decoded) and gather_fold_seconds the merge of the frames
 // plus the construction of the state the answer is read from.
-func (m *ServerMetrics) ObserveGather(fetch, fold time.Duration) {
+func (m *ServerMetrics) ObserveGather(scope Scope, fetch, fold time.Duration) {
+	m.CountGather(scope)
 	m.reg.Histogram("gather_fetch_seconds", obs.ExpBuckets(1e-5, 2, 20)).Observe(fetch.Seconds())
 	m.reg.Histogram("gather_fold_seconds", obs.ExpBuckets(1e-6, 2, 20)).Observe(fold.Seconds())
 }

@@ -58,15 +58,20 @@ type Mode interface {
 	SumsRequest() Msg
 	// ValidateRead range-checks one read frame.
 	ValidateRead(m Msg) error
+	// Scope is the raw-sums scope read frame m (already validated) is
+	// evaluated over: what a front that answers m from gathered sums
+	// has to gather. A sums request's is the one it carries.
+	Scope(m Msg) Scope
 	// NewState builds an empty accumulator spread over the given number
 	// of counter shards.
 	NewState(shards int) State
 	// Fold adds gathered frames up element-wise — plain integer
 	// additions into the first, in frame order, refusing a frame
-	// accumulated under different parameters — and builds the read-only
-	// single-shard state that holds exactly the total by constructing it
-	// over that matrix, not by adding into a zeroed accumulator. The
-	// frames are consumed.
+	// accumulated under different parameters or another scope — and
+	// builds the read-only single-shard state that holds exactly the
+	// total by constructing it over that matrix, not by adding into a
+	// zeroed accumulator: under a scope it is as small as the frames.
+	// The frames are consumed.
 	Fold(frames []RawSums) (State, error)
 	// ReadSums decodes the response to SumsRequest (or to a per-shard
 	// sums request, which every mode answers in the same frame).
@@ -99,9 +104,9 @@ type State interface {
 	// calls AdvanceVersion once per run that applied reports.
 	Apply(shard int, run []Rec) (hellos, reports int64)
 	AdvanceVersion(shard int)
-	// Sums exports the raw counters. They are loaded atomically; fence
-	// ingestion first when a consistent cut matters.
-	Sums() RawSums
+	// Sums exports the raw counters under a scope. They are loaded
+	// atomically; fence ingestion first when a consistent cut matters.
+	Sums(sc Scope) RawSums
 	MarshalState() []byte
 	RestoreState(b []byte) error
 	Users() int
@@ -123,19 +128,41 @@ type dims struct {
 	scale float64
 }
 
-// merge adds the frames' matrices into the first one's and returns it
-// (a zero matrix for no frames). Each frame's configuration is checked
-// here because the state built over the total never sees the frames.
-func (p dims) merge(frames []RawSums) ([]int64, error) {
-	n := max(p.m, 1) * protocol.RawStride(p.d)
-	if len(frames) == 0 {
-		return make([]int64, n), nil
+// Scope implements Mode for every mode: point-shaped reads evaluate the
+// prefix [1..t], a change its own range, series-shaped reads every
+// column, and a sums request says itself.
+func (dims) Scope(m Msg) Scope {
+	switch {
+	case m.Type == MsgQuery:
+		return Scope{1, m.T}
+	case m.Type != MsgQueryV2 && m.Type != MsgDomainQuery:
+		return Scope{m.L, m.R}
+	case m.Kind == QueryPoint || m.Kind == QueryPointItem || m.Kind == QueryTopK:
+		return Scope{1, m.L}
+	case m.Kind == QueryChange:
+		return Scope{m.L, m.R}
 	}
+	return Scope{}
+}
+
+// merge adds the frames' matrices into the first one's and returns it
+// with the scope they share (a zero full matrix for no frames). Each
+// frame's configuration is checked here because the state built over
+// the total never sees the frames.
+func (p dims) merge(frames []RawSums) ([]int64, Scope, error) {
+	if len(frames) == 0 {
+		return make([]int64, max(p.m, 1)*protocol.RawStride(p.d)), Scope{}, nil
+	}
+	sc := frames[0].Scope
+	if err := sc.check(p.d); err != nil {
+		return nil, sc, err
+	}
+	n := max(p.m, 1) * protocol.ScopedStride(p.d, sc.L, sc.R)
 	total := frames[0].Counters
 	for i, f := range frames {
-		if f.D != p.d || f.M != p.m || f.Scale != p.scale || len(f.Counters) != n {
-			return nil, fmt.Errorf("transport: sums frame %d has d=%d m=%d scale=%v (%d counters), configured d=%d m=%d scale=%v (%d counters)",
-				i, f.D, f.M, f.Scale, len(f.Counters), p.d, p.m, p.scale, n)
+		if f.D != p.d || f.M != p.m || f.Scale != p.scale || f.Scope != sc || len(f.Counters) != n {
+			return nil, sc, fmt.Errorf("transport: sums frame %d has d=%d m=%d scale=%v scope=%v (%d counters), configured d=%d m=%d scale=%v, gathering scope=%v (%d counters)",
+				i, f.D, f.M, f.Scale, f.Scope, len(f.Counters), p.d, p.m, p.scale, sc, n)
 		}
 		if i > 0 {
 			for j, v := range f.Counters {
@@ -143,16 +170,16 @@ func (p dims) merge(frames []RawSums) ([]int64, error) {
 			}
 		}
 	}
-	return total, nil
+	return total, sc, nil
 }
 
 // foldDomain is Fold's row accumulator for both domain modes.
 func (p dims) foldDomain(frames []RawSums) (*hh.DomainServer, error) {
-	total, err := p.merge(frames)
+	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
 	}
-	return hh.DomainServerOver(p.d, p.m, p.scale, total)
+	return hh.DomainServerOver(p.d, p.m, p.scale, sc.L, sc.R, total)
 }
 
 // ---------------------------------------------------------------------------
@@ -178,6 +205,8 @@ func (p boolMode) ValidateRead(m Msg) error {
 		}
 	case MsgQueryV2:
 		return ValidateQuery(p.d, m)
+	default:
+		return p.Scope(m).check(p.d)
 	}
 	return nil
 }
@@ -187,12 +216,12 @@ func (p boolMode) NewState(shards int) State {
 }
 
 func (p boolMode) Fold(frames []RawSums) (State, error) {
-	total, err := p.merge(frames)
+	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
 	}
-	acc := protocol.NewSharded(p.d, p.scale, 1)
-	if err := acc.MergeRaw(protocol.SplitRaw(p.d, total)); err != nil {
+	acc, err := protocol.ShardedOver(p.d, p.scale, sc.L, sc.R, total)
+	if err != nil {
 		return nil, err
 	}
 	return boolState{acc}, nil
@@ -230,12 +259,17 @@ func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, 
 			err = e.EncodeAnswer(ans)
 		}
 	default:
-		err = e.EncodeSums(SumsFromSharded(s.acc))
+		err = e.EncodeSums(SumsFrame(s.Sums(Scope{m.L, m.R})))
 	}
 	return false, false, err
 }
 
-func (s boolState) Sums() RawSums { return RawSums(SumsFromSharded(s.acc)) }
+func (s boolState) Sums(sc Scope) RawSums {
+	f := RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
+	f.Counters = make([]int64, f.stride())
+	s.acc.FoldInto(s.acc.Columns(sc.L, sc.R), f.Counters)
+	return f
+}
 
 func (s boolState) MarshalState() []byte        { return s.acc.MarshalState() }
 func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
@@ -262,7 +296,7 @@ func (p domainMode) ValidateRead(m Msg) error {
 	if m.Type == MsgDomainQuery {
 		return ValidateDomainQuery(p.d, p.m, m)
 	}
-	return nil
+	return p.Scope(m).check(p.d)
 }
 
 func (p domainMode) NewState(shards int) State {
@@ -308,7 +342,7 @@ func (s domainState) AdvanceVersion(shard int) { s.ds.AdvanceVersion(shard) }
 
 func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	if m.Type != MsgDomainQuery {
-		return false, false, e.encodeLiveDomainSums(s.ds)
+		return false, false, e.encodeLiveDomainSums(s.ds, Scope{m.L, m.R})
 	}
 	if hit, err = AnswerDomainQueryInto(s.ds, m, &sc.frame, &sc.topK); err != nil {
 		return false, false, err
@@ -318,7 +352,16 @@ func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 	return m.Kind == QueryTopK, hit, e.EncodeDomainAnswer(sc.frame)
 }
 
-func (s domainState) Sums() RawSums               { return DomainSumsFromServer(s.ds) }
+func (s domainState) Sums(sc Scope) RawSums {
+	f := RawSums{D: s.ds.D(), M: s.ds.M(), Scale: s.ds.BoolScale(), Scope: sc}
+	stride, cols := f.stride(), s.ds.Columns(sc.L, sc.R)
+	f.Counters = make([]int64, f.M*stride)
+	for x := 0; x < f.M; x++ {
+		s.ds.FoldRowInto(x, cols, f.Counters[x*stride:(x+1)*stride])
+	}
+	return f
+}
+
 func (s domainState) MarshalState() []byte        { return s.ds.MarshalState() }
 func (s domainState) RestoreState(b []byte) error { return s.ds.RestoreState(b) }
 func (s domainState) Users() int                  { return s.ds.Users() }
@@ -354,11 +397,11 @@ func (p hashedMode) ValidateRead(m Msg) error {
 	if m.Type == MsgDomainQuery {
 		return ValidateHashedDomainQuery(p.d, p.enc.M, m)
 	}
-	if m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed {
+	if m.Type == MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
 		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
 			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
 	}
-	return nil
+	return p.Scope(m).check(p.d)
 }
 
 func (p hashedMode) NewState(shards int) State {
@@ -422,22 +465,37 @@ func (s hashedState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 // stack. Because the fold adds exact integers and the estimator is a
 // fixed linear function of them, the answer is bit-for-bit a serial
 // server's. Immutable once built, so any number of connections may
-// share one.
-type Gathered struct{ st State }
+// share one. Frames gathered under a scope fold into a state that holds
+// only that scope's columns, and answers only the reads it covers.
+type Gathered struct {
+	st    State
+	mode  Mode
+	scope Scope
+}
 
 // NewGathered folds gathered frames, given in a fixed order (per
 // backend, per virtual shard). It takes the frames over: see Mode.Fold.
 func NewGathered(mode Mode, frames []RawSums) (*Gathered, error) {
+	var scope Scope
+	if len(frames) > 0 {
+		scope = frames[0].Scope
+	}
 	st, err := mode.Fold(frames)
 	if err != nil {
 		return nil, err
 	}
-	return &Gathered{st}, nil
+	return &Gathered{st, mode, scope}, nil
 }
+
+// Scope returns the scope the frames were gathered under.
+func (g *Gathered) Scope() Scope { return g.scope }
 
 // Answer implements Reader. The folded state's memo is private to this
 // gather, so it never reports as a cache.
 func (g *Gathered) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	if want := g.mode.Scope(m); !g.scope.Covers(want) {
+		return false, false, fmt.Errorf("transport: sums gathered for scope %v cannot answer a read over %v", g.scope, want)
+	}
 	_, _, err = g.st.Answer(m, e, sc)
 	return false, false, err
 }

@@ -24,9 +24,9 @@ type Session interface {
 	// loop decoded the run under the mode's ingest contract; a session
 	// does not validate it again.
 	Apply(run []Rec, wire []byte) error
-	// Gather returns the state one read frame is answered from. done,
-	// when non-nil, is called once the answer has been flushed.
-	Gather() (r Reader, done func(), err error)
+	// Gather returns the state read frame m is answered from. done, when
+	// non-nil, is called once the answer has been flushed.
+	Gather(m Msg) (r Reader, done func(), err error)
 	// Close releases the session. healthy reports a clean client close
 	// (or server shutdown) rather than a failed connection.
 	Close(healthy bool)
@@ -128,7 +128,7 @@ type storeSession struct {
 }
 
 func (s storeSession) Apply(run []Rec, wire []byte) error { return s.store.Apply(s.id, run, wire) }
-func (s storeSession) Gather() (Reader, func(), error)    { return s.store, nil, nil }
+func (s storeSession) Gather(Msg) (Reader, func(), error) { return s.store, nil, nil }
 func (s storeSession) Close(bool)                         {}
 
 // Serve accepts connections on l until Close is called (or the listener
@@ -250,15 +250,18 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 			if n := s.control.NumShards(); m.Shard < 0 || m.Shard >= n {
 				return fmt.Errorf("shard %d out of range [0..%d)", m.Shard, n)
 			}
-			return nil
 		}
 		return s.mode.ValidateRead(m)
 	}
 	answer := func(m Msg) error {
 		if s.Metrics != nil {
 			s.Metrics.CountQuery(s.label, QueryKindName(m))
+			if s.control != nil && m.Type != MsgShardSums && m.Type != MsgShardState {
+				// A shard-mapped store folds its virtual shards per read.
+				s.Metrics.CountGather(s.mode.Scope(m))
+			}
 		}
-		r, done, err := sess.Gather()
+		r, done, err := sess.Gather(m)
 		if err != nil {
 			return err
 		}

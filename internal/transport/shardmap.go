@@ -104,12 +104,13 @@ func (c *ShardMap) Apply(_ int, run []Rec, _ []byte) error {
 // Answer implements Reader. The shard-scoped control reads — one
 // shard's raw sums for a quorum-reading gateway, one shard's serialized
 // state for a reshard handoff — answer from that shard alone; every
-// other read answers from all shards' sums gathered in fixed shard
-// order.
+// other read answers from all shards' sums, gathered under the read's
+// scope in fixed shard order.
 func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	scope := c.mode.Scope(m)
 	switch m.Type {
 	case MsgShardSums:
-		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard))
+		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard, scope))
 	case MsgShardState:
 		// The protocol state encoding — the same bytes the durability
 		// snapshots use — is the transfer format of a reshard.
@@ -121,7 +122,7 @@ func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool,
 	frames := make([]RawSums, len(c.shards))
 	c.imu.RLock()
 	for s, st := range c.shards {
-		frames[s] = st.Sums()
+		frames[s] = st.Sums(scope)
 	}
 	c.imu.RUnlock()
 	g, err := NewGathered(c.mode, frames)
@@ -131,11 +132,11 @@ func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool,
 	return g.Answer(m, e, sc)
 }
 
-// ShardSums exports one virtual shard's raw sums.
-func (c *ShardMap) ShardSums(shard int) RawSums {
+// ShardSums exports one virtual shard's raw sums under a scope.
+func (c *ShardMap) ShardSums(shard int, scope Scope) RawSums {
 	c.imu.RLock()
 	defer c.imu.RUnlock()
-	return c.shards[shard].Sums()
+	return c.shards[shard].Sums(scope)
 }
 
 // InstallShard REPLACES one virtual shard's accumulator with the given

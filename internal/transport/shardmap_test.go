@@ -413,7 +413,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	// serial reference.
 	merged := protocol.NewServer(d, scale)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchSums(mode, s)
+		f, err := bc.FetchSums(mode, s, Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +426,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	}
 
 	// Global sums and v2 answers still work on the same connection.
-	f, err := bc.FetchSums(mode, -1)
+	f, err := bc.FetchSums(mode, -1, Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want5 := sumsOf(t, sm, 5)
-	got5, err := bc2.FetchSums(mode, 5)
+	got5, err := bc2.FetchSums(mode, 5, Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		t.Fatalf("stale view push error = %v", err)
 	}
 	// An out-of-range shard request kills the connection with an error.
-	if _, err := bc.FetchSums(mode, S); err == nil {
+	if _, err := bc.FetchSums(mode, S, Scope{}); err == nil {
 		t.Error("backend answered an out-of-range shard request")
 	}
 	rc.Release(addr, bc, false)
@@ -542,7 +542,7 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 
 	folded := hh.NewDomainServer(d, m, scale, 1)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchSums(mode, s)
+		f, err := bc.FetchSums(mode, s, Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,6 +22,27 @@ import (
 // reports — which merging scaled float answers would not (float
 // addition is not associative).
 
+// Scope is the range of periods [L..R] a raw-sums request will be
+// evaluated over: a point, top-k or v1 query at t reads [1..t], a change
+// query its own [L..R]. A scoped request is answered with rows of the
+// header columns plus the interval sums of the range's dyadic cover
+// (protocol.ScopedStride counters) — what the estimators will read —
+// instead of all 2d−1; both ends derive the columns from the range, so
+// two varints are all that travels. The zero Scope is every column.
+type Scope struct{ L, R int }
+
+// Covers reports whether sums gathered under s answer a read of scope o:
+// s holds every column, or exactly o's.
+func (s Scope) Covers(o Scope) bool { return s == Scope{} || s == o }
+
+// check validates a scope against horizon d.
+func (s Scope) check(d int) error {
+	if s != (Scope{}) && (s.L < 1 || s.R < s.L || s.R > d) {
+		return fmt.Errorf("transport: sums scope [%d..%d] invalid for d=%d", s.L, s.R, d)
+	}
+	return nil
+}
+
 // MaxSumsD bounds the horizon a sums frame may declare, so a corrupt or
 // adversarial frame cannot force a huge allocation on decode (the frame
 // carries 2d−1 interval sums per row).
@@ -30,18 +51,21 @@ const MaxSumsD = 1 << 20
 // RawSums is the raw accumulator state of one node in mode-neutral
 // form: the horizon, row parameter and Boolean estimator scale it was
 // accumulated under (checked on merge, so mismatched backends are
-// rejected rather than silently mixed), and one row-major counter
-// matrix with a row of protocol.RawStride(D) counters — user count,
-// per-order user counts, per-interval ±1 bit sums in flat dyadic-tree
-// order — per item or bucket. The Boolean accumulator is the one-row
-// case, M = 0. Counters appear on the wire in matrix order, so export,
-// encode, decode, merge and fold are each one pass over one slice.
-// Scale is the Boolean mechanism's; the per-item estimator scale is
-// m × Scale, computed identically everywhere, so merged raw integers
-// reproduce a single serial server's answers bit for bit.
+// rejected rather than silently mixed), the scope its rows are
+// restricted to, and one row-major counter matrix with a row of
+// protocol.ScopedStride(D, L, R) counters — user count, per-order user
+// counts, per-interval ±1 bit sums in flat dyadic-tree order (under a
+// scope: the cover's, in cover order) — per item or bucket. The Boolean
+// accumulator is the one-row case, M = 0. Counters appear on the wire in
+// matrix order, so export, encode, decode, merge and fold are each one
+// pass over one slice. Scale is the Boolean mechanism's; the per-item
+// estimator scale is m × Scale, computed identically everywhere, so
+// merged raw integers reproduce a single serial server's answers bit
+// for bit.
 type RawSums struct {
 	D, M     int
 	Scale    float64
+	Scope    Scope
 	Counters []int64
 }
 
@@ -52,40 +76,38 @@ type SumsFrame RawSums
 // rows is the frame's row count.
 func (f RawSums) rows() int { return max(f.M, 1) }
 
+// stride is the length of one of the frame's rows.
+func (f RawSums) stride() int { return protocol.ScopedStride(f.D, f.Scope.L, f.Scope.R) }
+
 // Row returns row x's user count, per-order counts and interval sums.
 // The slices alias the frame.
 func (f RawSums) Row(x int) (users int64, perOrder, sums []int64) {
-	stride := protocol.RawStride(f.D)
+	stride := f.stride()
 	return protocol.SplitRaw(f.D, f.Counters[x*stride:(x+1)*stride])
 }
 
 // Equal compares two frames exactly — integer for integer. It is the
 // divergence test of a quorum read.
 func (f RawSums) Equal(o RawSums) bool {
-	return f.D == o.D && f.M == o.M && f.Scale == o.Scale && slices.Equal(f.Counters, o.Counters)
+	return f.D == o.D && f.M == o.M && f.Scale == o.Scale && f.Scope == o.Scope && slices.Equal(f.Counters, o.Counters)
 }
 
-// SumsFromSharded folds the live accumulator into a frame. Counters are
-// loaded atomically; fence ingestion first (a query round-trip on the
-// same connection) when a consistent cut matters.
+// SumsFromSharded folds the live accumulator into a full frame. Counters
+// are loaded atomically; fence ingestion first (a query round-trip on
+// the same connection) when a consistent cut matters.
 func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
-	f := SumsFrame{D: acc.D(), Scale: acc.Scale(), Counters: make([]int64, protocol.RawStride(acc.D()))}
-	acc.FoldInto(f.Counters)
-	return f
+	return SumsFrame(boolState{acc}.Sums(Scope{}))
 }
 
-// DomainSumsFromServer folds the live counter matrix into a frame in
-// one pass per shard. Counters are loaded atomically; fence ingestion
-// first when a consistent cut matters.
-func DomainSumsFromServer(ds *hh.DomainServer) RawSums {
-	f := RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale(), Counters: make([]int64, ds.M()*protocol.RawStride(ds.D()))}
-	ds.FoldInto(f.Counters)
-	return f
-}
+// DomainSumsFromServer folds the live counter matrix into a full frame.
+// Counters are loaded atomically; fence ingestion first when a
+// consistent cut matters.
+func DomainSumsFromServer(ds *hh.DomainServer) RawSums { return domainState{ds}.Sums(Scope{}) }
 
 // MergeInto folds the frame's raw state into a dyadic accumulator — a
 // serial protocol.Server or a protocol.Sharded — which must have the
-// frame's horizon and scale.
+// frame's horizon and scale. Only a full frame has an accumulator's
+// length; a scoped one is refused by it.
 func (f SumsFrame) MergeInto(acc interface {
 	D() int
 	Scale() float64
@@ -119,11 +141,14 @@ func (f RawSums) MergeInto(ds *hh.DomainServer) error {
 }
 
 // checkDims validates the header of a frame of the given wire type: a
-// Boolean frame has no row parameter, a domain frame an (d, m) pair
-// within the allocation bounds.
+// scope inside the horizon; no row parameter on a Boolean frame, an
+// (d, m) pair within the allocation bounds on a domain frame.
 func (f RawSums) checkDims(typ MsgType) error {
 	if !dyadic.IsPow2(f.D) || f.D > MaxSumsD {
 		return fmt.Errorf("transport: sums frame horizon %d invalid (power of two, at most %d)", f.D, MaxSumsD)
+	}
+	if err := f.Scope.check(f.D); err != nil {
+		return err
 	}
 	if typ == MsgSumsFrame {
 		if f.M != 0 {
@@ -160,23 +185,31 @@ func (e *Encoder) EncodeSums(f SumsFrame) error { return e.encodeSums(MsgSumsFra
 // EncodeDomainSums writes one MsgDomainSumsFrame response.
 func (e *Encoder) EncodeDomainSums(f RawSums) error { return e.encodeSums(MsgDomainSumsFrame, f, nil) }
 
-// encodeLiveDomainSums writes a domain server's MsgDomainSumsFrame
-// straight from its live counters, a row at a time — the bytes of
-// EncodeDomainSums(DomainSumsFromServer(ds)) without the matrix in
-// between, which on a wide domain is megabytes per request.
-func (e *Encoder) encodeLiveDomainSums(ds *hh.DomainServer) error {
-	return e.encodeSums(MsgDomainSumsFrame, RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale()}, ds.FoldRowInto)
+// encodeLiveDomainSums writes a domain server's MsgDomainSumsFrame under
+// scope sc straight from its live counters, a row at a time — the bytes
+// of EncodeDomainSums(domainState{ds}.Sums(sc)) without the matrix in
+// between, which for full rows of a wide domain is megabytes per request.
+func (e *Encoder) encodeLiveDomainSums(ds *hh.DomainServer, sc Scope) error {
+	cols := ds.Columns(sc.L, sc.R)
+	return e.encodeSums(MsgDomainSumsFrame, RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale(), Scope: sc},
+		func(x int, row []int64) { ds.FoldRowInto(x, cols, row) })
 }
 
+// scopedSumsVersion is the version byte of a sums request or frame that
+// carries a scope. Unscoped ones keep queryWireVersion and, byte for
+// byte, the encoding they had before scopes existed.
+const scopedSumsVersion = 2
+
 // encodeSums is the one sums-frame encoder: type and version bytes, the
-// horizon, the row count on a domain frame, the scale, then every
-// counter as a zigzag varint, row by row. The rows are those of
-// f.Counters, or, given live, whatever live writes for each row index.
+// horizon, the row count on a domain frame, the scope under version 2,
+// the scale, then every counter as a zigzag varint, row by row. The rows
+// are those of f.Counters, or, given live, whatever live writes for each
+// row index.
 func (e *Encoder) encodeSums(typ MsgType, f RawSums, live func(x int, row []int64)) error {
 	if err := f.checkDims(typ); err != nil {
 		return err
 	}
-	stride := protocol.RawStride(f.D)
+	stride := f.stride()
 	var row []int64
 	if live != nil {
 		row = make([]int64, stride)
@@ -184,9 +217,15 @@ func (e *Encoder) encodeSums(typ MsgType, f RawSums, live func(x int, row []int6
 		return fmt.Errorf("transport: sums frame has %d counters, header says %d rows of %d", len(f.Counters), f.rows(), stride)
 	}
 	b := append(e.scratch[:0], byte(typ), queryWireVersion)
+	if f.Scope != (Scope{}) {
+		b[1] = scopedSumsVersion
+	}
 	b = binary.AppendUvarint(b, uint64(f.D))
 	if typ == MsgDomainSumsFrame {
 		b = binary.AppendUvarint(b, uint64(f.M))
+	}
+	if f.Scope != (Scope{}) {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, uint64(f.Scope.L)), uint64(f.Scope.R))
 	}
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Scale))
 	for x := 0; x < f.rows(); x++ {
@@ -239,23 +278,26 @@ func (d *Decoder) readSums(typ MsgType) (RawSums, error) {
 	if err != nil {
 		return RawSums{}, truncated(err)
 	}
-	if ver != queryWireVersion {
+	if ver != queryWireVersion && ver != scopedSumsVersion {
 		return RawSums{}, fmt.Errorf("transport: unsupported sums version %d", ver)
 	}
-	du, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return RawSums{}, truncated(err)
-	}
-	var mu uint64
-	if typ == MsgDomainSumsFrame {
-		if mu, err = binary.ReadUvarint(d.r); err != nil {
+	// d, then m on a domain frame, then the scope under version 2.
+	var hdr [4]uint64
+	for i := range hdr {
+		if i == 1 && typ != MsgDomainSumsFrame || i >= 2 && ver != scopedSumsVersion {
+			continue
+		}
+		if hdr[i], err = binary.ReadUvarint(d.r); err != nil {
 			return RawSums{}, truncated(err)
 		}
 	}
-	if du > MaxSumsD || mu > MaxDomainM {
-		return RawSums{}, fmt.Errorf("transport: sums frame dims d=%d m=%d out of bounds", du, mu)
+	if hdr[0] > MaxSumsD || hdr[1] > MaxDomainM || hdr[2] > MaxSumsD || hdr[3] > MaxSumsD {
+		return RawSums{}, fmt.Errorf("transport: sums frame dims d=%d m=%d scope=[%d..%d] out of bounds", hdr[0], hdr[1], hdr[2], hdr[3])
 	}
-	f := RawSums{D: int(du), M: int(mu)}
+	f := RawSums{D: int(hdr[0]), M: int(hdr[1]), Scope: Scope{int(hdr[2]), int(hdr[3])}}
+	if ver == scopedSumsVersion && f.Scope == (Scope{}) {
+		return RawSums{}, errors.New("transport: version-2 sums frame without a scope")
+	}
 	if err := f.checkDims(typ); err != nil {
 		return RawSums{}, err
 	}
@@ -265,7 +307,7 @@ func (d *Decoder) readSums(typ MsgType) (RawSums, error) {
 	}
 	f.Scale = math.Float64frombits(binary.LittleEndian.Uint64(raw))
 	d.r.Discard(8)
-	stride := protocol.RawStride(f.D)
+	stride := f.stride()
 	f.Counters = make([]int64, f.rows()*stride)
 	for x := 0; x < f.rows(); x++ {
 		row := f.Counters[x*stride : (x+1)*stride]

@@ -439,7 +439,7 @@ func TestSumsPathAllocs(t *testing.T) {
 		export() // sizes the encoder's buffer
 		var viaMatrix bytes.Buffer
 		enc2 := NewEncoder(&viaMatrix)
-		if err := enc2.EncodeDomainSums(st.Sums()); err != nil {
+		if err := enc2.EncodeDomainSums(st.Sums(Scope{})); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc2.Flush(); err != nil {

@@ -151,7 +151,7 @@ type Msg struct {
 	T     int       // v1 query/estimate only: time period
 	Value float64   // v1 estimate only: â[t]
 	Kind  QueryKind // v2 and domain queries only
-	L, R  int       // v2 and domain queries only: range (point queries use L = t)
+	L, R  int       // v2 and domain queries: range (point queries use L = t); sums requests: scope, 0 for every column
 	Item  int       // domain messages only: the sampled target item
 	K     int       // domain top-k query only: how many items
 	Shard int       // membership shard requests only: the virtual shard
@@ -327,8 +327,8 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		b = append(b, queryWireVersion, byte(m.Kind))
 		b = binary.AppendUvarint(b, uint64(m.L))
 		b = binary.AppendUvarint(b, uint64(m.R))
-	case MsgSums:
-		b = append(b, queryWireVersion)
+	case MsgSums, MsgDomainSums:
+		return appendScope(append(b, sumsVersion(m)), m)
 	case MsgDomainHello:
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
@@ -367,8 +367,6 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.L))
 		b = binary.AppendUvarint(b, uint64(m.R))
 		b = binary.AppendUvarint(b, uint64(m.K))
-	case MsgDomainSums:
-		b = append(b, queryWireVersion)
 	case MsgHashedDomainHello:
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
@@ -384,20 +382,43 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		if m.Item < 0 || m.K < 0 {
 			return nil, fmt.Errorf("transport: negative hashed-sums field (m=%d g=%d)", m.Item, m.K)
 		}
-		b = append(b, queryWireVersion)
+		b = append(b, sumsVersion(m))
 		b = binary.AppendUvarint(b, uint64(m.Item))
 		b = binary.AppendUvarint(b, uint64(m.K))
 		b = binary.AppendUvarint(b, m.Seed)
+		return appendScope(b, m)
 	case MsgShardSums, MsgShardState:
 		if m.Shard < 0 {
 			return nil, fmt.Errorf("transport: negative shard %d", m.Shard)
 		}
-		b = append(b, queryWireVersion)
-		b = binary.AppendUvarint(b, uint64(m.Shard))
+		if m.Type == MsgShardState {
+			return binary.AppendUvarint(append(b, queryWireVersion), uint64(m.Shard)), nil
+		}
+		return appendScope(binary.AppendUvarint(append(b, sumsVersion(m)), uint64(m.Shard)), m)
 	default:
 		return nil, fmt.Errorf("transport: unknown message type %d", m.Type)
 	}
 	return b, nil
+}
+
+// sumsVersion is the version byte of sums request m: an unscoped request
+// (L = R = 0) keeps queryWireVersion and the bytes it always had, a
+// scoped one is version 2 with the scope at its end (appendScope).
+func sumsVersion(m *Msg) byte {
+	if m.L == 0 && m.R == 0 {
+		return queryWireVersion
+	}
+	return scopedSumsVersion
+}
+
+func appendScope(b []byte, m *Msg) ([]byte, error) {
+	if m.L == 0 && m.R == 0 {
+		return b, nil
+	}
+	if m.L < 1 || m.R < m.L {
+		return nil, fmt.Errorf("transport: invalid sums scope [%d..%d]", m.L, m.R)
+	}
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(m.L)), uint64(m.R)), nil
 }
 
 // appendBatchHeader appends a batch frame's header: the type byte —
@@ -923,10 +944,10 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if off >= len(b) {
 			return 0, errShortMsg
 		}
-		if b[off] != queryWireVersion {
+		if b[off] != queryWireVersion && b[off] != scopedSumsVersion {
 			return 0, fmt.Errorf("transport: unsupported sums-request version %d", b[off])
 		}
-		off++
+		return decodeScope(b, off+1, m)
 	case MsgDomainHello:
 		user, ok := uvarint()
 		if !ok {
@@ -1016,10 +1037,10 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if off >= len(b) {
 			return 0, errShortMsg
 		}
-		if b[off] != queryWireVersion {
+		if b[off] != queryWireVersion && b[off] != scopedSumsVersion {
 			return 0, fmt.Errorf("transport: unsupported domain-sums-request version %d", b[off])
 		}
-		off++
+		return decodeScope(b, off+1, m)
 	case MsgHashedDomainHello:
 		user, ok := uvarint()
 		if !ok {
@@ -1048,7 +1069,7 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if off >= len(b) {
 			return 0, errShortMsg
 		}
-		if b[off] != queryWireVersion {
+		if b[off] != queryWireVersion && b[off] != scopedSumsVersion {
 			return 0, fmt.Errorf("transport: unsupported hashed-sums-request version %d", b[off])
 		}
 		off++
@@ -1068,11 +1089,12 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 			return 0, fmt.Errorf("transport: hashed-sums field overflows")
 		}
 		m.Item, m.K, m.Seed = int(mm), int(g), seed
+		return decodeScope(b, off, m)
 	case MsgShardSums, MsgShardState:
 		if off >= len(b) {
 			return 0, errShortMsg
 		}
-		if b[off] != queryWireVersion {
+		if b[off] != queryWireVersion && (b[off] != scopedSumsVersion || m.Type == MsgShardState) {
 			return 0, fmt.Errorf("transport: unsupported shard-request version %d", b[off])
 		}
 		off++
@@ -1084,6 +1106,7 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 			return 0, fmt.Errorf("transport: shard %d exceeds limit %d", shard, membership.MaxShards)
 		}
 		m.Shard = int(shard)
+		return decodeScope(b, off, m)
 	case MsgView:
 		return 0, errors.New("transport: view frame inside batch")
 	case MsgShardTransfer:
@@ -1108,6 +1131,25 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		return 0, fmt.Errorf("transport: unknown message type %d", b[0])
 	}
 	return off, nil
+}
+
+// decodeScope decodes the tail of a sums request whose own fields end at
+// b[off]: nothing more under version 1, the scope under version 2. It
+// returns the request's length.
+func decodeScope(b []byte, off int, m *Msg) (int, error) {
+	if b[1] == queryWireVersion {
+		return off, nil
+	}
+	l, n := binary.Uvarint(b[off:])
+	r, k := binary.Uvarint(b[off+max(n, 0):])
+	if n <= 0 || k <= 0 {
+		return 0, errShortMsg
+	}
+	if l < 1 || r < l || r > MaxSumsD {
+		return 0, fmt.Errorf("transport: invalid sums scope [%d..%d]", l, r)
+	}
+	m.L, m.R = int(l), int(r)
+	return off + n + k, nil
 }
 
 func truncated(err error) error {
