@@ -871,7 +871,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 					return
 				}
 				enc := transport.NewEncoder(conn)
-				if err := enc.Encode(transport.Query(1)); err != nil { // fence
+				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
 					b.Error(err)
 					return
 				}
@@ -879,7 +879,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if _, err := transport.NewDecoder(conn).Next(); err != nil {
+				if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
 					b.Error(err)
 				}
 			}(s)
@@ -1020,7 +1020,7 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 					return
 				}
 				enc := transport.NewEncoder(conn)
-				if err := enc.Encode(transport.Query(1)); err != nil { // fence
+				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
 					b.Error(err)
 					return
 				}
@@ -1028,7 +1028,7 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if _, err := transport.NewDecoder(conn).Next(); err != nil {
+				if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
 					b.Error(err)
 				}
 			}(s)
@@ -1671,13 +1671,13 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 		if err := ingestEnc.EncodeBatch(batch); err != nil {
 			b.Fatal(err)
 		}
-		if err := ingestEnc.Encode(transport.Query(1)); err != nil { // fence
+		if err := ingestEnc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
 			b.Fatal(err)
 		}
 		if err := ingestEnc.Flush(); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ingestDec.Next(); err != nil { // fence answer
+		if _, err := ingestDec.ReadAnswer(); err != nil { // fence answer
 			b.Fatal(err)
 		}
 		for c := 0; c < clients; c++ {

@@ -1,8 +1,8 @@
 // Command rtf-gateway fronts N rtf-serve backends as one aggregation
 // service: it speaks the same wire protocol as rtf-serve (batched
-// hello/report ingestion, v1 point queries, versioned v2 queries, raw-
-// sums requests), hash-partitions ingested users across the backends by
-// user id mod N, and answers every query by scatter/gather — it fetches
+// hello/report ingestion, versioned v2 queries, raw-sums requests),
+// hash-partitions ingested users across the backends by user id mod N,
+// and answers every query by scatter/gather — it fetches
 // each backend's raw per-interval bit sums and folds them into a fresh
 // serial accumulator before estimating.
 //

@@ -4,9 +4,10 @@
 // that accepts framed hello/report messages — single or batched — from
 // any number of client connections, accumulates them into a lock-free
 // sharded accumulator, and answers online queries from the live
-// counters. Both the v1 point query (MsgQuery → MsgEstimate) and the
-// versioned v2 frames (MsgQueryV2 → MsgAnswer: point, change, series,
-// window) are served.
+// counters through the versioned query frames (MsgQueryV2 → MsgAnswer:
+// point, change, series, window). The v1 point query (wire types 4 and
+// 5) is retired: a connection that sends one is failed with "v1 point
+// query removed; send QueryV2(QueryPoint, t, 0)".
 //
 // With -m the service hosts the richer-domain extension instead: it
 // accepts item-tagged frames (MsgDomainHello, MsgDomainReport) from

@@ -1,295 +1,242 @@
 // Command rtf-sim runs one end-to-end protocol execution on a synthetic
 // workload and reports error metrics, optionally dumping the estimate
-// series as CSV.
+// series as CSV — and, given a scenario's flags, is the acceptance
+// harness that holds a deployment to the protocol's keystone invariant:
+// every served answer is bit-for-bit an uninterrupted serial engine's,
+// because estimates are fixed linear functions of exact integer counters.
 //
-// With -drive it instead load-tests a running rtf-serve aggregation
-// service: per-user clients of the selected mechanism (any mechanism
-// rtf-serve can host: futurerand, independent, bun, erlingsson)
-// generate real randomized reports, ship them over -conns parallel TCP
-// connections in batches of -batch messages, and the driver then
-// queries the server through every query shape — v1 point queries plus
-// versioned point, change, series and window frames — and checks each
-// answer is bit-for-bit identical to an in-process server fed the same
-// reports. The server must be started with the same -mechanism, -d, -k
-// and -eps.
+// A scenario is a row of one table (scenario.go): the flags that select
+// it, a protocol mode (mode.go), a topology of real rtf-serve and
+// rtf-gateway processes (deploy.go; binaries via -serve-bin and
+// -gateway-bin, else next to this one, else $PATH) and a choreography run
+// over the two by one driver (driver.go), which ships per-user clients'
+// real randomized reports over -conns TCP connections in batches of
+// -batch and checks every answer against an in-process ldp server fed
+// the same reports. A flag combination that is not a row is refused.
 //
-// With -recover it runs the crash-recovery acceptance test end to end:
-// it spawns its own rtf-serve (found via -serve-bin, next to this
-// binary, or on $PATH) with a fresh data directory, ingests half the
-// users, kill -9s the server mid-ingest, restarts it from its snapshot
-// and write-ahead log, and verifies — before and after ingesting the
-// remaining half — that Point, Change, Series and Window answers are
-// bit-for-bit identical to an uninterrupted in-process engine. The
-// restarted server is finally SIGTERMed and must drain and exit 0.
+//	flags                       mode     topology                       choreography
+//	(none)                      —        —                              offline run (below)
+//	-drive ADDR                 Boolean  the operator's server at ADDR  crash, nothing to kill
+//	-recover                    Boolean  one durable rtf-serve          crash
+//	-cluster                    Boolean  gateway over 3, b0 durable     crash
+//	-domain                     exact    gateway over 3, b0 durable     crash
+//	-domain -hashed             hashed   gateway over 3, b0 durable     crash
+//	-recover -domain            exact    one durable rtf-serve          crash
+//	-recover -domain -hashed    hashed   one durable rtf-serve          crash
+//	-membership                 Boolean  member gateway over 3 (+1)     membership
+//	-membership -domain         exact    member gateway over 3 (+1)     membership
+//	-soak [-soak-backends N]    Boolean  one durable rtf-serve, or a    soak
+//	                                     gateway over N, bounded queue
 //
-// With -cluster it runs the same discipline against the scatter/gather
-// deployment: it spawns three rtf-serve backends (backend 0 durable)
-// and an rtf-gateway (found via -gateway-bin) partitioning users across
-// them, ingests through the gateway, kill -9s the durable backend
-// mid-ingest, restarts it on the same port and data directory, and
-// verifies all four query shapes through the gateway bit-for-bit
-// against an uninterrupted in-process engine. Gateway and backends are
-// finally SIGTERMed and must drain and exit 0.
+// The modes: Boolean verifies the point estimate of every period plus
+// point, change, series and window frames; exact domain (-m items, Zipf
+// -zipf-s) verifies PointItem and SeriesItem for every item and TopK;
+// hashed domain (LOLOHA, -buckets rows for a catalogue that may be far
+// past the exact 4096-item cap) verifies TopK over the whole catalogue
+// and a sample of items, and bounds the recovered backend's RSS by a
+// ceiling derived from the bucket count, not the catalogue.
 //
-// Examples:
+// crash: ingest half the users in two chunks around a periodic snapshot,
+// verify, kill -9 the durable backend under a doomed stream of phantom
+// hellos, restart it on the same port and data directory (snapshot + WAL
+// recovery), verify, ingest the rest, verify, SIGTERM everything — every
+// process must drain and exit 0. With -drive there is nothing to kill:
+// ingest, verify, report; the server must be freshly started with the
+// same -mechanism, -d, -k and -eps, since its state is cumulative.
+//
+// membership: over K=2 replicas and 16 virtual shards, ingest in thirds;
+// a fourth backend joins by the reshard API mid-ingest (the rendezvous
+// plan must move only ~1/N of the shard replicas), one backend drains via
+// snapshot handoff and must SIGTERM-exit 0, one surviving replica is
+// kill -9ed under a doomed stream aimed at its own shards — verified at
+// every stage, with the gateway's epoch, transfer, divergence and
+// short-read gauges checked at the end.
+//
+// soak: paced acked-batch ingest at -qps for -duration over closed-loop
+// connections, /metrics scraped throughout, an early burst until the
+// bounded admission queue (-queue) sheds a batch; asserts sustained QPS,
+// steady RSS, queue depth never past capacity, p99 ingest latency under
+// -p99-ceiling, the server's counter ledger equal to the harness's own,
+// and every answer bit-for-bit a reference fed exactly the acked batches
+// — a shed batch that half-applied breaks the equality. -metrics-dump
+// writes the final metrics snapshot as JSON.
+//
+// The offline run uses the fast batch engines behind ldp.Track:
 //
 //	rtf-sim -n 50000 -d 1024 -k 8 -eps 1.0
 //	rtf-sim -protocol erlingsson -workload bursty -series
 //	rtf-sim -protocol futurerand -consistency -n 100000
-//	rtf-serve -addr :7609 -d 256 -k 4 &
-//	rtf-sim -drive localhost:7609 -n 10000 -d 256 -k 4 -conns 8 -batch 256
-//	rtf-sim -recover -n 4000 -d 256 -k 4 -conns 4
-//	rtf-sim -cluster -n 4000 -d 256 -k 4 -conns 4
-//	rtf-sim -domain -n 3000 -d 256 -k 4 -m 8 -conns 4
-//	rtf-sim -membership -n 3000 -d 256 -k 4 -conns 4
-//	rtf-sim -membership -domain -n 3000 -d 256 -k 4 -m 8 -conns 4
-//	rtf-sim -soak -duration 60s -qps 3000 -queue 2 -conns 4
-//	rtf-sim -soak -duration 60s -qps 3000 -queue 2 -soak-backends 2
-//
-// With -domain it runs the domain acceptance test: the same
-// kill -9/recover discipline as -cluster, but against the richer-domain
-// deployment — three domain-mode rtf-serve backends and a domain
-// rtf-gateway ingest a Zipf domain workload over TCP, and the
-// item-scoped query shapes (PointItem, SeriesItem, TopK) through the
-// gateway are verified bit-for-bit against an uninterrupted in-process
-// DomainServer, before the crash, after snapshot+WAL recovery, and
-// after the remaining users.
-//
-// With -membership it runs the dynamic-membership acceptance test: an
-// rtf-gateway -members front over three rtf-serve -membership backends
-// (K=2 replicas, 16 virtual shards) ingests the workload in thirds; a
-// fourth backend joins by the reshard API mid-ingest (the rendezvous
-// plan must move only ~1/N of the shard replicas), one backend drains
-// via snapshot handoff and must SIGTERM-exit 0, and one surviving
-// replica is kill -9ed under a doomed ingest stream aimed at its own
-// shards — with every query shape checked bit-for-bit against an
-// uninterrupted in-process engine at every stage. Combined with
-// -domain the same choreography runs over the domain deployment.
-//
-// With -soak it runs the operational-envelope check: it spawns a
-// topology (one durable fsync'd rtf-serve, or with -soak-backends N an
-// rtf-gateway over N backends), drives paced acked-batch ingest at
-// -qps for -duration over -conns closed-loop connections, scrapes the
-// target's /metrics endpoint throughout, bursts early on until the
-// bounded admission queue (-queue) sheds a batch, and asserts the
-// envelope: sustained QPS, steady RSS, queue depth never past
-// capacity, p99 ingest latency under -p99-ceiling, the server's
-// counter ledger equal to the harness's own, and every query shape
-// bit-for-bit identical to an in-process reference engine fed exactly
-// the acked batches — a shed batch that half-applied, or an applied
-// batch that dropped a message, breaks the equality. -metrics-dump
-// writes the final metrics snapshot as JSON.
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strings"
-	"sync"
-	"syscall"
 	"time"
 
-	"rtf/internal/obs"
-	"rtf/internal/transport"
 	"rtf/ldp"
 	"rtf/workload"
 )
 
+// options are the parsed value flags; the selector flags exist only as
+// names (see resolve).
+type options struct {
+	n, d, k                int
+	eps                    float64
+	proto, workload        string
+	seed                   int64
+	exact, consist, series bool
+	wlOut, wlIn            string
+	drive                  string
+	conns, batch           int
+	m, buckets             int
+	zipf                   float64
+	serveBin, gatewayBin   string
+	qps                    float64
+	duration, p99          time.Duration
+	soakBackends, queue    int
+	dump                   string
+}
+
+// flagSet declares the command line over o.
+func flagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("rtf-sim", flag.ContinueOnError)
+	fs.IntVar(&o.n, "n", 10000, "number of users")
+	fs.IntVar(&o.d, "d", 256, "time periods (power of two)")
+	fs.IntVar(&o.k, "k", 4, "max changes per user")
+	fs.Float64Var(&o.eps, "eps", 1.0, "privacy budget (0 < eps <= 1)")
+	fs.StringVar(&o.proto, "protocol", "futurerand", "protocol: futurerand|independent|bun|erlingsson|naive-split|central-binary")
+	fs.StringVar(&o.workload, "workload", "uniform", "workload: uniform|max-changes|bursty|zipf|step|adversarial|periodic|static")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.exact, "exact", false, "offline run: use the exact per-user engine")
+	fs.BoolVar(&o.consist, "consistency", false, "offline run: apply consistency post-processing")
+	fs.BoolVar(&o.series, "series", false, "offline run: print the t,truth,estimate series as CSV")
+	fs.StringVar(&o.wlOut, "write-workload", "", "offline run: write the generated workload as CSV to this file")
+	fs.StringVar(&o.wlIn, "read-workload", "", "read the Boolean workload from this CSV file instead of generating")
+	fs.StringVar(&o.drive, "drive", "", "scenario: load-test a running rtf-serve at this address (freshly started: the bit-for-bit check compares its cumulative state against this run alone)")
+	fs.IntVar(&o.conns, "conns", 4, "parallel connections of a server scenario")
+	fs.IntVar(&o.batch, "batch", 256, "messages per batch frame of a server scenario")
+	fs.Bool("recover", false, "scenario: crash choreography over one durable rtf-serve (with -domain [-hashed]: in that mode)")
+	fs.Bool("cluster", false, "scenario: crash choreography over rtf-gateway and three rtf-serve backends, one durable")
+	fs.Bool("domain", false, "scenario: crash choreography in exact domain mode over a gateway and three backends; with -recover, -hashed or -membership: their domain variants")
+	fs.Bool("membership", false, "scenario: membership choreography over rtf-gateway -members and rtf-serve -membership backends (K=2, 16 virtual shards): join mid-ingest, drain by snapshot handoff, kill -9 a replica")
+	fs.IntVar(&o.m, "m", 8, "domain size of a -domain scenario")
+	fs.Float64Var(&o.zipf, "zipf-s", 1.2, "Zipf exponent over items of a -domain scenario")
+	fs.Bool("hashed", false, "with -domain: hashed domain mode (-encoding loloha) — a catalogue past the exact 4096 cap, sampled verification, a bucket-derived RSS ceiling")
+	fs.IntVar(&o.buckets, "buckets", 256, "bucket count g of a -hashed scenario")
+	fs.StringVar(&o.serveBin, "serve-bin", "", "rtf-serve binary for spawning scenarios (default: next to this binary, then $PATH)")
+	fs.StringVar(&o.gatewayBin, "gateway-bin", "", "rtf-gateway binary for spawning scenarios (default: next to this binary, then $PATH)")
+	fs.Bool("soak", false, "scenario: soak choreography — paced acked-batch ingest at -qps for -duration with an early overload burst, /metrics scraped, the operational envelope asserted, answers bit-for-bit a reference fed only the acked batches")
+	fs.Float64Var(&o.qps, "qps", 5000, "-soak: target ingest messages/sec across all connections")
+	fs.DurationVar(&o.duration, "duration", 15*time.Second, "-soak: paced-load duration")
+	fs.IntVar(&o.soakBackends, "soak-backends", 0, "-soak topology: 0 = one rtf-serve, N >= 2 = rtf-gateway over N backends")
+	fs.IntVar(&o.queue, "queue", 2, "-soak: admission queue capacity on the target (0 = unbounded, disables shed assertions)")
+	fs.DurationVar(&o.p99, "p99-ceiling", 250*time.Millisecond, "-soak: max acceptable p99 ingest apply latency")
+	fs.StringVar(&o.dump, "metrics-dump", "", "-soak: write the final metrics snapshot JSON to this file")
+	return fs
+}
+
+// configure parses the command line and resolves it to a scenario.
+func configure(args []string) (*options, *scenario, error) {
+	o := new(options)
+	fs := flagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	var set []string
+	fs.Visit(func(f *flag.Flag) {
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); !ok || !b.IsBoolFlag() || f.Value.String() == "true" {
+			set = append(set, f.Name)
+		}
+	})
+	sc, err := resolve(set)
+	return o, sc, err
+}
+
 func main() {
-	var (
-		n        = flag.Int("n", 10000, "number of users")
-		d        = flag.Int("d", 256, "time periods (power of two)")
-		k        = flag.Int("k", 4, "max changes per user")
-		eps      = flag.Float64("eps", 1.0, "privacy budget (0 < eps <= 1)")
-		proto    = flag.String("protocol", "futurerand", "protocol: futurerand|independent|bun|erlingsson|naive-split|central-binary")
-		wl       = flag.String("workload", "uniform", "workload: uniform|max-changes|bursty|zipf|step|adversarial|periodic|static")
-		seed     = flag.Int64("seed", 1, "random seed")
-		exact    = flag.Bool("exact", false, "use the exact per-user engine")
-		consist  = flag.Bool("consistency", false, "apply consistency post-processing")
-		series   = flag.Bool("series", false, "print the t,truth,estimate series as CSV")
-		wlOut    = flag.String("write-workload", "", "write the generated workload as CSV to this file")
-		wlIn     = flag.String("read-workload", "", "read the workload from this CSV file instead of generating")
-		drive    = flag.String("drive", "", "load-test a running rtf-serve at this address instead of simulating (the server must be freshly started: the bit-for-bit check compares its cumulative state against this run alone)")
-		conns    = flag.Int("conns", 4, "parallel connections in -drive/-recover mode")
-		batch    = flag.Int("batch", 256, "messages per batch frame in -drive/-recover mode")
-		recovery = flag.Bool("recover", false, "run the kill/restart/recover test: spawn rtf-serve with a data dir, kill -9 it mid-ingest, restart, verify bit-for-bit recovery")
-		clusterM = flag.Bool("cluster", false, "run the scatter/gather cluster test: spawn rtf-gateway over three rtf-serve backends (one durable), kill -9 the durable backend mid-ingest, restart it, verify every query shape through the gateway bit-for-bit")
-		domainM  = flag.Bool("domain", false, "run the domain acceptance test: spawn a domain rtf-gateway over three domain rtf-serve backends (one durable), ingest a Zipf domain workload, kill -9 the durable backend mid-ingest, restart it, verify TopK/PointItem/SeriesItem through the gateway bit-for-bit")
-		memberM  = flag.Bool("membership", false, "run the dynamic-membership acceptance test: spawn an rtf-gateway -members front over rtf-serve -membership backends (K=2 replicas, 16 virtual shards), join a member mid-ingest asserting ~1/N shard movement, drain one via snapshot handoff, kill -9 a replica, verify every query shape bit-for-bit throughout (combinable with -domain)")
-		domSize  = flag.Int("m", 8, "domain size for -domain mode")
-		domZipf  = flag.Float64("zipf-s", 1.2, "Zipf exponent over items in -domain mode")
-		hashedM  = flag.Bool("hashed", false, "with -domain: run the hashed-domain (LOLOHA) acceptance test — the same topology and kill -9 recovery under -encoding loloha, a catalogue past the exact 4096 cap, TopK/sampled-item verification bit-for-bit, and a g-derived server RSS ceiling")
-		domBuck  = flag.Int("buckets", 256, "bucket count g for -domain -hashed")
-		serveBin = flag.String("serve-bin", "", "rtf-serve binary for -recover/-cluster/-soak (default: next to this binary, then $PATH)")
-		gwBin    = flag.String("gateway-bin", "", "rtf-gateway binary for -cluster/-soak (default: next to this binary, then $PATH)")
-		soak     = flag.Bool("soak", false, "run the soak harness: spawn a serving topology, drive paced acked-batch ingest at -qps for -duration with a mid-run overload burst, scrape /metrics, assert steady memory, bounded queue, whole-batch shedding and the p99 ceiling, then verify every answer bit-for-bit against a reference fed only the acked batches")
-		soakQPS  = flag.Float64("qps", 5000, "-soak: target ingest messages/sec across all connections")
-		soakDur  = flag.Duration("duration", 15*time.Second, "-soak: paced-load duration")
-		soakBack = flag.Int("soak-backends", 0, "-soak topology: 0 = one rtf-serve, N >= 2 = rtf-gateway over N backends")
-		soakQCap = flag.Int("queue", 2, "-soak: admission queue capacity on the target (0 = unbounded, disables shed assertions)")
-		soakP99  = flag.Duration("p99-ceiling", 250*time.Millisecond, "-soak: max acceptable p99 ingest apply latency")
-		soakDump = flag.String("metrics-dump", "", "-soak: write the final metrics snapshot JSON to this file")
-	)
-	flag.Parse()
-
-	if *domainM {
-		if *drive != "" || *recovery || *clusterM {
-			fatal(fmt.Errorf("-domain is mutually exclusive with -drive, -recover and -cluster"))
-		}
-		mech := ldp.Protocol(*proto)
-		mc, ok := ldp.Lookup(mech)
-		if !ok || !mc.Caps.Domain || !mc.Caps.Durable || !mc.Caps.Clustered {
-			fatal(fmt.Errorf("-domain needs a domain-capable, durable, clustered mechanism, got %q", *proto))
-		}
-		dw, err := ldp.GenerateDomain(*n, *d, *domSize, maxInt(*k, 1), *domZipf, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if *hashedM {
-			if *memberM {
-				fatal(fmt.Errorf("-membership does not support -hashed yet"))
-			}
-			if !mc.Caps.HashedDomain {
-				fatal(fmt.Errorf("-hashed needs a hashed-domain-capable mechanism, got %q", *proto))
-			}
-			// The epoch hash seed is derived from -seed so the whole run —
-			// workload, per-user engines, item→bucket map — replays from
-			// one number.
-			st, err := newHashedDomainDriver(dw, mech, *eps, *domBuck, uint64(*seed)+0x10f0, *conns, *batch, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			if err := runHashedDomain(st, *serveBin, *gwBin, *proto, *d, *k, *domSize, *eps); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		st, err := newDomainDriver(dw, mech, *eps, *conns, *batch, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if *memberM {
-			h := domainMemberHarness(st, *proto, *d, *k, *domSize, *eps)
-			if err := runMembership(h, *serveBin, *gwBin); err != nil {
-				fatal(err)
-			}
-			return
-		}
-		if err := runDomain(st, *serveBin, *gwBin, *proto, *d, *k, *domSize, *eps); err != nil {
-			fatal(err)
-		}
+	o, sc, err := configure(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-
-	if *hashedM {
-		fatal(fmt.Errorf("-hashed requires -domain"))
+	if err == nil {
+		if sc.run == nil {
+			err = offline(o)
+		} else {
+			err = serve(o, sc)
+		}
 	}
-
-	w, err := loadWorkload(*wlIn, *wl, *n, *d, *k, *seed)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(os.Stderr, "rtf-sim:", err)
+		os.Exit(1)
 	}
+}
 
-	if *drive != "" || *recovery || *clusterM || *soak || *memberM {
-		modes := 0
-		for _, on := range []bool{*drive != "", *recovery, *clusterM, *soak, *memberM} {
-			if on {
-				modes++
-			}
-		}
-		if modes > 1 {
-			fatal(fmt.Errorf("-drive, -recover, -cluster, -soak and -membership are mutually exclusive"))
-		}
-		mech := ldp.Protocol(*proto)
-		m, ok := ldp.Lookup(mech)
-		if !ok || !m.Caps.Sharded {
-			fatal(fmt.Errorf("server modes need a mechanism rtf-serve can host (sharded capability), got %q", *proto))
-		}
-		if *exact || *consist {
-			fatal(fmt.Errorf("-drive/-recover/-cluster do not support -exact or -consistency"))
-		}
-		st, err := newDriver(w, mech, *k, *eps, *conns, *batch, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		switch {
-		case *soak:
-			if *soakBack != 0 && (*soakBack < 2 || !m.Caps.Clustered) {
-				fatal(fmt.Errorf("-soak-backends needs >= 2 backends and a clustered mechanism, got %d over %q", *soakBack, *proto))
-			}
-			cfg := soakConfig{
-				qps:        *soakQPS,
-				duration:   *soakDur,
-				backends:   *soakBack,
-				queueCap:   *soakQCap,
-				p99Ceiling: *soakP99,
-				dumpPath:   *soakDump,
-			}
-			if err := runSoak(st, *serveBin, *gwBin, *proto, *d, *k, *eps, cfg); err != nil {
-				fatal(err)
-			}
-		case *recovery:
-			if !m.Caps.Durable {
-				fatal(fmt.Errorf("-recover needs a durable mechanism, got %q", *proto))
-			}
-			if err := runRecover(st, *serveBin, *proto, *d, *k, *eps); err != nil {
-				fatal(err)
-			}
-		case *clusterM:
-			if !m.Caps.Clustered || !m.Caps.Durable {
-				fatal(fmt.Errorf("-cluster needs a clustered, durable mechanism, got %q", *proto))
-			}
-			if err := runCluster(st, *serveBin, *gwBin, *proto, *d, *k, *eps); err != nil {
-				fatal(err)
-			}
-		case *memberM:
-			if !m.Caps.Clustered {
-				fatal(fmt.Errorf("-membership needs a clustered mechanism, got %q", *proto))
-			}
-			h := boolMemberHarness(st, *proto, *d, *k, *eps)
-			if err := runMembership(h, *serveBin, *gwBin); err != nil {
-				fatal(err)
-			}
-		default:
-			if err := runDrive(st, *drive); err != nil {
-				fatal(err)
-			}
-		}
-		return
+// serve runs a server-driving scenario: build the mode, deploy the
+// topology in it, hand both to the choreography.
+func serve(o *options, sc *scenario) error {
+	topo, err := sc.topology(o)
+	if err != nil {
+		return err
 	}
-	if *wlOut != "" {
-		f, err := os.Create(*wlOut)
+	need := sc.needs
+	need.Clustered = need.Clustered || topo.gateway != ""
+	mech, _ := ldp.Lookup(ldp.Protocol(o.proto)) // an unregistered protocol has no capabilities
+	if missing := lacking(mech.Caps, need); len(missing) > 0 {
+		return fmt.Errorf("%s needs a mechanism with the %v capabilities, -protocol %q lacks them", dashed(sc.selects), missing, o.proto)
+	}
+	if o.conns < 1 || o.batch < 1 {
+		return fmt.Errorf("-conns %d and -batch %d must be >= 1", o.conns, o.batch)
+	}
+	m, users, err := sc.mode(o)
+	if err != nil {
+		return err
+	}
+	dep, err := deploy(topo, m.serveFlags(), o.serveBin, o.gatewayBin)
+	if err != nil {
+		return err
+	}
+	defer dep.close()
+	return sc.run(sc.name, dep, &driver{mode: m, n: users, conns: o.conns, batch: o.batch}, o)
+}
+
+// offline is the run without servers: one protocol execution through
+// the batch engines, error metrics against the workload's truth.
+func offline(o *options) error {
+	w, err := loadWorkload(o)
+	if err != nil {
+		return err
+	}
+	if o.wlOut != "" {
+		f, err := os.Create(o.wlOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := w.WriteCSV(f); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
-
 	start := time.Now()
 	res, err := ldp.Track(w, ldp.Options{
-		Protocol:    ldp.Protocol(*proto),
-		Epsilon:     *eps,
-		Exact:       *exact,
-		Consistency: *consist,
-		Seed:        *seed,
+		Protocol:    ldp.Protocol(o.proto),
+		Epsilon:     o.eps,
+		Exact:       o.exact,
+		Consistency: o.consist,
+		Seed:        o.seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
 	fmt.Printf("protocol=%s workload=%s n=%d d=%d k=%d eps=%v seed=%d\n",
-		res.Protocol, *wl, w.N, w.D, w.K, *eps, *seed)
+		res.Protocol, o.workload, w.N, w.D, w.K, o.eps, o.seed)
 	fmt.Printf("max error  %.1f\n", res.MaxError)
 	fmt.Printf("MAE        %.1f\n", res.MAE)
 	fmt.Printf("RMSE       %.1f\n", res.RMSE)
@@ -299,25 +246,28 @@ func main() {
 	}
 	fmt.Printf("elapsed    %v\n", elapsed.Round(time.Millisecond))
 
-	if *series {
+	if o.series {
 		fmt.Println("t,truth,estimate")
 		for t := 1; t <= w.D; t++ {
 			fmt.Printf("%d,%d,%.2f\n", t, res.Truth[t-1], res.Estimates[t-1])
 		}
 	}
+	return nil
 }
 
-func loadWorkload(path, spec string, n, d, k int, seed int64) (*workload.Workload, error) {
-	if path != "" {
-		f, err := os.Open(path)
+// loadWorkload reads or generates the Boolean workload.
+func loadWorkload(o *options) (*workload.Workload, error) {
+	if o.wlIn != "" {
+		f, err := os.Open(o.wlIn)
 		if err != nil {
 			return nil, err
 		}
 		defer f.Close()
 		return workload.ReadCSV(f)
 	}
+	n, d, k := o.n, o.d, o.k
 	var s workload.Spec
-	switch spec {
+	switch o.workload {
 	case "uniform":
 		s = workload.Uniform{N: n, D: d, K: k}
 	case "max-changes":
@@ -331,784 +281,11 @@ func loadWorkload(path, spec string, n, d, k int, seed int64) (*workload.Workloa
 	case "adversarial":
 		s = workload.Adversarial{N: n, D: d, K: k}
 	case "periodic":
-		s = workload.Periodic{N: n, D: d, K: k, Period: maxInt(1, d/8)}
+		s = workload.Periodic{N: n, D: d, K: k, Period: max(1, d/8)}
 	case "static":
 		s = workload.Static{N: n, D: d}
 	default:
-		return nil, fmt.Errorf("unknown workload %q", spec)
+		return nil, fmt.Errorf("unknown workload %q", o.workload)
 	}
-	return workload.Generate(s, seed)
-}
-
-// driver holds the state shared by the server-driving modes: the
-// workload, the per-user client factory (deterministic per-user seeds,
-// so the report set is independent of how users are spread over
-// connections and over phases), and the cumulative in-process reference
-// server every answer is checked against bit-for-bit.
-type driver struct {
-	w       *workload.Workload
-	mech    ldp.Protocol
-	factory *ldp.ClientFactory
-	ref     *ldp.Server
-	eps     float64
-	conns   int
-	batch   int
-	seed    int64
-
-	mu      sync.Mutex // guards ref and the counters
-	reports int64
-	bytes   int64
-}
-
-func newDriver(w *workload.Workload, mech ldp.Protocol, k int, eps float64, conns, batch int, seed int64) (*driver, error) {
-	if conns < 1 {
-		return nil, fmt.Errorf("conns=%d must be >= 1", conns)
-	}
-	kk := maxInt(k, 1)
-	opts := []ldp.Option{ldp.WithMechanism(mech), ldp.WithSparsity(kk), ldp.WithEpsilon(eps)}
-	factory, err := ldp.NewClientFactory(w.D, opts...)
-	if err != nil {
-		return nil, err
-	}
-	ref, err := ldp.NewServer(w.D, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &driver{w: w, mech: mech, factory: factory, ref: ref, eps: eps, conns: conns, batch: batch, seed: seed}, nil
-}
-
-// sendUsers generates and ships the reports of users [lo, hi) to the
-// server at addr over the driver's parallel connections, folding the
-// same reports into the in-process reference. Each connection ends with
-// a fence query, so when sendUsers returns the server has applied — and
-// a durable server has journaled — everything sent.
-func (st *driver) sendUsers(addr string, lo, hi int) error {
-	var (
-		wg     sync.WaitGroup
-		firstE error
-	)
-	fail := func(err error) {
-		st.mu.Lock()
-		if firstE == nil {
-			firstE = err
-		}
-		st.mu.Unlock()
-	}
-	span := hi - lo
-	per := (span + st.conns - 1) / st.conns
-	for c := 0; c < st.conns; c++ {
-		clo, chi := lo+c*per, minInt(lo+(c+1)*per, hi)
-		if clo >= chi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer conn.Close()
-			rep, err := ldp.NewBatchReporter(conn, st.batch)
-			if err != nil {
-				fail(err)
-				return
-			}
-			var sent int64
-			// One user's reports are buffered locally and folded into the
-			// in-process reference under one lock per user: counter
-			// ingestion is commutative integer addition, so the estimates
-			// equal live ingestion, without per-report lock traffic on the
-			// send loop or retaining the whole report set in memory.
-			local := make([]ldp.Report, 0, st.w.D)
-			for u := lo; u < hi; u++ {
-				cl, err := st.factory.NewClient(u, st.seed+int64(u))
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := rep.Hello(u, cl.Order()); err != nil {
-					fail(err)
-					return
-				}
-				local = local[:0]
-				vals := st.w.Users[u].Values(st.w.D)
-				for t := 1; t <= st.w.D; t++ {
-					r, ok := cl.Observe(vals[t-1] == 1)
-					if !ok {
-						continue
-					}
-					local = append(local, r)
-					if err := rep.Report(r); err != nil {
-						fail(err)
-						return
-					}
-					sent++
-				}
-				st.mu.Lock()
-				err = st.ref.Register(cl.Order())
-				for _, r := range local {
-					if err != nil {
-						break
-					}
-					err = st.ref.Ingest(r)
-				}
-				st.mu.Unlock()
-				if err != nil {
-					fail(err)
-					return
-				}
-			}
-			if err := rep.Flush(); err != nil {
-				fail(err)
-				return
-			}
-			// Fence: a query response proves the server applied everything
-			// this connection sent before it.
-			enc := transport.NewEncoder(conn)
-			if err := enc.Encode(transport.Query(1)); err != nil {
-				fail(err)
-				return
-			}
-			if err := enc.Flush(); err != nil {
-				fail(err)
-				return
-			}
-			if _, err := transport.NewDecoder(conn).Next(); err != nil {
-				fail(fmt.Errorf("fence query: %w", err))
-				return
-			}
-			st.mu.Lock()
-			st.reports += sent
-			st.bytes += rep.BytesWritten()
-			st.mu.Unlock()
-		}(clo, chi)
-	}
-	wg.Wait()
-	return firstE
-}
-
-// verify queries the server at addr through every query shape — v1
-// point estimates for every period plus versioned point, change, series
-// and window frames — and checks each answer bit-for-bit against the
-// in-process reference. It returns the point-estimate series and the
-// number of v2 values checked.
-func (st *driver) verify(addr string) ([]float64, int, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
-	w := st.w
-
-	// Point estimates for every period through the v1 protocol.
-	for t := 1; t <= w.D; t++ {
-		if err := enc.Encode(transport.Query(t)); err != nil {
-			return nil, 0, err
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, 0, err
-	}
-	mismatches := 0
-	est := make([]float64, w.D)
-	for t := 1; t <= w.D; t++ {
-		m, err := dec.Next()
-		if err != nil {
-			return nil, 0, err
-		}
-		if m.Type != transport.MsgEstimate || m.T != t {
-			return nil, 0, fmt.Errorf("unexpected query response %+v at t=%d", m, t)
-		}
-		est[t-1] = m.Value
-		want, err := st.ref.EstimateAt(t)
-		if err != nil {
-			return nil, 0, err
-		}
-		if m.Value != want {
-			mismatches++
-			if mismatches <= 3 {
-				fmt.Fprintf(os.Stderr, "rtf-sim: t=%d server=%v in-process=%v\n", t, m.Value, want)
-			}
-		}
-	}
-	if mismatches > 0 {
-		return nil, 0, fmt.Errorf("%d of %d point estimates differ from the in-process engine", mismatches, w.D)
-	}
-
-	// The versioned query shapes: point, change, series, window — each
-	// checked bit-for-bit against the in-process Server.Answer.
-	v2 := []ldp.Query{
-		ldp.PointQuery(1),
-		ldp.PointQuery(w.D),
-		ldp.ChangeQuery(1, w.D),
-		ldp.ChangeQuery(w.D/4+1, w.D/2),
-		ldp.SeriesQuery(),
-		ldp.WindowQuery(1, w.D),
-		ldp.WindowQuery(w.D/2, w.D/2+1),
-	}
-	checked := 0
-	for _, q := range v2 {
-		got, err := queryV2(enc, dec, q)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s query: %w", q.Kind, err)
-		}
-		want, err := st.ref.Answer(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		wantVals := want.Series
-		if q.Kind == ldp.Point || q.Kind == ldp.Change {
-			wantVals = []float64{want.Value}
-		}
-		if len(got) != len(wantVals) {
-			return nil, 0, fmt.Errorf("%s query: %d values, want %d", q.Kind, len(got), len(wantVals))
-		}
-		for i := range got {
-			if got[i] != wantVals[i] {
-				return nil, 0, fmt.Errorf("%s query value %d: server=%v in-process=%v", q.Kind, i, got[i], wantVals[i])
-			}
-			checked++
-		}
-	}
-	return est, checked, nil
-}
-
-// runDrive load-tests an rtf-serve instance hosting the driver's
-// mechanism: every user's reports are shipped, then every query shape
-// is verified bit-for-bit against the in-process engine.
-func runDrive(st *driver, addr string) error {
-	start := time.Now()
-	if err := st.sendUsers(addr, 0, st.w.N); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	est, checked, err := st.verify(addr)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("drive addr=%s mechanism=%s n=%d d=%d k=%d eps=%v conns=%d batch=%d seed=%d\n",
-		addr, st.mech, st.w.N, st.w.D, st.w.K, st.eps, st.conns, st.batch, st.seed)
-	printDriveStats(st, est, checked, elapsed)
-	return nil
-}
-
-// printDriveStats reports throughput and accuracy for a drive run.
-func printDriveStats(st *driver, est []float64, checked int, elapsed time.Duration) {
-	fmt.Printf("reports    %d (%d users)\n", st.reports, st.w.N)
-	fmt.Printf("wire bytes %d (%.1f B/report)\n", st.bytes, float64(st.bytes)/float64(maxInt64(st.reports, 1)))
-	fmt.Printf("elapsed    %v (%.0f reports/s)\n", elapsed.Round(time.Millisecond), float64(st.reports)/elapsed.Seconds())
-	truth := st.w.Truth()
-	var maxErr float64
-	for t := 1; t <= st.w.D; t++ {
-		if e := abs(est[t-1] - float64(truth[t-1])); e > maxErr {
-			maxErr = e
-		}
-	}
-	fmt.Printf("max error  %.1f\n", maxErr)
-	fmt.Printf("estimates  bit-for-bit identical to the in-process engine (%d point + %d v2 values)\n", st.w.D, checked)
-}
-
-// runRecover is the crash-recovery acceptance test: spawn rtf-serve
-// with a fresh data directory, ingest half the users, kill -9 the
-// process, restart it on the same directory, and verify all four query
-// shapes answer bit-for-bit like the uninterrupted in-process engine —
-// immediately after recovery and again after the remaining users.
-func runRecover(st *driver, serveBin, mech string, d, k int, eps float64) error {
-	bin, err := findServeBin(serveBin)
-	if err != nil {
-		return fmt.Errorf("finding rtf-serve (-serve-bin): %w", err)
-	}
-	tmp, err := os.MkdirTemp("", "rtf-recover-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	dataDir := filepath.Join(tmp, "data")
-	args := []string{
-		"-addr", "127.0.0.1:0",
-		"-mechanism", mech,
-		"-d", fmt.Sprint(d),
-		"-k", fmt.Sprint(k),
-		"-eps", fmt.Sprint(eps),
-		"-data-dir", dataDir,
-		"-fsync",
-		"-snapshot-every", "300ms", // exercise snapshot+WAL interplay mid-run
-		"-grace", "10s",
-	}
-	start := time.Now()
-	proc, addr, err := startServe(bin, args)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if proc != nil {
-			proc.kill()
-		}
-	}()
-
-	// Phase 1 lands in two chunks with a pause in between, long enough
-	// for a periodic snapshot to fire: the kill then tests real mixed
-	// recovery — restore the snapshot, replay the WAL records after its
-	// cursor — not just a replay of the whole log.
-	half := st.w.N / 2
-	fmt.Printf("recover    phase 1: %d users -> %s (data %s)\n", half, addr, dataDir)
-	if err := st.sendUsers(addr, 0, half/2); err != nil {
-		return err
-	}
-	time.Sleep(700 * time.Millisecond) // > -snapshot-every: let a snapshot cover the prefix
-	if err := st.sendUsers(addr, half/2, half); err != nil {
-		return err
-	}
-	if _, _, err := st.verify(addr); err != nil {
-		return fmt.Errorf("pre-crash verification: %w", err)
-	}
-
-	// The kill must land mid-ingest — while frames are actively being
-	// journaled and applied — not on a quiescent server. A doomed
-	// connection streams hello batches for phantom users until the
-	// process dies under it. Hellos hit the WAL and the user counters
-	// but never the interval sums, so however many of them survive the
-	// crash, every estimate the verifications below check stays exactly
-	// the in-process engine's. (Unfenced *reports* could not be used
-	// here: the driver cannot know which of them became durable.)
-	doomed := make(chan struct{})
-	go func() {
-		defer close(doomed)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		enc := transport.NewEncoder(conn)
-		batch := make([]transport.Msg, 64)
-		for u := 0; ; u++ {
-			for i := range batch {
-				batch[i] = transport.Hello(1_000_000+u*len(batch)+i, 0)
-			}
-			if err := enc.EncodeBatch(batch); err != nil {
-				return
-			}
-			if err := enc.Flush(); err != nil {
-				return // the kill severed the connection: done
-			}
-		}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the doomed stream get going
-	fmt.Printf("recover    kill -9 pid %d mid-ingest\n", proc.cmd.Process.Pid)
-	if err := proc.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	proc.wait() // "signal: killed" is the expected outcome
-	proc = nil
-	<-doomed
-
-	proc2, addr2, err := startServe(bin, args)
-	if err != nil {
-		return fmt.Errorf("restarting after kill: %w", err)
-	}
-	defer func() {
-		if proc2 != nil {
-			proc2.kill()
-		}
-	}()
-	if _, checked, err := st.verify(addr2); err != nil {
-		return fmt.Errorf("post-recovery verification: %w", err)
-	} else {
-		fmt.Printf("recover    restarted at %s: %d point + %d v2 values bit-for-bit after snapshot+WAL recovery\n",
-			addr2, st.w.D, checked)
-	}
-
-	fmt.Printf("recover    phase 2: %d users -> %s\n", st.w.N-half, addr2)
-	if err := st.sendUsers(addr2, half, st.w.N); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	est, checked, err := st.verify(addr2)
-	if err != nil {
-		return fmt.Errorf("final verification: %w", err)
-	}
-
-	// Graceful shutdown: SIGTERM must drain, flush a final snapshot,
-	// and exit 0.
-	if err := proc2.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := proc2.wait(); err != nil {
-		return fmt.Errorf("rtf-serve did not exit 0 on SIGTERM: %w", err)
-	}
-	proc2 = nil
-
-	fmt.Printf("recover mechanism=%s n=%d d=%d k=%d eps=%v conns=%d batch=%d seed=%d\n",
-		st.mech, st.w.N, st.w.D, st.w.K, eps, st.conns, st.batch, st.seed)
-	printDriveStats(st, est, checked, elapsed)
-	fmt.Println("recover    kill -9 + restart recovered bit-for-bit; SIGTERM drained and exited 0")
-	return nil
-}
-
-// runCluster is the scatter/gather acceptance test: spawn three
-// rtf-serve backends (backend 0 durable: snapshot + write-ahead log)
-// and an rtf-gateway partitioning users across them, ingest half the
-// users through the gateway, kill -9 the durable backend mid-ingest,
-// restart it on the same port and data directory, and verify — after
-// recovery and again after the remaining users — that Point, Change,
-// Series and Window answers through the gateway are bit-for-bit
-// identical to one uninterrupted in-process engine. Everything is
-// finally SIGTERMed and must drain and exit 0.
-func runCluster(st *driver, serveBin, gatewayBin, mech string, d, k int, eps float64) error {
-	const nBackends = 3
-	sBin, err := findBin(serveBin, "rtf-serve")
-	if err != nil {
-		return fmt.Errorf("finding rtf-serve (-serve-bin): %w", err)
-	}
-	gBin, err := findBin(gatewayBin, "rtf-gateway")
-	if err != nil {
-		return fmt.Errorf("finding rtf-gateway (-gateway-bin): %w", err)
-	}
-	tmp, err := os.MkdirTemp("", "rtf-cluster-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	dataDir := filepath.Join(tmp, "backend0")
-
-	common := []string{
-		"-mechanism", mech,
-		"-d", fmt.Sprint(d),
-		"-k", fmt.Sprint(k),
-		"-eps", fmt.Sprint(eps),
-	}
-	// Backend 0 is the durable one that gets killed and recovered; 1 and
-	// 2 stay in-memory and untouched.
-	durableArgs := func(addr string) []string {
-		return append([]string{
-			"-addr", addr,
-			"-data-dir", dataDir,
-			"-fsync",
-			"-snapshot-every", "300ms", // exercise snapshot+WAL interplay mid-run
-			"-grace", "10s",
-		}, common...)
-	}
-
-	start := time.Now()
-	backends := make([]*serveProc, nBackends)
-	addrs := make([]string, nBackends)
-	defer func() {
-		for _, p := range backends {
-			if p != nil {
-				p.kill()
-			}
-		}
-	}()
-	for i := 0; i < nBackends; i++ {
-		args := append([]string{"-addr", "127.0.0.1:0"}, common...)
-		if i == 0 {
-			args = durableArgs("127.0.0.1:0")
-		}
-		p, a, err := startProc(sBin, fmt.Sprintf("backend%d", i), args)
-		if err != nil {
-			return fmt.Errorf("starting backend %d: %w", i, err)
-		}
-		backends[i], addrs[i] = p, a
-	}
-
-	gwArgs := append([]string{
-		"-addr", "127.0.0.1:0",
-		"-backends", strings.Join(addrs, ","),
-		"-grace", "10s",
-	}, common...)
-	gw, gwAddr, err := startProc(gBin, "rtf-gateway", gwArgs)
-	if err != nil {
-		return fmt.Errorf("starting rtf-gateway: %w", err)
-	}
-	defer func() {
-		if gw != nil {
-			gw.kill()
-		}
-	}()
-
-	// Phase 1 lands in two chunks with a pause long enough for a
-	// periodic snapshot on backend 0, so the kill tests real mixed
-	// recovery (snapshot + WAL suffix), not a full-log replay.
-	half := st.w.N / 2
-	fmt.Printf("cluster    phase 1: %d users -> gateway %s over %d backends (backend 0 durable at %s)\n",
-		half, gwAddr, nBackends, dataDir)
-	if err := st.sendUsers(gwAddr, 0, half/2); err != nil {
-		return err
-	}
-	time.Sleep(700 * time.Millisecond) // > -snapshot-every: let a snapshot cover the prefix
-	if err := st.sendUsers(gwAddr, half/2, half); err != nil {
-		return err
-	}
-	if _, _, err := st.verify(gwAddr); err != nil {
-		return fmt.Errorf("pre-crash verification: %w", err)
-	}
-
-	// The kill must land mid-ingest on the durable backend. A doomed
-	// connection streams phantom-user hello batches through the gateway,
-	// with user ids ≡ 0 mod nBackends so every one routes to backend 0.
-	// Hellos hit backend 0's WAL and user counters but never the
-	// interval sums, so whatever prefix survives the crash — or is
-	// re-forwarded by the gateway's at-least-once retry — every estimate
-	// the verifications below check stays exactly the in-process
-	// engine's.
-	doomedConn, err := net.Dial("tcp", gwAddr)
-	if err != nil {
-		return err
-	}
-	doomed := make(chan struct{})
-	go func() {
-		defer close(doomed)
-		enc := transport.NewEncoder(doomedConn)
-		batch := make([]transport.Msg, 64)
-		for u := 0; ; u++ {
-			for i := range batch {
-				batch[i] = transport.Hello(3_000_000+(u*len(batch)+i)*nBackends, 0)
-			}
-			if err := enc.EncodeBatch(batch); err != nil {
-				return
-			}
-			if err := enc.Flush(); err != nil {
-				return // the connection was closed under us: done
-			}
-		}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the doomed stream get going
-	fmt.Printf("cluster    kill -9 backend 0 (pid %d) mid-ingest\n", backends[0].cmd.Process.Pid)
-	if err := backends[0].cmd.Process.Kill(); err != nil {
-		return err
-	}
-	backends[0].wait() // "signal: killed" is the expected outcome
-	backends[0] = nil
-	// The gateway survives the dead backend (its forwards retry with
-	// backoff); the doomed client is ours, so cut it loose.
-	doomedConn.Close()
-	<-doomed
-
-	// Restart backend 0 on the same port (the gateway's backend list is
-	// fixed) and data directory: boot recovery = snapshot + WAL suffix.
-	restarted, raddr, err := startProc(sBin, "backend0", durableArgs(addrs[0]))
-	if err != nil {
-		return fmt.Errorf("restarting backend 0 after kill: %w", err)
-	}
-	backends[0] = restarted
-	if raddr != addrs[0] {
-		return fmt.Errorf("backend 0 restarted at %s, want %s", raddr, addrs[0])
-	}
-	if _, checked, err := st.verify(gwAddr); err != nil {
-		return fmt.Errorf("post-recovery verification through the gateway: %w", err)
-	} else {
-		fmt.Printf("cluster    backend 0 recovered: %d point + %d v2 values bit-for-bit through the gateway\n",
-			st.w.D, checked)
-	}
-
-	fmt.Printf("cluster    phase 2: %d users -> gateway %s\n", st.w.N-half, gwAddr)
-	if err := st.sendUsers(gwAddr, half, st.w.N); err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	est, checked, err := st.verify(gwAddr)
-	if err != nil {
-		return fmt.Errorf("final verification: %w", err)
-	}
-
-	// Graceful shutdown, front to back: the gateway and every backend
-	// must drain and exit 0 on SIGTERM (backend 0 flushing a final
-	// snapshot).
-	if err := gw.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	if err := gw.wait(); err != nil {
-		return fmt.Errorf("rtf-gateway did not exit 0 on SIGTERM: %w", err)
-	}
-	gw = nil
-	for i, p := range backends {
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		if err := p.wait(); err != nil {
-			return fmt.Errorf("backend %d did not exit 0 on SIGTERM: %w", i, err)
-		}
-		backends[i] = nil
-	}
-
-	fmt.Printf("cluster mechanism=%s n=%d d=%d k=%d eps=%v conns=%d batch=%d seed=%d backends=%d\n",
-		st.mech, st.w.N, st.w.D, st.w.K, eps, st.conns, st.batch, st.seed, nBackends)
-	printDriveStats(st, est, checked, elapsed)
-	fmt.Println("cluster    kill -9 + restart of the durable backend recovered bit-for-bit; gateway and backends drained and exited 0")
-	return nil
-}
-
-// findServeBin resolves the rtf-serve binary: the explicit flag, a
-// sibling of this executable, then $PATH.
-func findServeBin(explicit string) (string, error) {
-	return findBin(explicit, "rtf-serve")
-}
-
-// findBin resolves a helper binary: the explicit flag, a sibling of
-// this executable, then $PATH.
-func findBin(explicit, name string) (string, error) {
-	if explicit != "" {
-		return explicit, nil
-	}
-	if exe, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(exe), name)
-		if fi, err := os.Stat(cand); err == nil && !fi.IsDir() {
-			return cand, nil
-		}
-	}
-	return exec.LookPath(name)
-}
-
-// serveProc is a spawned rtf-serve: the process plus the goroutine
-// relaying its stderr. wait must be used instead of cmd.Wait so the
-// relay finishes reading the pipe first (os/exec forbids Wait while a
-// pipe read is in flight — it would drop the tail of the child's log).
-// metricsAddr is the child's /metrics address when it was started with
-// -metrics, empty otherwise.
-type serveProc struct {
-	cmd         *exec.Cmd
-	scanDone    chan struct{}
-	metricsAddr string
-}
-
-// wait waits for the stderr relay to hit EOF, then reaps the process.
-func (p *serveProc) wait() error {
-	<-p.scanDone
-	return p.cmd.Wait()
-}
-
-// kill SIGKILLs the process and reaps it; for use on error paths.
-func (p *serveProc) kill() {
-	p.cmd.Process.Kill()
-	p.wait()
-}
-
-// startServe launches rtf-serve and waits for its "listening on"
-// stderr line to learn the bound address (the test uses port 0). The
-// rest of the child's stderr keeps streaming through, prefixed.
-func startServe(bin string, args []string) (*serveProc, string, error) {
-	return startProc(bin, "rtf-serve", args)
-}
-
-// startProc launches a server binary (rtf-serve or rtf-gateway) and
-// waits for its "listening on" stderr line to learn the bound address
-// (the tests use port 0). The rest of the child's stderr keeps
-// streaming through, prefixed with name. A child that exits before
-// reporting an address (a failed bind, say) fails fast rather than
-// timing out.
-func startProc(bin, name string, args []string) (*serveProc, string, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = os.Stdout
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		return nil, "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, "", err
-	}
-	p := &serveProc{cmd: cmd, scanDone: make(chan struct{})}
-	type listenInfo struct{ addr, metrics string }
-	addrCh := make(chan listenInfo, 1)
-	go func() {
-		defer close(p.scanDone)
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			line := sc.Text()
-			fmt.Fprintln(os.Stderr, "  ["+name+"]", line)
-			if a, m, ok := parseListenAddr(line); ok {
-				select {
-				case addrCh <- listenInfo{a, m}:
-				default:
-				}
-			}
-		}
-	}()
-	select {
-	case li := <-addrCh:
-		p.metricsAddr = li.metrics
-		return p, li.addr, nil
-	case <-p.scanDone:
-		select {
-		case li := <-addrCh: // reported and exited in one breath
-			p.metricsAddr = li.metrics
-			return p, li.addr, nil
-		default:
-		}
-		err := p.cmd.Wait()
-		return nil, "", fmt.Errorf("%s exited before reporting a listen address: %v", name, err)
-	case <-time.After(15 * time.Second):
-		p.kill()
-		return nil, "", fmt.Errorf("%s did not report a listen address within 15s", name)
-	}
-}
-
-// parseListenAddr extracts the listen (and, when present, metrics)
-// address from a server's structured startup line:
-//
-//	ts=... level=info component=rtf-serve msg=listening addr=127.0.0.1:7609 metrics=127.0.0.1:9609 ...
-func parseListenAddr(line string) (addr, metrics string, ok bool) {
-	kv, ok := obs.ParseLogLine(line)
-	if !ok || kv["msg"] != "listening" || kv["addr"] == "" {
-		return "", "", false
-	}
-	return kv["addr"], kv["metrics"], true
-}
-
-// queryV2 sends one versioned query and decodes the answer values.
-func queryV2(enc *transport.Encoder, dec *transport.Decoder, q ldp.Query) ([]float64, error) {
-	l, r := q.L, q.R
-	if q.Kind == ldp.Point {
-		l, r = q.T, q.T
-	}
-	if err := enc.Encode(transport.QueryV2(transport.QueryKind(q.Kind), l, r)); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	a, err := dec.ReadAnswer()
-	if err != nil {
-		return nil, err
-	}
-	if a.Kind != transport.QueryKind(q.Kind) {
-		return nil, fmt.Errorf("answer kind %s for %s query", a.Kind, q.Kind)
-	}
-	return a.Values, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtf-sim:", err)
-	os.Exit(1)
+	return workload.Generate(s, o.seed)
 }

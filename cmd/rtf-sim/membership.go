@@ -1,130 +1,52 @@
 package main
 
-// The -membership acceptance mode: the dynamic-membership deployment
-// driven end to end. Three rtf-serve -membership backends behind an
-// rtf-gateway -members front (K=2 replicas over 16 virtual shards)
-// ingest a workload in thirds; a fourth backend joins mid-ingest via
-// the reshard API (asserting the rendezvous plan moved only ~1/N of
-// the shard replicas), a drained backend hands its shards off by
-// snapshot and exits 0 on SIGTERM, one surviving replica is kill -9ed
-// under a doomed ingest stream aimed at its own shards — and at every
-// stage every query shape through the gateway is checked bit-for-bit
-// against one uninterrupted in-process engine. With -domain the same
-// choreography runs over the domain deployment and the item-scoped
-// shapes.
-
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
+	"io"
 	"net/http"
+	"slices"
 	"strings"
-	"syscall"
 	"time"
 
-	"rtf/internal/membership"
+	member "rtf/internal/membership"
 	"rtf/internal/obs"
-	"rtf/internal/transport"
 )
 
-// memberHarness abstracts the driver differences between the Boolean
-// and domain variants of the membership scenario: how to ship a user
-// range, how to verify every query shape, and what a phantom hello
-// for the doomed stream looks like.
-type memberHarness struct {
-	label  string // output prefix: "membership" or "membership-domain"
-	n      int
-	common []string // protocol flags shared by backends and gateway
-	send   func(addr string, lo, hi int) error
-	verify func(addr string) (int, error)
-	hello  func(user int) transport.Msg
-	report func(elapsed time.Duration, checked int)
+// reshardResult mirrors cluster.ReshardResult's wire form.
+type reshardResult struct {
+	Epoch     uint64 `json:"epoch"`
+	Transfers int    `json:"transfers"`
+	Members   int    `json:"members"`
+	K         int    `json:"k"`
 }
 
-// boolMemberHarness adapts the Boolean driver.
-func boolMemberHarness(st *driver, mech string, d, k int, eps float64) memberHarness {
-	return memberHarness{
-		label: "membership",
-		n:     st.w.N,
-		common: []string{
-			"-mechanism", mech,
-			"-d", fmt.Sprint(d),
-			"-k", fmt.Sprint(k),
-			"-eps", fmt.Sprint(eps),
-		},
-		send: st.sendUsers,
-		verify: func(addr string) (int, error) {
-			_, checked, err := st.verify(addr)
-			return st.w.D + checked, err
-		},
-		hello: func(u int) transport.Msg { return transport.Hello(u, 0) },
-		report: func(elapsed time.Duration, checked int) {
-			fmt.Printf("membership mechanism=%s n=%d d=%d k=%d eps=%v conns=%d batch=%d seed=%d\n",
-				st.mech, st.w.N, st.w.D, st.w.K, eps, st.conns, st.batch, st.seed)
-			fmt.Printf("reports    %d (%d users)\n", st.reports, st.w.N)
-			fmt.Printf("wire bytes %d\n", st.bytes)
-			fmt.Printf("elapsed    %v (%.0f reports/s)\n", elapsed.Round(time.Millisecond), float64(st.reports)/elapsed.Seconds())
-			fmt.Printf("checked    %d values bit-for-bit at the final stage alone\n", checked)
-		},
+// reshard posts a new member list to the gateway's admin API.
+func reshard(url string, members []member.Member) (res reshardResult, err error) {
+	type entry struct {
+		ID   string `json:"id"`
+		Addr string `json:"addr"`
 	}
-}
-
-// domainMemberHarness adapts the domain driver.
-func domainMemberHarness(st *domainDriver, mech string, d, k, m int, eps float64) memberHarness {
-	return memberHarness{
-		label: "membership-domain",
-		n:     st.w.N,
-		common: []string{
-			"-mechanism", mech,
-			"-d", fmt.Sprint(d),
-			"-k", fmt.Sprint(k),
-			"-m", fmt.Sprint(m),
-			"-eps", fmt.Sprint(eps),
-		},
-		send:   st.sendUsers,
-		verify: st.verify,
-		hello:  func(u int) transport.Msg { return transport.DomainHello(u, 0, 0) },
-		report: func(elapsed time.Duration, checked int) {
-			fmt.Printf("membership-domain mechanism=%s n=%d d=%d k=%d m=%d eps=%v conns=%d batch=%d seed=%d\n",
-				st.mech, st.w.N, st.w.D, st.w.K, st.w.M, eps, st.conns, st.batch, st.seed)
-			fmt.Printf("reports    %d (%d users over %d items)\n", st.reports, st.w.N, st.w.M)
-			fmt.Printf("wire bytes %d\n", st.bytes)
-			fmt.Printf("elapsed    %v (%.0f reports/s)\n", elapsed.Round(time.Millisecond), float64(st.reports)/elapsed.Seconds())
-			fmt.Printf("checked    %d item-scoped values bit-for-bit at the final stage alone\n", checked)
-		},
-	}
-}
-
-// postReshard drives the gateway's admin API and decodes the result.
-func postReshard(url string, members []membership.Member, k int) (reshardResultJSON, error) {
 	req := struct {
-		Members []struct {
-			ID   string `json:"id"`
-			Addr string `json:"addr"`
-		} `json:"members"`
-		K int `json:"k"`
-	}{K: k}
+		Members []entry `json:"members"`
+		K       int     `json:"k"`
+	}{K: replicas}
 	for _, m := range members {
-		req.Members = append(req.Members, struct {
-			ID   string `json:"id"`
-			Addr string `json:"addr"`
-		}{m.ID, m.Addr})
+		req.Members = append(req.Members, entry{m.ID, m.Addr})
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		return reshardResultJSON{}, err
+		return res, err
 	}
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return reshardResultJSON{}, err
+		return res, err
 	}
 	defer resp.Body.Close()
-	var res reshardResultJSON
 	if resp.StatusCode != http.StatusOK {
-		buf := new(bytes.Buffer)
-		buf.ReadFrom(resp.Body)
-		return res, fmt.Errorf("reshard: %s: %s", resp.Status, strings.TrimSpace(buf.String()))
+		msg, _ := io.ReadAll(resp.Body)
+		return res, fmt.Errorf("reshard: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		return res, fmt.Errorf("decoding reshard result: %w", err)
@@ -132,282 +54,143 @@ func postReshard(url string, members []membership.Member, k int) (reshardResultJ
 	return res, nil
 }
 
-// reshardResultJSON mirrors cluster.ReshardResult's wire form.
-type reshardResultJSON struct {
-	Epoch     uint64 `json:"epoch"`
-	Transfers int    `json:"transfers"`
-	Members   int    `json:"members"`
-	K         int    `json:"k"`
-}
-
-func cloneMembers(ms []membership.Member) []membership.Member {
-	return append([]membership.Member(nil), ms...)
-}
-
-// runMembership is the dynamic-membership acceptance test. The
-// choreography, over K=2 replicas and 16 virtual shards:
+// membership is the dynamic-membership choreography, over a member
+// gateway (K = 2 replicas, 16 virtual shards) and three backends:
 //
-//  1. three members ingest a third of the users; verify.
-//  2. a fourth member joins by reshard WHILE the second third is in
-//     flight; the reported snapshot transfers must equal the in-process
-//     rendezvous plan and stay within half the shard replicas (the
-//     point of rendezvous placement: a join moves ~1/N, not a reshuffle).
-//  3. one member drains by reshard (its shards hand off via snapshot
-//     transfer) and must then SIGTERM-exit 0; verify.
-//  4. the last third lands, a doomed stream of phantom hellos is aimed
-//     at the shards of one surviving replica, that replica is kill -9ed
-//     under it — and every query shape must still answer bit-for-bit,
-//     through quorum reads on the surviving owners.
+//  1. the three members ingest a third of the users; verify.
+//  2. b3 joins by reshard WHILE the second third is in flight — the epoch
+//     fence must park and re-route live ingest sessions; the reported
+//     snapshot transfers must equal the in-process rendezvous plan and
+//     stay within half the shard replicas (the point of rendezvous
+//     placement: a join moves ~1/N, not a reshuffle); verify.
+//  3. b1 drains by reshard (its shards hand off via snapshot transfer)
+//     and must then SIGTERM-exit 0; verify.
+//  4. the last third lands, a doomed stream of phantom hellos is aimed at
+//     the shards of b2, b2 is kill -9ed under it — and every query shape
+//     must still answer bit-for-bit, through quorum reads on the
+//     surviving owner of every shard b2 held.
 //
-// Throughout, the gateway's epoch/divergence/short-read gauges are
-// asserted from /metrics, and the gateway and both surviving members
-// must drain and exit 0 on SIGTERM.
-func runMembership(h memberHarness, serveBin, gatewayBin string) error {
-	const (
-		replicas = 2
-		vshards  = 16
-	)
-	sBin, err := findBin(serveBin, "rtf-serve")
-	if err != nil {
-		return fmt.Errorf("finding rtf-serve (-serve-bin): %w", err)
-	}
-	gBin, err := findBin(gatewayBin, "rtf-gateway")
-	if err != nil {
-		return fmt.Errorf("finding rtf-gateway (-gateway-bin): %w", err)
-	}
-
-	procs := map[string]*serveProc{}
-	defer func() {
-		for _, p := range procs {
-			if p != nil {
-				p.kill()
-			}
-		}
-	}()
-	newBackend := func(i int) (membership.Member, error) {
-		id := fmt.Sprintf("b%d", i)
-		args := append([]string{
-			"-addr", "127.0.0.1:0",
-			"-membership",
-			"-id", id,
-			"-vshards", fmt.Sprint(vshards),
-			"-grace", "10s",
-		}, h.common...)
-		p, a, err := startProc(sBin, id, args)
-		if err != nil {
-			return membership.Member{}, fmt.Errorf("starting backend %s: %w", id, err)
-		}
-		procs[id] = p
-		return membership.Member{ID: id, Addr: a}, nil
-	}
-	stopBackend := func(id string) error {
-		p := procs[id]
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		if err := p.wait(); err != nil {
-			return fmt.Errorf("backend %s did not exit 0 on SIGTERM: %w", id, err)
-		}
-		procs[id] = nil
-		return nil
-	}
-
-	var members []membership.Member
-	for i := 0; i < 3; i++ {
-		m, err := newBackend(i)
-		if err != nil {
-			return err
-		}
-		members = append(members, m)
-	}
-
-	spec := make([]string, len(members))
-	for i, m := range members {
-		spec[i] = m.ID + "=" + m.Addr
-	}
-	gwArgs := append([]string{
-		"-addr", "127.0.0.1:0",
-		"-members", strings.Join(spec, ","),
-		"-replicas", fmt.Sprint(replicas),
-		"-vshards", fmt.Sprint(vshards),
-		"-metrics", "127.0.0.1:0",
-		"-dial-attempts", "2", // fail over to the quorum survivor quickly
-		"-grace", "10s",
-	}, h.common...)
-	gw, gwAddr, err := startProc(gBin, "rtf-gateway", gwArgs)
-	if err != nil {
-		return fmt.Errorf("starting rtf-gateway: %w", err)
-	}
-	procs["gateway"] = gw
-	if gw.metricsAddr == "" {
+// The gateway's own ledger must agree at the end — epoch, transfers, at
+// least one short read, no divergence — and the gateway and both
+// surviving members must drain and exit 0 on SIGTERM.
+func membership(name string, dep *deployment, st *driver, _ *options) error {
+	gw := dep.gateway
+	if gw.metrics == "" {
 		return fmt.Errorf("rtf-gateway reported no metrics address (the reshard API mounts there)")
 	}
-	reshardURL := "http://" + gw.metricsAddr + "/membership/reshard"
-	view := membership.View{Epoch: 1, K: replicas, NumShards: vshards, Members: cloneMembers(members)}
+	reshardURL := "http://" + gw.metrics + "/membership/reshard"
+	var members []member.Member
+	for _, p := range dep.backends {
+		members = append(members, member.Member{ID: p.name, Addr: p.addr})
+	}
+	view := member.View{Epoch: 1, K: replicas, NumShards: vshards, Members: slices.Clone(members)}
+	// move reshards to next and checks the result against the plan.
+	transfers := 0
+	move := func(what string, next []member.Member) (int, error) {
+		nextView := member.View{Epoch: view.Epoch + 1, K: replicas, NumShards: vshards, Members: slices.Clone(next)}
+		plan := len(member.Plan(view, nextView))
+		res, err := reshard(reshardURL, next)
+		if err != nil {
+			return 0, fmt.Errorf("%s reshard: %w", what, err)
+		}
+		if res.Epoch != nextView.Epoch || res.Members != len(next) || res.K != replicas || res.Transfers != plan {
+			return 0, fmt.Errorf("%s reshard result %+v, want epoch %d over %d members moving the rendezvous plan's %d shard snapshots",
+				what, res, nextView.Epoch, len(next), plan)
+		}
+		members, view, transfers = next, nextView, transfers+plan
+		return plan, nil
+	}
 
 	start := time.Now()
-	third := h.n / 3
-
-	// Stage 1: a third of the users through the initial three members.
+	addr, third := dep.addr, st.n/3
 	fmt.Printf("%s stage 1: %d users -> gateway %s over %d members (K=%d, %d shards)\n",
-		h.label, third, gwAddr, len(members), replicas, vshards)
-	if err := h.send(gwAddr, 0, third); err != nil {
+		name, third, addr, len(members), replicas, vshards)
+	if err := st.send(addr, 0, third); err != nil {
 		return err
 	}
-	if _, err := h.verify(gwAddr); err != nil {
+	if _, err := st.verify(addr); err != nil {
 		return fmt.Errorf("stage 1 verification: %w", err)
 	}
 
-	// Stage 2: b3 joins by reshard while the second third is in flight —
-	// the epoch fence must park and re-route live ingest sessions, and
-	// the movement must be the rendezvous plan's, not a reshuffle.
-	ingestDone := make(chan error, 1)
-	go func() { ingestDone <- h.send(gwAddr, third, 2*third) }()
+	ingest := make(chan error, 1)
+	go func() { ingest <- st.send(addr, third, 2*third) }()
 	time.Sleep(50 * time.Millisecond) // let the concurrent ingest get going
-	m3, err := newBackend(3)
+	b3, err := dep.addBackend()
 	if err != nil {
 		return err
 	}
-	joined := append(cloneMembers(members), m3)
-	nextView := membership.View{Epoch: view.Epoch + 1, K: replicas, NumShards: vshards, Members: cloneMembers(joined)}
-	plan := membership.Plan(view, nextView)
-	res, err := postReshard(reshardURL, joined, replicas)
+	moved, err := move("join", append(slices.Clone(members), member.Member{ID: b3.name, Addr: b3.addr}))
 	if err != nil {
-		return fmt.Errorf("join reshard: %w", err)
+		return err
 	}
-	fmt.Printf("%s stage 2: %s joined mid-ingest: epoch %d, %d shard snapshots moved (plan %d, ceiling %d of %d replicas)\n",
-		h.label, m3.ID, res.Epoch, res.Transfers, len(plan), vshards*replicas/2, vshards*replicas)
-	if res.Epoch != 2 || res.Members != len(joined) || res.K != replicas {
-		return fmt.Errorf("join reshard result %+v, want epoch 2 over %d members", res, len(joined))
-	}
-	if res.Transfers != len(plan) {
-		return fmt.Errorf("join moved %d shard snapshots, the rendezvous plan has %d", res.Transfers, len(plan))
-	}
-	if len(plan) < 1 || len(plan) > vshards*replicas/2 {
+	fmt.Printf("%s stage 2: %s joined mid-ingest: epoch %d, %d shard snapshots moved (ceiling %d of %d replicas)\n",
+		name, b3.name, view.Epoch, moved, vshards*replicas/2, vshards*replicas)
+	if moved < 1 || moved > vshards*replicas/2 {
 		return fmt.Errorf("join moved %d of %d shard replicas; rendezvous placement should move ~1/%d",
-			len(plan), vshards*replicas, len(joined))
+			moved, vshards*replicas, len(members))
 	}
-	members, view = joined, nextView
-	if err := <-ingestDone; err != nil {
+	if err := <-ingest; err != nil {
 		return fmt.Errorf("ingest concurrent with the join reshard: %w", err)
 	}
-	if _, err := h.verify(gwAddr); err != nil {
+	if _, err := st.verify(addr); err != nil {
 		return fmt.Errorf("post-join verification: %w", err)
 	}
-	transfersTotal := res.Transfers
 
-	// Stage 3: b1 drains — the reshard hands its shards off by snapshot
-	// transfer, after which the process must SIGTERM-exit 0.
-	var drained []membership.Member
-	for _, m := range members {
-		if m.ID != "b1" {
-			drained = append(drained, m)
-		}
-	}
-	nextView = membership.View{Epoch: view.Epoch + 1, K: replicas, NumShards: vshards, Members: cloneMembers(drained)}
-	plan = membership.Plan(view, nextView)
-	res, err = postReshard(reshardURL, drained, replicas)
+	moved, err = move("drain", slices.DeleteFunc(slices.Clone(members), func(m member.Member) bool { return m.ID == "b1" }))
 	if err != nil {
-		return fmt.Errorf("drain reshard: %w", err)
-	}
-	if res.Epoch != 3 || res.Transfers != len(plan) {
-		return fmt.Errorf("drain reshard result %+v, want epoch 3 with %d transfers", res, len(plan))
-	}
-	if err := stopBackend("b1"); err != nil {
 		return err
 	}
-	fmt.Printf("%s stage 3: b1 drained (%d shard snapshots handed off) and exited 0\n", h.label, res.Transfers)
-	members, view = drained, nextView
-	transfersTotal += res.Transfers
-	if _, err := h.verify(gwAddr); err != nil {
+	if err := dep.stop(dep.backends[1]); err != nil {
+		return err
+	}
+	fmt.Printf("%s stage 3: b1 drained (%d shard snapshots handed off) and exited 0\n", name, moved)
+	if _, err := st.verify(addr); err != nil {
 		return fmt.Errorf("post-drain verification: %w", err)
 	}
 
-	// Stage 4: the last third lands, then b2 is kill -9ed under a doomed
-	// stream of phantom hellos aimed at its own shards. Hellos touch
-	// user counters but never interval sums, so whatever prefix each
-	// surviving owner applied, the estimates stay exact — and the
-	// verification below must be answered by quorum reads from the
-	// surviving owner of every shard b2 held.
-	if err := h.send(gwAddr, 2*third, h.n); err != nil {
+	if err := st.send(addr, 2*third, st.n); err != nil {
 		return err
 	}
-	doomedConn, err := net.Dial("tcp", gwAddr)
+	uid := 9_000_000
+	stop, err := st.doom(addr, func() int {
+		for uid++; !view.Owns("b2", member.ShardOf(uid, vshards)); uid++ {
+		}
+		return uid
+	})
 	if err != nil {
 		return err
 	}
-	doomed := make(chan struct{})
-	go func() {
-		defer close(doomed)
-		enc := transport.NewEncoder(doomedConn)
-		batch := make([]transport.Msg, 0, 64)
-		uid := 9_000_000
-		for {
-			batch = batch[:0]
-			for len(batch) < cap(batch) {
-				if view.Owns("b2", membership.ShardOf(uid, vshards)) {
-					batch = append(batch, h.hello(uid))
-				}
-				uid++
-			}
-			if err := enc.EncodeBatch(batch); err != nil {
-				return
-			}
-			if err := enc.Flush(); err != nil {
-				return // the connection was closed under us: done
-			}
-		}
-	}()
-	time.Sleep(50 * time.Millisecond) // let the doomed stream get going
 	fmt.Printf("%s stage 4: kill -9 b2 (pid %d) under ingest aimed at its %d shards\n",
-		h.label, procs["b2"].cmd.Process.Pid, len(view.OwnedShards("b2")))
-	if err := procs["b2"].cmd.Process.Kill(); err != nil {
+		name, dep.backends[2].cmd.Process.Pid, len(view.OwnedShards("b2")))
+	err = dep.kill9(2)
+	stop()
+	if err != nil {
 		return err
 	}
-	procs["b2"].wait() // "signal: killed" is the expected outcome
-	procs["b2"] = nil
-	doomedConn.Close()
-	<-doomed
-
-	checked, err := h.verify(gwAddr)
+	checked, err := st.verify(addr)
 	if err != nil {
 		return fmt.Errorf("verification with b2 dead: %w", err)
 	}
 	elapsed := time.Since(start)
 
-	// The gateway's own ledger must agree: epoch 3, every snapshot
-	// transfer counted, at least one short read from the dead replica,
-	// and not a single replica divergence across the whole run.
-	snap, err := obs.Fetch("http://" + gw.metricsAddr + "/metrics")
+	snap, err := obs.Fetch("http://" + gw.metrics + "/metrics")
 	if err != nil {
 		return fmt.Errorf("scraping gateway metrics: %w", err)
 	}
-	if got := snap.Gauges["membership_epoch"]; got != 3 {
-		return fmt.Errorf("gateway membership_epoch gauge = %v, want 3", got)
+	for gauge, ok := range map[string]func(float64) bool{
+		"membership_epoch":             func(v float64) bool { return v == float64(view.Epoch) },
+		"membership_transfers_total":   func(v float64) bool { return v == float64(transfers) },
+		"membership_divergences_total": func(v float64) bool { return v == 0 },
+		"membership_short_reads_total": func(v float64) bool { return v >= 1 }, // b2 is dead
+	} {
+		if v := snap.Gauges[gauge]; !ok(v) {
+			return fmt.Errorf("gateway %s = %v after %d epochs, %d transfers and one dead replica", gauge, v, view.Epoch, transfers)
+		}
 	}
-	if got := snap.Gauges["membership_transfers_total"]; got != float64(transfersTotal) {
-		return fmt.Errorf("gateway membership_transfers_total = %v, want %d", got, transfersTotal)
-	}
-	if got := snap.Gauges["membership_divergences_total"]; got != 0 {
-		return fmt.Errorf("gateway reported %v replica divergences, want 0", got)
-	}
-	if got := snap.Gauges["membership_short_reads_total"]; got < 1 {
-		return fmt.Errorf("gateway membership_short_reads_total = %v, want >= 1 with b2 dead", got)
-	}
-
-	// Graceful shutdown: the gateway and both surviving members must
-	// drain and exit 0.
-	if err := stopBackend("gateway"); err != nil {
-		return fmt.Errorf("rtf-gateway: %w", err)
-	}
-	if err := stopBackend("b0"); err != nil {
+	if err := dep.drain(); err != nil {
 		return err
 	}
-	if err := stopBackend("b3"); err != nil {
-		return err
-	}
-
-	h.report(elapsed, checked)
-	fmt.Printf("%s join, drain and kill -9 all answered bit-for-bit; gateway and surviving members drained and exited 0\n", h.label)
+	st.summary(name, elapsed, checked)
+	fmt.Printf("%s join, drain and kill -9 all answered bit-for-bit; gateway and surviving members drained and exited 0\n", name)
 	return nil
 }

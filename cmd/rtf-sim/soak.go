@@ -1,61 +1,17 @@
 package main
 
-// The -soak mode: a closed-loop load harness that spawns a serving
-// topology (one rtf-serve, or an rtf-gateway over N backends), drives
-// simulated users at a target ingest QPS for a configured duration over
-// acked batches, scrapes the target's /metrics endpoint throughout, and
-// asserts the operational envelope:
-//
-//   - memory stays steady: final RSS within 10% of the early mark
-//   - the admission queue depth never exceeds its capacity
-//   - an early burst phase (before the RSS mark, so its memory
-//     high-water is part of the baseline) overloads the queue until
-//     at least one batch is shed — whole, never half-applied
-//   - p99 ingest (apply) latency stays under a ceiling
-//   - the applied message rate sustains the target QPS
-//
-// The atomicity proof is exact, not statistical: every batch the
-// server acknowledged is folded into an in-process reference engine,
-// every shed batch is not, and after the run every query shape must
-// answer bit-for-bit like the reference. A half-applied batch — some
-// messages applied, the batch reported shed, or vice versa — breaks
-// the equality.
-
 import (
 	"encoding/json"
 	"fmt"
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"rtf/internal/obs"
-	"rtf/internal/protocol"
 	"rtf/internal/transport"
-	"rtf/ldp"
 )
-
-// soakConfig is the -soak mode's knob set, resolved from flags.
-type soakConfig struct {
-	qps        float64       // target ingest messages/sec across all connections
-	duration   time.Duration // paced-load duration
-	backends   int           // 0 = one rtf-serve; >= 2 = rtf-gateway over that many
-	queueCap   int           // -queue on the target (0 = unbounded, no shed assertions)
-	p99Ceiling time.Duration // ingest_latency_seconds p99 must stay under this
-	dumpPath   string        // write the final metrics snapshot JSON here ("" = off)
-}
-
-// soakOp mirrors one batched wire message as the reference-engine
-// operation to fold if — and only if — the server acknowledged the
-// batch.
-type soakOp struct {
-	hello bool
-	order int
-	rep   ldp.Report
-}
 
 // soakCounters is the harness's own view of the run, to cross-check
 // against the server's counters at the end, plus the shared user-id
@@ -65,144 +21,65 @@ type soakCounters struct {
 	appliedBatches atomic.Int64
 	shedBatches    atomic.Int64
 	appliedMsgs    atomic.Int64
-	sentMsgs       atomic.Int64
 	nextUser       atomic.Int64
 }
 
-// runSoak spawns the topology, runs the load, and returns an error
-// listing every violated assertion.
-func runSoak(st *driver, serveBin, gwBin, mech string, d, k int, eps float64, cfg soakConfig) error {
-	sBin, err := findBin(serveBin, "rtf-serve")
-	if err != nil {
-		return fmt.Errorf("finding rtf-serve (-serve-bin): %w", err)
-	}
-	common := []string{
-		"-mechanism", mech,
-		"-d", fmt.Sprint(d),
-		"-k", fmt.Sprint(k),
-		"-eps", fmt.Sprint(eps),
-		"-grace", "20s",
-	}
-
-	// Spawn the topology. The target — the process the load and the
-	// scrapes hit — is the single server, or the gateway.
-	var (
-		procs  []*serveProc // reverse shutdown order: target last
-		target *serveProc
-		addr   string
-	)
-	defer func() {
-		for _, p := range procs {
-			if p != nil {
-				p.kill()
-			}
-		}
-	}()
-	targetArgs := []string{
-		"-addr", "127.0.0.1:0",
-		"-metrics", "127.0.0.1:0",
-		"-queue", fmt.Sprint(cfg.queueCap),
-	}
-	if cfg.backends == 0 {
-		// A single in-memory server applies a batch in microseconds, so
-		// closed-loop workers essentially never hold queue slots
-		// concurrently and the burst cannot force a shed. Make the
-		// single-server soak durable with per-append fsync — the realistic
-		// production shape — so applies hold their admission slot for a
-		// disk write and overload behaves like it does under real I/O.
-		dataDir, err := os.MkdirTemp("", "rtf-soak-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dataDir)
-		serveArgs := append(targetArgs, "-data-dir", dataDir, "-fsync")
-		target, addr, err = startProc(sBin, "rtf-serve", append(serveArgs, common...))
-		if err != nil {
-			return err
-		}
-		procs = append(procs, target)
-	} else {
-		gBin, err := findBin(gwBin, "rtf-gateway")
-		if err != nil {
-			return fmt.Errorf("finding rtf-gateway (-gateway-bin): %w", err)
-		}
-		addrs := make([]string, cfg.backends)
-		for i := range addrs {
-			p, a, err := startProc(sBin, fmt.Sprintf("backend%d", i), append([]string{"-addr", "127.0.0.1:0"}, common...))
-			if err != nil {
-				return fmt.Errorf("starting backend %d: %w", i, err)
-			}
-			procs = append(procs, p)
-			addrs[i] = a
-		}
-		gwArgs := append(targetArgs, "-backends", strings.Join(addrs, ","))
-		target, addr, err = startProc(gBin, "rtf-gateway", append(gwArgs, common...))
-		if err != nil {
-			return fmt.Errorf("starting rtf-gateway: %w", err)
-		}
-		procs = append(procs, target)
-	}
-	if target.metricsAddr == "" {
+// soak is the operational-envelope choreography: -conns closed-loop
+// workers drive paced acked-batch ingest at -qps for -duration against
+// the topology's front while /metrics is scraped, and at the end it
+// asserts
+//
+//   - the applied message rate sustained the target QPS
+//   - p99 ingest (apply) latency stayed under -p99-ceiling
+//   - memory stayed steady: final RSS within 10% of the early mark
+//   - the admission queue depth never exceeded its capacity
+//   - an early burst (before the RSS mark, so its memory high-water is
+//     part of the baseline) overloaded the queue until at least one batch
+//     was shed — whole, never half-applied
+//   - the server's counter ledger equals the harness's own
+//
+// The atomicity proof is exact, not statistical: every batch the server
+// acknowledged is folded into the reference, every shed batch is not, and
+// after the run every query shape must answer bit-for-bit like the
+// reference. A half-applied batch — some messages applied and the batch
+// reported shed, or the reverse — breaks the equality.
+func soak(name string, dep *deployment, st *driver, o *options) error {
+	target, addr := dep.front(), dep.addr
+	if target.metrics == "" {
 		return fmt.Errorf("soak target reported no metrics address")
 	}
-	metricsURL := "http://" + target.metricsAddr + "/metrics"
+	metricsURL := "http://" + target.metrics + "/metrics"
+	fmt.Printf("%s backends=%d gateway=%q addr=%s metrics=%s qps=%.0f duration=%v queue=%d conns=%d batch=%d\n",
+		name, len(dep.backends), dep.topo.gateway, addr, target.metrics, o.qps, o.duration, o.queue, st.conns, st.batch)
 
-	topology := "serve"
-	if cfg.backends > 0 {
-		topology = fmt.Sprintf("gateway/%d", cfg.backends)
-	}
-	fmt.Printf("soak topology=%s addr=%s metrics=%s qps=%.0f duration=%v queue=%d conns=%d batch=%d\n",
-		topology, addr, target.metricsAddr, cfg.qps, cfg.duration, cfg.queueCap, st.conns, st.batch)
-
-	// The load: st.conns closed-loop workers, each pacing its share of
-	// the target QPS; a shared user counter hands out fresh users. The
-	// RSS mark is taken at markAt, and the burst phase — workers drop
-	// their pacing until the queue sheds a batch, proving overload
-	// rejection — runs *before* it: the burst's pipelined load is the
-	// run's memory high-water, so it must be inside the baseline the
-	// flat-memory assertion compares the final RSS against.
-	markAt := 10 * time.Second
-	if third := cfg.duration / 3; third < markAt {
-		markAt = third
-	}
+	// The RSS mark is taken at markAt, and the burst — workers drop their
+	// pacing until the queue sheds a batch, proving overload rejection —
+	// runs *before* it: the burst's pipelined load is the run's memory
+	// high-water, so it must be inside the baseline the flat-memory
+	// assertion compares the final RSS against.
+	markAt := min(10*time.Second, o.duration/3)
 	var (
-		ctr        soakCounters
-		start      = time.Now()
-		deadline   = start.Add(cfg.duration)
-		burstAt    = start.Add(markAt / 2)
-		wg         sync.WaitGroup
-		workErr    error
-		workErrMu  sync.Mutex
-		perConnQPS = cfg.qps / float64(st.conns)
+		ctr      soakCounters
+		start    = time.Now()
+		deadline = start.Add(o.duration)
+		burstAt  = start.Add(markAt / 2)
+		workers  = make(chan error, st.conns)
 	)
-	fail := func(err error) {
-		workErrMu.Lock()
-		if workErr == nil {
-			workErr = err
-		}
-		workErrMu.Unlock()
-	}
 	for c := 0; c < st.conns; c++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			if err := st.soakWorker(addr, deadline, burstAt, perConnQPS, cfg.queueCap, &ctr); err != nil {
-				fail(err)
-			}
+			workers <- st.soakWorker(addr, deadline, burstAt, o.qps/float64(st.conns), o.queue, &ctr)
 		}()
 	}
 
 	// The scraper: sample /metrics twice a second, record the early RSS
-	// mark and the worst queue depth seen.
+	// mark and the worst queue depth seen. It owns these variables until
+	// scrapeDone closes.
 	var (
-		scrapeStop = make(chan struct{})
-		scrapeDone = make(chan struct{})
-	)
-	var (
-		scrapeMu        sync.Mutex
-		markRSS         float64
-		maxDepth        float64
-		depthViolations int
+		scrapeStop      = make(chan struct{})
+		scrapeDone      = make(chan struct{})
+		mark            float64
+		depthMax        float64
+		violations      int
 		scrapes, misses int
 	)
 	go func() {
@@ -215,39 +92,35 @@ func runSoak(st *driver, serveBin, gwBin, mech string, d, k int, eps float64, cf
 				return
 			case <-tick.C:
 			}
-			// The mark scrape (and the final one, below) pass ?gc=1 so
-			// the RSS comparison sees the live set, not the Go
-			// scavenger's return-to-OS lag; routine depth samples stay
-			// cheap.
-			url := metricsURL
-			takeMark := false
-			scrapeMu.Lock()
-			if markRSS == 0 && time.Since(start) >= markAt {
-				url, takeMark = metricsURL+"?gc=1", true
+			// The mark scrape (and the final one, below) pass ?gc=1 so the
+			// RSS comparison sees the live set, not the Go scavenger's
+			// return-to-OS lag; routine depth samples stay cheap.
+			url, takeMark := metricsURL, mark == 0 && time.Since(start) >= markAt
+			if takeMark {
+				url += "?gc=1"
 			}
-			scrapeMu.Unlock()
 			s, err := obs.Fetch(url)
-			scrapeMu.Lock()
-			scrapes++
-			if err != nil {
+			if scrapes++; err != nil {
 				misses++
-				scrapeMu.Unlock()
 				continue
 			}
 			if takeMark {
-				markRSS = s.Gauges["process_rss_bytes"]
+				mark = s.Gauges["process_rss_bytes"]
 			}
-			if d := s.Gauges["ingest_queue_depth"]; d > maxDepth {
-				maxDepth = d
+			depth := s.Gauges["ingest_queue_depth"]
+			depthMax = max(depthMax, depth)
+			if o.queue > 0 && depth > s.Gauges["ingest_queue_capacity"] {
+				violations++
 			}
-			if cfg.queueCap > 0 && s.Gauges["ingest_queue_depth"] > s.Gauges["ingest_queue_capacity"] {
-				depthViolations++
-			}
-			scrapeMu.Unlock()
 		}
 	}()
 
-	wg.Wait()
+	var workErr error
+	for c := 0; c < st.conns; c++ {
+		if err := <-workers; err != nil && workErr == nil {
+			workErr = err
+		}
+	}
 	close(scrapeStop)
 	<-scrapeDone
 	if workErr != nil {
@@ -261,46 +134,36 @@ func runSoak(st *driver, serveBin, gwBin, mech string, d, k int, eps float64, cf
 	if err != nil {
 		return fmt.Errorf("final metrics scrape: %w", err)
 	}
-	if cfg.dumpPath != "" {
+	if o.dump != "" {
 		b, err := json.MarshalIndent(final, "", " ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(cfg.dumpPath, append(b, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(o.dump, append(b, '\n'), 0o644); err != nil {
 			return err
 		}
 	}
-
-	// The exactness check: every query shape through the target must
-	// answer bit-for-bit like the reference engine fed exactly the
-	// acknowledged batches.
-	est, checked, err := st.verify(addr)
+	checked, err := st.verify(addr)
 	if err != nil {
 		return fmt.Errorf("post-soak verification (half-applied batch?): %w", err)
 	}
 
-	applied, shed, sent := ctr.appliedBatches.Load(), ctr.shedBatches.Load(), ctr.sentBatches.Load()
-	appliedRate := float64(ctr.appliedMsgs.Load()) / elapsed.Seconds()
+	applied, shed, sent, msgs := ctr.appliedBatches.Load(), ctr.shedBatches.Load(), ctr.sentBatches.Load(), ctr.appliedMsgs.Load()
+	appliedRate := float64(msgs) / elapsed.Seconds()
 	lat := final.Histograms["ingest_latency_seconds"]
 	p99 := time.Duration(lat.Quantile(0.99) * float64(time.Second))
 	finalRSS := final.Gauges["process_rss_bytes"]
-
-	scrapeMu.Lock()
-	mark, depthMax, violations, nScrapes, nMisses := markRSS, maxDepth, depthViolations, scrapes, misses
-	scrapeMu.Unlock()
-
-	fmt.Printf("soak sent=%d applied=%d shed=%d batches (%d msgs applied, %.0f msgs/s)\n",
-		sent, applied, shed, ctr.appliedMsgs.Load(), appliedRate)
-	fmt.Printf("soak p99=%v queue max=%.0f/%d rss mark=%.1fMB final=%.1fMB scrapes=%d (missed %d)\n",
-		p99, depthMax, cfg.queueCap, mark/1e6, finalRSS/1e6, nScrapes, nMisses)
+	fmt.Printf("%s sent=%d applied=%d shed=%d batches (%d msgs applied, %.0f msgs/s)\n", name, sent, applied, shed, msgs, appliedRate)
+	fmt.Printf("%s p99=%v queue max=%.0f/%d rss mark=%.1fMB final=%.1fMB scrapes=%d (missed %d)\n",
+		name, p99, depthMax, o.queue, mark/1e6, finalRSS/1e6, scrapes, misses)
 
 	var fails []string
 	bad := func(format string, args ...any) { fails = append(fails, fmt.Sprintf(format, args...)) }
-	if appliedRate < 0.9*cfg.qps {
-		bad("applied rate %.0f msgs/s under 90%% of target %.0f", appliedRate, cfg.qps)
+	if appliedRate < 0.9*o.qps {
+		bad("applied rate %.0f msgs/s under 90%% of target %.0f", appliedRate, o.qps)
 	}
-	if p99 > cfg.p99Ceiling {
-		bad("ingest p99 %v over ceiling %v", p99, cfg.p99Ceiling)
+	if p99 > o.p99 {
+		bad("ingest p99 %v over ceiling %v", p99, o.p99)
 	}
 	if lat.Count == 0 {
 		bad("ingest_latency_seconds has no observations")
@@ -314,17 +177,17 @@ func runSoak(st *driver, serveBin, gwBin, mech string, d, k int, eps float64, cf
 	if violations > 0 {
 		bad("queue depth exceeded capacity in %d scrapes", violations)
 	}
-	if cfg.queueCap > 0 {
+	if o.queue > 0 {
 		if shed == 0 {
-			bad("burst produced no shed batches (queue %d never overloaded)", cfg.queueCap)
+			bad("burst produced no shed batches (queue %d never overloaded)", o.queue)
 		}
-		if got := final.Gauges["ingest_queue_capacity"]; got != float64(cfg.queueCap) {
-			bad("ingest_queue_capacity gauge = %v, want %d", got, cfg.queueCap)
+		if got := final.Gauges["ingest_queue_capacity"]; got != float64(o.queue) {
+			bad("ingest_queue_capacity gauge = %v, want %d", got, o.queue)
 		}
 	}
-	if cfg.backends == 0 {
-		// The single-server target is durable, so its WAL gauges must be
-		// live: every applied batch appended records.
+	if dep.topo.durable != nil {
+		// A durable target's WAL gauges must be live: every applied batch
+		// appended records.
 		if got := final.Gauges["wal_last_seq"]; got < float64(applied) {
 			bad("wal_last_seq = %v after %d applied batches", got, applied)
 		}
@@ -334,60 +197,44 @@ func runSoak(st *driver, serveBin, gwBin, mech string, d, k int, eps float64, cf
 	}
 	// The server's ledger must match ours exactly: batches it counted
 	// applied/shed are the batches we saw acked/shed.
-	if got := final.Counters["ingest_acked_batches_total"]; got != sent {
-		bad("server counted %d acked batches, harness sent %d", got, sent)
-	}
-	if got := final.Counters["ingest_shed_batches_total"]; got != shed {
-		bad("server counted %d shed batches, harness saw %d", got, shed)
-	}
-	if got := final.Counters["ingest_batches_total"]; got != applied {
-		bad("server counted %d applied batches, harness saw %d", got, applied)
-	}
-	if got := final.Counters["ingest_messages_total"]; got != ctr.appliedMsgs.Load() {
-		bad("server counted %d applied messages, harness saw %d", got, ctr.appliedMsgs.Load())
+	for counter, want := range map[string]int64{
+		"ingest_acked_batches_total": sent,
+		"ingest_shed_batches_total":  shed,
+		"ingest_batches_total":       applied,
+		"ingest_messages_total":      msgs,
+	} {
+		if got := final.Counters[counter]; got != want {
+			bad("server counted %s = %d, harness saw %d", counter, got, want)
+		}
 	}
 	// Read-path cache counters must be coherent at a quiescent scrape:
 	// every cache-eligible query counted exactly one hit or miss, and
 	// coalesced queries are a subset of all answered queries. Absent
 	// counters read as zero, so the single-server run (whose Boolean
 	// query path has no memo) passes trivially.
-	cacheHits := final.Counters["query_cache_hits_total"]
-	cacheMisses := final.Counters["query_cache_misses_total"]
-	cacheEligible := final.Counters["query_cache_eligible_total"]
-	coalesced := final.Counters["query_coalesced_total"]
-	if cacheHits+cacheMisses != cacheEligible {
-		bad("cache counters incoherent: hits %d + misses %d != eligible %d", cacheHits, cacheMisses, cacheEligible)
+	hits, missed, eligible := final.Counters["query_cache_hits_total"], final.Counters["query_cache_misses_total"], final.Counters["query_cache_eligible_total"]
+	if hits+missed != eligible {
+		bad("cache counters incoherent: hits %d + misses %d != eligible %d", hits, missed, eligible)
 	}
-	var queriesTotal int64
-	for name, v := range final.Counters {
-		if strings.HasPrefix(name, "queries_total") {
-			queriesTotal += v
+	var queries int64
+	for counter, v := range final.Counters {
+		if strings.HasPrefix(counter, "queries_total") {
+			queries += v
 		}
 	}
-	if coalesced > queriesTotal {
-		bad("query_coalesced_total %d exceeds %d answered queries", coalesced, queriesTotal)
+	if coalesced := final.Counters["query_coalesced_total"]; coalesced > queries {
+		bad("query_coalesced_total %d exceeds %d answered queries", coalesced, queries)
 	}
-	if cfg.backends > 0 && cacheEligible == 0 {
-		bad("gateway soak answered %d queries but counted none cache-eligible", queriesTotal)
+	if dep.gateway != nil && eligible == 0 {
+		bad("gateway soak answered %d queries but counted none cache-eligible", queries)
 	}
-
-	// Graceful shutdown, target first, and every process must exit 0.
-	for i := len(procs) - 1; i >= 0; i-- {
-		p := procs[i]
-		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		if err := p.wait(); err != nil {
-			bad("process %d did not exit 0 on SIGTERM: %v", i, err)
-		}
-		procs[i] = nil
+	if err := dep.drain(); err != nil {
+		bad("%v", err)
 	}
-
 	if len(fails) > 0 {
 		return fmt.Errorf("soak failed:\n  %s", strings.Join(fails, "\n  "))
 	}
-	fmt.Printf("soak estimates bit-for-bit identical to the reference fed the %d acked batches (%d point + %d v2 values)\n",
-		applied, len(est), checked)
+	fmt.Printf("%s estimates bit-for-bit identical to the reference fed the %d acked batches (%d values)\n", name, applied, checked)
 	fmt.Println("soak PASS")
 	return nil
 }
@@ -409,18 +256,18 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 		return err
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc, dec := transport.NewEncoder(conn), transport.NewDecoder(conn)
 
-	// inflight is the FIFO of batches sent but not yet acknowledged:
-	// acks come back in send order on the one connection.
-	type pendingBatch struct {
-		n   int
-		ops []soakOp
+	// A batch is its messages and its users' folds; inflight is the FIFO
+	// of batches sent but not yet acknowledged: acks come back in send
+	// order on the one connection.
+	type batch struct {
+		ms    []transport.Msg
+		folds []func() error
 	}
 	var (
-		ms       []transport.Msg
-		inflight []pendingBatch
+		cur      batch
+		inflight []batch
 		next     = time.Now()
 	)
 	readAck := func() error {
@@ -428,76 +275,67 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 		if err != nil {
 			return fmt.Errorf("reading batch ack: %w", err)
 		}
-		p := inflight[0]
+		b := inflight[0]
 		inflight = inflight[1:]
 		if !applied {
 			ctr.shedBatches.Add(1)
 			return nil
 		}
 		ctr.appliedBatches.Add(1)
-		ctr.appliedMsgs.Add(int64(p.n))
+		ctr.appliedMsgs.Add(int64(len(b.ms)))
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		for _, op := range p.ops {
-			if op.hello {
-				if err := st.ref.Register(op.order); err != nil {
-					return err
-				}
-			} else if err := st.ref.Ingest(op.rep); err != nil {
+		for _, fold := range b.folds {
+			if err := fold(); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	var ops []soakOp
 	for time.Now().Before(deadline) {
+		// While bursting the last assembled batch is re-sent back to back,
+		// a window of them unacknowledged: the burst must be server-bound,
+		// and assembling fresh users costs more client CPU than the server
+		// spends applying them. Duplicate users are harmless — the
+		// reference is fed every acked copy too, so exactness is
+		// unaffected.
 		bursting := queueCap > 0 && time.Now().After(burstAt) && ctr.shedBatches.Load() == 0
 		window := 1
 		if bursting {
-			// Re-send the last assembled batch back-to-back: the burst
-			// must be server-bound, and assembling fresh users costs
-			// more client CPU than the server spends applying them.
-			// Duplicate users are harmless — the reference is fed every
-			// acked copy too, so exactness is unaffected.
 			window = 8
 		}
-		if !bursting || len(ms) == 0 {
-			ms = ms[:0]
-			ops = nil
-			for len(ms) < st.batch {
-				u := int(ctr.nextUser.Add(1) - 1)
-				if err := st.appendUserMsgs(u, &ms, &ops); err != nil {
+		if !bursting || len(cur.ms) == 0 {
+			cur = batch{} // never reused: batches in flight hold the old one
+			for len(cur.ms) < st.batch {
+				ms, fold, err := st.mode.user(int(ctr.nextUser.Add(1) - 1))
+				if err != nil {
 					return err
 				}
+				cur.ms, cur.folds = append(cur.ms, ms...), append(cur.folds, fold)
 			}
 		}
 		if !bursting {
-			if sleep := time.Until(next); sleep > 0 {
-				time.Sleep(sleep)
-			}
+			time.Sleep(time.Until(next))
 			// A worker that fell behind schedule (the burst window, say)
 			// restarts its schedule from now rather than flooding to
 			// catch up.
 			if now := time.Now(); next.Before(now.Add(-time.Second)) {
 				next = now
 			}
+			next = next.Add(time.Duration(float64(len(cur.ms)) / qps * float64(time.Second)))
 		}
-		if err := enc.EncodeAckedBatch(ms); err != nil {
+		if err := enc.EncodeAckedBatch(cur.ms); err != nil {
 			return err
 		}
 		if err := enc.Flush(); err != nil {
 			return err
 		}
 		ctr.sentBatches.Add(1)
-		ctr.sentMsgs.Add(int64(len(ms)))
-		inflight = append(inflight, pendingBatch{n: len(ms), ops: ops})
+		inflight = append(inflight, cur)
 		for len(inflight) >= window {
 			if err := readAck(); err != nil {
 				return err
 			}
-		}
-		if !bursting {
-			next = next.Add(time.Duration(float64(len(ms)) / qps * float64(time.Second)))
 		}
 	}
 	for len(inflight) > 0 {
@@ -505,41 +343,11 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 			return err
 		}
 	}
-
-	// Fence: one query round-trip proves the target (and, through a
-	// gateway's session leases, every backend) applied everything this
-	// connection's acked batches forwarded.
-	if err := enc.Encode(transport.Query(1)); err != nil {
-		return err
-	}
-	if err := enc.Flush(); err != nil {
-		return err
-	}
-	if _, err := dec.Next(); err != nil {
+	// One read round-trip proves the target (and, through a gateway's
+	// session leases, every backend) applied everything this connection's
+	// acked batches forwarded.
+	if err := st.mode.fence(enc, dec); err != nil {
 		return fmt.Errorf("fence query: %w", err)
-	}
-	return nil
-}
-
-// appendUserMsgs appends one fresh user's hello and reports to the
-// batch under assembly, with the matching reference operations. Users
-// past the workload's size reuse its value patterns (u mod N) but keep
-// distinct ids and report randomness.
-func (st *driver) appendUserMsgs(u int, ms *[]transport.Msg, ops *[]soakOp) error {
-	cl, err := st.factory.NewClient(u, st.seed+int64(u))
-	if err != nil {
-		return err
-	}
-	*ms = append(*ms, transport.Hello(u, cl.Order()))
-	*ops = append(*ops, soakOp{hello: true, order: cl.Order()})
-	vals := st.w.Users[u%st.w.N].Values(st.w.D)
-	for t := 1; t <= st.w.D; t++ {
-		r, ok := cl.Observe(vals[t-1] == 1)
-		if !ok {
-			continue
-		}
-		*ms = append(*ms, transport.FromReport(protocol.Report{User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}))
-		*ops = append(*ops, soakOp{rep: r})
 	}
 	return nil
 }

@@ -11,8 +11,8 @@
 // harness and verifiers live under rtf/internal; the experiments E1–E21
 // are runnable via cmd/rtf-experiments, the sharded batch-ingest
 // aggregation service via cmd/rtf-serve (hosting any registered dyadic
-// mechanism, load-tested across every query shape by cmd/rtf-sim
-// -drive), and bench_test.go in this directory
+// mechanism), the acceptance harness that drives real deployments of it
+// via cmd/rtf-sim (below), and bench_test.go in this directory
 // carries one benchmark per experiment plus micro-benchmarks of every
 // hot path, including the batched-versus-single-message ingestion
 // comparison and the client's per-period cost over a d × k grid.
@@ -48,8 +48,7 @@
 // the ldp Snapshotter/Restorer capability, so a crashed rtf-serve
 // restarts from snapshot + WAL replay answering every query bit-for-bit
 // as if uninterrupted — reports are spent privacy budget and can never
-// be re-requested from users. cmd/rtf-sim -recover exercises the whole
-// cycle, kill -9 included. The journaling hot path is allocation-free
+// be re-requested from users. The journaling hot path is allocation-free
 // in steady state, and rtf-serve -wal-commit-interval enables WAL group
 // commit (persist.GroupCommitter): batches from all connections that
 // arrive within the coalescing window are committed with one write and
@@ -71,8 +70,7 @@
 // additive in exact integers and the estimator is a fixed linear
 // function of them, gateway answers are bit-for-bit those of a single
 // serial server fed every report; a dead backend stalls (re-dial with
-// backoff) rather than fails, and cmd/rtf-sim -cluster proves recovery
-// end to end by kill -9ing the durable backend mid-ingest.
+// backoff) rather than fails.
 //
 // Cluster membership is dynamic: rtf-gateway -members runs the
 // membership gateway (rtf/internal/cluster.MemberGateway over
@@ -88,9 +86,7 @@
 // joins or drains members online: the gateway fences live sessions,
 // ships moved vshards as snapshots over MsgShardTransfer frames
 // (~1/N movement, the rendezvous minimum), and bumps the epoch so no
-// report is ever applied under two placements. cmd/rtf-sim -membership
-// proves join-mid-ingest, drain-and-SIGTERM, and kill -9 of a replica,
-// all bit-for-bit against an uninterrupted serial engine.
+// report is ever applied under two placements.
 //
 // Domain-valued tracking (the paper's "richer domains" adaptation,
 // Section 1) is a first-class online workload in the same architecture:
@@ -109,9 +105,7 @@
 // snapshots (per-item state), and across the cluster gateway
 // (rtf-gateway -m, shipping per-item raw sums), all with the same
 // bit-for-bit exactness; ldp.TrackDomain is a thin offline wrapper over
-// the identical streaming engines, and cmd/rtf-sim -domain proves the
-// full deployment — gateway, kill -9, snapshot+WAL recovery — end to
-// end.
+// the identical streaming engines.
 //
 // The serving processes are observable and overload-safe:
 // rtf/internal/obs is a dependency-free metrics registry (counters,
@@ -125,9 +119,20 @@
 // the gateway the check runs before any forward — while legacy batches
 // block for natural TCP backpressure; the gateway read path adds per-backend
 // fetch deadlines (-fetch-timeout) and hedged reads (-hedge) against
-// slow backends. cmd/rtf-sim -soak closes the loop: a paced load
-// harness that spawns either topology, scrapes /metrics, bursts until
-// the queue sheds, and asserts steady memory, bounded queue depth, a
-// p99 ingest-latency ceiling and bit-for-bit equality between the
-// served answers and a reference engine fed exactly the acked batches.
+// slow backends.
+//
+// cmd/rtf-sim holds all of the above to the exactness invariant against
+// real processes. Its acceptance scenarios are rows of one table — the
+// flags that select the row, a protocol mode (Boolean, exact domain,
+// hashed domain), a topology (a single durable server, a static gateway
+// over three backends, a member gateway) and one of three
+// choreographies: crash (kill -9 of the durable backend mid-ingest,
+// snapshot + WAL recovery, every process exits 0 on SIGTERM), membership
+// (join mid-ingest, drain by snapshot handoff, kill -9 of a replica) and
+// soak (paced acked-batch load, /metrics scraped, a burst until the queue
+// sheds, steady memory, bounded queue depth, a p99 ingest-latency
+// ceiling) — each verifying every query shape bit-for-bit against an
+// in-process reference fed the same (soak: exactly the acked) reports.
+// The harness speaks the versioned query frames only; the v1 point query
+// (wire types 4 and 5) is retired and refused by every front.
 package rtf

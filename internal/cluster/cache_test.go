@@ -84,19 +84,19 @@ func (c *gwClient) series(t *testing.T) []float64 {
 	return a.Values
 }
 
-// ingestAndFence ships a batch and fences it with a v1 point query.
+// ingestAndFence ships a batch and fences it with a point query.
 func (c *gwClient) ingestAndFence(t *testing.T, ms []transport.Msg) {
 	t.Helper()
 	if err := c.enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.enc.Encode(transport.Query(1)); err != nil {
+	if err := c.enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.dec.Next(); err != nil {
+	if _, err := c.dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 }

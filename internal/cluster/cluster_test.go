@@ -123,9 +123,9 @@ func TestGatewayScatterGather(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// v1 point queries for every period.
+	// Point queries for every period, pipelined.
 	for tt := 1; tt <= d; tt++ {
-		if err := enc.Encode(transport.Query(tt)); err != nil {
+		if err := enc.Encode(transport.QueryV2(transport.QueryPoint, tt, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,15 +133,15 @@ func TestGatewayScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tt := 1; tt <= d; tt++ {
-		m, err := dec.Next()
+		a, err := dec.ReadAnswer()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Type != transport.MsgEstimate || m.T != tt {
-			t.Fatalf("bad v1 response %+v at t=%d", m, tt)
+		if a.Kind != transport.QueryPoint || a.L != tt || len(a.Values) != 1 {
+			t.Fatalf("bad point answer %+v at t=%d", a, tt)
 		}
-		if want := serial.EstimateAt(tt); m.Value != want {
-			t.Fatalf("v1 estimate at %d: gateway %v, serial %v", tt, m.Value, want)
+		if want := serial.EstimateAt(tt); a.Values[0] != want {
+			t.Fatalf("point estimate at %d: gateway %v, serial %v", tt, a.Values[0], want)
 		}
 	}
 	// The four v2 shapes.
@@ -228,13 +228,13 @@ func TestGatewayBackendRestart(t *testing.T) {
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(transport.Query(1)); err != nil { // fence
+	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -394,7 +394,7 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := enc.Encode(transport.Query(1)); err != nil { // fence
+			if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
 				t.Error(err)
 				return
 			}
@@ -402,7 +402,7 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := dec.Next(); err != nil {
+			if _, err := dec.ReadAnswer(); err != nil {
 				t.Error(err)
 			}
 		}(s)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,22 +146,13 @@ func confModes(t *testing.T) []confMode {
 			}
 			return a
 		}
-		for _, tt := range []int{1, confD / 2, confD} {
-			send(t, enc, transport.Query(tt))
-			got, err := dec.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := ask(ldp.PointQuery(tt)).Value; got.Type != transport.MsgEstimate || got.T != tt ||
-				math.Float64bits(got.Value) != math.Float64bits(want) {
-				t.Fatalf("v1 point %d: got %+v, want %v", tt, got, want)
-			}
-		}
 		for _, c := range []struct {
 			wire transport.Msg
 			want []float64
 		}{
+			{transport.QueryV2(transport.QueryPoint, 1, 0), []float64{ask(ldp.PointQuery(1)).Value}},
 			{transport.QueryV2(transport.QueryPoint, 3, 3), []float64{ask(ldp.PointQuery(3)).Value}},
+			{transport.QueryV2(transport.QueryPoint, confD, 0), []float64{ask(ldp.PointQuery(confD)).Value}},
 			{transport.QueryV2(transport.QueryChange, 2, confD-1), []float64{ask(ldp.ChangeQuery(2, confD-1)).Value}},
 			{transport.QueryV2(transport.QuerySeries, 0, 0), ask(ldp.SeriesQuery()).Series},
 			{transport.QueryV2(transport.QueryWindow, 3, 9), ask(ldp.WindowQuery(3, 9)).Series},
@@ -225,13 +217,12 @@ func confModes(t *testing.T) []confMode {
 				}
 				return ms
 			},
-			poison: []transport.Msg{transport.QueryV2(transport.QueryWindow, 1, confD+5), transport.Query(confD + 1),
+			poison: []transport.Msg{transport.QueryV2(transport.QueryWindow, 1, confD+5), transport.QueryV2(transport.QueryPoint, confD+1, 0),
 				{Type: transport.MsgReport, User: 901, Order: 0, J: confD + 1, Bit: 1}},
 			offMode: []transport.Msg{domainHello, transport.DomainQuery(transport.QueryTopK, 0, 1, 0, 1), transport.DomainSums()},
 			check:   checkBool,
-			ranged: []transport.Msg{transport.Query(5), transport.QueryV2(transport.QueryPoint, confD-1, confD-1),
-				transport.QueryV2(transport.QueryChange, 2, confD-1)},
-			whole: []transport.Msg{transport.QueryV2(transport.QuerySeries, 0, 0), transport.QueryV2(transport.QueryWindow, 3, 9), transport.Sums()},
+			ranged:  []transport.Msg{transport.QueryV2(transport.QueryPoint, confD-1, confD-1), transport.QueryV2(transport.QueryChange, 2, confD-1)},
+			whole:   []transport.Msg{transport.QueryV2(transport.QuerySeries, 0, 0), transport.QueryV2(transport.QueryWindow, 3, 9), transport.Sums()},
 		},
 		{
 			name: "exact", mode: transport.DomainMode(confD, confM, scale), meta: exactMeta, domain: confM, opts: base,
@@ -244,7 +235,7 @@ func confModes(t *testing.T) []confMode {
 			},
 			poison: []transport.Msg{transport.DomainQuery(transport.QueryPointItem, confM+3, 1, 0, 0),
 				{Type: transport.MsgDomainReport, User: 901, Item: confM, Order: 0, J: 1, Bit: 1}},
-			offMode: []transport.Msg{boolHello, transport.Query(1), transport.Sums(),
+			offMode: []transport.Msg{boolHello, transport.QueryV2(transport.QueryPoint, 1, 0), transport.Sums(),
 				transport.HashedDomainHello(900, 0, 0, confEnc.Seed), transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
 			check:  checkDomain(confM),
 			ranged: domainRanged, whole: []transport.Msg{seriesItem, transport.DomainSums()},
@@ -356,8 +347,10 @@ type confFront struct {
 	// lastSeq is the WAL position of a durable front (nil otherwise).
 	lastSeq func() uint64
 	// tap sees the backends' responses on a gateway front (nil otherwise).
-	tap  *backendTap
-	stop func()
+	tap *backendTap
+	// lastErr is the most recent error that failed a client connection.
+	lastErr func() error
+	stop    func()
 }
 
 // serveFront starts srv on a loopback port with a one-slot queue, its
@@ -371,9 +364,22 @@ func serveFront(t *testing.T, srv *transport.Server) confFront {
 		t.Fatal(err)
 	}
 	io := new(connIO)
+	var (
+		errMu   sync.Mutex
+		lastErr error
+	)
+	srv.ErrorLog = func(err error) {
+		errMu.Lock()
+		lastErr = err
+		errMu.Unlock()
+	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(countingListener{l, io}) }()
-	return confFront{srv: srv, addr: l.Addr().String(), io: io, replicas: 1, stop: func() {
+	return confFront{srv: srv, addr: l.Addr().String(), io: io, replicas: 1, lastErr: func() error {
+		errMu.Lock()
+		defer errMu.Unlock()
+		return lastErr
+	}, stop: func() {
 		if err := srv.Close(); err != nil {
 			t.Error(err)
 		}
@@ -507,16 +513,26 @@ var confFronts = []struct {
 // to close it without answering.
 func expectDrop(t *testing.T, addr, what string, write func(enc *transport.Encoder) error) {
 	t.Helper()
+	var buf bytes.Buffer
+	enc := transport.NewEncoder(&buf)
+	if err := write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	expectDropBytes(t, addr, what, buf.Bytes())
+}
+
+// expectDropBytes is expectDrop for bytes no Encoder writes any more.
+func expectDropBytes(t *testing.T, addr, what string, raw []byte) {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	if err := write(enc); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -621,6 +637,33 @@ func TestFrameLoopConformance(t *testing.T) {
 					})
 				}
 
+				// The retired v1 point query (types 4 and 5) is refused by
+				// every front with the same error — alone, or poisoning the
+				// valid ingest batched in front of it.
+				var v1Batch bytes.Buffer
+				body := transport.NewEncoder(&v1Batch)
+				v1Batch.Write([]byte{byte(transport.MsgBatch), byte(len(good) + 1)})
+				for _, msg := range good {
+					if err := body.Encode(msg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := body.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				v1Batch.Write([]byte{byte(transport.MsgQuery), 1})
+				for what, raw := range map[string][]byte{
+					"v1 query":                    {byte(transport.MsgQuery), 1},
+					"v1 estimate":                 {byte(transport.MsgEstimate), 1, 0, 0, 0, 0, 0, 0, 0, 0},
+					"v1 query after valid ingest": v1Batch.Bytes(),
+				} {
+					expectDropBytes(t, f.addr, what, raw)
+					const want = "v1 point query removed; send QueryV2(QueryPoint, t, 0)"
+					if err := f.lastErr(); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("%s: connection failed with %v, want %q", what, err, want)
+					}
+				}
+
 				// A full queue sheds an acked batch whole and blocks a
 				// legacy one until a slot frees.
 				f.srv.Queue.Acquire()
@@ -692,8 +735,6 @@ func TestFrameLoopConformance(t *testing.T) {
 						legacyBatches++
 						var err error
 						switch q.Type {
-						case transport.MsgQuery:
-							_, err = dec.Next()
 						case transport.MsgQueryV2:
 							_, err = dec.ReadAnswer()
 						case transport.MsgDomainQuery:

@@ -288,13 +288,13 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 						s.Counters["gateway_hedged_fetches_total"], s.Counters["gateway_hedge_wins_total"])
 				}
 				// A second query must work on the installed hedge lease.
-				if err := enc.Encode(transport.Query(1)); err != nil {
+				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
 					t.Fatal(err)
 				}
 				if err := enc.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := dec.Next(); err != nil {
+				if _, err := dec.ReadAnswer(); err != nil {
 					t.Fatal(err)
 				}
 				return

@@ -74,18 +74,18 @@ func startMemberGateway(t *testing.T, d int, scale float64, numShards, k int, me
 func checkAllShapes(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, serial *protocol.Server, d int) {
 	t.Helper()
 	for _, tt := range []int{1, d / 2, d} {
-		if err := enc.Encode(transport.Query(tt)); err != nil {
+		if err := enc.Encode(transport.QueryV2(transport.QueryPoint, tt, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := dec.Next()
+		a, err := dec.ReadAnswer()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Type != transport.MsgEstimate || m.Value != serial.EstimateAt(tt) {
-			t.Fatalf("v1 at %d: %+v, want %v", tt, m, serial.EstimateAt(tt))
+		if len(a.Values) != 1 || a.Values[0] != serial.EstimateAt(tt) {
+			t.Fatalf("point at %d: %+v, want %v", tt, a, serial.EstimateAt(tt))
 		}
 	}
 	checks := []struct {
@@ -386,26 +386,26 @@ func TestMemberGatewayDivergence(t *testing.T) {
 	}
 	// Fence so both replicas hold the data, then corrupt b1's shard 0
 	// with an empty state.
-	if err := enc.Encode(transport.Query(1)); err != nil {
+	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 	empty := transport.BoolMode(d, scale).NewState(1).MarshalState()
 	if err := b1.sm.InstallShard(0, empty); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(transport.Query(1)); err != nil {
+	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err == nil {
+	if _, err := dec.ReadAnswer(); err == nil {
 		t.Fatal("query answered despite diverged replicas")
 	}
 	if gw.Divergences() == 0 {

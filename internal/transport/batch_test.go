@@ -39,7 +39,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err := enc.EncodeBatch(ms); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(Query(5)); err != nil { // frame after the batch
+		if err := enc.Encode(pointQ(5)); err != nil { // frame after the batch
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
@@ -54,7 +54,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 		if n == 0 {
 			// An empty batch yields the next frame instead.
-			if len(got) != 1 || got[0] != Query(5) {
+			if len(got) != 1 || got[0] != pointQ(5) {
 				t.Fatalf("empty batch: got %+v", got)
 			}
 			continue
@@ -67,7 +67,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				t.Fatalf("msg %d: got %+v, want %+v", i, got[i], ms[i])
 			}
 		}
-		if q, err := dec.NextBatch(); err != nil || len(q) != 1 || q[0] != Query(5) {
+		if q, err := dec.NextBatch(); err != nil || len(q) != 1 || q[0] != pointQ(5) {
 			t.Fatalf("trailing query: got %+v, %v", q, err)
 		}
 		if _, err := dec.NextBatch(); !errors.Is(err, io.EOF) {
@@ -85,7 +85,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				t.Fatalf("Next %d: got %+v, want %+v", i, m, ms[i])
 			}
 		}
-		if m, err := dec.Next(); err != nil || m != Query(5) {
+		if m, err := dec.Next(); err != nil || m != pointQ(5) {
 			t.Fatalf("trailing query via Next: got %+v, %v", m, err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestEmptyBatchFlood(t *testing.T) {
 		buf.Write([]byte{byte(MsgBatch), 0})
 	}
 	enc := NewEncoder(&buf)
-	if err := enc.Encode(Query(9)); err != nil {
+	if err := enc.Encode(pointQ(9)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -143,11 +143,11 @@ func TestEmptyBatchFlood(t *testing.T) {
 	data := buf.Bytes()
 
 	dec := NewDecoder(bytes.NewReader(data))
-	if m, err := dec.Next(); err != nil || m != Query(9) {
+	if m, err := dec.Next(); err != nil || m != pointQ(9) {
 		t.Fatalf("Next through flood: got %+v, %v", m, err)
 	}
 	dec = NewDecoder(bytes.NewReader(data))
-	if ms, err := dec.NextBatch(); err != nil || len(ms) != 1 || ms[0] != Query(9) {
+	if ms, err := dec.NextBatch(); err != nil || len(ms) != 1 || ms[0] != pointQ(9) {
 		t.Fatalf("NextBatch through flood: got %+v, %v", ms, err)
 	}
 }
@@ -224,27 +224,28 @@ func TestPendingBufferRetainedWhileUsed(t *testing.T) {
 	}
 }
 
-// TestQueryEstimateRoundTrip checks the query/response scalar frames.
-func TestQueryEstimateRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	want := []Msg{Query(1), Estimate(1, 3.25), Query(1024), Estimate(1024, -0.0), Estimate(7, 123456789.5)}
-	for _, m := range want {
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
+// TestV1QueryRefused pins the retirement of the v1 point-query pair: a
+// type-4 or type-5 frame — scalar or inside a batch, with or without an
+// ingest contract — is refused at its type byte with the one error that
+// names the replacement, and the encoder no longer produces either.
+func TestV1QueryRefused(t *testing.T) {
+	const want = "transport: v1 point query removed; send QueryV2(QueryPoint, t, 0)"
+	ingest := BoolMode(16, 1).Ingest()
+	for name, data := range map[string][]byte{
+		"query":          {byte(MsgQuery), 9},
+		"estimate":       {byte(MsgEstimate), 9, 0, 0, 0, 0, 0, 0, 0x0a, 0x40},
+		"query in batch": {byte(MsgBatch), 2, byte(MsgHello), 1, 0, byte(MsgQuery), 9},
+	} {
+		if _, err := NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
+			t.Errorf("%s without a contract: got %v, want %q", name, err, want)
+		}
+		if f, err := NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
+			t.Errorf("%s under the Boolean contract: got %+v, %v, want %q", name, f, err, want)
 		}
 	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dec := NewDecoder(&buf)
-	for i, w := range want {
-		got, err := dec.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != w {
-			t.Fatalf("msg %d: got %+v, want %+v", i, got, w)
+	for _, typ := range []MsgType{MsgQuery, MsgEstimate} {
+		if err := NewEncoder(io.Discard).Encode(Msg{Type: typ}); err == nil {
+			t.Errorf("encoder still writes retired message type %d", typ)
 		}
 	}
 }
@@ -277,12 +278,11 @@ func TestBatchTruncated(t *testing.T) {
 // TestBatchCorrupt checks rejection of structurally invalid batches.
 func TestBatchCorrupt(t *testing.T) {
 	cases := map[string][]byte{
-		"nested batch":     {byte(MsgBatch), 1, byte(MsgBatch), 0},
-		"huge length":      append([]byte{byte(MsgBatch)}, 0xff, 0xff, 0xff, 0xff, 0x7f),
-		"bad inner type":   {byte(MsgBatch), 1, 99, 0},
-		"bad inner bit":    {byte(MsgBatch), 1, byte(MsgReport), 0, 0, 1, 7},
-		"bad scalar type":  {42},
-		"estimate cut off": {byte(MsgEstimate), 3, 1, 2, 3},
+		"nested batch":    {byte(MsgBatch), 1, byte(MsgBatch), 0},
+		"huge length":     append([]byte{byte(MsgBatch)}, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		"bad inner type":  {byte(MsgBatch), 1, 99, 0},
+		"bad inner bit":   {byte(MsgBatch), 1, byte(MsgReport), 0, 0, 1, 7},
+		"bad scalar type": {42},
 	}
 	for name, data := range cases {
 		dec := NewDecoder(bytes.NewReader(data))
@@ -341,7 +341,7 @@ func TestShardedCollector(t *testing.T) {
 		"report j":     FromReport(protocol.Report{Order: 0, J: 65, Bit: 1}),
 		"report j=0":   FromReport(protocol.Report{Order: 0, J: 0, Bit: 1}),
 		"bit":          {Type: MsgReport, J: 1},
-		"query":        Query(3),
+		"query":        pointQ(3),
 	} {
 		if err := c.SendBatch(0, []Msg{m}); err == nil {
 			t.Errorf("%s: expected error", name)
@@ -366,7 +366,7 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 	}{
 		{"bool", BoolMode(d, scale), persist.Meta{D: d, Scale: scale},
 			[]Msg{Hello(1, 0), FromReport(rep)},
-			[]Msg{FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), DomainHello(2, 0, 0), Query(1)}},
+			[]Msg{FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), DomainHello(2, 0, 0), pointQ(1)}},
 		{"exact", DomainMode(d, m, scale), persist.Meta{D: d, M: m, Scale: scale},
 			[]Msg{DomainHello(1, 0, 0), FromDomainReport(0, rep)},
 			[]Msg{{Type: MsgDomainReport, User: 2, Item: m + 5, Order: 0, J: 1, Bit: 1}, Hello(2, 0)}},
@@ -412,3 +412,7 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 		}
 	}
 }
+
+// pointQ is the smallest read frame: what tests send when any scalar
+// non-ingest frame, or a fence, will do.
+func pointQ(t int) Msg { return QueryV2(QueryPoint, t, 0) }

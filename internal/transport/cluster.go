@@ -8,13 +8,13 @@ import (
 )
 
 // This file is the client side of the scatter/gather cluster: a
-// ClusterClient owns the addresses of N rtf-serve backends, routes
-// users to backends by user id modulo N, pools connections per backend,
-// and re-dials a dead backend with exponential backoff. The gateway
-// (internal/cluster) leases one connection per backend for the lifetime
-// of each client session, so the backend's in-order frame handling
-// makes a sums fetch on the same connection a fence for everything the
-// session forwarded before it.
+// ClusterClient owns the addresses of N rtf-serve backends and routes
+// users to backends by user id modulo N; the connections come from the
+// one pool in replica.go, which re-dials a dead backend with exponential
+// backoff. The gateway (internal/cluster) leases one connection per
+// backend for the lifetime of each client session, so the backend's
+// in-order frame handling makes a sums fetch on the same connection a
+// fence for everything the session forwarded before it.
 
 // ClusterOptions configures a ClusterClient. The zero value is usable:
 // every field has a sensible default.
@@ -161,25 +161,6 @@ func (b *BackendConn) FetchSums(mode Mode, shard int, scope Scope) (RawSums, err
 	return mode.ReadSums(b.dec)
 }
 
-// Fence round-trips a trivial point query, proving the backend applied
-// everything sent earlier on this connection.
-func (b *BackendConn) Fence() error {
-	if err := b.enc.Encode(Query(1)); err != nil {
-		return err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return err
-	}
-	m, err := b.dec.Next()
-	if err != nil {
-		return err
-	}
-	if m.Type != MsgEstimate {
-		return fmt.Errorf("transport: fence answered with message type %d", m.Type)
-	}
-	return nil
-}
-
 // SetDeadline sets the absolute read/write deadline on the underlying
 // connection (the zero time clears it). The gateway brackets each
 // bounded sums fetch with it.
@@ -188,15 +169,14 @@ func (b *BackendConn) SetDeadline(t time.Time) error { return b.conn.SetDeadline
 // Close closes the underlying connection.
 func (b *BackendConn) Close() error { return b.conn.Close() }
 
-// ClusterClient connects to a fixed set of rtf-serve backends, routing
-// each user to backend (user mod N). Lease/Release manage per-backend
-// pooled connections; Lease re-dials a dead backend with exponential
-// backoff, so a crashed-and-recovering backend stalls its callers
-// instead of failing them. It is safe for concurrent use.
+// ClusterClient is the static partition map over a fixed set of
+// rtf-serve backends — user mod N routes to addrs[user mod N] — on top of
+// a ReplicaClient's per-address pools: Lease re-dials a dead backend with
+// exponential backoff, so a crashed-and-recovering backend stalls its
+// callers instead of failing them. It is safe for concurrent use.
 type ClusterClient struct {
 	addrs []string
-	opts  ClusterOptions
-	idle  []chan *BackendConn
+	pools *ReplicaClient
 }
 
 // NewClusterClient builds a client over the given backend addresses.
@@ -206,19 +186,14 @@ func NewClusterClient(addrs []string, opts ClusterOptions) (*ClusterClient, erro
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("transport: cluster with no backends")
 	}
-	o := opts.withDefaults()
-	idle := make([]chan *BackendConn, len(addrs))
-	for i := range idle {
-		idle[i] = make(chan *BackendConn, o.PoolSize)
-	}
-	return &ClusterClient{addrs: append([]string(nil), addrs...), opts: o, idle: idle}, nil
+	return &ClusterClient{addrs: append([]string(nil), addrs...), pools: NewReplicaClient(opts)}, nil
 }
 
 // N returns the number of backends.
 func (c *ClusterClient) N() int { return len(c.addrs) }
 
 // Options returns the client's configuration with defaults applied.
-func (c *ClusterClient) Options() ClusterOptions { return c.opts }
+func (c *ClusterClient) Options() ClusterOptions { return c.pools.opts }
 
 // Addr returns the address of backend i.
 func (c *ClusterClient) Addr(i int) string { return c.addrs[i] }
@@ -227,23 +202,24 @@ func (c *ClusterClient) Addr(i int) string { return c.addrs[i] }
 // Callers validate user ≥ 0 before routing.
 func (c *ClusterClient) Route(user int) int { return user % len(c.addrs) }
 
-// Lease hands out a connection to backend i: a pooled idle connection
-// when one is available, otherwise a fresh dial with exponential
-// backoff across DialAttempts. The caller owns the connection until
-// Release.
+// Lease hands out a connection to backend i, see ReplicaClient.Lease.
 func (c *ClusterClient) Lease(i int) (*BackendConn, error) {
-	select {
-	case bc := <-c.idle[i]:
-		return bc, nil
-	default:
-	}
-	bc, err := dialBackend(c.addrs[i], c.opts)
+	bc, err := c.pools.lease(c.addrs[i])
 	if err != nil {
 		return nil, fmt.Errorf("transport: backend %d (%s) unreachable after %d attempts: %w",
-			i, c.addrs[i], c.opts.DialAttempts, err)
+			i, c.addrs[i], c.pools.opts.DialAttempts, err)
 	}
 	return bc, nil
 }
+
+// Release returns a leased connection, see ReplicaClient.Release.
+func (c *ClusterClient) Release(i int, bc *BackendConn, healthy bool) {
+	c.pools.Release(c.addrs[i], bc, healthy)
+}
+
+// Close closes every pooled idle connection. Leased connections are
+// closed by their holders via Release.
+func (c *ClusterClient) Close() { c.pools.Close() }
 
 // dialBackend dials addr with exponential backoff across
 // o.DialAttempts, returning the last dial error when all fail.
@@ -267,36 +243,4 @@ func dialBackend(addr string, o ClusterOptions) (*BackendConn, error) {
 		return bc, nil
 	}
 	return nil, lastErr
-}
-
-// Release returns a leased connection. A healthy connection goes back
-// to the pool (or is closed when the pool is full); an unhealthy one —
-// any connection that saw an error — is closed, and the backend's whole
-// idle pool is discarded with it: an error usually means the backend
-// process died (crash, kill -9), taking every pooled connection with
-// it, and retry attempts must reach a fresh dial — which waits out a
-// restart via backoff — rather than burn on dead pooled connections.
-func (c *ClusterClient) Release(i int, bc *BackendConn, healthy bool) {
-	if bc == nil {
-		return
-	}
-	if healthy {
-		select {
-		case c.idle[i] <- bc:
-			return
-		default:
-		}
-		bc.Close()
-		return
-	}
-	bc.Close()
-	drainPool(c.idle[i])
-}
-
-// Close closes every pooled idle connection. Leased connections are
-// closed by their holders via Release.
-func (c *ClusterClient) Close() {
-	for _, p := range c.idle {
-		drainPool(p)
-	}
 }

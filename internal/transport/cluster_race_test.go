@@ -62,7 +62,7 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 				if err != nil {
 					continue // the down window: every dial attempt refused
 				}
-				err = bc.Fence()
+				err = fence(bc)
 				if err == nil && rng.Intn(4) == 0 {
 					// A deliberate unhealthy release of a live connection:
 					// purges the idle pool out from under the other workers,
@@ -113,7 +113,7 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lease %d after restart: %v", i, err)
 		}
-		if err := bc.Fence(); err != nil {
+		if err := fence(bc); err != nil {
 			t.Fatalf("lease %d after restart handed out a dead connection: %v", i, err)
 		}
 		defer c.Release(0, bc, true)

@@ -54,7 +54,7 @@ func TestClusterClientBasics(t *testing.T) {
 	if err := bc.SendBatch([]Msg{Hello(1, 2), FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.Fence(); err != nil {
+	if err := fence(bc); err != nil {
 		t.Fatal(err)
 	}
 	f, err := bc.FetchSums(BoolMode(16, 1), -1, Scope{})
@@ -116,7 +116,7 @@ func TestClusterClientPool(t *testing.T) {
 	c.Release(0, x, true)
 	c.Release(0, y, true)
 	c.Release(0, z, true) // pool size 2: z must be closed
-	if err := z.Fence(); err == nil {
+	if err := fence(z); err == nil {
 		t.Fatal("connection released into a full pool was left open")
 	}
 }
@@ -153,4 +153,12 @@ func TestClusterClientDialBackoff(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Fatalf("3 attempts finished in %v: no backoff between them", elapsed)
 	}
+}
+
+// fence proves the backend applied everything sent earlier on bc, the
+// way a gateway does before a reshard: a smallest-scope sums fetch
+// (which reads under any scale, so the mode only has to name the frame).
+func fence(bc *BackendConn) error {
+	_, err := bc.FetchSums(BoolMode(16, 1), -1, Scope{1, 1})
+	return err
 }

@@ -318,7 +318,7 @@ func TestValidateDomainIngest(t *testing.T) {
 		{Type: MsgDomainReport, User: 1, Item: 0, Order: 0, J: 1, Bit: 0},
 		{Type: MsgDomainReport, User: 1, Item: -1, Order: 0, J: 1, Bit: 1},
 		Hello(1, 0), // Boolean hello on a domain server
-		Query(1),    // v1 query is not ingestible either
+		pointQ(1),   // a Boolean read is not ingestible either
 		{Type: MsgDomainQuery, Kind: QueryPointItem, Item: 0, L: 1}, // queries are not ingest
 	}
 	for _, msg := range bad {

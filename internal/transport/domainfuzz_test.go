@@ -51,7 +51,7 @@ func FuzzDomainReportDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(m Msg) {
 			switch m.Type {
-			case MsgHello, MsgQuery, MsgEstimate, MsgQueryV2, MsgSums, MsgDomainQuery, MsgDomainSums:
+			case MsgHello, MsgQueryV2, MsgSums, MsgDomainQuery, MsgDomainSums:
 				// ok
 			case MsgReport:
 				if m.Bit != 1 && m.Bit != -1 {

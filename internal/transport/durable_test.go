@@ -264,13 +264,13 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fence before shutdown so the batch is known-applied.
-	if err := enc.Encode(Query(3)); err != nil {
+	if err := enc.Encode(pointQ(3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(conn).Next(); err != nil {
+	if _, err := NewDecoder(conn).ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -102,24 +102,24 @@ func TestAnswerLeavesBeforeNextRun(t *testing.T) {
 			}
 		}
 	})
-	if err := enc.EncodeBatch([]Msg{Hello(1, 0), Query(3), Hello(2, 0)}); err != nil {
+	if err := enc.EncodeBatch([]Msg{Hello(1, 0), pointQ(3), Hello(2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := dec.Next(); err != nil || m.Type != MsgEstimate || m.T != 3 {
-		t.Fatalf("answer: %+v, %v", m, err)
+	if a, err := dec.ReadAnswer(); err != nil || a.Kind != QueryPoint || a.L != 3 {
+		t.Fatalf("answer: %+v, %v", a, err)
 	}
 	close(answered)
 	// A second read fences the second run.
-	if err := enc.Encode(Query(4)); err != nil {
+	if err := enc.Encode(pointQ(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := dec.Next(); err != nil || m.T != 4 {
-		t.Fatalf("second answer: %+v, %v", m, err)
+	if a, err := dec.ReadAnswer(); err != nil || a.L != 4 {
+		t.Fatalf("second answer: %+v, %v", a, err)
 	}
 }

@@ -18,8 +18,9 @@ func FuzzDecoderRobust(f *testing.F) {
 	f.Add([]byte{2, 255, 255, 255, 255, 15, 3, 42, 0})
 	f.Add([]byte{})
 	f.Add([]byte{99})
-	f.Add([]byte{4, 17})                            // query
-	f.Add([]byte{5, 17, 0, 0, 0, 0, 0, 0, 240, 63}) // estimate
+	f.Add([]byte{4, 17})                            // retired v1 query: refused
+	f.Add([]byte{5, 17, 0, 0, 0, 0, 0, 0, 240, 63}) // retired v1 estimate: refused
+	f.Add([]byte{6, 1, 1, 17, 0})                   // v2 point query
 	f.Add([]byte{3, 0})                             // empty batch
 	f.Add([]byte{3, 2, 1, 0, 0, 2, 0, 0, 1, 1})     // batch: hello + report
 	f.Add([]byte{3, 1, 3, 0})                       // nested batch (invalid)
@@ -27,7 +28,7 @@ func FuzzDecoderRobust(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(m Msg) {
 			switch m.Type {
-			case MsgHello, MsgQuery, MsgEstimate:
+			case MsgHello, MsgQueryV2:
 				// ok
 			case MsgReport:
 				if m.Bit != 1 && m.Bit != -1 {
@@ -85,12 +86,12 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			}
 			m = Msg{Type: MsgReport, User: int(user), Order: int(order), J: int(j), Bit: b}
 		case 2:
-			m = Query(int(tt))
+			m = pointQ(int(tt))
 		case 3:
-			if math.IsNaN(val) {
-				val = 0 // NaN != NaN; any payload bits would round-trip, the compare would not
-			}
-			m = Estimate(int(tt), val)
+			// The slot of the retired v1 estimate; val stays in the
+			// signature so old corpus entries still parse.
+			_ = val
+			m = QueryV2(QueryChange, int(tt), int(tt)+int(j%1024))
 		}
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
@@ -134,20 +135,20 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
-		if err := enc.Encode(Query(3)); err != nil {
+		if err := enc.Encode(pointQ(3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.EncodeBatch(ms); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(Estimate(3, 1.5)); err != nil {
+		if err := enc.Encode(Sums()); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		dec := NewDecoder(&buf)
-		want := append(append([]Msg{Query(3)}, ms...), Estimate(3, 1.5))
+		want := append(append([]Msg{pointQ(3)}, ms...), Sums())
 		for i, w := range want {
 			got, err := dec.Next()
 			if err != nil {

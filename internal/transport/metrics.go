@@ -219,8 +219,6 @@ func (m *ServerMetrics) RegisterDurability(ds DurabilityStatser) {
 // label.
 func QueryKindName(m Msg) string {
 	switch m.Type {
-	case MsgQuery:
-		return "point_v1"
 	case MsgSums, MsgDomainSums, MsgHashedDomainSums:
 		return "sums"
 	case MsgShardSums:

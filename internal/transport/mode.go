@@ -133,8 +133,6 @@ type dims struct {
 // column, and a sums request says itself.
 func (dims) Scope(m Msg) Scope {
 	switch {
-	case m.Type == MsgQuery:
-		return Scope{1, m.T}
 	case m.Type != MsgQueryV2 && m.Type != MsgDomainQuery:
 		return Scope{m.L, m.R}
 	case m.Kind == QueryPoint || m.Kind == QueryPointItem || m.Kind == QueryTopK:
@@ -192,23 +190,16 @@ type boolMode struct{ dims }
 func BoolMode(d int, scale float64) Mode { return boolMode{dims{d: d, scale: scale}} }
 
 func (boolMode) Name() string     { return "boolean" }
-func (boolMode) Reads() FrameSet  { return frameSet(MsgQuery, MsgQueryV2, MsgSums) }
+func (boolMode) Reads() FrameSet  { return frameSet(MsgQueryV2, MsgSums) }
 func (boolMode) SumsRequest() Msg { return Sums() }
 
 func (p boolMode) Ingest() Ingest { return newIngest(MsgHello, MsgReport, p.dims, 0, p.Reads()) }
 
 func (p boolMode) ValidateRead(m Msg) error {
-	switch m.Type {
-	case MsgQuery:
-		if m.T < 1 || m.T > p.d {
-			return fmt.Errorf("query time %d out of range [1..%d]", m.T, p.d)
-		}
-	case MsgQueryV2:
+	if m.Type == MsgQueryV2 {
 		return ValidateQuery(p.d, m)
-	default:
-		return p.Scope(m).check(p.d)
 	}
-	return nil
+	return p.Scope(m).check(p.d)
 }
 
 func (p boolMode) NewState(shards int) State {
@@ -250,18 +241,14 @@ func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
 func (s boolState) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
 
 func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
-	switch m.Type {
-	case MsgQuery:
-		err = e.Encode(Estimate(m.T, s.acc.EstimateAt(m.T)))
-	case MsgQueryV2:
-		var ans AnswerFrame
-		if ans, err = AnswerQuery(s.acc, m); err == nil {
-			err = e.EncodeAnswer(ans)
-		}
-	default:
-		err = e.EncodeSums(SumsFrame(s.Sums(Scope{m.L, m.R})))
+	if m.Type != MsgQueryV2 {
+		return false, false, e.EncodeSums(SumsFrame(s.Sums(Scope{m.L, m.R})))
 	}
-	return false, false, err
+	ans, err := AnswerQuery(s.acc, m)
+	if err != nil {
+		return false, false, err
+	}
+	return false, false, e.EncodeAnswer(ans)
 }
 
 func (s boolState) Sums(sc Scope) RawSums {

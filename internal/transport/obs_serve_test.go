@@ -330,13 +330,13 @@ func TestLegacyBatchBlocksInsteadOfShedding(t *testing.T) {
 	}
 	srv.Queue.Release()
 	// Fence: a query answer proves the blocked batch has applied.
-	if err := enc.Encode(Query(1)); err != nil {
+	if err := enc.Encode(pointQ(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 	if hellos, _, _ := col.Stats(); hellos != 1 {
@@ -355,7 +355,7 @@ func TestAckedBatchRejectsQueries(t *testing.T) {
 
 	conn, enc, _ := dialIngest(t, addr)
 	defer conn.Close()
-	if err := enc.EncodeAckedBatch([]Msg{Hello(1, 0), Query(1)}); err != nil {
+	if err := enc.EncodeAckedBatch([]Msg{Hello(1, 0), pointQ(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -506,13 +506,13 @@ func TestShutdownGraceDrains(t *testing.T) {
 	if err := enc.EncodeBatch([]Msg{Hello(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(Query(1)); err != nil {
+	if err := enc.Encode(pointQ(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -568,13 +568,13 @@ func TestShutdownGraceForceCloses(t *testing.T) {
 	if err := enc.EncodeBatch([]Msg{Hello(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(Query(1)); err != nil {
+	if err := enc.Encode(pointQ(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Next(); err != nil {
+	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -187,7 +187,7 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 		QueryV2(QueryChange, 9, 5),
 		QueryV2(QueryWindow, 1, d+1),
 		QueryV2(QueryKind(99), 1, 1),
-		Query(1), // not a v2 frame
+		Sums(), // not a v2 frame
 	} {
 		if _, err := AnswerQuery(acc, bad); err == nil {
 			t.Errorf("invalid query %+v accepted", bad)

@@ -68,107 +68,11 @@ func (b *BackendConn) PushView(v membership.View) error {
 	return nil
 }
 
-// ReplicaClient pools backend connections keyed by address, for a
-// cluster whose member set changes across epochs: members can be added
-// (a pool appears on first lease) and removed (Drop purges the pool).
-// Dialing, backoff and unhealthy-release semantics match
-// ClusterClient. It is safe for concurrent use.
-type ReplicaClient struct {
-	opts ClusterOptions
+// connPool is one backend's idle connections.
+type connPool chan *BackendConn
 
-	mu     sync.Mutex
-	idle   map[string]chan *BackendConn
-	closed bool
-}
-
-// NewReplicaClient builds a client with no pools yet; pools appear as
-// addresses are leased.
-func NewReplicaClient(opts ClusterOptions) *ReplicaClient {
-	return &ReplicaClient{opts: opts.withDefaults(), idle: make(map[string]chan *BackendConn)}
-}
-
-// Options returns the client's configuration with defaults applied.
-func (c *ReplicaClient) Options() ClusterOptions { return c.opts }
-
-// pool returns the idle pool for addr, creating it on first use.
-func (c *ReplicaClient) pool(addr string) chan *BackendConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.idle[addr]
-	if !ok {
-		p = make(chan *BackendConn, c.opts.PoolSize)
-		c.idle[addr] = p
-	}
-	return p
-}
-
-// Lease hands out a connection to the backend at addr: a pooled idle
-// connection when one is available, otherwise a fresh dial with
-// exponential backoff across DialAttempts. The caller owns the
-// connection until Release.
-func (c *ReplicaClient) Lease(addr string) (*BackendConn, error) {
-	select {
-	case bc := <-c.pool(addr):
-		return bc, nil
-	default:
-	}
-	bc, err := dialBackend(addr, c.opts)
-	if err != nil {
-		return nil, fmt.Errorf("transport: member %s unreachable after %d attempts: %w", addr, c.opts.DialAttempts, err)
-	}
-	return bc, nil
-}
-
-// Release returns a leased connection. A healthy connection goes back
-// to the address's pool (or is closed when the pool is full); an
-// unhealthy one is closed and the address's whole idle pool is
-// discarded with it, for the same reason as ClusterClient.Release —
-// the error usually means the process died, and retries must reach a
-// fresh dial rather than burn on dead pooled connections.
-func (c *ReplicaClient) Release(addr string, bc *BackendConn, healthy bool) {
-	if bc == nil {
-		return
-	}
-	if healthy {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		if !closed {
-			select {
-			case c.pool(addr) <- bc:
-				return
-			default:
-			}
-		}
-		bc.Close()
-		return
-	}
-	bc.Close()
-	c.drain(addr)
-}
-
-// Drop purges and removes the pool for an address (a member that left
-// the cluster).
-func (c *ReplicaClient) Drop(addr string) {
-	c.mu.Lock()
-	p := c.idle[addr]
-	delete(c.idle, addr)
-	c.mu.Unlock()
-	drainPool(p)
-}
-
-// drain empties the address's pool without removing it.
-func (c *ReplicaClient) drain(addr string) {
-	c.mu.Lock()
-	p := c.idle[addr]
-	c.mu.Unlock()
-	drainPool(p)
-}
-
-func drainPool(p chan *BackendConn) {
-	if p == nil {
-		return
-	}
+// drain closes every idle connection in the pool.
+func (p connPool) drain() {
 	for {
 		select {
 		case bc := <-p:
@@ -179,19 +83,111 @@ func drainPool(p chan *BackendConn) {
 	}
 }
 
+// ReplicaClient is the one backend connection pool: idle connections
+// keyed by address, so it serves a fixed backend list (ClusterClient)
+// and a cluster whose member set changes across epochs alike — a pool
+// appears on first lease and Drop purges a member that left. It is safe
+// for concurrent use.
+type ReplicaClient struct {
+	opts ClusterOptions
+
+	mu     sync.Mutex
+	idle   map[string]connPool
+	closed bool
+}
+
+// NewReplicaClient builds a client with no pools yet; pools appear as
+// addresses are leased.
+func NewReplicaClient(opts ClusterOptions) *ReplicaClient {
+	return &ReplicaClient{opts: opts.withDefaults(), idle: make(map[string]connPool)}
+}
+
+// Options returns the client's configuration with defaults applied.
+func (c *ReplicaClient) Options() ClusterOptions { return c.opts }
+
+// pool returns the idle pool for addr, creating it on first use.
+func (c *ReplicaClient) pool(addr string) connPool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.idle[addr]
+	if !ok {
+		p = make(connPool, c.opts.PoolSize)
+		c.idle[addr] = p
+	}
+	return p
+}
+
+// Lease hands out a connection to the backend at addr: a pooled idle
+// connection when one is available, otherwise a fresh dial with
+// exponential backoff across DialAttempts. The caller owns the
+// connection until Release.
+func (c *ReplicaClient) Lease(addr string) (*BackendConn, error) {
+	bc, err := c.lease(addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: member %s unreachable after %d attempts: %w", addr, c.opts.DialAttempts, err)
+	}
+	return bc, nil
+}
+
+// lease is Lease with the bare dial error, for the caller to name the
+// backend its own way.
+func (c *ReplicaClient) lease(addr string) (*BackendConn, error) {
+	select {
+	case bc := <-c.pool(addr):
+		return bc, nil
+	default:
+	}
+	return dialBackend(addr, c.opts)
+}
+
+// Release returns a leased connection. A healthy connection goes back
+// to the address's pool (or is closed when the pool is full or the
+// client closed); an unhealthy one — any connection that saw an error —
+// is closed, and the address's whole idle pool is discarded with it: an
+// error usually means the backend process died (crash, kill -9), taking
+// every pooled connection with it, and retry attempts must reach a fresh
+// dial — which waits out a restart via backoff — rather than burn on
+// dead pooled connections.
+func (c *ReplicaClient) Release(addr string, bc *BackendConn, healthy bool) {
+	if bc == nil {
+		return
+	}
+	c.mu.Lock()
+	p, closed := c.idle[addr], c.closed
+	c.mu.Unlock()
+	if healthy && !closed {
+		select {
+		case c.pool(addr) <- bc:
+			return
+		default:
+		}
+	}
+	bc.Close()
+	if !healthy {
+		p.drain()
+	}
+}
+
+// Drop purges and removes the pool for an address (a member that left
+// the cluster).
+func (c *ReplicaClient) Drop(addr string) {
+	c.mu.Lock()
+	p := c.idle[addr]
+	delete(c.idle, addr)
+	c.mu.Unlock()
+	p.drain()
+}
+
 // Close closes every pooled idle connection and marks the client
 // closed (subsequent healthy releases close instead of pooling).
 // Leased connections are closed by their holders via Release.
 func (c *ReplicaClient) Close() {
 	c.mu.Lock()
 	c.closed = true
-	pools := make([]chan *BackendConn, 0, len(c.idle))
-	for _, p := range c.idle {
-		pools = append(pools, p)
-	}
-	c.idle = make(map[string]chan *BackendConn)
+	pools := c.idle
+	c.idle = make(map[string]connPool)
 	c.mu.Unlock()
 	for _, p := range pools {
-		drainPool(p)
+		p.drain()
 	}
 }

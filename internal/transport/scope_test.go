@@ -116,7 +116,7 @@ func coveredReads(mode Mode, g *rng.RNG, d int, sc Scope) (covered []Msg, uncove
 	if modeRows(mode) == 0 {
 		covered = append(covered, QueryV2(QueryChange, sc.L, sc.R))
 		if sc.L == 1 {
-			covered = append(covered, Query(sc.R), QueryV2(QueryPoint, sc.R, sc.R))
+			covered = append(covered, QueryV2(QueryPoint, sc.R, sc.R))
 		}
 		return covered, QueryV2(QuerySeries, 0, 0)
 	}

@@ -71,7 +71,7 @@ func TestIngestServerEndToEnd(t *testing.T) {
 				}
 				// Interleave an online query to exercise the live path.
 				if lo/batch == 3 {
-					if err := enc.Encode(Query(d / 2)); err != nil {
+					if err := enc.Encode(pointQ(d / 2)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -79,19 +79,19 @@ func TestIngestServerEndToEnd(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					resp, err := dec.Next()
+					resp, err := dec.ReadAnswer()
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					if resp.Type != MsgEstimate || resp.T != d/2 {
+					if resp.Kind != QueryPoint || resp.L != d/2 || len(resp.Values) != 1 {
 						t.Errorf("conn %d: bad query response %+v", c, resp)
 					}
 				}
 			}
 			// Fence: the server handles frames in order per connection, so
 			// a query response proves every batch above has been applied.
-			if err := enc.Encode(Query(1)); err != nil {
+			if err := enc.Encode(pointQ(1)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -99,7 +99,7 @@ func TestIngestServerEndToEnd(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := dec.Next(); err != nil {
+			if _, err := dec.ReadAnswer(); err != nil {
 				t.Error(err)
 			}
 		}(c)
@@ -127,7 +127,7 @@ func TestIngestServerEndToEnd(t *testing.T) {
 	enc := NewEncoder(conn)
 	dec := NewDecoder(conn)
 	for tt := 1; tt <= d; tt++ {
-		if err := enc.Encode(Query(tt)); err != nil {
+		if err := enc.Encode(pointQ(tt)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,11 +135,11 @@ func TestIngestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tt := 1; tt <= d; tt++ {
-		resp, err := dec.Next()
+		resp, err := dec.ReadAnswer()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := serial.EstimateAt(tt); resp.Value != want || resp.T != tt {
+		if want := serial.EstimateAt(tt); len(resp.Values) != 1 || resp.Values[0] != want || resp.L != tt {
 			t.Fatalf("estimate at %d: got %+v, want %v", tt, resp, want)
 		}
 	}
@@ -199,17 +199,17 @@ func TestIngestServerBadInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	// C(5) = {I{2,1}, I{0,5}}, so the report at I{0,5} is visible at t=5.
-	if err := enc.Encode(Query(5)); err != nil {
+	if err := enc.Encode(pointQ(5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := dec.Next()
+	resp, err := dec.ReadAnswer()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Type != MsgEstimate || resp.Value != 1 {
+	if len(resp.Values) != 1 || resp.Values[0] != 1 {
 		t.Fatalf("bad response %+v", resp)
 	}
 	good.Close()

@@ -23,7 +23,7 @@ import (
 // addition is not associative).
 
 // Scope is the range of periods [L..R] a raw-sums request will be
-// evaluated over: a point, top-k or v1 query at t reads [1..t], a change
+// evaluated over: a point or top-k query at t reads [1..t], a change
 // query its own [L..R]. A scoped request is answered with rows of the
 // header columns plus the interval sums of the range's dyadic cover
 // (protocol.ScopedStride counters) — what the estimators will read —

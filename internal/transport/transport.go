@@ -40,8 +40,8 @@ const (
 	MsgHello     MsgType = 1 // user announces its sampled order h_u
 	MsgReport    MsgType = 2 // one perturbed partial sum
 	MsgBatch     MsgType = 3 // frame carrying many hello/report messages
-	MsgQuery     MsgType = 4 // v1: client asks for the online estimate â[t]
-	MsgEstimate  MsgType = 5 // v1: server answers a point query
+	MsgQuery     MsgType = 4 // retired v1 point query: refused, see errV1Query
+	MsgEstimate  MsgType = 5 // retired v1 point answer: refused likewise
 	MsgQueryV2   MsgType = 6 // versioned query frame: kind + range
 	MsgAnswer    MsgType = 7 // versioned answer frame: kind + range + values
 	MsgSums      MsgType = 8 // cluster gateway asks for the raw interval sums
@@ -148,8 +148,6 @@ type Msg struct {
 	Order int
 	J     int       // report only
 	Bit   int8      // report only, ±1
-	T     int       // v1 query/estimate only: time period
-	Value float64   // v1 estimate only: â[t]
 	Kind  QueryKind // v2 and domain queries only
 	L, R  int       // v2 and domain queries: range (point queries use L = t); sums requests: scope, 0 for every column
 	Item  int       // domain messages only: the sampled target item
@@ -161,11 +159,6 @@ type Msg struct {
 // Hello constructs an order-announcement message.
 func Hello(user, order int) Msg {
 	return Msg{Type: MsgHello, User: user, Order: order}
-}
-
-// Query constructs a v1 point-estimate request for time t.
-func Query(t int) Msg {
-	return Msg{Type: MsgQuery, T: t}
 }
 
 // QueryV2 constructs a versioned query frame. Point and series queries
@@ -246,11 +239,6 @@ func ShardState(shard int) Msg {
 	return Msg{Type: MsgShardState, Shard: shard}
 }
 
-// Estimate constructs a query response.
-func Estimate(t int, value float64) Msg {
-	return Msg{Type: MsgEstimate, T: t, Value: value}
-}
-
 // FromReport converts a protocol report to a wire message.
 func FromReport(r protocol.Report) Msg {
 	return Msg{Type: MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}
@@ -315,11 +303,6 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("transport: report bit %d not ±1", m.Bit)
 		}
-	case MsgQuery:
-		b = binary.AppendUvarint(b, uint64(m.T))
-	case MsgEstimate:
-		b = binary.AppendUvarint(b, uint64(m.T))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(m.Value))
 	case MsgQueryV2:
 		if m.L < 0 || m.R < 0 {
 			return nil, fmt.Errorf("transport: negative query bound [%d..%d]", m.L, m.R)
@@ -814,6 +797,11 @@ const maxScalarWire = 48
 // errShortMsg reports that a slice decode ran out of bytes.
 var errShortMsg = errors.New("transport: short message")
 
+// errV1Query refuses the retired v1 point-query pair (types 4 and 5) at
+// the type byte, so a client that still sends one fails closed at its
+// first query instead of having its frame misparsed as something newer.
+var errV1Query = errors.New("transport: v1 point query removed; send QueryV2(QueryPoint, t, 0)")
+
 // uvarintMulti decodes a uvarint whose first byte has the continuation
 // bit set: the two- and three-byte encodings real streams use for user
 // ids and large interval indices are unrolled, everything longer falls
@@ -902,23 +890,8 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 			return 0, fmt.Errorf("transport: invalid bit byte %d", b[off])
 		}
 		off++
-	case MsgQuery:
-		t, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		m.T = int(t)
-	case MsgEstimate:
-		t, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		if off+8 > len(b) {
-			return 0, errShortMsg
-		}
-		m.T = int(t)
-		m.Value = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
+	case MsgQuery, MsgEstimate:
+		return 0, errV1Query
 	case MsgQueryV2:
 		if off+2 > len(b) {
 			return 0, errShortMsg
