@@ -813,11 +813,11 @@ func startClusterBench(b *testing.B, n, d int, scale float64, configure ...func(
 		cb.backends = append(cb.backends, srv)
 		cb.done = append(cb.done, done)
 	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	gw, err := cluster.New(transport.BoolMode(d, scale), cluster.Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cb.gw = cluster.New(d, scale, client)
+	cb.gw = gw
 	for _, f := range configure {
 		f(cb.gw) // before ListenAndServe: the serve loop reads these fields
 	}
@@ -889,8 +889,8 @@ func BenchmarkClusterIngest(b *testing.B) {
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
 
-// benchClusterAnswer measures one query shape's full scatter/gather
-// round trip through the gateway.
+// benchClusterAnswer measures one query shape's round trip through the
+// gateway on an idle cluster.
 func benchClusterAnswer(b *testing.B, q transport.Msg) {
 	cb := startClusterBench(b, 3, ingestBenchD, 100)
 	streams := encodeIngestStreams(b, 1, true)
@@ -918,9 +918,10 @@ func benchClusterAnswer(b *testing.B, q transport.Msg) {
 	}
 }
 
-// BenchmarkClusterAnswerPoint is the cheapest query over the most
-// expensive transport: one point estimate still gathers every backend's
-// full raw sums.
+// BenchmarkClusterAnswerPoint is the cheapest query, repeated on an
+// unchanged ingest epoch: the first iteration gathers the point's
+// columns from every backend, every later one is a cache hit
+// (BenchmarkQuorumAnswerPoint/warm is its twin over replicas).
 func BenchmarkClusterAnswerPoint(b *testing.B) {
 	benchClusterAnswer(b, transport.QueryV2(transport.QueryPoint, ingestBenchD/2, ingestBenchD/2))
 }
@@ -940,7 +941,7 @@ const memberBenchShards = 32
 
 type memberBench struct {
 	addr     string
-	gw       *cluster.MemberGateway
+	gw       *cluster.Gateway
 	backends []*transport.IngestServer
 	done     []chan error
 }
@@ -961,7 +962,7 @@ func startMemberBench(b *testing.B, n, k, d int, scale float64) *memberBench {
 		mb.backends = append(mb.backends, srv)
 		mb.done = append(mb.done, done)
 	}
-	gw, err := cluster.NewMember(d, scale, memberBenchShards, k, members, transport.NewReplicaClient(transport.ClusterOptions{}))
+	gw, err := cluster.New(transport.BoolMode(d, scale), cluster.Members(memberBenchShards, k, members), transport.ClusterOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1039,34 +1040,50 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 }
 
 // BenchmarkQuorumAnswerPoint is the cheapest query over the replicated
-// transport: one point estimate still quorum-reads every shard from
-// both owners, compares the copies integer-for-integer, and folds one
-// copy per shard into a fresh serial accumulator.
+// transport. /cold forwards one hello between reads, so every iteration
+// is the fenced quorum gather: fence the forward on both owners,
+// quorum-read every shard from both, compare the copies integer for
+// integer, and fold one copy per shard into a fresh serial accumulator.
+// /warm repeats the read on an unchanged ingest epoch: a cache hit, no
+// lock, no backend.
 func BenchmarkQuorumAnswerPoint(b *testing.B) {
-	mb := startMemberBench(b, 3, 2, ingestBenchD, 100)
-	streams := encodeIngestStreams(b, 1, true)
-	conn, err := net.Dial("tcp", mb.addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(streams[0]); err != nil {
-		b.Fatal(err)
-	}
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
-	q := transport.QueryV2(transport.QueryPoint, ingestBenchD/2, ingestBenchD/2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(q); err != nil {
-			b.Fatal(err)
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
 		}
-		if err := enc.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.ReadAnswer(); err != nil {
-			b.Fatal(err)
-		}
+		b.Run(name, func(b *testing.B) {
+			mb := startMemberBench(b, 3, 2, ingestBenchD, 100)
+			streams := encodeIngestStreams(b, 1, true)
+			conn, err := net.Dial("tcp", mb.addr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(streams[0]); err != nil {
+				b.Fatal(err)
+			}
+			enc := transport.NewEncoder(conn)
+			dec := transport.NewDecoder(conn)
+			q := transport.QueryV2(transport.QueryPoint, ingestBenchD/2, ingestBenchD/2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					if err := enc.Encode(transport.Hello(1<<20+i, 0)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := enc.Encode(q); err != nil {
+					b.Fatal(err)
+				}
+				if err := enc.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := dec.ReadAnswer(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -43,12 +43,12 @@
 // whose ownership changed (snapshot handoff over the wire), and bumps
 // the epoch.
 //
-// Both modes are one serving core (transport.Server) over the resolved
-// transport.Mode; they differ in what forwarding a run and gathering for
-// a read mean. -members supports the Boolean and exact-domain modes
-// only, and refuses -hedge, -fetch-timeout and -answer-cache-ttl, which
-// the member gateway does not implement (see the "serving core" section
-// of README.md).
+// Both topologies are one cluster.Gateway over a placement: -backends is
+// the view that never changes (N shards, one owner each, every backend
+// read whole), -members the epoched rendezvous view read per owned
+// shard. Every mode, the answer cache, -hedge, -fetch-timeout and
+// -answer-cache-ttl work over either (see the "serving core" section of
+// README.md).
 //
 // The process logs in logfmt to stderr and -metrics mounts a JSON
 // snapshot of every instrument — including per-backend scatter-fetch
@@ -95,6 +95,7 @@ type config struct {
 	eps        float64
 	enc        hh.DomainEncoding // hashed mode only; zero otherwise
 	scale      float64
+	mode       transport.Mode
 	opts       transport.ClusterOptions
 	grace      time.Duration
 	metrics    string
@@ -136,12 +137,12 @@ func parseConfig(args []string) (config, error) {
 	fs.DurationVar(&c.grace, "grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
 	fs.StringVar(&c.metrics, "metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
 	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole before any forward, legacy batches block (0 = unbounded)")
-	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline; not supported with -members)")
-	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off; not supported with -members)")
+	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline)")
+	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off)")
 	fs.StringVar(&members, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
 	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
-	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced (0 = off; the cache then serves only provably exact entries; not supported with -members)")
+	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced (0 = off; the cache then serves only provably exact entries)")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
 	if err := fs.Parse(args); err != nil {
 		return c, err
@@ -172,9 +173,6 @@ func parseConfig(args []string) (config, error) {
 			if err := c.enc.Validate(); err != nil {
 				return c, err
 			}
-			if members != "" {
-				return c, fmt.Errorf("-members does not support -encoding loloha yet; use -backends")
-			}
 		} else if buckets != 0 || hseed != 0 {
 			return c, fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
 		}
@@ -185,22 +183,20 @@ func parseConfig(args []string) (config, error) {
 	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
 		return c, err
 	}
+	switch {
+	case c.enc.Hashed():
+		c.mode = transport.HashedMode(c.d, c.enc, c.scale)
+	case c.m > 0:
+		c.mode = transport.DomainMode(c.d, c.m, c.scale)
+	default:
+		c.mode = transport.BoolMode(c.d, c.scale)
+	}
 	if members == "" {
 		c.backends, err = parseBackends(backends)
 		return c, err
 	}
 	if backends != "" {
 		return c, fmt.Errorf("-members and -backends are mutually exclusive: one gateway fronts either a static partition map or a dynamic member set")
-	}
-	// The member gateway has no hedged or deadlined fetches and no
-	// answer cache; accepting the flags would silently ignore them.
-	switch {
-	case c.opts.HedgeDelay != 0:
-		return c, fmt.Errorf("-members does not support -hedge yet; drop -hedge")
-	case c.opts.FetchTimeout != 0:
-		return c, fmt.Errorf("-members does not support -fetch-timeout yet; drop -fetch-timeout")
-	case c.cacheTTL != 0:
-		return c, fmt.Errorf("-members does not support -answer-cache-ttl yet; drop -answer-cache-ttl")
 	}
 	if c.members, err = membership.ParseMembers(members); err != nil {
 		return c, err
@@ -220,26 +216,27 @@ func main() {
 		fatal(err)
 	}
 	logger := obs.NewLogger(os.Stderr, "rtf-gateway")
+	place, listening := cluster.Static(cfg.backends), []any{"backends", strings.Join(cfg.backends, ",")}
 	if cfg.members != nil {
-		runMember(logger, cfg)
-		return
+		place = cluster.Members(cfg.vshards, cfg.replicas, cfg.members)
+		listening = []any{"members", len(cfg.members), "replicas", cfg.replicas, "vshards", cfg.vshards}
 	}
-	client, err := transport.NewClusterClient(cfg.backends, cfg.opts)
+	gw, err := cluster.New(cfg.mode, place, cfg.opts)
 	if err != nil {
 		fatal(err)
 	}
-	var gw *cluster.Gateway
-	switch {
-	case cfg.enc.Hashed():
-		gw = cluster.NewHashedDomain(cfg.d, cfg.enc, cfg.scale, client)
-	case cfg.m > 0:
-		gw = cluster.NewDomain(cfg.d, cfg.m, cfg.scale, client)
-	default:
-		gw = cluster.New(cfg.d, cfg.scale, client)
-	}
 	gw.AnswerCacheTTL = cfg.cacheTTL
-	serve(logger, cfg, gw.Server, nil,
-		[]any{"backends", strings.Join(cfg.backends, ",")})
+	var mount func(*obs.Registry, *http.ServeMux)
+	if cfg.members != nil {
+		// Backends may still be coming up; the announce rides the pool's
+		// dial backoff.
+		if err := gw.AnnounceView(); err != nil {
+			fatal(err)
+		}
+		logView(logger, gw.View())
+		mount = membershipAdmin(logger, gw)
+	}
+	serve(logger, cfg, gw.Server, mount, listening)
 }
 
 // serve runs one gateway front to completion: metrics registry and

@@ -62,8 +62,9 @@ func TestParseBackends(t *testing.T) {
 }
 
 // TestParseConfig is the mode × topology table of rtf-gateway
-// (README.md, "serving core"): one accepted row per served cell, and
-// every refused combination with the message the operator sees.
+// (README.md, "serving core"): one accepted row per served cell — every
+// mode and every read-path flag over either topology — and every refused
+// flag set with the message the operator sees.
 func TestParseConfig(t *testing.T) {
 	split := func(s string) []string { return strings.Fields(s) }
 	const (
@@ -84,6 +85,10 @@ func TestParseConfig(t *testing.T) {
 		{name: "hashed static", args: static + " " + loloha, backends: 2, hashed: true},
 		{name: "bool members", args: members + " -replicas 2 -vshards 16", members: 3},
 		{name: "exact members", args: members + " -m 64", members: 3},
+		{name: "members × loloha", args: members + " " + loloha, members: 3, hashed: true},
+		{name: "members × hedge", args: members + " -hedge 5ms", members: 3},
+		{name: "members × fetch-timeout", args: members + " -fetch-timeout 1s", members: 3},
+		{name: "members × answer-cache-ttl", args: members + " -answer-cache-ttl 50ms", members: 3},
 	}
 	for _, tc := range accepted {
 		t.Run("accepts "+tc.name, func(t *testing.T) {
@@ -95,8 +100,8 @@ func TestParseConfig(t *testing.T) {
 				t.Fatalf("resolved %d backends, %d members, hashed=%v; want %d, %d, %v",
 					len(cfg.backends), len(cfg.members), cfg.enc.Hashed(), tc.backends, tc.members, tc.hashed)
 			}
-			if cfg.scale <= 0 {
-				t.Fatalf("estimator scale %v not resolved", cfg.scale)
+			if cfg.scale <= 0 || cfg.mode == nil {
+				t.Fatalf("estimator scale %v, mode %v not resolved", cfg.scale, cfg.mode)
 			}
 		})
 	}
@@ -112,11 +117,7 @@ func TestParseConfig(t *testing.T) {
 		{"buckets without loloha", static + " -m 64 -buckets 8", "-buckets and -hash-seed only apply with -encoding loloha"},
 		{"encoding without -m", static + " -encoding loloha", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
 		{"hash-seed without -m", static + " -hash-seed 3", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
-		{"members × loloha", members + " " + loloha, "-members does not support -encoding loloha yet"},
 		{"members with backends", members + " " + static, "-members and -backends are mutually exclusive"},
-		{"members × hedge", members + " -hedge 5ms", "-members does not support -hedge yet"},
-		{"members × fetch-timeout", members + " -fetch-timeout 1s", "-members does not support -fetch-timeout yet"},
-		{"members × answer-cache-ttl", members + " -answer-cache-ttl 50ms", "-members does not support -answer-cache-ttl yet"},
 		{"malformed member", "-members n0", "is not id=addr"},
 		{"vshards out of range", members + " -vshards 0", "vshards=0 outside"},
 		{"duplicate backend", "-backends a:1,a:1", "lists a:1 twice"},

@@ -6,36 +6,12 @@ import (
 	"rtf/internal/cluster"
 	"rtf/internal/membership"
 	"rtf/internal/obs"
-	"rtf/internal/transport"
 )
 
-// runMember serves the dynamic-membership mode: the gateway fronts a
-// versioned member set, replicates every ingested sub-batch to its
-// shard's K rendezvous owners, answers queries by quorum reads, and
-// exposes the reshard admin API next to /metrics. It does not return
-// except through fatal.
-func runMember(logger *obs.Logger, cfg config) {
-	rc := transport.NewReplicaClient(cfg.opts)
-	var (
-		gw  *cluster.MemberGateway
-		err error
-	)
-	if cfg.m > 0 {
-		gw, err = cluster.NewMemberDomain(cfg.d, cfg.m, cfg.scale, cfg.vshards, cfg.replicas, cfg.members, rc)
-	} else {
-		gw, err = cluster.NewMember(cfg.d, cfg.scale, cfg.vshards, cfg.replicas, cfg.members, rc)
-	}
-	if err != nil {
-		fatal(err)
-	}
-	// Backends may still be coming up; the announce rides the replica
-	// client's dial backoff.
-	if err := gw.AnnounceView(); err != nil {
-		fatal(err)
-	}
-	logView(logger, gw.View())
-
-	serve(logger, cfg, gw.Server, func(reg *obs.Registry, mux *http.ServeMux) {
+// membershipAdmin is what a gateway over a member placement mounts next
+// to /metrics: the membership gauges and the reshard admin API.
+func membershipAdmin(logger *obs.Logger, gw *cluster.Gateway) func(*obs.Registry, *http.ServeMux) {
+	return func(reg *obs.Registry, mux *http.ServeMux) {
 		reg.SetInfo("mode", "membership")
 		reg.GaugeFunc("membership_epoch", func() float64 { return float64(gw.Epoch()) })
 		reg.GaugeFunc("membership_members", func() float64 { return float64(len(gw.View().Members)) })
@@ -49,7 +25,7 @@ func runMember(logger *obs.Logger, cfg config) {
 				logView(logger, gw.View())
 			}
 		}))
-	}, []any{"members", len(cfg.members), "replicas", cfg.replicas, "vshards", cfg.vshards})
+	}
 }
 
 // logView logs the installed cluster view in logfmt.

@@ -32,16 +32,14 @@
 // virtual shard instead of one global accumulator, and serves the
 // membership control plane on the same port — cluster view pushes,
 // per-shard raw-sums requests (the gateway's quorum reads), shard state
-// export and shard transfer installs (reshard handoffs). Works for both
-// the Boolean and (-m) domain protocols; -data-dir is supported in the
-// Boolean mode, where a shard install cuts its own snapshot so a
-// handoff survives a crash.
+// export and shard transfer installs (reshard handoffs). Works for
+// every protocol mode; with -data-dir a shard install cuts its own
+// snapshot, so a handoff survives a crash.
 //
 // Whatever the flags select, the process is one transport.IngestServer
 // over one transport.Store of the resolved transport.Mode (see the
 // "serving core" section of README.md for the mode × topology ×
-// durability table); combinations outside the table are refused at
-// startup by parseConfig.
+// durability table, every cell of which is served).
 //
 // With -data-dir the service is durable: every ingested frame is
 // appended to a write-ahead log before it is applied, periodic
@@ -194,9 +192,6 @@ func parseConfig(args []string) (config, error) {
 		if err := enc.Validate(); err != nil {
 			return c, err
 		}
-		if c.membership {
-			return c, fmt.Errorf("-membership does not support -encoding loloha yet; drop -membership")
-		}
 		c.mode = transport.HashedMode(c.d, enc, c.scale)
 	case c.m > 0:
 		c.mode = transport.DomainMode(c.d, c.m, c.scale)
@@ -212,9 +207,6 @@ func parseConfig(args []string) (config, error) {
 		}
 		if c.vshards < 1 || c.vshards > membership.MaxShards {
 			return c, fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
-		}
-		if c.m > 0 && c.dataDir != "" {
-			return c, fmt.Errorf("-membership -m does not support -data-dir yet (domain shard snapshots are not implemented); drop -data-dir")
 		}
 	}
 	return c, nil

@@ -6,9 +6,9 @@ import (
 )
 
 // TestParseConfig is the mode × topology × durability table of
-// rtf-serve (README.md, "serving core"): one accepted row per served
-// cell, and every refused combination with the message the operator
-// sees.
+// rtf-serve (README.md, "serving core"): one accepted row per cell, all
+// twelve served, and every refused flag set with the message the
+// operator sees.
 func TestParseConfig(t *testing.T) {
 	split := func(s string) []string { return strings.Fields(s) }
 	const loloha = "-m 100000 -encoding loloha -buckets 64 -hash-seed 7"
@@ -23,8 +23,11 @@ func TestParseConfig(t *testing.T) {
 		{"exact single", "-m 64", "domain"},
 		{"exact single durable", "-m 64 -data-dir /tmp/x", "domain"},
 		{"exact membership", "-m 64 -membership -id n0", "domain"},
+		{"membership × -m × -data-dir", "-m 64 -membership -id n0 -data-dir /tmp/x", "domain"},
 		{"hashed single", loloha, "hashed-domain"},
 		{"hashed single durable", loloha + " -data-dir /tmp/x", "hashed-domain"},
+		{"membership × loloha", loloha + " -membership -id n0", "hashed-domain"},
+		{"hashed membership durable", loloha + " -membership -id n0 -data-dir /tmp/x", "hashed-domain"},
 		{"other mechanism", "-mechanism erlingsson -d 256 -k 4 -eps 0.5 -shards 16", "boolean"},
 	}
 	for _, tc := range accepted {
@@ -56,8 +59,6 @@ func TestParseConfig(t *testing.T) {
 		{"encoding without -m", "-encoding loloha", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
 		{"buckets without -m", "-buckets 8", "-encoding, -buckets and -hash-seed require domain mode (-m)"},
 		{"loloha without buckets", "-m 100000 -encoding loloha", "bucket count g=0"},
-		{"membership × loloha", loloha + " -membership -id n0", "-membership does not support -encoding loloha yet"},
-		{"membership × -m × -data-dir", "-m 64 -membership -id n0 -data-dir /tmp/x", "-membership -m does not support -data-dir yet"},
 		{"membership without id", "-membership", "-membership requires -id"},
 		{"vshards out of range", "-membership -id n0 -vshards 0", "vshards=0 outside"},
 		{"shards below 1", "-shards 0", "shards=0 must be >= 1"},

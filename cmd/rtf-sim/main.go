@@ -25,6 +25,7 @@
 //	-recover -domain -hashed    hashed   one durable rtf-serve          crash
 //	-membership                 Boolean  member gateway over 3 (+1)     membership
 //	-membership -domain         exact    member gateway over 3 (+1)     membership
+//	-membership -domain -hashed hashed   member gateway over 3 (+1)     membership
 //	-soak [-soak-backends N]    Boolean  one durable rtf-serve, or a    soak
 //	                                     gateway over N, bounded queue
 //

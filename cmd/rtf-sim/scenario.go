@@ -61,10 +61,10 @@ var scenarios = []scenario{
 		mode: newHashedMode, topology: single, run: crash, needs: caps{HashedDomain: true, Durable: true}},
 	{name: "membership", selects: []string{"membership"}, reads: boolReads + spawnReads,
 		mode: newBoolMode, topology: members3, run: membership, needs: caps{Clustered: true}},
-	// membership × hashed is not a row: rtf-serve and rtf-gateway refuse
-	// -membership with -encoding loloha at startup.
 	{name: "membership-domain", selects: []string{"domain", "membership"}, reads: domainReads + spawnReads,
 		mode: newExactMode, topology: members3, run: membership, needs: caps{Domain: true, Clustered: true}},
+	{name: "membership-hashed", selects: []string{"domain", "hashed", "membership"}, reads: domainReads + " buckets" + spawnReads,
+		mode: newHashedMode, topology: members3, run: membership, needs: caps{HashedDomain: true, Clustered: true}},
 	{name: "soak", selects: []string{"soak"}, reads: boolReads + spawnReads + soakReads,
 		mode: newBoolMode, topology: soakTarget, run: soak, needs: caps{Sharded: true}},
 }

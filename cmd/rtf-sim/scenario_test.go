@@ -79,22 +79,21 @@ func TestScenarioTable(t *testing.T) {
 // row fails naming the flag at fault instead of silently dropping it.
 func TestFlagsThatFitNoScenario(t *testing.T) {
 	for args, want := range map[string]string{
-		"-domain -soak":               "-soak does not combine with -domain (no such scenario)",
-		"-domain -exact":              "-exact does not combine with -domain",
-		"-domain -consistency":        "-consistency does not combine with -domain",
-		"-domain -write-workload f":   "-write-workload does not combine with -domain",
-		"-domain -soak-backends 2":    "-soak-backends does not combine with -domain",
-		"-hashed -recover":            "-recover -hashed needs -domain",
-		"-hashed":                     "-hashed needs -domain",
-		"-membership -hashed":         "-hashed does not combine with -membership",
-		"-membership -domain -hashed": "-membership does not combine with -domain -hashed",
-		"-recover -exact":             "-exact does not combine with -recover",
-		"-cluster -series":            "-series does not combine with -cluster",
-		"-drive x -serve-bin y":       "-serve-bin does not combine with -drive",
-		"-recover -m 8":               "-m does not combine with -recover",
-		"-domain -buckets 64":         "-buckets does not combine with -domain",
-		"-conns 2":                    "-conns does not combine with the offline run",
-		"-recover stray":              `unexpected argument "stray"`,
+		"-domain -soak":             "-soak does not combine with -domain (no such scenario)",
+		"-domain -exact":            "-exact does not combine with -domain",
+		"-domain -consistency":      "-consistency does not combine with -domain",
+		"-domain -write-workload f": "-write-workload does not combine with -domain",
+		"-domain -soak-backends 2":  "-soak-backends does not combine with -domain",
+		"-hashed -recover":          "-recover -hashed needs -domain",
+		"-hashed":                   "-hashed needs -domain",
+		"-membership -hashed":       "-hashed -membership needs -domain",
+		"-recover -exact":           "-exact does not combine with -recover",
+		"-cluster -series":          "-series does not combine with -cluster",
+		"-drive x -serve-bin y":     "-serve-bin does not combine with -drive",
+		"-recover -m 8":             "-m does not combine with -recover",
+		"-domain -buckets 64":       "-buckets does not combine with -domain",
+		"-conns 2":                  "-conns does not combine with the offline run",
+		"-recover stray":            `unexpected argument "stray"`,
 	} {
 		if _, sc, err := configure(strings.Fields(args)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("rtf-sim %s: resolved to %v, %v; want an error containing %q", args, sc, err, want)

@@ -72,11 +72,13 @@
 // serial server fed every report; a dead backend stalls (re-dial with
 // backoff) rather than fails.
 //
-// Cluster membership is dynamic: rtf-gateway -members runs the
-// membership gateway (rtf/internal/cluster.MemberGateway over
-// rtf/internal/membership), which partitions users into -vshards
-// virtual shards placed on K-member owner sets by rendezvous (HRW)
-// hashing under an epoched View carried on the wire (MsgViewUpdate).
+// Cluster membership is dynamic: rtf-gateway -members runs the same
+// gateway (rtf/internal/cluster.Gateway) over another placement — where
+// -backends is the membership.View that never changes (one owner per
+// shard, user mod N), -members partitions users into -vshards virtual
+// shards placed on K-member owner sets by rendezvous (HRW) hashing
+// under an epoched View carried on the wire (MsgViewUpdate); every
+// mode and every read-path feature serves over either.
 // Ingest forwards every report to all K owners — under local DP a lost
 // shard is unrecoverable signal, since re-requesting reports would
 // spend privacy budget twice, so replication is the only safe

@@ -47,7 +47,7 @@ func viewToJSON(v membership.View) viewJSON {
 }
 
 // AdminHandler returns the gateway's membership admin API.
-func (g *MemberGateway) AdminHandler() http.Handler {
+func (g *Gateway) AdminHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/membership/view", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {

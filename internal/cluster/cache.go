@@ -16,16 +16,25 @@ import (
 // (Gateway.ingestEpoch) that advances whenever the cluster-wide answer
 // could change out from under a reader: when a forward starts (the
 // reports may land on a backend at any point after), when a fence
-// certifies previously unfenced forwards as applied, and when a lease
+// certifies previously unfenced forwards as applied, when a lease
 // carrying unfenced forwards is dropped (the forwards may still land
-// without any fence ever recording it). A cache entry is stamped with
-// the epoch loaded BEFORE its gather's first fetch. If a reader loads
-// the epoch and finds it equal to the entry's stamp, no forward
-// started, fenced, or died between the gather and the read — so a fresh
-// gather would fetch the very same per-backend sums and fold them in
-// the very same order, and the cached answer is bit-for-bit what
-// recomputing would produce. A stale stamp only ever causes a harmless
-// recompute.
+// without any fence ever recording it), and when a reshard moves the
+// counters. A cache entry is stamped with the epoch loaded BEFORE its
+// gather's first fetch (session.scatter). If a reader loads the epoch
+// and finds it equal to the entry's stamp, no forward started, fenced,
+// or died between the gather and the read — so a fresh gather would
+// fetch the very same per-shard sums and fold them in the very same
+// order, and the cached answer is bit-for-bit what recomputing would
+// produce. A stale stamp only ever causes a harmless recompute. The
+// argument is the same over either placement and rests on one
+// assumption both share: every write to the backends passes through
+// this gateway.
+//
+// What a miss costs is the placement's business, not the cache's: over
+// replicated shards the gather parks every session and fences their
+// forwards before it loads its stamp (Gateway.settle), over unreplicated
+// ones it runs beside them. A hit takes no lock and fences nothing on
+// either.
 //
 // Sessions with unfenced forwards never touch the cache: their query
 // doubles as the fence certifying this session's forwards, and neither
@@ -79,8 +88,8 @@ type gatherFlight struct {
 // backend lease — the precondition for serving its queries from the
 // shared cache or another session's flight.
 func (s *session) clean() bool {
-	for _, u := range s.unfenced {
-		if u {
+	for _, l := range s.links {
+		if l.unfenced.Load() {
 			return false
 		}
 	}
@@ -134,11 +143,6 @@ func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry
 			c.flight = f
 			c.mu.Unlock()
 			e, err = s.scatter(scope)
-			if err == nil {
-				// epoch was loaded before the fetches began, so the stamp
-				// is conservative: equal-epoch readers are provably exact.
-				e.stamp, e.filled = epoch, time.Now()
-			}
 			c.mu.Lock()
 			c.flight = nil
 			if err == nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -11,45 +12,6 @@ import (
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
 )
-
-// startMeteredBackend is startBackend plus a metrics registry installed
-// before the server starts serving, so cache tests can count exactly
-// how many sums fetches reached the backend.
-func startMeteredBackend(t *testing.T, d int, scale float64) (*testBackend, *obs.Registry) {
-	t.Helper()
-	acc := protocol.NewSharded(d, scale, 2)
-	srv := transport.NewIngestServer(transport.NewShardedCollector(acc))
-	reg := obs.NewRegistry()
-	srv.Metrics = transport.NewServerMetrics(reg)
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-	return &testBackend{srv: srv, acc: acc, addr: (<-ready).String(), done: done}, reg
-}
-
-// startMeteredGateway is startGateway with a metrics registry installed
-// before the gateway starts serving (Metrics must not be set once
-// connections are being accepted).
-func startMeteredGateway(t *testing.T, d int, scale float64, addrs []string) (*Gateway, *obs.Registry, string, chan error) {
-	t.Helper()
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(d, scale, client)
-	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
-	reg := obs.NewRegistry()
-	gw.Metrics = transport.NewServerMetrics(reg)
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- gw.ListenAndServe("127.0.0.1:0", ready) }()
-	return gw, reg, (<-ready).String(), done
-}
-
-// sumsFetches reads how many raw-sums requests a backend has answered.
-func sumsFetches(reg *obs.Registry) int64 {
-	return reg.Counter(obs.Label("queries_total", "mechanism", "boolean", "kind", "sums")).Value()
-}
 
 type gwClient struct {
 	conn net.Conn
@@ -107,22 +69,15 @@ func (c *gwClient) ingestAndFence(t *testing.T, ms []transport.Msg) {
 // first query misses and fills, its repeat hits without touching any
 // backend, and any later fenced ingest invalidates the entry.
 func TestGatewayAnswerCacheExact(t *testing.T) {
-	const d, scale = 16, 2.0
-	var addrs []string
-	var regs []*obs.Registry
-	for i := 0; i < 2; i++ {
-		b, reg := startMeteredBackend(t, d, scale)
-		addrs = append(addrs, b.addr)
-		regs = append(regs, reg)
-		defer b.stop(t)
+	for _, pl := range testPlacements {
+		t.Run(pl.name, func(t *testing.T) { testAnswerCacheExact(t, pl) })
 	}
-	gw, gwReg, gwAddr, gwDone := startMeteredGateway(t, d, scale, addrs)
-	defer func() {
-		gw.Close()
-		if err := <-gwDone; err != nil {
-			t.Error(err)
-		}
-	}()
+}
+
+func testAnswerCacheExact(t *testing.T, pl testPlacement) {
+	const d, scale = 16, 2.0
+	c := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{}, nil)
+	gwReg, gwAddr := c.reg, c.addr
 	counters := func() (eligible, hits, misses, coalesced int64) {
 		return gwReg.Counter("query_cache_eligible_total").Value(),
 			gwReg.Counter("query_cache_hits_total").Value(),
@@ -139,15 +94,24 @@ func TestGatewayAnswerCacheExact(t *testing.T) {
 
 	reader := dialGateway(t, gwAddr)
 	defer reader.close()
+	_, gathered := gathersOf(gwReg)
 	first := reader.series(t)
-	fetchesAfterMiss := sumsFetches(regs[0]) + sumsFetches(regs[1])
+	c.tap.take()
 	if _, hits, misses, _ := counters(); hits != 0 || misses != 2 {
 		t.Fatalf("clean first query: hits=%d misses=%d, want 0/2", hits, misses)
 	}
 
 	second := reader.series(t)
-	if got := sumsFetches(regs[0]) + sumsFetches(regs[1]); got != fetchesAfterMiss {
-		t.Fatalf("cache hit still fetched backends: %d sums fetches, want %d", got, fetchesAfterMiss)
+	if got := c.tap.take(); len(got) != 0 {
+		t.Fatalf("cache hit still asked the backends: they wrote %d frames", len(got))
+	}
+	// What an operator sees of two identical reads on an idle gateway:
+	// two queries under the front's label, one gather.
+	if _, full := gathersOf(gwReg); full != gathered+1 {
+		t.Fatalf("two identical series reads ran %d gathers, want 1", full-gathered)
+	}
+	if n := gwReg.Counter(obs.Label("queries_total", "mechanism", pl.label, "kind", "series")).Value(); n != 2 {
+		t.Fatalf(`queries_total{mechanism=%q,kind="series"} = %d, want 2`, pl.label, n)
 	}
 	if _, hits, _, _ := counters(); hits != 1 {
 		t.Fatalf("clean repeat query did not hit the cache")
@@ -185,6 +149,28 @@ func TestGatewayAnswerCacheExact(t *testing.T) {
 	if coalesced > misses {
 		t.Fatalf("coalesced %d exceeds misses %d", coalesced, misses)
 	}
+
+	// A reshard moves the counters, so where there can be one the read
+	// behind it gathers afresh — and answers what the read before it did.
+	// A static map refuses, and its entry stays good.
+	view := c.gw.View()
+	_, err := c.gw.Reshard(view.Members, view.K)
+	if err != nil && !errors.Is(err, errStatic) {
+		t.Fatal(err)
+	}
+	fourth := reader.series(t)
+	for i := range third {
+		if fourth[i] != third[i] {
+			t.Fatalf("series value %d across a reshard: %v != %v", i, fourth[i], third[i])
+		}
+	}
+	wantHits, wantMisses := hits, misses+1
+	if err != nil {
+		wantHits, wantMisses = hits+1, misses
+	}
+	if _, h, m, _ := counters(); h != wantHits || m != wantMisses {
+		t.Fatalf("read behind Reshard (err=%v): hits/misses = %d/%d, want %d/%d", err, h, m, wantHits, wantMisses)
+	}
 }
 
 // TestGatewayQueryCoalesced fires a burst of identical queries from
@@ -193,26 +179,18 @@ func TestGatewayAnswerCacheExact(t *testing.T) {
 // than one scatter per query would cause, every query is answered
 // bit-for-bit, and the counters stay coherent.
 func TestGatewayQueryCoalesced(t *testing.T) {
+	for _, pl := range testPlacements {
+		t.Run(pl.name, func(t *testing.T) { testQueryCoalesced(t, pl) })
+	}
+}
+
+func testQueryCoalesced(t *testing.T, pl testPlacement) {
 	const (
 		d, scale = 16, 1.5
-		backends = 2
 		queries  = 16
 	)
-	var addrs []string
-	var regs []*obs.Registry
-	for i := 0; i < backends; i++ {
-		b, reg := startMeteredBackend(t, d, scale)
-		addrs = append(addrs, b.addr)
-		regs = append(regs, reg)
-		defer b.stop(t)
-	}
-	gw, gwReg, gwAddr, gwDone := startMeteredGateway(t, d, scale, addrs)
-	defer func() {
-		gw.Close()
-		if err := <-gwDone; err != nil {
-			t.Error(err)
-		}
-	}()
+	c := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{}, nil)
+	gwReg, gwAddr := c.reg, c.addr
 
 	seeder := dialGateway(t, gwAddr)
 	seeder.ingestAndFence(t, clusterMsgs(31, d, 60, 8))
@@ -227,7 +205,7 @@ func TestGatewayQueryCoalesced(t *testing.T) {
 		}
 	}
 	want := serial.EstimateSeries()
-	before := sumsFetches(regs[0]) + sumsFetches(regs[1])
+	before := c.tap.sumsFrames()
 
 	// All sessions blocked on one line, released together.
 	start := make(chan struct{})
@@ -254,11 +232,11 @@ func TestGatewayQueryCoalesced(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	// One scatter per query would cost queries×backends fetches; the
+	// One scatter per query would cost queries×perGather fetches; the
 	// latch must do far better. A couple of racing leaders are allowed
 	// (a flight can complete between a waiter's epoch load and join).
-	fetches := sumsFetches(regs[0]) + sumsFetches(regs[1]) - before
-	if fetches >= queries*backends/2 {
+	fetches := c.tap.sumsFrames() - before
+	if fetches >= int64(queries*pl.perGather/2) {
 		t.Fatalf("%d concurrent identical queries cost %d backend fetches — coalescing is not working", queries, fetches)
 	}
 	eligible, hits, misses, coalesced :=
@@ -279,30 +257,15 @@ func TestGatewayQueryCoalesced(t *testing.T) {
 // later fenced ingest has made it stale, and it is bit-for-bit the
 // answer that was cached — never a partial or merged state.
 func TestGatewayAnswerCacheTTL(t *testing.T) {
+	for _, pl := range testPlacements {
+		t.Run(pl.name, func(t *testing.T) { testAnswerCacheTTL(t, pl) })
+	}
+}
+
+func testAnswerCacheTTL(t *testing.T, pl testPlacement) {
 	const d, scale = 16, 2.0
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		b := startBackend(t, d, scale)
-		addrs = append(addrs, b.addr)
-		defer b.stop(t)
-	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := New(d, scale, client)
-	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
-	gw.AnswerCacheTTL = time.Hour
-	ready := make(chan net.Addr, 1)
-	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.ListenAndServe("127.0.0.1:0", ready) }()
-	gwAddr := (<-ready).String()
-	defer func() {
-		gw.Close()
-		if err := <-gwDone; err != nil {
-			t.Error(err)
-		}
-	}()
+	gwAddr := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{},
+		func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour }).addr
 
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
@@ -356,26 +319,21 @@ func TestGatewayAnswerCacheTTL(t *testing.T) {
 // answers must be bit-for-bit a serial server fed every report. Run
 // with -race in CI.
 func TestGatewayCacheBitForBitUnderConcurrentIngest(t *testing.T) {
-	t.Run("boolean", func(t *testing.T) { testCacheChurnBoolean(t) })
-	t.Run("domain", func(t *testing.T) { testCacheChurnDomain(t, false) })
-	t.Run("hashed", func(t *testing.T) { testCacheChurnDomain(t, true) })
+	over := func(run func(*testing.T, testPlacement)) func(*testing.T) {
+		return func(t *testing.T) {
+			for _, pl := range testPlacements {
+				t.Run(pl.name, func(t *testing.T) { run(t, pl) })
+			}
+		}
+	}
+	t.Run("boolean", over(testCacheChurnBoolean))
+	t.Run("domain", over(func(t *testing.T, pl testPlacement) { testCacheChurnDomain(t, pl, false) }))
+	t.Run("hashed", over(func(t *testing.T, pl testPlacement) { testCacheChurnDomain(t, pl, true) }))
 }
 
-func testCacheChurnBoolean(t *testing.T) {
+func testCacheChurnBoolean(t *testing.T, pl testPlacement) {
 	const d, scale, writers, rounds = 16, 1.25, 3, 6
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		b := startBackend(t, d, scale)
-		addrs = append(addrs, b.addr)
-		defer b.stop(t)
-	}
-	gw, gwAddr, gwDone := startGateway(t, d, scale, addrs, transport.ClusterOptions{})
-	defer func() {
-		gw.Close()
-		if err := <-gwDone; err != nil {
-			t.Error(err)
-		}
-	}()
+	gwAddr := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{}, nil).addr
 
 	var writerWG, readerWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -439,7 +397,7 @@ func testCacheChurnBoolean(t *testing.T) {
 // testCacheChurnDomain drives the same churn through a domain (or
 // hashed-domain) gateway and compares quiesced top-k and point answers
 // bit-for-bit against a serial server.
-func testCacheChurnDomain(t *testing.T, hashed bool) {
+func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 	const (
 		d, m, g, scale   = 16, 40, 8, 2.0
 		writers, rounds  = 3, 5
@@ -447,50 +405,11 @@ func testCacheChurnDomain(t *testing.T, hashed bool) {
 		reportsPerWriter = 4
 	)
 	enc := hh.LolohaEncoding(m, g, 0xabcd)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		var srv *transport.IngestServer
-		var addr string
-		var done chan error
-		if hashed {
-			hs := hh.NewHashedDomainServer(d, enc, scale, 2)
-			srv = transport.NewIngestServer(transport.NewHashedDomainCollector(hs))
-			ready := make(chan net.Addr, 1)
-			done = make(chan error, 1)
-			go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-			addr = (<-ready).String()
-		} else {
-			srv, _, addr, done = startDomainBackend(t, d, m, scale)
-		}
-		addrs = append(addrs, addr)
-		defer func(srv *transport.IngestServer, done chan error) {
-			srv.Close()
-			if err := <-done; err != nil {
-				t.Error(err)
-			}
-		}(srv, done)
-	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gw *Gateway
+	mode := transport.DomainMode(d, m, scale)
 	if hashed {
-		gw = NewHashedDomain(d, enc, scale, client)
-	} else {
-		gw = NewDomain(d, m, scale, client)
+		mode = transport.HashedMode(d, enc, scale)
 	}
-	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
-	ready := make(chan net.Addr, 1)
-	gwDone := make(chan error, 1)
-	go func() { gwDone <- gw.ListenAndServe("127.0.0.1:0", ready) }()
-	gwAddr := (<-ready).String()
-	defer func() {
-		gw.Close()
-		if err := <-gwDone; err != nil {
-			t.Error(err)
-		}
-	}()
+	gwAddr := pl.serve(t, mode, transport.ClusterOptions{}, nil).addr
 
 	// Hashed ingest tags reports with the bucket, exact with the item.
 	tag := func(item int) int {
@@ -668,38 +587,12 @@ func serialOf(d int, scale float64, batches ...[]transport.Msg) *protocol.Server
 	return serial
 }
 
-// scopeCluster is two metered Boolean backends behind a metered gateway.
-func scopeCluster(t *testing.T, d int, scale float64, configure func(*Gateway)) (gw *Gateway, gwReg *obs.Registry, gwAddr string, backendRegs []*obs.Registry) {
+// scopeCluster is a metered Boolean gateway over one placement's tapped
+// backends.
+func scopeCluster(t *testing.T, pl testPlacement, d int, scale float64, configure func(*Gateway)) (gw *Gateway, gwReg *obs.Registry, gwAddr string, tap *backendTap) {
 	t.Helper()
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		b, reg := startMeteredBackend(t, d, scale)
-		addrs = append(addrs, b.addr)
-		backendRegs = append(backendRegs, reg)
-		t.Cleanup(func() { b.stop(t) })
-	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw = New(d, scale, client)
-	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
-	gwReg = obs.NewRegistry()
-	gw.Metrics = transport.NewServerMetrics(gwReg)
-	if configure != nil {
-		configure(gw)
-	}
-	ready := make(chan net.Addr, 1)
-	done := make(chan error, 1)
-	go func() { done <- gw.ListenAndServe("127.0.0.1:0", ready) }()
-	gwAddr = (<-ready).String()
-	t.Cleanup(func() {
-		gw.Close()
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	})
-	return gw, gwReg, gwAddr, backendRegs
+	c := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{}, configure)
+	return c.gw, c.reg, c.addr, c.tap
 }
 
 // TestGatewayCacheScope pins the cache's scope rules on one deterministic
@@ -708,8 +601,14 @@ func scopeCluster(t *testing.T, d int, scale float64, configure func(*Gateway)) 
 // second range inside the epoch costs exactly one full gather, and from
 // then on every read of the epoch hits.
 func TestGatewayCacheScope(t *testing.T) {
+	for _, pl := range testPlacements {
+		t.Run(pl.name, func(t *testing.T) { testCacheScope(t, pl) })
+	}
+}
+
+func testCacheScope(t *testing.T, pl testPlacement) {
 	const d, scale = 16, 2.0
-	gw, gwReg, gwAddr, _ := scopeCluster(t, d, scale, nil)
+	gw, gwReg, gwAddr, _ := scopeCluster(t, pl, d, scale, nil)
 	batch := clusterMsgs(61, d, 40, 6)
 	serial := serialOf(d, scale, batch)
 	expect := func(what string, ranged, full int64) {
@@ -782,11 +681,10 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 			}
 		}()
 	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	gw, err := New(transport.HashedMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewHashedDomain(d, enc0, scale, client)
 	reg := obs.NewRegistry()
 	gw.Metrics = transport.NewServerMetrics(reg)
 	ready := make(chan net.Addr, 1)
@@ -849,7 +747,7 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 // range, never another.
 func TestGatewayCacheScopeTTL(t *testing.T) {
 	const d, scale = 16, 2.0
-	_, gwReg, gwAddr, _ := scopeCluster(t, d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
+	_, gwReg, gwAddr, _ := scopeCluster(t, testPlacements[0], d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
 	first, second := clusterMsgs(81, d, 40, 6), clusterMsgs(82, d, 30, 4)
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
@@ -879,13 +777,12 @@ func TestGatewayCacheScopeTTL(t *testing.T) {
 // gathers its own columns at once and publishes nothing.
 func TestGatewayFlightScope(t *testing.T) {
 	const d, scale = 16, 2.0
-	gw, _, gwAddr, _ := scopeCluster(t, d, scale, nil)
+	gw, _, gwAddr, _ := scopeCluster(t, testPlacements[0], d, scale, nil)
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
 	writer.ingestAndFence(t, clusterMsgs(91, d, 40, 6))
 	open := func() *session {
-		n := gw.client.N()
-		s := &session{g: gw, leases: make([]*transport.BackendConn, n), bufs: make([]transport.RawBatch, n), unfenced: make([]bool, n)}
+		s := gw.openSession(0).(*session)
 		t.Cleanup(func() { s.Close(true) })
 		return s
 	}
@@ -956,12 +853,11 @@ func TestGatewayFlightScope(t *testing.T) {
 // the scoped frame, and an unscoped one with the full version-1 frame.
 func TestGatewayStackedScope(t *testing.T) {
 	const d, scale = 16, 2.5
-	_, innerReg, innerAddr, backendRegs := scopeCluster(t, d, scale, nil)
-	client, err := transport.NewClusterClient([]string{innerAddr}, transport.ClusterOptions{})
+	_, innerReg, innerAddr, tap := scopeCluster(t, testPlacements[0], d, scale, nil)
+	outer, err := New(transport.BoolMode(d, scale), Static([]string{innerAddr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer := New(d, scale, client)
 	outerReg := obs.NewRegistry()
 	outer.Metrics = transport.NewServerMetrics(outerReg)
 	ready := make(chan net.Addr, 1)
@@ -989,7 +885,7 @@ func TestGatewayStackedScope(t *testing.T) {
 			t.Fatalf("%s gateway: gathers range/full = %d/%d, want 1/0", name, r, f)
 		}
 	}
-	if got := sumsFetches(backendRegs[0]) + sumsFetches(backendRegs[1]); got != 2 {
+	if got := tap.sumsFrames(); got != 2 {
 		t.Fatalf("backends answered %d sums requests, want 2", got)
 	}
 

@@ -1,19 +1,28 @@
 // Package cluster implements horizontal scale-out of the aggregation
 // service: a Gateway speaks the same wire protocol as rtf-serve on its
-// front, hash-partitions ingested users across N rtf-serve backends
-// (user id mod N) on its back, and answers every query shape by
-// scatter/gather — it fetches each backend's raw per-interval bit sums
-// (MsgSums → SumsFrame), adds them up and estimates from an accumulator
-// built over the total.
+// front, spreads ingested users over rtf-serve backends on its back, and
+// answers every query shape by scatter/gather — it fetches the backends'
+// raw per-interval bit sums, adds them up and estimates from an
+// accumulator built over the total.
+//
+// Where the counters live is a Placement, and it is data: users hash
+// onto shards (user mod NumShards) and a membership.View names the K
+// backends that own each shard. The static partition map of
+// `-backends a,b,c` is the view that never changes — N shards, K = 1,
+// shard i on backend i, each backend read whole; `-members` is the
+// epoched rendezvous view over membership-mode backends, K-way
+// replicated on ingest, read per owned shard, and moved by Reshard. One
+// session type forwards, fetches and gathers over either.
 //
 // Merging raw integer sums, not scaled float answers, is what keeps the
-// cluster exact: the dyadic accumulator is additive (Σ over backends of
+// cluster exact: the dyadic accumulator is additive (Σ over shards of
 // per-interval int64 sums equals the single-server sums), and the
 // estimator is a fixed linear function of those integers evaluated in a
 // fixed order, so a gateway answer is bit-for-bit the answer of one
 // serial server fed every backend's reports. Averaging or summing the
 // backends' float estimates would instead pick up order-dependent
-// rounding.
+// rounding. Replicas of a shard are compared by exact integer equality
+// before one copy is folded.
 //
 // Failure semantics mirror a single rtf-serve. Forwarded ingest
 // batches are acknowledged only by a later query on the same client
@@ -28,25 +37,85 @@
 // unfenced at stake — dials, and sums fetches on a clean session —
 // retry a dead backend with exponential backoff
 // (transport.ClusterOptions), so a restarting backend stalls queries
-// rather than failing them.
+// rather than failing them; a backend that stays dead fails the read
+// unless every shard it owns has another live owner, in which case the
+// session stops asking it.
 package cluster
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rtf/internal/dyadic"
-	"rtf/internal/hh"
+	"rtf/internal/membership"
 	"rtf/internal/transport"
 )
 
-// Gateway fronts a partitioned set of rtf-serve backends with the
-// rtf-serve wire protocol of its Mode: batched ingestion, every query
-// shape, and raw-sums requests (so gateways stack: a gateway is itself
-// a valid backend). It is the serving core (transport.Server) with
-// sessions whose Apply partitions and forwards and whose Gather is a
+// Placement says where a deployment's counters live: the initial view,
+// what errors call a backend of it, and whether a backend is read whole.
+type Placement struct {
+	view  membership.View
+	noun  string
+	whole bool
+}
+
+// Static is the fixed partition map over the given rtf-serve addresses:
+// user mod N routes to addrs[user mod N], so the order must be identical
+// on every gateway. Each backend is read with the mode's own sums
+// request; the view never changes.
+func Static(addrs []string) Placement {
+	v := membership.View{Epoch: 1, K: 1, NumShards: len(addrs)}
+	for i, a := range addrs {
+		v.Members = append(v.Members, membership.Member{ID: strconv.Itoa(i), Addr: a})
+	}
+	return Placement{view: v, noun: "backend", whole: true}
+}
+
+// Members is the dynamic placement over membership-mode backends
+// (rtf-serve -membership): numShards virtual shards, each placed on k of
+// the members by rendezvous hashing, at epoch 1.
+func Members(numShards, k int, members []membership.Member) Placement {
+	v := membership.View{Epoch: 1, K: k, NumShards: numShards, Members: members}
+	return Placement{view: v.Clone(), noun: "member"}
+}
+
+// layout is one epoch's view resolved for the hot paths. It is immutable;
+// every session that adopted the epoch shares it.
+type layout struct {
+	membership.View
+	route []int // the K owners of shard 0, of shard 1, …: indices into Members
+	// reads[i] is what backend i is asked for, one sums request each, in
+	// shard order: the shards it owns, or -1, its whole state.
+	reads [][]int
+}
+
+func (p Placement) layout(v membership.View) *layout {
+	l := &layout{View: v, reads: make([][]int, len(v.Members))}
+	for sh := 0; sh < v.NumShards; sh++ {
+		owners, ask := []int{sh}, -1
+		if !p.whole {
+			owners, ask = v.Owners(sh), sh
+		}
+		for _, i := range owners {
+			l.reads[i] = append(l.reads[i], ask)
+		}
+		l.route = append(l.route, owners...)
+	}
+	return l
+}
+
+// owners returns the shard's owners, best first. Flat, so that routing a
+// stretch of records costs one multiplication and no slice header.
+func (l *layout) owners(sh int) []int { return l.route[sh*l.K : (sh+1)*l.K] }
+
+// Gateway fronts a placement of rtf-serve backends with the rtf-serve
+// wire protocol of its Mode: batched ingestion, every query shape, and
+// raw-sums requests (so gateways stack: a gateway is itself a valid
+// backend). It is the serving core (transport.Server) with sessions whose
+// Apply partitions and forwards to every owner and whose Gather is a
 // cached scatter/gather. Every backend must be started with the same
 // mode parameters as the gateway; a gateway serves exactly one mode,
 // like its backends, and off-mode frames fail the connection.
@@ -59,9 +128,6 @@ type Gateway struct {
 	// one partition and dropped on another.
 	*transport.Server
 
-	client *transport.ClusterClient
-	mode   transport.Mode
-
 	// AnswerCacheTTL, when positive, opts the gateway into bounded-
 	// staleness reads: a cached gather younger than this may answer a
 	// clean session's query even when ingest has advanced since it was
@@ -70,93 +136,139 @@ type Gateway struct {
 	// fresh scatter/gather. See cache.go.
 	AnswerCacheTTL time.Duration
 
+	pools *transport.ReplicaClient
+	mode  transport.Mode
+	place Placement
+
+	// vmu is the epoch fence. Sessions hold it shared for one ingest run,
+	// for a gather over unreplicated shards and while they close; Reshard
+	// and a gather over replicas hold it exclusively, so every other
+	// session is parked between runs, its leases quiescent and safe to
+	// round-trip fences on.
+	vmu sync.RWMutex
+	lay *layout
+
+	// smu guards the session registry fenceSessions walks.
+	smu      sync.Mutex
+	sessions map[*session]struct{}
+
 	// ingestEpoch advances whenever the cluster-wide answer could have
 	// changed: a forward starting, a fence certifying forwards as
-	// applied, or an unfenced lease dying. Cache entries are stamped
-	// with it; see cache.go for the exactness argument.
+	// applied, an unfenced lease dying, or a reshard. Cache entries are
+	// stamped with it; see cache.go for the exactness argument.
 	ingestEpoch atomic.Uint64
 	// cache is the version-stamped gathered-sums cache and the
 	// single-flight latch coalescing concurrent identical gathers.
 	cache answerCache
+
+	transfers   atomic.Int64 // shard snapshots shipped by reshards
+	divergences atomic.Int64 // gathers that found replica mismatch
+	shortReads  atomic.Int64 // shards answered by fewer than K replicas
 }
 
-// New builds a Boolean gateway for horizon d and estimator scale over
-// the given cluster client.
-func New(d int, scale float64, client *transport.ClusterClient) *Gateway {
-	return newGateway(d, transport.BoolMode(d, scale), client)
-}
-
-// NewDomain builds a gateway fronting domain-mode backends: horizon d,
-// domain size m, and the Boolean mechanism's estimator scale (the
-// per-item scale m × scale is computed identically on every node).
-func NewDomain(d, m int, scale float64, client *transport.ClusterClient) *Gateway {
-	if m < 2 {
-		panic(fmt.Sprintf("cluster: domain size m=%d must be at least 2", m))
+// New builds the gateway of a mode over a placement; opts configure the
+// backend connection pool it owns.
+func New(mode transport.Mode, p Placement, opts transport.ClusterOptions) (*Gateway, error) {
+	if d := mode.Ingest().D; !dyadic.IsPow2(d) {
+		return nil, fmt.Errorf("cluster: d=%d not a power of two", d)
 	}
-	return newGateway(d, transport.DomainMode(d, m, scale), client)
+	if err := p.view.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: initial view: %w", err)
+	}
+	g := &Gateway{pools: transport.NewReplicaClient(opts), mode: mode, place: p,
+		lay: p.layout(p.view), sessions: make(map[*session]struct{})}
+	label := mode.Name()
+	if !p.whole {
+		label = transport.MemberLabel("member", mode)
+	}
+	g.Server = transport.NewServer(mode, label, g.openSession, g.pools.Close)
+	return g, nil
 }
 
-// NewHashedDomain builds a gateway fronting hashed-domain backends:
-// horizon d, the shared domain encoding (catalogue size, bucket count,
-// epoch hash seed — checked by every backend on each gather), and the
-// Boolean mechanism's estimator scale. Panics on an invalid or
-// non-hashed encoding, mirroring NewDomain's contract.
-func NewHashedDomain(d int, enc hh.DomainEncoding, scale float64, client *transport.ClusterClient) *Gateway {
-	if err := enc.Validate(); err != nil {
-		panic("cluster: " + err.Error())
-	}
-	if !enc.Hashed() {
-		panic(fmt.Sprintf("cluster: encoding %q is not hashed", enc.Name))
-	}
-	return newGateway(d, transport.HashedMode(d, enc, scale), client)
+// link is a session's state towards one backend of its adopted layout.
+type link struct {
+	// bc is the leased connection, acquired lazily. Using one connection
+	// per backend for the whole session makes the backend's in-order frame
+	// handling a fence: a sums fetch sees everything this session
+	// forwarded before it.
+	bc *transport.BackendConn
+	// unfenced records that the lease carries forwards not yet covered by
+	// a successful fetch. Losing such a lease makes those forwards
+	// indeterminate, so the session must fail rather than silently re-dial
+	// and certify them with a fence. Atomic because a read that hits the
+	// cache checks it under no lock while another session's gather may be
+	// fencing this one.
+	unfenced atomic.Bool
+	// down is why a clean fetch of this backend failed: for the rest of
+	// the session it is not asked again (its shards answer from surviving
+	// replicas) — a dead replica must not stall every read on redials.
+	down error
 }
 
-func newGateway(d int, mode transport.Mode, client *transport.ClusterClient) *Gateway {
-	if !dyadic.IsPow2(d) {
-		panic(fmt.Sprintf("cluster: d=%d not a power of two", d))
-	}
-	g := &Gateway{client: client, mode: mode}
-	g.Server = transport.NewServer(mode, mode.Name(), func(int) transport.Session {
-		n := client.N()
-		return &session{
-			g:        g,
-			leases:   make([]*transport.BackendConn, n),
-			bufs:     make([]transport.RawBatch, n),
-			unfenced: make([]bool, n),
-		}
-	}, client.Close)
-	return g
-}
-
-// Client returns the gateway's cluster client.
-func (g *Gateway) Client() *transport.ClusterClient { return g.client }
-
-// session is the per-client-connection state: one leased backend
-// connection per partition, acquired lazily. Using one connection per
-// backend for the whole session makes the backend's in-order frame
-// handling a fence: a sums fetch sees everything this session forwarded
-// before it.
+// session is the per-client-connection state: the layout it last adopted
+// and one link per backend of it. Between ingest runs and gathers a
+// session is quiescent, which is when another session's fenceSessions may
+// round-trip on its leases (and poison it on a failure).
 type session struct {
-	g      *Gateway
-	leases []*transport.BackendConn
-	// bufs are the reused per-backend forward frames.
-	bufs []transport.RawBatch
-	// unfenced[i] records that the current lease on backend i carries
-	// forwards not yet covered by a successful fetch. Losing such a
-	// lease makes those forwards indeterminate, so the session must
-	// fail rather than silently re-dial and certify them with a fence.
-	unfenced []bool
+	g     *Gateway
+	lay   *layout
+	links []*link              // by position in lay.Members
+	bufs  []transport.RawBatch // so are the reused forward frames
+	// poisoned is set when a fence on this session's unfenced forwards
+	// failed: the forwards are indeterminate and the session must surface
+	// the error rather than certify them later. The failed link stays
+	// unfenced, so a poisoned session never reads from the cache.
+	poisoned error
+}
+
+func (g *Gateway) openSession(int) transport.Session {
+	s := &session{g: g}
+	g.smu.Lock()
+	g.sessions[s] = struct{}{}
+	g.smu.Unlock()
+	return s
+}
+
+// name is what errors call backend i: "backend 2", "member b1".
+func (s *session) name(i int) string { return s.g.place.noun + " " + s.lay.Members[i].ID }
+
+// adopt moves the session onto the gateway's current layout, keeping the
+// links to backends that are still in it at the same address and
+// releasing the rest. Reshard fenced everything before the epoch
+// switched, so a released lease carries nothing unfenced (a failed fence
+// poisoned the session before it could adopt). The caller holds vmu.
+func (s *session) adopt() {
+	prev, next := s.lay, s.g.lay
+	if prev == next {
+		return
+	}
+	links := make([]*link, len(next.Members))
+	for i, mem := range next.Members {
+		links[i] = new(link)
+		for j := range s.links {
+			if prev.Members[j] == mem {
+				links[i], s.links[j] = s.links[j], nil
+			}
+		}
+	}
+	for j, l := range s.links {
+		if l != nil {
+			s.g.pools.Release(prev.Members[j].Addr, l.bc, true)
+		}
+	}
+	s.lay, s.links, s.bufs = next, links, make([]transport.RawBatch, len(links))
 }
 
 func (s *session) lease(i int) (*transport.BackendConn, error) {
-	if s.leases[i] == nil {
-		bc, err := s.g.client.Lease(i)
+	l := s.links[i]
+	if l.bc == nil {
+		bc, err := s.g.pools.Lease(s.lay.Members[i].Addr)
 		if err != nil {
 			return nil, err
 		}
-		s.leases[i] = bc
+		l.bc = bc
 	}
-	return s.leases[i], nil
+	return l.bc, nil
 }
 
 // drop closes and forgets a lease that saw an error. Losing a lease
@@ -164,60 +276,151 @@ func (s *session) lease(i int) (*transport.BackendConn, error) {
 // still land on the backend without any fence ever recording it, so
 // cache entries gathered before the drop can no longer be proven fresh.
 func (s *session) drop(i int) {
-	if s.leases[i] != nil {
-		if s.unfenced[i] {
+	if l := s.links[i]; l.bc != nil {
+		if l.unfenced.Load() {
 			s.g.ingestEpoch.Add(1)
 		}
-		s.g.client.Release(i, s.leases[i], false)
-		s.leases[i] = nil
+		s.g.pools.Release(s.lay.Members[i].Addr, l.bc, false)
+		l.bc = nil
 	}
 }
 
-// Close releases every lease; healthy connections return to the pool.
-func (s *session) Close(healthy bool) {
-	for i, bc := range s.leases {
-		if bc != nil {
-			s.g.client.Release(i, bc, healthy)
-			s.leases[i] = nil
-		}
+// certify records a completed round trip on link l: everything forwarded
+// on its lease is now certifiably applied — the cluster-wide answer may
+// have changed, so cache entries gathered before this fence go stale.
+func (s *session) certify(l *link) {
+	if l.unfenced.Load() {
+		l.unfenced.Store(false)
+		s.g.ingestEpoch.Add(1)
 	}
+}
+
+// Close deregisters the session and releases every lease; healthy
+// connections with nothing unfenced on them return to the pool. It holds
+// the view lock shared, like a run, so no fence is round-tripping on a
+// lease it releases.
+func (s *session) Close(healthy bool) {
+	g := s.g
+	g.vmu.RLock()
+	defer g.vmu.RUnlock()
+	g.smu.Lock()
+	delete(g.sessions, s)
+	g.smu.Unlock()
+	for i, l := range s.links {
+		g.pools.Release(s.lay.Members[i].Addr, l.bc, healthy && !l.unfenced.Load())
+		l.bc = nil
+	}
+}
+
+// Apply partitions one run of records by shard and ships each stretch of
+// one shard's records to every owner of that shard — as the bytes that
+// arrived: a stretch is one copy of its wire behind each owner's batch
+// header, nothing is re-encoded (a hashed hello's seed travels in those
+// bytes). It holds the view lock shared: Reshard cannot interleave with
+// a run, so a run forwards under exactly one epoch (and its copies are
+// fenced before any snapshot of them is cut). Dial failures retry with
+// backoff inside Lease, but once a sub-batch has been written a
+// connection failure fails the session: the sub-batch (and any earlier
+// unfenced forwards on that lease) may or may not have been applied, and
+// only the client — which sees its connection die, exactly as when a
+// single server crashes — can decide what to re-send. Backends marked
+// down are not skipped: reads survive a dead replica, writes do not mask
+// one. A batch is only guaranteed applied once a later read round-trips
+// on the same session.
+func (s *session) Apply(run []transport.Rec, wire []byte) error {
+	g := s.g
+	g.vmu.RLock()
+	defer g.vmu.RUnlock()
+	if s.poisoned != nil {
+		return s.poisoned
+	}
+	s.adopt()
+	// Bump the epoch before anything is written: once a sub-batch is on
+	// the wire its reports may land at any later moment, so no gather
+	// whose stamp predates this forward may be served as exact again.
+	g.ingestEpoch.Add(1)
+	for i := range s.bufs {
+		s.bufs[i].Reset()
+	}
+	lay, shards := s.lay, s.lay.NumShards
+	for i, off := 0, 0; i < len(run); {
+		sh, j, end := membership.ShardOf(run[i].User, shards), i+1, off+int(run[i].Len)
+		for j < len(run) && membership.ShardOf(run[j].User, shards) == sh {
+			end += int(run[j].Len)
+			j++
+		}
+		for _, to := range lay.owners(sh) {
+			s.bufs[to].Append(j-i, wire[off:end])
+		}
+		i, off = j, end
+	}
+	for i := range s.bufs {
+		if s.bufs[i].Len() == 0 {
+			continue
+		}
+		bc, err := s.lease(i)
+		if err != nil {
+			return fmt.Errorf("forwarding to %s: %w", s.name(i), err)
+		}
+		err = bc.SendRaw(&s.bufs[i])
+		if err == nil {
+			err = bc.Flush()
+		}
+		if err != nil {
+			s.drop(i)
+			return fmt.Errorf("%s connection failed with unacknowledged forwards: %w", s.name(i), err)
+		}
+		s.links[i].unfenced.Store(true)
+	}
+	return nil
 }
 
 // fetchAttempts bounds how many fresh connections a clean sums fetch
 // tries per backend; each attempt behind the first re-dials with the
-// cluster client's full backoff schedule.
+// pool's full backoff schedule.
 const fetchAttempts = 3
 
-// fetchResult carries one fetch outcome together with the connection
-// that produced it, so a hedged race knows which connection won.
-type fetchResult struct {
-	f   transport.RawSums
-	err error
-	bc  *transport.BackendConn
+// fetched carries one backend's fetch outcome — a frame per owned shard —
+// with the connection that produced it, so a hedged race knows which
+// connection won. fatal marks a failure over unfenced forwards.
+type fetched struct {
+	frames []transport.RawSums
+	err    error
+	fatal  bool
+	bc     *transport.BackendConn
 }
 
-// fetchBackend runs one fenced sums fetch against backend i, under the
-// given scope, with the session's full failure discipline: FetchTimeout
-// bounds each attempt, an error over unfenced forwards fails the
-// session, a clean-session error retries on a fresh connection, and a
-// clean-session attempt that outlives HedgeDelay is raced against a
-// second fetch on a freshly leased connection (hedged read — safe
-// because the fetch is read-only and idempotent).
-func (s *session) fetchBackend(i int, scope transport.Scope) (transport.RawSums, error) {
-	opts := s.g.client.Options()
-	bounded := func(bc *transport.BackendConn) fetchResult {
+// fetch runs backend i's reads, under the given scope, sequentially on
+// the session's lease (the first round trip fences the
+// session's prior forwards there), with the full failure discipline:
+// FetchTimeout bounds each attempt, an error over unfenced forwards is
+// fatal to the session, a clean-session error retries on a fresh
+// connection, and a clean-session attempt that outlives HedgeDelay is
+// raced against a second one on a freshly leased connection (hedged read
+// — safe because the fetch is read-only and idempotent).
+func (s *session) fetch(i int, scope transport.Scope) fetched {
+	g, l, opts := s.g, s.links[i], s.g.pools.Options()
+	bounded := func(bc *transport.BackendConn) fetched {
+		r := fetched{bc: bc, frames: make([]transport.RawSums, 0, len(s.lay.reads[i]))}
 		if opts.FetchTimeout > 0 {
 			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
 		}
 		before := bc.BytesRead()
-		f, err := bc.FetchSums(s.g.mode, -1, scope)
-		if m := s.g.Metrics; m != nil && err == nil {
-			m.CountSumsFrameBytes(bc.BytesRead() - before)
+		for _, sh := range s.lay.reads[i] {
+			f, err := bc.FetchSums(g.mode, sh, scope)
+			if err != nil {
+				r.err = err
+				return r
+			}
+			r.frames = append(r.frames, f)
 		}
-		if err == nil && opts.FetchTimeout > 0 {
-			err = bc.SetDeadline(time.Time{})
+		if g.Metrics != nil {
+			g.Metrics.CountSumsFrameBytes(bc.BytesRead() - before)
 		}
-		return fetchResult{f: f, err: err, bc: bc}
+		if opts.FetchTimeout > 0 {
+			r.err = bc.SetDeadline(time.Time{})
+		}
+		return r
 	}
 	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
@@ -226,36 +429,30 @@ func (s *session) fetchBackend(i int, scope transport.Scope) (transport.RawSums,
 			lastErr = err
 			continue
 		}
-		var r fetchResult
-		if opts.HedgeDelay > 0 && !s.unfenced[i] {
+		var r fetched
+		if opts.HedgeDelay > 0 && !l.unfenced.Load() {
 			r = s.hedge(i, bc, opts.HedgeDelay, bounded)
 		} else {
 			r = bounded(bc)
 		}
 		if r.err != nil {
 			s.drop(i)
-			if s.unfenced[i] {
-				return transport.RawSums{}, fmt.Errorf("backend %d connection failed with unacknowledged forwards: %w", i, r.err)
+			if l.unfenced.Load() {
+				return fetched{fatal: true, err: fmt.Errorf("%s connection failed with unacknowledged forwards: %w", s.name(i), r.err)}
 			}
 			lastErr = r.err
 			continue
 		}
-		if r.bc != s.leases[i] {
+		if r.bc != l.bc {
 			// The hedge connection won: the primary lease has a stale
 			// in-flight request on it and cannot be reused — replace it.
-			s.leases[i].Close()
-			s.leases[i] = r.bc
+			l.bc.Close()
+			l.bc = r.bc
 		}
-		if s.unfenced[i] {
-			// Everything forwarded on this lease is now certifiably
-			// applied — the cluster-wide answer may have changed, so
-			// cache entries gathered before this fence go stale.
-			s.unfenced[i] = false
-			s.g.ingestEpoch.Add(1)
-		}
-		return r.f, nil
+		s.certify(l)
+		return r
 	}
-	return transport.RawSums{}, fmt.Errorf("fetching sums from backend %d: %w", i, lastErr)
+	return fetched{err: fmt.Errorf("fetching sums from %s: %w", s.name(i), lastErr)}
 }
 
 // hedge races bounded(primary) against a second fetch on a freshly
@@ -264,8 +461,8 @@ func (s *session) fetchBackend(i int, scope transport.Scope) (transport.RawSums,
 // whichever connection this returns is the only one with a completed —
 // or no — round-trip outstanding.
 func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Duration,
-	bounded func(*transport.BackendConn) fetchResult) fetchResult {
-	ch := make(chan fetchResult, 2) // one slot per racer: neither send blocks
+	bounded func(*transport.BackendConn) fetched) fetched {
+	ch := make(chan fetched, 2) // one slot per racer: neither send blocks
 	go func() { ch <- bounded(primary) }()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
@@ -274,7 +471,7 @@ func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Durati
 		return r
 	case <-timer.C:
 	}
-	hc, err := s.g.client.Lease(i)
+	hc, err := s.g.pools.Lease(s.lay.Members[i].Addr)
 	if err != nil {
 		// No hedge connection to be had; fall back to the primary.
 		return <-ch
@@ -301,112 +498,125 @@ func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Durati
 	return r
 }
 
-// Apply partitions one run of records by user mod N and ships each
-// non-empty sub-batch to its backend — as the bytes that arrived: each
-// stretch of consecutive records bound for one backend is one copy of
-// its stretch of wire behind that backend's batch header, nothing is
-// re-encoded (a hashed hello's seed travels in those bytes). Dial
-// failures retry with backoff inside Lease, but once a sub-batch has
-// been written a connection failure fails the session: the sub-batch
-// (and any earlier unfenced forwards on that lease) may or may not have
-// been applied, and only the client — which sees its connection die,
-// exactly as when a single server crashes — can decide what to re-send.
-// A batch is only guaranteed applied once a later read round-trips on
-// the same session.
-func (s *session) Apply(run []transport.Rec, wire []byte) error {
-	// Bump the epoch before anything is written: once a sub-batch is on
-	// the wire its reports may land at any later moment, so no gather
-	// whose stamp predates this forward may be served as exact again.
-	s.g.ingestEpoch.Add(1)
-	for i := range s.bufs {
-		s.bufs[i].Reset()
-	}
-	for i, off := 0, 0; i < len(run); {
-		to, j, end := s.g.client.Route(run[i].User), i+1, off+int(run[i].Len)
-		for j < len(run) && s.g.client.Route(run[j].User) == to {
-			end += int(run[j].Len)
-			j++
-		}
-		s.bufs[to].Append(j-i, wire[off:end])
-		i, off = j, end
-	}
-	for i := range s.bufs {
-		if s.bufs[i].Len() == 0 {
-			continue
-		}
-		bc, err := s.lease(i)
-		if err != nil {
-			return fmt.Errorf("forwarding to backend %d: %w", i, err)
-		}
-		err = bc.SendRaw(&s.bufs[i])
-		if err == nil {
-			err = bc.Flush()
-		}
-		if err != nil {
-			s.drop(i)
-			return fmt.Errorf("backend %d connection failed with unacknowledged forwards: %w", i, err)
-		}
-		s.unfenced[i] = true
-	}
-	return nil
-}
-
 // Gather obtains the cluster-wide sums read m is answered from — the
 // columns m evaluates, or every column: from the cache, by joining an
 // in-flight gather, or by scattering itself (see cache.go).
-func (s *session) Gather(m transport.Msg) (transport.Reader, func(), error) {
+func (s *session) Gather(m transport.Msg) (transport.Reader, error) {
 	e, hit, coalesced, err := s.g.acquireEntry(s, s.g.mode.Scope(m))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.g.countCacheOutcome(hit, coalesced)
-	return e.Gathered, nil, nil
+	return e.Gathered, nil
 }
 
-// scatter is one scatter/gather round: it fetches every backend's raw
-// sums under the given scope in parallel (each fetch fencing this
-// session's prior forwards on that backend), in backend order, then
-// merges and folds them once into the transport.Gathered every reader of
-// this gather shares.
+// settle takes the view lock for one gather and returns its release.
+// Over unreplicated shards the lock is shared and nothing is fenced: a
+// read races other sessions' forwards exactly as it would on one server.
+// Replicas can only be compared at one settled prefix of the ingest
+// stream — a read racing another session's in-flight forward would see
+// one replica with the sub-batch applied and one without, and exact
+// divergence detection would misfire on healthy replicas — so over
+// K > 1 the lock is exclusive, parking every session between runs, and
+// every outstanding forward is fenced first.
+func (g *Gateway) settle() (release func()) {
+	g.vmu.RLock()
+	if g.lay.K == 1 {
+		return g.vmu.RUnlock
+	}
+	g.vmu.RUnlock()
+	g.vmu.Lock()
+	g.fenceSessions()
+	return g.vmu.Unlock
+}
+
+// scatter is one scatter/gather round under the given scope: it fetches
+// every live backend's copy of every shard it owns, in parallel across
+// backends, verifies the copies of each shard agree by exact integer
+// comparison, and folds one frame per shard in shard order — the fixed
+// order that keeps answers bit-for-bit — into the transport.Gathered
+// every reader of this gather shares. The view lock is released once
+// that immutable state exists.
 //
 // A fetch that fails on a lease carrying unfenced forwards fails the
 // session: retrying on a fresh connection would answer — and so fence —
-// a query whose preceding forwards may have died with the backend.
-// With nothing unfenced the fetch is read-only and idempotent, so it
-// retries across fresh connections (dials back off inside Lease),
-// riding out a backend restart.
+// a query whose preceding forwards may have died with the backend. A
+// backend that fails clean (after riding out retries and re-dials) is
+// marked down for the session when every shard it owns was answered by
+// another owner; a shard nobody answered fails the read.
 func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
-	n := s.g.client.N()
-	frames := make([]transport.RawSums, n)
-	errs := make([]error, n)
+	g := s.g
+	defer g.settle()()
+	if s.poisoned != nil {
+		return nil, s.poisoned
+	}
+	s.adopt()
+	// The stamp is loaded before the first fetch and, over replicas,
+	// after the fences that advance it.
+	lay, stamp, start := s.lay, g.ingestEpoch.Load(), time.Now()
+	results := make([]fetched, len(s.links))
 	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
+	for i, l := range s.links {
+		if l.down != nil || len(lay.reads[i]) == 0 {
+			results[i].err = l.down
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			start := time.Now()
-			if frames[i], errs[i] = s.fetchBackend(i, scope); errs[i] != nil {
-				return
-			}
-			if m := s.g.Metrics; m != nil {
-				m.ObserveScatter(i, time.Since(start))
+			if results[i] = s.fetch(i, scope); results[i].err == nil && g.Metrics != nil {
+				g.Metrics.ObserveScatter(i, time.Since(start))
 			}
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, r := range results {
+		if r.fatal {
+			return nil, r.err
 		}
 	}
-	fetched := time.Now()
-	gathered, err := transport.NewGathered(s.g.mode, frames)
+	chosen := make([]transport.RawSums, lay.NumShards)
+	next := make([]int, len(results)) // how many of each backend's frames are taken
+	for sh := range chosen {
+		owners, first, live := lay.owners(sh), 0, 0
+		var cause error
+		for _, i := range owners {
+			if results[i].err != nil {
+				cause = results[i].err
+				continue
+			}
+			f := results[i].frames[next[i]]
+			next[i]++
+			if live++; live == 1 {
+				first, chosen[sh] = i, f
+			} else if !chosen[sh].Equal(f) {
+				g.divergences.Add(1)
+				return nil, fmt.Errorf("replica divergence on shard %d: members %s and %s disagree on raw sums",
+					sh, lay.Members[first].ID, lay.Members[i].ID)
+			}
+		}
+		if live == 0 {
+			return nil, fmt.Errorf("no live replica for shard %d (all %d owners down): %w", sh, len(owners), cause)
+		}
+		if live < lay.K {
+			g.shortReads.Add(1)
+		}
+	}
+	for i, r := range results {
+		if l := s.links[i]; r.err != nil && l.down == nil {
+			if l.down = r.err; g.ErrorLog != nil {
+				g.ErrorLog(fmt.Errorf("cluster: gather skipping a dead replica: %w", r.err))
+			}
+		}
+	}
+	fetchedAt := time.Now()
+	gathered, err := transport.NewGathered(g.mode, chosen)
 	if err != nil {
 		return nil, err
 	}
-	if m := s.g.Metrics; m != nil {
-		m.ObserveGather(scope, fetched.Sub(start), time.Since(fetched))
+	if m := g.Metrics; m != nil {
+		m.ObserveGather(scope, fetchedAt.Sub(start), time.Since(fetchedAt))
 	}
-	return &cacheEntry{Gathered: gathered}, nil
+	return &cacheEntry{Gathered: gathered, stamp: stamp, filled: time.Now()}, nil
 }

@@ -25,11 +25,19 @@ type testBackend struct {
 func startBackend(t *testing.T, d int, scale float64) *testBackend {
 	t.Helper()
 	acc := protocol.NewSharded(d, scale, 2)
-	srv := transport.NewIngestServer(transport.NewShardedCollector(acc))
+	b := startStoreBackend(t, transport.NewShardedCollector(acc))
+	b.acc = acc
+	return b
+}
+
+// startStoreBackend serves any store; acc stays nil.
+func startStoreBackend(t *testing.T, store transport.Store) *testBackend {
+	t.Helper()
+	srv := transport.NewIngestServer(store)
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-	return &testBackend{srv: srv, acc: acc, addr: (<-ready).String(), done: done}
+	return &testBackend{srv: srv, addr: (<-ready).String(), done: done}
 }
 
 func (b *testBackend) stop(t *testing.T) {
@@ -45,11 +53,10 @@ func (b *testBackend) stop(t *testing.T) {
 // startGateway fronts the backends with an in-process gateway.
 func startGateway(t *testing.T, d int, scale float64, addrs []string, opts transport.ClusterOptions) (*Gateway, string, chan error) {
 	t.Helper()
-	client, err := transport.NewClusterClient(addrs, opts)
+	gw, err := New(transport.BoolMode(d, scale), Static(addrs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := New(d, scale, client)
 	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
@@ -507,11 +514,10 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 			}
 		}()
 	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	gw, err := New(transport.DomainMode(d, m, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewDomain(d, m, scale, client)
 	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
 	ready := make(chan net.Addr, 1)
 	gwDone := make(chan error, 1)
@@ -592,11 +598,10 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 
 	// Stacked gateways: a second domain gateway over the first answers
 	// identically (the first answers MsgDomainSums).
-	client2, err := transport.NewClusterClient([]string{gwAddr}, transport.ClusterOptions{})
+	gw2, err := New(transport.DomainMode(d, m, scale), Static([]string{gwAddr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw2 := NewDomain(d, m, scale, client2)
 	ready2 := make(chan net.Addr, 1)
 	gw2Done := make(chan error, 1)
 	go func() { gw2Done <- gw2.ListenAndServe("127.0.0.1:0", ready2) }()

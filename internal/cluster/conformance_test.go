@@ -15,7 +15,6 @@ import (
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
-	"rtf/internal/membership"
 	"rtf/internal/obs"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
@@ -300,6 +299,14 @@ func (c countingConn) Write(p []byte) (int, error) {
 type backendTap struct {
 	mu     sync.Mutex
 	writes [][]byte
+	sums   int64 // sums frames written since the start, never reset
+}
+
+// sumsFrames counts the raw-sums frames the backends have answered.
+func (b *backendTap) sumsFrames() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sums
 }
 
 func (b *backendTap) take() [][]byte {
@@ -331,6 +338,9 @@ type tapConn struct {
 func (c tapConn) Write(p []byte) (int, error) {
 	c.tap.mu.Lock()
 	c.tap.writes = append(c.tap.writes, bytes.Clone(p))
+	if t := transport.MsgType(p[0]); t == transport.MsgSumsFrame || t == transport.MsgDomainSumsFrame {
+		c.tap.sums++
+	}
 	c.tap.mu.Unlock()
 	return c.Conn.Write(p)
 }
@@ -451,62 +461,34 @@ func durableFront(t *testing.T, m confMode, store transport.Store) confFront {
 
 var confFronts = []struct {
 	name string
-	// hashed reports whether the front serves the hashed mode; the
-	// membership fronts refuse it at startup (see parseConfig).
-	hashed bool
 	// gathers reports whether the front answers reads from raw sums it
 	// gathers per read — from backends, or from its own virtual shards.
 	gathers bool
 	start   func(t *testing.T, m confMode) confFront
 }{
-	{"single", true, false, func(t *testing.T, m confMode) confFront {
+	{"single", false, func(t *testing.T, m confMode) confFront {
 		return storeFront(t, transport.NewCollector(m.mode, 2))
 	}},
-	{"single-durable", true, false, func(t *testing.T, m confMode) confFront {
+	{"single-durable", false, func(t *testing.T, m confMode) confFront {
 		return durableFront(t, m, transport.NewCollector(m.mode, 2))
 	}},
-	{"shard-map", false, true, func(t *testing.T, m confMode) confFront {
+	{"shard-map", true, func(t *testing.T, m confMode) confFront {
 		return storeFront(t, transport.NewShardMap(m.mode, 4, "n0"))
 	}},
-	{"shard-map-durable", false, true, func(t *testing.T, m confMode) confFront {
+	{"shard-map-durable", true, func(t *testing.T, m confMode) confFront {
 		return durableFront(t, m, transport.NewShardMap(m.mode, 4, "n0"))
 	}},
-	{"static-gateway", true, true, func(t *testing.T, m confMode) confFront {
-		stores := []transport.Store{transport.NewCollector(m.mode, 2), transport.NewCollector(m.mode, 2)}
-		addrs, applied, tap, stopBackends := startBackends(t, stores)
-		client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := serveFront(t, newGateway(confD, m.mode, client).Server)
-		stop := f.stop
-		f.applied, f.tap, f.stop = applied, tap, func() { stop(); stopBackends() }
-		return f
-	}},
-	{"member-gateway", false, true, func(t *testing.T, m confMode) confFront {
-		const S, K = 4, 2
-		ids := []string{"n0", "n1", "n2"}
-		stores := make([]transport.Store, len(ids))
-		for i, id := range ids {
-			stores[i] = transport.NewShardMap(m.mode, S, id)
-		}
-		addrs, applied, tap, stopBackends := startBackends(t, stores)
-		members := make([]membership.Member, len(ids))
-		for i, id := range ids {
-			members[i] = membership.Member{ID: id, Addr: addrs[i]}
-		}
-		gw, err := newMember(confD, m.mode, S, K, members, transport.NewReplicaClient(fastOpts()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gw.AnnounceView(); err != nil {
-			t.Fatal(err)
-		}
-		f := serveFront(t, gw.Server)
-		stop := f.stop
-		f.applied, f.replicas, f.tap, f.stop = applied, K, tap, func() { stop(); stopBackends() }
-		return f
-	}},
+	{"static-gateway", true, func(t *testing.T, m confMode) confFront { return gatewayFront(t, m, testPlacements[0]) }},
+	{"member-gateway", true, func(t *testing.T, m confMode) confFront { return gatewayFront(t, m, testPlacements[1]) }},
+}
+
+// gatewayFront serves the gateway of one placement over its backends.
+func gatewayFront(t *testing.T, m confMode, pl testPlacement) confFront {
+	p := pl.build(t, m.mode, fastOpts())
+	f := serveFront(t, p.gw.Server)
+	stop := f.stop
+	f.applied, f.replicas, f.tap, f.stop = p.applied, int64(pl.replicas), p.tap, func() { stop(); p.stop() }
+	return f
 }
 
 // expectDrop writes frames on a fresh connection and requires the front
@@ -546,9 +528,6 @@ func expectDropBytes(t *testing.T, addr, what string, raw []byte) {
 func TestFrameLoopConformance(t *testing.T) {
 	for _, m := range confModes(t) {
 		for _, fr := range confFronts {
-			if m.name == "hashed" && !fr.hashed {
-				continue
-			}
 			t.Run(m.name+"/"+fr.name, func(t *testing.T) {
 				f := fr.start(t, m)
 				defer f.stop()
@@ -768,7 +747,7 @@ func TestFrameLoopConformance(t *testing.T) {
 								t.Fatalf("read %+v: backend frame: %v", q, err)
 							}
 							if fence := (transport.Scope{L: 1, R: 1}); sums.Scope == fence && m.mode.Scope(q) != fence {
-								continue // the member gateway fencing its leases before the quorum read
+								continue // a fence or a connection's first round trip, not the read's gather
 							}
 							frames++
 							bound := rows * (1 + dyadic.NumOrders(confD) + 2*dyadic.Log2(confD))
@@ -811,9 +790,6 @@ func TestFrameLoopConformance(t *testing.T) {
 func TestFlushDiscipline(t *testing.T) {
 	for _, m := range confModes(t) {
 		for _, fr := range confFronts {
-			if m.name == "hashed" && !fr.hashed {
-				continue
-			}
 			t.Run(m.name+"/"+fr.name, func(t *testing.T) {
 				f := fr.start(t, m)
 				defer f.stop()

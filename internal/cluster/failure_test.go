@@ -6,9 +6,11 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"rtf/internal/membership"
 	"rtf/internal/obs"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
@@ -100,6 +102,73 @@ func startFirstConnBlackholeProxy(t *testing.T, backendAddr string) (addr string
 	}
 }
 
+// startValveProxy fronts backendAddr with a proxy that pipes every
+// connection through until hang is called: from then on the connections
+// open at that moment — and, if fresh is set, every later one — swallow
+// what they are sent and answer nothing. A member can therefore take its
+// view push and then hang.
+func startValveProxy(t *testing.T, backendAddr string) (addr string, hang func(fresh bool), stop func()) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	var shut []*atomic.Bool // one per piped connection
+	hungFresh := false
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, c)
+			hung := hungFresh
+			mu.Unlock()
+			d, err := net.Dial("tcp", backendAddr)
+			if hung || err != nil {
+				go io.Copy(io.Discard, c)
+				continue
+			}
+			closed := new(atomic.Bool)
+			mu.Lock()
+			conns, shut = append(conns, d), append(shut, closed)
+			mu.Unlock()
+			pipe := func(dst, src net.Conn) {
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := src.Read(buf)
+					if err != nil {
+						return
+					}
+					if !closed.Load() {
+						dst.Write(buf[:n])
+					}
+				}
+			}
+			go pipe(d, c)
+			go pipe(c, d)
+		}
+	}()
+	return l.Addr().String(), func(fresh bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			hungFresh = fresh
+			for _, closed := range shut {
+				closed.Store(true)
+			}
+		}, func() {
+			l.Close()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, c := range conns {
+				c.Close()
+			}
+		}
+}
+
 // TestGatewayBackendFailureQueryPaths is the table over the ways a
 // backend can fail a scatter/gather query. The invariant under test:
 // the gateway answers exactly (bit-for-bit against a serial reference)
@@ -122,9 +191,14 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 	cases := []struct {
 		name string
 		opts transport.ClusterOptions
+		// members runs the row over the member placement (the three
+		// backends are shard maps, K = 2) instead of the static one.
+		members bool
 		// failing returns the third backend address (and its stopper),
-		// given the already-started real backend it may front.
-		failing func(t *testing.T, real *testBackend) (addr string, stop func())
+		// given the already-started real backend it may front; arm, when
+		// non-nil, runs once the gateway is built and has announced its
+		// view.
+		failing func(t *testing.T, real *testBackend) (addr string, arm, stop func())
 		// forwardToFailing routes part of the ingest batch to the
 		// failing backend before the query (leaving unfenced forwards
 		// on it).
@@ -135,7 +209,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 		{
 			name: "backend down at query time",
 			opts: fast,
-			failing: func(t *testing.T, real *testBackend) (string, func()) {
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
 				// A listener that is already closed: dials are refused.
 				l, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
@@ -143,22 +217,25 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				}
 				addr := l.Addr().String()
 				l.Close()
-				return addr, func() {}
+				return addr, nil, func() {}
 			},
 			wantErr: "unreachable",
 		},
 		{
-			name:    "backend hangs mid-scatter past FetchTimeout",
-			opts:    withTimeout,
-			failing: func(t *testing.T, real *testBackend) (string, func()) { return startBlackhole(t) },
+			name: "backend hangs mid-scatter past FetchTimeout",
+			opts: withTimeout,
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
+				addr, stop := startBlackhole(t)
+				return addr, nil, stop
+			},
 			wantErr: "fetching sums",
 		},
 		{
 			name: "backend dies holding unfenced forwards",
 			opts: fast,
-			failing: func(t *testing.T, real *testBackend) (string, func()) {
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
 				// The real backend, stopped after the forwards land.
-				return real.addr, func() {}
+				return real.addr, nil, func() {}
 			},
 			forwardToFailing: true,
 			wantErr:          "unacknowledged forwards",
@@ -166,8 +243,35 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 		{
 			name: "hedged read beats a hung connection",
 			opts: withHedge,
-			failing: func(t *testing.T, real *testBackend) (string, func()) {
-				return startFirstConnBlackholeProxy(t, real.addr)
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
+				addr, stop := startFirstConnBlackholeProxy(t, real.addr)
+				return addr, nil, stop
+			},
+			wantAnswer: true,
+		},
+		{
+			// Over replicas a member that times out clean is not the end of
+			// the read: the session stops asking it and every shard it
+			// owns answers from the other owner.
+			name:    "member hangs mid-scatter past FetchTimeout",
+			opts:    withTimeout,
+			members: true,
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
+				addr, hang, stop := startValveProxy(t, real.addr)
+				return addr, func() { hang(true) }, stop
+			},
+			wantAnswer: true,
+			wantErr:    "fetching sums from member n2",
+		},
+		{
+			// The connection that carried the view push hangs; fresh ones
+			// are served.
+			name:    "hedged read beats a hung member connection",
+			opts:    withHedge,
+			members: true,
+			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
+				addr, hang, stop := startValveProxy(t, real.addr)
+				return addr, func() { hang(false) }, stop
 			},
 			wantAnswer: true,
 		},
@@ -175,19 +279,41 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			good := []*testBackend{startBackend(t, d, scale), startBackend(t, d, scale)}
+			mode := transport.BoolMode(d, scale)
+			backend := func(id string) *testBackend {
+				if tc.members {
+					return startStoreBackend(t, transport.NewShardMap(mode, testShards, id))
+				}
+				return startStoreBackend(t, transport.NewCollector(mode, 2))
+			}
+			good := []*testBackend{backend("n0"), backend("n1")}
 			defer good[0].stop(t)
 			defer good[1].stop(t)
-			real := startBackend(t, d, scale)
-			failAddr, stopFailing := tc.failing(t, real)
+			real := backend("n2")
+			failAddr, arm, stopFailing := tc.failing(t, real)
 			defer stopFailing()
 
 			addrs := []string{good[0].addr, good[1].addr, failAddr}
-			client, err := transport.NewClusterClient(addrs, tc.opts)
+			place := Static(addrs)
+			// toFailing reports whether a user's reports are forwarded to
+			// the failing backend.
+			toFailing := func(u int) bool { return u%3 == 2 }
+			if tc.members {
+				place = testPlacements[1].place(addrs)
+				toFailing = func(u int) bool { return place.view.Owns("n2", membership.ShardOf(u, testShards)) }
+			}
+			gw, err := New(mode, place, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gw := New(d, scale, client)
+			if tc.members {
+				if err := gw.AnnounceView(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if arm != nil {
+				arm()
+			}
 			gw.Metrics = transport.NewServerMetrics(obs.NewRegistry())
 			var errMu sync.Mutex
 			var gwErrs []string
@@ -218,12 +344,12 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 			enc := transport.NewEncoder(conn)
 			dec := transport.NewDecoder(conn)
 
-			// Ingest only users routed to the two good backends (u%3 != 2)
-			// unless the case wants unfenced forwards on the failing one.
+			// Ingest only users routed to the two good backends unless the
+			// case wants unfenced forwards on the failing one.
 			serial := protocol.NewServer(d, scale)
 			var ms []transport.Msg
 			for u := 0; u < 30; u++ {
-				if u%3 == 2 && !tc.forwardToFailing {
+				if toFailing(u) && !tc.forwardToFailing {
 					continue
 				}
 				ms = append(ms, transport.Hello(u, 1),
@@ -282,32 +408,34 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 						t.Fatalf("series value %d: gateway %v, serial %v", i, a.Values[i], want[i])
 					}
 				}
-				s := gw.Metrics.Registry().Snapshot()
-				if s.Counters["gateway_hedged_fetches_total"] < 1 || s.Counters["gateway_hedge_wins_total"] < 1 {
-					t.Fatalf("hedge counters = %d armed / %d wins, want >= 1 each",
-						s.Counters["gateway_hedged_fetches_total"], s.Counters["gateway_hedge_wins_total"])
+				if tc.opts.HedgeDelay > 0 {
+					s := gw.Metrics.Registry().Snapshot()
+					if s.Counters["gateway_hedged_fetches_total"] < 1 || s.Counters["gateway_hedge_wins_total"] < 1 {
+						t.Fatalf("hedge counters = %d armed / %d wins, want >= 1 each",
+							s.Counters["gateway_hedged_fetches_total"], s.Counters["gateway_hedge_wins_total"])
+					}
+					// A second query must work on the installed hedge lease.
+					if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
+						t.Fatal(err)
+					}
+					if err := enc.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := dec.ReadAnswer(); err != nil {
+						t.Fatal(err)
+					}
+				} else if gw.ShortReads() == 0 {
+					t.Fatal("answered without the failing backend, yet counted no short read")
 				}
-				// A second query must work on the installed hedge lease.
-				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
-					t.Fatal(err)
-				}
-				if err := enc.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := dec.ReadAnswer(); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			// Failure cases: the client connection must die without any
-			// answer bytes — a partially-merged answer is the bug class
-			// under test.
-			if err == nil {
+			} else if err == nil {
+				// Failure cases: the client connection must die without any
+				// answer bytes — a partially-merged answer is the bug class
+				// under test.
 				t.Fatalf("got an answer (%d values) from a cluster with a failed backend", len(a.Values))
 			}
 			errMu.Lock()
 			defer errMu.Unlock()
-			found := false
+			found := tc.wantErr == ""
 			for _, e := range gwErrs {
 				if strings.Contains(e, tc.wantErr) {
 					found = true
@@ -328,11 +456,10 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 	backends := []*testBackend{startBackend(t, d, scale), startBackend(t, d, scale)}
 	defer backends[0].stop(t)
 	defer backends[1].stop(t)
-	client, err := transport.NewClusterClient([]string{backends[0].addr, backends[1].addr}, transport.ClusterOptions{})
+	gw, err := New(transport.BoolMode(d, scale), Static([]string{backends[0].addr, backends[1].addr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := New(d, scale, client)
 	gw.ErrorLog = func(err error) { t.Error(err) }
 	gw.Metrics = transport.NewServerMetrics(obs.NewRegistry())
 	gw.Queue = transport.NewIngestQueue(1)

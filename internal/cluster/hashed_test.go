@@ -79,11 +79,10 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 			}
 		}()
 	}
-	client, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	gw, err := New(transport.HashedMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := NewHashedDomain(d, enc0, scale, client)
 	gw.ErrorLog = func(err error) { t.Log("gateway:", err) }
 	ready := make(chan net.Addr, 1)
 	gwDone := make(chan error, 1)
@@ -165,11 +164,10 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 
 	// Stacked gateways: a second hashed gateway over the first gathers
 	// bucket state via MsgHashedDomainSums and answers identically.
-	client2, err := transport.NewClusterClient([]string{gwAddr}, transport.ClusterOptions{})
+	gw2, err := New(transport.HashedMode(d, enc0, scale), Static([]string{gwAddr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw2 := NewHashedDomain(d, enc0, scale, client2)
 	ready2 := make(chan net.Addr, 1)
 	gw2Done := make(chan error, 1)
 	go func() { gw2Done <- gw2.ListenAndServe("127.0.0.1:0", ready2) }()
@@ -207,11 +205,10 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	// gather: the backends refuse its sums requests rather than hand
 	// over bucket counters that mean different items.
 	badEnc := hh.LolohaEncoding(hashedTestM, hashedTestG, hashedTestSeed+1)
-	clientBad, err := transport.NewClusterClient(addrs, transport.ClusterOptions{})
+	gwBad, err := New(transport.HashedMode(d, badEnc, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gwBad := NewHashedDomain(d, badEnc, scale, clientBad)
 	readyBad := make(chan net.Addr, 1)
 	gwBadDone := make(chan error, 1)
 	go func() { gwBadDone <- gwBad.ListenAndServe("127.0.0.1:0", readyBad) }()

@@ -6,11 +6,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"rtf/internal/hh"
 	"rtf/internal/membership"
+	"rtf/internal/obs"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
 )
@@ -28,6 +32,7 @@ func startMemberBackend(t *testing.T, d int, scale float64, numShards int, id st
 	t.Helper()
 	sm := transport.NewShardMap(transport.BoolMode(d, scale), numShards, id)
 	srv := transport.NewIngestServer(sm)
+	srv.Metrics = transport.NewServerMetrics(obs.NewRegistry()) // conns_active
 	ready := make(chan net.Addr, 1)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
@@ -53,9 +58,9 @@ func fastOpts() transport.ClusterOptions {
 	return transport.ClusterOptions{DialAttempts: 2, BackoffBase: 5 * time.Millisecond}
 }
 
-func startMemberGateway(t *testing.T, d int, scale float64, numShards, k int, members []membership.Member) (*MemberGateway, string, chan error) {
+func startMemberGateway(t *testing.T, d int, scale float64, numShards, k int, members []membership.Member) (*Gateway, string, chan error) {
 	t.Helper()
-	gw, err := NewMember(d, scale, numShards, k, members, transport.NewReplicaClient(fastOpts()))
+	gw, err := New(transport.BoolMode(d, scale), Members(numShards, k, members), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +226,19 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 	}
 
 	// Kill one backend outright: quorum reads must still answer every
-	// shape bit-for-bit from the surviving replicas.
+	// shape bit-for-bit from the surviving replicas. A death is not a
+	// write, so what the gateway has gathered is still exact and a read
+	// alone would not go and look; one forwarded hello — on a shard the
+	// dead member does not own — opens a new ingest epoch.
 	backends[1].stop(t)
+	newcomer := users
+	for view.Owns("b1", membership.ShardOf(newcomer, S)) {
+		newcomer++
+	}
+	serial.Register(0)
+	if err := enc.Encode(transport.Hello(newcomer, 0)); err != nil {
+		t.Fatal(err)
+	}
 	checkAllShapes(t, enc, dec, serial, d)
 	if gw.ShortReads() == 0 {
 		t.Error("no short reads counted with a dead replica")
@@ -333,6 +349,17 @@ func TestMemberGatewayReshard(t *testing.T) {
 	if res2.Epoch != res.Epoch+1 {
 		t.Fatalf("drain epoch %d, want %d", res2.Epoch, res.Epoch+1)
 	}
+	// Once the one live session has adopted the new view, the gateway
+	// holds nothing of the departed member: its pool was dropped by the
+	// reshard, and the session's lease must be closed, not parked in a
+	// pool re-created for it.
+	checkAllShapes(t, enc, dec, serial, d)
+	for deadline := time.Now().Add(5 * time.Second); backends[1].srv.Metrics.ActiveConns.Value() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("drained member still has %v open connections from the gateway", backends[1].srv.Metrics.ActiveConns.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	backends[1].stop(t)
 	checkAllShapes(t, enc, dec, serial, d)
 
@@ -399,6 +426,13 @@ func TestMemberGatewayDivergence(t *testing.T) {
 	if err := b1.sm.InstallShard(0, empty); err != nil {
 		t.Fatal(err)
 	}
+	// The corruption went behind the gateway's back: its cache is exact
+	// only while every write passes through it, so nothing tells it to
+	// look again. One forwarded hello opens a new ingest epoch — the rule
+	// the static cache tests follow — and the read behind it must notice.
+	if err := enc.Encode(transport.Hello(1000, 0)); err != nil {
+		t.Fatal(err)
+	}
 	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -419,6 +453,123 @@ func TestMemberGatewayDivergence(t *testing.T) {
 	}
 }
 
+// TestMemberGatewayRefusesForeignEncoding pins what stands where the
+// startup refusal of membership × hashed stood: a gateway and members
+// that disagree on (m, g, seed) never merge bucket counters. A per-shard
+// sums request carries no encoding, so the first round trip of every
+// connection is the mode's own request, which a member hashing under
+// another seed refuses — on a read, and on the fence of a reshard.
+func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
+	const d, scale, S, K = 16, 2.0, 4, 2
+	theirs, ours := hh.LolohaEncoding(1000, 8, 0xfeed), hh.LolohaEncoding(1000, 8, 0xbeef)
+	var mu sync.Mutex
+	var refusals []string
+	var members []membership.Member
+	for _, id := range []string{"n0", "n1"} {
+		srv := transport.NewIngestServer(transport.NewShardMap(transport.HashedMode(d, theirs, scale), S, id))
+		srv.ErrorLog = func(err error) {
+			mu.Lock()
+			refusals = append(refusals, err.Error())
+			mu.Unlock()
+		}
+		ready := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+		members = append(members, membership.Member{ID: id, Addr: (<-ready).String()})
+		defer func() {
+			srv.Close()
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	refused := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, r := range refusals {
+			if strings.Contains(r, "under a different seed") {
+				n++
+			}
+		}
+		return n
+	}
+	gw, err := New(transport.HashedMode(d, ours, scale), Members(S, K, members), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gwErrs []string
+	gw.ErrorLog = func(err error) {
+		mu.Lock()
+		gwErrs = append(gwErrs, err.Error())
+		mu.Unlock()
+	}
+	if err := gw.AnnounceView(); err != nil { // a view has no encoding
+		t.Fatal(err)
+	}
+	ready := make(chan net.Addr, 1)
+	gwDone := make(chan error, 1)
+	go func() { gwDone <- gw.ListenAndServe("127.0.0.1:0", ready) }()
+	gwAddr := (<-ready).String()
+	defer func() {
+		gw.Close()
+		if err := <-gwDone; err != nil {
+			t.Error(err)
+		}
+	}()
+
+	reader := dialGateway(t, gwAddr)
+	defer reader.close()
+	if err := reader.enc.Encode(transport.DomainQuery(transport.QueryPointItem, 0, d, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := reader.enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := reader.dec.ReadDomainAnswer(); err == nil {
+		t.Fatalf("a gateway hashing under seed %#x answered %v from members hashing under %#x", ours.Seed, a.Values, theirs.Seed)
+	}
+	if refused() == 0 {
+		t.Fatalf("the read failed, but no member refused the encoding: %q", refusals)
+	}
+
+	// Reports carry a bucket and no seed, so the members take them; the
+	// fence a reshard runs over those forwards is what they refuse.
+	writer := dialGateway(t, gwAddr)
+	defer writer.close()
+	if err := writer.enc.EncodeBatch([]transport.Msg{
+		transport.FromDomainReport(3, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}),
+		transport.FromDomainReport(5, protocol.Report{User: 2, Order: 0, J: 2, Bit: -1}),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.enc.Encode(transport.DomainQuery(transport.QueryPointItem, 0, d, 0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := refused()
+	// The batch is forwarded once the gateway has read it; the reshard
+	// must find it on the session's leases.
+	for deadline := time.Now().Add(5 * time.Second); gw.ingestEpoch.Load() == 0; time.Sleep(time.Millisecond) {
+		if err := writer.enc.Flush(); err != nil || time.Now().After(deadline) {
+			t.Fatalf("the gateway never forwarded the batch (flush: %v)", err)
+		}
+	}
+	if _, err := gw.Reshard(members, K); err != nil {
+		t.Fatal(err)
+	}
+	if refused() == before {
+		t.Fatalf("the reshard fenced forwards on members of another encoding and none refused: %q", refusals)
+	}
+	if a, err := writer.dec.ReadDomainAnswer(); err == nil {
+		t.Fatalf("a session whose fence was refused still answered %v", a.Values)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(gwErrs, func(e string) bool { return strings.Contains(e, "unacknowledged forwards during a fence") }) {
+		t.Fatalf("gateway errors %q do not mention the refused fence", gwErrs)
+	}
+}
+
 // TestMemberAdminHandler drives the JSON admin API: view inspection,
 // a reshard post, and the rejection paths.
 func TestMemberAdminHandler(t *testing.T) {
@@ -427,7 +578,7 @@ func TestMemberAdminHandler(t *testing.T) {
 	b1 := startMemberBackend(t, d, scale, S, "b1")
 	defer b0.stop(t)
 	defer b1.stop(t)
-	gw, err := NewMember(d, scale, S, K, []membership.Member{b0.member()}, transport.NewReplicaClient(fastOpts()))
+	gw, err := New(transport.BoolMode(d, scale), Members(S, K, []membership.Member{b0.member()}), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,21 +2,19 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"net"
 	"time"
 )
 
-// This file is the client side of the scatter/gather cluster: a
-// ClusterClient owns the addresses of N rtf-serve backends and routes
-// users to backends by user id modulo N; the connections come from the
-// one pool in replica.go, which re-dials a dead backend with exponential
+// This file is the client side of the scatter/gather cluster: the framed
+// connection a gateway holds to one backend, and the options of the pool
+// (replica.go) that dials it, re-dialing a dead backend with exponential
 // backoff. The gateway (internal/cluster) leases one connection per
 // backend for the lifetime of each client session, so the backend's
 // in-order frame handling makes a sums fetch on the same connection a
 // fence for everything the session forwarded before it.
 
-// ClusterOptions configures a ClusterClient. The zero value is usable:
+// ClusterOptions configures a ReplicaClient. The zero value is usable:
 // every field has a sensible default.
 type ClusterOptions struct {
 	// DialTimeout bounds one dial attempt (default 2s).
@@ -78,6 +76,9 @@ type BackendConn struct {
 	enc  *Encoder
 	dec  *Decoder
 	read int64 // bytes read off conn, see BytesRead
+	// checked records that the backend answered the mode's own sums
+	// request on this connection, see FetchSums.
+	checked bool
 }
 
 // Read counts what the decoder pulls off the connection.
@@ -145,10 +146,18 @@ func (b *BackendConn) Flush() error { return b.enc.Flush() }
 // frames in order), so the fetch doubles as a fence. A hashed-domain
 // backend refuses the whole-node request unless its catalogue size,
 // bucket count and epoch hash seed all match, so bucket counters from
-// disagreeing deployments can never merge.
+// disagreeing deployments can never merge. A per-shard request carries
+// no encoding, so the first one on a connection goes behind the
+// smallest whole-node request: a gateway that reads by shard is refused
+// by a backend hashing differently exactly as one that reads whole is.
 func (b *BackendConn) FetchSums(mode Mode, shard int, scope Scope) (RawSums, error) {
 	req := mode.SumsRequest()
 	if shard >= 0 {
+		if !b.checked {
+			if _, err := b.FetchSums(mode, -1, Scope{1, 1}); err != nil {
+				return RawSums{}, err
+			}
+		}
 		req = ShardSums(shard)
 	}
 	req.L, req.R = scope.L, scope.R
@@ -158,7 +167,9 @@ func (b *BackendConn) FetchSums(mode Mode, shard int, scope Scope) (RawSums, err
 	if err := b.enc.Flush(); err != nil {
 		return RawSums{}, err
 	}
-	return mode.ReadSums(b.dec)
+	f, err := mode.ReadSums(b.dec)
+	b.checked = b.checked || err == nil
+	return f, err
 }
 
 // SetDeadline sets the absolute read/write deadline on the underlying
@@ -168,58 +179,6 @@ func (b *BackendConn) SetDeadline(t time.Time) error { return b.conn.SetDeadline
 
 // Close closes the underlying connection.
 func (b *BackendConn) Close() error { return b.conn.Close() }
-
-// ClusterClient is the static partition map over a fixed set of
-// rtf-serve backends — user mod N routes to addrs[user mod N] — on top of
-// a ReplicaClient's per-address pools: Lease re-dials a dead backend with
-// exponential backoff, so a crashed-and-recovering backend stalls its
-// callers instead of failing them. It is safe for concurrent use.
-type ClusterClient struct {
-	addrs []string
-	pools *ReplicaClient
-}
-
-// NewClusterClient builds a client over the given backend addresses.
-// The address order is the partition map (user mod N routes to
-// addrs[user mod N]) and must be identical on every gateway.
-func NewClusterClient(addrs []string, opts ClusterOptions) (*ClusterClient, error) {
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("transport: cluster with no backends")
-	}
-	return &ClusterClient{addrs: append([]string(nil), addrs...), pools: NewReplicaClient(opts)}, nil
-}
-
-// N returns the number of backends.
-func (c *ClusterClient) N() int { return len(c.addrs) }
-
-// Options returns the client's configuration with defaults applied.
-func (c *ClusterClient) Options() ClusterOptions { return c.pools.opts }
-
-// Addr returns the address of backend i.
-func (c *ClusterClient) Addr(i int) string { return c.addrs[i] }
-
-// Route returns the backend responsible for a user: user mod N.
-// Callers validate user ≥ 0 before routing.
-func (c *ClusterClient) Route(user int) int { return user % len(c.addrs) }
-
-// Lease hands out a connection to backend i, see ReplicaClient.Lease.
-func (c *ClusterClient) Lease(i int) (*BackendConn, error) {
-	bc, err := c.pools.lease(c.addrs[i])
-	if err != nil {
-		return nil, fmt.Errorf("transport: backend %d (%s) unreachable after %d attempts: %w",
-			i, c.addrs[i], c.pools.opts.DialAttempts, err)
-	}
-	return bc, nil
-}
-
-// Release returns a leased connection, see ReplicaClient.Release.
-func (c *ClusterClient) Release(i int, bc *BackendConn, healthy bool) {
-	c.pools.Release(c.addrs[i], bc, healthy)
-}
-
-// Close closes every pooled idle connection. Leased connections are
-// closed by their holders via Release.
-func (c *ClusterClient) Close() { c.pools.Close() }
 
 // dialBackend dials addr with exponential backoff across
 // o.DialAttempts, returning the last dial error when all fail.

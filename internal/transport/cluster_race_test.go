@@ -34,14 +34,11 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 	}
 	srv, ln, addr := newServer("127.0.0.1:0")
 
-	c, err := NewClusterClient([]string{addr}, ClusterOptions{
+	c := NewReplicaClient(ClusterOptions{
 		PoolSize:     4,
 		DialAttempts: 3,
 		BackoffBase:  2 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 
 	const workers = 16
@@ -58,7 +55,7 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for !stop.Load() {
-				bc, err := c.Lease(0)
+				bc, err := c.Lease(addr)
 				if err != nil {
 					continue // the down window: every dial attempt refused
 				}
@@ -67,10 +64,10 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 					// A deliberate unhealthy release of a live connection:
 					// purges the idle pool out from under the other workers,
 					// who must transparently re-dial.
-					c.Release(0, bc, false)
+					c.Release(addr, bc, false)
 					continue
 				}
-				c.Release(0, bc, err == nil)
+				c.Release(addr, bc, err == nil)
 				if err != nil {
 					continue
 				}
@@ -109,14 +106,14 @@ func TestClusterClientConcurrentRestart(t *testing.T) {
 	// connections and fence each — a stale pre-restart connection handed
 	// out as healthy would fail here.
 	for i := 0; i < 4; i++ {
-		bc, err := c.Lease(0)
+		bc, err := c.Lease(addr)
 		if err != nil {
 			t.Fatalf("lease %d after restart: %v", i, err)
 		}
 		if err := fence(bc); err != nil {
 			t.Fatalf("lease %d after restart handed out a dead connection: %v", i, err)
 		}
-		defer c.Release(0, bc, true)
+		defer c.Release(addr, bc, true)
 	}
 	ln.Close()
 	if err := srv.Close(); err != nil {

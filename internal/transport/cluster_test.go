@@ -26,28 +26,16 @@ func startSumsServer(t *testing.T, d int, scale float64) (string, func()) {
 	}
 }
 
-// TestClusterClientBasics covers construction, routing and the
-// round-trip operations of a leased backend connection.
+// TestClusterClientBasics covers the round-trip operations of a leased
+// backend connection. (The pool is ReplicaClient; the tests of this file
+// keep the names they had when a fixed backend list had a client type of
+// its own.)
 func TestClusterClientBasics(t *testing.T) {
-	if _, err := NewClusterClient(nil, ClusterOptions{}); err == nil {
-		t.Error("accepted a cluster with no backends")
-	}
 	addr, stop := startSumsServer(t, 16, 2)
 	defer stop()
-	c, err := NewClusterClient([]string{addr, addr, addr}, ClusterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewReplicaClient(ClusterOptions{})
 	defer c.Close()
-	if c.N() != 3 || c.Addr(1) != addr {
-		t.Fatalf("N=%d Addr(1)=%s", c.N(), c.Addr(1))
-	}
-	for user, want := range map[int]int{0: 0, 1: 1, 5: 2, 6: 0} {
-		if got := c.Route(user); got != want {
-			t.Errorf("Route(%d) = %d, want %d", user, got, want)
-		}
-	}
-	bc, err := c.Lease(0)
+	bc, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +52,7 @@ func TestClusterClientBasics(t *testing.T) {
 	if users, _, _ := f.Row(0); f.D != 16 || users != 1 {
 		t.Fatalf("bad sums frame %+v", f)
 	}
-	c.Release(0, bc, true)
+	c.Release(addr, bc, true)
 }
 
 // TestClusterClientPool checks the pool recycles healthy connections,
@@ -73,22 +61,19 @@ func TestClusterClientBasics(t *testing.T) {
 func TestClusterClientPool(t *testing.T) {
 	addr, stop := startSumsServer(t, 16, 2)
 	defer stop()
-	c, err := NewClusterClient([]string{addr}, ClusterOptions{PoolSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewReplicaClient(ClusterOptions{PoolSize: 2})
 	defer c.Close()
 
-	a, err := c.Lease(0)
+	a, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Lease(0)
+	b, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Release(0, a, true)
-	got, err := c.Lease(0)
+	c.Release(addr, a, true)
+	got, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,29 +81,64 @@ func TestClusterClientPool(t *testing.T) {
 		t.Fatal("healthy release was not recycled by the next lease")
 	}
 	// Pool = [got(=a)] after this; an unhealthy release must purge it.
-	c.Release(0, got, true)
-	c.Release(0, b, false)
-	fresh, err := c.Lease(0)
+	c.Release(addr, got, true)
+	c.Release(addr, b, false)
+	fresh, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh == a || fresh == b {
 		t.Fatal("lease after an unhealthy release returned a stale pooled connection")
 	}
-	c.Release(0, fresh, true)
+	c.Release(addr, fresh, true)
 	// A full pool closes the extra healthy release instead of leaking.
-	x, _ := c.Lease(0)
-	y, _ := c.Lease(0)
-	z, err := c.Lease(0)
+	x, _ := c.Lease(addr)
+	y, _ := c.Lease(addr)
+	z, err := c.Lease(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Release(0, x, true)
-	c.Release(0, y, true)
-	c.Release(0, z, true) // pool size 2: z must be closed
+	c.Release(addr, x, true)
+	c.Release(addr, y, true)
+	c.Release(addr, z, true) // pool size 2: z must be closed
 	if err := fence(z); err == nil {
 		t.Fatal("connection released into a full pool was left open")
 	}
+}
+
+// TestReplicaClientDropWhileLeased pins what happens to a connection
+// that is out on lease when its address is dropped (the member left the
+// view): releasing it healthy must close it, not re-create the dropped
+// pool and park the connection there until the client closes.
+func TestReplicaClientDropWhileLeased(t *testing.T) {
+	addr, stop := startSumsServer(t, 16, 2)
+	defer stop()
+	c := NewReplicaClient(ClusterOptions{})
+	defer c.Close()
+	bc, err := c.Lease(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Drop(addr)
+	c.Release(addr, bc, true)
+	if err := fence(bc); err == nil {
+		t.Fatal("a connection released after its address was dropped was left open")
+	}
+	c.mu.Lock()
+	_, pooled := c.idle[addr]
+	c.mu.Unlock()
+	if pooled {
+		t.Fatal("releasing a connection re-created the pool of a dropped address")
+	}
+	// The address works again once something leases it.
+	again, err := c.Lease(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fence(again); err != nil {
+		t.Fatal(err)
+	}
+	c.Release(addr, again, true)
 }
 
 // TestClusterClientDialBackoff checks Lease retries a dead backend
@@ -132,18 +152,15 @@ func TestClusterClientDialBackoff(t *testing.T) {
 	}
 	dead := l.Addr().String()
 	l.Close()
-	c, err := NewClusterClient([]string{dead}, ClusterOptions{
+	c := NewReplicaClient(ClusterOptions{
 		DialAttempts: 3,
 		BackoffBase:  time.Millisecond,
 		BackoffMax:   2 * time.Millisecond,
 		DialTimeout:  100 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer c.Close()
 	start := time.Now()
-	_, err = c.Lease(0)
+	_, err = c.Lease(dead)
 	if err == nil {
 		t.Fatal("leased a connection to a dead backend")
 	}

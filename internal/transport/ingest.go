@@ -11,7 +11,7 @@ import (
 // records → counters. A served report never becomes a Msg: the frame
 // loop decodes a frame straight into Recs with every field checked
 // against the mode's Ingest contract while it is still in a register,
-// and everything downstream — states, stores, sessions, both gateways —
+// and everything downstream — states, stores, sessions, the gateway —
 // takes records plus the bytes that encoded them. Msg remains the view
 // of scalar reads, control frames, the encode side and mode-less callers
 // (NextBatch).

@@ -13,10 +13,9 @@ import (
 // domain, hashed domain — which frame types are reads, how ingest and
 // read frames are validated, how a validated run is applied, how a read
 // is answered, and how raw sums are exported, fetched, merged and
-// restored. The serving core (serve.go), the collectors and both
-// gateways are written once against it; the mode is chosen at
-// construction and nothing above this file names a mode-specific frame
-// type.
+// restored. The serving core (serve.go), the collectors and the gateway
+// are written once against it; the mode is chosen at construction and
+// nothing above this file names a mode-specific frame type.
 
 // FrameSet is a set of scalar message types: the data form of "which
 // frames does this mode read", so the frame loop classifies a message
@@ -268,8 +267,13 @@ func (s boolState) Users() int                  { return s.acc.Users() }
 type domainMode struct{ dims }
 
 // DomainMode is domain-valued tracking under the exact encoding: one
-// counter row per item of a size-m domain.
-func DomainMode(d, m int, scale float64) Mode { return domainMode{dims{d, m, scale}} }
+// counter row per item of a size-m domain, m at least 2.
+func DomainMode(d, m int, scale float64) Mode {
+	if m < 2 {
+		panic(fmt.Sprintf("transport: domain size m=%d must be at least 2", m))
+	}
+	return domainMode{dims{d, m, scale}}
+}
 
 func (domainMode) Name() string     { return "domain" }
 func (domainMode) Reads() FrameSet  { return frameSet(MsgDomainQuery, MsgDomainSums) }
@@ -363,9 +367,15 @@ type hashedMode struct {
 
 // HashedMode is domain-valued tracking under a hashed encoding: g
 // bucket rows stand in for a catalogue of enc.M items, and item queries
-// are answered through the bucket decoder. The encoding must be valid
-// and hashed.
+// are answered through the bucket decoder. Panics on an invalid or
+// non-hashed encoding.
 func HashedMode(d int, enc hh.DomainEncoding, scale float64) Mode {
+	if err := enc.Validate(); err != nil {
+		panic("transport: " + err.Error())
+	}
+	if !enc.Hashed() {
+		panic(fmt.Sprintf("transport: encoding %q is not hashed", enc.Name))
+	}
 	return hashedMode{dims{d, enc.G, scale}, enc}
 }
 

@@ -12,8 +12,8 @@ import (
 // address rather than by a fixed index, because the member set changes
 // across epochs — and BackendConn grows the membership round-trips
 // (shard state export, shard transfer install, view push; per-shard
-// sums for quorum reads go through FetchSums). Placement is the member gateway's business
-// (internal/cluster); this layer only moves frames.
+// sums for quorum reads go through FetchSums). Placement is the
+// gateway's business (internal/cluster); this layer only moves frames.
 
 // FetchShardState round-trips a shard-snapshot request: the backend
 // answers with the shard's serialized state (the reshard transfer
@@ -84,10 +84,12 @@ func (p connPool) drain() {
 }
 
 // ReplicaClient is the one backend connection pool: idle connections
-// keyed by address, so it serves a fixed backend list (ClusterClient)
-// and a cluster whose member set changes across epochs alike — a pool
-// appears on first lease and Drop purges a member that left. It is safe
-// for concurrent use.
+// keyed by address, so it serves a fixed backend list and a cluster
+// whose member set changes across epochs alike — a pool appears on first
+// lease and Drop purges a member that left. Lease re-dials a dead
+// backend with exponential backoff, so a crashed-and-recovering backend
+// stalls its callers instead of failing them. It is safe for concurrent
+// use.
 type ReplicaClient struct {
 	opts ClusterOptions
 
@@ -122,27 +124,23 @@ func (c *ReplicaClient) pool(addr string) connPool {
 // exponential backoff across DialAttempts. The caller owns the
 // connection until Release.
 func (c *ReplicaClient) Lease(addr string) (*BackendConn, error) {
-	bc, err := c.lease(addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: member %s unreachable after %d attempts: %w", addr, c.opts.DialAttempts, err)
-	}
-	return bc, nil
-}
-
-// lease is Lease with the bare dial error, for the caller to name the
-// backend its own way.
-func (c *ReplicaClient) lease(addr string) (*BackendConn, error) {
 	select {
 	case bc := <-c.pool(addr):
 		return bc, nil
 	default:
 	}
-	return dialBackend(addr, c.opts)
+	bc, err := dialBackend(addr, c.opts)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s unreachable after %d attempts: %w", addr, c.opts.DialAttempts, err)
+	}
+	return bc, nil
 }
 
 // Release returns a leased connection. A healthy connection goes back
-// to the address's pool (or is closed when the pool is full or the
-// client closed); an unhealthy one — any connection that saw an error —
+// to the address's pool — or is closed when the pool is full, was
+// dropped while the connection was out (the member left; re-creating its
+// pool here would park the connection until the client closes) or the
+// client closed; an unhealthy one — any connection that saw an error —
 // is closed, and the address's whole idle pool is discarded with it: an
 // error usually means the backend process died (crash, kill -9), taking
 // every pooled connection with it, and retry attempts must reach a fresh
@@ -157,7 +155,7 @@ func (c *ReplicaClient) Release(addr string, bc *BackendConn, healthy bool) {
 	c.mu.Unlock()
 	if healthy && !closed {
 		select {
-		case c.pool(addr) <- bc:
+		case p <- bc: // never ready on a dropped (nil) pool
 			return
 		default:
 		}

@@ -11,11 +11,10 @@ import (
 
 // This file is the serving core: the one frame loop and the one
 // connection lifecycle every front runs. A front — the single-node
-// IngestServer here, the static and member gateways in internal/cluster
-// — is a Server plus a Session factory, and fronts differ only in what
-// a session's Apply means (collector / partition-and-forward / K-way
-// replicate under the view lock) and what its Gather means (live state
-// / cached scatter-gather / fenced quorum read).
+// IngestServer here, the Gateway in internal/cluster — is a Server plus
+// a Session factory, and fronts differ only in what a session's Apply
+// means (collector / partition and forward to every owner) and what its
+// Gather means (live state / cached scatter-gather over a placement).
 
 // Session is one client connection's state inside a front.
 type Session interface {
@@ -24,9 +23,8 @@ type Session interface {
 	// loop decoded the run under the mode's ingest contract; a session
 	// does not validate it again.
 	Apply(run []Rec, wire []byte) error
-	// Gather returns the state read frame m is answered from. done, when
-	// non-nil, is called once the answer has been flushed.
-	Gather(m Msg) (r Reader, done func(), err error)
+	// Gather returns the state read frame m is answered from.
+	Gather(m Msg) (Reader, error)
 	// Close releases the session. healthy reports a clean client close
 	// (or server shutdown) rather than a failed connection.
 	Close(healthy bool)
@@ -72,7 +70,7 @@ type Server struct {
 // NewServer builds a serving core for mode. label is the front's
 // queries_total mechanism label; open builds the Session of connection
 // id; onClose, when non-nil, runs after Shutdown or Close has dealt
-// with the connections (the gateways close their backend pools there).
+// with the connections (the gateway closes its backend pools there).
 func NewServer(mode Mode, label string, open func(id int) Session, onClose func()) *Server {
 	return &Server{mode: mode, label: label, open: open, onClose: onClose, conns: make(map[net.Conn]struct{})}
 }
@@ -128,7 +126,7 @@ type storeSession struct {
 }
 
 func (s storeSession) Apply(run []Rec, wire []byte) error { return s.store.Apply(s.id, run, wire) }
-func (s storeSession) Gather(Msg) (Reader, func(), error) { return s.store, nil, nil }
+func (s storeSession) Gather(Msg) (Reader, error)         { return s.store, nil }
 func (s storeSession) Close(bool)                         {}
 
 // Serve accepts connections on l until Close is called (or the listener
@@ -261,12 +259,9 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 				s.Metrics.CountGather(s.mode.Scope(m))
 			}
 		}
-		r, done, err := sess.Gather(m)
+		r, err := sess.Gather(m)
 		if err != nil {
 			return err
-		}
-		if done != nil {
-			defer done()
 		}
 		memo, hit, err := r.Answer(m, enc, &sc)
 		if err != nil {

@@ -268,65 +268,91 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 
 // TestDurableShardMapRecovery runs the durable wrapper through ingest,
 // a shard install (which must cut its own snapshot), more ingest, a
-// simulated crash, and recovery: the reopened map must agree with the
-// expected serial state bit-for-bit.
+// simulated crash, and recovery, in every mode: the reopened map must
+// agree with the expected serial state bit-for-bit.
 func TestDurableShardMapRecovery(t *testing.T) {
-	const d, scale, S = 64, 5.5, 8
-	dir := t.TempDir()
-	meta := durableMeta(d, scale)
+	const d, scale, S, m = 64, 5.5, 8, 6
+	enc := hh.LolohaEncoding(1000, 8, 0xfeed)
+	exactMeta, hashedMeta := durableMeta(d, scale), durableMeta(d, scale)
+	exactMeta.M = m
+	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = enc.M, enc.G, enc.Name, enc.Seed
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		meta persist.Meta
+		// tag turns a Boolean message of genMsgs into the mode's.
+		tag func(Msg) Msg
+	}{
+		{"bool", BoolMode(d, scale), durableMeta(d, scale), func(b Msg) Msg { return b }},
+		{"exact", DomainMode(d, m, scale), exactMeta, func(b Msg) Msg {
+			if b.Type == MsgHello {
+				return DomainHello(b.User, b.User%m, b.Order)
+			}
+			return FromDomainReport(b.User%m, b.Report())
+		}},
+		{"hashed", HashedMode(d, enc, scale), hashedMeta, func(b Msg) Msg {
+			if b.Type == MsgHello {
+				return HashedDomainHello(b.User, b.User%enc.G, b.Order, enc.Seed)
+			}
+			return FromDomainReport(b.User%enc.G, b.Report())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			msgs := func(lo, hi int) []Msg {
+				ms := genMsgs(d, hi)[lo*5:]
+				for i := range ms {
+					ms[i] = tc.tag(ms[i])
+				}
+				return ms
+			}
+			dir := t.TempDir()
+			first, second := msgs(0, 40), msgs(40, 90)
+			donor := NewShardMap(tc.mode, S, "donor")
+			if err := donor.SendBatch(0, msgs(0, 25)); err != nil {
+				t.Fatal(err)
+			}
+			const shard = 3
+			donorState := exportShard(t, donor, shard)
 
-	first, second := genMsgs(d, 40), genMsgs(d, 90)[40*5:] // users 40..89
-	donor := NewShardMap(BoolMode(d, scale), S, "donor")
-	if err := donor.SendBatch(0, genMsgs(d, 25)); err != nil {
-		t.Fatal(err)
-	}
-	const shard = 3
-	donorState := exportShard(t, donor, shard)
-
-	dc, stats, err := OpenDurableStore(NewShardMap(BoolMode(d, scale), S, "n0"), dir, meta, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hellos != 0 || stats.Reports != 0 {
-		t.Fatalf("fresh open recovered %d hellos / %d reports", stats.Hellos, stats.Reports)
-	}
-	if err := dc.SendBatch(0, first); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.InstallShard(shard, donorState); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.SendBatch(0, second); err != nil {
-		t.Fatal(err)
-	}
-	// Expected state: first, then shard 3 replaced by the donor copy,
-	// then second — replayed on an in-memory twin.
-	twin := NewShardMap(BoolMode(d, scale), S, "twin")
-	if err := twin.SendBatch(0, first); err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.InstallShard(shard, donorState); err != nil {
-		t.Fatal(err)
-	}
-	if err := twin.SendBatch(0, second); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: abandon dc without snapshot or close.
-	rec, rstats, err := OpenDurableStore(NewShardMap(BoolMode(d, scale), S, "n0"), dir, meta, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	if rstats.SnapshotCursor == 0 {
-		t.Error("recovery loaded no snapshot despite the install cutting one")
-	}
-	for s := 0; s < S; s++ {
-		if g, w := sumsOf(t, rec, s), sumsOf(t, twin, s); !reflect.DeepEqual(g, w) {
-			t.Fatalf("recovered shard %d diverged from twin", s)
-		}
-	}
-	if !reflect.DeepEqual(seriesOf(t, rec), seriesOf(t, twin)) {
-		t.Fatal("recovered series diverged from twin")
+			dc, stats, err := OpenDurableStore(NewShardMap(tc.mode, S, "n0"), dir, tc.meta, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Hellos != 0 || stats.Reports != 0 {
+				t.Fatalf("fresh open recovered %d hellos / %d reports", stats.Hellos, stats.Reports)
+			}
+			// Expected state: first, then shard 3 replaced by the donor copy,
+			// then second — replayed on an in-memory twin.
+			twin := NewShardMap(tc.mode, S, "twin")
+			for _, st := range []interface {
+				Store
+				InstallShard(int, []byte) error
+			}{dc, twin} {
+				if err := st.SendBatch(0, first); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.InstallShard(shard, donorState); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.SendBatch(0, second); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Crash: abandon dc without snapshot or close.
+			rec, rstats, err := OpenDurableStore(NewShardMap(tc.mode, S, "n0"), dir, tc.meta, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if rstats.SnapshotCursor == 0 {
+				t.Error("recovery loaded no snapshot despite the install cutting one")
+			}
+			for s := -1; s < S; s++ { // -1: the whole node
+				if g, w := sumsOf(t, rec, s), sumsOf(t, twin, s); !reflect.DeepEqual(g, w) {
+					t.Fatalf("recovered shard %d diverged from twin", s)
+				}
+			}
+		})
 	}
 }
 
