@@ -1619,15 +1619,17 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 	})
 }
 
-// BenchmarkGatewayQueryCoalesced measures the single-flight answer
-// cache end to end: each iteration invalidates the gateway's cached
-// gather with a small fenced ingest batch, then fires the same series
-// query from 8 persistent client connections at once. One client leads
-// the scatter/gather; the rest coalesce onto it or hit the published
-// entry, so per-backend fetch traffic stays near one gather per
-// iteration no matter the client count. The reported coalesced+hits/op
-// metric counts the queries answered without their own gather (up to
-// clients-1 per iteration).
+// BenchmarkGatewayQueryCoalesced measures the answer cache behind a write
+// end to end: each iteration invalidates the gateway's cached gather with
+// a small ingest batch, reads the series behind it on the writing
+// connection — the fence, whose gather fills the cache — then fires the
+// same series query from 8 persistent client connections at once. A write
+// burst costs one gather however many connections read behind it: the
+// reported gathers/op must be exactly 1 (it was 2 while a fence's gather
+// was thrown away: the fence, then the miss the 8 coalesced onto), and the
+// benchmark fails otherwise, so CI's benchmark pass catches a regression.
+// coalesced+hits/op counts the queries answered without their own gather
+// (clients per iteration).
 func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 	const clients = 8
 	reg := obs.NewRegistry()
@@ -1688,7 +1690,7 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 		if err := ingestEnc.EncodeBatch(batch); err != nil {
 			b.Fatal(err)
 		}
-		if err := ingestEnc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
+		if err := ingestEnc.Encode(q); err != nil { // fence
 			b.Fatal(err)
 		}
 		if err := ingestEnc.Flush(); err != nil {
@@ -1712,4 +1714,9 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 	}
 	saved := reg.Counter("query_coalesced_total").Value() + reg.Counter("query_cache_hits_total").Value()
 	b.ReportMetric(float64(saved)/float64(b.N), "coalesced+hits/op")
+	gathers := reg.Counter(obs.Label("gathers_total", "scope", "range")).Value() + reg.Counter(obs.Label("gathers_total", "scope", "full")).Value()
+	b.ReportMetric(float64(gathers)/float64(b.N), "gathers/op")
+	if gathers != int64(b.N) {
+		b.Fatalf("%d gathers for %d write bursts, want one each: the fence's gather did not fill the cache", gathers, b.N)
+	}
 }

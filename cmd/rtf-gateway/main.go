@@ -142,7 +142,7 @@ func parseConfig(args []string) (config, error) {
 	fs.StringVar(&members, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
 	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
-	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced (0 = off; the cache then serves only provably exact entries)")
+	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced; a writer's read-your-writes fence refreshes it sooner (0 = off; the cache then serves only provably exact entries)")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
 	if err := fs.Parse(args); err != nil {
 		return c, err

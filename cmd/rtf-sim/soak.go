@@ -216,11 +216,20 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 	if hits+missed != eligible {
 		bad("cache counters incoherent: hits %d + misses %d != eligible %d", hits, missed, eligible)
 	}
-	var queries int64
+	// An entry in the gateway's answer cache is a gather somebody ran.
+	var queries, fills, gathers int64
 	for counter, v := range final.Counters {
-		if strings.HasPrefix(counter, "queries_total") {
+		switch {
+		case strings.HasPrefix(counter, "queries_total"):
 			queries += v
+		case strings.HasPrefix(counter, "answer_cache_fills_total"):
+			fills += v
+		case strings.HasPrefix(counter, "gathers_total"):
+			gathers += v
 		}
+	}
+	if fills > gathers {
+		bad("answer_cache_fills_total %d exceeds %d gathers", fills, gathers)
 	}
 	if coalesced := final.Counters["query_coalesced_total"]; coalesced > queries {
 		bad("query_coalesced_total %d exceeds %d answered queries", coalesced, queries)

@@ -13,22 +13,58 @@ import (
 // scatter/gather round.
 //
 // Exactness argument. The gateway keeps a monotone ingest epoch
-// (Gateway.ingestEpoch) that advances whenever the cluster-wide answer
-// could change out from under a reader: when a forward starts (the
+// (Gateway.ingestEpoch) that advances, by one, at every event after which
+// the cluster-wide answer could differ: when a forward starts (the
 // reports may land on a backend at any point after), when a fence
 // certifies previously unfenced forwards as applied, when a lease
 // carrying unfenced forwards is dropped (the forwards may still land
 // without any fence ever recording it), and when a reshard moves the
-// counters. A cache entry is stamped with the epoch loaded BEFORE its
-// gather's first fetch (session.scatter). If a reader loads the epoch
-// and finds it equal to the entry's stamp, no forward started, fenced,
-// or died between the gather and the read — so a fresh gather would
-// fetch the very same per-shard sums and fold them in the very same
-// order, and the cached answer is bit-for-bit what recomputing would
-// produce. A stale stamp only ever causes a harmless recompute. The
-// argument is the same over either placement and rests on one
-// assumption both share: every write to the backends passes through
-// this gateway.
+// counters. A reader that loads the epoch and finds it equal to an
+// entry's stamp may serve the entry as exact; what has to be shown is
+// that a stamp of e is only ever put on a gather that read the cluster as
+// it stands for the whole of epoch e.
+//
+// An entry's stamp is the epoch its gather left, proven by counting.
+// session.scatter loads the epoch (found) before its first fetch, counts
+// the fences it performs itself — own: each round trip that certified
+// unfenced forwards of its own session is exactly one step of the epoch
+// (session.certify) — and, once the frames are folded, stamps the entry
+// found + own iff the epoch then reads found + own. The epoch never
+// decreases and the gather's own fences account for own steps of it, so
+// equality means no other step was taken between the load and the check:
+// no other session started a forward, was fenced, lost an unfenced lease
+// or resharded while this gather ran. Every fetch therefore read a
+// cluster that only this session's fences were touching, and a fence
+// writes nothing — it learns that forwards written before the read are
+// applied, which the backend's in-order handling of the lease guarantees
+// the fetch behind them saw. So a gather started at any moment of epoch
+// found + own would fetch the very same per-shard sums and fold them in
+// the very same order, and the entry is bit-for-bit what recomputing
+// would produce for as long as the epoch stays there. A clean session's
+// gather is the case own = 0: its stamp is the epoch it loaded.
+//
+// A gather that cannot prove it — the epoch moved by more than own —
+// keeps the stamp found. Some step was taken after found was loaded, so
+// found is already behind the epoch and stays behind: the entry answers
+// the query that gathered it and is exact for nobody else.
+//
+// One case needs care, and it is the same for a fence's gather as for a
+// clean session's: another session's forward that started before found
+// was loaded and has not been fenced yet. Its reports may land during the
+// gather or after it, and the count cannot see them. But that forward
+// advanced the epoch when it started (before found) and will advance it
+// again when it is fenced or its lease dies — after which no entry
+// stamped found + own is served. Until then nobody has been told those
+// reports are applied, the session that sent them does not read the
+// cache, and an answer with or without them is an answer a single server
+// racing the same forward could have given.
+//
+// A stale stamp only ever causes a harmless recompute. The argument is
+// the same over either placement — over replicated shards every session
+// is parked and fenced before found is loaded, so own = 0 and nothing can
+// move the epoch while the gather holds the view lock — and rests on one
+// assumption both share: every write to the backends passes through this
+// gateway.
 //
 // What a miss costs is the placement's business, not the cache's: over
 // replicated shards the gather parks every session and fences their
@@ -36,15 +72,29 @@ import (
 // ones it runs beside them. A hit takes no lock and fences nothing on
 // either.
 //
-// Sessions with unfenced forwards never touch the cache: their query
-// doubles as the fence certifying this session's forwards, and neither
-// a cached entry nor another session's flight can certify them. They
-// run their own gather, exactly as before this cache existed.
+// Publication. Only a flight's leader publishes, and only an entry that a
+// reader arriving at that moment would be served: one whose stamp is the
+// current epoch, or any inside the TTL. Leaders take turns at the latch
+// and each loads found after its predecessor's check, so stamps never
+// decrease and an entry is never replaced by an older one. A gather that
+// runs beside a flight — other columns, a failed or stale flight, an
+// unclean session, which may not join — answers its own query and
+// publishes nothing.
+//
+// Who may read. A session with unfenced forwards never reads an entry and
+// never joins a flight: its query doubles as the fence certifying its
+// forwards, and only a round trip on its own leases does that. Its gather
+// is led and published like any other — the first read behind a write
+// burst fills the cache for everyone, itself included from its next read
+// on — so a write burst costs one gather, not the fence and then a miss.
+// Clean sessions arriving during a fence gather join it as they join any
+// flight.
 //
 // The opt-in TTL mode (Gateway.AnswerCacheTTL > 0) additionally accepts
 // an entry younger than the TTL even when its stamp is stale — bounded
 // staleness in exchange for a scatter-free read path under sustained
-// ingest. Off by default.
+// ingest. Off by default. Writers' fences refresh the entry there too,
+// which only makes what is served fresher.
 //
 // Scope. A gather fetches the columns its read evaluates
 // (transport.Scope: a point or top-k at t needs [1..t]'s dyadic cover,
@@ -62,7 +112,7 @@ import (
 // number of connections may share one entry concurrently.
 type cacheEntry struct {
 	*transport.Gathered
-	stamp  uint64    // ingest epoch loaded before the gather's first fetch
+	stamp  uint64    // ingest epoch the gather left, or the stale one it found
 	filled time.Time // gather completion, for the opt-in TTL mode
 }
 
@@ -75,8 +125,9 @@ type answerCache struct {
 	flight *gatherFlight
 }
 
-// gatherFlight is one in-progress gather that concurrent clean-session
-// queries may join instead of scattering themselves.
+// gatherFlight is one in-progress gather — a clean session's miss or an
+// unclean one's fence — that concurrent clean-session queries may join
+// instead of scattering themselves.
 type gatherFlight struct {
 	done  chan struct{}
 	scope transport.Scope // what the leader gathers; joiners need it to cover them
@@ -114,21 +165,18 @@ const joinAttempts = 2
 // acquireEntry obtains the gathered cluster state a query of the given
 // scope needs: from the cache when the entry is current and covers it,
 // by joining an in-flight gather that covers it, or by scattering itself
-// (becoming the flight leader other clean sessions coalesce onto). It
-// reports whether the answer came from the warm cache (hit: no gather
-// ran anywhere on behalf of this query) and whether this query coalesced
-// onto another session's flight. Sessions with unfenced forwards bypass
-// the cache entirely — see the package comment at the top of this file.
+// (becoming the flight leader clean sessions coalesce onto). It reports
+// whether the answer came from the warm cache (hit: no gather ran
+// anywhere on behalf of this query) and whether this query coalesced
+// onto another session's flight. A session with unfenced forwards does
+// neither — only its own round trips certify them — but leads like any
+// other; see the comment at the top of this file.
 func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry, hit, coalesced bool, err error) {
-	if !s.clean() {
-		e, err = s.scatter(scope)
-		return e, false, false, err
-	}
-	c := &g.cache
+	c, fence := &g.cache, !s.clean()
 	for attempt := 0; attempt < joinAttempts; attempt++ {
 		epoch := g.ingestEpoch.Load()
 		c.mu.Lock()
-		if e := c.entry; e != nil && g.entryCurrent(e, epoch, time.Now()) {
+		if e := c.entry; !fence && e != nil && g.entryCurrent(e, epoch, time.Now()) {
 			if e.Scope().Covers(scope) {
 				c.mu.Unlock()
 				return e, true, false, nil
@@ -145,17 +193,25 @@ func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry
 			e, err = s.scatter(scope)
 			c.mu.Lock()
 			c.flight = nil
-			if err == nil {
-				f.entry, c.entry = e, e
+			// Published only if a reader arriving now would be served it:
+			// under a stamp the gather proved, or inside the TTL.
+			published := err == nil && g.entryCurrent(e, g.ingestEpoch.Load(), e.filled)
+			if published {
+				c.entry = e
 			}
-			f.err = err
+			f.entry, f.err = e, err
 			c.mu.Unlock()
 			close(f.done)
+			if published && g.Metrics != nil {
+				g.Metrics.CountCacheFill(fence)
+			}
 			return e, false, false, err
 		}
 		c.mu.Unlock()
-		if !f.scope.Covers(scope) {
-			// Not our columns; this query gathers its own, unshared.
+		if fence || !f.scope.Covers(scope) {
+			// Not ours to wait for — no other session's round trips fence
+			// this one's forwards — or not our columns: this query gathers
+			// its own, unshared.
 			break
 		}
 		<-f.done

@@ -64,10 +64,11 @@ func (c *gwClient) ingestAndFence(t *testing.T, ms []transport.Msg) {
 }
 
 // TestGatewayAnswerCacheExact pins the exact-mode cache protocol on one
-// deterministic interleaving: an ingesting session's fencing query
-// bypasses the cache (it must run its own gather), a clean session's
-// first query misses and fills, its repeat hits without touching any
-// backend, and any later fenced ingest invalidates the entry.
+// deterministic interleaving: an ingesting session's fencing query is
+// never served from the cache (it must run its own gather, which fills an
+// entry of its own range), a clean session's first query at another range
+// misses and fills, its repeat hits without touching any backend, and any
+// later ingest invalidates the entry.
 func TestGatewayAnswerCacheExact(t *testing.T) {
 	for _, pl := range testPlacements {
 		t.Run(pl.name, func(t *testing.T) { testAnswerCacheExact(t, pl) })
@@ -89,7 +90,7 @@ func testAnswerCacheExact(t *testing.T, pl testPlacement) {
 	defer writer.close()
 	writer.ingestAndFence(t, clusterMsgs(21, d, 40, 6))
 	if _, hits, misses, _ := counters(); hits != 0 || misses != 1 {
-		t.Fatalf("after fenced ingest: hits=%d misses=%d, want 0/1 (fencing query bypasses the cache)", hits, misses)
+		t.Fatalf("after fenced ingest: hits=%d misses=%d, want 0/1 (a fencing query is never served from the cache)", hits, misses)
 	}
 
 	reader := dialGateway(t, gwAddr)
@@ -253,9 +254,10 @@ func testQueryCoalesced(t *testing.T, pl testPlacement) {
 }
 
 // TestGatewayAnswerCacheTTL pins the opt-in bounded-staleness mode: a
-// cached answer younger than the TTL keeps being served even though
-// later fenced ingest has made it stale, and it is bit-for-bit the
-// answer that was cached — never a partial or merged state.
+// writer's fence refreshes the entry for everyone, and a cached answer
+// younger than the TTL keeps being served even though later ingest has
+// made it stale — bit-for-bit the answer that was cached, never a partial
+// or merged state.
 func TestGatewayAnswerCacheTTL(t *testing.T) {
 	for _, pl := range testPlacements {
 		t.Run(pl.name, func(t *testing.T) { testAnswerCacheTTL(t, pl) })
@@ -266,44 +268,46 @@ func testAnswerCacheTTL(t *testing.T, pl testPlacement) {
 	const d, scale = 16, 2.0
 	gwAddr := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{},
 		func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour }).addr
+	first, second := clusterMsgs(41, d, 40, 6), clusterMsgs(42, d, 30, 4)
 
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
-	writer.ingestAndFence(t, clusterMsgs(41, d, 40, 6))
+	writer.ingestAndFence(t, first)
 
 	reader := dialGateway(t, gwAddr)
 	defer reader.close()
-	cachedAnswer := reader.series(t)
+	reader.series(t) // a full entry under the first batch, for the fence to replace
 
 	// The writer ships a second batch WITHOUT a fence and queries on the
 	// same connection: the session has unfenced forwards, so bounded
 	// staleness must not apply — the query runs its own gather, fencing
 	// the batch and reflecting every report bit-for-bit.
-	if err := writer.enc.EncodeBatch(clusterMsgs(42, d, 30, 4)); err != nil {
+	if err := writer.enc.EncodeBatch(second); err != nil {
 		t.Fatal(err)
 	}
 	writerView := writer.series(t)
-	serial := protocol.NewServer(d, scale)
-	for _, seed := range []uint64{41, 42} {
-		for _, m := range clusterMsgs(seed, d, map[uint64]int{41: 40, 42: 30}[seed], map[uint64]int{41: 6, 42: 4}[seed]) {
-			if m.Type == transport.MsgHello {
-				serial.Register(m.Order)
-			} else {
-				serial.Ingest(m.Report())
-			}
-		}
-	}
-	want := serial.EstimateSeries()
+	want := serialOf(d, scale, first, second).EstimateSeries()
 	for i := range want {
 		if writerView[i] != want[i] {
 			t.Fatalf("unfenced writer's view value %d: gateway %v, serial %v", i, writerView[i], want[i])
 		}
 	}
+	// That gather refreshed the entry: the clean reader is served the
+	// writer's view, which is fresher than the TTL obliges.
+	cachedAnswer := reader.series(t)
+	for i := range want {
+		if cachedAnswer[i] != want[i] {
+			t.Fatalf("value %d behind the writer's fence: reader %v, serial %v", i, cachedAnswer[i], want[i])
+		}
+	}
 
-	// The clean reader, meanwhile, keeps getting the cached answer even
-	// though the second batch is now fenced and applied: bounded
-	// staleness served within the TTL, bit-for-bit the entry that was
-	// cached — never a partial or merged state.
+	// A third batch nobody reads behind makes the entry stale (its ack says
+	// the gateway forwarded it). The clean reader keeps getting the cached
+	// answer: bounded staleness served within the TTL, bit-for-bit the
+	// entry that was cached — never a partial or merged state.
+	if err := writer.sendAcked(clusterMsgs(43, d, 20, 4)); err != nil {
+		t.Fatal(err)
+	}
 	stale := reader.series(t)
 	for i := range cachedAnswer {
 		if stale[i] != cachedAnswer[i] {
@@ -573,6 +577,12 @@ func gathersOf(reg *obs.Registry) (ranged, full int64) {
 		reg.Counter(obs.Label("gathers_total", "scope", "full")).Value()
 }
 
+// fillsOf reads answer_cache_fills_total{by="fence"} and {by="miss"}.
+func fillsOf(reg *obs.Registry) (fence, miss int64) {
+	return reg.Counter(obs.Label("answer_cache_fills_total", "by", "fence")).Value(),
+		reg.Counter(obs.Label("answer_cache_fills_total", "by", "miss")).Value()
+}
+
 func serialOf(d int, scale float64, batches ...[]transport.Msg) *protocol.Server {
 	serial := protocol.NewServer(d, scale)
 	for _, ms := range batches {
@@ -596,10 +606,11 @@ func scopeCluster(t *testing.T, pl testPlacement, d int, scale float64, configur
 }
 
 // TestGatewayCacheScope pins the cache's scope rules on one deterministic
-// interleaving: a fence gather is scoped and never cached; a clean miss
-// fills an entry of its read's scope, which hits for that range only; the
-// second range inside the epoch costs exactly one full gather, and from
-// then on every read of the epoch hits.
+// interleaving: a fence gather is scoped and fills an entry of its read's
+// scope, which hits for that range only — for a clean connection and,
+// from its next read on, for the writer; the second range inside the
+// epoch costs exactly one full gather, and from then on every read of the
+// epoch hits.
 func TestGatewayCacheScope(t *testing.T) {
 	for _, pl := range testPlacements {
 		t.Run(pl.name, func(t *testing.T) { testCacheScope(t, pl) })
@@ -620,29 +631,34 @@ func testCacheScope(t *testing.T, pl testPlacement) {
 
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
-	writer.ingestAndFence(t, batch)
+	if err := writer.enc.EncodeBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := writer.point(t, 5), serial.EstimateAt(5); got != want {
+		t.Fatalf("the fence, point 5 = %v, want %v", got, want)
+	}
 	expect("fence", 1, 0)
-	if gw.cache.entry != nil {
-		t.Fatal("an unclean session's fence gather was cached")
+	gw.cache.mu.Lock()
+	e := gw.cache.entry
+	gw.cache.mu.Unlock()
+	if e == nil || e.Scope() != (transport.Scope{L: 1, R: 5}) || e.stamp != gw.ingestEpoch.Load() {
+		t.Fatalf("the fence gather left entry %+v at epoch %d, want a current [1..5] entry", e, gw.ingestEpoch.Load())
 	}
 
 	reader := dialGateway(t, gwAddr)
 	defer reader.close()
-	if got, want := reader.point(t, 5), serial.EstimateAt(5); got != want {
-		t.Fatalf("point 5 = %v, want %v", got, want)
+	for _, c := range []*gwClient{reader, reader, writer} {
+		if got, want := c.point(t, 5), serial.EstimateAt(5); got != want {
+			t.Fatalf("point 5 = %v, want %v", got, want)
+		}
 	}
-	expect("clean miss", 2, 0)
-	if sc := gw.cache.entry.Scope(); sc != (transport.Scope{L: 1, R: 5}) {
-		t.Fatalf("entry scope %v, want [1..5]", sc)
-	}
-	reader.point(t, 5)
-	expect("repeat of the same range", 2, 0)
+	expect("the fence's range, from a clean connection and from the writer", 1, 0)
 
 	// Another period: the scoped entry must not answer it.
 	if got, want := reader.point(t, 7), serial.EstimateAt(7); got != want {
 		t.Fatalf("point 7 = %v, want %v (a [1..5] entry answered another period?)", got, want)
 	}
-	expect("second range in the epoch", 2, 1)
+	expect("second range in the epoch", 1, 1)
 	want := serial.EstimateSeries()
 	for i := 0; i < 4; i++ {
 		for at := 1; at <= d; at++ {
@@ -656,17 +672,21 @@ func testCacheScope(t *testing.T, pl testPlacement) {
 			}
 		}
 	}
-	expect("a sweep of every period", 2, 1)
+	expect("a sweep of every period", 1, 1)
 	hits, misses := gwReg.Counter("query_cache_hits_total").Value(), gwReg.Counter("query_cache_misses_total").Value()
-	if misses != 3 || hits != 1+4*(d+1) {
-		t.Fatalf("hits/misses = %d/%d, want %d/3", hits, misses, 1+4*(d+1))
+	if misses != 2 || hits != 3+4*(d+1) {
+		t.Fatalf("hits/misses = %d/%d, want %d/2", hits, misses, 3+4*(d+1))
+	}
+	if fence, miss := fillsOf(gwReg); fence != 1 || miss != 1 {
+		t.Fatalf("answer_cache_fills_total fence/miss = %d/%d, want 1/1", fence, miss)
 	}
 }
 
 // TestGatewayCacheScopeSweep sends the read shape of rtf-bench's accuracy
 // pass through a hashed gateway — 8 periods × 1,024 PointItem — behind a
-// fenced write: one scoped gather, one full gather, 8,190 hits, every
-// answer the serial server's.
+// write: one scoped gather (the fence, which fills the cache), one full
+// gather (the first read at another period), 8,191 hits, every answer the
+// serial server's.
 func TestGatewayCacheScopeSweep(t *testing.T) {
 	const d, scale, users = 32, 2.5, 200
 	enc0 := hashedClusterEnc()
@@ -725,7 +745,7 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	if err := c.enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	pointItem(0, d) // the fence: scoped, uncached
+	pointItem(0, d) // the fence: scoped
 	if r, f := gathersOf(reg); r != 1 || f != 0 {
 		t.Fatalf("fence: gathers range/full = %d/%d, want 1/0", r, f)
 	}
@@ -737,25 +757,36 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 			}
 		}
 	}
-	if r, f := gathersOf(reg); r != 2 || f != 1 {
-		t.Fatalf("8 × 1,024 PointItem sweep: gathers range/full = %d/%d, want 2/1", r, f)
+	if r, f := gathersOf(reg); r != 1 || f != 1 {
+		t.Fatalf("8 × 1,024 PointItem sweep: gathers range/full = %d/%d, want 1/1", r, f)
+	}
+	if hits := reg.Counter("query_cache_hits_total").Value(); hits != 8*1024-1 {
+		t.Fatalf("8 × 1,024 PointItem sweep: %d cache hits, want %d", hits, 8*1024-1)
 	}
 }
 
 // TestGatewayCacheScopeTTL pins that bounded staleness is bounded by
 // coverage too: within the TTL a stale entry keeps answering its own
-// range, never another.
+// range, never another. It runs over replicas, where the gather behind a
+// write nobody fenced fences it first, so what that gather must answer is
+// known to the bit.
 func TestGatewayCacheScopeTTL(t *testing.T) {
 	const d, scale = 16, 2.0
-	_, gwReg, gwAddr, _ := scopeCluster(t, testPlacements[0], d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
+	_, gwReg, gwAddr, _ := scopeCluster(t, testPlacements[1], d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
 	first, second := clusterMsgs(81, d, 40, 6), clusterMsgs(82, d, 30, 4)
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
-	writer.ingestAndFence(t, first)
+	if err := writer.enc.EncodeBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	cached := writer.point(t, 5) // the fence fills a [1..5] entry
 	reader := dialGateway(t, gwAddr)
 	defer reader.close()
-	cached := reader.point(t, 5)
-	writer.ingestAndFence(t, second)
+	// The second batch is forwarded (its ack says so) and nobody reads
+	// behind it: the entry is stale and inside the TTL.
+	if err := writer.sendAcked(second); err != nil {
+		t.Fatal(err)
+	}
 	if got := reader.point(t, 5); got != cached {
 		t.Fatalf("within the TTL the [1..5] entry answered %v, cached %v", got, cached)
 	}
@@ -781,6 +812,9 @@ func TestGatewayFlightScope(t *testing.T) {
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
 	writer.ingestAndFence(t, clusterMsgs(91, d, 40, 6))
+	// The fence filled the cache; this test is about reads that find
+	// nothing current there.
+	gw.cache.entry = nil
 	open := func() *session {
 		s := gw.openSession(0).(*session)
 		t.Cleanup(func() { s.Close(true) })

@@ -287,12 +287,17 @@ func (s *session) drop(i int) {
 
 // certify records a completed round trip on link l: everything forwarded
 // on its lease is now certifiably applied — the cluster-wide answer may
-// have changed, so cache entries gathered before this fence go stale.
-func (s *session) certify(l *link) {
-	if l.unfenced.Load() {
-		l.unfenced.Store(false)
-		s.g.ingestEpoch.Add(1)
+// have changed, so cache entries gathered before this fence go stale. It
+// reports whether there was anything to certify, which is exactly whether
+// it advanced the ingest epoch by one: a gather counts the steps that are
+// its own (see cache.go).
+func (s *session) certify(l *link) bool {
+	if !l.unfenced.Load() {
+		return false
 	}
+	l.unfenced.Store(false)
+	s.g.ingestEpoch.Add(1)
+	return true
 }
 
 // Close deregisters the session and releases every lease; healthy
@@ -382,11 +387,13 @@ const fetchAttempts = 3
 
 // fetched carries one backend's fetch outcome — a frame per owned shard —
 // with the connection that produced it, so a hedged race knows which
-// connection won. fatal marks a failure over unfenced forwards.
+// connection won. fatal marks a failure over unfenced forwards, fenced a
+// round trip that certified some: one step of the ingest epoch.
 type fetched struct {
 	frames []transport.RawSums
 	err    error
 	fatal  bool
+	fenced bool
 	bc     *transport.BackendConn
 }
 
@@ -449,7 +456,7 @@ func (s *session) fetch(i int, scope transport.Scope) fetched {
 			l.bc.Close()
 			l.bc = r.bc
 		}
-		s.certify(l)
+		r.fenced = s.certify(l)
 		return r
 	}
 	return fetched{err: fmt.Errorf("fetching sums from %s: %w", s.name(i), lastErr)}
@@ -551,9 +558,9 @@ func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
 		return nil, s.poisoned
 	}
 	s.adopt()
-	// The stamp is loaded before the first fetch and, over replicas,
-	// after the fences that advance it.
-	lay, stamp, start := s.lay, g.ingestEpoch.Load(), time.Now()
+	// The epoch is loaded before the first fetch and, over replicas, after
+	// the fences that advance it.
+	lay, found, start := s.lay, g.ingestEpoch.Load(), time.Now()
 	results := make([]fetched, len(s.links))
 	var wg sync.WaitGroup
 	for i, l := range s.links {
@@ -571,9 +578,13 @@ func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
 		}(i)
 	}
 	wg.Wait()
+	var own uint64 // epoch steps that were this gather's own fences
 	for _, r := range results {
 		if r.fatal {
 			return nil, r.err
+		}
+		if r.fenced {
+			own++
 		}
 	}
 	chosen := make([]transport.RawSums, lay.NumShards)
@@ -617,6 +628,15 @@ func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
 	}
 	if m := g.Metrics; m != nil {
 		m.ObserveGather(scope, fetchedAt.Sub(start), time.Since(fetchedAt))
+	}
+	// The entry is stamped with the epoch the gather left if it can prove
+	// it: the epoch is monotone and this session's fences advanced it own
+	// times, so it reads found + own only if nothing else moved it since
+	// found was loaded. Otherwise the entry keeps found, which is already
+	// stale (see cache.go).
+	stamp := found
+	if left := found + own; g.ingestEpoch.Load() == left {
+		stamp = left
 	}
 	return &cacheEntry{Gathered: gathered, stamp: stamp, filled: time.Now()}, nil
 }

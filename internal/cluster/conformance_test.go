@@ -28,7 +28,9 @@ import (
 // then throws everything at the front that must NOT change state — a
 // batch poisoned by a malformed query or a malformed ingest message, a
 // query inside an acked batch, off-mode frames, an acked batch against a
-// full queue — and finally asks every query kind and compares the
+// full queue — and finally asks every query kind, behind one more write
+// on the writing connection and on a second one (which a gateway front
+// serves from what the write's fence gathered), and compares the
 // answers, bit for bit, with a serial ldp engine fed exactly the acked
 // batches. Anything that leaked past validation or admission shows up as
 // a differing bit or a differing applied-message count.
@@ -46,6 +48,29 @@ var confEnc = hh.LolohaEncoding(1000, 8, 0xfeed)
 type confOracle struct {
 	b *ldp.Server
 	d *ldp.DomainServer
+}
+
+func newConfOracle(t *testing.T, m confMode) *confOracle {
+	t.Helper()
+	o := &confOracle{}
+	var err error
+	if m.domain == 0 {
+		o.b, err = ldp.NewServer(confD, m.opts...)
+	} else {
+		o.d, err = ldp.NewDomainServer(confD, m.domain, m.opts...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// answer asks whichever engine the mode has.
+func (o *confOracle) answer(q ldp.Query) (ldp.Answer, error) {
+	if o.b != nil {
+		return o.b.Answer(q)
+	}
+	return o.d.Answer(q)
 }
 
 func (o *confOracle) feed(t *testing.T, ms []transport.Msg) {
@@ -299,7 +324,36 @@ func (c countingConn) Write(p []byte) (int, error) {
 type backendTap struct {
 	mu     sync.Mutex
 	writes [][]byte
-	sums   int64 // sums frames written since the start, never reset
+	sums   int64     // sums frames written since the start, never reset
+	stall  *tapStall // non-nil while sums frames are held back
+}
+
+// tapStall is one hold on the backends' sums frames: a gather's fetch
+// parked on a backend that has applied what it was sent and not answered.
+type tapStall struct {
+	// parked gets one token per frame held; its buffer exceeds the frames
+	// any test has in flight, so a backend never blocks announcing itself.
+	parked chan struct{}
+	open   chan struct{} // closed by release
+	kill   bool          // set before open closes: held frames die with their connections
+}
+
+// stallSums holds back every sums frame the backends are about to write,
+// each announcing itself on parked. release lets the held frames go — or,
+// with kill, closes their connections instead, a backend dying under the
+// fetch — and frames written after it pass untouched.
+func (b *backendTap) stallSums() (parked <-chan struct{}, release func(kill bool)) {
+	st := &tapStall{parked: make(chan struct{}, 64), open: make(chan struct{})}
+	b.mu.Lock()
+	b.stall = st
+	b.mu.Unlock()
+	return st.parked, func(kill bool) {
+		b.mu.Lock()
+		b.stall = nil
+		b.mu.Unlock()
+		st.kill = kill
+		close(st.open)
+	}
 }
 
 // sumsFrames counts the raw-sums frames the backends have answered.
@@ -338,10 +392,19 @@ type tapConn struct {
 func (c tapConn) Write(p []byte) (int, error) {
 	c.tap.mu.Lock()
 	c.tap.writes = append(c.tap.writes, bytes.Clone(p))
+	var st *tapStall
 	if t := transport.MsgType(p[0]); t == transport.MsgSumsFrame || t == transport.MsgDomainSumsFrame {
 		c.tap.sums++
+		st = c.tap.stall
 	}
 	c.tap.mu.Unlock()
+	if st != nil {
+		st.parked <- struct{}{}
+		if <-st.open; st.kill {
+			c.Conn.Close()
+			return 0, net.ErrClosed
+		}
+	}
 	return c.Conn.Write(p)
 }
 
@@ -531,16 +594,7 @@ func TestFrameLoopConformance(t *testing.T) {
 			t.Run(m.name+"/"+fr.name, func(t *testing.T) {
 				f := fr.start(t, m)
 				defer f.stop()
-				oracle := &confOracle{}
-				var err error
-				if m.domain == 0 {
-					oracle.b, err = ldp.NewServer(confD, m.opts...)
-				} else {
-					oracle.d, err = ldp.NewDomainServer(confD, m.domain, m.opts...)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				oracle := newConfOracle(t, m)
 				var hellos, reports int64
 				accept := func(ms []transport.Msg) {
 					oracle.feed(t, ms)
@@ -765,10 +819,37 @@ func TestFrameLoopConformance(t *testing.T) {
 					}
 				}
 
-				// Nothing refused above left a trace: every answer is the
-				// serial engine's, the stores hold exactly the accepted
-				// messages, and the WAL exactly the accepted runs.
+				// A fence-filled entry: the read behind one more write needs
+				// every column, so on a gateway front what that fence gathered
+				// is what the cache holds, and every read after it — on the
+				// writer's connection and on a second one — is answered from
+				// it. Both agree with the serial engine, so with each other and
+				// with the single-server column; nothing refused above left a
+				// trace in either.
+				fills := func(by string) int64 {
+					return f.srv.Metrics.Registry().Counter(obs.Label("answer_cache_fills_total", "by", by)).Value()
+				}
+				fencesBefore, missesBefore := fills("fence"), fills("miss")
+				last := m.user(300)
+				if err := enc.EncodeBatch(last); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := (&gwClient{conn: conn, enc: enc, dec: dec}).ask(m.whole[0]); err != nil {
+					t.Fatalf("the read behind the last write: %v", err)
+				}
+				accept(last)
+				legacyBatches++
+				second, err := net.Dial("tcp", f.addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer second.Close()
 				m.check(t, enc, dec, oracle)
+				m.check(t, transport.NewEncoder(second), transport.NewDecoder(second), oracle)
+				if f.tap != nil && (fills("fence") != fencesBefore+1 || fills("miss") != missesBefore) {
+					t.Fatalf("answer_cache_fills_total fence/miss went %d/%d -> %d/%d, want one fill, by the fence",
+						fencesBefore, missesBefore, fills("fence"), fills("miss"))
+				}
 				if h, r := f.applied(); h != hellos*f.replicas || r != reports*f.replicas {
 					t.Fatalf("stores hold %d hellos / %d reports, want %d / %d", h, r, hellos*f.replicas, reports*f.replicas)
 				}

@@ -182,6 +182,19 @@ func (m *ServerMetrics) CountCoalesced() {
 	m.reg.Counter("query_coalesced_total").Inc()
 }
 
+// CountCacheFill records one gather whose entry a gateway published in
+// its answer cache, in answer_cache_fills_total{by}: "fence" when the
+// gathering session had unfenced forwards (the read behind a write burst,
+// which could not have been served from the cache), "miss" when it was a
+// clean session that found nothing current.
+func (m *ServerMetrics) CountCacheFill(fence bool) {
+	by := "miss"
+	if fence {
+		by = "fence"
+	}
+	m.reg.Counter(obs.Label("answer_cache_fills_total", "by", by)).Inc()
+}
+
 // RegisterQueue exports the queue's live depth and capacity as gauges.
 func (m *ServerMetrics) RegisterQueue(q *IngestQueue) {
 	m.reg.GaugeFunc("ingest_queue_depth", func() float64 { return float64(q.Depth()) })
