@@ -463,10 +463,11 @@ func msgViewIngest(st transport.Store, shard int, stream []byte) error {
 // BenchmarkIngestBatchedSharded is batched Boolean ingest in process, as
 // the frame loop does it minus the socket (servedIngest; the real thing
 // over loopback is BenchmarkIngestServed): per-stream goroutines decode
-// batch frames into records and fan them into the lock-free sharded
-// accumulator. With GOMAXPROCS ≥ shards the streams decode in parallel;
-// even single-threaded, batching amortizes the per-message collector
-// and dispatch overhead.
+// batch frames into records and apply each frame's run to their own
+// shard of the sharded accumulator under its write lock. With
+// GOMAXPROCS ≥ shards the streams decode in parallel; even
+// single-threaded, batching amortizes the per-message collector and
+// dispatch overhead.
 func BenchmarkIngestBatchedSharded(b *testing.B) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	if counts[2] == counts[1] || counts[2] == counts[0] {
@@ -626,13 +627,84 @@ func (c servedBenchCase) frames(b *testing.B) [][]byte {
 	return out
 }
 
+// servedListen serves store on a loopback port for the length of a
+// benchmark and returns its address.
+func servedListen(b *testing.B, store transport.Store) string {
+	srv := transport.NewIngestServer(store)
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+	b.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return (<-ready).String()
+}
+
+// servedConn is one client connection of the served-ingest benchmarks:
+// it writes pre-encoded acked frames with servedBenchWindow in flight and
+// reads the acks.
+type servedConn struct {
+	b        *testing.B
+	conn     net.Conn
+	acks     *bufio.Reader
+	frames   [][]byte
+	inflight int
+	ack      [2]byte
+}
+
+// dialServed connects to addr and grows the connection's buffers on
+// both sides before any timing starts.
+func dialServed(b *testing.B, addr string, frames [][]byte) *servedConn {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { conn.Close() })
+	c := &servedConn{b: b, conn: conn, acks: bufio.NewReader(conn), frames: frames}
+	for i := 0; i < 4*servedBenchWindow; i++ {
+		c.send(i)
+	}
+	c.drain()
+	return c
+}
+
+func (c *servedConn) readAck() {
+	if _, err := io.ReadFull(c.acks, c.ack[:]); err != nil || c.ack != [2]byte{byte(transport.MsgBatchAck), 1} {
+		c.b.Errorf("ack %v, %v", c.ack, err)
+		runtime.Goexit()
+	}
+	c.inflight--
+}
+
+// send writes frame i (mod the distinct frames), first waiting for an
+// ack if the window is full.
+func (c *servedConn) send(i int) {
+	if c.inflight == servedBenchWindow {
+		c.readAck()
+	}
+	if _, err := c.conn.Write(c.frames[i%len(c.frames)]); err != nil {
+		c.b.Error(err)
+		runtime.Goexit()
+	}
+	c.inflight++
+}
+
+// drain reads every outstanding ack.
+func (c *servedConn) drain() {
+	for c.inflight > 0 {
+		c.readAck()
+	}
+}
+
 // BenchmarkIngestServed is the path that ships: a real IngestServer on
 // loopback, one connection writing pre-encoded 2,048-report acked frames
 // with eight in flight and reading the acks — socket read, fused decode
-// and validation into records, (journal,) apply, coalesced ack. One op is
-// one frame; steady state allocates nothing on either side. The durable
-// cell journals every frame (no fsync) and cuts a snapshot outside the
-// timer every 512 frames so the log stays a few segments long.
+// and validation into records, (journal,) apply under the connection's
+// shard lock, coalesced ack. One op is one frame; steady state allocates
+// nothing on either side. The durable cell journals every frame (no
+// fsync) and cuts a snapshot outside the timer every 512 frames so the
+// log stays a few segments long.
 func BenchmarkIngestServed(b *testing.B) {
 	cases := servedBenchCases()
 	durable := cases[0]
@@ -647,7 +719,7 @@ func BenchmarkIngestServed(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer dur.Close()
+				b.Cleanup(func() { dur.Close() }) // after the server, which cleans up first
 				store = dur
 				snapshot = func() {
 					if _, err := dur.Snapshot(); err != nil {
@@ -655,62 +727,75 @@ func BenchmarkIngestServed(b *testing.B) {
 					}
 				}
 			}
-			srv := transport.NewIngestServer(store)
-			ready := make(chan net.Addr, 1)
-			done := make(chan error, 1)
-			go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
-			defer func() {
-				srv.Close()
-				<-done
-			}()
-			conn, err := net.Dial("tcp", (<-ready).String())
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer conn.Close()
-			frames := c.frames(b)
-			acks := bufio.NewReader(conn)
-			inflight := 0
-			var ack [2]byte
-			readAck := func() {
-				if _, err := io.ReadFull(acks, ack[:]); err != nil || ack != [2]byte{byte(transport.MsgBatchAck), 1} {
-					b.Fatalf("ack %v, %v", ack, err)
-				}
-				inflight--
-			}
-			send := func(i int) {
-				if inflight == servedBenchWindow {
-					readAck()
-				}
-				if _, err := conn.Write(frames[i%len(frames)]); err != nil {
-					b.Fatal(err)
-				}
-				inflight++
-			}
-			drain := func() {
-				for inflight > 0 {
-					readAck()
-				}
-			}
-			for i := 0; i < 4*servedBenchWindow; i++ {
-				send(i) // grows the connection's buffers on both sides
-			}
-			drain()
+			conn := dialServed(b, servedListen(b, store), c.frames(b))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if i%512 == 511 {
-					drain()
+					conn.drain()
 					b.StopTimer()
 					snapshot()
 					b.StartTimer()
 				}
-				send(i)
+				conn.send(i)
 			}
-			drain()
+			conn.drain()
 			b.ReportMetric(servedBenchFrame*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 		})
 	}
+}
+
+// BenchmarkIngestServedConns is BenchmarkIngestServed under contention:
+// C connections into one 2-shard IngestServer, each writing its share of
+// the b.N frames with eight in flight. Connections take counter shards
+// by id, so at C = 4 every shard has two writers taking turns at its
+// lock, one run per frame — the number behind "ingestion scales with
+// shards" (on a 2-vCPU host, C = 1 leaves a core to the client).
+func BenchmarkIngestServedConns(b *testing.B) {
+	for _, c := range servedBenchCases()[:2] {
+		for _, conns := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/conns=%d", c.name, conns), func(b *testing.B) {
+				addr := servedListen(b, transport.NewCollector(c.mode, 2))
+				frames := c.frames(b)
+				clients := make([]*servedConn, conns)
+				for k := range clients {
+					clients[k] = dialServed(b, addr, frames)
+				}
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for k, conn := range clients {
+					wg.Add(1)
+					go func(k int, conn *servedConn) {
+						defer wg.Done()
+						for i := k; i < b.N; i += conns {
+							conn.send(i)
+						}
+						conn.drain()
+					}(k, conn)
+				}
+				wg.Wait()
+				b.ReportMetric(servedBenchFrame*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+			})
+		}
+	}
+}
+
+// BenchmarkIngestServedMember is BenchmarkIngestServed's boolean cell
+// into a membership-mode backend: a ShardMap of memberBenchShards virtual
+// shards, which routes every record by its user. The frames' users are
+// drawn at random, so consecutive records almost never share a virtual
+// shard: a frame cannot reach the shards in long stretches, only as the
+// per-shard buckets ShardMap.Apply sorts it into.
+func BenchmarkIngestServedMember(b *testing.B) {
+	c := servedBenchCases()[0]
+	conn := dialServed(b, servedListen(b, transport.NewShardMap(c.mode, memberBenchShards, "n0")), c.frames(b))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn.send(i)
+	}
+	conn.drain()
+	b.ReportMetric(servedBenchFrame*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
 
 // BenchmarkIngestKernel is the decode half alone: the same frames, in
@@ -1207,10 +1292,14 @@ func BenchmarkDomainIngest(b *testing.B) {
 }
 
 // BenchmarkDomainIngestFlat isolates the accumulator half of the domain
-// data path: raw Ingest calls against the contiguous counter matrix,
-// no wire decode, no collector. Against BenchmarkDomainIngest (which
-// includes decode and validation) it separates "how fast is the flat
-// matrix" from "how fast is the transport in front of it".
+// data path as served reports reach it: runs of servedBenchFrame reports,
+// each written under one shard write lock (DomainSharded.Lock) with a
+// plain add per report — no wire decode, no collector. Against
+// BenchmarkDomainIngest (which includes decode and validation) it
+// separates "how fast is the flat matrix" from "how fast is the
+// transport in front of it". It used to time the per-report Ingest,
+// which no served report takes any more: that entry now locks per call
+// and runs well under half this rate.
 func BenchmarkDomainIngestFlat(b *testing.B) {
 	const shards = 4
 	type tagged struct {
@@ -1232,8 +1321,12 @@ func BenchmarkDomainIngestFlat(b *testing.B) {
 	acc := protocol.NewDomainSharded(ingestBenchD, domainBenchM, 100, shards)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range reports {
-			acc.Ingest(j&(shards-1), reports[j].item, reports[j].r)
+		for lo := 0; lo < len(reports); lo += servedBenchFrame {
+			w := acc.Lock(lo / servedBenchFrame & (shards - 1))
+			for _, t := range reports[lo:min(lo+servedBenchFrame, len(reports))] {
+				w.Ingest(t.item, t.r)
+			}
+			w.Unlock()
 		}
 	}
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")

@@ -2,10 +2,11 @@
 // for any registered mechanism whose server state is the dyadic
 // accumulator (futurerand, independent, bun, erlingsson): a TCP server
 // that accepts framed hello/report messages — single or batched — from
-// any number of client connections, accumulates them into a lock-free
-// sharded accumulator, and answers online queries from the live
-// counters through the versioned query frames (MsgQueryV2 → MsgAnswer:
-// point, change, series, window). The v1 point query (wire types 4 and
+// any number of client connections, accumulates them into a sharded
+// accumulator — one shard write lock per ingested run, plain adds inside
+// it — and answers online queries from the live counters through the
+// versioned query frames (MsgQueryV2 → MsgAnswer: point, change, series,
+// window). The v1 point query (wire types 4 and
 // 5) is retired: a connection that sends one is failed with "v1 point
 // query removed; send QueryV2(QueryPoint, t, 0)".
 //

@@ -340,17 +340,13 @@ func (s *HashedDomainServer) EstimateItemSeries(item int) []float64 {
 	s.checkItem(item)
 	d := s.inner.D()
 	total := make([]float64, d)
-	var own []float64
-	b := s.enc.Bucket(item)
-	for row := 0; row < s.enc.G; row++ {
-		series := s.inner.EstimateItemSeries(row)
+	rows := s.inner.acc.EstimateAllSeries()
+	for _, series := range rows {
 		for t := range series {
 			total[t] += series[t]
 		}
-		if row == b {
-			own = series
-		}
 	}
+	own := rows[s.enc.Bucket(item)]
 	g := float64(s.enc.G)
 	out := make([]float64, d)
 	for t := range out {

@@ -22,10 +22,11 @@
 // shape, DomainServer routes reports into a single flat per-item
 // counter matrix (protocol.DomainSharded: the counters of m dyadic
 // accumulators in one contiguous [m × intervals] array per shard, one
-// index computation per report) — plus the domain workload model and
-// the Zipf generator. The public entry points (tagged wire frames,
-// mechanism selection, validation) live in the ldp and transport
-// packages; this package is the engine.
+// index computation and one plain add per report, one shard lock per
+// run) — plus the domain workload model and the Zipf generator. The
+// public entry points (tagged wire frames, mechanism selection,
+// validation) live in the ldp and transport packages; this package is
+// the engine.
 package hh
 
 import (
@@ -220,11 +221,12 @@ type ItemCount struct {
 // matrix holding the state of m dyadic accumulators (one per item) in
 // contiguous per-shard arrays — protocol.DomainSharded, the domain
 // counterpart of the protocol.Sharded type behind the Boolean
-// rtf-serve path — with every per-item estimate scaled by m. The ×m
-// factor is folded into the matrix's estimator scale once at
-// construction, so estimates remain a fixed linear function of the raw
-// integer counters — which is what keeps sharded, durable and
-// clustered deployments bit-for-bit equal to one serial server.
+// rtf-serve path, under the same lock discipline — with every per-item
+// estimate scaled by m. The ×m factor is folded into the matrix's
+// estimator scale once at construction, so estimates remain a fixed
+// linear function of the raw integer counters — which is what keeps
+// sharded, durable and clustered deployments bit-for-bit equal to one
+// serial server.
 //
 // Like the protocol-level types it panics on out-of-range items and
 // orders; the ldp and transport layers validate at their boundaries.
@@ -293,18 +295,24 @@ func (s *DomainServer) Register(shard, item, order int) {
 }
 
 // Ingest accumulates one report for the given item into the given
-// shard: one index computation into the flat counter matrix and one
-// atomic add. Bounds checks happen once, in the accumulator — this is
-// the hot path, and the protocol layer panics on any out-of-range
-// item, order, index or bit exactly as checkItem would.
+// shard under its lock, version-silently: the per-report entry of
+// serial callers (see AdvanceVersion). Bounds checks happen once, in
+// the accumulator, which panics on any out-of-range item, order, index
+// or bit.
 func (s *DomainServer) Ingest(shard, item int, r protocol.Report) {
 	s.acc.Ingest(shard, item, r)
 }
 
+// Lock takes one shard's write lock for a run of writes — the served
+// path: the writer's Register and Ingest are plain adds, and its Unlock
+// advances the version stamp once for the whole run (see
+// protocol.Sharded for the lock discipline).
+func (s *DomainServer) Lock(shard int) protocol.DomainWriter { return s.acc.Lock(shard) }
+
 // AdvanceVersion bumps the accumulator's mutation stamp for the given
-// shard. Ingest is version-silent (see protocol.DomainSharded); callers
-// that batch raw reports advance once per applied batch so their writes
-// invalidate the memoized read path.
+// shard. Ingest is version-silent (see protocol.DomainSharded); its
+// callers advance after their writes so those invalidate the memoized
+// read path.
 func (s *DomainServer) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
 
 // Version returns the accumulator's monotone mutation stamp; see
@@ -410,13 +418,14 @@ func (s *DomainServer) estimateAllLocked(t int, v uint64) []float64 {
 // between nodes.
 func (s *DomainServer) FoldInto(dst []int64) { s.acc.FoldInto(dst) }
 
-// Columns derives, once per request, the columns FoldRowInto gathers for
-// rows scoped to periods [l..r]; see protocol.DomainSharded.Columns.
+// Columns derives, once per request, the columns FoldRowsInto gathers
+// for rows scoped to periods [l..r]; see protocol.DomainSharded.Columns.
 func (s *DomainServer) Columns(l, r int) []int { return s.acc.Columns(l, r) }
 
-// FoldRowInto is FoldInto for one item's row, or for its columns cols.
-func (s *DomainServer) FoldRowInto(item int, cols []int, row []int64) {
-	s.acc.FoldRowInto(item, cols, row)
+// FoldRowsInto is FoldInto for the rows of items [lo, hi), or for their
+// columns cols, under one acquisition of the read locks.
+func (s *DomainServer) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
+	s.acc.FoldRowsInto(lo, hi, cols, dst)
 }
 
 // MergeRaw folds a raw matrix (as produced by FoldInto, possibly on
@@ -428,10 +437,8 @@ func (s *DomainServer) MergeRaw(cells []int64) error { return s.acc.MergeRaw(cel
 // MarshalState serializes all per-item accumulator state for a durable
 // snapshot — byte-for-byte the same kind-3 payload the old per-item
 // layout (protocol.MarshalDomainState) produced, so snapshots written
-// under either layout restore interchangeably. Counters are loaded
-// atomically; quiesce ingestion first when a point-in-time cut matters
-// (the durable collector holds its snapshot lock for exactly this
-// reason).
+// under either layout restore interchangeably. The payload is a
+// point-in-time cut at run granularity (see protocol.Sharded).
 func (s *DomainServer) MarshalState() []byte {
 	return s.acc.MarshalState()
 }

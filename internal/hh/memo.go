@@ -6,16 +6,30 @@ package hh
 // TopK keeps only a k-bounded selection instead of sorting all m items.
 //
 // Exactness: a memo entry records the stamp returned by Version()
-// *before* its sweep ran. Version components only grow, and every
-// batched writer advances the stamp after its writes land (the
-// transport collectors call AdvanceVersion once per applied batch), so
-// an unchanged stamp at lookup time certifies that no write batch
-// completed since the entry was computed — replaying the sweep would
-// read the same counters and produce the same floats, so serving the
-// entry is bit-for-bit identical to recomputing. A lookup racing an
-// in-flight, not-yet-advanced batch is no different from an uncached
-// sweep racing the same batch: the system only promises exact answers
-// at fences and quiescence, and there every batch has advanced.
+// *before* its sweep ran. Under the accumulator's lock discipline (see
+// protocol.Sharded) a served run bumps its shard's stamp once, after its
+// writes and before it releases the shard's write lock, and the sweep
+// takes every shard's read lock when it starts. So:
+//
+//   - The entry holds every run its stamp counts: such a run had bumped
+//     the stamp, hence written everything and released its lock, before
+//     the stamp was loaded, and the sweep locked after that.
+//   - The entry may also hold runs that ended between the stamp load and
+//     the sweep's locks. Each of those bumped the stamp after it was
+//     loaded, so the next lookup sees a larger stamp and misses: an
+//     entry can be stamped older than its content, never newer.
+//   - Stamp components only grow, so a lookup that finds the entry's
+//     stamp unchanged certifies that no run ended since the load — the
+//     entry holds exactly the runs ended at the lookup, the same cut a
+//     fresh sweep would read, and serving it is bit-for-bit identical to
+//     recomputing. A run still in flight at the lookup is one a fresh
+//     sweep would wait for and the memo answers before; either answer is
+//     a point-in-time cut, and at a fence or at quiescence no run is in
+//     flight.
+//
+// The version-silent per-report Ingest is the serial callers' entry;
+// they advance the stamp themselves after writing (ldp's DomainServer
+// does after every report), which keeps the argument whole for them.
 
 import (
 	"sort"

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rtf/internal/dyadic"
 )
@@ -70,19 +69,20 @@ func sumAt(cols []int, flat int) int {
 // domain item) stored as one contiguous row-major [m × RawStride(d)]
 // int64 matrix per shard, instead of m separately allocated Sharded
 // structs. A report lands with a single index computation —
-// item·stride + flat — and one atomic add, with no pointer chase
-// through a per-item struct, and whole-domain sweeps (fold, merge, the
-// top-k estimate pass) walk flat rows in item-major order, which is
-// what keeps server-side aggregation cheap as the domain grows.
+// item·stride + flat — and one plain add under the run's shard lock,
+// with no pointer chase through a per-item struct, and whole-domain
+// sweeps (fold, merge, the top-k estimate pass) walk flat rows in
+// item-major order, which is what keeps server-side aggregation cheap
+// as the domain grows.
 //
-// The semantics are exactly m Sharded accumulators sharing one scale:
-// all mutation is atomic ±1 (or exact integer) addition, so estimates
-// are bit-for-bit identical to m serial servers fed the same reports in
-// any order, and FoldInto/MergeRaw ship the same raw integers a
-// cluster gateway exchanges between nodes. MarshalState emits the
-// identical kind-3 domain payload that MarshalDomainState produces over
-// per-item Sharded accumulators, so snapshots written under either
-// layout restore interchangeably.
+// The semantics are exactly m Sharded accumulators sharing one scale
+// and Sharded's lock discipline: all mutation is exact integer
+// addition, so estimates are bit-for-bit identical to m serial servers
+// fed the same reports in any order, and FoldRowsInto/MergeRaw ship the
+// same raw integers a cluster gateway exchanges between nodes.
+// MarshalState emits the identical kind-3 domain payload that
+// MarshalDomainState produces over per-item Sharded accumulators, so
+// snapshots written under either layout restore interchangeably.
 //
 // Like Sharded it panics on out-of-range items, orders and bits; the
 // hh, ldp and transport layers validate at their boundaries.
@@ -90,19 +90,15 @@ type DomainSharded struct {
 	d, m   int
 	scale  float64
 	tree   *dyadic.Tree
+	base   []int // the writers' index table, see reportBase
 	stride int   // counters per item row: RawStride(d), less under a scope
 	sumOff int   // offset of the interval sums inside a row
 	cols   []int // the interval sums a row keeps (see scopeColumns); nil on every live accumulator
-	shards []domainShard
-}
-
-// domainShard is one shard's counter matrix, allocated separately per
-// shard so concurrent writers on different shards touch disjoint cache
-// lines; item x's counters are the row cells[x·stride : (x+1)·stride]
-// in RawStride layout.
-type domainShard struct {
-	cells   []int64 // m × stride, item-major (atomic)
-	version int64   // monotone mutation counter (atomic), see Version
+	// shards holds one counter matrix per shard, allocated separately so
+	// writers on different shards touch disjoint cache lines; item x's
+	// counters are the row [x·stride : (x+1)·stride] in RawStride layout.
+	shards [][]int64
+	locks  shardLocks // one per shard; nil over adopted counters
 }
 
 // NewDomainSharded builds a flat domain accumulator for horizon d (a
@@ -114,21 +110,23 @@ func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
 	}
 	s := newDomainSharded(d, m, scale)
-	s.shards = make([]domainShard, shards)
+	s.shards = make([][]int64, shards)
+	s.locks = make(shardLocks, shards)
 	for i := range s.shards {
-		s.shards[i].cells = make([]int64, m*s.stride)
+		s.shards[i] = make([]int64, m*s.stride)
 	}
 	return s
 }
 
 // DomainShardedOver builds a read-only single-shard accumulator whose
 // counters ARE the given raw matrix — m rows scoped to periods [l..r]
-// (l = r = 0: full rows), as FoldRowInto exports and cluster nodes
+// (l = r = 0: full rows), as FoldRowsInto exports and cluster nodes
 // exchange: the slice is adopted, not copied, so the caller must not
-// touch it afterwards. A gateway builds the state it answers a gather
-// from this way, straight over the merged frames; under a scope it
-// answers the reads that scope covers and panics on any other counter.
-// It fails on a mismatched length or a negative count.
+// touch it afterwards. It has no writer, so its reads take no lock. A
+// gateway builds the state it answers a gather from this way, straight
+// over the merged frames; under a scope it answers the reads that scope
+// covers and panics on any other counter. It fails on a mismatched
+// length or a negative count.
 func DomainShardedOver(d, m int, scale float64, l, r int, cells []int64) (*DomainSharded, error) {
 	s := newDomainSharded(d, m, scale)
 	if s.cols = scopeColumns(s.tree, l, r); s.cols != nil {
@@ -137,7 +135,7 @@ func DomainShardedOver(d, m int, scale float64, l, r int, cells []int64) (*Domai
 	if err := s.checkRaw(cells); err != nil {
 		return nil, err
 	}
-	s.shards = []domainShard{{cells: cells}}
+	s.shards = [][]int64{cells}
 	return s, nil
 }
 
@@ -151,9 +149,10 @@ func newDomainSharded(d, m int, scale float64) *DomainSharded {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("protocol: invalid estimator scale %v", scale))
 	}
+	tree, sumOff := dyadic.NewTree(d), 1+dyadic.NumOrders(d)
 	return &DomainSharded{
-		d: d, m: m, scale: scale, tree: dyadic.NewTree(d),
-		stride: RawStride(d), sumOff: 1 + dyadic.NumOrders(d),
+		d: d, m: m, scale: scale, tree: tree, base: reportBase(tree, sumOff),
+		stride: RawStride(d), sumOff: sumOff,
 	}
 }
 
@@ -169,82 +168,101 @@ func (s *DomainSharded) M() int { return s.m }
 // Scale returns the per-item estimator scale.
 func (s *DomainSharded) Scale() float64 { return s.scale }
 
-func (s *DomainSharded) shard(i int) *domainShard {
-	// In-range shard ids (every caller in practice) skip the divide;
-	// the modulo is only a fallback for oversized ids.
-	if uint(i) < uint(len(s.shards)) {
-		return &s.shards[i]
-	}
-	return &s.shards[i%len(s.shards)]
-}
-
 func (s *DomainSharded) checkItem(item int) {
 	if item < 0 || item >= s.m {
 		panic(fmt.Sprintf("protocol: item %d outside [0..%d)", item, s.m))
 	}
 }
 
-// Register records a user's announced (item, order) pair into the given
-// shard.
-func (s *DomainSharded) Register(shard, item, order int) {
-	s.checkItem(item)
-	if order < 0 || order >= s.sumOff-1 {
-		panic(fmt.Sprintf("protocol: order %d out of range", order))
-	}
-	sh := s.shard(shard)
-	row := sh.cells[item*s.stride:]
-	atomic.AddInt64(&row[0], 1)
-	atomic.AddInt64(&row[1+order], 1)
-	atomic.AddInt64(&sh.version, 1)
+// DomainWriter is a run's hold on one shard's write lock (see Sharded):
+// Register and Ingest are plain adds into that shard's matrix, Unlock
+// ends the run.
+type DomainWriter struct {
+	s     *DomainSharded
+	cells []int64
+	l     *shardLock
 }
 
-// AdvanceVersion bumps the given shard's mutation counter. Ingest is
-// deliberately version-silent — a second atomic add per report would
-// roughly double the one-index-one-add hot path — so writers that batch
-// reports call AdvanceVersion once per applied batch instead. Every
-// collector in internal/transport does this; raw Ingest callers that
-// want their writes visible to version-stamped caches must do the same.
+// Lock takes the given shard's write lock for a run of writes.
+func (s *DomainSharded) Lock(shard int) DomainWriter {
+	i := s.locks.index(shard)
+	s.locks[i].mu.Lock()
+	return DomainWriter{s, s.shards[i], &s.locks[i]}
+}
+
+// Unlock ends the run: it bumps the shard's version stamp once, then
+// releases the lock.
+func (w DomainWriter) Unlock() {
+	w.l.version.Add(1)
+	w.l.mu.Unlock()
+}
+
+// Register records a user's announced (item, order) pair.
+func (w DomainWriter) Register(item, order int) {
+	s := w.s
+	if uint(item) >= uint(s.m) {
+		panic(reportError{item: item, m: s.m})
+	}
+	if uint(order) >= uint(s.sumOff-1) {
+		panic(orderError(order))
+	}
+	row := w.cells[item*s.stride:]
+	row[0]++
+	row[1+order]++
+}
+
+// Ingest accumulates one report for the given item: one index
+// computation, one add, inlined into the collector run loops.
+func (w DomainWriter) Ingest(item int, r Report) { w.cells[w.s.cell(item, r)] += int64(r.Bit) }
+
+// cell is where in a shard's matrix report r for item adds: the
+// writers' one range check, which panics before anything is written.
+func (s *DomainSharded) cell(item int, r Report) int {
+	if uint(item) >= uint(s.m) || r.Bit != 1 && r.Bit != -1 || uint(r.Order) >= uint(len(s.base)) || uint(r.J-1) >= uint(s.d>>uint(r.Order)) {
+		panic(reportError{item, s.m, s.d, r})
+	}
+	return item*s.stride + s.base[r.Order] + r.J
+}
+
+// Register records a user's announced (item, order) pair into the given
+// shard: a run of one.
+func (s *DomainSharded) Register(shard, item, order int) {
+	w := s.Lock(shard)
+	defer w.Unlock()
+	w.Register(item, order)
+}
+
+// Ingest accumulates one report for the given item into the given
+// shard under its write lock, checked before the lock is taken. It is
+// version-silent, for serial and test callers; a served run goes
+// through Lock, whose Unlock advances the stamp once per run.
+func (s *DomainSharded) Ingest(shard, item int, r Report) {
+	c := s.cell(item, r)
+	i := s.locks.index(shard)
+	s.locks[i].mu.Lock()
+	s.shards[i][c] += int64(r.Bit)
+	s.locks[i].mu.Unlock()
+}
+
+// AdvanceVersion bumps the given shard's mutation counter without a
+// lock. Ingest is version-silent, so a caller of it whose writes must
+// reach version-stamped caches advances once after them.
 func (s *DomainSharded) AdvanceVersion(shard int) {
-	atomic.AddInt64(&s.shard(shard).version, 1)
+	s.locks[s.locks.index(shard)].version.Add(1)
 }
 
 // Version folds the per-shard mutation counters into one monotone
 // stamp. Each component only grows, so the sum observed by a reader can
 // only grow; if two Version calls bracketing a derived computation
-// return the same value, no Register/MergeRaw/RestoreState/
-// AdvanceVersion completed in between, and the derived result may be
-// served again verbatim. At quiescence (all writers' batches applied
-// and advanced) an unchanged stamp therefore certifies bit-for-bit
-// freshness.
-func (s *DomainSharded) Version() uint64 {
-	var v int64
-	for i := range s.shards {
-		v += atomic.LoadInt64(&s.shards[i].version)
-	}
-	return uint64(v)
-}
-
-// Ingest accumulates one report for the given item into the given
-// shard: one index computation, one atomic add. The item and bit
-// checks share one branch with the message construction outlined, so
-// Ingest inlines into the collector batch loops.
-func (s *DomainSharded) Ingest(shard, item int, r Report) {
-	if uint(item) >= uint(s.m) || (r.Bit != 1 && r.Bit != -1) {
-		s.ingestPanic(item, r)
-	}
-	flat := s.sumOff + s.tree.FlatIndex(dyadic.Interval{Order: r.Order, Index: r.J})
-	atomic.AddInt64(&s.shard(shard).cells[item*s.stride+flat], int64(r.Bit))
-}
-
-// ingestPanic reproduces Ingest's panic messages for an invalid item
-// or bit, outlined to keep Ingest under the inlining budget.
-func (s *DomainSharded) ingestPanic(item int, r Report) {
-	s.checkItem(item)
-	panic(fmt.Sprintf("protocol: report bit %d not ±1", r.Bit))
-}
+// return the same value, no run (Register/MergeRaw/RestoreState/a
+// Lock…Unlock run) and no AdvanceVersion completed in between, and the
+// derived result may be served again verbatim.
+func (s *DomainSharded) Version() uint64 { return s.locks.version() }
 
 // Users returns the number of registered users across all items.
 func (s *DomainSharded) Users() int {
+	s.locks.rlock()
+	defer s.locks.runlock()
 	var n int64
 	for x := 0; x < s.m; x++ {
 		n += s.itemCell(x, 0)
@@ -255,16 +273,19 @@ func (s *DomainSharded) Users() int {
 // UsersAt returns the number of users whose sampled target is item.
 func (s *DomainSharded) UsersAt(item int) int {
 	s.checkItem(item)
+	s.locks.rlock()
+	defer s.locks.runlock()
 	return int(s.itemCell(item, 0))
 }
 
 // itemCell folds one counter of one item's row across shards. Pure
 // int64 addition, so the result is independent of shard assignment.
+// The caller holds the read locks.
 func (s *DomainSharded) itemCell(item, col int) int64 {
 	var sum int64
 	off := item*s.stride + col
-	for i := range s.shards {
-		sum += atomic.LoadInt64(&s.shards[i].cells[off])
+	for _, cells := range s.shards {
+		sum += cells[off]
 	}
 	return sum
 }
@@ -286,6 +307,8 @@ func (s *DomainSharded) itemSum(item, flat int) int64 { return s.itemCell(item, 
 // bit for bit with per-item Sharded accumulators fed the same reports.
 func (s *DomainSharded) EstimateAt(item, t int) float64 {
 	s.checkItem(item)
+	s.locks.rlock()
+	defer s.locks.runlock()
 	var est float64
 	for _, iv := range dyadic.Decompose(t, s.d) {
 		est += s.scale * float64(s.itemSum(item, s.tree.FlatIndex(iv)))
@@ -319,15 +342,16 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 	for x := range est {
 		est[x] = 0
 	}
+	s.locks.rlock()
+	defer s.locks.runlock()
 	for _, iv := range dyadic.Decompose(t, s.d) {
 		col := s.sumCol(s.tree.FlatIndex(iv))
 		for x := range tmp {
 			tmp[x] = 0
 		}
-		for i := range s.shards {
-			cells := s.shards[i].cells
+		for _, cells := range s.shards {
 			for x := 0; x < s.m; x++ {
-				tmp[x] += atomic.LoadInt64(&cells[x*s.stride+col])
+				tmp[x] += cells[x*s.stride+col]
 			}
 		}
 		for x := 0; x < s.m; x++ {
@@ -351,7 +375,30 @@ func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
 	out := make([]float64, r)
-	for t := 1; t <= r; t++ {
+	s.locks.rlock()
+	defer s.locks.runlock()
+	s.seriesTo(item, out)
+	return out
+}
+
+// EstimateAllSeries returns every item's â[1..d], row by row, under one
+// acquisition of the read locks: the series of one point-in-time cut,
+// each bit-for-bit EstimateSeries of its item.
+func (s *DomainSharded) EstimateAllSeries() [][]float64 {
+	out := make([][]float64, s.m)
+	s.locks.rlock()
+	defer s.locks.runlock()
+	for x := range out {
+		out[x] = make([]float64, s.d)
+		s.seriesTo(x, out[x])
+	}
+	return out
+}
+
+// seriesTo fills out with item's â[1..len(out)]. The caller holds the
+// read locks.
+func (s *DomainSharded) seriesTo(item int, out []float64) {
+	for t := 1; t <= len(out); t++ {
 		low := t & (-t)
 		h := dyadic.Log2(low)
 		est := s.scale * float64(s.itemSum(item, s.tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})))
@@ -360,12 +407,11 @@ func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 		}
 		out[t-1] = est
 	}
-	return out
 }
 
 // Columns returns the row columns holding the interval sums of a row
 // scoped to periods [l..r], in that row's order (nil for l = r = 0):
-// derived once per request, then handed to FoldRowInto for every row.
+// derived once per request, then handed to FoldRowsInto.
 func (s *DomainSharded) Columns(l, r int) []int {
 	cols := scopeColumns(s.tree, l, r)
 	for i, flat := range cols {
@@ -374,50 +420,58 @@ func (s *DomainSharded) Columns(l, r int) []int {
 	return cols
 }
 
-// FoldRowInto overwrites row with one item's raw accumulator state
-// summed across shards — the exact integers a cluster gateway ships
-// between nodes: the header columns, then the interval sums at cols (as
-// Columns returns them; nil is every column, RawStride(d) counters in
-// all). Counters are loaded atomically, but a fold taken concurrently
-// with ingestion is not a point-in-time cut; quiesce first when
-// exactness matters.
-func (s *DomainSharded) FoldRowInto(item int, cols []int, row []int64) {
-	s.checkItem(item)
+// FoldRowsInto overwrites dst with the raw accumulator state of items
+// [lo, hi) summed across shards — the exact integers a cluster gateway
+// ships between nodes, one row per item: the header columns, then the
+// interval sums at cols (as Columns returns them; nil is every column,
+// RawStride(d) counters a row). The rows are one point-in-time cut.
+func (s *DomainSharded) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
+	if lo < 0 || hi > s.m || lo > hi {
+		panic(fmt.Sprintf("protocol: item rows [%d, %d) outside [0..%d)", lo, hi, s.m))
+	}
+	n := s.stride
+	if cols != nil {
+		n = s.sumOff + len(cols)
+	}
+	if len(dst) != (hi-lo)*n {
+		panic(fmt.Sprintf("protocol: folding %d rows of %d into %d counters", hi-lo, n, len(dst)))
+	}
+	s.locks.rlock()
+	defer s.locks.runlock()
+	for x := lo; x < hi; x++ {
+		s.foldRow(x, cols, dst[(x-lo)*n:(x-lo+1)*n])
+	}
+}
+
+// foldRow overwrites row with item's fold. The caller holds the read
+// locks.
+func (s *DomainSharded) foldRow(item int, cols []int, row []int64) {
 	head := row[:s.sumOff]
 	if cols == nil {
 		head = row[:s.stride]
 	}
 	sums := row[len(head) : len(head)+len(cols)]
-	for i := range s.shards {
-		cells := s.shards[i].cells[item*s.stride : (item+1)*s.stride]
+	for i, all := range s.shards {
+		cells := all[item*s.stride : (item+1)*s.stride]
 		if i == 0 {
-			for j := range head {
-				head[j] = atomic.LoadInt64(&cells[j])
-			}
+			copy(head, cells)
 			for j, c := range cols {
-				sums[j] = atomic.LoadInt64(&cells[c])
+				sums[j] = cells[c]
 			}
 			continue
 		}
 		for j := range head {
-			head[j] += atomic.LoadInt64(&cells[j])
+			head[j] += cells[j]
 		}
 		for j, c := range cols {
-			sums[j] += atomic.LoadInt64(&cells[c])
+			sums[j] += cells[c]
 		}
 	}
 }
 
 // FoldInto overwrites dst (m rows of RawStride(d)) with every item's
-// FoldRowInto: the whole counter matrix summed across shards.
-func (s *DomainSharded) FoldInto(dst []int64) {
-	if len(dst) != s.m*s.stride {
-		panic(fmt.Sprintf("protocol: folding into %d counters, matrix has %d", len(dst), s.m*s.stride))
-	}
-	for x := 0; x < s.m; x++ {
-		s.FoldRowInto(x, nil, dst[x*s.stride:(x+1)*s.stride])
-	}
-}
+// row: the whole counter matrix summed across shards.
+func (s *DomainSharded) FoldInto(dst []int64) { s.FoldRowsInto(0, s.m, nil, dst) }
 
 // checkRaw validates a raw matrix against the accumulator's shape: the
 // length, and no negative user or per-order count in any row.
@@ -440,20 +494,20 @@ func (s *DomainSharded) checkRaw(cells []int64) error {
 }
 
 // MergeRaw folds a raw matrix — as produced by FoldInto, possibly on
-// another machine — into shard 0. Shard assignment never affects
-// estimates (addition is exact and commutative), so merging into one
-// shard is equivalent to replaying the original ingestion. It fails,
-// without modifying the accumulator, on a mismatched length or negative
-// counts.
+// another machine — into shard 0 as one run. Shard assignment never
+// affects estimates (addition is exact and commutative), so merging
+// into one shard is equivalent to replaying the original ingestion. It
+// fails, without modifying the accumulator, on a mismatched length or
+// negative counts.
 func (s *DomainSharded) MergeRaw(cells []int64) error {
 	if err := s.checkRaw(cells); err != nil {
 		return err
 	}
-	sh := &s.shards[0]
+	w := s.Lock(0)
+	defer w.Unlock()
 	for j, v := range cells {
-		atomic.AddInt64(&sh.cells[j], v)
+		w.cells[j] += v
 	}
-	atomic.AddInt64(&sh.version, 1)
 	return nil
 }
 
@@ -461,18 +515,19 @@ func (s *DomainSharded) MergeRaw(cells []int64) error {
 // a domain header (kind, item count) followed by each item's dyadic
 // state, length-prefixed — byte-for-byte the MarshalDomainState
 // encoding over per-item Sharded accumulators, so snapshots written
-// under either layout restore interchangeably. Counters are loaded
-// atomically; quiesce ingestion first when a point-in-time cut matters
-// (the durable collector holds its snapshot lock for exactly this
-// reason).
+// under either layout restore interchangeably. The payload is one
+// point-in-time cut at run granularity; the durable collector pairs it
+// with its WAL cursor by holding its snapshot lock.
 func (s *DomainSharded) MarshalState() []byte {
 	b := make([]byte, 0, 16+s.m*(16+10*s.stride))
 	b = append(b, stateVersion, stateKindDomain)
 	b = binary.AppendUvarint(b, uint64(s.m))
 	row := make([]int64, s.stride)
 	item := make([]byte, 0, 16+10*s.stride)
+	s.locks.rlock()
+	defer s.locks.runlock()
 	for x := 0; x < s.m; x++ {
-		s.FoldRowInto(x, nil, row)
+		s.foldRow(x, nil, row)
 		users, perOrder, sums := SplitRaw(s.d, row)
 		item = appendDyadicState(item[:0], s.d, s.scale, users, perOrder, sums)
 		b = binary.AppendUvarint(b, uint64(len(item)))
@@ -482,10 +537,10 @@ func (s *DomainSharded) MarshalState() []byte {
 }
 
 // RestoreState folds a kind-3 domain payload (MarshalState here, or
-// MarshalDomainState over per-item accumulators) into the matrix —
-// call it on a freshly constructed accumulator to reload a snapshot.
-// The payload's item count, horizon and per-item scale must all match;
-// on any error nothing past the failing item is modified.
+// MarshalDomainState over per-item accumulators) into the matrix as one
+// run — call it on a freshly constructed accumulator to reload a
+// snapshot. The payload's item count, horizon and per-item scale must
+// all match; on any error nothing past the failing item is modified.
 func (s *DomainSharded) RestoreState(b []byte) error {
 	r := stateReader{b: b}
 	if v := r.byte("version"); r.err == nil && v != stateVersion {
@@ -501,7 +556,8 @@ func (s *DomainSharded) RestoreState(b []byte) error {
 	if m != uint64(s.m) {
 		return fmt.Errorf("protocol: state has %d items, accumulator has %d", m, s.m)
 	}
-	sh := &s.shards[0]
+	w := s.Lock(0)
+	defer w.Unlock()
 	for x := 0; x < s.m; x++ {
 		n := r.uvarint("item payload length")
 		if r.err != nil {
@@ -519,18 +575,17 @@ func (s *DomainSharded) RestoreState(b []byte) error {
 		if err != nil {
 			return fmt.Errorf("protocol: item %d: %w", x, err)
 		}
-		_, perOrder, sums := SplitRaw(s.d, sh.cells[x*s.stride:(x+1)*s.stride])
+		users, perOrder, sums := SplitRaw(s.d, w.cells[x*s.stride:(x+1)*s.stride])
 		for f, v := range st.sums {
-			atomic.AddInt64(&sums[f], v)
+			sums[f] += v
 		}
-		atomic.AddInt64(&sh.cells[x*s.stride], st.users)
+		w.cells[x*s.stride] = users + st.users
 		for h, c := range st.perOrder {
-			atomic.AddInt64(&perOrder[h], c)
+			perOrder[h] += c
 		}
 	}
 	if r.off != len(b) {
 		return fmt.Errorf("protocol: %d trailing bytes after domain state", len(b)-r.off)
 	}
-	atomic.AddInt64(&sh.version, 1)
 	return nil
 }

@@ -3,40 +3,115 @@ package protocol
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"rtf/internal/dyadic"
 )
 
-// Sharded is a lock-free sharded accumulator for Algorithm 2: the same
+// Sharded is the sharded accumulator for Algorithm 2: the same
 // one-counter-per-dyadic-interval state as Server, split into shards so
-// that many ingestion goroutines can accumulate reports concurrently
-// without a mutex. All mutation is done with atomic adds, so any
-// goroutine may write to any shard; callers route by shard index (e.g.
-// connection id modulo NumShards) purely to keep hot counters on
-// distinct cache lines.
+// that many ingestion goroutines can accumulate reports concurrently.
+// Callers route by shard index (e.g. connection id modulo NumShards) so
+// that concurrent writers land on distinct shards.
 //
 // Because ingestion only ever adds ±1 into int64 counters, addition is
 // exact, commutative and associative: estimates from a Sharded
 // accumulator are bit-for-bit identical to a serial Server fed the same
-// reports in any order. The parallel simulation engine and the
-// rtf-serve batch-ingest service are both built on this type.
+// reports in any order and under any shard assignment. The parallel
+// simulation engine and the rtf-serve batch-ingest service are both
+// built on this type, and DomainSharded — m counter rows instead of one
+// — keeps the same lock discipline, written once here:
+//
+//   - Every shard has one sync.RWMutex and a version stamp (shardLock).
+//   - A writer holds exactly one shard's write lock, for a whole run:
+//     Lock returns the run's writer, whose Register and Ingest are plain
+//     bounds-checked indexed adds, and the writer's Unlock bumps the
+//     shard's version stamp once — after the run's writes, before the
+//     lock is released — then releases it. Register, IngestSum, MergeRaw
+//     and RestoreState are runs of one call each; the per-report Ingest
+//     is a one-record run that leaves the stamp alone. A writer never
+//     acquires a second lock.
+//   - A reader takes every shard's read lock, in ascending shard order,
+//     once, at its public entry point, and reads through unlocked
+//     helpers: no read locks recursively, and no lock is held across I/O.
+//   - Version stamps stay atomic, so Version takes no lock.
+//   - An accumulator built over adopted counters (ShardedOver,
+//     DomainShardedOver) has no writer and takes no lock at all.
+//
+// A writer waits for nothing while it holds its lock and readers
+// acquire in one global order, so no cycle of waits can form. Because a
+// read holds every shard's read lock for the whole operation, it sees
+// each run entirely or not at all: an estimate, fold or marshal taken
+// during ingest is a point-in-time cut at run granularity.
 type Sharded struct {
 	d      int
 	scale  float64
 	tree   *dyadic.Tree
+	base   []int // the writers' index table, see reportBase
 	cols   []int // the interval sums a shard keeps (see scopeColumns); nil on every live accumulator
 	shards []accShard
+	locks  shardLocks // one per shard; nil over adopted counters
 }
 
-// accShard is one shard's counters. The slices are allocated separately
-// per shard, so concurrent writers on different shards touch disjoint
-// cache lines.
+// accShard is one shard's counters, allocated separately per shard so
+// writers on different shards touch disjoint cache lines. They are
+// guarded by the shard's lock.
 type accShard struct {
-	sums     []int64 // Σ of ±1 report bits, one per dyadic interval (atomic)
-	users    int64   // registered users (atomic)
-	perOrder []int64 // registered users per order (atomic)
-	version  int64   // monotone mutation counter (atomic), see Version
+	sums     []int64 // Σ of ±1 report bits, one per dyadic interval
+	users    int64   // registered users
+	perOrder []int64 // registered users per order
+}
+
+// shardLock is one shard's lock and monotone mutation counter (see
+// Version), followed by a whole cache line of padding: whatever the
+// slice's alignment, more than 63 bytes separate two shards' fields, so
+// writers on different shards never share a line.
+type shardLock struct {
+	mu      sync.RWMutex
+	version atomic.Int64
+	_       [64]byte
+}
+
+// shardLocks is an accumulator's lock set, one entry per shard.
+type shardLocks []shardLock
+
+// rlock takes every shard's read lock in ascending shard order: the one
+// acquisition a read operation makes. Over adopted counters the set is
+// empty and this is a no-op.
+func (l shardLocks) rlock() {
+	for i := range l {
+		l[i].mu.RLock()
+	}
+}
+
+// runlock releases what rlock took.
+func (l shardLocks) runlock() {
+	for i := range l {
+		l[i].mu.RUnlock()
+	}
+}
+
+// index maps a shard id onto the set: in-range ids (every caller in
+// practice) skip the divide; the modulo is only a fallback for oversized
+// ids. An accumulator over adopted counters has no writer.
+func (l shardLocks) index(i int) int {
+	if uint(i) < uint(len(l)) {
+		return i
+	}
+	if len(l) == 0 {
+		panic("protocol: an accumulator built over adopted counters is read-only")
+	}
+	return i % len(l)
+}
+
+// version folds the per-shard stamps into one.
+func (l shardLocks) version() uint64 {
+	var v int64
+	for i := range l {
+		v += l[i].version.Load()
+	}
+	return uint64(v)
 }
 
 // NewSharded builds a sharded accumulator for horizon d with the given
@@ -47,6 +122,7 @@ func NewSharded(d int, scale float64, shards int) *Sharded {
 	}
 	s := newSharded(d, scale)
 	s.shards = make([]accShard, shards)
+	s.locks = make(shardLocks, shards)
 	for i := range s.shards {
 		s.shards[i] = accShard{
 			sums:     make([]int64, s.tree.Size()),
@@ -63,14 +139,16 @@ func newSharded(d int, scale float64) *Sharded {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("protocol: invalid estimator scale %v", scale))
 	}
-	return &Sharded{d: d, scale: scale, tree: dyadic.NewTree(d)}
+	tree := dyadic.NewTree(d)
+	return &Sharded{d: d, scale: scale, tree: tree, base: reportBase(tree, 0)}
 }
 
 // ShardedOver builds a read-only single-shard accumulator whose counters
 // ARE the given raw row, scoped to periods [l..r] (l = r = 0: a full
 // row) — the Boolean counterpart of DomainShardedOver, with the same
-// contract: adopted, not copied; a read the scope does not cover
-// panics; a mismatched length or a negative count is an error.
+// contract: adopted, not copied; no writer and no lock; a read the scope
+// does not cover panics; a mismatched length or a negative count is an
+// error.
 func ShardedOver(d int, scale float64, l, r int, row []int64) (*Sharded, error) {
 	s := newSharded(d, scale)
 	s.cols = scopeColumns(s.tree, l, r)
@@ -110,96 +188,156 @@ func (s *Sharded) Scale() float64 { return s.scale }
 // Tree returns the dyadic index used by this accumulator.
 func (s *Sharded) Tree() *dyadic.Tree { return s.tree }
 
-func (s *Sharded) shard(i int) *accShard {
-	// In-range shard ids (every caller in practice) skip the divide;
-	// the modulo is only a fallback for oversized ids.
-	if uint(i) < uint(len(s.shards)) {
-		return &s.shards[i]
-	}
-	return &s.shards[i%len(s.shards)]
+// ShardWriter is a run's hold on one shard's write lock (see Sharded):
+// Register and Ingest are plain adds into that shard, Unlock ends the
+// run.
+type ShardWriter struct {
+	s  *Sharded
+	sh *accShard
+	l  *shardLock
 }
 
-// Register records a user's sampled order into the given shard.
+// Lock takes the given shard's write lock for a run of writes.
+func (s *Sharded) Lock(shard int) ShardWriter {
+	i := s.locks.index(shard)
+	s.locks[i].mu.Lock()
+	return ShardWriter{s, &s.shards[i], &s.locks[i]}
+}
+
+// Unlock ends the run: it bumps the shard's version stamp once, then
+// releases the lock.
+func (w ShardWriter) Unlock() {
+	w.l.version.Add(1)
+	w.l.mu.Unlock()
+}
+
+// Register records a user's sampled order.
+func (w ShardWriter) Register(order int) {
+	if uint(order) >= uint(len(w.sh.perOrder)) {
+		panic(orderError(order))
+	}
+	w.sh.users++
+	w.sh.perOrder[order]++
+}
+
+// Ingest accumulates one report: one index computation, one add.
+func (w ShardWriter) Ingest(r Report) { w.sh.sums[w.s.cell(r)] += int64(r.Bit) }
+
+// cell is where in a shard's sums report r adds: the writers' one range
+// check, which panics before anything is written.
+func (s *Sharded) cell(r Report) int {
+	if r.Bit != 1 && r.Bit != -1 || uint(r.Order) >= uint(len(s.base)) || uint(r.J-1) >= uint(s.d>>uint(r.Order)) {
+		panic(reportError{0, 1, s.d, r})
+	}
+	return s.base[r.Order] + r.J
+}
+
+// reportError is a writer's panic on a report it cannot place: an item
+// outside [0..m) (never, from the Boolean writer), a bit other than ±1,
+// an order or an index outside the tree — checked in that order, with
+// the messages Ingest has always raised. It is formatted only when
+// read, so raising one costs the writers next to nothing against the
+// inlining budget of the run loops they sit in.
+type reportError struct {
+	item, m, d int
+	r          Report
+}
+
+func (e reportError) Error() string {
+	switch {
+	case e.item < 0 || e.item >= e.m:
+		return fmt.Sprintf("protocol: item %d outside [0..%d)", e.item, e.m)
+	case e.r.Bit != 1 && e.r.Bit != -1:
+		return fmt.Sprintf("protocol: report bit %d not ±1", e.r.Bit)
+	case e.r.Order < 0 || e.r.Order > dyadic.Log2(e.d):
+		return "dyadic: order out of range"
+	}
+	return "dyadic: index out of range"
+}
+
+// orderError is a writer's panic on a hello's out-of-range order.
+type orderError int
+
+func (e orderError) Error() string { return fmt.Sprintf("protocol: order %d out of range", int(e)) }
+
+// reportBase returns the writers' index table: report (h, j) adds into
+// column base[h] + j of a row whose interval sums start at column off.
+func reportBase(tree *dyadic.Tree, off int) []int {
+	base := make([]int, dyadic.NumOrders(tree.D()))
+	for h := range base {
+		base[h] = off + tree.FlatIndex(dyadic.Interval{Order: h, Index: 1}) - 1
+	}
+	return base
+}
+
+// Register records a user's sampled order into the given shard: a run
+// of one.
 func (s *Sharded) Register(shard, order int) {
-	sh := s.shard(shard)
-	if order < 0 || order >= len(sh.perOrder) {
-		panic(fmt.Sprintf("protocol: order %d out of range", order))
-	}
-	atomic.AddInt64(&sh.users, 1)
-	atomic.AddInt64(&sh.perOrder[order], 1)
-	atomic.AddInt64(&sh.version, 1)
+	w := s.Lock(shard)
+	defer w.Unlock()
+	w.Register(order)
 }
 
-// Ingest accumulates one report into the given shard.
+// Ingest accumulates one report into the given shard under its write
+// lock, checked before the lock is taken. It is version-silent, for
+// serial and test callers; a served run goes through Lock, whose Unlock
+// advances the stamp once per run.
 func (s *Sharded) Ingest(shard int, r Report) {
-	if r.Bit != 1 && r.Bit != -1 {
-		panic(fmt.Sprintf("protocol: report bit %d not ±1", r.Bit))
-	}
-	flat := s.tree.FlatIndex(dyadic.Interval{Order: r.Order, Index: r.J})
-	atomic.AddInt64(&s.shard(shard).sums[flat], int64(r.Bit))
+	c := s.cell(r)
+	i := s.locks.index(shard)
+	s.locks[i].mu.Lock()
+	s.shards[i].sums[c] += int64(r.Bit)
+	s.locks[i].mu.Unlock()
 }
 
 // IngestSum adds a pre-aggregated sum of ±1 bits for one interval into
-// the given shard.
+// the given shard: a run of one.
 func (s *Sharded) IngestSum(shard int, iv dyadic.Interval, sum int64) {
-	sh := s.shard(shard)
-	atomic.AddInt64(&sh.sums[s.tree.FlatIndex(iv)], sum)
-	atomic.AddInt64(&sh.version, 1)
-}
-
-// AdvanceVersion bumps the given shard's mutation counter. Ingest is
-// deliberately version-silent — a second atomic add per report would
-// roughly double the hot-path cost — so writers that batch raw reports
-// call AdvanceVersion once per applied batch instead. Every collector in
-// internal/transport does this; raw Ingest callers that want their
-// writes visible to version-stamped caches must do the same.
-func (s *Sharded) AdvanceVersion(shard int) {
-	atomic.AddInt64(&s.shard(shard).version, 1)
+	w := s.Lock(shard)
+	defer w.Unlock()
+	w.sh.sums[s.tree.FlatIndex(iv)] += sum
 }
 
 // Version folds the per-shard mutation counters into one monotone
 // stamp. Each component only grows, so the sum observed by a reader can
 // only grow; if two Version calls bracketing a derived computation
-// return the same value, no Register/IngestSum/MergeRaw/AdvanceVersion
-// completed in between, and the derived result may be served again
-// verbatim. At quiescence (all writers' batches applied and advanced)
-// an unchanged stamp therefore certifies bit-for-bit freshness.
-func (s *Sharded) Version() uint64 {
-	var v int64
-	for i := range s.shards {
-		v += atomic.LoadInt64(&s.shards[i].version)
-	}
-	return uint64(v)
-}
+// return the same value, no run (Register/IngestSum/MergeRaw/
+// RestoreState/a Lock…Unlock run) completed in between, and the derived
+// result may be served again verbatim.
+func (s *Sharded) Version() uint64 { return s.locks.version() }
 
 // Users returns the number of registered users across all shards.
 func (s *Sharded) Users() int {
+	s.locks.rlock()
+	defer s.locks.runlock()
 	var n int64
 	for i := range s.shards {
-		n += atomic.LoadInt64(&s.shards[i].users)
+		n += s.shards[i].users
 	}
 	return int(n)
 }
 
 // intervalSum folds one interval's counter across shards. Pure int64
-// addition, so the result is independent of shard assignment.
+// addition, so the result is independent of shard assignment. The
+// caller holds the read locks.
 func (s *Sharded) intervalSum(flat int) int64 {
 	if s.cols != nil {
 		flat = sumAt(s.cols, flat)
 	}
 	var sum int64
 	for i := range s.shards {
-		sum += atomic.LoadInt64(&s.shards[i].sums[flat])
+		sum += s.shards[i].sums[flat]
 	}
 	return sum
 }
 
 // EstimateAt returns â[t] via the dyadic decomposition C(t), reading the
-// live counters. It is safe to call concurrently with ingestion: each
-// counter is loaded atomically, and the per-interval totals are summed
-// in the same decomposition order as Server.EstimateAt, so a quiesced
-// Sharded accumulator agrees with the serial server bit for bit.
+// live counters, with the per-interval totals summed in the same
+// decomposition order as Server.EstimateAt, so it agrees with the
+// serial server fed the same runs bit for bit.
 func (s *Sharded) EstimateAt(t int) float64 {
+	s.locks.rlock()
+	defer s.locks.runlock()
 	var est float64
 	for _, iv := range dyadic.Decompose(t, s.d) {
 		est += s.scale * float64(s.intervalSum(s.tree.FlatIndex(iv)))
@@ -208,8 +346,7 @@ func (s *Sharded) EstimateAt(t int) float64 {
 }
 
 // EstimateSeries returns â[1..d] from the live counters, with the same
-// prefix recurrence and float addition order as Server.EstimateSeries,
-// so a quiesced accumulator agrees with the serial server bit for bit.
+// prefix recurrence and float addition order as Server.EstimateSeries.
 func (s *Sharded) EstimateSeries() []float64 {
 	return s.EstimateSeriesTo(s.d)
 }
@@ -223,6 +360,8 @@ func (s *Sharded) EstimateSeriesTo(r int) []float64 {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
 	out := make([]float64, r)
+	s.locks.rlock()
+	defer s.locks.runlock()
 	for t := 1; t <= r; t++ {
 		low := t & (-t)
 		h := dyadic.Log2(low)
@@ -239,6 +378,8 @@ func (s *Sharded) EstimateSeriesTo(r int) []float64 {
 // direct dyadic cover of [l..r], mirroring Server.EstimateChange on the
 // live counters.
 func (s *Sharded) EstimateChange(l, r int) float64 {
+	s.locks.rlock()
+	defer s.locks.runlock()
 	var est float64
 	for _, iv := range dyadic.DecomposeRange(l, r, s.d) {
 		est += s.scale * float64(s.intervalSum(s.tree.FlatIndex(iv)))
@@ -248,9 +389,7 @@ func (s *Sharded) EstimateChange(l, r int) float64 {
 
 // Fold returns the accumulator's raw state summed across shards: the
 // registered-user count, the per-order user counts, and the per-interval
-// bit sums (flat tree order). Counters are loaded atomically, but a fold
-// taken concurrently with ingestion is not a point-in-time cut across
-// intervals; quiesce (or fence) ingestion first when exactness matters.
+// bit sums (flat tree order) — a point-in-time cut at run granularity.
 // These are the exact integers a cluster gateway ships between nodes:
 // because the estimator is a fixed linear function of them, merging raw
 // sums across machines reproduces a single serial server bit for bit,
@@ -281,19 +420,21 @@ func (s *Sharded) Columns(l, r int) []int {
 func (s *Sharded) FoldInto(cols []int, row []int64) {
 	clear(row)
 	_, perOrder, sums := SplitRaw(s.d, row)
+	s.locks.rlock()
+	defer s.locks.runlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
-		row[0] += atomic.LoadInt64(&sh.users)
-		for h := range sh.perOrder {
-			perOrder[h] += atomic.LoadInt64(&sh.perOrder[h])
+		row[0] += sh.users
+		for h, c := range sh.perOrder {
+			perOrder[h] += c
 		}
 		if cols == nil {
-			for f := range sh.sums {
-				sums[f] += atomic.LoadInt64(&sh.sums[f])
+			for f, v := range sh.sums {
+				sums[f] += v
 			}
 		}
 		for j, f := range cols {
-			sums[j] += atomic.LoadInt64(&sh.sums[f])
+			sums[j] += sh.sums[f]
 		}
 	}
 }
@@ -306,33 +447,35 @@ func (s *Sharded) FoldInto(cols []int, row []int64) {
 // replaying the original ingestion. It fails, without modifying the
 // accumulator, on mismatched lengths or negative counts.
 func (s *Sharded) MergeRaw(users int64, perOrder, sums []int64) error {
-	sh := &s.shards[0]
-	if len(perOrder) != len(sh.perOrder) {
-		return fmt.Errorf("protocol: merging %d per-order counts into an accumulator with %d orders", len(perOrder), len(sh.perOrder))
+	if len(perOrder) != dyadic.NumOrders(s.d) {
+		return fmt.Errorf("protocol: merging %d per-order counts into an accumulator with %d orders", len(perOrder), dyadic.NumOrders(s.d))
 	}
-	if len(sums) != len(sh.sums) {
-		return fmt.Errorf("protocol: merging %d interval sums into an accumulator with %d intervals", len(sums), len(sh.sums))
+	if len(sums) != s.tree.Size() {
+		return fmt.Errorf("protocol: merging %d interval sums into an accumulator with %d intervals", len(sums), s.tree.Size())
 	}
 	if err := checkCounts(users, perOrder); err != nil {
 		return err
 	}
-	for f, v := range sums {
-		atomic.AddInt64(&sh.sums[f], v)
-	}
-	atomic.AddInt64(&sh.users, users)
-	for h, c := range perOrder {
-		atomic.AddInt64(&sh.perOrder[h], c)
-	}
-	atomic.AddInt64(&sh.version, 1)
+	w := s.Lock(0)
+	defer w.Unlock()
+	w.sh.add(users, perOrder, sums)
 	return nil
+}
+
+// add folds raw state into the shard; its writer holds the lock.
+func (sh *accShard) add(users int64, perOrder, sums []int64) {
+	for f, v := range sums {
+		sh.sums[f] += v
+	}
+	sh.users += users
+	for h, c := range perOrder {
+		sh.perOrder[h] += c
+	}
 }
 
 // Snapshot folds the current shard state into a fresh serial Server,
 // from which the full estimate series, range estimates and consistency
-// post-processing are available. Counters are loaded atomically, but a
-// snapshot taken concurrently with ingestion is not a point-in-time cut
-// across intervals; quiesce ingestion first when exactness across the
-// whole tree matters.
+// post-processing are available.
 func (s *Sharded) Snapshot() *Server {
 	srv := NewServer(s.d, s.scale)
 	srv.MergeSharded(s)
@@ -340,20 +483,22 @@ func (s *Sharded) Snapshot() *Server {
 }
 
 // MergeSharded folds a sharded accumulator's state into s, the same way
-// Merge folds another serial server. Both must have the same horizon and
-// scale.
+// Merge folds another serial server — a point-in-time cut of o. Both
+// must have the same horizon and scale.
 func (s *Server) MergeSharded(o *Sharded) {
 	if o.d != s.d || o.scale != s.scale {
 		panic("protocol: merging incompatible servers")
 	}
+	o.locks.rlock()
+	defer o.locks.runlock()
 	for i := range o.shards {
 		sh := &o.shards[i]
-		for flat := range sh.sums {
-			s.sums[flat] += atomic.LoadInt64(&sh.sums[flat])
+		for flat, v := range sh.sums {
+			s.sums[flat] += v
 		}
-		s.users += int(atomic.LoadInt64(&sh.users))
-		for h := range sh.perOrder {
-			s.perOrder[h] += int(atomic.LoadInt64(&sh.perOrder[h]))
+		s.users += int(sh.users)
+		for h, c := range sh.perOrder {
+			s.perOrder[h] += int(c)
 		}
 	}
 }

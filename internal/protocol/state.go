@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rtf/internal/dyadic"
 )
@@ -131,19 +130,17 @@ func (s *Server) RestoreState(b []byte) error {
 }
 
 // MarshalState serializes the accumulator's state, folded across
-// shards. Counters are loaded atomically, but a marshal taken
-// concurrently with ingestion is not a point-in-time cut across
-// intervals; quiesce ingestion first when exactness matters (the
-// durable collector holds its snapshot lock for exactly this reason).
-// The encoding is identical to Server.MarshalState on the folded state,
-// so snapshots restore interchangeably into either type.
+// shards: a point-in-time cut at run granularity (see Sharded), which
+// the durable collector pairs with its WAL cursor by holding its
+// snapshot lock. The encoding is identical to Server.MarshalState on the
+// folded state, so snapshots restore interchangeably into either type.
 func (s *Sharded) MarshalState() []byte {
 	users, perOrder, sums := s.Fold()
 	return appendDyadicState(make([]byte, 0, 16+10*len(sums)), s.d, s.scale, users, perOrder, sums)
 }
 
-// RestoreState folds serialized state into shard 0 — call it on a
-// freshly constructed accumulator to reload a snapshot. Shard
+// RestoreState folds serialized state into shard 0 as one run — call it
+// on a freshly constructed accumulator to reload a snapshot. Shard
 // assignment never affects estimates (addition is exact and
 // commutative), so restoring everything into one shard is equivalent to
 // replaying the original ingestion.
@@ -152,14 +149,9 @@ func (s *Sharded) RestoreState(b []byte) error {
 	if err != nil {
 		return err
 	}
-	sh := &s.shards[0]
-	for f, v := range st.sums {
-		atomic.AddInt64(&sh.sums[f], v)
-	}
-	atomic.AddInt64(&sh.users, st.users)
-	for h, c := range st.perOrder {
-		atomic.AddInt64(&sh.perOrder[h], c)
-	}
+	w := s.Lock(0)
+	defer w.Unlock()
+	w.sh.add(st.users, st.perOrder, st.sums)
 	return nil
 }
 

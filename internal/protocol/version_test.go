@@ -7,8 +7,9 @@ import (
 	"rtf/internal/dyadic"
 )
 
-// The version stamp must move on every non-hot mutator and on explicit
-// batch advancement, and must never move on a pure read.
+// The version stamp must move once per run — a served Lock…Unlock run,
+// even an empty one, or a one-call mutator — and never on a pure read or
+// the version-silent per-report Ingest.
 func TestShardedVersionAdvances(t *testing.T) {
 	acc := NewSharded(8, 1.5, 4)
 	v0 := acc.Version()
@@ -33,9 +34,9 @@ func TestShardedVersionAdvances(t *testing.T) {
 	if v := acc.Version(); v != v2 {
 		t.Fatalf("Ingest alone moved version: %d -> %d", v2, v)
 	}
-	acc.AdvanceVersion(0)
+	acc.Lock(0).Unlock()
 	if v := acc.Version(); v <= v2 {
-		t.Fatalf("AdvanceVersion did not advance version: %d -> %d", v2, v)
+		t.Fatalf("an empty run did not advance version: %d -> %d", v2, v)
 	}
 	v3 := acc.Version()
 
@@ -54,6 +55,41 @@ func TestShardedVersionAdvances(t *testing.T) {
 	_ = acc.EstimateSeries()
 	if v, want := acc.Version(), acc.Version(); v != want {
 		t.Fatalf("reads moved version: %d != %d", v, want)
+	}
+
+	other := NewSharded(8, 1.5, 2)
+	if err := other.RestoreState(acc.MarshalState()); err != nil {
+		t.Fatalf("RestoreState: %v", err)
+	}
+	if v := other.Version(); v == 0 {
+		t.Fatal("RestoreState did not advance version")
+	}
+
+	// A served run advances exactly once, however many records it writes
+	// and only when it ends; a read never does.
+	v4 := acc.Version()
+	w := acc.Lock(1)
+	w.Register(2)
+	for j := 1; j <= 4; j++ {
+		w.Ingest(Report{Order: 1, J: j, Bit: 1})
+	}
+	if v := acc.Version(); v != v4 {
+		t.Fatalf("an unfinished run moved version: %d -> %d", v4, v)
+	}
+	w.Unlock()
+	if v := acc.Version(); v != v4+1 {
+		t.Fatalf("a run of 5 records moved version %d -> %d, want exactly one step", v4, v)
+	}
+	_ = acc.Users()
+	_ = acc.EstimateAt(8)
+	_ = acc.EstimateSeriesTo(3)
+	_ = acc.EstimateChange(2, 7)
+	_, _, _ = acc.Fold()
+	acc.FoldInto(acc.Columns(1, 5), make([]int64, ScopedStride(8, 1, 5)))
+	_ = acc.MarshalState()
+	_ = acc.Snapshot()
+	if v := acc.Version(); v != v4+1 {
+		t.Fatalf("reads moved version: %d -> %d", v4+1, v)
 	}
 }
 
@@ -104,6 +140,34 @@ func TestDomainShardedVersionAdvances(t *testing.T) {
 	}
 	if v := other.Version(); v == 0 {
 		t.Fatal("RestoreState did not advance version")
+	}
+
+	// A served run advances exactly once, however many records it writes
+	// and only when it ends; a read never does.
+	v4 := acc.Version()
+	w := acc.Lock(2)
+	w.Register(3, 1)
+	for j := 1; j <= 4; j++ {
+		w.Ingest(j%4, Report{Order: 1, J: j, Bit: -1})
+	}
+	if v := acc.Version(); v != v4 {
+		t.Fatalf("an unfinished run moved version: %d -> %d", v4, v)
+	}
+	w.Unlock()
+	if v := acc.Version(); v != v4+1 {
+		t.Fatalf("a run of 5 records moved version %d -> %d, want exactly one step", v4, v)
+	}
+	_ = acc.Users()
+	_ = acc.UsersAt(3)
+	_ = acc.EstimateAt(1, 8)
+	_ = acc.EstimateAllAt(5)
+	_ = acc.EstimateSeriesTo(2, 6)
+	_ = acc.EstimateAllSeries()
+	acc.FoldRowsInto(0, 4, acc.Columns(3, 3), make([]int64, 4*ScopedStride(8, 3, 3)))
+	acc.FoldInto(raw)
+	_ = acc.MarshalState()
+	if v := acc.Version(); v != v4+1 {
+		t.Fatalf("reads moved version: %d -> %d", v4+1, v)
 	}
 }
 

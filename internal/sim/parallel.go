@@ -42,16 +42,19 @@ func runFrameworkFastParallel(w *workload.Workload, factories []core.Factory, sr
 			defer wg.Done()
 			nonzero := make([]int, tree.Size())
 			gg := g.Derive(uint64(s))
+			// The worker is its shard's only writer: one run, one lock.
+			wr := acc.Lock(s)
+			defer wr.Unlock()
 			for u := lo; u < hi; u++ {
 				us := w.Users[u]
 				h := protocol.SampleOrder(gg, w.D)
-				acc.Register(s, h)
+				wr.Register(h)
 				if us.NumChanges() == 0 {
 					continue
 				}
 				inst := factories[h].NewInstance(gg)
 				for _, nz := range nonzeroPartialSums(us, h) {
-					acc.Ingest(s, protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
+					wr.Ingest(protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
 					nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: nz.j})]++
 				}
 			}

@@ -56,8 +56,10 @@ func (c *ingestStats) Stats() (hellos, reports, batches int64) {
 
 // Collector is the concurrent fan-in point of the batch-ingest service:
 // any number of connection goroutines push decoded batches, and the
-// collector validates them and applies them to one lock-free
-// accumulator of its Mode.
+// collector applies each validated run to one sharded accumulator of its
+// Mode — under the run's shard write lock, while reads fold under every
+// shard's read lock (see protocol.Sharded), so a read never sees half a
+// run.
 type Collector struct {
 	mode Mode
 	st   State
@@ -137,14 +139,10 @@ func sendBatch(s Store, shard int, ms []Msg, journal bool) error {
 // SendBatch implements Store.
 func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
 
-// Apply implements Store; the per-message work is one atomic add.
+// Apply implements Store: one write lock per run, one plain add per
+// message.
 func (c *Collector) Apply(shard int, run []Rec, _ []byte) error {
-	hellos, reports := c.st.Apply(shard, run)
-	// Batch-amortized invalidation of the version-keyed read memos.
-	if reports > 0 {
-		c.st.AdvanceVersion(shard)
-	}
-	c.count(hellos, reports)
+	c.count(c.st.Apply(shard, run))
 	return nil
 }
 

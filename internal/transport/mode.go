@@ -96,15 +96,15 @@ type Reader interface {
 // fixed linear estimator over them.
 type State interface {
 	Reader
-	// Apply accumulates a run of records via the given counter shard (a
-	// routing hint; addition is exact and commutative). It is
-	// version-silent, keeping the hot path at one atomic add per report;
-	// a caller whose reads go through the state's version-keyed memos
-	// calls AdvanceVersion once per run that applied reports.
+	// Apply accumulates a run of records into the given counter shard (a
+	// routing hint; addition is exact and commutative) under that shard's
+	// write lock, taken once for the run: each record is one plain add,
+	// and the run advances the version stamp its reads' memos key on
+	// once, before the lock is released.
 	Apply(shard int, run []Rec) (hellos, reports int64)
-	AdvanceVersion(shard int)
-	// Sums exports the raw counters under a scope. They are loaded
-	// atomically; fence ingestion first when a consistent cut matters.
+	// Sums exports the raw counters under a scope: a point-in-time cut
+	// at run granularity. Fence ingestion first when the cut must hold a
+	// particular connection's writes.
 	Sums(sc Scope) RawSums
 	MarshalState() []byte
 	RestoreState(b []byte) error
@@ -225,19 +225,19 @@ func (boolMode) CheckMeta(persist.Meta) error { return nil }
 type boolState struct{ acc *protocol.Sharded }
 
 func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
+	w := s.acc.Lock(shard)
+	defer w.Unlock()
 	for i := range run {
 		r := &run[i]
 		if r.Bit == 0 {
-			s.acc.Register(shard, int(r.Order))
+			w.Register(int(r.Order))
 			hellos++
 		} else {
-			s.acc.Ingest(shard, protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
+			w.Ingest(protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
 		}
 	}
 	return hellos, int64(len(run)) - hellos
 }
-
-func (s boolState) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
 
 func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
 	if m.Type != MsgQueryV2 {
@@ -317,19 +317,19 @@ func (p domainMode) CheckMeta(meta persist.Meta) error {
 type domainState struct{ ds *hh.DomainServer }
 
 func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
+	w := s.ds.Lock(shard)
+	defer w.Unlock()
 	for i := range run {
 		r := &run[i]
 		if r.Bit == 0 {
-			s.ds.Register(shard, int(r.Item), int(r.Order))
+			w.Register(int(r.Item), int(r.Order))
 			hellos++
 		} else {
-			s.ds.Ingest(shard, int(r.Item), protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
+			w.Ingest(int(r.Item), protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
 		}
 	}
 	return hellos, int64(len(run)) - hellos
 }
-
-func (s domainState) AdvanceVersion(shard int) { s.ds.AdvanceVersion(shard) }
 
 func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	if m.Type != MsgDomainQuery {
@@ -345,11 +345,8 @@ func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 
 func (s domainState) Sums(sc Scope) RawSums {
 	f := RawSums{D: s.ds.D(), M: s.ds.M(), Scale: s.ds.BoolScale(), Scope: sc}
-	stride, cols := f.stride(), s.ds.Columns(sc.L, sc.R)
-	f.Counters = make([]int64, f.M*stride)
-	for x := 0; x < f.M; x++ {
-		s.ds.FoldRowInto(x, cols, f.Counters[x*stride:(x+1)*stride])
-	}
+	f.Counters = make([]int64, f.M*f.stride())
+	s.ds.FoldRowsInto(0, f.M, s.ds.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
 

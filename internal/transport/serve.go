@@ -392,7 +392,7 @@ func (s *Server) finishBatch(acked bool, enc *Encoder, n int, start time.Time) e
 }
 
 // Estimator is the read side of a dyadic accumulator: both the
-// lock-free protocol.Sharded (the live ingest path) and the serial
+// run-locked protocol.Sharded (the live ingest path) and the serial
 // protocol.Server (the gateway's fold of cluster-wide raw sums) satisfy
 // it, so AnswerQuery serves either.
 type Estimator interface {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"rtf/internal/membership"
@@ -30,11 +31,16 @@ type ShardMap struct {
 	ingestStats
 
 	// imu orders message application and reads against shard installs:
-	// apply holds it shared, InstallShard exclusively. The per-shard
-	// accumulators are themselves lock-free; this lock only prevents a
-	// swap from stranding an in-flight write on a replaced accumulator.
+	// apply holds it shared, InstallShard exclusively. Each virtual
+	// shard's accumulator has its own run lock (see protocol.Sharded);
+	// this lock only prevents a swap from stranding an in-flight write on
+	// a replaced accumulator.
 	imu    sync.RWMutex
 	shards []State
+
+	// buckets holds Apply's reusable *bucketScratch, sized to the shard
+	// count.
+	buckets sync.Pool
 
 	// vmu guards the pushed cluster view (bookkeeping only: routing
 	// is by the message's user id, queries fold every shard; the view
@@ -55,6 +61,7 @@ func NewShardMap(mode Mode, numShards int, selfID string) *ShardMap {
 	for s := range c.shards {
 		c.shards[s] = mode.NewState(1)
 	}
+	c.buckets.New = func() any { return &bucketScratch{count: make([]int32, numShards)} }
 	return c
 }
 
@@ -78,27 +85,62 @@ func (c *ShardMap) Users() int {
 // SendBatch implements Store.
 func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
 
-// Apply implements Store, handing each maximal stretch of records bound
-// for one virtual shard to that shard's state whole (a user's hello and
-// reports travel together, so stretches are long). The connection shard
-// is unused: the map routes by user.
+// Apply implements Store: it buckets the run's records by virtual shard
+// and hands each bucket to that shard's state as one run, so a frame
+// takes one write lock per shard it touches, however its users
+// interleave (consecutive user ids land on consecutive shards). Records
+// were validated before Apply and addition is commutative, so the
+// reordering is exact. The connection shard is unused: the map routes by
+// user.
 func (c *ShardMap) Apply(_ int, run []Rec, _ []byte) error {
-	n := len(c.shards)
+	b := c.buckets.Get().(*bucketScratch)
+	b.sort(run)
 	var hellos, reports int64
+	start := int32(0)
 	c.imu.RLock()
-	for i := 0; i < len(run); {
-		sh := membership.ShardOf(run[i].User, n)
-		j := i + 1
-		for j < len(run) && membership.ShardOf(run[j].User, n) == sh {
-			j++
-		}
-		h, r := c.shards[sh].Apply(0, run[i:j])
+	for _, sh := range b.used {
+		end := b.count[sh]
+		h, r := c.shards[sh].Apply(0, b.recs[start:end])
 		hellos, reports = hellos+h, reports+r
-		i = j
+		b.count[sh], start = 0, end
 	}
 	c.imu.RUnlock()
+	c.buckets.Put(b)
 	c.count(hellos, reports)
 	return nil
+}
+
+// bucketScratch is ShardMap.Apply's space for a counting sort of one
+// run by virtual shard.
+type bucketScratch struct {
+	recs  []Rec   // the run, bucket by bucket
+	keys  []int32 // each record's shard
+	used  []int32 // the shards the run touches, in first-seen order
+	count []int32 // per shard: after sort, where its bucket ends in recs; zero between runs
+}
+
+// sort fills recs with run's records grouped by shard, in used order,
+// each bucket keeping the run's order.
+func (b *bucketScratch) sort(run []Rec) {
+	n := len(b.count)
+	b.keys, b.used = b.keys[:0], b.used[:0]
+	for i := range run {
+		sh := int32(membership.ShardOf(run[i].User, n))
+		if b.count[sh] == 0 {
+			b.used = append(b.used, sh)
+		}
+		b.count[sh]++
+		b.keys = append(b.keys, sh)
+	}
+	off := int32(0)
+	for _, sh := range b.used {
+		b.count[sh], off = off, off+b.count[sh]
+	}
+	b.recs = slices.Grow(b.recs[:0], len(run))[:len(run)]
+	for i, sh := range b.keys {
+		b.recs[b.count[sh]] = run[i]
+		b.count[sh]++
+	}
 }
 
 // Answer implements Reader. The shard-scoped control reads — one

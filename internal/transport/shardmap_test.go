@@ -11,6 +11,7 @@ import (
 	"rtf/internal/membership"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/rng"
 )
 
 // applySerial feeds a hello+report stream into a single serial sharded
@@ -113,6 +114,60 @@ func TestShardMapEquivalence(t *testing.T) {
 	}
 	if g, w := merged.EstimateSeries(), ref.EstimateSeries(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("merged series = %v, want %v", g, w)
+	}
+}
+
+// countingState counts the runs applied to a state.
+type countingState struct {
+	State
+	runs *int
+}
+
+func (s countingState) Apply(shard int, run []Rec) (hellos, reports int64) {
+	*s.runs++
+	return s.State.Apply(shard, run)
+}
+
+// TestShardMapAppliesOneRunPerShard: a frame whose consecutive users
+// land on a different virtual shard at every record reaches each shard
+// as one run — one write lock per shard per frame, not one per record —
+// and leaves every shard exactly as a serial state fed its users'
+// records does.
+func TestShardMapAppliesOneRunPerShard(t *testing.T) {
+	const d, scale, S = 32, 1.5, 5
+	for _, mode := range scopeModes(d, scale) {
+		t.Run(mode.Name(), func(t *testing.T) {
+			sm := NewShardMap(mode, S, "n0")
+			runs := make([]int, S)
+			ref := make([]State, S)
+			for s := range sm.shards {
+				sm.shards[s] = countingState{sm.shards[s], &runs[s]}
+				ref[s] = mode.NewState(1)
+			}
+			var hellos, reports int64
+			for i, frame := range lockRecRuns(rng.New(5, 6), mode, d, 1, 3, 4*S+3)[0] {
+				if err := sm.Apply(0, frame, nil); err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range frame {
+					h, n := ref[membership.ShardOf(r.User, S)].Apply(0, []Rec{r})
+					hellos, reports = hellos+h, reports+n
+				}
+				for s, n := range runs {
+					if n != i+1 {
+						t.Fatalf("after frame %d: shard %d took %d runs, want %d", i, s, n, i+1)
+					}
+				}
+			}
+			for s := range ref {
+				if !bytes.Equal(exportShard(t, sm, s), ref[s].MarshalState()) {
+					t.Errorf("shard %d state differs from its serial reference", s)
+				}
+			}
+			if h, n, _ := sm.Stats(); h != hellos || n != reports {
+				t.Errorf("stats count %d hellos, %d reports; want %d, %d", h, n, hellos, reports)
+			}
+		})
 	}
 }
 

@@ -92,16 +92,16 @@ func (f RawSums) Equal(o RawSums) bool {
 	return f.D == o.D && f.M == o.M && f.Scale == o.Scale && f.Scope == o.Scope && slices.Equal(f.Counters, o.Counters)
 }
 
-// SumsFromSharded folds the live accumulator into a full frame. Counters
-// are loaded atomically; fence ingestion first (a query round-trip on
-// the same connection) when a consistent cut matters.
+// SumsFromSharded folds the live accumulator into a full frame: a
+// point-in-time cut at run granularity. Fence ingestion first (a query
+// round-trip on the same connection) when the cut must hold that
+// connection's writes.
 func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
 	return SumsFrame(boolState{acc}.Sums(Scope{}))
 }
 
-// DomainSumsFromServer folds the live counter matrix into a full frame.
-// Counters are loaded atomically; fence ingestion first when a
-// consistent cut matters.
+// DomainSumsFromServer folds the live counter matrix into a full frame,
+// under the same cut and fence rules as SumsFromSharded.
 func DomainSumsFromServer(ds *hh.DomainServer) RawSums { return domainState{ds}.Sums(Scope{}) }
 
 // MergeInto folds the frame's raw state into a dyadic accumulator — a
@@ -189,10 +189,14 @@ func (e *Encoder) EncodeDomainSums(f RawSums) error { return e.encodeSums(MsgDom
 // scope sc straight from its live counters, a row at a time — the bytes
 // of EncodeDomainSums(domainState{ds}.Sums(sc)) without the matrix in
 // between, which for full rows of a wide domain is megabytes per request.
+// Each row is folded under its own acquisition of the read locks and
+// none is held while the frame is written, so the rows are each a cut
+// but the frame is not one: the one read that is not a point-in-time
+// cut. Fence ingestion first when exactness matters.
 func (e *Encoder) encodeLiveDomainSums(ds *hh.DomainServer, sc Scope) error {
 	cols := ds.Columns(sc.L, sc.R)
 	return e.encodeSums(MsgDomainSumsFrame, RawSums{D: ds.D(), M: ds.M(), Scale: ds.BoolScale(), Scope: sc},
-		func(x int, row []int64) { ds.FoldRowInto(x, cols, row) })
+		func(x int, row []int64) { ds.FoldRowsInto(x, x+1, cols, row) })
 }
 
 // scopedSumsVersion is the version byte of a sums request or frame that

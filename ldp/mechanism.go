@@ -24,8 +24,8 @@ type Capabilities struct {
 	// available (Result.HoeffdingBound is populated).
 	ErrorBound bool
 	// Sharded: the mechanism's server state is the standard dyadic
-	// accumulator, so rtf-serve can host it on the lock-free sharded
-	// ingestion path and answer queries from live counters.
+	// accumulator, so rtf-serve can host it on the sharded ingestion
+	// path and answer queries from live counters.
 	Sharded bool
 	// Durable: the mechanism's server engine implements Snapshotter and
 	// Restorer, so its state survives restarts via the persistence
