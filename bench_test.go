@@ -1686,6 +1686,74 @@ func BenchmarkAnswerTopKWarm(b *testing.B) {
 	}
 }
 
+// populateSeriesBench builds a live two-shard Boolean collector at
+// d = 1024 fed ingestBenchReports reports as one run per shard, and
+// returns it with its accumulator.
+func populateSeriesBench(b *testing.B) (*transport.Collector, *protocol.Sharded) {
+	b.Helper()
+	acc := protocol.NewSharded(ingestBenchD, 100, 2)
+	col := transport.NewShardedCollector(acc)
+	g := rng.New(93, 94)
+	ms := make([]transport.Msg, 0, ingestBenchReports/2)
+	for i := 0; i < ingestBenchReports; i++ {
+		h := g.IntN(dyadic.NumOrders(ingestBenchD))
+		bit := int8(1 - 2*g.IntN(2))
+		ms = append(ms, transport.FromReport(protocol.Report{User: i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit}))
+		if len(ms) == cap(ms) {
+			if err := col.SendBatch(i&1, ms); err != nil {
+				b.Fatal(err)
+			}
+			ms = ms[:0]
+		}
+	}
+	return col, acc
+}
+
+// BenchmarkAnswerSeriesCold is a Boolean Series answer whose prefix
+// series memo misses: every iteration is a run of one that changes no
+// counter but bumps the version stamp, so the answer folds the raw row
+// under the read locks, runs the prefix recurrence outside them into
+// memo-owned buffers and encodes from them. It allocates nothing.
+func BenchmarkAnswerSeriesCold(b *testing.B) {
+	col, acc := populateSeriesBench(b)
+	q := transport.QueryV2(transport.QuerySeries, 0, 0)
+	enc := transport.NewEncoder(io.Discard)
+	var sc transport.AnswerScratch
+	one := dyadic.Interval{Order: 0, Index: 1}
+	if _, _, err := col.Answer(q, enc, &sc); err != nil { // the memo's buffers
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		acc.IngestSum(0, one, 0)
+		if _, hit, err := col.Answer(q, enc, &sc); err != nil || hit {
+			b.Fatalf("cold series answer: hit=%v err=%v", hit, err)
+		}
+	}
+}
+
+// BenchmarkAnswerSeriesWarm is the same answer at an unchanged version
+// stamp: the memo's series is encoded as it stands, with no lock taken
+// and no counter read. The gap to BenchmarkAnswerSeriesCold is what a
+// read burst saves on every Series or Window after the first.
+func BenchmarkAnswerSeriesWarm(b *testing.B) {
+	col, _ := populateSeriesBench(b)
+	q := transport.QueryV2(transport.QuerySeries, 0, 0)
+	enc := transport.NewEncoder(io.Discard)
+	var sc transport.AnswerScratch
+	if _, _, err := col.Answer(q, enc, &sc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit, err := col.Answer(q, enc, &sc); err != nil || !hit {
+			b.Fatalf("warm series answer: hit=%v err=%v", hit, err)
+		}
+	}
+}
+
 // BenchmarkConcurrentQueries hammers one populated domain server from
 // GOMAXPROCS goroutines, each with its own answer frame and selection
 // scratch — the serve-loop arrangement. After the first miss fills the

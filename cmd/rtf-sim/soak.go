@@ -209,19 +209,26 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 	}
 	// Read-path cache counters must be coherent at a quiescent scrape:
 	// every cache-eligible query counted exactly one hit or miss, and
-	// coalesced queries are a subset of all answered queries. Absent
-	// counters read as zero, so the single-server run (whose Boolean
-	// query path has no memo) passes trivially.
+	// coalesced queries are a subset of all answered queries. A Point,
+	// Series or Window read is cache-eligible on every front — a single
+	// server answers it through its prefix-series memo, a gateway through
+	// its answer cache — and every worker's fence is a Point, so a soak
+	// that counted none eligible has lost its read cache.
 	hits, missed, eligible := final.Counters["query_cache_hits_total"], final.Counters["query_cache_misses_total"], final.Counters["query_cache_eligible_total"]
 	if hits+missed != eligible {
 		bad("cache counters incoherent: hits %d + misses %d != eligible %d", hits, missed, eligible)
 	}
 	// An entry in the gateway's answer cache is a gather somebody ran.
-	var queries, fills, gathers int64
+	var queries, memoReads, fills, gathers int64
 	for counter, v := range final.Counters {
 		switch {
 		case strings.HasPrefix(counter, "queries_total"):
 			queries += v
+			for _, kind := range []string{`kind="point"`, `kind="series"`, `kind="window"`} {
+				if strings.Contains(counter, kind) {
+					memoReads += v
+				}
+			}
 		case strings.HasPrefix(counter, "answer_cache_fills_total"):
 			fills += v
 		case strings.HasPrefix(counter, "gathers_total"):
@@ -234,8 +241,8 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 	if coalesced := final.Counters["query_coalesced_total"]; coalesced > queries {
 		bad("query_coalesced_total %d exceeds %d answered queries", coalesced, queries)
 	}
-	if dep.gateway != nil && eligible == 0 {
-		bad("gateway soak answered %d queries but counted none cache-eligible", queries)
+	if memoReads > 0 && eligible == 0 {
+		bad("soak answered %d Point/Series/Window queries but counted none cache-eligible", memoReads)
 	}
 	if err := dep.drain(); err != nil {
 		bad("%v", err)

@@ -113,15 +113,7 @@ func (s *Server) EstimateSeriesTo(r int) []float64 {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
 	out := make([]float64, r)
-	for t := 1; t <= r; t++ {
-		low := t & (-t)
-		h := dyadic.Log2(low)
-		est := s.scale * float64(s.sums[s.tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})])
-		if prev := t - low; prev > 0 {
-			est += out[prev-1]
-		}
-		out[t-1] = est
-	}
+	prefixSeries(s.tree, s.scale, s.sums, out)
 	return out
 }
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -353,25 +354,54 @@ func (s *Sharded) EstimateSeries() []float64 {
 
 // EstimateSeriesTo returns â[1..r]. The prefix recurrence at t only
 // reads earlier entries, so the truncated series is bit-for-bit a
-// prefix of EstimateSeries at a fraction of the cross-shard folds —
-// the window-query path of the ingest server relies on this.
+// prefix of EstimateSeries — the window-query path of the ingest server
+// relies on this. A live accumulator's interval sums are folded under
+// the read locks (FoldInto) and the recurrence runs outside them
+// (PrefixSeries).
 func (s *Sharded) EstimateSeriesTo(r int) []float64 {
 	if r < 1 || r > s.d {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
+	if s.cols != nil {
+		panic("protocol: a series reads every interval sum, outside the scope this state was built over")
+	}
+	sums := s.shards[0].sums // adopted counters: one shard, immutable
+	if s.locks != nil {
+		row := make([]int64, RawStride(s.d))
+		s.FoldInto(nil, row)
+		_, _, sums = SplitRaw(s.d, row)
+	}
 	out := make([]float64, r)
-	s.locks.rlock()
-	defer s.locks.runlock()
-	for t := 1; t <= r; t++ {
-		low := t & (-t)
-		h := dyadic.Log2(low)
-		est := s.scale * float64(s.intervalSum(s.tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})))
-		if prev := t - low; prev > 0 {
+	s.PrefixSeries(sums, out)
+	return out
+}
+
+// PrefixSeries is the series kernel: it writes â[1..len(out)] into out
+// from interval sums in flat tree order — the sums of a full raw row, as
+// FoldInto writes them. It reads only its arguments, so a caller folds
+// under the read locks and runs it outside them; its float operations
+// are Server.EstimateSeriesTo's, in the same order.
+func (s *Sharded) PrefixSeries(sums []int64, out []float64) {
+	if len(sums) != s.tree.Size() || len(out) > s.d {
+		panic(fmt.Sprintf("protocol: series of %d from %d interval sums at d=%d", len(out), len(sums), s.d))
+	}
+	prefixSeries(s.tree, s.scale, sums, out)
+}
+
+// prefixSeries is the recurrence â[t] = Ŝ(I_{h, t/2^h}) + â[t − 2^h],
+// 2^h the lowest set bit of t, over interval sums in flat tree order.
+// Each entry equals EstimateAt's sum over C(t) bit for bit: C(t) is
+// C(t − 2^h) plus that interval, and the two sums differ only by the
+// order of operands of one commutative float addition.
+func prefixSeries(tree *dyadic.Tree, scale float64, sums []int64, out []float64) {
+	for t := 1; t <= len(out); t++ {
+		h := bits.TrailingZeros(uint(t))
+		est := scale * float64(sums[tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})])
+		if prev := t - 1<<h; prev > 0 {
 			est += out[prev-1]
 		}
 		out[t-1] = est
 	}
-	return out
 }
 
 // EstimateChange returns the unbiased estimate of a[r] − a[l−1] over the

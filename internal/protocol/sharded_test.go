@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -155,4 +156,43 @@ func TestShardedPanics(t *testing.T) {
 	mustPanic("bad order", func() { acc.Register(0, 99) })
 	srv := NewServer(16, 1)
 	mustPanic("incompatible merge", func() { srv.MergeSharded(acc) })
+}
+
+// TestPrefixSeriesEqualsEstimateAt: at every horizon d ∈ {2 … 2¹²},
+// over interval sums wide enough that every float addition rounds, the
+// series kernel's out[t−1] is Sharded.EstimateAt(t) and Server.EstimateAt(t)
+// bit for bit, for every t — the identity a served prefix-series memo
+// answers point reads by.
+func TestPrefixSeriesEqualsEstimateAt(t *testing.T) {
+	const scale = 3.7
+	g := rng.New(26, 1)
+	for d := 2; d <= 1<<12; d *= 2 {
+		acc := NewSharded(d, scale, 2)
+		srv := NewServer(d, scale)
+		for flat := 0; flat < acc.Tree().Size(); flat++ {
+			iv := acc.Tree().IntervalAt(flat)
+			sum := int64(g.Uint64()>>uint(g.IntN(64))) * int64(1-2*g.IntN(2)) >> 12
+			acc.IngestSum(flat%2, iv, sum)
+			srv.IngestSum(iv, sum)
+		}
+		_, _, sums := acc.Fold()
+		out := make([]float64, d)
+		acc.PrefixSeries(sums, out)
+		for tt := 1; tt <= d; tt++ {
+			got := math.Float64bits(out[tt-1])
+			if want := math.Float64bits(acc.EstimateAt(tt)); got != want {
+				t.Fatalf("d=%d t=%d: series entry %v, Sharded.EstimateAt %v", d, tt, out[tt-1], acc.EstimateAt(tt))
+			}
+			if want := math.Float64bits(srv.EstimateAt(tt)); got != want {
+				t.Fatalf("d=%d t=%d: series entry %v, Server.EstimateAt %v", d, tt, out[tt-1], srv.EstimateAt(tt))
+			}
+		}
+		// The truncated kernel is a prefix of the full one.
+		r := 1 + g.IntN(d)
+		for i, v := range acc.EstimateSeriesTo(r) {
+			if math.Float64bits(v) != math.Float64bits(out[i]) {
+				t.Fatalf("d=%d: EstimateSeriesTo(%d)[%d] = %v, full series %v", d, r, i, v, out[i])
+			}
+		}
+	}
 }

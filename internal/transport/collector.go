@@ -75,7 +75,7 @@ func NewCollector(mode Mode, shards int) *Collector {
 // NewShardedCollector builds a Boolean collector over the given
 // accumulator.
 func NewShardedCollector(acc *protocol.Sharded) *Collector {
-	return &Collector{mode: BoolMode(acc.D(), acc.Scale()), st: boolState{acc}}
+	return &Collector{mode: BoolMode(acc.D(), acc.Scale()), st: liveBoolState(acc)}
 }
 
 // NewDomainCollector builds an exact-domain collector over the given

@@ -202,7 +202,7 @@ func (p boolMode) ValidateRead(m Msg) error {
 }
 
 func (p boolMode) NewState(shards int) State {
-	return boolState{protocol.NewSharded(p.d, p.scale, shards)}
+	return liveBoolState(protocol.NewSharded(p.d, p.scale, shards))
 }
 
 func (p boolMode) Fold(frames []RawSums) (State, error) {
@@ -214,7 +214,7 @@ func (p boolMode) Fold(frames []RawSums) (State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return boolState{acc}, nil
+	return boolState{acc: acc}, nil
 }
 
 func (boolMode) ReadSums(d *Decoder) (RawSums, error)   { return d.readSums(MsgSumsFrame) }
@@ -222,7 +222,16 @@ func (boolMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeSums(Su
 
 func (boolMode) CheckMeta(persist.Meta) error { return nil }
 
-type boolState struct{ acc *protocol.Sharded }
+// boolState is the Boolean accumulator and, on a live one, its
+// version-keyed series memo (seriesmemo.go). A fold has none: it is
+// built for one gather.
+type boolState struct {
+	acc  *protocol.Sharded
+	memo *seriesMemo
+}
+
+// liveBoolState is a live accumulator's state, memo included.
+func liveBoolState(acc *protocol.Sharded) boolState { return boolState{acc, new(seriesMemo)} }
 
 func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
 	w := s.acc.Lock(shard)
@@ -243,11 +252,18 @@ func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, 
 	if m.Type != MsgQueryV2 {
 		return false, false, e.EncodeSums(SumsFrame(s.Sums(Scope{m.L, m.R})))
 	}
-	ans, err := AnswerQuery(s.acc, m)
-	if err != nil {
+	if s.memo == nil || m.Kind == QueryChange {
+		ans, err := AnswerQuery(s.acc, m)
+		if err != nil {
+			return false, false, err
+		}
+		return false, false, e.EncodeAnswer(ans)
+	}
+	if err := ValidateQuery(s.acc.D(), m); err != nil {
 		return false, false, err
 	}
-	return false, false, e.EncodeAnswer(ans)
+	hit, err = s.memo.answer(s.acc, m, e)
+	return true, hit, err
 }
 
 func (s boolState) Sums(sc Scope) RawSums {

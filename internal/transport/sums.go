@@ -97,7 +97,7 @@ func (f RawSums) Equal(o RawSums) bool {
 // round-trip on the same connection) when the cut must hold that
 // connection's writes.
 func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
-	return SumsFrame(boolState{acc}.Sums(Scope{}))
+	return SumsFrame(boolState{acc: acc}.Sums(Scope{}))
 }
 
 // DomainSumsFromServer folds the live counter matrix into a full frame,

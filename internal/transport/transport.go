@@ -1145,13 +1145,23 @@ type AnswerFrame struct {
 
 // EncodeAnswer writes one MsgAnswer frame.
 func (e *Encoder) EncodeAnswer(a AnswerFrame) error {
+	b, err := appendAnswer(e.scratch[:0], a)
+	if err != nil {
+		return err
+	}
+	return e.writeScratch(b)
+}
+
+// appendAnswer appends one MsgAnswer frame to b. It only reads
+// a.Values, so a caller holding a lock over them can encode into the
+// scratch buffer under it and write after releasing it.
+func appendAnswer(b []byte, a AnswerFrame) ([]byte, error) {
 	if len(a.Values) > MaxAnswerLen {
-		return fmt.Errorf("transport: answer of %d values exceeds limit %d", len(a.Values), MaxAnswerLen)
+		return b, fmt.Errorf("transport: answer of %d values exceeds limit %d", len(a.Values), MaxAnswerLen)
 	}
 	if a.L < 0 || a.R < 0 {
-		return fmt.Errorf("transport: negative answer bound [%d..%d]", a.L, a.R)
+		return b, fmt.Errorf("transport: negative answer bound [%d..%d]", a.L, a.R)
 	}
-	b := e.scratch[:0]
 	b = append(b, byte(MsgAnswer), queryWireVersion, byte(a.Kind))
 	b = binary.AppendUvarint(b, uint64(a.L))
 	b = binary.AppendUvarint(b, uint64(a.R))
@@ -1159,7 +1169,13 @@ func (e *Encoder) EncodeAnswer(a AnswerFrame) error {
 	for _, v := range a.Values {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	e.scratch = b[:0] // keep the grown buffer for the next frame
+	return b, nil
+}
+
+// writeScratch writes a frame built in the scratch buffer, keeping the
+// grown buffer for the next frame.
+func (e *Encoder) writeScratch(b []byte) error {
+	e.scratch = b[:0]
 	n, err := e.w.Write(b)
 	e.n += int64(n)
 	return err
