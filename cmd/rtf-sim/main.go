@@ -62,7 +62,12 @@
 // — a shed batch that half-applied breaks the equality. -metrics-dump
 // writes the final metrics snapshot as JSON.
 //
-// The offline run uses the fast batch engines behind ldp.Track:
+// The offline run needs no server: it runs the protocol's batch engine
+// from internal/sim — distributionally identical to the streaming
+// clients and server, fast by default, the per-user engine with -exact,
+// the least-squares consistency post-processing with -consistency
+// (framework protocols only) — and prints error metrics against the
+// workload's truth:
 //
 //	rtf-sim -n 50000 -d 1024 -k 8 -eps 1.0
 //	rtf-sim -protocol erlingsson -workload bursty -series
@@ -73,9 +78,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
+	"rtf/internal/rng"
+	"rtf/internal/sim"
+	"rtf/internal/stats"
 	"rtf/ldp"
 	"rtf/workload"
 )
@@ -165,7 +174,7 @@ func main() {
 	}
 	if err == nil {
 		if sc.run == nil {
-			err = offline(o)
+			err = offline(o, os.Stdout)
 		} else {
 			err = serve(o, sc)
 		}
@@ -205,8 +214,12 @@ func serve(o *options, sc *scenario) error {
 }
 
 // offline is the run without servers: one protocol execution through
-// the batch engines, error metrics against the workload's truth.
-func offline(o *options) error {
+// its batch engine, error metrics against the workload's truth.
+func offline(o *options, out io.Writer) error {
+	sys, err := offlineSystem(o)
+	if err != nil {
+		return err
+	}
 	w, err := loadWorkload(o)
 	if err != nil {
 		return err
@@ -224,36 +237,66 @@ func offline(o *options) error {
 		}
 	}
 	start := time.Now()
-	res, err := ldp.Track(w, ldp.Options{
-		Protocol:    ldp.Protocol(o.proto),
-		Epsilon:     o.eps,
-		Exact:       o.exact,
-		Consistency: o.consist,
-		Seed:        o.seed,
-	})
+	est, err := sys.Run(w, rng.NewFromSeed(o.seed))
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
+	truth := w.Truth()
+	maxErr := stats.MaxAbsError(est, truth)
 
-	fmt.Printf("protocol=%s workload=%s n=%d d=%d k=%d eps=%v seed=%d\n",
-		res.Protocol, o.workload, w.N, w.D, w.K, o.eps, o.seed)
-	fmt.Printf("max error  %.1f\n", res.MaxError)
-	fmt.Printf("MAE        %.1f\n", res.MAE)
-	fmt.Printf("RMSE       %.1f\n", res.RMSE)
-	if res.HoeffdingBound > 0 {
-		fmt.Printf("Hoeffding bound (beta=0.05)  %.1f  (slack %.1fx)\n",
-			res.HoeffdingBound, res.HoeffdingBound/res.MaxError)
+	fmt.Fprintf(out, "protocol=%s workload=%s n=%d d=%d k=%d eps=%v seed=%d\n",
+		o.proto, o.workload, w.N, w.D, w.K, o.eps, o.seed)
+	fmt.Fprintf(out, "max error  %.1f\n", maxErr)
+	fmt.Fprintf(out, "MAE        %.1f\n", stats.MAE(est, truth))
+	fmt.Fprintf(out, "RMSE       %.1f\n", stats.RMSE(est, truth))
+	if m, _ := ldp.Lookup(ldp.Protocol(o.proto)); m.Caps.ErrorBound {
+		if b, err := m.ErrorBound(w.N, w.D, w.K, o.eps, 0.05); err == nil && b > 0 {
+			fmt.Fprintf(out, "Hoeffding bound (beta=0.05)  %.1f  (slack %.1fx)\n", b, b/maxErr)
+		}
 	}
-	fmt.Printf("elapsed    %v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(out, "elapsed    %v\n", elapsed.Round(time.Millisecond))
 
 	if o.series {
-		fmt.Println("t,truth,estimate")
+		fmt.Fprintln(out, "t,truth,estimate")
 		for t := 1; t <= w.D; t++ {
-			fmt.Printf("%d,%d,%.2f\n", t, res.Truth[t-1], res.Estimates[t-1])
+			fmt.Fprintf(out, "%d,%d,%.2f\n", t, truth[t-1], est[t-1])
 		}
 	}
 	return nil
+}
+
+// offlineSystem picks -protocol's batch engine, refusing a flag the
+// engine would silently ignore. The framework protocols differ only in
+// the client randomizer, whose kind is named after its protocol.
+func offlineSystem(o *options) (sim.System, error) {
+	for _, kind := range []sim.RandomizerKind{sim.FutureRand, sim.Independent, sim.Bun} {
+		if kind.String() == o.proto {
+			fw := sim.Framework{Kind: kind, Eps: o.eps, Fast: !o.exact}
+			if o.consist {
+				return sim.Consistent{Framework: fw}, nil
+			}
+			return fw, nil
+		}
+	}
+	var sys sim.System
+	switch ldp.Protocol(o.proto) {
+	case ldp.Erlingsson:
+		sys = sim.Erlingsson{Eps: o.eps, Fast: !o.exact}
+	case ldp.NaiveSplit:
+		sys = sim.NaiveSplit{Eps: o.eps, Fast: !o.exact}
+	case ldp.CentralBinary:
+		if o.exact {
+			return nil, errors.New("-exact does not apply to central-binary: the trusted curator has one engine")
+		}
+		sys = sim.Central{Eps: o.eps}
+	default:
+		return nil, fmt.Errorf("unknown protocol %q", o.proto)
+	}
+	if o.consist {
+		return nil, errors.New("consistency post-processing applies to framework protocols only")
+	}
+	return sys, nil
 }
 
 // loadWorkload reads or generates the Boolean workload.

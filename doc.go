@@ -4,9 +4,8 @@
 // PODS 2022).
 //
 // The public API lives in rtf/ldp (the Mechanism registry over every
-// protocol of the paper, one-call tracking, mechanism-agnostic streaming
-// client/server with a unified Query/Answer entry point, batch
-// transport, domain extension) and rtf/workload (synthetic dataset
+// protocol of the paper, mechanism-agnostic streaming client/server with
+// a unified Query/Answer entry point, batch transport, domain extension) and rtf/workload (synthetic dataset
 // generation and CSV IO). The implementation, baselines, evaluation
 // harness and verifiers live under rtf/internal; the experiments E1–E21
 // are runnable via cmd/rtf-experiments, the sharded batch-ingest
@@ -107,8 +106,7 @@
 // workload over TCP (rtf-serve -m), through the write-ahead log and
 // snapshots (per-item state), and across the cluster gateway
 // (rtf-gateway -m, shipping per-item raw sums), all with the same
-// bit-for-bit exactness; ldp.TrackDomain is a thin offline wrapper over
-// the identical streaming engines.
+// bit-for-bit exactness.
 //
 // The serving processes are observable and overload-safe:
 // rtf/internal/obs is a dependency-free metrics registry (counters,

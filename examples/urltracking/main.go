@@ -2,16 +2,18 @@
 // introduction. Each of 100,000 users has a current favourite URL from
 // a catalogue of 8; favourites change rarely (at most 3 times over 128
 // days) and follow a Zipf popularity law. The server tracks every URL's
-// daily popularity under ε = 1 LDP using the richer-domain extension:
-// each user samples one target URL and streams its indicator through
-// the Boolean FutureRand protocol, and the server runs one accumulator
-// per URL — the same engines behind the online rtf-serve -m path — and
-// answers daily top-k queries.
+// daily popularity under ε = 1 LDP using the richer-domain extension's
+// streaming API: each user's DomainClient samples one target URL and
+// streams its indicator through the Boolean FutureRand protocol, and one
+// DomainServer runs an accumulator per URL — the same engines behind the
+// online rtf-serve -m path — and answers per-URL series and daily top-k
+// queries.
 package main
 
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"rtf/ldp"
 )
@@ -30,45 +32,69 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := ldp.TrackDomain(w, ldp.Options{Epsilon: eps, Seed: 3})
+	opts := []ldp.Option{ldp.WithEpsilon(eps), ldp.WithSparsity(moves)}
+	srv, err := ldp.NewDomainServer(days, urls, opts...)
 	if err != nil {
 		log.Fatal(err)
+	}
+	factory, err := ldp.NewDomainClientFactory(days, urls, opts...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for u, us := range w.Users {
+		c, err := factory.NewClient(u, int64(u))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := srv.Register(c.Item(), c.Order()); err != nil {
+			log.Fatal(err)
+		}
+		for _, v := range us.Values(days) {
+			r, ok, err := c.Observe(v)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if ok {
+				if err := srv.Ingest(r); err != nil {
+					log.Fatal(err)
+				}
+			}
+		}
+	}
+
+	truth := w.Truth()
+	est := make([][]float64, urls)
+	worst := 0.0
+	for x := range est {
+		a, err := srv.Answer(ldp.SeriesItemQuery(x))
+		if err != nil {
+			log.Fatal(err)
+		}
+		est[x] = a.Series
+		for t, v := range est[x] {
+			worst = math.Max(worst, math.Abs(v-float64(truth[x][t])))
+		}
 	}
 
 	fmt.Printf("daily URL popularity, %d users, %d URLs, eps=%v\n\n", users, urls, eps)
 	fmt.Println("url   truth@32   est@32     truth@128  est@128")
 	for x := 0; x < urls; x++ {
 		fmt.Printf("#%d    %-10d %-10.0f %-10d %.0f\n",
-			x, res.Truth[x][31], res.Estimates[x][31],
-			res.Truth[x][127], res.Estimates[x][127])
+			x, truth[x][31], est[x][31], truth[x][127], est[x][127])
 	}
-	fmt.Printf("\nworst error over all URLs and days: %.0f users\n", res.MaxError)
+	fmt.Printf("\nworst error over all URLs and days: %.0f users\n", worst)
 
 	// The heavy-hitter query the introduction motivates: the most
-	// popular URLs on the final day, straight from the estimates.
+	// popular URLs on the final day, answered by the server.
 	fmt.Println("\nestimated top-3 URLs on day 128:")
-	top := topOf(res.Estimates, days, 3)
-	for rank, x := range top {
+	top, err := srv.TopK(days, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for rank, ic := range top {
 		fmt.Printf("  %d. URL #%d (est %.0f users, truth %d)\n",
-			rank+1, x, res.Estimates[x][days-1], res.Truth[x][days-1])
+			rank+1, ic.Item, ic.Count, truth[ic.Item][days-1])
 	}
 	fmt.Println("\npopular URLs are tracked well; tail URLs sit inside the noise floor")
 	fmt.Println("(per-item noise is ≈ √m × the Boolean protocol's — see experiment E16)")
-}
-
-// topOf ranks items by estimated frequency at day t, descending.
-func topOf(est [][]float64, t, k int) []int {
-	out := make([]int, 0, k)
-	used := make([]bool, len(est))
-	for len(out) < k && len(out) < len(est) {
-		best, bestVal := -1, 0.0
-		for x := range est {
-			if !used[x] && (best < 0 || est[x][t-1] > bestVal) {
-				best, bestVal = x, est[x][t-1]
-			}
-		}
-		used[best] = true
-		out = append(out, best)
-	}
-	return out
 }

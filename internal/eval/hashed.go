@@ -27,12 +27,14 @@ type hashedEvalRow struct {
 	tailRMSE float64 // RMSE over hot items past the wall; NaN = untrackable
 }
 
-// runHashedEval feeds the whole workload through one client/server
-// configuration and measures it at t=d. mCat is the hosted catalogue
-// size: observations outside it are clamped to -1 (unset) — exactly
-// what deploying the exact encoding against an oversized catalogue
-// forces on every out-of-vocabulary item.
-func runHashedEval(vals [][]int, d, mCat int, seed int64, opts []ldp.Option) (*ldp.DomainServer, float64, error) {
+// runDomainEval feeds the whole workload through one streaming domain
+// client/server configuration (user u's client seeded seed+u) and
+// returns the server with the fraction of observations it could take.
+// mCat is the hosted catalogue size: observations outside it are
+// clamped to -1 (unset) — exactly what deploying the exact encoding
+// against an oversized catalogue forces on every out-of-vocabulary
+// item.
+func runDomainEval(vals [][]int, d, mCat int, seed int64, opts []ldp.Option) (*ldp.DomainServer, float64, error) {
 	factory, err := ldp.NewDomainClientFactory(d, mCat, opts...)
 	if err != nil {
 		return nil, 0, err
@@ -72,14 +74,7 @@ func runHashedEval(vals [][]int, d, mCat int, seed int64, opts []ldp.Option) (*l
 			}
 		}
 	}
-	return srv, float64(inCat) / float64(maxIntEval(total, 1)), nil
-}
-
-func maxIntEval(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return srv, float64(inCat) / float64(max(total, 1)), nil
 }
 
 // rmseAt measures the RMSE of the server's point estimates at t=d over
@@ -153,7 +148,7 @@ func init() {
 			}
 			byHotness(hot)
 			byHotness(tail)
-			trueTop := hot[:minIntEval(topK, len(hot))]
+			trueTop := hot[:min(topK, len(hot))]
 			if len(tail) > 30 {
 				tail = tail[:30]
 			}
@@ -166,7 +161,7 @@ func init() {
 			// item id, not frequency.
 			g := rng.NewFromSeed(cfg.Seed)
 			candSet := map[int]bool{}
-			for _, x := range hot[:minIntEval(50, len(hot))] {
+			for _, x := range hot[:min(50, len(hot))] {
 				candSet[x] = true
 			}
 			for len(candSet) < 250 {
@@ -180,19 +175,14 @@ func init() {
 
 			mExact := ldp.MaxDomainSize
 			base := []ldp.Option{ldp.WithMechanism(ldp.FutureRand), ldp.WithSparsity(k), ldp.WithEpsilon(1)}
-			configs := []struct {
+			type encodingRun struct {
 				label string
 				mCat  int
 				opts  []ldp.Option
-			}{
-				{fmt.Sprintf("exact m=%d (truncated)", mExact), mExact, base},
 			}
+			configs := []encodingRun{{fmt.Sprintf("exact m=%d (truncated)", mExact), mExact, base}}
 			for _, g := range []int{64, 256, 1024} {
-				configs = append(configs, struct {
-					label string
-					mCat  int
-					opts  []ldp.Option
-				}{
+				configs = append(configs, encodingRun{
 					fmt.Sprintf("loloha g=%d", g), m,
 					append(append([]ldp.Option{}, base...),
 						ldp.WithDomainEncoding("loloha"), ldp.WithBuckets(g), ldp.WithHashSeed(uint64(cfg.Seed)+0x10f0)),
@@ -201,7 +191,7 @@ func init() {
 
 			rows := make([]hashedEvalRow, 0, len(configs))
 			for _, c := range configs {
-				srv, coverage, err := runHashedEval(vals, d, c.mCat, cfg.Seed, c.opts)
+				srv, coverage, err := runDomainEval(vals, d, c.mCat, cfg.Seed, c.opts)
 				if err != nil {
 					return fmt.Errorf("%s: %w", c.label, err)
 				}
@@ -227,7 +217,7 @@ func init() {
 					return ranked[i].item < ranked[j].item
 				})
 				got := map[int]bool{}
-				for _, s := range ranked[:minIntEval(topK, len(ranked))] {
+				for _, s := range ranked[:min(topK, len(ranked))] {
 					got[s.item] = true
 				}
 				hit := 0
@@ -248,7 +238,7 @@ func init() {
 				}
 				rows = append(rows, hashedEvalRow{
 					label: c.label, rows: srv.Encoding().Rows(), coverage: coverage,
-					recall:   float64(hit) / float64(maxIntEval(len(trueTop), 1)),
+					recall:   float64(hit) / float64(max(len(trueTop), 1)),
 					headRMSE: headRMSE, tailRMSE: tailRMSE,
 				})
 			}
@@ -269,11 +259,4 @@ func init() {
 			return tw.Flush()
 		},
 	})
-}
-
-func minIntEval(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

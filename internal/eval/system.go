@@ -114,15 +114,25 @@ func init() {
 					if err != nil {
 						return err
 					}
-					// The reduction runs through the public streaming path
-					// (TrackDomain wraps the online DomainServer), so this
-					// experiment measures the engines production traffic
-					// uses.
-					res, err := ldp.TrackDomain(wl, ldp.Options{Epsilon: 1, Seed: g.Int64()})
+					// The reduction runs through the public streaming
+					// clients and DomainServer, so this experiment measures
+					// the engines production traffic uses.
+					vals := make([][]int, n)
+					for u, us := range wl.Users {
+						vals[u] = us.Values(d)
+					}
+					srv, _, err := runDomainEval(vals, d, m, g.Int64(), []ldp.Option{ldp.WithEpsilon(1), ldp.WithSparsity(k)})
 					if err != nil {
 						return err
 					}
-					est := res.Estimates
+					est := make([][]float64, m)
+					for x := range est {
+						a, err := srv.Answer(ldp.SeriesItemQuery(x))
+						if err != nil {
+							return err
+						}
+						est[x] = a.Series
+					}
 					truth := wl.Truth()
 					worst := 0.0
 					for x := 0; x < m; x++ {

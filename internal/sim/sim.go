@@ -255,13 +255,6 @@ func injectZeroCoins(srv *protocol.Server, nonzero []int, g *rng.RNG) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ---------------------------------------------------------------------------
 
 // Consistent wraps Framework with the offline consistency post-processing

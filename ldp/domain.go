@@ -1,13 +1,11 @@
 package ldp
 
 import (
-	"errors"
 	"fmt"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/rng"
-	"rtf/internal/stats"
 	"rtf/internal/transport"
 )
 
@@ -17,9 +15,7 @@ import (
 // Boolean indicator stream 1{v_u[t] = x_u} with any mechanism that
 // declares the Domain capability, and the server runs one dyadic
 // accumulator per item with estimates scaled by m. The streaming API
-// (NewDomainClient / NewDomainServer) mirrors the Boolean one; the
-// batch TrackDomain entry point is a thin wrapper over it, so the
-// offline and online paths cannot drift.
+// (NewDomainClient / NewDomainServer) mirrors the Boolean one.
 
 // DomainChange sets a user's domain value at time T (1-based); the first
 // change is the initial assignment.
@@ -73,10 +69,6 @@ func ValidateDomainSize(m int, encoding string) error {
 	}
 	return nil
 }
-
-// checkDomainSize validates m for the exact encoding at the public
-// boundary.
-func checkDomainSize(m int) error { return ValidateDomainSize(m, hh.EncodingExact) }
 
 // domainEncodingOf resolves the configured encoding for domain size m.
 // Exact (the default) rejects stray hash parameters; loloha takes its
@@ -190,7 +182,11 @@ func newDomainClientFactory(d, m int, cfg config) (*DomainClientFactory, error) 
 	if err != nil {
 		return nil, err
 	}
-	build, err := mech.Clients(cfg.params(d))
+	p, err := cfg.params(d)
+	if err != nil {
+		return nil, err
+	}
+	build, err := mech.Clients(p)
 	if err != nil {
 		return nil, err
 	}
@@ -302,14 +298,15 @@ func NewDomainServer(d, m int, opts ...Option) (*DomainServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !dyadic.IsPow2(d) {
-		return nil, fmt.Errorf("ldp: d=%d is not a power of two", d)
+	p, err := cfg.params(d)
+	if err != nil {
+		return nil, err
 	}
 	mech, err := domainMechanism(cfg.mech, enc)
 	if err != nil {
 		return nil, err
 	}
-	scale, err := mech.EstimatorScale(cfg.params(d))
+	scale, err := mech.EstimatorScale(p)
 	if err != nil {
 		return nil, err
 	}
@@ -495,94 +492,4 @@ func (s *DomainServer) RestoreState(state []byte) error {
 		return s.hashed.Inner().RestoreState(state)
 	}
 	return s.inner.RestoreState(state)
-}
-
-// DomainResult reports per-item frequency tracking quality.
-type DomainResult struct {
-	// Estimates[x][t−1] estimates f(x, t), the number of users holding
-	// item x at time t.
-	Estimates [][]float64
-	// Truth[x][t−1] is the ground truth.
-	Truth [][]int
-	// MaxError is the worst error over all items and times.
-	MaxError float64
-	// Protocol that produced the result.
-	Protocol Protocol
-}
-
-// TrackDomain runs the richer-domain extension end to end on a
-// workload: every user samples a target item and streams its indicator
-// through the selected mechanism's client (any mechanism with the
-// Domain capability — futurerand, independent, bun, erlingsson), and a
-// streaming DomainServer partitions the reports per item and scales
-// estimates by m. It is a thin wrapper over the streaming API — the
-// same engines that serve online traffic — so the offline and online
-// paths cannot drift. Runs with the same seed and inputs produce
-// identical results.
-func TrackDomain(w *DomainWorkload, opts Options) (*DomainResult, error) {
-	if w == nil {
-		return nil, errors.New("ldp: nil domain workload")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkDomainSize(w.M); err != nil {
-		return nil, err
-	}
-	proto := opts.Protocol
-	if proto == "" {
-		proto = FutureRand
-	}
-	if opts.Consistency {
-		return nil, errors.New("ldp: consistency post-processing does not apply to domain tracking")
-	}
-	k := w.K
-	if k < 1 {
-		k = 1
-	}
-	common := []Option{WithMechanism(proto), WithEpsilon(opts.Epsilon), WithSparsity(k)}
-	factory, err := NewDomainClientFactory(w.D, w.M, common...)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := NewDomainServer(w.D, w.M, common...)
-	if err != nil {
-		return nil, err
-	}
-	for u, us := range w.Users {
-		c, err := factory.NewClient(u, perUserSeed(opts.Seed, u))
-		if err != nil {
-			return nil, err
-		}
-		if err := srv.Register(c.Item(), c.Order()); err != nil {
-			return nil, err
-		}
-		vals := us.Values(w.D)
-		for t := 1; t <= w.D; t++ {
-			r, ok, err := c.Observe(vals[t-1])
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			if err := srv.Ingest(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-	truth := w.Truth()
-	est := make([][]float64, w.M)
-	worst := 0.0
-	for x := 0; x < w.M; x++ {
-		a, err := srv.Answer(SeriesItemQuery(x))
-		if err != nil {
-			return nil, err
-		}
-		est[x] = a.Series
-		if e := stats.MaxAbsError(est[x], truth[x]); e > worst {
-			worst = e
-		}
-	}
-	return &DomainResult{Estimates: est, Truth: truth, MaxError: worst, Protocol: proto}, nil
 }

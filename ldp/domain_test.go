@@ -1,6 +1,7 @@
 package ldp
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -32,13 +33,13 @@ func TestDomainWorkloadValidation(t *testing.T) {
 		{"user count mismatch", &DomainWorkload{N: 2, D: 8, M: 3, K: 2, Users: stream()}},
 	}
 	for _, tc := range cases {
-		if _, err := TrackDomain(tc.w, Options{Epsilon: 1}); err == nil {
+		if _, _, err := streamDomain(tc.w, 0, WithEpsilon(1)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// And the valid baseline passes.
 	ok := &DomainWorkload{N: 1, D: 8, M: 3, K: 2, Users: stream(DomainChange{T: 1, Value: 0}, DomainChange{T: 4, Value: 2})}
-	if _, err := TrackDomain(ok, Options{Epsilon: 1}); err != nil {
+	if _, _, err := streamDomain(ok, 0, WithEpsilon(1)); err != nil {
 		t.Errorf("valid workload rejected: %v", err)
 	}
 }
@@ -72,6 +73,16 @@ func TestDomainConstructorValidation(t *testing.T) {
 	}
 	if _, err := NewDomainClientFactory(12, 4); err == nil {
 		t.Error("non-pow2 horizon accepted for factory")
+	}
+	for _, eps := range []float64{0, -1, 2} {
+		if _, err := NewDomainClientFactory(16, 4, WithEpsilon(eps)); err == nil {
+			t.Errorf("eps=%v accepted for factory", eps)
+		}
+	}
+	for _, p := range []Protocol{FutureRand, Erlingsson, Independent, Bun} {
+		if _, err := NewDomainClientFactory(16, 4, WithMechanism(p)); err != nil {
+			t.Errorf("%s rejected for factory: %v", p, err)
+		}
 	}
 }
 
@@ -158,73 +169,79 @@ func TestDomainAnswerValidation(t *testing.T) {
 	}
 }
 
-// TestTrackDomainMatchesStreaming is the no-drift proof the satellite
-// asks for: TrackDomain is a thin wrapper over the streaming engines,
-// so driving the same clients by hand through a DomainServer yields
-// bit-for-bit identical estimates.
-func TestTrackDomainMatchesStreaming(t *testing.T) {
-	w, err := GenerateDomain(800, 32, 4, 3, 1.2, 7)
-	if err != nil {
-		t.Fatal(err)
+// streamDomain feeds every user of w through the streaming domain API
+// — one client per user from one factory, seeded perUserSeed(seed, u)
+// exactly as NewDomainClient would seed it, sparsity max(w.K, 1) — into
+// one DomainServer, and returns the server and each item's estimated
+// series.
+func streamDomain(w *DomainWorkload, seed int64, opts ...Option) (*DomainServer, [][]float64, error) {
+	if w == nil {
+		return nil, nil, errors.New("nil domain workload")
 	}
-	const seed = 5
-	res, err := TrackDomain(w, Options{Epsilon: 1, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	if err := w.Validate(); err != nil {
+		return nil, nil, err
 	}
-	opts := []Option{WithEpsilon(1), WithSparsity(w.K)}
+	opts = append([]Option{WithSparsity(max(w.K, 1))}, opts...)
 	factory, err := NewDomainClientFactory(w.D, w.M, opts...)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	srv, err := NewDomainServer(w.D, w.M, opts...)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	for u, us := range w.Users {
 		c, err := factory.NewClient(u, perUserSeed(seed, u))
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
 		if err := srv.Register(c.Item(), c.Order()); err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		vals := us.Values(w.D)
-		for tt := 1; tt <= w.D; tt++ {
-			r, ok, err := c.Observe(vals[tt-1])
+		for _, v := range us.Values(w.D) {
+			r, ok, err := c.Observe(v)
 			if err != nil {
-				t.Fatal(err)
+				return nil, nil, err
 			}
 			if ok {
 				if err := srv.Ingest(r); err != nil {
-					t.Fatal(err)
+					return nil, nil, err
 				}
 			}
 		}
 	}
-	if srv.Users() != w.N {
-		t.Fatalf("streamed %d users, want %d", srv.Users(), w.N)
-	}
-	for x := 0; x < w.M; x++ {
+	est := make([][]float64, w.M)
+	for x := range est {
 		a, err := srv.Answer(SeriesItemQuery(x))
 		if err != nil {
-			t.Fatal(err)
+			return nil, nil, err
 		}
-		for i := range a.Series {
-			if a.Series[i] != res.Estimates[x][i] {
-				t.Fatalf("item %d t=%d: streaming %v, TrackDomain %v", x, i+1, a.Series[i], res.Estimates[x][i])
-			}
-		}
-		// Point answers agree with the series.
+		est[x] = a.Series
+	}
+	return srv, est, nil
+}
+
+// TestDomainAnswersAgree: every item-scoped query shape answers from the
+// same counters — point answers equal the series, TopK is sorted with
+// ties toward the smaller item, and Answer(TopKQuery) equals TopK().
+func TestDomainAnswersAgree(t *testing.T) {
+	w, err := GenerateDomain(800, 32, 4, 3, 1.2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, est, err := streamDomain(w, 5, WithEpsilon(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < w.M; x++ {
 		v, err := srv.EstimateItemAt(x, w.D)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v != a.Series[w.D-1] {
-			t.Fatalf("item %d: point %v != series %v", x, v, a.Series[w.D-1])
+		if v != est[x][w.D-1] {
+			t.Fatalf("item %d: point %v != series %v", x, v, est[x][w.D-1])
 		}
 	}
-	// TopK is consistent with the per-item estimates.
 	top, err := srv.TopK(w.D, w.M)
 	if err != nil {
 		t.Fatal(err)

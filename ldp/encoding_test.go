@@ -251,11 +251,12 @@ func estimateCRC(est [][]float64) uint32 {
 	return h.Sum32()
 }
 
-// TestTrackDomainExactGolden pins the exact encoding's TrackDomain
-// output bit-for-bit: the fingerprints were captured on the
-// pre-DomainEncoding code, so any drift in the exact path — RNG
-// draw order, estimator arithmetic, reduction plumbing — fails here.
-func TestTrackDomainExactGolden(t *testing.T) {
+// TestDomainExactGolden pins the exact encoding's streamed per-item
+// series bit-for-bit: the fingerprints were captured on the
+// pre-DomainEncoding code with the same perUserSeed client seeds, so
+// any drift in the exact path — RNG draw order, estimator arithmetic,
+// reduction plumbing — fails here.
+func TestDomainExactGolden(t *testing.T) {
 	w, err := GenerateDomain(400, 64, 8, 3, 1.2, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -270,17 +271,17 @@ func TestTrackDomainExactGolden(t *testing.T) {
 		{Erlingsson, 0xd9919133, 0, 0xc0a3f3057fb5b5d5},
 	}
 	for _, tc := range cases {
-		res, err := TrackDomain(w, Options{Protocol: tc.proto, Epsilon: 0.8, Seed: 11})
+		_, est, err := streamDomain(w, 11, WithMechanism(tc.proto), WithEpsilon(0.8))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.proto, err)
 		}
-		if got := math.Float64bits(res.Estimates[0][0]); got != tc.first {
+		if got := math.Float64bits(est[0][0]); got != tc.first {
 			t.Errorf("%s: Estimates[0][0] bits = %016x, want %016x", tc.proto, got, tc.first)
 		}
-		if got := math.Float64bits(res.Estimates[7][63]); got != tc.last {
+		if got := math.Float64bits(est[7][63]); got != tc.last {
 			t.Errorf("%s: Estimates[7][63] bits = %016x, want %016x", tc.proto, got, tc.last)
 		}
-		if got := estimateCRC(res.Estimates); got != tc.crc {
+		if got := estimateCRC(est); got != tc.crc {
 			t.Errorf("%s: estimate CRC = %08x, want %08x", tc.proto, got, tc.crc)
 		}
 	}

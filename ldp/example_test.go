@@ -3,24 +3,58 @@ package ldp_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"rtf/ldp"
 	"rtf/workload"
 )
 
-// The one-call API: generate a workload, track it privately, inspect
-// error metrics. Everything is deterministic for fixed seeds.
-func ExampleTrack() {
+// Theorem 4.1's bound, checked on a streamed run: a factory stamps out
+// one client per user of a synthetic workload, the server aggregates
+// their reports, and the largest error over all periods stays inside
+// ErrorBound. Everything is deterministic for fixed seeds.
+func ExampleErrorBound() {
+	const eps = 1.0
 	w, err := workload.Generate(workload.Uniform{N: 10000, D: 64, K: 2}, 1)
 	if err != nil {
 		panic(err)
 	}
-	res, err := ldp.Track(w, ldp.Options{Epsilon: 1.0, Seed: 7})
+	opts := []ldp.Option{ldp.WithEpsilon(eps), ldp.WithSparsity(w.K)}
+	srv, err := ldp.NewServer(w.D, opts...)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("periods:", len(res.Estimates))
-	fmt.Println("within theoretical bound:", res.MaxError <= res.HoeffdingBound)
+	factory, err := ldp.NewClientFactory(w.D, opts...)
+	if err != nil {
+		panic(err)
+	}
+	for u, us := range w.Users {
+		c, err := factory.NewClient(u, int64(u)+7)
+		if err != nil {
+			panic(err)
+		}
+		if err := srv.Register(c.Order()); err != nil {
+			panic(err)
+		}
+		for _, v := range us.Values(w.D) {
+			if rep, ok := c.Observe(v == 1); ok {
+				if err := srv.Ingest(rep); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	est, truth := srv.Estimates(), w.Truth()
+	maxErr := 0.0
+	for t := range est {
+		maxErr = math.Max(maxErr, math.Abs(est[t]-float64(truth[t])))
+	}
+	bound, err := ldp.ErrorBound(w.N, w.D, w.K, eps, 0.05)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("periods:", len(est))
+	fmt.Println("within theoretical bound:", maxErr <= bound)
 	// Output:
 	// periods: 64
 	// within theoretical bound: true
@@ -163,33 +197,60 @@ func ExampleServer_Answer() {
 }
 
 // Domain-valued tracking: the richer-domain extension runs any
-// streaming framework mechanism over a finite item catalogue. Each user
-// samples one target item and streams its indicator; the server keeps
-// one accumulator per item, scales estimates by m, and answers top-k
-// heavy-hitter queries. TrackDomain is a thin wrapper over the same
-// streaming engines that serve online traffic (rtf-serve -m).
-func ExampleTrackDomain() {
+// streaming framework mechanism over a finite item catalogue. Each
+// user's DomainClient samples one target item and streams its
+// indicator; the DomainServer keeps one accumulator per item, scales
+// estimates by m, and answers item series and top-k heavy-hitter
+// queries — the same engines that serve online traffic (rtf-serve -m).
+func ExampleDomainServer() {
 	w, err := ldp.GenerateDomain(5000, 32, 4, 2, 1.5, 11)
 	if err != nil {
 		panic(err)
 	}
-	res, err := ldp.TrackDomain(w, ldp.Options{Epsilon: 1, Seed: 3})
+	opts := []ldp.Option{ldp.WithEpsilon(1), ldp.WithSparsity(w.K)}
+	srv, err := ldp.NewDomainServer(w.D, w.M, opts...)
 	if err != nil {
 		panic(err)
 	}
-	// Runs are reproducible: the same seed and inputs give bit-for-bit
-	// the same estimates, offline and through the online DomainServer.
-	again, err := ldp.TrackDomain(w, ldp.Options{Epsilon: 1, Seed: 3})
+	factory, err := ldp.NewDomainClientFactory(w.D, w.M, opts...)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("items tracked:", len(res.Estimates))
-	fmt.Println("periods:", len(res.Estimates[0]))
-	fmt.Println("deterministic:", res.MaxError == again.MaxError)
+	for u, us := range w.Users {
+		c, err := factory.NewClient(u, int64(u)+3)
+		if err != nil {
+			panic(err)
+		}
+		if err := srv.Register(c.Item(), c.Order()); err != nil {
+			panic(err)
+		}
+		for _, v := range us.Values(w.D) {
+			r, ok, err := c.Observe(v)
+			if err != nil {
+				panic(err)
+			}
+			if ok {
+				if err := srv.Ingest(r); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	series, err := srv.Answer(ldp.SeriesItemQuery(0))
+	if err != nil {
+		panic(err)
+	}
+	top, err := srv.TopK(w.D, 2)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("items:", srv.M())
+	fmt.Println("periods:", len(series.Series))
+	fmt.Println("top-k size:", len(top))
 	// Output:
-	// items tracked: 4
+	// items: 4
 	// periods: 32
-	// deterministic: true
+	// top-k size: 2
 }
 
 // CGap exposes the exact preservation constant behind Theorem 4.4: it

@@ -4,37 +4,32 @@
 //
 // Every protocol in the paper — FutureRand and the baselines it is
 // compared against — is a Mechanism in a registry (Register, Lookup,
-// Mechanisms), and three levels of API dispatch through it.
+// Mechanisms), and two levels of API dispatch through it.
 //
-// The one-call level runs a complete protocol on a workload:
-//
-//	w, _ := workload.Generate(workload.Uniform{N: 50000, D: 1024, K: 8}, 1)
-//	res, err := ldp.Track(w, ldp.Options{Epsilon: 1})
-//	// res.Estimates[t−1] ≈ number of users with value 1 at time t
-//
-// The streaming level exposes the client/server split of Algorithms 1–2
-// for any mechanism: each user runs a Client fed one Boolean value per
-// period and ships the emitted reports; the server aggregates them and
-// answers online.
+// The streaming level is the client/server split of Algorithms 1–2, for
+// any mechanism: each user runs a Client fed one Boolean value per period
+// and ships the emitted reports; the server aggregates them and answers
+// online. A ClientFactory shares the mechanism's parameter tables across
+// users.
 //
 //	srv, _ := ldp.NewServer(d, ldp.WithEpsilon(1), ldp.WithMechanism(ldp.Erlingsson))
 //	c, _ := ldp.NewClient(user, d, ldp.WithEpsilon(1), ldp.WithMechanism(ldp.Erlingsson))
+//	// per period: if rep, ok := c.Observe(value); ok { srv.Ingest(rep) }
 //
 // The query level asks one entry point — Server.Answer — for any of the
 // four query shapes (Point, Change, Series, Window), uniformly across
 // mechanisms; the same queries travel over TCP to an rtf-serve instance
-// as versioned wire frames.
+// as versioned wire frames. Domain-valued streams have the same two
+// levels (NewDomainClient, NewDomainServer and the item-scoped queries).
 package ldp
 
 import (
-	"errors"
 	"fmt"
 
+	"rtf/internal/dyadic"
 	"rtf/internal/probmath"
 	"rtf/internal/protocol"
 	"rtf/internal/sim"
-	"rtf/internal/stats"
-	"rtf/workload"
 )
 
 // Protocol selects which mechanism runs; it is the registry key.
@@ -61,97 +56,6 @@ const (
 	// related work), for central-vs-local comparisons.
 	CentralBinary Protocol = "central-binary"
 )
-
-// Options configures Track.
-type Options struct {
-	// Protocol defaults to FutureRand.
-	Protocol Protocol
-	// Epsilon is the per-user privacy budget over the entire stream;
-	// the paper assumes 0 < ε ≤ 1.
-	Epsilon float64
-	// Exact uses the per-user simulation engine instead of the
-	// distributionally-identical fast engine. Slower; mainly for audits.
-	Exact bool
-	// Workers shards the fast engine across goroutines (framework
-	// protocols only): 0 = serial, −1 = GOMAXPROCS, > 0 = that many.
-	// Results are reproducible for a fixed seed and worker count.
-	Workers int
-	// Consistency applies the offline least-squares post-processing on
-	// the dyadic tree (framework protocols only).
-	Consistency bool
-	// Beta is the failure probability used for Result.HoeffdingBound
-	// (default 0.05).
-	Beta float64
-	// Seed makes the run reproducible; runs with the same seed and
-	// inputs produce identical results.
-	Seed int64
-}
-
-// Result is the outcome of a tracked run.
-type Result struct {
-	// Estimates holds â[t] at index t−1.
-	Estimates []float64
-	// Truth holds the ground truth a[t] (available because Track runs on
-	// synthetic or recorded workloads).
-	Truth []int
-	// Error metrics of Estimates against Truth.
-	MaxError, MAE, RMSE float64
-	// HoeffdingBound is the mechanism's high-probability ℓ∞ bound at
-	// failure probability Beta, for mechanisms that declare one
-	// (Lemma 4.6 / Theorem 4.1 for FutureRand; 0 otherwise).
-	HoeffdingBound float64
-	// Protocol that produced the result.
-	Protocol Protocol
-}
-
-// Track runs the selected mechanism end to end on the workload and
-// reports estimates with error metrics. It is a thin shim over the
-// registry: the protocol resolves to a registered Mechanism whose batch
-// System does the work.
-func Track(w *workload.Workload, opts Options) (*Result, error) {
-	if w == nil {
-		return nil, errors.New("ldp: nil workload")
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	proto := opts.Protocol
-	if proto == "" {
-		proto = FutureRand
-	}
-	opts.Protocol = proto
-	m, err := lookupErr(proto)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := m.System(opts)
-	if err != nil {
-		return nil, err
-	}
-	est, err := sys.Run(w, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	truth := w.Truth()
-	res := &Result{
-		Estimates: est,
-		Truth:     truth,
-		MaxError:  stats.MaxAbsError(est, truth),
-		MAE:       stats.MAE(est, truth),
-		RMSE:      stats.RMSE(est, truth),
-		Protocol:  proto,
-	}
-	if m.Caps.ErrorBound {
-		beta := opts.Beta
-		if beta == 0 {
-			beta = 0.05
-		}
-		if b, err := m.ErrorBound(w.N, w.D, w.K, opts.Epsilon, beta); err == nil {
-			res.HoeffdingBound = b
-		}
-	}
-	return res, nil
-}
 
 // CGap returns the exact preservation gap of the FutureRand randomizer
 // at sparsity k and budget eps — the constant behind the protocol's
@@ -210,8 +114,13 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-func (c config) params(d int) Params {
-	return Params{D: d, K: c.k, Eps: c.eps, Clip: c.clip, Seed: c.seed}
+// params resolves the options for horizon d. It is the one check that
+// d is a power of two: every mechanism factory may assume it.
+func (c config) params(d int) (Params, error) {
+	if !dyadic.IsPow2(d) {
+		return Params{}, fmt.Errorf("ldp: d=%d is not a power of two", d)
+	}
+	return Params{D: d, K: c.k, Eps: c.eps, Clip: c.clip, Seed: c.seed}, nil
 }
 
 // WithMechanism selects the protocol (default FutureRand). Clients and
@@ -271,10 +180,8 @@ type Client struct {
 // perUserSeed derives one user's client seed from the shared WithSeed
 // value: SplitMix-style golden-ratio mixing keeps user-id seeding
 // disjoint from plain WithSeed values, so distinct (seed, user) pairs
-// do not collide by simple arithmetic. Every per-user construction path
-// (NewClient, NewDomainClient, TrackDomain) derives seeds through this
-// one function — the offline-equals-streaming determinism contract
-// depends on them agreeing.
+// do not collide by simple arithmetic. Both per-user construction paths
+// (NewClient, NewDomainClient) derive seeds through this one function.
 func perUserSeed(seed int64, user int) int64 {
 	return seed ^ (int64(user) * -0x61c8864680b583eb)
 }
@@ -323,10 +230,11 @@ func newClientFactory(d int, cfg config) (*ClientFactory, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !m.Caps.Streaming {
-		return nil, fmt.Errorf("ldp: mechanism %q does not support streaming", cfg.mech)
+	p, err := cfg.params(d)
+	if err != nil {
+		return nil, err
 	}
-	build, err := m.Clients(cfg.params(d))
+	build, err := m.Clients(p)
 	if err != nil {
 		return nil, err
 	}
@@ -376,10 +284,11 @@ func NewServer(d int, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !m.Caps.Streaming {
-		return nil, fmt.Errorf("ldp: mechanism %q does not support streaming", cfg.mech)
+	p, err := cfg.params(d)
+	if err != nil {
+		return nil, err
 	}
-	eng, err := m.Server(cfg.params(d))
+	eng, err := m.Server(p)
 	if err != nil {
 		return nil, err
 	}

@@ -4,127 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"rtf/workload"
+	"rtf/internal/stats"
 )
-
-func genW(t *testing.T, n, d, k int) *workload.Workload {
-	t.Helper()
-	w, err := workload.Generate(workload.Uniform{N: n, D: d, K: k}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-func TestTrackAllProtocols(t *testing.T) {
-	w := genW(t, 1000, 64, 3)
-	for _, p := range []Protocol{FutureRand, Independent, Bun, Erlingsson, NaiveSplit, CentralBinary} {
-		res, err := Track(w, Options{Protocol: p, Epsilon: 1, Seed: 3})
-		if err != nil {
-			t.Errorf("%s: %v", p, err)
-			continue
-		}
-		if len(res.Estimates) != w.D || len(res.Truth) != w.D {
-			t.Errorf("%s: series length wrong", p)
-		}
-		if res.MaxError <= 0 || res.RMSE <= 0 || res.MAE <= 0 {
-			t.Errorf("%s: zero error metrics suspicious: %+v", p, res)
-		}
-		if res.MaxError < res.MAE {
-			t.Errorf("%s: max < mean error", p)
-		}
-		if res.Protocol != p {
-			t.Errorf("%s: result protocol %s", p, res.Protocol)
-		}
-	}
-}
-
-func TestTrackDefaultsToFutureRand(t *testing.T) {
-	w := genW(t, 500, 32, 2)
-	res, err := Track(w, Options{Epsilon: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Protocol != FutureRand {
-		t.Errorf("default protocol %s", res.Protocol)
-	}
-	if res.HoeffdingBound <= 0 {
-		t.Error("missing Hoeffding bound for FutureRand")
-	}
-	if res.MaxError > res.HoeffdingBound {
-		t.Errorf("error %v exceeds bound %v (possible but 5%% unlikely)", res.MaxError, res.HoeffdingBound)
-	}
-}
-
-func TestTrackDeterministic(t *testing.T) {
-	w := genW(t, 500, 32, 2)
-	a, err := Track(w, Options{Epsilon: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Track(w, Options{Epsilon: 1, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Estimates {
-		if a.Estimates[i] != b.Estimates[i] {
-			t.Fatal("same seed produced different estimates")
-		}
-	}
-}
-
-func TestTrackConsistencyOption(t *testing.T) {
-	w := genW(t, 2000, 64, 2)
-	raw, err := Track(w, Options{Epsilon: 1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smooth, err := Track(w, Options{Epsilon: 1, Seed: 9, Consistency: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same protocol noise, projected: not guaranteed better per run, but
-	// both must be valid series; statistically smooth wins (tested in sim).
-	if len(smooth.Estimates) != len(raw.Estimates) {
-		t.Fatal("length mismatch")
-	}
-	for _, p := range []Protocol{Erlingsson, NaiveSplit, CentralBinary} {
-		if _, err := Track(w, Options{Protocol: p, Epsilon: 1, Consistency: true}); err == nil {
-			t.Errorf("%s with consistency accepted", p)
-		}
-	}
-}
-
-func TestTrackExactEngine(t *testing.T) {
-	w := genW(t, 200, 16, 2)
-	res, err := Track(w, Options{Epsilon: 1, Seed: 2, Exact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Estimates) != 16 {
-		t.Fatal("bad series")
-	}
-}
-
-func TestTrackErrors(t *testing.T) {
-	w := genW(t, 100, 16, 2)
-	if _, err := Track(nil, Options{Epsilon: 1}); err == nil {
-		t.Error("nil workload accepted")
-	}
-	if _, err := Track(w, Options{Epsilon: 0}); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	if _, err := Track(w, Options{Epsilon: 2}); err == nil {
-		t.Error("eps=2 accepted")
-	}
-	if _, err := Track(w, Options{Epsilon: 1, Protocol: "bogus"}); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-	bad := &workload.Workload{N: 1, D: 6, K: 1, Users: []workload.Stream{{}}}
-	if _, err := Track(bad, Options{Epsilon: 1}); err == nil {
-		t.Error("invalid workload accepted")
-	}
-}
 
 func TestCGapAndErrorBound(t *testing.T) {
 	c, err := CGap(16, 1.0)
@@ -276,55 +157,35 @@ func TestEstimateChangePublic(t *testing.T) {
 	}
 }
 
-func TestTrackParallelWorkers(t *testing.T) {
-	w := genW(t, 2000, 64, 2)
-	a, err := Track(w, Options{Epsilon: 1, Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Track(w, Options{Epsilon: 1, Seed: 5, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Estimates {
-		if a.Estimates[i] != b.Estimates[i] {
-			t.Fatal("parallel run not reproducible")
-		}
-	}
-	if _, err := Track(w, Options{Epsilon: 1, Workers: 2, Exact: true}); err == nil {
-		t.Error("workers with exact engine accepted")
-	}
-}
-
 func TestDomainTracking(t *testing.T) {
 	w, err := GenerateDomain(2000, 32, 4, 3, 1.2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrackDomain(w, Options{Epsilon: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Estimates) != 4 || len(res.Estimates[0]) != 32 {
-		t.Fatal("estimate matrix shape wrong")
-	}
-	if res.MaxError <= 0 {
-		t.Error("zero max error suspicious")
-	}
-	// Any streaming framework mechanism runs the reduction now, not
-	// just FutureRand.
-	for _, p := range []Protocol{Erlingsson, Independent, Bun} {
-		res, err := TrackDomain(w, Options{Epsilon: 1, Seed: 3, Protocol: p})
+	// Any streaming framework mechanism runs the reduction, not just
+	// FutureRand.
+	for _, p := range []Protocol{FutureRand, Erlingsson, Independent, Bun} {
+		srv, est, err := streamDomain(w, 3, WithMechanism(p), WithEpsilon(1))
 		if err != nil {
 			t.Errorf("%s: %v", p, err)
 			continue
 		}
-		if res.Protocol != p {
-			t.Errorf("result protocol %s, want %s", res.Protocol, p)
+		if srv.Mechanism() != p || srv.Users() != w.N {
+			t.Errorf("%s: server %s with %d users", p, srv.Mechanism(), srv.Users())
+		}
+		if len(est) != 4 || len(est[0]) != 32 {
+			t.Fatal("estimate matrix shape wrong")
+		}
+		truth, worst := w.Truth(), 0.0
+		for x := range est {
+			worst = math.Max(worst, stats.MaxAbsError(est[x], truth[x]))
+		}
+		if worst <= 0 {
+			t.Errorf("%s: zero max error suspicious", p)
 		}
 	}
 	// Errors.
-	if _, err := TrackDomain(nil, Options{Epsilon: 1}); err == nil {
+	if _, _, err := streamDomain(nil, 3); err == nil {
 		t.Error("nil workload accepted")
 	}
 	if _, err := GenerateDomain(0, 32, 4, 3, 1.2, 7); err == nil {

@@ -5,23 +5,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"rtf/workload"
 )
 
 // Capabilities is the metadata a Mechanism declares about itself; the
 // registry and the service layer use it to decide what a mechanism can
 // be asked to do.
 type Capabilities struct {
-	// Streaming: the mechanism provides per-user Client and Server
-	// factories (the Algorithm 1/2 deployment shape), not just the
-	// batch Track engine.
-	Streaming bool
-	// Consistency: the batch engine supports the least-squares
-	// consistency post-processing on the dyadic tree.
-	Consistency bool
 	// ErrorBound: a closed-form high-probability ℓ∞ error bound is
-	// available (Result.HoeffdingBound is populated).
+	// available (Mechanism.ErrorBound is set).
 	ErrorBound bool
 	// Sharded: the mechanism's server state is the standard dyadic
 	// accumulator, so rtf-serve can host it on the sharded ingestion
@@ -41,7 +32,7 @@ type Capabilities struct {
 	// (Section 1): its streaming clients can track the item-indicator
 	// stream and its server state is the standard dyadic accumulator,
 	// so a DomainServer can run one instance per item and scale
-	// estimates by m. Implies Streaming and Sharded.
+	// estimates by m. Implies Sharded.
 	Domain bool
 	// HashedDomain: the mechanism supports hashed domain encodings
 	// (LOLOHA): its clients can track the bucket-indicator stream
@@ -53,7 +44,8 @@ type Capabilities struct {
 }
 
 // Params carries the protocol parameters shared by a mechanism's
-// clients and server. D is the horizon (a power of two), K the per-user
+// clients and server. D is the horizon (a power of two: the ldp
+// constructors check it before they call a factory), K the per-user
 // sparsity bound, Eps the privacy budget. Clip enables client-side
 // change clipping (framework mechanisms only); Seed seeds server-side
 // noise for mechanisms that draw any (the central baseline).
@@ -99,18 +91,8 @@ type ServerEngine interface {
 // annulus computation).
 type ClientBuilder func(user int, seed int64) (ClientEngine, error)
 
-// System is a complete batch protocol execution (the engine behind
-// Track): it runs on a workload and returns the estimate series.
-type System interface {
-	// Name identifies the system in experiment tables.
-	Name() string
-	// Run executes the protocol; the same seed and inputs produce
-	// identical results.
-	Run(w *workload.Workload, seed int64) ([]float64, error)
-}
-
 // Mechanism is one registered protocol: capability metadata plus the
-// factories the unified API dispatches to. The six paper protocols are
+// client and server factories the streaming API dispatches to. The six paper protocols are
 // registered at init; external packages may Register additional
 // mechanisms under new Protocol names.
 type Mechanism struct {
@@ -121,13 +103,11 @@ type Mechanism struct {
 	// Caps declares what the mechanism supports.
 	Caps Capabilities
 	// Clients returns a per-user client factory for the parameters.
-	// Required when Caps.Streaming.
+	// Required.
 	Clients func(p Params) (ClientBuilder, error)
 	// Server returns a fresh server engine for the parameters.
-	// Required when Caps.Streaming.
+	// Required.
 	Server func(p Params) (ServerEngine, error)
-	// System returns the batch engine for a Track call. Required.
-	System func(o Options) (System, error)
 	// EstimatorScale returns the dyadic accumulator's estimator scale
 	// for the parameters. Required when Caps.Sharded; rtf-serve uses it
 	// to host the mechanism on the sharded ingestion path.
@@ -149,11 +129,8 @@ func Register(m Mechanism) error {
 	if m.Protocol == "" {
 		return errors.New("ldp: mechanism with empty protocol name")
 	}
-	if m.System == nil {
-		return fmt.Errorf("ldp: mechanism %q has no batch system", m.Protocol)
-	}
-	if m.Caps.Streaming && (m.Clients == nil || m.Server == nil) {
-		return fmt.Errorf("ldp: streaming mechanism %q missing client or server factory", m.Protocol)
+	if m.Clients == nil || m.Server == nil {
+		return fmt.Errorf("ldp: mechanism %q missing client or server factory", m.Protocol)
 	}
 	if m.Caps.Sharded && m.EstimatorScale == nil {
 		return fmt.Errorf("ldp: sharded mechanism %q missing estimator scale", m.Protocol)
@@ -161,11 +138,8 @@ func Register(m Mechanism) error {
 	if m.Caps.Clustered && !m.Caps.Sharded {
 		return fmt.Errorf("ldp: clustered mechanism %q must be sharded (the gateway scatters over rtf-serve backends)", m.Protocol)
 	}
-	if m.Caps.Durable && !m.Caps.Streaming {
-		return fmt.Errorf("ldp: durable mechanism %q must be streaming (durability snapshots server engines)", m.Protocol)
-	}
-	if m.Caps.Domain && (!m.Caps.Streaming || !m.Caps.Sharded) {
-		return fmt.Errorf("ldp: domain mechanism %q must be streaming and sharded (the reduction runs per-user clients over per-item dyadic accumulators)", m.Protocol)
+	if m.Caps.Domain && !m.Caps.Sharded {
+		return fmt.Errorf("ldp: domain mechanism %q must be sharded (the reduction runs per-item dyadic accumulators)", m.Protocol)
 	}
 	if m.Caps.HashedDomain && !m.Caps.Domain {
 		return fmt.Errorf("ldp: hashed-domain mechanism %q must support the domain reduction (a hashed encoding is a domain reduction over buckets)", m.Protocol)

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"rtf/internal/central"
+	"rtf/internal/rng"
 	"rtf/internal/transport"
+	"rtf/workload"
 )
 
 // TestQueryKindWireValues pins the ldp query kinds to the transport wire
@@ -46,8 +49,8 @@ func TestRegistryContents(t *testing.T) {
 		if !ok {
 			t.Fatalf("built-in %q not registered", p)
 		}
-		if !m.Caps.Streaming {
-			t.Errorf("%q: every built-in mechanism must be streaming", p)
+		if m.Clients == nil || m.Server == nil {
+			t.Errorf("%q: every built-in mechanism needs client and server factories", p)
 		}
 		if m.Description == "" {
 			t.Errorf("%q: empty description", p)
@@ -57,11 +60,11 @@ func TestRegistryContents(t *testing.T) {
 		}
 	}
 	fr, _ := Lookup(FutureRand)
-	if !fr.Caps.ErrorBound || !fr.Caps.Consistency || !fr.Caps.Sharded {
+	if !fr.Caps.ErrorBound || !fr.Caps.Sharded {
 		t.Errorf("futurerand caps incomplete: %+v", fr.Caps)
 	}
 	erl, _ := Lookup(Erlingsson)
-	if erl.Caps.Consistency || !erl.Caps.Sharded {
+	if erl.Caps.ErrorBound || !erl.Caps.Sharded {
 		t.Errorf("erlingsson caps wrong: %+v", erl.Caps)
 	}
 	if _, ok := Lookup("nonexistent"); ok {
@@ -70,22 +73,24 @@ func TestRegistryContents(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	sys := func(o Options) (System, error) { return nil, nil }
+	clients := func(Params) (ClientBuilder, error) { return nil, nil }
+	server := func(Params) (ServerEngine, error) { return nil, nil }
 	cases := []struct {
 		name string
 		m    Mechanism
 	}{
-		{"empty name", Mechanism{System: sys}},
-		{"duplicate", Mechanism{Protocol: FutureRand, System: sys}},
-		{"no system", Mechanism{Protocol: "x-no-system"}},
-		{"streaming without factories", Mechanism{
-			Protocol: "x-stream", System: sys, Caps: Capabilities{Streaming: true},
-		}},
+		{"empty name", Mechanism{Clients: clients, Server: server}},
+		{"duplicate", Mechanism{Protocol: FutureRand, Clients: clients, Server: server}},
+		{"no client factory", Mechanism{Protocol: "x-no-clients", Server: server}},
+		{"no server factory", Mechanism{Protocol: "x-no-server", Clients: clients}},
 		{"sharded without scale", Mechanism{
-			Protocol: "x-shard", System: sys, Caps: Capabilities{Sharded: true},
+			Protocol: "x-shard", Clients: clients, Server: server, Caps: Capabilities{Sharded: true},
+		}},
+		{"domain without sharding", Mechanism{
+			Protocol: "x-domain", Clients: clients, Server: server, Caps: Capabilities{Domain: true},
 		}},
 		{"bound without func", Mechanism{
-			Protocol: "x-bound", System: sys, Caps: Capabilities{ErrorBound: true},
+			Protocol: "x-bound", Clients: clients, Server: server, Caps: Capabilities{ErrorBound: true},
 		}},
 	}
 	for _, c := range cases {
@@ -96,10 +101,6 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestUnknownMechanismErrors(t *testing.T) {
-	w := genW(t, 50, 16, 1)
-	if _, err := Track(w, Options{Protocol: "bogus", Epsilon: 1}); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
-		t.Errorf("Track: got %v", err)
-	}
 	if _, err := NewServer(16, WithMechanism("bogus")); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Errorf("NewServer: got %v", err)
 	}
@@ -323,37 +324,54 @@ func TestCentralSeedDeterminism(t *testing.T) {
 	}
 }
 
-// TestTrackDomainErrors covers the TrackDomain error paths.
-func TestTrackDomainErrors(t *testing.T) {
-	if _, err := TrackDomain(nil, Options{Epsilon: 1}); err == nil {
-		t.Error("nil workload accepted")
-	}
-	w, err := GenerateDomain(100, 16, 4, 2, 1.2, 3)
+// TestCentralStreamingEqualsOffline: the central curator exists once.
+// A streaming CentralBinary server fed every user's true value every
+// period answers, at every period, bit-for-bit what the offline
+// central.BinaryMechanism.Run computes under the same seed.
+func TestCentralStreamingEqualsOffline(t *testing.T) {
+	const d, k, seed = 64, 3, 21
+	w, err := workload.Generate(workload.Uniform{N: 500, D: d, K: k}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mechanisms without the Domain capability are rejected; the
-	// streaming framework mechanisms all work.
-	for _, p := range []Protocol{NaiveSplit, CentralBinary, "no-such-protocol"} {
-		if _, err := TrackDomain(w, Options{Epsilon: 1, Protocol: p}); err == nil {
-			t.Errorf("%s: non-domain protocol accepted", p)
+	opts := []Option{WithMechanism(CentralBinary), WithSparsity(k), WithEpsilon(0.5), WithSeed(seed)}
+	srv, err := NewServer(d, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory, err := NewClientFactory(d, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u, us := range w.Users {
+		c, err := factory.NewClient(u, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Register(c.Order()); err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range us.Values(d) {
+			r, ok := c.Observe(v == 1)
+			if !ok {
+				t.Fatal("a central client skipped a period")
+			}
+			if err := srv.Ingest(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	for _, p := range []Protocol{Erlingsson, Independent, Bun} {
-		if _, err := TrackDomain(w, Options{Epsilon: 1, Protocol: p}); err != nil {
-			t.Errorf("%s: %v", p, err)
+	want, err := central.BinaryMechanism{D: d, K: k, Eps: 0.5}.Run(w, rng.NewFromSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tt := 1; tt <= d; tt++ {
+		got, err := srv.EstimateAt(tt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := TrackDomain(w, Options{Epsilon: 1, Consistency: true}); err == nil {
-		t.Error("consistency post-processing accepted for domain tracking")
-	}
-	for _, eps := range []float64{0, -1, 2} {
-		if _, err := TrackDomain(w, Options{Epsilon: eps}); err == nil {
-			t.Errorf("eps=%v accepted", eps)
+		if math.Float64bits(got) != math.Float64bits(want[tt-1]) {
+			t.Fatalf("t=%d: streaming %v, offline %v", tt, got, want[tt-1])
 		}
-	}
-	// The explicit FutureRand protocol still works.
-	if _, err := TrackDomain(w, Options{Epsilon: 1, Protocol: FutureRand}); err != nil {
-		t.Errorf("futurerand rejected: %v", err)
 	}
 }
