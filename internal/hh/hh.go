@@ -218,11 +218,11 @@ type ItemCount struct {
 }
 
 // DomainServer is the server half of the reduction: one flat counter
-// matrix holding the state of m dyadic accumulators (one per item) in
-// contiguous per-shard arrays — protocol.DomainSharded, the domain
-// counterpart of the protocol.Sharded type behind the Boolean
-// rtf-serve path, under the same lock discipline — with every per-item
-// estimate scaled by m. The ×m factor is folded into the matrix's
+// matrix holding the state of m ≥ 2 dyadic accumulators (one per item)
+// in contiguous per-shard arrays — protocol.DomainSharded, the same
+// accumulator whose one-row view serves the Boolean rtf-serve path, and
+// whose doc states the lock discipline — with every per-item estimate
+// scaled by m. The ×m factor is folded into the matrix's
 // estimator scale once at construction, so estimates remain a fixed
 // linear function of the raw integer counters — which is what keeps
 // sharded, durable and clustered deployments bit-for-bit equal to one
@@ -306,7 +306,7 @@ func (s *DomainServer) Ingest(shard, item int, r protocol.Report) {
 // Lock takes one shard's write lock for a run of writes — the served
 // path: the writer's Register and Ingest are plain adds, and its Unlock
 // advances the version stamp once for the whole run (see
-// protocol.Sharded for the lock discipline).
+// protocol.DomainSharded for the lock discipline).
 func (s *DomainServer) Lock(shard int) protocol.DomainWriter { return s.acc.Lock(shard) }
 
 // AdvanceVersion bumps the accumulator's mutation stamp for the given
@@ -435,10 +435,9 @@ func (s *DomainServer) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
 func (s *DomainServer) MergeRaw(cells []int64) error { return s.acc.MergeRaw(cells) }
 
 // MarshalState serializes all per-item accumulator state for a durable
-// snapshot — byte-for-byte the same kind-3 payload the old per-item
-// layout (protocol.MarshalDomainState) produced, so snapshots written
-// under either layout restore interchangeably. The payload is a
-// point-in-time cut at run granularity (see protocol.Sharded).
+// snapshot: the kind-3 payload, byte-for-byte protocol.MarshalDomainState
+// over one serial server per item fed the same reports. The payload is a
+// point-in-time cut at run granularity (see protocol.DomainSharded).
 func (s *DomainServer) MarshalState() []byte {
 	return s.acc.MarshalState()
 }

@@ -7,7 +7,7 @@ package hh
 //
 // Exactness: a memo entry records the stamp returned by Version()
 // *before* its sweep ran. Under the accumulator's lock discipline (see
-// protocol.Sharded) a served run bumps its shard's stamp once, after its
+// protocol.DomainSharded) a served run bumps its shard's stamp once, after its
 // writes and before it releases the shard's write lock, and the sweep
 // takes every shard's read lock when it starts. So:
 //

@@ -1,8 +1,9 @@
 // Package protocol implements the longitudinal data-collection protocol
 // of Section 4: the client algorithm Aclt (Algorithm 1), the server
-// algorithm Asvr (Algorithm 2) together with its Sharded accumulator for
-// concurrent ingestion (one shard lock per ingested run; see Sharded for
-// the lock discipline), and the two baselines of
+// algorithm Asvr (Algorithm 2) together with its sharded accumulator for
+// concurrent ingestion — DomainSharded, m counter rows under one shard
+// lock per ingested run (its doc states the lock discipline), of which
+// the Boolean Sharded is the one-row view — and the two baselines of
 // Section 6 — the Erlingsson et al. change-sampling protocol and the
 // naive ε/d budget-splitting protocol.
 package protocol

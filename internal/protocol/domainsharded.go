@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"rtf/internal/dyadic"
 )
@@ -11,9 +14,8 @@ import (
 // RawStride is the length of one row of a raw counter matrix at horizon
 // d: the row's registered-user count, its per-order user counts, then
 // its per-interval bit sums in flat dyadic-tree order. It is the layout
-// of a DomainSharded shard, of the raw-sums frames cluster nodes
-// exchange, and — one row — of a Sharded fold, so counters move between
-// the three without being rearranged.
+// of a DomainSharded shard and of the raw-sums frames cluster nodes
+// exchange, so counters move between the two without being rearranged.
 func RawStride(d int) int { return 1 + dyadic.NumOrders(d) + dyadic.TotalIntervals(d) }
 
 // SplitRaw returns the three parts of one raw row at horizon d. The
@@ -64,28 +66,51 @@ func sumAt(cols []int, flat int) int {
 	panic(fmt.Sprintf("protocol: interval sum %d is outside the scope this state was built over", flat))
 }
 
-// DomainSharded is the flat-matrix accumulator behind domain-valued
-// tracking: the counters of m independent dyadic accumulators (one per
-// domain item) stored as one contiguous row-major [m × RawStride(d)]
-// int64 matrix per shard, instead of m separately allocated Sharded
-// structs. A report lands with a single index computation —
+// DomainSharded is the accumulator of Algorithm 2's server: one integer
+// counter per dyadic interval, for each of m ≥ 1 rows. A row is one
+// dyadic accumulator; the Boolean protocol is one row (Sharded is that
+// view) and domain-valued tracking is one row per item. The counters
+// are one contiguous row-major [m × RawStride(d)] int64 matrix per
+// shard, so a report lands with a single index computation —
 // item·stride + flat — and one plain add under the run's shard lock,
-// with no pointer chase through a per-item struct, and whole-domain
-// sweeps (fold, merge, the top-k estimate pass) walk flat rows in
-// item-major order, which is what keeps server-side aggregation cheap
-// as the domain grows.
+// and whole-domain sweeps (fold, merge, the top-k estimate pass) walk
+// flat rows in item-major order.
 //
-// The semantics are exactly m Sharded accumulators sharing one scale
-// and Sharded's lock discipline: all mutation is exact integer
-// addition, so estimates are bit-for-bit identical to m serial servers
-// fed the same reports in any order, and FoldRowsInto/MergeRaw ship the
-// same raw integers a cluster gateway exchanges between nodes.
-// MarshalState emits the identical kind-3 domain payload that
-// MarshalDomainState produces over per-item Sharded accumulators, so
-// snapshots written under either layout restore interchangeably.
+// Because ingestion only ever adds into int64 counters, addition is
+// exact, commutative and associative: every row's estimates are
+// bit-for-bit identical to a serial Server fed that row's reports in any
+// order and under any shard assignment, and FoldRowsInto/MergeRaw ship
+// the same raw integers a cluster gateway exchanges between nodes.
+// Callers route by shard index (e.g. connection id modulo NumShards) so
+// that concurrent writers land on distinct shards. The lock discipline,
+// written once here:
 //
-// Like Sharded it panics on out-of-range items, orders and bits; the
-// hh, ldp and transport layers validate at their boundaries.
+//   - Every shard has one sync.RWMutex and a version stamp (shardLock).
+//   - A writer holds exactly one shard's write lock, for a whole run:
+//     Lock returns the run's writer, whose Register and Ingest are plain
+//     bounds-checked indexed adds, and the writer's Unlock bumps the
+//     shard's version stamp once — after the run's writes, before the
+//     lock is released — then releases it. Register, MergeRaw and
+//     RestoreState (and Sharded's IngestSum) are runs of one call each;
+//     the per-report Ingest is a one-record run that leaves the stamp
+//     alone. A writer never acquires a second lock.
+//   - A reader takes every shard's read lock, in ascending shard order,
+//     once, at its public entry point, and reads through unlocked
+//     helpers: no read locks recursively, and no lock is held across
+//     I/O. A series read folds its rows under the locks and runs the
+//     prefix recurrence after releasing them.
+//   - Version stamps stay atomic, so Version takes no lock.
+//   - An accumulator built over adopted counters (DomainShardedOver,
+//     ShardedOver) has no writer and takes no lock at all.
+//
+// A writer waits for nothing while it holds its lock and readers
+// acquire in one global order, so no cycle of waits can form. Because a
+// read holds every shard's read lock for the whole operation, it sees
+// each run entirely or not at all: an estimate, fold or marshal taken
+// during ingest is a point-in-time cut at run granularity.
+//
+// It panics on out-of-range items, orders and bits; the hh, ldp and
+// transport layers validate at their boundaries.
 type DomainSharded struct {
 	d, m   int
 	scale  float64
@@ -101,10 +126,51 @@ type DomainSharded struct {
 	locks  shardLocks // one per shard; nil over adopted counters
 }
 
-// NewDomainSharded builds a flat domain accumulator for horizon d (a
-// power of two) over m items with the given per-item estimator scale
-// and shard count (at least 1; shard assignment never affects
-// estimates).
+// shardLock is one shard's lock and monotone mutation counter (see
+// Version), followed by a whole cache line of padding: whatever the
+// slice's alignment, more than 63 bytes separate two shards' fields, so
+// writers on different shards never share a line.
+type shardLock struct {
+	mu      sync.RWMutex
+	version atomic.Int64
+	_       [64]byte
+}
+
+// shardLocks is an accumulator's lock set, one entry per shard.
+type shardLocks []shardLock
+
+// rlock takes every shard's read lock in ascending shard order: the one
+// acquisition a read operation makes. Over adopted counters the set is
+// empty and this is a no-op.
+func (l shardLocks) rlock() {
+	for i := range l {
+		l[i].mu.RLock()
+	}
+}
+
+// runlock releases what rlock took.
+func (l shardLocks) runlock() {
+	for i := range l {
+		l[i].mu.RUnlock()
+	}
+}
+
+// index maps a shard id onto the set: in-range ids (every caller in
+// practice) skip the divide; the modulo is only a fallback for oversized
+// ids. An accumulator over adopted counters has no writer.
+func (l shardLocks) index(i int) int {
+	if uint(i) < uint(len(l)) {
+		return i
+	}
+	if len(l) == 0 {
+		panic("protocol: an accumulator built over adopted counters is read-only")
+	}
+	return i % len(l)
+}
+
+// NewDomainSharded builds an accumulator for horizon d (a power of two)
+// with m rows (at least 1), the given per-row estimator scale and shard
+// count (at least 1; shard assignment never affects estimates).
 func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
@@ -143,8 +209,8 @@ func newDomainSharded(d, m int, scale float64) *DomainSharded {
 	if !dyadic.IsPow2(d) {
 		panic(fmt.Sprintf("protocol: d=%d not a power of two", d))
 	}
-	if m < 2 {
-		panic(fmt.Sprintf("protocol: domain size m=%d must be at least 2", m))
+	if m < 1 {
+		panic(fmt.Sprintf("protocol: row count m=%d must be at least 1", m))
 	}
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("protocol: invalid estimator scale %v", scale))
@@ -174,9 +240,9 @@ func (s *DomainSharded) checkItem(item int) {
 	}
 }
 
-// DomainWriter is a run's hold on one shard's write lock (see Sharded):
-// Register and Ingest are plain adds into that shard's matrix, Unlock
-// ends the run.
+// DomainWriter is a run's hold on one shard's write lock (see
+// DomainSharded): Register and Ingest are plain adds into that shard's
+// matrix, Unlock ends the run.
 type DomainWriter struct {
 	s     *DomainSharded
 	cells []int64
@@ -224,6 +290,44 @@ func (s *DomainSharded) cell(item int, r Report) int {
 	return item*s.stride + s.base[r.Order] + r.J
 }
 
+// reportError is a writer's panic on a report it cannot place: an item
+// outside [0..m), a bit other than ±1, an order or an index outside the
+// tree — checked in that order, with the messages Ingest has always
+// raised. It is formatted only when read, so raising one costs the
+// writers next to nothing against the inlining budget of the run loops
+// they sit in.
+type reportError struct {
+	item, m, d int
+	r          Report
+}
+
+func (e reportError) Error() string {
+	switch {
+	case e.item < 0 || e.item >= e.m:
+		return fmt.Sprintf("protocol: item %d outside [0..%d)", e.item, e.m)
+	case e.r.Bit != 1 && e.r.Bit != -1:
+		return fmt.Sprintf("protocol: report bit %d not ±1", e.r.Bit)
+	case e.r.Order < 0 || e.r.Order > dyadic.Log2(e.d):
+		return "dyadic: order out of range"
+	}
+	return "dyadic: index out of range"
+}
+
+// orderError is a writer's panic on a hello's out-of-range order.
+type orderError int
+
+func (e orderError) Error() string { return fmt.Sprintf("protocol: order %d out of range", int(e)) }
+
+// reportBase returns the writers' index table: report (h, j) adds into
+// column base[h] + j of a row whose interval sums start at column off.
+func reportBase(tree *dyadic.Tree, off int) []int {
+	base := make([]int, dyadic.NumOrders(tree.D()))
+	for h := range base {
+		base[h] = off + tree.FlatIndex(dyadic.Interval{Order: h, Index: 1}) - 1
+	}
+	return base
+}
+
 // Register records a user's announced (item, order) pair into the given
 // shard: a run of one.
 func (s *DomainSharded) Register(shard, item, order int) {
@@ -257,7 +361,13 @@ func (s *DomainSharded) AdvanceVersion(shard int) {
 // return the same value, no run (Register/MergeRaw/RestoreState/a
 // Lock…Unlock run) and no AdvanceVersion completed in between, and the
 // derived result may be served again verbatim.
-func (s *DomainSharded) Version() uint64 { return s.locks.version() }
+func (s *DomainSharded) Version() uint64 {
+	var v int64
+	for i := range s.locks {
+		v += s.locks[i].version.Load()
+	}
+	return uint64(v)
+}
 
 // Users returns the number of registered users across all items.
 func (s *DomainSharded) Users() int {
@@ -298,20 +408,23 @@ func (s *DomainSharded) sumCol(flat int) int {
 	return s.sumOff + flat
 }
 
-// itemSum is itemCell at one flat interval index.
-func (s *DomainSharded) itemSum(item, flat int) int64 { return s.itemCell(item, s.sumCol(flat)) }
-
 // EstimateAt returns item's â[t] via the dyadic decomposition C(t),
-// reading the live counters — the same decomposition order and float
-// addition order as Sharded.EstimateAt, so a flat accumulator agrees
-// bit for bit with per-item Sharded accumulators fed the same reports.
+// reading the live counters, with the per-interval totals summed in the
+// same decomposition order as Server.EstimateAt, so it agrees with a
+// serial server fed the item's reports bit for bit.
 func (s *DomainSharded) EstimateAt(item, t int) float64 {
 	s.checkItem(item)
+	return s.estimate(item, dyadic.Decompose(t, s.d))
+}
+
+// estimate sums item's scaled interval totals over a cover, in cover
+// order.
+func (s *DomainSharded) estimate(item int, cover []dyadic.Interval) float64 {
 	s.locks.rlock()
 	defer s.locks.runlock()
 	var est float64
-	for _, iv := range dyadic.Decompose(t, s.d) {
-		est += s.scale * float64(s.itemSum(item, s.tree.FlatIndex(iv)))
+	for _, iv := range cover {
+		est += s.scale * float64(s.itemCell(item, s.sumCol(s.tree.FlatIndex(iv))))
 	}
 	return est
 }
@@ -367,42 +480,61 @@ func (s *DomainSharded) EstimateSeries(item int) []float64 {
 }
 
 // EstimateSeriesTo returns item's â[1..r] with the same prefix
-// recurrence and float addition order as Sharded.EstimateSeriesTo, so
-// the truncated series is bit-for-bit a prefix of EstimateSeries.
+// recurrence and float addition order as Server.EstimateSeriesTo. The
+// recurrence at t only reads earlier entries, so the truncated series is
+// bit-for-bit a prefix of EstimateSeries — the window-query path of the
+// ingest server relies on this.
 func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 	s.checkItem(item)
 	if r < 1 || r > s.d {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
 	out := make([]float64, r)
-	s.locks.rlock()
-	defer s.locks.runlock()
-	s.seriesTo(item, out)
+	_, _, sums := SplitRaw(s.d, s.cut(item, item+1))
+	prefixSeries(s.tree, s.scale, sums, out)
 	return out
 }
 
-// EstimateAllSeries returns every item's â[1..d], row by row, under one
-// acquisition of the read locks: the series of one point-in-time cut,
-// each bit-for-bit EstimateSeries of its item.
+// EstimateAllSeries returns every item's â[1..d], row by row, from one
+// point-in-time cut: each bit-for-bit EstimateSeries of its item.
 func (s *DomainSharded) EstimateAllSeries() [][]float64 {
+	rows := s.cut(0, s.m)
 	out := make([][]float64, s.m)
-	s.locks.rlock()
-	defer s.locks.runlock()
 	for x := range out {
+		_, _, sums := SplitRaw(s.d, rows[x*s.stride:(x+1)*s.stride])
 		out[x] = make([]float64, s.d)
-		s.seriesTo(x, out[x])
+		prefixSeries(s.tree, s.scale, sums, out[x])
 	}
 	return out
 }
 
-// seriesTo fills out with item's â[1..len(out)]. The caller holds the
-// read locks.
-func (s *DomainSharded) seriesTo(item int, out []float64) {
+// cut returns the full rows [lo, hi) summed across shards, one
+// point-in-time cut: folded under the read locks on a live accumulator,
+// the adopted counters themselves otherwise. A series reads every
+// interval sum, which a scoped state does not have.
+func (s *DomainSharded) cut(lo, hi int) []int64 {
+	if s.cols != nil {
+		panic("protocol: a series reads every interval sum, outside the scope this state was built over")
+	}
+	if s.locks == nil {
+		return s.shards[0][lo*s.stride : hi*s.stride]
+	}
+	rows := make([]int64, (hi-lo)*s.stride)
+	s.FoldRowsInto(lo, hi, nil, rows)
+	return rows
+}
+
+// prefixSeries is the series kernel, the recurrence
+// â[t] = Ŝ(I_{h, t/2^h}) + â[t − 2^h], 2^h the lowest set bit of t, over
+// interval sums in flat tree order. Each entry equals EstimateAt's sum
+// over C(t) bit for bit: C(t) is C(t − 2^h) plus that interval, and the
+// two sums differ only by the order of operands of one commutative
+// float addition.
+func prefixSeries(tree *dyadic.Tree, scale float64, sums []int64, out []float64) {
 	for t := 1; t <= len(out); t++ {
-		low := t & (-t)
-		h := dyadic.Log2(low)
-		est := s.scale * float64(s.itemSum(item, s.tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})))
-		if prev := t - low; prev > 0 {
+		h := bits.TrailingZeros(uint(t))
+		est := scale * float64(sums[tree.FlatIndex(dyadic.Interval{Order: h, Index: t >> uint(h)})])
+		if prev := t - 1<<h; prev > 0 {
 			est += out[prev-1]
 		}
 		out[t-1] = est
@@ -512,10 +644,9 @@ func (s *DomainSharded) MergeRaw(cells []int64) error {
 }
 
 // MarshalState serializes the whole matrix as a kind-3 domain payload:
-// a domain header (kind, item count) followed by each item's dyadic
-// state, length-prefixed — byte-for-byte the MarshalDomainState
-// encoding over per-item Sharded accumulators, so snapshots written
-// under either layout restore interchangeably. The payload is one
+// a domain header (kind, item count) followed by each row's kind-1
+// dyadic state, length-prefixed — byte-for-byte MarshalDomainState over
+// per-item servers fed the same reports. The payload is one
 // point-in-time cut at run granularity; the durable collector pairs it
 // with its WAL cursor by holding its snapshot lock.
 func (s *DomainSharded) MarshalState() []byte {
@@ -528,64 +659,58 @@ func (s *DomainSharded) MarshalState() []byte {
 	defer s.locks.runlock()
 	for x := 0; x < s.m; x++ {
 		s.foldRow(x, nil, row)
-		users, perOrder, sums := SplitRaw(s.d, row)
-		item = appendDyadicState(item[:0], s.d, s.scale, users, perOrder, sums)
+		item = s.appendRow(item[:0], row)
 		b = binary.AppendUvarint(b, uint64(len(item)))
 		b = append(b, item...)
 	}
 	return b
 }
 
-// RestoreState folds a kind-3 domain payload (MarshalState here, or
-// MarshalDomainState over per-item accumulators) into the matrix as one
-// run — call it on a freshly constructed accumulator to reload a
-// snapshot. The payload's item count, horizon and per-item scale must
-// all match; on any error nothing past the failing item is modified.
+// appendRow appends one folded row as a kind-1 dyadic payload.
+func (s *DomainSharded) appendRow(b []byte, row []int64) []byte {
+	users, perOrder, sums := SplitRaw(s.d, row)
+	return appendDyadicState(b, s.d, s.scale, users, perOrder, sums)
+}
+
+// RestoreState folds a kind-3 domain payload (MarshalState, or
+// MarshalDomainState over per-item servers) into the matrix as one run
+// — call it on a freshly constructed accumulator to reload a snapshot.
+// The payload's item count, horizon and per-item scale must all match;
+// on any error nothing past the failing item is modified.
 func (s *DomainSharded) RestoreState(b []byte) error {
-	r := stateReader{b: b}
-	if v := r.byte("version"); r.err == nil && v != stateVersion {
-		return fmt.Errorf("protocol: unsupported state version %d (this build reads version %d)", v, stateVersion)
-	}
-	if k := r.byte("kind"); r.err == nil && k != stateKindDomain {
-		return fmt.Errorf("protocol: state kind %d is not a domain accumulator set", k)
-	}
-	m := r.uvarint("item count")
-	if r.err != nil {
-		return r.err
-	}
-	if m != uint64(s.m) {
-		return fmt.Errorf("protocol: state has %d items, accumulator has %d", m, s.m)
+	r, err := readDomainHeader(b, s.m)
+	if err != nil {
+		return err
 	}
 	w := s.Lock(0)
 	defer w.Unlock()
 	for x := 0; x < s.m; x++ {
-		n := r.uvarint("item payload length")
-		if r.err != nil {
-			return r.err
-		}
-		if n > maxDomainItemState {
-			return fmt.Errorf("protocol: item %d state of %d bytes exceeds limit %d", x, n, maxDomainItemState)
-		}
-		if r.off+int(n) > len(r.b) {
-			return fmt.Errorf("protocol: state truncated inside item %d", x)
-		}
-		payload := r.b[r.off : r.off+int(n)]
-		r.off += int(n)
-		st, err := decodeDyadicState(payload, s.d, s.scale)
+		payload, err := r.item(x)
 		if err != nil {
+			return err
+		}
+		if err := w.restoreRow(x, payload); err != nil {
 			return fmt.Errorf("protocol: item %d: %w", x, err)
 		}
-		users, perOrder, sums := SplitRaw(s.d, w.cells[x*s.stride:(x+1)*s.stride])
-		for f, v := range st.sums {
-			sums[f] += v
-		}
-		w.cells[x*s.stride] = users + st.users
-		for h, c := range st.perOrder {
-			perOrder[h] += c
-		}
 	}
-	if r.off != len(b) {
-		return fmt.Errorf("protocol: %d trailing bytes after domain state", len(b)-r.off)
+	return r.end()
+}
+
+// restoreRow decodes a kind-1 dyadic payload and adds it into row x of
+// the writer's shard: the one row restore behind both payload kinds.
+func (w DomainWriter) restoreRow(x int, b []byte) error {
+	s := w.s
+	st, err := decodeDyadicState(b, s.d, s.scale)
+	if err != nil {
+		return err
+	}
+	row := w.cells[x*s.stride : (x+1)*s.stride]
+	row[0] += st.users
+	for h, c := range st.perOrder {
+		row[1+h] += c
+	}
+	for f, v := range st.sums {
+		row[s.sumOff+f] += v
 	}
 	return nil
 }

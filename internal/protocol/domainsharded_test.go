@@ -9,16 +9,17 @@ import (
 	"rtf/internal/rng"
 )
 
-// feedDomain drives a DomainSharded and a per-item []*Sharded set with
+// feedDomain drives a DomainSharded and one serial Server per item with
 // the identical sequence of registers and ingests, so every test below
-// compares the flat matrix against the layout it replaced.
-func feedDomain(t *testing.T, d, m, shards, n int, seed uint64) (*DomainSharded, []*Sharded) {
+// holds the matrix to an independent reference: m dyadic accumulators
+// that share no code with it beyond the state encoding.
+func feedDomain(t *testing.T, d, m, shards, n int, seed uint64) (*DomainSharded, []*Server) {
 	t.Helper()
 	const scale = 2.5
 	flat := NewDomainSharded(d, m, scale, shards)
-	old := make([]*Sharded, m)
+	old := make([]*Server, m)
 	for x := range old {
-		old[x] = NewSharded(d, scale, shards)
+		old[x] = NewServer(d, scale)
 	}
 	g := rng.New(seed, 11)
 	for i := 0; i < n; i++ {
@@ -27,7 +28,7 @@ func feedDomain(t *testing.T, d, m, shards, n int, seed uint64) (*DomainSharded,
 		h := g.IntN(dyadic.NumOrders(d))
 		if i%16 == 0 {
 			flat.Register(shard, item, h)
-			old[item].Register(shard, h)
+			old[item].Register(h)
 			continue
 		}
 		bit := int8(1)
@@ -36,15 +37,24 @@ func feedDomain(t *testing.T, d, m, shards, n int, seed uint64) (*DomainSharded,
 		}
 		r := Report{User: i, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
 		flat.Ingest(shard, item, r)
-		old[item].Ingest(shard, r)
+		old[item].Ingest(r)
 	}
 	return flat, old
 }
 
-// TestDomainShardedMatchesPerItemLayout pins the tentpole claim of the
-// flat counter matrix: every observable — estimates, folds, users,
-// serialized state — is bit-for-bit identical to the per-item Sharded
-// layout it replaced, fed the same reports.
+// serverRow is a serial server's state as one raw row.
+func serverRow(srv *Server) []int64 {
+	row := []int64{int64(srv.Users())}
+	for h := 0; h < dyadic.NumOrders(srv.D()); h++ {
+		row = append(row, int64(srv.UsersAtOrder(h)))
+	}
+	return append(row, srv.IntervalSums()...)
+}
+
+// TestDomainShardedMatchesPerItemLayout pins the claim of the flat
+// counter matrix: every observable — estimates, folds, users, serialized
+// state — is bit-for-bit identical to one serial Server per item, fed
+// the same reports.
 func TestDomainShardedMatchesPerItemLayout(t *testing.T) {
 	const d, m, shards = 64, 8, 3
 	flat, old := feedDomain(t, d, m, shards, 6000, 41)
@@ -87,7 +97,7 @@ func TestDomainShardedMatchesPerItemLayout(t *testing.T) {
 	raw := make([]int64, m*RawStride(d))
 	flat.FoldInto(raw)
 	for x := range old {
-		wu, wp, ws := old[x].Fold()
+		wu, wp, ws := SplitRaw(d, serverRow(old[x]))
 		gu, gp, gs := SplitRaw(d, raw[x*RawStride(d):(x+1)*RawStride(d)])
 		if gu != wu {
 			t.Fatalf("FoldInto row %d users = %d, want %d", x, gu, wu)
@@ -115,17 +125,17 @@ func TestDomainShardedMatchesPerItemLayout(t *testing.T) {
 
 // TestDomainShardedStateCrossRestore round-trips snapshots across the
 // two layouts in both directions: a flat snapshot restored into per-item
-// accumulators and a per-item snapshot restored into a flat matrix must
+// servers and a per-item snapshot restored into a flat matrix must
 // both reproduce identical estimates.
 func TestDomainShardedStateCrossRestore(t *testing.T) {
 	const d, m, shards = 32, 5, 2
 	flat, old := feedDomain(t, d, m, shards, 3000, 97)
 	state := flat.MarshalState()
 
-	// Flat snapshot → fresh per-item accumulators.
-	intoOld := make([]*Sharded, m)
+	// Flat snapshot → fresh per-item servers.
+	intoOld := make([]*Server, m)
 	for x := range intoOld {
-		intoOld[x] = NewSharded(d, flat.Scale(), 1)
+		intoOld[x] = NewServer(d, flat.Scale())
 	}
 	if err := RestoreDomainState(intoOld, state); err != nil {
 		t.Fatalf("RestoreDomainState(flat snapshot): %v", err)
@@ -149,12 +159,11 @@ func TestDomainShardedStateCrossRestore(t *testing.T) {
 	}
 }
 
-// perItemRaw folds per-item accumulators into one raw matrix.
-func perItemRaw(d int, old []*Sharded) []int64 {
-	stride := RawStride(d)
-	raw := make([]int64, len(old)*stride)
-	for x := range old {
-		old[x].FoldInto(nil, raw[x*stride:(x+1)*stride])
+// perItemRaw lays per-item servers out as one raw matrix.
+func perItemRaw(old []*Server) []int64 {
+	var raw []int64
+	for _, srv := range old {
+		raw = append(raw, serverRow(srv)...)
 	}
 	return raw
 }
@@ -168,10 +177,10 @@ func TestDomainShardedMergeRaw(t *testing.T) {
 	flat, old := feedDomain(t, d, m, shards, 2000, 7)
 
 	merged := NewDomainSharded(d, m, flat.Scale(), 1)
-	if err := merged.MergeRaw(perItemRaw(d, old)); err != nil {
+	if err := merged.MergeRaw(perItemRaw(old)); err != nil {
 		t.Fatalf("MergeRaw: %v", err)
 	}
-	over, err := DomainShardedOver(d, m, flat.Scale(), 0, 0, perItemRaw(d, old))
+	over, err := DomainShardedOver(d, m, flat.Scale(), 0, 0, perItemRaw(old))
 	if err != nil {
 		t.Fatalf("DomainShardedOver: %v", err)
 	}
@@ -190,12 +199,12 @@ func TestDomainShardedMergeRaw(t *testing.T) {
 
 	// A malformed matrix must be rejected without modifying anything.
 	before := merged.MarshalState()
-	raw := perItemRaw(d, old)
+	raw := perItemRaw(old)
 	if err := merged.MergeRaw(raw[:len(raw)-1]); err == nil {
 		t.Fatal("MergeRaw accepted a short matrix")
 	}
 	for _, bad := range []int{0, RawStride(d) + 2} { // a user count, a per-order count
-		raw := perItemRaw(d, old)
+		raw := perItemRaw(old)
 		raw[bad] = -1
 		if err := merged.MergeRaw(raw); err == nil {
 			t.Fatalf("MergeRaw accepted a negative count at %d", bad)

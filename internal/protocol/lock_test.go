@@ -14,8 +14,8 @@ import (
 	"rtf/internal/rng"
 )
 
-// This file holds both accumulators to the lock discipline written on
-// Sharded: runs from concurrent writers — two of them on one shard —
+// This file holds the accumulator, as a domain matrix and as its
+// one-row Boolean view, to the lock discipline written on DomainSharded: runs from concurrent writers — two of them on one shard —
 // against readers calling every read method leave the counters exactly
 // a serial server's, with one version step per run; every read sees a
 // run whole or not at all; and a state over adopted counters has no lock.
@@ -94,9 +94,9 @@ func TestShardedRunsUnderReadersMatchSerial(t *testing.T) {
 		defer w.Unlock()
 		for _, rc := range run {
 			if rc.hello {
-				w.Register(rc.r.Order)
+				w.Register(0, rc.r.Order)
 			} else {
-				w.Ingest(rc.r)
+				w.Ingest(0, rc.r)
 			}
 		}
 	}, func(i int) {
@@ -269,7 +269,7 @@ func TestReadsSeeRunsWhole(t *testing.T) {
 		w := acc.Lock(shard)
 		defer w.Unlock()
 		for _, rc := range run {
-			w.Ingest(rc.r)
+			w.Ingest(0, rc.r)
 		}
 	}, func(i int) {
 		switch i % 3 {
@@ -345,7 +345,7 @@ func TestOverStatesTakeNoLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.locks != nil || boolOver.locks != nil {
+	if over.locks != nil || boolOver.m.locks != nil {
 		t.Fatal("a state over adopted counters has a lock set")
 	}
 
@@ -418,7 +418,7 @@ func TestWriterPanics(t *testing.T) {
 	}
 	// A panicking write releases its shard: the next run on it proceeds.
 	w := acc.Lock(0)
-	w.Ingest(Report{Order: 0, J: 1, Bit: 1})
+	w.Ingest(0, Report{Order: 0, J: 1, Bit: 1})
 	w.Unlock()
 	dw := dom.Lock(0)
 	dw.Unlock()

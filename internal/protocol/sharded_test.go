@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -162,7 +163,8 @@ func TestShardedPanics(t *testing.T) {
 // over interval sums wide enough that every float addition rounds, the
 // series kernel's out[t−1] is Sharded.EstimateAt(t) and Server.EstimateAt(t)
 // bit for bit, for every t — the identity a served prefix-series memo
-// answers point reads by.
+// answers point reads by — and so is every row of a domain matrix's
+// EstimateSeries and EstimateAllSeries against its EstimateAt.
 func TestPrefixSeriesEqualsEstimateAt(t *testing.T) {
 	const scale = 3.7
 	g := rng.New(26, 1)
@@ -193,6 +195,36 @@ func TestPrefixSeriesEqualsEstimateAt(t *testing.T) {
 			if math.Float64bits(v) != math.Float64bits(out[i]) {
 				t.Fatalf("d=%d: EstimateSeriesTo(%d)[%d] = %v, full series %v", d, r, i, v, out[i])
 			}
+		}
+
+		// The matrix rows: the Boolean row above as row 1 of three, the
+		// other two with their own sums.
+		const m = 3
+		stride := RawStride(d)
+		raw := make([]int64, m*stride)
+		acc.FoldInto(nil, raw[stride:2*stride])
+		for _, x := range []int{0, 2} {
+			_, _, rowSums := SplitRaw(d, raw[x*stride:(x+1)*stride])
+			for f := range rowSums {
+				rowSums[f] = int64(g.Uint64()>>uint(g.IntN(64))) * int64(1-2*g.IntN(2)) >> 12
+			}
+		}
+		dom := NewDomainSharded(d, m, scale, 2)
+		if err := dom.MergeRaw(raw); err != nil {
+			t.Fatal(err)
+		}
+		all := dom.EstimateAllSeries()
+		for x := 0; x < m; x++ {
+			series := dom.EstimateSeries(x)
+			for tt := 1; tt <= d; tt++ {
+				want := math.Float64bits(dom.EstimateAt(x, tt))
+				if math.Float64bits(series[tt-1]) != want || math.Float64bits(all[x][tt-1]) != want {
+					t.Fatalf("d=%d item %d t=%d: EstimateSeries %v, EstimateAllSeries %v, EstimateAt %v", d, x, tt, series[tt-1], all[x][tt-1], dom.EstimateAt(x, tt))
+				}
+			}
+		}
+		if !slices.Equal(all[1], out) {
+			t.Fatalf("d=%d: matrix row 1 series differs from the Boolean series over the same sums", d)
 		}
 	}
 }

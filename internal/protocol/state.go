@@ -129,32 +129,6 @@ func (s *Server) RestoreState(b []byte) error {
 	return nil
 }
 
-// MarshalState serializes the accumulator's state, folded across
-// shards: a point-in-time cut at run granularity (see Sharded), which
-// the durable collector pairs with its WAL cursor by holding its
-// snapshot lock. The encoding is identical to Server.MarshalState on the
-// folded state, so snapshots restore interchangeably into either type.
-func (s *Sharded) MarshalState() []byte {
-	users, perOrder, sums := s.Fold()
-	return appendDyadicState(make([]byte, 0, 16+10*len(sums)), s.d, s.scale, users, perOrder, sums)
-}
-
-// RestoreState folds serialized state into shard 0 as one run — call it
-// on a freshly constructed accumulator to reload a snapshot. Shard
-// assignment never affects estimates (addition is exact and
-// commutative), so restoring everything into one shard is equivalent to
-// replaying the original ingestion.
-func (s *Sharded) RestoreState(b []byte) error {
-	st, err := decodeDyadicState(b, s.d, s.scale)
-	if err != nil {
-		return err
-	}
-	w := s.Lock(0)
-	defer w.Unlock()
-	w.sh.add(st.users, st.perOrder, st.sums)
-	return nil
-}
-
 // MarshalState serializes the naive-split server's per-period sums and
 // user count. The horizon and the c_gap constant travel along so
 // RestoreState can refuse a mismatched configuration (c_gap pins the
@@ -214,14 +188,11 @@ func (s *NaiveSplitServer) RestoreState(b []byte) error {
 	return nil
 }
 
-// MarshalDomainState serializes a partitioned set of per-item
-// accumulators — the server state of the richer-domain reduction — as
-// one payload: a domain header (kind, item count) followed by each
-// item's dyadic state, length-prefixed. Each per-item payload is the
-// exact Sharded.MarshalState encoding, so the horizon and scale travel
-// with every item and RestoreDomainState can refuse a mismatched
-// configuration per item.
-func MarshalDomainState(items []*Sharded) []byte {
+// MarshalDomainState serializes a set of per-item servers as one kind-3
+// payload: a domain header (kind, item count) followed by each item's
+// kind-1 dyadic state, length-prefixed — the payload DomainSharded
+// writes for a matrix fed the same reports.
+func MarshalDomainState(items []*Server) []byte {
 	b := make([]byte, 0, 16)
 	b = append(b, stateVersion, stateKindDomain)
 	b = binary.AppendUvarint(b, uint64(len(items)))
@@ -238,46 +209,67 @@ func MarshalDomainState(items []*Sharded) []byte {
 // the per-item decoder validates anything.
 const maxDomainItemState = 1 << 26
 
-// RestoreDomainState folds a MarshalDomainState payload into the given
-// per-item accumulators. The payload's item count must equal len(items)
-// and every per-item payload must match its accumulator's horizon and
-// scale; on any error nothing past the failing item is modified (items
-// before it were already folded — call it on freshly constructed
-// accumulators, as with RestoreState).
-func RestoreDomainState(items []*Sharded, b []byte) error {
-	r := stateReader{b: b}
-	if v := r.byte("version"); r.err == nil && v != stateVersion {
-		return fmt.Errorf("protocol: unsupported state version %d (this build reads version %d)", v, stateVersion)
+// RestoreDomainState folds a kind-3 payload into the given per-item
+// servers. The payload's item count must equal len(items) and every
+// per-item payload must match its server's horizon and scale; on any
+// error nothing past the failing item is modified.
+func RestoreDomainState(items []*Server, b []byte) error {
+	r, err := readDomainHeader(b, len(items))
+	if err != nil {
+		return err
 	}
-	if k := r.byte("kind"); r.err == nil && k != stateKindDomain {
-		return fmt.Errorf("protocol: state kind %d is not a domain accumulator set", k)
-	}
-	m := r.uvarint("item count")
-	if r.err != nil {
-		return r.err
-	}
-	if m != uint64(len(items)) {
-		return fmt.Errorf("protocol: state has %d items, accumulator has %d", m, len(items))
-	}
-	for x := range items {
-		n := r.uvarint("item payload length")
-		if r.err != nil {
-			return r.err
+	for x, srv := range items {
+		payload, err := r.item(x)
+		if err != nil {
+			return err
 		}
-		if n > maxDomainItemState {
-			return fmt.Errorf("protocol: item %d state of %d bytes exceeds limit %d", x, n, maxDomainItemState)
-		}
-		if r.off+int(n) > len(r.b) {
-			return fmt.Errorf("protocol: state truncated inside item %d", x)
-		}
-		payload := r.b[r.off : r.off+int(n)]
-		r.off += int(n)
-		if err := items[x].RestoreState(payload); err != nil {
+		if err := srv.RestoreState(payload); err != nil {
 			return fmt.Errorf("protocol: item %d: %w", x, err)
 		}
 	}
-	if r.off != len(b) {
-		return fmt.Errorf("protocol: %d trailing bytes after domain state", len(b)-r.off)
+	return r.end()
+}
+
+// readDomainHeader checks a kind-3 payload's version, kind and item
+// count against m and returns a reader positioned at the first item.
+func readDomainHeader(b []byte, m int) (*stateReader, error) {
+	r := &stateReader{b: b}
+	if v := r.byte("version"); r.err == nil && v != stateVersion {
+		return nil, fmt.Errorf("protocol: unsupported state version %d (this build reads version %d)", v, stateVersion)
+	}
+	if k := r.byte("kind"); r.err == nil && k != stateKindDomain {
+		return nil, fmt.Errorf("protocol: state kind %d is not a domain accumulator set", k)
+	}
+	n := r.uvarint("item count")
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n != uint64(m) {
+		return nil, fmt.Errorf("protocol: state has %d items, accumulator has %d", n, m)
+	}
+	return r, nil
+}
+
+// item returns item x's length-prefixed payload.
+func (r *stateReader) item(x int) ([]byte, error) {
+	n := r.uvarint("item payload length")
+	if r.err != nil {
+		return nil, r.err
+	}
+	if n > maxDomainItemState {
+		return nil, fmt.Errorf("protocol: item %d state of %d bytes exceeds limit %d", x, n, maxDomainItemState)
+	}
+	if r.off+int(n) > len(r.b) {
+		return nil, fmt.Errorf("protocol: state truncated inside item %d", x)
+	}
+	r.off += int(n)
+	return r.b[r.off-int(n) : r.off], nil
+}
+
+// end refuses bytes left over after a domain payload's last item.
+func (r *stateReader) end() error {
+	if r.off != len(r.b) {
+		return fmt.Errorf("protocol: %d trailing bytes after domain state", len(r.b)-r.off)
 	}
 	return nil
 }

@@ -69,9 +69,9 @@ func TestShardedVersionAdvances(t *testing.T) {
 	// and only when it ends; a read never does.
 	v4 := acc.Version()
 	w := acc.Lock(1)
-	w.Register(2)
+	w.Register(0, 2)
 	for j := 1; j <= 4; j++ {
-		w.Ingest(Report{Order: 1, J: j, Bit: 1})
+		w.Ingest(0, Report{Order: 1, J: j, Bit: 1})
 	}
 	if v := acc.Version(); v != v4 {
 		t.Fatalf("an unfinished run moved version: %d -> %d", v4, v)

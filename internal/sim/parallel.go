@@ -15,9 +15,10 @@ import (
 // users are split into contiguous shards, each processed by a worker
 // accumulating into its own shard of a protocol.Sharded with a
 // scheduling-independent derived RNG stream, then folded into srv.
-// Results are deterministic for a fixed seed regardless of worker count
-// or interleaving (each shard's randomness depends only on its index),
-// and distributionally identical to the serial engines.
+// Results are deterministic for a fixed seed and worker count, whatever
+// the interleaving (each shard's randomness depends only on its index;
+// the worker count decides which users share a shard's stream), and
+// distributionally identical to the serial engines.
 func runFrameworkFastParallel(w *workload.Workload, factories []core.Factory, srv *protocol.Server, g *rng.RNG, workers int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -48,13 +49,13 @@ func runFrameworkFastParallel(w *workload.Workload, factories []core.Factory, sr
 			for u := lo; u < hi; u++ {
 				us := w.Users[u]
 				h := protocol.SampleOrder(gg, w.D)
-				wr.Register(h)
+				wr.Register(0, h)
 				if us.NumChanges() == 0 {
 					continue
 				}
 				inst := factories[h].NewInstance(gg)
 				for _, nz := range nonzeroPartialSums(us, h) {
-					wr.Ingest(protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
+					wr.Ingest(0, protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
 					nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: nz.j})]++
 				}
 			}

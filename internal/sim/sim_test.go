@@ -359,7 +359,7 @@ func TestStaticWorkloadNoiseOnly(t *testing.T) {
 
 func TestParallelEngineDeterministic(t *testing.T) {
 	// The sharded engine must produce identical results for a fixed seed
-	// regardless of worker count (per-shard derived RNG streams).
+	// and worker count (per-shard derived RNG streams).
 	w := genUniform(t, 4000, 64, 3)
 	run := func(workers int) []float64 {
 		est, err := Framework{Kind: FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, rng.New(77, 78))

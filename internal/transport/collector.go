@@ -58,7 +58,7 @@ func (c *ingestStats) Stats() (hellos, reports, batches int64) {
 // any number of connection goroutines push decoded batches, and the
 // collector applies each validated run to one sharded accumulator of its
 // Mode — under the run's shard write lock, while reads fold under every
-// shard's read lock (see protocol.Sharded), so a read never sees half a
+// shard's read lock (see protocol.DomainSharded), so a read never sees half a
 // run.
 type Collector struct {
 	mode Mode

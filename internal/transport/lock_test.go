@@ -15,7 +15,7 @@ import (
 )
 
 // This file holds the states of all three modes to the accumulators'
-// lock discipline (protocol.Sharded) as the serving core meets it:
+// lock discipline (protocol.DomainSharded) as the serving core meets it:
 // concurrent runs — two writers on one counter shard — under readers
 // answering every read frame leave the state exactly a serial server's;
 // every fold sees a run whole or not at all; a sums export blocked in

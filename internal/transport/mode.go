@@ -234,18 +234,7 @@ type boolState struct {
 func liveBoolState(acc *protocol.Sharded) boolState { return boolState{acc, new(seriesMemo)} }
 
 func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
-	w := s.acc.Lock(shard)
-	defer w.Unlock()
-	for i := range run {
-		r := &run[i]
-		if r.Bit == 0 {
-			w.Register(int(r.Order))
-			hellos++
-		} else {
-			w.Ingest(protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit})
-		}
-	}
-	return hellos, int64(len(run)) - hellos
+	return applyRun(s.acc.Lock(shard), run)
 }
 
 func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
@@ -333,7 +322,14 @@ func (p domainMode) CheckMeta(meta persist.Meta) error {
 type domainState struct{ ds *hh.DomainServer }
 
 func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
-	w := s.ds.Lock(shard)
+	return applyRun(s.ds.Lock(shard), run)
+}
+
+// applyRun is every mode's run loop: the records land through the
+// counter matrix's writer, which holds one shard's write lock for the
+// run and advances its version once when it ends. A Boolean record's
+// Item is 0, its one row.
+func applyRun(w protocol.DomainWriter, run []Rec) (hellos, reports int64) {
 	defer w.Unlock()
 	for i := range run {
 		r := &run[i]

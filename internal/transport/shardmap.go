@@ -32,7 +32,7 @@ type ShardMap struct {
 
 	// imu orders message application and reads against shard installs:
 	// apply holds it shared, InstallShard exclusively. Each virtual
-	// shard's accumulator has its own run lock (see protocol.Sharded);
+	// shard's accumulator has its own run lock (see protocol.DomainSharded);
 	// this lock only prevents a swap from stranding an in-flight write on
 	// a replaced accumulator.
 	imu    sync.RWMutex
