@@ -3,13 +3,11 @@
 
 Reads two `go test -bench` outputs (merge-base and PR head, each run
 with -count=6), compares per-benchmark median ns/op, writes the
-comparison as a JSON artifact, and exits non-zero when any gated
-benchmark (BenchmarkIngest*/BenchmarkAnswer*/BenchmarkCluster*/
-BenchmarkDomain*/BenchmarkHashed*/BenchmarkReplicated*/
-BenchmarkQuorum*/BenchmarkGateway*/BenchmarkConcurrent*/
-BenchmarkClient*/BenchmarkNewClient*) slows down by more than the
-threshold. Benchmarks present on only one side (added or removed by
-the PR) are reported but never gate.
+comparison as a JSON artifact, and exits non-zero when any benchmark
+present on both sides slows down by more than the threshold. Every
+benchmark the workflow ran gates: its `-bench` regex is the one list of
+gated benchmarks. Benchmarks present on only one side (added or
+removed by the PR) are reported but never gate.
 
 Usage: bench_gate.py BASE.txt HEAD.txt OUT.json [--threshold 0.15]
 """
@@ -19,7 +17,6 @@ import re
 import statistics
 import sys
 
-GATED = re.compile(r"^Benchmark(Ingest|Answer|Cluster|Domain|Hashed|Replicated|Quorum|Gateway|Concurrent|Client|NewClient)")
 # "BenchmarkFoo/sub-8   	     123	   9876 ns/op	..." — the -N
 # GOMAXPROCS suffix is stripped so the name is stable across runners.
 LINE = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+)\s+ns/op")
@@ -57,8 +54,8 @@ def main():
     for name in sorted(set(base) | set(head)):
         b, h = base.get(name), head.get(name)
         delta = (h - b) / b if b and h else None
-        gated = bool(GATED.match(name))
-        regressed = gated and delta is not None and delta > threshold
+        gated = delta is not None
+        regressed = gated and delta > threshold
         rows.append(
             {
                 "benchmark": name,
