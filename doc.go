@@ -99,7 +99,9 @@
 // heavy-hitter query — online. The per-item counters live in one
 // contiguous per-shard matrix (protocol.DomainSharded), item-major, so
 // domain ingest is a single indexed plain add (one shard lock per
-// ingested run) and TopK a linear sweep;
+// ingested run; the lock discipline is written once, on that type, and
+// the Boolean protocol.Sharded is its one-row view) and TopK a linear
+// sweep;
 // estimates stay fixed linear functions of exact integer counters, so
 // the layout is invisible in every answer (docs/PERFORMANCE.md derives
 // the argument and the measured ~2x ingest speedup). Item-tagged wire frames carry the same
