@@ -12,9 +12,9 @@ import (
 
 // FuzzDomainReportDecode feeds arbitrary bytes to the decoder with the
 // domain ingest frames in scope: it must return messages or errors,
-// never panic, and every successfully decoded domain message must
-// satisfy the wire invariants (non-negative ids and items, ±1 bits).
-// Batches are exercised through both Next and NextBatch.
+// never panic, and every successfully decoded message must satisfy its
+// type's wire invariants (checkDecoded: non-negative ids and items, ±1
+// bits, ...). Batches are exercised through both Next and NextBatch.
 func FuzzDomainReportDecode(f *testing.F) {
 	seed := func(ms ...Msg) []byte {
 		var buf bytes.Buffer
@@ -49,52 +49,7 @@ func FuzzDomainReportDecode(f *testing.F) {
 	f.Add([]byte{byte(MsgDomainReport), 255, 255, 255, 255, 255, 255, 255, 255, 255, 255}) // overlong varint
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(m Msg) {
-			switch m.Type {
-			case MsgHello, MsgQueryV2, MsgSums, MsgDomainQuery, MsgDomainSums:
-				// ok
-			case MsgReport:
-				if m.Bit != 1 && m.Bit != -1 {
-					t.Fatalf("decoded report with bit %d", m.Bit)
-				}
-			case MsgDomainHello:
-				if m.User < 0 || m.Item < 0 {
-					t.Fatalf("decoded domain hello with negative field: %+v", m)
-				}
-			case MsgDomainReport:
-				if m.Bit != 1 && m.Bit != -1 {
-					t.Fatalf("decoded domain report with bit %d", m.Bit)
-				}
-				if m.User < 0 || m.Item < 0 {
-					t.Fatalf("decoded domain report with negative field: %+v", m)
-				}
-			default:
-				t.Fatalf("decoded unknown type %d without error", m.Type)
-			}
-		}
-		dec := NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			m, err := dec.Next()
-			if err != nil {
-				break // EOF or any descriptive error is fine
-			}
-			check(m)
-		}
-		dec = NewDecoder(bytes.NewReader(data))
-		total := 0
-		for total < 100000 {
-			ms, err := dec.NextBatch()
-			if err != nil {
-				return // EOF or malformed input: any descriptive error is fine
-			}
-			if len(ms) == 0 {
-				t.Fatal("NextBatch returned an empty slice without error")
-			}
-			for _, m := range ms {
-				check(m)
-			}
-			total += len(ms)
-		}
+		fuzzDecode(t, data, func(m Msg) { checkDecoded(t, m) })
 	})
 }
 
@@ -159,7 +114,10 @@ func FuzzDomainQueryDecode(f *testing.F) {
 			t.Fatal("empty error message")
 		}
 		if s, err := NewDecoder(bytes.NewReader(data)).ReadDomainSums(); err == nil {
-			if s.M < 2 || s.M > MaxDomainM || len(s.Counters) != s.M*protocol.RawStride(s.D) {
+			if sc := s.Scope; sc != (Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > s.D) {
+				t.Fatalf("decoded domain sums scope [%d..%d] for d=%d", sc.L, sc.R, s.D)
+			}
+			if s.M < 2 || s.M > MaxDomainM || len(s.Counters) != s.M*protocol.ScopedStride(s.D, s.Scope.L, s.Scope.R) {
 				t.Fatalf("decoded invalid domain sums dims: m=%d counters=%d", s.M, len(s.Counters))
 			}
 			for x := 0; x < s.M; x++ {

@@ -6,12 +6,15 @@ import (
 	"io"
 	"math"
 	"testing"
+
+	"rtf/internal/membership"
 )
 
 // FuzzDecoderRobust feeds arbitrary bytes to the decoder: it must return
-// messages or errors, never panic, and every successfully decoded report
-// must satisfy the wire invariants. Batch frames are exercised through
-// both the unbatching Next path and the batch-granular NextBatch path.
+// messages or errors, never panic, and every successfully decoded
+// message must satisfy its type's wire invariants (checkDecoded). Batch
+// frames are exercised through both the unbatching Next path and the
+// batch-granular NextBatch path.
 func FuzzDecoderRobust(f *testing.F) {
 	f.Add([]byte{1, 0, 0})
 	f.Add([]byte{2, 0, 0, 1, 1})
@@ -26,45 +29,73 @@ func FuzzDecoderRobust(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0})                       // nested batch (invalid)
 	f.Add([]byte{3, 255, 255, 255, 255, 127})       // oversized length prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(m Msg) {
-			switch m.Type {
-			case MsgHello, MsgQueryV2:
-				// ok
-			case MsgReport:
-				if m.Bit != 1 && m.Bit != -1 {
-					t.Fatalf("decoded report with bit %d", m.Bit)
-				}
-			default:
-				t.Fatalf("decoded unknown type %d without error", m.Type)
-			}
+		fuzzDecode(t, data, func(m Msg) { checkDecoded(t, m) })
+	})
+}
+
+// fuzzDecode drives arbitrary bytes through both Msg views of the
+// decoder — Next, then NextBatch on a fresh decoder — and hands every
+// message either returns to check. Any error ends a view: EOF and a
+// descriptive error are both fine.
+func fuzzDecode(t *testing.T, data []byte, check func(Msg)) {
+	dec := NewDecoder(bytes.NewReader(data))
+	for i := 0; i < 1000; i++ {
+		m, err := dec.Next()
+		if err != nil {
+			break
 		}
-		dec := NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			m, err := dec.Next()
-			if err != nil {
-				break // EOF or any descriptive error is fine
-			}
+		check(m)
+	}
+	dec = NewDecoder(bytes.NewReader(data))
+	for total := 0; total < 100000; {
+		ms, err := dec.NextBatch()
+		if err != nil {
+			return
+		}
+		if len(ms) == 0 {
+			t.Fatal("NextBatch returned an empty slice without error")
+		}
+		for _, m := range ms {
 			check(m)
 		}
-		dec = NewDecoder(bytes.NewReader(data))
-		total := 0
-		for total < 100000 {
-			ms, err := dec.NextBatch()
-			if err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					return
-				}
-				return // malformed input: any descriptive error is fine
-			}
-			if len(ms) == 0 {
-				t.Fatal("NextBatch returned an empty slice without error")
-			}
-			for _, m := range ms {
-				check(m)
-			}
-			total += len(ms)
-		}
-	})
+		total += len(ms)
+	}
+}
+
+// checkDecoded is the message fuzzers' one oracle: a message Next or
+// NextBatch returned without error has a type Next can return — every
+// scalar type decodeScalarInto accepts, and the MsgView and
+// MsgShardTransfer markers — and each field its decoder bounds is in
+// range: a ±1 bit on a report, non-negative user, item or bucket,
+// query fields and counts, a shard within membership.MaxShards, and a
+// sums scope that is either none or a range inside [1..MaxSumsD].
+func checkDecoded(t *testing.T, m Msg) {
+	t.Helper()
+	scope := m.L == 0 && m.R == 0 || 1 <= m.L && m.L <= m.R && m.R <= MaxSumsD
+	var ok bool
+	switch m.Type {
+	case MsgHello, MsgDomainHello, MsgHashedDomainHello:
+		ok = m.User >= 0 && m.Item >= 0
+	case MsgReport, MsgDomainReport:
+		ok = m.User >= 0 && m.Item >= 0 && (m.Bit == 1 || m.Bit == -1)
+	case MsgQueryV2:
+		ok = m.L >= 0 && m.R >= 0
+	case MsgDomainQuery:
+		ok = m.Item >= 0 && m.L >= 0 && m.R >= 0 && m.K >= 0
+	case MsgSums, MsgDomainSums:
+		ok = scope
+	case MsgHashedDomainSums:
+		ok = m.Item >= 0 && m.K >= 0 && scope
+	case MsgShardSums, MsgShardState, MsgShardTransfer:
+		ok = m.Shard >= 0 && m.Shard <= membership.MaxShards && scope
+	case MsgView:
+		ok = true
+	default:
+		t.Fatalf("decoded type %d without error: %+v", m.Type, m)
+	}
+	if !ok {
+		t.Fatalf("decoded %+v: a field is out of range for its type", m)
+	}
 }
 
 // FuzzEncodeDecodeRoundTrip checks that any valid scalar message

@@ -55,70 +55,29 @@ func FuzzHashedDomainDecode(f *testing.F) {
 	f.Add([]byte{byte(MsgHashedDomainSums), 1, 255, 255, 255, 255, 255, 255, 255, 255, 255, 1}) // huge m
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		check := func(m Msg) {
-			switch m.Type {
-			case MsgHashedDomainHello:
-				if m.User < 0 || m.Item < 0 {
-					t.Fatalf("decoded hashed hello with negative field: %+v", m)
-				}
-			case MsgHashedDomainSums:
-				if m.Item < 0 || m.K < 0 {
-					t.Fatalf("decoded hashed sums request with negative field: %+v", m)
-				}
-			case MsgDomainReport:
-				if m.Bit != 1 && m.Bit != -1 {
-					t.Fatalf("decoded domain report with bit %d", m.Bit)
-				}
-				if m.User < 0 || m.Item < 0 {
-					t.Fatalf("decoded domain report with negative field: %+v", m)
-				}
-			}
+		fuzzDecode(t, data, func(m Msg) {
+			checkDecoded(t, m)
 			// Every successfully decoded hashed message re-encodes and
 			// re-decodes to itself: the codec cannot lose the seed or
 			// the encoding parameters.
-			if m.Type == MsgHashedDomainHello || m.Type == MsgHashedDomainSums {
-				if m.Order < 0 {
-					return // rejected downstream by ingest validation
-				}
-				var buf bytes.Buffer
-				enc := NewEncoder(&buf)
-				if err := enc.Encode(m); err != nil {
-					t.Fatalf("re-encoding decoded %+v: %v", m, err)
-				}
-				if err := enc.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				back, err := NewDecoder(bytes.NewReader(buf.Bytes())).Next()
-				if err != nil {
-					t.Fatalf("re-decoding %+v: %v", m, err)
-				}
-				if back != m {
-					t.Fatalf("round trip changed message: %+v -> %+v", m, back)
-				}
+			if m.Type != MsgHashedDomainHello && m.Type != MsgHashedDomainSums || m.Order < 0 {
+				return // a negative order is refused downstream by the contract
 			}
-		}
-		dec := NewDecoder(bytes.NewReader(data))
-		for i := 0; i < 1000; i++ {
-			m, err := dec.Next()
+			var buf bytes.Buffer
+			enc := NewEncoder(&buf)
+			if err := enc.Encode(m); err != nil {
+				t.Fatalf("re-encoding decoded %+v: %v", m, err)
+			}
+			if err := enc.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			back, err := NewDecoder(bytes.NewReader(buf.Bytes())).Next()
 			if err != nil {
-				break // EOF or any descriptive error is fine
+				t.Fatalf("re-decoding %+v: %v", m, err)
 			}
-			check(m)
-		}
-		dec = NewDecoder(bytes.NewReader(data))
-		total := 0
-		for total < 100000 {
-			ms, err := dec.NextBatch()
-			if err != nil {
-				return // EOF or malformed input: any descriptive error is fine
+			if back != m {
+				t.Fatalf("round trip changed message: %+v -> %+v", m, back)
 			}
-			if len(ms) == 0 {
-				t.Fatal("NextBatch returned an empty slice without error")
-			}
-			for _, m := range ms {
-				check(m)
-			}
-			total += len(ms)
-		}
+		})
 	})
 }

@@ -319,8 +319,13 @@ func FuzzSumsDecode(f *testing.F) {
 		if !dyadic.IsPow2(frame.D) || frame.D > MaxSumsD {
 			t.Fatalf("decoded invalid horizon %d", frame.D)
 		}
-		if len(frame.Counters) != protocol.RawStride(frame.D) {
-			t.Fatalf("decoded %d counters for d=%d", len(frame.Counters), frame.D)
+		// A version-2 frame carries the columns of its scope's cover only.
+		sc := frame.Scope
+		if sc != (Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > frame.D) {
+			t.Fatalf("decoded scope [%d..%d] for d=%d", sc.L, sc.R, frame.D)
+		}
+		if len(frame.Counters) != protocol.ScopedStride(frame.D, sc.L, sc.R) {
+			t.Fatalf("decoded %d counters for d=%d scope [%d..%d]", len(frame.Counters), frame.D, sc.L, sc.R)
 		}
 		users, perOrder, _ := RawSums(frame).Row(0)
 		if users < 0 {
