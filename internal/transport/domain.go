@@ -34,47 +34,10 @@ const MaxDomainSums = 1 << 24
 
 // ValidateDomainIngest range-checks one domain hello or report message
 // against a domain server's parameters (horizon d, domain size m): the
-// exact-domain ingest contract (Ingest.check) with the refusal spelled
-// out.
+// exact-domain ingest contract's refusal (Ingest.explain), nil for a
+// message it accepts.
 func ValidateDomainIngest(d, m int, msg Msg) error {
-	return validateDomainIngest(d, m, dyadic.Log2(d), &msg)
-}
-
-// validateDomainIngest is the body of ValidateDomainIngest and the
-// exact-domain contract's error builder: it returns nil exactly when
-// Ingest.check accepts msg. maxOrder must be dyadic.Log2(d).
-func validateDomainIngest(d, m, maxOrder int, msg *Msg) error {
-	switch msg.Type {
-	case MsgDomainHello:
-		if msg.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", msg.User)
-		}
-		if uint(msg.Item) >= uint(m) {
-			return fmt.Errorf("transport: hello item %d out of range [0..%d)", msg.Item, m)
-		}
-		if uint(msg.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: hello order %d out of range [0..%d]", msg.Order, maxOrder)
-		}
-	case MsgDomainReport:
-		if msg.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", msg.User)
-		}
-		if uint(msg.Item) >= uint(m) {
-			return fmt.Errorf("transport: report item %d out of range [0..%d)", msg.Item, m)
-		}
-		if msg.Bit != 1 && msg.Bit != -1 {
-			return fmt.Errorf("transport: report bit %d not ±1", msg.Bit)
-		}
-		if uint(msg.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: report order %d out of range [0..%d]", msg.Order, maxOrder)
-		}
-		if uint(msg.J-1) >= uint(d>>uint(msg.Order)) {
-			return fmt.Errorf("transport: report index %d out of range for order %d", msg.J, msg.Order)
-		}
-	default:
-		return fmt.Errorf("transport: domain collector cannot ingest message type %d", msg.Type)
-	}
-	return nil
+	return (&Ingest{Hello: MsgDomainHello, Report: MsgDomainReport, Rows: m, D: d, LogD: dyadic.Log2(d)}).explain(&msg)
 }
 
 // ValidateDomainQuery range-checks an item-scoped query frame against a

@@ -18,53 +18,15 @@ import (
 // are new frame types.
 
 // ValidateHashedDomainIngest range-checks one hashed hello or
-// bucket-tagged report against a hashed server's parameters. A hello
-// must carry the server's exact epoch hash seed: a client hashing under
-// a different seed has a different item→bucket map, and its reports
-// would silently corrupt the aggregate. Plain MsgDomainHello is
-// rejected — an exact-encoding client cannot feed a hashed server.
+// bucket-tagged report against a hashed server's parameters: the hashed
+// ingest contract's refusal (Ingest.explain), nil for a message it
+// accepts. A hello must carry the server's exact epoch hash seed: a
+// client hashing under a different seed has a different item→bucket
+// map, and its reports would silently corrupt the aggregate. Plain
+// MsgDomainHello is rejected — an exact-encoding client cannot feed a
+// hashed server.
 func ValidateHashedDomainIngest(d int, enc hh.DomainEncoding, msg Msg) error {
-	return validateHashedDomainIngest(d, enc.G, enc.Seed, dyadic.Log2(d), &msg)
-}
-
-// validateHashedDomainIngest is the body of ValidateHashedDomainIngest
-// and the hashed contract's error builder (g buckets, epoch seed): it
-// returns nil exactly when Ingest.check accepts msg.
-func validateHashedDomainIngest(d, g int, seed uint64, maxOrder int, msg *Msg) error {
-	switch msg.Type {
-	case MsgHashedDomainHello:
-		if msg.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", msg.User)
-		}
-		if uint(msg.Item) >= uint(g) {
-			return fmt.Errorf("transport: hello bucket %d out of range [0..%d)", msg.Item, g)
-		}
-		if uint(msg.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: hello order %d out of range [0..%d]", msg.Order, maxOrder)
-		}
-		if msg.Seed != seed {
-			return fmt.Errorf("transport: hello hash seed %d does not match the server's epoch seed", msg.Seed)
-		}
-	case MsgDomainReport:
-		if msg.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", msg.User)
-		}
-		if uint(msg.Item) >= uint(g) {
-			return fmt.Errorf("transport: report bucket %d out of range [0..%d)", msg.Item, g)
-		}
-		if msg.Bit != 1 && msg.Bit != -1 {
-			return fmt.Errorf("transport: report bit %d not ±1", msg.Bit)
-		}
-		if uint(msg.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: report order %d out of range [0..%d]", msg.Order, maxOrder)
-		}
-		if uint(msg.J-1) >= uint(d>>uint(msg.Order)) {
-			return fmt.Errorf("transport: report index %d out of range for order %d", msg.J, msg.Order)
-		}
-	default:
-		return fmt.Errorf("transport: hashed domain collector cannot ingest message type %d", msg.Type)
-	}
-	return nil
+	return (&Ingest{Hello: MsgHashedDomainHello, Report: MsgDomainReport, Rows: enc.G, D: d, LogD: dyadic.Log2(d), Seed: enc.Seed}).explain(&msg)
 }
 
 // ValidateHashedDomainQuery range-checks an item-scoped query against a

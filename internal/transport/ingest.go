@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"rtf/internal/dyadic"
@@ -155,16 +156,38 @@ func (c *Ingest) check(m *Msg, r *Rec) bool {
 	return (m.Bit == 1 || m.Bit == -1) && uint(m.J-1) < uint(c.D)>>uint(m.Order)
 }
 
-// explain is the cold half of check: the error a message that failed it
-// is refused with.
+// explain is the cold half of check and the one ingest refusal
+// builder: nil exactly when check accepts m, otherwise the error that
+// names the first field out of range, in the order user, item or
+// bucket, bit, order, index, seed.
 func (c *Ingest) explain(m *Msg) error {
+	report, kind, row, who := m.Type == c.Report, "hello", "item", "domain "
+	if report {
+		kind = "report"
+	}
 	switch c.Hello {
 	case MsgHello:
-		return validateIngest(c.D, c.LogD, m)
-	case MsgDomainHello:
-		return validateDomainIngest(c.D, c.Rows, c.LogD, m)
+		who = ""
+	case MsgHashedDomainHello:
+		row, who = "bucket", "hashed domain "
 	}
-	return validateHashedDomainIngest(c.D, c.Rows, c.Seed, c.LogD, m)
+	switch {
+	case m.Type != c.Hello && m.Type != c.Report:
+		return fmt.Errorf("transport: %scollector cannot ingest message type %d", who, m.Type)
+	case m.User < 0:
+		return fmt.Errorf("transport: negative user id %d", m.User)
+	case c.Rows != 0 && uint(m.Item) >= uint(c.Rows):
+		return fmt.Errorf("transport: %s %s %d out of range [0..%d)", kind, row, m.Item, c.Rows)
+	case report && m.Bit != 1 && m.Bit != -1:
+		return fmt.Errorf("transport: report bit %d not ±1", m.Bit)
+	case uint(m.Order) > uint(c.LogD):
+		return fmt.Errorf("transport: %s order %d out of range [0..%d]", kind, m.Order, c.LogD)
+	case report && uint(m.J-1) >= uint(c.D>>uint(m.Order)):
+		return fmt.Errorf("transport: report index %d out of range for order %d", m.J, m.Order)
+	case m.Type == MsgHashedDomainHello && m.Seed != c.Seed:
+		return fmt.Errorf("transport: hello hash seed %d does not match the server's epoch seed", m.Seed)
+	}
+	return nil
 }
 
 // newIngest builds a contract. Records narrow the item and the interval

@@ -286,11 +286,17 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
 		}
+		if m.Order < 0 {
+			return nil, fmt.Errorf("transport: negative order %d", m.Order)
+		}
 		b = binary.AppendUvarint(b, uint64(m.User))
 		b = binary.AppendUvarint(b, uint64(m.Order))
 	case MsgReport:
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
+		}
+		if m.Order < 0 || m.J < 0 {
+			return nil, fmt.Errorf("transport: negative order %d or index %d", m.Order, m.J)
 		}
 		b = binary.AppendUvarint(b, uint64(m.User))
 		b = binary.AppendUvarint(b, uint64(m.Order))
@@ -316,6 +322,9 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
 		}
+		if m.Order < 0 {
+			return nil, fmt.Errorf("transport: negative order %d", m.Order)
+		}
 		if m.Item < 0 {
 			return nil, fmt.Errorf("transport: negative item %d", m.Item)
 		}
@@ -325,6 +334,9 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 	case MsgDomainReport:
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
+		}
+		if m.Order < 0 || m.J < 0 {
+			return nil, fmt.Errorf("transport: negative order %d or index %d", m.Order, m.J)
 		}
 		if m.Item < 0 {
 			return nil, fmt.Errorf("transport: negative item %d", m.Item)
@@ -353,6 +365,9 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 	case MsgHashedDomainHello:
 		if m.User < 0 {
 			return nil, fmt.Errorf("transport: negative user id %d", m.User)
+		}
+		if m.Order < 0 {
+			return nil, fmt.Errorf("transport: negative order %d", m.Order)
 		}
 		if m.Item < 0 {
 			return nil, fmt.Errorf("transport: negative bucket %d", m.Item)
@@ -848,39 +863,40 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		return v, true
 	}
 	switch m.Type {
-	case MsgHello:
+	case MsgHello, MsgReport, MsgDomainHello, MsgDomainReport, MsgHashedDomainHello:
+		// The one ingest layout: the user; the item or bucket on a domain
+		// type; the order; the index and the bit byte on a report; the
+		// epoch seed on a hashed hello.
+		report := m.Type == MsgReport || m.Type == MsgDomainReport
 		user, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
+		var item, h, last uint64
+		if ok && m.Type != MsgHello && m.Type != MsgReport {
+			item, ok = uvarint()
 		}
-		h, ok := uvarint()
-		if !ok {
+		if ok {
+			h, ok = uvarint()
+		}
+		if ok && (report || m.Type == MsgHashedDomainHello) {
+			last, ok = uvarint()
+		}
+		if !ok || report && off >= len(b) {
 			return 0, errShortMsg
 		}
 		if user > math.MaxInt {
 			return 0, fmt.Errorf("transport: user id %d overflows", user)
 		}
-		m.User, m.Order = int(user), int(h)
-	case MsgReport:
-		user, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
+		if item > math.MaxInt {
+			if m.Type == MsgHashedDomainHello {
+				return 0, fmt.Errorf("transport: bucket %d overflows", item)
+			}
+			return 0, fmt.Errorf("transport: item %d overflows", item)
 		}
-		h, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
+		m.User, m.Item, m.Order = int(user), int(item), int(h)
+		if !report {
+			m.Seed = last
+			break
 		}
-		j, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		if off >= len(b) {
-			return 0, errShortMsg
-		}
-		if user > math.MaxInt {
-			return 0, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		m.User, m.Order, m.J = int(user), int(h), int(j)
+		m.J = int(last)
 		switch b[off] {
 		case 1:
 			m.Bit = 1
@@ -921,62 +937,6 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 			return 0, fmt.Errorf("transport: unsupported sums-request version %d", b[off])
 		}
 		return decodeScope(b, off+1, m)
-	case MsgDomainHello:
-		user, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		item, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		h, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		if user > math.MaxInt {
-			return 0, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if item > math.MaxInt {
-			return 0, fmt.Errorf("transport: item %d overflows", item)
-		}
-		m.User, m.Item, m.Order = int(user), int(item), int(h)
-	case MsgDomainReport:
-		user, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		item, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		h, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		j, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		if off >= len(b) {
-			return 0, errShortMsg
-		}
-		if user > math.MaxInt {
-			return 0, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if item > math.MaxInt {
-			return 0, fmt.Errorf("transport: item %d overflows", item)
-		}
-		m.User, m.Item, m.Order, m.J = int(user), int(item), int(h), int(j)
-		switch b[off] {
-		case 1:
-			m.Bit = 1
-		case 0:
-			m.Bit = -1
-		default:
-			return 0, fmt.Errorf("transport: invalid bit byte %d", b[off])
-		}
-		off++
 	case MsgDomainQuery:
 		if off+2 > len(b) {
 			return 0, errShortMsg
@@ -1014,30 +974,6 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 			return 0, fmt.Errorf("transport: unsupported domain-sums-request version %d", b[off])
 		}
 		return decodeScope(b, off+1, m)
-	case MsgHashedDomainHello:
-		user, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		bucket, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		h, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		seed, ok := uvarint()
-		if !ok {
-			return 0, errShortMsg
-		}
-		if user > math.MaxInt {
-			return 0, fmt.Errorf("transport: user id %d overflows", user)
-		}
-		if bucket > math.MaxInt {
-			return 0, fmt.Errorf("transport: bucket %d overflows", bucket)
-		}
-		m.User, m.Item, m.Order, m.Seed = int(user), int(bucket), int(h), seed
 	case MsgHashedDomainSums:
 		if off >= len(b) {
 			return 0, errShortMsg
@@ -1267,38 +1203,7 @@ func (d *Decoder) ReadBatchAck() (applied bool, err error) {
 
 // ValidateIngest range-checks one hello or report message against the
 // dyadic-accumulator parameters for horizon d: the Boolean ingest
-// contract (Ingest.check) with the refusal spelled out. Every front
-// decodes under the same contract, so a batch a gateway accepts cannot
-// be rejected downstream by a backend.
-func ValidateIngest(d int, m Msg) error { return validateIngest(d, dyadic.Log2(d), &m) }
-
-// validateIngest is the body of ValidateIngest and the Boolean
-// contract's error builder: it returns nil exactly when Ingest.check
-// accepts m. maxOrder must be dyadic.Log2(d).
-func validateIngest(d, maxOrder int, m *Msg) error {
-	switch m.Type {
-	case MsgHello:
-		if m.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", m.User)
-		}
-		if uint(m.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: hello order %d out of range [0..%d]", m.Order, maxOrder)
-		}
-	case MsgReport:
-		if m.User < 0 {
-			return fmt.Errorf("transport: negative user id %d", m.User)
-		}
-		if m.Bit != 1 && m.Bit != -1 {
-			return fmt.Errorf("transport: report bit %d not ±1", m.Bit)
-		}
-		if uint(m.Order) > uint(maxOrder) {
-			return fmt.Errorf("transport: report order %d out of range [0..%d]", m.Order, maxOrder)
-		}
-		if uint(m.J-1) >= uint(d>>uint(m.Order)) {
-			return fmt.Errorf("transport: report index %d out of range for order %d", m.J, m.Order)
-		}
-	default:
-		return fmt.Errorf("transport: collector cannot ingest message type %d", m.Type)
-	}
-	return nil
+// contract's refusal (Ingest.explain), nil for a message it accepts.
+func ValidateIngest(d int, m Msg) error {
+	return (&Ingest{Hello: MsgHello, Report: MsgReport, D: d, LogD: dyadic.Log2(d)}).explain(&m)
 }
