@@ -85,6 +85,9 @@ func TestDomainEncodeValidation(t *testing.T) {
 		{Type: MsgDomainReport, User: -1, Item: 0, J: 1, Bit: 1},
 		{Type: MsgDomainReport, User: 1, Item: -2, J: 1, Bit: 1},
 		{Type: MsgDomainReport, User: 1, Item: 0, J: 1, Bit: 0},
+		{Type: MsgDomainHello, User: 1, Item: 0, Order: -1},
+		{Type: MsgDomainReport, User: 1, Item: 0, Order: -1, J: 1, Bit: 1},
+		{Type: MsgDomainReport, User: 1, Item: 0, J: -3, Bit: 1},
 		{Type: MsgDomainQuery, Kind: QueryPointItem, Item: -1},
 		{Type: MsgDomainQuery, Kind: QueryTopK, K: -1},
 	}

@@ -110,6 +110,7 @@ func TestHashedDomainEncodeValidation(t *testing.T) {
 	bad := []Msg{
 		{Type: MsgHashedDomainHello, User: -1},
 		{Type: MsgHashedDomainHello, User: 1, Item: -1},
+		{Type: MsgHashedDomainHello, User: 1, Item: 0, Order: -1, Seed: hashedTestSeed},
 		{Type: MsgHashedDomainSums, Item: -1, K: 2},
 		{Type: MsgHashedDomainSums, Item: 2, K: -1},
 	}

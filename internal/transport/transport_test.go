@@ -78,6 +78,13 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	if err := enc.Encode(Msg{Type: 99}); err == nil {
 		t.Error("unknown type accepted")
 	}
+	// Every contract refuses a negative order or index, so the encoder
+	// must not put one on the wire for a whole batch to fail at the server.
+	for _, m := range []Msg{Hello(1, -1), {Type: MsgReport, User: 1, Order: -1, J: 1, Bit: 1}, {Type: MsgReport, User: 1, J: -3, Bit: 1}} {
+		if err := enc.Encode(m); err == nil {
+			t.Errorf("%+v accepted", m)
+		}
+	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
