@@ -83,31 +83,31 @@ func (b *BatchReporter) BytesWritten() int64 { return b.enc.BytesWritten() }
 // IngestFrom decodes framed messages from r — single messages or batch
 // frames, as produced by a BatchReporter — and applies them to the
 // server until EOF: order announcements register users, reports
-// accumulate. It is the reader-side counterpart of BatchReporter for
-// deployments that move reports through files, pipes or message queues
-// rather than the live rtf-serve TCP service.
+// accumulate. Each frame is decoded whole under the Boolean ingest
+// contract before any of it applies, so a malformed or out-of-range
+// message fails its frame with nothing of that frame applied. It is the
+// reader-side counterpart of BatchReporter for deployments that move
+// reports through files, pipes or message queues rather than the live
+// rtf-serve TCP service.
 func (s *Server) IngestFrom(r io.Reader) error {
 	dec := transport.NewDecoder(r)
+	c := transport.BoolMode(s.d, 0).Ingest()
+	c.Reads = 0 // an ingest stream: a query fails it
 	for {
-		ms, err := dec.NextBatch()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
+		f, err := dec.NextFrame(&c)
+		if errors.Is(err, io.EOF) {
+			return nil
+		} else if err != nil {
 			return err
 		}
-		for _, m := range ms {
-			switch m.Type {
-			case transport.MsgHello:
-				if err := s.Register(m.Order); err != nil {
-					return err
-				}
-			case transport.MsgReport:
-				if err := s.Ingest(Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit}); err != nil {
-					return err
-				}
-			default:
-				return fmt.Errorf("ldp: unexpected message type %d in ingest stream", m.Type)
+		for _, rec := range f.Recs {
+			if rec.Bit == 0 {
+				err = s.Register(int(rec.Order))
+			} else {
+				err = s.Ingest(Report{User: rec.User, Order: int(rec.Order), J: int(rec.J), Bit: rec.Bit})
+			}
+			if err != nil {
+				return err
 			}
 		}
 	}
