@@ -1,17 +1,19 @@
 // Distributed: the protocol as a real networked system. A server listens
 // on a TCP loopback socket; 5,000 concurrent client goroutines dial in,
 // announce their sampled order, and stream wire-format reports for 128
-// periods. The server decodes, aggregates and prints online estimates.
-// This is the same code path a production deployment would use — only
-// the dial address would change.
+// periods. The server is transport.IngestServer over a sharded
+// collector, the engine behind cmd/rtf-serve: it decodes every frame
+// under the Boolean ingest contract, aggregates into per-connection
+// counter shards, and the example prints online estimates once it has
+// drained. Only the dial address would change in a deployment.
 package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"sync"
+	"time"
 
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
@@ -37,53 +39,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := protocol.NewServer(periods, protocol.EstimatorScale(periods, factories[0].CGap()))
+	acc := protocol.NewSharded(periods, protocol.EstimatorScale(periods, factories[0].CGap()), 4)
+	srv := transport.NewIngestServer(transport.NewShardedCollector(acc))
+	srv.ErrorLog = func(err error) { log.Print(err) }
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	fmt.Println("server listening on", addr)
-
-	// Server: accept every connection, decode messages, aggregate.
-	var serverWG sync.WaitGroup
-	var mu sync.Mutex // guards srv across connection goroutines
-	serverWG.Add(1)
+	ready := make(chan net.Addr, 1)
 	go func() {
-		defer serverWG.Done()
-		var connWG sync.WaitGroup
-		for i := 0; i < users; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				log.Fatal(err)
-			}
-			connWG.Add(1)
-			go func(conn net.Conn) {
-				defer connWG.Done()
-				defer conn.Close()
-				dec := transport.NewDecoder(conn)
-				for {
-					m, err := dec.Next()
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						log.Fatal(err)
-					}
-					mu.Lock()
-					switch m.Type {
-					case transport.MsgHello:
-						srv.Register(m.Order)
-					case transport.MsgReport:
-						srv.Ingest(m.Report())
-					}
-					mu.Unlock()
-				}
-			}(conn)
+		if err := srv.ListenAndServe("127.0.0.1:0", ready); err != nil {
+			log.Fatal(err)
 		}
-		connWG.Wait()
 	}()
+	addr := (<-ready).String()
+	fmt.Println("server listening on", addr)
 
 	// Clients: each user dials, runs Algorithm 1 and streams reports. A
 	// semaphore caps concurrent sockets below typical fd limits.
@@ -120,13 +87,16 @@ func main() {
 		}(u, base.Derive(uint64(u)))
 	}
 	clientWG.Wait()
-	serverWG.Wait()
-	ln.Close()
+	// Every client has closed its connection: Shutdown stops listening and
+	// returns once each connection's stream is applied.
+	if err := srv.Shutdown(10 * time.Second); err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Printf("all %d clients reported (%d registered)\n\n", users, srv.Users())
+	fmt.Printf("all %d clients reported (%d registered)\n\n", users, acc.Users())
 	fmt.Println("t     truth   estimate")
 	for _, t := range []int{16, 64, 128} {
-		fmt.Printf("%-5d %-7d %.0f\n", t, truth[t-1], srv.EstimateAt(t))
+		fmt.Printf("%-5d %-7d %.0f\n", t, truth[t-1], acc.EstimateAt(t))
 	}
 	fmt.Println("\n(5k users is far below the √n noise floor — run the quickstart for")
 	fmt.Println(" an accuracy demo; this example demonstrates the networked pipeline)")
