@@ -1,11 +1,12 @@
 // Distributed: the protocol as a real networked system. A server listens
 // on a TCP loopback socket; 5,000 concurrent client goroutines dial in,
 // announce their sampled order, and stream wire-format reports for 128
-// periods. The server is transport.IngestServer over a sharded
-// collector, the engine behind cmd/rtf-serve: it decodes every frame
-// under the Boolean ingest contract, aggregates into per-connection
-// counter shards, and the example prints online estimates once it has
-// drained. Only the dial address would change in a deployment.
+// periods, then wait for the server's answer to one read. The server is
+// transport.IngestServer over a sharded collector, the engine behind
+// cmd/rtf-serve: it decodes every frame under the Boolean ingest
+// contract and aggregates into per-connection counter shards; the
+// example prints online estimates once it has drained. Only the dial
+// address would change in a deployment.
 package main
 
 import (
@@ -43,13 +44,15 @@ func main() {
 	srv := transport.NewIngestServer(transport.NewShardedCollector(acc))
 	srv.ErrorLog = func(err error) { log.Print(err) }
 
-	ready := make(chan net.Addr, 1)
-	go func() {
-		if err := srv.ListenAndServe("127.0.0.1:0", ready); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	addr := (<-ready).String()
+	ready, served := make(chan net.Addr, 1), make(chan error, 1)
+	go func() { served <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+	var addr string
+	select {
+	case a := <-ready:
+		addr = a.String()
+	case err := <-served:
+		log.Fatal(err)
+	}
 	fmt.Println("server listening on", addr)
 
 	// Clients: each user dials, runs Algorithm 1 and streams reports. A
@@ -81,15 +84,27 @@ func main() {
 					}
 				}
 			}
+			// The server handles a connection's frames in order, so its
+			// answer to a read is its word that every report before it is
+			// applied: a client that has it may hang up.
+			if err := enc.Encode(transport.QueryV2(transport.QueryPoint, periods, 0)); err != nil {
+				log.Fatal(err)
+			}
 			if err := enc.Flush(); err != nil {
+				log.Fatal(err)
+			}
+			if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
 				log.Fatal(err)
 			}
 		}(u, base.Derive(uint64(u)))
 	}
 	clientWG.Wait()
-	// Every client has closed its connection: Shutdown stops listening and
-	// returns once each connection's stream is applied.
+	// Every stream is applied: Shutdown stops listening and returns once
+	// the connections have closed.
 	if err := srv.Shutdown(10 * time.Second); err != nil {
+		log.Fatal(err)
+	}
+	if err := <-served; err != nil {
 		log.Fatal(err)
 	}
 
