@@ -13,9 +13,14 @@ import (
 // loop decodes a frame straight into Recs with every field checked
 // against the mode's Ingest contract while it is still in a register,
 // and everything downstream — states, stores, sessions, the gateway —
-// takes records plus the bytes that encoded them. Msg remains the view
-// of scalar reads, control frames, the encode side and mode-less callers
-// (NextBatch).
+// takes records plus the bytes that encoded them. The general scalar
+// decoder (decodeScalarInto) reads the same ingest layout in one case —
+// user, item or bucket, order, index and bit, seed — for the messages
+// the kernel passes on, and Ingest.explain is the one refusal builder.
+// Msg remains the view of scalar reads, control frames and the encode
+// side; its ingest half — Decoder.Next / NextBatch, Store.SendBatch and
+// the Validate*Ingest wrappers — stays only for tests and the benchmark
+// ladder.
 
 // Rec is one validated ingest message. A record only exists once its
 // message passed the contract it was decoded under, so whoever holds one
@@ -27,8 +32,9 @@ type Rec struct {
 	Order uint8
 	Bit   int8 // ±1 on a report, 0 on a hello
 	// Len is the message's wire length (at most maxScalarWire), so a
-	// frame's bytes split by record without an offset table. It is 0 on a
-	// record converted from a Msg.
+	// frame's bytes split by record without an offset table. Every record
+	// of a decoded frame has one, the kernel's and the general decoder's
+	// alike; it is 0 only on a record SendBatch converted from a Msg.
 	Len uint8
 }
 

@@ -508,8 +508,9 @@ func (e *Encoder) BytesWritten() int64 { return e.n }
 // Decoder reads messages from a stream. It has two views of an ingest
 // frame, filled by the same window loop (readFrame): NextFrame decodes
 // straight into validated records under a mode's contract — what every
-// server runs — and Next / NextBatch decode into Msgs for callers that
-// have no mode.
+// server and ldp.Server.IngestFrom run — and Next / NextBatch decode
+// into unvalidated Msgs for callers that have no mode, which outside
+// tests is only the benchmark ladder.
 type Decoder struct {
 	r   *bufio.Reader
 	src io.Reader // what r reads from, kept so the buffer can grow
@@ -573,7 +574,8 @@ func (d *Decoder) Next() (Msg, error) {
 // scalar frame yields a one-element slice. The returned slice is only
 // valid until the next Decoder call. Any messages still pending from a
 // partially Next-consumed batch are returned first. Empty batch frames
-// are skipped.
+// are skipped. Nothing is range-checked: a caller that ingests what it
+// returns wants NextFrame, which decodes under a contract.
 func (d *Decoder) NextBatch() ([]Msg, error) {
 	for d.next == len(d.pending) {
 		if err := d.readFrame(nil); err != nil {
@@ -588,7 +590,7 @@ func (d *Decoder) NextBatch() ([]Msg, error) {
 // NextFrame decodes one frame under a mode's ingest contract: every
 // ingest message becomes a validated record, every type in c.Reads is
 // handed back as a read at its position, and anything else fails the
-// frame with the error the mode's Validate*Ingest gives it — before the
+// frame with the error the contract's explain gives it — before the
 // caller has seen, let alone applied, any of it. Empty batch frames are
 // skipped. The frame is valid until the next Decoder call.
 func (d *Decoder) NextFrame(c *Ingest) (*Frame, error) {
