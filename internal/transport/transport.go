@@ -1206,6 +1206,8 @@ func (d *Decoder) ReadBatchAck() (applied bool, err error) {
 // ValidateIngest range-checks one hello or report message against the
 // dyadic-accumulator parameters for horizon d: the Boolean ingest
 // contract's refusal (Ingest.explain), nil for a message it accepts.
+// Every front decodes under the same contract, so a batch a gateway
+// accepts cannot be rejected downstream by a backend.
 func ValidateIngest(d int, m Msg) error {
 	return (&Ingest{Hello: MsgHello, Report: MsgReport, D: d, LogD: dyadic.Log2(d)}).explain(&m)
 }
