@@ -108,29 +108,38 @@ type config struct {
 	members  []membership.Member // dynamic membership; nil under -backends
 	replicas int
 	vshards  int
+
+	// The raw flag values check resolves.
+	backendsSpec, membersSpec string
+	encName                   string
+	buckets                   int
+	hseed                     uint64
 }
 
 // parseConfig parses args and refuses every unsupported combination
 // with a message naming the flags at fault, before anything listens or
 // dials.
 func parseConfig(args []string) (config, error) {
-	var (
-		c                 config
-		backends, members string
-		encName           string
-		buckets           int
-		hseed             uint64
-	)
+	var c config
+	if err := flagSet(&c).Parse(args); err != nil {
+		return c, err
+	}
+	err := c.check()
+	return c, err
+}
+
+// flagSet registers every rtf-gateway flag on a fresh set, bound to c.
+func flagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("rtf-gateway", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
-	fs.StringVar(&backends, "backends", "", "comma-separated rtf-serve backend addresses; the order is the partition map (user mod N) and must match every other gateway")
+	fs.StringVar(&c.backendsSpec, "backends", "", "comma-separated rtf-serve backend addresses; the order is the partition map (user mod N) and must match every other gateway")
 	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism the backends host (must have the clustered capability); must match backends and clients")
 	fs.IntVar(&c.d, "d", 1024, "time periods (power of two); must match backends and clients")
 	fs.IntVar(&c.k, "k", 8, "max changes per user; must match backends and clients")
 	fs.IntVar(&c.m, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match backends and clients")
-	fs.StringVar(&encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact or loloha; must match backends and clients")
-	fs.IntVar(&buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match backends and clients")
-	fs.Uint64Var(&hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match backends and clients")
+	fs.StringVar(&c.encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact or loloha; must match backends and clients")
+	fs.IntVar(&c.buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match backends and clients")
+	fs.Uint64Var(&c.hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match backends and clients")
 	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget (0 < eps <= 1); must match backends and clients")
 	fs.IntVar(&c.opts.DialAttempts, "dial-attempts", 10, "re-dial attempts per backend operation (exponential backoff between attempts)")
 	fs.IntVar(&c.opts.PoolSize, "pool", 4, "idle connections pooled per backend")
@@ -139,49 +148,51 @@ func parseConfig(args []string) (config, error) {
 	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole before any forward, legacy batches block (0 = unbounded)")
 	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline)")
 	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off)")
-	fs.StringVar(&members, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
+	fs.StringVar(&c.membersSpec, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
 	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
 	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced; a writer's read-your-writes fence refreshes it sooner (0 = off; the cache then serves only provably exact entries)")
 	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
+	return fs
+}
 
+// check resolves the parsed flags to the protocol mode and the
+// placement, refusing every unsupported combination.
+func (c *config) check() error {
 	if !dyadic.IsPow2(c.d) {
-		return c, fmt.Errorf("d=%d is not a power of two", c.d)
+		return fmt.Errorf("d=%d is not a power of two", c.d)
 	}
 	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
 	if !ok {
-		return c, fmt.Errorf("unknown mechanism %q; clustered mechanisms: %s", c.mech, clustered())
+		return fmt.Errorf("unknown mechanism %q; clustered mechanisms: %s", c.mech, clustered())
 	}
 	if !mc.Caps.Clustered {
-		return c, fmt.Errorf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: %s", c.mech, clustered())
+		return fmt.Errorf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: %s", c.mech, clustered())
 	}
 	if c.m > 0 {
-		if err := ldp.ValidateDomainSize(c.m, encName); err != nil {
-			return c, err
+		if err := ldp.ValidateDomainSize(c.m, c.encName); err != nil {
+			return err
 		}
 		if !mc.Caps.Domain {
-			return c, fmt.Errorf("mechanism %q cannot host domain tracking", c.mech)
+			return fmt.Errorf("mechanism %q cannot host domain tracking", c.mech)
 		}
-		if encName == hh.EncodingLoloha {
+		if c.encName == hh.EncodingLoloha {
 			if !mc.Caps.HashedDomain {
-				return c, fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
+				return fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
 			}
-			c.enc = hh.LolohaEncoding(c.m, buckets, hseed)
+			c.enc = hh.LolohaEncoding(c.m, c.buckets, c.hseed)
 			if err := c.enc.Validate(); err != nil {
-				return c, err
+				return err
 			}
-		} else if buckets != 0 || hseed != 0 {
-			return c, fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
+		} else if c.buckets != 0 || c.hseed != 0 {
+			return fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
 		}
-	} else if encName != hh.EncodingExact || buckets != 0 || hseed != 0 {
-		return c, fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
+	} else if c.encName != hh.EncodingExact || c.buckets != 0 || c.hseed != 0 {
+		return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
 	}
 	var err error
 	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
-		return c, err
+		return err
 	}
 	switch {
 	case c.enc.Hashed():
@@ -191,20 +202,20 @@ func parseConfig(args []string) (config, error) {
 	default:
 		c.mode = transport.BoolMode(c.d, c.scale)
 	}
-	if members == "" {
-		c.backends, err = parseBackends(backends)
-		return c, err
+	if c.membersSpec == "" {
+		c.backends, err = parseBackends(c.backendsSpec)
+		return err
 	}
-	if backends != "" {
-		return c, fmt.Errorf("-members and -backends are mutually exclusive: one gateway fronts either a static partition map or a dynamic member set")
+	if c.backendsSpec != "" {
+		return fmt.Errorf("-members and -backends are mutually exclusive: one gateway fronts either a static partition map or a dynamic member set")
 	}
-	if c.members, err = membership.ParseMembers(members); err != nil {
-		return c, err
+	if c.members, err = membership.ParseMembers(c.membersSpec); err != nil {
+		return err
 	}
 	if c.vshards < 1 || c.vshards > membership.MaxShards {
-		return c, fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
+		return fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
 	}
-	return c, nil
+	return nil
 }
 
 func main() {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"reflect"
 	"strings"
 	"testing"
@@ -134,5 +135,40 @@ func TestParseConfig(t *testing.T) {
 				t.Fatalf("parseConfig(%q) error = %q, want it to contain %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFlagSet pins every flag rtf-gateway accepts, with its default: a
+// deployment's scripts name these, so a rename or a moved default is a
+// breaking change however the flags are registered.
+func TestFlagSet(t *testing.T) {
+	want := [][2]string{
+		{"addr", ":7609"},
+		{"answer-cache-ttl", "0s"},
+		{"backends", ""},
+		{"buckets", "0"},
+		{"d", "1024"},
+		{"dial-attempts", "10"},
+		{"encoding", "exact"},
+		{"eps", "1"},
+		{"fetch-timeout", "0s"},
+		{"grace", "10s"},
+		{"hash-seed", "0"},
+		{"hedge", "0s"},
+		{"k", "8"},
+		{"m", "0"},
+		{"mechanism", "futurerand"},
+		{"members", ""},
+		{"metrics", ""},
+		{"pool", "4"},
+		{"pprof", "false"},
+		{"queue", "0"},
+		{"replicas", "2"},
+		{"vshards", "64"},
+	}
+	var got [][2]string
+	flagSet(new(config)).VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags (name, default):\n got %q\nwant %q", got, want)
 	}
 }

@@ -125,6 +125,15 @@ type config struct {
 // with a message naming the flags at fault, before anything listens.
 func parseConfig(args []string) (config, error) {
 	var c config
+	if err := flagSet(&c).Parse(args); err != nil {
+		return c, err
+	}
+	err := c.check()
+	return c, err
+}
+
+// flagSet registers every rtf-serve flag on a fresh set, bound to c.
+func flagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("rtf-serve", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
 	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism to host (must have the sharded capability); must match clients")
@@ -149,49 +158,51 @@ func parseConfig(args []string) (config, error) {
 	fs.BoolVar(&c.membership, "membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
 	fs.StringVar(&c.id, "id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -membership; must match the gateway's -vshards")
-	if err := fs.Parse(args); err != nil {
-		return c, err
-	}
+	return fs
+}
 
+// check resolves the parsed flags to the protocol mode, refusing every
+// unsupported combination.
+func (c *config) check() error {
 	if !dyadic.IsPow2(c.d) {
-		return c, fmt.Errorf("d=%d is not a power of two", c.d)
+		return fmt.Errorf("d=%d is not a power of two", c.d)
 	}
 	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
 	if !ok {
-		return c, fmt.Errorf("unknown mechanism %q; registered: %s", c.mech, hostable(false))
+		return fmt.Errorf("unknown mechanism %q; registered: %s", c.mech, hostable(false))
 	}
 	hashed := false
 	if c.m > 0 {
 		if err := ldp.ValidateDomainSize(c.m, c.encName); err != nil {
-			return c, err
+			return err
 		}
 		if !mc.Caps.Domain {
-			return c, fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", c.mech, hostable(true))
+			return fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", c.mech, hostable(true))
 		}
 		hashed = c.encName == hh.EncodingLoloha
 		if !hashed && (c.buckets != 0 || c.hseed != 0) {
-			return c, fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
+			return fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
 		}
 	} else {
 		if c.encName != hh.EncodingExact || c.buckets != 0 || c.hseed != 0 {
-			return c, fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
+			return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
 		}
 		if !mc.Caps.Sharded {
-			return c, fmt.Errorf("mechanism %q cannot be hosted on the sharded accumulator; hostable: %s", c.mech, hostable(false))
+			return fmt.Errorf("mechanism %q cannot be hosted on the sharded accumulator; hostable: %s", c.mech, hostable(false))
 		}
 	}
 	var err error
 	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
-		return c, err
+		return err
 	}
 	switch {
 	case hashed:
 		if !mc.Caps.HashedDomain {
-			return c, fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
+			return fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
 		}
 		enc := hh.LolohaEncoding(c.m, c.buckets, c.hseed)
 		if err := enc.Validate(); err != nil {
-			return c, err
+			return err
 		}
 		c.mode = transport.HashedMode(c.d, enc, c.scale)
 	case c.m > 0:
@@ -200,17 +211,17 @@ func parseConfig(args []string) (config, error) {
 		c.mode = transport.BoolMode(c.d, c.scale)
 	}
 	if c.shards < 1 {
-		return c, fmt.Errorf("shards=%d must be >= 1", c.shards)
+		return fmt.Errorf("shards=%d must be >= 1", c.shards)
 	}
 	if c.membership {
 		if c.id == "" {
-			return c, fmt.Errorf("-membership requires -id (the member ID the gateway routes by)")
+			return fmt.Errorf("-membership requires -id (the member ID the gateway routes by)")
 		}
 		if c.vshards < 1 || c.vshards > membership.MaxShards {
-			return c, fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
+			return fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // meta describes the hosting configuration recorded in (and checked

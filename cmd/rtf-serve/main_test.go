@@ -1,6 +1,10 @@
 package main
 
 import (
+	"flag"
+	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,5 +79,42 @@ func TestParseConfig(t *testing.T) {
 				t.Fatalf("parseConfig(%q) error = %q, want it to contain %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestFlagSet pins every flag rtf-serve accepts, with its default: a
+// deployment's scripts name these, so a rename or a moved default is a
+// breaking change however the flags are registered. -shards defaults
+// to the process's GOMAXPROCS.
+func TestFlagSet(t *testing.T) {
+	want := [][2]string{
+		{"addr", ":7609"},
+		{"buckets", "0"},
+		{"d", "1024"},
+		{"data-dir", ""},
+		{"encoding", "exact"},
+		{"eps", "1"},
+		{"fsync", "false"},
+		{"grace", "10s"},
+		{"hash-seed", "0"},
+		{"id", ""},
+		{"k", "8"},
+		{"m", "0"},
+		{"mechanism", "futurerand"},
+		{"membership", "false"},
+		{"metrics", ""},
+		{"pprof", "false"},
+		{"queue", "0"},
+		{"shards", strconv.Itoa(runtime.GOMAXPROCS(0))},
+		{"snapshot-every", "1m0s"},
+		{"stats", "0s"},
+		{"tolerate-torn-tail", "false"},
+		{"vshards", "64"},
+		{"wal-commit-interval", "0s"},
+	}
+	var got [][2]string
+	flagSet(new(config)).VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flags (name, default):\n got %q\nwant %q", got, want)
 	}
 }
