@@ -68,52 +68,33 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"rtf/internal/cluster"
-	"rtf/internal/dyadic"
-	"rtf/internal/hh"
+	"rtf/internal/front"
 	"rtf/internal/membership"
 	"rtf/internal/obs"
 	"rtf/internal/transport"
-	"rtf/ldp"
 )
 
-// config is the parsed and cross-checked flag set.
+// config is the parsed and cross-checked flag set: the shared protocol
+// and lifecycle blocks, then rtf-gateway's own placement and cluster
+// flags.
 type config struct {
-	addr, mech string
-	d, k, m    int
-	eps        float64
-	enc        hh.DomainEncoding // hashed mode only; zero otherwise
-	scale      float64
-	mode       transport.Mode
-	opts       transport.ClusterOptions
-	grace      time.Duration
-	metrics    string
-	queue      int
-	cacheTTL   time.Duration
-	pprof      bool
+	front.Config
+	opts     transport.ClusterOptions
+	cacheTTL time.Duration
 
 	backends []string // static partition map; nil under -members
 
-	members  []membership.Member // dynamic membership; nil under -backends
-	replicas int
-	vshards  int
+	members           []membership.Member // dynamic membership; nil under -backends
+	replicas, vshards int
 
-	// The raw flag values check resolves.
-	backendsSpec, membersSpec string
-	encName                   string
-	buckets                   int
-	hseed                     uint64
+	backendsSpec, membersSpec string // the raw flags check resolves
 }
 
 // parseConfig parses args and refuses every unsupported combination
@@ -131,77 +112,26 @@ func parseConfig(args []string) (config, error) {
 // flagSet registers every rtf-gateway flag on a fresh set, bound to c.
 func flagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("rtf-gateway", flag.ContinueOnError)
-	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
+	c.Register(fs)
 	fs.StringVar(&c.backendsSpec, "backends", "", "comma-separated rtf-serve backend addresses; the order is the partition map (user mod N) and must match every other gateway")
-	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism the backends host (must have the clustered capability); must match backends and clients")
-	fs.IntVar(&c.d, "d", 1024, "time periods (power of two); must match backends and clients")
-	fs.IntVar(&c.k, "k", 8, "max changes per user; must match backends and clients")
-	fs.IntVar(&c.m, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match backends and clients")
-	fs.StringVar(&c.encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact or loloha; must match backends and clients")
-	fs.IntVar(&c.buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match backends and clients")
-	fs.Uint64Var(&c.hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match backends and clients")
-	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget (0 < eps <= 1); must match backends and clients")
 	fs.IntVar(&c.opts.DialAttempts, "dial-attempts", 10, "re-dial attempts per backend operation (exponential backoff between attempts)")
 	fs.IntVar(&c.opts.PoolSize, "pool", 4, "idle connections pooled per backend")
-	fs.DurationVar(&c.grace, "grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
-	fs.StringVar(&c.metrics, "metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
-	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole before any forward, legacy batches block (0 = unbounded)")
 	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline)")
 	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off)")
 	fs.StringVar(&c.membersSpec, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
 	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
 	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced; a writer's read-your-writes fence refreshes it sooner (0 = off; the cache then serves only provably exact entries)")
-	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
 	return fs
 }
 
-// check resolves the parsed flags to the protocol mode and the
-// placement, refusing every unsupported combination.
+// check resolves the protocol block for a gateway and the placement,
+// refusing every unsupported combination.
 func (c *config) check() error {
-	if !dyadic.IsPow2(c.d) {
-		return fmt.Errorf("d=%d is not a power of two", c.d)
-	}
-	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
-	if !ok {
-		return fmt.Errorf("unknown mechanism %q; clustered mechanisms: %s", c.mech, clustered())
-	}
-	if !mc.Caps.Clustered {
-		return fmt.Errorf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: %s", c.mech, clustered())
-	}
-	if c.m > 0 {
-		if err := ldp.ValidateDomainSize(c.m, c.encName); err != nil {
-			return err
-		}
-		if !mc.Caps.Domain {
-			return fmt.Errorf("mechanism %q cannot host domain tracking", c.mech)
-		}
-		if c.encName == hh.EncodingLoloha {
-			if !mc.Caps.HashedDomain {
-				return fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
-			}
-			c.enc = hh.LolohaEncoding(c.m, c.buckets, c.hseed)
-			if err := c.enc.Validate(); err != nil {
-				return err
-			}
-		} else if c.buckets != 0 || c.hseed != 0 {
-			return fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
-		}
-	} else if c.encName != hh.EncodingExact || c.buckets != 0 || c.hseed != 0 {
-		return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
-	}
-	var err error
-	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
+	if err := c.Resolve(front.Gateway); err != nil {
 		return err
 	}
-	switch {
-	case c.enc.Hashed():
-		c.mode = transport.HashedMode(c.d, c.enc, c.scale)
-	case c.m > 0:
-		c.mode = transport.DomainMode(c.d, c.m, c.scale)
-	default:
-		c.mode = transport.BoolMode(c.d, c.scale)
-	}
+	var err error
 	if c.membersSpec == "" {
 		c.backends, err = parseBackends(c.backendsSpec)
 		return err
@@ -220,24 +150,20 @@ func (c *config) check() error {
 
 func main() {
 	cfg, err := parseConfig(os.Args[1:])
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
-	}
 	if err != nil {
 		fatal(err)
 	}
 	logger := obs.NewLogger(os.Stderr, "rtf-gateway")
-	place, listening := cluster.Static(cfg.backends), []any{"backends", strings.Join(cfg.backends, ",")}
+	place, hooks := cluster.Static(cfg.backends), front.Hooks{Listening: []any{"backends", strings.Join(cfg.backends, ",")}}
 	if cfg.members != nil {
 		place = cluster.Members(cfg.vshards, cfg.replicas, cfg.members)
-		listening = []any{"members", len(cfg.members), "replicas", cfg.replicas, "vshards", cfg.vshards}
+		hooks.Listening = []any{"members", len(cfg.members), "replicas", cfg.replicas, "vshards", cfg.vshards}
 	}
-	gw, err := cluster.New(cfg.mode, place, cfg.opts)
+	gw, err := cluster.New(cfg.Mode, place, cfg.opts)
 	if err != nil {
 		fatal(err)
 	}
 	gw.AnswerCacheTTL = cfg.cacheTTL
-	var mount func(*obs.Registry, *http.ServeMux)
 	if cfg.members != nil {
 		// Backends may still be coming up; the announce rides the pool's
 		// dial backoff.
@@ -245,70 +171,9 @@ func main() {
 			fatal(err)
 		}
 		logView(logger, gw.View())
-		mount = membershipAdmin(logger, gw)
+		hooks.Mount = membershipAdmin(logger, gw)
 	}
-	serve(logger, cfg, gw.Server, mount, listening)
-}
-
-// serve runs one gateway front to completion: metrics registry and
-// listener (mount adds front-specific instruments and handlers), signal
-// handling, and the listening line. It does not return except through
-// fatal or a clean drain.
-func serve(logger *obs.Logger, cfg config, srv *transport.Server,
-	mount func(reg *obs.Registry, mux *http.ServeMux), listening []any) {
-	srv.ErrorLog = func(err error) { logger.Error("gateway", "err", err) }
-	reg := obs.NewRegistry()
-	reg.SetInfo("component", "rtf-gateway")
-	reg.SetInfo("mechanism", cfg.mech)
-	obs.RegisterProcessMetrics(reg)
-	srv.Metrics = transport.NewServerMetrics(reg)
-	if cfg.queue > 0 {
-		srv.Queue = transport.NewIngestQueue(cfg.queue)
-		srv.Metrics.RegisterQueue(srv.Queue)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", reg)
-	if mount != nil {
-		mount(reg, mux)
-	}
-	metricsAddr := ""
-	if cfg.metrics != "" {
-		mln, err := net.Listen("tcp", cfg.metrics)
-		if err != nil {
-			fatal(err)
-		}
-		metricsAddr = mln.Addr().String()
-		if cfg.pprof {
-			obs.MountPprof(mux)
-		}
-		go http.Serve(mln, mux)
-	}
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining", "signal", s, "grace", cfg.grace)
-		go func() {
-			<-sig
-			logger.Error("second signal: exiting immediately")
-			os.Exit(1)
-		}()
-		srv.Shutdown(cfg.grace)
-	}()
-
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(cfg.addr, ready) }()
-	select {
-	case a := <-ready:
-		logger.Info("listening", append([]any{"addr", a, "metrics", metricsAddr,
-			"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
-			"queue", cfg.queue}, listening...)...)
-	case err := <-errc:
-		fatal(err)
-	}
-	if err := <-errc; err != nil {
+	if err := cfg.Serve(logger, gw.Server, hooks); err != nil {
 		fatal(err)
 	}
 	logger.Info("done")
@@ -323,10 +188,9 @@ func parseBackends(spec string) ([]string, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, fmt.Errorf("-backends is required (or use -members for dynamic membership)")
 	}
-	parts := strings.Split(spec, ",")
-	addrs := make([]string, 0, len(parts))
-	seen := make(map[string]int, len(parts))
-	for i, a := range parts {
+	addrs := strings.Split(spec, ",")
+	seen := make(map[string]int, len(addrs))
+	for i, a := range addrs {
 		a = strings.TrimSpace(a)
 		if a == "" {
 			return nil, fmt.Errorf("-backends element %d is empty", i)
@@ -334,28 +198,10 @@ func parseBackends(spec string) ([]string, error) {
 		if j, dup := seen[a]; dup {
 			return nil, fmt.Errorf("-backends lists %s twice (elements %d and %d); a duplicate backend would double-count its partition", a, j, i)
 		}
-		seen[a] = i
-		addrs = append(addrs, a)
+		seen[a], addrs[i] = i, a
 	}
 	return addrs, nil
 }
 
-// clustered lists the registered mechanisms a gateway can front.
-func clustered() string {
-	out := ""
-	for _, m := range ldp.Mechanisms() {
-		if !m.Caps.Clustered {
-			continue
-		}
-		if out != "" {
-			out += ", "
-		}
-		out += string(m.Protocol)
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtf-gateway:", err)
-	os.Exit(1)
-}
+// fatal ends the process over a flag or serving error.
+var fatal = front.Gateway.Exit

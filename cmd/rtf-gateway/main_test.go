@@ -97,12 +97,12 @@ func TestParseConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(cfg.backends) != tc.backends || len(cfg.members) != tc.members || cfg.enc.Hashed() != tc.hashed {
+			if len(cfg.backends) != tc.backends || len(cfg.members) != tc.members || cfg.Hashed() != tc.hashed {
 				t.Fatalf("resolved %d backends, %d members, hashed=%v; want %d, %d, %v",
-					len(cfg.backends), len(cfg.members), cfg.enc.Hashed(), tc.backends, tc.members, tc.hashed)
+					len(cfg.backends), len(cfg.members), cfg.Hashed(), tc.backends, tc.members, tc.hashed)
 			}
-			if cfg.scale <= 0 || cfg.mode == nil {
-				t.Fatalf("estimator scale %v, mode %v not resolved", cfg.scale, cfg.mode)
+			if cfg.Scale <= 0 || cfg.Mode == nil {
+				t.Fatalf("estimator scale %v, mode %v not resolved", cfg.Scale, cfg.Mode)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"net/http"
+	"strings"
 
 	"rtf/internal/cluster"
 	"rtf/internal/membership"
@@ -30,12 +31,9 @@ func membershipAdmin(logger *obs.Logger, gw *cluster.Gateway) func(*obs.Registry
 
 // logView logs the installed cluster view in logfmt.
 func logView(logger *obs.Logger, v membership.View) {
-	ids := ""
+	ids := make([]string, len(v.Members))
 	for i, m := range v.Members {
-		if i > 0 {
-			ids += ","
-		}
-		ids += m.ID
+		ids[i] = m.ID
 	}
-	logger.Info("view", "epoch", v.Epoch, "k", v.K, "vshards", v.NumShards, "members", ids)
+	logger.Info("view", "epoch", v.Epoch, "k", v.K, "vshards", v.NumShards, "members", strings.Join(ids, ","))
 }

@@ -75,50 +75,32 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
-	"rtf/internal/dyadic"
-	"rtf/internal/hh"
+	"rtf/internal/front"
 	"rtf/internal/membership"
 	"rtf/internal/obs"
-	"rtf/internal/persist"
 	"rtf/internal/transport"
-	"rtf/ldp"
 )
 
-// config is the parsed and cross-checked flag set, with the protocol
-// mode it resolves to.
+// config is the parsed and cross-checked flag set: the shared protocol
+// and lifecycle blocks, then rtf-serve's own store, durability and
+// membership flags.
 type config struct {
-	addr, mech string
-	d, k, m    int
-	encName    string
-	buckets    int
-	hseed      uint64
-	eps        float64
+	front.Config
 	shards     int
 	stats      time.Duration
 	dataDir    string
 	snapEvery  time.Duration
 	durable    transport.DurableOptions
-	grace      time.Duration
-	metrics    string
-	queue      int
-	pprof      bool
 	membership bool
 	id         string
 	vshards    int
-
-	scale float64
-	mode  transport.Mode
 }
 
 // parseConfig parses args and refuses every unsupported combination
@@ -135,15 +117,7 @@ func parseConfig(args []string) (config, error) {
 // flagSet registers every rtf-serve flag on a fresh set, bound to c.
 func flagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("rtf-serve", flag.ContinueOnError)
-	fs.StringVar(&c.addr, "addr", ":7609", "TCP listen address")
-	fs.StringVar(&c.mech, "mechanism", "futurerand", "mechanism to host (must have the sharded capability); must match clients")
-	fs.IntVar(&c.d, "d", 1024, "time periods (power of two); must match clients")
-	fs.IntVar(&c.k, "k", 8, "max changes per user; must match clients")
-	fs.IntVar(&c.m, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol); must match clients")
-	fs.StringVar(&c.encName, "encoding", hh.EncodingExact, "domain encoding with -m: exact (one row per item) or loloha (hash to -buckets rows); must match clients")
-	fs.IntVar(&c.buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096); must match clients")
-	fs.Uint64Var(&c.hseed, "hash-seed", 0, "shared epoch hash seed with -encoding loloha; must match clients")
-	fs.Float64Var(&c.eps, "eps", 1.0, "privacy budget (0 < eps <= 1); must match clients")
+	c.Register(fs)
 	fs.IntVar(&c.shards, "shards", runtime.GOMAXPROCS(0), "accumulator shards (>= 1)")
 	fs.DurationVar(&c.stats, "stats", 0, "print throughput every interval (0 = off)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "persist state here (snapshot + write-ahead log); empty = in-memory only")
@@ -151,64 +125,17 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.BoolVar(&c.durable.Fsync, "fsync", false, "fsync the WAL after every append (survive power loss, not just crashes)")
 	fs.DurationVar(&c.durable.GroupCommitInterval, "wal-commit-interval", 0, "WAL group-commit coalescing window: batches from all connections arriving within it are committed with one write and at most one fsync; acks still mean journaled/durable (0 = one write+fsync per batch)")
 	fs.BoolVar(&c.durable.TolerateTornTail, "tolerate-torn-tail", false, "boot through a torn final WAL record (the artifact of a power loss mid-append) by truncating it; off = fail with a descriptive error so the operator decides")
-	fs.DurationVar(&c.grace, "grace", 10*time.Second, "how long a shutdown signal lets in-flight connections drain")
-	fs.StringVar(&c.metrics, "metrics", "", "serve the metrics snapshot (JSON) at http://ADDR/metrics; empty = off")
-	fs.IntVar(&c.queue, "queue", 0, "bounded ingest admission queue capacity: acked batches beyond it are shed whole, legacy batches block (0 = unbounded)")
-	fs.BoolVar(&c.pprof, "pprof", false, "mount net/http/pprof profiling handlers under /debug/pprof/ on the -metrics listener")
 	fs.BoolVar(&c.membership, "membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
 	fs.StringVar(&c.id, "id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -membership; must match the gateway's -vshards")
 	return fs
 }
 
-// check resolves the parsed flags to the protocol mode, refusing every
-// unsupported combination.
+// check resolves the protocol block for a single node and refuses
+// every unsupported combination of rtf-serve's own flags.
 func (c *config) check() error {
-	if !dyadic.IsPow2(c.d) {
-		return fmt.Errorf("d=%d is not a power of two", c.d)
-	}
-	mc, ok := ldp.Lookup(ldp.Protocol(c.mech))
-	if !ok {
-		return fmt.Errorf("unknown mechanism %q; registered: %s", c.mech, hostable(false))
-	}
-	hashed := false
-	if c.m > 0 {
-		if err := ldp.ValidateDomainSize(c.m, c.encName); err != nil {
-			return err
-		}
-		if !mc.Caps.Domain {
-			return fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", c.mech, hostable(true))
-		}
-		hashed = c.encName == hh.EncodingLoloha
-		if !hashed && (c.buckets != 0 || c.hseed != 0) {
-			return fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
-		}
-	} else {
-		if c.encName != hh.EncodingExact || c.buckets != 0 || c.hseed != 0 {
-			return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
-		}
-		if !mc.Caps.Sharded {
-			return fmt.Errorf("mechanism %q cannot be hosted on the sharded accumulator; hostable: %s", c.mech, hostable(false))
-		}
-	}
-	var err error
-	if c.scale, err = mc.EstimatorScale(ldp.Params{D: c.d, K: c.k, Eps: c.eps}); err != nil {
+	if err := c.Resolve(front.Node); err != nil {
 		return err
-	}
-	switch {
-	case hashed:
-		if !mc.Caps.HashedDomain {
-			return fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.mech)
-		}
-		enc := hh.LolohaEncoding(c.m, c.buckets, c.hseed)
-		if err := enc.Validate(); err != nil {
-			return err
-		}
-		c.mode = transport.HashedMode(c.d, enc, c.scale)
-	case c.m > 0:
-		c.mode = transport.DomainMode(c.d, c.m, c.scale)
-	default:
-		c.mode = transport.BoolMode(c.d, c.scale)
 	}
 	if c.shards < 1 {
 		return fmt.Errorf("shards=%d must be >= 1", c.shards)
@@ -224,21 +151,8 @@ func (c *config) check() error {
 	return nil
 }
 
-// meta describes the hosting configuration recorded in (and checked
-// against) every snapshot.
-func (c config) meta() persist.Meta {
-	meta := persist.Meta{Mechanism: c.mech, D: c.d, K: c.k, M: c.m, Eps: c.eps, Scale: c.scale}
-	if c.encName == hh.EncodingLoloha {
-		meta.Encoding, meta.G, meta.HashSeed = c.encName, c.buckets, c.hseed
-	}
-	return meta
-}
-
 func main() {
 	cfg, err := parseConfig(os.Args[1:])
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
-	}
 	if err != nil {
 		fatal(err)
 	}
@@ -251,15 +165,17 @@ func main() {
 		sm      *transport.ShardMap
 		durable *transport.Durable
 	)
+	listening := []any{"shards", cfg.shards}
 	if cfg.membership {
-		sm = transport.NewShardMap(cfg.mode, cfg.vshards, cfg.id)
+		sm = transport.NewShardMap(cfg.Mode, cfg.vshards, cfg.id)
 		store = sm
+		listening = []any{"member_id", cfg.id, "vshards", cfg.vshards}
 	} else {
-		store = transport.NewCollector(cfg.mode, cfg.shards)
+		store = transport.NewCollector(cfg.Mode, cfg.shards)
 	}
 	if cfg.dataDir != "" {
 		var rec transport.RecoveryStats
-		if durable, rec, err = transport.OpenDurableStore(store, cfg.dataDir, cfg.meta(), cfg.durable); err != nil {
+		if durable, rec, err = transport.OpenDurableStore(store, cfg.dataDir, cfg.Meta(), cfg.durable); err != nil {
 			fatal(err)
 		}
 		store = durable
@@ -269,112 +185,43 @@ func main() {
 		}
 	}
 	srv := transport.NewIngestServer(store)
-	srv.ErrorLog = func(err error) { logger.Error("serve", "err", err) }
 
-	// Observability: every serving instrument lives in one registry,
-	// mounted at /metrics when -metrics is set. The bounded queue (when
-	// -queue is set) sheds acked batches whole under overload and
-	// back-pressures legacy batch connections.
-	reg := obs.NewRegistry()
-	reg.SetInfo("component", "rtf-serve")
-	reg.SetInfo("mechanism", cfg.mech)
-	obs.RegisterProcessMetrics(reg)
-	srv.Metrics = transport.NewServerMetrics(reg)
-	if cfg.queue > 0 {
-		srv.Queue = transport.NewIngestQueue(cfg.queue)
-		srv.Metrics.RegisterQueue(srv.Queue)
-	}
-	if durable != nil {
-		srv.Metrics.RegisterDurability(durable)
-	}
-	if sm != nil {
-		reg.SetInfo("member_id", cfg.id)
-		reg.GaugeFunc("membership_epoch", func() float64 { return float64(sm.Epoch()) })
-		reg.GaugeFunc("membership_owned_shards", func() float64 { return float64(sm.OwnedShards()) })
-	}
-	metricsAddr := ""
-	if cfg.metrics != "" {
-		mln, err := net.Listen("tcp", cfg.metrics)
-		if err != nil {
-			fatal(err)
-		}
-		metricsAddr = mln.Addr().String()
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", reg)
-		if cfg.pprof {
-			obs.MountPprof(mux)
-		}
-		go http.Serve(mln, mux)
-	}
-
+	// The tickers stop when the drain starts.
 	stop := make(chan struct{})
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sig
-		logger.Info("draining", "signal", s, "grace", cfg.grace)
-		go func() {
-			<-sig
-			logger.Error("second signal: exiting immediately")
-			os.Exit(1)
-		}()
-		close(stop)
-		srv.Shutdown(cfg.grace)
-	}()
-
 	if durable != nil && cfg.snapEvery > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.snapEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if _, err := durable.Snapshot(); err != nil {
-						logger.Error("snapshot", "err", err)
-					}
-				case <-stop:
-					return
-				}
+		go every(cfg.snapEvery, stop, func() {
+			if _, err := durable.Snapshot(); err != nil {
+				logger.Error("snapshot", "err", err)
 			}
-		}()
+		})
 	}
-
 	if cfg.stats > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.stats)
-			defer tick.Stop()
-			var lastReports int64
-			last := time.Now()
-			for range tick.C {
-				hellos, reports, batches := store.Stats()
-				now := time.Now()
-				rate := float64(reports-lastReports) / now.Sub(last).Seconds()
-				logger.Info("throughput", "users", hellos, "reports", reports,
-					"batches", batches, "rate", fmt.Sprintf("%.0f", rate))
-				lastReports, last = reports, now
-			}
-		}()
+		var lastReports int64
+		last := time.Now()
+		go every(cfg.stats, stop, func() {
+			hellos, reports, batches := store.Stats()
+			rate := float64(reports-lastReports) / time.Since(last).Seconds()
+			logger.Info("throughput", "users", hellos, "reports", reports,
+				"batches", batches, "rate", fmt.Sprintf("%.0f", rate))
+			lastReports, last = reports, time.Now()
+		})
 	}
 
-	ready := make(chan net.Addr, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(cfg.addr, ready) }()
-	select {
-	case a := <-ready:
-		if cfg.membership {
-			logger.Info("listening", "addr", a, "metrics", metricsAddr,
-				"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
-				"member_id", cfg.id, "vshards", cfg.vshards, "queue", cfg.queue, "durable", durable != nil)
-		} else {
-			logger.Info("listening", "addr", a, "metrics", metricsAddr,
-				"mechanism", cfg.mech, "d", cfg.d, "k", cfg.k, "m", cfg.m, "eps", cfg.eps,
-				"encoding", cfg.encName, "buckets", cfg.buckets,
-				"shards", cfg.shards, "queue", cfg.queue, "durable", durable != nil)
-		}
-	case err := <-errc:
-		fatal(err)
-	}
-	if err := <-errc; err != nil {
+	err = cfg.Serve(logger, srv.Server, front.Hooks{
+		Mount: func(reg *obs.Registry, _ *http.ServeMux) {
+			if durable != nil {
+				srv.Metrics.RegisterDurability(durable)
+			}
+			if sm != nil {
+				reg.SetInfo("member_id", cfg.id)
+				reg.GaugeFunc("membership_epoch", func() float64 { return float64(sm.Epoch()) })
+				reg.GaugeFunc("membership_owned_shards", func() float64 { return float64(sm.OwnedShards()) })
+			}
+		},
+		Drain:     func() { close(stop) },
+		Listening: append(listening, "durable", durable != nil),
+	})
+	if err != nil {
 		fatal(err)
 	}
 
@@ -395,26 +242,19 @@ func main() {
 	logger.Info("done", "users", hellos, "reports", reports, "batches", batches)
 }
 
-// hostable lists the registered mechanisms rtf-serve can host in the
-// requested mode.
-func hostable(domain bool) string {
-	out := ""
-	for _, m := range ldp.Mechanisms() {
-		if domain && !m.Caps.Domain {
-			continue
+// every calls fn every d until stop is closed.
+func every(d time.Duration, stop <-chan struct{}, fn func()) {
+	tick := time.NewTicker(d)
+	defer tick.Stop()
+	for {
+		select {
+		case <-tick.C:
+			fn()
+		case <-stop:
+			return
 		}
-		if !domain && !m.Caps.Sharded {
-			continue
-		}
-		if out != "" {
-			out += ", "
-		}
-		out += string(m.Protocol)
 	}
-	return out
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtf-serve:", err)
-	os.Exit(1)
-}
+// fatal ends the process over a flag or serving error.
+var fatal = front.Node.Exit

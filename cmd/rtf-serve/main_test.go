@@ -40,11 +40,11 @@ func TestParseConfig(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cfg.mode.Name(); got != tc.mode {
+			if got := cfg.Mode.Name(); got != tc.mode {
 				t.Fatalf("resolved mode %q, want %q", got, tc.mode)
 			}
-			if cfg.scale <= 0 {
-				t.Fatalf("estimator scale %v not resolved", cfg.scale)
+			if cfg.Scale <= 0 {
+				t.Fatalf("estimator scale %v not resolved", cfg.Scale)
 			}
 		})
 	}
