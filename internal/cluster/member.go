@@ -193,15 +193,24 @@ func (s *session) fence() {
 
 // fetchShardState cuts the shard's snapshot from the first reachable
 // source in the transfer's old-owner list (IDs resolved against the
-// old view).
+// old view): the shard's raw sums, fetched like any read's — so a source
+// of another encoding refuses — and folded into the protocol state
+// encoding a durability snapshot uses, the transfer format.
 func (g *Gateway) fetchShardState(old membership.View, tr membership.Transfer) (state []byte, err error) {
 	for _, id := range tr.Sources {
 		src, ok := old.Member(id)
 		if !ok {
 			continue
 		}
-		err = g.control(src, fmt.Sprintf("exporting shard %d from", tr.Shard), func(bc *transport.BackendConn) (err error) {
-			state, err = bc.FetchShardState(tr.Shard)
+		err = g.control(src, fmt.Sprintf("exporting shard %d from", tr.Shard), func(bc *transport.BackendConn) error {
+			sums, err := bc.FetchSums(g.mode, tr.Shard, transport.Scope{})
+			if err != nil {
+				return err
+			}
+			st, err := g.mode.Fold([]transport.RawSums{sums})
+			if err == nil {
+				state = st.MarshalState()
+			}
 			return err
 		})
 		if err == nil {

@@ -570,6 +570,83 @@ func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
 	}
 }
 
+// TestReshardRefusesForeignEncoding: a reshard exports each moved shard
+// through the encoding-checked raw-sums request every read sends, so a
+// member hashing under another seed cannot hand its bucket counters to
+// a member of the gateway's encoding, where reads would then find them.
+func TestReshardRefusesForeignEncoding(t *testing.T) {
+	const d, scale, S, users = 16, 2.0, 4, 20
+	theirs, ours := hh.LolohaEncoding(1000, 8, 0xfeed), hh.LolohaEncoding(1000, 8, 0xbeef)
+	var mu sync.Mutex
+	var logged []string
+	start := func(enc hh.DomainEncoding, id string) (membership.Member, *transport.ShardMap) {
+		sm := transport.NewShardMap(transport.HashedMode(d, enc, scale), S, id)
+		srv := transport.NewIngestServer(sm)
+		srv.ErrorLog = func(err error) {
+			mu.Lock()
+			logged = append(logged, id+": "+err.Error())
+			mu.Unlock()
+		}
+		ready := make(chan net.Addr, 1)
+		done := make(chan error, 1)
+		go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+		t.Cleanup(func() {
+			srv.Close()
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		})
+		return membership.Member{ID: id, Addr: (<-ready).String()}, sm
+	}
+	n0, src := start(theirs, "n0")
+	n1, dst := start(ours, "n1")
+
+	// 40 acked reports on n0, written straight to it under its own seed.
+	var batch []transport.Msg
+	for u := 0; u < users; u++ {
+		b := theirs.Bucket(u % 7)
+		batch = append(batch, transport.HashedDomainHello(u, b, 0, theirs.Seed),
+			transport.FromDomainReport(b, protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}))
+	}
+	c := dialGateway(t, n0.Addr)
+	defer c.close()
+	if err := c.enc.EncodeAckedBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if applied, err := c.dec.ReadBatchAck(); err != nil || !applied {
+		t.Fatalf("n0 did not apply the batch: %v, %v", applied, err)
+	}
+	if src.Users() != users {
+		t.Fatalf("n0 holds %d users, want %d", src.Users(), users)
+	}
+
+	gw, err := New(transport.HashedMode(d, ours, scale), Members(S, 1, []membership.Member{n0}), fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	if err := gw.AnnounceView(); err != nil { // a view has no encoding
+		t.Fatal(err)
+	}
+	if res, err := gw.Reshard([]membership.Member{n1}, 1); err == nil {
+		t.Fatalf("a gateway hashing under seed %#x moved %d shards from a member hashing under %#x", ours.Seed, res.Transfers, theirs.Seed)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logged, func(e string) bool { return strings.HasPrefix(e, "n0: ") && strings.Contains(e, "under a different seed") }) {
+		t.Fatalf("the reshard failed, but n0 did not refuse the encoding: %q", logged)
+	}
+	if n := dst.Users(); n != 0 {
+		t.Fatalf("n1 took %d users of another encoding", n)
+	}
+	if gw.View().Epoch != 1 {
+		t.Fatalf("the refused reshard installed epoch %d", gw.View().Epoch)
+	}
+}
+
 // TestMemberAdminHandler drives the JSON admin API: view inspection,
 // a reshard post, and the rejection paths.
 func TestMemberAdminHandler(t *testing.T) {

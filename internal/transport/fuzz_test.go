@@ -86,7 +86,7 @@ func checkDecoded(t *testing.T, m Msg) {
 		ok = scope
 	case MsgHashedDomainSums:
 		ok = m.Item >= 0 && m.K >= 0 && scope
-	case MsgShardSums, MsgShardState, MsgShardTransfer:
+	case MsgShardSums, MsgShardTransfer:
 		ok = m.Shard >= 0 && m.Shard <= membership.MaxShards && scope
 	case MsgView:
 		ok = true

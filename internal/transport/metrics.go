@@ -236,8 +236,6 @@ func QueryKindName(m Msg) string {
 		return "sums"
 	case MsgShardSums:
 		return "shard_sums"
-	case MsgShardState:
-		return "shard_state"
 	}
 	switch m.Kind {
 	case QueryPoint:

@@ -11,22 +11,9 @@ import (
 // ReplicaClient pools connections per backend address — keyed by
 // address rather than by a fixed index, because the member set changes
 // across epochs — and BackendConn grows the membership round-trips
-// (shard state export, shard transfer install, view push; per-shard
-// sums for quorum reads go through FetchSums). Placement is the
+// (shard transfer install, view push; a shard's raw sums — for a quorum
+// read and for a reshard's export alike — go through FetchSums). Placement is the
 // gateway's business (internal/cluster); this layer only moves frames.
-
-// FetchShardState round-trips a shard-snapshot request: the backend
-// answers with the shard's serialized state (the reshard transfer
-// payload).
-func (b *BackendConn) FetchShardState(shard int) ([]byte, error) {
-	if err := b.enc.Encode(ShardState(shard)); err != nil {
-		return nil, err
-	}
-	if err := b.enc.Flush(); err != nil {
-		return nil, err
-	}
-	return b.dec.ReadShardState(shard)
-}
 
 // TransferShard ships one shard's serialized state to the backend and
 // waits for its ack; the backend installs it as the shard's new state

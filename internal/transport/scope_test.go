@@ -384,10 +384,6 @@ func TestScopedRequestWire(t *testing.T) {
 			}
 		}
 	}
-	// A shard-state request has no scope to carry.
-	if _, err := decodeScalarInto([]byte{byte(MsgShardState), scopedSumsVersion, 1, 1, 1}, new(Msg)); err == nil {
-		t.Error("version-2 shard-state request decoded")
-	}
 	// Every mode range-checks the scope of its own request and of a
 	// shard's before anything derives columns from it.
 	for _, mode := range scopeModes(8, 1) {

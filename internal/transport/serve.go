@@ -237,14 +237,14 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 
 	ingest := s.mode.Ingest()
 	if s.control != nil {
-		ingest.Reads |= frameSet(MsgShardSums, MsgShardState, MsgView, MsgShardTransfer)
+		ingest.Reads |= frameSet(MsgShardSums, MsgView, MsgShardTransfer)
 	}
 	var sc AnswerScratch
 	validateRead := func(acked bool, m Msg) error {
 		if acked {
 			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
 		}
-		if m.Type == MsgShardSums || m.Type == MsgShardState {
+		if m.Type == MsgShardSums {
 			if n := s.control.NumShards(); m.Shard < 0 || m.Shard >= n {
 				return fmt.Errorf("shard %d out of range [0..%d)", m.Shard, n)
 			}
@@ -254,7 +254,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 	answer := func(m Msg) error {
 		if s.Metrics != nil {
 			s.Metrics.CountQuery(s.label, QueryKindName(m))
-			if s.control != nil && m.Type != MsgShardSums && m.Type != MsgShardState {
+			if s.control != nil && m.Type != MsgShardSums {
 				// A shard-mapped store folds its virtual shards per read.
 				s.Metrics.CountGather(s.mode.Scope(m))
 			}

@@ -143,23 +143,14 @@ func (b *bucketScratch) sort(run []Rec) {
 	}
 }
 
-// Answer implements Reader. The shard-scoped control reads — one
-// shard's raw sums for a quorum-reading gateway, one shard's serialized
-// state for a reshard handoff — answer from that shard alone; every
-// other read answers from all shards' sums, gathered under the read's
-// scope in fixed shard order.
+// Answer implements Reader. A shard's raw-sums request — a quorum-
+// reading gateway's read, or its export of a shard to reshard — answers
+// from that shard alone; every other read answers from all shards'
+// sums, gathered under the read's scope in fixed shard order.
 func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	scope := c.mode.Scope(m)
-	switch m.Type {
-	case MsgShardSums:
+	if m.Type == MsgShardSums {
 		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard, scope))
-	case MsgShardState:
-		// The protocol state encoding — the same bytes the durability
-		// snapshots use — is the transfer format of a reshard.
-		c.imu.RLock()
-		state := c.shards[m.Shard].MarshalState()
-		c.imu.RUnlock()
-		return false, false, e.EncodeShardState(m.Shard, state)
 	}
 	frames := make([]RawSums, len(c.shards))
 	c.imu.RLock()

@@ -58,14 +58,22 @@ func sumsOf(t testing.TB, st Store, shard int) RawSums {
 	return f
 }
 
-// exportShard asks a shard map for one shard's serialized state.
+// exportShard exports one shard of a shard map the way a resharding
+// gateway does: its raw sums over the wire, folded and serialized.
 func exportShard(t *testing.T, sm *ShardMap, shard int) []byte {
 	t.Helper()
-	state, err := answerTo(t, sm, ShardState(shard)).ReadShardState(shard)
+	return foldState(t, sm.Mode(), sumsOf(t, sm, shard))
+}
+
+// foldState serializes the state a shard's raw sums fold to: the
+// transfer payload of a reshard.
+func foldState(t *testing.T, mode Mode, f RawSums) []byte {
+	t.Helper()
+	st, err := mode.Fold([]RawSums{f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return state
+	return st.MarshalState()
 }
 
 // seriesOf asks a Boolean store for its full estimate series.
@@ -465,8 +473,9 @@ func startShardServer(t *testing.T, col Store) (string, func()) {
 
 // TestMembershipServeRoundTrip drives a membership-mode backend over
 // TCP through every flow a member gateway uses: replicated ingest,
-// point/series queries, per-shard sums, state export, shard transfer
-// install, and view push — all via a ReplicaClient lease.
+// point/series queries, per-shard sums, a shard's export (its sums,
+// folded) and transfer install, and view push — all via a ReplicaClient
+// lease.
 func TestMembershipServeRoundTrip(t *testing.T) {
 	const d, scale, S = 64, 5.5, 8
 	mode := BoolMode(d, scale)
@@ -529,10 +538,11 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	}
 
 	// Export a shard, install it on a second backend, confirm the copy.
-	state, err := bc.FetchShardState(5)
+	sums5, err := bc.FetchSums(mode, 5, Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	state := foldState(t, mode, sums5)
 	sm2 := NewShardMap(mode, S, "n1")
 	addr2, stop2 := startShardServer(t, sm2)
 	defer stop2()
@@ -637,10 +647,11 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 		}
 	}
 
-	state, err := bc.FetchShardState(2)
+	sums2, err := bc.FetchSums(mode, 2, Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	state := foldState(t, mode, sums2)
 	col2 := NewShardMap(mode, S, "n1")
 	if err := col2.InstallShard(2, state); err != nil {
 		t.Fatal(err)

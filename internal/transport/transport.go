@@ -71,8 +71,8 @@ const (
 	// between backends on reshard. See view.go.
 	MsgView            MsgType = 18 // frame: a full membership.View (epoch, K, members)
 	MsgShardSums       MsgType = 19 // request: raw sums for one virtual shard
-	MsgShardState      MsgType = 20 // request: snapshot state of one virtual shard
-	MsgShardStateFrame MsgType = 21 // response: one shard's serialized state
+	MsgShardState      MsgType = 20 // retired shard-state export: refused, see errShardState
+	MsgShardStateFrame MsgType = 21 // retired shard-state response: refused likewise
 	MsgShardTransfer   MsgType = 22 // frame: install this shard state (reshard handoff)
 	MsgMemberAck       MsgType = 23 // response to MsgView / MsgShardTransfer: 1 = applied
 
@@ -232,13 +232,6 @@ func ShardSums(shard int) Msg {
 	return Msg{Type: MsgShardSums, Shard: shard}
 }
 
-// ShardState constructs a shard-snapshot request: the server answers
-// with one MsgShardStateFrame carrying the shard's serialized state
-// (the protocol state encoding), the transfer format of a reshard.
-func ShardState(shard int) Msg {
-	return Msg{Type: MsgShardState, Shard: shard}
-}
-
 // FromReport converts a protocol report to a wire message.
 func FromReport(r protocol.Report) Msg {
 	return Msg{Type: MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}
@@ -385,12 +378,9 @@ func appendMsg(b []byte, m *Msg) ([]byte, error) {
 		b = binary.AppendUvarint(b, uint64(m.K))
 		b = binary.AppendUvarint(b, m.Seed)
 		return appendScope(b, m)
-	case MsgShardSums, MsgShardState:
+	case MsgShardSums:
 		if m.Shard < 0 {
 			return nil, fmt.Errorf("transport: negative shard %d", m.Shard)
-		}
-		if m.Type == MsgShardState {
-			return binary.AppendUvarint(append(b, queryWireVersion), uint64(m.Shard)), nil
 		}
 		return appendScope(binary.AppendUvarint(append(b, sumsVersion(m)), uint64(m.Shard)), m)
 	default:
@@ -819,6 +809,11 @@ var errShortMsg = errors.New("transport: short message")
 // first query instead of having its frame misparsed as something newer.
 var errV1Query = errors.New("transport: v1 point query removed; send QueryV2(QueryPoint, t, 0)")
 
+// errShardState refuses the retired shard-state export pair (types 20
+// and 21) likewise: a gateway exports a shard through ShardSums, which
+// a node of another encoding refuses, and folds the sums itself.
+var errShardState = errors.New("transport: shard state export removed; fetch ShardSums(shard) and fold it")
+
 // uvarintMulti decodes a uvarint whose first byte has the continuation
 // bit set: the two- and three-byte encodings real streams use for user
 // ids and large interval indices are unrolled, everything longer falls
@@ -910,6 +905,8 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		off++
 	case MsgQuery, MsgEstimate:
 		return 0, errV1Query
+	case MsgShardState, MsgShardStateFrame:
+		return 0, errShardState
 	case MsgQueryV2:
 		if off+2 > len(b) {
 			return 0, errShortMsg
@@ -1001,11 +998,11 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		}
 		m.Item, m.K, m.Seed = int(mm), int(g), seed
 		return decodeScope(b, off, m)
-	case MsgShardSums, MsgShardState:
+	case MsgShardSums:
 		if off >= len(b) {
 			return 0, errShortMsg
 		}
-		if b[off] != queryWireVersion && (b[off] != scopedSumsVersion || m.Type == MsgShardState) {
+		if b[off] != queryWireVersion && b[off] != scopedSumsVersion {
 			return 0, fmt.Errorf("transport: unsupported shard-request version %d", b[off])
 		}
 		off++
@@ -1022,8 +1019,6 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		return 0, errors.New("transport: view frame inside batch")
 	case MsgShardTransfer:
 		return 0, errors.New("transport: shard transfer frame inside batch")
-	case MsgShardStateFrame:
-		return 0, errors.New("transport: shard state frame outside ReadShardState")
 	case MsgMemberAck:
 		return 0, errors.New("transport: member ack outside ReadMemberAck")
 	case MsgBatch, MsgBatchAcked:

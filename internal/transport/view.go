@@ -12,20 +12,20 @@ import (
 
 // This file carries the dynamic-membership control plane on the same
 // wire as ingest and queries: MsgView frames push a full epoch view to
-// backends, MsgShardState/MsgShardStateFrame round-trips export one
-// virtual shard's serialized state, MsgShardTransfer frames install it
-// on the new owner during a reshard, and MsgMemberAck confirms that a
-// view or transfer was applied. The shard state payload is the
-// protocol package's state encoding — the same bytes the durability
-// snapshots use — so a reshard handoff and a crash recovery restore
-// through one code path.
+// backends, MsgShardTransfer frames install one virtual shard's
+// serialized state on its new owner during a reshard (the gateway
+// exports it as the shard's raw sums, MsgShardSums, and folds them), and
+// MsgMemberAck confirms that a view or transfer was applied. The shard
+// state payload is the protocol package's state encoding — the same
+// bytes the durability snapshots use — so a reshard handoff and a crash
+// recovery restore through one code path.
 
 // viewWireVersion is the version byte of every membership frame.
 // Decoders reject frames from a newer revision instead of misparsing.
 const viewWireVersion = 1
 
 // MaxShardStateLen bounds the declared payload length of a shard
-// state/transfer frame, mirroring persist.MaxStateLen.
+// transfer frame, mirroring persist.MaxStateLen.
 const MaxShardStateLen = 1 << 26
 
 // EncodeView writes one MsgView frame pushing the full cluster view.
@@ -137,42 +137,27 @@ func (d *Decoder) TakeShardState() []byte {
 	return b
 }
 
-// appendShardPayload appends a shard-carrying frame: type byte,
-// version, uvarint shard, uvarint payload length, payload bytes. The
-// layout is shared by MsgShardStateFrame (export response) and
-// MsgShardTransfer (install request).
-func appendShardPayload(b []byte, typ MsgType, shard int, state []byte) ([]byte, error) {
+// appendShardPayload appends a MsgShardTransfer frame: type byte,
+// version, uvarint shard, uvarint payload length, payload bytes.
+func appendShardPayload(b []byte, shard int, state []byte) ([]byte, error) {
 	if shard < 0 || shard > membership.MaxShards {
 		return nil, fmt.Errorf("transport: shard %d outside [0..%d]", shard, membership.MaxShards)
 	}
 	if len(state) > MaxShardStateLen {
 		return nil, fmt.Errorf("transport: shard state of %d bytes exceeds limit %d", len(state), MaxShardStateLen)
 	}
-	b = append(b, byte(typ), viewWireVersion)
+	b = append(b, byte(MsgShardTransfer), viewWireVersion)
 	b = binary.AppendUvarint(b, uint64(shard))
 	b = binary.AppendUvarint(b, uint64(len(state)))
 	b = append(b, state...)
 	return b, nil
 }
 
-// EncodeShardState writes one MsgShardStateFrame response carrying the
-// shard's serialized state.
-func (e *Encoder) EncodeShardState(shard int, state []byte) error {
-	b, err := appendShardPayload(e.scratch[:0], MsgShardStateFrame, shard, state)
-	if err != nil {
-		return err
-	}
-	e.scratch = b[:0] // keep the grown buffer for the next frame
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
-}
-
 // EncodeShardTransfer writes one MsgShardTransfer frame asking the
 // receiving backend to install the shard state (replacing whatever
 // copy it holds for that shard).
 func (e *Encoder) EncodeShardTransfer(shard int, state []byte) error {
-	b, err := appendShardPayload(e.scratch[:0], MsgShardTransfer, shard, state)
+	b, err := appendShardPayload(e.scratch[:0], shard, state)
 	if err != nil {
 		return err
 	}
@@ -182,8 +167,8 @@ func (e *Encoder) EncodeShardTransfer(shard int, state []byte) error {
 	return err
 }
 
-// readShardPayloadBody decodes the shared shard-payload layout (type
-// byte already consumed): version, shard, bounded state bytes.
+// readShardPayloadBody decodes a shard transfer frame (type byte
+// already consumed): version, shard, bounded state bytes.
 func (d *Decoder) readShardPayloadBody() (int, []byte, error) {
 	ver, err := d.r.ReadByte()
 	if err != nil {
@@ -214,31 +199,6 @@ func (d *Decoder) readShardPayloadBody() (int, []byte, error) {
 		return 0, nil, fmt.Errorf("transport: shard %d overflows", shard)
 	}
 	return int(shard), state, nil
-}
-
-// ReadShardState decodes one MsgShardStateFrame. It must be called
-// when a shard state frame is the next frame on the stream — after
-// sending a MsgShardState request — and fails on any other frame type
-// or a shard mismatch with the request.
-func (d *Decoder) ReadShardState(wantShard int) ([]byte, error) {
-	if d.next < len(d.pending) {
-		return nil, errors.New("transport: shard state frame inside batch")
-	}
-	tb, err := d.r.ReadByte()
-	if err != nil {
-		return nil, err // io.EOF passes through
-	}
-	if MsgType(tb) != MsgShardStateFrame {
-		return nil, fmt.Errorf("transport: expected shard state frame, got message type %d", tb)
-	}
-	shard, state, err := d.readShardPayloadBody()
-	if err != nil {
-		return nil, err
-	}
-	if shard != wantShard {
-		return nil, fmt.Errorf("transport: shard state frame for shard %d, requested %d", shard, wantShard)
-	}
-	return state, nil
 }
 
 // EncodeMemberAck writes the backend's response to a MsgView or

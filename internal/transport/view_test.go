@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"io"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -165,32 +166,13 @@ func TestViewInsideBatchRejected(t *testing.T) {
 	}
 }
 
-// TestShardStateRoundTrip exercises the transfer/state frames and the
-// shard-scoped request messages.
+// TestShardStateRoundTrip exercises the frame that carries a shard's
+// state, the transfer install.
 func TestShardStateRoundTrip(t *testing.T) {
 	state := []byte("not-really-state-but-opaque-bytes")
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	if err := enc.EncodeShardState(5, state); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewDecoder(bytes.NewReader(buf.Bytes())).ReadShardState(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, state) {
-		t.Fatalf("state round trip: %q", got)
-	}
-	// Shard mismatch with the request is an error.
-	if _, err := NewDecoder(bytes.NewReader(buf.Bytes())).ReadShardState(6); err == nil {
-		t.Fatal("shard mismatch accepted")
-	}
-
-	// Transfer frame surfaces as a marker carrying the shard.
-	buf.Reset()
+	// A transfer frame surfaces as a marker carrying the shard.
 	if err := enc.EncodeShardTransfer(9, state); err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +193,10 @@ func TestShardStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardRequestRoundTrip pins the scalar shard-sums/state requests
-// through both decode paths (scalar and batched fast path).
+// TestShardRequestRoundTrip pins the scalar shard-sums request through
+// both decode paths (scalar and batched fast path).
 func TestShardRequestRoundTrip(t *testing.T) {
-	for _, m := range []Msg{ShardSums(0), ShardSums(63), ShardState(17)} {
+	for _, m := range []Msg{ShardSums(0), ShardSums(17), ShardSums(63)} {
 		var buf bytes.Buffer
 		enc := NewEncoder(&buf)
 		if err := enc.Encode(m); err != nil {
@@ -313,4 +295,60 @@ func encodeViewBytesF(f *testing.F, v membership.View) []byte {
 	}
 	enc.Flush()
 	return buf.Bytes()
+}
+
+// TestShardStateRefused pins the retirement of the shard-state export
+// pair (types 20 and 21), which skipped the encoding check every sums
+// request makes: a frame of either type — scalar or inside a batch, with
+// or without an ingest contract, or on a membership backend's
+// connection — is refused at its type byte with the one error that
+// names the replacement, and the encoder no longer produces either.
+func TestShardStateRefused(t *testing.T) {
+	const want = "transport: shard state export removed; fetch ShardSums(shard) and fold it"
+	ingest := BoolMode(16, 1).Ingest()
+	for name, data := range map[string][]byte{
+		"request":          {byte(MsgShardState), 1, 5},
+		"response":         {byte(MsgShardStateFrame), 1, 5, 0},
+		"request in batch": {byte(MsgBatch), 2, byte(MsgHello), 1, 0, byte(MsgShardState), 1, 5},
+	} {
+		if _, err := NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
+			t.Errorf("%s without a contract: got %v, want %q", name, err, want)
+		}
+		if f, err := NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
+			t.Errorf("%s under the Boolean contract: got %+v, %v, want %q", name, f, err, want)
+		}
+	}
+	for _, typ := range []MsgType{MsgShardState, MsgShardStateFrame} {
+		if err := NewEncoder(io.Discard).Encode(Msg{Type: typ, Shard: 5}); err == nil {
+			t.Errorf("encoder still writes retired message type %d", typ)
+		}
+	}
+
+	// A membership backend fails the connection, and only it.
+	srv := NewIngestServer(NewShardMap(BoolMode(16, 1), 8, "n0"))
+	logged := make(chan string, 4)
+	srv.ErrorLog = func(err error) { logged <- err.Error() }
+	ready := make(chan net.Addr, 1)
+	done := make(chan error, 1)
+	go func() { done <- srv.ListenAndServe("127.0.0.1:0", ready) }()
+	defer func() {
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Error(err)
+		}
+	}()
+	conn, err := net.Dial("tcp", (<-ready).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte{byte(MsgShardState), 1, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the backend answered a shard-state request")
+	}
+	if got := <-logged; !strings.HasSuffix(got, want) {
+		t.Fatalf("backend logged %q, want it to end with %q", got, want)
+	}
 }
