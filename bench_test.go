@@ -32,8 +32,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // One benchmark per reproduction experiment (quick scale). These are the
-// regeneration entry points for every table in EXPERIMENTS.md; the full-
-// scale numbers come from cmd/rtf-experiments.
+// regeneration entry points for every experiment in README.md's table;
+// the full-scale numbers come from cmd/rtf-experiments.
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()

@@ -1,6 +1,6 @@
-// Command rtf-experiments regenerates the reproduction experiments
-// E1–E20 (the paper's theorems, lemmas and comparisons; see DESIGN.md §4
-// and EXPERIMENTS.md).
+// Command rtf-experiments regenerates the reproduction experiments (the
+// paper's theorems, lemmas and comparisons), one per row of the table in
+// README.md, "Reproduction experiments"; -list prints them.
 //
 // Examples:
 //

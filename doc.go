@@ -7,7 +7,7 @@
 // protocol of the paper, mechanism-agnostic streaming client/server with
 // a unified Query/Answer entry point, batch transport, domain extension) and rtf/workload (synthetic dataset
 // generation and CSV IO). The implementation, baselines, evaluation
-// harness and verifiers live under rtf/internal; the experiments E1–E21
+// harness and verifiers live under rtf/internal; the experiments E1–E22
 // are runnable via cmd/rtf-experiments, the sharded batch-ingest
 // aggregation service via cmd/rtf-serve (hosting any registered dyadic
 // mechanism), the acceptance harness that drives real deployments of it

@@ -1,8 +1,8 @@
-// Package eval defines the reproduction experiments E1–E20 (see DESIGN.md
-// §4 and EXPERIMENTS.md): each experiment validates a theorem, lemma or
-// comparison from the paper and regenerates a table. Experiments run in
-// two sizes — Quick (seconds; used by tests and benchmarks) and full
-// (used by cmd/rtf-experiments to produce EXPERIMENTS.md numbers).
+// Package eval defines the reproduction experiments, one per row of the
+// table in README.md, "Reproduction experiments": each experiment
+// validates a theorem, lemma or comparison from the paper and
+// regenerates a table. Experiments run in two sizes — Quick (seconds;
+// used by tests and benchmarks) and full (used by cmd/rtf-experiments).
 package eval
 
 import (

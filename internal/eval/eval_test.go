@@ -2,6 +2,9 @@ package eval
 
 import (
 	"bytes"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -20,6 +23,26 @@ func TestRegistryComplete(t *testing.T) {
 		if all[i].Title == "" || all[i].Claim == "" || all[i].Run == nil {
 			t.Errorf("%s: incomplete metadata", id)
 		}
+	}
+}
+
+// TestREADMETable checks that README.md's "Reproduction experiments"
+// table, which the package and cmd/rtf-experiments point readers at, has
+// one row per registered experiment, in order.
+func TestREADMETable(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows, ids []string
+	for _, m := range regexp.MustCompile(`(?m)^\| (E\d+) +\|`).FindAllSubmatch(readme, -1) {
+		rows = append(rows, string(m[1]))
+	}
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	if !reflect.DeepEqual(rows, ids) {
+		t.Fatalf("README.md table rows %v, registered experiments %v", rows, ids)
 	}
 }
 
