@@ -27,9 +27,12 @@
 // different seed or sized differently refuses it — before decoding
 // item estimates from the folded bucket counters.
 //
-// The protocol parameters (-mechanism, -d, -k, -m, -eps) must match the
-// backends' and the clients'; the mechanism must have the clustered
-// capability (its server state merges exactly across machines).
+// The protocol parameters (-mechanism, -d, -k, -m, -encoding, -buckets,
+// -hash-seed, -eps) must match the backends' and the clients'; the
+// mechanism must have the clustered capability (its server state merges
+// exactly across machines). They and the process flags (-addr,
+// -metrics, -pprof, -queue, -grace) are rtf-serve's too: both binaries
+// resolve them and run the serve lifecycle through internal/front.
 //
 // With -members (instead of -backends) the gateway runs in dynamic
 // membership mode against rtf-serve -membership backends: users map to

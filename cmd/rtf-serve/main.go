@@ -32,8 +32,9 @@
 // cluster fronted by rtf-gateway -members: it keeps one accumulator per
 // virtual shard instead of one global accumulator, and serves the
 // membership control plane on the same port — cluster view pushes,
-// per-shard raw-sums requests (the gateway's quorum reads), shard state
-// export and shard transfer installs (reshard handoffs). Works for
+// per-shard raw-sums requests (the gateway's quorum reads, and its
+// export of a shard to reshard) and shard transfer installs (reshard
+// handoffs). Works for
 // every protocol mode; with -data-dir a shard install cuts its own
 // snapshot, so a handoff survives a crash.
 //
@@ -52,10 +53,13 @@
 // snapshot is flushed, and the process exits 0. A second signal forces
 // immediate exit.
 //
-// The protocol parameters (-mechanism, -d, -k, -m, -eps) must match the
-// clients'; they determine the estimator scale of Algorithm 2 and are
-// recorded in every snapshot, so a data directory written under
-// different parameters is rejected at boot rather than misread.
+// The protocol parameters (-mechanism, -d, -k, -m, -encoding, -buckets,
+// -hash-seed, -eps) must match the clients'; they determine the
+// estimator scale of Algorithm 2 and are recorded in every snapshot, so
+// a data directory written under different parameters is rejected at
+// boot rather than misread. They and the process flags (-addr, -metrics,
+// -pprof, -queue, -grace) are rtf-gateway's too: both binaries resolve
+// them and run the serve lifecycle through internal/front.
 //
 // The process logs in logfmt to stderr, -metrics mounts a JSON
 // snapshot of every instrument (ingest rate, batch sizes, apply

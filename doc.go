@@ -85,9 +85,11 @@
 // raw integer sums bit-for-bit (after fencing all in-flight forwards,
 // so a mismatch is corruption, never a race). POST /membership/reshard
 // joins or drains members online: the gateway fences live sessions,
-// ships moved vshards as snapshots over MsgShardTransfer frames
-// (~1/N movement, the rendezvous minimum), and bumps the epoch so no
-// report is ever applied under two placements.
+// exports each moved vshard through the same encoding-checked raw-sums
+// request a read sends (so an owner hashing under another seed refuses
+// it), ships the folded state over MsgShardTransfer frames (~1/N
+// movement, the rendezvous minimum), and bumps the epoch so no report
+// is ever applied under two placements.
 //
 // Domain-valued tracking (the paper's "richer domains" adaptation,
 // Section 1) is a first-class online workload in the same architecture:
@@ -117,7 +119,14 @@
 // transport.ServerMetrics instruments ingest rate, batch sizes,
 // apply latency, ack coalescing, queue occupancy, WAL lag, snapshot
 // age, per-backend scatter latency and per-mechanism query counts
-// across rtf-serve and rtf-gateway. A bounded admission queue (-queue)
+// across rtf-serve and rtf-gateway. Both binaries resolve the protocol
+// flags and run this serve lifecycle through one package,
+// rtf/internal/front: a refused flag set exits 1 naming the binary, the
+// /metrics info map and the listening line name the protocol in force
+// (mechanism, d, k, m, ε, encoding, g, seed, scale), and the capability
+// each binary needs of its mechanism — the sharded accumulator for a
+// node, exact cross-machine merge for a gateway — comes from the binary
+// rather than from a flag. A bounded admission queue (-queue)
 // sheds acked batches whole — a negative ack, never a partial apply; on
 // the gateway the check runs before any forward — while legacy batches
 // block for natural TCP backpressure; the gateway read path adds per-backend

@@ -636,7 +636,9 @@ func TestReshardRefusesForeignEncoding(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if !slices.ContainsFunc(logged, func(e string) bool { return strings.HasPrefix(e, "n0: ") && strings.Contains(e, "under a different seed") }) {
+	if !slices.ContainsFunc(logged, func(e string) bool {
+		return strings.HasPrefix(e, "n0: ") && strings.Contains(e, "under a different seed")
+	}) {
 		t.Fatalf("the reshard failed, but n0 did not refuse the encoding: %q", logged)
 	}
 	if n := dst.Users(); n != 0 {
