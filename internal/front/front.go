@@ -78,7 +78,7 @@ type Config struct {
 	Grace         time.Duration
 
 	// Set by Resolve.
-	Role  Role
+	role  Role
 	Scale float64
 	Mode  transport.Mode
 }
@@ -106,7 +106,7 @@ func (c *Config) Hashed() bool { return c.Encoding == hh.EncodingLoloha }
 
 // Resolve checks the protocol block for role r, refusing every
 // unsupported combination with a message naming the flags at fault, and
-// sets Role, Scale and Mode.
+// sets Scale and Mode.
 func (c *Config) Resolve(r Role) error {
 	if !dyadic.IsPow2(c.D) {
 		return fmt.Errorf("d=%d is not a power of two", c.D)
@@ -153,7 +153,7 @@ func (c *Config) Resolve(r Role) error {
 	default:
 		c.Mode = transport.BoolMode(c.D, c.Scale)
 	}
-	c.Role = r
+	c.role = r
 	return nil
 }
 
@@ -261,7 +261,7 @@ func (c *Config) protocol() []any {
 // an info map naming the front and the protocol in force.
 func (c *Config) registry() *obs.Registry {
 	reg := obs.NewRegistry()
-	reg.SetInfo("component", c.Role.Name)
+	reg.SetInfo("component", c.role.Name)
 	for kv := c.protocol(); len(kv) > 0; kv = kv[2:] {
 		reg.SetInfo(kv[0].(string), fmt.Sprint(kv[1]))
 	}

@@ -11,9 +11,10 @@ import (
 // ReplicaClient pools connections per backend address — keyed by
 // address rather than by a fixed index, because the member set changes
 // across epochs — and BackendConn grows the membership round-trips
-// (shard transfer install, view push; a shard's raw sums — for a quorum
-// read and for a reshard's export alike — go through FetchSums). Placement is the
-// gateway's business (internal/cluster); this layer only moves frames.
+// (shard transfer install, view push; a shard's raw sums, for a quorum
+// read and for a reshard's export alike, go through FetchSums).
+// Placement is the gateway's business (internal/cluster); this layer
+// only moves frames.
 
 // TransferShard ships one shard's serialized state to the backend and
 // waits for its ack; the backend installs it as the shard's new state
