@@ -221,7 +221,7 @@ func (c *Config) Serve(logger *obs.Logger, srv *transport.Server, h Hooks) error
 		go http.Serve(mln, mux)
 	}
 
-	sig := make(chan os.Signal, 2)
+	sig := make(chan os.Signal, 2) // the drain's signal and the one that cuts it short
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sig
