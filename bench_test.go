@@ -594,8 +594,8 @@ func servedBenchCases() []servedBenchCase {
 	boolReport := func(_ int, r protocol.Report) transport.Msg { return transport.FromReport(r) }
 	return []servedBenchCase{
 		{"boolean", transport.BoolMode(ingestBenchD, 100), boolReport, 1},
-		{"domain", transport.DomainMode(ingestBenchD, domainBenchM, 100), transport.FromDomainReport, domainBenchM},
-		{"hashed", transport.HashedMode(ingestBenchD, hashedBenchEnc, 100), transport.FromDomainReport, hashedBenchEnc.G},
+		{"domain", transport.DomainMode(ingestBenchD, hh.ExactEncoding(domainBenchM), 100), transport.FromDomainReport, domainBenchM},
+		{"hashed", transport.DomainMode(ingestBenchD, hashedBenchEnc, 100), transport.FromDomainReport, hashedBenchEnc.G},
 	}
 }
 
@@ -1351,9 +1351,17 @@ func BenchmarkAnswerTopK(b *testing.B) {
 		}
 	}
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := col.Mode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := transport.AnswerDomainQuery(ds, q); err != nil {
+		// A served read: the frame loop's read check, then the answer
+		// into a fresh frame.
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
+		var ans transport.DomainAnswerFrame
+		var sc transport.TopKScratch
+		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1476,12 +1484,16 @@ func populateHashedBench(b *testing.B) *hh.HashedDomainServer {
 func BenchmarkAnswerTopKHashedCold(b *testing.B) {
 	hs := populateHashedBench(b)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := transport.DomainMode(ingestBenchD, hashedBenchEnc, 100)
 	var ans transport.DomainAnswerFrame
 	var sc transport.TopKScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hs.AdvanceVersion(0)
-		if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transport.AnswerDomainQueryInto(hs, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1492,14 +1504,18 @@ func BenchmarkAnswerTopKHashedCold(b *testing.B) {
 func BenchmarkAnswerTopKHashedWarm(b *testing.B) {
 	hs := populateHashedBench(b)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := transport.DomainMode(ingestBenchD, hashedBenchEnc, 100)
 	var ans transport.DomainAnswerFrame
 	var sc transport.TopKScratch
-	if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
+	if _, err := transport.AnswerDomainQueryInto(hs, q, &ans, &sc); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := transport.AnswerHashedDomainQueryInto(hs, q, &ans, &sc); err != nil {
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transport.AnswerDomainQueryInto(hs, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1519,7 +1535,7 @@ func BenchmarkAnswerTopKHashedWarm(b *testing.B) {
 func BenchmarkGatewayGatherHashed(b *testing.B) {
 	const g, m = 256, 1 << 18
 	for _, d := range []int{128, 1024} {
-		mode := transport.HashedMode(d, hh.LolohaEncoding(m, g, 0xbeef), 100)
+		mode := transport.DomainMode(d, hh.LolohaEncoding(m, g, 0xbeef), 100)
 		backends := [2]transport.State{mode.NewState(2), mode.NewState(2)}
 		r := rng.New(17, 18)
 		for i := 0; i < ingestBenchReports; i++ {
@@ -1585,7 +1601,7 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 // and /full a SeriesItem read of the same item, which needs them all.
 func BenchmarkShardMapPointRead(b *testing.B) {
 	const d, m, shards = 256, 256, 16
-	sm := transport.NewShardMap(transport.DomainMode(d, m, 100), shards, "n0")
+	sm := transport.NewShardMap(transport.DomainMode(d, hh.ExactEncoding(m), 100), shards, "n0")
 	r := rng.New(23, 24)
 	run := make([]transport.Rec, 0, 4096)
 	for i := 0; i < ingestBenchReports; i++ {
@@ -1655,11 +1671,15 @@ func populateReadPathBench(b *testing.B, m int) *hh.DomainServer {
 func BenchmarkAnswerTopKCold(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
 	var ans transport.DomainAnswerFrame
 	var sc transport.TopKScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ds.AdvanceVersion(0)
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
@@ -1673,6 +1693,7 @@ func BenchmarkAnswerTopKCold(b *testing.B) {
 func BenchmarkAnswerTopKWarm(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
 	var ans transport.DomainAnswerFrame
 	var sc transport.TopKScratch
 	if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
@@ -1680,6 +1701,9 @@ func BenchmarkAnswerTopKWarm(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
 		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 			b.Fatal(err)
 		}
@@ -1762,6 +1786,7 @@ func BenchmarkAnswerSeriesWarm(b *testing.B) {
 func BenchmarkConcurrentQueries(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
 	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
 	var warm transport.DomainAnswerFrame
 	var wsc transport.TopKScratch
 	if _, err := transport.AnswerDomainQueryInto(ds, q, &warm, &wsc); err != nil {
@@ -1772,6 +1797,10 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 		var ans transport.DomainAnswerFrame
 		var sc transport.TopKScratch
 		for pb.Next() {
+			if err := mode.ValidateRead(q); err != nil {
+				b.Error(err)
+				return
+			}
 			if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 				b.Error(err)
 				return

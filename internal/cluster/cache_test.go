@@ -409,9 +409,9 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 		reportsPerWriter = 4
 	)
 	enc := hh.LolohaEncoding(m, g, 0xabcd)
-	mode := transport.DomainMode(d, m, scale)
+	mode := transport.DomainMode(d, hh.ExactEncoding(m), scale)
 	if hashed {
-		mode = transport.HashedMode(d, enc, scale)
+		mode = transport.DomainMode(d, enc, scale)
 	}
 	gwAddr := pl.serve(t, mode, transport.ClusterOptions{}, nil).addr
 
@@ -522,14 +522,14 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 				switch msg.Type {
 				case transport.MsgDomainHello, transport.MsgHashedDomainHello:
 					if hashed {
-						ref.(*hh.HashedDomainServer).Register(0, msg.Item, msg.Order)
+						ref.(*hh.HashedDomainServer).Inner().Register(0, msg.Item, msg.Order)
 					} else {
 						ref.(*hh.DomainServer).Register(0, msg.Item, msg.Order)
 					}
 				case transport.MsgDomainReport:
 					rep := protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit}
 					if hashed {
-						ref.(*hh.HashedDomainServer).Ingest(0, msg.Item, rep)
+						ref.(*hh.HashedDomainServer).Inner().Ingest(0, msg.Item, rep)
 					} else {
 						ref.(*hh.DomainServer).Ingest(0, msg.Item, rep)
 					}
@@ -701,7 +701,7 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 			}
 		}()
 	}
-	gw, err := New(transport.HashedMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
+	gw, err := New(transport.DomainMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,9 +723,9 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, m := range ms {
 		if m.Type == transport.MsgHashedDomainHello {
-			serial.Register(0, m.Item, m.Order)
+			serial.Inner().Register(0, m.Item, m.Order)
 		} else {
-			serial.Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+			serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
 		}
 	}
 	pointItem := func(item, at int) float64 {

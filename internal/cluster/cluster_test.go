@@ -514,7 +514,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 			}
 		}()
 	}
-	gw, err := New(transport.DomainMode(d, m, scale), Static(addrs), transport.ClusterOptions{})
+	gw, err := New(transport.DomainMode(d, hh.ExactEncoding(m), scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 
 	// Stacked gateways: a second domain gateway over the first answers
 	// identically (the first answers MsgDomainSums).
-	gw2, err := New(transport.DomainMode(d, m, scale), Static([]string{gwAddr}), transport.ClusterOptions{})
+	gw2, err := New(transport.DomainMode(d, hh.ExactEncoding(m), scale), Static([]string{gwAddr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,7 +249,7 @@ func confModes(t *testing.T) []confMode {
 			whole:   []transport.Msg{transport.QueryV2(transport.QuerySeries, 0, 0), transport.QueryV2(transport.QueryWindow, 3, 9), transport.Sums()},
 		},
 		{
-			name: "exact", mode: transport.DomainMode(confD, confM, scale), meta: exactMeta, domain: confM, opts: base,
+			name: "exact", mode: transport.DomainMode(confD, hh.ExactEncoding(confM), scale), meta: exactMeta, domain: confM, opts: base,
 			user: func(u int) []transport.Msg {
 				ms := []transport.Msg{transport.DomainHello(u, u%confM, u%3)}
 				for r := 0; r < 3; r++ {
@@ -265,7 +265,7 @@ func confModes(t *testing.T) []confMode {
 			ranged: domainRanged, whole: []transport.Msg{seriesItem, transport.DomainSums()},
 		},
 		{
-			name: "hashed", mode: transport.HashedMode(confD, confEnc, scale), meta: hashedMeta, domain: confEnc.M,
+			name: "hashed", mode: transport.DomainMode(confD, confEnc, scale), meta: hashedMeta, domain: confEnc.M,
 			opts: append(append([]ldp.Option(nil), base...),
 				ldp.WithDomainEncoding(hh.EncodingLoloha), ldp.WithBuckets(confEnc.G), ldp.WithHashSeed(confEnc.Seed)),
 			user: func(u int) []transport.Msg {

@@ -79,7 +79,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 			}
 		}()
 	}
-	gw, err := New(transport.HashedMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
+	gw, err := New(transport.DomainMode(d, enc0, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,9 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, msg := range ms {
 		if msg.Type == transport.MsgHashedDomainHello {
-			serial.Register(0, msg.Item, msg.Order)
+			serial.Inner().Register(0, msg.Item, msg.Order)
 		} else {
-			serial.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
+			serial.Inner().Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
 		}
 	}
 
@@ -164,7 +164,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 
 	// Stacked gateways: a second hashed gateway over the first gathers
 	// bucket state via MsgHashedDomainSums and answers identically.
-	gw2, err := New(transport.HashedMode(d, enc0, scale), Static([]string{gwAddr}), transport.ClusterOptions{})
+	gw2, err := New(transport.DomainMode(d, enc0, scale), Static([]string{gwAddr}), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	// gather: the backends refuse its sums requests rather than hand
 	// over bucket counters that mean different items.
 	badEnc := hh.LolohaEncoding(hashedTestM, hashedTestG, hashedTestSeed+1)
-	gwBad, err := New(transport.HashedMode(d, badEnc, scale), Static(addrs), transport.ClusterOptions{})
+	gwBad, err := New(transport.DomainMode(d, badEnc, scale), Static(addrs), transport.ClusterOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

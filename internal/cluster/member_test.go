@@ -466,7 +466,7 @@ func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
 	var refusals []string
 	var members []membership.Member
 	for _, id := range []string{"n0", "n1"} {
-		srv := transport.NewIngestServer(transport.NewShardMap(transport.HashedMode(d, theirs, scale), S, id))
+		srv := transport.NewIngestServer(transport.NewShardMap(transport.DomainMode(d, theirs, scale), S, id))
 		srv.ErrorLog = func(err error) {
 			mu.Lock()
 			refusals = append(refusals, err.Error())
@@ -494,7 +494,7 @@ func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
 		}
 		return n
 	}
-	gw, err := New(transport.HashedMode(d, ours, scale), Members(S, K, members), fastOpts())
+	gw, err := New(transport.DomainMode(d, ours, scale), Members(S, K, members), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestReshardRefusesForeignEncoding(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
 	start := func(enc hh.DomainEncoding, id string) (membership.Member, *transport.ShardMap) {
-		sm := transport.NewShardMap(transport.HashedMode(d, enc, scale), S, id)
+		sm := transport.NewShardMap(transport.DomainMode(d, enc, scale), S, id)
 		srv := transport.NewIngestServer(sm)
 		srv.ErrorLog = func(err error) {
 			mu.Lock()
@@ -623,7 +623,7 @@ func TestReshardRefusesForeignEncoding(t *testing.T) {
 		t.Fatalf("n0 holds %d users, want %d", src.Users(), users)
 	}
 
-	gw, err := New(transport.HashedMode(d, ours, scale), Members(S, 1, []membership.Member{n0}), fastOpts())
+	gw, err := New(transport.DomainMode(d, ours, scale), Members(S, 1, []membership.Member{n0}), fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,6 +134,8 @@ func (c *Config) Resolve(r Role) error {
 			}
 		} else if c.Buckets != 0 || c.HashSeed != 0 {
 			return fmt.Errorf("-buckets and -hash-seed only apply with -encoding loloha")
+		} else {
+			enc = hh.ExactEncoding(c.M)
 		}
 	} else if c.Encoding != hh.EncodingExact || c.Buckets != 0 || c.HashSeed != 0 {
 		return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
@@ -145,12 +147,9 @@ func (c *Config) Resolve(r Role) error {
 	if c.Scale, err = mc.EstimatorScale(ldp.Params{D: c.D, K: c.K, Eps: c.Eps}); err != nil {
 		return err
 	}
-	switch {
-	case enc.Hashed():
-		c.Mode = transport.HashedMode(c.D, enc, c.Scale)
-	case c.M > 0:
-		c.Mode = transport.DomainMode(c.D, c.M, c.Scale)
-	default:
+	if c.M > 0 {
+		c.Mode = transport.DomainMode(c.D, enc, c.Scale)
+	} else {
 		c.Mode = transport.BoolMode(c.D, c.Scale)
 	}
 	c.role = r

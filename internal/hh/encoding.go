@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"rtf/internal/protocol"
 )
 
 // Encoding names. EncodingExact is the per-item indicator reduction
@@ -76,6 +74,14 @@ func (e DomainEncoding) Rows() int {
 	return e.M
 }
 
+// RowName names a row in messages: "item" for exact, "bucket" for hashed.
+func (e DomainEncoding) RowName() string {
+	if e.Hashed() {
+		return "bucket"
+	}
+	return "item"
+}
+
 // Validate checks the encoding's parameters against the caps.
 func (e DomainEncoding) Validate() error {
 	switch e.Name {
@@ -115,6 +121,16 @@ func (e DomainEncoding) Bucket(item int) int {
 	return int(splitmix64(e.Seed^uint64(item)) % uint64(e.G))
 }
 
+// Row maps a catalogue item to the server row its indicator is counted
+// in: the item itself under the exact encoding, its bucket under a
+// hashed one.
+func (e DomainEncoding) Row(item int) int {
+	if e.Hashed() {
+		return e.Bucket(item)
+	}
+	return item
+}
+
 // OptimalBuckets returns LOLOHA's optimal bucket count g* for the
 // two-level budget split: epsPerm is the permanent (infinity-report)
 // budget ε_perm and eps1 the per-report budget ε_1 < ε_perm. The closed
@@ -143,54 +159,37 @@ func OptimalBuckets(epsPerm, eps1 float64) int {
 	return int(g)
 }
 
-// HashedDomainClient is the client half of a hashed encoding: it holds
-// the user's sampled target bucket and feeds the mechanism client the
-// bucket indicator 1{B(v_u[t]) = bucket} — the item-indicator reduction
-// run in bucket space. Its wire frames are therefore the ordinary
-// item-tagged frames with Item = the sampled bucket.
-type HashedDomainClient struct {
-	enc    DomainEncoding
-	bucket int
-	inner  Observer
+// Items is the read side of a domain server in catalogue terms — what
+// every item-scoped query is answered from. The exact encoding's
+// DomainServer reads its rows as items (×m); a HashedDomainServer
+// decodes its bucket rows into items. These two algorithms are the only
+// code that differs between the encodings above the counter matrix.
+type Items interface {
+	D() int
+	M() int // catalogue size
+	Users() int
+	// EstimateItemAtCached returns f̂(item, t) and whether it came from
+	// a version-keyed memo (see memo.go).
+	EstimateItemAtCached(item, t int) (float64, bool)
+	// EstimateItemSeries returns f̂(item, 1..d) in a caller-owned slice.
+	EstimateItemSeries(item int) []float64
+	// AppendTopK appends the k items with the largest estimate at t, in
+	// decreasing order with ties toward the smaller item, and reports
+	// whether the selection came from the memo.
+	AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool)
 }
 
-// NewHashedDomainClient builds the client for one user whose sampled
-// target bucket is bucket (uniform in [0, g)). inner is the user's
-// Boolean mechanism client.
-func NewHashedDomainClient(bucket int, enc DomainEncoding, inner Observer) (*HashedDomainClient, error) {
-	if err := enc.Validate(); err != nil {
-		return nil, err
+// ItemsOver puts the encoding's item reader over a server's rows — the
+// rows themselves under the exact encoding, the bucket decoder under a
+// hashed one — which keep receiving every write.
+func ItemsOver(enc DomainEncoding, rows *DomainServer) Items {
+	if rows.M() != enc.Rows() {
+		panic(fmt.Sprintf("hh: %d rows under an encoding with %d", rows.M(), enc.Rows()))
 	}
-	if !enc.Hashed() {
-		return nil, fmt.Errorf("hh: encoding %q is not hashed", enc.Name)
+	if enc.Hashed() {
+		return HashedDomainServerOver(enc, rows)
 	}
-	if bucket < 0 || bucket >= enc.G {
-		return nil, fmt.Errorf("hh: target bucket %d outside [0..%d)", bucket, enc.G)
-	}
-	return &HashedDomainClient{enc: enc, bucket: bucket, inner: inner}, nil
-}
-
-// Bucket returns the client's sampled target bucket — the value carried
-// as Item in its wire hello.
-func (c *HashedDomainClient) Bucket() int { return c.bucket }
-
-// Order returns the inner mechanism client's announced order.
-func (c *HashedDomainClient) Order() int { return c.inner.Order() }
-
-// Encoding returns the client's encoding.
-func (c *HashedDomainClient) Encoding() DomainEncoding { return c.enc }
-
-// Observe consumes the user's current catalogue value (−1 = no item)
-// for the next period and feeds the mechanism client whether the value
-// hashes to the target bucket. The value is checked here, against the
-// catalogue — the space this layer owns; a bucket is in range by
-// construction.
-func (c *HashedDomainClient) Observe(value int) (protocol.Report, bool, error) {
-	if value < -1 || value >= c.enc.M {
-		return protocol.Report{}, false, fmt.Errorf("hh: value %d outside [0..%d) (or -1 for unset)", value, c.enc.M)
-	}
-	r, ok := c.inner.Observe(value >= 0 && c.enc.Bucket(value) == c.bucket)
-	return r, ok, nil
+	return rows
 }
 
 // HashedDomainServer serves item queries over a hashed encoding: the
@@ -245,9 +244,6 @@ func (s *HashedDomainServer) D() int { return s.inner.D() }
 // M returns the catalogue size (not the row count).
 func (s *HashedDomainServer) M() int { return s.enc.M }
 
-// G returns the bucket (row) count.
-func (s *HashedDomainServer) G() int { return s.enc.G }
-
 // Inner returns the g-row DomainServer holding the raw bucket
 // counters. Ingest, folds, raw-sums export and snapshot state all go
 // through it — a hashed deployment's wire sums and durable state are
@@ -256,16 +252,6 @@ func (s *HashedDomainServer) Inner() *DomainServer { return s.inner }
 
 // Users returns the number of registered users.
 func (s *HashedDomainServer) Users() int { return s.inner.Users() }
-
-// Register records a user's sampled bucket and announced order.
-func (s *HashedDomainServer) Register(shard, bucket, order int) {
-	s.inner.Register(shard, bucket, order)
-}
-
-// Ingest accumulates one bucket-tagged report.
-func (s *HashedDomainServer) Ingest(shard, bucket int, r protocol.Report) {
-	s.inner.Ingest(shard, bucket, r)
-}
 
 // checkItem bounds-checks a catalogue item.
 func (s *HashedDomainServer) checkItem(x int) {
@@ -277,10 +263,6 @@ func (s *HashedDomainServer) checkItem(x int) {
 // AdvanceVersion bumps the inner accumulator's mutation stamp for the
 // given shard; see DomainServer.AdvanceVersion.
 func (s *HashedDomainServer) AdvanceVersion(shard int) { s.inner.AdvanceVersion(shard) }
-
-// Version returns the inner accumulator's monotone mutation stamp; see
-// protocol.DomainSharded.Version for the freshness contract.
-func (s *HashedDomainServer) Version() uint64 { return s.inner.Version() }
 
 // decodeLocked returns the per-bucket decoded item values at time t —
 // dec[b] is the frequency estimate of any item hashing to b, with the

@@ -124,12 +124,12 @@ func TestOptimalBuckets(t *testing.T) {
 func TestHashedClientIndicator(t *testing.T) {
 	e := LolohaEncoding(1000, 8, 99)
 	obs := &recordingObserver{}
-	c, err := NewHashedDomainClient(3, e, obs)
+	c, err := NewDomainClient(3, e, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Bucket() != 3 {
-		t.Fatalf("Bucket() = %d, want 3", c.Bucket())
+	if c.Row() != 3 {
+		t.Fatalf("Row() = %d, want 3", c.Row())
 	}
 	in := []int{-1, 0, 17, 400, 17, 999}
 	for _, v := range in {
@@ -160,13 +160,10 @@ func TestHashedClientIndicator(t *testing.T) {
 		t.Error("rejected value reached the inner client")
 	}
 	// Constructor validation.
-	if _, err := NewHashedDomainClient(8, e, obs); err == nil || !strings.Contains(err.Error(), "bucket 8") {
+	if _, err := NewDomainClient(8, e, obs); err == nil || !strings.Contains(err.Error(), "bucket 8") {
 		t.Errorf("bucket == g: error %v, want one naming the bucket", err)
 	}
-	if _, err := NewHashedDomainClient(0, ExactEncoding(8), obs); err == nil {
-		t.Error("exact encoding accepted by hashed client")
-	}
-	if _, err := NewHashedDomainClient(0, DomainEncoding{Name: EncodingLoloha, M: 1, G: 4}, obs); err == nil {
+	if _, err := NewDomainClient(0, DomainEncoding{Name: EncodingLoloha, M: 1, G: 4}, obs); err == nil {
 		t.Error("invalid encoding accepted")
 	}
 }
@@ -201,11 +198,11 @@ func runHashedStreaming(t *testing.T, w *DomainWorkload, buckets int, eps float6
 	srv := NewHashedDomainServer(w.D, enc, scale, 1)
 	for u, us := range w.Users {
 		bucket := g.IntN(enc.G)
-		c, err := NewHashedDomainClient(bucket, enc, protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(bucket, enc, protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.Register(0, c.Bucket(), c.Order())
+		srv.Inner().Register(0, c.Row(), c.Order())
 		vals := us.Values(w.D)
 		for tt := 1; tt <= w.D; tt++ {
 			r, ok, err := c.Observe(vals[tt-1])
@@ -213,7 +210,7 @@ func runHashedStreaming(t *testing.T, w *DomainWorkload, buckets int, eps float6
 				t.Fatal(err)
 			}
 			if ok {
-				srv.Ingest(0, c.Bucket(), r)
+				srv.Inner().Ingest(0, c.Row(), r)
 			}
 		}
 	}
@@ -271,11 +268,11 @@ func TestHashedReadPathConsistency(t *testing.T) {
 	}
 	srv := runHashedStreaming(t, w, 4, 1, g.Split())
 	enc := srv.Encoding()
-	if srv.D() != w.D || srv.M() != w.M || srv.G() != 4 {
-		t.Fatalf("server dims d=%d m=%d g=%d", srv.D(), srv.M(), srv.G())
+	if srv.D() != w.D || srv.M() != w.M || enc.G != 4 {
+		t.Fatalf("server dims d=%d m=%d g=%d", srv.D(), srv.M(), enc.G)
 	}
-	if srv.Inner().M() != srv.G() {
-		t.Fatalf("inner rows %d != g %d", srv.Inner().M(), srv.G())
+	if srv.Inner().M() != enc.G {
+		t.Fatalf("inner rows %d != g %d", srv.Inner().M(), enc.G)
 	}
 	for x := 0; x < w.M; x++ {
 		series := srv.EstimateItemSeries(x)
@@ -291,10 +288,10 @@ func TestHashedReadPathConsistency(t *testing.T) {
 	// Manual decode from the raw bucket estimates, in fixed bucket order.
 	for _, tt := range []int{1, 7, 16} {
 		var total float64
-		for b := 0; b < srv.G(); b++ {
+		for b := 0; b < enc.G; b++ {
 			total += srv.Inner().EstimateItemAt(b, tt)
 		}
-		gf := float64(srv.G())
+		gf := float64(enc.G)
 		for x := 0; x < w.M; x += 7 {
 			want := (srv.Inner().EstimateItemAt(enc.Bucket(x), tt) - total/gf) * gf / (gf - 1)
 			if got := srv.EstimateItemAt(x, tt); got != want {

@@ -169,42 +169,46 @@ type Observer interface {
 	Observe(value bool) (protocol.Report, bool)
 }
 
-// DomainClient runs one user's half of the richer-domain reduction: it
-// holds the user's sampled target item and feeds the derived indicator
-// stream 1{v_u[t] = item} into the wrapped Boolean client. The emitted
-// reports must reach the DomainServer tagged with Item().
+// DomainClient runs one user's half of the richer-domain reduction under
+// an encoding: it holds the user's sampled target row — an item under
+// the exact encoding, a bucket under a hashed one — and feeds the
+// wrapped Boolean client the indicator 1{enc.Row(v_u[t]) = row}. The
+// emitted reports must reach the server tagged with Row().
 type DomainClient struct {
-	item, m int
-	inner   Observer
+	row   int
+	enc   DomainEncoding
+	inner Observer
 }
 
-// NewDomainClient wraps a Boolean client for the given sampled item in
-// a domain of size m.
-func NewDomainClient(item, m int, inner Observer) (*DomainClient, error) {
-	if m < 2 {
-		return nil, fmt.Errorf("hh: domain size m=%d must be at least 2", m)
+// NewDomainClient wraps a Boolean client for the given sampled target
+// row (uniform in [0, enc.Rows())) under the encoding.
+func NewDomainClient(row int, enc DomainEncoding, inner Observer) (*DomainClient, error) {
+	if err := enc.Validate(); err != nil {
+		return nil, err
 	}
-	if item < 0 || item >= m {
-		return nil, fmt.Errorf("hh: target item %d outside [0..%d)", item, m)
+	if row < 0 || row >= enc.Rows() {
+		return nil, fmt.Errorf("hh: target %s %d outside [0..%d)", enc.RowName(), row, enc.Rows())
 	}
-	return &DomainClient{item: item, m: m, inner: inner}, nil
+	return &DomainClient{row: row, enc: enc, inner: inner}, nil
 }
 
-// Item returns the client's sampled target item (safe to transmit in
-// the clear: it is sampled data-independently, like the order).
-func (c *DomainClient) Item() int { return c.item }
+// Row returns the client's sampled target row, the value carried as
+// Item in its wire frames (safe to transmit in the clear: it is sampled
+// data-independently, like the order).
+func (c *DomainClient) Row() int { return c.row }
 
 // Order returns the wrapped Boolean client's announced order.
 func (c *DomainClient) Order() int { return c.inner.Order() }
 
-// Observe consumes the user's domain value for the next period (−1 when
-// the user has no value yet) and returns a report to ship when this
-// period is a reporting time for the wrapped client.
+// Observe consumes the user's catalogue value for the next period (−1
+// when the user has no value yet) and returns a report to ship when
+// this period is a reporting time for the wrapped client. The value is
+// checked against the catalogue; the row is in range by construction.
 func (c *DomainClient) Observe(value int) (protocol.Report, bool, error) {
-	if value < -1 || value >= c.m {
-		return protocol.Report{}, false, fmt.Errorf("hh: value %d outside [0..%d) (or -1 for unset)", value, c.m)
+	if value < -1 || value >= c.enc.M {
+		return protocol.Report{}, false, fmt.Errorf("hh: value %d outside [0..%d) (or -1 for unset)", value, c.enc.M)
 	}
-	r, ok := c.inner.Observe(value == c.item)
+	r, ok := c.inner.Observe(value >= 0 && c.enc.Row(value) == c.row)
 	return r, ok, nil
 }
 
@@ -233,7 +237,6 @@ type ItemCount struct {
 type DomainServer struct {
 	d, m      int
 	boolScale float64 // the Boolean mechanism's estimator scale
-	itemScale float64 // m × boolScale, the per-item estimator scale
 	acc       *protocol.DomainSharded
 	memo      estMemo // version-keyed EstimateAllAt/TopK cache, see memo.go
 }
@@ -246,10 +249,9 @@ func NewDomainServer(d, m int, boolScale float64, shards int) *DomainServer {
 	if m < 2 {
 		panic(fmt.Sprintf("hh: domain size m=%d must be at least 2", m))
 	}
-	itemScale := float64(m) * boolScale
 	return &DomainServer{
-		d: d, m: m, boolScale: boolScale, itemScale: itemScale,
-		acc: protocol.NewDomainSharded(d, m, itemScale, shards),
+		d: d, m: m, boolScale: boolScale,
+		acc: protocol.NewDomainSharded(d, m, float64(m)*boolScale, shards),
 	}
 }
 
@@ -258,12 +260,11 @@ func NewDomainServer(d, m int, boolScale float64, shards int) *DomainServer {
 // l = r = 0 — adopted without a copy (see protocol.DomainShardedOver):
 // the read-only state a gateway answers a completed gather from.
 func DomainServerOver(d, m int, boolScale float64, l, r int, cells []int64) (*DomainServer, error) {
-	itemScale := float64(m) * boolScale
-	acc, err := protocol.DomainShardedOver(d, m, itemScale, l, r, cells)
+	acc, err := protocol.DomainShardedOver(d, m, float64(m)*boolScale, l, r, cells)
 	if err != nil {
 		return nil, err
 	}
-	return &DomainServer{d: d, m: m, boolScale: boolScale, itemScale: itemScale, acc: acc}, nil
+	return &DomainServer{d: d, m: m, boolScale: boolScale, acc: acc}, nil
 }
 
 // D returns the horizon.
@@ -275,9 +276,6 @@ func (s *DomainServer) M() int { return s.m }
 // BoolScale returns the Boolean mechanism's estimator scale the server
 // was built with (the per-item scale is m times it).
 func (s *DomainServer) BoolScale() float64 { return s.boolScale }
-
-// ItemScale returns the per-item estimator scale m × BoolScale.
-func (s *DomainServer) ItemScale() float64 { return s.itemScale }
 
 // checkItem bounds-checks an item index with the package's own panic
 // message (the protocol layer would panic too, one frame deeper).
@@ -322,12 +320,6 @@ func (s *DomainServer) Version() uint64 { return s.acc.Version() }
 // Users returns the number of registered users across all items.
 func (s *DomainServer) Users() int { return s.acc.Users() }
 
-// UsersAtItem returns the number of users whose sampled target is item.
-func (s *DomainServer) UsersAtItem(item int) int {
-	s.checkItem(item)
-	return s.acc.UsersAt(item)
-}
-
 // EstimateItemAt returns f̂(item, t) = m·â_item(t), valid online once
 // time t has passed.
 func (s *DomainServer) EstimateItemAt(item, t int) float64 {
@@ -335,17 +327,17 @@ func (s *DomainServer) EstimateItemAt(item, t int) float64 {
 	return s.acc.EstimateAt(item, t)
 }
 
+// EstimateItemAtCached is EstimateItemAt for the Items interface: an
+// exact point estimate reads the counters directly, never a memo, so it
+// never reports a cached answer.
+func (s *DomainServer) EstimateItemAtCached(item, t int) (float64, bool) {
+	return s.EstimateItemAt(item, t), false
+}
+
 // EstimateItemSeries returns f̂(item, 1..d). The caller owns the slice.
 func (s *DomainServer) EstimateItemSeries(item int) []float64 {
 	s.checkItem(item)
 	return s.acc.EstimateSeries(item)
-}
-
-// EstimateItemSeriesTo returns f̂(item, 1..r), bit-for-bit a prefix of
-// EstimateItemSeries.
-func (s *DomainServer) EstimateItemSeriesTo(item, r int) []float64 {
-	s.checkItem(item)
-	return s.acc.EstimateSeriesTo(item, r)
 }
 
 // TopK returns the k items with the largest estimated frequency at time

@@ -41,12 +41,12 @@ func TestDomainStreamValues(t *testing.T) {
 // changes at most as often as the value stream.
 func TestDomainClientIndicator(t *testing.T) {
 	obs := &recordingObserver{}
-	c, err := NewDomainClient(3, 5, obs)
+	c, err := NewDomainClient(3, ExactEncoding(5), obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Item() != 3 {
-		t.Fatalf("Item() = %d, want 3", c.Item())
+	if c.Row() != 3 {
+		t.Fatalf("Row() = %d, want 3", c.Row())
 	}
 	in := []int{-1, 2, 3, 3, 1, 3}
 	want := []bool{false, false, true, true, false, true}
@@ -75,13 +75,13 @@ func TestDomainClientIndicator(t *testing.T) {
 		t.Error("rejected value reached the inner client")
 	}
 	// Constructor validation.
-	if _, err := NewDomainClient(-1, 5, obs); err == nil {
+	if _, err := NewDomainClient(-1, ExactEncoding(5), obs); err == nil {
 		t.Error("negative item accepted")
 	}
-	if _, err := NewDomainClient(5, 5, obs); err == nil {
+	if _, err := NewDomainClient(5, ExactEncoding(5), obs); err == nil {
 		t.Error("item == m accepted")
 	}
-	if _, err := NewDomainClient(0, 1, obs); err == nil {
+	if _, err := NewDomainClient(0, ExactEncoding(1), obs); err == nil {
 		t.Error("domain of size 1 accepted")
 	}
 }
@@ -204,11 +204,11 @@ func runStreaming(t *testing.T, w *DomainWorkload, eps float64, g *rng.RNG) *Dom
 	srv := NewDomainServer(w.D, w.M, scale, 1)
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, w.M, protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.Register(0, c.Item(), c.Order())
+		srv.Register(0, c.Row(), c.Order())
 		vals := us.Values(w.D)
 		for tt := 1; tt <= w.D; tt++ {
 			r, ok, err := c.Observe(vals[tt-1])
@@ -216,7 +216,7 @@ func runStreaming(t *testing.T, w *DomainWorkload, eps float64, g *rng.RNG) *Dom
 				t.Fatal(err)
 			}
 			if ok {
-				srv.Ingest(0, c.Item(), r)
+				srv.Ingest(0, c.Row(), r)
 			}
 		}
 	}
@@ -275,12 +275,7 @@ func TestServerSeriesConsistency(t *testing.T) {
 	if srv.D() != w.D || srv.M() != w.M {
 		t.Fatalf("server dims %d/%d, want %d/%d", srv.D(), srv.M(), w.D, w.M)
 	}
-	if got := srv.ItemScale(); got != float64(w.M)*srv.BoolScale() {
-		t.Fatalf("item scale %v, want %v", got, float64(w.M)*srv.BoolScale())
-	}
-	users := 0
 	for x := 0; x < w.M; x++ {
-		users += srv.UsersAtItem(x)
 		series := srv.EstimateItemSeries(x)
 		if len(series) != w.D {
 			t.Fatalf("item %d series has %d entries", x, len(series))
@@ -290,15 +285,9 @@ func TestServerSeriesConsistency(t *testing.T) {
 				t.Fatalf("item %d t=%d: point %v != series %v", x, tt, got, series[tt-1])
 			}
 		}
-		half := srv.EstimateItemSeriesTo(x, w.D/2)
-		for i := range half {
-			if half[i] != series[i] {
-				t.Fatalf("item %d: truncated series diverges at %d", x, i)
-			}
-		}
 	}
-	if users != w.N || srv.Users() != w.N {
-		t.Fatalf("users %d (sum %d), want %d", srv.Users(), users, w.N)
+	if srv.Users() != w.N {
+		t.Fatalf("users %d, want %d", srv.Users(), w.N)
 	}
 }
 
@@ -429,7 +418,7 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 	}
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, w.M, protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewClient(u, w.D, factories, g.Split()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -194,13 +194,13 @@ func TestHashedTopKMemoBitForBit(t *testing.T) {
 	rg := rng.New(5, 6)
 	for u := 0; u < 120; u++ {
 		b := rg.IntN(g)
-		srv.Register(u%4, b, 0)
+		srv.Inner().Register(u%4, b, 0)
 		for tt := 1; tt <= d; tt++ {
 			bit := int8(1)
 			if rg.Bernoulli(0.5) {
 				bit = -1
 			}
-			srv.Ingest(u%4, b, protocol.Report{User: u, Order: 0, J: tt, Bit: bit})
+			srv.Inner().Ingest(u%4, b, protocol.Report{User: u, Order: 0, J: tt, Bit: bit})
 		}
 		srv.AdvanceVersion(u % 4)
 	}
@@ -235,7 +235,7 @@ func TestHashedTopKMemoBitForBit(t *testing.T) {
 	}
 
 	// Invalidation: a write batch must flip the next answer to a miss.
-	srv.Ingest(0, 0, protocol.Report{User: 999, Order: 0, J: 1, Bit: 1})
+	srv.Inner().Ingest(0, 0, protocol.Report{User: 999, Order: 0, J: 1, Bit: 1})
 	srv.AdvanceVersion(0)
 	if _, hit := srv.AppendTopK(nil, 1, k); hit {
 		t.Fatal("hashed TopK after an advanced write batch reported a memo hit")
@@ -315,9 +315,9 @@ func shapedHashed(d int, enc DomainEncoding, weight []int) *HashedDomainServer {
 	srv := NewHashedDomainServer(d, enc, 1.5, 2)
 	for b, w := range weight {
 		for u := 0; u < w; u++ {
-			srv.Register(u%2, b, 0)
+			srv.Inner().Register(u%2, b, 0)
 			for tt := 1; tt <= d; tt++ {
-				srv.Ingest(u%2, b, protocol.Report{User: u, Order: 0, J: tt, Bit: 1})
+				srv.Inner().Ingest(u%2, b, protocol.Report{User: u, Order: 0, J: tt, Bit: 1})
 			}
 		}
 	}

@@ -21,14 +21,14 @@ func TestAnswerIntoAllocFree(t *testing.T) {
 	hs := hh.NewHashedDomainServer(d, hh.LolohaEncoding(m, g, 0xfeed), 2.0, 2)
 	for u := 0; u < 64; u++ {
 		ds.Register(u%2, u%m, 0)
-		hs.Register(u%2, u%g, 0)
+		hs.Inner().Register(u%2, u%g, 0)
 		for tt := 1; tt <= d; tt++ {
 			bit := int8(1)
 			if u%3 == 0 {
 				bit = -1
 			}
 			ds.Ingest(u%2, u%m, protocol.Report{User: u, Order: 0, J: tt, Bit: bit})
-			hs.Ingest(u%2, u%g, protocol.Report{User: u, Order: 0, J: tt, Bit: bit})
+			hs.Inner().Ingest(u%2, u%g, protocol.Report{User: u, Order: 0, J: tt, Bit: bit})
 		}
 	}
 	ds.AdvanceVersion(0)
@@ -42,7 +42,7 @@ func TestAnswerIntoAllocFree(t *testing.T) {
 		t.Helper()
 		var err error
 		if hashed {
-			_, err = AnswerHashedDomainQueryInto(hs, msg, &ans, &sc)
+			_, err = AnswerDomainQueryInto(hs, msg, &ans, &sc)
 		} else {
 			_, err = AnswerDomainQueryInto(ds, msg, &ans, &sc)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
@@ -367,10 +368,10 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 		{"bool", BoolMode(d, scale), persist.Meta{D: d, Scale: scale},
 			[]Msg{Hello(1, 0), FromReport(rep)},
 			[]Msg{FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), DomainHello(2, 0, 0), pointQ(1)}},
-		{"exact", DomainMode(d, m, scale), persist.Meta{D: d, M: m, Scale: scale},
+		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), persist.Meta{D: d, M: m, Scale: scale},
 			[]Msg{DomainHello(1, 0, 0), FromDomainReport(0, rep)},
 			[]Msg{{Type: MsgDomainReport, User: 2, Item: m + 5, Order: 0, J: 1, Bit: 1}, Hello(2, 0)}},
-		{"hashed", HashedMode(d, enc, scale),
+		{"hashed", DomainMode(d, enc, scale),
 			persist.Meta{D: d, M: enc.M, G: enc.G, Encoding: enc.Name, HashSeed: enc.Seed, Scale: scale},
 			[]Msg{HashedDomainHello(1, 0, 0, enc.Seed), FromDomainReport(0, rep)},
 			[]Msg{HashedDomainHello(2, 0, 0, enc.Seed+1), DomainHello(2, 0, 0)}},

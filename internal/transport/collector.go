@@ -81,16 +81,18 @@ func NewShardedCollector(acc *protocol.Sharded) *Collector {
 // NewDomainCollector builds an exact-domain collector over the given
 // domain server.
 func NewDomainCollector(ds *hh.DomainServer) *Collector {
-	return &Collector{mode: DomainMode(ds.D(), ds.M(), ds.BoolScale()), st: domainState{ds}}
+	return domainCollector(hh.ExactEncoding(ds.M()), ds, ds)
 }
 
 // NewHashedDomainCollector builds a hashed-domain collector over the
-// given server.
+// given server: its bucket rows take the writes, and it answers the
+// queries.
 func NewHashedDomainCollector(hs *hh.HashedDomainServer) *Collector {
-	return &Collector{
-		mode: HashedMode(hs.D(), hs.Encoding(), hs.Inner().BoolScale()),
-		st:   hashedState{domainState{hs.Inner()}, hs},
-	}
+	return domainCollector(hs.Encoding(), hs.Inner(), hs)
+}
+
+func domainCollector(enc hh.DomainEncoding, rows *hh.DomainServer, items hh.Items) *Collector {
+	return &Collector{mode: DomainMode(rows.D(), enc, rows.BoolScale()), st: domainState{rows, items}}
 }
 
 // Mode implements Store.

@@ -12,14 +12,17 @@ import (
 )
 
 // This file is the transport substrate of domain-valued tracking (the
-// richer-domain reduction): item-tagged ingest validation, the
-// variable-length answer frame for item-scoped queries. The exact and
-// hashed domain Modes (mode.go) are built from these; the raw-sums
-// frame a cluster gateway ships between nodes is in sums.go.
-// The scalar encodings of MsgDomainHello, MsgDomainReport,
-// MsgDomainQuery and MsgDomainSums live in transport.go beside the
-// Boolean ones, so domain messages batch, journal and replay through
-// the ordinary Encoder/Decoder paths.
+// richer-domain reduction), under either encoding: row-tagged ingest
+// validation, item-scoped query validation and answering, and the
+// variable-length answer frame. The domain Mode (mode.go) is built from
+// these; the raw-sums frame a cluster gateway ships between nodes is in
+// sums.go. The hot ingest path is MsgDomainReport for both encodings
+// (Item = the client's row); only the hello (MsgHashedDomainHello
+// carries the epoch seed) and the gateway's sums request
+// (MsgHashedDomainSums carries the full encoding) differ. The scalar
+// encodings of the domain messages live in transport.go beside the
+// Boolean ones, so they batch, journal and replay through the ordinary
+// Encoder/Decoder paths.
 
 // MaxDomainM bounds the domain size a frame may declare, so a corrupt
 // or adversarial frame cannot force a huge per-item allocation. It is
@@ -40,14 +43,28 @@ func ValidateDomainIngest(d, m int, msg Msg) error {
 	return (&Ingest{Hello: MsgDomainHello, Report: MsgDomainReport, Rows: m, D: d, LogD: dyadic.Log2(d)}).explain(&msg)
 }
 
+// ValidateHashedDomainIngest range-checks one hashed hello or
+// bucket-tagged report against a hashed server's parameters: the hashed
+// ingest contract's refusal (Ingest.explain), nil for a message it
+// accepts. A hello must carry the server's exact epoch hash seed: a
+// client hashing under a different seed has a different item→bucket
+// map, and its reports would silently corrupt the aggregate.
+func ValidateHashedDomainIngest(d int, enc hh.DomainEncoding, msg Msg) error {
+	return (&Ingest{Hello: MsgHashedDomainHello, Report: MsgDomainReport, Rows: enc.G, D: d, LogD: dyadic.Log2(d), Seed: enc.Seed}).explain(&msg)
+}
+
 // ValidateDomainQuery range-checks an item-scoped query frame against a
-// domain server's parameters without touching any accumulator — the
-// validate-only half of AnswerDomainQuery, run over whole batches
-// before anything is applied.
-func ValidateDomainQuery(d, m int, msg Msg) error {
+// domain server's horizon and catalogue without touching any
+// accumulator: the read check of the domain Mode, run over whole batches
+// before anything is applied. A hashed catalogue (up to 2^24 items)
+// exceeds the answer-frame length cap, so there a top-k request larger
+// than MaxAnswerLen is refused here instead of failing at encode time;
+// an exact domain is smaller than the cap, so any k is answered.
+func ValidateDomainQuery(d int, enc hh.DomainEncoding, msg Msg) error {
 	if msg.Type != MsgDomainQuery {
 		return fmt.Errorf("transport: message type %d is not a domain query", msg.Type)
 	}
+	m := enc.M
 	switch msg.Kind {
 	case QueryPointItem:
 		if msg.Item < 0 || msg.Item >= m {
@@ -67,52 +84,45 @@ func ValidateDomainQuery(d, m int, msg Msg) error {
 		if msg.K < 0 {
 			return fmt.Errorf("transport: top-k query with negative k %d", msg.K)
 		}
+		if enc.Hashed() && msg.K > MaxAnswerLen {
+			return fmt.Errorf("transport: top-k query k=%d exceeds answer limit %d", msg.K, MaxAnswerLen)
+		}
 	default:
 		return fmt.Errorf("transport: unknown domain query kind %d", byte(msg.Kind))
 	}
 	return nil
 }
 
-// AnswerDomainQuery computes the answer to an item-scoped query frame
-// from the live domain server. Estimates are bit-for-bit identical to a
-// serial server fed the same reports: every answer is a fixed function
-// of the per-item point estimates, which sum the same dyadic
-// decomposition in the same order everywhere. Returned slices are owned
-// by the caller.
-func AnswerDomainQuery(ds *hh.DomainServer, msg Msg) (DomainAnswerFrame, error) {
-	var a DomainAnswerFrame
-	var sc TopKScratch
-	if _, err := AnswerDomainQueryInto(ds, msg, &a, &sc); err != nil {
-		return DomainAnswerFrame{}, err
-	}
-	return a, nil
-}
-
-// AnswerDomainQueryInto is AnswerDomainQuery answering into a reusable
-// frame: a's Items/Values buffers and sc's selection scratch are
-// truncated and re-appended, so a serve loop recycling one frame and
-// scratch per connection answers warm top-k and point-item queries
-// without allocating. It reports whether the answer was served from the
-// server's version-keyed memo (top-k only; the other shapes read
-// counters directly). The frame's slices remain owned by the caller and
-// never alias server-internal storage.
-func AnswerDomainQueryInto(ds *hh.DomainServer, msg Msg, a *DomainAnswerFrame, sc *TopKScratch) (cached bool, err error) {
-	if err := ValidateDomainQuery(ds.D(), ds.M(), msg); err != nil {
-		return false, err
-	}
+// AnswerDomainQueryInto answers an item-scoped query frame, already
+// validated (Mode.ValidateRead, in the frame loop), from a live item
+// reader into a reusable frame: a's Items/Values buffers and sc's
+// selection scratch are truncated and re-appended, so a serve loop
+// recycling one frame and scratch per connection answers warm top-k and
+// point-item queries without allocating. Estimates are bit-for-bit a
+// serial server's: every answer is a fixed function of the per-row
+// point estimates, which sum the same dyadic decomposition in the same
+// order everywhere. It reports whether the answer was served from the
+// reader's version-keyed memo, and refuses only a kind that is not an
+// item query. The frame's slices remain owned by the caller and never
+// alias server-internal storage.
+func AnswerDomainQueryInto(items hh.Items, msg Msg, a *DomainAnswerFrame, sc *TopKScratch) (cached bool, err error) {
 	a.Kind, a.Item, a.L, a.R, a.K = msg.Kind, msg.Item, msg.L, msg.R, msg.K
 	a.Items, a.Values = a.Items[:0], a.Values[:0]
 	switch msg.Kind {
 	case QueryPointItem:
-		a.Values = append(a.Values, ds.EstimateItemAt(msg.Item, msg.L))
+		var v float64
+		v, cached = items.EstimateItemAtCached(msg.Item, msg.L)
+		a.Values = append(a.Values, v)
 	case QuerySeriesItem:
-		a.Values = append(a.Values, ds.EstimateItemSeries(msg.Item)...)
+		a.Values = append(a.Values, items.EstimateItemSeries(msg.Item)...)
 	case QueryTopK:
-		sc.top, cached = ds.AppendTopK(sc.top[:0], msg.L, msg.K)
+		sc.top, cached = items.AppendTopK(sc.top[:0], msg.L, msg.K)
 		for _, ic := range sc.top {
 			a.Items = append(a.Items, ic.Item)
 			a.Values = append(a.Values, ic.Count)
 		}
+	default:
+		return false, fmt.Errorf("transport: unknown domain query kind %d", byte(msg.Kind))
 	}
 	return cached, nil
 }

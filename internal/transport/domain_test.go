@@ -342,7 +342,7 @@ func TestValidateDomainQuery(t *testing.T) {
 		DomainQuery(QueryTopK, 0, 8, 0, 100),
 	}
 	for _, msg := range ok {
-		if err := ValidateDomainQuery(d, m, msg); err != nil {
+		if err := ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err != nil {
 			t.Errorf("valid %+v rejected: %v", msg, err)
 		}
 	}
@@ -359,7 +359,7 @@ func TestValidateDomainQuery(t *testing.T) {
 		QueryV2(QueryPoint, 1, 0), // not a domain query at all
 	}
 	for _, msg := range bad {
-		if err := ValidateDomainQuery(d, m, msg); err == nil {
+		if err := ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err == nil {
 			t.Errorf("invalid %+v accepted", msg)
 		}
 	}
@@ -369,14 +369,14 @@ func TestValidateDomainQuery(t *testing.T) {
 // engine reads.
 func TestAnswerDomainQuery(t *testing.T) {
 	ds := testDomainServer(t, 16, 4, 2.5)
-	a, err := AnswerDomainQuery(ds, DomainQuery(QueryPointItem, 2, 9, 0, 0))
+	a, err := answerDomain(ds, DomainQuery(QueryPointItem, 2, 9, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Values) != 1 || a.Values[0] != ds.EstimateItemAt(2, 9) {
 		t.Fatalf("point-item answer %+v", a)
 	}
-	a, err = AnswerDomainQuery(ds, DomainQuery(QuerySeriesItem, 1, 0, 0, 0))
+	a, err = answerDomain(ds, DomainQuery(QuerySeriesItem, 1, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ func TestAnswerDomainQuery(t *testing.T) {
 			t.Fatalf("series value %d: %v, want %v", i, a.Values[i], series[i])
 		}
 	}
-	a, err = AnswerDomainQuery(ds, DomainQuery(QueryTopK, 0, 16, 0, 3))
+	a, err = answerDomain(ds, DomainQuery(QueryTopK, 0, 16, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,9 +402,15 @@ func TestAnswerDomainQuery(t *testing.T) {
 			t.Fatalf("top-k answer %v/%v, want %v", a.Items, a.Values, top)
 		}
 	}
-	if _, err := AnswerDomainQuery(ds, DomainQuery(QueryPointItem, 9, 1, 0, 0)); err == nil {
-		t.Error("invalid query answered")
-	}
+}
+
+// answerDomain answers q from items into a fresh frame: the served path
+// once ValidateRead has passed q.
+func answerDomain(items hh.Items, q Msg) (DomainAnswerFrame, error) {
+	var a DomainAnswerFrame
+	var sc TopKScratch
+	_, err := AnswerDomainQueryInto(items, q, &a, &sc)
+	return a, err
 }
 
 // TestDomainIngestServer drives the TCP domain mode end to end: ingest
@@ -568,7 +574,7 @@ func TestDurableDomainCollector(t *testing.T) {
 
 	mk := func() *hh.DomainServer { return hh.NewDomainServer(d, m, scale, 2) }
 	ds := mk()
-	col, stats, err := OpenDurableDomain(ds, dir, meta, DurableOptions{})
+	col, stats, err := OpenDurableStore(NewDomainCollector(ds), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +610,7 @@ func TestDurableDomainCollector(t *testing.T) {
 	}
 
 	ds2 := mk()
-	col2, stats2, err := OpenDurableDomain(ds2, dir, meta, DurableOptions{})
+	col2, stats2, err := OpenDurableStore(NewDomainCollector(ds2), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -636,17 +642,17 @@ func TestDurableDomainCollector(t *testing.T) {
 	// A differently-configured reopen is refused.
 	bad := meta
 	bad.M = m + 1
-	if _, _, err := OpenDurableDomain(hh.NewDomainServer(d, m+1, scale, 1), dir, bad, DurableOptions{}); err == nil {
+	if _, _, err := OpenDurableStore(NewDomainCollector(hh.NewDomainServer(d, m+1, scale, 1)), dir, bad, DurableOptions{}); err == nil {
 		t.Fatal("mismatched meta accepted")
 	}
 	// Meta/domain-size mismatch at open is refused before touching disk.
-	if _, _, err := OpenDurableDomain(mk(), t.TempDir(), bad, DurableOptions{}); err == nil {
+	if _, _, err := OpenDurableStore(NewDomainCollector(mk()), t.TempDir(), bad, DurableOptions{}); err == nil {
 		t.Fatal("meta.M != server.M accepted")
 	}
 	// Atomic batches: a bad batch journals nothing.
 	ds3 := mk()
 	dir3 := t.TempDir()
-	col3, _, err := OpenDurableDomain(ds3, dir3, meta, DurableOptions{})
+	col3, _, err := OpenDurableStore(NewDomainCollector(ds3), dir3, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +664,7 @@ func TestDurableDomainCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds4 := mk()
-	_, stats4, err := OpenDurableDomain(ds4, dir3, meta, DurableOptions{})
+	_, stats4, err := OpenDurableStore(NewDomainCollector(ds4), dir3, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

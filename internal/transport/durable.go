@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 )
@@ -300,19 +299,6 @@ func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptio
 // OpenDurable is OpenDurableStore over a Boolean collector on acc.
 func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
 	return OpenDurableStore(NewShardedCollector(acc), dir, meta, o)
-}
-
-// OpenDurableDomain is OpenDurableStore over an exact-domain collector
-// on ds (Meta.M is the domain size).
-func OpenDurableDomain(ds *hh.DomainServer, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
-	return OpenDurableStore(NewDomainCollector(ds), dir, meta, o)
-}
-
-// OpenDurableHashedDomain is OpenDurableStore over a hashed-domain
-// collector on hs (Meta.M the catalogue size, Meta.G the bucket count,
-// Meta.Encoding and Meta.HashSeed the encoding identity).
-func OpenDurableHashedDomain(hs *hh.HashedDomainServer, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
-	return OpenDurableStore(NewHashedDomainCollector(hs), dir, meta, o)
 }
 
 // SendBatch implements Store: check, convert, encode, then Apply — not

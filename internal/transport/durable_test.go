@@ -360,8 +360,8 @@ func TestRecoverParentDataDir(t *testing.T) {
 		mk   func() Store
 	}{
 		{"bool", base, func() Store { return NewCollector(BoolMode(d, scale), 2) }},
-		{"domain", domainMeta, func() Store { return NewCollector(DomainMode(d, m, scale), 2) }},
-		{"hashed", hashedMeta, func() Store { return NewCollector(HashedMode(d, enc, scale), 2) }},
+		{"domain", domainMeta, func() Store { return NewCollector(DomainMode(d, hh.ExactEncoding(m), scale), 2) }},
+		{"hashed", hashedMeta, func() Store { return NewCollector(DomainMode(d, enc, scale), 2) }},
 		{"shardmap", base, func() Store { return NewShardMap(BoolMode(d, scale), S, "n0") }},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"rtf/internal/hh"
 	"rtf/internal/protocol"
 )
 
@@ -139,7 +140,7 @@ func TestSumsGoldenBytes(t *testing.T) {
 		}
 		mode := Mode(BoolMode(16, 2.5))
 		if i == 1 {
-			mode = DomainMode(8, 3, 2)
+			mode = DomainMode(8, hh.ExactEncoding(3), 2)
 		}
 		f, err := mode.ReadSums(NewDecoder(bytes.NewReader(raw)))
 		if err != nil {

@@ -147,7 +147,7 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 		{"plain hello", Hello(1, 0), false},
 		{"query", DomainQuery(QueryPointItem, 1, 1, 0, 0), false},
 	}
-	ingest := HashedMode(d, enc, 1).Ingest()
+	ingest := DomainMode(d, enc, 1).Ingest()
 	for _, c := range cases {
 		err := ValidateHashedDomainIngest(d, enc, c.msg)
 		if c.ok && err != nil {
@@ -172,13 +172,13 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 // validator adds over the exact one: top-k capped by the answer frame.
 func TestValidateHashedDomainQuery(t *testing.T) {
 	const d = 16
-	if err := ValidateHashedDomainQuery(d, hashedTestM, DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen)); err != nil {
+	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen)); err != nil {
 		t.Errorf("top-k at the cap rejected: %v", err)
 	}
-	if err := ValidateHashedDomainQuery(d, hashedTestM, DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen+1)); err == nil {
+	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen+1)); err == nil {
 		t.Error("top-k over the answer cap accepted")
 	}
-	if err := ValidateHashedDomainQuery(d, hashedTestM, DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
+	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
 		t.Error("point query past the catalogue accepted")
 	}
 }
@@ -202,8 +202,8 @@ func fillHashedPair(t *testing.T, col *Collector, serial *hh.HashedDomainServer,
 		}); err != nil {
 			t.Fatal(err)
 		}
-		serial.Register(0, b, h)
-		serial.Ingest(0, b, r)
+		serial.Inner().Register(0, b, h)
+		serial.Inner().Ingest(0, b, r)
 	}
 }
 
@@ -230,20 +230,17 @@ func TestAnswerHashedDomainQuery(t *testing.T) {
 		DomainQuery(QueryTopK, 0, d/2, 0, 1),
 	}
 	for _, q := range queries {
-		got, err := AnswerHashedDomainQuery(live, q)
+		got, err := answerDomain(live, q)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		want, err := AnswerHashedDomainQuery(serial, q)
+		want, err := answerDomain(serial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: sharded answered %+v, serial %+v", q, got, want)
 		}
-	}
-	if _, err := AnswerHashedDomainQuery(live, DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
-		t.Fatal("out-of-catalogue query answered")
 	}
 }
 
@@ -309,9 +306,9 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 		for _, m := range hashedConnMsgs(uint64(c), d, perC) {
 			switch m.Type {
 			case MsgHashedDomainHello:
-				serial.Register(0, m.Item, m.Order)
+				serial.Inner().Register(0, m.Item, m.Order)
 			case MsgDomainReport:
-				serial.Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+				serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
 			}
 		}
 	}
@@ -339,7 +336,7 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := AnswerHashedDomainQuery(serial, q)
+		want, err := answerDomain(serial, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +399,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 	}
 	mk := func() *hh.HashedDomainServer { return hh.NewHashedDomainServer(d, enc, scale, 2) }
 
-	col, stats, err := OpenDurableHashedDomain(mk(), dir, meta, DurableOptions{})
+	col, stats, err := OpenDurableStore(NewHashedDomainCollector(mk()), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +420,8 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 			if err := c.SendBatch(u, []Msg{HashedDomainHello(u, b, h, hashedTestSeed), FromDomainReport(b, r)}); err != nil {
 				t.Fatal(err)
 			}
-			ref.Register(0, b, h)
-			ref.Ingest(0, b, r)
+			ref.Inner().Register(0, b, h)
+			ref.Inner().Ingest(0, b, r)
 		}
 	}
 	feed(col, 0, 200)
@@ -437,7 +434,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 	}
 
 	hs2 := mk()
-	col2, stats2, err := OpenDurableHashedDomain(hs2, dir, meta, DurableOptions{})
+	col2, stats2, err := OpenDurableStore(NewHashedDomainCollector(hs2), dir, meta, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +464,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 	} {
 		bad := meta
 		mutate(&bad)
-		if _, _, err := OpenDurableHashedDomain(mk(), dir, bad, DurableOptions{}); err == nil {
+		if _, _, err := OpenDurableStore(NewHashedDomainCollector(mk()), dir, bad, DurableOptions{}); err == nil {
 			t.Errorf("mismatched %s accepted at open", name)
 		}
 	}

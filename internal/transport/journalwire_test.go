@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 )
@@ -62,7 +63,7 @@ func wireCases() []wireCase {
 			badRep: FromReport(overRange),
 		},
 		{
-			name: "exact", mode: DomainMode(wireD, wireM, wireScale),
+			name: "exact", mode: DomainMode(wireD, hh.ExactEncoding(wireM), wireScale),
 			meta:   persist.Meta{D: wireD, M: wireM, Scale: wireScale},
 			hello:  func(u int) Msg { return DomainHello(u, u%wireM, u%4) },
 			report: func(u, i int) Msg { return FromDomainReport(u%wireM, rep(u, i)) },
@@ -71,7 +72,7 @@ func wireCases() []wireCase {
 			badRep: FromDomainReport(0, overRange),
 		},
 		{
-			name: "hashed", mode: HashedMode(wireD, enc, wireScale),
+			name: "hashed", mode: DomainMode(wireD, enc, wireScale),
 			meta:   persist.Meta{D: wireD, M: enc.M, G: enc.G, Encoding: enc.Name, HashSeed: enc.Seed, Scale: wireScale},
 			hello:  func(u int) Msg { return HashedDomainHello(u, u%enc.G, u%4, enc.Seed) },
 			report: func(u, i int) Msg { return FromDomainReport(u%enc.G, rep(u, i)) },

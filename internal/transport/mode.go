@@ -9,8 +9,9 @@ import (
 )
 
 // This file is the Mode contract: the one place that knows, for each of
-// the three protocol modes a deployment can serve — Boolean, exact
-// domain, hashed domain — which frame types are reads, how ingest and
+// the two protocol modes a deployment can serve — Boolean, and domain
+// under its encoding (exact or hashed, a value of hh.DomainEncoding) —
+// which frame types are reads, how ingest and
 // read frames are validated, how a validated run is applied, how a read
 // is answered, and how raw sums are exported, fetched, merged and
 // restored. The serving core (serve.go), the collectors and the gateway
@@ -170,15 +171,6 @@ func (p dims) merge(frames []RawSums) ([]int64, Scope, error) {
 	return total, sc, nil
 }
 
-// foldDomain is Fold's row accumulator for both domain modes.
-func (p dims) foldDomain(frames []RawSums) (*hh.DomainServer, error) {
-	total, sc, err := p.merge(frames)
-	if err != nil {
-		return nil, err
-	}
-	return hh.DomainServerOver(p.d, p.m, p.scale, sc.L, sc.R, total)
-}
-
 // ---------------------------------------------------------------------------
 // Boolean mode.
 
@@ -267,62 +259,123 @@ func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
 func (s boolState) Users() int                  { return s.acc.Users() }
 
 // ---------------------------------------------------------------------------
-// Exact domain mode.
+// Domain mode.
 
-type domainMode struct{ dims }
+type domainMode struct {
+	dims
+	enc hh.DomainEncoding
+}
 
-// DomainMode is domain-valued tracking under the exact encoding: one
-// counter row per item of a size-m domain, m at least 2.
-func DomainMode(d, m int, scale float64) Mode {
-	if m < 2 {
-		panic(fmt.Sprintf("transport: domain size m=%d must be at least 2", m))
+// DomainMode is domain-valued tracking under an encoding: one counter
+// row per item under the exact encoding, g bucket rows standing in for
+// a catalogue of enc.M items under a hashed one, with item queries
+// answered through the encoding's reader (hh.ItemsOver). Panics on an
+// invalid encoding.
+func DomainMode(d int, enc hh.DomainEncoding, scale float64) Mode {
+	if err := enc.Validate(); err != nil {
+		panic("transport: " + err.Error())
 	}
-	return domainMode{dims{d, m, scale}}
+	return domainMode{dims{d, enc.Rows(), scale}, enc}
 }
 
-func (domainMode) Name() string     { return "domain" }
-func (domainMode) Reads() FrameSet  { return frameSet(MsgDomainQuery, MsgDomainSums) }
-func (domainMode) SumsRequest() Msg { return DomainSums() }
+func (p domainMode) Name() string {
+	if p.enc.Hashed() {
+		return "hashed-domain"
+	}
+	return "domain"
+}
 
+func (p domainMode) Reads() FrameSet { return frameSet(MsgDomainQuery, p.SumsRequest().Type) }
+
+// SumsRequest is the exact encoding's plain request, or a hashed one's
+// request carrying the full encoding.
+func (p domainMode) SumsRequest() Msg {
+	if p.enc.Hashed() {
+		return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed)
+	}
+	return DomainSums()
+}
+
+// Ingest is the encoding's hello — a hashed one carries the epoch seed —
+// and the row-tagged report both encodings share.
 func (p domainMode) Ingest() Ingest {
-	return newIngest(MsgDomainHello, MsgDomainReport, p.dims, 0, p.Reads())
+	hello := MsgDomainHello
+	if p.enc.Hashed() {
+		hello = MsgHashedDomainHello
+	}
+	return newIngest(hello, MsgDomainReport, p.dims, p.enc.Seed, p.Reads())
 }
 
+// ValidateRead checks a query against the catalogue and a hashed sums
+// request against the full encoding: two deployments hashing
+// differently must never merge bucket counters.
 func (p domainMode) ValidateRead(m Msg) error {
 	if m.Type == MsgDomainQuery {
-		return ValidateDomainQuery(p.d, p.m, m)
+		return ValidateDomainQuery(p.d, p.enc, m)
+	}
+	if m.Type == MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
+		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
+			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
 	}
 	return p.Scope(m).check(p.d)
 }
 
 func (p domainMode) NewState(shards int) State {
-	return domainState{hh.NewDomainServer(p.d, p.m, p.scale, shards)}
+	return p.state(hh.NewDomainServer(p.d, p.m, p.scale, shards))
 }
 
 func (p domainMode) Fold(frames []RawSums) (State, error) {
-	ds, err := p.foldDomain(frames)
+	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
 	}
-	return domainState{ds}, nil
+	rows, err := hh.DomainServerOver(p.d, p.m, p.scale, sc.L, sc.R, total)
+	if err != nil {
+		return nil, err
+	}
+	return p.state(rows), nil
+}
+
+// state is the mode's state over the given counter rows.
+func (p domainMode) state(rows *hh.DomainServer) domainState {
+	return domainState{rows, hh.ItemsOver(p.enc, rows)}
 }
 
 func (domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
 func (domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
 
+// CheckMeta refuses a directory written under a different domain size
+// or, under a hashed encoding, a different catalogue, bucket count,
+// encoding or epoch seed — bucket counters under another seed mean
+// different items.
 func (p domainMode) CheckMeta(meta persist.Meta) error {
-	if meta.M != p.m {
-		return fmt.Errorf("transport: meta domain size %d does not match server's %d", meta.M, p.m)
+	switch {
+	case !p.enc.Hashed():
+		if meta.M != p.enc.M {
+			return fmt.Errorf("transport: meta domain size %d does not match server's %d", meta.M, p.enc.M)
+		}
+	case meta.M != p.enc.M:
+		return fmt.Errorf("transport: meta catalogue size %d does not match server's %d", meta.M, p.enc.M)
+	case meta.G != p.enc.G:
+		return fmt.Errorf("transport: meta bucket count %d does not match server's %d", meta.G, p.enc.G)
+	case meta.Encoding != p.enc.Name:
+		return fmt.Errorf("transport: meta encoding %q does not match server's %q", meta.Encoding, p.enc.Name)
+	case meta.HashSeed != p.enc.Seed:
+		return fmt.Errorf("transport: meta hash seed %d does not match server's %d", meta.HashSeed, p.enc.Seed)
 	}
 	return nil
 }
 
-// domainState is the row accumulator of both domain modes; the hashed
-// state wraps it with its decode layer.
-type domainState struct{ ds *hh.DomainServer }
+// domainState is the domain accumulator: its counter rows, which every
+// write, sums export and snapshot goes through, and the encoding's item
+// reader over them, which answers the queries.
+type domainState struct {
+	rows  *hh.DomainServer
+	items hh.Items
+}
 
 func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
-	return applyRun(s.ds.Lock(shard), run)
+	return applyRun(s.rows.Lock(shard), run)
 }
 
 // applyRun is every mode's run loop: the records land through the
@@ -345,122 +398,28 @@ func applyRun(w protocol.DomainWriter, run []Rec) (hellos, reports int64) {
 
 func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	if m.Type != MsgDomainQuery {
-		return false, false, e.encodeLiveDomainSums(s.ds, Scope{m.L, m.R})
+		return false, false, e.encodeLiveDomainSums(s.rows, Scope{m.L, m.R})
 	}
-	if hit, err = AnswerDomainQueryInto(s.ds, m, &sc.frame, &sc.topK); err != nil {
+	if hit, err = AnswerDomainQueryInto(s.items, m, &sc.frame, &sc.topK); err != nil {
 		return false, false, err
 	}
-	// Only top-k goes through the version-keyed memo on the exact
-	// encoding; point estimates read counters directly.
-	return m.Kind == QueryTopK, hit, e.EncodeDomainAnswer(sc.frame)
+	// Top-k goes through a version-keyed memo; point-item does too when
+	// a decoder stands over the rows (a hashed encoding), while the
+	// exact rows answer it from the counters.
+	memo = m.Kind == QueryTopK || m.Kind == QueryPointItem && s.items != hh.Items(s.rows)
+	return memo, hit, e.EncodeDomainAnswer(sc.frame)
 }
 
 func (s domainState) Sums(sc Scope) RawSums {
-	f := RawSums{D: s.ds.D(), M: s.ds.M(), Scale: s.ds.BoolScale(), Scope: sc}
+	f := RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
 	f.Counters = make([]int64, f.M*f.stride())
-	s.ds.FoldRowsInto(0, f.M, s.ds.Columns(sc.L, sc.R), f.Counters)
+	s.rows.FoldRowsInto(0, f.M, s.rows.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
 
-func (s domainState) MarshalState() []byte        { return s.ds.MarshalState() }
-func (s domainState) RestoreState(b []byte) error { return s.ds.RestoreState(b) }
-func (s domainState) Users() int                  { return s.ds.Users() }
-
-// ---------------------------------------------------------------------------
-// Hashed domain mode (LOLOHA).
-
-type hashedMode struct {
-	dims
-	enc hh.DomainEncoding
-}
-
-// HashedMode is domain-valued tracking under a hashed encoding: g
-// bucket rows stand in for a catalogue of enc.M items, and item queries
-// are answered through the bucket decoder. Panics on an invalid or
-// non-hashed encoding.
-func HashedMode(d int, enc hh.DomainEncoding, scale float64) Mode {
-	if err := enc.Validate(); err != nil {
-		panic("transport: " + err.Error())
-	}
-	if !enc.Hashed() {
-		panic(fmt.Sprintf("transport: encoding %q is not hashed", enc.Name))
-	}
-	return hashedMode{dims{d, enc.G, scale}, enc}
-}
-
-func (hashedMode) Name() string       { return "hashed-domain" }
-func (hashedMode) Reads() FrameSet    { return frameSet(MsgDomainQuery, MsgHashedDomainSums) }
-func (p hashedMode) SumsRequest() Msg { return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed) }
-
-func (p hashedMode) Ingest() Ingest {
-	return newIngest(MsgHashedDomainHello, MsgDomainReport, p.dims, p.enc.Seed, p.Reads())
-}
-
-// ValidateRead checks a query against the catalogue and a sums request
-// against the full encoding: two deployments hashing differently must
-// never merge bucket counters.
-func (p hashedMode) ValidateRead(m Msg) error {
-	if m.Type == MsgDomainQuery {
-		return ValidateHashedDomainQuery(p.d, p.enc.M, m)
-	}
-	if m.Type == MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
-		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
-			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
-	}
-	return p.Scope(m).check(p.d)
-}
-
-func (p hashedMode) NewState(shards int) State {
-	hs := hh.NewHashedDomainServer(p.d, p.enc, p.scale, shards)
-	return hashedState{domainState{hs.Inner()}, hs}
-}
-
-func (p hashedMode) Fold(frames []RawSums) (State, error) {
-	ds, err := p.foldDomain(frames)
-	if err != nil {
-		return nil, err
-	}
-	return hashedState{domainState{ds}, hh.HashedDomainServerOver(p.enc, ds)}, nil
-}
-
-func (hashedMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
-func (hashedMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
-
-// CheckMeta refuses a directory written under a different catalogue,
-// bucket count, encoding or epoch seed — bucket counters under another
-// seed mean different items.
-func (p hashedMode) CheckMeta(meta persist.Meta) error {
-	switch {
-	case meta.M != p.enc.M:
-		return fmt.Errorf("transport: meta catalogue size %d does not match server's %d", meta.M, p.enc.M)
-	case meta.G != p.enc.G:
-		return fmt.Errorf("transport: meta bucket count %d does not match server's %d", meta.G, p.enc.G)
-	case meta.Encoding != p.enc.Name:
-		return fmt.Errorf("transport: meta encoding %q does not match server's %q", meta.Encoding, p.enc.Name)
-	case meta.HashSeed != p.enc.Seed:
-		return fmt.Errorf("transport: meta hash seed %d does not match server's %d", meta.HashSeed, p.enc.Seed)
-	}
-	return nil
-}
-
-// hashedState is the g-row accumulator (everything but Answer is the
-// embedded domainState over hs.Inner()) plus the bucket decoder.
-type hashedState struct {
-	domainState
-	hs *hh.HashedDomainServer
-}
-
-func (s hashedState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
-	if m.Type != MsgDomainQuery {
-		return s.domainState.Answer(m, e, sc)
-	}
-	if hit, err = AnswerHashedDomainQueryInto(s.hs, m, &sc.frame, &sc.topK); err != nil {
-		return false, false, err
-	}
-	// Top-k and point-item both go through the decoder's version-keyed
-	// decode memo.
-	return m.Kind == QueryTopK || m.Kind == QueryPointItem, hit, e.EncodeDomainAnswer(sc.frame)
-}
+func (s domainState) MarshalState() []byte        { return s.rows.MarshalState() }
+func (s domainState) RestoreState(b []byte) error { return s.rows.RestoreState(b) }
+func (s domainState) Users() int                  { return s.rows.Users() }
 
 // ---------------------------------------------------------------------------
 // Gathered sums.

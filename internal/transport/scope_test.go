@@ -23,8 +23,8 @@ import (
 func scopeModes(d int, scale float64) []Mode {
 	return []Mode{
 		BoolMode(d, scale),
-		DomainMode(d, 3, scale),
-		HashedMode(d, hh.LolohaEncoding(50, 4, 0xfeed), scale),
+		DomainMode(d, hh.ExactEncoding(3), scale),
+		DomainMode(d, hh.LolohaEncoding(50, 4, 0xfeed), scale),
 	}
 }
 
@@ -120,10 +120,7 @@ func coveredReads(mode Mode, g *rng.RNG, d int, sc Scope) (covered []Msg, uncove
 		}
 		return covered, QueryV2(QuerySeries, 0, 0)
 	}
-	items := modeRows(mode)
-	if hm, ok := mode.(hashedMode); ok {
-		items = hm.enc.M
-	}
+	items := mode.(domainMode).enc.M
 	if sc.L == 1 {
 		covered = append(covered,
 			DomainQuery(QueryPointItem, g.IntN(items), sc.R, 0, 0),
@@ -417,7 +414,7 @@ func TestScopedFrameBound(t *testing.T) {
 		}
 	}
 	const d, g = 1024, 256
-	mode := HashedMode(d, hh.LolohaEncoding(1<<18, g, 7), 100)
+	mode := DomainMode(d, hh.LolohaEncoding(1<<18, g, 7), 100)
 	st := liveState(rng.New(3, 4), d, mode, 1<<16)
 	full, err := answerBytes(st, mode.SumsRequest())
 	if err != nil {
@@ -449,7 +446,7 @@ func TestScopedFrameBound(t *testing.T) {
 // was allocated or zeroed on the way.
 func TestScopedFoldAllocatesNoMatrix(t *testing.T) {
 	const d, g = 1024, 256
-	mode := HashedMode(d, hh.LolohaEncoding(1<<12, g, 7), 100)
+	mode := DomainMode(d, hh.LolohaEncoding(1<<12, g, 7), 100)
 	sc := Scope{1, d - 1}
 	frames := []RawSums{liveState(rng.New(1, 2), d, mode, 1000).Sums(sc), liveState(rng.New(3, 4), d, mode, 1000).Sums(sc)}
 	q := DomainQuery(QueryTopK, 0, d-1, 0, 10)

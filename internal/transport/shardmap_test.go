@@ -278,7 +278,7 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 		}
 		ms = append(ms, FromDomainReport(item, protocol.Report{User: u, Order: order, J: j, Bit: bit}))
 	}
-	sm := NewShardMap(DomainMode(d, m, scale), S, "n0")
+	sm := NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "n0")
 	if err := sm.SendBatch(0, ms); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 	}
 
 	// Install replaces on the domain side too.
-	dst := NewShardMap(DomainMode(d, m, scale), S, "dst")
+	dst := NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "dst")
 	if err := dst.SendBatch(0, ms[:20]); err != nil {
 		t.Fatal(err)
 	}
@@ -347,13 +347,13 @@ func TestDurableShardMapRecovery(t *testing.T) {
 		tag func(Msg) Msg
 	}{
 		{"bool", BoolMode(d, scale), durableMeta(d, scale), func(b Msg) Msg { return b }},
-		{"exact", DomainMode(d, m, scale), exactMeta, func(b Msg) Msg {
+		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), exactMeta, func(b Msg) Msg {
 			if b.Type == MsgHello {
 				return DomainHello(b.User, b.User%m, b.Order)
 			}
 			return FromDomainReport(b.User%m, b.Report())
 		}},
-		{"hashed", HashedMode(d, enc, scale), hashedMeta, func(b Msg) Msg {
+		{"hashed", DomainMode(d, enc, scale), hashedMeta, func(b Msg) Msg {
 			if b.Type == MsgHello {
 				return HashedDomainHello(b.User, b.User%enc.G, b.Order, enc.Seed)
 			}
@@ -590,7 +590,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 // two backends.
 func TestDomainMembershipServeRoundTrip(t *testing.T) {
 	const d, m, scale, S = 32, 8, 4.5, 4
-	mode := DomainMode(d, m, scale)
+	mode := DomainMode(d, hh.ExactEncoding(m), scale)
 	col := NewShardMap(mode, S, "n0")
 	srv := NewIngestServer(col)
 	ready := make(chan net.Addr, 1)

@@ -102,7 +102,7 @@ func SumsFromSharded(acc *protocol.Sharded) SumsFrame {
 
 // DomainSumsFromServer folds the live counter matrix into a full frame,
 // under the same cut and fence rules as SumsFromSharded.
-func DomainSumsFromServer(ds *hh.DomainServer) RawSums { return domainState{ds}.Sums(Scope{}) }
+func DomainSumsFromServer(ds *hh.DomainServer) RawSums { return domainState{rows: ds}.Sums(Scope{}) }
 
 // MergeInto folds the frame's raw state into a dyadic accumulator — a
 // serial protocol.Server or a protocol.Sharded — which must have the

@@ -13,6 +13,7 @@ import (
 	"testing/iotest"
 
 	"rtf/internal/dyadic"
+	"rtf/internal/hh"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 )
@@ -426,7 +427,7 @@ func FuzzReadVarintsDifferential(f *testing.F) {
 func TestSumsPathAllocs(t *testing.T) {
 	const d = 16
 	for _, m := range []int{4, 256} {
-		mode := DomainMode(d, m, 2)
+		mode := DomainMode(d, hh.ExactEncoding(m), 2)
 		st := mode.NewState(2)
 		st.Apply(0, []Rec{{User: 1, Item: uint32(m - 1), Order: 2}, {User: 1, Item: uint32(m - 1), Order: 2, J: 3, Bit: -1}})
 		var wire bytes.Buffer

@@ -131,13 +131,11 @@ type DomainReport struct {
 }
 
 // DomainClient is the client-side half of domain tracking for one user:
-// it holds the sampled target item (exact encoding) or target bucket
-// (hashed encoding) and feeds the derived indicator stream into the
-// wrapped mechanism's Boolean client.
+// it holds the sampled target row — an item under the exact encoding, a
+// bucket under a hashed one — and feeds the derived indicator stream
+// into the wrapped mechanism's Boolean client.
 type DomainClient struct {
-	inner  *hh.DomainClient       // exact encoding
-	hashed *hh.HashedDomainClient // loloha encoding
-	user   int
+	inner *hh.DomainClient
 }
 
 // NewDomainClient creates a domain client for the given user over
@@ -161,7 +159,6 @@ func NewDomainClient(user, d, m int, opts ...Option) (*DomainClient, error) {
 // protocol.
 type DomainClientFactory struct {
 	build ClientBuilder
-	m     int
 	mech  Protocol
 	enc   hh.DomainEncoding
 }
@@ -190,68 +187,45 @@ func newDomainClientFactory(d, m int, cfg config) (*DomainClientFactory, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &DomainClientFactory{build: build, m: m, mech: cfg.mech, enc: enc}, nil
+	return &DomainClientFactory{build: build, mech: cfg.mech, enc: enc}, nil
 }
 
 // Mechanism returns the factory's protocol.
 func (f *DomainClientFactory) Mechanism() Protocol { return f.mech }
 
 // M returns the domain (catalogue) size.
-func (f *DomainClientFactory) M() int { return f.m }
+func (f *DomainClientFactory) M() int { return f.enc.M }
 
 // Encoding returns the factory's domain encoding.
 func (f *DomainClientFactory) Encoding() hh.DomainEncoding { return f.enc }
 
 // NewClient builds the client for one user, seeded deterministically:
-// the seed drives both the uniform target draw (an item under the
+// the seed drives both the uniform target-row draw (an item under the
 // exact encoding, a bucket under a hashed one) and the wrapped Boolean
-// client's randomness, through disjoint streams. The exact path draws
-// in the same order as it always has, so exact clients are bit-for-bit
-// unchanged by the encoding seam.
+// client's randomness, through disjoint streams, drawn in that order —
+// the order exact clients have always drawn in.
 func (f *DomainClientFactory) NewClient(user int, seed int64) (*DomainClient, error) {
 	g := rng.NewFromSeed(seed)
-	if f.enc.Hashed() {
-		bucket := g.IntN(f.enc.G)
-		eng, err := f.build(user, g.Int64())
-		if err != nil {
-			return nil, err
-		}
-		hashed, err := hh.NewHashedDomainClient(bucket, f.enc, eng)
-		if err != nil {
-			return nil, err
-		}
-		return &DomainClient{hashed: hashed, user: user}, nil
-	}
-	item := g.IntN(f.m)
+	row := g.IntN(f.enc.Rows())
 	eng, err := f.build(user, g.Int64())
 	if err != nil {
 		return nil, err
 	}
-	inner, err := hh.NewDomainClient(item, f.m, eng)
+	inner, err := hh.NewDomainClient(row, f.enc, eng)
 	if err != nil {
 		return nil, err
 	}
-	return &DomainClient{inner: inner, user: user}, nil
+	return &DomainClient{inner: inner}, nil
 }
 
 // Item returns the client's sampled target row: its target item under
 // the exact encoding, its target bucket under a hashed one. In both
 // cases this is the value carried as Item in the client's wire hello
 // and reports (data-independent, safe in the clear).
-func (c *DomainClient) Item() int {
-	if c.hashed != nil {
-		return c.hashed.Bucket()
-	}
-	return c.inner.Item()
-}
+func (c *DomainClient) Item() int { return c.inner.Row() }
 
 // Order returns the wrapped Boolean client's announced order.
-func (c *DomainClient) Order() int {
-	if c.hashed != nil {
-		return c.hashed.Order()
-	}
-	return c.inner.Order()
-}
+func (c *DomainClient) Order() int { return c.inner.Order() }
 
 // Observe consumes the user's current domain value for the next time
 // period (−1 while the user has no value) and returns a row-tagged
@@ -260,18 +234,11 @@ func (c *DomainClient) Order() int {
 // encoding the value is hashed to its bucket first and the report's
 // Item is the client's sampled bucket.
 func (c *DomainClient) Observe(value int) (DomainReport, bool, error) {
-	if c.hashed != nil {
-		r, ok, err := c.hashed.Observe(value)
-		if err != nil || !ok {
-			return DomainReport{}, false, err
-		}
-		return DomainReport{Item: c.hashed.Bucket(), Report: r}, true, nil
-	}
 	r, ok, err := c.inner.Observe(value)
 	if err != nil || !ok {
 		return DomainReport{}, false, err
 	}
-	return DomainReport{Item: c.inner.Item(), Report: r}, true, nil
+	return DomainReport{Item: c.inner.Row(), Report: r}, true, nil
 }
 
 // DomainServer is the server-side half of domain tracking: one dyadic
@@ -281,11 +248,11 @@ func (c *DomainClient) Observe(value int) (DomainReport, bool, error) {
 // item-scoped query shapes — PointItem, SeriesItem, TopK — through
 // Answer.
 type DomainServer struct {
-	inner  *hh.DomainServer       // exact encoding
-	hashed *hh.HashedDomainServer // loloha encoding
-	enc    hh.DomainEncoding
-	d, m   int
-	mech   Protocol
+	rows  *hh.DomainServer // takes every write
+	items hh.Items         // the encoding's reader over rows
+	enc   hh.DomainEncoding
+	d     int
+	mech  Protocol
 }
 
 // NewDomainServer creates a domain server for horizon d (a power of
@@ -310,13 +277,8 @@ func NewDomainServer(d, m int, opts ...Option) (*DomainServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &DomainServer{enc: enc, d: d, m: m, mech: cfg.mech}
-	if enc.Hashed() {
-		s.hashed = hh.NewHashedDomainServer(d, enc, scale, 1)
-	} else {
-		s.inner = hh.NewDomainServer(d, m, scale, 1)
-	}
-	return s, nil
+	rows := hh.NewDomainServer(d, enc.Rows(), scale, 1)
+	return &DomainServer{rows: rows, items: hh.ItemsOver(enc, rows), enc: enc, d: d, mech: cfg.mech}, nil
 }
 
 // Mechanism returns the server's protocol.
@@ -326,43 +288,25 @@ func (s *DomainServer) Mechanism() Protocol { return s.mech }
 func (s *DomainServer) D() int { return s.d }
 
 // M returns the domain (catalogue) size.
-func (s *DomainServer) M() int { return s.m }
+func (s *DomainServer) M() int { return s.enc.M }
 
 // Encoding returns the server's domain encoding.
 func (s *DomainServer) Encoding() hh.DomainEncoding { return s.enc }
 
 // Users returns the number of registered users across all rows.
-func (s *DomainServer) Users() int {
-	if s.hashed != nil {
-		return s.hashed.Users()
-	}
-	return s.inner.Users()
-}
-
-// rowName names the server's row space in errors: items for the exact
-// encoding, buckets for a hashed one.
-func (s *DomainServer) rowName() string {
-	if s.enc.Hashed() {
-		return "bucket"
-	}
-	return "item"
-}
+func (s *DomainServer) Users() int { return s.rows.Users() }
 
 // Register records a user's announced (row, order) pair: the sampled
 // item under the exact encoding, the sampled bucket under a hashed
 // one — exactly the value a DomainClient reports as Item.
 func (s *DomainServer) Register(item, order int) error {
 	if rows := s.enc.Rows(); item < 0 || item >= rows {
-		return fmt.Errorf("ldp: %s %d out of range [0..%d)", s.rowName(), item, rows)
+		return fmt.Errorf("ldp: %s %d out of range [0..%d)", s.enc.RowName(), item, rows)
 	}
 	if maxOrder := dyadic.Log2(s.d); order < 0 || order > maxOrder {
 		return fmt.Errorf("ldp: order %d out of range [0..%d]", order, maxOrder)
 	}
-	if s.hashed != nil {
-		s.hashed.Register(0, item, order)
-	} else {
-		s.inner.Register(0, item, order)
-	}
+	s.rows.Register(0, item, order)
 	return nil
 }
 
@@ -371,7 +315,7 @@ func (s *DomainServer) Register(item, order int) error {
 // this boundary.
 func (s *DomainServer) Ingest(r DomainReport) error {
 	if rows := s.enc.Rows(); r.Item < 0 || r.Item >= rows {
-		return fmt.Errorf("ldp: report %s %d out of range [0..%d)", s.rowName(), r.Item, rows)
+		return fmt.Errorf("ldp: report %s %d out of range [0..%d)", s.enc.RowName(), r.Item, rows)
 	}
 	if r.User < 0 {
 		return fmt.Errorf("ldp: negative user id %d", r.User)
@@ -385,13 +329,8 @@ func (s *DomainServer) Ingest(r DomainReport) error {
 	if r.J < 1 || r.J > s.d>>uint(r.Order) {
 		return fmt.Errorf("ldp: report index %d out of range for order %d", r.J, r.Order)
 	}
-	if s.hashed != nil {
-		s.hashed.Ingest(0, r.Item, r.Report)
-		s.hashed.AdvanceVersion(0)
-	} else {
-		s.inner.Ingest(0, r.Item, r.Report)
-		s.inner.AdvanceVersion(0)
-	}
+	s.rows.Ingest(0, r.Item, r.Report)
+	s.rows.AdvanceVersion(0)
 	return nil
 }
 
@@ -402,27 +341,21 @@ func (s *DomainServer) Ingest(r DomainReport) error {
 func (s *DomainServer) Answer(q Query) (Answer, error) {
 	switch q.Kind {
 	case PointItem:
-		if q.Item < 0 || q.Item >= s.m {
-			return Answer{}, fmt.Errorf("ldp: item %d out of range [0..%d)", q.Item, s.m)
+		if q.Item < 0 || q.Item >= s.enc.M {
+			return Answer{}, fmt.Errorf("ldp: item %d out of range [0..%d)", q.Item, s.enc.M)
 		}
 		if q.T < 1 || q.T > s.d {
 			return Answer{}, fmt.Errorf("ldp: time %d out of range [1..%d]", q.T, s.d)
 		}
-		if s.hashed != nil {
-			return Answer{Query: q, Value: s.hashed.EstimateItemAt(q.Item, q.T)}, nil
-		}
-		return Answer{Query: q, Value: s.inner.EstimateItemAt(q.Item, q.T)}, nil
+		v, _ := s.items.EstimateItemAtCached(q.Item, q.T)
+		return Answer{Query: q, Value: v}, nil
 	case SeriesItem:
-		if q.Item < 0 || q.Item >= s.m {
-			return Answer{}, fmt.Errorf("ldp: item %d out of range [0..%d)", q.Item, s.m)
+		if q.Item < 0 || q.Item >= s.enc.M {
+			return Answer{}, fmt.Errorf("ldp: item %d out of range [0..%d)", q.Item, s.enc.M)
 		}
-		if s.hashed != nil {
-			// EstimateItemSeries builds a fresh decoded slice per call.
-			return Answer{Query: q, Series: s.hashed.EstimateItemSeries(q.Item)}, nil
-		}
-		// Fresh copy, as on the Boolean path: never a view into an
+		// A fresh slice, as on the Boolean path: never a view into an
 		// engine's backing array.
-		return Answer{Query: q, Series: append([]float64(nil), s.inner.EstimateItemSeries(q.Item)...)}, nil
+		return Answer{Query: q, Series: s.items.EstimateItemSeries(q.Item)}, nil
 	case TopK:
 		if q.T < 1 || q.T > s.d {
 			return Answer{}, fmt.Errorf("ldp: time %d out of range [1..%d]", q.T, s.d)
@@ -430,12 +363,7 @@ func (s *DomainServer) Answer(q Query) (Answer, error) {
 		if q.K < 0 {
 			return Answer{}, fmt.Errorf("ldp: negative k %d", q.K)
 		}
-		var top []ItemCount
-		if s.hashed != nil {
-			top = s.hashed.TopK(q.T, q.K)
-		} else {
-			top = s.inner.TopK(q.T, q.K)
-		}
+		top, _ := s.items.AppendTopK(nil, q.T, q.K)
 		a := Answer{Query: q, Items: make([]int, len(top)), Series: make([]float64, len(top))}
 		for i, ic := range top {
 			a.Items[i] = ic.Item
@@ -476,20 +404,10 @@ func (s *DomainServer) EstimateItemAt(item, t int) (float64, error) {
 
 // MarshalState serializes all per-row accumulator state for a durable
 // snapshot.
-func (s *DomainServer) MarshalState() ([]byte, error) {
-	if s.hashed != nil {
-		return s.hashed.Inner().MarshalState(), nil
-	}
-	return s.inner.MarshalState(), nil
-}
+func (s *DomainServer) MarshalState() ([]byte, error) { return s.rows.MarshalState(), nil }
 
 // RestoreState reloads state produced by MarshalState on a server built
 // with the same mechanism, parameters and encoding. Call it on a fresh
 // server; estimates afterwards are bit-for-bit those of the
 // snapshotted server.
-func (s *DomainServer) RestoreState(state []byte) error {
-	if s.hashed != nil {
-		return s.hashed.Inner().RestoreState(state)
-	}
-	return s.inner.RestoreState(state)
-}
+func (s *DomainServer) RestoreState(state []byte) error { return s.rows.RestoreState(state) }
