@@ -137,3 +137,89 @@ func testFuzzDomainServer() *hh.DomainServer {
 	ds.Ingest(0, 2, protocol.Report{User: 2, Order: 1, J: 2, Bit: -1})
 	return ds
 }
+
+// FuzzDomainRead fuzzes the read guard the domain answer path relies
+// on: AnswerDomainQueryInto does not validate, the frame loop's
+// ValidateRead does, so under both encodings every read frame the
+// mode's ValidateRead accepts must be answered by a live state without
+// a panic or an error, and the answer must decode — a domain answer
+// echoing the query's shape, or the mode's sums frame.
+func FuzzDomainRead(f *testing.F) {
+	const d = 8
+	type live struct {
+		mode Mode
+		st   State
+	}
+	var states []live
+	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(5), hh.LolohaEncoding(3000, 4, 0x5eed)} {
+		mode := DomainMode(d, enc, 2)
+		col := NewCollector(mode, 2)
+		hello := DomainHello
+		if enc.Hashed() {
+			hello = func(user, row, order int) Msg { return HashedDomainHello(user, row, order, enc.Seed) }
+		}
+		for u := 0; u < 12; u++ {
+			row, order := u%enc.Rows(), u%4
+			bit := int8(1 - 2*(u%3%2))
+			if err := col.SendBatch(u%2, []Msg{
+				hello(u, row, order),
+				FromDomainReport(row, protocol.Report{User: u, Order: order, J: 1 + u%(d>>uint(order)), Bit: bit}),
+			}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		states = append(states, live{mode, col.st})
+	}
+	for _, m := range []Msg{
+		DomainQuery(QueryPointItem, 4, 3, 0, 0),
+		DomainQuery(QueryPointItem, 2999, d, 0, 0),
+		DomainQuery(QuerySeriesItem, 1, 0, 0, 0),
+		DomainQuery(QueryTopK, 0, d, 0, 3),
+		DomainQuery(QueryTopK, 0, 1, 0, MaxAnswerLen),
+		DomainQuery(QueryTopK, 0, 1, 0, MaxAnswerLen+1),
+		DomainSums(),
+		{Type: MsgDomainSums, L: 2, R: 5},
+		HashedDomainSums(3000, 4, 0x5eed),
+		{Type: MsgHashedDomainSums, Item: 3000, K: 4, Seed: 0x5eed, L: 1, R: d},
+	} {
+		b, err := appendMsg(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Msg
+		if _, err := decodeScalarInto(data, &m); err != nil {
+			return
+		}
+		for _, s := range states {
+			if !s.mode.Reads().Has(m.Type) || s.mode.ValidateRead(m) != nil {
+				continue
+			}
+			var buf bytes.Buffer
+			e := NewEncoder(&buf)
+			var sc AnswerScratch
+			if _, _, err := s.st.Answer(m, e, &sc); err != nil {
+				t.Fatalf("%s: accepted read %+v answered with %v", s.mode.Name(), m, err)
+			}
+			if err := e.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			dec := NewDecoder(&buf)
+			if m.Type != MsgDomainQuery {
+				if _, err := s.mode.ReadSums(dec); err != nil {
+					t.Fatalf("%s: sums answer to %+v does not decode: %v", s.mode.Name(), m, err)
+				}
+				continue
+			}
+			a, err := dec.ReadDomainAnswer()
+			if err != nil {
+				t.Fatalf("%s: answer to %+v does not decode: %v", s.mode.Name(), m, err)
+			}
+			if a.Kind != m.Kind || a.Item != m.Item || a.L != m.L || a.K != m.K {
+				t.Fatalf("%s: answer %+v does not echo query %+v", s.mode.Name(), a, m)
+			}
+		}
+	})
+}
