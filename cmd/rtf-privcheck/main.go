@@ -1,8 +1,9 @@
 // Command rtf-privcheck verifies the privacy guarantees of the
 // implementation by exact computation (no sampling): the worst-case
 // likelihood ratio of the composed randomizer R̃ (Lemma 5.2) across a
-// range of k, and the exhaustive end-to-end client check (Theorem 4.5)
-// for small d and k.
+// range of k, the exhaustive end-to-end client check (Theorem 4.5) for
+// small d and k, and the same check of the shipped domain client under
+// the exact encoding (m = 3) and the loloha encoding (m = 6, g = 2).
 //
 // Example:
 //
@@ -15,6 +16,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"rtf/internal/hh"
 	"rtf/internal/privacy"
 	"rtf/internal/probmath"
 )
@@ -56,6 +58,20 @@ func main() {
 		}
 		fmt.Fprintf(tw, "client Aclt (exhaustive)\td=%d k=%d\t%.6f\t%.3f\t%.2fx\t%v\n",
 			*d, k, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
+	}
+	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(3), hh.LolohaEncoding(6, 2, 1)} {
+		for k := 1; k <= *kclient; k++ {
+			r, err := privacy.DomainClientRatio(*d, k, *eps, enc)
+			if err != nil {
+				fatal(err)
+			}
+			ok := r.Satisfied()
+			if !ok {
+				failures++
+			}
+			fmt.Fprintf(tw, "domain client (exhaustive)\td=%d k=%d %s m=%d g=%d\t%.6f\t%.3f\t%.2fx\t%v\n",
+				*d, k, enc.Name, enc.M, enc.G, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
+		}
 	}
 	tw.Flush()
 	if failures > 0 {

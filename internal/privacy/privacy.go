@@ -15,6 +15,12 @@
 //     This exercises the full pipeline: derivative, partial sums, support
 //     compaction, the online pre-computation trick and the zero-
 //     coordinate coins.
+//
+//   - DomainClientRatio extends ClientRatio to the domain client that
+//     ships, under either encoding: catalogue streams are turned into
+//     the indicator stream each target row sees by the shipped
+//     hh.DomainClient itself, and the ratio is taken over the full
+//     output (row, h, ω).
 package privacy
 
 import (
@@ -22,7 +28,9 @@ import (
 	"math"
 
 	"rtf/internal/dyadic"
+	"rtf/internal/hh"
 	"rtf/internal/probmath"
+	"rtf/internal/protocol"
 	"rtf/internal/sparse"
 )
 
@@ -154,6 +162,127 @@ func ClientRatio(d, k int, eps float64) (RatioReport, error) {
 		}
 	}
 	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
+}
+
+// DomainClientRatio exhaustively verifies the domain reduction for small
+// d, k and catalogue: it returns the worst-case likelihood ratio of the
+// domain client's output (row, h, ω) over every pair of catalogue
+// streams with at most k value changes (the first assignment counts as
+// a change, as in hh.DomainStream). Each stream's indicator stream at
+// each target row is what the shipped hh.DomainClient feeds its Boolean
+// client, recorded through an Observer. The row is uniform over
+// enc.Rows() and drawn independently of the data, so at a fixed row the
+// ratio is that of ClientDist over the two indicator streams; streams
+// inducing the same indicator stream at a row share one distribution.
+func DomainClientRatio(d, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
+	return domainClientRatio(d, k, k, eps, enc)
+}
+
+// domainClientRatio is DomainClientRatio over catalogue streams with up
+// to changes value changes, against a mechanism configured for k. An
+// indicator stream with more than k changes is outside the mechanism's
+// guarantee (the shipped client refuses its k+1-th non-zero partial
+// sum), and fails the check.
+func domainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
+	if !dyadic.IsPow2(d) || d > 10 {
+		return RatioReport{}, fmt.Errorf("privacy: d=%d must be a power of two no larger than 8", d)
+	}
+	if err := enc.Validate(); err != nil {
+		return RatioReport{}, err
+	}
+	p, err := probmath.NewFutureRand(k, eps)
+	if err != nil {
+		return RatioReport{}, err
+	}
+	// Distinct indicator streams per row, in first-seen order.
+	seen := make([]map[string]bool, enc.Rows())
+	induced := make([][][]uint8, enc.Rows())
+	for r := range seen {
+		seen[r] = make(map[string]bool)
+	}
+	var rec recorder
+	for _, vals := range catalogueStreams(d, changes, enc.M) {
+		for r := range induced {
+			rec.bits = rec.bits[:0]
+			c, err := hh.NewDomainClient(r, enc, &rec)
+			if err != nil {
+				return RatioReport{}, err
+			}
+			for _, v := range vals {
+				if _, _, err := c.Observe(v); err != nil {
+					return RatioReport{}, err
+				}
+			}
+			st := append([]uint8(nil), rec.bits...)
+			if n := sparse.NumChanges(st); n > k {
+				return RatioReport{}, fmt.Errorf("privacy: catalogue stream %v gives row %d the indicator stream %v with %d changes, past the mechanism's k=%d", vals, r, st, n, k)
+			}
+			if !seen[r][string(st)] {
+				seen[r][string(st)] = true
+				induced[r] = append(induced[r], st)
+			}
+		}
+	}
+	worst := 0.0
+	for _, streams := range induced {
+		dists := make([]map[[2]int]float64, len(streams))
+		for i, st := range streams {
+			dists[i] = ClientDist(st, d, p)
+		}
+		for i := range dists {
+			for j := range dists {
+				for key, pi := range dists[i] {
+					if r := math.Log(pi / dists[j][key]); r > worst {
+						worst = r
+					}
+				}
+			}
+		}
+	}
+	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
+}
+
+// catalogueStreams enumerates the value series over d periods of every
+// catalogue stream over [0..m) with at most k value changes: −1 until
+// the first change, and no change to the value already held.
+func catalogueStreams(d, k, m int) [][]int {
+	var out [][]int
+	vals := make([]int, d)
+	var walk func(t, changes, cur int)
+	walk = func(t, changes, cur int) {
+		if t == d {
+			out = append(out, append([]int(nil), vals...))
+			return
+		}
+		vals[t] = cur
+		walk(t+1, changes, cur)
+		if changes == k {
+			return
+		}
+		for v := 0; v < m; v++ {
+			if v != cur {
+				vals[t] = v
+				walk(t+1, changes+1, v)
+			}
+		}
+	}
+	walk(0, 0, -1)
+	return out
+}
+
+// recorder is the Boolean client under test's stand-in: it records the
+// indicator values it is fed and never reports.
+type recorder struct{ bits []uint8 }
+
+func (r *recorder) Order() int { return 0 }
+
+func (r *recorder) Observe(value bool) (protocol.Report, bool) {
+	var b uint8
+	if value {
+		b = 1
+	}
+	r.bits = append(r.bits, b)
+	return protocol.Report{}, false
 }
 
 // OnlineOfflineTV computes, exactly, the total-variation distance between

@@ -2,8 +2,10 @@ package privacy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"rtf/internal/hh"
 	"rtf/internal/probmath"
 	"rtf/internal/sparse"
 )
@@ -128,4 +130,33 @@ func TestOnlineOfflineTVPanicsLargeK(t *testing.T) {
 		}
 	}()
 	OnlineOfflineTV(p)
+}
+
+// TestDomainClientRatioWithinBudget runs the exact check of the shipped
+// domain client under both encodings — an exact domain of 3 items, and
+// a loloha catalogue of 6 items hashed to 2 buckets — at d = 8: the
+// realized ε is within budget for k ≤ 2. Admitting catalogue streams
+// with k + 1 changes fails the check: some target row then sees an
+// indicator stream with k + 1 changes, outside the mechanism's
+// guarantee.
+func TestDomainClientRatioWithinBudget(t *testing.T) {
+	const d, eps = 8, 1.0
+	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(3), hh.LolohaEncoding(6, 2, 1)} {
+		for k := 1; k <= 2; k++ {
+			r, err := DomainClientRatio(d, k, eps, enc)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", enc.Name, k, err)
+			}
+			if !r.Satisfied() {
+				t.Errorf("%s k=%d: realized ε %v exceeds budget %v", enc.Name, k, r.EpsRealized, r.EpsBudget)
+			}
+			t.Logf("%s k=%d: realized ε %.6f", enc.Name, k, r.EpsRealized)
+			if r.EpsRealized <= 0 {
+				t.Errorf("%s k=%d: non-positive realized ratio %v", enc.Name, k, r.EpsRealized)
+			}
+			if _, err := domainClientRatio(d, k+1, k, eps, enc); err == nil || !strings.Contains(err.Error(), "past the mechanism's k=") {
+				t.Errorf("%s k=%d: streams with %d changes pass the check (err %v)", enc.Name, k, k+1, err)
+			}
+		}
+	}
 }
