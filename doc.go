@@ -98,7 +98,10 @@
 // (ldp.NewDomainClient), and the server runs one dyadic accumulator per
 // item with estimates scaled by m (ldp.NewDomainServer), answering the
 // item-scoped query shapes — PointItem, SeriesItem and the TopK
-// heavy-hitter query — online. The per-item counters live in one
+// heavy-hitter query — online. Past 4096 items the loloha encoding
+// hashes the catalogue to g bucket rows and decodes them; the encoding
+// is a value (hh.DomainEncoding) carried through one client, one
+// transport mode and one answer path, and only the decoder differs. The per-item counters live in one
 // contiguous per-shard matrix (protocol.DomainSharded), item-major, so
 // domain ingest is a single indexed plain add (one shard lock per
 // ingested run; the lock discipline is written once, on that type, and

@@ -1,15 +1,18 @@
 package hh
 
 // This file is the DomainEncoding seam: the mapping between catalogue
-// items and the rows the server actually materializes. The exact
-// encoding is the identity (one row per item, the per-item indicator
-// reduction of the paper's Section 1 adaptation); the loloha encoding
-// hashes the catalogue down to g buckets client-side (longitudinal
-// local hashing, L-OLH/LOLOHA — Arcolezi et al., arXiv:2111.04636 and
-// arXiv:2210.00262) so server memory scales with g, not m, and decodes
-// the g bucket counters back into unbiased per-item frequency
-// estimates. The row accumulator itself (protocol.DomainSharded via
-// DomainServer) is reused verbatim with g rows instead of m.
+// items and the rows the server actually materializes, and the one
+// place the two encodings differ. The exact encoding is the identity
+// (one row per item, the per-item indicator reduction of the paper's
+// Section 1 adaptation); the loloha encoding hashes the catalogue down
+// to g buckets client-side (longitudinal local hashing, L-OLH/LOLOHA —
+// Arcolezi et al., arXiv:2111.04636 and arXiv:2210.00262) so server
+// memory scales with g, not m, and decodes the g bucket counters back
+// into unbiased per-item frequency estimates. Everything else is one
+// path: the client is DomainClient over Row, the row accumulator is
+// DomainServer (protocol.DomainSharded) with g rows instead of m, and
+// queries read the Items that ItemsOver puts over the rows — the rows
+// themselves, or the HashedDomainServer decoder below.
 
 import (
 	"fmt"

@@ -17,14 +17,20 @@
 // all n users (each sub-protocol has ≈ n/m users and the estimate is
 // scaled by m), which experiment E16 measures.
 //
-// The package provides the streaming halves of the reduction —
+// How items map onto server rows is data, a DomainEncoding (encoding.go):
+// the exact encoding is the identity above; the loloha encoding hashes
+// the catalogue to g bucket rows and decodes them back into items. The
+// package provides the streaming halves of the reduction for both —
 // DomainClient wraps any Boolean streaming client behind the Observer
-// shape, DomainServer routes reports into a single flat per-item
-// counter matrix (protocol.DomainSharded: the counters of m dyadic
-// accumulators in one contiguous [m × intervals] array per shard, one
-// index computation and one plain add per report, one shard lock per
-// run) — plus the domain workload model and the Zipf generator. The
-// public entry points (tagged wire frames, mechanism selection,
+// shape and feeds it 1{enc.Row(v_u[t]) = row}; DomainServer routes
+// row-tagged reports into a single flat counter matrix
+// (protocol.DomainSharded: the counters of the rows' dyadic accumulators
+// in one contiguous [rows × intervals] array per shard, one index
+// computation and one plain add per report, one shard lock per run);
+// Items is what queries read, the DomainServer itself under the exact
+// encoding and a HashedDomainServer decoder over it under loloha
+// (ItemsOver) — plus the domain workload model and the Zipf generator.
+// The public entry points (tagged wire frames, mechanism selection,
 // validation) live in the ldp and transport packages; this package is
 // the engine.
 package hh

@@ -84,7 +84,7 @@ func ValidateDomainQuery(d int, enc hh.DomainEncoding, msg Msg) error {
 		if msg.K < 0 {
 			return fmt.Errorf("transport: top-k query with negative k %d", msg.K)
 		}
-		if enc.Hashed() && msg.K > MaxAnswerLen {
+		if msg.K > MaxAnswerLen && enc.Hashed() {
 			return fmt.Errorf("transport: top-k query k=%d exceeds answer limit %d", msg.K, MaxAnswerLen)
 		}
 	default:

@@ -28,7 +28,7 @@ func lockReads(mode Mode, d int) []Msg {
 	if modeRows(mode) == 0 {
 		reads = []Msg{QueryV2(QueryPoint, d/2, 0), QueryV2(QueryChange, 3, d-1), QueryV2(QuerySeries, 0, 0), QueryV2(QueryWindow, 2, d/2)}
 	} else {
-		items := mode.(domainMode).enc.M
+		items := mode.(*domainMode).enc.M
 		reads = []Msg{
 			DomainQuery(QueryPointItem, items-1, d/2, 0, 0), DomainQuery(QueryPointItem, 0, d, 0, 0),
 			DomainQuery(QuerySeriesItem, 1, 0, 0, 0), DomainQuery(QueryTopK, 0, d-1, 0, 3),
@@ -94,7 +94,7 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 			},
 			state: srv.MarshalState,
 		}
-	case domainMode:
+	case *domainMode:
 		ds = hh.NewDomainServer(d, p.m, scale, 1)
 		st = p.state(ds)
 	}

@@ -11,12 +11,12 @@ import (
 // This file is the Mode contract: the one place that knows, for each of
 // the two protocol modes a deployment can serve — Boolean, and domain
 // under its encoding (exact or hashed, a value of hh.DomainEncoding) —
-// which frame types are reads, how ingest and
-// read frames are validated, how a validated run is applied, how a read
-// is answered, and how raw sums are exported, fetched, merged and
-// restored. The serving core (serve.go), the collectors and the gateway
-// are written once against it; the mode is chosen at construction and
-// nothing above this file names a mode-specific frame type.
+// which frame types are reads, how ingest and read frames are
+// validated, how a validated run is applied, how a read is answered, and
+// how raw sums are exported, fetched, merged and restored. The serving
+// core (serve.go), the collectors and the gateway are written once
+// against it; the mode is chosen at construction and nothing above this
+// file names a mode-specific frame type.
 
 // FrameSet is a set of scalar message types: the data form of "which
 // frames does this mode read", so the frame loop classifies a message
@@ -275,21 +275,21 @@ func DomainMode(d int, enc hh.DomainEncoding, scale float64) Mode {
 	if err := enc.Validate(); err != nil {
 		panic("transport: " + err.Error())
 	}
-	return domainMode{dims{d, enc.Rows(), scale}, enc}
+	return &domainMode{dims{d, enc.Rows(), scale}, enc}
 }
 
-func (p domainMode) Name() string {
+func (p *domainMode) Name() string {
 	if p.enc.Hashed() {
 		return "hashed-domain"
 	}
 	return "domain"
 }
 
-func (p domainMode) Reads() FrameSet { return frameSet(MsgDomainQuery, p.SumsRequest().Type) }
+func (p *domainMode) Reads() FrameSet { return frameSet(MsgDomainQuery, p.SumsRequest().Type) }
 
 // SumsRequest is the exact encoding's plain request, or a hashed one's
 // request carrying the full encoding.
-func (p domainMode) SumsRequest() Msg {
+func (p *domainMode) SumsRequest() Msg {
 	if p.enc.Hashed() {
 		return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed)
 	}
@@ -298,7 +298,7 @@ func (p domainMode) SumsRequest() Msg {
 
 // Ingest is the encoding's hello — a hashed one carries the epoch seed —
 // and the row-tagged report both encodings share.
-func (p domainMode) Ingest() Ingest {
+func (p *domainMode) Ingest() Ingest {
 	hello := MsgDomainHello
 	if p.enc.Hashed() {
 		hello = MsgHashedDomainHello
@@ -309,7 +309,7 @@ func (p domainMode) Ingest() Ingest {
 // ValidateRead checks a query against the catalogue and a hashed sums
 // request against the full encoding: two deployments hashing
 // differently must never merge bucket counters.
-func (p domainMode) ValidateRead(m Msg) error {
+func (p *domainMode) ValidateRead(m Msg) error {
 	if m.Type == MsgDomainQuery {
 		return ValidateDomainQuery(p.d, p.enc, m)
 	}
@@ -320,11 +320,11 @@ func (p domainMode) ValidateRead(m Msg) error {
 	return p.Scope(m).check(p.d)
 }
 
-func (p domainMode) NewState(shards int) State {
+func (p *domainMode) NewState(shards int) State {
 	return p.state(hh.NewDomainServer(p.d, p.m, p.scale, shards))
 }
 
-func (p domainMode) Fold(frames []RawSums) (State, error) {
+func (p *domainMode) Fold(frames []RawSums) (State, error) {
 	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
@@ -337,18 +337,18 @@ func (p domainMode) Fold(frames []RawSums) (State, error) {
 }
 
 // state is the mode's state over the given counter rows.
-func (p domainMode) state(rows *hh.DomainServer) domainState {
+func (p *domainMode) state(rows *hh.DomainServer) domainState {
 	return domainState{rows, hh.ItemsOver(p.enc, rows)}
 }
 
-func (domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
-func (domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
+func (*domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
+func (*domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
 
 // CheckMeta refuses a directory written under a different domain size
 // or, under a hashed encoding, a different catalogue, bucket count,
 // encoding or epoch seed — bucket counters under another seed mean
 // different items.
-func (p domainMode) CheckMeta(meta persist.Meta) error {
+func (p *domainMode) CheckMeta(meta persist.Meta) error {
 	switch {
 	case !p.enc.Hashed():
 		if meta.M != p.enc.M {

@@ -120,7 +120,7 @@ func coveredReads(mode Mode, g *rng.RNG, d int, sc Scope) (covered []Msg, uncove
 		}
 		return covered, QueryV2(QuerySeries, 0, 0)
 	}
-	items := mode.(domainMode).enc.M
+	items := mode.(*domainMode).enc.M
 	if sc.L == 1 {
 		covered = append(covered,
 			DomainQuery(QueryPointItem, g.IntN(items), sc.R, 0, 0),
