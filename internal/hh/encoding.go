@@ -186,9 +186,6 @@ type Items interface {
 // rows themselves under the exact encoding, the bucket decoder under a
 // hashed one — which keep receiving every write.
 func ItemsOver(enc DomainEncoding, rows *DomainServer) Items {
-	if rows.M() != enc.Rows() {
-		panic(fmt.Sprintf("hh: %d rows under an encoding with %d", rows.M(), enc.Rows()))
-	}
 	if enc.Hashed() {
 		return HashedDomainServerOver(enc, rows)
 	}
