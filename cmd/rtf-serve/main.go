@@ -126,8 +126,7 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.DurationVar(&c.stats, "stats", 0, "print throughput every interval (0 = off)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "persist state here (snapshot + write-ahead log); empty = in-memory only")
 	fs.DurationVar(&c.snapEvery, "snapshot-every", time.Minute, "periodic snapshot interval with -data-dir (0 = final snapshot only)")
-	fs.BoolVar(&c.durable.Fsync, "fsync", false, "fsync the WAL after every append (survive power loss, not just crashes)")
-	fs.DurationVar(&c.durable.GroupCommitInterval, "wal-commit-interval", 0, "WAL group-commit coalescing window: batches from all connections arriving within it are committed with one write and at most one fsync; acks still mean journaled/durable (0 = one write+fsync per batch)")
+	fs.BoolVar(&c.durable.Fsync, "fsync", false, "fsync every WAL write before acking (survive power loss, not just crashes); batches from all connections that arrive during a write share the next write and fsync")
 	fs.BoolVar(&c.durable.TolerateTornTail, "tolerate-torn-tail", false, "boot through a torn final WAL record (the artifact of a power loss mid-append) by truncating it; off = fail with a descriptive error so the operator decides")
 	fs.BoolVar(&c.membership, "membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
 	fs.StringVar(&c.id, "id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")

@@ -21,7 +21,7 @@ func TestParseConfig(t *testing.T) {
 		name, args, mode string
 	}{
 		{"bool single", "", "boolean"},
-		{"bool single durable", "-data-dir /tmp/x -fsync -wal-commit-interval 1ms", "boolean"},
+		{"bool single durable", "-data-dir /tmp/x -fsync", "boolean"},
 		{"bool membership", "-membership -id n0", "boolean"},
 		{"bool membership durable", "-membership -id n0 -vshards 16 -data-dir /tmp/x", "boolean"},
 		{"exact single", "-m 64", "domain"},
@@ -110,7 +110,6 @@ func TestFlagSet(t *testing.T) {
 		{"stats", "0s"},
 		{"tolerate-torn-tail", "false"},
 		{"vshards", "64"},
-		{"wal-commit-interval", "0s"},
 	}
 	var got [][2]string
 	flagSet(new(config)).VisitAll(func(f *flag.Flag) { got = append(got, [2]string{f.Name, f.DefValue}) })

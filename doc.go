@@ -48,12 +48,13 @@
 // restarts from snapshot + WAL replay answering every query bit-for-bit
 // as if uninterrupted — reports are spent privacy budget and can never
 // be re-requested from users. The journaling hot path is allocation-free
-// in steady state, and rtf-serve -wal-commit-interval enables WAL group
-// commit (persist.GroupCommitter): batches from all connections that
-// arrive within the coalescing window are committed with one write and
-// at most one fsync, with each batch acknowledged only after its group
+// in steady state, and WAL appends group-commit themselves
+// (persist.WAL.Append): batches from all connections that arrive while
+// a write is in flight are committed together in the next write, with
+// at most one fsync, and each batch is acknowledged only after its group
 // is journaled — grouping changes who pays for the sync, never what an
-// ack promises.
+// ack promises. There is no coalescing window: a lone batch is written
+// at once.
 //
 // The service also scales out: cmd/rtf-gateway (rtf/internal/cluster)
 // fronts N rtf-serve backends as one service, hash-partitioning users

@@ -13,16 +13,17 @@
 // addition, the recovered state answers every query bit-for-bit
 // identically to an uninterrupted server.
 //
-// Appends come in two shapes: WAL.Append journals one record with one
-// write call, and WAL.AppendBatch journals a whole group of records —
-// consecutive sequence numbers, one buffer assembly, one write, at most
-// one fsync, whole-group rollback on failure. GroupCommitter builds the
-// group-commit discipline on top of AppendBatch: concurrent callers'
-// payloads coalesce for up to an interval and commit together, each
-// caller blocking until its own record is journaled, so the per-append
-// sync cost is paid once per group while an acknowledgment keeps its
-// exact durability meaning. The append paths allocate nothing in steady
-// state.
+// WAL.Append is the one append, and concurrent appends group-commit
+// themselves: a caller that finds the log idle writes its record at
+// once, callers that arrive while a write is in flight queue their
+// records, and the first of them then writes everything queued in one
+// write call with at most one fsync — consecutive sequence numbers,
+// whole-group rollback on failure. There is no window, no goroutine and
+// no knob. Each caller returns only once its own record is journaled,
+// so the per-append sync cost is shared under load while an
+// acknowledgment keeps its exact durability meaning, and a queued
+// record has touched no file, so a crash loses exactly the appends that
+// had not returned. The append path allocates nothing in steady state.
 //
 // On-disk layout (all files live in one data directory):
 //

@@ -32,20 +32,46 @@ type WALOptions struct {
 }
 
 // WAL is an append-only write-ahead log over rotated segment files in a
-// data directory. Append is safe for concurrent use.
+// data directory. Append is safe for concurrent use, and concurrent
+// appends commit in groups: see Append.
 type WAL struct {
-	dir    string
-	opts   WALOptions
+	dir  string
+	opts WALOptions
+	crc  *crc32Scratch
+
+	// mu guards the file side. A group's writer holds it across the
+	// write and the sync.
 	mu     sync.Mutex
 	f      *os.File
 	size   int64
 	last   uint64 // last assigned sequence number
 	wrote  int64  // bytes written to segment files since open
-	buf    []byte // scratch for record assembly
-	crc    *crc32Scratch
 	close  bool
 	broken error // sticky: a failed append left bytes we could not undo
+
+	// qmu guards the queue: the records waiting for the next group, the
+	// channels their callers wait on, and whether a writer is at work.
+	// It is never held together with mu.
+	qmu     sync.Mutex
+	writing bool
+	next    []byte              // queued records, framed but not yet stamped
+	waiting []chan appendResult // callers of next's records 1.., in order
+	spare   []byte              // next's other buffer (ping-pongs with it)
+	spareW  []chan appendResult // waiting's other buffer
 }
+
+// appendResult is what a queued caller is told: its record's sequence
+// number or its group's error, or that it leads the next group.
+type appendResult struct {
+	seq  uint64
+	err  error
+	lead bool
+}
+
+// resultChans recycles the one-slot channels queued callers wait on.
+// Each queued append gets exactly one send — its result, or the lead —
+// so a send under qmu never blocks.
+var resultChans = sync.Pool{New: func() any { return make(chan appendResult, 1) }}
 
 // crc32Scratch carries the table and an 8-byte sequence buffer for
 // checksumming. The buffer lives in the struct rather than on sum's
@@ -145,11 +171,20 @@ func (w *WAL) AppendedBytes() int64 {
 }
 
 // Append assigns the next sequence number to one record — its payload
-// is the given parts back to back — and writes it in one write call,
-// rotating segments at the size threshold. The parts are copied before
-// Append returns. With Fsync the segment is synced before Append
-// returns; without it the record still survives process death (it is in
-// the page cache), just not power loss.
+// is the given parts back to back — and returns once the record is
+// written, rotating segments at the size threshold. The parts are
+// copied before Append returns. With Fsync the segment is synced before
+// Append returns; without it the record still survives process death
+// (it is in the page cache), just not power loss.
+//
+// Concurrent appends group-commit themselves. A caller that finds no
+// writer at work writes its own record at once; callers that arrive
+// while a write is in flight queue their records, which touch no file
+// until the next group is written. When a writer is done it wakes every
+// caller of its group and hands the writer role to the first caller
+// still queued, which writes everything queued by then in one write
+// call and at most one sync. A failed write fails every caller in its
+// group and consumes no sequence numbers.
 func (w *WAL) Append(parts ...[]byte) (uint64, error) {
 	n := 0
 	for _, p := range parts {
@@ -158,75 +193,104 @@ func (w *WAL) Append(parts ...[]byte) (uint64, error) {
 	if n > MaxRecordLen {
 		return 0, fmt.Errorf("persist: record of %d bytes exceeds limit %d", n, MaxRecordLen)
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.readyLocked(); err != nil {
-		return 0, err
+	w.qmu.Lock()
+	at := len(w.next)
+	w.next = append(w.next, zeroRecordHeader[:]...)
+	binary.LittleEndian.PutUint32(w.next[at:], uint32(n))
+	for _, p := range parts {
+		w.next = append(w.next, p...)
 	}
-	seq := w.last + 1
-	if err := w.commitLocked(w.appendRecord(w.buf[:0], seq, parts...), seq, seq); err != nil {
-		return 0, err
+	if w.writing {
+		c := resultChans.Get().(chan appendResult)
+		w.waiting = append(w.waiting, c)
+		w.qmu.Unlock()
+		r := <-c
+		resultChans.Put(c)
+		if !r.lead {
+			return r.seq, r.err
+		}
+		w.qmu.Lock()
 	}
-	return seq, nil
-}
+	w.writing = true
+	b, waiting := w.next, w.waiting
+	w.next, w.waiting = w.spare[:0], w.spareW[:0]
+	w.qmu.Unlock()
 
-// AppendBatch appends every payload as its own record — consecutive
-// sequence numbers, one buffer assembly, one write call, and (with
-// Fsync) one sync for the whole group. This is the group-commit
-// primitive: a committer aggregating appends from many connections
-// pays the write+fsync cost once per group instead of once per batch.
-// It returns the sequence number of the first record; payload i became
-// record first+i. The group is atomic like a single Append: a failed
-// write or sync truncates the whole partial group away and consumes no
-// sequence numbers. Segment rotation happens before the group is
-// written, so like single appends a group may run one group past the
-// size threshold.
-func (w *WAL) AppendBatch(payloads [][]byte) (uint64, error) {
-	for _, p := range payloads {
-		if len(p) > MaxRecordLen {
-			return 0, fmt.Errorf("persist: record of %d bytes exceeds limit %d", len(p), MaxRecordLen)
+	first, err := w.write(b)
+
+	w.qmu.Lock()
+	for i, c := range waiting {
+		r := appendResult{err: err}
+		if err == nil {
+			r.seq = first + 1 + uint64(i)
 		}
+		c <- r
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if len(payloads) == 0 {
-		if err := w.usableLocked(); err != nil {
-			return 0, err
-		}
-		return w.last + 1, nil
-	}
-	if err := w.readyLocked(); err != nil {
-		return 0, err
-	}
-	first := w.last + 1
-	seq := w.last
-	b := w.buf[:0]
-	for _, p := range payloads {
-		seq++
-		b = w.appendRecord(b, seq, p)
-	}
-	if err := w.commitLocked(b, first, seq); err != nil {
+	w.spare, w.spareW = b[:0], waiting[:0]
+	w.handOffLocked()
+	w.qmu.Unlock()
+	if err != nil {
 		return 0, err
 	}
 	return first, nil
 }
 
-// usableLocked refuses appends to a closed or broken log.
-func (w *WAL) usableLocked() error {
+// handOffLocked ends a writer's turn: the first caller still queued
+// leads the next group, or, with nobody queued, the log goes idle.
+func (w *WAL) handOffLocked() {
+	if len(w.waiting) == 0 {
+		w.writing = false
+		return
+	}
+	c := w.waiting[0]
+	w.waiting = w.waiting[:copy(w.waiting, w.waiting[1:])]
+	c <- appendResult{lead: true}
+}
+
+// write stamps a group of queued records with consecutive sequence
+// numbers and commits them in one write call (and, with Fsync, one
+// sync), returning the first record's number. Only then does the log
+// advance: a failed write or sync truncates the partial bytes away, so
+// the sequence numbers are not consumed by records the log cannot vouch
+// for.
+func (w *WAL) write(b []byte) (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.readyLocked(); err != nil {
+		return 0, err
+	}
+	first, last := w.last+1, w.last
+	for at := 0; at < len(b); {
+		last++
+		end := at + recordHeaderLen + int(binary.LittleEndian.Uint32(b[at:]))
+		binary.LittleEndian.PutUint32(b[at+4:], w.crc.sum(last, b[at+recordHeaderLen:end]))
+		binary.LittleEndian.PutUint64(b[at+8:], last)
+		at = end
+	}
+	if _, err := w.f.Write(b); err != nil {
+		w.undoPartialLocked(err)
+		return 0, fmt.Errorf("persist: appending records %d..%d: %w", first, last, err)
+	}
+	if w.opts.Fsync {
+		if err := w.f.Sync(); err != nil {
+			w.undoPartialLocked(err)
+			return 0, fmt.Errorf("persist: syncing records %d..%d: %w", first, last, err)
+		}
+	}
+	w.last = last
+	w.size += int64(len(b))
+	w.wrote += int64(len(b))
+	return first, nil
+}
+
+// readyLocked makes the log ready for one write: open, not broken, with
+// an active segment below the rotation threshold.
+func (w *WAL) readyLocked() error {
 	if w.close {
 		return fmt.Errorf("persist: append to closed WAL")
 	}
 	if w.broken != nil {
 		return fmt.Errorf("persist: WAL disabled after unrecoverable append failure: %w", w.broken)
-	}
-	return nil
-}
-
-// readyLocked makes the log ready for one write: usable, with an active
-// segment below the rotation threshold.
-func (w *WAL) readyLocked() error {
-	if err := w.usableLocked(); err != nil {
-		return err
 	}
 	if w.f == nil || w.size >= w.opts.SegmentBytes {
 		return w.rotateLocked()
@@ -235,44 +299,6 @@ func (w *WAL) readyLocked() error {
 }
 
 var zeroRecordHeader [recordHeaderLen]byte
-
-// appendRecord frames one record onto b: the header, then the payload
-// parts back to back. The checksum is taken over the assembled copy, so
-// each part is read exactly once and need not outlive the call.
-func (w *WAL) appendRecord(b []byte, seq uint64, parts ...[]byte) []byte {
-	at := len(b)
-	b = append(b, zeroRecordHeader[:]...)
-	for _, p := range parts {
-		b = append(b, p...)
-	}
-	payload := b[at+recordHeaderLen:]
-	binary.LittleEndian.PutUint32(b[at:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[at+4:], w.crc.sum(seq, payload))
-	binary.LittleEndian.PutUint64(b[at+8:], seq)
-	return b
-}
-
-// commitLocked writes the assembled records first..last in one write
-// call (and, with Fsync, one sync) and only then advances the log. A
-// failed write or sync truncates the partial bytes away, so the sequence
-// numbers are not consumed by records the log cannot vouch for.
-func (w *WAL) commitLocked(b []byte, first, last uint64) error {
-	w.buf = b[:0]
-	if _, err := w.f.Write(b); err != nil {
-		w.undoPartialLocked(err)
-		return fmt.Errorf("persist: appending records %d..%d: %w", first, last, err)
-	}
-	if w.opts.Fsync {
-		if err := w.f.Sync(); err != nil {
-			w.undoPartialLocked(err)
-			return fmt.Errorf("persist: syncing records %d..%d: %w", first, last, err)
-		}
-	}
-	w.last = last
-	w.size += int64(len(b))
-	w.wrote += int64(len(b))
-	return nil
-}
 
 // undoPartialLocked truncates the active segment back to the last good
 // size after a failed append, so the partial record cannot poison the
@@ -326,16 +352,6 @@ func (w *WAL) rotateLocked() error {
 	w.f, w.size = f, headerLen
 	w.wrote += headerLen
 	return nil
-}
-
-// Sync flushes the active segment to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
 }
 
 // Close closes the active segment. Further appends fail.

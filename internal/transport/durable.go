@@ -19,7 +19,8 @@ type DurableOptions struct {
 	// Fsync syncs the WAL after every append and snapshot writes before
 	// rename. Off, a kill -9 still loses nothing (records are written
 	// whole and live in the page cache); on, state also survives power
-	// loss, at one fsync per ingested frame.
+	// loss, at one fsync per WAL group: frames that reach the log while
+	// a write is in flight share the next write and fsync.
 	Fsync bool
 	// SegmentBytes overrides the WAL rotation threshold (default 4 MiB).
 	SegmentBytes int64
@@ -28,15 +29,6 @@ type DurableOptions struct {
 	// default: a torn tail then fails recovery with a descriptive error
 	// so the operator decides.
 	TolerateTornTail bool
-	// GroupCommitInterval enables WAL group commit: batches from all
-	// connections are aggregated for up to this long and committed with
-	// one write call (and, with Fsync, one sync), so the per-batch sync
-	// cost is shared across every batch in the group. A batch is only
-	// acknowledged after its group commits, so an ack still means the
-	// batch is journaled (and durable, with Fsync) — grouping changes
-	// who pays for the sync, never what an ack promises. Zero keeps the
-	// direct path: one write (+ sync) per batch, nothing shared.
-	GroupCommitInterval time.Duration
 }
 
 // RecoveryStats reports what OpenDurable reconstructed at boot.
@@ -58,7 +50,6 @@ type RecoveryStats struct {
 // the wrapping collector's business; the journal only moves bytes.
 type durableJournal struct {
 	wal   *persist.WAL
-	gc    *persist.GroupCommitter // non-nil when group commit is enabled
 	dir   string
 	meta  persist.Meta
 	fsync bool
@@ -178,9 +169,6 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
 		return nil, stats, fmt.Errorf("transport: opening WAL: %w", err)
 	}
 	j := &durableJournal{wal: wal, dir: dir, meta: meta, fsync: o.Fsync}
-	if o.GroupCommitInterval > 0 {
-		j.gc = persist.NewGroupCommitter(wal, o.GroupCommitInterval)
-	}
 	j.snapCursor.Store(stats.SnapshotCursor)
 	j.snapUnixNano.Store(time.Now().UnixNano())
 	return j, stats, nil
@@ -193,10 +181,10 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
 // the record is a MsgBatch header counting the run followed by wire, the
 // bytes that encoded the run as they arrived (Frame.Wire) — which replay
 // reads back like a live frame, and which are the bytes appendBatch
-// would produce whenever the sender encoded canonically. Both append
-// paths copy wire before they return, group commit included (it blocks
-// until its group has landed), so the caller's buffer is free again when
-// journal returns.
+// would produce whenever the sender encoded canonically. The append
+// copies wire before it returns (a queued append returns once its group
+// has landed), so the caller's buffer is free again when journal
+// returns.
 func (j *durableJournal) journal(shard int, run []Rec, wire []byte, inner Store) error {
 	if len(wire) == 0 && len(run) > 0 {
 		return errors.New("transport: durable store handed a run without its wire bytes")
@@ -204,17 +192,13 @@ func (j *durableJournal) journal(shard int, run []Rec, wire []byte, inner Store)
 	var hdr [1 + binary.MaxVarintLen32]byte
 	head := appendBatchHeader(hdr[:0], MsgBatch, len(run))
 
-	// The shared lock is held while a group commit is in flight, so a
-	// snapshot cut (which takes it exclusively) always sees a cursor
+	// The shared lock is held while the append is queued or in flight,
+	// so a snapshot cut (which takes it exclusively) always sees a cursor
 	// covering every applied batch — grouping never lets an applied
 	// batch slip past the cursor of the snapshot that should contain it.
 	j.mu.RLock()
 	defer j.mu.RUnlock()
-	if j.gc != nil {
-		if _, err := j.gc.Commit(head, wire); err != nil {
-			return err
-		}
-	} else if _, err := j.wal.Append(head, wire); err != nil {
+	if _, err := j.wal.Append(head, wire); err != nil {
 		return err
 	}
 	return inner.Apply(shard, run, nil)
@@ -243,15 +227,6 @@ func (j *durableJournal) snapshot(marshal func() []byte) (uint64, error) {
 	j.snapCursor.Store(cursor)
 	j.snapUnixNano.Store(time.Now().UnixNano())
 	return cursor, nil
-}
-
-// close flushes any in-flight commit group and closes the write-ahead
-// log.
-func (j *durableJournal) close() error {
-	if j.gc != nil {
-		j.gc.Close()
-	}
-	return j.wal.Close()
 }
 
 // journaled is what a Durable wraps: a store that can move its whole
@@ -342,4 +317,4 @@ func (c *Durable) DurabilityStats() DurabilityStats { return c.j.durabilityStats
 
 // Close closes the write-ahead log. It does not snapshot; callers that
 // want a final cut call Snapshot first.
-func (c *Durable) Close() error { return c.j.close() }
+func (c *Durable) Close() error { return c.j.wal.Close() }

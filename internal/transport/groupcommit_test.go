@@ -3,25 +3,23 @@ package transport
 import (
 	"sync"
 	"testing"
-	"time"
 
-	"rtf/internal/persist"
 	"rtf/internal/protocol"
 )
 
 // TestDurableGroupCommitRecovery exercises the group-commit path end to
-// end: many connections ingest through a collector with a short
-// coalescing window, so their batches share WAL groups; after Close and
-// recovery the accumulator must match a serial server, because every
-// acknowledged batch was journaled before its SendBatch returned.
+// end: many connections ingest through one collector, so batches that
+// reach the log while a write is in flight share WAL groups; after
+// Close and recovery the accumulator must match a serial server,
+// because every acknowledged batch was journaled before its SendBatch
+// returned.
 func TestDurableGroupCommitRecovery(t *testing.T) {
 	const d, scale, workers, perWorker = 64, 3.0, 8, 30
 	dir := t.TempDir()
 	meta := durableMeta(d, scale)
 	acc := protocol.NewSharded(d, scale, 4)
 	dc, _, err := OpenDurable(acc, dir, meta, DurableOptions{
-		SegmentBytes:        512,
-		GroupCommitInterval: 200 * time.Microsecond,
+		SegmentBytes: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,83 +68,6 @@ func TestDurableGroupCommitRecovery(t *testing.T) {
 		if got != want[i] {
 			t.Fatalf("series[%d]: %v vs %v", i, got, want[i])
 		}
-	}
-}
-
-// TestDurableGroupCommitCrashLosesOnlyUnacked pins the crash contract
-// under group commit: a batch whose group has formed but not committed
-// has written nothing to the log, so a kill there loses exactly the
-// batches whose SendBatch never returned — every acknowledged batch
-// replays.
-func TestDurableGroupCommitCrashLosesOnlyUnacked(t *testing.T) {
-	const d, scale = 32, 2.0
-	dir := t.TempDir()
-	meta := durableMeta(d, scale)
-
-	// Acked history through the direct path.
-	acc := protocol.NewSharded(d, scale, 1)
-	dc, _, err := OpenDurable(acc, dir, meta, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	acked := genMsgs(d, 10)
-	if err := dc.SendBatch(0, acked); err != nil {
-		t.Fatal(err)
-	}
-	if err := dc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ackedSeq := uint64(1)
-
-	// A collector with an hour-long coalescing window: the next batch
-	// joins a group that will not commit within this test, so its
-	// SendBatch blocks, unacknowledged, its bytes never reaching a write
-	// call — the state a kill -9 between group formation and commit
-	// leaves behind.
-	acc2 := protocol.NewSharded(d, scale, 1)
-	dc2, _, err := OpenDurable(acc2, dir, meta, DurableOptions{GroupCommitInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unackedDone := make(chan error, 1)
-	go func() {
-		unackedDone <- dc2.SendBatch(0, genMsgs(d, 3))
-	}()
-	select {
-	case err := <-unackedDone:
-		t.Fatalf("SendBatch returned (%v) inside the coalescing window", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// The log on disk holds only the acked batch; a recovery now (the
-	// crash) replays it and nothing else.
-	records := 0
-	last, _, err := persist.ReplayWAL(dir, persist.ReplayOptions{}, func(seq uint64, payload []byte) error {
-		records++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last != ackedSeq || records != 1 {
-		t.Fatalf("log holds %d records through seq %d; want only the acked record %d", records, last, ackedSeq)
-	}
-
-	// Close flushes the pending group — the blocked SendBatch acks, and
-	// from then on the batch is recoverable like any other.
-	if err := dc2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-unackedDone; err != nil {
-		t.Fatalf("SendBatch after flush: %v", err)
-	}
-	acc3 := protocol.NewSharded(d, scale, 1)
-	_, rec, err := OpenDurable(acc3, dir, meta, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Replayed != 2 {
-		t.Fatalf("replayed %d records after flush, want 2", rec.Replayed)
 	}
 }
 
