@@ -16,11 +16,12 @@ import (
 
 // DurableOptions configures OpenDurableStore and its per-mode shorthands.
 type DurableOptions struct {
-	// Fsync syncs the WAL after every append and snapshot writes before
-	// rename. Off, a kill -9 still loses nothing (records are written
-	// whole and live in the page cache); on, state also survives power
-	// loss, at one fsync per WAL group: frames that reach the log while
-	// a write is in flight share the next write and fsync.
+	// Fsync syncs every WAL write before its appends return, and
+	// snapshot writes before rename. Off, a kill -9 still loses nothing
+	// (records are written whole and live in the page cache); on, state
+	// also survives power loss, at one fsync per WAL group: frames that
+	// reach the log while a write is in flight share the next write and
+	// fsync.
 	Fsync bool
 	// SegmentBytes overrides the WAL rotation threshold (default 4 MiB).
 	SegmentBytes int64
