@@ -122,12 +122,12 @@ func releaseWriter(w *WAL) {
 	w.qmu.Unlock()
 }
 
-// TestWALQueuedAppendIsInvisible pins the crash contract of group
-// commit: an append queued behind a busy writer has touched no file, so
-// a kill -9 then loses exactly the appends that have not returned, and
-// replay sees only the acknowledged history. Once the writer is free,
-// every queued append lands.
-func TestWALQueuedAppendIsInvisible(t *testing.T) {
+// TestGroupCommitterUncommittedGroupIsInvisible pins the crash contract
+// of WAL.Append's group commit: an append queued behind a busy writer
+// has touched no file, so a kill -9 then loses exactly the appends that
+// have not returned, and replay sees only the acknowledged history. Once
+// the writer is free, every queued append lands.
+func TestGroupCommitterUncommittedGroupIsInvisible(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenWAL(dir, WALOptions{})
 	if err != nil {
