@@ -25,6 +25,7 @@ import (
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/internal/workload"
 	"rtf/ldp"
 )
@@ -75,7 +76,7 @@ func BenchmarkFastSimParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true, Workers: -1}
+	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -276,7 +277,7 @@ func BenchmarkFastSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}
+	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -292,7 +293,7 @@ func BenchmarkExactSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: false}
+	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: false}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -323,8 +324,8 @@ func BenchmarkConsistencySmooth(b *testing.B) {
 // BenchmarkTransportRoundTrip measures wire encode+decode of one report.
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	var sink writableBuffer
-	enc := transport.NewEncoder(&sink)
-	m := transport.FromReport(protocol.Report{User: 12345, Order: 5, J: 321, Bit: -1})
+	enc := wire.NewEncoder(&sink)
+	m := wire.FromReport(protocol.Report{User: 12345, Order: 5, J: 321, Bit: -1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink.reset()
@@ -360,15 +361,15 @@ func encodeIngestStreams(b *testing.B, streams int, batched bool) [][]byte {
 	per := ingestBenchReports / streams
 	for s := 0; s < streams; s++ {
 		var buf bytes.Buffer
-		enc := transport.NewEncoder(&buf)
-		batch := make([]transport.Msg, 0, ingestBenchBatch)
+		enc := wire.NewEncoder(&buf)
+		batch := make([]wire.Msg, 0, ingestBenchBatch)
 		for i := 0; i < per; i++ {
 			h := g.IntN(dyadic.NumOrders(ingestBenchD))
 			bit := int8(1)
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			m := transport.FromReport(protocol.Report{
+			m := wire.FromReport(protocol.Report{
 				User: s*per + i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit,
 			})
 			if !batched {
@@ -408,7 +409,7 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		srv := protocol.NewServer(ingestBenchD, 100)
 		col := eval.NewCollector()
-		dec := transport.NewDecoder(bytes.NewReader(streams[0]))
+		dec := wire.NewDecoder(bytes.NewReader(streams[0]))
 		for {
 			m, err := dec.Next()
 			if err != nil {
@@ -418,7 +419,7 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		col.Drain(func(m transport.Msg) { srv.Ingest(m.Report()) })
+		col.Drain(func(m wire.Msg) { srv.Ingest(m.Report()) })
 	}
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
@@ -428,7 +429,7 @@ func BenchmarkIngestSingleMessage(b *testing.B) {
 // under the mode's contract and hand the store's trusted entry the
 // records together with the bytes they arrived as.
 func servedIngest(st transport.Store, shard int, stream []byte) error {
-	dec := transport.NewDecoder(bytes.NewReader(stream))
+	dec := wire.NewDecoder(bytes.NewReader(stream))
 	ingest := st.Mode().Ingest()
 	for {
 		f, err := dec.NextFrame(&ingest)
@@ -447,7 +448,7 @@ func servedIngest(st transport.Store, shard int, stream []byte) error {
 // contract, converts the run to records and — on a durable store —
 // encodes it again for the journal. No front serves this combination.
 func msgViewIngest(st transport.Store, shard int, stream []byte) error {
-	dec := transport.NewDecoder(bytes.NewReader(stream))
+	dec := wire.NewDecoder(bytes.NewReader(stream))
 	for {
 		ms, err := dec.NextBatch()
 		if err != nil {
@@ -584,16 +585,16 @@ const (
 type servedBenchCase struct {
 	name   string
 	mode   transport.Mode
-	report func(item int, r protocol.Report) transport.Msg
+	report func(item int, r protocol.Report) wire.Msg
 	rows   int
 }
 
 func servedBenchCases() []servedBenchCase {
-	boolReport := func(_ int, r protocol.Report) transport.Msg { return transport.FromReport(r) }
+	boolReport := func(_ int, r protocol.Report) wire.Msg { return wire.FromReport(r) }
 	return []servedBenchCase{
 		{"boolean", transport.BoolMode(ingestBenchD, 100), boolReport, 1},
-		{"domain", transport.DomainMode(ingestBenchD, hh.ExactEncoding(domainBenchM), 100), transport.FromDomainReport, domainBenchM},
-		{"hashed", transport.DomainMode(ingestBenchD, hashedBenchEnc, 100), transport.FromDomainReport, hashedBenchEnc.G},
+		{"domain", transport.DomainMode(ingestBenchD, hh.ExactEncoding(domainBenchM), 100), wire.FromDomainReport, domainBenchM},
+		{"hashed", transport.DomainMode(ingestBenchD, hashedBenchEnc, 100), wire.FromDomainReport, hashedBenchEnc.G},
 	}
 }
 
@@ -604,7 +605,7 @@ func (c servedBenchCase) frames(b *testing.B) [][]byte {
 	b.Helper()
 	g := rng.New(61, 62)
 	out := make([][]byte, servedBenchFrames)
-	batch := make([]transport.Msg, servedBenchFrame)
+	batch := make([]wire.Msg, servedBenchFrame)
 	for f := range out {
 		for i := range batch {
 			h := g.IntN(dyadic.NumOrders(ingestBenchD))
@@ -613,7 +614,7 @@ func (c servedBenchCase) frames(b *testing.B) [][]byte {
 			})
 		}
 		var buf bytes.Buffer
-		enc := transport.NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeAckedBatch(batch); err != nil {
 			b.Fatal(err)
 		}
@@ -668,7 +669,7 @@ func dialServed(b *testing.B, addr string, frames [][]byte) *servedConn {
 }
 
 func (c *servedConn) readAck() {
-	if _, err := io.ReadFull(c.acks, c.ack[:]); err != nil || c.ack != [2]byte{byte(transport.MsgBatchAck), 1} {
+	if _, err := io.ReadFull(c.acks, c.ack[:]); err != nil || c.ack != [2]byte{byte(wire.MsgBatchAck), 1} {
 		c.b.Errorf("ack %v, %v", c.ack, err)
 		runtime.Goexit()
 	}
@@ -804,7 +805,7 @@ func BenchmarkIngestKernel(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			stream := bytes.Join(c.frames(b), nil)
 			src := bytes.NewReader(nil)
-			dec := transport.NewDecoder(src)
+			dec := wire.NewDecoder(src)
 			ingest := c.mode.Ingest()
 			b.SetBytes(int64(len(stream)))
 			b.ReportAllocs()
@@ -953,8 +954,8 @@ func BenchmarkClusterIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				enc := transport.NewEncoder(conn)
-				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
+				enc := wire.NewEncoder(conn)
+				if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil { // fence
 					b.Error(err)
 					return
 				}
@@ -962,7 +963,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
+				if _, err := wire.NewDecoder(conn).ReadAnswer(); err != nil {
 					b.Error(err)
 				}
 			}(s)
@@ -974,7 +975,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 
 // benchClusterAnswer measures one query shape's round trip through the
 // gateway on an idle cluster.
-func benchClusterAnswer(b *testing.B, q transport.Msg) {
+func benchClusterAnswer(b *testing.B, q wire.Msg) {
 	cb := startClusterBench(b, 3, ingestBenchD, 100)
 	streams := encodeIngestStreams(b, 1, true)
 	conn, err := net.Dial("tcp", cb.addr)
@@ -985,8 +986,8 @@ func benchClusterAnswer(b *testing.B, q transport.Msg) {
 	if _, err := conn.Write(streams[0]); err != nil {
 		b.Fatal(err)
 	}
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := enc.Encode(q); err != nil {
@@ -1006,13 +1007,13 @@ func benchClusterAnswer(b *testing.B, q transport.Msg) {
 // columns from every backend, every later one is a cache hit
 // (BenchmarkQuorumAnswerPoint/warm is its twin over replicas).
 func BenchmarkClusterAnswerPoint(b *testing.B) {
-	benchClusterAnswer(b, transport.QueryV2(transport.QueryPoint, ingestBenchD/2, ingestBenchD/2))
+	benchClusterAnswer(b, wire.QueryV2(wire.QueryPoint, ingestBenchD/2, ingestBenchD/2))
 }
 
 // BenchmarkClusterAnswerSeries amortizes the same gather over the full
 // d-period series.
 func BenchmarkClusterAnswerSeries(b *testing.B) {
-	benchClusterAnswer(b, transport.QueryV2(transport.QuerySeries, 0, 0))
+	benchClusterAnswer(b, wire.QueryV2(wire.QuerySeries, 0, 0))
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,8 +1104,8 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				enc := transport.NewEncoder(conn)
-				if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
+				enc := wire.NewEncoder(conn)
+				if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil { // fence
 					b.Error(err)
 					return
 				}
@@ -1112,7 +1113,7 @@ func BenchmarkReplicatedIngest(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
+				if _, err := wire.NewDecoder(conn).ReadAnswer(); err != nil {
 					b.Error(err)
 				}
 			}(s)
@@ -1146,13 +1147,13 @@ func BenchmarkQuorumAnswerPoint(b *testing.B) {
 			if _, err := conn.Write(streams[0]); err != nil {
 				b.Fatal(err)
 			}
-			enc := transport.NewEncoder(conn)
-			dec := transport.NewDecoder(conn)
-			q := transport.QueryV2(transport.QueryPoint, ingestBenchD/2, ingestBenchD/2)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
+			q := wire.QueryV2(wire.QueryPoint, ingestBenchD/2, ingestBenchD/2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if cold {
-					if err := enc.Encode(transport.Hello(1<<20+i, 0)); err != nil {
+					if err := enc.Encode(wire.Hello(1<<20+i, 0)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1219,8 +1220,8 @@ func encodeDomainStreams(b *testing.B, streams int) [][]byte {
 	for s := 0; s < streams; s++ {
 		g := rng.New(uint64(s)+31, 8)
 		var buf bytes.Buffer
-		enc := transport.NewEncoder(&buf)
-		batch := make([]transport.Msg, 0, ingestBenchBatch)
+		enc := wire.NewEncoder(&buf)
+		batch := make([]wire.Msg, 0, ingestBenchBatch)
 		for i := 0; i < per; i++ {
 			item := g.IntN(domainBenchM)
 			h := g.IntN(dyadic.NumOrders(ingestBenchD))
@@ -1228,7 +1229,7 @@ func encodeDomainStreams(b *testing.B, streams int) [][]byte {
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			batch = append(batch, transport.FromDomainReport(item, protocol.Report{
+			batch = append(batch, wire.FromDomainReport(item, protocol.Report{
 				User: s*per + i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit,
 			}))
 			if len(batch) == ingestBenchBatch {
@@ -1271,7 +1272,7 @@ func BenchmarkDomainIngest(b *testing.B) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				dec := transport.NewDecoder(bytes.NewReader(streams[s]))
+				dec := wire.NewDecoder(bytes.NewReader(streams[s]))
 				for {
 					ms, err := dec.NextBatch()
 					if err != nil {
@@ -1337,7 +1338,7 @@ func BenchmarkAnswerTopK(b *testing.B) {
 	ds := hh.NewDomainServer(ingestBenchD, domainBenchM, 100, 2)
 	col := transport.NewDomainCollector(ds)
 	for _, stream := range encodeDomainStreams(b, 2) {
-		dec := transport.NewDecoder(bytes.NewReader(stream))
+		dec := wire.NewDecoder(bytes.NewReader(stream))
 		for {
 			ms, err := dec.NextBatch()
 			if err != nil {
@@ -1348,7 +1349,7 @@ func BenchmarkAnswerTopK(b *testing.B) {
 			}
 		}
 	}
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := col.Mode()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1357,7 +1358,7 @@ func BenchmarkAnswerTopK(b *testing.B) {
 		if err := mode.ValidateRead(q); err != nil {
 			b.Fatal(err)
 		}
-		var ans transport.DomainAnswerFrame
+		var ans wire.DomainAnswerFrame
 		var sc transport.TopKScratch
 		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 			b.Fatal(err)
@@ -1382,8 +1383,8 @@ func encodeHashedDomainStreams(b *testing.B, streams int) [][]byte {
 	for s := 0; s < streams; s++ {
 		g := rng.New(uint64(s)+37, 8)
 		var buf bytes.Buffer
-		enc := transport.NewEncoder(&buf)
-		batch := make([]transport.Msg, 0, ingestBenchBatch)
+		enc := wire.NewEncoder(&buf)
+		batch := make([]wire.Msg, 0, ingestBenchBatch)
 		for i := 0; i < per; i++ {
 			bucket := g.IntN(hashedBenchEnc.G)
 			h := g.IntN(dyadic.NumOrders(ingestBenchD))
@@ -1391,7 +1392,7 @@ func encodeHashedDomainStreams(b *testing.B, streams int) [][]byte {
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			batch = append(batch, transport.FromDomainReport(bucket, protocol.Report{
+			batch = append(batch, wire.FromDomainReport(bucket, protocol.Report{
 				User: s*per + i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit,
 			}))
 			if len(batch) == ingestBenchBatch {
@@ -1434,7 +1435,7 @@ func BenchmarkHashedDomainIngest(b *testing.B) {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				dec := transport.NewDecoder(bytes.NewReader(streams[s]))
+				dec := wire.NewDecoder(bytes.NewReader(streams[s]))
 				for {
 					ms, err := dec.NextBatch()
 					if err != nil {
@@ -1459,7 +1460,7 @@ func populateHashedBench(b *testing.B) *hh.HashedDomainServer {
 	hs := hh.NewHashedDomainServer(ingestBenchD, hashedBenchEnc, 100, 2)
 	col := transport.NewHashedDomainCollector(hs)
 	for _, stream := range encodeHashedDomainStreams(b, 2) {
-		dec := transport.NewDecoder(bytes.NewReader(stream))
+		dec := wire.NewDecoder(bytes.NewReader(stream))
 		for {
 			ms, err := dec.NextBatch()
 			if err != nil {
@@ -1481,9 +1482,9 @@ func populateHashedBench(b *testing.B) *hh.HashedDomainServer {
 // the catalogue size is not in the cost.
 func BenchmarkAnswerTopKHashedCold(b *testing.B) {
 	hs := populateHashedBench(b)
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hashedBenchEnc, 100)
-	var ans transport.DomainAnswerFrame
+	var ans wire.DomainAnswerFrame
 	var sc transport.TopKScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1501,9 +1502,9 @@ func BenchmarkAnswerTopKHashedCold(b *testing.B) {
 // version stamp: a copy out of the memo.
 func BenchmarkAnswerTopKHashedWarm(b *testing.B) {
 	hs := populateHashedBench(b)
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hashedBenchEnc, 100)
-	var ans transport.DomainAnswerFrame
+	var ans wire.DomainAnswerFrame
 	var sc transport.TopKScratch
 	if _, err := transport.AnswerDomainQueryInto(hs, q, &ans, &sc); err != nil {
 		b.Fatal(err)
@@ -1538,13 +1539,13 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 		r := rng.New(17, 18)
 		for i := 0; i < ingestBenchReports; i++ {
 			h := r.IntN(dyadic.NumOrders(d))
-			run := []transport.Rec{{User: i, Item: uint32(r.IntN(g)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))}}
+			run := []wire.Rec{{User: i, Item: uint32(r.IntN(g)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))}}
 			if i%8 == 0 {
-				run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(g)), Order: uint8(h)})
+				run = append(run, wire.Rec{User: i, Item: uint32(r.IntN(g)), Order: uint8(h)})
 			}
 			backends[i%2].Apply(i%2, run)
 		}
-		q := transport.DomainQuery(transport.QueryTopK, 0, d/2-1, 0, 10)
+		q := wire.DomainQuery(wire.QueryTopK, 0, d/2-1, 0, 10)
 		for _, scoped := range []bool{false, true} {
 			req, name := mode.SumsRequest(), "full"
 			if scoped {
@@ -1552,17 +1553,17 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 				req.L, req.R, name = sc.L, sc.R, "scoped"
 			}
 			b.Run(fmt.Sprintf("d=%d/%s", d, name), func(b *testing.B) {
-				var wire bytes.Buffer
-				enc := transport.NewEncoder(&wire)
+				var raw bytes.Buffer
+				enc := wire.NewEncoder(&raw)
 				src := bytes.NewReader(nil)
-				dec := transport.NewDecoder(bufio.NewReaderSize(src, 64<<10))
-				out := transport.NewEncoder(io.Discard)
+				dec := wire.NewDecoder(bufio.NewReaderSize(src, 64<<10))
+				out := wire.NewEncoder(io.Discard)
 				var sc transport.AnswerScratch
-				frames := make([]transport.RawSums, len(backends))
+				frames := make([]wire.RawSums, len(backends))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					wire.Reset()
+					raw.Reset()
 					for _, st := range backends {
 						if _, _, err := st.Answer(req, enc, &sc); err != nil {
 							b.Fatal(err)
@@ -1571,7 +1572,7 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 					if err := enc.Flush(); err != nil {
 						b.Fatal(err)
 					}
-					src.Reset(wire.Bytes())
+					src.Reset(raw.Bytes())
 					for j := range frames {
 						var err error
 						if frames[j], err = mode.ReadSums(dec); err != nil {
@@ -1586,7 +1587,7 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(wire.Len())/float64(len(backends)), "frame-bytes")
+				b.ReportMetric(float64(raw.Len())/float64(len(backends)), "frame-bytes")
 			})
 		}
 	}
@@ -1601,10 +1602,10 @@ func BenchmarkShardMapPointRead(b *testing.B) {
 	const d, m, shards = 256, 256, 16
 	sm := transport.NewShardMap(transport.DomainMode(d, hh.ExactEncoding(m), 100), shards, "n0")
 	r := rng.New(23, 24)
-	run := make([]transport.Rec, 0, 4096)
+	run := make([]wire.Rec, 0, 4096)
 	for i := 0; i < ingestBenchReports; i++ {
 		h := r.IntN(dyadic.NumOrders(d))
-		run = append(run, transport.Rec{User: i, Item: uint32(r.IntN(m)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))})
+		run = append(run, wire.Rec{User: i, Item: uint32(r.IntN(m)), Order: uint8(h), J: uint32(1 + r.IntN(d>>uint(h))), Bit: int8(1 - 2*r.IntN(2))})
 		if len(run) == cap(run) || i == ingestBenchReports-1 {
 			if err := sm.Apply(0, run, nil); err != nil {
 				b.Fatal(err)
@@ -1612,11 +1613,11 @@ func BenchmarkShardMapPointRead(b *testing.B) {
 			run = run[:0]
 		}
 	}
-	out := transport.NewEncoder(io.Discard)
+	out := wire.NewEncoder(io.Discard)
 	var sc transport.AnswerScratch
-	for name, q := range map[string]transport.Msg{
-		"full":   transport.DomainQuery(transport.QuerySeriesItem, 3, 0, 0, 0),
-		"scoped": transport.DomainQuery(transport.QueryPointItem, 3, d/2-1, 0, 0),
+	for name, q := range map[string]wire.Msg{
+		"full":   wire.DomainQuery(wire.QuerySeriesItem, 3, 0, 0, 0),
+		"scoped": wire.DomainQuery(wire.QueryPointItem, 3, d/2-1, 0, 0),
 	} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -1668,9 +1669,9 @@ func populateReadPathBench(b *testing.B, m int) *hh.DomainServer {
 // the full m-point estimate sweep plus the k-bounded selection run.
 func BenchmarkAnswerTopKCold(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
-	var ans transport.DomainAnswerFrame
+	var ans wire.DomainAnswerFrame
 	var sc transport.TopKScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1690,9 +1691,9 @@ func BenchmarkAnswerTopKCold(b *testing.B) {
 // cache's whole value proposition (>= 5x at this m).
 func BenchmarkAnswerTopKWarm(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
-	var ans transport.DomainAnswerFrame
+	var ans wire.DomainAnswerFrame
 	var sc transport.TopKScratch
 	if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
 		b.Fatal(err)
@@ -1716,11 +1717,11 @@ func populateSeriesBench(b *testing.B) (*transport.Collector, *protocol.Sharded)
 	acc := protocol.NewSharded(ingestBenchD, 100, 2)
 	col := transport.NewShardedCollector(acc)
 	g := rng.New(93, 94)
-	ms := make([]transport.Msg, 0, ingestBenchReports/2)
+	ms := make([]wire.Msg, 0, ingestBenchReports/2)
 	for i := 0; i < ingestBenchReports; i++ {
 		h := g.IntN(dyadic.NumOrders(ingestBenchD))
 		bit := int8(1 - 2*g.IntN(2))
-		ms = append(ms, transport.FromReport(protocol.Report{User: i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit}))
+		ms = append(ms, wire.FromReport(protocol.Report{User: i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit}))
 		if len(ms) == cap(ms) {
 			if err := col.SendBatch(i&1, ms); err != nil {
 				b.Fatal(err)
@@ -1738,8 +1739,8 @@ func populateSeriesBench(b *testing.B) (*transport.Collector, *protocol.Sharded)
 // memo-owned buffers and encodes from them. It allocates nothing.
 func BenchmarkAnswerSeriesCold(b *testing.B) {
 	col, acc := populateSeriesBench(b)
-	q := transport.QueryV2(transport.QuerySeries, 0, 0)
-	enc := transport.NewEncoder(io.Discard)
+	q := wire.QueryV2(wire.QuerySeries, 0, 0)
+	enc := wire.NewEncoder(io.Discard)
 	var sc transport.AnswerScratch
 	one := dyadic.Interval{Order: 0, Index: 1}
 	if _, _, err := col.Answer(q, enc, &sc); err != nil { // the memo's buffers
@@ -1761,8 +1762,8 @@ func BenchmarkAnswerSeriesCold(b *testing.B) {
 // read burst saves on every Series or Window after the first.
 func BenchmarkAnswerSeriesWarm(b *testing.B) {
 	col, _ := populateSeriesBench(b)
-	q := transport.QueryV2(transport.QuerySeries, 0, 0)
-	enc := transport.NewEncoder(io.Discard)
+	q := wire.QueryV2(wire.QuerySeries, 0, 0)
+	enc := wire.NewEncoder(io.Discard)
 	var sc transport.AnswerScratch
 	if _, _, err := col.Answer(q, enc, &sc); err != nil {
 		b.Fatal(err)
@@ -1783,16 +1784,16 @@ func BenchmarkAnswerSeriesWarm(b *testing.B) {
 // the memo mutex, not estimation work.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
-	q := transport.DomainQuery(transport.QueryTopK, 0, ingestBenchD/2, 0, 10)
+	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
-	var warm transport.DomainAnswerFrame
+	var warm wire.DomainAnswerFrame
 	var wsc transport.TopKScratch
 	if _, err := transport.AnswerDomainQueryInto(ds, q, &warm, &wsc); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		var ans transport.DomainAnswerFrame
+		var ans wire.DomainAnswerFrame
 		var sc transport.TopKScratch
 		for pb.Next() {
 			if err := mode.ValidateRead(q); err != nil {
@@ -1830,10 +1831,10 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer ingestConn.Close()
-	ingestEnc := transport.NewEncoder(ingestConn)
-	ingestDec := transport.NewDecoder(ingestConn)
+	ingestEnc := wire.NewEncoder(ingestConn)
+	ingestDec := wire.NewDecoder(ingestConn)
 
-	q := transport.QueryV2(transport.QuerySeries, 0, 0)
+	q := wire.QueryV2(wire.QuerySeries, 0, 0)
 	start := make([]chan struct{}, clients)
 	done := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -1844,8 +1845,8 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 		}
 		defer conn.Close()
 		go func(conn net.Conn, start chan struct{}) {
-			enc := transport.NewEncoder(conn)
-			dec := transport.NewDecoder(conn)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
 			for range start {
 				err := enc.Encode(q)
 				if err == nil {
@@ -1860,7 +1861,7 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 	}
 
 	g := rng.New(7, 9)
-	batch := make([]transport.Msg, 64)
+	batch := make([]wire.Msg, 64)
 	nextUser := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -1870,7 +1871,7 @@ func BenchmarkGatewayQueryCoalesced(b *testing.B) {
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			batch[j] = transport.FromReport(protocol.Report{
+			batch[j] = wire.FromReport(protocol.Report{
 				User: nextUser, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit,
 			})
 			nextUser++

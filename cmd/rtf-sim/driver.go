@@ -6,7 +6,7 @@ import (
 	"sync"
 	"time"
 
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // driver is the client side of every server-driving scenario: it ships
@@ -35,8 +35,8 @@ func (st *driver) send(addr string, lo, hi int) error {
 			return err
 		}
 		defer conn.Close()
-		enc, dec := transport.NewEncoder(conn), transport.NewDecoder(conn)
-		buf := make([]transport.Msg, 0, st.batch)
+		enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
+		buf := make([]wire.Msg, 0, st.batch)
 		var sent int64
 		for u := lo; u < hi; u++ {
 			ms, fold, err := st.mode.user(u)
@@ -70,13 +70,13 @@ func (st *driver) send(addr string, lo, hi int) error {
 		if err := enc.Flush(); err != nil {
 			return err
 		}
-		wire := enc.BytesWritten()
+		raw := enc.BytesWritten()
 		if err := st.mode.fence(enc, dec); err != nil {
 			return fmt.Errorf("fence query: %w", err)
 		}
 		st.mu.Lock()
 		st.reports += sent
-		st.bytes += wire
+		st.bytes += raw
 		st.mu.Unlock()
 		return nil
 	}
@@ -108,7 +108,7 @@ func (st *driver) verify(addr string) (int, error) {
 		return 0, err
 	}
 	defer conn.Close()
-	return st.mode.verify(transport.NewEncoder(conn), transport.NewDecoder(conn))
+	return st.mode.verify(wire.NewEncoder(conn), wire.NewDecoder(conn))
 }
 
 // doom starts a stream that is meant to die: batches of phantom hellos
@@ -129,8 +129,8 @@ func (st *driver) doom(addr string, next func() int) (stop func(), err error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		enc := transport.NewEncoder(conn)
-		batch := make([]transport.Msg, 64)
+		enc := wire.NewEncoder(conn)
+		batch := make([]wire.Msg, 64)
 		for {
 			for i := range batch {
 				batch[i] = st.mode.phantom(next())

@@ -82,6 +82,7 @@ import (
 	"os"
 	"time"
 
+	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
@@ -270,7 +271,7 @@ func offline(o *options, out io.Writer) error {
 // engine would silently ignore. The framework protocols differ only in
 // the client randomizer, whose kind is named after its protocol.
 func offlineSystem(o *options) (sim.System, error) {
-	for _, kind := range []sim.RandomizerKind{sim.FutureRand, sim.Independent, sim.Bun} {
+	for _, kind := range []protocol.RandomizerKind{protocol.FutureRand, protocol.Independent, protocol.Bun} {
 		if kind.String() == o.proto {
 			fw := sim.Framework{Kind: kind, Eps: o.eps, Fast: !o.exact}
 			if o.consist {

@@ -5,7 +5,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/obs"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/ldp"
 	"rtf/workload"
 )
@@ -26,18 +26,18 @@ type mode interface {
 	// fold under its lock once it knows the server took the messages. Users
 	// past the workload's size reuse its value patterns (u mod N) under
 	// their own id and randomness.
-	user(u int) (ms []transport.Msg, fold func() error, err error)
+	user(u int) (ms []wire.Msg, fold func() error, err error)
 	// phantom is a hello that carries no data: it touches a user counter
 	// and the write-ahead log but no interval sum, so a stream of them may
 	// be cut anywhere without moving an estimate.
-	phantom(u int) transport.Msg
+	phantom(u int) wire.Msg
 	// fence round-trips the mode's cheapest read: the server handles
 	// frames in order, so the answer proves everything sent before it on
 	// this connection is applied (and, on a durable server, journaled).
-	fence(enc *transport.Encoder, dec *transport.Decoder) error
+	fence(enc *wire.Encoder, dec *wire.Decoder) error
 	// verify asks every query shape of the mode and returns how many
 	// values it compared, each bit-for-bit, with the reference.
-	verify(enc *transport.Encoder, dec *transport.Decoder) (int, error)
+	verify(enc *wire.Encoder, dec *wire.Decoder) (int, error)
 	// audit is the mode's own assertion over the final metrics of the
 	// backend that crashed and recovered.
 	audit(durable obs.Snapshot) error
@@ -94,15 +94,15 @@ func newBoolMode(o *options) (mode, int, error) {
 
 func (m *boolMode) serveFlags() []string { return m.flags }
 
-func (m *boolMode) user(u int) ([]transport.Msg, func() error, error) {
+func (m *boolMode) user(u int) ([]wire.Msg, func() error, error) {
 	cl, err := m.factory.NewClient(u, m.seed+int64(u))
 	if err != nil {
 		return nil, nil, err
 	}
-	ms := []transport.Msg{transport.Hello(u, cl.Order())}
+	ms := []wire.Msg{wire.Hello(u, cl.Order())}
 	for _, v := range m.w.Users[u%m.w.N].Values(m.w.D) {
 		if r, ok := cl.Observe(v == 1); ok {
-			ms = append(ms, transport.FromReport(r))
+			ms = append(ms, wire.FromReport(r))
 		}
 	}
 	return ms, func() error {
@@ -118,34 +118,34 @@ func (m *boolMode) user(u int) ([]transport.Msg, func() error, error) {
 	}, nil
 }
 
-func (m *boolMode) phantom(u int) transport.Msg { return transport.Hello(u, 0) }
+func (m *boolMode) phantom(u int) wire.Msg { return wire.Hello(u, 0) }
 
-func (m *boolMode) ask(enc *transport.Encoder, dec *transport.Decoder, q ldp.Query) ([]float64, error) {
+func (m *boolMode) ask(enc *wire.Encoder, dec *wire.Decoder, q ldp.Query) ([]float64, error) {
 	l, r := q.L, q.R
 	if q.Kind == ldp.Point {
 		l, r = q.T, 0
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QueryKind(q.Kind), l, r)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QueryKind(q.Kind), l, r)); err != nil {
 		return nil, err
 	}
 	if err := enc.Flush(); err != nil {
 		return nil, err
 	}
 	a, err := dec.ReadAnswer()
-	if err == nil && a.Kind != transport.QueryKind(q.Kind) {
+	if err == nil && a.Kind != wire.QueryKind(q.Kind) {
 		err = fmt.Errorf("answer kind %s", a.Kind)
 	}
 	return a.Values, err
 }
 
-func (m *boolMode) fence(enc *transport.Encoder, dec *transport.Decoder) error {
+func (m *boolMode) fence(enc *wire.Encoder, dec *wire.Decoder) error {
 	_, err := m.ask(enc, dec, ldp.PointQuery(1))
 	return err
 }
 
 // verify checks the point estimate of every period — the paper's online
 // query — and then each shape over whole and partial ranges.
-func (m *boolMode) verify(enc *transport.Encoder, dec *transport.Decoder) (int, error) {
+func (m *boolMode) verify(enc *wire.Encoder, dec *wire.Decoder) (int, error) {
 	d := m.w.D
 	qs := make([]ldp.Query, 0, d+7)
 	for t := 1; t <= d; t++ {
@@ -188,7 +188,7 @@ type domainMode struct {
 	factory *ldp.DomainClientFactory
 	ref     *ldp.DomainServer
 	seed    int64
-	hello   func(user, item, order int) transport.Msg
+	hello   func(user, item, order int) wire.Msg
 	items   []int    // the items point-item and series-item verification probes
 	topK    [][2]int // the (t, k) pairs top-k verification asks
 	ceiling float64  // RSS bound of the recovered backend in bytes; 0 = none
@@ -219,7 +219,7 @@ func newExactMode(o *options) (mode, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	m.hello = transport.DomainHello
+	m.hello = wire.DomainHello
 	for x := 0; x < o.m; x++ {
 		m.items = append(m.items, x)
 	}
@@ -243,8 +243,8 @@ func newHashedMode(o *options) (mode, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	m.hello = func(user, bucket, order int) transport.Msg {
-		return transport.HashedDomainHello(user, bucket, order, hseed)
+	m.hello = func(user, bucket, order int) wire.Msg {
+		return wire.HashedDomainHello(user, bucket, order, hseed)
 	}
 	seen := make(map[int]bool)
 	probe := func(x int) {
@@ -266,20 +266,20 @@ func newHashedMode(o *options) (mode, int, error) {
 
 func (m *domainMode) serveFlags() []string { return m.flags }
 
-func (m *domainMode) user(u int) ([]transport.Msg, func() error, error) {
+func (m *domainMode) user(u int) ([]wire.Msg, func() error, error) {
 	cl, err := m.factory.NewClient(u, m.seed+int64(u))
 	if err != nil {
 		return nil, nil, err
 	}
 	// cl.Item() is the sampled bucket under a hashed encoding.
-	ms := []transport.Msg{m.hello(u, cl.Item(), cl.Order())}
+	ms := []wire.Msg{m.hello(u, cl.Item(), cl.Order())}
 	for _, v := range m.w.Users[u%m.w.N].Values(m.w.D) {
 		r, ok, err := cl.Observe(v)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			ms = append(ms, transport.FromDomainReport(r.Item, r.Report))
+			ms = append(ms, wire.FromDomainReport(r.Item, r.Report))
 		}
 	}
 	return ms, func() error {
@@ -296,30 +296,30 @@ func (m *domainMode) user(u int) ([]transport.Msg, func() error, error) {
 	}, nil
 }
 
-func (m *domainMode) phantom(u int) transport.Msg { return m.hello(u, 0, 0) }
+func (m *domainMode) phantom(u int) wire.Msg { return m.hello(u, 0, 0) }
 
-func (m *domainMode) ask(enc *transport.Encoder, dec *transport.Decoder, kind transport.QueryKind, item, t, k int) (transport.DomainAnswerFrame, error) {
-	if err := enc.Encode(transport.DomainQuery(kind, item, t, 0, k)); err != nil {
-		return transport.DomainAnswerFrame{}, err
+func (m *domainMode) ask(enc *wire.Encoder, dec *wire.Decoder, kind wire.QueryKind, item, t, k int) (wire.DomainAnswerFrame, error) {
+	if err := enc.Encode(wire.DomainQuery(kind, item, t, 0, k)); err != nil {
+		return wire.DomainAnswerFrame{}, err
 	}
 	if err := enc.Flush(); err != nil {
-		return transport.DomainAnswerFrame{}, err
+		return wire.DomainAnswerFrame{}, err
 	}
 	return dec.ReadDomainAnswer()
 }
 
-func (m *domainMode) fence(enc *transport.Encoder, dec *transport.Decoder) error {
-	_, err := m.ask(enc, dec, transport.QueryPointItem, 0, 1, 0)
+func (m *domainMode) fence(enc *wire.Encoder, dec *wire.Decoder) error {
+	_, err := m.ask(enc, dec, wire.QueryPointItem, 0, 1, 0)
 	return err
 }
 
 // verify checks point-item at three times and the full series for each
 // probed item, then top-k — items and values — at each (t, k).
-func (m *domainMode) verify(enc *transport.Encoder, dec *transport.Decoder) (int, error) {
+func (m *domainMode) verify(enc *wire.Encoder, dec *wire.Decoder) (int, error) {
 	d, checked := m.w.D, 0
 	check := func(q ldp.Query) error {
 		what := fmt.Sprintf("%s query (item=%d, t=%d, k=%d)", q.Kind, q.Item, q.T, q.K)
-		a, err := m.ask(enc, dec, transport.QueryKind(q.Kind), q.Item, q.T, q.K)
+		a, err := m.ask(enc, dec, wire.QueryKind(q.Kind), q.Item, q.T, q.K)
 		if err != nil {
 			return fmt.Errorf("%s: %w", what, err)
 		}

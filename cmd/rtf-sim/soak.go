@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"rtf/internal/obs"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // soakCounters is the harness's own view of the run, to cross-check
@@ -272,13 +272,13 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 		return err
 	}
 	defer conn.Close()
-	enc, dec := transport.NewEncoder(conn), transport.NewDecoder(conn)
+	enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
 
 	// A batch is its messages and its users' folds; inflight is the FIFO
 	// of batches sent but not yet acknowledged: acks come back in send
 	// order on the one connection.
 	type batch struct {
-		ms    []transport.Msg
+		ms    []wire.Msg
 		folds []func() error
 	}
 	var (

@@ -19,6 +19,7 @@ import (
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/internal/workload"
 )
 
@@ -71,15 +72,15 @@ func main() {
 				log.Fatal(err)
 			}
 			defer conn.Close()
-			enc := transport.NewEncoder(conn)
+			enc := wire.NewEncoder(conn)
 			c := protocol.NewClient(u, periods, factories, g)
-			if err := enc.Encode(transport.Hello(u, c.Order())); err != nil {
+			if err := enc.Encode(wire.Hello(u, c.Order())); err != nil {
 				log.Fatal(err)
 			}
 			vals := w.Users[u].Values(periods)
 			for t := 1; t <= periods; t++ {
 				if rep, ok := c.Observe(vals[t-1] != 0); ok {
-					if err := enc.Encode(transport.FromReport(rep)); err != nil {
+					if err := enc.Encode(wire.FromReport(rep)); err != nil {
 						log.Fatal(err)
 					}
 				}
@@ -87,13 +88,13 @@ func main() {
 			// The server handles a connection's frames in order, so its
 			// answer to a read is its word that every report before it is
 			// applied: a client that has it may hang up.
-			if err := enc.Encode(transport.QueryV2(transport.QueryPoint, periods, 0)); err != nil {
+			if err := enc.Encode(wire.QueryV2(wire.QueryPoint, periods, 0)); err != nil {
 				log.Fatal(err)
 			}
 			if err := enc.Flush(); err != nil {
 				log.Fatal(err)
 			}
-			if _, err := transport.NewDecoder(conn).ReadAnswer(); err != nil {
+			if _, err := wire.NewDecoder(conn).ReadAnswer(); err != nil {
 				log.Fatal(err)
 			}
 		}(u, base.Derive(uint64(u)))

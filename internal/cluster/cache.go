@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // This file is the gateway's read-path cache: a version-stamped record
@@ -130,8 +131,8 @@ type answerCache struct {
 // instead of scattering themselves.
 type gatherFlight struct {
 	done  chan struct{}
-	scope transport.Scope // what the leader gathers; joiners need it to cover them
-	entry *cacheEntry     // nil when err != nil
+	scope wire.Scope  // what the leader gathers; joiners need it to cover them
+	entry *cacheEntry // nil when err != nil
 	err   error
 }
 
@@ -171,7 +172,7 @@ const joinAttempts = 2
 // onto another session's flight. A session with unfenced forwards does
 // neither — only its own round trips certify them — but leads like any
 // other; see the comment at the top of this file.
-func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry, hit, coalesced bool, err error) {
+func (g *Gateway) acquireEntry(s *session, scope wire.Scope) (e *cacheEntry, hit, coalesced bool, err error) {
 	c, fence := &g.cache, !s.clean()
 	for attempt := 0; attempt < joinAttempts; attempt++ {
 		epoch := g.ingestEpoch.Load()
@@ -182,7 +183,7 @@ func (g *Gateway) acquireEntry(s *session, scope transport.Scope) (e *cacheEntry
 				return e, true, false, nil
 			}
 			// A second range inside one epoch: gather every column.
-			scope = transport.Scope{}
+			scope = wire.Scope{}
 		}
 		f := c.flight
 		if f == nil {

@@ -11,12 +11,13 @@ import (
 	"rtf/internal/obs"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 type gwClient struct {
 	conn net.Conn
-	enc  *transport.Encoder
-	dec  *transport.Decoder
+	enc  *wire.Encoder
+	dec  *wire.Decoder
 }
 
 func dialGateway(t *testing.T, addr string) *gwClient {
@@ -25,7 +26,7 @@ func dialGateway(t *testing.T, addr string) *gwClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &gwClient{conn: conn, enc: transport.NewEncoder(conn), dec: transport.NewDecoder(conn)}
+	return &gwClient{conn: conn, enc: wire.NewEncoder(conn), dec: wire.NewDecoder(conn)}
 }
 
 func (c *gwClient) close() { c.conn.Close() }
@@ -33,7 +34,7 @@ func (c *gwClient) close() { c.conn.Close() }
 // series round-trips one v2 series query.
 func (c *gwClient) series(t *testing.T) []float64 {
 	t.Helper()
-	if err := c.enc.Encode(transport.QueryV2(transport.QuerySeries, 0, 0)); err != nil {
+	if err := c.enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.enc.Flush(); err != nil {
@@ -47,12 +48,12 @@ func (c *gwClient) series(t *testing.T) []float64 {
 }
 
 // ingestAndFence ships a batch and fences it with a point query.
-func (c *gwClient) ingestAndFence(t *testing.T, ms []transport.Msg) {
+func (c *gwClient) ingestAndFence(t *testing.T, ms []wire.Msg) {
 	t.Helper()
 	if err := c.enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
+	if err := c.enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.enc.Flush(); err != nil {
@@ -130,7 +131,7 @@ func testAnswerCacheExact(t *testing.T, pl testPlacement) {
 	serial := protocol.NewServer(d, scale)
 	for _, seed := range []uint64{21, 22} {
 		for _, m := range clusterMsgs(seed, d, map[uint64]int{21: 40, 22: 30}[seed], map[uint64]int{21: 6, 22: 4}[seed]) {
-			if m.Type == transport.MsgHello {
+			if m.Type == wire.MsgHello {
 				serial.Register(m.Order)
 			} else {
 				serial.Ingest(m.Report())
@@ -199,7 +200,7 @@ func testQueryCoalesced(t *testing.T, pl testPlacement) {
 
 	serial := protocol.NewServer(d, scale)
 	for _, m := range clusterMsgs(31, d, 60, 8) {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
@@ -379,7 +380,7 @@ func testCacheChurnBoolean(t *testing.T, pl testPlacement) {
 	for w := 0; w < writers; w++ {
 		for r := 0; r < rounds; r++ {
 			for _, m := range clusterMsgs(uint64(500+w*rounds+r), d, 20, 4) {
-				if m.Type == transport.MsgHello {
+				if m.Type == wire.MsgHello {
 					serial.Register(m.Order)
 				} else {
 					serial.Ingest(m.Report())
@@ -422,32 +423,32 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 		}
 		return item
 	}
-	writerBatch := func(w, r int) []transport.Msg {
-		var ms []transport.Msg
+	writerBatch := func(w, r int) []wire.Msg {
+		var ms []wire.Msg
 		base := (w*rounds + r) * usersPerRound
 		for u := 0; u < usersPerRound; u++ {
 			user := 1000 + base + u
 			item := (user * 7) % m
 			if hashed {
-				ms = append(ms, transport.HashedDomainHello(user, tag(item), 0, enc.Seed))
+				ms = append(ms, wire.HashedDomainHello(user, tag(item), 0, enc.Seed))
 			} else {
-				ms = append(ms, transport.DomainHello(user, item, 0))
+				ms = append(ms, wire.DomainHello(user, item, 0))
 			}
 			for i := 0; i < reportsPerWriter; i++ {
 				bit := int8(1)
 				if (user+i)%3 == 0 {
 					bit = -1
 				}
-				ms = append(ms, transport.FromDomainReport(tag(item), protocol.Report{
+				ms = append(ms, wire.FromDomainReport(tag(item), protocol.Report{
 					User: user, Order: 0, J: 1 + (user+i)%d, Bit: bit,
 				}))
 			}
 		}
 		return ms
 	}
-	topK := func(c *gwClient, at, k int) transport.DomainAnswerFrame {
+	topK := func(c *gwClient, at, k int) wire.DomainAnswerFrame {
 		t.Helper()
-		if err := c.enc.Encode(transport.DomainQuery(transport.QueryTopK, 0, at, 0, k)); err != nil {
+		if err := c.enc.Encode(wire.DomainQuery(wire.QueryTopK, 0, at, 0, k)); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.enc.Flush(); err != nil {
@@ -520,13 +521,13 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 		for r := 0; r < rounds; r++ {
 			for _, msg := range writerBatch(w, r) {
 				switch msg.Type {
-				case transport.MsgDomainHello, transport.MsgHashedDomainHello:
+				case wire.MsgDomainHello, wire.MsgHashedDomainHello:
 					if hashed {
 						ref.(*hh.HashedDomainServer).Inner().Register(0, msg.Item, msg.Order)
 					} else {
 						ref.(*hh.DomainServer).Register(0, msg.Item, msg.Order)
 					}
-				case transport.MsgDomainReport:
+				case wire.MsgDomainReport:
 					rep := protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit}
 					if hashed {
 						ref.(*hh.HashedDomainServer).Inner().Ingest(0, msg.Item, rep)
@@ -558,7 +559,7 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 // point round-trips one v2 point query.
 func (c *gwClient) point(t *testing.T, at int) float64 {
 	t.Helper()
-	if err := c.enc.Encode(transport.QueryV2(transport.QueryPoint, at, at)); err != nil {
+	if err := c.enc.Encode(wire.QueryV2(wire.QueryPoint, at, at)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.enc.Flush(); err != nil {
@@ -583,11 +584,11 @@ func fillsOf(reg *obs.Registry) (fence, miss int64) {
 		reg.Counter(obs.Label("answer_cache_fills_total", "by", "miss")).Value()
 }
 
-func serialOf(d int, scale float64, batches ...[]transport.Msg) *protocol.Server {
+func serialOf(d int, scale float64, batches ...[]wire.Msg) *protocol.Server {
 	serial := protocol.NewServer(d, scale)
 	for _, ms := range batches {
 		for _, m := range ms {
-			if m.Type == transport.MsgHello {
+			if m.Type == wire.MsgHello {
 				serial.Register(m.Order)
 			} else {
 				serial.Ingest(m.Report())
@@ -641,7 +642,7 @@ func testCacheScope(t *testing.T, pl testPlacement) {
 	gw.cache.mu.Lock()
 	e := gw.cache.entry
 	gw.cache.mu.Unlock()
-	if e == nil || e.Scope() != (transport.Scope{L: 1, R: 5}) || e.stamp != gw.ingestEpoch.Load() {
+	if e == nil || e.Scope() != (wire.Scope{L: 1, R: 5}) || e.stamp != gw.ingestEpoch.Load() {
 		t.Fatalf("the fence gather left entry %+v at epoch %d, want a current [1..5] entry", e, gw.ingestEpoch.Load())
 	}
 
@@ -722,7 +723,7 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	ms := hashedMsgs(71, d, users, 5)
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, m := range ms {
-		if m.Type == transport.MsgHashedDomainHello {
+		if m.Type == wire.MsgHashedDomainHello {
 			serial.Inner().Register(0, m.Item, m.Order)
 		} else {
 			serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
@@ -730,7 +731,7 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	}
 	pointItem := func(item, at int) float64 {
 		t.Helper()
-		if err := c.enc.Encode(transport.DomainQuery(transport.QueryPointItem, item, at, 0, 0)); err != nil {
+		if err := c.enc.Encode(wire.DomainQuery(wire.QueryPointItem, item, at, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.enc.Flush(); err != nil {
@@ -820,7 +821,7 @@ func TestGatewayFlightScope(t *testing.T) {
 		t.Cleanup(func() { s.Close(true) })
 		return s
 	}
-	five, seven := transport.Scope{L: 1, R: 5}, transport.Scope{L: 1, R: 7}
+	five, seven := wire.Scope{L: 1, R: 5}, wire.Scope{L: 1, R: 7}
 
 	// A leader is out gathering [1..5] and will not be back for a while.
 	flight := &gatherFlight{done: make(chan struct{}), scope: five}
@@ -861,13 +862,13 @@ func TestGatewayFlightScope(t *testing.T) {
 	}
 
 	// A full flight covers every read.
-	flight = &gatherFlight{done: make(chan struct{}), scope: transport.Scope{}}
+	flight = &gatherFlight{done: make(chan struct{}), scope: wire.Scope{}}
 	gw.cache.flight = flight
 	go func() {
 		e, _, _, _ := gw.acquireEntry(open(), seven)
 		joined <- e
 	}()
-	whole, err := open().scatter(transport.Scope{})
+	whole, err := open().scatter(wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -923,7 +924,7 @@ func TestGatewayStackedScope(t *testing.T) {
 		t.Fatalf("backends answered %d sums requests, want 2", got)
 	}
 
-	sums := func(req transport.Msg) transport.RawSums {
+	sums := func(req wire.Msg) wire.RawSums {
 		t.Helper()
 		if err := c.enc.Encode(req); err != nil {
 			t.Fatal(err)
@@ -935,15 +936,15 @@ func TestGatewayStackedScope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return transport.RawSums(f)
+		return wire.RawSums(f)
 	}
-	scoped := transport.Sums()
+	scoped := wire.Sums()
 	scoped.L, scoped.R = 3, 12
-	got, whole := sums(scoped), sums(transport.Sums())
-	if got.Scope != (transport.Scope{L: 3, R: 12}) || whole.Scope != (transport.Scope{}) || len(whole.Counters) != protocol.RawStride(d) {
+	got, whole := sums(scoped), sums(wire.Sums())
+	if got.Scope != (wire.Scope{L: 3, R: 12}) || whole.Scope != (wire.Scope{}) || len(whole.Counters) != protocol.RawStride(d) {
 		t.Fatalf("scoped request answered with scope %v, unscoped with scope %v and %d counters", got.Scope, whole.Scope, len(whole.Counters))
 	}
-	st, err := transport.BoolMode(d, scale).Fold([]transport.RawSums{whole})
+	st, err := transport.BoolMode(d, scale).Fold([]wire.RawSums{whole})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,6 +52,7 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/membership"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // Placement says where a deployment's counters live: the initial view,
@@ -332,7 +333,7 @@ func (s *session) Close(healthy bool) {
 // down are not skipped: reads survive a dead replica, writes do not mask
 // one. A batch is only guaranteed applied once a later read round-trips
 // on the same session.
-func (s *session) Apply(run []transport.Rec, wire []byte) error {
+func (s *session) Apply(run []wire.Rec, raw []byte) error {
 	g := s.g
 	g.vmu.RLock()
 	defer g.vmu.RUnlock()
@@ -355,7 +356,7 @@ func (s *session) Apply(run []transport.Rec, wire []byte) error {
 			j++
 		}
 		for _, to := range lay.owners(sh) {
-			s.bufs[to].Append(j-i, wire[off:end])
+			s.bufs[to].Append(j-i, raw[off:end])
 		}
 		i, off = j, end
 	}
@@ -390,7 +391,7 @@ const fetchAttempts = 3
 // connection won. fatal marks a failure over unfenced forwards, fenced a
 // round trip that certified some: one step of the ingest epoch.
 type fetched struct {
-	frames []transport.RawSums
+	frames []wire.RawSums
 	err    error
 	fatal  bool
 	fenced bool
@@ -405,10 +406,10 @@ type fetched struct {
 // connection, and a clean-session attempt that outlives HedgeDelay is
 // raced against a second one on a freshly leased connection (hedged read
 // — safe because the fetch is read-only and idempotent).
-func (s *session) fetch(i int, scope transport.Scope) fetched {
+func (s *session) fetch(i int, scope wire.Scope) fetched {
 	g, l, opts := s.g, s.links[i], s.g.pools.Options()
 	bounded := func(bc *transport.BackendConn) fetched {
-		r := fetched{bc: bc, frames: make([]transport.RawSums, 0, len(s.lay.reads[i]))}
+		r := fetched{bc: bc, frames: make([]wire.RawSums, 0, len(s.lay.reads[i]))}
 		if opts.FetchTimeout > 0 {
 			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
 		}
@@ -508,7 +509,7 @@ func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Durati
 // Gather obtains the cluster-wide sums read m is answered from — the
 // columns m evaluates, or every column: from the cache, by joining an
 // in-flight gather, or by scattering itself (see cache.go).
-func (s *session) Gather(m transport.Msg) (transport.Reader, error) {
+func (s *session) Gather(m wire.Msg) (transport.Reader, error) {
 	e, hit, coalesced, err := s.g.acquireEntry(s, s.g.mode.Scope(m))
 	if err != nil {
 		return nil, err
@@ -551,7 +552,7 @@ func (g *Gateway) settle() (release func()) {
 // backend that fails clean (after riding out retries and re-dials) is
 // marked down for the session when every shard it owns was answered by
 // another owner; a shard nobody answered fails the read.
-func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
+func (s *session) scatter(scope wire.Scope) (*cacheEntry, error) {
 	g := s.g
 	defer g.settle()()
 	if s.poisoned != nil {
@@ -587,7 +588,7 @@ func (s *session) scatter(scope transport.Scope) (*cacheEntry, error) {
 			own++
 		}
 	}
-	chosen := make([]transport.RawSums, lay.NumShards)
+	chosen := make([]wire.RawSums, lay.NumShards)
 	next := make([]int, len(results)) // how many of each backend's frames are taken
 	for sh := range chosen {
 		owners, first, live := lay.owners(sh), 0, 0

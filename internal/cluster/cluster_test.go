@@ -11,6 +11,7 @@ import (
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // testBackend is one in-process rtf-serve: an IngestServer over a
@@ -66,19 +67,19 @@ func startGateway(t *testing.T, d int, scale float64, addrs []string, opts trans
 
 // clusterMsgs builds a deterministic mixed stream of hellos and reports
 // spanning users [0, users).
-func clusterMsgs(seed uint64, d, users, perUser int) []transport.Msg {
+func clusterMsgs(seed uint64, d, users, perUser int) []wire.Msg {
 	g := rng.New(seed, 77)
 	orders := dyadic.NumOrders(d)
-	ms := make([]transport.Msg, 0, users*(perUser+1))
+	ms := make([]wire.Msg, 0, users*(perUser+1))
 	for u := 0; u < users; u++ {
-		ms = append(ms, transport.Hello(u, g.IntN(orders)))
+		ms = append(ms, wire.Hello(u, g.IntN(orders)))
 		for i := 0; i < perUser; i++ {
 			h := g.IntN(orders)
 			bit := int8(1)
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			ms = append(ms, transport.FromReport(protocol.Report{
+			ms = append(ms, wire.FromReport(protocol.Report{
 				User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 			}))
 		}
@@ -109,7 +110,7 @@ func TestGatewayScatterGather(t *testing.T) {
 	ms := clusterMsgs(1, d, users, 20)
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
@@ -121,8 +122,8 @@ func TestGatewayScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	const batch = 97
 	for lo := 0; lo < len(ms); lo += batch {
 		hi := min(lo+batch, len(ms))
@@ -132,7 +133,7 @@ func TestGatewayScatterGather(t *testing.T) {
 	}
 	// Point queries for every period, pipelined.
 	for tt := 1; tt <= d; tt++ {
-		if err := enc.Encode(transport.QueryV2(transport.QueryPoint, tt, 0)); err != nil {
+		if err := enc.Encode(wire.QueryV2(wire.QueryPoint, tt, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func TestGatewayScatterGather(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Kind != transport.QueryPoint || a.L != tt || len(a.Values) != 1 {
+		if a.Kind != wire.QueryPoint || a.L != tt || len(a.Values) != 1 {
 			t.Fatalf("bad point answer %+v at t=%d", a, tt)
 		}
 		if want := serial.EstimateAt(tt); a.Values[0] != want {
@@ -153,13 +154,13 @@ func TestGatewayScatterGather(t *testing.T) {
 	}
 	// The four v2 shapes.
 	checks := []struct {
-		q    transport.Msg
+		q    wire.Msg
 		want []float64
 	}{
-		{transport.QueryV2(transport.QueryPoint, 17, 17), []float64{serial.EstimateAt(17)}},
-		{transport.QueryV2(transport.QueryChange, 5, 40), []float64{serial.EstimateChange(5, 40)}},
-		{transport.QueryV2(transport.QuerySeries, 0, 0), serial.EstimateSeries()},
-		{transport.QueryV2(transport.QueryWindow, 9, 24), serial.EstimateSeries()[8:24]},
+		{wire.QueryV2(wire.QueryPoint, 17, 17), []float64{serial.EstimateAt(17)}},
+		{wire.QueryV2(wire.QueryChange, 5, 40), []float64{serial.EstimateChange(5, 40)}},
+		{wire.QueryV2(wire.QuerySeries, 0, 0), serial.EstimateSeries()},
+		{wire.QueryV2(wire.QueryWindow, 9, 24), serial.EstimateSeries()[8:24]},
 	}
 	for _, c := range checks {
 		if err := enc.Encode(c.q); err != nil {
@@ -229,13 +230,13 @@ func TestGatewayBackendRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	ms := clusterMsgs(3, d, 60, 5)
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
+	if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil { // fence
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -275,13 +276,13 @@ func TestGatewayBackendRestart(t *testing.T) {
 
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
 		}
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QuerySeries, 0, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -323,7 +324,7 @@ func TestGatewayStacked(t *testing.T) {
 	ms := clusterMsgs(9, d, 40, 4)
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
@@ -334,12 +335,12 @@ func TestGatewayStacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QuerySeries, 0, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -394,14 +395,14 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			enc := transport.NewEncoder(conn)
-			dec := transport.NewDecoder(conn)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
 			ms := clusterMsgs(uint64(100+s), d, 50, 8)
 			if err := enc.EncodeBatch(ms); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil { // fence
+			if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil { // fence
 				t.Error(err)
 				return
 			}
@@ -419,7 +420,7 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for s := 0; s < sessions; s++ {
 		for _, m := range clusterMsgs(uint64(100+s), d, 50, 8) {
-			if m.Type == transport.MsgHello {
+			if m.Type == wire.MsgHello {
 				serial.Register(m.Order)
 			} else {
 				serial.Ingest(m.Report())
@@ -431,9 +432,9 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
-	if err := enc.Encode(transport.QueryV2(transport.QuerySeries, 0, 0)); err != nil {
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
+	if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -470,20 +471,20 @@ func startDomainBackend(t *testing.T, d, m int, scale float64) (*transport.Inges
 }
 
 // domainMsgs builds a deterministic item-tagged ingest stream.
-func domainMsgs(seed uint64, d, m, users, perUser int) []transport.Msg {
+func domainMsgs(seed uint64, d, m, users, perUser int) []wire.Msg {
 	g := rng.New(seed, 99)
 	orders := dyadic.NumOrders(d)
-	ms := make([]transport.Msg, 0, users*(perUser+1))
+	ms := make([]wire.Msg, 0, users*(perUser+1))
 	for u := 0; u < users; u++ {
 		item := g.IntN(m)
-		ms = append(ms, transport.DomainHello(u, item, g.IntN(orders)))
+		ms = append(ms, wire.DomainHello(u, item, g.IntN(orders)))
 		for i := 0; i < perUser; i++ {
 			h := g.IntN(orders)
 			bit := int8(1)
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			ms = append(ms, transport.FromDomainReport(item, protocol.Report{
+			ms = append(ms, wire.FromDomainReport(item, protocol.Report{
 				User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 			}))
 		}
@@ -533,7 +534,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 	ms := domainMsgs(5, d, m, users, 12)
 	serial := hh.NewDomainServer(d, m, scale, 1)
 	for _, msg := range ms {
-		if msg.Type == transport.MsgDomainHello {
+		if msg.Type == wire.MsgDomainHello {
 			serial.Register(0, msg.Item, msg.Order)
 		} else {
 			serial.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
@@ -545,8 +546,8 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	for lo := 0; lo < len(ms); lo += 100 {
 		hi := lo + 100
 		if hi > len(ms) {
@@ -561,7 +562,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 	}
 
 	// Every item-scoped shape, bit-for-bit vs the serial server.
-	ask := func(q transport.Msg) transport.DomainAnswerFrame {
+	ask := func(q wire.Msg) wire.DomainAnswerFrame {
 		t.Helper()
 		if err := enc.Encode(q); err != nil {
 			t.Fatal(err)
@@ -576,11 +577,11 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 		return a
 	}
 	for x := 0; x < m; x++ {
-		a := ask(transport.DomainQuery(transport.QueryPointItem, x, d, 0, 0))
+		a := ask(wire.DomainQuery(wire.QueryPointItem, x, d, 0, 0))
 		if want := serial.EstimateItemAt(x, d); a.Values[0] != want {
 			t.Fatalf("point-item %d: gateway %v, serial %v", x, a.Values[0], want)
 		}
-		a = ask(transport.DomainQuery(transport.QuerySeriesItem, x, 0, 0, 0))
+		a = ask(wire.DomainQuery(wire.QuerySeriesItem, x, 0, 0, 0))
 		want := serial.EstimateItemSeries(x)
 		for i := range want {
 			if a.Values[i] != want[i] {
@@ -588,7 +589,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 			}
 		}
 	}
-	a := ask(transport.DomainQuery(transport.QueryTopK, 0, d/2, 0, m))
+	a := ask(wire.DomainQuery(wire.QueryTopK, 0, d/2, 0, m))
 	top := serial.TopK(d/2, m)
 	for i, ic := range top {
 		if a.Items[i] != ic.Item || a.Values[i] != ic.Count {
@@ -617,9 +618,9 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	enc2 := transport.NewEncoder(conn2)
-	dec2 := transport.NewDecoder(conn2)
-	if err := enc2.Encode(transport.DomainQuery(transport.QueryTopK, 0, d, 0, 3)); err != nil {
+	enc2 := wire.NewEncoder(conn2)
+	dec2 := wire.NewDecoder(conn2)
+	if err := enc2.Encode(wire.DomainQuery(wire.QueryTopK, 0, d, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc2.Flush(); err != nil {
@@ -644,10 +645,10 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn3.Close()
-	enc3 := transport.NewEncoder(conn3)
-	poison := []transport.Msg{
-		transport.DomainHello(100000, 0, 0),
-		{Type: transport.MsgDomainReport, User: 100001, Item: m + 4, J: 1, Bit: 1},
+	enc3 := wire.NewEncoder(conn3)
+	poison := []wire.Msg{
+		wire.DomainHello(100000, 0, 0),
+		{Type: wire.MsgDomainReport, User: 100001, Item: m + 4, J: 1, Bit: 1},
 	}
 	if err := enc3.EncodeBatch(poison); err != nil {
 		t.Fatal(err)
@@ -655,7 +656,7 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 	if err := enc3.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.NewDecoder(conn3).Next(); err == nil {
+	if _, err := wire.NewDecoder(conn3).Next(); err == nil {
 		t.Fatal("poisoned batch did not fail the connection")
 	}
 	after := serialUsersAcross(t, addrs, d, m, scale)
@@ -669,14 +670,14 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn4.Close()
-	enc4 := transport.NewEncoder(conn4)
-	if err := enc4.Encode(transport.Hello(1, 0)); err != nil {
+	enc4 := wire.NewEncoder(conn4)
+	if err := enc4.Encode(wire.Hello(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc4.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.NewDecoder(conn4).Next(); err == nil {
+	if _, err := wire.NewDecoder(conn4).Next(); err == nil {
 		t.Fatal("boolean hello on a domain gateway answered")
 	}
 }
@@ -691,14 +692,14 @@ func serialUsersAcross(t *testing.T, addrs []string, d, m int, scale float64) in
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := transport.NewEncoder(conn)
-		if err := enc.Encode(transport.DomainSums()); err != nil {
+		enc := wire.NewEncoder(conn)
+		if err := enc.Encode(wire.DomainSums()); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		f, err := transport.NewDecoder(conn).ReadDomainSums()
+		f, err := wire.NewDecoder(conn).ReadDomainSums()
 		if err != nil {
 			t.Fatal(err)
 		}

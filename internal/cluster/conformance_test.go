@@ -19,6 +19,7 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/ldp"
 )
 
@@ -73,19 +74,19 @@ func (o *confOracle) answer(q ldp.Query) (ldp.Answer, error) {
 	return o.d.Answer(q)
 }
 
-func (o *confOracle) feed(t *testing.T, ms []transport.Msg) {
+func (o *confOracle) feed(t *testing.T, ms []wire.Msg) {
 	t.Helper()
 	for _, m := range ms {
 		r := ldp.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit}
 		var err error
 		switch m.Type {
-		case transport.MsgHello:
+		case wire.MsgHello:
 			err = o.b.Register(m.Order)
-		case transport.MsgReport:
+		case wire.MsgReport:
 			err = o.b.Ingest(r)
-		case transport.MsgDomainHello, transport.MsgHashedDomainHello:
+		case wire.MsgDomainHello, wire.MsgHashedDomainHello:
 			err = o.d.Register(m.Item, m.Order)
-		case transport.MsgDomainReport:
+		case wire.MsgDomainReport:
 			err = o.d.Ingest(ldp.DomainReport{Item: m.Item, Report: r})
 		default:
 			t.Fatalf("oracle fed message type %d", m.Type)
@@ -106,17 +107,17 @@ type confMode struct {
 	domain int
 	opts   []ldp.Option
 	// user builds one user's hello and reports.
-	user func(u int) []transport.Msg
+	user func(u int) []wire.Msg
 	// poison are range-invalid frames of the mode (queries and ingest);
 	// offMode are frames of another mode (or another seed).
-	poison, offMode []transport.Msg
+	poison, offMode []wire.Msg
 	// check asks every query kind on the connection and compares with
 	// the oracle.
-	check func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle)
+	check func(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, o *confOracle)
 	// ranged are reads evaluated over one period range, which a front
 	// that gathers raw sums must gather under that range's scope; whole
 	// are reads that need every column.
-	ranged, whole []transport.Msg
+	ranged, whole []wire.Msg
 }
 
 func confReport(u, r int) protocol.Report {
@@ -152,7 +153,7 @@ func confModes(t *testing.T) []confMode {
 	base := []ldp.Option{ldp.WithMechanism(ldp.FutureRand), ldp.WithSparsity(confK), ldp.WithEpsilon(confEps)}
 	meta := persist.Meta{Mechanism: string(ldp.FutureRand), D: confD, K: confK, Eps: confEps, Scale: scale}
 
-	send := func(t *testing.T, enc *transport.Encoder, q transport.Msg) {
+	send := func(t *testing.T, enc *wire.Encoder, q wire.Msg) {
 		t.Helper()
 		if err := enc.Encode(q); err != nil {
 			t.Fatal(err)
@@ -161,7 +162,7 @@ func confModes(t *testing.T) []confMode {
 			t.Fatal(err)
 		}
 	}
-	checkBool := func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle) {
+	checkBool := func(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, o *confOracle) {
 		t.Helper()
 		ask := func(q ldp.Query) ldp.Answer {
 			a, err := o.b.Answer(q)
@@ -171,15 +172,15 @@ func confModes(t *testing.T) []confMode {
 			return a
 		}
 		for _, c := range []struct {
-			wire transport.Msg
+			wire wire.Msg
 			want []float64
 		}{
-			{transport.QueryV2(transport.QueryPoint, 1, 0), []float64{ask(ldp.PointQuery(1)).Value}},
-			{transport.QueryV2(transport.QueryPoint, 3, 3), []float64{ask(ldp.PointQuery(3)).Value}},
-			{transport.QueryV2(transport.QueryPoint, confD, 0), []float64{ask(ldp.PointQuery(confD)).Value}},
-			{transport.QueryV2(transport.QueryChange, 2, confD-1), []float64{ask(ldp.ChangeQuery(2, confD-1)).Value}},
-			{transport.QueryV2(transport.QuerySeries, 0, 0), ask(ldp.SeriesQuery()).Series},
-			{transport.QueryV2(transport.QueryWindow, 3, 9), ask(ldp.WindowQuery(3, 9)).Series},
+			{wire.QueryV2(wire.QueryPoint, 1, 0), []float64{ask(ldp.PointQuery(1)).Value}},
+			{wire.QueryV2(wire.QueryPoint, 3, 3), []float64{ask(ldp.PointQuery(3)).Value}},
+			{wire.QueryV2(wire.QueryPoint, confD, 0), []float64{ask(ldp.PointQuery(confD)).Value}},
+			{wire.QueryV2(wire.QueryChange, 2, confD-1), []float64{ask(ldp.ChangeQuery(2, confD-1)).Value}},
+			{wire.QueryV2(wire.QuerySeries, 0, 0), ask(ldp.SeriesQuery()).Series},
+			{wire.QueryV2(wire.QueryWindow, 3, 9), ask(ldp.WindowQuery(3, 9)).Series},
 		} {
 			send(t, enc, c.wire)
 			got, err := dec.ReadAnswer()
@@ -191,18 +192,18 @@ func confModes(t *testing.T) []confMode {
 			}
 		}
 	}
-	checkDomain := func(m int) func(*testing.T, *transport.Encoder, *transport.Decoder, *confOracle) {
-		return func(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, o *confOracle) {
+	checkDomain := func(m int) func(*testing.T, *wire.Encoder, *wire.Decoder, *confOracle) {
+		return func(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, o *confOracle) {
 			t.Helper()
 			for _, c := range []struct {
-				wire transport.Msg
+				wire wire.Msg
 				q    ldp.Query
 			}{
-				{transport.DomainQuery(transport.QueryPointItem, 1, confD, 0, 0), ldp.PointItemQuery(1, confD)},
-				{transport.DomainQuery(transport.QueryPointItem, m-1, 2, 0, 0), ldp.PointItemQuery(m-1, 2)},
-				{transport.DomainQuery(transport.QuerySeriesItem, 2, 0, 0, 0), ldp.SeriesItemQuery(2)},
-				{transport.DomainQuery(transport.QueryTopK, 0, confD, 0, 3), ldp.TopKQuery(confD, 3)},
-				{transport.DomainQuery(transport.QueryTopK, 0, confD/2, 0, 1), ldp.TopKQuery(confD/2, 1)},
+				{wire.DomainQuery(wire.QueryPointItem, 1, confD, 0, 0), ldp.PointItemQuery(1, confD)},
+				{wire.DomainQuery(wire.QueryPointItem, m-1, 2, 0, 0), ldp.PointItemQuery(m-1, 2)},
+				{wire.DomainQuery(wire.QuerySeriesItem, 2, 0, 0, 0), ldp.SeriesItemQuery(2)},
+				{wire.DomainQuery(wire.QueryTopK, 0, confD, 0, 3), ldp.TopKQuery(confD, 3)},
+				{wire.DomainQuery(wire.QueryTopK, 0, confD/2, 0, 1), ldp.TopKQuery(confD/2, 1)},
 			} {
 				want, err := o.d.Answer(c.q)
 				if err != nil {
@@ -224,65 +225,65 @@ func confModes(t *testing.T) []confMode {
 		}
 	}
 
-	domainRanged := []transport.Msg{transport.DomainQuery(transport.QueryPointItem, 1, confD-1, 0, 0),
-		transport.DomainQuery(transport.QueryTopK, 0, confD/2+1, 0, 3)}
-	seriesItem := transport.DomainQuery(transport.QuerySeriesItem, 2, 0, 0, 0)
+	domainRanged := []wire.Msg{wire.DomainQuery(wire.QueryPointItem, 1, confD-1, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, confD/2+1, 0, 3)}
+	seriesItem := wire.DomainQuery(wire.QuerySeriesItem, 2, 0, 0, 0)
 	exactMeta, hashedMeta := meta, meta
 	exactMeta.M = confM
 	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = confEnc.M, confEnc.G, confEnc.Name, confEnc.Seed
-	boolHello, domainHello := transport.Hello(900, 0), transport.DomainHello(900, 0, 0)
+	boolHello, domainHello := wire.Hello(900, 0), wire.DomainHello(900, 0, 0)
 	return []confMode{
 		{
 			name: "bool", mode: transport.BoolMode(confD, scale), meta: meta, opts: base,
-			user: func(u int) []transport.Msg {
-				ms := []transport.Msg{transport.Hello(u, u%3)}
+			user: func(u int) []wire.Msg {
+				ms := []wire.Msg{wire.Hello(u, u%3)}
 				for r := 0; r < 3; r++ {
-					ms = append(ms, transport.FromReport(confReport(u, r)))
+					ms = append(ms, wire.FromReport(confReport(u, r)))
 				}
 				return ms
 			},
-			poison: []transport.Msg{transport.QueryV2(transport.QueryWindow, 1, confD+5), transport.QueryV2(transport.QueryPoint, confD+1, 0),
-				{Type: transport.MsgReport, User: 901, Order: 0, J: confD + 1, Bit: 1}},
-			offMode: []transport.Msg{domainHello, transport.DomainQuery(transport.QueryTopK, 0, 1, 0, 1), transport.DomainSums()},
+			poison: []wire.Msg{wire.QueryV2(wire.QueryWindow, 1, confD+5), wire.QueryV2(wire.QueryPoint, confD+1, 0),
+				{Type: wire.MsgReport, User: 901, Order: 0, J: confD + 1, Bit: 1}},
+			offMode: []wire.Msg{domainHello, wire.DomainQuery(wire.QueryTopK, 0, 1, 0, 1), wire.DomainSums()},
 			check:   checkBool,
-			ranged:  []transport.Msg{transport.QueryV2(transport.QueryPoint, confD-1, confD-1), transport.QueryV2(transport.QueryChange, 2, confD-1)},
-			whole:   []transport.Msg{transport.QueryV2(transport.QuerySeries, 0, 0), transport.QueryV2(transport.QueryWindow, 3, 9), transport.Sums()},
+			ranged:  []wire.Msg{wire.QueryV2(wire.QueryPoint, confD-1, confD-1), wire.QueryV2(wire.QueryChange, 2, confD-1)},
+			whole:   []wire.Msg{wire.QueryV2(wire.QuerySeries, 0, 0), wire.QueryV2(wire.QueryWindow, 3, 9), wire.Sums()},
 		},
 		{
 			name: "exact", mode: transport.DomainMode(confD, hh.ExactEncoding(confM), scale), meta: exactMeta, domain: confM, opts: base,
-			user: func(u int) []transport.Msg {
-				ms := []transport.Msg{transport.DomainHello(u, u%confM, u%3)}
+			user: func(u int) []wire.Msg {
+				ms := []wire.Msg{wire.DomainHello(u, u%confM, u%3)}
 				for r := 0; r < 3; r++ {
-					ms = append(ms, transport.FromDomainReport(u%confM, confReport(u, r)))
+					ms = append(ms, wire.FromDomainReport(u%confM, confReport(u, r)))
 				}
 				return ms
 			},
-			poison: []transport.Msg{transport.DomainQuery(transport.QueryPointItem, confM+3, 1, 0, 0),
-				{Type: transport.MsgDomainReport, User: 901, Item: confM, Order: 0, J: 1, Bit: 1}},
-			offMode: []transport.Msg{boolHello, transport.QueryV2(transport.QueryPoint, 1, 0), transport.Sums(),
-				transport.HashedDomainHello(900, 0, 0, confEnc.Seed), transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
+			poison: []wire.Msg{wire.DomainQuery(wire.QueryPointItem, confM+3, 1, 0, 0),
+				{Type: wire.MsgDomainReport, User: 901, Item: confM, Order: 0, J: 1, Bit: 1}},
+			offMode: []wire.Msg{boolHello, wire.QueryV2(wire.QueryPoint, 1, 0), wire.Sums(),
+				wire.HashedDomainHello(900, 0, 0, confEnc.Seed), wire.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
 			check:  checkDomain(confM),
-			ranged: domainRanged, whole: []transport.Msg{seriesItem, transport.DomainSums()},
+			ranged: domainRanged, whole: []wire.Msg{seriesItem, wire.DomainSums()},
 		},
 		{
 			name: "hashed", mode: transport.DomainMode(confD, confEnc, scale), meta: hashedMeta, domain: confEnc.M,
 			opts: append(append([]ldp.Option(nil), base...),
 				ldp.WithDomainEncoding(hh.EncodingLoloha), ldp.WithBuckets(confEnc.G), ldp.WithHashSeed(confEnc.Seed)),
-			user: func(u int) []transport.Msg {
-				ms := []transport.Msg{transport.HashedDomainHello(u, u%confEnc.G, u%3, confEnc.Seed)}
+			user: func(u int) []wire.Msg {
+				ms := []wire.Msg{wire.HashedDomainHello(u, u%confEnc.G, u%3, confEnc.Seed)}
 				for r := 0; r < 3; r++ {
-					ms = append(ms, transport.FromDomainReport(u%confEnc.G, confReport(u, r)))
+					ms = append(ms, wire.FromDomainReport(u%confEnc.G, confReport(u, r)))
 				}
 				return ms
 			},
-			poison: []transport.Msg{transport.DomainQuery(transport.QueryPointItem, confEnc.M, 1, 0, 0),
-				{Type: transport.MsgDomainReport, User: 901, Item: confEnc.G, Order: 0, J: 1, Bit: 1}},
-			offMode: []transport.Msg{boolHello, domainHello, transport.DomainSums(),
-				transport.HashedDomainHello(900, 0, 0, confEnc.Seed+1),
-				transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed+1)},
+			poison: []wire.Msg{wire.DomainQuery(wire.QueryPointItem, confEnc.M, 1, 0, 0),
+				{Type: wire.MsgDomainReport, User: 901, Item: confEnc.G, Order: 0, J: 1, Bit: 1}},
+			offMode: []wire.Msg{boolHello, domainHello, wire.DomainSums(),
+				wire.HashedDomainHello(900, 0, 0, confEnc.Seed+1),
+				wire.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed+1)},
 			check:  checkDomain(confEnc.M),
 			ranged: domainRanged,
-			whole:  []transport.Msg{seriesItem, transport.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
+			whole:  []wire.Msg{seriesItem, wire.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed)},
 		},
 	}
 }
@@ -393,7 +394,7 @@ func (c tapConn) Write(p []byte) (int, error) {
 	c.tap.mu.Lock()
 	c.tap.writes = append(c.tap.writes, bytes.Clone(p))
 	var st *tapStall
-	if t := transport.MsgType(p[0]); t == transport.MsgSumsFrame || t == transport.MsgDomainSumsFrame {
+	if t := wire.MsgType(p[0]); t == wire.MsgSumsFrame || t == wire.MsgDomainSumsFrame {
 		c.tap.sums++
 		st = c.tap.stall
 	}
@@ -556,10 +557,10 @@ func gatewayFront(t *testing.T, m confMode, pl testPlacement) confFront {
 
 // expectDrop writes frames on a fresh connection and requires the front
 // to close it without answering.
-func expectDrop(t *testing.T, addr, what string, write func(enc *transport.Encoder) error) {
+func expectDrop(t *testing.T, addr, what string, write func(enc *wire.Encoder) error) {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := transport.NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := write(enc); err != nil {
 		t.Fatal(err)
 	}
@@ -596,11 +597,11 @@ func TestFrameLoopConformance(t *testing.T) {
 				defer f.stop()
 				oracle := newConfOracle(t, m)
 				var hellos, reports int64
-				accept := func(ms []transport.Msg) {
+				accept := func(ms []wire.Msg) {
 					oracle.feed(t, ms)
 					for _, msg := range ms {
 						switch msg.Type {
-						case transport.MsgReport, transport.MsgDomainReport:
+						case wire.MsgReport, wire.MsgDomainReport:
 							reports++
 						default:
 							hellos++
@@ -613,8 +614,8 @@ func TestFrameLoopConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer conn.Close()
-				enc, dec := transport.NewEncoder(conn), transport.NewDecoder(conn)
-				sendAcked := func(ms []transport.Msg) bool {
+				enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
+				sendAcked := func(ms []wire.Msg) bool {
 					t.Helper()
 					if err := enc.EncodeAckedBatch(ms); err != nil {
 						t.Fatal(err)
@@ -631,7 +632,7 @@ func TestFrameLoopConformance(t *testing.T) {
 
 				// Acked batches that apply: four users each.
 				for b := 0; b < 3; b++ {
-					var batch []transport.Msg
+					var batch []wire.Msg
 					for u := 4 * b; u < 4*b+4; u++ {
 						batch = append(batch, m.user(u)...)
 					}
@@ -652,21 +653,21 @@ func TestFrameLoopConformance(t *testing.T) {
 				// ingest message — poisons the whole batch.
 				good := m.user(100)
 				for _, bad := range m.poison {
-					batch := append(append(append([]transport.Msg(nil), good...), bad), m.user(101)...)
+					batch := append(append(append([]wire.Msg(nil), good...), bad), m.user(101)...)
 					expectDrop(t, f.addr, fmt.Sprintf("batch poisoned by malformed frame type %d", bad.Type),
-						func(e *transport.Encoder) error { return e.EncodeBatch(batch) })
+						func(e *wire.Encoder) error { return e.EncodeBatch(batch) })
 				}
 				// An acked batch carries ingest only.
-				expectDrop(t, f.addr, "query inside an acked batch", func(e *transport.Encoder) error {
-					return e.EncodeAckedBatch(append(append([]transport.Msg(nil), good...), m.mode.SumsRequest()))
+				expectDrop(t, f.addr, "query inside an acked batch", func(e *wire.Encoder) error {
+					return e.EncodeAckedBatch(append(append([]wire.Msg(nil), good...), m.mode.SumsRequest()))
 				})
 				// A front serves exactly one mode (and one hash seed).
 				for _, off := range m.offMode {
-					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d", off.Type), func(e *transport.Encoder) error {
+					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d", off.Type), func(e *wire.Encoder) error {
 						return e.Encode(off)
 					})
-					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d after valid ingest", off.Type), func(e *transport.Encoder) error {
-						return e.EncodeBatch(append(append([]transport.Msg(nil), good...), off))
+					expectDrop(t, f.addr, fmt.Sprintf("off-mode frame type %d after valid ingest", off.Type), func(e *wire.Encoder) error {
+						return e.EncodeBatch(append(append([]wire.Msg(nil), good...), off))
 					})
 				}
 
@@ -674,8 +675,8 @@ func TestFrameLoopConformance(t *testing.T) {
 				// every front with the same error — alone, or poisoning the
 				// valid ingest batched in front of it.
 				var v1Batch bytes.Buffer
-				body := transport.NewEncoder(&v1Batch)
-				v1Batch.Write([]byte{byte(transport.MsgBatch), byte(len(good) + 1)})
+				body := wire.NewEncoder(&v1Batch)
+				v1Batch.Write([]byte{byte(wire.MsgBatch), byte(len(good) + 1)})
 				for _, msg := range good {
 					if err := body.Encode(msg); err != nil {
 						t.Fatal(err)
@@ -684,10 +685,10 @@ func TestFrameLoopConformance(t *testing.T) {
 				if err := body.Flush(); err != nil {
 					t.Fatal(err)
 				}
-				v1Batch.Write([]byte{byte(transport.MsgQuery), 1})
+				v1Batch.Write([]byte{byte(wire.MsgQuery), 1})
 				for what, raw := range map[string][]byte{
-					"v1 query":                    {byte(transport.MsgQuery), 1},
-					"v1 estimate":                 {byte(transport.MsgEstimate), 1, 0, 0, 0, 0, 0, 0, 0, 0},
+					"v1 query":                    {byte(wire.MsgQuery), 1},
+					"v1 estimate":                 {byte(wire.MsgEstimate), 1, 0, 0, 0, 0, 0, 0, 0, 0},
 					"v1 query after valid ingest": v1Batch.Bytes(),
 				} {
 					expectDropBytes(t, f.addr, what, raw)
@@ -748,7 +749,7 @@ func TestFrameLoopConformance(t *testing.T) {
 					gathers := func(scope string) int64 {
 						return f.srv.Metrics.Registry().Counter(obs.Label("gathers_total", "scope", scope)).Value()
 					}
-					for i, q := range append(append([]transport.Msg(nil), m.ranged...), m.whole...) {
+					for i, q := range append(append([]wire.Msg(nil), m.ranged...), m.whole...) {
 						ranged := i < len(m.ranged)
 						batch := m.user(200 + i)
 						if f.tap != nil {
@@ -768,13 +769,13 @@ func TestFrameLoopConformance(t *testing.T) {
 						legacyBatches++
 						var err error
 						switch q.Type {
-						case transport.MsgQueryV2:
+						case wire.MsgQueryV2:
 							_, err = dec.ReadAnswer()
-						case transport.MsgDomainQuery:
+						case wire.MsgDomainQuery:
 							_, err = dec.ReadDomainAnswer()
 						default:
-							var sums transport.RawSums
-							if sums, err = m.mode.ReadSums(dec); err == nil && (sums.Scope != transport.Scope{} || len(sums.Counters) != rows*protocol.RawStride(confD)) {
+							var sums wire.RawSums
+							if sums, err = m.mode.ReadSums(dec); err == nil && (sums.Scope != wire.Scope{} || len(sums.Counters) != rows*protocol.RawStride(confD)) {
 								t.Fatalf("unscoped sums request answered with scope %v, %d counters", sums.Scope, len(sums.Counters))
 							}
 						}
@@ -793,14 +794,14 @@ func TestFrameLoopConformance(t *testing.T) {
 						}
 						frames := 0
 						for _, w := range f.tap.take() {
-							if t := transport.MsgType(w[0]); t != transport.MsgSumsFrame && t != transport.MsgDomainSumsFrame {
+							if t := wire.MsgType(w[0]); t != wire.MsgSumsFrame && t != wire.MsgDomainSumsFrame {
 								continue
 							}
-							sums, err := m.mode.ReadSums(transport.NewDecoder(bytes.NewReader(w)))
+							sums, err := m.mode.ReadSums(wire.NewDecoder(bytes.NewReader(w)))
 							if err != nil {
 								t.Fatalf("read %+v: backend frame: %v", q, err)
 							}
-							if fence := (transport.Scope{L: 1, R: 1}); sums.Scope == fence && m.mode.Scope(q) != fence {
+							if fence := (wire.Scope{L: 1, R: 1}); sums.Scope == fence && m.mode.Scope(q) != fence {
 								continue // a fence or a connection's first round trip, not the read's gather
 							}
 							frames++
@@ -845,7 +846,7 @@ func TestFrameLoopConformance(t *testing.T) {
 				}
 				defer second.Close()
 				m.check(t, enc, dec, oracle)
-				m.check(t, transport.NewEncoder(second), transport.NewDecoder(second), oracle)
+				m.check(t, wire.NewEncoder(second), wire.NewDecoder(second), oracle)
 				if f.tap != nil && (fills("fence") != fencesBefore+1 || fills("miss") != missesBefore) {
 					t.Fatalf("answer_cache_fills_total fence/miss went %d/%d -> %d/%d, want one fill, by the fence",
 						fencesBefore, missesBefore, fills("fence"), fills("miss"))
@@ -880,16 +881,16 @@ func TestFlushDiscipline(t *testing.T) {
 				}
 				defer conn.Close()
 				conn.SetDeadline(time.Now().Add(30 * time.Second))
-				dec := transport.NewDecoder(conn)
+				dec := wire.NewDecoder(conn)
 				// frame encodes one batch frame over users [u, u+n).
-				frame := func(acked bool, u, n int, more ...transport.Msg) []byte {
+				frame := func(acked bool, u, n int, more ...wire.Msg) []byte {
 					t.Helper()
-					var ms []transport.Msg
+					var ms []wire.Msg
 					for i := u; i < u+n; i++ {
 						ms = append(ms, m.user(i)...)
 					}
 					var buf bytes.Buffer
-					enc := transport.NewEncoder(&buf)
+					enc := wire.NewEncoder(&buf)
 					encode := enc.EncodeBatch
 					if acked {
 						encode = enc.EncodeAckedBatch
@@ -992,7 +993,7 @@ func TestFlushDiscipline(t *testing.T) {
 					return n
 				}
 				var probe bytes.Buffer
-				penc := transport.NewEncoder(&probe)
+				penc := wire.NewEncoder(&probe)
 				if err := penc.Encode(m.mode.SumsRequest()); err != nil {
 					t.Fatal(err)
 				}
@@ -1001,11 +1002,11 @@ func TestFlushDiscipline(t *testing.T) {
 				}
 				write(probe.Bytes())
 				before := users()
-				var second []transport.Msg
+				var second []wire.Msg
 				for i := 40100; i < 40107; i++ {
 					second = append(second, m.user(i)...)
 				}
-				write(frame(false, 40000, 5, append([]transport.Msg{m.mode.SumsRequest()}, second...)...), probe.Bytes())
+				write(frame(false, 40000, 5, append([]wire.Msg{m.mode.SumsRequest()}, second...)...), probe.Bytes())
 				if mid, after := users(), users(); mid != before+5 || after != before+12 {
 					t.Errorf("in-batch read saw %d users and the read behind the batch %d, want %d and %d", mid, after, before+5, before+12)
 				}

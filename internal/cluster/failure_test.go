@@ -14,6 +14,7 @@ import (
 	"rtf/internal/obs"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // startBlackhole listens and accepts connections but never answers —
@@ -341,22 +342,22 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			enc := transport.NewEncoder(conn)
-			dec := transport.NewDecoder(conn)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
 
 			// Ingest only users routed to the two good backends unless the
 			// case wants unfenced forwards on the failing one.
 			serial := protocol.NewServer(d, scale)
-			var ms []transport.Msg
+			var ms []wire.Msg
 			for u := 0; u < 30; u++ {
 				if toFailing(u) && !tc.forwardToFailing {
 					continue
 				}
-				ms = append(ms, transport.Hello(u, 1),
-					transport.FromReport(protocol.Report{User: u, Order: 1, J: 1 + u%(d/2), Bit: 1}))
+				ms = append(ms, wire.Hello(u, 1),
+					wire.FromReport(protocol.Report{User: u, Order: 1, J: 1 + u%(d/2), Bit: 1}))
 			}
 			for _, m := range ms {
-				if m.Type == transport.MsgHello {
+				if m.Type == wire.MsgHello {
 					serial.Register(m.Order)
 				} else {
 					serial.Ingest(m.Report())
@@ -388,7 +389,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				<-real.done
 			}
 
-			if err := enc.Encode(transport.QueryV2(transport.QuerySeries, 0, 0)); err != nil {
+			if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
 				t.Fatal(err)
 			}
 			if err := enc.Flush(); err != nil {
@@ -415,7 +416,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 							s.Counters["gateway_hedged_fetches_total"], s.Counters["gateway_hedge_wins_total"])
 					}
 					// A second query must work on the installed hedge lease.
-					if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
+					if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil {
 						t.Fatal(err)
 					}
 					if err := enc.Flush(); err != nil {
@@ -482,12 +483,12 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
-	batch := []transport.Msg{
-		transport.Hello(0, 1), transport.Hello(1, 1),
-		transport.FromReport(protocol.Report{User: 0, Order: 1, J: 5, Bit: 1}),
-		transport.FromReport(protocol.Report{User: 1, Order: 1, J: 7, Bit: 1}),
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
+	batch := []wire.Msg{
+		wire.Hello(0, 1), wire.Hello(1, 1),
+		wire.FromReport(protocol.Report{User: 0, Order: 1, J: 5, Bit: 1}),
+		wire.FromReport(protocol.Report{User: 1, Order: 1, J: 7, Bit: 1}),
 	}
 
 	// Queue full: the batch must be shed before any forward.
@@ -520,13 +521,13 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 	}
 	serial := protocol.NewServer(d, scale)
 	for _, m := range batch {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
 		}
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 5, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -562,8 +563,8 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 		}
 	}
 	var frames bytes.Buffer
-	enc = transport.NewEncoder(&frames)
-	scoped := transport.Sums()
+	enc = wire.NewEncoder(&frames)
+	scoped := wire.Sums()
 	scoped.L, scoped.R = 1, 5
 	for _, b := range backends {
 		if _, _, err := transport.NewShardedCollector(b.acc).Answer(scoped, enc, nil); err != nil {

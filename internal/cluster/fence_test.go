@@ -8,6 +8,7 @@ import (
 
 	"rtf/internal/obs"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/ldp"
 )
 
@@ -18,14 +19,14 @@ import (
 // ask round-trips one read frame and returns the answer's items and
 // values. It reports an error instead of failing the test, so that it can
 // run beside the test's own goroutine.
-func (c *gwClient) ask(q transport.Msg) (items []int, values []float64, err error) {
+func (c *gwClient) ask(q wire.Msg) (items []int, values []float64, err error) {
 	if err = c.enc.Encode(q); err == nil {
 		err = c.enc.Flush()
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	if q.Type == transport.MsgDomainQuery {
+	if q.Type == wire.MsgDomainQuery {
 		a, err := c.dec.ReadDomainAnswer()
 		return a.Items, a.Values, err
 	}
@@ -35,7 +36,7 @@ func (c *gwClient) ask(q transport.Msg) (items []int, values []float64, err erro
 
 // sendAcked ships one acked batch and waits for its ack: the gateway has
 // forwarded it — and advanced the ingest epoch — when this returns.
-func (c *gwClient) sendAcked(ms []transport.Msg) error {
+func (c *gwClient) sendAcked(ms []wire.Msg) error {
 	err := c.enc.EncodeAckedBatch(ms)
 	if err == nil {
 		err = c.enc.Flush()
@@ -59,7 +60,7 @@ func awaitParked(t *testing.T, parked <-chan struct{}) {
 	}
 }
 
-var seriesQuery = transport.QueryV2(transport.QuerySeries, 0, 0)
+var seriesQuery = wire.QueryV2(wire.QuerySeries, 0, 0)
 
 func sameSeries(t *testing.T, what string, got, want []float64) {
 	t.Helper()
@@ -96,7 +97,7 @@ func testFenceFillsCache(t *testing.T, m confMode, pl testPlacement) {
 	}
 	write := func(w *gwClient, users ...int) {
 		t.Helper()
-		var batch []transport.Msg
+		var batch []wire.Msg
 		for _, u := range users {
 			batch = append(batch, m.user(u)...)
 		}
@@ -130,15 +131,15 @@ func testFenceFillsCache(t *testing.T, m confMode, pl testPlacement) {
 	// A ranged fence, then the same read and another kind over its range.
 	const at = confD - 2
 	same := []struct {
-		wire transport.Msg
+		wire wire.Msg
 		q    ldp.Query
 	}{
-		{transport.QueryV2(transport.QueryPoint, at, 0), ldp.PointQuery(at)},
-		{transport.QueryV2(transport.QueryChange, 1, at), ldp.ChangeQuery(1, at)},
+		{wire.QueryV2(wire.QueryPoint, at, 0), ldp.PointQuery(at)},
+		{wire.QueryV2(wire.QueryChange, 1, at), ldp.ChangeQuery(1, at)},
 	}
 	if m.domain != 0 {
-		same[0].wire, same[0].q = transport.DomainQuery(transport.QueryTopK, 0, at, 0, 3), ldp.TopKQuery(at, 3)
-		same[1].wire, same[1].q = transport.DomainQuery(transport.QueryPointItem, 1, at, 0, 0), ldp.PointItemQuery(1, at)
+		same[0].wire, same[0].q = wire.DomainQuery(wire.QueryTopK, 0, at, 0, 3), ldp.TopKQuery(at, 3)
+		same[1].wire, same[1].q = wire.DomainQuery(wire.QueryPointItem, 1, at, 0, 0), ldp.PointItemQuery(1, at)
 	}
 	check := func(cl *gwClient, i int) {
 		t.Helper()
@@ -372,7 +373,7 @@ func testUncleanNeverShares(t *testing.T, pl testPlacement) {
 
 	// A flight that covers the read and will never land.
 	gw.cache.mu.Lock()
-	gw.cache.flight = &gatherFlight{done: make(chan struct{}), scope: transport.Scope{}}
+	gw.cache.flight = &gatherFlight{done: make(chan struct{}), scope: wire.Scope{}}
 	gw.cache.mu.Unlock()
 	if err := writer.enc.EncodeBatch(third); err != nil {
 		t.Fatal(err)

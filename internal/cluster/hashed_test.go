@@ -9,6 +9,7 @@ import (
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 const (
@@ -33,20 +34,20 @@ func startHashedBackend(t *testing.T, d int, enc hh.DomainEncoding, scale float6
 
 // hashedMsgs builds a deterministic bucket-tagged ingest stream with
 // seed-carrying hellos.
-func hashedMsgs(seed uint64, d, users, perUser int) []transport.Msg {
+func hashedMsgs(seed uint64, d, users, perUser int) []wire.Msg {
 	g := rng.New(seed, 131)
 	orders := dyadic.NumOrders(d)
-	ms := make([]transport.Msg, 0, users*(perUser+1))
+	ms := make([]wire.Msg, 0, users*(perUser+1))
 	for u := 0; u < users; u++ {
 		b := g.IntN(hashedTestG)
-		ms = append(ms, transport.HashedDomainHello(u, b, g.IntN(orders), hashedTestSeed))
+		ms = append(ms, wire.HashedDomainHello(u, b, g.IntN(orders), hashedTestSeed))
 		for i := 0; i < perUser; i++ {
 			h := g.IntN(orders)
 			bit := int8(1)
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			ms = append(ms, transport.FromDomainReport(b, protocol.Report{
+			ms = append(ms, wire.FromDomainReport(b, protocol.Report{
 				User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 			}))
 		}
@@ -98,7 +99,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	ms := hashedMsgs(5, d, users, 12)
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, msg := range ms {
-		if msg.Type == transport.MsgHashedDomainHello {
+		if msg.Type == wire.MsgHashedDomainHello {
 			serial.Inner().Register(0, msg.Item, msg.Order)
 		} else {
 			serial.Inner().Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
@@ -110,8 +111,8 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	for lo := 0; lo < len(ms); lo += 100 {
 		hi := lo + 100
 		if hi > len(ms) {
@@ -125,7 +126,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ask := func(q transport.Msg) transport.DomainAnswerFrame {
+	ask := func(q wire.Msg) wire.DomainAnswerFrame {
 		t.Helper()
 		if err := enc.Encode(q); err != nil {
 			t.Fatal(err)
@@ -142,11 +143,11 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	// Sampled catalogue items across buckets, including past the exact
 	// encoding's 4096-row wall.
 	for _, x := range []int{0, 1, 17, 4097, hashedTestM - 1} {
-		a := ask(transport.DomainQuery(transport.QueryPointItem, x, d, 0, 0))
+		a := ask(wire.DomainQuery(wire.QueryPointItem, x, d, 0, 0))
 		if want := serial.EstimateItemAt(x, d); a.Values[0] != want {
 			t.Fatalf("point-item %d: gateway %v, serial %v", x, a.Values[0], want)
 		}
-		a = ask(transport.DomainQuery(transport.QuerySeriesItem, x, 0, 0, 0))
+		a = ask(wire.DomainQuery(wire.QuerySeriesItem, x, 0, 0, 0))
 		want := serial.EstimateItemSeries(x)
 		for i := range want {
 			if a.Values[i] != want[i] {
@@ -154,7 +155,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 			}
 		}
 	}
-	a := ask(transport.DomainQuery(transport.QueryTopK, 0, d/2, 0, 10))
+	a := ask(wire.DomainQuery(wire.QueryTopK, 0, d/2, 0, 10))
 	top := serial.TopK(d/2, 10)
 	for i, ic := range top {
 		if a.Items[i] != ic.Item || a.Values[i] != ic.Count {
@@ -183,14 +184,14 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	enc2 := transport.NewEncoder(conn2)
-	if err := enc2.Encode(transport.DomainQuery(transport.QueryTopK, 0, d, 0, 3)); err != nil {
+	enc2 := wire.NewEncoder(conn2)
+	if err := enc2.Encode(wire.DomainQuery(wire.QueryTopK, 0, d, 0, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	a2, err := transport.NewDecoder(conn2).ReadDomainAnswer()
+	a2, err := wire.NewDecoder(conn2).ReadDomainAnswer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +225,14 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer connBad.Close()
-	encBad := transport.NewEncoder(connBad)
-	if err := encBad.Encode(transport.DomainQuery(transport.QueryPointItem, 0, d, 0, 0)); err != nil {
+	encBad := wire.NewEncoder(connBad)
+	if err := encBad.Encode(wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := encBad.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.NewDecoder(connBad).ReadDomainAnswer(); err == nil {
+	if _, err := wire.NewDecoder(connBad).ReadDomainAnswer(); err == nil {
 		t.Fatal("mismatched-seed gateway answered a query from these backends")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"rtf/internal/membership"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // This file is how a placement's view changes. Reshard runs an epoch
@@ -180,7 +181,7 @@ func (s *session) fence() {
 		if l.bc == nil || !l.unfenced.Load() {
 			continue
 		}
-		if _, err := l.bc.FetchSums(s.g.mode, -1, transport.Scope{L: 1, R: 1}); err != nil {
+		if _, err := l.bc.FetchSums(s.g.mode, -1, wire.Scope{L: 1, R: 1}); err != nil {
 			if s.poisoned == nil {
 				s.poisoned = fmt.Errorf("%s connection failed with unacknowledged forwards during a fence: %w", s.name(i), err)
 			}
@@ -203,11 +204,11 @@ func (g *Gateway) fetchShardState(old membership.View, tr membership.Transfer) (
 			continue
 		}
 		err = g.control(src, fmt.Sprintf("exporting shard %d from", tr.Shard), func(bc *transport.BackendConn) error {
-			sums, err := bc.FetchSums(g.mode, tr.Shard, transport.Scope{})
+			sums, err := bc.FetchSums(g.mode, tr.Shard, wire.Scope{})
 			if err != nil {
 				return err
 			}
-			st, err := g.mode.Fold([]transport.RawSums{sums})
+			st, err := g.mode.Fold([]wire.RawSums{sums})
 			if err == nil {
 				state = st.MarshalState()
 			}

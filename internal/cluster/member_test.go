@@ -17,6 +17,7 @@ import (
 	"rtf/internal/obs"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // memberBackend is one in-process membership-mode rtf-serve.
@@ -76,10 +77,10 @@ func startMemberGateway(t *testing.T, d int, scale float64, numShards, k int, me
 
 // checkAllShapes asks every query shape on the connection and compares
 // each answer bit-for-bit against the serial reference.
-func checkAllShapes(t *testing.T, enc *transport.Encoder, dec *transport.Decoder, serial *protocol.Server, d int) {
+func checkAllShapes(t *testing.T, enc *wire.Encoder, dec *wire.Decoder, serial *protocol.Server, d int) {
 	t.Helper()
 	for _, tt := range []int{1, d / 2, d} {
-		if err := enc.Encode(transport.QueryV2(transport.QueryPoint, tt, 0)); err != nil {
+		if err := enc.Encode(wire.QueryV2(wire.QueryPoint, tt, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
@@ -94,13 +95,13 @@ func checkAllShapes(t *testing.T, enc *transport.Encoder, dec *transport.Decoder
 		}
 	}
 	checks := []struct {
-		q    transport.Msg
+		q    wire.Msg
 		want []float64
 	}{
-		{transport.QueryV2(transport.QueryPoint, d/4, d/4), []float64{serial.EstimateAt(d / 4)}},
-		{transport.QueryV2(transport.QueryChange, 2, d-3), []float64{serial.EstimateChange(2, d-3)}},
-		{transport.QueryV2(transport.QuerySeries, 0, 0), serial.EstimateSeries()},
-		{transport.QueryV2(transport.QueryWindow, 3, d/2), serial.EstimateSeries()[2 : d/2]},
+		{wire.QueryV2(wire.QueryPoint, d/4, d/4), []float64{serial.EstimateAt(d / 4)}},
+		{wire.QueryV2(wire.QueryChange, 2, d-3), []float64{serial.EstimateChange(2, d-3)}},
+		{wire.QueryV2(wire.QuerySeries, 0, 0), serial.EstimateSeries()},
+		{wire.QueryV2(wire.QueryWindow, 3, d/2), serial.EstimateSeries()[2 : d/2]},
 	}
 	for _, c := range checks {
 		if err := enc.Encode(c.q); err != nil {
@@ -159,7 +160,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 	ms := clusterMsgs(7, d, users, 10)
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
-		if m.Type == transport.MsgHello {
+		if m.Type == wire.MsgHello {
 			serial.Register(m.Order)
 		} else {
 			serial.Ingest(m.Report())
@@ -171,8 +172,8 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	for lo := 0; lo < len(ms); lo += 83 {
 		hi := min(lo+83, len(ms))
 		if err := enc.EncodeBatch(ms[lo:hi]); err != nil {
@@ -182,7 +183,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 	checkAllShapes(t, enc, dec, serial, d)
 
 	// MsgSums folds the chosen replicas to the serial raw sums.
-	if err := enc.Encode(transport.Sums()); err != nil {
+	if err := enc.Encode(wire.Sums()); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -209,8 +210,8 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		if len(holders) != K {
 			t.Fatalf("shard %d has %d owners, want %d", sh, len(holders), K)
 		}
-		a, _, _ := holders[0].sm.ShardSums(sh, transport.Scope{}).Row(0)
-		b2, _, _ := holders[1].sm.ShardSums(sh, transport.Scope{}).Row(0)
+		a, _, _ := holders[0].sm.ShardSums(sh, wire.Scope{}).Row(0)
+		b2, _, _ := holders[1].sm.ShardSums(sh, wire.Scope{}).Row(0)
 		if a != b2 {
 			t.Fatalf("shard %d replicas disagree: %d vs %d users", sh, a, b2)
 		}
@@ -219,7 +220,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 			if view.Owns(b.id, sh) {
 				continue
 			}
-			if users, _, _ := b.sm.ShardSums(sh, transport.Scope{}).Row(0); users != 0 {
+			if users, _, _ := b.sm.ShardSums(sh, wire.Scope{}).Row(0); users != 0 {
 				t.Fatalf("non-owner %s holds %d users of shard %d", b.id, users, sh)
 			}
 		}
@@ -236,7 +237,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 		newcomer++
 	}
 	serial.Register(0)
-	if err := enc.Encode(transport.Hello(newcomer, 0)); err != nil {
+	if err := enc.Encode(wire.Hello(newcomer, 0)); err != nil {
 		t.Fatal(err)
 	}
 	checkAllShapes(t, enc, dec, serial, d)
@@ -279,9 +280,9 @@ func TestMemberGatewayReshard(t *testing.T) {
 	gw, gwAddr, gwDone := startMemberGateway(t, d, scale, S, K, members)
 
 	serial := protocol.NewServer(d, scale)
-	apply := func(ms []transport.Msg) {
+	apply := func(ms []wire.Msg) {
 		for _, m := range ms {
-			if m.Type == transport.MsgHello {
+			if m.Type == wire.MsgHello {
 				serial.Register(m.Order)
 			} else {
 				serial.Ingest(m.Report())
@@ -293,8 +294,8 @@ func TestMemberGatewayReshard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 
 	phase1 := clusterMsgs(11, d, 120, 8)
 	apply(phase1)
@@ -405,15 +406,15 @@ func TestMemberGatewayDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := transport.NewEncoder(conn)
-	dec := transport.NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	ms := clusterMsgs(3, d, 50, 6)
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
 	// Fence so both replicas hold the data, then corrupt b1's shard 0
 	// with an empty state.
-	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -430,10 +431,10 @@ func TestMemberGatewayDivergence(t *testing.T) {
 	// only while every write passes through it, so nothing tells it to
 	// look again. One forwarded hello opens a new ingest epoch — the rule
 	// the static cache tests follow — and the read behind it must notice.
-	if err := enc.Encode(transport.Hello(1000, 0)); err != nil {
+	if err := enc.Encode(wire.Hello(1000, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(transport.QueryV2(transport.QueryPoint, 1, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -520,7 +521,7 @@ func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
 
 	reader := dialGateway(t, gwAddr)
 	defer reader.close()
-	if err := reader.enc.Encode(transport.DomainQuery(transport.QueryPointItem, 0, d, 0, 0)); err != nil {
+	if err := reader.enc.Encode(wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := reader.enc.Flush(); err != nil {
@@ -537,13 +538,13 @@ func TestMemberGatewayRefusesForeignEncoding(t *testing.T) {
 	// fence a reshard runs over those forwards is what they refuse.
 	writer := dialGateway(t, gwAddr)
 	defer writer.close()
-	if err := writer.enc.EncodeBatch([]transport.Msg{
-		transport.FromDomainReport(3, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}),
-		transport.FromDomainReport(5, protocol.Report{User: 2, Order: 0, J: 2, Bit: -1}),
+	if err := writer.enc.EncodeBatch([]wire.Msg{
+		wire.FromDomainReport(3, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1}),
+		wire.FromDomainReport(5, protocol.Report{User: 2, Order: 0, J: 2, Bit: -1}),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writer.enc.Encode(transport.DomainQuery(transport.QueryPointItem, 0, d, 0, 0)); err != nil {
+	if err := writer.enc.Encode(wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	before := refused()
@@ -602,11 +603,11 @@ func TestReshardRefusesForeignEncoding(t *testing.T) {
 	n1, dst := start(ours, "n1")
 
 	// 40 acked reports on n0, written straight to it under its own seed.
-	var batch []transport.Msg
+	var batch []wire.Msg
 	for u := 0; u < users; u++ {
 		b := theirs.Bucket(u % 7)
-		batch = append(batch, transport.HashedDomainHello(u, b, 0, theirs.Seed),
-			transport.FromDomainReport(b, protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}))
+		batch = append(batch, wire.HashedDomainHello(u, b, 0, theirs.Seed),
+			wire.FromDomainReport(b, protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}))
 	}
 	c := dialGateway(t, n0.Addr)
 	defer c.close()

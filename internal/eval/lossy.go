@@ -6,7 +6,7 @@ import (
 	"sync"
 
 	"rtf/internal/rng"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // The in-process message path of experiment E15: clients Send wire
@@ -18,14 +18,14 @@ import (
 type Collector struct {
 	mu     sync.Mutex
 	closed bool
-	msgs   []transport.Msg
+	msgs   []wire.Msg
 }
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector { return &Collector{} }
 
 // Send appends a message. It returns an error after Close.
-func (c *Collector) Send(m transport.Msg) error {
+func (c *Collector) Send(m wire.Msg) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -50,7 +50,7 @@ func (c *Collector) Len() int {
 }
 
 // Drain invokes fn on every collected message and clears the buffer.
-func (c *Collector) Drain(fn func(transport.Msg)) {
+func (c *Collector) Drain(fn func(wire.Msg)) {
 	c.mu.Lock()
 	msgs := c.msgs
 	c.msgs = nil

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"rtf/internal/rng"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 func TestCollectorConcurrentSend(t *testing.T) {
@@ -18,7 +18,7 @@ func TestCollectorConcurrentSend(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if err := c.Send(transport.Hello(s, i%5)); err != nil {
+				if err := c.Send(wire.Hello(s, i%5)); err != nil {
 					t.Errorf("send: %v", err)
 					return
 				}
@@ -30,7 +30,7 @@ func TestCollectorConcurrentSend(t *testing.T) {
 		t.Fatalf("collected %d, want %d", c.Len(), senders*each)
 	}
 	n := 0
-	c.Drain(func(transport.Msg) { n++ })
+	c.Drain(func(wire.Msg) { n++ })
 	if n != senders*each {
 		t.Fatalf("drained %d, want %d", n, senders*each)
 	}
@@ -41,11 +41,11 @@ func TestCollectorConcurrentSend(t *testing.T) {
 
 func TestCollectorClose(t *testing.T) {
 	c := NewCollector()
-	if err := c.Send(transport.Hello(1, 1)); err != nil {
+	if err := c.Send(wire.Hello(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()
-	if err := c.Send(transport.Hello(2, 2)); err == nil {
+	if err := c.Send(wire.Hello(2, 2)); err == nil {
 		t.Error("send after close accepted")
 	}
 	if c.Len() != 1 {

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rtf/internal/dyadic"
+	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
@@ -47,7 +48,7 @@ func init() {
 			k := pick(cfg, 4, 8)
 			trials := pick(cfg, 4, 12)
 			g := rng.NewFromSeed(cfg.Seed)
-			fw := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}
+			fw := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
 			gen := workload.UniformGen{N: n, D: d, K: k}
 
 			// Ranges are placed at random: aligned placements let the two

@@ -60,9 +60,9 @@ func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]f
 // scalingSystems are the head-to-head protocols for E1–E4.
 func scalingSystems(eps float64) []sim.System {
 	return []sim.System{
-		sim.Framework{Kind: sim.FutureRand, Eps: eps, Fast: true},
-		sim.Framework{Kind: sim.Independent, Eps: eps, Fast: true},
-		sim.Framework{Kind: sim.Bun, Eps: eps, Fast: true},
+		sim.Framework{Kind: protocol.FutureRand, Eps: eps, Fast: true},
+		sim.Framework{Kind: protocol.Independent, Eps: eps, Fast: true},
+		sim.Framework{Kind: protocol.Bun, Eps: eps, Fast: true},
 		sim.Erlingsson{Eps: eps, Fast: true},
 	}
 }
@@ -218,11 +218,11 @@ func init() {
 			fmt.Fprintln(tw, "k\tfuturerand\tbun\tratio bun/fr")
 			for _, k := range ks {
 				gen := workload.MaxChangesGen{N: n, D: d, K: k}
-				fr, err := runTrials(sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
-				bn, err := runTrials(sim.Framework{Kind: sim.Bun, Eps: 1, Fast: true}, gen, trials, g.Split())
+				bn, err := runTrials(sim.Framework{Kind: protocol.Bun, Eps: 1, Fast: true}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -254,7 +254,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				fr, err := runTrials(sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -294,7 +294,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				loc, err := runTrials(sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				loc, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -324,12 +324,12 @@ func init() {
 				pts = []pt{{2000, 2}, {8000, 4}, {32000, 8}, {128000, 16}}
 			}
 			for _, p := range pts {
-				bound, err := sim.TheoreticalBound(p.n, d, p.k, 1.0, beta)
+				bound, err := probmath.TheoreticalBound(p.n, d, p.k, 1.0, beta)
 				if err != nil {
 					return err
 				}
 				gen := workload.MaxChangesGen{N: p.n, D: d, K: p.k}
-				te, err := runTrials(sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				te, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -405,7 +405,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			sys := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}
+			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
 			series := make([][]float64, trials)
 			for i := range series {
 				est, err := sys.Run(wl, g.Split())
@@ -459,7 +459,7 @@ func init() {
 			checkTimes := []int{1, d / 3, d / 2, d}
 			sums := make([]float64, d)
 			sqs := make([]float64, d)
-			sys := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}
+			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
 			for i := 0; i < trials; i++ {
 				est, err := sys.Run(wl, g.Split())
 				if err != nil {

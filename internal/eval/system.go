@@ -10,7 +10,7 @@ import (
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/internal/workload"
 	"rtf/ldp"
 )
@@ -33,7 +33,7 @@ func init() {
 				workload.BurstyGen{N: n, D: d, K: k, Start: d / 4, End: d / 2, InBurst: 0.8},
 				workload.StepGen{N: n, D: d, T0: d / 2, Jitter: d / 16, Fraction: 0.5},
 			}
-			raw := sim.Framework{Kind: sim.FutureRand, Eps: 1, Fast: true}
+			raw := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
 			smooth := sim.Consistent{Framework: raw}
 			tw := table(w)
 			fmt.Fprintln(tw, "workload\traw maxerr\t+consistent maxerr\traw RMSE\t+consistent RMSE\tRMSE gain")
@@ -177,7 +177,7 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 	link := NewLossyLink(dropProb, g)
 	for u, us := range wl.Users {
 		c := protocol.NewClient(u, wl.D, factories, g)
-		if err := coll.Send(transport.Hello(u, c.Order())); err != nil {
+		if err := coll.Send(wire.Hello(u, c.Order())); err != nil {
 			return nil, nil, 0, 0, err
 		}
 		vals := us.Values(wl.D)
@@ -187,17 +187,17 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 				continue
 			}
 			if link.Deliver() {
-				if err := coll.Send(transport.FromReport(rep)); err != nil {
+				if err := coll.Send(wire.FromReport(rep)); err != nil {
 					return nil, nil, 0, 0, err
 				}
 			}
 		}
 	}
-	coll.Drain(func(m transport.Msg) {
+	coll.Drain(func(m wire.Msg) {
 		switch m.Type {
-		case transport.MsgHello:
+		case wire.MsgHello:
 			srv.Register(m.Order)
-		case transport.MsgReport:
+		case wire.MsgReport:
 			srv.Ingest(m.Report())
 		}
 	})

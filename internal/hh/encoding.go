@@ -31,7 +31,7 @@ const (
 // MaxDomainRows caps the number of rows a domain server materializes —
 // one dyadic accumulator row each — so a configured or wire-carried
 // size cannot force a huge allocation. It is THE domain-size cap of the
-// exact encoding (transport.MaxDomainM and ldp.MaxDomainSize alias it)
+// exact encoding (wire.MaxDomainM and ldp.MaxDomainSize both alias it)
 // and the bucket-count cap of hashed encodings.
 const MaxDomainRows = 1 << 12
 

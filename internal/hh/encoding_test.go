@@ -8,7 +8,6 @@ import (
 
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
-	"rtf/internal/sim"
 )
 
 func TestDomainEncodingValidate(t *testing.T) {
@@ -186,11 +185,11 @@ func TestNewHashedDomainServerValidation(t *testing.T) {
 // a uniform target bucket, and streams bucket indicators.
 func runHashedStreaming(t *testing.T, w *DomainWorkload, buckets int, eps float64, g *rng.RNG) *HashedDomainServer {
 	t.Helper()
-	factories, err := sim.FutureRand.Factories(w.D, w.K, eps)
+	factories, err := protocol.FutureRand.Factories(w.D, w.K, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale, err := sim.FutureRand.Scale(w.D, w.K, eps)
+	scale, err := protocol.FutureRand.Scale(w.D, w.K, eps)
 	if err != nil {
 		t.Fatal(err)
 	}

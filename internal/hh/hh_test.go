@@ -7,7 +7,6 @@ import (
 
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
-	"rtf/internal/sim"
 )
 
 func TestDomainStreamValueAt(t *testing.T) {
@@ -193,11 +192,11 @@ func TestGeneratorValidation(t *testing.T) {
 // into srv by item.
 func runStreaming(t *testing.T, w *DomainWorkload, eps float64, g *rng.RNG) *DomainServer {
 	t.Helper()
-	factories, err := sim.FutureRand.Factories(w.D, w.K, eps)
+	factories, err := protocol.FutureRand.Factories(w.D, w.K, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale, err := sim.FutureRand.Scale(w.D, w.K, eps)
+	scale, err := protocol.FutureRand.Scale(w.D, w.K, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,11 +401,11 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories, err := sim.FutureRand.Factories(w.D, w.K, 1)
+	factories, err := protocol.FutureRand.Factories(w.D, w.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale, err := sim.FutureRand.Scale(w.D, w.K, 1)
+	scale, err := protocol.FutureRand.Scale(w.D, w.K, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

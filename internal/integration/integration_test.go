@@ -15,11 +15,12 @@ import (
 	"rtf/internal/consistency"
 	"rtf/internal/dyadic"
 	"rtf/internal/eval"
+	"rtf/internal/probmath"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 	run := func(viaWire bool) []float64 {
 		srv := protocol.NewServer(d, scale)
 		var buf bytes.Buffer
-		enc := transport.NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		g := rng.New(42, 43) // same client randomness both times
 		for u, us := range w.Users {
 			c := protocol.NewClient(u, d, factories, g)
@@ -53,7 +54,7 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 					continue
 				}
 				if viaWire {
-					if err := enc.Encode(transport.FromReport(rep)); err != nil {
+					if err := enc.Encode(wire.FromReport(rep)); err != nil {
 						t.Fatal(err)
 					}
 				} else {
@@ -65,7 +66,7 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 			if err := enc.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			dec := transport.NewDecoder(&buf)
+			dec := wire.NewDecoder(&buf)
 			for {
 				m, err := dec.Next()
 				if err != nil {
@@ -78,10 +79,10 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 	}
 
 	direct := run(false)
-	wire := run(true)
+	raw := run(true)
 	for i := range direct {
-		if direct[i] != wire[i] {
-			t.Fatalf("estimates diverge at t=%d: direct %v, wire %v", i+1, direct[i], wire[i])
+		if direct[i] != raw[i] {
+			t.Fatalf("estimates diverge at t=%d: direct %v, wire %v", i+1, direct[i], raw[i])
 		}
 	}
 }
@@ -109,14 +110,14 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 		go func(u int, g *rng.RNG) {
 			defer wg.Done()
 			c := protocol.NewClient(u, d, factories, g)
-			if err := coll.Send(transport.Hello(u, c.Order())); err != nil {
+			if err := coll.Send(wire.Hello(u, c.Order())); err != nil {
 				t.Error(err)
 				return
 			}
 			vals := w.Users[u].Values(d)
 			for tt := 1; tt <= d; tt++ {
 				if rep, ok := c.Observe(vals[tt-1] != 0); ok {
-					if err := coll.Send(transport.FromReport(rep)); err != nil {
+					if err := coll.Send(wire.FromReport(rep)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -125,11 +126,11 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 		}(u, base.Derive(uint64(u)))
 	}
 	wg.Wait()
-	coll.Drain(func(m transport.Msg) {
+	coll.Drain(func(m wire.Msg) {
 		switch m.Type {
-		case transport.MsgHello:
+		case wire.MsgHello:
 			srv.Register(m.Order)
-		case transport.MsgReport:
+		case wire.MsgReport:
 			srv.Ingest(m.Report())
 		}
 	})
@@ -140,7 +141,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 	truth := w.Truth()
 	// Not a statistical test (single run): just require the estimate to
 	// be within the generous Hoeffding bound, which holds w.p. ≥ 95%.
-	bound, err := sim.TheoreticalBound(n, d, k, 1.0, 0.05)
+	bound, err := probmath.TheoreticalBound(n, d, k, 1.0, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +163,10 @@ func TestNetPipeTransport(t *testing.T) {
 	var sent []protocol.Report
 	go func() {
 		defer clientEnd.Close()
-		enc := transport.NewEncoder(clientEnd)
+		enc := wire.NewEncoder(clientEnd)
 		g := rng.New(11, 12)
 		c := protocol.NewClient(3, d, factories, g)
-		if err := enc.Encode(transport.Hello(3, c.Order())); err != nil {
+		if err := enc.Encode(wire.Hello(3, c.Order())); err != nil {
 			t.Error(err)
 			return
 		}
@@ -174,7 +175,7 @@ func TestNetPipeTransport(t *testing.T) {
 		for tt := 1; tt <= d; tt++ {
 			if rep, ok := c.Observe(vals[tt-1] != 0); ok {
 				sent = append(sent, rep)
-				if err := enc.Encode(transport.FromReport(rep)); err != nil {
+				if err := enc.Encode(wire.FromReport(rep)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -185,7 +186,7 @@ func TestNetPipeTransport(t *testing.T) {
 		}
 	}()
 
-	dec := transport.NewDecoder(serverEnd)
+	dec := wire.NewDecoder(serverEnd)
 	var gotHello bool
 	var got []protocol.Report
 	for {
@@ -197,9 +198,9 @@ func TestNetPipeTransport(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch m.Type {
-		case transport.MsgHello:
+		case wire.MsgHello:
 			gotHello = true
-		case transport.MsgReport:
+		case wire.MsgReport:
 			got = append(got, m.Report())
 		}
 	}
@@ -262,12 +263,12 @@ func TestAllWorkloadsAllSystems(t *testing.T) {
 		workload.StaticGen{N: n, D: d},
 	}
 	systems := []sim.System{
-		sim.Framework{Kind: sim.FutureRand, Eps: 0.5, Fast: true},
-		sim.Framework{Kind: sim.FutureRand, Eps: 0.5},
-		sim.Framework{Kind: sim.FutureRand, Eps: 0.5, Fast: true, Workers: 3},
-		sim.Framework{Kind: sim.Independent, Eps: 0.5, Fast: true},
-		sim.Framework{Kind: sim.Bun, Eps: 0.5, Fast: true},
-		sim.Consistent{Framework: sim.Framework{Kind: sim.FutureRand, Eps: 0.5, Fast: true}},
+		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true},
+		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5},
+		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true, Workers: 3},
+		sim.Framework{Kind: protocol.Independent, Eps: 0.5, Fast: true},
+		sim.Framework{Kind: protocol.Bun, Eps: 0.5, Fast: true},
+		sim.Consistent{Framework: sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true}},
 		sim.Erlingsson{Eps: 0.5, Fast: true},
 		sim.Erlingsson{Eps: 0.5},
 		sim.NaiveSplit{Eps: 0.5, Fast: true},

@@ -338,3 +338,14 @@ func (a *Annulus) CGapLogSpace() float64 {
 	}
 	return math.Exp(binom.LogSumExp(pos)) - math.Exp(binom.LogSumExp(neg))
 }
+
+// TheoreticalBound returns the Lemma 4.6 / Theorem 4.1 high-probability
+// ℓ∞ bound for the FutureRand protocol at the workload's parameters,
+// union-bounded over all d periods at failure probability beta.
+func TheoreticalBound(n, d, k int, eps, beta float64) (float64, error) {
+	p, err := NewFutureRand(max(k, 1), eps)
+	if err != nil {
+		return 0, err
+	}
+	return HoeffdingErrorBound(n, d, p.CGap, beta/float64(d)), nil
+}

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"rtf/internal/probmath"
+	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/stats"
 	"rtf/internal/workload"
@@ -69,7 +71,7 @@ func TestExactFastEquivalence(t *testing.T) {
 	collect := func(fast bool) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := Framework{Kind: FutureRand, Eps: 1, Fast: fast}.Run(w, g.Split())
+			est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: fast}.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,9 +134,9 @@ func TestUnbiasednessAllSystems(t *testing.T) {
 	truth := w.Truth()
 	g := rng.New(9, 10)
 	systems := []System{
-		Framework{Kind: FutureRand, Eps: 1, Fast: true},
-		Framework{Kind: Independent, Eps: 1, Fast: true},
-		Framework{Kind: Bun, Eps: 1, Fast: true},
+		Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true},
+		Framework{Kind: protocol.Independent, Eps: 1, Fast: true},
+		Framework{Kind: protocol.Bun, Eps: 1, Fast: true},
 		Erlingsson{Eps: 1, Fast: true},
 		NaiveSplit{Eps: 1, Fast: true},
 	}
@@ -166,7 +168,7 @@ func TestHoeffdingBoundHolds(t *testing.T) {
 	// of trials (it holds with probability ≥ 95%).
 	w := genUniform(t, 400, 16, 2)
 	truth := w.Truth()
-	bound, err := TheoreticalBound(w.N, w.D, w.K, 1.0, 0.05)
+	bound, err := probmath.TheoreticalBound(w.N, w.D, w.K, 1.0, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestHoeffdingBoundHolds(t *testing.T) {
 	const trials = 100
 	fails := 0
 	for i := 0; i < trials; i++ {
-		est, err := Framework{Kind: FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +201,7 @@ func TestCentralBeatsLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := Framework{Kind: FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		l, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,11 +222,11 @@ func TestConsistentImprovesErrors(t *testing.T) {
 	const trials = 40
 	for i := 0; i < trials; i++ {
 		gg := g.Split()
-		r, err := Framework{Kind: FutureRand, Eps: 1, Fast: true}.Run(w, gg)
+		r, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, gg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Consistent{Framework{Kind: FutureRand, Eps: 1, Fast: true}}.Run(w, g.Split())
+		s, err := Consistent{Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +252,7 @@ func TestNaiveSplitMuchWorseAtLargeD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fEst, err := Framework{Kind: FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		fEst, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,11 +291,11 @@ func TestNaiveSplitExactFastEquivalence(t *testing.T) {
 
 func TestSystemNames(t *testing.T) {
 	cases := map[string]System{
-		"futurerand":            Framework{Kind: FutureRand},
-		"futurerand-fast":       Framework{Kind: FutureRand, Fast: true},
-		"independent":           Framework{Kind: Independent},
-		"bun":                   Framework{Kind: Bun},
-		"futurerand+consistent": Consistent{Framework{Kind: FutureRand}},
+		"futurerand":            Framework{Kind: protocol.FutureRand},
+		"futurerand-fast":       Framework{Kind: protocol.FutureRand, Fast: true},
+		"independent":           Framework{Kind: protocol.Independent},
+		"bun":                   Framework{Kind: protocol.Bun},
+		"futurerand+consistent": Consistent{Framework{Kind: protocol.FutureRand}},
 		"erlingsson":            Erlingsson{},
 		"erlingsson-fast":       Erlingsson{Fast: true},
 		"naive-split":           NaiveSplit{},
@@ -305,7 +307,7 @@ func TestSystemNames(t *testing.T) {
 			t.Errorf("Name = %q, want %q", got, want)
 		}
 	}
-	if RandomizerKind(99).String() == "" {
+	if protocol.RandomizerKind(99).String() == "" {
 		t.Error("unknown kind has empty name")
 	}
 }
@@ -313,14 +315,14 @@ func TestSystemNames(t *testing.T) {
 func TestRunValidatesWorkloadAndParams(t *testing.T) {
 	bad := &workload.Workload{N: 1, D: 6, K: 1, Users: []workload.UserStream{{}}}
 	g := rng.New(21, 22)
-	if _, err := (Framework{Kind: FutureRand, Eps: 1}).Run(bad, g); err == nil {
+	if _, err := (Framework{Kind: protocol.FutureRand, Eps: 1}).Run(bad, g); err == nil {
 		t.Error("invalid workload accepted")
 	}
 	w := genUniform(t, 10, 8, 1)
-	if _, err := (Framework{Kind: FutureRand, Eps: 5}).Run(w, g); err == nil {
+	if _, err := (Framework{Kind: protocol.FutureRand, Eps: 5}).Run(w, g); err == nil {
 		t.Error("eps=5 accepted")
 	}
-	if _, err := (Framework{Kind: RandomizerKind(99), Eps: 1}).Run(w, g); err == nil {
+	if _, err := (Framework{Kind: protocol.RandomizerKind(99), Eps: 1}).Run(w, g); err == nil {
 		t.Error("unknown kind accepted")
 	}
 	if _, err := (Erlingsson{Eps: 1}).Run(bad, g); err == nil {
@@ -343,7 +345,7 @@ func TestStaticWorkloadNoiseOnly(t *testing.T) {
 	const trials = 200
 	var sq float64
 	for i := 0; i < trials; i++ {
-		est, err := Framework{Kind: FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +364,7 @@ func TestParallelEngineDeterministic(t *testing.T) {
 	// and worker count (per-shard derived RNG streams).
 	w := genUniform(t, 4000, 64, 3)
 	run := func(workers int) []float64 {
-		est, err := Framework{Kind: FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, rng.New(77, 78))
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, rng.New(77, 78))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +390,7 @@ func TestParallelEngineEquivalence(t *testing.T) {
 	collect := func(workers int) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := Framework{Kind: FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, g.Split())
+			est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,16 +415,16 @@ func TestParallelEngineEquivalence(t *testing.T) {
 
 func TestParallelRequiresFast(t *testing.T) {
 	w := genUniform(t, 10, 8, 1)
-	if _, err := (Framework{Kind: FutureRand, Eps: 1, Workers: 2}).Run(w, rng.New(1, 1)); err == nil {
+	if _, err := (Framework{Kind: protocol.FutureRand, Eps: 1, Workers: 2}).Run(w, rng.New(1, 1)); err == nil {
 		t.Error("parallel exact engine accepted")
 	}
 }
 
 func TestTheoreticalBoundErrors(t *testing.T) {
-	if _, err := TheoreticalBound(10, 8, 1, 9, 0.05); err == nil {
+	if _, err := probmath.TheoreticalBound(10, 8, 1, 9, 0.05); err == nil {
 		t.Error("eps=9 accepted")
 	}
-	b, err := TheoreticalBound(100, 8, 2, 1, 0.05)
+	b, err := probmath.TheoreticalBound(100, 8, 2, 1, 0.05)
 	if err != nil || b <= 0 {
 		t.Errorf("bound = %v, err %v", b, err)
 	}

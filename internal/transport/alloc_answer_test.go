@@ -6,6 +6,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // TestAnswerIntoAllocFree pins the steady-state serve-side answer path
@@ -34,11 +35,11 @@ func TestAnswerIntoAllocFree(t *testing.T) {
 	ds.AdvanceVersion(0)
 	hs.AdvanceVersion(0)
 
-	var ans DomainAnswerFrame
+	var ans wire.DomainAnswerFrame
 	var sc TopKScratch
-	enc := NewEncoder(io.Discard)
+	enc := wire.NewEncoder(io.Discard)
 
-	answer := func(msg Msg, hashed bool) {
+	answer := func(msg wire.Msg, hashed bool) {
 		t.Helper()
 		var err error
 		if hashed {
@@ -59,12 +60,12 @@ func TestAnswerIntoAllocFree(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		msg    Msg
+		msg    wire.Msg
 		hashed bool
 	}{
-		{"domain top-k", Msg{Type: MsgDomainQuery, Kind: QueryTopK, L: d / 2, K: k}, false},
-		{"hashed top-k", Msg{Type: MsgDomainQuery, Kind: QueryTopK, L: d / 2, K: k}, true},
-		{"hashed point-item", Msg{Type: MsgDomainQuery, Kind: QueryPointItem, Item: 7, L: d / 2}, true},
+		{"domain top-k", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, L: d / 2, K: k}, false},
+		{"hashed top-k", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, L: d / 2, K: k}, true},
+		{"hashed point-item", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: 7, L: d / 2}, true},
 	}
 	for _, tc := range cases {
 		// Warm the memo and grow the reusable buffers before measuring.

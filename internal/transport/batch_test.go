@@ -10,21 +10,22 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
-func testBatch(n int) []Msg {
+func testBatch(n int) []wire.Msg {
 	g := rng.New(3, 9)
-	ms := make([]Msg, 0, n)
+	ms := make([]wire.Msg, 0, n)
 	for i := 0; i < n; i++ {
 		switch i % 3 {
 		case 0:
-			ms = append(ms, Hello(i, g.IntN(9)))
+			ms = append(ms, wire.Hello(i, g.IntN(9)))
 		default:
 			bit := int8(1)
 			if g.Bernoulli(0.5) {
 				bit = -1
 			}
-			ms = append(ms, FromReport(protocol.Report{User: i, Order: g.IntN(9), J: 1 + g.IntN(16), Bit: bit}))
+			ms = append(ms, wire.FromReport(protocol.Report{User: i, Order: g.IntN(9), J: 1 + g.IntN(16), Bit: bit}))
 		}
 	}
 	return ms
@@ -36,7 +37,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		ms := testBatch(n)
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeBatch(ms); err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 
 		// Batch-granular path.
-		dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+		dec := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 		got, err := dec.NextBatch()
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +77,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		}
 
 		// Unbatching path.
-		dec = NewDecoder(bytes.NewReader(buf.Bytes()))
+		dec = wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 		for i := 0; i < n; i++ {
 			m, err := dec.Next()
 			if err != nil {
@@ -97,14 +98,14 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestBatchMixedConsumption(t *testing.T) {
 	ms := testBatch(10)
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
+	dec := wire.NewDecoder(&buf)
 	for i := 0; i < 4; i++ {
 		m, err := dec.Next()
 		if err != nil || m != ms[i] {
@@ -132,9 +133,9 @@ func TestEmptyBatchFlood(t *testing.T) {
 	const floods = 200000 // enough to overflow a stack if skipping recursed
 	var buf bytes.Buffer
 	for i := 0; i < floods; i++ {
-		buf.Write([]byte{byte(MsgBatch), 0})
+		buf.Write([]byte{byte(wire.MsgBatch), 0})
 	}
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.Encode(pointQ(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -143,85 +144,13 @@ func TestEmptyBatchFlood(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	dec := NewDecoder(bytes.NewReader(data))
+	dec := wire.NewDecoder(bytes.NewReader(data))
 	if m, err := dec.Next(); err != nil || m != pointQ(9) {
 		t.Fatalf("Next through flood: got %+v, %v", m, err)
 	}
-	dec = NewDecoder(bytes.NewReader(data))
+	dec = wire.NewDecoder(bytes.NewReader(data))
 	if ms, err := dec.NextBatch(); err != nil || len(ms) != 1 || ms[0] != pointQ(9) {
 		t.Fatalf("NextBatch through flood: got %+v, %v", ms, err)
-	}
-}
-
-// TestPendingBufferReleased checks that the decoder does not pin a
-// large batch's decode buffer for the lifetime of the connection: after
-// a run of frames that leave it mostly unused — batches and scalars
-// alike, through NextBatch and Next — it is let go, and not before.
-func TestPendingBufferReleased(t *testing.T) {
-	big := testBatch(2 * maxRetainedBatch)
-	for _, scalar := range []bool{false, true} {
-		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
-		if err := enc.EncodeBatch(big); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < smallFramesToRelease+1; i++ {
-			var err error
-			if scalar {
-				err = enc.Encode(big[0])
-			} else {
-				err = enc.EncodeBatch(big[:4])
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		dec := NewDecoder(&buf)
-		if ms, err := dec.NextBatch(); err != nil || len(ms) != len(big) {
-			t.Fatalf("big batch: got %d msgs, %v", len(ms), err)
-		}
-		// A frame's use is judged when the next one starts, so the buffer
-		// survives smallFramesToRelease small frames and goes with the
-		// one after.
-		for i := 0; i < smallFramesToRelease+1; i++ {
-			var err error
-			if scalar {
-				_, err = dec.Next()
-			} else {
-				_, err = dec.NextBatch()
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if held := cap(dec.pending) > maxRetainedBatch; held != (i < smallFramesToRelease) {
-				t.Fatalf("scalar=%v: after small frame %d the big buffer is held=%v (cap %d)", scalar, i, held, cap(dec.pending))
-			}
-		}
-	}
-}
-
-// TestPendingBufferRetainedWhileUsed pins the other half: a stream of
-// batches above maxRetainedBatch reuses one decode buffer instead of
-// reallocating it on every frame.
-func TestPendingBufferRetainedWhileUsed(t *testing.T) {
-	frame, err := appendBatch(nil, MsgBatch, testBatch(2*maxRetainedBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := bytes.NewReader(nil)
-	dec := NewDecoder(src)
-	next := func() {
-		src.Reset(frame)
-		if ms, err := dec.NextBatch(); err != nil || len(ms) != 2*maxRetainedBatch {
-			t.Fatalf("got %d msgs, %v", len(ms), err)
-		}
-	}
-	next() // sizes the buffer
-	if allocs := testing.AllocsPerRun(20, next); allocs != 0 {
-		t.Fatalf("steady %d-message frames allocate %v times per frame", 2*maxRetainedBatch, allocs)
 	}
 }
 
@@ -233,19 +162,19 @@ func TestV1QueryRefused(t *testing.T) {
 	const want = "transport: v1 point query removed; send QueryV2(QueryPoint, t, 0)"
 	ingest := BoolMode(16, 1).Ingest()
 	for name, data := range map[string][]byte{
-		"query":          {byte(MsgQuery), 9},
-		"estimate":       {byte(MsgEstimate), 9, 0, 0, 0, 0, 0, 0, 0x0a, 0x40},
-		"query in batch": {byte(MsgBatch), 2, byte(MsgHello), 1, 0, byte(MsgQuery), 9},
+		"query":          {byte(wire.MsgQuery), 9},
+		"estimate":       {byte(wire.MsgEstimate), 9, 0, 0, 0, 0, 0, 0, 0x0a, 0x40},
+		"query in batch": {byte(wire.MsgBatch), 2, byte(wire.MsgHello), 1, 0, byte(wire.MsgQuery), 9},
 	} {
-		if _, err := NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
+		if _, err := wire.NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
 			t.Errorf("%s without a contract: got %v, want %q", name, err, want)
 		}
-		if f, err := NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
+		if f, err := wire.NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
 			t.Errorf("%s under the Boolean contract: got %+v, %v, want %q", name, f, err, want)
 		}
 	}
-	for _, typ := range []MsgType{MsgQuery, MsgEstimate} {
-		if err := NewEncoder(io.Discard).Encode(Msg{Type: typ}); err == nil {
+	for _, typ := range []wire.MsgType{wire.MsgQuery, wire.MsgEstimate} {
+		if err := wire.NewEncoder(io.Discard).Encode(wire.Msg{Type: typ}); err == nil {
 			t.Errorf("encoder still writes retired message type %d", typ)
 		}
 	}
@@ -256,7 +185,7 @@ func TestV1QueryRefused(t *testing.T) {
 func TestBatchTruncated(t *testing.T) {
 	ms := testBatch(5)
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +194,7 @@ func TestBatchTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 0; cut < len(full); cut++ {
-		dec := NewDecoder(bytes.NewReader(full[:cut]))
+		dec := wire.NewDecoder(bytes.NewReader(full[:cut]))
 		_, err := dec.NextBatch()
 		if err == nil {
 			t.Fatalf("cut %d: expected error", cut)
@@ -279,14 +208,14 @@ func TestBatchTruncated(t *testing.T) {
 // TestBatchCorrupt checks rejection of structurally invalid batches.
 func TestBatchCorrupt(t *testing.T) {
 	cases := map[string][]byte{
-		"nested batch":    {byte(MsgBatch), 1, byte(MsgBatch), 0},
-		"huge length":     append([]byte{byte(MsgBatch)}, 0xff, 0xff, 0xff, 0xff, 0x7f),
-		"bad inner type":  {byte(MsgBatch), 1, 99, 0},
-		"bad inner bit":   {byte(MsgBatch), 1, byte(MsgReport), 0, 0, 1, 7},
+		"nested batch":    {byte(wire.MsgBatch), 1, byte(wire.MsgBatch), 0},
+		"huge length":     append([]byte{byte(wire.MsgBatch)}, 0xff, 0xff, 0xff, 0xff, 0x7f),
+		"bad inner type":  {byte(wire.MsgBatch), 1, 99, 0},
+		"bad inner bit":   {byte(wire.MsgBatch), 1, byte(wire.MsgReport), 0, 0, 1, 7},
 		"bad scalar type": {42},
 	}
 	for name, data := range cases {
-		dec := NewDecoder(bytes.NewReader(data))
+		dec := wire.NewDecoder(bytes.NewReader(data))
 		if _, err := dec.NextBatch(); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
@@ -295,14 +224,14 @@ func TestBatchCorrupt(t *testing.T) {
 
 // TestEncodeBatchRejects checks encoder-side validation.
 func TestEncodeBatchRejects(t *testing.T) {
-	enc := NewEncoder(io.Discard)
-	if err := enc.EncodeBatch([]Msg{{Type: MsgBatch}}); err == nil {
+	enc := wire.NewEncoder(io.Discard)
+	if err := enc.EncodeBatch([]wire.Msg{{Type: wire.MsgBatch}}); err == nil {
 		t.Error("nested batch: expected error")
 	}
-	if err := enc.EncodeBatch([]Msg{{Type: MsgReport, Bit: 0, J: 1}}); err == nil {
+	if err := enc.EncodeBatch([]wire.Msg{{Type: wire.MsgReport, Bit: 0, J: 1}}); err == nil {
 		t.Error("bad bit: expected error")
 	}
-	if err := enc.EncodeBatch(make([]Msg, MaxBatchLen+1)); err == nil {
+	if err := enc.EncodeBatch(make([]wire.Msg, wire.MaxBatchLen+1)); err == nil {
 		t.Error("oversized batch: expected error")
 	}
 }
@@ -315,10 +244,10 @@ func TestShardedCollector(t *testing.T) {
 	c := NewShardedCollector(acc)
 
 	serial := protocol.NewServer(d, 2.5)
-	ms := []Msg{
-		Hello(0, 3),
-		FromReport(protocol.Report{User: 0, Order: 3, J: 2, Bit: 1}),
-		FromReport(protocol.Report{User: 1, Order: 0, J: 64, Bit: -1}),
+	ms := []wire.Msg{
+		wire.Hello(0, 3),
+		wire.FromReport(protocol.Report{User: 0, Order: 3, J: 2, Bit: 1}),
+		wire.FromReport(protocol.Report{User: 1, Order: 0, J: 64, Bit: -1}),
 	}
 	if err := c.SendBatch(7, ms); err != nil {
 		t.Fatal(err)
@@ -336,15 +265,15 @@ func TestShardedCollector(t *testing.T) {
 		t.Fatalf("stats: got %d/%d/%d", hellos, reports, batches)
 	}
 
-	for name, m := range map[string]Msg{
-		"hello order":  Hello(0, 7),
-		"report order": FromReport(protocol.Report{Order: 9, J: 1, Bit: 1}),
-		"report j":     FromReport(protocol.Report{Order: 0, J: 65, Bit: 1}),
-		"report j=0":   FromReport(protocol.Report{Order: 0, J: 0, Bit: 1}),
-		"bit":          {Type: MsgReport, J: 1},
+	for name, m := range map[string]wire.Msg{
+		"hello order":  wire.Hello(0, 7),
+		"report order": wire.FromReport(protocol.Report{Order: 9, J: 1, Bit: 1}),
+		"report j":     wire.FromReport(protocol.Report{Order: 0, J: 65, Bit: 1}),
+		"report j=0":   wire.FromReport(protocol.Report{Order: 0, J: 0, Bit: 1}),
+		"bit":          {Type: wire.MsgReport, J: 1},
 		"query":        pointQ(3),
 	} {
-		if err := c.SendBatch(0, []Msg{m}); err == nil {
+		if err := c.SendBatch(0, []wire.Msg{m}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -362,19 +291,19 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 		name   string
 		mode   Mode
 		meta   persist.Meta
-		good   []Msg
-		poison []Msg
+		good   []wire.Msg
+		poison []wire.Msg
 	}{
 		{"bool", BoolMode(d, scale), persist.Meta{D: d, Scale: scale},
-			[]Msg{Hello(1, 0), FromReport(rep)},
-			[]Msg{FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), DomainHello(2, 0, 0), pointQ(1)}},
+			[]wire.Msg{wire.Hello(1, 0), wire.FromReport(rep)},
+			[]wire.Msg{wire.FromReport(protocol.Report{User: 2, Order: 0, J: d + 1, Bit: 1}), wire.DomainHello(2, 0, 0), pointQ(1)}},
 		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), persist.Meta{D: d, M: m, Scale: scale},
-			[]Msg{DomainHello(1, 0, 0), FromDomainReport(0, rep)},
-			[]Msg{{Type: MsgDomainReport, User: 2, Item: m + 5, Order: 0, J: 1, Bit: 1}, Hello(2, 0)}},
+			[]wire.Msg{wire.DomainHello(1, 0, 0), wire.FromDomainReport(0, rep)},
+			[]wire.Msg{{Type: wire.MsgDomainReport, User: 2, Item: m + 5, Order: 0, J: 1, Bit: 1}, wire.Hello(2, 0)}},
 		{"hashed", DomainMode(d, enc, scale),
 			persist.Meta{D: d, M: enc.M, G: enc.G, Encoding: enc.Name, HashSeed: enc.Seed, Scale: scale},
-			[]Msg{HashedDomainHello(1, 0, 0, enc.Seed), FromDomainReport(0, rep)},
-			[]Msg{HashedDomainHello(2, 0, 0, enc.Seed+1), DomainHello(2, 0, 0)}},
+			[]wire.Msg{wire.HashedDomainHello(1, 0, 0, enc.Seed), wire.FromDomainReport(0, rep)},
+			[]wire.Msg{wire.HashedDomainHello(2, 0, 0, enc.Seed+1), wire.DomainHello(2, 0, 0)}},
 	} {
 		stores := map[string]func(t *testing.T) Store{
 			"collector": func(*testing.T) Store { return NewCollector(tc.mode, 2) },
@@ -392,7 +321,7 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
 				st := mk(t)
 				for _, bad := range tc.poison {
-					run := append(append(append([]Msg(nil), tc.good...), bad), tc.good[0])
+					run := append(append(append([]wire.Msg(nil), tc.good...), bad), tc.good[0])
 					if err := st.SendBatch(0, run); err == nil {
 						t.Fatalf("run with invalid message %+v accepted", bad)
 					}
@@ -416,4 +345,4 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 
 // pointQ is the smallest read frame: what tests send when any scalar
 // non-ingest frame, or a fence, will do.
-func pointQ(t int) Msg { return QueryV2(QueryPoint, t, 0) }
+func pointQ(t int) wire.Msg { return wire.QueryV2(wire.QueryPoint, t, 0) }

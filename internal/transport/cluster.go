@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"net"
 	"time"
+
+	"rtf/internal/wire"
 )
 
 // This file is the client side of the scatter/gather cluster: the framed
@@ -73,8 +75,8 @@ func (o ClusterOptions) withDefaults() ClusterOptions {
 // connection belongs to one session until released.
 type BackendConn struct {
 	conn net.Conn
-	enc  *Encoder
-	dec  *Decoder
+	enc  *wire.Encoder
+	dec  *wire.Decoder
 	read int64 // bytes read off conn, see BytesRead
 	// checked records that the backend answered the mode's own sums
 	// request on this connection, see FetchSums.
@@ -94,7 +96,7 @@ func (b *BackendConn) Read(p []byte) (int, error) {
 func (b *BackendConn) BytesRead() int64 { return b.read }
 
 // SendBatch writes one batch frame (buffered until Flush).
-func (b *BackendConn) SendBatch(ms []Msg) error { return b.enc.EncodeBatch(ms) }
+func (b *BackendConn) SendBatch(ms []wire.Msg) error { return b.enc.EncodeBatch(ms) }
 
 // RawBatch is a batch frame assembled out of received bytes: a gateway
 // appends each stretch of a run's wire bytes bound for one backend and
@@ -113,11 +115,11 @@ const rawHeaderRoom = 1 + binary.MaxVarintLen32
 func (r *RawBatch) Reset() { r.n, r.b = 0, append(r.b[:0], make([]byte, rawHeaderRoom)...) }
 
 // Append adds the wire bytes of n messages.
-func (r *RawBatch) Append(n int, wire []byte) {
+func (r *RawBatch) Append(n int, raw []byte) {
 	if len(r.b) == 0 {
 		r.Reset()
 	}
-	r.n, r.b = r.n+n, append(r.b, wire...)
+	r.n, r.b = r.n+n, append(r.b, raw...)
 }
 
 // Len returns the number of messages appended since Reset.
@@ -128,12 +130,10 @@ func (r *RawBatch) Len() int { return r.n }
 // one write.
 func (b *BackendConn) SendRaw(r *RawBatch) error {
 	var hdr [rawHeaderRoom]byte
-	h := appendBatchHeader(hdr[:0], MsgBatch, r.n)
+	h := wire.AppendBatchHeader(hdr[:0], wire.MsgBatch, r.n)
 	frame := r.b[rawHeaderRoom-len(h):]
 	copy(frame, h)
-	n, err := b.enc.w.Write(frame)
-	b.enc.n += int64(n)
-	return err
+	return b.enc.WriteFrame(frame)
 }
 
 // Flush flushes buffered frames to the backend.
@@ -150,22 +150,22 @@ func (b *BackendConn) Flush() error { return b.enc.Flush() }
 // no encoding, so the first one on a connection goes behind the
 // smallest whole-node request: a gateway that reads by shard is refused
 // by a backend hashing differently exactly as one that reads whole is.
-func (b *BackendConn) FetchSums(mode Mode, shard int, scope Scope) (RawSums, error) {
+func (b *BackendConn) FetchSums(mode Mode, shard int, scope wire.Scope) (wire.RawSums, error) {
 	req := mode.SumsRequest()
 	if shard >= 0 {
 		if !b.checked {
-			if _, err := b.FetchSums(mode, -1, Scope{1, 1}); err != nil {
-				return RawSums{}, err
+			if _, err := b.FetchSums(mode, -1, wire.Scope{L: 1, R: 1}); err != nil {
+				return wire.RawSums{}, err
 			}
 		}
-		req = ShardSums(shard)
+		req = wire.ShardSums(shard)
 	}
 	req.L, req.R = scope.L, scope.R
 	if err := b.enc.Encode(req); err != nil {
-		return RawSums{}, err
+		return wire.RawSums{}, err
 	}
 	if err := b.enc.Flush(); err != nil {
-		return RawSums{}, err
+		return wire.RawSums{}, err
 	}
 	f, err := mode.ReadSums(b.dec)
 	b.checked = b.checked || err == nil
@@ -197,8 +197,8 @@ func dialBackend(addr string, o ClusterOptions) (*BackendConn, error) {
 			lastErr = err
 			continue
 		}
-		bc := &BackendConn{conn: conn, enc: NewEncoder(conn)}
-		bc.dec = newDecoderSize(bc, largeReadBuffer)
+		bc := &BackendConn{conn: conn, enc: wire.NewEncoder(conn)}
+		bc.dec = wire.NewBackendDecoder(bc)
 		return bc, nil
 	}
 	return nil, lastErr

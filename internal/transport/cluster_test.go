@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 func startSumsServer(t *testing.T, d int, scale float64) (string, func()) {
@@ -39,13 +40,13 @@ func TestClusterClientBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bc.SendBatch([]Msg{Hello(1, 2), FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1})}); err != nil {
+	if err := bc.SendBatch([]wire.Msg{wire.Hello(1, 2), wire.FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fence(bc); err != nil {
 		t.Fatal(err)
 	}
-	f, err := bc.FetchSums(BoolMode(16, 1), -1, Scope{})
+	f, err := bc.FetchSums(BoolMode(16, 1), -1, wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +177,6 @@ func TestClusterClientDialBackoff(t *testing.T) {
 // way a gateway does before a reshard: a smallest-scope sums fetch
 // (which reads under any scale, so the mode only has to name the frame).
 func fence(bc *BackendConn) error {
-	_, err := bc.FetchSums(BoolMode(16, 1), -1, Scope{1, 1})
+	_, err := bc.FetchSums(BoolMode(16, 1), -1, wire.Scope{L: 1, R: 1})
 	return err
 }

@@ -7,6 +7,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // Store is the state behind a single-node front: the in-memory
@@ -21,15 +22,15 @@ type Store interface {
 	// it to Apply. The run is atomic: on a validation or journaling error
 	// nothing is applied. shard is a routing hint — typically the
 	// connection id — that spreads hot counters across cache lines.
-	SendBatch(shard int, ms []Msg) error
+	SendBatch(shard int, ms []wire.Msg) error
 	// Apply is the trusted entry: it applies a run of records (a durable
 	// store journals it first) and checks nothing itself — a record only
 	// exists once its message passed the contract. The frame loop calls
 	// it directly, so a served message is validated exactly once, in the
-	// decoder. wire must be the bytes that encoded exactly run (a stretch
+	// decoder. raw must be the bytes that encoded exactly run (a stretch
 	// of Frame.Wire): a durable store journals them as they are, and is
 	// done with them when Apply returns. An in-memory store ignores them.
-	Apply(shard int, run []Rec, wire []byte) error
+	Apply(shard int, run []wire.Rec, raw []byte) error
 	// Stats returns the number of hellos, reports and batches ingested.
 	Stats() (hellos, reports, batches int64)
 	// Users returns the number of registered users.
@@ -102,14 +103,14 @@ func (c *Collector) Mode() Mode { return c.mode }
 func (c *Collector) Users() int { return c.st.Users() }
 
 // Answer implements Reader from the live accumulator.
-func (c *Collector) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+func (c *Collector) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	return c.st.Answer(m, e, sc)
 }
 
 // sendScratch holds the record (and, for a durable store, wire) buffers
 // of SendBatch calls in flight.
 type sendScratch struct {
-	recs []Rec
+	recs []wire.Rec
 	wire []byte
 }
 
@@ -118,32 +119,32 @@ var sendPool = sync.Pool{New: func() any { return new(sendScratch) }}
 // sendBatch is every store's SendBatch: the one contract check per
 // message, then the trusted entry. journal asks for the run's canonical
 // encoding to be handed to Apply as its wire bytes.
-func sendBatch(s Store, shard int, ms []Msg, journal bool) error {
+func sendBatch(s Store, shard int, ms []wire.Msg, journal bool) error {
 	sc := sendPool.Get().(*sendScratch)
 	defer sendPool.Put(sc)
 	c := s.Mode().Ingest()
 	sc.recs = slices.Grow(sc.recs[:0], len(ms))[:len(ms)]
 	for i := range ms {
-		if !c.check(&ms[i], &sc.recs[i]) {
-			return c.explain(&ms[i])
+		if !c.Check(&ms[i], &sc.recs[i]) {
+			return c.Explain(&ms[i])
 		}
 	}
 	if !journal {
 		return s.Apply(shard, sc.recs, nil)
 	}
 	var err error
-	if sc.wire, err = appendMsgs(sc.wire[:0], ms); err != nil {
+	if sc.wire, err = wire.AppendMsgs(sc.wire[:0], ms); err != nil {
 		return err
 	}
 	return s.Apply(shard, sc.recs, sc.wire)
 }
 
 // SendBatch implements Store.
-func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
+func (c *Collector) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, false) }
 
 // Apply implements Store: one write lock per run, one plain add per
 // message.
-func (c *Collector) Apply(shard int, run []Rec, _ []byte) error {
+func (c *Collector) Apply(shard int, run []wire.Rec, _ []byte) error {
 	c.count(c.st.Apply(shard, run))
 	return nil
 }

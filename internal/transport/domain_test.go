@@ -12,6 +12,7 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // fillDomainServer ingests a deterministic report mix into ds across
@@ -35,32 +36,32 @@ func fillDomainServer(t testing.TB, ds *hh.DomainServer, n int, seed uint64) {
 // TestDomainScalarRoundTrip checks every domain scalar message survives
 // the wire bit-exactly, alone and inside batch frames.
 func TestDomainScalarRoundTrip(t *testing.T) {
-	msgs := []Msg{
-		DomainHello(0, 0, 0),
-		DomainHello(12345, 7, 3),
-		FromDomainReport(2, protocol.Report{User: 9, Order: 1, J: 4, Bit: 1}),
-		FromDomainReport(0, protocol.Report{User: 1 << 30, Order: 0, J: 1, Bit: -1}),
-		DomainQuery(QueryPointItem, 3, 17, 0, 0),
-		DomainQuery(QuerySeriesItem, 2, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, 9, 0, 5),
-		DomainSums(),
+	msgs := []wire.Msg{
+		wire.DomainHello(0, 0, 0),
+		wire.DomainHello(12345, 7, 3),
+		wire.FromDomainReport(2, protocol.Report{User: 9, Order: 1, J: 4, Bit: 1}),
+		wire.FromDomainReport(0, protocol.Report{User: 1 << 30, Order: 0, J: 1, Bit: -1}),
+		wire.DomainQuery(wire.QueryPointItem, 3, 17, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 2, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, 9, 0, 5),
+		wire.DomainSums(),
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ingest := []Msg{msgs[0], msgs[1], msgs[2], msgs[3]}
+	ingest := []wire.Msg{msgs[0], msgs[1], msgs[2], msgs[3]}
 	if err := enc.EncodeBatch(ingest); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
-	want := append(append([]Msg{}, msgs...), ingest...)
+	dec := wire.NewDecoder(&buf)
+	want := append(append([]wire.Msg{}, msgs...), ingest...)
 	for i, w := range want {
 		got, err := dec.Next()
 		if err != nil {
@@ -78,18 +79,18 @@ func TestDomainScalarRoundTrip(t *testing.T) {
 // TestDomainEncodeValidation checks the encoder refuses malformed
 // domain messages.
 func TestDomainEncodeValidation(t *testing.T) {
-	enc := NewEncoder(&bytes.Buffer{})
-	bad := []Msg{
-		{Type: MsgDomainHello, User: -1},
-		{Type: MsgDomainHello, User: 1, Item: -1},
-		{Type: MsgDomainReport, User: -1, Item: 0, J: 1, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: -2, J: 1, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: 0, J: 1, Bit: 0},
-		{Type: MsgDomainHello, User: 1, Item: 0, Order: -1},
-		{Type: MsgDomainReport, User: 1, Item: 0, Order: -1, J: 1, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: 0, J: -3, Bit: 1},
-		{Type: MsgDomainQuery, Kind: QueryPointItem, Item: -1},
-		{Type: MsgDomainQuery, Kind: QueryTopK, K: -1},
+	enc := wire.NewEncoder(&bytes.Buffer{})
+	bad := []wire.Msg{
+		{Type: wire.MsgDomainHello, User: -1},
+		{Type: wire.MsgDomainHello, User: 1, Item: -1},
+		{Type: wire.MsgDomainReport, User: -1, Item: 0, J: 1, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: -2, J: 1, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, J: 1, Bit: 0},
+		{Type: wire.MsgDomainHello, User: 1, Item: 0, Order: -1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, Order: -1, J: 1, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, J: -3, Bit: 1},
+		{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: -1},
+		{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, K: -1},
 	}
 	for i, m := range bad {
 		if err := enc.Encode(m); err == nil {
@@ -101,15 +102,15 @@ func TestDomainEncodeValidation(t *testing.T) {
 // TestDomainScalarTruncation feeds every prefix of valid encodings to
 // the decoder: all must fail cleanly, never panic or misparse.
 func TestDomainScalarTruncation(t *testing.T) {
-	msgs := []Msg{
-		DomainHello(300, 5, 2),
-		FromDomainReport(3, protocol.Report{User: 77, Order: 2, J: 3, Bit: 1}),
-		DomainQuery(QueryTopK, 0, 300, 0, 1000),
-		DomainSums(),
+	msgs := []wire.Msg{
+		wire.DomainHello(300, 5, 2),
+		wire.FromDomainReport(3, protocol.Report{User: 77, Order: 2, J: 3, Bit: 1}),
+		wire.DomainQuery(wire.QueryTopK, 0, 300, 0, 1000),
+		wire.DomainSums(),
 	}
 	for _, m := range msgs {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestDomainScalarTruncation(t *testing.T) {
 		}
 		full := buf.Bytes()
 		for cut := 1; cut < len(full); cut++ {
-			dec := NewDecoder(bytes.NewReader(full[:cut]))
+			dec := wire.NewDecoder(bytes.NewReader(full[:cut]))
 			if got, err := dec.Next(); err == nil {
 				t.Fatalf("truncated %v at %d decoded as %+v", m, cut, got)
 			}
@@ -128,15 +129,15 @@ func TestDomainScalarTruncation(t *testing.T) {
 
 // TestDomainAnswerRoundTrip pins the variable-length answer frame.
 func TestDomainAnswerRoundTrip(t *testing.T) {
-	frames := []DomainAnswerFrame{
-		{Kind: QueryPointItem, Item: 3, L: 17, Values: []float64{42.5}},
-		{Kind: QuerySeriesItem, Item: 0, Values: []float64{1, -2.5, 3e300, 0}},
-		{Kind: QueryTopK, L: 9, K: 3, Items: []int{2, 0, 1}, Values: []float64{30, 20, 20}},
-		{Kind: QueryTopK, L: 1, K: 0},
+	frames := []wire.DomainAnswerFrame{
+		{Kind: wire.QueryPointItem, Item: 3, L: 17, Values: []float64{42.5}},
+		{Kind: wire.QuerySeriesItem, Item: 0, Values: []float64{1, -2.5, 3e300, 0}},
+		{Kind: wire.QueryTopK, L: 9, K: 3, Items: []int{2, 0, 1}, Values: []float64{30, 20, 20}},
+		{Kind: wire.QueryTopK, L: 1, K: 0},
 	}
 	for _, f := range frames {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeDomainAnswer(f); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestDomainAnswerRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		full := append([]byte(nil), buf.Bytes()...)
-		got, err := NewDecoder(&buf).ReadDomainAnswer()
+		got, err := wire.NewDecoder(&buf).ReadDomainAnswer()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,32 +165,32 @@ func TestDomainAnswerRoundTrip(t *testing.T) {
 		}
 		// Truncations fail cleanly.
 		for cut := 1; cut < len(full); cut++ {
-			if _, err := NewDecoder(bytes.NewReader(full[:cut])).ReadDomainAnswer(); err == nil {
+			if _, err := wire.NewDecoder(bytes.NewReader(full[:cut])).ReadDomainAnswer(); err == nil {
 				t.Fatalf("truncated answer at %d accepted", cut)
 			}
 		}
 	}
 	// Encoder validation.
-	enc := NewEncoder(&bytes.Buffer{})
-	if err := enc.EncodeDomainAnswer(DomainAnswerFrame{Item: -1}); err == nil {
+	enc := wire.NewEncoder(&bytes.Buffer{})
+	if err := enc.EncodeDomainAnswer(wire.DomainAnswerFrame{Item: -1}); err == nil {
 		t.Error("negative item accepted")
 	}
-	if err := enc.EncodeDomainAnswer(DomainAnswerFrame{Items: []int{-1}}); err == nil {
+	if err := enc.EncodeDomainAnswer(wire.DomainAnswerFrame{Items: []int{-1}}); err == nil {
 		t.Error("negative item entry accepted")
 	}
-	if err := enc.EncodeDomainAnswer(DomainAnswerFrame{Values: make([]float64, MaxAnswerLen+1)}); err == nil {
+	if err := enc.EncodeDomainAnswer(wire.DomainAnswerFrame{Values: make([]float64, wire.MaxAnswerLen+1)}); err == nil {
 		t.Error("oversized answer accepted")
 	}
 	// Wrong frame type.
 	var buf bytes.Buffer
-	e2 := NewEncoder(&buf)
-	if err := e2.Encode(Hello(1, 0)); err != nil {
+	e2 := wire.NewEncoder(&buf)
+	if err := e2.Encode(wire.Hello(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(&buf).ReadDomainAnswer(); err == nil {
+	if _, err := wire.NewDecoder(&buf).ReadDomainAnswer(); err == nil {
 		t.Error("hello accepted as domain answer")
 	}
 }
@@ -208,7 +209,7 @@ func TestDomainSumsRoundTrip(t *testing.T) {
 	ds := testDomainServer(t, 32, 5, 17.25)
 	f := DomainSumsFromServer(ds)
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeDomainSums(f); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestDomainSumsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := append([]byte(nil), buf.Bytes()...)
-	got, err := NewDecoder(&buf).ReadDomainSums()
+	got, err := wire.NewDecoder(&buf).ReadDomainSums()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestDomainSumsRoundTrip(t *testing.T) {
 	}
 	// Truncations fail cleanly.
 	for cut := 1; cut < len(full); cut += 7 {
-		if _, err := NewDecoder(bytes.NewReader(full[:cut])).ReadDomainSums(); err == nil {
+		if _, err := wire.NewDecoder(bytes.NewReader(full[:cut])).ReadDomainSums(); err == nil {
 			t.Fatalf("truncated sums at %d accepted", cut)
 		}
 	}
@@ -258,7 +259,7 @@ func TestDomainSumsRoundTrip(t *testing.T) {
 func TestDomainSumsCorruption(t *testing.T) {
 	ds := testDomainServer(t, 16, 4, 3)
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeDomainSums(DomainSumsFromServer(ds)); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestDomainSumsCorruption(t *testing.T) {
 	mut := func(mutate func(b []byte)) error {
 		b := append([]byte(nil), full...)
 		mutate(b)
-		_, err := NewDecoder(bytes.NewReader(b)).ReadDomainSums()
+		_, err := wire.NewDecoder(bytes.NewReader(b)).ReadDomainSums()
 		return err
 	}
 	if err := mut(func(b []byte) { b[1] = 99 }); err == nil {
@@ -281,14 +282,14 @@ func TestDomainSumsCorruption(t *testing.T) {
 	if err := mut(func(b []byte) { b[3] = 1 }); err == nil {
 		t.Error("domain of one accepted")
 	}
-	if err := mut(func(b []byte) { b[0] = byte(MsgSumsFrame) }); err == nil {
+	if err := mut(func(b []byte) { b[0] = byte(wire.MsgSumsFrame) }); err == nil {
 		t.Error("wrong frame type accepted")
 	}
 	// Encoder-side validation.
-	if err := enc.EncodeDomainSums(RawSums{D: 16, M: 1}); err == nil {
+	if err := enc.EncodeDomainSums(wire.RawSums{D: 16, M: 1}); err == nil {
 		t.Error("domain of one encoded")
 	}
-	if err := enc.EncodeDomainSums(RawSums{D: 16, M: MaxDomainM + 1}); err == nil {
+	if err := enc.EncodeDomainSums(wire.RawSums{D: 16, M: wire.MaxDomainM + 1}); err == nil {
 		t.Error("oversized domain encoded")
 	}
 	f := DomainSumsFromServer(ds)
@@ -301,31 +302,31 @@ func TestDomainSumsCorruption(t *testing.T) {
 // TestValidateDomainIngest covers the validation table.
 func TestValidateDomainIngest(t *testing.T) {
 	const d, m = 16, 4
-	ok := []Msg{
-		DomainHello(0, 0, 0),
-		DomainHello(5, 3, 4),
-		FromDomainReport(2, protocol.Report{User: 1, Order: 2, J: 4, Bit: -1}),
+	ok := []wire.Msg{
+		wire.DomainHello(0, 0, 0),
+		wire.DomainHello(5, 3, 4),
+		wire.FromDomainReport(2, protocol.Report{User: 1, Order: 2, J: 4, Bit: -1}),
 	}
 	for _, msg := range ok {
-		if err := ValidateDomainIngest(d, m, msg); err != nil {
+		if err := wire.ValidateDomainIngest(d, m, msg); err != nil {
 			t.Errorf("valid %+v rejected: %v", msg, err)
 		}
 	}
-	bad := []Msg{
-		{Type: MsgDomainHello, User: -1},
-		{Type: MsgDomainHello, User: 1, Item: 4},
-		{Type: MsgDomainHello, User: 1, Item: 0, Order: 5},
-		{Type: MsgDomainReport, User: 1, Item: 0, Order: 0, J: 0, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: 0, Order: 0, J: 17, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: 0, Order: 2, J: 5, Bit: 1},
-		{Type: MsgDomainReport, User: 1, Item: 0, Order: 0, J: 1, Bit: 0},
-		{Type: MsgDomainReport, User: 1, Item: -1, Order: 0, J: 1, Bit: 1},
-		Hello(1, 0), // Boolean hello on a domain server
-		pointQ(1),   // a Boolean read is not ingestible either
-		{Type: MsgDomainQuery, Kind: QueryPointItem, Item: 0, L: 1}, // queries are not ingest
+	bad := []wire.Msg{
+		{Type: wire.MsgDomainHello, User: -1},
+		{Type: wire.MsgDomainHello, User: 1, Item: 4},
+		{Type: wire.MsgDomainHello, User: 1, Item: 0, Order: 5},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, Order: 0, J: 0, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, Order: 0, J: 17, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, Order: 2, J: 5, Bit: 1},
+		{Type: wire.MsgDomainReport, User: 1, Item: 0, Order: 0, J: 1, Bit: 0},
+		{Type: wire.MsgDomainReport, User: 1, Item: -1, Order: 0, J: 1, Bit: 1},
+		wire.Hello(1, 0), // Boolean hello on a domain server
+		pointQ(1),        // a Boolean read is not ingestible either
+		{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: 0, L: 1}, // queries are not ingest
 	}
 	for _, msg := range bad {
-		if err := ValidateDomainIngest(d, m, msg); err == nil {
+		if err := wire.ValidateDomainIngest(d, m, msg); err == nil {
 			t.Errorf("invalid %+v accepted", msg)
 		}
 	}
@@ -334,32 +335,32 @@ func TestValidateDomainIngest(t *testing.T) {
 // TestValidateDomainQuery covers the query validation table.
 func TestValidateDomainQuery(t *testing.T) {
 	const d, m = 16, 4
-	ok := []Msg{
-		DomainQuery(QueryPointItem, 0, 1, 0, 0),
-		DomainQuery(QueryPointItem, 3, 16, 0, 0),
-		DomainQuery(QuerySeriesItem, 2, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, 8, 0, 0),
-		DomainQuery(QueryTopK, 0, 8, 0, 100),
+	ok := []wire.Msg{
+		wire.DomainQuery(wire.QueryPointItem, 0, 1, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, 3, 16, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 2, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, 8, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, 8, 0, 100),
 	}
 	for _, msg := range ok {
-		if err := ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err != nil {
+		if err := wire.ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err != nil {
 			t.Errorf("valid %+v rejected: %v", msg, err)
 		}
 	}
-	bad := []Msg{
-		DomainQuery(QueryPointItem, 4, 1, 0, 0),
-		DomainQuery(QueryPointItem, 0, 0, 0, 0),
-		DomainQuery(QueryPointItem, 0, 17, 0, 0),
-		DomainQuery(QuerySeriesItem, 4, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, 0, 0, 1),
-		DomainQuery(QueryTopK, 0, 17, 0, 1),
-		{Type: MsgDomainQuery, Kind: QueryTopK, L: 1, K: -1},
-		DomainQuery(QueryPoint, 0, 1, 0, 0), // Boolean kind in a domain frame
-		DomainQuery(QueryKind(99), 0, 1, 0, 0),
-		QueryV2(QueryPoint, 1, 0), // not a domain query at all
+	bad := []wire.Msg{
+		wire.DomainQuery(wire.QueryPointItem, 4, 1, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, 0, 0, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, 0, 17, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 4, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, 0, 0, 1),
+		wire.DomainQuery(wire.QueryTopK, 0, 17, 0, 1),
+		{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, L: 1, K: -1},
+		wire.DomainQuery(wire.QueryPoint, 0, 1, 0, 0), // Boolean kind in a domain frame
+		wire.DomainQuery(wire.QueryKind(99), 0, 1, 0, 0),
+		wire.QueryV2(wire.QueryPoint, 1, 0), // not a domain query at all
 	}
 	for _, msg := range bad {
-		if err := ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err == nil {
+		if err := wire.ValidateDomainQuery(d, hh.ExactEncoding(m), msg); err == nil {
 			t.Errorf("invalid %+v accepted", msg)
 		}
 	}
@@ -369,14 +370,14 @@ func TestValidateDomainQuery(t *testing.T) {
 // engine reads.
 func TestAnswerDomainQuery(t *testing.T) {
 	ds := testDomainServer(t, 16, 4, 2.5)
-	a, err := answerDomain(ds, DomainQuery(QueryPointItem, 2, 9, 0, 0))
+	a, err := answerDomain(ds, wire.DomainQuery(wire.QueryPointItem, 2, 9, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a.Values) != 1 || a.Values[0] != ds.EstimateItemAt(2, 9) {
 		t.Fatalf("point-item answer %+v", a)
 	}
-	a, err = answerDomain(ds, DomainQuery(QuerySeriesItem, 1, 0, 0, 0))
+	a, err = answerDomain(ds, wire.DomainQuery(wire.QuerySeriesItem, 1, 0, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestAnswerDomainQuery(t *testing.T) {
 			t.Fatalf("series value %d: %v, want %v", i, a.Values[i], series[i])
 		}
 	}
-	a, err = answerDomain(ds, DomainQuery(QueryTopK, 0, 16, 0, 3))
+	a, err = answerDomain(ds, wire.DomainQuery(wire.QueryTopK, 0, 16, 0, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +407,8 @@ func TestAnswerDomainQuery(t *testing.T) {
 
 // answerDomain answers q from items into a fresh frame: the served path
 // once ValidateRead has passed q.
-func answerDomain(items hh.Items, q Msg) (DomainAnswerFrame, error) {
-	var a DomainAnswerFrame
+func answerDomain(items hh.Items, q wire.Msg) (wire.DomainAnswerFrame, error) {
+	var a wire.DomainAnswerFrame
 	var sc TopKScratch
 	_, err := AnswerDomainQueryInto(items, q, &a, &sc)
 	return a, err
@@ -437,29 +438,29 @@ func TestDomainIngestServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := NewEncoder(conn)
-	dec := NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 
 	g := rng.New(3, 9)
-	var batch []Msg
+	var batch []wire.Msg
 	for u := 0; u < 300; u++ {
 		item := g.IntN(m)
 		h := g.IntN(dyadic.NumOrders(d))
-		batch = append(batch, DomainHello(u, item, h))
+		batch = append(batch, wire.DomainHello(u, item, h))
 		ref.Register(0, item, h)
 		bit := int8(1)
 		if g.Bernoulli(0.5) {
 			bit = -1
 		}
 		r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-		batch = append(batch, FromDomainReport(item, r))
+		batch = append(batch, wire.FromDomainReport(item, r))
 		ref.Ingest(0, item, r)
 	}
 	// Mixed batch: ingest run, then queries answered in stream order.
 	batch = append(batch,
-		DomainQuery(QueryPointItem, 1, d, 0, 0),
-		DomainQuery(QuerySeriesItem, 2, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, d, 0, m),
+		wire.DomainQuery(wire.QueryPointItem, 1, d, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 2, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, d, 0, m),
 	)
 	if err := enc.EncodeBatch(batch); err != nil {
 		t.Fatal(err)
@@ -496,7 +497,7 @@ func TestDomainIngestServer(t *testing.T) {
 	}
 
 	// Raw per-item sums: the gateway's carrier.
-	if err := enc.Encode(DomainSums()); err != nil {
+	if err := enc.Encode(wire.DomainSums()); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -526,11 +527,11 @@ func TestDomainIngestServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn2.Close()
-	enc2 := NewEncoder(conn2)
+	enc2 := wire.NewEncoder(conn2)
 	before, _, _ := srv.store.Stats()
-	poison := []Msg{
-		DomainHello(9999, 0, 0),
-		DomainQuery(QueryPointItem, m+3, 1, 0, 0), // invalid item
+	poison := []wire.Msg{
+		wire.DomainHello(9999, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, m+3, 1, 0, 0), // invalid item
 	}
 	if err := enc2.EncodeBatch(poison); err != nil {
 		t.Fatal(err)
@@ -538,7 +539,7 @@ func TestDomainIngestServer(t *testing.T) {
 	if err := enc2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(conn2).ReadDomainAnswer(); err == nil {
+	if _, err := wire.NewDecoder(conn2).ReadDomainAnswer(); err == nil {
 		t.Fatal("poisoned batch answered")
 	}
 	after, _, _ := srv.store.Stats()
@@ -552,14 +553,14 @@ func TestDomainIngestServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn3.Close()
-	enc3 := NewEncoder(conn3)
-	if err := enc3.Encode(Hello(1, 0)); err != nil {
+	enc3 := wire.NewEncoder(conn3)
+	if err := enc3.Encode(wire.Hello(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc3.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(conn3).Next(); !errors.Is(err, io.EOF) && err == nil {
+	if _, err := wire.NewDecoder(conn3).Next(); !errors.Is(err, io.EOF) && err == nil {
 		t.Fatal("boolean hello on a domain server did not close the connection")
 	}
 }
@@ -592,7 +593,7 @@ func TestDurableDomainCollector(t *testing.T) {
 				bit = -1
 			}
 			r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-			batch := []Msg{DomainHello(u, item, h), FromDomainReport(item, r)}
+			batch := []wire.Msg{wire.DomainHello(u, item, h), wire.FromDomainReport(item, r)}
 			if err := c.SendBatch(u, batch); err != nil {
 				t.Fatal(err)
 			}
@@ -656,7 +657,7 @@ func TestDurableDomainCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	poison := []Msg{DomainHello(1, 0, 0), {Type: MsgDomainReport, User: 1, Item: m, J: 1, Bit: 1}}
+	poison := []wire.Msg{wire.DomainHello(1, 0, 0), {Type: wire.MsgDomainReport, User: 1, Item: m, J: 1, Bit: 1}}
 	if err := col3.SendBatch(0, poison); err == nil {
 		t.Fatal("poisoned batch accepted")
 	}

@@ -8,6 +8,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // FuzzDomainReportDecode feeds arbitrary bytes to the decoder with the
@@ -16,9 +17,9 @@ import (
 // type's wire invariants (checkDecoded: non-negative ids and items, ±1
 // bits, ...). Batches are exercised through both Next and NextBatch.
 func FuzzDomainReportDecode(f *testing.F) {
-	seed := func(ms ...Msg) []byte {
+	seed := func(ms ...wire.Msg) []byte {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		for _, m := range ms {
 			if err := enc.Encode(m); err != nil {
 				f.Fatal(err)
@@ -29,9 +30,9 @@ func FuzzDomainReportDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	batch := func(ms ...Msg) []byte {
+	batch := func(ms ...wire.Msg) []byte {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeBatch(ms); err != nil {
 			f.Fatal(err)
 		}
@@ -40,16 +41,16 @@ func FuzzDomainReportDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(seed(DomainHello(1, 2, 3)))
-	f.Add(seed(FromDomainReport(2, protocol.Report{User: 9, Order: 1, J: 4, Bit: 1})))
-	f.Add(seed(FromDomainReport(0, protocol.Report{User: 0, Order: 0, J: 1, Bit: -1})))
-	f.Add(batch(DomainHello(1, 0, 0), FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1})))
-	f.Add([]byte{byte(MsgDomainHello), 1, 2})                                              // truncated hello
-	f.Add([]byte{byte(MsgDomainReport), 1, 2, 3, 4, 250})                                  // invalid bit byte
-	f.Add([]byte{byte(MsgDomainReport), 255, 255, 255, 255, 255, 255, 255, 255, 255, 255}) // overlong varint
+	f.Add(seed(wire.DomainHello(1, 2, 3)))
+	f.Add(seed(wire.FromDomainReport(2, protocol.Report{User: 9, Order: 1, J: 4, Bit: 1})))
+	f.Add(seed(wire.FromDomainReport(0, protocol.Report{User: 0, Order: 0, J: 1, Bit: -1})))
+	f.Add(batch(wire.DomainHello(1, 0, 0), wire.FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: 1, Bit: 1})))
+	f.Add([]byte{byte(wire.MsgDomainHello), 1, 2})                                              // truncated hello
+	f.Add([]byte{byte(wire.MsgDomainReport), 1, 2, 3, 4, 250})                                  // invalid bit byte
+	f.Add([]byte{byte(wire.MsgDomainReport), 255, 255, 255, 255, 255, 255, 255, 255, 255, 255}) // overlong varint
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecode(t, data, func(m Msg) { checkDecoded(t, m) })
+		fuzzDecode(t, data, func(m wire.Msg) { checkDecoded(t, m) })
 	})
 }
 
@@ -59,9 +60,9 @@ func FuzzDomainReportDecode(f *testing.F) {
 // uphold their invariants on success (bounded lengths, non-negative
 // counts).
 func FuzzDomainQueryDecode(f *testing.F) {
-	encode := func(m Msg) []byte {
+	encode := func(m wire.Msg) []byte {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.Encode(m); err != nil {
 			f.Fatal(err)
 		}
@@ -70,12 +71,12 @@ func FuzzDomainQueryDecode(f *testing.F) {
 		}
 		return buf.Bytes()
 	}
-	f.Add(encode(DomainQuery(QueryPointItem, 3, 17, 0, 0)))
-	f.Add(encode(DomainQuery(QueryTopK, 0, 9, 0, 5)))
-	f.Add(encode(DomainSums()))
+	f.Add(encode(wire.DomainQuery(wire.QueryPointItem, 3, 17, 0, 0)))
+	f.Add(encode(wire.DomainQuery(wire.QueryTopK, 0, 9, 0, 5)))
+	f.Add(encode(wire.DomainSums()))
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.EncodeDomainAnswer(DomainAnswerFrame{Kind: QueryTopK, L: 2, K: 2, Items: []int{1, 0}, Values: []float64{5, 3}}); err != nil {
+	enc := wire.NewEncoder(&buf)
+	if err := enc.EncodeDomainAnswer(wire.DomainAnswerFrame{Kind: wire.QueryTopK, L: 2, K: 2, Items: []int{1, 0}, Values: []float64{5, 3}}); err != nil {
 		f.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -91,18 +92,18 @@ func FuzzDomainQueryDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
-	f.Add([]byte{byte(MsgDomainAnswer), 1, byte(QueryTopK)})       // truncated answer
-	f.Add([]byte{byte(MsgDomainSumsFrame), 1, 255, 255, 255, 127}) // huge horizon
-	f.Add([]byte{byte(MsgDomainQuery), 9})                         // bad version
+	f.Add([]byte{byte(wire.MsgDomainAnswer), 1, byte(wire.QueryTopK)})  // truncated answer
+	f.Add([]byte{byte(wire.MsgDomainSumsFrame), 1, 255, 255, 255, 127}) // huge horizon
+	f.Add([]byte{byte(wire.MsgDomainQuery), 9})                         // bad version
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if m, err := NewDecoder(bytes.NewReader(data)).Next(); err == nil && m.Type == MsgDomainQuery {
+		if m, err := wire.NewDecoder(bytes.NewReader(data)).Next(); err == nil && m.Type == wire.MsgDomainQuery {
 			if m.Item < 0 || m.L < 0 || m.R < 0 || m.K < 0 {
 				t.Fatalf("decoded domain query with negative field: %+v", m)
 			}
 		}
-		if a, err := NewDecoder(bytes.NewReader(data)).ReadDomainAnswer(); err == nil {
-			if len(a.Items) > MaxAnswerLen || len(a.Values) > MaxAnswerLen {
+		if a, err := wire.NewDecoder(bytes.NewReader(data)).ReadDomainAnswer(); err == nil {
+			if len(a.Items) > wire.MaxAnswerLen || len(a.Values) > wire.MaxAnswerLen {
 				t.Fatalf("decoded oversized domain answer: %d/%d", len(a.Items), len(a.Values))
 			}
 			for _, it := range a.Items {
@@ -113,11 +114,11 @@ func FuzzDomainQueryDecode(f *testing.F) {
 		} else if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && err.Error() == "" {
 			t.Fatal("empty error message")
 		}
-		if s, err := NewDecoder(bytes.NewReader(data)).ReadDomainSums(); err == nil {
-			if sc := s.Scope; sc != (Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > s.D) {
+		if s, err := wire.NewDecoder(bytes.NewReader(data)).ReadDomainSums(); err == nil {
+			if sc := s.Scope; sc != (wire.Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > s.D) {
 				t.Fatalf("decoded domain sums scope [%d..%d] for d=%d", sc.L, sc.R, s.D)
 			}
-			if s.M < 2 || s.M > MaxDomainM || len(s.Counters) != s.M*protocol.ScopedStride(s.D, s.Scope.L, s.Scope.R) {
+			if s.M < 2 || s.M > wire.MaxDomainM || len(s.Counters) != s.M*protocol.ScopedStride(s.D, s.Scope.L, s.Scope.R) {
 				t.Fatalf("decoded invalid domain sums dims: m=%d counters=%d", s.M, len(s.Counters))
 			}
 			for x := 0; x < s.M; x++ {
@@ -154,33 +155,33 @@ func FuzzDomainRead(f *testing.F) {
 	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(5), hh.LolohaEncoding(3000, 4, 0x5eed)} {
 		mode := DomainMode(d, enc, 2)
 		col := NewCollector(mode, 2)
-		hello := DomainHello
+		hello := wire.DomainHello
 		if enc.Hashed() {
-			hello = func(user, row, order int) Msg { return HashedDomainHello(user, row, order, enc.Seed) }
+			hello = func(user, row, order int) wire.Msg { return wire.HashedDomainHello(user, row, order, enc.Seed) }
 		}
 		for u := 0; u < 12; u++ {
 			row, order := u%enc.Rows(), u%4
 			bit := int8(1 - 2*(u%3%2))
-			if err := col.SendBatch(u%2, []Msg{
+			if err := col.SendBatch(u%2, []wire.Msg{
 				hello(u, row, order),
-				FromDomainReport(row, protocol.Report{User: u, Order: order, J: 1 + u%(d>>uint(order)), Bit: bit}),
+				wire.FromDomainReport(row, protocol.Report{User: u, Order: order, J: 1 + u%(d>>uint(order)), Bit: bit}),
 			}); err != nil {
 				f.Fatal(err)
 			}
 		}
 		states = append(states, live{mode, col.st})
 	}
-	for _, m := range []Msg{
-		DomainQuery(QueryPointItem, 4, 3, 0, 0),
-		DomainQuery(QueryPointItem, 2999, d, 0, 0),
-		DomainQuery(QuerySeriesItem, 1, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, d, 0, 3),
-		DomainQuery(QueryTopK, 0, 1, 0, MaxAnswerLen),
-		DomainQuery(QueryTopK, 0, 1, 0, MaxAnswerLen+1),
-		DomainSums(),
-		{Type: MsgDomainSums, L: 2, R: 5},
-		HashedDomainSums(3000, 4, 0x5eed),
-		{Type: MsgHashedDomainSums, Item: 3000, K: 4, Seed: 0x5eed, L: 1, R: d},
+	for _, m := range []wire.Msg{
+		wire.DomainQuery(wire.QueryPointItem, 4, 3, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, 2999, d, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 1, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, d, 0, 3),
+		wire.DomainQuery(wire.QueryTopK, 0, 1, 0, wire.MaxAnswerLen),
+		wire.DomainQuery(wire.QueryTopK, 0, 1, 0, wire.MaxAnswerLen+1),
+		wire.DomainSums(),
+		{Type: wire.MsgDomainSums, L: 2, R: 5},
+		wire.HashedDomainSums(3000, 4, 0x5eed),
+		{Type: wire.MsgHashedDomainSums, Item: 3000, K: 4, Seed: 0x5eed, L: 1, R: d},
 	} {
 		b, err := appendMsg(nil, &m)
 		if err != nil {
@@ -189,8 +190,8 @@ func FuzzDomainRead(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m Msg
-		if _, err := decodeScalarInto(data, &m); err != nil {
+		m, _, err := decodeOne(data)
+		if err != nil {
 			return
 		}
 		for _, s := range states {
@@ -198,7 +199,7 @@ func FuzzDomainRead(f *testing.F) {
 				continue
 			}
 			var buf bytes.Buffer
-			e := NewEncoder(&buf)
+			e := wire.NewEncoder(&buf)
 			var sc AnswerScratch
 			if _, _, err := s.st.Answer(m, e, &sc); err != nil {
 				t.Fatalf("%s: accepted read %+v answered with %v", s.mode.Name(), m, err)
@@ -206,8 +207,8 @@ func FuzzDomainRead(f *testing.F) {
 			if err := e.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			dec := NewDecoder(&buf)
-			if m.Type != MsgDomainQuery {
+			dec := wire.NewDecoder(&buf)
+			if m.Type != wire.MsgDomainQuery {
 				if _, err := s.mode.ReadSums(dec); err != nil {
 					t.Fatalf("%s: sums answer to %+v does not decode: %v", s.mode.Name(), m, err)
 				}

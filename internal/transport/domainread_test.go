@@ -7,6 +7,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/obs"
+	"rtf/internal/wire"
 )
 
 // Parameters of the domain-read pins: an exact domain of 8 items and a
@@ -25,16 +26,16 @@ const (
 func readPinStores() []struct {
 	name  string
 	store *Collector
-	hello Msg
+	hello wire.Msg
 } {
 	enc := hh.LolohaEncoding(readPinCat, readPinG, readPinSeed)
 	return []struct {
 		name  string
 		store *Collector
-		hello Msg
+		hello wire.Msg
 	}{
-		{"exact", NewDomainCollector(hh.NewDomainServer(readPinD, readPinM, readPinScale, 2)), DomainHello(1, 3, 0)},
-		{"hashed", NewHashedDomainCollector(hh.NewHashedDomainServer(readPinD, enc, readPinScale, 2)), HashedDomainHello(1, 3, 0, readPinSeed)},
+		{"exact", NewDomainCollector(hh.NewDomainServer(readPinD, readPinM, readPinScale, 2)), wire.DomainHello(1, 3, 0)},
+		{"hashed", NewHashedDomainCollector(hh.NewHashedDomainServer(readPinD, enc, readPinScale, 2)), wire.HashedDomainHello(1, 3, 0, readPinSeed)},
 	}
 }
 
@@ -62,46 +63,46 @@ func serveReadPins(t *testing.T, store Store) (addr string, errs <-chan error, s
 func TestDomainReadRefusalText(t *testing.T) {
 	cases := []struct {
 		enc   string
-		m     Msg
+		m     wire.Msg
 		want  string
 		items int // answered top-k: the items it holds
 	}{
-		{"exact", DomainQuery(QueryPointItem, 8, 1, 0, 0), "transport: point-item query item 8 out of range [0..8)", 0},
-		{"exact", DomainQuery(QueryPointItem, -1, 1, 0, 0), "transport: point-item query item -1 out of range [0..8)", 0},
-		{"exact", DomainQuery(QueryPointItem, 7, 0, 0, 0), "transport: point-item query time 0 out of range [1..16]", 0},
-		{"exact", DomainQuery(QueryPointItem, 7, 17, 0, 0), "transport: point-item query time 17 out of range [1..16]", 0},
-		{"exact", DomainQuery(QuerySeriesItem, 8, 0, 0, 0), "transport: series-item query item 8 out of range [0..8)", 0},
-		{"exact", DomainQuery(QuerySeriesItem, -1, 0, 0, 0), "transport: series-item query item -1 out of range [0..8)", 0},
-		{"exact", DomainQuery(QueryTopK, 0, 0, 0, 3), "transport: top-k query time 0 out of range [1..16]", 0},
-		{"exact", DomainQuery(QueryTopK, 0, 17, 0, 3), "transport: top-k query time 17 out of range [1..16]", 0},
-		{"exact", DomainQuery(QueryTopK, 0, 1, 0, -1), "transport: top-k query with negative k -1", 0},
-		{"exact", DomainQuery(QueryTopK, 0, 16, 0, MaxAnswerLen+1), "", 8},
-		{"exact", DomainQuery(QueryTopK, 0, 16, 0, 3), "", 3},
-		{"exact", DomainQuery(QueryKind(99), 0, 1, 0, 1), "transport: unknown domain query kind 99", 0},
-		{"exact", DomainQuery(QueryPoint, 0, 1, 0, 1), "transport: unknown domain query kind 1", 0},
-		{"exact", Msg{Type: MsgDomainSums, L: 1, R: 17}, "transport: sums scope [1..17] invalid for d=16", 0},
-		{"exact", HashedDomainSums(readPinCat, readPinG, readPinSeed), "transport: domain collector cannot ingest message type 25", 0},
-		{"exact", QueryV2(QueryPoint, 1, 0), "transport: domain collector cannot ingest message type 6", 0},
+		{"exact", wire.DomainQuery(wire.QueryPointItem, 8, 1, 0, 0), "transport: point-item query item 8 out of range [0..8)", 0},
+		{"exact", wire.DomainQuery(wire.QueryPointItem, -1, 1, 0, 0), "transport: point-item query item -1 out of range [0..8)", 0},
+		{"exact", wire.DomainQuery(wire.QueryPointItem, 7, 0, 0, 0), "transport: point-item query time 0 out of range [1..16]", 0},
+		{"exact", wire.DomainQuery(wire.QueryPointItem, 7, 17, 0, 0), "transport: point-item query time 17 out of range [1..16]", 0},
+		{"exact", wire.DomainQuery(wire.QuerySeriesItem, 8, 0, 0, 0), "transport: series-item query item 8 out of range [0..8)", 0},
+		{"exact", wire.DomainQuery(wire.QuerySeriesItem, -1, 0, 0, 0), "transport: series-item query item -1 out of range [0..8)", 0},
+		{"exact", wire.DomainQuery(wire.QueryTopK, 0, 0, 0, 3), "transport: top-k query time 0 out of range [1..16]", 0},
+		{"exact", wire.DomainQuery(wire.QueryTopK, 0, 17, 0, 3), "transport: top-k query time 17 out of range [1..16]", 0},
+		{"exact", wire.DomainQuery(wire.QueryTopK, 0, 1, 0, -1), "transport: top-k query with negative k -1", 0},
+		{"exact", wire.DomainQuery(wire.QueryTopK, 0, 16, 0, wire.MaxAnswerLen+1), "", 8},
+		{"exact", wire.DomainQuery(wire.QueryTopK, 0, 16, 0, 3), "", 3},
+		{"exact", wire.DomainQuery(wire.QueryKind(99), 0, 1, 0, 1), "transport: unknown domain query kind 99", 0},
+		{"exact", wire.DomainQuery(wire.QueryPoint, 0, 1, 0, 1), "transport: unknown domain query kind 1", 0},
+		{"exact", wire.Msg{Type: wire.MsgDomainSums, L: 1, R: 17}, "transport: sums scope [1..17] invalid for d=16", 0},
+		{"exact", wire.HashedDomainSums(readPinCat, readPinG, readPinSeed), "transport: domain collector cannot ingest message type 25", 0},
+		{"exact", wire.QueryV2(wire.QueryPoint, 1, 0), "transport: domain collector cannot ingest message type 6", 0},
 
-		{"hashed", DomainQuery(QueryPointItem, 5000, 1, 0, 0), "transport: point-item query item 5000 out of range [0..5000)", 0},
-		{"hashed", DomainQuery(QueryPointItem, -1, 1, 0, 0), "transport: point-item query item -1 out of range [0..5000)", 0},
-		{"hashed", DomainQuery(QueryPointItem, 4999, 0, 0, 0), "transport: point-item query time 0 out of range [1..16]", 0},
-		{"hashed", DomainQuery(QueryPointItem, 4999, 17, 0, 0), "transport: point-item query time 17 out of range [1..16]", 0},
-		{"hashed", DomainQuery(QuerySeriesItem, 5000, 0, 0, 0), "transport: series-item query item 5000 out of range [0..5000)", 0},
-		{"hashed", DomainQuery(QuerySeriesItem, -1, 0, 0, 0), "transport: series-item query item -1 out of range [0..5000)", 0},
-		{"hashed", DomainQuery(QueryTopK, 0, 0, 0, 3), "transport: top-k query time 0 out of range [1..16]", 0},
-		{"hashed", DomainQuery(QueryTopK, 0, 17, 0, 3), "transport: top-k query time 17 out of range [1..16]", 0},
-		{"hashed", DomainQuery(QueryTopK, 0, 1, 0, -1), "transport: top-k query with negative k -1", 0},
-		{"hashed", DomainQuery(QueryTopK, 0, 16, 0, MaxAnswerLen+1), "transport: top-k query k=1048577 exceeds answer limit 1048576", 0},
-		{"hashed", DomainQuery(QueryTopK, 0, 16, 0, MaxAnswerLen), "", readPinCat},
-		{"hashed", DomainQuery(QueryKind(99), 0, 1, 0, 1), "transport: unknown domain query kind 99", 0},
-		{"hashed", DomainQuery(QueryPoint, 0, 1, 0, 1), "transport: unknown domain query kind 1", 0},
-		{"hashed", HashedDomainSums(readPinCat, readPinG, readPinSeed+1), "hashed sums request for m=5000 g=16 seed=32430, this node encodes m=5000 g=16 under a different seed", 0},
-		{"hashed", HashedDomainSums(readPinCat+1, readPinG, readPinSeed), "hashed sums request for m=5001 g=16 seed=32429, this node encodes m=5000 g=16 under a different seed", 0},
-		{"hashed", HashedDomainSums(readPinCat, readPinG-1, readPinSeed), "hashed sums request for m=5000 g=15 seed=32429, this node encodes m=5000 g=16 under a different seed", 0},
-		{"hashed", Msg{Type: MsgHashedDomainSums, Item: readPinCat, K: readPinG, Seed: readPinSeed, L: 1, R: 17}, "transport: sums scope [1..17] invalid for d=16", 0},
-		{"hashed", DomainSums(), "transport: hashed domain collector cannot ingest message type 14", 0},
-		{"hashed", QueryV2(QueryPoint, 1, 0), "transport: hashed domain collector cannot ingest message type 6", 0},
+		{"hashed", wire.DomainQuery(wire.QueryPointItem, 5000, 1, 0, 0), "transport: point-item query item 5000 out of range [0..5000)", 0},
+		{"hashed", wire.DomainQuery(wire.QueryPointItem, -1, 1, 0, 0), "transport: point-item query item -1 out of range [0..5000)", 0},
+		{"hashed", wire.DomainQuery(wire.QueryPointItem, 4999, 0, 0, 0), "transport: point-item query time 0 out of range [1..16]", 0},
+		{"hashed", wire.DomainQuery(wire.QueryPointItem, 4999, 17, 0, 0), "transport: point-item query time 17 out of range [1..16]", 0},
+		{"hashed", wire.DomainQuery(wire.QuerySeriesItem, 5000, 0, 0, 0), "transport: series-item query item 5000 out of range [0..5000)", 0},
+		{"hashed", wire.DomainQuery(wire.QuerySeriesItem, -1, 0, 0, 0), "transport: series-item query item -1 out of range [0..5000)", 0},
+		{"hashed", wire.DomainQuery(wire.QueryTopK, 0, 0, 0, 3), "transport: top-k query time 0 out of range [1..16]", 0},
+		{"hashed", wire.DomainQuery(wire.QueryTopK, 0, 17, 0, 3), "transport: top-k query time 17 out of range [1..16]", 0},
+		{"hashed", wire.DomainQuery(wire.QueryTopK, 0, 1, 0, -1), "transport: top-k query with negative k -1", 0},
+		{"hashed", wire.DomainQuery(wire.QueryTopK, 0, 16, 0, wire.MaxAnswerLen+1), "transport: top-k query k=1048577 exceeds answer limit 1048576", 0},
+		{"hashed", wire.DomainQuery(wire.QueryTopK, 0, 16, 0, wire.MaxAnswerLen), "", readPinCat},
+		{"hashed", wire.DomainQuery(wire.QueryKind(99), 0, 1, 0, 1), "transport: unknown domain query kind 99", 0},
+		{"hashed", wire.DomainQuery(wire.QueryPoint, 0, 1, 0, 1), "transport: unknown domain query kind 1", 0},
+		{"hashed", wire.HashedDomainSums(readPinCat, readPinG, readPinSeed+1), "hashed sums request for m=5000 g=16 seed=32430, this node encodes m=5000 g=16 under a different seed", 0},
+		{"hashed", wire.HashedDomainSums(readPinCat+1, readPinG, readPinSeed), "hashed sums request for m=5001 g=16 seed=32429, this node encodes m=5000 g=16 under a different seed", 0},
+		{"hashed", wire.HashedDomainSums(readPinCat, readPinG-1, readPinSeed), "hashed sums request for m=5000 g=15 seed=32429, this node encodes m=5000 g=16 under a different seed", 0},
+		{"hashed", wire.Msg{Type: wire.MsgHashedDomainSums, Item: readPinCat, K: readPinG, Seed: readPinSeed, L: 1, R: 17}, "transport: sums scope [1..17] invalid for d=16", 0},
+		{"hashed", wire.DomainSums(), "transport: hashed domain collector cannot ingest message type 14", 0},
+		{"hashed", wire.QueryV2(wire.QueryPoint, 1, 0), "transport: hashed domain collector cannot ingest message type 6", 0},
 	}
 	for _, s := range readPinStores() {
 		mode := s.store.Mode()
@@ -167,12 +168,12 @@ func TestDomainReadCacheCounters(t *testing.T) {
 	type delta struct{ eligible, hits, misses int64 }
 	reads := []struct {
 		kind string
-		m    Msg
+		m    wire.Msg
 	}{
-		{"point_item", DomainQuery(QueryPointItem, 3, 5, 0, 0)},
-		{"series_item", DomainQuery(QuerySeriesItem, 3, 0, 0, 0)},
-		{"topk", DomainQuery(QueryTopK, 0, 5, 0, 4)},
-		{"sums", Msg{}}, // the mode's own sums request, filled in below
+		{"point_item", wire.DomainQuery(wire.QueryPointItem, 3, 5, 0, 0)},
+		{"series_item", wire.DomainQuery(wire.QuerySeriesItem, 3, 0, 0, 0)},
+		{"topk", wire.DomainQuery(wire.QueryTopK, 0, 5, 0, 4)},
+		{"sums", wire.Msg{}}, // the mode's own sums request, filled in below
 	}
 	want := map[string][2]delta{ // per encoding/kind: cold, warm
 		"exact/point_item":   {{0, 0, 0}, {0, 0, 0}},

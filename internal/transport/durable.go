@@ -12,6 +12,7 @@ import (
 
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // DurableOptions configures OpenDurableStore and its per-mode shorthands.
@@ -113,8 +114,8 @@ func (j *durableJournal) durabilityStats() DurabilityStats {
 // reads, so none are allowed). meta is checked against the snapshot's, so
 // a data directory written under different parameters is rejected rather
 // than misinterpreted.
-func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
-	restore func(state []byte) error, replay func(run []Rec) error) (*durableJournal, RecoveryStats, error) {
+func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest wire.Ingest,
+	restore func(state []byte) error, replay func(run []wire.Rec) error) (*durableJournal, RecoveryStats, error) {
 	ingest.Reads = 0
 	var stats RecoveryStats
 	if err := persist.CleanTemp(dir); err != nil {
@@ -138,7 +139,7 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
 
 	last, n, err := persist.ReplayWAL(dir, persist.ReplayOptions{After: after, TolerateTornTail: o.TolerateTornTail},
 		func(seq uint64, payload []byte) error {
-			dec := NewDecoder(bytes.NewReader(payload))
+			dec := wire.NewDecoder(bytes.NewReader(payload))
 			for {
 				f, err := dec.NextFrame(&ingest)
 				if errors.Is(err, io.EOF) {
@@ -179,19 +180,20 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest Ingest,
 // inner — in that order, under the shared half of the snapshot lock, so
 // any batch a query response can reflect is already durable; on a
 // journaling error the apply never runs. The journal validates nothing:
-// the record is a MsgBatch header counting the run followed by wire, the
+// the record is a MsgBatch header counting the run followed by raw, the
 // bytes that encoded the run as they arrived (Frame.Wire) — which replay
-// reads back like a live frame, and which are the bytes appendBatch
-// would produce whenever the sender encoded canonically. The append
-// copies wire before it returns (a queued append returns once its group
+// reads back like a live frame, and which are the bytes
+// wire.Encoder.EncodeBatch would write whenever the sender encoded
+// canonically. The append
+// copies raw before it returns (a queued append returns once its group
 // has landed), so the caller's buffer is free again when journal
 // returns.
-func (j *durableJournal) journal(shard int, run []Rec, wire []byte, inner Store) error {
-	if len(wire) == 0 && len(run) > 0 {
+func (j *durableJournal) journal(shard int, run []wire.Rec, raw []byte, inner Store) error {
+	if len(raw) == 0 && len(run) > 0 {
 		return errors.New("transport: durable store handed a run without its wire bytes")
 	}
 	var hdr [1 + binary.MaxVarintLen32]byte
-	head := appendBatchHeader(hdr[:0], MsgBatch, len(run))
+	head := wire.AppendBatchHeader(hdr[:0], wire.MsgBatch, len(run))
 
 	// The shared lock is held while the append is queued or in flight,
 	// so a snapshot cut (which takes it exclusively) always sees a cursor
@@ -199,7 +201,7 @@ func (j *durableJournal) journal(shard int, run []Rec, wire []byte, inner Store)
 	// batch slip past the cursor of the snapshot that should contain it.
 	j.mu.RLock()
 	defer j.mu.RUnlock()
-	if _, err := j.wal.Append(head, wire); err != nil {
+	if _, err := j.wal.Append(head, raw); err != nil {
 		return err
 	}
 	return inner.Apply(shard, run, nil)
@@ -264,7 +266,7 @@ func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptio
 		return nil, RecoveryStats{}, err
 	}
 	j, stats, err := openJournal(dir, meta, o, in.Mode().Ingest(), in.restoreState,
-		func(run []Rec) error { return in.Apply(0, run, nil) })
+		func(run []wire.Rec) error { return in.Apply(0, run, nil) })
 	if err != nil {
 		return nil, stats, err
 	}
@@ -279,13 +281,13 @@ func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o Durable
 
 // SendBatch implements Store: check, convert, encode, then Apply — not
 // the wrapped store's SendBatch, which would skip the journal.
-func (c *Durable) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, true) }
+func (c *Durable) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, true) }
 
-// Apply implements Store: the run is journaled as wire, the bytes that
+// Apply implements Store: the run is journaled as raw, the bytes that
 // encoded it, and then applied to the wrapped store. See
 // durableJournal.journal.
-func (c *Durable) Apply(shard int, run []Rec, wire []byte) error {
-	return c.j.journal(shard, run, wire, c.journaled)
+func (c *Durable) Apply(shard int, run []wire.Rec, raw []byte) error {
+	return c.j.journal(shard, run, raw, c.journaled)
 }
 
 // InstallShard replaces one virtual shard's state (the store must wrap

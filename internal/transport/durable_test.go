@@ -13,6 +13,7 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 func durableMeta(d int, scale float64) persist.Meta {
@@ -20,18 +21,18 @@ func durableMeta(d int, scale float64) persist.Meta {
 }
 
 // genMsgs builds a deterministic hello+report stream for n users.
-func genMsgs(d, n int) []Msg {
-	var ms []Msg
+func genMsgs(d, n int) []wire.Msg {
+	var ms []wire.Msg
 	for u := 0; u < n; u++ {
 		order := u % 3
-		ms = append(ms, Hello(u, order))
+		ms = append(ms, wire.Hello(u, order))
 		for r := 0; r < 4; r++ {
 			j := 1 + (u*7+r*3)%(d>>uint(order))
 			bit := int8(1)
 			if (u+r)%2 == 0 {
 				bit = -1
 			}
-			ms = append(ms, FromReport(protocol.Report{User: u, Order: order, J: j, Bit: bit}))
+			ms = append(ms, wire.FromReport(protocol.Report{User: u, Order: order, J: j, Bit: bit}))
 		}
 	}
 	return ms
@@ -58,9 +59,9 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 
 	serial := protocol.NewServer(d, scale)
 	ms := genMsgs(d, 60)
-	feedSerial := func(batch []Msg) {
+	feedSerial := func(batch []wire.Msg) {
 		for _, m := range batch {
-			if m.Type == MsgHello {
+			if m.Type == wire.MsgHello {
 				serial.Register(m.Order)
 			} else {
 				serial.Ingest(m.Report())
@@ -110,7 +111,7 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 	}
 
 	// Ingestion continues seamlessly after recovery.
-	extra := []Msg{Hello(1000, 0), FromReport(protocol.Report{User: 1000, Order: 0, J: 5, Bit: 1})}
+	extra := []wire.Msg{wire.Hello(1000, 0), wire.FromReport(protocol.Report{User: 1000, Order: 0, J: 5, Bit: 1})}
 	if err := dc2.SendBatch(0, extra); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestDurableCollectorRejectsInvalidBeforeJournaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := []Msg{Hello(0, 0), FromReport(protocol.Report{User: 1, Order: 0, J: d + 1, Bit: 1})}
+	bad := []wire.Msg{wire.Hello(0, 0), wire.FromReport(protocol.Report{User: 1, Order: 0, J: d + 1, Bit: 1})}
 	if err := dc.SendBatch(0, bad); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
@@ -194,9 +195,9 @@ func TestDurableCollectorConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				u := w*perWorker + i
-				batch := []Msg{
-					Hello(u, 0),
-					FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
+				batch := []wire.Msg{
+					wire.Hello(u, 0),
+					wire.FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
 				}
 				if err := dc.SendBatch(w, batch); err != nil {
 					t.Error(err)
@@ -256,8 +257,8 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := NewEncoder(conn)
-	if err := enc.EncodeBatch([]Msg{Hello(0, 0), FromReport(protocol.Report{User: 0, Order: 0, J: 3, Bit: 1})}); err != nil {
+	enc := wire.NewEncoder(conn)
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(0, 0), wire.FromReport(protocol.Report{User: 0, Order: 0, J: 3, Bit: 1})}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -270,7 +271,7 @@ func TestShutdownDrains(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(conn).ReadAnswer(); err != nil {
+	if _, err := wire.NewDecoder(conn).ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,17 +324,17 @@ func TestRecoverParentDataDir(t *testing.T) {
 	domainMeta.M = m
 	hashedMeta.M, hashedMeta.G, hashedMeta.Encoding, hashedMeta.HashSeed = enc.M, enc.G, enc.Name, enc.Seed
 
-	fixtureStream := func(mode Mode) []Msg {
-		var ms []Msg
+	fixtureStream := func(mode Mode) []wire.Msg {
+		var ms []wire.Msg
 		for u := 0; u < users; u++ {
 			order := u % 3
 			switch mode.Name() {
 			case "boolean":
-				ms = append(ms, Hello(u, order))
+				ms = append(ms, wire.Hello(u, order))
 			case "domain":
-				ms = append(ms, DomainHello(u, u%m, order))
+				ms = append(ms, wire.DomainHello(u, u%m, order))
 			default:
-				ms = append(ms, HashedDomainHello(u, u%enc.G, order, enc.Seed))
+				ms = append(ms, wire.HashedDomainHello(u, u%enc.G, order, enc.Seed))
 			}
 			for r := 0; r < 3; r++ {
 				bit := int8(1)
@@ -343,11 +344,11 @@ func TestRecoverParentDataDir(t *testing.T) {
 				rep := protocol.Report{User: u, Order: order, J: 1 + (u*7+r*3)%(d>>uint(order)), Bit: bit}
 				switch mode.Name() {
 				case "boolean":
-					ms = append(ms, FromReport(rep))
+					ms = append(ms, wire.FromReport(rep))
 				case "domain":
-					ms = append(ms, FromDomainReport(u%m, rep))
+					ms = append(ms, wire.FromDomainReport(u%m, rep))
 				default:
-					ms = append(ms, FromDomainReport(u%enc.G, rep))
+					ms = append(ms, wire.FromDomainReport(u%enc.G, rep))
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // ExampleOpenDurable walks the full durability cycle: ingest through a
@@ -34,11 +35,11 @@ func ExampleOpenDurable() {
 
 	// Three users each announce order 0 and report a +1 bit for the
 	// leaf interval [3..3]; then a snapshot covers them.
-	var ms []transport.Msg
+	var ms []wire.Msg
 	for u := 0; u < 3; u++ {
 		ms = append(ms,
-			transport.Hello(u, 0),
-			transport.FromReport(protocol.Report{User: u, Order: 0, J: 3, Bit: 1}))
+			wire.Hello(u, 0),
+			wire.FromReport(protocol.Report{User: u, Order: 0, J: 3, Bit: 1}))
 	}
 	if err := dc.SendBatch(0, ms); err != nil {
 		fmt.Println(err)
@@ -50,9 +51,9 @@ func ExampleOpenDurable() {
 	}
 
 	// A fourth user arrives after the snapshot — only the WAL has it.
-	err = dc.SendBatch(0, []transport.Msg{
-		transport.Hello(3, 0),
-		transport.FromReport(protocol.Report{User: 3, Order: 0, J: 3, Bit: 1}),
+	err = dc.SendBatch(0, []wire.Msg{
+		wire.Hello(3, 0),
+		wire.FromReport(protocol.Report{User: 3, Order: 0, J: 3, Bit: 1}),
 	})
 	if err != nil {
 		fmt.Println(err)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rtf/internal/obs"
+	"rtf/internal/wire"
 )
 
 // The flush discipline is pinned on every front by
@@ -21,14 +22,14 @@ type hookSession struct {
 	before func(run int)
 }
 
-func (s *hookSession) Apply(run []Rec, wire []byte) error {
+func (s *hookSession) Apply(run []wire.Rec, raw []byte) error {
 	s.before(s.runs)
 	s.runs++
-	return s.storeSession.Apply(run, wire)
+	return s.storeSession.Apply(run, raw)
 }
 
 // serveHooked serves a Boolean collector through hookSessions.
-func serveHooked(t *testing.T, before func(run int)) (srv *Server, conn net.Conn, enc *Encoder, dec *Decoder) {
+func serveHooked(t *testing.T, before func(run int)) (srv *Server, conn net.Conn, enc *wire.Encoder, dec *wire.Decoder) {
 	t.Helper()
 	col := NewCollector(BoolMode(16, 2), 1)
 	srv = NewServer(col.Mode(), "boolean", func(id int) Session {
@@ -69,7 +70,7 @@ func TestShedAckKeepsItsPlace(t *testing.T) {
 		}
 	})
 	for u := 0; u < 2; u++ {
-		if err := enc.EncodeAckedBatch([]Msg{Hello(u, 1)}); err != nil {
+		if err := enc.EncodeAckedBatch([]wire.Msg{wire.Hello(u, 1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,13 +103,13 @@ func TestAnswerLeavesBeforeNextRun(t *testing.T) {
 			}
 		}
 	})
-	if err := enc.EncodeBatch([]Msg{Hello(1, 0), pointQ(3), Hello(2, 0)}); err != nil {
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(1, 0), pointQ(3), wire.Hello(2, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if a, err := dec.ReadAnswer(); err != nil || a.Kind != QueryPoint || a.L != 3 {
+	if a, err := dec.ReadAnswer(); err != nil || a.Kind != wire.QueryPoint || a.L != 3 {
 		t.Fatalf("answer: %+v, %v", a, err)
 	}
 	close(answered)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rtf/internal/membership"
+	"rtf/internal/wire"
 )
 
 // FuzzDecoderRobust feeds arbitrary bytes to the decoder: it must return
@@ -29,7 +30,7 @@ func FuzzDecoderRobust(f *testing.F) {
 	f.Add([]byte{3, 1, 3, 0})                       // nested batch (invalid)
 	f.Add([]byte{3, 255, 255, 255, 255, 127})       // oversized length prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzDecode(t, data, func(m Msg) { checkDecoded(t, m) })
+		fuzzDecode(t, data, func(m wire.Msg) { checkDecoded(t, m) })
 	})
 }
 
@@ -37,8 +38,8 @@ func FuzzDecoderRobust(f *testing.F) {
 // decoder — Next, then NextBatch on a fresh decoder — and hands every
 // message either returns to check. Any error ends a view: EOF and a
 // descriptive error are both fine.
-func fuzzDecode(t *testing.T, data []byte, check func(Msg)) {
-	dec := NewDecoder(bytes.NewReader(data))
+func fuzzDecode(t *testing.T, data []byte, check func(wire.Msg)) {
+	dec := wire.NewDecoder(bytes.NewReader(data))
 	for i := 0; i < 1000; i++ {
 		m, err := dec.Next()
 		if err != nil {
@@ -46,7 +47,7 @@ func fuzzDecode(t *testing.T, data []byte, check func(Msg)) {
 		}
 		check(m)
 	}
-	dec = NewDecoder(bytes.NewReader(data))
+	dec = wire.NewDecoder(bytes.NewReader(data))
 	for total := 0; total < 100000; {
 		ms, err := dec.NextBatch()
 		if err != nil {
@@ -64,31 +65,31 @@ func fuzzDecode(t *testing.T, data []byte, check func(Msg)) {
 
 // checkDecoded is the message fuzzers' one oracle: a message Next or
 // NextBatch returned without error has a type Next can return — every
-// scalar type decodeScalarInto accepts, and the MsgView and
+// scalar type the general decoder accepts, and the MsgView and
 // MsgShardTransfer markers — and each field its decoder bounds is in
 // range: a ±1 bit on a report, non-negative user, item or bucket,
 // query fields and counts, a shard within membership.MaxShards, and a
 // sums scope that is either none or a range inside [1..MaxSumsD].
-func checkDecoded(t *testing.T, m Msg) {
+func checkDecoded(t *testing.T, m wire.Msg) {
 	t.Helper()
-	scope := m.L == 0 && m.R == 0 || 1 <= m.L && m.L <= m.R && m.R <= MaxSumsD
+	scope := m.L == 0 && m.R == 0 || 1 <= m.L && m.L <= m.R && m.R <= wire.MaxSumsD
 	var ok bool
 	switch m.Type {
-	case MsgHello, MsgDomainHello, MsgHashedDomainHello:
+	case wire.MsgHello, wire.MsgDomainHello, wire.MsgHashedDomainHello:
 		ok = m.User >= 0 && m.Item >= 0
-	case MsgReport, MsgDomainReport:
+	case wire.MsgReport, wire.MsgDomainReport:
 		ok = m.User >= 0 && m.Item >= 0 && (m.Bit == 1 || m.Bit == -1)
-	case MsgQueryV2:
+	case wire.MsgQueryV2:
 		ok = m.L >= 0 && m.R >= 0
-	case MsgDomainQuery:
+	case wire.MsgDomainQuery:
 		ok = m.Item >= 0 && m.L >= 0 && m.R >= 0 && m.K >= 0
-	case MsgSums, MsgDomainSums:
+	case wire.MsgSums, wire.MsgDomainSums:
 		ok = scope
-	case MsgHashedDomainSums:
+	case wire.MsgHashedDomainSums:
 		ok = m.Item >= 0 && m.K >= 0 && scope
-	case MsgShardSums, MsgShardTransfer:
+	case wire.MsgShardSums, wire.MsgShardTransfer:
 		ok = m.Shard >= 0 && m.Shard <= membership.MaxShards && scope
-	case MsgView:
+	case wire.MsgView:
 		ok = true
 	default:
 		t.Fatalf("decoded type %d without error: %+v", m.Type, m)
@@ -106,33 +107,33 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint32(1), uint8(2), uint32(3), true, uint8(2), uint32(1024), math.Inf(1))
 	f.Add(uint32(1), uint8(2), uint32(3), true, uint8(3), uint32(12), 0.125)
 	f.Fuzz(func(t *testing.T, user uint32, order uint8, j uint32, bit bool, kind uint8, tt uint32, val float64) {
-		var m Msg
+		var m wire.Msg
 		switch kind % 4 {
 		case 0:
-			m = Hello(int(user), int(order))
+			m = wire.Hello(int(user), int(order))
 		case 1:
 			b := int8(1)
 			if !bit {
 				b = -1
 			}
-			m = Msg{Type: MsgReport, User: int(user), Order: int(order), J: int(j), Bit: b}
+			m = wire.Msg{Type: wire.MsgReport, User: int(user), Order: int(order), J: int(j), Bit: b}
 		case 2:
 			m = pointQ(int(tt))
 		case 3:
 			// The slot of the retired v1 estimate; val stays in the
 			// signature so old corpus entries still parse.
 			_ = val
-			m = QueryV2(QueryChange, int(tt), int(tt)+int(j%1024))
+			m = wire.QueryV2(wire.QueryChange, int(tt), int(tt)+int(j%1024))
 		}
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewDecoder(&buf).Next()
+		got, err := wire.NewDecoder(&buf).Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,36 +151,36 @@ func FuzzBatchRoundTrip(f *testing.F) {
 	f.Add(uint16(5), uint64(99))
 	f.Add(uint16(300), uint64(12345))
 	f.Fuzz(func(t *testing.T, n uint16, seed uint64) {
-		ms := make([]Msg, int(n)%512)
+		ms := make([]wire.Msg, int(n)%512)
 		s := seed
 		for i := range ms {
 			s = s*6364136223846793005 + 1442695040888963407
 			if s%3 == 0 {
-				ms[i] = Hello(int(s%1000), int(s%32))
+				ms[i] = wire.Hello(int(s%1000), int(s%32))
 			} else {
 				b := int8(1)
 				if s%2 == 0 {
 					b = -1
 				}
-				ms[i] = Msg{Type: MsgReport, User: int(s % 1000), Order: int(s % 32), J: int(s%4096) + 1, Bit: b}
+				ms[i] = wire.Msg{Type: wire.MsgReport, User: int(s % 1000), Order: int(s % 32), J: int(s%4096) + 1, Bit: b}
 			}
 		}
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.Encode(pointQ(3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.EncodeBatch(ms); err != nil {
 			t.Fatal(err)
 		}
-		if err := enc.Encode(Sums()); err != nil {
+		if err := enc.Encode(wire.Sums()); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		dec := NewDecoder(&buf)
-		want := append(append([]Msg{pointQ(3)}, ms...), Sums())
+		dec := wire.NewDecoder(&buf)
+		want := append(append([]wire.Msg{pointQ(3)}, ms...), wire.Sums())
 		for i, w := range want {
 			got, err := dec.Next()
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // goldenMsgs is a fixed mix of every pre-hashed wire message type that
@@ -16,18 +17,18 @@ import (
 // with the exact encoding, every wire byte is part of the compatibility
 // surface, and a deployed fleet of clients and gateways must keep
 // interoperating across the upgrade.
-func goldenMsgs() []Msg {
-	return []Msg{
-		Hello(7, 3),
-		FromReport(protocol.Report{User: 7, Order: 3, J: 2, Bit: 1}),
-		FromReport(protocol.Report{User: 7, Order: 3, J: 5, Bit: -1}),
-		QueryV2(QuerySeries, 1, 8),
-		Sums(),
-		DomainHello(11, 5, 2),
-		FromDomainReport(5, protocol.Report{User: 11, Order: 2, J: 3, Bit: 1}),
-		DomainQuery(QueryPointItem, 5, 7, 0, 0),
-		DomainQuery(QueryTopK, 0, 8, 0, 3),
-		DomainSums(),
+func goldenMsgs() []wire.Msg {
+	return []wire.Msg{
+		wire.Hello(7, 3),
+		wire.FromReport(protocol.Report{User: 7, Order: 3, J: 2, Bit: 1}),
+		wire.FromReport(protocol.Report{User: 7, Order: 3, J: 5, Bit: -1}),
+		wire.QueryV2(wire.QuerySeries, 1, 8),
+		wire.Sums(),
+		wire.DomainHello(11, 5, 2),
+		wire.FromDomainReport(5, protocol.Report{User: 11, Order: 2, J: 3, Bit: 1}),
+		wire.DomainQuery(wire.QueryPointItem, 5, 7, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, 8, 0, 3),
+		wire.DomainSums(),
 	}
 }
 
@@ -44,7 +45,7 @@ func TestWireGoldenBytes(t *testing.T) {
 	msgs := goldenMsgs()
 
 	var scalar bytes.Buffer
-	enc := NewEncoder(&scalar)
+	enc := wire.NewEncoder(&scalar)
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
@@ -58,7 +59,7 @@ func TestWireGoldenBytes(t *testing.T) {
 	}
 
 	var batch bytes.Buffer
-	enc = NewEncoder(&batch)
+	enc = wire.NewEncoder(&batch)
 	if err := enc.EncodeBatch(msgs); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestWireGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(bytes.NewReader(raw))
+	dec := wire.NewDecoder(bytes.NewReader(raw))
 	for i, w := range msgs {
 		got, err := dec.Next()
 		if err != nil {
@@ -89,7 +90,7 @@ func TestWireGoldenBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := NewDecoder(bytes.NewReader(raw)).NextBatch()
+	ms, err := wire.NewDecoder(bytes.NewReader(raw)).NextBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ const (
 // then domain, freshly encoded.
 func goldenSumsFrames(t testing.TB) [2][]byte {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeDomainSums(DomainSumsFromServer(testFuzzDomainServer())); err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +143,12 @@ func TestSumsGoldenBytes(t *testing.T) {
 		if i == 1 {
 			mode = DomainMode(8, hh.ExactEncoding(3), 2)
 		}
-		f, err := mode.ReadSums(NewDecoder(bytes.NewReader(raw)))
+		f, err := mode.ReadSums(wire.NewDecoder(bytes.NewReader(raw)))
 		if err != nil {
 			t.Fatalf("sums frame %d: %v", i, err)
 		}
 		var back bytes.Buffer
-		enc := NewEncoder(&back)
+		enc := wire.NewEncoder(&back)
 		if err := mode.EncodeSums(enc, f); err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // TestDurableGroupCommitRecovery exercises the group-commit path end to
@@ -39,9 +40,9 @@ func TestDurableGroupCommitRecovery(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				u := w*perWorker + i
-				batch := []Msg{
-					Hello(u, 0),
-					FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
+				batch := []wire.Msg{
+					wire.Hello(u, 0),
+					wire.FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
 				}
 				if err := dc.SendBatch(w, batch); err != nil {
 					t.Error(err)
@@ -110,21 +111,21 @@ func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 	}
 	defer dc.Close()
 
-	batch := make([]Msg, 0, 64)
+	batch := make([]wire.Msg, 0, 64)
 	for i := 0; i < 64; i++ {
 		bit := int8(1)
 		if i%2 == 0 {
 			bit = -1
 		}
-		batch = append(batch, FromReport(protocol.Report{
+		batch = append(batch, wire.FromReport(protocol.Report{
 			User: i, Order: i % 3, J: 1 + i%(d>>uint(i%3)), Bit: bit,
 		}))
 	}
-	frame, err := appendBatch(nil, MsgBatchAcked, batch)
+	frame, err := appendBatch(nil, wire.MsgBatchAcked, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&loopReader{b: frame})
+	dec := wire.NewDecoder(&loopReader{b: frame})
 	ingest := dc.Mode().Ingest()
 	served := func() {
 		f, err := dec.NextFrame(&ingest)
@@ -167,8 +168,8 @@ func TestDurableGroupCommitCrashLosesOnlyUnacked(t *testing.T) {
 		t.Fatal(err)
 	}
 	user := func(w, i int) int { return w*perWorker + i }
-	batch := func(u int) []Msg {
-		return []Msg{Hello(u, 0), FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1})}
+	batch := func(u int) []wire.Msg {
+		return []wire.Msg{wire.Hello(u, 0), wire.FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1})}
 	}
 	var started, acked [workers]atomic.Int64
 	var wg sync.WaitGroup
@@ -232,7 +233,7 @@ func TestDurableGroupCommitCrashLosesOnlyUnacked(t *testing.T) {
 	seen := map[int]bool{}
 	ingest := dc.Mode().Ingest()
 	_, _, err = persist.ReplayWAL(crashDir, persist.ReplayOptions{TolerateTornTail: true}, func(seq uint64, payload []byte) error {
-		dec := NewDecoder(bytes.NewReader(payload))
+		dec := wire.NewDecoder(bytes.NewReader(payload))
 		for {
 			f, err := dec.NextFrame(&ingest)
 			if errors.Is(err, io.EOF) {

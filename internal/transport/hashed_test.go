@@ -13,6 +13,7 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 const (
@@ -28,11 +29,11 @@ func hashedTestEnc() hh.DomainEncoding {
 // hashedConnMsgs builds a deterministic stream of valid hashed-domain
 // wire messages for one simulated connection: seed-carrying hellos
 // followed by bucket-tagged reports.
-func hashedConnMsgs(seed uint64, d, n int) []Msg {
+func hashedConnMsgs(seed uint64, d, n int) []wire.Msg {
 	g := rng.New(seed, 53)
-	ms := make([]Msg, 0, n+4)
+	ms := make([]wire.Msg, 0, n+4)
 	for u := 0; u < 4; u++ {
-		ms = append(ms, HashedDomainHello(int(seed)*1000+u, g.IntN(hashedTestG), g.IntN(dyadic.NumOrders(d)), hashedTestSeed))
+		ms = append(ms, wire.HashedDomainHello(int(seed)*1000+u, g.IntN(hashedTestG), g.IntN(dyadic.NumOrders(d)), hashedTestSeed))
 	}
 	for i := 0; i < n; i++ {
 		h := g.IntN(dyadic.NumOrders(d))
@@ -40,7 +41,7 @@ func hashedConnMsgs(seed uint64, d, n int) []Msg {
 		if g.Bernoulli(0.5) {
 			bit = -1
 		}
-		ms = append(ms, FromDomainReport(g.IntN(hashedTestG), protocol.Report{
+		ms = append(ms, wire.FromDomainReport(g.IntN(hashedTestG), protocol.Report{
 			User: int(seed)*1000 + i, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 		}))
 	}
@@ -51,30 +52,30 @@ func hashedConnMsgs(seed uint64, d, n int) []Msg {
 // types survive the wire bit-exactly, alone and inside batch frames,
 // and that every truncated prefix fails cleanly.
 func TestHashedDomainScalarRoundTrip(t *testing.T) {
-	msgs := []Msg{
-		HashedDomainHello(0, 0, 0, 0),
-		HashedDomainHello(1<<30, hashedTestG-1, 3, ^uint64(0)),
-		HashedDomainHello(7, 3, 2, hashedTestSeed),
-		HashedDomainSums(2, 2, 0),
-		HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed),
-		HashedDomainSums(hh.MaxHashedDomainM, hh.MaxDomainRows, 0x9e3779b97f4a7c15),
+	msgs := []wire.Msg{
+		wire.HashedDomainHello(0, 0, 0, 0),
+		wire.HashedDomainHello(1<<30, hashedTestG-1, 3, ^uint64(0)),
+		wire.HashedDomainHello(7, 3, 2, hashedTestSeed),
+		wire.HashedDomainSums(2, 2, 0),
+		wire.HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed),
+		wire.HashedDomainSums(hh.MaxHashedDomainM, hh.MaxDomainRows, 0x9e3779b97f4a7c15),
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ingest := []Msg{msgs[0], msgs[1], msgs[2]}
+	ingest := []wire.Msg{msgs[0], msgs[1], msgs[2]}
 	if err := enc.EncodeBatch(ingest); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
-	want := append(append([]Msg{}, msgs...), ingest...)
+	dec := wire.NewDecoder(&buf)
+	want := append(append([]wire.Msg{}, msgs...), ingest...)
 	for i, w := range want {
 		got, err := dec.Next()
 		if err != nil {
@@ -87,7 +88,7 @@ func TestHashedDomainScalarRoundTrip(t *testing.T) {
 
 	for _, m := range msgs {
 		var one bytes.Buffer
-		e := NewEncoder(&one)
+		e := wire.NewEncoder(&one)
 		if err := e.Encode(m); err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +97,7 @@ func TestHashedDomainScalarRoundTrip(t *testing.T) {
 		}
 		full := one.Bytes()
 		for cut := 1; cut < len(full); cut++ {
-			if got, err := NewDecoder(bytes.NewReader(full[:cut])).Next(); err == nil {
+			if got, err := wire.NewDecoder(bytes.NewReader(full[:cut])).Next(); err == nil {
 				t.Fatalf("truncated %+v at %d decoded as %+v", m, cut, got)
 			}
 		}
@@ -106,13 +107,13 @@ func TestHashedDomainScalarRoundTrip(t *testing.T) {
 // TestHashedDomainEncodeValidation checks the encoder refuses malformed
 // hashed frames before any bytes hit the wire.
 func TestHashedDomainEncodeValidation(t *testing.T) {
-	enc := NewEncoder(&bytes.Buffer{})
-	bad := []Msg{
-		{Type: MsgHashedDomainHello, User: -1},
-		{Type: MsgHashedDomainHello, User: 1, Item: -1},
-		{Type: MsgHashedDomainHello, User: 1, Item: 0, Order: -1, Seed: hashedTestSeed},
-		{Type: MsgHashedDomainSums, Item: -1, K: 2},
-		{Type: MsgHashedDomainSums, Item: 2, K: -1},
+	enc := wire.NewEncoder(&bytes.Buffer{})
+	bad := []wire.Msg{
+		{Type: wire.MsgHashedDomainHello, User: -1},
+		{Type: wire.MsgHashedDomainHello, User: 1, Item: -1},
+		{Type: wire.MsgHashedDomainHello, User: 1, Item: 0, Order: -1, Seed: hashedTestSeed},
+		{Type: wire.MsgHashedDomainSums, Item: -1, K: 2},
+		{Type: wire.MsgHashedDomainSums, Item: 2, K: -1},
 	}
 	for i, m := range bad {
 		if err := enc.Encode(m); err == nil {
@@ -130,26 +131,26 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 	enc := hashedTestEnc()
 	cases := []struct {
 		name string
-		msg  Msg
+		msg  wire.Msg
 		ok   bool
 	}{
-		{"hello", HashedDomainHello(1, 3, 2, hashedTestSeed), true},
-		{"hello max bucket", HashedDomainHello(1, hashedTestG-1, 0, hashedTestSeed), true},
-		{"report", FromDomainReport(5, protocol.Report{User: 1, Order: 1, J: 2, Bit: -1}), true},
-		{"hello wrong seed", HashedDomainHello(1, 3, 2, hashedTestSeed+1), false},
-		{"hello bucket = g", HashedDomainHello(1, hashedTestG, 0, hashedTestSeed), false},
-		{"hello negative user", Msg{Type: MsgHashedDomainHello, User: -1, Seed: hashedTestSeed}, false},
-		{"hello order too big", HashedDomainHello(1, 0, dyadic.Log2(d)+1, hashedTestSeed), false},
-		{"exact hello", DomainHello(1, 3, 2), false},
-		{"report bucket = g", FromDomainReport(hashedTestG, protocol.Report{User: 1, J: 1, Bit: 1}), false},
-		{"report bit 0", Msg{Type: MsgDomainReport, User: 1, Item: 0, J: 1}, false},
-		{"report j out of range", FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: d + 1, Bit: 1}), false},
-		{"plain hello", Hello(1, 0), false},
-		{"query", DomainQuery(QueryPointItem, 1, 1, 0, 0), false},
+		{"hello", wire.HashedDomainHello(1, 3, 2, hashedTestSeed), true},
+		{"hello max bucket", wire.HashedDomainHello(1, hashedTestG-1, 0, hashedTestSeed), true},
+		{"report", wire.FromDomainReport(5, protocol.Report{User: 1, Order: 1, J: 2, Bit: -1}), true},
+		{"hello wrong seed", wire.HashedDomainHello(1, 3, 2, hashedTestSeed+1), false},
+		{"hello bucket = g", wire.HashedDomainHello(1, hashedTestG, 0, hashedTestSeed), false},
+		{"hello negative user", wire.Msg{Type: wire.MsgHashedDomainHello, User: -1, Seed: hashedTestSeed}, false},
+		{"hello order too big", wire.HashedDomainHello(1, 0, dyadic.Log2(d)+1, hashedTestSeed), false},
+		{"exact hello", wire.DomainHello(1, 3, 2), false},
+		{"report bucket = g", wire.FromDomainReport(hashedTestG, protocol.Report{User: 1, J: 1, Bit: 1}), false},
+		{"report bit 0", wire.Msg{Type: wire.MsgDomainReport, User: 1, Item: 0, J: 1}, false},
+		{"report j out of range", wire.FromDomainReport(0, protocol.Report{User: 1, Order: 0, J: d + 1, Bit: 1}), false},
+		{"plain hello", wire.Hello(1, 0), false},
+		{"query", wire.DomainQuery(wire.QueryPointItem, 1, 1, 0, 0), false},
 	}
 	ingest := DomainMode(d, enc, 1).Ingest()
 	for _, c := range cases {
-		err := ValidateHashedDomainIngest(d, enc, c.msg)
+		err := wire.ValidateHashedDomainIngest(d, enc, c.msg)
 		if c.ok && err != nil {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		}
@@ -157,13 +158,13 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 		// The contract check every served message goes through must agree.
-		if got := ingest.check(&c.msg, new(Rec)); got != (err == nil) {
+		if got := ingest.Check(&c.msg, new(wire.Rec)); got != (err == nil) {
 			t.Errorf("%s: contract says %v, error builder says %v", c.name, got, err)
 		}
 	}
 	// And the exact-domain validator must symmetrically reject the
 	// hashed hello: a hashed client cannot feed an exact server.
-	if err := ValidateDomainIngest(d, 8, HashedDomainHello(1, 3, 2, hashedTestSeed)); err == nil {
+	if err := wire.ValidateDomainIngest(d, 8, wire.HashedDomainHello(1, 3, 2, hashedTestSeed)); err == nil {
 		t.Error("exact validator accepted a hashed hello")
 	}
 }
@@ -172,13 +173,13 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 // validator adds over the exact one: top-k capped by the answer frame.
 func TestValidateHashedDomainQuery(t *testing.T) {
 	const d = 16
-	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen)); err != nil {
+	if err := wire.ValidateDomainQuery(d, hashedTestEnc(), wire.DomainQuery(wire.QueryTopK, 0, d, 0, wire.MaxAnswerLen)); err != nil {
 		t.Errorf("top-k at the cap rejected: %v", err)
 	}
-	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryTopK, 0, d, 0, MaxAnswerLen+1)); err == nil {
+	if err := wire.ValidateDomainQuery(d, hashedTestEnc(), wire.DomainQuery(wire.QueryTopK, 0, d, 0, wire.MaxAnswerLen+1)); err == nil {
 		t.Error("top-k over the answer cap accepted")
 	}
-	if err := ValidateDomainQuery(d, hashedTestEnc(), DomainQuery(QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
+	if err := wire.ValidateDomainQuery(d, hashedTestEnc(), wire.DomainQuery(wire.QueryPointItem, hashedTestM, d, 0, 0)); err == nil {
 		t.Error("point query past the catalogue accepted")
 	}
 }
@@ -196,9 +197,9 @@ func fillHashedPair(t *testing.T, col *Collector, serial *hh.HashedDomainServer,
 			bit = -1
 		}
 		r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-		if err := col.SendBatch(u%4, []Msg{
-			HashedDomainHello(u, b, h, hashedTestSeed),
-			FromDomainReport(b, r),
+		if err := col.SendBatch(u%4, []wire.Msg{
+			wire.HashedDomainHello(u, b, h, hashedTestSeed),
+			wire.FromDomainReport(b, r),
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -222,12 +223,12 @@ func TestAnswerHashedDomainQuery(t *testing.T) {
 	if hellos != n || reports != n || batches != n {
 		t.Fatalf("stats = (%d, %d, %d), want (%d, %d, %d)", hellos, reports, batches, n, n, n)
 	}
-	queries := []Msg{
-		DomainQuery(QueryPointItem, 0, d, 0, 0),
-		DomainQuery(QueryPointItem, hashedTestM-1, 1, 0, 0),
-		DomainQuery(QuerySeriesItem, 12345, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, d, 0, 7),
-		DomainQuery(QueryTopK, 0, d/2, 0, 1),
+	queries := []wire.Msg{
+		wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0),
+		wire.DomainQuery(wire.QueryPointItem, hashedTestM-1, 1, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, 12345, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, d, 0, 7),
+		wire.DomainQuery(wire.QueryTopK, 0, d/2, 0, 1),
 	}
 	for _, q := range queries {
 		got, err := answerDomain(live, q)
@@ -275,8 +276,8 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			enc := NewEncoder(conn)
-			dec := NewDecoder(conn)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
 			ms := hashedConnMsgs(uint64(c), d, perC)
 			for lo := 0; lo < len(ms); lo += batch {
 				hi := min(lo+batch, len(ms))
@@ -286,7 +287,7 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 				}
 			}
 			// Fence: a query response proves every batch above applied.
-			if err := enc.Encode(DomainQuery(QueryPointItem, 42, d, 0, 0)); err != nil {
+			if err := enc.Encode(wire.DomainQuery(wire.QueryPointItem, 42, d, 0, 0)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -305,9 +306,9 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 	for c := 0; c < conns; c++ {
 		for _, m := range hashedConnMsgs(uint64(c), d, perC) {
 			switch m.Type {
-			case MsgHashedDomainHello:
+			case wire.MsgHashedDomainHello:
 				serial.Inner().Register(0, m.Item, m.Order)
-			case MsgDomainReport:
+			case wire.MsgDomainReport:
 				serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
 			}
 		}
@@ -318,12 +319,12 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := NewEncoder(conn)
-	dec := NewDecoder(conn)
-	queries := []Msg{
-		DomainQuery(QueryPointItem, 0, d, 0, 0),
-		DomainQuery(QuerySeriesItem, hashedTestM-1, 0, 0, 0),
-		DomainQuery(QueryTopK, 0, d, 0, 9),
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
+	queries := []wire.Msg{
+		wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0),
+		wire.DomainQuery(wire.QuerySeriesItem, hashedTestM-1, 0, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, d, 0, 9),
 	}
 	for _, q := range queries {
 		if err := enc.Encode(q); err != nil {
@@ -346,7 +347,7 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 	}
 	// The stacked-gateway path: an encoding-checked raw-sums request
 	// returns the g-row bucket state, identical to the serial fold.
-	if err := enc.Encode(HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed)); err != nil {
+	if err := enc.Encode(wire.HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -368,14 +369,14 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 	}
 	defer bad.Close()
 	srv.ErrorLog = nil // the refusal below is expected
-	be := NewEncoder(bad)
-	if err := be.Encode(HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed+1)); err != nil {
+	be := wire.NewEncoder(bad)
+	if err := be.Encode(wire.HashedDomainSums(hashedTestM, hashedTestG, hashedTestSeed+1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := be.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(bad).ReadDomainSums(); err == nil {
+	if _, err := wire.NewDecoder(bad).ReadDomainSums(); err == nil {
 		t.Fatal("mismatched-seed sums request answered")
 	}
 
@@ -417,7 +418,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 				bit = -1
 			}
 			r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-			if err := c.SendBatch(u, []Msg{HashedDomainHello(u, b, h, hashedTestSeed), FromDomainReport(b, r)}); err != nil {
+			if err := c.SendBatch(u, []wire.Msg{wire.HashedDomainHello(u, b, h, hashedTestSeed), wire.FromDomainReport(b, r)}); err != nil {
 				t.Fatal(err)
 			}
 			ref.Inner().Register(0, b, h)

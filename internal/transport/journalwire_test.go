@@ -13,6 +13,7 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // This file pins the write path's one-pass contract: a durable server
@@ -34,11 +35,11 @@ type wireCase struct {
 	name   string
 	mode   Mode
 	meta   persist.Meta
-	hello  func(u int) Msg
-	report func(u, i int) Msg
-	read   Msg // a valid in-batch read
-	badQ   Msg // a read frame that fails ValidateRead
-	badRep Msg // a report that fails ValidateIngest
+	hello  func(u int) wire.Msg
+	report func(u, i int) wire.Msg
+	read   wire.Msg // a valid in-batch read
+	badQ   wire.Msg // a read frame that fails ValidateRead
+	badRep wire.Msg // a report that fails ValidateIngest
 }
 
 func wireCases() []wireCase {
@@ -56,37 +57,37 @@ func wireCases() []wireCase {
 		{
 			name: "bool", mode: BoolMode(wireD, wireScale),
 			meta:   persist.Meta{D: wireD, Scale: wireScale},
-			hello:  func(u int) Msg { return Hello(u, u%4) },
-			report: func(u, i int) Msg { return FromReport(rep(u, i)) },
-			read:   QueryV2(QueryPoint, wireD/2, 0),
-			badQ:   QueryV2(QueryPoint, wireD+1, 0),
-			badRep: FromReport(overRange),
+			hello:  func(u int) wire.Msg { return wire.Hello(u, u%4) },
+			report: func(u, i int) wire.Msg { return wire.FromReport(rep(u, i)) },
+			read:   wire.QueryV2(wire.QueryPoint, wireD/2, 0),
+			badQ:   wire.QueryV2(wire.QueryPoint, wireD+1, 0),
+			badRep: wire.FromReport(overRange),
 		},
 		{
 			name: "exact", mode: DomainMode(wireD, hh.ExactEncoding(wireM), wireScale),
 			meta:   persist.Meta{D: wireD, M: wireM, Scale: wireScale},
-			hello:  func(u int) Msg { return DomainHello(u, u%wireM, u%4) },
-			report: func(u, i int) Msg { return FromDomainReport(u%wireM, rep(u, i)) },
-			read:   DomainQuery(QueryPointItem, 3, wireD/2, 0, 0),
-			badQ:   DomainQuery(QueryPointItem, wireM, 1, 0, 0),
-			badRep: FromDomainReport(0, overRange),
+			hello:  func(u int) wire.Msg { return wire.DomainHello(u, u%wireM, u%4) },
+			report: func(u, i int) wire.Msg { return wire.FromDomainReport(u%wireM, rep(u, i)) },
+			read:   wire.DomainQuery(wire.QueryPointItem, 3, wireD/2, 0, 0),
+			badQ:   wire.DomainQuery(wire.QueryPointItem, wireM, 1, 0, 0),
+			badRep: wire.FromDomainReport(0, overRange),
 		},
 		{
 			name: "hashed", mode: DomainMode(wireD, enc, wireScale),
 			meta:   persist.Meta{D: wireD, M: enc.M, G: enc.G, Encoding: enc.Name, HashSeed: enc.Seed, Scale: wireScale},
-			hello:  func(u int) Msg { return HashedDomainHello(u, u%enc.G, u%4, enc.Seed) },
-			report: func(u, i int) Msg { return FromDomainReport(u%enc.G, rep(u, i)) },
-			read:   DomainQuery(QueryPointItem, 12345, wireD/2, 0, 0),
-			badQ:   DomainQuery(QueryPointItem, enc.M, 1, 0, 0),
-			badRep: FromDomainReport(0, overRange),
+			hello:  func(u int) wire.Msg { return wire.HashedDomainHello(u, u%enc.G, u%4, enc.Seed) },
+			report: func(u, i int) wire.Msg { return wire.FromDomainReport(u%enc.G, rep(u, i)) },
+			read:   wire.DomainQuery(wire.QueryPointItem, 12345, wireD/2, 0, 0),
+			badQ:   wire.DomainQuery(wire.QueryPointItem, enc.M, 1, 0, 0),
+			badRep: wire.FromDomainReport(0, overRange),
 		},
 	}
 }
 
 // ingest builds users' worth of hello-plus-reports messages, user ids
 // starting at first (large ones, so ids take two and three bytes).
-func (c wireCase) ingest(first, users int) []Msg {
-	var ms []Msg
+func (c wireCase) ingest(first, users int) []wire.Msg {
+	var ms []wire.Msg
 	for u := first; u < first+users; u++ {
 		ms = append(ms, c.hello(u))
 		for i := 0; i < 5; i++ {
@@ -101,10 +102,10 @@ func (c wireCase) ingest(first, users int) []Msg {
 // bit on its last byte, then a zero byte) — a spelling binary.Uvarint and
 // binary.ReadUvarint both accept. A report's trailing bit byte is not a
 // varint and keeps its one byte; ten-byte varints have no room to grow.
-func overlong(canonical []byte, typ MsgType) []byte {
+func overlong(canonical []byte, typ wire.MsgType) []byte {
 	out := []byte{canonical[0]}
 	body := canonical[1:]
-	hasBit := typ == MsgReport || typ == MsgDomainReport
+	hasBit := typ == wire.MsgReport || typ == wire.MsgDomainReport
 	for len(body) > 0 {
 		if hasBit && len(body) == 1 {
 			out = append(out, body[0])
@@ -123,9 +124,9 @@ func overlong(canonical []byte, typ MsgType) []byte {
 
 // frame encodes ms as one batch frame of the given type; padded spells
 // the ingest messages' varints overlong.
-func frame(t testing.TB, typ MsgType, ms []Msg, reads FrameSet, padded bool) []byte {
+func frame(t testing.TB, typ wire.MsgType, ms []wire.Msg, reads wire.FrameSet, padded bool) []byte {
 	t.Helper()
-	b := appendBatchHeader(nil, typ, len(ms))
+	b := wire.AppendBatchHeader(nil, typ, len(ms))
 	for i := range ms {
 		one, err := appendMsg(nil, &ms[i])
 		if err != nil {
@@ -158,13 +159,13 @@ func (c *streamConn) Read(p []byte) (int, error) {
 func (c *streamConn) Write(p []byte) (int, error) { return len(p), nil }
 
 // recMsgs is the Msg view of a run of records decoded under c.
-func recMsgs(c Ingest, run []Rec) []Msg {
-	ms := make([]Msg, len(run))
+func recMsgs(c wire.Ingest, run []wire.Rec) []wire.Msg {
+	ms := make([]wire.Msg, len(run))
 	for i, r := range run {
-		ms[i] = Msg{Type: c.Report, User: r.User, Item: int(r.Item), Order: int(r.Order), J: int(r.J), Bit: r.Bit}
+		ms[i] = wire.Msg{Type: c.Report, User: r.User, Item: int(r.Item), Order: int(r.Order), J: int(r.J), Bit: r.Bit}
 		if r.Bit == 0 {
 			ms[i].Type = c.Hello
-			if c.Hello == MsgHashedDomainHello {
+			if c.Hello == wire.MsgHashedDomainHello {
 				ms[i].Seed = c.Seed
 			}
 		}
@@ -179,19 +180,18 @@ func recMsgs(c Ingest, run []Rec) []Msg {
 type auditStore struct {
 	Store
 	t    testing.TB
-	runs [][]Msg
+	runs [][]wire.Msg
 }
 
-func (a *auditStore) Apply(shard int, run []Rec, wire []byte) error {
+func (a *auditStore) Apply(shard int, run []wire.Rec, raw []byte) error {
 	ms := recMsgs(a.Mode().Ingest(), run)
-	got, err := NewDecoder(bytes.NewReader(append(appendBatchHeader(nil, MsgBatch, len(run)), wire...))).NextBatch()
+	got, err := wire.NewDecoder(bytes.NewReader(append(wire.AppendBatchHeader(nil, wire.MsgBatch, len(run)), raw...))).NextBatch()
 	if err != nil || !slices.Equal(got, ms) {
 		a.t.Errorf("wire bytes of a %d-message run decode to %d messages (%v)", len(run), len(got), err)
 	}
-	rest := wire
+	rest := raw
 	for i, r := range run {
-		var m Msg
-		if n, err := decodeScalarInto(rest[:min(int(r.Len), len(rest))], &m); err != nil || n != int(r.Len) || m != ms[i] {
+		if m, n, err := decodeOne(rest[:min(int(r.Len), len(rest))]); err != nil || n != int(r.Len) || m != ms[i] {
 			a.t.Fatalf("record %d claims %d wire bytes; they decode to %+v (%d bytes, %v), want %+v", i, r.Len, m, n, err, ms[i])
 		}
 		rest = rest[r.Len:]
@@ -200,14 +200,14 @@ func (a *auditStore) Apply(shard int, run []Rec, wire []byte) error {
 		a.t.Errorf("run of %d records came with %d wire bytes too many", len(run), len(rest))
 	}
 	a.runs = append(a.runs, ms)
-	return a.Store.Apply(shard, run, wire)
+	return a.Store.Apply(shard, run, raw)
 }
 
 // serveStream runs the real frame loop over stream against a fresh
 // durable store in dir, then closes the store without a snapshot. It
 // returns the runs the store was handed and the loop's verdict on the
 // stream.
-func serveStream(t testing.TB, c wireCase, dir string, stream []byte, chunk int) ([][]Msg, error) {
+func serveStream(t testing.TB, c wireCase, dir string, stream []byte, chunk int) ([][]wire.Msg, error) {
 	t.Helper()
 	dur, _, err := OpenDurableStore(NewCollector(c.mode, 2), dir, c.meta, DurableOptions{})
 	if err != nil {
@@ -224,10 +224,10 @@ func serveStream(t testing.TB, c wireCase, dir string, stream []byte, chunk int)
 
 // readLog reads the write-ahead log in dir back: one decoded run and
 // one raw payload per record.
-func readLog(t testing.TB, dir string) (runs [][]Msg, payloads [][]byte) {
+func readLog(t testing.TB, dir string) (runs [][]wire.Msg, payloads [][]byte) {
 	t.Helper()
 	_, _, err := persist.ReplayWAL(dir, persist.ReplayOptions{}, func(seq uint64, payload []byte) error {
-		dec := NewDecoder(bytes.NewReader(payload))
+		dec := wire.NewDecoder(bytes.NewReader(payload))
 		ms, err := dec.NextBatch()
 		if err != nil {
 			return err
@@ -249,7 +249,7 @@ func readLog(t testing.TB, dir string) (runs [][]Msg, payloads [][]byte) {
 // applied runs, and a store recovered from it (no snapshot was cut)
 // holds raw sums bit-for-bit equal to a fresh store fed those runs
 // serially through the validating entry.
-func checkJournalIsApplied(t testing.TB, c wireCase, dir string, applied [][]Msg) {
+func checkJournalIsApplied(t testing.TB, c wireCase, dir string, applied [][]wire.Msg) {
 	t.Helper()
 	logged, _ := readLog(t, dir)
 	if !reflect.DeepEqual(logged, applied) {
@@ -279,17 +279,17 @@ func checkJournalIsApplied(t testing.TB, c wireCase, dir string, applied [][]Msg
 // legacy batch two reads cut into three runs, a bare scalar report
 // outside any batch, and a short acked batch. It returns the stream and
 // the runs a store must be handed for it.
-func mixedStream(t testing.TB, c wireCase, padded bool) (stream []byte, runs [][]Msg) {
+func mixedStream(t testing.TB, c wireCase, padded bool) (stream []byte, runs [][]wire.Msg) {
 	t.Helper()
 	reads := c.mode.Reads()
 	big := c.ingest(1<<14, 150) // 900 messages of 6–9 bytes each
 	a, b, tail := c.ingest(100, 20), c.ingest(1<<21, 20), c.ingest(7, 1)
-	legacy := slices.Concat(a, []Msg{c.read}, b, []Msg{c.read, c.mode.SumsRequest()}, tail)
+	legacy := slices.Concat(a, []wire.Msg{c.read}, b, []wire.Msg{c.read, c.mode.SumsRequest()}, tail)
 	lone := c.report(100, 9)
 	last := c.ingest(300, 3)
 
-	stream = frame(t, MsgBatchAcked, big, reads, padded)
-	stream = append(stream, frame(t, MsgBatch, legacy, reads, padded)...)
+	stream = frame(t, wire.MsgBatchAcked, big, reads, padded)
+	stream = append(stream, frame(t, wire.MsgBatch, legacy, reads, padded)...)
 	one, err := appendMsg(nil, &lone)
 	if err != nil {
 		t.Fatal(err)
@@ -298,14 +298,14 @@ func mixedStream(t testing.TB, c wireCase, padded bool) (stream []byte, runs [][
 		one = overlong(one, lone.Type)
 	}
 	stream = append(stream, one...)
-	stream = append(stream, frame(t, MsgBatchAcked, last, reads, padded)...)
-	return stream, [][]Msg{big, a, b, tail, {lone}, last}
+	stream = append(stream, frame(t, wire.MsgBatchAcked, last, reads, padded)...)
+	return stream, [][]wire.Msg{big, a, b, tail, {lone}, last}
 }
 
 // TestJournalIsAppliedRuns drives mixedStream through the frame loop
 // into a durable store for every mode, in canonical and overlong
 // spelling, with the reader handing the decoder 1…64 bytes at a time
-// (below maxScalarWire every message reaches the general decoder one
+// (below wire.MaxMsgLen every message reaches the general decoder one
 // refill at a time; above it the kernel runs on windows a few messages
 // long, so every hand-over between the two is crossed) and all at once.
 func TestJournalIsAppliedRuns(t *testing.T) {
@@ -333,7 +333,7 @@ func TestJournalIsAppliedRuns(t *testing.T) {
 				// the run would have produced: the log's bytes did not move.
 				_, payloads := readLog(t, dir)
 				for i, run := range applied {
-					reenc, err := appendBatch(nil, MsgBatch, run)
+					reenc, err := appendBatch(nil, wire.MsgBatch, run)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -354,8 +354,8 @@ func TestServedBatchAtomicOnDurable(t *testing.T) {
 	for _, c := range wireCases() {
 		good := c.ingest(10, 4)
 		for name, poisoned := range map[string][]byte{
-			"malformed-query":     frame(t, MsgBatch, slices.Concat(good, []Msg{c.badQ}, good), 0, false),
-			"out-of-range-report": frame(t, MsgBatchAcked, append(slices.Clone(good), c.badRep), 0, false),
+			"malformed-query":     frame(t, wire.MsgBatch, slices.Concat(good, []wire.Msg{c.badQ}, good), 0, false),
+			"out-of-range-report": frame(t, wire.MsgBatchAcked, append(slices.Clone(good), c.badRep), 0, false),
 		} {
 			t.Run(c.name+"/"+name, func(t *testing.T) {
 				dir := t.TempDir()
@@ -394,11 +394,11 @@ func TestServedBatchAtomicOnDurable(t *testing.T) {
 
 // TestMaximalFrameFitsOneRecord pins the relation journaling received
 // bytes rests on (re-encoding used to hide it): the bytes of a maximal
-// legal frame — MaxBatchLen messages of maxScalarWire bytes under a
+// legal frame — MaxBatchLen messages of wire.MaxMsgLen bytes under a
 // batch header — fit one WAL record, and their offsets fit the decoder's
 // uint32 bookkeeping.
 func TestMaximalFrameFitsOneRecord(t *testing.T) {
-	const maximal = 1 + binary.MaxVarintLen32 + MaxBatchLen*maxScalarWire
+	const maximal = 1 + binary.MaxVarintLen32 + wire.MaxBatchLen*wire.MaxMsgLen
 	if maximal > persist.MaxRecordLen {
 		t.Fatalf("a maximal frame is %d bytes, a WAL record holds %d", maximal, persist.MaxRecordLen)
 	}
@@ -420,8 +420,8 @@ func FuzzJournalWire(f *testing.F) {
 			f.Add(stream[:len(stream)/2], uint8(mode), uint8(50))
 		}
 		good := c.ingest(10, 2)
-		f.Add(frame(f, MsgBatch, slices.Concat(good, []Msg{c.badQ}, good), 0, false), uint8(mode), uint8(3))
-		f.Add(frame(f, MsgBatchAcked, append(slices.Clone(good), c.badRep), 0, true), uint8(mode), uint8(64))
+		f.Add(frame(f, wire.MsgBatch, slices.Concat(good, []wire.Msg{c.badQ}, good), 0, false), uint8(mode), uint8(3))
+		f.Add(frame(f, wire.MsgBatchAcked, append(slices.Clone(good), c.badRep), 0, true), uint8(mode), uint8(64))
 	}
 	cases := wireCases()
 	f.Fuzz(func(t *testing.T, stream []byte, mode, chunk uint8) {

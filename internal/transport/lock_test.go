@@ -12,6 +12,7 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // This file holds the states of all three modes to the accumulators'
@@ -23,31 +24,31 @@ import (
 
 // lockReads is every read frame of the mode at horizon d: each query
 // kind and the raw-sums request, full and scoped.
-func lockReads(mode Mode, d int) []Msg {
-	var reads []Msg
+func lockReads(mode Mode, d int) []wire.Msg {
+	var reads []wire.Msg
 	if modeRows(mode) == 0 {
-		reads = []Msg{QueryV2(QueryPoint, d/2, 0), QueryV2(QueryChange, 3, d-1), QueryV2(QuerySeries, 0, 0), QueryV2(QueryWindow, 2, d/2)}
+		reads = []wire.Msg{wire.QueryV2(wire.QueryPoint, d/2, 0), wire.QueryV2(wire.QueryChange, 3, d-1), wire.QueryV2(wire.QuerySeries, 0, 0), wire.QueryV2(wire.QueryWindow, 2, d/2)}
 	} else {
 		items := mode.(*domainMode).enc.M
-		reads = []Msg{
-			DomainQuery(QueryPointItem, items-1, d/2, 0, 0), DomainQuery(QueryPointItem, 0, d, 0, 0),
-			DomainQuery(QuerySeriesItem, 1, 0, 0, 0), DomainQuery(QueryTopK, 0, d-1, 0, 3),
+		reads = []wire.Msg{
+			wire.DomainQuery(wire.QueryPointItem, items-1, d/2, 0, 0), wire.DomainQuery(wire.QueryPointItem, 0, d, 0, 0),
+			wire.DomainQuery(wire.QuerySeriesItem, 1, 0, 0, 0), wire.DomainQuery(wire.QueryTopK, 0, d-1, 0, 3),
 		}
 	}
-	return append(reads, mode.SumsRequest(), scopedRequest(mode, Scope{2, d - 3}))
+	return append(reads, mode.SumsRequest(), scopedRequest(mode, wire.Scope{L: 2, R: d - 3}))
 }
 
 // serialRef is a serial server of the mode fed record by record through
 // its per-report entry points — the reference a concurrently written
 // state must equal once its writers are done.
 type serialRef struct {
-	apply  func(r Rec)
-	answer func(t *testing.T, m Msg) []byte
+	apply  func(r wire.Rec)
+	answer func(t *testing.T, m wire.Msg) []byte
 	state  func() []byte
 }
 
 func newSerialRef(mode Mode, d int, scale float64) serialRef {
-	report := func(r Rec) protocol.Report {
+	report := func(r wire.Rec) protocol.Report {
 		return protocol.Report{User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit}
 	}
 	var ds *hh.DomainServer
@@ -56,19 +57,19 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 	case boolMode:
 		srv := protocol.NewServer(d, scale)
 		return serialRef{
-			apply: func(r Rec) {
+			apply: func(r wire.Rec) {
 				if r.Bit == 0 {
 					srv.Register(int(r.Order))
 				} else {
 					srv.Ingest(report(r))
 				}
 			},
-			answer: func(t *testing.T, m Msg) []byte {
+			answer: func(t *testing.T, m wire.Msg) []byte {
 				var buf bytes.Buffer
-				enc := NewEncoder(&buf)
+				enc := wire.NewEncoder(&buf)
 				var err error
-				if m.Type == MsgQueryV2 {
-					var a AnswerFrame
+				if m.Type == wire.MsgQueryV2 {
+					var a wire.AnswerFrame
 					if a, err = AnswerQuery(srv, m); err == nil {
 						err = enc.EncodeAnswer(a)
 					}
@@ -79,10 +80,10 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 					}
 					full := append(append([]int64{int64(srv.Users())}, perOrder...), srv.IntervalSums()...)
 					acc, _ := protocol.ShardedOver(d, scale, 0, 0, full)
-					f := RawSums{D: d, Scale: scale, Scope: Scope{m.L, m.R}}
-					f.Counters = make([]int64, f.stride())
+					f := wire.RawSums{D: d, Scale: scale, Scope: wire.Scope{L: m.L, R: m.R}}
+					f.Counters = make([]int64, protocol.ScopedStride(d, m.L, m.R))
 					acc.FoldInto(acc.Columns(m.L, m.R), f.Counters)
-					err = enc.EncodeSums(SumsFrame(f))
+					err = enc.EncodeSums(wire.SumsFrame(f))
 				}
 				if err == nil {
 					err = enc.Flush()
@@ -99,7 +100,7 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 		st = p.state(ds)
 	}
 	return serialRef{
-		apply: func(r Rec) {
+		apply: func(r wire.Rec) {
 			if r.Bit == 0 {
 				ds.Register(0, int(r.Item), int(r.Order))
 			} else {
@@ -107,7 +108,7 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 				ds.AdvanceVersion(0)
 			}
 		},
-		answer: func(t *testing.T, m Msg) []byte {
+		answer: func(t *testing.T, m wire.Msg) []byte {
 			b, err := answerBytes(st, m)
 			if err != nil {
 				t.Fatalf("serial answer to %+v: %v", m, err)
@@ -120,16 +121,16 @@ func newSerialRef(mode Mode, d int, scale float64) serialRef {
 
 // lockRecRuns builds writers × runs random runs of size valid records of
 // the mode.
-func lockRecRuns(g *rng.RNG, mode Mode, d, writers, runs, size int) [][][]Rec {
+func lockRecRuns(g *rng.RNG, mode Mode, d, writers, runs, size int) [][][]wire.Rec {
 	rows := max(modeRows(mode), 1)
-	out := make([][][]Rec, writers)
+	out := make([][][]wire.Rec, writers)
 	user := 0
 	for w := range out {
 		for i := 0; i < runs; i++ {
-			run := make([]Rec, size)
+			run := make([]wire.Rec, size)
 			for j := range run {
 				h := g.IntN(dyadic.NumOrders(d))
-				run[j] = Rec{User: user, Item: uint32(g.IntN(rows)), Order: uint8(h)}
+				run[j] = wire.Rec{User: user, Item: uint32(g.IntN(rows)), Order: uint8(h)}
 				if g.IntN(8) > 0 {
 					run[j].J, run[j].Bit = uint32(1+g.IntN(d>>uint(h))), int8(1-2*g.IntN(2))
 				}
@@ -144,7 +145,7 @@ func lockRecRuns(g *rng.RNG, mode Mode, d, writers, runs, size int) [][][]Rec {
 // applyUnderReaders applies every writer's runs to st — writer w on
 // counter shard w mod shards — while readers goroutines call read in a
 // loop, and returns once all runs landed and the readers stopped.
-func applyUnderReaders(st State, runs [][][]Rec, shards, readers int, read func(i int)) {
+func applyUnderReaders(st State, runs [][][]wire.Rec, shards, readers int, read func(i int)) {
 	var writers, reading sync.WaitGroup
 	var stop atomic.Bool
 	for r := 0; r < readers; r++ {
@@ -192,8 +193,8 @@ func TestStateRunsUnderReadersMatchSerial(t *testing.T) {
 				if _, err := answerBytes(st, reads[i%len(reads)]); err != nil {
 					failed.Store(err.Error())
 				}
-				_ = st.Sums(Scope{})
-				_ = st.Sums(Scope{1, 1 + i%d})
+				_ = st.Sums(wire.Scope{})
+				_ = st.Sums(wire.Scope{L: 1, R: 1 + i%d})
 				_ = st.MarshalState()
 				_ = st.Users()
 			})
@@ -237,12 +238,12 @@ func TestStateFoldsSeeRunsWhole(t *testing.T) {
 	for _, mode := range scopeModes(d, scale) {
 		t.Run(mode.Name(), func(t *testing.T) {
 			rows := max(modeRows(mode), 1)
-			run := []Rec{{Order: 0, J: 1, Bit: 1}}
+			run := []wire.Rec{{Order: 0, J: 1, Bit: 1}}
 			for j := 0; j < 64; j++ {
-				run = append(run, Rec{User: j, Item: uint32(j % rows), Order: uint8(1 + j%3), J: 1, Bit: int8(1 - 2*(j%2))})
+				run = append(run, wire.Rec{User: j, Item: uint32(j % rows), Order: uint8(1 + j%3), J: 1, Bit: int8(1 - 2*(j%2))})
 			}
-			run = append(run, Rec{Item: uint32(rows - 1), Order: 0, J: 2, Bit: -1})
-			runs := make([][][]Rec, writers)
+			run = append(run, wire.Rec{Item: uint32(rows - 1), Order: 0, J: 2, Bit: -1})
+			runs := make([][][]wire.Rec, writers)
 			for w := range runs {
 				for i := 0; i < nruns; i++ {
 					runs[w] = append(runs[w], run)
@@ -251,13 +252,13 @@ func TestStateFoldsSeeRunsWhole(t *testing.T) {
 			st := mode.NewState(shards)
 			var torn atomic.Int64
 			applyUnderReaders(st, runs, shards, 2, func(i int) {
-				f := st.Sums(Scope{})
+				f := st.Sums(wire.Scope{})
 				if i%2 == 1 {
 					fresh := mode.NewState(1)
 					if err := fresh.RestoreState(st.MarshalState()); err != nil {
 						panic(err)
 					}
-					f = fresh.Sums(Scope{})
+					f = fresh.Sums(wire.Scope{})
 				}
 				var ab int64
 				for x := 0; x < rows; x++ {
@@ -301,7 +302,7 @@ func TestSumsExportHoldsNoLockAcrossWrite(t *testing.T) {
 			w := &blockingWriter{blocked: make(chan struct{}), release: make(chan struct{})}
 			exported := make(chan error, 1)
 			go func() {
-				enc := NewEncoder(w)
+				enc := wire.NewEncoder(w)
 				var sc AnswerScratch
 				_, _, err := st.Answer(mode.SumsRequest(), enc, &sc)
 				if err == nil {
@@ -337,7 +338,7 @@ func TestGatheredStateHasNoWriter(t *testing.T) {
 	for _, mode := range scopeModes(d, scale) {
 		t.Run(mode.Name(), func(t *testing.T) {
 			live := liveState(rng.New(1, 2), d, mode, 400)
-			folded, err := mode.Fold([]RawSums{live.Sums(Scope{})})
+			folded, err := mode.Fold([]wire.RawSums{live.Sums(wire.Scope{})})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,7 +362,7 @@ func TestGatheredStateHasNoWriter(t *testing.T) {
 					t.Errorf("Apply on a gathered state: recovered %q, want a read-only refusal", r)
 				}
 			}()
-			folded.Apply(0, []Rec{{Order: 0, J: 1, Bit: 1}})
+			folded.Apply(0, []wire.Rec{{Order: 0, J: 1, Bit: 1}})
 		})
 	}
 }

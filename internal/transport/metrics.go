@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rtf/internal/obs"
+	"rtf/internal/wire"
 )
 
 // ServerMetrics is the instrument set of a serving process, shared by
@@ -114,9 +115,9 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 // round, a shard map's fold of its virtual shards — in
 // gathers_total{scope}: "range" when it moved only the columns of one
 // period range, "full" when it moved every column.
-func (m *ServerMetrics) CountGather(scope Scope) {
+func (m *ServerMetrics) CountGather(scope wire.Scope) {
 	label := "range"
-	if scope == (Scope{}) {
+	if scope == (wire.Scope{}) {
 		label = "full"
 	}
 	m.reg.Counter(obs.Label("gathers_total", "scope", label)).Inc()
@@ -127,7 +128,7 @@ func (m *ServerMetrics) CountGather(scope Scope) {
 // phase (every backend's fenced sums round-trip, in parallel, up to the
 // last frame decoded) and gather_fold_seconds the merge of the frames
 // plus the construction of the state the answer is read from.
-func (m *ServerMetrics) ObserveGather(scope Scope, fetch, fold time.Duration) {
+func (m *ServerMetrics) ObserveGather(scope wire.Scope, fetch, fold time.Duration) {
 	m.CountGather(scope)
 	m.reg.Histogram("gather_fetch_seconds", obs.ExpBuckets(1e-5, 2, 20)).Observe(fetch.Seconds())
 	m.reg.Histogram("gather_fold_seconds", obs.ExpBuckets(1e-6, 2, 20)).Observe(fold.Seconds())
@@ -230,27 +231,27 @@ func (m *ServerMetrics) RegisterDurability(ds DurabilityStatser) {
 
 // QueryKindName maps an answered query frame to its queries_total kind
 // label.
-func QueryKindName(m Msg) string {
+func QueryKindName(m wire.Msg) string {
 	switch m.Type {
-	case MsgSums, MsgDomainSums, MsgHashedDomainSums:
+	case wire.MsgSums, wire.MsgDomainSums, wire.MsgHashedDomainSums:
 		return "sums"
-	case MsgShardSums:
+	case wire.MsgShardSums:
 		return "shard_sums"
 	}
 	switch m.Kind {
-	case QueryPoint:
+	case wire.QueryPoint:
 		return "point"
-	case QueryChange:
+	case wire.QueryChange:
 		return "change"
-	case QuerySeries:
+	case wire.QuerySeries:
 		return "series"
-	case QueryWindow:
+	case wire.QueryWindow:
 		return "window"
-	case QueryPointItem:
+	case wire.QueryPointItem:
 		return "point_item"
-	case QuerySeriesItem:
+	case wire.QuerySeriesItem:
 		return "series_item"
-	case QueryTopK:
+	case wire.QueryTopK:
 		return "topk"
 	}
 	return "unknown"

@@ -6,6 +6,7 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // This file is the Mode contract: the one place that knows, for each of
@@ -17,22 +18,6 @@ import (
 // core (serve.go), the collectors and the gateway are written once
 // against it; the mode is chosen at construction and nothing above this
 // file names a mode-specific frame type.
-
-// FrameSet is a set of scalar message types: the data form of "which
-// frames does this mode read", so the frame loop classifies a message
-// with one inlined mask test instead of a call.
-type FrameSet uint32
-
-func frameSet(ts ...MsgType) FrameSet {
-	var s FrameSet
-	for _, t := range ts {
-		s |= 1 << t
-	}
-	return s
-}
-
-// Has reports whether t is in the set.
-func (s FrameSet) Has(t MsgType) bool { return t < 32 && s>>t&1 != 0 }
 
 // Mode is the protocol mode of a deployment. It holds the mode's
 // parameters and no counters; NewState builds the accumulator it
@@ -46,22 +31,22 @@ type Mode interface {
 	// Reads is the set of frame types the mode answers (queries and
 	// its raw-sums request); every other type must pass the ingest
 	// contract.
-	Reads() FrameSet
+	Reads() wire.FrameSet
 	// Ingest is the mode's ingest contract: the two message types it
 	// ingests and the ranges of their fields. A front decodes every frame
 	// under it (Decoder.NextFrame) before anything is applied or
 	// forwarded, which is what makes batches atomic and lets a gateway
 	// promise its backends accept what it accepted.
-	Ingest() Ingest
+	Ingest() wire.Ingest
 	// SumsRequest is the frame that asks a node of this mode for its
 	// raw sums.
-	SumsRequest() Msg
+	SumsRequest() wire.Msg
 	// ValidateRead range-checks one read frame.
-	ValidateRead(m Msg) error
+	ValidateRead(m wire.Msg) error
 	// Scope is the raw-sums scope read frame m (already validated) is
 	// evaluated over: what a front that answers m from gathered sums
 	// has to gather. A sums request's is the one it carries.
-	Scope(m Msg) Scope
+	Scope(m wire.Msg) wire.Scope
 	// NewState builds an empty accumulator spread over the given number
 	// of counter shards.
 	NewState(shards int) State
@@ -72,12 +57,12 @@ type Mode interface {
 	// total by constructing it over that matrix, not by adding into a
 	// zeroed accumulator: under a scope it is as small as the frames.
 	// The frames are consumed.
-	Fold(frames []RawSums) (State, error)
+	Fold(frames []wire.RawSums) (State, error)
 	// ReadSums decodes the response to SumsRequest (or to a per-shard
 	// sums request, which every mode answers in the same frame).
-	ReadSums(d *Decoder) (RawSums, error)
+	ReadSums(d *wire.Decoder) (wire.RawSums, error)
 	// EncodeSums writes that response.
-	EncodeSums(e *Encoder, f RawSums) error
+	EncodeSums(e *wire.Encoder, f wire.RawSums) error
 	// CheckMeta refuses a data directory written under a different
 	// domain size or encoding.
 	CheckMeta(meta persist.Meta) error
@@ -90,7 +75,7 @@ type Reader interface {
 	// e, without flushing. memo reports that the answer path is backed
 	// by a version-keyed memo and hit that the memo was warm; only live
 	// states report either.
-	Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error)
+	Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error)
 }
 
 // State is one mode's accumulator: integer dyadic counters plus the
@@ -102,11 +87,11 @@ type State interface {
 	// write lock, taken once for the run: each record is one plain add,
 	// and the run advances the version stamp its reads' memos key on
 	// once, before the lock is released.
-	Apply(shard int, run []Rec) (hellos, reports int64)
+	Apply(shard int, run []wire.Rec) (hellos, reports int64)
 	// Sums exports the raw counters under a scope: a point-in-time cut
 	// at run granularity. Fence ingestion first when the cut must hold a
 	// particular connection's writes.
-	Sums(sc Scope) RawSums
+	Sums(sc wire.Scope) wire.RawSums
 	MarshalState() []byte
 	RestoreState(b []byte) error
 	Users() int
@@ -116,7 +101,7 @@ type State interface {
 // buffer: warm top-k and point-item answers reuse it and allocate
 // nothing (pinned by TestAnswerIntoAllocFree).
 type AnswerScratch struct {
-	frame DomainAnswerFrame
+	frame wire.DomainAnswerFrame
 	topK  TopKScratch
 }
 
@@ -131,28 +116,28 @@ type dims struct {
 // Scope implements Mode for every mode: point-shaped reads evaluate the
 // prefix [1..t], a change its own range, series-shaped reads every
 // column, and a sums request says itself.
-func (dims) Scope(m Msg) Scope {
+func (dims) Scope(m wire.Msg) wire.Scope {
 	switch {
-	case m.Type != MsgQueryV2 && m.Type != MsgDomainQuery:
-		return Scope{m.L, m.R}
-	case m.Kind == QueryPoint || m.Kind == QueryPointItem || m.Kind == QueryTopK:
-		return Scope{1, m.L}
-	case m.Kind == QueryChange:
-		return Scope{m.L, m.R}
+	case m.Type != wire.MsgQueryV2 && m.Type != wire.MsgDomainQuery:
+		return wire.Scope{L: m.L, R: m.R}
+	case m.Kind == wire.QueryPoint || m.Kind == wire.QueryPointItem || m.Kind == wire.QueryTopK:
+		return wire.Scope{L: 1, R: m.L}
+	case m.Kind == wire.QueryChange:
+		return wire.Scope{L: m.L, R: m.R}
 	}
-	return Scope{}
+	return wire.Scope{}
 }
 
 // merge adds the frames' matrices into the first one's and returns it
 // with the scope they share (a zero full matrix for no frames). Each
 // frame's configuration is checked here because the state built over
 // the total never sees the frames.
-func (p dims) merge(frames []RawSums) ([]int64, Scope, error) {
+func (p dims) merge(frames []wire.RawSums) ([]int64, wire.Scope, error) {
 	if len(frames) == 0 {
-		return make([]int64, max(p.m, 1)*protocol.RawStride(p.d)), Scope{}, nil
+		return make([]int64, max(p.m, 1)*protocol.RawStride(p.d)), wire.Scope{}, nil
 	}
 	sc := frames[0].Scope
-	if err := sc.check(p.d); err != nil {
+	if err := sc.Check(p.d); err != nil {
 		return nil, sc, err
 	}
 	n := max(p.m, 1) * protocol.ScopedStride(p.d, sc.L, sc.R)
@@ -180,24 +165,24 @@ type boolMode struct{ dims }
 // estimator scale.
 func BoolMode(d int, scale float64) Mode { return boolMode{dims{d: d, scale: scale}} }
 
-func (boolMode) Name() string     { return "boolean" }
-func (boolMode) Reads() FrameSet  { return frameSet(MsgQueryV2, MsgSums) }
-func (boolMode) SumsRequest() Msg { return Sums() }
+func (boolMode) Name() string           { return "boolean" }
+func (p boolMode) Reads() wire.FrameSet { return p.Ingest().Reads }
+func (boolMode) SumsRequest() wire.Msg  { return wire.Sums() }
 
-func (p boolMode) Ingest() Ingest { return newIngest(MsgHello, MsgReport, p.dims, 0, p.Reads()) }
+func (p boolMode) Ingest() wire.Ingest { return wire.BoolIngest(p.d) }
 
-func (p boolMode) ValidateRead(m Msg) error {
-	if m.Type == MsgQueryV2 {
-		return ValidateQuery(p.d, m)
+func (p boolMode) ValidateRead(m wire.Msg) error {
+	if m.Type == wire.MsgQueryV2 {
+		return wire.ValidateQuery(p.d, m)
 	}
-	return p.Scope(m).check(p.d)
+	return p.Scope(m).Check(p.d)
 }
 
 func (p boolMode) NewState(shards int) State {
 	return liveBoolState(protocol.NewSharded(p.d, p.scale, shards))
 }
 
-func (p boolMode) Fold(frames []RawSums) (State, error) {
+func (p boolMode) Fold(frames []wire.RawSums) (State, error) {
 	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
@@ -209,8 +194,13 @@ func (p boolMode) Fold(frames []RawSums) (State, error) {
 	return boolState{acc: acc}, nil
 }
 
-func (boolMode) ReadSums(d *Decoder) (RawSums, error)   { return d.readSums(MsgSumsFrame) }
-func (boolMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeSums(SumsFrame(f)) }
+func (boolMode) ReadSums(d *wire.Decoder) (wire.RawSums, error) {
+	f, err := d.ReadSums()
+	return wire.RawSums(f), err
+}
+func (boolMode) EncodeSums(e *wire.Encoder, f wire.RawSums) error {
+	return e.EncodeSums(wire.SumsFrame(f))
+}
 
 func (boolMode) CheckMeta(persist.Meta) error { return nil }
 
@@ -225,31 +215,31 @@ type boolState struct {
 // liveBoolState is a live accumulator's state, memo included.
 func liveBoolState(acc *protocol.Sharded) boolState { return boolState{acc, new(seriesMemo)} }
 
-func (s boolState) Apply(shard int, run []Rec) (hellos, reports int64) {
+func (s boolState) Apply(shard int, run []wire.Rec) (hellos, reports int64) {
 	return applyRun(s.acc.Lock(shard), run)
 }
 
-func (s boolState) Answer(m Msg, e *Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
-	if m.Type != MsgQueryV2 {
-		return false, false, e.EncodeSums(SumsFrame(s.Sums(Scope{m.L, m.R})))
+func (s boolState) Answer(m wire.Msg, e *wire.Encoder, _ *AnswerScratch) (memo, hit bool, err error) {
+	if m.Type != wire.MsgQueryV2 {
+		return false, false, e.EncodeSums(wire.SumsFrame(s.Sums(wire.Scope{L: m.L, R: m.R})))
 	}
-	if s.memo == nil || m.Kind == QueryChange {
+	if s.memo == nil || m.Kind == wire.QueryChange {
 		ans, err := AnswerQuery(s.acc, m)
 		if err != nil {
 			return false, false, err
 		}
 		return false, false, e.EncodeAnswer(ans)
 	}
-	if err := ValidateQuery(s.acc.D(), m); err != nil {
+	if err := wire.ValidateQuery(s.acc.D(), m); err != nil {
 		return false, false, err
 	}
 	hit, err = s.memo.answer(s.acc, m, e)
 	return true, hit, err
 }
 
-func (s boolState) Sums(sc Scope) RawSums {
-	f := RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
-	f.Counters = make([]int64, f.stride())
+func (s boolState) Sums(sc wire.Scope) wire.RawSums {
+	f := wire.RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
+	f.Counters = make([]int64, protocol.ScopedStride(f.D, sc.L, sc.R))
 	s.acc.FoldInto(s.acc.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
@@ -285,46 +275,38 @@ func (p *domainMode) Name() string {
 	return "domain"
 }
 
-func (p *domainMode) Reads() FrameSet { return frameSet(MsgDomainQuery, p.SumsRequest().Type) }
+func (p *domainMode) Reads() wire.FrameSet { return p.Ingest().Reads }
 
 // SumsRequest is the exact encoding's plain request, or a hashed one's
 // request carrying the full encoding.
-func (p *domainMode) SumsRequest() Msg {
+func (p *domainMode) SumsRequest() wire.Msg {
 	if p.enc.Hashed() {
-		return HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed)
+		return wire.HashedDomainSums(p.enc.M, p.enc.G, p.enc.Seed)
 	}
-	return DomainSums()
+	return wire.DomainSums()
 }
 
-// Ingest is the encoding's hello — a hashed one carries the epoch seed —
-// and the row-tagged report both encodings share.
-func (p *domainMode) Ingest() Ingest {
-	hello := MsgDomainHello
-	if p.enc.Hashed() {
-		hello = MsgHashedDomainHello
-	}
-	return newIngest(hello, MsgDomainReport, p.dims, p.enc.Seed, p.Reads())
-}
+func (p *domainMode) Ingest() wire.Ingest { return wire.DomainIngest(p.d, p.enc) }
 
 // ValidateRead checks a query against the catalogue and a hashed sums
 // request against the full encoding: two deployments hashing
 // differently must never merge bucket counters.
-func (p *domainMode) ValidateRead(m Msg) error {
-	if m.Type == MsgDomainQuery {
-		return ValidateDomainQuery(p.d, p.enc, m)
+func (p *domainMode) ValidateRead(m wire.Msg) error {
+	if m.Type == wire.MsgDomainQuery {
+		return wire.ValidateDomainQuery(p.d, p.enc, m)
 	}
-	if m.Type == MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
+	if m.Type == wire.MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
 		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
 			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
 	}
-	return p.Scope(m).check(p.d)
+	return p.Scope(m).Check(p.d)
 }
 
 func (p *domainMode) NewState(shards int) State {
 	return p.state(hh.NewDomainServer(p.d, p.m, p.scale, shards))
 }
 
-func (p *domainMode) Fold(frames []RawSums) (State, error) {
+func (p *domainMode) Fold(frames []wire.RawSums) (State, error) {
 	total, sc, err := p.merge(frames)
 	if err != nil {
 		return nil, err
@@ -341,8 +323,8 @@ func (p *domainMode) state(rows *hh.DomainServer) domainState {
 	return domainState{rows, hh.ItemsOver(p.enc, rows)}
 }
 
-func (*domainMode) ReadSums(d *Decoder) (RawSums, error)   { return d.ReadDomainSums() }
-func (*domainMode) EncodeSums(e *Encoder, f RawSums) error { return e.EncodeDomainSums(f) }
+func (*domainMode) ReadSums(d *wire.Decoder) (wire.RawSums, error)   { return d.ReadDomainSums() }
+func (*domainMode) EncodeSums(e *wire.Encoder, f wire.RawSums) error { return e.EncodeDomainSums(f) }
 
 // CheckMeta refuses a directory written under a different domain size
 // or, under a hashed encoding, a different catalogue, bucket count,
@@ -374,7 +356,7 @@ type domainState struct {
 	items hh.Items
 }
 
-func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
+func (s domainState) Apply(shard int, run []wire.Rec) (hellos, reports int64) {
 	return applyRun(s.rows.Lock(shard), run)
 }
 
@@ -382,7 +364,7 @@ func (s domainState) Apply(shard int, run []Rec) (hellos, reports int64) {
 // counter matrix's writer, which holds one shard's write lock for the
 // run and advances its version once when it ends. A Boolean record's
 // Item is 0, its one row.
-func applyRun(w protocol.DomainWriter, run []Rec) (hellos, reports int64) {
+func applyRun(w protocol.DomainWriter, run []wire.Rec) (hellos, reports int64) {
 	defer w.Unlock()
 	for i := range run {
 		r := &run[i]
@@ -396,9 +378,9 @@ func applyRun(w protocol.DomainWriter, run []Rec) (hellos, reports int64) {
 	return hellos, int64(len(run)) - hellos
 }
 
-func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
-	if m.Type != MsgDomainQuery {
-		return false, false, e.encodeLiveDomainSums(s.rows, Scope{m.L, m.R})
+func (s domainState) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+	if m.Type != wire.MsgDomainQuery {
+		return false, false, encodeLiveDomainSums(e, s.rows, wire.Scope{L: m.L, R: m.R})
 	}
 	if hit, err = AnswerDomainQueryInto(s.items, m, &sc.frame, &sc.topK); err != nil {
 		return false, false, err
@@ -406,13 +388,13 @@ func (s domainState) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit boo
 	// Top-k goes through a version-keyed memo; point-item does too when
 	// a decoder stands over the rows (a hashed encoding), while the
 	// exact rows answer it from the counters.
-	memo = m.Kind == QueryTopK || m.Kind == QueryPointItem && s.items != hh.Items(s.rows)
+	memo = m.Kind == wire.QueryTopK || m.Kind == wire.QueryPointItem && s.items != hh.Items(s.rows)
 	return memo, hit, e.EncodeDomainAnswer(sc.frame)
 }
 
-func (s domainState) Sums(sc Scope) RawSums {
-	f := RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
-	f.Counters = make([]int64, f.M*f.stride())
+func (s domainState) Sums(sc wire.Scope) wire.RawSums {
+	f := wire.RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
+	f.Counters = make([]int64, f.M*protocol.ScopedStride(f.D, sc.L, sc.R))
 	s.rows.FoldRowsInto(0, f.M, s.rows.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
@@ -435,13 +417,13 @@ func (s domainState) Users() int                  { return s.rows.Users() }
 type Gathered struct {
 	st    State
 	mode  Mode
-	scope Scope
+	scope wire.Scope
 }
 
 // NewGathered folds gathered frames, given in a fixed order (per
 // backend, per virtual shard). It takes the frames over: see Mode.Fold.
-func NewGathered(mode Mode, frames []RawSums) (*Gathered, error) {
-	var scope Scope
+func NewGathered(mode Mode, frames []wire.RawSums) (*Gathered, error) {
+	var scope wire.Scope
 	if len(frames) > 0 {
 		scope = frames[0].Scope
 	}
@@ -453,11 +435,11 @@ func NewGathered(mode Mode, frames []RawSums) (*Gathered, error) {
 }
 
 // Scope returns the scope the frames were gathered under.
-func (g *Gathered) Scope() Scope { return g.scope }
+func (g *Gathered) Scope() wire.Scope { return g.scope }
 
 // Answer implements Reader. The folded state's memo is private to this
 // gather, so it never reports as a cache.
-func (g *Gathered) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+func (g *Gathered) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	if want := g.mode.Scope(m); !g.scope.Covers(want) {
 		return false, false, fmt.Errorf("transport: sums gathered for scope %v cannot answer a read over %v", g.scope, want)
 	}

@@ -15,6 +15,7 @@ import (
 	"rtf/internal/obs"
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // TestAckedBatchWireRoundTrip exercises the acked-batch frames at the
@@ -22,8 +23,8 @@ import (
 // batch without it, and both ack verdicts round-trip.
 func TestAckedBatchWireRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	ms := []Msg{Hello(1, 2), FromReport(protocol.Report{User: 1, Order: 2, J: 3, Bit: 1})}
+	enc := wire.NewEncoder(&buf)
+	ms := []wire.Msg{wire.Hello(1, 2), wire.FromReport(protocol.Report{User: 1, Order: 2, J: 3, Bit: 1})}
 	if err := enc.EncodeAckedBatch(ms); err != nil {
 		t.Fatal(err)
 	}
@@ -40,21 +41,22 @@ func TestAckedBatchWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dec := NewDecoder(&buf)
-	got, err := dec.NextBatch()
+	dec := wire.NewDecoder(&buf)
+	c := wire.BoolIngest(16)
+	f, err := dec.NextFrame(&c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.AckedBatch() {
+	if !f.Acked {
 		t.Fatal("first batch should decode as acked")
 	}
-	if len(got) != len(ms) || got[0].Type != MsgHello || got[1].Type != MsgReport {
-		t.Fatalf("acked batch decoded as %+v", got)
+	if len(f.Recs) != len(ms) || f.Recs[0].Bit != 0 || f.Recs[1].Bit != 1 {
+		t.Fatalf("acked batch decoded as %+v", f.Recs)
 	}
-	if _, err := dec.NextBatch(); err != nil {
+	if f, err = dec.NextFrame(&c); err != nil {
 		t.Fatal(err)
 	}
-	if dec.AckedBatch() {
+	if f.Acked {
 		t.Fatal("legacy batch should not decode as acked")
 	}
 	for _, want := range []bool{true, false} {
@@ -72,13 +74,13 @@ func TestAckedBatchWireRoundTrip(t *testing.T) {
 // new message types.
 func TestAckedBatchWireErrors(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeAckedBatch(nil); err == nil {
 		t.Fatal("empty acked batch must not encode: its ack would never be owed")
 	}
 
 	decodeErr := func(raw []byte) error {
-		d := NewDecoder(bytes.NewReader(raw))
+		d := wire.NewDecoder(bytes.NewReader(raw))
 		_, err := d.NextBatch()
 		return err
 	}
@@ -98,16 +100,16 @@ func TestAckedBatchWireErrors(t *testing.T) {
 		t.Fatal("batch ack inside batch must not decode")
 	}
 	// A bare batch ack surfacing through Next.
-	d := NewDecoder(bytes.NewReader([]byte{17, 1}))
+	d := wire.NewDecoder(bytes.NewReader([]byte{17, 1}))
 	if _, err := d.Next(); err == nil || !strings.Contains(err.Error(), "ReadBatchAck") {
 		t.Fatalf("stray batch ack: err = %v", err)
 	}
 	// ReadBatchAck on a non-ack frame and on a corrupt status byte.
-	d = NewDecoder(bytes.NewReader([]byte{1, 0, 0}))
+	d = wire.NewDecoder(bytes.NewReader([]byte{1, 0, 0}))
 	if _, err := d.ReadBatchAck(); err == nil {
 		t.Fatal("ReadBatchAck must reject a non-ack frame")
 	}
-	d = NewDecoder(bytes.NewReader([]byte{17, 7}))
+	d = wire.NewDecoder(bytes.NewReader([]byte{17, 7}))
 	if _, err := d.ReadBatchAck(); err == nil {
 		t.Fatal("ReadBatchAck must reject status bytes beyond 0/1")
 	}
@@ -115,13 +117,13 @@ func TestAckedBatchWireErrors(t *testing.T) {
 
 // dialIngest connects to addr and returns a codec pair over the
 // connection.
-func dialIngest(t *testing.T, addr string) (net.Conn, *Encoder, *Decoder) {
+func dialIngest(t *testing.T, addr string) (net.Conn, *wire.Encoder, *wire.Decoder) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return conn, NewEncoder(conn), NewDecoder(conn)
+	return conn, wire.NewEncoder(conn), wire.NewDecoder(conn)
 }
 
 // startServer runs srv on a loopback listener and returns its address
@@ -158,10 +160,10 @@ func TestAckedBatchServingAndMetrics(t *testing.T) {
 
 	conn, enc, dec := dialIngest(t, addr)
 	defer conn.Close()
-	batches := [][]Msg{
-		{Hello(1, 0), Hello(2, 1)},
-		{FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})},
-		{FromReport(protocol.Report{User: 2, Order: 1, J: 3, Bit: 1}), FromReport(protocol.Report{User: 1, Order: 0, J: 7, Bit: -1})},
+	batches := [][]wire.Msg{
+		{wire.Hello(1, 0), wire.Hello(2, 1)},
+		{wire.FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})},
+		{wire.FromReport(protocol.Report{User: 2, Order: 1, J: 3, Bit: 1}), wire.FromReport(protocol.Report{User: 1, Order: 0, J: 7, Bit: -1})},
 	}
 	for _, b := range batches {
 		if err := enc.EncodeAckedBatch(b); err != nil {
@@ -180,7 +182,7 @@ func TestAckedBatchServingAndMetrics(t *testing.T) {
 	}
 	// The positive ack is written after the batch applies, so state is
 	// already visible: no fence needed.
-	if err := enc.Encode(QueryV2(QueryPoint, 5, 0)); err != nil {
+	if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 5, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -189,7 +191,7 @@ func TestAckedBatchServingAndMetrics(t *testing.T) {
 	if _, err := dec.ReadAnswer(); err != nil {
 		t.Fatal(err)
 	}
-	if err := enc.Encode(Msg{Type: MsgSums}); err != nil {
+	if err := enc.Encode(wire.Msg{Type: wire.MsgSums}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -253,7 +255,7 @@ func TestAckedBatchShedWhole(t *testing.T) {
 
 	conn, enc, dec := dialIngest(t, addr)
 	defer conn.Close()
-	batch := []Msg{Hello(1, 0), FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})}
+	batch := []wire.Msg{wire.Hello(1, 0), wire.FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})}
 
 	// Hold the only slot so admission must fail.
 	srv.Queue.Acquire()
@@ -316,7 +318,7 @@ func TestLegacyBatchBlocksInsteadOfShedding(t *testing.T) {
 	defer conn.Close()
 
 	srv.Queue.Acquire()
-	if err := enc.EncodeBatch([]Msg{Hello(1, 0)}); err != nil {
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -355,7 +357,7 @@ func TestAckedBatchRejectsQueries(t *testing.T) {
 
 	conn, enc, _ := dialIngest(t, addr)
 	defer conn.Close()
-	if err := enc.EncodeAckedBatch([]Msg{Hello(1, 0), pointQ(1)}); err != nil {
+	if err := enc.EncodeAckedBatch([]wire.Msg{wire.Hello(1, 0), pointQ(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -384,7 +386,7 @@ func TestDomainAckedBatchServing(t *testing.T) {
 
 	conn, enc, dec := dialIngest(t, addr)
 	defer conn.Close()
-	batch := []Msg{DomainHello(1, 3, 0), FromDomainReport(3, protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})}
+	batch := []wire.Msg{wire.DomainHello(1, 3, 0), wire.FromDomainReport(3, protocol.Report{User: 1, Order: 0, J: 5, Bit: 1})}
 
 	srv.Queue.Acquire()
 	if err := enc.EncodeAckedBatch(batch); err != nil {
@@ -409,7 +411,7 @@ func TestDomainAckedBatchServing(t *testing.T) {
 	if applied, err := dec.ReadBatchAck(); err != nil || !applied {
 		t.Fatalf("want applied, got applied=%v err=%v", applied, err)
 	}
-	if err := enc.Encode(DomainQuery(QueryPointItem, 3, 5, 0, 0)); err != nil {
+	if err := enc.Encode(wire.DomainQuery(wire.QueryPointItem, 3, 5, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -446,7 +448,7 @@ func TestDurabilityGauges(t *testing.T) {
 		t.Fatalf("fresh journal lag = %v", lag)
 	}
 	for i := 0; i < 3; i++ {
-		if err := col.SendBatch(0, []Msg{Hello(i, 0)}); err != nil {
+		if err := col.SendBatch(0, []wire.Msg{wire.Hello(i, 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,7 +505,7 @@ func TestShutdownGraceDrains(t *testing.T) {
 	addr := (<-ready).String()
 
 	conn, enc, dec := dialIngest(t, addr)
-	if err := enc.EncodeBatch([]Msg{Hello(1, 0)}); err != nil {
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(pointQ(1)); err != nil {
@@ -565,7 +567,7 @@ func TestShutdownGraceForceCloses(t *testing.T) {
 
 	conn, enc, dec := dialIngest(t, addr)
 	defer conn.Close()
-	if err := enc.EncodeBatch([]Msg{Hello(1, 0)}); err != nil {
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(1, 0)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Encode(pointQ(1)); err != nil {

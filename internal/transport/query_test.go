@@ -7,19 +7,20 @@ import (
 
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // TestQueryV2RoundTrip checks the versioned query frame survives the
 // wire, alone and inside a batch.
 func TestQueryV2RoundTrip(t *testing.T) {
-	queries := []Msg{
-		QueryV2(QueryPoint, 7, 7),
-		QueryV2(QueryChange, 3, 12),
-		QueryV2(QuerySeries, 0, 0),
-		QueryV2(QueryWindow, 1, 64),
+	queries := []wire.Msg{
+		wire.QueryV2(wire.QueryPoint, 7, 7),
+		wire.QueryV2(wire.QueryChange, 3, 12),
+		wire.QueryV2(wire.QuerySeries, 0, 0),
+		wire.QueryV2(wire.QueryWindow, 1, 64),
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	for _, q := range queries {
 		if err := enc.Encode(q); err != nil {
 			t.Fatal(err)
@@ -31,7 +32,7 @@ func TestQueryV2RoundTrip(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
+	dec := wire.NewDecoder(&buf)
 	for i := 0; i < 2*len(queries); i++ {
 		m, err := dec.Next()
 		if err != nil {
@@ -45,15 +46,15 @@ func TestQueryV2RoundTrip(t *testing.T) {
 
 // TestAnswerFrameRoundTrip checks answer frames of every shape.
 func TestAnswerFrameRoundTrip(t *testing.T) {
-	frames := []AnswerFrame{
-		{Kind: QueryPoint, L: 5, R: 5, Values: []float64{3.25}},
-		{Kind: QueryChange, L: 2, R: 9, Values: []float64{-17.5}},
-		{Kind: QuerySeries, Values: []float64{1, 2.5, -3, 0}},
-		{Kind: QueryWindow, L: 1, R: 2, Values: []float64{0.5, 0.25}},
-		{Kind: QuerySeries}, // no values
+	frames := []wire.AnswerFrame{
+		{Kind: wire.QueryPoint, L: 5, R: 5, Values: []float64{3.25}},
+		{Kind: wire.QueryChange, L: 2, R: 9, Values: []float64{-17.5}},
+		{Kind: wire.QuerySeries, Values: []float64{1, 2.5, -3, 0}},
+		{Kind: wire.QueryWindow, L: 1, R: 2, Values: []float64{0.5, 0.25}},
+		{Kind: wire.QuerySeries}, // no values
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	for _, a := range frames {
 		if err := enc.EncodeAnswer(a); err != nil {
 			t.Fatal(err)
@@ -62,7 +63,7 @@ func TestAnswerFrameRoundTrip(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
+	dec := wire.NewDecoder(&buf)
 	for i, want := range frames {
 		got, err := dec.ReadAnswer()
 		if err != nil {
@@ -79,14 +80,14 @@ func TestAnswerFrameRoundTrip(t *testing.T) {
 	}
 	// An answer frame is not a valid Next message.
 	var buf2 bytes.Buffer
-	enc2 := NewEncoder(&buf2)
+	enc2 := wire.NewEncoder(&buf2)
 	if err := enc2.EncodeAnswer(frames[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc2.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDecoder(&buf2).Next(); err == nil {
+	if _, err := wire.NewDecoder(&buf2).Next(); err == nil {
 		t.Fatal("Next accepted an answer frame")
 	}
 }
@@ -94,14 +95,14 @@ func TestAnswerFrameRoundTrip(t *testing.T) {
 // TestNegativeUserRejected checks the user-id validation at every
 // boundary: the encoder, both decode paths, and the collector.
 func TestNegativeUserRejected(t *testing.T) {
-	enc := NewEncoder(&bytes.Buffer{})
-	if err := enc.Encode(Hello(-1, 0)); err == nil {
+	enc := wire.NewEncoder(&bytes.Buffer{})
+	if err := enc.Encode(wire.Hello(-1, 0)); err == nil {
 		t.Error("encoder accepted a negative hello user")
 	}
-	if err := enc.Encode(Msg{Type: MsgReport, User: -2, Order: 0, J: 1, Bit: 1}); err == nil {
+	if err := enc.Encode(wire.Msg{Type: wire.MsgReport, User: -2, Order: 0, J: 1, Bit: 1}); err == nil {
 		t.Error("encoder accepted a negative report user")
 	}
-	if err := enc.EncodeBatch([]Msg{Hello(-1, 0)}); err == nil {
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(-1, 0)}); err == nil {
 		t.Error("batch encoder accepted a negative user")
 	}
 
@@ -109,36 +110,36 @@ func TestNegativeUserRejected(t *testing.T) {
 	// the streaming and the batched fast path must reject it. The
 	// uvarint below is 2^63 (nine 0x80 continuation bytes + 0x01).
 	huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
-	hello := append([]byte{byte(MsgHello)}, huge...)
+	hello := append([]byte{byte(wire.MsgHello)}, huge...)
 	hello = append(hello, 0) // order
-	if _, err := NewDecoder(bytes.NewReader(hello)).Next(); err == nil {
+	if _, err := wire.NewDecoder(bytes.NewReader(hello)).Next(); err == nil {
 		t.Error("decoder accepted an overflowing hello user id")
 	}
-	report := append([]byte{byte(MsgReport)}, huge...)
+	report := append([]byte{byte(wire.MsgReport)}, huge...)
 	report = append(report, 0, 1, 1) // order, j, bit
-	if _, err := NewDecoder(bytes.NewReader(report)).Next(); err == nil {
+	if _, err := wire.NewDecoder(bytes.NewReader(report)).Next(); err == nil {
 		t.Error("decoder accepted an overflowing report user id")
 	}
 	// Same bytes inside a batch frame (exercises the Peek fast path when
 	// enough bytes are buffered).
-	batch := []byte{byte(MsgBatch), 1}
+	batch := []byte{byte(wire.MsgBatch), 1}
 	batch = append(batch, report...)
 	batch = append(batch, make([]byte, 64)...) // padding so the fast path engages
-	if _, err := NewDecoder(bytes.NewReader(batch)).Next(); err == nil {
+	if _, err := wire.NewDecoder(bytes.NewReader(batch)).Next(); err == nil {
 		t.Error("batch decoder accepted an overflowing report user id")
 	}
 
 	col := NewShardedCollector(protocol.NewSharded(16, 1, 1))
-	if err := col.SendBatch(0, []Msg{{Type: MsgHello, User: -1, Order: 0}}); err == nil {
+	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
 		t.Error("collector accepted a negative hello user")
 	}
-	if err := col.SendBatch(0, []Msg{{Type: MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
+	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
 		t.Error("collector accepted a negative report user")
 	}
-	if err := col.SendBatch(0, []Msg{{Type: MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
+	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
 		t.Error("batch collector accepted a negative report user")
 	}
-	if err := col.SendBatch(0, []Msg{{Type: MsgHello, User: -1, Order: 0}}); err == nil {
+	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
 		t.Error("batch collector accepted a negative hello user")
 	}
 }
@@ -160,7 +161,7 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 		serial.Ingest(r)
 	}
 
-	check := func(m Msg, want []float64) {
+	check := func(m wire.Msg, want []float64) {
 		t.Helper()
 		a, err := AnswerQuery(acc, m)
 		if err != nil {
@@ -175,19 +176,19 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-	check(QueryV2(QueryPoint, 17, 17), []float64{serial.EstimateAt(17)})
-	check(QueryV2(QueryChange, 5, 40), []float64{serial.EstimateChange(5, 40)})
-	check(QueryV2(QuerySeries, 0, 0), serial.EstimateSeries())
-	check(QueryV2(QueryWindow, 9, 24), serial.EstimateSeries()[8:24])
+	check(wire.QueryV2(wire.QueryPoint, 17, 17), []float64{serial.EstimateAt(17)})
+	check(wire.QueryV2(wire.QueryChange, 5, 40), []float64{serial.EstimateChange(5, 40)})
+	check(wire.QueryV2(wire.QuerySeries, 0, 0), serial.EstimateSeries())
+	check(wire.QueryV2(wire.QueryWindow, 9, 24), serial.EstimateSeries()[8:24])
 
-	for _, bad := range []Msg{
-		QueryV2(QueryPoint, 0, 0),
-		QueryV2(QueryPoint, d+1, d+1),
-		QueryV2(QueryChange, 0, 4),
-		QueryV2(QueryChange, 9, 5),
-		QueryV2(QueryWindow, 1, d+1),
-		QueryV2(QueryKind(99), 1, 1),
-		Sums(), // not a v2 frame
+	for _, bad := range []wire.Msg{
+		wire.QueryV2(wire.QueryPoint, 0, 0),
+		wire.QueryV2(wire.QueryPoint, d+1, d+1),
+		wire.QueryV2(wire.QueryChange, 0, 4),
+		wire.QueryV2(wire.QueryChange, 9, 5),
+		wire.QueryV2(wire.QueryWindow, 1, d+1),
+		wire.QueryV2(wire.QueryKind(99), 1, 1),
+		wire.Sums(), // not a v2 frame
 	} {
 		if _, err := AnswerQuery(acc, bad); err == nil {
 			t.Errorf("invalid query %+v accepted", bad)
@@ -225,7 +226,7 @@ func (e *reusingEstimator) EstimateSeriesTo(r int) []float64 {
 func TestAnswerQueryWindowNoAliasing(t *testing.T) {
 	est := &reusingEstimator{d: 32}
 	const l, r = 5, 12
-	a, err := AnswerQuery(est, QueryV2(QueryWindow, l, r))
+	a, err := AnswerQuery(est, wire.QueryV2(wire.QueryWindow, l, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestAnswerQueryWindowNoAliasing(t *testing.T) {
 	// first answer must not change. Series answers get the same
 	// ownership guarantee.
 	first := append([]float64(nil), a.Values...)
-	series, err := AnswerQuery(est, QueryV2(QuerySeries, 0, 0))
+	series, err := AnswerQuery(est, wire.QueryV2(wire.QuerySeries, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +276,14 @@ func TestIngestServerAnswersV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(conn)
-	dec := NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	// A batch mixing reports and a v2 query: the query answers in stream
 	// order, after the reports before it are applied.
-	ms := []Msg{
-		Hello(1, 0),
-		FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1}),
-		QueryV2(QueryWindow, 1, 4),
+	ms := []wire.Msg{
+		wire.Hello(1, 0),
+		wire.FromReport(protocol.Report{User: 1, Order: 0, J: 3, Bit: 1}),
+		wire.QueryV2(wire.QueryWindow, 1, 4),
 	}
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
@@ -294,7 +295,7 @@ func TestIngestServerAnswersV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Kind != QueryWindow || len(a.Values) != 4 {
+	if a.Kind != wire.QueryWindow || len(a.Values) != 4 {
 		t.Fatalf("bad answer %+v", a)
 	}
 	// The report at I{0,3} contributes 2 (scale 2) to â[3] only: C(3)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 // This file is the live Boolean state's read cache. Algorithm 2's
@@ -29,7 +30,7 @@ import (
 // computed from, both memo-owned and allocated on the first fill (a
 // nil series is an empty memo).
 // Guarded by mu, which is held while an answer is encoded from series
-// into the encoder's scratch buffer and released before it is written.
+// and released before it is written (Encoder.EncodeAnswerUnlocking).
 type seriesMemo struct {
 	mu     sync.Mutex
 	stamp  uint64
@@ -39,12 +40,12 @@ type seriesMemo struct {
 
 // answer writes the answer to a Point, Series or Window query from acc
 // through the memo, and reports whether the memo was warm.
-func (c *seriesMemo) answer(acc *protocol.Sharded, m Msg, e *Encoder) (hit bool, err error) {
-	a := AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
+func (c *seriesMemo) answer(acc *protocol.Sharded, m wire.Msg, e *wire.Encoder) (hit bool, err error) {
+	a := wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
 	c.mu.Lock()
 	v := acc.Version()
 	hit = c.series != nil && c.stamp == v
-	if !hit && m.Kind == QueryPoint {
+	if !hit && m.Kind == wire.QueryPoint {
 		c.mu.Unlock()
 		a.Values = []float64{acc.EstimateAt(m.L)}
 		return false, e.EncodeAnswer(a)
@@ -53,19 +54,14 @@ func (c *seriesMemo) answer(acc *protocol.Sharded, m Msg, e *Encoder) (hit bool,
 		c.fill(acc, v)
 	}
 	switch m.Kind {
-	case QueryPoint:
+	case wire.QueryPoint:
 		a.Values = c.series[m.L-1 : m.L]
-	case QueryWindow:
+	case wire.QueryWindow:
 		a.Values = c.series[m.L-1 : m.R]
 	default:
 		a.Values = c.series
 	}
-	b, err := appendAnswer(e.scratch[:0], a)
-	c.mu.Unlock()
-	if err != nil {
-		return hit, err
-	}
-	return hit, e.writeScratch(b)
+	return hit, e.EncodeAnswerUnlocking(a, &c.mu)
 }
 
 // fill recomputes the series from acc and stamps it with v, which the

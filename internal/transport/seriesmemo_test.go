@@ -11,6 +11,7 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // The live Boolean state's prefix-series memo (seriesmemo.go): every
@@ -20,10 +21,10 @@ import (
 // restore or any other stamp bump makes the next read miss.
 
 // memoAnswer is r's answer to m, with the memo flags Answer reported.
-func memoAnswer(t *testing.T, r Reader, m Msg) (vals []float64, memo, hit bool) {
+func memoAnswer(t *testing.T, r Reader, m wire.Msg) (vals []float64, memo, hit bool) {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	memo, hit, err := r.Answer(m, enc, &AnswerScratch{})
 	if err == nil {
 		err = enc.Flush()
@@ -31,7 +32,7 @@ func memoAnswer(t *testing.T, r Reader, m Msg) (vals []float64, memo, hit bool) 
 	if err != nil {
 		t.Fatalf("answer to %+v: %v", m, err)
 	}
-	a, err := NewDecoder(&buf).ReadAnswer()
+	a, err := wire.NewDecoder(&buf).ReadAnswer()
 	if err != nil {
 		t.Fatalf("decoding the answer to %+v: %v", m, err)
 	}
@@ -58,7 +59,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 // checkMemoAnswer answers m through r and compares it with a fresh
 // AnswerQuery on acc and on the serial server, and the memo flags with
 // wantHit.
-func checkMemoAnswer(t *testing.T, r Reader, acc *protocol.Sharded, srv *protocol.Server, m Msg, wantHit bool) {
+func checkMemoAnswer(t *testing.T, r Reader, acc *protocol.Sharded, srv *protocol.Server, m wire.Msg, wantHit bool) {
 	t.Helper()
 	if hit := checkMemoValues(t, r, acc, srv, m); hit != wantHit {
 		t.Fatalf("%+v: hit=%v, want %v", m, hit, wantHit)
@@ -67,7 +68,7 @@ func checkMemoAnswer(t *testing.T, r Reader, acc *protocol.Sharded, srv *protoco
 
 // checkMemoValues is checkMemoAnswer without the hit expectation: it
 // returns whether the memo was warm.
-func checkMemoValues(t *testing.T, r Reader, acc *protocol.Sharded, srv *protocol.Server, m Msg) (hit bool) {
+func checkMemoValues(t *testing.T, r Reader, acc *protocol.Sharded, srv *protocol.Server, m wire.Msg) (hit bool) {
 	t.Helper()
 	got, memo, hit := memoAnswer(t, r, m)
 	if !memo {
@@ -87,11 +88,11 @@ func checkMemoValues(t *testing.T, r Reader, acc *protocol.Sharded, srv *protoco
 }
 
 // memoReads is every read shape the memo serves at horizon d.
-func memoReads(d int) []Msg {
-	return []Msg{
-		QueryV2(QuerySeries, 0, 0),
-		QueryV2(QueryPoint, 1, 0), QueryV2(QueryPoint, d/2+1, 0), QueryV2(QueryPoint, d, 0),
-		QueryV2(QueryWindow, 1, d), QueryV2(QueryWindow, 3, d/2), QueryV2(QueryWindow, d, d),
+func memoReads(d int) []wire.Msg {
+	return []wire.Msg{
+		wire.QueryV2(wire.QuerySeries, 0, 0),
+		wire.QueryV2(wire.QueryPoint, 1, 0), wire.QueryV2(wire.QueryPoint, d/2+1, 0), wire.QueryV2(wire.QueryPoint, d, 0),
+		wire.QueryV2(wire.QueryWindow, 1, d), wire.QueryV2(wire.QueryWindow, 3, d/2), wire.QueryV2(wire.QueryWindow, d, d),
 	}
 }
 
@@ -111,13 +112,13 @@ func boolCollectors(d int, scale float64) map[string]func() (*Collector, *protoc
 }
 
 // sendBoth sends ms to the collector (on shard) and to the serial server.
-func sendBoth(t *testing.T, c *Collector, shard int, srv *protocol.Server, ms []Msg) {
+func sendBoth(t *testing.T, c *Collector, shard int, srv *protocol.Server, ms []wire.Msg) {
 	t.Helper()
 	if err := c.SendBatch(shard, ms); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range ms {
-		if m.Type == MsgHello {
+		if m.Type == wire.MsgHello {
 			srv.Register(m.Order)
 		} else {
 			srv.Ingest(protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
@@ -140,7 +141,7 @@ func TestSeriesMemoMatchesFreshAndSerial(t *testing.T) {
 			sendBoth(t, c, 0, srv, ms[:len(ms)/2])
 			sendBoth(t, c, 1, srv, ms[len(ms)/2:])
 
-			point := QueryV2(QueryPoint, d/4+3, 0)
+			point := wire.QueryV2(wire.QueryPoint, d/4+3, 0)
 			checkMemoAnswer(t, c, acc, srv, point, false)
 			checkMemoAnswer(t, c, acc, srv, point, false) // a cold point does not fill
 			for i, m := range memoReads(d) {
@@ -149,15 +150,15 @@ func TestSeriesMemoMatchesFreshAndSerial(t *testing.T) {
 			for _, m := range memoReads(d) {
 				checkMemoAnswer(t, c, acc, srv, m, true)
 			}
-			if _, memo, _ := memoAnswer(t, c, QueryV2(QueryChange, 3, d-1)); memo {
+			if _, memo, _ := memoAnswer(t, c, wire.QueryV2(wire.QueryChange, 3, d-1)); memo {
 				t.Error("a change query reported a memo")
 			}
 
 			// Each run bumps the stamp: the next read misses, whatever its shape.
 			for i, m := range memoReads(d) {
-				sendBoth(t, c, i%2, srv, []Msg{FromReport(protocol.Report{User: 1000 + i, Order: 0, J: 1 + i, Bit: 1})})
+				sendBoth(t, c, i%2, srv, []wire.Msg{wire.FromReport(protocol.Report{User: 1000 + i, Order: 0, J: 1 + i, Bit: 1})})
 				checkMemoAnswer(t, c, acc, srv, m, false)
-				if m.Kind != QueryPoint {
+				if m.Kind != wire.QueryPoint {
 					checkMemoAnswer(t, c, acc, srv, point, true)
 				}
 			}
@@ -176,7 +177,7 @@ func TestSeriesMemoRestoreMisses(t *testing.T) {
 	}
 	c, acc := boolCollectors(d, scale)["NewCollector"]()
 	empty := protocol.NewServer(d, scale)
-	series := QueryV2(QuerySeries, 0, 0)
+	series := wire.QueryV2(wire.QuerySeries, 0, 0)
 	checkMemoAnswer(t, c, acc, empty, series, false)
 	checkMemoAnswer(t, c, acc, empty, series, true)
 
@@ -202,13 +203,13 @@ func TestSeriesMemoUnderConcurrentIngest(t *testing.T) {
 	c, acc := boolCollectors(d, scale)["NewCollector"]()
 	srv := protocol.NewServer(d, scale)
 	g := rng.New(26, 2)
-	work := make([][][]Rec, writers)
+	work := make([][][]wire.Rec, writers)
 	for w := range work {
 		for i := 0; i < runs; i++ {
-			run := []Rec{{User: w, Order: 0, J: 1, Bit: 1}, {User: w, Order: 1, J: 1, Bit: 1}}
+			run := []wire.Rec{{User: w, Order: 0, J: 1, Bit: 1}, {User: w, Order: 1, J: 1, Bit: 1}}
 			for j := 0; j < 8; j++ {
 				h := 2 + g.IntN(3)
-				run = append(run, Rec{User: w, Order: uint8(h), J: uint32(1 + g.IntN(d>>uint(h))), Bit: int8(1 - 2*g.IntN(2))})
+				run = append(run, wire.Rec{User: w, Order: uint8(h), J: uint32(1 + g.IntN(d>>uint(h))), Bit: int8(1 - 2*g.IntN(2))})
 			}
 			work[w] = append(work[w], run)
 			for _, r := range run {
@@ -220,23 +221,23 @@ func TestSeriesMemoUnderConcurrentIngest(t *testing.T) {
 	var failed atomic.Value
 	var mu sync.Mutex
 	last := map[int]float64{}
-	reads := []Msg{QueryV2(QuerySeries, 0, 0), QueryV2(QueryWindow, 1, 2), QueryV2(QueryPoint, 1, 0)}
+	reads := []wire.Msg{wire.QueryV2(wire.QuerySeries, 0, 0), wire.QueryV2(wire.QueryWindow, 1, 2), wire.QueryV2(wire.QueryPoint, 1, 0)}
 	var calls atomic.Int64
 	applyUnderReaders(c.st, work, shards, 2, func(i int) {
 		calls.Add(1)
 		m := reads[i%len(reads)]
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if _, _, err := c.Answer(m, enc, &AnswerScratch{}); err != nil || enc.Flush() != nil {
 			failed.Store("answer failed")
 			return
 		}
-		a, err := NewDecoder(&buf).ReadAnswer()
+		a, err := wire.NewDecoder(&buf).ReadAnswer()
 		if err != nil {
 			failed.Store(err.Error())
 			return
 		}
-		if m.Kind != QueryPoint && a.Values[0] != a.Values[1] {
+		if m.Kind != wire.QueryPoint && a.Values[0] != a.Values[1] {
 			failed.Store("a read split a run: â[1] != â[2]")
 		}
 		mu.Lock()
@@ -254,7 +255,7 @@ func TestSeriesMemoUnderConcurrentIngest(t *testing.T) {
 	}
 	// The last reader may have filled after the last run: warm or not,
 	// the entry must be exact.
-	checkMemoValues(t, c, acc, srv, QueryV2(QuerySeries, 0, 0))
+	checkMemoValues(t, c, acc, srv, wire.QueryV2(wire.QuerySeries, 0, 0))
 	for _, m := range memoReads(d) {
 		checkMemoAnswer(t, c, acc, srv, m, true)
 	}
@@ -268,17 +269,17 @@ func TestSeriesMemoAllocFree(t *testing.T) {
 	if err := c.SendBatch(0, genMsgs(d, 100)); err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(io.Discard)
+	enc := wire.NewEncoder(io.Discard)
 	var sc AnswerScratch
-	answer := func(m Msg) {
+	answer := func(m wire.Msg) {
 		if _, _, err := c.Answer(m, enc, &sc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	answer(QueryV2(QuerySeries, 0, 0))
+	answer(wire.QueryV2(wire.QuerySeries, 0, 0))
 	one := dyadic.Interval{Order: 0, Index: 1}
 	for _, m := range memoReads(d) {
-		if m.Kind != QueryPoint {
+		if m.Kind != wire.QueryPoint {
 			if n := testing.AllocsPerRun(50, func() { acc.IngestSum(0, one, 0); answer(m) }); n != 0 {
 				t.Errorf("cold %+v: %v allocs per answer", m, n)
 			}

@@ -1,3 +1,17 @@
+// Package transport is the serving core over the protocol's byte format
+// (internal/wire): the Mode contract (mode.go) that alone knows what
+// distinguishes the Boolean, exact domain and hashed domain protocols,
+// one frame loop and connection lifecycle (serve.go), and one in-memory
+// collector, one shard-map collector and one durable journal around
+// either (collector.go, shardmap.go, durable.go). cmd/rtf-serve is an
+// IngestServer over one of those stores; internal/cluster's gateways run
+// the same frame loop over backend connections.
+//
+// The paper's protocol is transport-agnostic; this package exists so the
+// repository exercises the client/server split as an actual distributed
+// system — batching, concurrent sharded ingestion, durability,
+// scale-out — rather than as in-process function calls only. A client
+// does not link it: ldp encodes with internal/wire alone.
 package transport
 
 import (
@@ -7,6 +21,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"rtf/internal/wire"
 )
 
 // This file is the serving core: the one frame loop and the one
@@ -22,9 +38,9 @@ type Session interface {
 	// it (a stretch of Frame.Wire, valid until Apply returns). The frame
 	// loop decoded the run under the mode's ingest contract; a session
 	// does not validate it again.
-	Apply(run []Rec, wire []byte) error
+	Apply(run []wire.Rec, raw []byte) error
 	// Gather returns the state read frame m is answered from.
-	Gather(m Msg) (Reader, error)
+	Gather(m wire.Msg) (Reader, error)
 	// Close releases the session. healthy reports a clean client close
 	// (or server shutdown) rather than a failed connection.
 	Close(healthy bool)
@@ -125,9 +141,9 @@ type storeSession struct {
 	id    int
 }
 
-func (s storeSession) Apply(run []Rec, wire []byte) error { return s.store.Apply(s.id, run, wire) }
-func (s storeSession) Gather(Msg) (Reader, error)         { return s.store, nil }
-func (s storeSession) Close(bool)                         {}
+func (s storeSession) Apply(run []wire.Rec, raw []byte) error { return s.store.Apply(s.id, run, raw) }
+func (s storeSession) Gather(wire.Msg) (Reader, error)        { return s.store, nil }
+func (s storeSession) Close(bool)                             {}
 
 // Serve accepts connections on l until Close is called (or the listener
 // fails) and then waits for in-flight connections to drain. The caller
@@ -214,7 +230,7 @@ func (s flushBeforeRead) Read(p []byte) (int, error) {
 // pipelined frames read in one wake-up is acknowledged in one write, in
 // order, negative acks of shed frames included.
 func (s *Server) serveConn(id int, conn net.Conn) (err error) {
-	enc := NewEncoder(conn)
+	enc := wire.NewEncoder(conn)
 	acks := 0 // encoded since the last flush
 	flush := func() error {
 		if enc.Buffered() == 0 {
@@ -226,7 +242,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 		acks = 0
 		return enc.Flush()
 	}
-	dec := NewDecoder(flushBeforeRead{conn, flush})
+	dec := wire.NewDecoder(flushBeforeRead{conn, flush})
 	sess := s.open(id)
 	defer func() {
 		// Frames applied before a failure keep their acks, if the
@@ -237,24 +253,24 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 
 	ingest := s.mode.Ingest()
 	if s.control != nil {
-		ingest.Reads |= frameSet(MsgShardSums, MsgView, MsgShardTransfer)
+		ingest.Reads |= wire.ControlFrames
 	}
 	var sc AnswerScratch
-	validateRead := func(acked bool, m Msg) error {
+	validateRead := func(acked bool, m wire.Msg) error {
 		if acked {
 			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
 		}
-		if m.Type == MsgShardSums {
+		if m.Type == wire.MsgShardSums {
 			if n := s.control.NumShards(); m.Shard < 0 || m.Shard >= n {
 				return fmt.Errorf("shard %d out of range [0..%d)", m.Shard, n)
 			}
 		}
 		return s.mode.ValidateRead(m)
 	}
-	answer := func(m Msg) error {
+	answer := func(m wire.Msg) error {
 		if s.Metrics != nil {
 			s.Metrics.CountQuery(s.label, QueryKindName(m))
-			if s.control != nil && m.Type != MsgShardSums {
+			if s.control != nil && m.Type != wire.MsgShardSums {
 				// A shard-mapped store folds its virtual shards per read.
 				s.Metrics.CountGather(s.mode.Scope(m))
 			}
@@ -300,7 +316,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 			return err
 		}
 		if !shed {
-			err = BatchRuns(f, sess.Apply, answer)
+			err = wire.BatchRuns(f, sess.Apply, answer)
 			if holding {
 				s.Queue.Release()
 			}
@@ -323,12 +339,12 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 // the frame was one of them. An install or hard view failure still acks
 // (negatively) before surfacing the error, so the pushing gateway sees
 // a refusal rather than a hang.
-func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder, flush func() error) (handled bool, err error) {
+func (s *Server) handleControl(m wire.Msg, dec *wire.Decoder, enc *wire.Encoder, flush func() error) (handled bool, err error) {
 	applied := true
 	switch m.Type {
-	case MsgView:
+	case wire.MsgView:
 		applied, err = s.control.SetView(dec.TakeView())
-	case MsgShardTransfer:
+	case wire.MsgShardTransfer:
 		err = s.install(m.Shard, dec.TakeShardState())
 	default:
 		return false, nil
@@ -351,7 +367,7 @@ func (s *Server) handleControl(m Msg, dec *Decoder, enc *Encoder, flush func() e
 // buffered, keeping its place among the positive ones; the caller skips
 // the batch entirely) and whether a slot is held and must be released
 // after the batch is applied.
-func (s *Server) admitBatch(acked bool, enc *Encoder, flush func() error) (shed, holding bool, err error) {
+func (s *Server) admitBatch(acked bool, enc *wire.Encoder, flush func() error) (shed, holding bool, err error) {
 	if s.Queue == nil {
 		return false, false, nil
 	}
@@ -379,7 +395,7 @@ func (s *Server) admitBatch(acked bool, enc *Encoder, flush func() error) (shed,
 // positive ack certifies the batch was written whole to the session's
 // backend leases; as with legacy batches, application is certified by
 // the next read on the session.
-func (s *Server) finishBatch(acked bool, enc *Encoder, n int, start time.Time) error {
+func (s *Server) finishBatch(acked bool, enc *wire.Encoder, n int, start time.Time) error {
 	if acked {
 		if err := enc.EncodeBatchAck(true); err != nil {
 			return err
@@ -403,35 +419,6 @@ type Estimator interface {
 	EstimateSeriesTo(r int) []float64
 }
 
-// ValidateQuery is the validate-only path of AnswerQuery: it
-// range-checks a v2 query frame against horizon d without touching any
-// accumulator. The ingest server runs it over a whole batch before
-// applying anything, keeping batches atomic.
-func ValidateQuery(d int, m Msg) error {
-	if m.Type != MsgQueryV2 {
-		return fmt.Errorf("transport: message type %d is not a v2 query", m.Type)
-	}
-	switch m.Kind {
-	case QueryPoint:
-		if m.L < 1 || m.L > d {
-			return fmt.Errorf("transport: point query time %d out of range [1..%d]", m.L, d)
-		}
-	case QueryChange:
-		if m.L < 1 || m.R > d || m.L > m.R {
-			return fmt.Errorf("transport: change query range [%d..%d] invalid for d=%d", m.L, m.R, d)
-		}
-	case QuerySeries:
-		// No bounds.
-	case QueryWindow:
-		if m.L < 1 || m.R > d || m.L > m.R {
-			return fmt.Errorf("transport: window query range [%d..%d] invalid for d=%d", m.L, m.R, d)
-		}
-	default:
-		return fmt.Errorf("transport: unknown query kind %d", byte(m.Kind))
-	}
-	return nil
-}
-
 // AnswerQuery computes the answer to a v2 query frame from the live
 // accumulator. The estimates are bit-for-bit identical to a serial
 // protocol.Server fed the same reports: point and change queries sum the
@@ -440,19 +427,19 @@ func ValidateQuery(d int, m Msg) error {
 // by the caller: series and window answers are fresh copies (windows
 // clipped to exactly R−L+1 elements), never a view into an engine's
 // backing array that a buffer-reusing engine could scribble over.
-func AnswerQuery(est Estimator, m Msg) (AnswerFrame, error) {
-	if err := ValidateQuery(est.D(), m); err != nil {
-		return AnswerFrame{}, err
+func AnswerQuery(est Estimator, m wire.Msg) (wire.AnswerFrame, error) {
+	if err := wire.ValidateQuery(est.D(), m); err != nil {
+		return wire.AnswerFrame{}, err
 	}
-	a := AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
+	a := wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
 	switch m.Kind {
-	case QueryPoint:
+	case wire.QueryPoint:
 		a.Values = []float64{est.EstimateAt(m.L)}
-	case QueryChange:
+	case wire.QueryChange:
 		a.Values = []float64{est.EstimateChange(m.L, m.R)}
-	case QuerySeries:
+	case wire.QuerySeries:
 		a.Values = append([]float64(nil), est.EstimateSeries()...)
-	case QueryWindow:
+	case wire.QueryWindow:
 		a.Values = append(make([]float64, 0, m.R-m.L+1), est.EstimateSeriesTo(m.R)[m.L-1:]...)
 	}
 	return a, nil

@@ -7,15 +7,16 @@ import (
 
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // connReports builds a deterministic stream of valid wire messages for
 // one simulated connection: a few hellos followed by reports.
-func connReports(seed uint64, d, n int) []Msg {
+func connReports(seed uint64, d, n int) []wire.Msg {
 	g := rng.New(seed, 41)
-	ms := make([]Msg, 0, n+4)
+	ms := make([]wire.Msg, 0, n+4)
 	for u := 0; u < 4; u++ {
-		ms = append(ms, Hello(int(seed)*1000+u, g.IntN(7)))
+		ms = append(ms, wire.Hello(int(seed)*1000+u, g.IntN(7)))
 	}
 	for i := 0; i < n; i++ {
 		h := g.IntN(7)
@@ -23,7 +24,7 @@ func connReports(seed uint64, d, n int) []Msg {
 		if g.Bernoulli(0.5) {
 			bit = -1
 		}
-		ms = append(ms, FromReport(protocol.Report{
+		ms = append(ms, wire.FromReport(protocol.Report{
 			User: int(seed)*1000 + i, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 		}))
 	}
@@ -60,8 +61,8 @@ func TestIngestServerEndToEnd(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			enc := NewEncoder(conn)
-			dec := NewDecoder(conn)
+			enc := wire.NewEncoder(conn)
+			dec := wire.NewDecoder(conn)
 			ms := connReports(uint64(c), d, perC)
 			for lo := 0; lo < len(ms); lo += batch {
 				hi := min(lo+batch, len(ms))
@@ -84,7 +85,7 @@ func TestIngestServerEndToEnd(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if resp.Kind != QueryPoint || resp.L != d/2 || len(resp.Values) != 1 {
+					if resp.Kind != wire.QueryPoint || resp.L != d/2 || len(resp.Values) != 1 {
 						t.Errorf("conn %d: bad query response %+v", c, resp)
 					}
 				}
@@ -111,9 +112,9 @@ func TestIngestServerEndToEnd(t *testing.T) {
 	for c := 0; c < conns; c++ {
 		for _, m := range connReports(uint64(c), d, perC) {
 			switch m.Type {
-			case MsgHello:
+			case wire.MsgHello:
 				serial.Register(m.Order)
-			case MsgReport:
+			case wire.MsgReport:
 				serial.Ingest(m.Report())
 			}
 		}
@@ -124,8 +125,8 @@ func TestIngestServerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(conn)
-	dec := NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	for tt := 1; tt <= d; tt++ {
 		if err := enc.Encode(pointQ(tt)); err != nil {
 			t.Fatal(err)
@@ -193,9 +194,9 @@ func TestIngestServerBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := NewEncoder(good)
-	dec := NewDecoder(good)
-	if err := enc.EncodeBatch([]Msg{Hello(1, 2), FromReport(protocol.Report{Order: 0, J: 5, Bit: 1})}); err != nil {
+	enc := wire.NewEncoder(good)
+	dec := wire.NewDecoder(good)
+	if err := enc.EncodeBatch([]wire.Msg{wire.Hello(1, 2), wire.FromReport(protocol.Report{Order: 0, J: 5, Bit: 1})}); err != nil {
 		t.Fatal(err)
 	}
 	// C(5) = {I{2,1}, I{0,5}}, so the report at I{0,5} is visible at t=5.

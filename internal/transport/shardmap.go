@@ -7,6 +7,7 @@ import (
 
 	"rtf/internal/membership"
 	"rtf/internal/persist"
+	"rtf/internal/wire"
 )
 
 // This file is the backend half of dynamic membership: a membership-
@@ -83,7 +84,7 @@ func (c *ShardMap) Users() int {
 }
 
 // SendBatch implements Store.
-func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
+func (c *ShardMap) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, false) }
 
 // Apply implements Store: it buckets the run's records by virtual shard
 // and hands each bucket to that shard's state as one run, so a frame
@@ -92,7 +93,7 @@ func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, sh
 // were validated before Apply and addition is commutative, so the
 // reordering is exact. The connection shard is unused: the map routes by
 // user.
-func (c *ShardMap) Apply(_ int, run []Rec, _ []byte) error {
+func (c *ShardMap) Apply(_ int, run []wire.Rec, _ []byte) error {
 	b := c.buckets.Get().(*bucketScratch)
 	b.sort(run)
 	var hellos, reports int64
@@ -113,15 +114,15 @@ func (c *ShardMap) Apply(_ int, run []Rec, _ []byte) error {
 // bucketScratch is ShardMap.Apply's space for a counting sort of one
 // run by virtual shard.
 type bucketScratch struct {
-	recs  []Rec   // the run, bucket by bucket
-	keys  []int32 // each record's shard
-	used  []int32 // the shards the run touches, in first-seen order
-	count []int32 // per shard: after sort, where its bucket ends in recs; zero between runs
+	recs  []wire.Rec // the run, bucket by bucket
+	keys  []int32    // each record's shard
+	used  []int32    // the shards the run touches, in first-seen order
+	count []int32    // per shard: after sort, where its bucket ends in recs; zero between runs
 }
 
 // sort fills recs with run's records grouped by shard, in used order,
 // each bucket keeping the run's order.
-func (b *bucketScratch) sort(run []Rec) {
+func (b *bucketScratch) sort(run []wire.Rec) {
 	n := len(b.count)
 	b.keys, b.used = b.keys[:0], b.used[:0]
 	for i := range run {
@@ -147,12 +148,12 @@ func (b *bucketScratch) sort(run []Rec) {
 // reading gateway's read, or its export of a shard to reshard — answers
 // from that shard alone; every other read answers from all shards'
 // sums, gathered under the read's scope in fixed shard order.
-func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
+func (c *ShardMap) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	scope := c.mode.Scope(m)
-	if m.Type == MsgShardSums {
+	if m.Type == wire.MsgShardSums {
 		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard, scope))
 	}
-	frames := make([]RawSums, len(c.shards))
+	frames := make([]wire.RawSums, len(c.shards))
 	c.imu.RLock()
 	for s, st := range c.shards {
 		frames[s] = st.Sums(scope)
@@ -166,7 +167,7 @@ func (c *ShardMap) Answer(m Msg, e *Encoder, sc *AnswerScratch) (memo, hit bool,
 }
 
 // ShardSums exports one virtual shard's raw sums under a scope.
-func (c *ShardMap) ShardSums(shard int, scope Scope) RawSums {
+func (c *ShardMap) ShardSums(shard int, scope wire.Scope) wire.RawSums {
 	c.imu.RLock()
 	defer c.imu.RUnlock()
 	return c.shards[shard].Sums(scope)

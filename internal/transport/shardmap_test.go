@@ -12,14 +12,15 @@ import (
 	"rtf/internal/persist"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // applySerial feeds a hello+report stream into a single serial sharded
 // accumulator, the reference a shard map must match bit-for-bit.
-func applySerial(d int, scale float64, ms []Msg) *protocol.Sharded {
+func applySerial(d int, scale float64, ms []wire.Msg) *protocol.Sharded {
 	ref := protocol.NewSharded(d, scale, 1)
 	for _, m := range ms {
-		if m.Type == MsgHello {
+		if m.Type == wire.MsgHello {
 			ref.Register(0, m.Order)
 		} else {
 			ref.Ingest(0, m.Report())
@@ -30,26 +31,26 @@ func applySerial(d int, scale float64, ms []Msg) *protocol.Sharded {
 
 // answerTo answers read frame m from r and returns a decoder positioned
 // on the response.
-func answerTo(t testing.TB, r Reader, m Msg) *Decoder {
+func answerTo(t testing.TB, r Reader, m wire.Msg) *wire.Decoder {
 	t.Helper()
 	var buf bytes.Buffer
-	e := NewEncoder(&buf)
+	e := wire.NewEncoder(&buf)
 	if _, _, err := r.Answer(m, e, new(AnswerScratch)); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return NewDecoder(&buf)
+	return wire.NewDecoder(&buf)
 }
 
 // sumsOf asks a store for raw sums: one virtual shard's, or (shard < 0)
 // the whole store's.
-func sumsOf(t testing.TB, st Store, shard int) RawSums {
+func sumsOf(t testing.TB, st Store, shard int) wire.RawSums {
 	t.Helper()
 	req := st.Mode().SumsRequest()
 	if shard >= 0 {
-		req = ShardSums(shard)
+		req = wire.ShardSums(shard)
 	}
 	f, err := st.Mode().ReadSums(answerTo(t, st, req))
 	if err != nil {
@@ -67,9 +68,9 @@ func exportShard(t *testing.T, sm *ShardMap, shard int) []byte {
 
 // foldState serializes the state a shard's raw sums fold to: the
 // transfer payload of a reshard.
-func foldState(t *testing.T, mode Mode, f RawSums) []byte {
+func foldState(t *testing.T, mode Mode, f wire.RawSums) []byte {
 	t.Helper()
-	st, err := mode.Fold([]RawSums{f})
+	st, err := mode.Fold([]wire.RawSums{f})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func foldState(t *testing.T, mode Mode, f RawSums) []byte {
 // seriesOf asks a Boolean store for its full estimate series.
 func seriesOf(t *testing.T, st Store) []float64 {
 	t.Helper()
-	ans, err := answerTo(t, st, QueryV2(QuerySeries, 0, 0)).ReadAnswer()
+	ans, err := answerTo(t, st, wire.QueryV2(wire.QuerySeries, 0, 0)).ReadAnswer()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestShardMapEquivalence(t *testing.T) {
 		}
 	}
 
-	if g, w := sumsOf(t, sm, -1), RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
+	if g, w := sumsOf(t, sm, -1), wire.RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
 		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
 
@@ -131,7 +132,7 @@ type countingState struct {
 	runs *int
 }
 
-func (s countingState) Apply(shard int, run []Rec) (hellos, reports int64) {
+func (s countingState) Apply(shard int, run []wire.Rec) (hellos, reports int64) {
 	*s.runs++
 	return s.State.Apply(shard, run)
 }
@@ -158,7 +159,7 @@ func TestShardMapAppliesOneRunPerShard(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, r := range frame {
-					h, n := ref[membership.ShardOf(r.User, S)].Apply(0, []Rec{r})
+					h, n := ref[membership.ShardOf(r.User, S)].Apply(0, []wire.Rec{r})
 					hellos, reports = hellos+h, reports+n
 				}
 				for s, n := range runs {
@@ -266,17 +267,17 @@ func TestShardMapSetView(t *testing.T) {
 // map match a serial domain server bit-for-bit, and install replaces.
 func TestDomainShardMapEquivalence(t *testing.T) {
 	const d, m, scale, S = 32, 8, 4.5, 4
-	var ms []Msg
+	var ms []wire.Msg
 	for u := 0; u < 80; u++ {
 		item := u % m
 		order := u % 3
-		ms = append(ms, DomainHello(u, item, order))
+		ms = append(ms, wire.DomainHello(u, item, order))
 		j := 1 + (u*5)%(d>>uint(order))
 		bit := int8(1)
 		if u%3 == 0 {
 			bit = -1
 		}
-		ms = append(ms, FromDomainReport(item, protocol.Report{User: u, Order: order, J: j, Bit: bit}))
+		ms = append(ms, wire.FromDomainReport(item, protocol.Report{User: u, Order: order, J: j, Bit: bit}))
 	}
 	sm := NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "n0")
 	if err := sm.SendBatch(0, ms); err != nil {
@@ -284,7 +285,7 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 	}
 	ref := hh.NewDomainServer(d, m, scale, 1)
 	for _, msg := range ms {
-		if msg.Type == MsgDomainHello {
+		if msg.Type == wire.MsgDomainHello {
 			ref.Register(0, msg.Item, msg.Order)
 		} else {
 			ref.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
@@ -344,24 +345,24 @@ func TestDurableShardMapRecovery(t *testing.T) {
 		mode Mode
 		meta persist.Meta
 		// tag turns a Boolean message of genMsgs into the mode's.
-		tag func(Msg) Msg
+		tag func(wire.Msg) wire.Msg
 	}{
-		{"bool", BoolMode(d, scale), durableMeta(d, scale), func(b Msg) Msg { return b }},
-		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), exactMeta, func(b Msg) Msg {
-			if b.Type == MsgHello {
-				return DomainHello(b.User, b.User%m, b.Order)
+		{"bool", BoolMode(d, scale), durableMeta(d, scale), func(b wire.Msg) wire.Msg { return b }},
+		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), exactMeta, func(b wire.Msg) wire.Msg {
+			if b.Type == wire.MsgHello {
+				return wire.DomainHello(b.User, b.User%m, b.Order)
 			}
-			return FromDomainReport(b.User%m, b.Report())
+			return wire.FromDomainReport(b.User%m, b.Report())
 		}},
-		{"hashed", DomainMode(d, enc, scale), hashedMeta, func(b Msg) Msg {
-			if b.Type == MsgHello {
-				return HashedDomainHello(b.User, b.User%enc.G, b.Order, enc.Seed)
+		{"hashed", DomainMode(d, enc, scale), hashedMeta, func(b wire.Msg) wire.Msg {
+			if b.Type == wire.MsgHello {
+				return wire.HashedDomainHello(b.User, b.User%enc.G, b.Order, enc.Seed)
 			}
-			return FromDomainReport(b.User%enc.G, b.Report())
+			return wire.FromDomainReport(b.User%enc.G, b.Report())
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			msgs := func(lo, hi int) []Msg {
+			msgs := func(lo, hi int) []wire.Msg {
 				ms := genMsgs(d, hi)[lo*5:]
 				for i := range ms {
 					ms[i] = tc.tag(ms[i])
@@ -503,7 +504,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	// serial reference.
 	merged := protocol.NewServer(d, scale)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchSums(mode, s, Scope{})
+		f, err := bc.FetchSums(mode, s, wire.Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -516,14 +517,14 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	}
 
 	// Global sums and v2 answers still work on the same connection.
-	f, err := bc.FetchSums(mode, -1, Scope{})
+	f, err := bc.FetchSums(mode, -1, wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, w := f, RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
+	if g, w := f, wire.RawSums(SumsFromSharded(ref)); !reflect.DeepEqual(g, w) {
 		t.Fatalf("global sums = %+v, want %+v", g, w)
 	}
-	if err := bc.enc.Encode(QueryV2(QueryPoint, d/2, d/2)); err != nil {
+	if err := bc.enc.Encode(wire.QueryV2(wire.QueryPoint, d/2, d/2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := bc.Flush(); err != nil {
@@ -538,7 +539,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 	}
 
 	// Export a shard, install it on a second backend, confirm the copy.
-	sums5, err := bc.FetchSums(mode, 5, Scope{})
+	sums5, err := bc.FetchSums(mode, 5, wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +555,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want5 := sumsOf(t, sm, 5)
-	got5, err := bc2.FetchSums(mode, 5, Scope{})
+	got5, err := bc2.FetchSums(mode, 5, wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +579,7 @@ func TestMembershipServeRoundTrip(t *testing.T) {
 		t.Fatalf("stale view push error = %v", err)
 	}
 	// An out-of-range shard request kills the connection with an error.
-	if _, err := bc.FetchSums(mode, S, Scope{}); err == nil {
+	if _, err := bc.FetchSums(mode, S, wire.Scope{}); err == nil {
 		t.Error("backend answered an out-of-range shard request")
 	}
 	rc.Release(addr, bc, false)
@@ -614,13 +615,13 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 	}
 	defer rc.Release(addr, bc, true)
 
-	var ms []Msg
+	var ms []wire.Msg
 	ref := hh.NewDomainServer(d, m, scale, 1)
 	for u := 0; u < 40; u++ {
 		item := u % m
-		ms = append(ms, DomainHello(u, item, 0))
+		ms = append(ms, wire.DomainHello(u, item, 0))
 		r := protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}
-		ms = append(ms, FromDomainReport(item, r))
+		ms = append(ms, wire.FromDomainReport(item, r))
 		ref.Register(0, item, 0)
 		ref.Ingest(0, item, r)
 	}
@@ -633,7 +634,7 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 
 	folded := hh.NewDomainServer(d, m, scale, 1)
 	for s := 0; s < S; s++ {
-		f, err := bc.FetchSums(mode, s, Scope{})
+		f, err := bc.FetchSums(mode, s, wire.Scope{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -647,7 +648,7 @@ func TestDomainMembershipServeRoundTrip(t *testing.T) {
 		}
 	}
 
-	sums2, err := bc.FetchSums(mode, 2, Scope{})
+	sums2, err := bc.FetchSums(mode, 2, wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}

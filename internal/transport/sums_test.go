@@ -16,14 +16,15 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
+	"rtf/internal/wire"
 )
 
 // testSumsFrame builds a valid frame for horizon d with deterministic
 // contents.
-func testSumsFrame(d int, scale float64, seed uint64) SumsFrame {
+func testSumsFrame(d int, scale float64, seed uint64) wire.SumsFrame {
 	g := rng.New(seed, 13)
-	f := SumsFrame{D: d, Scale: scale, Counters: make([]int64, protocol.RawStride(d))}
-	_, perOrder, sums := RawSums(f).Row(0)
+	f := wire.SumsFrame{D: d, Scale: scale, Counters: make([]int64, protocol.RawStride(d))}
+	_, perOrder, sums := wire.RawSums(f).Row(0)
 	f.Counters[0] = int64(g.IntN(1000))
 	for h := range perOrder {
 		perOrder[h] = int64(g.IntN(100))
@@ -36,9 +37,9 @@ func testSumsFrame(d int, scale float64, seed uint64) SumsFrame {
 
 // encodeSumsBytes encodes one frame, panicking on error (the callers
 // pass known-valid frames).
-func encodeSumsBytes(f SumsFrame) []byte {
+func encodeSumsBytes(f wire.SumsFrame) []byte {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeSums(f); err != nil {
 		panic(err)
 	}
@@ -48,19 +49,19 @@ func encodeSumsBytes(f SumsFrame) []byte {
 	return buf.Bytes()
 }
 
-func framesEqual(a, b SumsFrame) bool { return RawSums(a).Equal(RawSums(b)) }
+func framesEqual(a, b wire.SumsFrame) bool { return wire.RawSums(a).Equal(wire.RawSums(b)) }
 
 // TestSumsRoundTrip checks frames of several horizons survive the wire
 // bit-exactly, back to back on one stream.
 func TestSumsRoundTrip(t *testing.T) {
-	frames := []SumsFrame{
+	frames := []wire.SumsFrame{
 		testSumsFrame(1, 0.5, 1),
 		testSumsFrame(16, 2.25, 2),
 		testSumsFrame(1024, 100, 3),
 		{D: 4, Scale: 1, Counters: make([]int64, protocol.RawStride(4))}, // all zero
 	}
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	for _, f := range frames {
 		if err := enc.EncodeSums(f); err != nil {
 			t.Fatal(err)
@@ -69,7 +70,7 @@ func TestSumsRoundTrip(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	dec := NewDecoder(&buf)
+	dec := wire.NewDecoder(&buf)
 	for i, want := range frames {
 		got, err := dec.ReadSums()
 		if err != nil {
@@ -113,14 +114,14 @@ func TestSumsMergeMatchesSerial(t *testing.T) {
 	for _, acc := range accs {
 		// Through the wire, not just in process.
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeSums(SumsFromSharded(acc)); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewDecoder(&buf).ReadSums()
+		f, err := wire.NewDecoder(&buf).ReadSums()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,15 +164,18 @@ func TestSumsMergeMismatch(t *testing.T) {
 
 // TestSumsEncodeValidation checks the encoder rejects malformed frames.
 func TestSumsEncodeValidation(t *testing.T) {
-	enc := NewEncoder(&bytes.Buffer{})
+	enc := wire.NewEncoder(&bytes.Buffer{})
 	good := testSumsFrame(16, 2, 9)
-	for name, f := range map[string]func(SumsFrame) SumsFrame{
-		"horizon not a power of two": func(f SumsFrame) SumsFrame { f.D = 17; return f },
-		"horizon over the limit":     func(f SumsFrame) SumsFrame { f.D = MaxSumsD * 2; return f },
-		"a row parameter":            func(f SumsFrame) SumsFrame { f.M = 2; return f },
-		"negative user count":        func(f SumsFrame) SumsFrame { f.Counters = append([]int64{-1}, f.Counters[1:]...); return f },
-		"negative per-order count":   func(f SumsFrame) SumsFrame { f.Counters = append([]int64{0, 0, -1}, f.Counters[3:]...); return f },
-		"short counters":             func(f SumsFrame) SumsFrame { f.Counters = f.Counters[:5]; return f },
+	for name, f := range map[string]func(wire.SumsFrame) wire.SumsFrame{
+		"horizon not a power of two": func(f wire.SumsFrame) wire.SumsFrame { f.D = 17; return f },
+		"horizon over the limit":     func(f wire.SumsFrame) wire.SumsFrame { f.D = wire.MaxSumsD * 2; return f },
+		"a row parameter":            func(f wire.SumsFrame) wire.SumsFrame { f.M = 2; return f },
+		"negative user count":        func(f wire.SumsFrame) wire.SumsFrame { f.Counters = append([]int64{-1}, f.Counters[1:]...); return f },
+		"negative per-order count": func(f wire.SumsFrame) wire.SumsFrame {
+			f.Counters = append([]int64{0, 0, -1}, f.Counters[3:]...)
+			return f
+		},
+		"short counters": func(f wire.SumsFrame) wire.SumsFrame { f.Counters = f.Counters[:5]; return f },
 	} {
 		if err := enc.EncodeSums(f(good)); err == nil {
 			t.Errorf("encoder accepted a frame with %s", name)
@@ -185,25 +189,25 @@ func TestSumsEncodeValidation(t *testing.T) {
 // TestSumsDecodeTruncated checks every proper prefix of a valid frame
 // fails with a descriptive error, never a panic or a bogus frame.
 func TestSumsDecodeTruncated(t *testing.T) {
-	wire := encodeSumsBytes(testSumsFrame(16, 2.5, 11))
-	for cut := 0; cut < len(wire); cut++ {
-		_, err := NewDecoder(bytes.NewReader(wire[:cut])).ReadSums()
+	raw := encodeSumsBytes(testSumsFrame(16, 2.5, 11))
+	for cut := 0; cut < len(raw); cut++ {
+		_, err := wire.NewDecoder(bytes.NewReader(raw[:cut])).ReadSums()
 		if err == nil {
-			t.Fatalf("truncation at %d of %d decoded successfully", cut, len(wire))
+			t.Fatalf("truncation at %d of %d decoded successfully", cut, len(raw))
 		}
 	}
 }
 
 // TestSumsDecodeCorrupt checks targeted corruptions are rejected.
 func TestSumsDecodeCorrupt(t *testing.T) {
-	wire := encodeSumsBytes(testSumsFrame(16, 2.5, 12))
+	raw := encodeSumsBytes(testSumsFrame(16, 2.5, 12))
 	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), wire...)
+		b := append([]byte(nil), raw...)
 		mutate(b)
-		_, err := NewDecoder(bytes.NewReader(b)).ReadSums()
+		_, err := wire.NewDecoder(bytes.NewReader(b)).ReadSums()
 		return err
 	}
-	if err := corrupt(func(b []byte) { b[0] = byte(MsgAnswer) }); err == nil {
+	if err := corrupt(func(b []byte) { b[0] = byte(wire.MsgAnswer) }); err == nil {
 		t.Error("accepted a non-sums frame type")
 	}
 	if err := corrupt(func(b []byte) { b[1] = 99 }); err == nil {
@@ -213,13 +217,13 @@ func TestSumsDecodeCorrupt(t *testing.T) {
 		t.Error("accepted a non-power-of-two horizon")
 	}
 	// A huge declared horizon must be rejected before allocation.
-	huge := append([]byte{byte(MsgSumsFrame), queryWireVersion}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
-	if _, err := NewDecoder(bytes.NewReader(huge)).ReadSums(); err == nil {
+	huge := append([]byte{byte(wire.MsgSumsFrame), queryWireVersion}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	if _, err := wire.NewDecoder(bytes.NewReader(huge)).ReadSums(); err == nil {
 		t.Error("accepted an overflowing horizon")
 	}
 	// Negative user count on the wire.
-	neg := []byte{byte(MsgSumsFrame), queryWireVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1 /* varint -1 */}
-	if _, err := NewDecoder(bytes.NewReader(neg)).ReadSums(); err == nil {
+	neg := []byte{byte(wire.MsgSumsFrame), queryWireVersion, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1 /* varint -1 */}
+	if _, err := wire.NewDecoder(bytes.NewReader(neg)).ReadSums(); err == nil {
 		t.Error("accepted a negative user count")
 	}
 }
@@ -242,15 +246,15 @@ func TestIngestServerAnswersSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	enc := NewEncoder(conn)
-	dec := NewDecoder(conn)
+	enc := wire.NewEncoder(conn)
+	dec := wire.NewDecoder(conn)
 	// A batch mixing ingestion and a sums request: the response must
 	// reflect the messages before it in the batch.
-	ms := []Msg{
-		Hello(1, 3),
-		FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1}),
-		FromReport(protocol.Report{User: 1, Order: 1, J: 2, Bit: -1}),
-		Sums(),
+	ms := []wire.Msg{
+		wire.Hello(1, 3),
+		wire.FromReport(protocol.Report{User: 1, Order: 0, J: 5, Bit: 1}),
+		wire.FromReport(protocol.Report{User: 1, Order: 1, J: 2, Bit: -1}),
+		wire.Sums(),
 	}
 	if err := enc.EncodeBatch(ms); err != nil {
 		t.Fatal(err)
@@ -262,7 +266,7 @@ func TestIngestServerAnswersSums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	users, perOrder, _ := RawSums(f).Row(0)
+	users, perOrder, _ := wire.RawSums(f).Row(0)
 	if f.D != d || f.Scale != scale || users != 1 {
 		t.Fatalf("bad frame header %+v", f)
 	}
@@ -283,7 +287,7 @@ func TestIngestServerAnswersSums(t *testing.T) {
 		}
 	}
 	// A standalone request on the same stream.
-	if err := enc.Encode(Sums()); err != nil {
+	if err := enc.Encode(wire.Sums()); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -309,26 +313,26 @@ func TestIngestServerAnswersSums(t *testing.T) {
 func FuzzSumsDecode(f *testing.F) {
 	f.Add(encodeSumsBytes(testSumsFrame(16, 2.5, 21)))
 	f.Add(encodeSumsBytes(testSumsFrame(1, 1, 22)))
-	f.Add([]byte{byte(MsgSumsFrame), queryWireVersion, 16})
-	f.Add([]byte{byte(MsgSumsFrame), 99})
+	f.Add([]byte{byte(wire.MsgSumsFrame), queryWireVersion, 16})
+	f.Add([]byte{byte(wire.MsgSumsFrame), 99})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frame, err := NewDecoder(bytes.NewReader(data)).ReadSums()
+		frame, err := wire.NewDecoder(bytes.NewReader(data)).ReadSums()
 		if err != nil {
 			return // EOF or any descriptive error is fine
 		}
-		if !dyadic.IsPow2(frame.D) || frame.D > MaxSumsD {
+		if !dyadic.IsPow2(frame.D) || frame.D > wire.MaxSumsD {
 			t.Fatalf("decoded invalid horizon %d", frame.D)
 		}
 		// A version-2 frame carries the columns of its scope's cover only.
 		sc := frame.Scope
-		if sc != (Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > frame.D) {
+		if sc != (wire.Scope{}) && (sc.L < 1 || sc.R < sc.L || sc.R > frame.D) {
 			t.Fatalf("decoded scope [%d..%d] for d=%d", sc.L, sc.R, frame.D)
 		}
 		if len(frame.Counters) != protocol.ScopedStride(frame.D, sc.L, sc.R) {
 			t.Fatalf("decoded %d counters for d=%d scope [%d..%d]", len(frame.Counters), frame.D, sc.L, sc.R)
 		}
-		users, perOrder, _ := RawSums(frame).Row(0)
+		users, perOrder, _ := wire.RawSums(frame).Row(0)
 		if users < 0 {
 			t.Fatalf("decoded negative user count %d", users)
 		}
@@ -350,14 +354,14 @@ func FuzzSumsRoundTrip(f *testing.F) {
 		d := 1 << (logd % 11)
 		want := testSumsFrame(d, scale, seed)
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeSums(want); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewDecoder(&buf).ReadSums()
+		got, err := wire.NewDecoder(&buf).ReadSums()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +374,7 @@ func FuzzSumsRoundTrip(f *testing.F) {
 }
 
 // FuzzReadVarintsDifferential holds the bulk counter decoder to the
-// per-value decoder it replaced: on arbitrary bytes, readVarints and n
+// per-value decoder it replaced: on arbitrary bytes, ReadVarints and n
 // calls of binary.ReadVarint must produce the same values and leave the
 // stream at the same byte, or both fail. The bulk side runs over three
 // kinds of window — everything buffered, the smallest buffer bufio
@@ -397,13 +401,13 @@ func FuzzReadVarintsDifferential(f *testing.F) {
 			}
 		}
 		wantRest, _ := io.ReadAll(ref)
-		for name, dec := range map[string]*Decoder{
-			"buffered": NewDecoder(bytes.NewReader(data)),
-			"min":      newDecoderSize(bytes.NewReader(data), 16),
-			"one-byte": NewDecoder(iotest.OneByteReader(bytes.NewReader(data))),
+		for name, r := range map[string]*bufio.Reader{
+			"buffered": bufio.NewReader(bytes.NewReader(data)),
+			"min":      bufio.NewReaderSize(bytes.NewReader(data), 16),
+			"one-byte": bufio.NewReader(iotest.OneByteReader(bytes.NewReader(data))),
 		} {
 			got := make([]int64, count)
-			err := dec.readVarints(got)
+			err := wire.ReadVarints(r, got)
 			if (err != nil) != (wantErr != nil) {
 				t.Fatalf("%s: bulk error %v, per-value error %v", name, err, wantErr)
 			}
@@ -413,7 +417,7 @@ func FuzzReadVarintsDifferential(f *testing.F) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: bulk %v, per-value %v", name, got, want)
 			}
-			if rest, _ := io.ReadAll(dec.r); !bytes.Equal(rest, wantRest) {
+			if rest, _ := io.ReadAll(r); !bytes.Equal(rest, wantRest) {
 				t.Fatalf("%s: bulk decode left %d bytes, per-value %d", name, len(rest), len(wantRest))
 			}
 		}
@@ -429,12 +433,12 @@ func TestSumsPathAllocs(t *testing.T) {
 	for _, m := range []int{4, 256} {
 		mode := DomainMode(d, hh.ExactEncoding(m), 2)
 		st := mode.NewState(2)
-		st.Apply(0, []Rec{{User: 1, Item: uint32(m - 1), Order: 2}, {User: 1, Item: uint32(m - 1), Order: 2, J: 3, Bit: -1}})
-		var wire bytes.Buffer
-		enc := NewEncoder(&wire)
+		st.Apply(0, []wire.Rec{{User: 1, Item: uint32(m - 1), Order: 2}, {User: 1, Item: uint32(m - 1), Order: 2, J: 3, Bit: -1}})
+		var raw bytes.Buffer
+		enc := wire.NewEncoder(&raw)
 		var sc AnswerScratch
 		export := func() {
-			wire.Reset()
+			raw.Reset()
 			if _, _, err := st.Answer(mode.SumsRequest(), enc, &sc); err != nil {
 				t.Fatal(err)
 			}
@@ -444,22 +448,22 @@ func TestSumsPathAllocs(t *testing.T) {
 		}
 		export() // sizes the encoder's buffer
 		var viaMatrix bytes.Buffer
-		enc2 := NewEncoder(&viaMatrix)
-		if err := enc2.EncodeDomainSums(st.Sums(Scope{})); err != nil {
+		enc2 := wire.NewEncoder(&viaMatrix)
+		if err := enc2.EncodeDomainSums(st.Sums(wire.Scope{})); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc2.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(wire.Bytes(), viaMatrix.Bytes()) {
+		if !bytes.Equal(raw.Bytes(), viaMatrix.Bytes()) {
 			t.Fatalf("m=%d: the served frame differs from the encoded export", m)
 		}
 		if allocs := testing.AllocsPerRun(10, export); allocs != 1 {
 			t.Errorf("m=%d: exporting and encoding a frame allocates %v times, want 1", m, allocs)
 		}
-		frame := append([]byte(nil), wire.Bytes()...)
+		frame := append([]byte(nil), raw.Bytes()...)
 		src := bytes.NewReader(nil)
-		dec := NewDecoder(src)
+		dec := wire.NewDecoder(src)
 		allocs := testing.AllocsPerRun(10, func() {
 			src.Reset(frame)
 			if _, err := mode.ReadSums(dec); err != nil {

@@ -8,16 +8,17 @@ import (
 	"testing/quick"
 
 	"rtf/internal/protocol"
+	"rtf/internal/wire"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	msgs := []Msg{
-		Hello(0, 0),
-		Hello(123456, 10),
-		FromReport(protocol.Report{User: 7, Order: 3, J: 42, Bit: 1}),
-		FromReport(protocol.Report{User: 999999, Order: 0, J: 1, Bit: -1}),
+	enc := wire.NewEncoder(&buf)
+	msgs := []wire.Msg{
+		wire.Hello(0, 0),
+		wire.Hello(123456, 10),
+		wire.FromReport(protocol.Report{User: 7, Order: 3, J: 42, Bit: 1}),
+		wire.FromReport(protocol.Report{User: 999999, Order: 0, J: 1, Bit: -1}),
 	}
 	for _, m := range msgs {
 		if err := enc.Encode(m); err != nil {
@@ -30,7 +31,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if enc.BytesWritten() != int64(buf.Len()) {
 		t.Errorf("BytesWritten = %d, buffer has %d", enc.BytesWritten(), buf.Len())
 	}
-	dec := NewDecoder(&buf)
+	dec := wire.NewDecoder(&buf)
 	for i, want := range msgs {
 		got, err := dec.Next()
 		if err != nil {
@@ -51,18 +52,18 @@ func TestEncodeDecodeQuick(t *testing.T) {
 		if bitRaw {
 			bit = -1
 		}
-		m := FromReport(protocol.Report{
+		m := wire.FromReport(protocol.Report{
 			User:  int(user),
 			Order: int(order % 30),
 			J:     int(j) + 1,
 			Bit:   bit,
 		})
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if enc.Encode(m) != nil || enc.Flush() != nil {
 			return false
 		}
-		got, err := NewDecoder(&buf).Next()
+		got, err := wire.NewDecoder(&buf).Next()
 		return err == nil && got == m
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -71,16 +72,16 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestEncodeRejectsInvalid(t *testing.T) {
-	enc := NewEncoder(io.Discard)
-	if err := enc.Encode(Msg{Type: MsgReport, Bit: 0}); err == nil {
+	enc := wire.NewEncoder(io.Discard)
+	if err := enc.Encode(wire.Msg{Type: wire.MsgReport, Bit: 0}); err == nil {
 		t.Error("bit 0 accepted")
 	}
-	if err := enc.Encode(Msg{Type: 99}); err == nil {
+	if err := enc.Encode(wire.Msg{Type: 99}); err == nil {
 		t.Error("unknown type accepted")
 	}
 	// Every contract refuses a negative order or index, so the encoder
 	// must not put one on the wire for a whole batch to fail at the server.
-	for _, m := range []Msg{Hello(1, -1), {Type: MsgReport, User: 1, Order: -1, J: 1, Bit: 1}, {Type: MsgReport, User: 1, J: -3, Bit: 1}} {
+	for _, m := range []wire.Msg{wire.Hello(1, -1), {Type: wire.MsgReport, User: 1, Order: -1, J: 1, Bit: 1}, {Type: wire.MsgReport, User: 1, J: -3, Bit: 1}} {
 		if err := enc.Encode(m); err == nil {
 			t.Errorf("%+v accepted", m)
 		}
@@ -89,8 +90,8 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(FromReport(protocol.Report{User: 300, Order: 2, J: 500, Bit: 1})); err != nil {
+	enc := wire.NewEncoder(&buf)
+	if err := enc.Encode(wire.FromReport(protocol.Report{User: 300, Order: 2, J: 500, Bit: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
@@ -98,7 +99,7 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		dec := NewDecoder(bytes.NewReader(full[:cut]))
+		dec := wire.NewDecoder(bytes.NewReader(full[:cut]))
 		if _, err := dec.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut at %d: got %v, want ErrUnexpectedEOF", cut, err)
 		}
@@ -107,12 +108,12 @@ func TestDecodeTruncated(t *testing.T) {
 
 func TestDecodeBadBytes(t *testing.T) {
 	// Unknown type byte.
-	dec := NewDecoder(bytes.NewReader([]byte{99, 0}))
+	dec := wire.NewDecoder(bytes.NewReader([]byte{99, 0}))
 	if _, err := dec.Next(); err == nil {
 		t.Error("unknown type decoded")
 	}
 	// Report with invalid bit byte: type=2, user=0, order=0, j=1, bit=7.
-	dec = NewDecoder(bytes.NewReader([]byte{2, 0, 0, 1, 7}))
+	dec = wire.NewDecoder(bytes.NewReader([]byte{2, 0, 0, 1, 7}))
 	if _, err := dec.Next(); err == nil {
 		t.Error("invalid bit byte decoded")
 	}
@@ -120,7 +121,7 @@ func TestDecodeBadBytes(t *testing.T) {
 
 func TestMsgReportConversion(t *testing.T) {
 	r := protocol.Report{User: 5, Order: 1, J: 3, Bit: -1}
-	if got := FromReport(r).Report(); got != r {
+	if got := wire.FromReport(r).Report(); got != r {
 		t.Errorf("round trip = %+v", got)
 	}
 	defer func() {
@@ -128,14 +129,14 @@ func TestMsgReportConversion(t *testing.T) {
 			t.Error("Report() on hello did not panic")
 		}
 	}()
-	Hello(1, 2).Report()
+	wire.Hello(1, 2).Report()
 }
 
 func TestWireSizeCompact(t *testing.T) {
 	// A small-field report must encode in ≤ 6 bytes.
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
-	if err := enc.Encode(FromReport(protocol.Report{User: 100, Order: 5, J: 12, Bit: 1})); err != nil {
+	enc := wire.NewEncoder(&buf)
+	if err := enc.Encode(wire.FromReport(protocol.Report{User: 100, Order: 5, J: 12, Bit: 1})); err != nil {
 		t.Fatal(err)
 	}
 	enc.Flush()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"rtf/internal/membership"
+	"rtf/internal/wire"
 )
 
 func testView() membership.View {
@@ -27,7 +28,7 @@ func testView() membership.View {
 func encodeViewBytes(t *testing.T, v membership.View) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeView(v); err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +42,12 @@ func encodeViewBytes(t *testing.T, v membership.View) []byte {
 // and surfaces through the decoder as a marker + TakeView.
 func TestViewRoundTrip(t *testing.T) {
 	want := testView()
-	dec := NewDecoder(bytes.NewReader(encodeViewBytes(t, want)))
+	dec := wire.NewDecoder(bytes.NewReader(encodeViewBytes(t, want)))
 	m, err := dec.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != MsgView {
+	if m.Type != wire.MsgView {
 		t.Fatalf("marker type %d, want MsgView", m.Type)
 	}
 	if got := dec.TakeView(); !reflect.DeepEqual(got, want) {
@@ -65,12 +66,12 @@ func TestViewRoundTrip(t *testing.T) {
 // serve loops actually use.
 func TestViewRoundTripViaNextBatch(t *testing.T) {
 	want := testView()
-	dec := NewDecoder(bytes.NewReader(encodeViewBytes(t, want)))
+	dec := wire.NewDecoder(bytes.NewReader(encodeViewBytes(t, want)))
 	ms, err := dec.NextBatch()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 1 || ms[0].Type != MsgView {
+	if len(ms) != 1 || ms[0].Type != wire.MsgView {
 		t.Fatalf("NextBatch returned %+v, want one MsgView marker", ms)
 	}
 	if got := dec.TakeView(); !reflect.DeepEqual(got, want) {
@@ -83,7 +84,7 @@ func TestViewRoundTripViaNextBatch(t *testing.T) {
 func TestViewTruncation(t *testing.T) {
 	whole := encodeViewBytes(t, testView())
 	for n := 0; n < len(whole); n++ {
-		dec := NewDecoder(bytes.NewReader(whole[:n]))
+		dec := wire.NewDecoder(bytes.NewReader(whole[:n]))
 		if _, err := dec.Next(); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded cleanly", n, len(whole))
 		}
@@ -122,7 +123,7 @@ func TestViewCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dec := NewDecoder(bytes.NewReader(tc.mut(valid)))
+			dec := wire.NewDecoder(bytes.NewReader(tc.mut(valid)))
 			_, err := dec.Next()
 			if err == nil {
 				t.Fatal("corrupt view frame decoded cleanly")
@@ -145,11 +146,11 @@ func TestViewStructurallyInvalid(t *testing.T) {
 	ok := testView()
 	b := encodeViewBytes(t, ok)
 	patched := bytes.Replace(b, []byte("b1"), []byte("b0"), 1)
-	dec := NewDecoder(bytes.NewReader(patched))
+	dec := wire.NewDecoder(bytes.NewReader(patched))
 	if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate-id view decoded: err=%v", err)
 	}
-	if err := NewEncoder(io.Discard).EncodeView(v); err == nil {
+	if err := wire.NewEncoder(io.Discard).EncodeView(v); err == nil {
 		t.Fatal("EncodeView accepted a duplicate-id view")
 	}
 }
@@ -157,9 +158,9 @@ func TestViewStructurallyInvalid(t *testing.T) {
 // TestViewInsideBatchRejected pins that membership frames cannot hide
 // inside batch frames (both the buffered fast path and the slow path).
 func TestViewInsideBatchRejected(t *testing.T) {
-	for _, typ := range []MsgType{MsgView, MsgShardTransfer} {
-		payload := []byte{byte(MsgBatch), 1, byte(typ), viewWireVersion}
-		dec := NewDecoder(bytes.NewReader(payload))
+	for _, typ := range []wire.MsgType{wire.MsgView, wire.MsgShardTransfer} {
+		payload := []byte{byte(wire.MsgBatch), 1, byte(typ), viewWireVersion}
+		dec := wire.NewDecoder(bytes.NewReader(payload))
 		if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "batch") {
 			t.Fatalf("type %d inside batch: err=%v", typ, err)
 		}
@@ -171,18 +172,18 @@ func TestViewInsideBatchRejected(t *testing.T) {
 func TestShardStateRoundTrip(t *testing.T) {
 	state := []byte("not-really-state-but-opaque-bytes")
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	// A transfer frame surfaces as a marker carrying the shard.
 	if err := enc.EncodeShardTransfer(9, state); err != nil {
 		t.Fatal(err)
 	}
 	enc.Flush()
-	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 	m, err := dec.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != MsgShardTransfer || m.Shard != 9 {
+	if m.Type != wire.MsgShardTransfer || m.Shard != 9 {
 		t.Fatalf("transfer marker %+v", m)
 	}
 	if got := dec.TakeShardState(); !bytes.Equal(got, state) {
@@ -196,14 +197,14 @@ func TestShardStateRoundTrip(t *testing.T) {
 // TestShardRequestRoundTrip pins the scalar shard-sums request through
 // both decode paths (scalar and batched fast path).
 func TestShardRequestRoundTrip(t *testing.T) {
-	for _, m := range []Msg{ShardSums(0), ShardSums(17), ShardSums(63)} {
+	for _, m := range []wire.Msg{wire.ShardSums(0), wire.ShardSums(17), wire.ShardSums(63)} {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.Encode(m); err != nil {
 			t.Fatal(err)
 		}
 		enc.Flush()
-		got, err := NewDecoder(bytes.NewReader(buf.Bytes())).Next()
+		got, err := wire.NewDecoder(bytes.NewReader(buf.Bytes())).Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,11 +213,11 @@ func TestShardRequestRoundTrip(t *testing.T) {
 		}
 	}
 	// Out-of-range shard rejected at encode and decode.
-	if err := NewEncoder(io.Discard).Encode(Msg{Type: MsgShardSums, Shard: -1}); err == nil {
+	if err := wire.NewEncoder(io.Discard).Encode(wire.Msg{Type: wire.MsgShardSums, Shard: -1}); err == nil {
 		t.Fatal("negative shard encoded")
 	}
-	huge := []byte{byte(MsgShardSums), viewWireVersion, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, err := NewDecoder(bytes.NewReader(huge)).Next(); err == nil {
+	huge := []byte{byte(wire.MsgShardSums), viewWireVersion, 0xFF, 0xFF, 0xFF, 0x7F}
+	if _, err := wire.NewDecoder(bytes.NewReader(huge)).Next(); err == nil {
 		t.Fatal("huge shard decoded")
 	}
 }
@@ -224,12 +225,12 @@ func TestShardRequestRoundTrip(t *testing.T) {
 func TestMemberAckRoundTrip(t *testing.T) {
 	for _, applied := range []bool{true, false} {
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeMemberAck(applied); err != nil {
 			t.Fatal(err)
 		}
 		enc.Flush()
-		got, err := NewDecoder(bytes.NewReader(buf.Bytes())).ReadMemberAck()
+		got, err := wire.NewDecoder(bytes.NewReader(buf.Bytes())).ReadMemberAck()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,10 +238,10 @@ func TestMemberAckRoundTrip(t *testing.T) {
 			t.Fatalf("ack round trip: %v", got)
 		}
 	}
-	if _, err := NewDecoder(bytes.NewReader([]byte{byte(MsgMemberAck), 7})).ReadMemberAck(); err == nil {
+	if _, err := wire.NewDecoder(bytes.NewReader([]byte{byte(wire.MsgMemberAck), 7})).ReadMemberAck(); err == nil {
 		t.Fatal("invalid ack status accepted")
 	}
-	if _, err := NewDecoder(bytes.NewReader([]byte{byte(MsgBatchAck), 1})).ReadMemberAck(); err == nil {
+	if _, err := wire.NewDecoder(bytes.NewReader([]byte{byte(wire.MsgBatchAck), 1})).ReadMemberAck(); err == nil {
 		t.Fatal("wrong frame type accepted as member ack")
 	}
 }
@@ -250,20 +251,20 @@ func TestMemberAckRoundTrip(t *testing.T) {
 // never panic, and every accepted view must re-encode and re-decode to
 // itself.
 func FuzzViewDecode(f *testing.F) {
-	f.Add([]byte{byte(MsgView), viewWireVersion, 1, 1, 4, 1, 1, 'a', 1, 'b'})
+	f.Add([]byte{byte(wire.MsgView), viewWireVersion, 1, 1, 4, 1, 1, 'a', 1, 'b'})
 	f.Add(encodeViewBytesF(f, testView()))
 	one := membership.View{Epoch: 0, K: 1, NumShards: 1, Members: []membership.Member{{ID: "x", Addr: "y"}}}
 	f.Add(encodeViewBytesF(f, one))
-	f.Add([]byte{byte(MsgView), viewWireVersion + 1})
-	f.Add([]byte{byte(MsgView)})
-	f.Add([]byte{byte(MsgView), viewWireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	f.Add([]byte{byte(wire.MsgView), viewWireVersion + 1})
+	f.Add([]byte{byte(wire.MsgView)})
+	f.Add([]byte{byte(wire.MsgView), viewWireVersion, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder(bytes.NewReader(data))
+		dec := wire.NewDecoder(bytes.NewReader(data))
 		m, err := dec.Next()
 		if err != nil {
 			return // any descriptive error is fine
 		}
-		if m.Type != MsgView {
+		if m.Type != wire.MsgView {
 			return // stream began with some other valid frame
 		}
 		v := dec.TakeView()
@@ -271,12 +272,12 @@ func FuzzViewDecode(f *testing.F) {
 			t.Fatalf("decoder surfaced an invalid view %+v: %v", v, err)
 		}
 		var buf bytes.Buffer
-		enc := NewEncoder(&buf)
+		enc := wire.NewEncoder(&buf)
 		if err := enc.EncodeView(v); err != nil {
 			t.Fatalf("re-encode of decoded view failed: %v", err)
 		}
 		enc.Flush()
-		dec2 := NewDecoder(bytes.NewReader(buf.Bytes()))
+		dec2 := wire.NewDecoder(bytes.NewReader(buf.Bytes()))
 		if _, err := dec2.Next(); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
@@ -289,7 +290,7 @@ func FuzzViewDecode(f *testing.F) {
 func encodeViewBytesF(f *testing.F, v membership.View) []byte {
 	f.Helper()
 	var buf bytes.Buffer
-	enc := NewEncoder(&buf)
+	enc := wire.NewEncoder(&buf)
 	if err := enc.EncodeView(v); err != nil {
 		f.Fatal(err)
 	}
@@ -307,19 +308,19 @@ func TestShardStateRefused(t *testing.T) {
 	const want = "transport: shard state export removed; fetch ShardSums(shard) and fold it"
 	ingest := BoolMode(16, 1).Ingest()
 	for name, data := range map[string][]byte{
-		"request":          {byte(MsgShardState), 1, 5},
-		"response":         {byte(MsgShardStateFrame), 1, 5, 0},
-		"request in batch": {byte(MsgBatch), 2, byte(MsgHello), 1, 0, byte(MsgShardState), 1, 5},
+		"request":          {byte(wire.MsgShardState), 1, 5},
+		"response":         {byte(wire.MsgShardStateFrame), 1, 5, 0},
+		"request in batch": {byte(wire.MsgBatch), 2, byte(wire.MsgHello), 1, 0, byte(wire.MsgShardState), 1, 5},
 	} {
-		if _, err := NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
+		if _, err := wire.NewDecoder(bytes.NewReader(data)).NextBatch(); err == nil || err.Error() != want {
 			t.Errorf("%s without a contract: got %v, want %q", name, err, want)
 		}
-		if f, err := NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
+		if f, err := wire.NewDecoder(bytes.NewReader(data)).NextFrame(&ingest); err == nil || err.Error() != want {
 			t.Errorf("%s under the Boolean contract: got %+v, %v, want %q", name, f, err, want)
 		}
 	}
-	for _, typ := range []MsgType{MsgShardState, MsgShardStateFrame} {
-		if err := NewEncoder(io.Discard).Encode(Msg{Type: typ, Shard: 5}); err == nil {
+	for _, typ := range []wire.MsgType{wire.MsgShardState, wire.MsgShardStateFrame} {
+		if err := wire.NewEncoder(io.Discard).Encode(wire.Msg{Type: typ, Shard: 5}); err == nil {
 			t.Errorf("encoder still writes retired message type %d", typ)
 		}
 	}
@@ -342,7 +343,7 @@ func TestShardStateRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte{byte(MsgShardState), 1, 5}); err != nil {
+	if _, err := conn.Write([]byte{byte(wire.MsgShardState), 1, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err == nil {

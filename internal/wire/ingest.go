@@ -1,4 +1,4 @@
-package transport
+package wire
 
 import (
 	"encoding/binary"
@@ -6,21 +6,22 @@ import (
 	"math"
 
 	"rtf/internal/dyadic"
+	"rtf/internal/hh"
 )
 
 // This file is the ingest half of the wire: bytes → validated compact
 // records → counters. A served report never becomes a Msg: the frame
 // loop decodes a frame straight into Recs with every field checked
 // against the mode's Ingest contract while it is still in a register,
-// and everything downstream — states, stores, sessions, the gateway —
-// takes records plus the bytes that encoded them. The general scalar
-// decoder (decodeScalarInto) reads the same ingest layout in one case —
-// user, item or bucket, order, index and bit, seed — for the messages
-// the kernel passes on, and Ingest.explain is the one refusal builder.
-// Msg remains the view of scalar reads, control frames and the encode
-// side; its ingest half — Decoder.Next / NextBatch, Store.SendBatch and
-// the Validate*Ingest wrappers — stays only for tests and the benchmark
-// ladder.
+// and everything downstream — the server's states, stores and sessions,
+// the gateway — takes records plus the bytes that encoded them. The
+// general scalar decoder (decodeScalarInto) reads the same ingest layout
+// in one case — user, item or bucket, order, index and bit, seed — for
+// the messages the kernel passes on, and Ingest.Explain is the one
+// refusal builder. Msg remains the view of scalar reads, control frames
+// and the encode side; its ingest half — Decoder.Next / NextBatch, a
+// store's SendBatch and the Validate*Ingest wrappers — stays only for
+// tests and the benchmark ladder.
 
 // Rec is one validated ingest message. A record only exists once its
 // message passed the contract it was decoded under, so whoever holds one
@@ -31,7 +32,7 @@ type Rec struct {
 	J     uint32 // report only
 	Order uint8
 	Bit   int8 // ±1 on a report, 0 on a hello
-	// Len is the message's wire length (at most maxScalarWire), so a
+	// Len is the message's wire length (at most MaxMsgLen), so a
 	// frame's bytes split by record without an offset table. Every record
 	// of a decoded frame has one, the kernel's and the general decoder's
 	// alike; it is 0 only on a record SendBatch converted from a Msg.
@@ -56,17 +57,38 @@ type Ingest struct {
 	Reads FrameSet
 }
 
+// FrameSet is a set of scalar message types: the data form of "which
+// frames does this mode read", so the frame loop classifies a message
+// with one inlined mask test instead of a call.
+type FrameSet uint32
+
+func frameSet(ts ...MsgType) FrameSet {
+	var s FrameSet
+	for _, t := range ts {
+		s |= 1 << t
+	}
+	return s
+}
+
+// Has reports whether t is in the set.
+func (s FrameSet) Has(t MsgType) bool { return t < 32 && s>>t&1 != 0 }
+
+// ControlFrames are the membership control plane's frames, which a
+// member backend reads beside its mode's: per-shard sums requests, views
+// and shard transfers.
+const ControlFrames FrameSet = 1<<MsgShardSums | 1<<MsgView | 1<<MsgShardTransfer
+
 // decode is the fused decode-and-validate kernel: it reads the ingest
-// message at the front of b — which must hold at least maxScalarWire
+// message at the front of b — which must hold at least MaxMsgLen
 // bytes, so no field can run off its end — into r, checking each field
 // against the contract before narrowing it. It returns the message's
 // length, or 0 for anything it does not accept as is (a read, a
 // malformed or out-of-range message, a varint longer than three bytes):
 // the general decoder then reads those bytes again and either accepts
 // them or builds the error. Whatever decode accepts, decodeScalarInto
-// followed by check accepts with the same record.
+// followed by Check accepts with the same record.
 func (c *Ingest) decode(b []byte, r *Rec) int {
-	b = b[:maxScalarWire]
+	b = b[:MaxMsgLen]
 	typ := MsgType(b[0])
 	user, off := uint64(b[1]), 2
 	if user >= 0x80 {
@@ -138,12 +160,13 @@ func uvarint23(b []byte, at int) (uint64, int) {
 	return 0, 0
 }
 
-// check is the contract applied to a decoded Msg — the adapter for
-// messages that did not come through the kernel (SendBatch, a frame's
-// tail, an odd spelling): it reports whether m is an ingest message of
-// the mode with every field in range, and fills r if so. It is the one
-// ingest validation; explain builds the error for a message it refuses.
-func (c *Ingest) check(m *Msg, r *Rec) bool {
+// Check is the contract applied to a decoded Msg — the adapter for
+// messages that did not come through the kernel (a store's SendBatch, a
+// frame's tail, an odd spelling): it reports whether m is an ingest
+// message of the mode with every field in range, and fills r if so. It
+// is the one ingest validation; Explain builds the error for a message
+// it refuses.
+func (c *Ingest) Check(m *Msg, r *Rec) bool {
 	report := m.Type == c.Report
 	if !report && m.Type != c.Hello {
 		return false
@@ -162,11 +185,11 @@ func (c *Ingest) check(m *Msg, r *Rec) bool {
 	return (m.Bit == 1 || m.Bit == -1) && uint(m.J-1) < uint(c.D)>>uint(m.Order)
 }
 
-// explain is the cold half of check and the one ingest refusal
-// builder: nil exactly when check accepts m, otherwise the error that
+// Explain is the cold half of Check and the one ingest refusal
+// builder: nil exactly when Check accepts m, otherwise the error that
 // names the first field out of range, in the order user, item or
 // bucket, bit, order, index, seed.
-func (c *Ingest) explain(m *Msg) error {
+func (c *Ingest) Explain(m *Msg) error {
 	report, kind, row, who := m.Type == c.Report, "hello", "item", "domain "
 	if report {
 		kind = "report"
@@ -196,14 +219,33 @@ func (c *Ingest) explain(m *Msg) error {
 	return nil
 }
 
+// BoolIngest is the Boolean protocol's ingest contract at horizon d:
+// hellos and reports, with v2 queries and raw-sums requests as its
+// reads.
+func BoolIngest(d int) Ingest {
+	return newIngest(MsgHello, MsgReport, d, 0, 0, frameSet(MsgQueryV2, MsgSums))
+}
+
+// DomainIngest is the ingest contract of domain-valued tracking at
+// horizon d under enc: the encoding's hello — a hashed one carries the
+// epoch seed — and the row-tagged report both encodings share, with item
+// queries and the encoding's raw-sums request as its reads.
+func DomainIngest(d int, enc hh.DomainEncoding) Ingest {
+	hello, sums := MsgDomainHello, MsgDomainSums
+	if enc.Hashed() {
+		hello, sums = MsgHashedDomainHello, MsgHashedDomainSums
+	}
+	return newIngest(hello, MsgDomainReport, d, enc.Rows(), enc.Seed, frameSet(MsgDomainQuery, sums))
+}
+
 // newIngest builds a contract. Records narrow the item and the interval
 // index to 32 bits, which every horizon and row count an accumulator can
 // be allocated for fits with room to spare.
-func newIngest(hello, report MsgType, p dims, seed uint64, reads FrameSet) Ingest {
-	if p.d > math.MaxInt32 || p.m > math.MaxInt32 {
+func newIngest(hello, report MsgType, d, rows int, seed uint64, reads FrameSet) Ingest {
+	if d > math.MaxInt32 || rows > math.MaxInt32 {
 		panic("transport: horizon or row count beyond 32 bits")
 	}
-	return Ingest{Hello: hello, Report: report, Rows: p.m, D: p.d, LogD: dyadic.Log2(p.d), Seed: seed, Reads: reads}
+	return Ingest{Hello: hello, Report: report, Rows: rows, D: d, LogD: dyadic.Log2(d), Seed: seed, Reads: reads}
 }
 
 // Frame is one decoded frame in ingest form: its records in stream

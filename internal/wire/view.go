@@ -1,8 +1,7 @@
-package transport
+package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -45,10 +44,7 @@ func (e *Encoder) EncodeView(v membership.View) error {
 		b = binary.AppendUvarint(b, uint64(len(m.Addr)))
 		b = append(b, m.Addr...)
 	}
-	e.scratch = b[:0] // keep the grown buffer for the next frame
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
+	return e.writeScratch(b)
 }
 
 // readViewBody decodes a MsgView frame body (type byte already
@@ -161,10 +157,7 @@ func (e *Encoder) EncodeShardTransfer(shard int, state []byte) error {
 	if err != nil {
 		return err
 	}
-	e.scratch = b[:0] // keep the grown buffer for the next frame
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
+	return e.writeScratch(b)
 }
 
 // readShardPayloadBody decodes a shard transfer frame (type byte
@@ -203,40 +196,9 @@ func (d *Decoder) readShardPayloadBody() (int, []byte, error) {
 
 // EncodeMemberAck writes the backend's response to a MsgView or
 // MsgShardTransfer frame: applied or refused.
-func (e *Encoder) EncodeMemberAck(applied bool) error {
-	status := byte(0)
-	if applied {
-		status = 1
-	}
-	n, err := e.w.Write([]byte{byte(MsgMemberAck), status})
-	e.n += int64(n)
-	return err
-}
+func (e *Encoder) EncodeMemberAck(applied bool) error { return e.encodeAck(MsgMemberAck, applied) }
 
 // ReadMemberAck decodes one MsgMemberAck. It must be called when an
 // ack is the next frame on the stream — after sending a view or
 // transfer frame — and fails on any other frame type.
-func (d *Decoder) ReadMemberAck() (bool, error) {
-	if d.next < len(d.pending) {
-		return false, errors.New("transport: member ack inside batch")
-	}
-	tb, err := d.r.ReadByte()
-	if err != nil {
-		return false, err // io.EOF passes through
-	}
-	if MsgType(tb) != MsgMemberAck {
-		return false, fmt.Errorf("transport: expected member ack, got message type %d", tb)
-	}
-	status, err := d.r.ReadByte()
-	if err != nil {
-		return false, truncated(err)
-	}
-	switch status {
-	case 1:
-		return true, nil
-	case 0:
-		return false, nil
-	default:
-		return false, fmt.Errorf("transport: invalid member ack status %d", status)
-	}
-}
+func (d *Decoder) ReadMemberAck() (bool, error) { return d.readAck(MsgMemberAck, "member ack") }

@@ -1,22 +1,18 @@
-// Package transport provides the system substrate between clients and
-// the server: a compact varint wire format for the protocol's messages
-// (order announcements, per-period reports, batch frames carrying many
-// of either, query/answer and raw-sums pairs, the membership control
-// frames), and the serving core built on it — the Mode contract
-// (mode.go) that alone knows what distinguishes the Boolean, exact
-// domain and hashed domain protocols, the ingest path from bytes to
-// validated 24-byte records under that contract (ingest.go), one frame
-// loop and connection lifecycle (serve.go), and one in-memory collector,
-// one shard-map collector and one durable journal around either
-// (collector.go, shardmap.go, durable.go). cmd/rtf-serve is an IngestServer over one of
-// those stores; internal/cluster's gateways run the same frame loop over
-// backend connections.
+// Package wire is the protocol's byte format, the one package that owns
+// it: the scalar messages (order announcements, per-period reports,
+// queries, raw-sums requests, the membership control frames), batch
+// frames carrying many of them, the answer, domain answer, raw-sums,
+// view and shard-transfer frames, the Encoder and Decoder that write and
+// read them, and the ingest contract (ingest.go) under which a Decoder
+// turns a frame straight into validated 24-byte records.
 //
-// The paper's protocol is transport-agnostic; this package exists so the
-// repository exercises the client/server split as an actual distributed
-// system — message framing, batching, concurrent sharded ingestion,
-// durability, scale-out — rather than as in-process function calls only.
-package transport
+// A client links this package and none of the server: it imports only
+// the protocol packages its frames carry (dyadic, protocol, hh,
+// membership) and no network stack. internal/transport serves it — the
+// modes, the frame loop, the collectors, the durable journal — and
+// internal/cluster's gateways forward it. Errors keep the "transport:"
+// prefix they have always had on the wire's side of a connection log.
+package wire
 
 import (
 	"bufio"
@@ -26,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/membership"
@@ -265,9 +262,7 @@ func (e *Encoder) Encode(m Msg) error {
 	if err != nil {
 		return err
 	}
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
+	return e.WriteFrame(b)
 }
 
 // appendMsg appends the scalar wire encoding of m to b. It takes the
@@ -409,17 +404,17 @@ func appendScope(b []byte, m *Msg) ([]byte, error) {
 	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(m.L)), uint64(m.R)), nil
 }
 
-// appendBatchHeader appends a batch frame's header: the type byte —
+// AppendBatchHeader appends a batch frame's header: the type byte —
 // MsgBatch for fire-and-forget batches, MsgBatchAcked for batches the
 // server must acknowledge (applied whole or shed whole) — and a uvarint
 // message count.
-func appendBatchHeader(b []byte, typ MsgType, n int) []byte {
+func AppendBatchHeader(b []byte, typ MsgType, n int) []byte {
 	return binary.AppendUvarint(append(b, byte(typ)), uint64(n))
 }
 
-// appendMsgs appends the scalar encodings of ms back to back: a batch
+// AppendMsgs appends the scalar encodings of ms back to back: a batch
 // frame's body.
-func appendMsgs(b []byte, ms []Msg) ([]byte, error) {
+func AppendMsgs(b []byte, ms []Msg) ([]byte, error) {
 	var err error
 	for i := range ms {
 		if t := ms[i].Type; t == MsgBatch || t == MsgBatchAcked {
@@ -435,8 +430,8 @@ func appendMsgs(b []byte, ms []Msg) ([]byte, error) {
 // appendBatch appends one batch frame carrying all the given hello and
 // report messages: header, then body. A write-ahead-log record is a
 // MsgBatch frame too — header, then the body bytes as they arrived (see
-// durableJournal.journal) — so recovery replays through the ordinary
-// decoder.
+// internal/transport's durable journal) — so recovery replays through
+// the ordinary decoder.
 func appendBatch(b []byte, typ MsgType, ms []Msg) ([]byte, error) {
 	if len(ms) > MaxBatchLen {
 		return nil, fmt.Errorf("transport: batch of %d messages exceeds limit %d", len(ms), MaxBatchLen)
@@ -444,7 +439,7 @@ func appendBatch(b []byte, typ MsgType, ms []Msg) ([]byte, error) {
 	if typ == MsgBatchAcked && len(ms) == 0 {
 		return nil, errors.New("transport: empty acked batch")
 	}
-	return appendMsgs(appendBatchHeader(b, typ, len(ms)), ms)
+	return AppendMsgs(AppendBatchHeader(b, typ, len(ms)), ms)
 }
 
 // EncodeBatch writes one batch frame (see appendBatch). Compared with
@@ -468,21 +463,20 @@ func (e *Encoder) encodeBatch(typ MsgType, ms []Msg) error {
 	if err != nil {
 		return err
 	}
-	e.scratch = b[:0] // keep the grown buffer for the next batch
-	n, err := e.w.Write(b)
-	e.n += int64(n)
-	return err
+	return e.writeScratch(b)
 }
 
 // EncodeBatchAck writes the server's response to one acked batch.
-func (e *Encoder) EncodeBatchAck(applied bool) error {
+func (e *Encoder) EncodeBatchAck(applied bool) error { return e.encodeAck(MsgBatchAck, applied) }
+
+// encodeAck writes a two-byte ack frame: its type, then the status, 1
+// for applied and 0 for shed or refused.
+func (e *Encoder) encodeAck(typ MsgType, applied bool) error {
 	status := byte(0)
 	if applied {
 		status = 1
 	}
-	n, err := e.w.Write(append(e.scratch[:0], byte(MsgBatchAck), status))
-	e.n += int64(n)
-	return err
+	return e.WriteFrame(append(e.scratch[:0], byte(typ), status))
 }
 
 // Flush flushes buffered bytes to the underlying writer.
@@ -541,6 +535,10 @@ const (
 // NewDecoder wraps a reader.
 func NewDecoder(r io.Reader) *Decoder { return newDecoderSize(r, smallReadBuffer) }
 
+// NewBackendDecoder wraps a gateway's backend connection, which carries
+// raw-sums frames back: it starts with the large read buffer.
+func NewBackendDecoder(r io.Reader) *Decoder { return newDecoderSize(r, largeReadBuffer) }
+
 func newDecoderSize(r io.Reader, size int) *Decoder {
 	return &Decoder{r: bufio.NewReaderSize(r, size), src: r}
 }
@@ -580,7 +578,7 @@ func (d *Decoder) NextBatch() ([]Msg, error) {
 // NextFrame decodes one frame under a mode's ingest contract: every
 // ingest message becomes a validated record, every type in c.Reads is
 // handed back as a read at its position, and anything else fails the
-// frame with the error the contract's explain gives it — before the
+// frame with the error the contract's Explain gives it — before the
 // caller has seen, let alone applied, any of it. Empty batch frames are
 // skipped. The frame is valid until the next Decoder call.
 func (d *Decoder) NextFrame(c *Ingest) (*Frame, error) {
@@ -597,7 +595,7 @@ func (d *Decoder) NextFrame(c *Ingest) (*Frame, error) {
 // maxRetainedBatch is the capacity, in messages, up to which a Decoder
 // keeps its pending and record buffers unconditionally. A larger one —
 // one maximal batch is MaxBatchLen messages: 24 bytes of record and up to
-// maxScalarWire bytes of wire each, a Msg each for a mode-less caller —
+// MaxMsgLen bytes of wire each, a Msg each for a mode-less caller —
 // must not stay pinned for the connection's lifetime, but neither may it
 // be dropped while the stream still fills it, or every frame of a sender
 // whose batches exceed this size would reallocate it: it is released
@@ -607,11 +605,6 @@ const (
 	maxRetainedBatch     = 1 << 12
 	smallFramesToRelease = 32
 )
-
-// AckedBatch reports whether the most recent frame decoded by NextBatch
-// was an acknowledged batch (MsgBatchAcked): the peer is waiting for
-// exactly one BatchAck for it.
-func (d *Decoder) AckedBatch() bool { return d.f.Acked }
 
 // readFrame decodes the next frame into d.f (under contract c) or, with
 // no contract, into d.pending. A scalar frame is the one-message case of
@@ -654,7 +647,7 @@ func (d *Decoder) readFrame(c *Ingest) error {
 		case c.Reads.Has(typ):
 			d.f.Reads = append(d.f.Reads, FrameRead{Msg: m})
 		default:
-			return c.explain(&m)
+			return c.Explain(&m)
 		}
 		return nil
 	case MsgBatch, MsgBatchAcked:
@@ -721,7 +714,7 @@ func roomFor[T any](s []T, extra, limit int) []T {
 // window cuts short. The per-message step is the view's: without a
 // contract the general decoder fills a Msg; with one the kernel fills a
 // record, and the general decoder only sees what the kernel does not
-// take — a read, a refusal, an odd spelling, or the last maxScalarWire
+// take — a read, a refusal, an odd spelling, or the last MaxMsgLen
 // bytes of the window, where the kernel's precondition fails — and what
 // it decodes goes through the same contract.
 func (d *Decoder) window(c *Ingest, win []byte, want, limit int) (used, k int, err error) {
@@ -752,7 +745,7 @@ loop:
 			if n, err = decodeScalarInto(rest, &msgs[k]); err != nil {
 				break loop
 			}
-		case len(rest) >= maxScalarWire:
+		case len(rest) >= MaxMsgLen:
 			n = c.decode(rest, &recs[nr])
 		}
 		if n == 0 {
@@ -768,8 +761,8 @@ loop:
 				used += n
 				continue
 			}
-			if !c.check(&m, &recs[nr]) {
-				err = c.explain(&m)
+			if !c.Check(&m, &recs[nr]) {
+				err = c.Explain(&m)
 				break loop
 			}
 			recs[nr].Len = uint8(n)
@@ -787,8 +780,8 @@ loop:
 	}
 	if errors.Is(err, errShortMsg) {
 		err = nil
-		if len(win)-used >= maxScalarWire {
-			// maxScalarWire bytes cover every valid message; short here
+		if len(win)-used >= MaxMsgLen {
+			// MaxMsgLen bytes cover every valid message; short here
 			// means an overlong varint.
 			err = errors.New("transport: malformed message")
 		}
@@ -796,10 +789,10 @@ loop:
 	return used, k, err
 }
 
-// maxScalarWire is the largest wire size of a scalar message: a domain
+// MaxMsgLen is the largest wire size of a scalar message: a domain
 // report with four maximal 10-byte uvarints, plus the type and bit
 // bytes (a domain query — version, kind and four uvarints — fits too).
-const maxScalarWire = 48
+const MaxMsgLen = 48
 
 // errShortMsg reports that a slice decode ran out of bytes.
 var errShortMsg = errors.New("transport: short message")
@@ -1086,8 +1079,7 @@ func (e *Encoder) EncodeAnswer(a AnswerFrame) error {
 }
 
 // appendAnswer appends one MsgAnswer frame to b. It only reads
-// a.Values, so a caller holding a lock over them can encode into the
-// scratch buffer under it and write after releasing it.
+// a.Values (see EncodeAnswerUnlocking).
 func appendAnswer(b []byte, a AnswerFrame) ([]byte, error) {
 	if len(a.Values) > MaxAnswerLen {
 		return b, fmt.Errorf("transport: answer of %d values exceeds limit %d", len(a.Values), MaxAnswerLen)
@@ -1105,10 +1097,30 @@ func appendAnswer(b []byte, a AnswerFrame) ([]byte, error) {
 	return b, nil
 }
 
+// EncodeAnswerUnlocking writes one MsgAnswer frame for a caller that
+// holds mu over a.Values: the frame is encoded into the scratch buffer
+// under mu, which is then unlocked — on error too — before any byte is
+// written, so no I/O happens under it.
+func (e *Encoder) EncodeAnswerUnlocking(a AnswerFrame, mu *sync.Mutex) error {
+	b, err := appendAnswer(e.scratch[:0], a)
+	mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return e.writeScratch(b)
+}
+
 // writeScratch writes a frame built in the scratch buffer, keeping the
 // grown buffer for the next frame.
 func (e *Encoder) writeScratch(b []byte) error {
 	e.scratch = b[:0]
+	return e.WriteFrame(b)
+}
+
+// WriteFrame writes frame bytes the caller assembled — a batch header in
+// front of message encodings as they arrived on another connection —
+// counting them in BytesWritten.
+func (e *Encoder) WriteFrame(b []byte) error {
 	n, err := e.w.Write(b)
 	e.n += int64(n)
 	return err
@@ -1178,31 +1190,66 @@ func (d *Decoder) ReadAnswer() (AnswerFrame, error) {
 // construction. It must be called when an ack is the next frame on the
 // stream and fails on any other frame type.
 func (d *Decoder) ReadBatchAck() (applied bool, err error) {
+	return d.readAck(MsgBatchAck, "batch ack")
+}
+
+// readAck decodes one two-byte ack frame of type typ, named what in its
+// errors.
+func (d *Decoder) readAck(typ MsgType, what string) (bool, error) {
 	if d.next < len(d.pending) {
-		return false, errors.New("transport: batch ack inside batch")
+		return false, fmt.Errorf("transport: %s inside batch", what)
 	}
 	tb, err := d.r.ReadByte()
 	if err != nil {
 		return false, err // io.EOF passes through
 	}
-	if MsgType(tb) != MsgBatchAck {
-		return false, fmt.Errorf("transport: expected batch ack, got message type %d", tb)
+	if MsgType(tb) != typ {
+		return false, fmt.Errorf("transport: expected %s, got message type %d", what, tb)
 	}
 	status, err := d.r.ReadByte()
 	if err != nil {
 		return false, truncated(err)
 	}
 	if status > 1 {
-		return false, fmt.Errorf("transport: invalid batch ack status %d", status)
+		return false, fmt.Errorf("transport: invalid %s status %d", what, status)
 	}
 	return status == 1, nil
 }
 
+// ValidateQuery is the validate-only path of AnswerQuery: it
+// range-checks a v2 query frame against horizon d without touching any
+// accumulator. The ingest server runs it over a whole batch before
+// applying anything, keeping batches atomic.
+func ValidateQuery(d int, m Msg) error {
+	if m.Type != MsgQueryV2 {
+		return fmt.Errorf("transport: message type %d is not a v2 query", m.Type)
+	}
+	switch m.Kind {
+	case QueryPoint:
+		if m.L < 1 || m.L > d {
+			return fmt.Errorf("transport: point query time %d out of range [1..%d]", m.L, d)
+		}
+	case QueryChange:
+		if m.L < 1 || m.R > d || m.L > m.R {
+			return fmt.Errorf("transport: change query range [%d..%d] invalid for d=%d", m.L, m.R, d)
+		}
+	case QuerySeries:
+		// No bounds.
+	case QueryWindow:
+		if m.L < 1 || m.R > d || m.L > m.R {
+			return fmt.Errorf("transport: window query range [%d..%d] invalid for d=%d", m.L, m.R, d)
+		}
+	default:
+		return fmt.Errorf("transport: unknown query kind %d", byte(m.Kind))
+	}
+	return nil
+}
+
 // ValidateIngest range-checks one hello or report message against the
 // dyadic-accumulator parameters for horizon d: the Boolean ingest
-// contract's refusal (Ingest.explain), nil for a message it accepts.
+// contract's refusal (Ingest.Explain), nil for a message it accepts.
 // Every front decodes under the same contract, so a batch a gateway
 // accepts cannot be rejected downstream by a backend.
 func ValidateIngest(d int, m Msg) error {
-	return (&Ingest{Hello: MsgHello, Report: MsgReport, D: d, LogD: dyadic.Log2(d)}).explain(&m)
+	return (&Ingest{Hello: MsgHello, Report: MsgReport, D: d, LogD: dyadic.Log2(d)}).Explain(&m)
 }

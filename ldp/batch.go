@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // BatchReporter is the client-side batching layer of the streaming API:
@@ -19,20 +19,20 @@ import (
 // report is already locally randomized before it reaches the reporter,
 // and the server's accumulation is order-independent.
 type BatchReporter struct {
-	enc *transport.Encoder
-	buf []transport.Msg
+	enc *wire.Encoder
+	buf []wire.Msg
 	max int
 }
 
 // NewBatchReporter wraps w. Batches are flushed automatically once
 // batchSize messages accumulate, and on Flush.
 func NewBatchReporter(w io.Writer, batchSize int) (*BatchReporter, error) {
-	if batchSize < 1 || batchSize > transport.MaxBatchLen {
-		return nil, fmt.Errorf("ldp: batch size %d outside [1..%d]", batchSize, transport.MaxBatchLen)
+	if batchSize < 1 || batchSize > wire.MaxBatchLen {
+		return nil, fmt.Errorf("ldp: batch size %d outside [1..%d]", batchSize, wire.MaxBatchLen)
 	}
 	return &BatchReporter{
-		enc: transport.NewEncoder(w),
-		buf: make([]transport.Msg, 0, batchSize),
+		enc: wire.NewEncoder(w),
+		buf: make([]wire.Msg, 0, batchSize),
 		max: batchSize,
 	}, nil
 }
@@ -40,7 +40,7 @@ func NewBatchReporter(w io.Writer, batchSize int) (*BatchReporter, error) {
 // Hello queues a user's order announcement (send once per user, before
 // its reports).
 func (b *BatchReporter) Hello(user, order int) error {
-	return b.push(transport.Hello(user, order))
+	return b.push(wire.Hello(user, order))
 }
 
 // Report queues one client report.
@@ -48,12 +48,12 @@ func (b *BatchReporter) Report(r Report) error {
 	if r.Bit != 1 && r.Bit != -1 {
 		return fmt.Errorf("ldp: report bit %d must be ±1", r.Bit)
 	}
-	return b.push(transport.Msg{
-		Type: transport.MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit,
+	return b.push(wire.Msg{
+		Type: wire.MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit,
 	})
 }
 
-func (b *BatchReporter) push(m transport.Msg) error {
+func (b *BatchReporter) push(m wire.Msg) error {
 	b.buf = append(b.buf, m)
 	if len(b.buf) >= b.max {
 		return b.Flush()
@@ -90,8 +90,8 @@ func (b *BatchReporter) BytesWritten() int64 { return b.enc.BytesWritten() }
 // reports through files, pipes or message queues rather than the live
 // rtf-serve TCP service.
 func (s *Server) IngestFrom(r io.Reader) error {
-	dec := transport.NewDecoder(r)
-	c := transport.BoolMode(s.d, 0).Ingest()
+	dec := wire.NewDecoder(r)
+	c := wire.BoolIngest(s.d)
 	c.Reads = 0 // an ingest stream: a query fails it
 	for {
 		f, err := dec.NextFrame(&c)

@@ -6,7 +6,6 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/rng"
-	"rtf/internal/transport"
 )
 
 // This file is the public face of domain-valued tracking (the paper's
@@ -34,11 +33,11 @@ type ItemCount = hh.ItemCount
 // MaxDomainSize bounds the domain size m accepted by the exact
 // encoding at this boundary — the same bound the wire frames enforce
 // (it aliases the one hh.MaxDomainRows constant, like
-// transport.MaxDomainM), so any domain a client can construct is also
+// wire.MaxDomainM), so any domain a client can construct is also
 // servable over TCP and through a gateway. Hashed encodings accept
 // catalogues up to hh.MaxHashedDomainM because only the bucket rows
 // are materialized.
-const MaxDomainSize = transport.MaxDomainM
+const MaxDomainSize = hh.MaxDomainRows
 
 // GenerateDomain builds a synthetic domain workload with Zipf-popular
 // items: n users over d periods, domain size m, at most k value changes

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"rtf/internal/hh"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // TestDomainCapDriftPin pins the one domain-size cap to its aliases:
@@ -18,8 +18,8 @@ func TestDomainCapDriftPin(t *testing.T) {
 	if hh.MaxDomainRows != 1<<12 {
 		t.Fatalf("hh.MaxDomainRows = %d, want %d", hh.MaxDomainRows, 1<<12)
 	}
-	if transport.MaxDomainM != hh.MaxDomainRows {
-		t.Fatalf("transport.MaxDomainM = %d, want hh.MaxDomainRows = %d", transport.MaxDomainM, hh.MaxDomainRows)
+	if wire.MaxDomainM != hh.MaxDomainRows {
+		t.Fatalf("transport.MaxDomainM = %d, want hh.MaxDomainRows = %d", wire.MaxDomainM, hh.MaxDomainRows)
 	}
 	if MaxDomainSize != hh.MaxDomainRows {
 		t.Fatalf("ldp.MaxDomainSize = %d, want hh.MaxDomainRows = %d", MaxDomainSize, hh.MaxDomainRows)

@@ -8,7 +8,6 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
-	"rtf/internal/sim"
 )
 
 // This file implements the built-in mechanisms: the engine adapters that
@@ -21,10 +20,10 @@ func init() {
 		Protocol:    FutureRand,
 		Description: "the paper's protocol (Theorem 4.1): error O((1/ε)·log d·√(k·n·log(d/β)))",
 		Caps:        Capabilities{ErrorBound: true, Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(sim.FutureRand),
-		Server:      frameworkServer(sim.FutureRand),
+		Clients:     frameworkClients(protocol.FutureRand),
+		Server:      frameworkServer(protocol.FutureRand),
 		EstimatorScale: func(p Params) (float64, error) {
-			return sim.FutureRand.Scale(p.D, p.K, p.Eps)
+			return protocol.FutureRand.Scale(p.D, p.K, p.Eps)
 		},
 		ErrorBound: ErrorBound,
 	})
@@ -32,20 +31,20 @@ func init() {
 		Protocol:    Independent,
 		Description: "Example 4.2's ε/k composition: error linear in k",
 		Caps:        Capabilities{Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(sim.Independent),
-		Server:      frameworkServer(sim.Independent),
+		Clients:     frameworkClients(protocol.Independent),
+		Server:      frameworkServer(protocol.Independent),
 		EstimatorScale: func(p Params) (float64, error) {
-			return sim.Independent.Scale(p.D, p.K, p.Eps)
+			return protocol.Independent.Scale(p.D, p.K, p.Eps)
 		},
 	})
 	MustRegister(Mechanism{
 		Protocol:    Bun,
 		Description: "the Bun–Nelson–Stemmer composition made online: √ln(k/ε) worse than FutureRand",
 		Caps:        Capabilities{Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(sim.Bun),
-		Server:      frameworkServer(sim.Bun),
+		Clients:     frameworkClients(protocol.Bun),
+		Server:      frameworkServer(protocol.Bun),
 		EstimatorScale: func(p Params) (float64, error) {
-			return sim.Bun.Scale(p.D, p.K, p.Eps)
+			return protocol.Bun.Scale(p.D, p.K, p.Eps)
 		},
 	})
 	MustRegister(Mechanism{
@@ -77,7 +76,7 @@ func init() {
 
 // frameworkClients builds per-user framework clients sharing one factory
 // table (and so one annulus computation) across all users.
-func frameworkClients(kind sim.RandomizerKind) func(p Params) (ClientBuilder, error) {
+func frameworkClients(kind protocol.RandomizerKind) func(p Params) (ClientBuilder, error) {
 	return func(p Params) (ClientBuilder, error) {
 		factories, err := kind.Factories(p.D, p.K, p.Eps)
 		if err != nil {
@@ -208,7 +207,7 @@ func (e *dyadicEngine) EstimateSeriesTo(r int) []float64 { return e.inner.Estima
 func (e *dyadicEngine) EstimateChange(l, r int) float64  { return e.inner.EstimateChange(l, r) }
 func (e *dyadicEngine) Users() int                       { return e.inner.Users() }
 
-func frameworkServer(kind sim.RandomizerKind) func(p Params) (ServerEngine, error) {
+func frameworkServer(kind protocol.RandomizerKind) func(p Params) (ServerEngine, error) {
 	return func(p Params) (ServerEngine, error) {
 		scale, err := kind.Scale(p.D, p.K, p.Eps)
 		if err != nil {

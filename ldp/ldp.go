@@ -29,7 +29,6 @@ import (
 	"rtf/internal/dyadic"
 	"rtf/internal/probmath"
 	"rtf/internal/protocol"
-	"rtf/internal/sim"
 )
 
 // Protocol selects which mechanism runs; it is the registry key.
@@ -72,7 +71,7 @@ func CGap(k int, eps float64) (float64, error) {
 // the FutureRand protocol, union-bounded over all d periods at failure
 // probability beta.
 func ErrorBound(n, d, k int, eps, beta float64) (float64, error) {
-	return sim.TheoreticalBound(n, d, k, eps, beta)
+	return probmath.TheoreticalBound(n, d, k, eps, beta)
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import (
 
 	"rtf/internal/central"
 	"rtf/internal/rng"
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 	"rtf/workload"
 )
 
@@ -17,12 +17,12 @@ import (
 func TestQueryKindWireValues(t *testing.T) {
 	pairs := []struct {
 		pub  QueryKind
-		wire transport.QueryKind
+		wire wire.QueryKind
 	}{
-		{Point, transport.QueryPoint},
-		{Change, transport.QueryChange},
-		{Series, transport.QuerySeries},
-		{Window, transport.QueryWindow},
+		{Point, wire.QueryPoint},
+		{Change, wire.QueryChange},
+		{Series, wire.QuerySeries},
+		{Window, wire.QueryWindow},
 	}
 	for _, p := range pairs {
 		if int(p.pub) != int(p.wire) {

@@ -3,7 +3,7 @@ package ldp
 import "fmt"
 
 // QueryKind discriminates the shapes a Server can be asked about. The
-// numeric values match the transport wire encoding (transport.QueryKind).
+// numeric values match the wire encoding's (internal/wire.QueryKind).
 type QueryKind int
 
 // Query kinds.

@@ -3,7 +3,7 @@ package ldp
 import (
 	"testing"
 
-	"rtf/internal/transport"
+	"rtf/internal/wire"
 )
 
 // TestQueryKindWireCoupling pins the 1:1 mapping between the public
@@ -14,15 +14,15 @@ import (
 func TestQueryKindWireCoupling(t *testing.T) {
 	pairs := []struct {
 		pub  QueryKind
-		wire transport.QueryKind
+		wire wire.QueryKind
 	}{
-		{Point, transport.QueryPoint},
-		{Change, transport.QueryChange},
-		{Series, transport.QuerySeries},
-		{Window, transport.QueryWindow},
-		{PointItem, transport.QueryPointItem},
-		{SeriesItem, transport.QuerySeriesItem},
-		{TopK, transport.QueryTopK},
+		{Point, wire.QueryPoint},
+		{Change, wire.QueryChange},
+		{Series, wire.QuerySeries},
+		{Window, wire.QueryWindow},
+		{PointItem, wire.QueryPointItem},
+		{SeriesItem, wire.QuerySeriesItem},
+		{TopK, wire.QueryTopK},
 	}
 	seen := map[int]bool{}
 	for _, p := range pairs {
