@@ -6,7 +6,10 @@
 // The public API lives in rtf/ldp (the Mechanism registry over every
 // protocol of the paper, mechanism-agnostic streaming client/server with
 // a unified Query/Answer entry point, batch transport, domain extension) and rtf/workload (synthetic dataset
-// generation and CSV IO). The implementation, baselines, evaluation
+// generation and CSV IO). A program that imports rtf/ldp links the
+// protocol and its byte format (rtf/internal/wire), not the server: no
+// transport, WAL, metrics server or network stack (ldp's
+// TestClientLinksNoServer). The implementation, baselines, evaluation
 // harness and verifiers live under rtf/internal; the experiments E1–E22
 // are runnable via cmd/rtf-experiments, the sharded batch-ingest
 // aggregation service via cmd/rtf-serve (hosting any registered dyadic
@@ -29,7 +32,7 @@
 // The server does almost nothing per report — one ±1 into one dyadic
 // node — and the serving path is built to cost about that: a served
 // report goes from bytes to a validated 24-byte record to a counter
-// (transport.Decoder.NextFrame, one fused decode-and-validate kernel
+// (wire.Decoder.NextFrame, one fused decode-and-validate kernel
 // driven by the mode's ingest contract), never through the general
 // message struct; a connection's frames are read through a buffer that
 // holds a whole frame, and acknowledgements are buffered and flushed
@@ -63,7 +66,7 @@
 // sums (a SumsFrame on the wire), and the gateway folds them into a
 // fresh accumulator before estimating. A gather moves what the paper's
 // estimator reads, not the accumulator: the request carries the period
-// range the read is evaluated over (transport.Scope), the frame the
+// range the read is evaluated over (wire.Scope), the frame the
 // header counts and the at most 2·log₂ d interval sums of that range's
 // dyadic cover, and the folded state is built over that narrow matrix —
 // only series-shaped reads move all 2d−1 columns. Because the dyadic state is
