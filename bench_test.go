@@ -442,19 +442,24 @@ func servedIngest(st transport.Store, shard int, stream []byte) error {
 	}
 }
 
-// msgViewIngest is the store's other entry as mode-less callers reach it
-// (the benchmark ladder's rungs, ldp.Server.IngestFrom's shape): decode a
-// frame into Msgs, then SendBatch, which checks each Msg against the
-// contract, converts the run to records and — on a durable store —
-// encodes it again for the journal. No front serves this combination.
+// msgViewIngest is the Msg view of ingest as the benchmark ladder's rungs
+// reach it: decode a frame into Msgs, then SendBatch, which checks each
+// Msg against the contract, converts the run to records and — on a
+// durable store — encodes it again for the journal. No front serves this
+// combination, and no Store declares SendBatch: the stores the ladder
+// times carry it in internal/transport/benchcompat.go, so st must be one
+// of those.
 func msgViewIngest(st transport.Store, shard int, stream []byte) error {
+	msgView := st.(interface {
+		SendBatch(shard int, ms []wire.Msg) error
+	})
 	dec := wire.NewDecoder(bytes.NewReader(stream))
 	for {
 		ms, err := dec.NextBatch()
 		if err != nil {
 			return nil // end of stream
 		}
-		if err := st.SendBatch(shard, ms); err != nil {
+		if err := msgView.SendBatch(shard, ms); err != nil {
 			return err
 		}
 	}

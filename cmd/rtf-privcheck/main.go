@@ -1,7 +1,7 @@
 // Command rtf-privcheck verifies the privacy guarantees of the
 // implementation by exact computation (no sampling): the worst-case
-// likelihood ratio of the composed randomizer R̃ (Lemma 5.2) across a
-// range of k, the exhaustive end-to-end client check (Theorem 4.5) for
+// likelihood ratio of the composed randomizer R̃ (Lemma 5.2) at every k
+// in [1..kmax] (the fronts and ldp accept any k ≥ 1), the exhaustive end-to-end client check (Theorem 4.5) for
 // small d and k, and the same check of the shipped domain client under
 // the exact encoding (m = 3) and the loloha encoding (m = 6, g = 2).
 //
@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		eps     = flag.Float64("eps", 1.0, "privacy budget")
-		kmax    = flag.Int("kmax", 1024, "largest k for the randomizer check (powers of two from 1)")
+		kmax    = flag.Int("kmax", 1024, "largest k for the randomizer check (every k from 1)")
 		d       = flag.Int("d", 8, "horizon for the exhaustive client check (power of two <= 8)")
 		kclient = flag.Int("kclient", 2, "largest k for the exhaustive client check")
 	)
@@ -34,7 +34,7 @@ func main() {
 	fmt.Fprintln(tw, "check\tparams\trealized ε\tbudget ε\tmargin\tok")
 
 	failures := 0
-	for k := 1; k <= *kmax; k *= 2 {
+	for k := 1; k <= *kmax; k++ {
 		p, err := probmath.NewFutureRand(k, *eps)
 		if err != nil {
 			fatal(err)

@@ -10,7 +10,11 @@
 // protocol and its byte format (rtf/internal/wire), not the server: no
 // transport, WAL, metrics server or network stack (ldp's
 // TestClientLinksNoServer). The implementation, baselines, evaluation
-// harness and verifiers live under rtf/internal; the experiments E1–E22
+// harness and verifiers live under rtf/internal, whose exported API is
+// what shipped code calls: TestInternalExportsHaveShippedCallers in this
+// directory fails on an internal export that no non-test file of this
+// module or of bench/ references, bar a short allowlist of oracles other
+// packages' tests use, each with its reason. The experiments E1–E22
 // are runnable via cmd/rtf-experiments, the sharded batch-ingest
 // aggregation service via cmd/rtf-serve (hosting any registered dyadic
 // mechanism), the acceptance harness that drives real deployments of it

@@ -33,7 +33,8 @@ func New(k int) Vec {
 func Ones(k int) Vec { return New(k) }
 
 // FromSigns builds a Vec from a slice of ±1 entries. It panics on any
-// entry outside {−1, +1}.
+// entry outside {−1, +1}. Only tests call it, core's
+// TestComposedSampleMatchesExactDistribution among them.
 func FromSigns(s []int8) Vec {
 	v := New(len(s))
 	for i, x := range s {
@@ -49,7 +50,9 @@ func FromSigns(s []int8) Vec {
 	return v
 }
 
-// Uniform returns a uniformly random vector in {−1, +1}^k.
+// Uniform returns a uniformly random vector in {−1, +1}^k. Only tests
+// call it: core's sampler tests (TestComposedDistanceDistribution,
+// TestSampleInputUnmodified among them) draw their inputs with it.
 func Uniform(g *rng.RNG, k int) Vec {
 	v := New(k)
 	for i := range v.w {
@@ -81,48 +84,12 @@ func (v Vec) At(i int) int8 {
 	return 1
 }
 
-// Set assigns coordinate i to the sign s ∈ {−1, +1}.
-func (v Vec) Set(i int, s int8) {
-	if i < 0 || i >= v.k {
-		panic("bitvec: index out of range")
-	}
-	mask := uint64(1) << uint(i%64)
-	switch s {
-	case 1:
-		v.w[i/64] &^= mask
-	case -1:
-		v.w[i/64] |= mask
-	default:
-		panic("bitvec: sign must be ±1")
-	}
-}
-
 // Flip negates coordinate i in place.
 func (v Vec) Flip(i int) {
 	if i < 0 || i >= v.k {
 		panic("bitvec: index out of range")
 	}
 	v.w[i/64] ^= 1 << uint(i%64)
-}
-
-// Clone returns an independent copy of v.
-func (v Vec) Clone() Vec {
-	c := Vec{k: v.k, w: make([]uint64, len(v.w))}
-	copy(c.w, v.w)
-	return c
-}
-
-// Equal reports whether v and u have the same length and coordinates.
-func (v Vec) Equal(u Vec) bool {
-	if v.k != u.k {
-		return false
-	}
-	for i := range v.w {
-		if v.w[i] != u.w[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Hamming returns ‖v − u‖₀, the number of coordinates where v and u
@@ -181,15 +148,6 @@ func (v Vec) FlipSubset(idx []int) Vec {
 	return v
 }
 
-// Signs expands v to a slice of ±1 entries.
-func (v Vec) Signs() []int8 {
-	s := make([]int8, v.k)
-	for i := range s {
-		s[i] = v.At(i)
-	}
-	return s
-}
-
 // String renders v as a compact string of '+' and '-' characters.
 func (v Vec) String() string {
 	var b strings.Builder
@@ -206,7 +164,8 @@ func (v Vec) String() string {
 
 // Index returns the integer whose bits are the −1 positions of v; it is a
 // bijection {−1,+1}^k → [0, 2^k) usable as an array index for exhaustive
-// enumeration. It panics if k > 62.
+// enumeration. It panics if k > 62. Only tests call it: core's
+// TestSampleComplementUniform tallies sampled vectors by it.
 func (v Vec) Index() int {
 	if v.k > 62 {
 		panic("bitvec: Index requires k <= 62")
@@ -219,6 +178,8 @@ func (v Vec) Index() int {
 
 // FromIndex inverts Index: it builds the length-k vector whose −1
 // positions are the set bits of x. It panics if k > 62 or x >= 2^k.
+// Only tests call it: core's TestComposedSampleMatchesExactDistribution
+// and TestSampleComplementUniform enumerate {−1,+1}^k with it.
 func FromIndex(k int, x int) Vec {
 	if k > 62 {
 		panic("bitvec: FromIndex requires k <= 62")

@@ -306,3 +306,48 @@ func TestOutOfRangePanics(t *testing.T) {
 		}()
 	}
 }
+
+// Set assigns coordinate i to the sign s ∈ {−1, +1}.
+func (v Vec) Set(i int, s int8) {
+	if i < 0 || i >= v.k {
+		panic("bitvec: index out of range")
+	}
+	mask := uint64(1) << uint(i%64)
+	switch s {
+	case 1:
+		v.w[i/64] &^= mask
+	case -1:
+		v.w[i/64] |= mask
+	default:
+		panic("bitvec: sign must be ±1")
+	}
+}
+
+// Clone returns an independent copy of v.
+func (v Vec) Clone() Vec {
+	c := Vec{k: v.k, w: make([]uint64, len(v.w))}
+	copy(c.w, v.w)
+	return c
+}
+
+// Equal reports whether v and u have the same length and coordinates.
+func (v Vec) Equal(u Vec) bool {
+	if v.k != u.k {
+		return false
+	}
+	for i := range v.w {
+		if v.w[i] != u.w[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Signs expands v to a slice of ±1 entries.
+func (v Vec) Signs() []int8 {
+	s := make([]int8, v.k)
+	for i := range s {
+		s[i] = v.At(i)
+	}
+	return s
+}

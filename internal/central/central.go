@@ -61,13 +61,6 @@ func (m BinaryMechanism) Run(w *workload.Workload, g *rng.RNG) ([]float64, error
 	return c.EstimateSeries(), nil
 }
 
-// TheoreticalStd returns the standard deviation of the estimate at a time
-// whose decomposition has c intervals: √c·√2·∆/ε (Laplace variance 2b²).
-func (m BinaryMechanism) TheoreticalStd(c int) float64 {
-	b := m.Sensitivity() / m.Eps
-	return b * math.Sqrt2 * math.Sqrt(float64(c))
-}
-
 // Curator is the trusted curator of the binary mechanism, online: it
 // accumulates exact per-period counts from clients that report their
 // true values, and every dyadic node carries one Laplace(∆/ε) draw fixed

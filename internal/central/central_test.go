@@ -134,3 +134,10 @@ func TestTheoreticalStd(t *testing.T) {
 		t.Errorf("TheoreticalStd = %v, want %v", got, want)
 	}
 }
+
+// TheoreticalStd returns the standard deviation of the estimate at a time
+// whose decomposition has c intervals: √c·√2·∆/ε (Laplace variance 2b²).
+func (m BinaryMechanism) TheoreticalStd(c int) float64 {
+	b := m.Sensitivity() / m.Eps
+	return b * math.Sqrt2 * math.Sqrt(float64(c))
+}

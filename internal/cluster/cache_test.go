@@ -509,7 +509,6 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 
 	// Serial reference fed every writer's reports.
 	var ref interface {
-		EstimateItemAt(item, t int) float64
 		TopK(t, k int) []hh.ItemCount
 	}
 	if hashed {
@@ -753,7 +752,8 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		at := i * d / 8
 		for x := 0; x < 1024; x++ {
-			if got, want := pointItem(x, at), serial.EstimateItemAt(x, at); got != want {
+			want, _ := serial.EstimateItemAtCached(x, at)
+			if got := pointItem(x, at); got != want {
 				t.Fatalf("item %d at %d: gateway %v, serial %v", x, at, got, want)
 			}
 		}

@@ -144,7 +144,7 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	// encoding's 4096-row wall.
 	for _, x := range []int{0, 1, 17, 4097, hashedTestM - 1} {
 		a := ask(wire.DomainQuery(wire.QueryPointItem, x, d, 0, 0))
-		if want := serial.EstimateItemAt(x, d); a.Values[0] != want {
+		if want, _ := serial.EstimateItemAtCached(x, d); a.Values[0] != want {
 			t.Fatalf("point-item %d: gateway %v, serial %v", x, a.Values[0], want)
 		}
 		a = ask(wire.DomainQuery(wire.QuerySeriesItem, x, 0, 0, 0))

@@ -131,20 +131,3 @@ func SeriesFromTree(tr *dyadic.Tree, vals []float64) []float64 {
 	}
 	return out
 }
-
-// IsConsistent reports whether every parent value equals the sum of its
-// children's, within tolerance.
-func IsConsistent(tr *dyadic.Tree, vals []float64, tol float64) bool {
-	d := tr.D()
-	for h := 1; h <= dyadic.Log2(d); h++ {
-		for j := 1; j <= dyadic.CountAtOrder(d, h); j++ {
-			p := vals[tr.FlatIndex(dyadic.Interval{Order: h, Index: j})]
-			l := vals[tr.FlatIndex(dyadic.Interval{Order: h - 1, Index: 2*j - 1})]
-			r := vals[tr.FlatIndex(dyadic.Interval{Order: h - 1, Index: 2 * j})]
-			if math.Abs(p-(l+r)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}

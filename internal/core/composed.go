@@ -30,9 +30,6 @@ func NewComposed(ann *probmath.Annulus) *Composed {
 	return &Composed{ann: ann}
 }
 
-// Annulus exposes the exact distribution parameters of the sampler.
-func (c *Composed) Annulus() *probmath.Annulus { return c.ann }
-
 // Sample draws R̃(b) = b ⊙ R̃(1^k): the flips and the annulus test depend
 // only on which coordinates differ from the input, which is the symmetry
 // the pre-computation technique rests on. The input must have length k;
@@ -54,16 +51,6 @@ func (c *Composed) SampleOnes(g *rng.RNG) bitvec.Vec {
 	return c.complementOf(g, bp.Times(bp)) // v ⊙ v = 1^k: reuse the rejected vector
 }
 
-// SampleComplement draws a uniform element of {−1,1}^k \ Ann(b), by
-// inverse-CDF sampling of the Hamming distance (weights C(k,i) outside
-// [LB..UB]) followed by a uniform choice of which coordinates differ.
-// This is exact and fast even when the annulus covers almost the whole
-// cube, as it does for the Bun et al. parameters. The input is not
-// modified.
-func (c *Composed) SampleComplement(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
-	return c.complementOf(g, bitvec.Ones(c.ann.K)).Times(b)
-}
-
 // complementOf is SampleComplement at b = 1^k, written into the given
 // all-ones vector.
 func (c *Composed) complementOf(g *rng.RNG, ones bitvec.Vec) bitvec.Vec {
@@ -77,21 +64,4 @@ func (c *Composed) complementOf(g *rng.RNG, ones bitvec.Vec) bitvec.Vec {
 		i = c.ann.K
 	}
 	return ones.FlipSubset(g.KSubset(c.ann.K, i))
-}
-
-// SampleComplementRejection draws a uniform element of the complement by
-// rejection against uniform strings. It is exact but its running time is
-// geometric with success probability 1 − UnifInMass; tests use it to
-// cross-validate SampleComplement. It panics if the annulus covers more
-// than 99.9% of the cube, where rejection is hopeless.
-func (c *Composed) SampleComplementRejection(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
-	if c.ann.UnifInMass > 0.999 {
-		panic("core: rejection sampling infeasible for this annulus")
-	}
-	for {
-		s := bitvec.Uniform(g, c.ann.K)
-		if !c.ann.Inside(s.Hamming(b)) {
-			return s
-		}
-	}
 }

@@ -213,3 +213,30 @@ func TestComposedPanics(t *testing.T) {
 		NewComposed(nil)
 	}()
 }
+
+// SampleComplement draws a uniform element of {−1,1}^k \ Ann(b), by
+// inverse-CDF sampling of the Hamming distance (weights C(k,i) outside
+// [LB..UB]) followed by a uniform choice of which coordinates differ.
+// This is exact and fast even when the annulus covers almost the whole
+// cube, as it does for the Bun et al. parameters. The input is not
+// modified.
+func (c *Composed) SampleComplement(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
+	return c.complementOf(g, bitvec.Ones(c.ann.K)).Times(b)
+}
+
+// SampleComplementRejection draws a uniform element of the complement by
+// rejection against uniform strings. It is exact but its running time is
+// geometric with success probability 1 − UnifInMass; tests use it to
+// cross-validate SampleComplement. It panics if the annulus covers more
+// than 99.9% of the cube, where rejection is hopeless.
+func (c *Composed) SampleComplementRejection(g *rng.RNG, b bitvec.Vec) bitvec.Vec {
+	if c.ann.UnifInMass > 0.999 {
+		panic("core: rejection sampling infeasible for this annulus")
+	}
+	for {
+		s := bitvec.Uniform(g, c.ann.K)
+		if !c.ann.Inside(s.Hamming(b)) {
+			return s
+		}
+	}
+}

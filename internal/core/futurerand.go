@@ -51,38 +51,15 @@ func NewFactoryFromParams(l int, p *probmath.Params, name string) (*ComposedFact
 	return &ComposedFactory{l: l, k: p.K, params: p, composed: NewComposed(p.Annulus), name: name}, nil
 }
 
-// NewBunFactory builds the Bun et al. composed randomizer (Appendix A.2)
-// made online with the pre-computation technique, for comparison.
-func NewBunFactory(l, k int, eps float64) (*ComposedFactory, error) {
-	if err := checkLK(l, k); err != nil {
-		return nil, err
-	}
-	p, err := probmath.NewBun(k, eps)
-	if err != nil {
-		return nil, err
-	}
-	return &ComposedFactory{l: l, k: k, params: p, composed: NewComposed(p.Annulus), name: "bun-composed"}, nil
-}
-
 // CGap implements Factory: the exact preservation gap of the annulus.
 func (f *ComposedFactory) CGap() float64 { return f.params.CGap }
 
 // Name implements Factory.
 func (f *ComposedFactory) Name() string { return f.name }
 
-// Params exposes the exact annulus parameters (for reporting and for the
-// privacy verifier).
-func (f *ComposedFactory) Params() *probmath.Params { return f.params }
-
 // Composed exposes the underlying offline sampler R̃ (for tests and the
 // offline-equivalence experiment E12).
 func (f *ComposedFactory) Composed() *Composed { return f.composed }
-
-// L returns the sequence length the factory was built for.
-func (f *ComposedFactory) L() int { return f.l }
-
-// K returns the sparsity bound.
-func (f *ComposedFactory) K() int { return f.k }
 
 // NewInstance implements Factory. It performs M.init(L, k, ε): the
 // composed randomizer is invoked once on the all-ones vector, and the

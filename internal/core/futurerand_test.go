@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rtf/internal/bitvec"
 	"rtf/internal/probmath"
 	"rtf/internal/rng"
 )
@@ -327,7 +328,7 @@ func TestOnlineEqualsPrecomputedVector(t *testing.T) {
 	f := newFR(t, 10, 4, 1.0)
 	g1 := rng.New(99, 100)
 	inst := f.NewInstance(g1)
-	bt := inst.btilde.Clone()
+	bt := bitvec.FromIndex(inst.btilde.Len(), inst.btilde.Index()) // a copy
 	v := []int8{0, 1, 0, 0, -1, 1, 0, 0, 0, -1}
 	nz := 0
 	for _, x := range v {
@@ -341,3 +342,25 @@ func TestOnlineEqualsPrecomputedVector(t *testing.T) {
 		nz++
 	}
 }
+
+// NewBunFactory builds the Bun et al. composed randomizer (Appendix A.2)
+// made online with the pre-computation technique, for comparison.
+func NewBunFactory(l, k int, eps float64) (*ComposedFactory, error) {
+	if err := checkLK(l, k); err != nil {
+		return nil, err
+	}
+	p, err := probmath.NewBun(k, eps)
+	if err != nil {
+		return nil, err
+	}
+	return &ComposedFactory{l: l, k: k, params: p, composed: NewComposed(p.Annulus), name: "bun-composed"}, nil
+}
+
+// Params exposes the exact annulus parameters.
+func (f *ComposedFactory) Params() *probmath.Params { return f.params }
+
+// L returns the sequence length the factory was built for.
+func (f *ComposedFactory) L() int { return f.l }
+
+// K returns the sparsity bound.
+func (f *ComposedFactory) K() int { return f.k }

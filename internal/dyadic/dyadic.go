@@ -25,12 +25,6 @@ func (iv Interval) Start() int { return (iv.Index-1)<<uint(iv.Order) + 1 }
 // End returns the last time period covered by the interval.
 func (iv Interval) End() int { return iv.Index << uint(iv.Order) }
 
-// Len returns the number of time periods covered: 2^h.
-func (iv Interval) Len() int { return 1 << uint(iv.Order) }
-
-// Contains reports whether time period t lies in the interval.
-func (iv Interval) Contains(t int) bool { return t >= iv.Start() && t <= iv.End() }
-
 // String renders the interval as I{h,j}=[start..end].
 func (iv Interval) String() string {
 	return fmt.Sprintf("I{%d,%d}=[%d..%d]", iv.Order, iv.Index, iv.Start(), iv.End())
@@ -134,21 +128,6 @@ func DecomposeRange(l, r, d int) []Interval {
 	return out
 }
 
-// ReportingInterval returns the dyadic interval of order h that ends
-// exactly at time t, i.e. I_{h, t/2^h}, and whether t is a reporting time
-// for order h (that is, whether 2^h divides t). This is the interval whose
-// partial sum a client with sampled order h reports at time t
-// (Algorithm 1, lines 5–8).
-func ReportingInterval(t, h int) (Interval, bool) {
-	if t < 1 || h < 0 {
-		panic("dyadic: ReportingInterval requires t >= 1, h >= 0")
-	}
-	if t&(1<<uint(h)-1) != 0 {
-		return Interval{}, false
-	}
-	return Interval{Order: h, Index: t >> uint(h)}, true
-}
-
 // Tree provides O(1) flat indexing of all dyadic intervals over [d],
 // used by the server to keep one accumulator per interval. Index layout
 // is order-major: all order-0 intervals first, then order 1, and so on.
@@ -185,7 +164,8 @@ func (tr *Tree) FlatIndex(iv Interval) int {
 	return tr.offset[iv.Order] + iv.Index - 1
 }
 
-// IntervalAt inverts FlatIndex.
+// IntervalAt inverts FlatIndex. Only tests call it: protocol's
+// TestPrefixSeriesEqualsEstimateAt walks a flat sums row with it.
 func (tr *Tree) IntervalAt(flat int) Interval {
 	if flat < 0 || flat >= tr.Size() {
 		panic("dyadic: flat index out of range")

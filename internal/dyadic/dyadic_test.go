@@ -295,3 +295,24 @@ func TestDecomposeRangePanics(t *testing.T) {
 		}()
 	}
 }
+
+// ReportingInterval returns the dyadic interval of order h that ends
+// exactly at time t, i.e. I_{h, t/2^h}, and whether t is a reporting time
+// for order h (that is, whether 2^h divides t). This is the interval whose
+// partial sum a client with sampled order h reports at time t
+// (Algorithm 1, lines 5–8).
+func ReportingInterval(t, h int) (Interval, bool) {
+	if t < 1 || h < 0 {
+		panic("dyadic: ReportingInterval requires t >= 1, h >= 0")
+	}
+	if t&(1<<uint(h)-1) != 0 {
+		return Interval{}, false
+	}
+	return Interval{Order: h, Index: t >> uint(h)}, true
+}
+
+// Len returns the number of time periods covered: 2^h.
+func (iv Interval) Len() int { return 1 << uint(iv.Order) }
+
+// Contains reports whether time period t lies in the interval.
+func (iv Interval) Contains(t int) bool { return t >= iv.Start() && t <= iv.End() }

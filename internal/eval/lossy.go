@@ -35,20 +35,6 @@ func (c *Collector) Send(m wire.Msg) error {
 	return nil
 }
 
-// Close stops accepting messages.
-func (c *Collector) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-}
-
-// Len returns the number of collected messages.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.msgs)
-}
-
 // Drain invokes fn on every collected message and clears the buffer.
 func (c *Collector) Drain(fn func(wire.Msg)) {
 	c.mu.Lock()

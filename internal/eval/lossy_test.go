@@ -89,3 +89,17 @@ func TestLossyLinkPanics(t *testing.T) {
 	}()
 	NewLossyLink(1.5, rng.New(1, 1))
 }
+
+// Close stops accepting messages.
+func (c *Collector) Close() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.closed = true
+}
+
+// Len returns the number of collected messages.
+func (c *Collector) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.msgs)
+}

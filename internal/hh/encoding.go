@@ -138,8 +138,13 @@ func (e DomainEncoding) Row(item int) int {
 // two-level budget split: epsPerm is the permanent (infinity-report)
 // budget ε_perm and eps1 the per-report budget ε_1 < ε_perm. The closed
 // form (Arcolezi et al., arXiv:2210.00262, eq. 8, with α = ε_1/ε_perm)
-// minimizes estimator variance over g; outside its real-valued domain
-// (tiny budgets) the binary split g = 2 is optimal and returned.
+// minimizes LOLOHA's estimator variance over g: per-user hashes under a
+// two-round GRR chain that spends (ε_perm, ε_1). It is not shown to be
+// the optimum for this system, which samples one bucket under one
+// shared epoch hash and runs the paper's randomizer at one ε (ROADMAP
+// item 7.2). Outside the closed form's real-valued domain (tiny budgets)
+// it returns the binary split g = 2, and it returns 2 for any split
+// outside 0 < ε_1 < ε_perm too; ldp refuses such a split before asking.
 func OptimalBuckets(epsPerm, eps1 float64) int {
 	if !(epsPerm > 0) || !(eps1 > 0) || eps1 >= epsPerm {
 		return 2
@@ -293,14 +298,8 @@ func (s *HashedDomainServer) decodeLocked(t int, v uint64) []float64 {
 	return est
 }
 
-// EstimateItemAt returns the decoded frequency estimate f̂(x, t).
-func (s *HashedDomainServer) EstimateItemAt(item, t int) float64 {
-	v, _ := s.EstimateItemAtCached(item, t)
-	return v
-}
-
-// EstimateItemAtCached is EstimateItemAt plus whether the decoded
-// bucket sweep was served from the version-keyed memo (the serve loops
+// EstimateItemAtCached returns the decoded frequency estimate f̂(x, t)
+// and whether the decoded bucket sweep was served from the version-keyed memo (the serve loops
 // use this to count cache hits; a hit is bit-for-bit identical to
 // recomputing, see memo.go).
 func (s *HashedDomainServer) EstimateItemAtCached(item, t int) (float64, bool) {

@@ -352,3 +352,9 @@ func TestHashedTopKMatchesFullSort(t *testing.T) {
 		}()
 	}
 }
+
+// EstimateItemAt returns the decoded frequency estimate f̂(x, t).
+func (s *HashedDomainServer) EstimateItemAt(item, t int) float64 {
+	v, _ := s.EstimateItemAtCached(item, t)
+	return v
+}

@@ -88,6 +88,7 @@ func (s DomainStream) Values(d int) []int {
 
 // NumChanges returns the number of value changes (including the initial
 // assignment), which bounds the derived Boolean stream's change count.
+// Public API through the ldp.DomainStream alias.
 func (s DomainStream) NumChanges() int { return len(s.Changes) }
 
 // DomainWorkload is a complete domain-valued dataset.
@@ -99,7 +100,8 @@ type DomainWorkload struct {
 // Validate checks structural invariants: a power-of-two horizon, a
 // domain of at least two items, per-user change lists that are sorted
 // with strictly increasing times, values inside [0..M), no more than K
-// changes, and no no-op changes.
+// changes, and no no-op changes. Nothing in this module calls it;
+// ldp.DomainWorkload aliases the type, so it is public API.
 func (w *DomainWorkload) Validate() error {
 	if !dyadic.IsPow2(w.D) {
 		return fmt.Errorf("hh: d=%d not a power of two", w.D)
@@ -244,7 +246,7 @@ type DomainServer struct {
 	d, m      int
 	boolScale float64 // the Boolean mechanism's estimator scale
 	acc       *protocol.DomainSharded
-	memo      estMemo // version-keyed EstimateAllAt/TopK cache, see memo.go
+	memo      estMemo // version-keyed EstimateAllAtInto/TopK cache, see memo.go
 }
 
 // NewDomainServer builds a server for horizon d (a power of two) over a
@@ -318,10 +320,6 @@ func (s *DomainServer) Lock(shard int) protocol.DomainWriter { return s.acc.Lock
 // callers advance after their writes so those invalidate the memoized
 // read path.
 func (s *DomainServer) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
-
-// Version returns the accumulator's monotone mutation stamp; see
-// protocol.DomainSharded.Version for the freshness contract.
-func (s *DomainServer) Version() uint64 { return s.acc.Version() }
 
 // Users returns the number of registered users across all items.
 func (s *DomainServer) Users() int { return s.acc.Users() }
@@ -410,12 +408,6 @@ func (s *DomainServer) estimateAllLocked(t int, v uint64) []float64 {
 	return mm.est
 }
 
-// FoldInto overwrites dst with every item's raw accumulator state — m
-// rows of protocol.RawStride(d): user count, per-order counts,
-// per-interval bit sums — the exact integers a cluster gateway ships
-// between nodes.
-func (s *DomainServer) FoldInto(dst []int64) { s.acc.FoldInto(dst) }
-
 // Columns derives, once per request, the columns FoldRowsInto gathers
 // for rows scoped to periods [l..r]; see protocol.DomainSharded.Columns.
 func (s *DomainServer) Columns(l, r int) []int { return s.acc.Columns(l, r) }
@@ -433,8 +425,8 @@ func (s *DomainServer) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
 func (s *DomainServer) MergeRaw(cells []int64) error { return s.acc.MergeRaw(cells) }
 
 // MarshalState serializes all per-item accumulator state for a durable
-// snapshot: the kind-3 payload, byte-for-byte protocol.MarshalDomainState
-// over one serial server per item fed the same reports. The payload is a
+// snapshot: the kind-3 payload, byte-for-byte the per-item states of one
+// serial server per item fed the same reports under a domain header. The payload is a
 // point-in-time cut at run granularity (see protocol.DomainSharded).
 func (s *DomainServer) MarshalState() []byte {
 	return s.acc.MarshalState()
@@ -457,9 +449,6 @@ type ZipfDomainGen struct {
 	N, D, M, K int
 	S          float64 // Zipf exponent over items
 }
-
-// Name identifies the generator.
-func (z ZipfDomainGen) Name() string { return "zipf-domain" }
 
 // Generate builds the workload.
 func (z ZipfDomainGen) Generate(g *rng.RNG) (*DomainWorkload, error) {

@@ -483,3 +483,9 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 		t.Error("short matrix accepted")
 	}
 }
+
+// FoldInto overwrites dst with every item's raw accumulator state — m
+// rows of protocol.RawStride(d): user count, per-order counts,
+// per-interval bit sums — the exact integers a cluster gateway ships
+// between nodes.
+func (s *DomainServer) FoldInto(dst []int64) { s.acc.FoldRowsInto(0, s.M(), nil, dst) }

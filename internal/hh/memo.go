@@ -1,7 +1,7 @@
 package hh
 
 // This file is the version-keyed read cache of the domain servers: the
-// EstimateAllAt sweep (and the hashed decoder's bucket-estimate pass)
+// EstimateAllAtInto sweep (and the hashed decoder's bucket-estimate pass)
 // is memoized against the accumulator's monotone version stamp, and
 // TopK keeps only a k-bounded selection instead of sorting all m items.
 //

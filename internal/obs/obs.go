@@ -43,9 +43,6 @@ type Gauge struct {
 	bits atomic.Uint64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add adds delta with a CAS loop.
 func (g *Gauge) Add(delta float64) {
 	for {
@@ -112,9 +109,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
@@ -131,15 +125,6 @@ func (h *Histogram) snapshot() HistSnapshot {
 		s.Count += c
 	}
 	return s
-}
-
-// Quantile returns an upper-bound estimate of the p-quantile (0 < p <=
-// 1) from the live buckets: the upper bound of the bucket holding the
-// p-th observation, linearly interpolated within the bucket. Values in
-// the overflow bucket report the last finite bound. With no
-// observations it returns 0.
-func (h *Histogram) Quantile(p float64) float64 {
-	return h.snapshot().Quantile(p)
 }
 
 // Label renders a metric name with label pairs in the given order:

@@ -221,3 +221,18 @@ func TestProcessMetrics(t *testing.T) {
 		t.Fatalf("rss = %v", v)
 	}
 }
+
+// Set stores v.
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+
+// Count returns the number of observations.
+func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Quantile returns an upper-bound estimate of the p-quantile (0 < p <=
+// 1) from the live buckets: the upper bound of the bucket holding the
+// p-th observation, linearly interpolated within the bucket. Values in
+// the overflow bucket report the last finite bound. With no
+// observations it returns 0.
+func (h *Histogram) Quantile(p float64) float64 {
+	return h.snapshot().Quantile(p)
+}

@@ -142,12 +142,3 @@ func HoeffdingErrorBound(n, d int, cGap, beta float64) float64 {
 	logd := math.Log2(float64(d))
 	return (1 + logd) / cGap * math.Sqrt(2*float64(n)*math.Log(2/beta))
 }
-
-// TheoremAssumption reports whether the parameter regime satisfies the
-// non-triviality assumption of Theorem 4.1:
-// ε⁻¹·(log d)·sqrt(k·ln(d/β)) ≤ √n.
-func TheoremAssumption(n, d, k int, eps, beta float64) bool {
-	logd := math.Log2(float64(d))
-	lhs := (1 / eps) * logd * math.Sqrt(float64(k)*math.Log(float64(d)/beta))
-	return lhs <= math.Sqrt(float64(n))
-}

@@ -203,7 +203,8 @@ func (a *Annulus) OutputProb(i int) float64 {
 }
 
 // DistanceProb returns Pr[‖R̃(b) − b‖₀ = i]: C(k,i)·OutputProb(i),
-// computed in log space so it is accurate at any k.
+// computed in log space so it is accurate at any k. Only tests call it:
+// core's TestComposedDistanceDistribution checks the sampler against it.
 func (a *Annulus) DistanceProb(i int) float64 {
 	lo := a.LogOutputProb(i)
 	if math.IsInf(lo, -1) {
@@ -288,7 +289,8 @@ func (a *Annulus) MarginalPrefix(sigma, m1 int) float64 {
 
 // CGapLogSpace recomputes c_gap with float64 log-space arithmetic. It is
 // independent of the big.Float path and exists to cross-check it; the two
-// agree to ~1e−12 relative error in tests.
+// agree to ~1e−12 relative error in tests. Outside them only the root
+// package's BenchmarkCGapLogSpace calls it.
 func (a *Annulus) CGapLogSpace() float64 {
 	k := a.K
 	lp := math.Log(a.P)

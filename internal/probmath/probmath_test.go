@@ -434,3 +434,12 @@ func TestQuickInvariants(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TheoremAssumption reports whether the parameter regime satisfies the
+// non-triviality assumption of Theorem 4.1:
+// ε⁻¹·(log d)·sqrt(k·ln(d/β)) ≤ √n.
+func TheoremAssumption(n, d, k int, eps, beta float64) bool {
+	logd := math.Log2(float64(d))
+	lhs := (1 / eps) * logd * math.Sqrt(float64(k)*math.Log(float64(d)/beta))
+	return lhs <= math.Sqrt(float64(n))
+}

@@ -58,9 +58,6 @@ func (r *reporter) init(user, d, h int, f core.Factory, g *rng.RNG) {
 // server in the clear (it is data-independent).
 func (r *reporter) Order() int { return r.order }
 
-// User returns the client's user id.
-func (r *reporter) User() int { return r.user }
-
 // tick moves the clock to the next period and reports whether 2^h
 // divides it, i.e. whether the client owes the server a report.
 func (r *reporter) tick() bool {

@@ -81,8 +81,8 @@ func sumAt(cols []int, flat int) int {
 // bit-for-bit identical to a serial Server fed that row's reports in any
 // order and under any shard assignment, and FoldRowsInto/MergeRaw ship
 // the same raw integers a cluster gateway exchanges between nodes.
-// Callers route by shard index (e.g. connection id modulo NumShards) so
-// that concurrent writers land on distinct shards. The lock discipline,
+// Callers route by shard index (e.g. connection id modulo the shard
+// count) so that concurrent writers land on distinct shards. The lock discipline,
 // written once here:
 //
 //   - Every shard has one sync.RWMutex and a version stamp (shardLock).
@@ -221,18 +221,6 @@ func newDomainSharded(d, m int, scale float64) *DomainSharded {
 		stride: RawStride(d), sumOff: sumOff,
 	}
 }
-
-// NumShards returns the number of shards.
-func (s *DomainSharded) NumShards() int { return len(s.shards) }
-
-// D returns the horizon.
-func (s *DomainSharded) D() int { return s.d }
-
-// M returns the domain size.
-func (s *DomainSharded) M() int { return s.m }
-
-// Scale returns the per-item estimator scale.
-func (s *DomainSharded) Scale() float64 { return s.scale }
 
 func (s *DomainSharded) checkItem(item int) {
 	if item < 0 || item >= s.m {
@@ -380,14 +368,6 @@ func (s *DomainSharded) Users() int {
 	return int(n)
 }
 
-// UsersAt returns the number of users whose sampled target is item.
-func (s *DomainSharded) UsersAt(item int) int {
-	s.checkItem(item)
-	s.locks.rlock()
-	defer s.locks.runlock()
-	return int(s.itemCell(item, 0))
-}
-
 // itemCell folds one counter of one item's row across shards. Pure
 // int64 addition, so the result is independent of shard assignment.
 // The caller holds the read locks.
@@ -429,22 +409,14 @@ func (s *DomainSharded) estimate(item int, cover []dyadic.Interval) float64 {
 	return est
 }
 
-// EstimateAllAt returns every item's â[t] in one item-major sweep over
-// the flat counter rows. For each decomposition interval the per-item
-// cross-shard integer sums are folded first, then scaled and
-// accumulated — the identical float operations, in the identical
-// order, as calling EstimateAt once per item, so the two are
-// bit-for-bit equal; the sweep just touches each shard's matrix
-// sequentially instead of chasing m separate accumulators. The caller
-// owns the slice.
-func (s *DomainSharded) EstimateAllAt(t int) []float64 {
-	return s.EstimateAllAtInto(make([]float64, s.m), make([]int64, s.m), t)
-}
-
-// EstimateAllAtInto is EstimateAllAt sweeping into caller-owned
-// buffers: est and tmp must both have length m (est is overwritten, tmp
-// is scratch). It returns est. The memoized read path in internal/hh
-// uses this to keep repeated sweeps allocation-free.
+// EstimateAllAtInto writes every item's â[t] into est in one item-major
+// sweep over the flat counter rows. For each decomposition interval the
+// per-item cross-shard integer sums are folded first, then scaled and
+// accumulated — the identical float operations, in the identical order,
+// as calling EstimateAt once per item, so the two are bit-for-bit equal.
+// est and tmp must both have length m (est is overwritten, tmp is
+// scratch). It returns est. The memoized read path in internal/hh uses
+// the caller-owned buffers to keep repeated sweeps allocation-free.
 func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []float64 {
 	if t < 1 || t > s.d {
 		panic(fmt.Sprintf("protocol: time %d out of range [1..%d]", t, s.d))
@@ -601,10 +573,6 @@ func (s *DomainSharded) foldRow(item int, cols []int, row []int64) {
 	}
 }
 
-// FoldInto overwrites dst (m rows of RawStride(d)) with every item's
-// row: the whole counter matrix summed across shards.
-func (s *DomainSharded) FoldInto(dst []int64) { s.FoldRowsInto(0, s.m, nil, dst) }
-
 // checkRaw validates a raw matrix against the accumulator's shape: the
 // length, and no negative user or per-order count in any row.
 func (s *DomainSharded) checkRaw(cells []int64) error {
@@ -645,8 +613,10 @@ func (s *DomainSharded) MergeRaw(cells []int64) error {
 
 // MarshalState serializes the whole matrix as a kind-3 domain payload:
 // a domain header (kind, item count) followed by each row's kind-1
-// dyadic state, length-prefixed — byte-for-byte MarshalDomainState over
-// per-item servers fed the same reports. The payload is one
+// dyadic state, length-prefixed — byte-for-byte what per-item serial
+// Servers fed the same reports marshal to under that header
+// (TestDomainShardedMatchesPerItemLayout pins it against the
+// MarshalDomainState oracle). The payload is one
 // point-in-time cut at run granularity; the durable collector pairs it
 // with its WAL cursor by holding its snapshot lock.
 func (s *DomainSharded) MarshalState() []byte {
@@ -672,8 +642,8 @@ func (s *DomainSharded) appendRow(b []byte, row []int64) []byte {
 	return appendDyadicState(b, s.d, s.scale, users, perOrder, sums)
 }
 
-// RestoreState folds a kind-3 domain payload (MarshalState, or
-// MarshalDomainState over per-item servers) into the matrix as one run
+// RestoreState folds a kind-3 domain payload (MarshalState, or the same
+// framing over per-item servers' states) into the matrix as one run
 // — call it on a freshly constructed accumulator to reload a snapshot.
 // The payload's item count, horizon and per-item scale must all match;
 // on any error nothing past the failing item is modified.

@@ -217,3 +217,30 @@ func TestDomainShardedMergeRaw(t *testing.T) {
 		t.Fatal("failed merges modified state")
 	}
 }
+
+// Scale returns the per-item estimator scale.
+func (s *DomainSharded) Scale() float64 { return s.scale }
+
+// UsersAt returns the number of users whose sampled target is item.
+func (s *DomainSharded) UsersAt(item int) int {
+	s.checkItem(item)
+	s.locks.rlock()
+	defer s.locks.runlock()
+	return int(s.itemCell(item, 0))
+}
+
+// EstimateAllAt returns every item's â[t] in one item-major sweep over
+// the flat counter rows. For each decomposition interval the per-item
+// cross-shard integer sums are folded first, then scaled and
+// accumulated — the identical float operations, in the identical
+// order, as calling EstimateAt once per item, so the two are
+// bit-for-bit equal; the sweep just touches each shard's matrix
+// sequentially instead of chasing m separate accumulators. The caller
+// owns the slice.
+func (s *DomainSharded) EstimateAllAt(t int) []float64 {
+	return s.EstimateAllAtInto(make([]float64, s.m), make([]int64, s.m), t)
+}
+
+// FoldInto overwrites dst (m rows of RawStride(d)) with every item's
+// row: the whole counter matrix summed across shards.
+func (s *DomainSharded) FoldInto(dst []int64) { s.FoldRowsInto(0, s.m, nil, dst) }

@@ -606,3 +606,26 @@ func TestServerMerge(t *testing.T) {
 	}()
 	a.Merge(NewServer(16, 2))
 }
+
+// IntervalEstimate returns Ŝ(I) = scale · Σ bits for one interval.
+func (s *Server) IntervalEstimate(iv dyadic.Interval) float64 {
+	return s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
+}
+
+// Merge adds another server's accumulated state into s. Both must have
+// the same horizon and scale.
+func (s *Server) Merge(o *Server) {
+	if o.d != s.d || o.scale != s.scale {
+		panic("protocol: merging incompatible servers")
+	}
+	for i, v := range o.sums {
+		s.sums[i] += v
+	}
+	s.users += o.users
+	for h, c := range o.perOrder {
+		s.perOrder[h] += c
+	}
+}
+
+// User returns the client's user id.
+func (r *reporter) User() int { return r.user }

@@ -83,11 +83,6 @@ func (s *Server) IngestSum(iv dyadic.Interval, sum int64) {
 	s.sums[s.tree.FlatIndex(iv)] += sum
 }
 
-// IntervalEstimate returns Ŝ(I) = scale · Σ bits for one interval.
-func (s *Server) IntervalEstimate(iv dyadic.Interval) float64 {
-	return s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
-}
-
 // EstimateAt returns â[t] via the dyadic decomposition C(t) (line 6).
 func (s *Server) EstimateAt(t int) float64 {
 	var est float64
@@ -134,22 +129,6 @@ func (s *Server) EstimateChange(l, r int) float64 {
 // IntervalSums exposes the raw per-interval bit sums (for the consistency
 // post-processing extension, which re-weights them).
 func (s *Server) IntervalSums() []int64 { return s.sums }
-
-// Merge adds another server's accumulated state into s. Both must have
-// the same horizon and scale; the parallel simulation engine uses this
-// to combine per-worker shards.
-func (s *Server) Merge(o *Server) {
-	if o.d != s.d || o.scale != s.scale {
-		panic("protocol: merging incompatible servers")
-	}
-	for i, v := range o.sums {
-		s.sums[i] += v
-	}
-	s.users += o.users
-	for h, c := range o.perOrder {
-		s.perOrder[h] += c
-	}
-}
 
 // MergeRaw folds raw accumulator state — a user count, per-order user
 // counts and per-interval bit sums as produced by Sharded.Fold, possibly

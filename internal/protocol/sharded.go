@@ -36,32 +36,20 @@ func ShardedOver(d int, scale float64, l, r int, row []int64) (*Sharded, error) 
 	return &Sharded{m}, nil
 }
 
-// NumShards returns the number of shards.
-func (s *Sharded) NumShards() int { return s.m.NumShards() }
-
 // D returns the horizon.
 func (s *Sharded) D() int { return s.m.d }
 
 // Scale returns the estimator scale.
 func (s *Sharded) Scale() float64 { return s.m.scale }
 
-// Tree returns the dyadic index used by this accumulator.
-func (s *Sharded) Tree() *dyadic.Tree { return s.m.tree }
-
 // Lock takes the given shard's write lock for a run of writes; the
 // writer's Register and Ingest take item 0.
 func (s *Sharded) Lock(shard int) DomainWriter { return s.m.Lock(shard) }
 
-// Register records a user's sampled order into the given shard: a run
-// of one.
-func (s *Sharded) Register(shard, order int) { s.m.Register(shard, 0, order) }
-
-// Ingest accumulates one report into the given shard under its write
-// lock, version-silently (see DomainSharded.Ingest).
-func (s *Sharded) Ingest(shard int, r Report) { s.m.Ingest(shard, 0, r) }
-
 // IngestSum adds a pre-aggregated sum of ±1 bits for one interval into
-// the given shard: a run of one.
+// the given shard: a run of one. Only tests and benchmarks call it, the
+// root package's BenchmarkAnswerSeriesCold and transport's
+// TestSeriesMemoAllocFree among them.
 func (s *Sharded) IngestSum(shard int, iv dyadic.Interval, sum int64) {
 	w := s.m.Lock(shard)
 	defer w.Unlock()
@@ -136,15 +124,6 @@ func (s *Sharded) MergeRaw(users int64, perOrder, sums []int64) error {
 		return fmt.Errorf("protocol: merging %d interval sums into an accumulator with %d intervals", len(sums), s.m.tree.Size())
 	}
 	return s.m.MergeRaw(slices.Concat([]int64{users}, perOrder, sums))
-}
-
-// Snapshot folds the current shard state into a fresh serial Server,
-// from which the full estimate series, range estimates and consistency
-// post-processing are available.
-func (s *Sharded) Snapshot() *Server {
-	srv := NewServer(s.m.d, s.m.scale)
-	srv.MergeSharded(s)
-	return srv
 }
 
 // MarshalState serializes the accumulator's state, folded across shards,

@@ -228,3 +228,23 @@ func TestPrefixSeriesEqualsEstimateAt(t *testing.T) {
 		}
 	}
 }
+
+// Tree returns the dyadic index used by this accumulator.
+func (s *Sharded) Tree() *dyadic.Tree { return s.m.tree }
+
+// Register records a user's sampled order into the given shard: a run
+// of one.
+func (s *Sharded) Register(shard, order int) { s.m.Register(shard, 0, order) }
+
+// Ingest accumulates one report into the given shard under its write
+// lock, version-silently (see DomainSharded.Ingest).
+func (s *Sharded) Ingest(shard int, r Report) { s.m.Ingest(shard, 0, r) }
+
+// Snapshot folds the current shard state into a fresh serial Server,
+// from which the full estimate series, range estimates and consistency
+// post-processing are available.
+func (s *Sharded) Snapshot() *Server {
+	srv := NewServer(s.m.d, s.m.scale)
+	srv.MergeSharded(s)
+	return srv
+}

@@ -188,47 +188,10 @@ func (s *NaiveSplitServer) RestoreState(b []byte) error {
 	return nil
 }
 
-// MarshalDomainState serializes a set of per-item servers as one kind-3
-// payload: a domain header (kind, item count) followed by each item's
-// kind-1 dyadic state, length-prefixed — the payload DomainSharded
-// writes for a matrix fed the same reports.
-func MarshalDomainState(items []*Server) []byte {
-	b := make([]byte, 0, 16)
-	b = append(b, stateVersion, stateKindDomain)
-	b = binary.AppendUvarint(b, uint64(len(items)))
-	for _, s := range items {
-		st := s.MarshalState()
-		b = binary.AppendUvarint(b, uint64(len(st)))
-		b = append(b, st...)
-	}
-	return b
-}
-
 // maxDomainItemState bounds one item's declared payload length inside a
 // domain state, so corrupt input cannot force a huge allocation before
 // the per-item decoder validates anything.
 const maxDomainItemState = 1 << 26
-
-// RestoreDomainState folds a kind-3 payload into the given per-item
-// servers. The payload's item count must equal len(items) and every
-// per-item payload must match its server's horizon and scale; on any
-// error nothing past the failing item is modified.
-func RestoreDomainState(items []*Server, b []byte) error {
-	r, err := readDomainHeader(b, len(items))
-	if err != nil {
-		return err
-	}
-	for x, srv := range items {
-		payload, err := r.item(x)
-		if err != nil {
-			return err
-		}
-		if err := srv.RestoreState(payload); err != nil {
-			return fmt.Errorf("protocol: item %d: %w", x, err)
-		}
-	}
-	return r.end()
-}
 
 // readDomainHeader checks a kind-3 payload's version, kind and item
 // count against m and returns a reader positioned at the first item.

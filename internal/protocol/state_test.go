@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -15,7 +17,7 @@ func fillServer(s *Server, g *rng.RNG, n int) {
 		s.Register(order)
 		j := 1 + g.IntN(s.d>>uint(order))
 		bit := int8(1)
-		if g.Bit() == 0 {
+		if g.Uint64()&1 == 0 {
 			bit = -1
 		}
 		s.Ingest(Report{User: i, Order: order, J: j, Bit: bit})
@@ -60,7 +62,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 		src.Register(i, order)
 		j := 1 + g.IntN(d>>uint(order))
 		bit := int8(1)
-		if g.Bit() == 0 {
+		if g.Uint64()&1 == 0 {
 			bit = -1
 		}
 		src.Ingest(i, Report{User: i, Order: order, J: j, Bit: bit})
@@ -135,7 +137,7 @@ func TestNaiveSplitStateRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src.Register()
 		bit := int8(1)
-		if g.Bit() == 0 {
+		if g.Uint64()&1 == 0 {
 			bit = -1
 		}
 		src.Ingest(NaiveReport{User: i, T: 1 + g.IntN(d), Bit: bit})
@@ -160,4 +162,43 @@ func TestNaiveSplitStateRoundTrip(t *testing.T) {
 	if err := dst.RestoreState(state[:3]); err == nil {
 		t.Fatal("truncated state accepted")
 	}
+}
+
+// MarshalDomainState serializes a set of per-item servers as one kind-3
+// payload: a domain header (kind, item count) followed by each item's
+// kind-1 dyadic state, length-prefixed — the payload DomainSharded
+// writes for a matrix fed the same reports. It is the oracle
+// TestDomainShardedMatchesPerItemLayout pins DomainSharded.MarshalState
+// against.
+func MarshalDomainState(items []*Server) []byte {
+	b := make([]byte, 0, 16)
+	b = append(b, stateVersion, stateKindDomain)
+	b = binary.AppendUvarint(b, uint64(len(items)))
+	for _, s := range items {
+		st := s.MarshalState()
+		b = binary.AppendUvarint(b, uint64(len(st)))
+		b = append(b, st...)
+	}
+	return b
+}
+
+// RestoreDomainState folds a kind-3 payload into the given per-item
+// servers. The payload's item count must equal len(items) and every
+// per-item payload must match its server's horizon and scale; on any
+// error nothing past the failing item is modified.
+func RestoreDomainState(items []*Server, b []byte) error {
+	r, err := readDomainHeader(b, len(items))
+	if err != nil {
+		return err
+	}
+	for x, srv := range items {
+		payload, err := r.item(x)
+		if err != nil {
+			return err
+		}
+		if err := srv.RestoreState(payload); err != nil {
+			return fmt.Errorf("protocol: item %d: %w", x, err)
+		}
+	}
+	return r.end()
 }

@@ -121,9 +121,6 @@ func (g *RNG) Sign() int8 {
 	return -1
 }
 
-// Bit returns 0 or 1 with equal probability.
-func (g *RNG) Bit() uint8 { return uint8(g.pcg.Uint64() & 1) }
-
 // Laplace returns a sample from the Laplace distribution with mean 0 and
 // the given scale (density (1/2b)·exp(−|x|/b)).
 func (g *RNG) Laplace(scale float64) float64 {
@@ -253,9 +250,6 @@ func (g *RNG) BinomialApprox(n int, p float64) int {
 	}
 	return x
 }
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.rand().Perm(n) }
 
 // KSubset returns k distinct integers drawn uniformly from [0, n), in
 // increasing order. It panics if k > n or either argument is negative.

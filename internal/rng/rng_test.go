@@ -548,3 +548,9 @@ func TestRNGInPlaceSeedMatchesNew(t *testing.T) {
 	}
 	_ = sink
 }
+
+// Bit returns 0 or 1 with equal probability.
+func (g *RNG) Bit() uint8 { return uint8(g.pcg.Uint64() & 1) }
+
+// Perm returns a random permutation of [0, n).
+func (g *RNG) Perm(n int) []int { return g.rand().Perm(n) }

@@ -29,21 +29,6 @@ func Derivative(st []uint8) []int8 {
 	return x
 }
 
-// Integrate inverts Derivative: st[t] = Σ_{t' ≤ t} X[t'].
-// It panics if any prefix sum leaves {0,1}.
-func Integrate(x []int8) []uint8 {
-	st := make([]uint8, len(x))
-	cur := int8(0)
-	for i, v := range x {
-		cur += v
-		if cur != 0 && cur != 1 {
-			panic(fmt.Sprintf("sparse: derivative does not integrate to a 0/1 stream at position %d", i))
-		}
-		st[i] = uint8(cur)
-	}
-	return st
-}
-
 // NumChanges returns ‖X_u‖₀, the number of value changes in the stream
 // (counting a non-zero initial value as a change from the implicit
 // st[0] = 0, exactly as Definition 3.1 does).
@@ -87,7 +72,9 @@ func PartialSumsAtOrder(st []uint8, h int) []int8 {
 }
 
 // SupportAtOrder returns the number of non-zero partial sums of order h.
-// By Observation 3.6 this never exceeds NumChanges(st).
+// By Observation 3.6 this never exceeds NumChanges(st). Only tests call
+// it: protocol's TestClientSumsMatchPartialSums counts a client's
+// reports with it.
 func SupportAtOrder(st []uint8, h int) int {
 	n := 0
 	for _, v := range PartialSumsAtOrder(st, h) {

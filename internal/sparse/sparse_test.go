@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -189,4 +190,19 @@ func TestSupportBoundObservation36(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Integrate inverts Derivative: st[t] = Σ_{t' ≤ t} X[t'].
+// It panics if any prefix sum leaves {0,1}.
+func Integrate(x []int8) []uint8 {
+	st := make([]uint8, len(x))
+	cur := int8(0)
+	for i, v := range x {
+		cur += v
+		if cur != 0 && cur != 1 {
+			panic(fmt.Sprintf("sparse: derivative does not integrate to a 0/1 stream at position %d", i))
+		}
+		st[i] = uint8(cur)
+	}
+	return st
 }

@@ -51,19 +51,6 @@ func RMSE(est []float64, truth []int) float64 {
 	return math.Sqrt(s / float64(len(est)))
 }
 
-// MeanError returns the signed mean error (bias estimate).
-func MeanError(est []float64, truth []int) float64 {
-	mustSameLen(len(est), len(truth))
-	if len(est) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range est {
-		s += est[i] - float64(truth[i])
-	}
-	return s / float64(len(est))
-}
-
 func mustSameLen(a, b int) {
 	if a != b {
 		panic(fmt.Sprintf("stats: length mismatch %d vs %d", a, b))

@@ -200,3 +200,16 @@ func TestSummarizeQuickBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// MeanError returns the signed mean error (bias estimate).
+func MeanError(est []float64, truth []int) float64 {
+	mustSameLen(len(est), len(truth))
+	if len(est) == 0 {
+		return 0
+	}
+	s := 0.0
+	for i := range est {
+		s += est[i] - float64(truth[i])
+	}
+	return s / float64(len(est))
+}

@@ -13,6 +13,25 @@ import (
 	"rtf/internal/wire"
 )
 
+// ingestRun is the served write path for a run of messages: it encodes
+// ms as one batch frame, decodes the frame under st's ingest contract
+// with no reads allowed, and applies the records with the bytes that
+// encoded them. A message the contract refuses fails the whole frame
+// before anything applies.
+func ingestRun(st Store, shard int, ms []wire.Msg) error {
+	frame, err := appendBatch(nil, wire.MsgBatch, ms)
+	if err != nil {
+		return err
+	}
+	ingest := st.Mode().Ingest()
+	ingest.Reads = 0
+	f, err := wire.NewDecoder(bytes.NewReader(frame)).NextFrame(&ingest)
+	if err != nil {
+		return err
+	}
+	return st.Apply(shard, f.Recs, f.Wire)
+}
+
 func testBatch(n int) []wire.Msg {
 	g := rng.New(3, 9)
 	ms := make([]wire.Msg, 0, n)
@@ -249,7 +268,7 @@ func TestShardedCollector(t *testing.T) {
 		wire.FromReport(protocol.Report{User: 0, Order: 3, J: 2, Bit: 1}),
 		wire.FromReport(protocol.Report{User: 1, Order: 0, J: 64, Bit: -1}),
 	}
-	if err := c.SendBatch(7, ms); err != nil {
+	if err := ingestRun(c, 7, ms); err != nil {
 		t.Fatal(err)
 	}
 	serial.Register(3)
@@ -273,15 +292,16 @@ func TestShardedCollector(t *testing.T) {
 		"bit":          {Type: wire.MsgReport, J: 1},
 		"query":        pointQ(3),
 	} {
-		if err := c.SendBatch(0, []wire.Msg{m}); err == nil {
+		if err := ingestRun(c, 0, []wire.Msg{m}); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
 }
 
-// TestStoreSendBatchAtomic pins run atomicity below the frame loop, for
-// every mode and store shape: a run with one invalid message — out of
-// range, off-mode or wrong-seed — applies (and journals) nothing, and
+// TestStoreSendBatchAtomic pins run atomicity on the served write path
+// (ingestRun: one frame decoded under the store's contract, then Apply),
+// for every mode and store shape: a run with one invalid message — out
+// of range, off-mode or wrong-seed — applies (and journals) nothing, and
 // the store still accepts the valid prefix afterwards.
 func TestStoreSendBatchAtomic(t *testing.T) {
 	const d, scale, m = 16, 2.0, 4
@@ -322,7 +342,7 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 				st := mk(t)
 				for _, bad := range tc.poison {
 					run := append(append(append([]wire.Msg(nil), tc.good...), bad), tc.good[0])
-					if err := st.SendBatch(0, run); err == nil {
+					if err := ingestRun(st, 0, run); err == nil {
 						t.Fatalf("run with invalid message %+v accepted", bad)
 					}
 				}
@@ -332,7 +352,7 @@ func TestStoreSendBatchAtomic(t *testing.T) {
 				if dc, ok := st.(*Durable); ok && dc.DurabilityStats().LastSeq != 0 {
 					t.Fatalf("rejected runs reached the WAL (record %d)", dc.DurabilityStats().LastSeq)
 				}
-				if err := st.SendBatch(1, tc.good); err != nil {
+				if err := ingestRun(st, 1, tc.good); err != nil {
 					t.Fatal(err)
 				}
 				if h, r, b := st.Stats(); h != 1 || r != 1 || b != 1 || st.Users() != 1 {

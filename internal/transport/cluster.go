@@ -95,9 +95,6 @@ func (b *BackendConn) Read(p []byte) (int, error) {
 // FetchSums is that sums frame's wire size.
 func (b *BackendConn) BytesRead() int64 { return b.read }
 
-// SendBatch writes one batch frame (buffered until Flush).
-func (b *BackendConn) SendBatch(ms []wire.Msg) error { return b.enc.EncodeBatch(ms) }
-
 // RawBatch is a batch frame assembled out of received bytes: a gateway
 // appends each stretch of a run's wire bytes bound for one backend and
 // forwards the lot behind a batch header, instead of copying the

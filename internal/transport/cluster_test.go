@@ -173,6 +173,9 @@ func TestClusterClientDialBackoff(t *testing.T) {
 	}
 }
 
+// SendBatch writes one batch frame (buffered until Flush).
+func (b *BackendConn) SendBatch(ms []wire.Msg) error { return b.enc.EncodeBatch(ms) }
+
 // fence proves the backend applied everything sent earlier on bc, the
 // way a gateway does before a reshard: a smallest-scope sums fetch
 // (which reads under any scale, so the mode only has to name the frame).

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"slices"
-	"sync"
 	"sync/atomic"
 
 	"rtf/internal/hh"
@@ -17,12 +15,6 @@ type Store interface {
 	Reader
 	// Mode returns the protocol mode the store was built for.
 	Mode() Mode
-	// SendBatch is the untrusted adapter: it checks each message of a
-	// run against Mode().Ingest(), converts the run to records and hands
-	// it to Apply. The run is atomic: on a validation or journaling error
-	// nothing is applied. shard is a routing hint — typically the
-	// connection id — that spreads hot counters across cache lines.
-	SendBatch(shard int, ms []wire.Msg) error
 	// Apply is the trusted entry: it applies a run of records (a durable
 	// store journals it first) and checks nothing itself — a record only
 	// exists once its message passed the contract. The frame loop calls
@@ -30,6 +22,8 @@ type Store interface {
 	// decoder. raw must be the bytes that encoded exactly run (a stretch
 	// of Frame.Wire): a durable store journals them as they are, and is
 	// done with them when Apply returns. An in-memory store ignores them.
+	// shard is a routing hint — typically the connection id — that
+	// spreads hot counters across cache lines.
 	Apply(shard int, run []wire.Rec, raw []byte) error
 	// Stats returns the number of hellos, reports and batches ingested.
 	Stats() (hellos, reports, batches int64)
@@ -106,41 +100,6 @@ func (c *Collector) Users() int { return c.st.Users() }
 func (c *Collector) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	return c.st.Answer(m, e, sc)
 }
-
-// sendScratch holds the record (and, for a durable store, wire) buffers
-// of SendBatch calls in flight.
-type sendScratch struct {
-	recs []wire.Rec
-	wire []byte
-}
-
-var sendPool = sync.Pool{New: func() any { return new(sendScratch) }}
-
-// sendBatch is every store's SendBatch: the one contract check per
-// message, then the trusted entry. journal asks for the run's canonical
-// encoding to be handed to Apply as its wire bytes.
-func sendBatch(s Store, shard int, ms []wire.Msg, journal bool) error {
-	sc := sendPool.Get().(*sendScratch)
-	defer sendPool.Put(sc)
-	c := s.Mode().Ingest()
-	sc.recs = slices.Grow(sc.recs[:0], len(ms))[:len(ms)]
-	for i := range ms {
-		if !c.Check(&ms[i], &sc.recs[i]) {
-			return c.Explain(&ms[i])
-		}
-	}
-	if !journal {
-		return s.Apply(shard, sc.recs, nil)
-	}
-	var err error
-	if sc.wire, err = wire.AppendMsgs(sc.wire[:0], ms); err != nil {
-		return err
-	}
-	return s.Apply(shard, sc.recs, sc.wire)
-}
-
-// SendBatch implements Store.
-func (c *Collector) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, false) }
 
 // Apply implements Store: one write lock per run, one plain add per
 // message.

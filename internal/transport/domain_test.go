@@ -302,13 +302,14 @@ func TestDomainSumsCorruption(t *testing.T) {
 // TestValidateDomainIngest covers the validation table.
 func TestValidateDomainIngest(t *testing.T) {
 	const d, m = 16, 4
+	ingest := DomainMode(d, hh.ExactEncoding(m), 1).Ingest()
 	ok := []wire.Msg{
 		wire.DomainHello(0, 0, 0),
 		wire.DomainHello(5, 3, 4),
 		wire.FromDomainReport(2, protocol.Report{User: 1, Order: 2, J: 4, Bit: -1}),
 	}
 	for _, msg := range ok {
-		if err := wire.ValidateDomainIngest(d, m, msg); err != nil {
+		if err := ingest.Explain(&msg); err != nil {
 			t.Errorf("valid %+v rejected: %v", msg, err)
 		}
 	}
@@ -326,7 +327,7 @@ func TestValidateDomainIngest(t *testing.T) {
 		{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: 0, L: 1}, // queries are not ingest
 	}
 	for _, msg := range bad {
-		if err := wire.ValidateDomainIngest(d, m, msg); err == nil {
+		if err := ingest.Explain(&msg); err == nil {
 			t.Errorf("invalid %+v accepted", msg)
 		}
 	}
@@ -594,7 +595,7 @@ func TestDurableDomainCollector(t *testing.T) {
 			}
 			r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
 			batch := []wire.Msg{wire.DomainHello(u, item, h), wire.FromDomainReport(item, r)}
-			if err := c.SendBatch(u, batch); err != nil {
+			if err := ingestRun(c, u, batch); err != nil {
 				t.Fatal(err)
 			}
 			ref.Register(0, item, h)
@@ -658,7 +659,7 @@ func TestDurableDomainCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	poison := []wire.Msg{wire.DomainHello(1, 0, 0), {Type: wire.MsgDomainReport, User: 1, Item: m, J: 1, Bit: 1}}
-	if err := col3.SendBatch(0, poison); err == nil {
+	if err := ingestRun(col3, 0, poison); err == nil {
 		t.Fatal("poisoned batch accepted")
 	}
 	if err := col3.Close(); err != nil {

@@ -162,7 +162,7 @@ func FuzzDomainRead(f *testing.F) {
 		for u := 0; u < 12; u++ {
 			row, order := u%enc.Rows(), u%4
 			bit := int8(1 - 2*(u%3%2))
-			if err := col.SendBatch(u%2, []wire.Msg{
+			if err := ingestRun(col, u%2, []wire.Msg{
 				hello(u, row, order),
 				wire.FromDomainReport(row, protocol.Report{User: u, Order: order, J: 1 + u%(d>>uint(order)), Bit: bit}),
 			}); err != nil {

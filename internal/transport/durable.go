@@ -279,10 +279,6 @@ func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o Durable
 	return OpenDurableStore(NewShardedCollector(acc), dir, meta, o)
 }
 
-// SendBatch implements Store: check, convert, encode, then Apply — not
-// the wrapped store's SendBatch, which would skip the journal.
-func (c *Durable) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, true) }
-
 // Apply implements Store: the run is journaled as raw, the bytes that
 // encoded it, and then applied to the wrapped store. See
 // durableJournal.journal.

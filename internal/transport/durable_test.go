@@ -41,7 +41,7 @@ func genMsgs(d, n int) []wire.Msg {
 // TestDurableCollectorCrashRecovery ingests through a DurableCollector,
 // snapshots mid-stream, ingests more, then simulates a crash by simply
 // abandoning the collector (nothing flushed or closed beyond what
-// SendBatch itself guarantees) and recovers into a fresh accumulator:
+// Apply itself guarantees) and recovers into a fresh accumulator:
 // estimates must match a serial server fed the same messages.
 func TestDurableCollectorCrashRecovery(t *testing.T) {
 	const d, scale = 64, 5.5
@@ -69,20 +69,20 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 		}
 	}
 	third := len(ms) / 3
-	if err := dc.SendBatch(1, ms[:third]); err != nil {
+	if err := ingestRun(dc, 1, ms[:third]); err != nil {
 		t.Fatal(err)
 	}
 	feedSerial(ms[:third])
 	if _, err := dc.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.SendBatch(2, ms[third:2*third]); err != nil {
+	if err := ingestRun(dc, 2, ms[third:2*third]); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.SendBatch(3, ms[2*third:2*third+1]); err != nil {
+	if err := ingestRun(dc, 3, ms[2*third:2*third+1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.SendBatch(0, ms[2*third+1:]); err != nil {
+	if err := ingestRun(dc, 0, ms[2*third+1:]); err != nil {
 		t.Fatal(err)
 	}
 	feedSerial(ms[third:])
@@ -112,7 +112,7 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 
 	// Ingestion continues seamlessly after recovery.
 	extra := []wire.Msg{wire.Hello(1000, 0), wire.FromReport(protocol.Report{User: 1000, Order: 0, J: 5, Bit: 1})}
-	if err := dc2.SendBatch(0, extra); err != nil {
+	if err := ingestRun(dc2, 0, extra); err != nil {
 		t.Fatal(err)
 	}
 	feedSerial(extra)
@@ -131,7 +131,7 @@ func TestDurableCollectorMetaMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dc.SendBatch(0, genMsgs(d, 5)); err != nil {
+	if err := ingestRun(dc, 0, genMsgs(d, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dc.Snapshot(); err != nil {
@@ -158,7 +158,7 @@ func TestDurableCollectorRejectsInvalidBeforeJournaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []wire.Msg{wire.Hello(0, 0), wire.FromReport(protocol.Report{User: 1, Order: 0, J: d + 1, Bit: 1})}
-	if err := dc.SendBatch(0, bad); err == nil {
+	if err := ingestRun(dc, 0, bad); err == nil {
 		t.Fatal("invalid batch accepted")
 	}
 	if acc.Users() != 0 {
@@ -199,7 +199,7 @@ func TestDurableCollectorConcurrent(t *testing.T) {
 					wire.Hello(u, 0),
 					wire.FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
 				}
-				if err := dc.SendBatch(w, batch); err != nil {
+				if err := ingestRun(dc, w, batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -390,7 +390,7 @@ func TestRecoverParentDataDir(t *testing.T) {
 				t.Fatalf("recovered %+v, want the snapshot at cursor 1 plus one replayed record", rec)
 			}
 			want := tc.mk()
-			if err := want.SendBatch(0, fixtureStream(want.Mode())); err != nil {
+			if err := ingestRun(want, 0, fixtureStream(want.Mode())); err != nil {
 				t.Fatal(err)
 			}
 			if g, w := sumsOf(t, got, -1), sumsOf(t, want, -1); !reflect.DeepEqual(g, w) {

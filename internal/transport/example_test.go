@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 
@@ -10,8 +11,8 @@ import (
 	"rtf/internal/wire"
 )
 
-// ExampleOpenDurable walks the full durability cycle: ingest through a
-// durable collector, cut a snapshot, ingest more (covered only by the
+// ExampleOpenDurable walks the full durability cycle: ingest batch
+// frames through a durable collector, cut a snapshot, ingest more (covered only by the
 // write-ahead log), "crash" by discarding everything in memory, and
 // reopen into a fresh accumulator. Recovery restores the snapshot and
 // replays the WAL records past its cursor, so the recovered server
@@ -32,6 +33,25 @@ func ExampleOpenDurable() {
 		fmt.Println(err)
 		return
 	}
+	// ingest is what a serving front does with one batch frame: decode
+	// it under the store's ingest contract, then journal and apply the
+	// records with the bytes that encoded them.
+	ingest := func(ms []wire.Msg) error {
+		var buf bytes.Buffer
+		enc := wire.NewEncoder(&buf)
+		if err := enc.EncodeBatch(ms); err != nil {
+			return err
+		}
+		if err := enc.Flush(); err != nil {
+			return err
+		}
+		contract := dc.Mode().Ingest()
+		f, err := wire.NewDecoder(&buf).NextFrame(&contract)
+		if err != nil {
+			return err
+		}
+		return dc.Apply(0, f.Recs, f.Wire)
+	}
 
 	// Three users each announce order 0 and report a +1 bit for the
 	// leaf interval [3..3]; then a snapshot covers them.
@@ -41,7 +61,7 @@ func ExampleOpenDurable() {
 			wire.Hello(u, 0),
 			wire.FromReport(protocol.Report{User: u, Order: 0, J: 3, Bit: 1}))
 	}
-	if err := dc.SendBatch(0, ms); err != nil {
+	if err := ingest(ms); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -51,7 +71,7 @@ func ExampleOpenDurable() {
 	}
 
 	// A fourth user arrives after the snapshot — only the WAL has it.
-	err = dc.SendBatch(0, []wire.Msg{
+	err = ingest([]wire.Msg{
 		wire.Hello(3, 0),
 		wire.FromReport(protocol.Report{User: 3, Order: 0, J: 3, Bit: 1}),
 	})

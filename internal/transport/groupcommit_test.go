@@ -20,7 +20,7 @@ import (
 // end: many connections ingest through one collector, so batches that
 // reach the log while a write is in flight share WAL groups; after
 // Close and recovery the accumulator must match a serial server,
-// because every acknowledged batch was journaled before its SendBatch
+// because every acknowledged batch was journaled before its Apply
 // returned.
 func TestDurableGroupCommitRecovery(t *testing.T) {
 	const d, scale, workers, perWorker = 64, 3.0, 8, 30
@@ -44,7 +44,7 @@ func TestDurableGroupCommitRecovery(t *testing.T) {
 					wire.Hello(u, 0),
 					wire.FromReport(protocol.Report{User: u, Order: 0, J: 1 + u%d, Bit: 1}),
 				}
-				if err := dc.SendBatch(w, batch); err != nil {
+				if err := ingestRun(dc, w, batch); err != nil {
 					t.Error(err)
 					return
 				}
@@ -154,7 +154,7 @@ func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 // TestDurableGroupCommitCrashLosesOnlyUnacked pins the crash contract
 // under group commit: a batch queued behind a write in flight has
 // written nothing to the log, so a kill -9 loses exactly batches whose
-// SendBatch never returned — every acknowledged batch replays, none
+// Apply never returned — every acknowledged batch replays, none
 // replays twice, and recovery rebuilds exactly the recovered batches.
 // The kill is a copy of the data directory taken while many connections
 // ingest, so their batches share WAL groups as the copy is read.
@@ -179,7 +179,7 @@ func TestDurableGroupCommitCrashLosesOnlyUnacked(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				started[w].Add(1)
-				if err := dc.SendBatch(w, batch(user(w, i))); err != nil {
+				if err := ingestRun(dc, w, batch(user(w, i))); err != nil {
 					t.Error(err)
 					return
 				}

@@ -150,7 +150,7 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 	}
 	ingest := DomainMode(d, enc, 1).Ingest()
 	for _, c := range cases {
-		err := wire.ValidateHashedDomainIngest(d, enc, c.msg)
+		err := ingest.Explain(&c.msg)
 		if c.ok && err != nil {
 			t.Errorf("%s: rejected: %v", c.name, err)
 		}
@@ -164,7 +164,8 @@ func TestValidateHashedDomainIngest(t *testing.T) {
 	}
 	// And the exact-domain validator must symmetrically reject the
 	// hashed hello: a hashed client cannot feed an exact server.
-	if err := wire.ValidateDomainIngest(d, 8, wire.HashedDomainHello(1, 3, 2, hashedTestSeed)); err == nil {
+	exact, hello := DomainMode(d, hh.ExactEncoding(8), 1).Ingest(), wire.HashedDomainHello(1, 3, 2, hashedTestSeed)
+	if err := exact.Explain(&hello); err == nil {
 		t.Error("exact validator accepted a hashed hello")
 	}
 }
@@ -197,7 +198,7 @@ func fillHashedPair(t *testing.T, col *Collector, serial *hh.HashedDomainServer,
 			bit = -1
 		}
 		r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-		if err := col.SendBatch(u%4, []wire.Msg{
+		if err := ingestRun(col, u%4, []wire.Msg{
 			wire.HashedDomainHello(u, b, h, hashedTestSeed),
 			wire.FromDomainReport(b, r),
 		}); err != nil {
@@ -418,7 +419,7 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 				bit = -1
 			}
 			r := protocol.Report{User: u, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit}
-			if err := c.SendBatch(u, []wire.Msg{wire.HashedDomainHello(u, b, h, hashedTestSeed), wire.FromDomainReport(b, r)}); err != nil {
+			if err := ingestRun(c, u, []wire.Msg{wire.HashedDomainHello(u, b, h, hashedTestSeed), wire.FromDomainReport(b, r)}); err != nil {
 				t.Fatal(err)
 			}
 			ref.Inner().Register(0, b, h)

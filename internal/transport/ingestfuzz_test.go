@@ -28,7 +28,6 @@ type refFrame struct {
 
 func referenceDecode(c wireCase, body []byte) refFrame {
 	ingest := c.mode.Ingest()
-	enc := hashedTestEnc()
 	var ref refFrame
 	for ref.used < len(body) {
 		m, n, err := decodeOne(body[ref.used:])
@@ -42,15 +41,7 @@ func referenceDecode(c wireCase, body []byte) refFrame {
 			ref.used += n
 			continue
 		}
-		switch c.name {
-		case "bool":
-			err = wire.ValidateIngest(wireD, m)
-		case "exact":
-			err = wire.ValidateDomainIngest(wireD, wireM, m)
-		default:
-			err = wire.ValidateHashedDomainIngest(wireD, enc, m)
-		}
-		if err != nil {
+		if err = ingest.Explain(&m); err != nil {
 			ref.err = err
 			return ref
 		}

@@ -39,7 +39,7 @@ type wireCase struct {
 	report func(u, i int) wire.Msg
 	read   wire.Msg // a valid in-batch read
 	badQ   wire.Msg // a read frame that fails ValidateRead
-	badRep wire.Msg // a report that fails ValidateIngest
+	badRep wire.Msg // a report the Boolean contract refuses
 }
 
 func wireCases() []wireCase {
@@ -265,7 +265,7 @@ func checkJournalIsApplied(t testing.TB, c wireCase, dir string, applied [][]wir
 	}
 	serial := NewCollector(c.mode, 1)
 	for _, run := range applied {
-		if err := serial.SendBatch(0, run); err != nil {
+		if err := ingestRun(serial, 0, run); err != nil {
 			t.Fatalf("an applied run does not validate: %v", err)
 		}
 	}

@@ -69,7 +69,8 @@ func NewServerMetrics(r *obs.Registry) *ServerMetrics {
 	}
 }
 
-// Registry returns the registry the instruments live in.
+// Registry returns the registry the instruments live in. Only tests call
+// it, cluster's TestFrameLoopConformance among them.
 func (m *ServerMetrics) Registry() *obs.Registry { return m.reg }
 
 // ObserveBatch records one applied batch of n ingest messages. Frames

@@ -448,7 +448,7 @@ func TestDurabilityGauges(t *testing.T) {
 		t.Fatalf("fresh journal lag = %v", lag)
 	}
 	for i := 0; i < 3; i++ {
-		if err := col.SendBatch(0, []wire.Msg{wire.Hello(i, 0)}); err != nil {
+		if err := ingestRun(col, 0, []wire.Msg{wire.Hello(i, 0)}); err != nil {
 			t.Fatal(err)
 		}
 	}

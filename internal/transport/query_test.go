@@ -130,16 +130,16 @@ func TestNegativeUserRejected(t *testing.T) {
 	}
 
 	col := NewShardedCollector(protocol.NewSharded(16, 1, 1))
-	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
+	if err := ingestRun(col, 0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
 		t.Error("collector accepted a negative hello user")
 	}
-	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
+	if err := ingestRun(col, 0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
 		t.Error("collector accepted a negative report user")
 	}
-	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
+	if err := ingestRun(col, 0, []wire.Msg{{Type: wire.MsgReport, User: -1, Order: 0, J: 1, Bit: 1}}); err == nil {
 		t.Error("batch collector accepted a negative report user")
 	}
-	if err := col.SendBatch(0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
+	if err := ingestRun(col, 0, []wire.Msg{{Type: wire.MsgHello, User: -1, Order: 0}}); err == nil {
 		t.Error("batch collector accepted a negative hello user")
 	}
 }
@@ -157,7 +157,7 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 		if g.Bernoulli(0.5) {
 			r.Bit = -1
 		}
-		acc.Ingest(i%4, r)
+		ingestAt(acc, i%4, r)
 		serial.Ingest(r)
 	}
 

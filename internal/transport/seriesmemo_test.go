@@ -114,7 +114,7 @@ func boolCollectors(d int, scale float64) map[string]func() (*Collector, *protoc
 // sendBoth sends ms to the collector (on shard) and to the serial server.
 func sendBoth(t *testing.T, c *Collector, shard int, srv *protocol.Server, ms []wire.Msg) {
 	t.Helper()
-	if err := c.SendBatch(shard, ms); err != nil {
+	if err := ingestRun(c, shard, ms); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range ms {
@@ -172,7 +172,7 @@ func TestSeriesMemoMatchesFreshAndSerial(t *testing.T) {
 func TestSeriesMemoRestoreMisses(t *testing.T) {
 	const d, scale = 32, 2.5
 	src, srcAcc := boolCollectors(d, scale)["NewCollector"]()
-	if err := src.SendBatch(0, genMsgs(d, 200)); err != nil {
+	if err := ingestRun(src, 0, genMsgs(d, 200)); err != nil {
 		t.Fatal(err)
 	}
 	c, acc := boolCollectors(d, scale)["NewCollector"]()
@@ -184,12 +184,12 @@ func TestSeriesMemoRestoreMisses(t *testing.T) {
 	if err := c.st.RestoreState(srcAcc.MarshalState()); err != nil {
 		t.Fatal(err)
 	}
-	snap := acc.Snapshot()
+	snap := snapshotOf(acc)
 	checkMemoAnswer(t, c, acc, snap, series, false)
 	for _, m := range memoReads(d) {
 		checkMemoAnswer(t, c, acc, snap, m, true)
 	}
-	checkMemoAnswer(t, c, acc, srcAcc.Snapshot(), series, true)
+	checkMemoAnswer(t, c, acc, snapshotOf(srcAcc), series, true)
 }
 
 // TestSeriesMemoUnderConcurrentIngest: writers apply runs on two counter
@@ -266,7 +266,7 @@ func TestSeriesMemoUnderConcurrentIngest(t *testing.T) {
 func TestSeriesMemoAllocFree(t *testing.T) {
 	const d = 256
 	c, acc := boolCollectors(d, 1.5)["NewCollector"]()
-	if err := c.SendBatch(0, genMsgs(d, 100)); err != nil {
+	if err := ingestRun(c, 0, genMsgs(d, 100)); err != nil {
 		t.Fatal(err)
 	}
 	enc := wire.NewEncoder(io.Discard)

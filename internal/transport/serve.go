@@ -123,7 +123,8 @@ func NewIngestServer(store Store) *IngestServer {
 	return s
 }
 
-// Store returns the store the server feeds.
+// Store returns the store the server feeds. Only tests call it:
+// cluster's TestGatewayBackendFailureQueryPaths.
 func (s *IngestServer) Store() Store { return s.store }
 
 // MemberLabel is the queries_total mechanism label of a membership
@@ -481,7 +482,8 @@ func (s *Server) Shutdown(grace time.Duration) error {
 }
 
 // Close stops accepting connections, closes the listener and all live
-// connections, and unblocks Serve.
+// connections, and unblocks Serve. Only tests call it: cluster's tests
+// close gateways through the embedded Server.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.closed = true

@@ -83,9 +83,6 @@ func (c *ShardMap) Users() int {
 	return n
 }
 
-// SendBatch implements Store.
-func (c *ShardMap) SendBatch(shard int, ms []wire.Msg) error { return sendBatch(c, shard, ms, false) }
-
 // Apply implements Store: it buckets the run's records by virtual shard
 // and hands each bucket to that shard's state as one run, so a frame
 // takes one write lock per shard it touches, however its users

@@ -15,15 +15,36 @@ import (
 	"rtf/internal/wire"
 )
 
+// registerAt and ingestAt write one hello or one report into a Boolean
+// accumulator's shard as a run of one, through its writer.
+func registerAt(acc *protocol.Sharded, shard, order int) {
+	w := acc.Lock(shard)
+	defer w.Unlock()
+	w.Register(0, order)
+}
+
+func ingestAt(acc *protocol.Sharded, shard int, r protocol.Report) {
+	w := acc.Lock(shard)
+	defer w.Unlock()
+	w.Ingest(0, r)
+}
+
+// snapshotOf folds a Boolean accumulator into a serial server.
+func snapshotOf(acc *protocol.Sharded) *protocol.Server {
+	srv := protocol.NewServer(acc.D(), acc.Scale())
+	srv.MergeSharded(acc)
+	return srv
+}
+
 // applySerial feeds a hello+report stream into a single serial sharded
 // accumulator, the reference a shard map must match bit-for-bit.
 func applySerial(d int, scale float64, ms []wire.Msg) *protocol.Sharded {
 	ref := protocol.NewSharded(d, scale, 1)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			ref.Register(0, m.Order)
+			registerAt(ref, 0, m.Order)
 		} else {
-			ref.Ingest(0, m.Report())
+			ingestAt(ref, 0, m.Report())
 		}
 	}
 	return ref
@@ -95,7 +116,7 @@ func TestShardMapEquivalence(t *testing.T) {
 	const d, scale, S = 64, 5.5, 8
 	ms := genMsgs(d, 100)
 	sm := NewShardMap(BoolMode(d, scale), S, "n0")
-	if err := sm.SendBatch(0, ms); err != nil {
+	if err := ingestRun(sm, 0, ms); err != nil {
 		t.Fatal(err)
 	}
 	ref := applySerial(d, scale, ms)
@@ -187,12 +208,12 @@ func TestShardMapAppliesOneRunPerShard(t *testing.T) {
 func TestShardMapInstallReplaces(t *testing.T) {
 	const d, scale, S = 32, 3.5, 4
 	src := NewShardMap(BoolMode(d, scale), S, "src")
-	if err := src.SendBatch(0, genMsgs(d, 60)); err != nil {
+	if err := ingestRun(src, 0, genMsgs(d, 60)); err != nil {
 		t.Fatal(err)
 	}
 	dst := NewShardMap(BoolMode(d, scale), S, "dst")
 	// Give dst its own stale copy in every shard first.
-	if err := dst.SendBatch(0, genMsgs(d, 20)); err != nil {
+	if err := ingestRun(dst, 0, genMsgs(d, 20)); err != nil {
 		t.Fatal(err)
 	}
 	const shard = 2
@@ -280,7 +301,7 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 		ms = append(ms, wire.FromDomainReport(item, protocol.Report{User: u, Order: order, J: j, Bit: bit}))
 	}
 	sm := NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "n0")
-	if err := sm.SendBatch(0, ms); err != nil {
+	if err := ingestRun(sm, 0, ms); err != nil {
 		t.Fatal(err)
 	}
 	ref := hh.NewDomainServer(d, m, scale, 1)
@@ -306,7 +327,7 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 
 	// Install replaces on the domain side too.
 	dst := NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "dst")
-	if err := dst.SendBatch(0, ms[:20]); err != nil {
+	if err := ingestRun(dst, 0, ms[:20]); err != nil {
 		t.Fatal(err)
 	}
 	state := exportShard(t, sm, 1)
@@ -372,7 +393,7 @@ func TestDurableShardMapRecovery(t *testing.T) {
 			dir := t.TempDir()
 			first, second := msgs(0, 40), msgs(40, 90)
 			donor := NewShardMap(tc.mode, S, "donor")
-			if err := donor.SendBatch(0, msgs(0, 25)); err != nil {
+			if err := ingestRun(donor, 0, msgs(0, 25)); err != nil {
 				t.Fatal(err)
 			}
 			const shard = 3
@@ -392,13 +413,13 @@ func TestDurableShardMapRecovery(t *testing.T) {
 				Store
 				InstallShard(int, []byte) error
 			}{dc, twin} {
-				if err := st.SendBatch(0, first); err != nil {
+				if err := ingestRun(st, 0, first); err != nil {
 					t.Fatal(err)
 				}
 				if err := st.InstallShard(shard, donorState); err != nil {
 					t.Fatal(err)
 				}
-				if err := st.SendBatch(0, second); err != nil {
+				if err := ingestRun(st, 0, second); err != nil {
 					t.Fatal(err)
 				}
 			}

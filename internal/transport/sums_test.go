@@ -103,10 +103,10 @@ func TestSumsMergeMatchesSerial(t *testing.T) {
 		if g.Bernoulli(0.5) {
 			r.Bit = -1
 		}
-		accs[i%2].Ingest(i, r)
+		ingestAt(accs[i%2], i, r)
 		serial.Ingest(r)
 		if i%7 == 0 {
-			accs[i%2].Register(i, h)
+			registerAt(accs[i%2], i, h)
 			serial.Register(h)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 
-	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 )
 
@@ -33,24 +32,6 @@ const MaxDomainM = hh.MaxDomainRows
 // MaxDomainSums bounds the total counter count (m × intervals) a
 // domain sums frame may declare across all items.
 const MaxDomainSums = 1 << 24
-
-// ValidateDomainIngest range-checks one domain hello or report message
-// against a domain server's parameters (horizon d, domain size m): the
-// exact-domain ingest contract's refusal (Ingest.Explain), nil for a
-// message it accepts.
-func ValidateDomainIngest(d, m int, msg Msg) error {
-	return (&Ingest{Hello: MsgDomainHello, Report: MsgDomainReport, Rows: m, D: d, LogD: dyadic.Log2(d)}).Explain(&msg)
-}
-
-// ValidateHashedDomainIngest range-checks one hashed hello or
-// bucket-tagged report against a hashed server's parameters: the hashed
-// ingest contract's refusal (Ingest.Explain), nil for a message it
-// accepts. A hello must carry the server's exact epoch hash seed: a
-// client hashing under a different seed has a different item→bucket
-// map, and its reports would silently corrupt the aggregate.
-func ValidateHashedDomainIngest(d int, enc hh.DomainEncoding, msg Msg) error {
-	return (&Ingest{Hello: MsgHashedDomainHello, Report: MsgDomainReport, Rows: enc.G, D: d, LogD: dyadic.Log2(d), Seed: enc.Seed}).Explain(&msg)
-}
 
 // ValidateDomainQuery range-checks an item-scoped query frame against a
 // domain server's horizon and catalogue without touching any

@@ -19,9 +19,9 @@ import (
 // in one case — user, item or bucket, order, index and bit, seed — for
 // the messages the kernel passes on, and Ingest.Explain is the one
 // refusal builder. Msg remains the view of scalar reads, control frames
-// and the encode side; its ingest half — Decoder.Next / NextBatch, a
-// store's SendBatch and the Validate*Ingest wrappers — stays only for
-// tests and the benchmark ladder.
+// and the encode side; its ingest half — Decoder.Next / NextBatch — stays
+// only for tests and the benchmark ladder, which also reaches a store
+// through internal/transport/benchcompat.go.
 
 // Rec is one validated ingest message. A record only exists once its
 // message passed the contract it was decoded under, so whoever holds one
@@ -35,7 +35,7 @@ type Rec struct {
 	// Len is the message's wire length (at most MaxMsgLen), so a
 	// frame's bytes split by record without an offset table. Every record
 	// of a decoded frame has one, the kernel's and the general decoder's
-	// alike; it is 0 only on a record SendBatch converted from a Msg.
+	// alike; it is 0 only on a record Check converted from a Msg.
 	Len uint8
 }
 
@@ -161,11 +161,11 @@ func uvarint23(b []byte, at int) (uint64, int) {
 }
 
 // Check is the contract applied to a decoded Msg — the adapter for
-// messages that did not come through the kernel (a store's SendBatch, a
-// frame's tail, an odd spelling): it reports whether m is an ingest
-// message of the mode with every field in range, and fills r if so. It
-// is the one ingest validation; Explain builds the error for a message
-// it refuses.
+// messages that did not come through the kernel (the benchmark ladder's
+// SendBatch, a frame's tail, an odd spelling): it reports whether m is
+// an ingest message of the mode with every field in range, and fills r
+// if so. It is the one ingest validation; Explain builds the error for a
+// message it refuses.
 func (c *Ingest) Check(m *Msg, r *Rec) bool {
 	report := m.Type == c.Report
 	if !report && m.Type != c.Hello {

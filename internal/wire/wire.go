@@ -24,7 +24,6 @@ import (
 	"math"
 	"sync"
 
-	"rtf/internal/dyadic"
 	"rtf/internal/membership"
 	"rtf/internal/protocol"
 )
@@ -547,7 +546,9 @@ func newDecoderSize(r io.Reader, size int) *Decoder {
 // transparently: the frame's messages are returned one per call. Next
 // returns io.EOF cleanly at end of stream and io.ErrUnexpectedEOF on a
 // truncated message. Empty batch frames are skipped iteratively, so a
-// stream of them cannot grow the stack.
+// stream of them cannot grow the stack. Only tests and benchmarks call
+// it: transport's codec tests and fuzzers, and the root package's
+// BenchmarkIngestSingleMessage.
 func (d *Decoder) Next() (Msg, error) {
 	for d.next == len(d.pending) {
 		if err := d.readFrame(nil); err != nil {
@@ -1243,13 +1244,4 @@ func ValidateQuery(d int, m Msg) error {
 		return fmt.Errorf("transport: unknown query kind %d", byte(m.Kind))
 	}
 	return nil
-}
-
-// ValidateIngest range-checks one hello or report message against the
-// dyadic-accumulator parameters for horizon d: the Boolean ingest
-// contract's refusal (Ingest.Explain), nil for a message it accepts.
-// Every front decodes under the same contract, so a batch a gateway
-// accepts cannot be rejected downstream by a backend.
-func ValidateIngest(d int, m Msg) error {
-	return (&Ingest{Hello: MsgHello, Report: MsgReport, D: d, LogD: dyadic.Log2(d)}).Explain(&m)
 }

@@ -122,7 +122,8 @@ func (w *Workload) Truth() []int {
 	return out
 }
 
-// MaxChanges returns the largest change count over all users.
+// MaxChanges returns the largest change count over all users. Public API
+// through the rtf/workload.Workload alias.
 func (w *Workload) MaxChanges() int {
 	m := 0
 	for _, us := range w.Users {
@@ -133,7 +134,8 @@ func (w *Workload) MaxChanges() int {
 	return m
 }
 
-// TotalChanges returns Σ_u ‖X_u‖₀.
+// TotalChanges returns Σ_u ‖X_u‖₀. Public API through the
+// rtf/workload.Workload alias.
 func (w *Workload) TotalChanges() int {
 	s := 0
 	for _, us := range w.Users {

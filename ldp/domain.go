@@ -2,6 +2,7 @@ package ldp
 
 import (
 	"fmt"
+	"math"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
@@ -72,7 +73,7 @@ func ValidateDomainSize(m int, encoding string) error {
 // domainEncodingOf resolves the configured encoding for domain size m.
 // Exact (the default) rejects stray hash parameters; loloha takes its
 // bucket count from WithBuckets, falling back to WithBudgetSplit's
-// closed-form optimum.
+// hh.OptimalBuckets, and refuses a budget split outside its domain.
 func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	name := cfg.encoding
 	if name == "" {
@@ -83,13 +84,18 @@ func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	}
 	switch name {
 	case hh.EncodingExact:
-		if cfg.buckets != 0 || cfg.hashSeed != 0 || cfg.epsPerm != 0 || cfg.eps1 != 0 {
+		if cfg.buckets != 0 || cfg.hashSeed != 0 || cfg.split {
 			return hh.DomainEncoding{}, fmt.Errorf("ldp: the exact encoding takes no buckets, hash seed or budget split")
 		}
 		return hh.ExactEncoding(m), nil
 	default: // hh.EncodingLoloha — ValidateDomainSize rejected anything else
+		// OptimalBuckets answers 2 for any split outside its domain, which
+		// would pass a refusal off as a choice of g.
+		if cfg.split && !(cfg.eps1 > 0 && cfg.eps1 < cfg.epsPerm && !math.IsInf(cfg.epsPerm, 1)) {
+			return hh.DomainEncoding{}, fmt.Errorf("ldp: budget split (epsPerm %v, eps1 %v) needs finite budgets with 0 < eps1 < epsPerm", cfg.epsPerm, cfg.eps1)
+		}
 		g := cfg.buckets
-		if g == 0 && (cfg.epsPerm != 0 || cfg.eps1 != 0) {
+		if g == 0 && cfg.split {
 			g = hh.OptimalBuckets(cfg.epsPerm, cfg.eps1)
 		}
 		if g == 0 {

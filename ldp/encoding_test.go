@@ -93,6 +93,17 @@ func TestDomainEncodingOptions(t *testing.T) {
 	if _, err := NewDomainClient(0, 16, 8, WithDomainEncoding("loloha"), WithBuckets(4), WithMechanism(CentralBinary)); err == nil {
 		t.Error("non-hashed-domain mechanism accepted for hashed client")
 	}
+	// A budget split outside 0 < ε₁ < ε_perm, or not finite, is refused
+	// with or without an explicit bucket count: OptimalBuckets would
+	// answer g = 2 for every one of these.
+	for _, split := range [][2]float64{{0.5, 1}, {1, 1}, {-1, 0.5}, {1, math.NaN()}, {math.Inf(1), 0.5}} {
+		for _, extra := range [][]Option{nil, {WithBuckets(4)}} {
+			opts := append([]Option{WithDomainEncoding("loloha"), WithBudgetSplit(split[0], split[1])}, extra...)
+			if _, err := NewDomainClientFactory(16, 1<<20, opts...); err == nil {
+				t.Errorf("budget split %v accepted (with %d more options)", split, len(extra))
+			}
+		}
+	}
 	// The happy paths: an explicit bucket count, and the budget split's
 	// closed-form optimum.
 	srv, err := NewDomainServer(16, MaxDomainSize*4, WithDomainEncoding("loloha"), WithBuckets(64), WithHashSeed(9))

@@ -97,10 +97,12 @@ type config struct {
 	clip bool
 
 	// Domain encoding selection (domain constructors only). encoding ""
-	// means exact; buckets/hashSeed/epsPerm/eps1 configure loloha.
+	// means exact; buckets/hashSeed and the split (epsPerm, eps1, set by
+	// WithBudgetSplit) configure loloha.
 	encoding string
 	buckets  int
 	hashSeed uint64
+	split    bool
 	epsPerm  float64
 	eps1     float64
 }
@@ -151,7 +153,9 @@ func WithDomainEncoding(name string) Option { return func(c *config) { c.encodin
 
 // WithBuckets sets the hashed encoding's bucket count g (2..4096).
 // Only meaningful with WithDomainEncoding("loloha"); when unset, the
-// bucket count comes from WithBudgetSplit's closed-form optimum.
+// bucket count comes from WithBudgetSplit. Nothing shows which g is best
+// for this system's decoder (see WithBudgetSplit and ROADMAP item 7.2),
+// so choosing g here is the deliberate path.
 func WithBuckets(g int) Option { return func(c *config) { c.buckets = g } }
 
 // WithHashSeed sets the shared epoch hash seed of a hashed encoding.
@@ -161,13 +165,20 @@ func WithBuckets(g int) Option { return func(c *config) { c.buckets = g } }
 func WithHashSeed(seed uint64) Option { return func(c *config) { c.hashSeed = seed } }
 
 // WithBudgetSplit records LOLOHA's two-level budget split — epsPerm is
-// the permanent (infinity-report) budget and eps1 < epsPerm the
-// per-report budget — and, when WithBuckets is not given, derives the
-// bucket count from the split's closed-form optimum g*(epsPerm, eps1).
-// The split only selects g; the wrapped mechanism still runs at the
-// budget given by WithEpsilon.
+// the permanent (infinity-report) budget and eps1 the per-report budget,
+// both finite with 0 < eps1 < epsPerm, or the domain constructors refuse
+// it — and, when WithBuckets is not given, takes the bucket count from
+// hh.OptimalBuckets(epsPerm, eps1). The split only selects g; the
+// wrapped mechanism still runs at the budget given by WithEpsilon.
+//
+// That g is LOLOHA's variance optimum (Arcolezi et al.,
+// arXiv:2210.00262, eq. 8), derived for per-user hashes under a
+// two-round GRR chain that spends (epsPerm, eps1). This system samples
+// one bucket under one shared epoch hash and runs the paper's randomizer
+// at WithEpsilon's budget, and nothing shows the same g is optimal for
+// it: ROADMAP item 7.2 derives this decoder's variance.
 func WithBudgetSplit(epsPerm, eps1 float64) Option {
-	return func(c *config) { c.epsPerm, c.eps1 = epsPerm, eps1 }
+	return func(c *config) { c.split, c.epsPerm, c.eps1 = true, epsPerm, eps1 }
 }
 
 // Client is the client-side half of the streaming protocol for one
