@@ -54,9 +54,6 @@ func NewFactoryFromParams(l int, p *probmath.Params, name string) (*ComposedFact
 // CGap implements Factory: the exact preservation gap of the annulus.
 func (f *ComposedFactory) CGap() float64 { return f.params.CGap }
 
-// Name implements Factory.
-func (f *ComposedFactory) Name() string { return f.name }
-
 // Composed exposes the underlying offline sampler R̃ (for tests and the
 // offline-equivalence experiment E12).
 func (f *ComposedFactory) Composed() *Composed { return f.composed }

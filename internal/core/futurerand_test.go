@@ -364,3 +364,12 @@ func (f *ComposedFactory) L() int { return f.l }
 
 // K returns the sparsity bound.
 func (f *ComposedFactory) K() int { return f.k }
+
+// Name identifies the randomizer.
+func (f *ComposedFactory) Name() string { return f.name }
+
+// Name identifies the randomizer.
+func (f *BasicFactory) Name() string { return "basic" }
+
+// Name identifies the randomizer.
+func (f *IndependentFactory) Name() string { return "independent-eps/k" }

@@ -66,8 +66,6 @@ type Factory interface {
 	// CGap returns the exact preservation gap c_gap of Property II; the
 	// server divides by it to unbias estimates (Algorithm 2, line 5).
 	CGap() float64
-	// Name identifies the randomizer in experiment output.
-	Name() string
 }
 
 // checkValue panics unless v ∈ {−1, 0, +1}.
@@ -112,9 +110,6 @@ func NewBasicFactory(l int, epsTilde float64) (*BasicFactory, error) {
 // CGap implements Factory.
 func (f *BasicFactory) CGap() float64 { return f.cgap }
 
-// Name implements Factory.
-func (f *BasicFactory) Name() string { return "basic" }
-
 // NewInstance implements Factory.
 func (f *BasicFactory) NewInstance(g *rng.RNG) Instance {
 	return Instance{l: f.l, keepProb: f.keepProb, g: g}
@@ -154,9 +149,6 @@ func NewIndependentFactory(l, k int, eps float64) (*IndependentFactory, error) {
 
 // CGap implements Factory.
 func (f *IndependentFactory) CGap() float64 { return f.cgap }
-
-// Name implements Factory.
-func (f *IndependentFactory) Name() string { return "independent-eps/k" }
 
 // NewInstance implements Factory.
 func (f *IndependentFactory) NewInstance(g *rng.RNG) Instance {

@@ -12,12 +12,12 @@ package hh
 // path: the client is DomainClient over Row, the row accumulator is
 // DomainServer (protocol.DomainSharded) with g rows instead of m, and
 // queries read the Items that ItemsOver puts over the rows — the rows
-// themselves, or the HashedDomainServer decoder below.
+// themselves, or the HashedDomainServer below. Both are the one item
+// reader of memo.go, which holds the decode, each with its own memo.
 
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Encoding names. EncodingExact is the per-item indicator reduction
@@ -168,14 +168,10 @@ func OptimalBuckets(epsPerm, eps1 float64) int {
 }
 
 // Items is the read side of a domain server in catalogue terms — what
-// every item-scoped query is answered from. The exact encoding's
-// DomainServer reads its rows as items (×m); a HashedDomainServer
-// decodes its bucket rows into items. These two algorithms are the only
-// code that differs between the encodings above the counter matrix.
+// every item-scoped query is answered from: the exact DomainServer, or a
+// HashedDomainServer over bucket rows. Both are the one item reader of
+// memo.go under their encoding.
 type Items interface {
-	D() int
-	M() int // catalogue size
-	Users() int
 	// EstimateItemAtCached returns f̂(item, t) and whether it came from
 	// a version-keyed memo (see memo.go).
 	EstimateItemAtCached(item, t int) (float64, bool)
@@ -199,22 +195,13 @@ func ItemsOver(enc DomainEncoding, rows *DomainServer) Items {
 
 // HashedDomainServer serves item queries over a hashed encoding: the
 // inner DomainServer keeps g rows (one per bucket, the verbatim
-// DomainSharded counter matrix), and the decode step turns bucket
-// estimates into unbiased item estimates.
-//
-// With F̂(b, t) the bucket-b estimate and N̂(t) = Σ_b F̂(b, t) (summed in
-// fixed bucket order 0..g−1, so every deployment decodes bit-for-bit
-// identically), the item estimate is
-//
-//	f̂(x, t) = (F̂(B(x), t) − N̂(t)/g) · g/(g−1)
-//
-// Each item y ≠ x lands in x's bucket with probability 1/g over the
-// seed draw, so E[F̂(B(x))] = f(x) + (N − f(x))/g and the decode is
-// unbiased in expectation over the shared seed.
+// DomainSharded counter matrix), and the embedded item reader decodes
+// bucket estimates into unbiased item estimates (see itemReader). The
+// reader keeps its own memo, apart from the inner server's, so a read
+// of Inner() never serves a decoded value or the other way round.
 type HashedDomainServer struct {
-	enc   DomainEncoding
+	itemReader
 	inner *DomainServer // g rows
-	memo  estMemo       // version-keyed decode/TopK cache (est = decoded buckets), see memo.go
 }
 
 // NewHashedDomainServer builds a hashed domain server for horizon d
@@ -237,17 +224,11 @@ func HashedDomainServerOver(enc DomainEncoding, inner *DomainServer) *HashedDoma
 	if inner.M() != enc.G {
 		panic(fmt.Sprintf("hh: %d bucket rows under an encoding with g=%d", inner.M(), enc.G))
 	}
-	return &HashedDomainServer{enc: enc, inner: inner}
+	return &HashedDomainServer{
+		itemReader: itemReader{enc: enc, d: inner.D(), acc: inner.DomainSharded},
+		inner:      inner,
+	}
 }
-
-// Encoding returns the server's encoding.
-func (s *HashedDomainServer) Encoding() DomainEncoding { return s.enc }
-
-// D returns the horizon.
-func (s *HashedDomainServer) D() int { return s.inner.D() }
-
-// M returns the catalogue size (not the row count).
-func (s *HashedDomainServer) M() int { return s.enc.M }
 
 // Inner returns the g-row DomainServer holding the raw bucket
 // counters. Ingest, folds, raw-sums export and snapshot state all go
@@ -255,123 +236,6 @@ func (s *HashedDomainServer) M() int { return s.enc.M }
 // ordinary g-row domain frames.
 func (s *HashedDomainServer) Inner() *DomainServer { return s.inner }
 
-// Users returns the number of registered users.
-func (s *HashedDomainServer) Users() int { return s.inner.Users() }
-
-// checkItem bounds-checks a catalogue item.
-func (s *HashedDomainServer) checkItem(x int) {
-	if x < 0 || x >= s.enc.M {
-		panic(fmt.Sprintf("hh: item %d outside [0..%d)", x, s.enc.M))
-	}
-}
-
-// AdvanceVersion bumps the inner accumulator's mutation stamp for the
-// given shard; see DomainServer.AdvanceVersion.
+// AdvanceVersion bumps the bucket matrix's mutation stamp for the given
+// shard; see protocol.DomainSharded.AdvanceVersion.
 func (s *HashedDomainServer) AdvanceVersion(shard int) { s.inner.AdvanceVersion(shard) }
-
-// decodeLocked returns the per-bucket decoded item values at time t —
-// dec[b] is the frequency estimate of any item hashing to b, with the
-// total N̂ summed in fixed bucket order 0..g−1 — stamped with version v
-// (which the caller must have loaded before calling), serving the memo
-// when (t, v) is unchanged. The caller must hold memo.mu; the returned
-// slice is memo-owned. The float operations and their order are
-// identical whether the decode is served warm or recomputed.
-func (s *HashedDomainServer) decodeLocked(t int, v uint64) []float64 {
-	mm := &s.memo
-	if mm.estValid && mm.estT == t && mm.estStamp == v {
-		return mm.est
-	}
-	if mm.est == nil {
-		mm.est = make([]float64, s.enc.G)
-		mm.tmp = make([]int64, s.enc.G)
-	}
-	est := s.inner.acc.EstimateAllAtInto(mm.est, mm.tmp, t)
-	g := float64(s.enc.G)
-	var total float64
-	for _, bv := range est {
-		total += bv
-	}
-	for b, bv := range est {
-		est[b] = (bv - total/g) * g / (g - 1)
-	}
-	mm.estValid, mm.estT, mm.estStamp = true, t, v
-	return est
-}
-
-// EstimateItemAtCached returns the decoded frequency estimate f̂(x, t)
-// and whether the decoded bucket sweep was served from the version-keyed memo (the serve loops
-// use this to count cache hits; a hit is bit-for-bit identical to
-// recomputing, see memo.go).
-func (s *HashedDomainServer) EstimateItemAtCached(item, t int) (float64, bool) {
-	s.checkItem(item)
-	if t < 1 || t > s.inner.D() {
-		panic(fmt.Sprintf("hh: time %d out of range [1..%d]", t, s.inner.D()))
-	}
-	mm := &s.memo
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	v := s.inner.acc.Version()
-	hit := mm.estValid && mm.estT == t && mm.estStamp == v
-	dec := s.decodeLocked(t, v)
-	return dec[s.enc.Bucket(item)], hit
-}
-
-// EstimateItemSeries returns the decoded series f̂(x, 1..d).
-func (s *HashedDomainServer) EstimateItemSeries(item int) []float64 {
-	s.checkItem(item)
-	d := s.inner.D()
-	total := make([]float64, d)
-	rows := s.inner.acc.EstimateAllSeries()
-	for _, series := range rows {
-		for t := range series {
-			total[t] += series[t]
-		}
-	}
-	own := rows[s.enc.Bucket(item)]
-	g := float64(s.enc.G)
-	out := make([]float64, d)
-	for t := range out {
-		out[t] = (own[t] - total[t]/g) * g / (g - 1)
-	}
-	return out
-}
-
-// TopK returns the k catalogue items with the largest decoded estimate
-// at time t, in decreasing order with ties broken toward the smaller
-// item — the same ordering contract as the exact DomainServer. The
-// sweep hashes catalogue items in ascending order into a k-bounded
-// selection, so memory is O(g + k), never O(m), and it stops at the
-// k-th item of the best bucket (see selectTopK): about g·k items in
-// unless that bucket holds fewer than k.
-func (s *HashedDomainServer) TopK(t, k int) []ItemCount {
-	out, _ := s.AppendTopK(nil, t, k)
-	return out
-}
-
-// AppendTopK appends the TopK result to dst and returns the extended
-// slice, plus whether the selection was served from the version-keyed
-// memo — the same contract as DomainServer.AppendTopK. A warm hit skips
-// both the bucket decode and the m-item hash sweep; the appended
-// entries are always a copy, so callers may retain or mutate them.
-func (s *HashedDomainServer) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool) {
-	if t < 1 || t > s.inner.D() {
-		panic(fmt.Sprintf("hh: time %d out of range [1..%d]", t, s.inner.D()))
-	}
-	if k < 0 {
-		panic("hh: negative k")
-	}
-	if k > s.enc.M {
-		k = s.enc.M
-	}
-	mm := &s.memo
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	v := s.inner.acc.Version()
-	if mm.topValid && mm.topT == t && mm.topK == k && mm.topStamp == v {
-		return append(dst, mm.top...), true
-	}
-	dec := s.decodeLocked(t, v)
-	mm.top = selectTopK(mm.top, s.enc.M, k, slices.Max(dec), func(x int) float64 { return dec[s.enc.Bucket(x)] })
-	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
-	return append(dst, mm.top...), false
-}

@@ -352,9 +352,3 @@ func TestHashedTopKMatchesFullSort(t *testing.T) {
 		}()
 	}
 }
-
-// EstimateItemAt returns the decoded frequency estimate f̂(x, t).
-func (s *HashedDomainServer) EstimateItemAt(item, t int) float64 {
-	v, _ := s.EstimateItemAtCached(item, t)
-	return v
-}

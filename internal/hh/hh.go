@@ -24,11 +24,12 @@
 // DomainClient wraps any Boolean streaming client behind the Observer
 // shape and feeds it 1{enc.Row(v_u[t]) = row}; DomainServer routes
 // row-tagged reports into a single flat counter matrix
-// (protocol.DomainSharded: the counters of the rows' dyadic accumulators
-// in one contiguous [rows × intervals] array per shard, one index
-// computation and one plain add per report, one shard lock per run);
-// Items is what queries read, the DomainServer itself under the exact
-// encoding and a HashedDomainServer decoder over it under loloha
+// (protocol.DomainSharded, which it embeds: the counters of the rows'
+// dyadic accumulators in one contiguous [rows × intervals] array per
+// shard, one index computation and one plain add per report, one shard
+// lock per run). Queries read Items: one item reader (memo.go) under
+// the encoding, with one memo per reader — the DomainServer itself under
+// the exact encoding, a HashedDomainServer over its rows under loloha
 // (ItemsOver) — plus the domain workload model and the Zipf generator.
 // The public entry points (tagged wire frames, mechanism selection,
 // validation) live in the ldp and transport packages; this package is
@@ -37,7 +38,6 @@ package hh
 
 import (
 	"fmt"
-	"math"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
@@ -240,13 +240,15 @@ type ItemCount struct {
 // sharded, durable and clustered deployments bit-for-bit equal to one
 // serial server.
 //
-// Like the protocol-level types it panics on out-of-range items and
-// orders; the ldp and transport layers validate at their boundaries.
+// The matrix's writes, folds, raw-sums merge and snapshot state are its
+// own methods, promoted; the item reads are the exact encoding's reader
+// over its rows (memo.go). Like the protocol-level types it panics on
+// out-of-range items and orders; the ldp and transport layers validate
+// at their boundaries.
 type DomainServer struct {
-	d, m      int
+	*protocol.DomainSharded
+	itemReader
 	boolScale float64 // the Boolean mechanism's estimator scale
-	acc       *protocol.DomainSharded
-	memo      estMemo // version-keyed EstimateAllAtInto/TopK cache, see memo.go
 }
 
 // NewDomainServer builds a server for horizon d (a power of two) over a
@@ -257,10 +259,7 @@ func NewDomainServer(d, m int, boolScale float64, shards int) *DomainServer {
 	if m < 2 {
 		panic(fmt.Sprintf("hh: domain size m=%d must be at least 2", m))
 	}
-	return &DomainServer{
-		d: d, m: m, boolScale: boolScale,
-		acc: protocol.NewDomainSharded(d, m, float64(m)*boolScale, shards),
-	}
+	return domainServer(d, m, boolScale, protocol.NewDomainSharded(d, m, float64(m)*boolScale, shards))
 }
 
 // DomainServerOver builds a single-shard server whose counters are the
@@ -272,172 +271,20 @@ func DomainServerOver(d, m int, boolScale float64, l, r int, cells []int64) (*Do
 	if err != nil {
 		return nil, err
 	}
-	return &DomainServer{d: d, m: m, boolScale: boolScale, acc: acc}, nil
+	return domainServer(d, m, boolScale, acc), nil
 }
 
-// D returns the horizon.
-func (s *DomainServer) D() int { return s.d }
-
-// M returns the domain size.
-func (s *DomainServer) M() int { return s.m }
+func domainServer(d, m int, boolScale float64, acc *protocol.DomainSharded) *DomainServer {
+	return &DomainServer{
+		DomainSharded: acc,
+		itemReader:    itemReader{enc: ExactEncoding(m), d: d, acc: acc},
+		boolScale:     boolScale,
+	}
+}
 
 // BoolScale returns the Boolean mechanism's estimator scale the server
 // was built with (the per-item scale is m times it).
 func (s *DomainServer) BoolScale() float64 { return s.boolScale }
-
-// checkItem bounds-checks an item index with the package's own panic
-// message (the protocol layer would panic too, one frame deeper).
-func (s *DomainServer) checkItem(x int) {
-	if x < 0 || x >= s.m {
-		panic(fmt.Sprintf("hh: item %d outside [0..%d)", x, s.m))
-	}
-}
-
-// Register records a user's announced (item, order) pair into the given
-// shard. As with Ingest, the accumulator owns the bounds checks and
-// panics on an out-of-range item or order.
-func (s *DomainServer) Register(shard, item, order int) {
-	s.acc.Register(shard, item, order)
-}
-
-// Ingest accumulates one report for the given item into the given
-// shard under its lock, version-silently: the per-report entry of
-// serial callers (see AdvanceVersion). Bounds checks happen once, in
-// the accumulator, which panics on any out-of-range item, order, index
-// or bit.
-func (s *DomainServer) Ingest(shard, item int, r protocol.Report) {
-	s.acc.Ingest(shard, item, r)
-}
-
-// Lock takes one shard's write lock for a run of writes — the served
-// path: the writer's Register and Ingest are plain adds, and its Unlock
-// advances the version stamp once for the whole run (see
-// protocol.DomainSharded for the lock discipline).
-func (s *DomainServer) Lock(shard int) protocol.DomainWriter { return s.acc.Lock(shard) }
-
-// AdvanceVersion bumps the accumulator's mutation stamp for the given
-// shard. Ingest is version-silent (see protocol.DomainSharded); its
-// callers advance after their writes so those invalidate the memoized
-// read path.
-func (s *DomainServer) AdvanceVersion(shard int) { s.acc.AdvanceVersion(shard) }
-
-// Users returns the number of registered users across all items.
-func (s *DomainServer) Users() int { return s.acc.Users() }
-
-// EstimateItemAt returns f̂(item, t) = m·â_item(t), valid online once
-// time t has passed.
-func (s *DomainServer) EstimateItemAt(item, t int) float64 {
-	s.checkItem(item)
-	return s.acc.EstimateAt(item, t)
-}
-
-// EstimateItemAtCached is EstimateItemAt for the Items interface: an
-// exact point estimate reads the counters directly, never a memo, so it
-// never reports a cached answer.
-func (s *DomainServer) EstimateItemAtCached(item, t int) (float64, bool) {
-	return s.EstimateItemAt(item, t), false
-}
-
-// EstimateItemSeries returns f̂(item, 1..d). The caller owns the slice.
-func (s *DomainServer) EstimateItemSeries(item int) []float64 {
-	s.checkItem(item)
-	return s.acc.EstimateSeries(item)
-}
-
-// TopK returns the k items with the largest estimated frequency at time
-// t (1-based), in decreasing order with ties broken toward the smaller
-// item — the heavy-hitter query the paper's introduction motivates
-// (popular URLs). The ordering is a deterministic function of the
-// per-item point estimates, so a clustered or recovered deployment
-// whose point estimates are bit-for-bit answers the identical top-k
-// list. k larger than m is clamped; t and k are assumed range-checked
-// by the caller (the ldp and transport boundaries validate).
-func (s *DomainServer) TopK(t, k int) []ItemCount {
-	out, _ := s.AppendTopK(nil, t, k)
-	return out
-}
-
-// AppendTopK appends the TopK result to dst and returns the extended
-// slice, plus whether the selection was served from the version-keyed
-// memo (an unchanged accumulator stamp — see memo.go for why a hit is
-// bit-for-bit identical to recomputing). The appended entries are a
-// copy: dst never aliases memo-owned storage, so callers may retain or
-// mutate the result freely. Passing a recycled dst[:0] makes the warm
-// path allocation-free; TopK itself is AppendTopK(nil, …), a fresh
-// caller-owned slice.
-func (s *DomainServer) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool) {
-	if t < 1 || t > s.d {
-		panic(fmt.Sprintf("hh: time %d out of range [1..%d]", t, s.d))
-	}
-	if k < 0 {
-		panic("hh: negative k")
-	}
-	if k > s.m {
-		k = s.m
-	}
-	mm := &s.memo
-	mm.mu.Lock()
-	defer mm.mu.Unlock()
-	v := s.acc.Version()
-	if mm.topValid && mm.topT == t && mm.topK == k && mm.topStamp == v {
-		return append(dst, mm.top...), true
-	}
-	est := s.estimateAllLocked(t, v)
-	// No ceiling: distinct items rarely tie at the maximum, so finding it
-	// would cost a pass over m estimates to save nothing.
-	mm.top = selectTopK(mm.top, s.m, k, math.Inf(1), func(x int) float64 { return est[x] })
-	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
-	return append(dst, mm.top...), false
-}
-
-// estimateAllLocked returns the per-item estimate sweep at t, stamped
-// with version v (which the caller must have loaded before calling),
-// serving the memo when (t, v) is unchanged. The caller must hold
-// memo.mu; the returned slice is memo-owned.
-func (s *DomainServer) estimateAllLocked(t int, v uint64) []float64 {
-	mm := &s.memo
-	if mm.estValid && mm.estT == t && mm.estStamp == v {
-		return mm.est
-	}
-	if mm.est == nil {
-		mm.est = make([]float64, s.m)
-		mm.tmp = make([]int64, s.m)
-	}
-	s.acc.EstimateAllAtInto(mm.est, mm.tmp, t)
-	mm.estValid, mm.estT, mm.estStamp = true, t, v
-	return mm.est
-}
-
-// Columns derives, once per request, the columns FoldRowsInto gathers
-// for rows scoped to periods [l..r]; see protocol.DomainSharded.Columns.
-func (s *DomainServer) Columns(l, r int) []int { return s.acc.Columns(l, r) }
-
-// FoldRowsInto is FoldInto for the rows of items [lo, hi), or for their
-// columns cols, under one acquisition of the read locks.
-func (s *DomainServer) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
-	s.acc.FoldRowsInto(lo, hi, cols, dst)
-}
-
-// MergeRaw folds a raw matrix (as produced by FoldInto, possibly on
-// another machine) into the server. Because every estimate is a fixed
-// linear function of these integers, merging the raw sums of N
-// partitioned servers reproduces one serial server bit for bit.
-func (s *DomainServer) MergeRaw(cells []int64) error { return s.acc.MergeRaw(cells) }
-
-// MarshalState serializes all per-item accumulator state for a durable
-// snapshot: the kind-3 payload, byte-for-byte the per-item states of one
-// serial server per item fed the same reports under a domain header. The payload is a
-// point-in-time cut at run granularity (see protocol.DomainSharded).
-func (s *DomainServer) MarshalState() []byte {
-	return s.acc.MarshalState()
-}
-
-// RestoreState folds serialized state into the server — call it on a
-// freshly constructed server to reload a snapshot. The payload's item
-// count, horizon and per-item scale must all match.
-func (s *DomainServer) RestoreState(b []byte) error {
-	return s.acc.RestoreState(b)
-}
 
 // ---------------------------------------------------------------------------
 // Workload generation.

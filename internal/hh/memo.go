@@ -1,9 +1,16 @@
 package hh
 
-// This file is the version-keyed read cache of the domain servers: the
-// EstimateAllAtInto sweep (and the hashed decoder's bucket-estimate pass)
-// is memoized against the accumulator's monotone version stamp, and
-// TopK keeps only a k-bounded selection instead of sorting all m items.
+// This file is the item read side of both domain encodings: one reader,
+// itemReader, over a counter matrix, which DomainServer (exact, over its
+// m item rows) and HashedDomainServer (loloha, over its inner g bucket
+// rows) embed. Its point, series and top-k reads branch on the encoding
+// only where the algorithms differ: an exact point or series read sums
+// the item's own counters, a hashed one decodes its bucket. Each reader
+// owns one version-keyed memo: the EstimateAllAtInto sweep (decoded in
+// place under a hashed encoding) is memoized against the accumulator's
+// monotone version stamp, and TopK keeps only a k-bounded selection
+// instead of sorting all m items. A hashed server and its Inner() rows
+// are two readers over one matrix, so their cached values never mix.
 //
 // Exactness: a memo entry records the stamp returned by Version()
 // *before* its sweep ran. Under the accumulator's lock discipline (see
@@ -32,8 +39,13 @@ package hh
 // does after every report), which keeps the argument whole for them.
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
+
+	"rtf/internal/protocol"
 )
 
 // estMemo caches one (t, version)-keyed estimate sweep and one
@@ -46,7 +58,7 @@ type estMemo struct {
 	estValid bool
 	estT     int
 	estStamp uint64
-	est      []float64 // per-row estimates at estT (exact: per item; hashed: per bucket, decoded)
+	est      []float64 // per-row values at estT (exact: per item; hashed: per bucket, decoded)
 	tmp      []int64   // integer fold scratch for the sweep
 
 	topValid bool
@@ -54,6 +66,192 @@ type estMemo struct {
 	topK     int
 	topStamp uint64
 	top      []ItemCount // selection result at (topT, topK)
+}
+
+// itemReader answers item queries from a counter matrix under an
+// encoding: the rows are the items under the exact encoding and the
+// buckets items hash to under a hashed one. With F̂(b, t) the bucket-b
+// estimate and N̂(t) = Σ_b F̂(b, t) (summed in fixed bucket order
+// 0..g−1, so every deployment decodes bit-for-bit identically), a hashed
+// item estimate is
+//
+//	f̂(x, t) = (F̂(B(x), t) − N̂(t)/g) · g/(g−1)
+//
+// Each item y ≠ x lands in x's bucket with probability 1/g over the
+// seed draw, so E[F̂(B(x))] = f(x) + (N − f(x))/g and the decode is
+// unbiased in expectation over the shared seed.
+type itemReader struct {
+	enc  DomainEncoding
+	d    int
+	acc  *protocol.DomainSharded // enc.Rows() rows
+	memo estMemo
+}
+
+// Encoding returns the reader's encoding.
+func (r *itemReader) Encoding() DomainEncoding { return r.enc }
+
+// D returns the horizon.
+func (r *itemReader) D() int { return r.d }
+
+// M returns the catalogue size: the row count under the exact encoding,
+// not under a hashed one.
+func (r *itemReader) M() int { return r.enc.M }
+
+// checkItem bounds-checks a catalogue item with the package's own panic
+// message (the protocol layer would panic too, one frame deeper).
+func (r *itemReader) checkItem(x int) {
+	if x < 0 || x >= r.enc.M {
+		panic(fmt.Sprintf("hh: item %d outside [0..%d)", x, r.enc.M))
+	}
+}
+
+// checkTime bounds-checks a period.
+func (r *itemReader) checkTime(t int) {
+	if t < 1 || t > r.d {
+		panic(fmt.Sprintf("hh: time %d out of range [1..%d]", t, r.d))
+	}
+}
+
+// decode turns a bucket value into an item estimate given the bucket
+// total; see itemReader.
+func decode(bucket, total, g float64) float64 { return (bucket - total/g) * g / (g - 1) }
+
+// EstimateItemAt returns f̂(item, t), valid online once time t has
+// passed. An exact read sums the item's own counters; a hashed one reads
+// its bucket from the memoized sweep.
+func (r *itemReader) EstimateItemAt(item, t int) float64 {
+	if !r.enc.Hashed() {
+		r.checkItem(item)
+		return r.acc.EstimateAt(item, t)
+	}
+	v, _ := r.EstimateItemAtCached(item, t)
+	return v
+}
+
+// EstimateItemAtCached returns f̂(item, t) and whether it was served
+// from the version-keyed memo (the serve loops count these hits; a hit
+// is bit-for-bit identical to recomputing). An exact point read never
+// goes through the memo, so it never reports a hit.
+func (r *itemReader) EstimateItemAtCached(item, t int) (float64, bool) {
+	if !r.enc.Hashed() {
+		return r.EstimateItemAt(item, t), false
+	}
+	r.checkItem(item)
+	r.checkTime(t)
+	mm := &r.memo
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	v := r.acc.Version()
+	hit := mm.estValid && mm.estT == t && mm.estStamp == v
+	return r.sweepLocked(t, v)[r.enc.Bucket(item)], hit
+}
+
+// EstimateItemSeries returns f̂(item, 1..d). The caller owns the slice.
+func (r *itemReader) EstimateItemSeries(item int) []float64 {
+	r.checkItem(item)
+	if !r.enc.Hashed() {
+		return r.acc.EstimateSeries(item)
+	}
+	total := make([]float64, r.d)
+	rows := r.acc.EstimateAllSeries()
+	for _, series := range rows {
+		for t := range series {
+			total[t] += series[t]
+		}
+	}
+	own := rows[r.enc.Bucket(item)]
+	g := float64(r.enc.G)
+	out := make([]float64, r.d)
+	for t := range out {
+		out[t] = decode(own[t], total[t], g)
+	}
+	return out
+}
+
+// TopK returns the k items with the largest estimated frequency at time
+// t (1-based), in decreasing order with ties broken toward the smaller
+// item — the heavy-hitter query the paper's introduction motivates
+// (popular URLs). The ordering is a deterministic function of the
+// per-item point estimates, so a clustered or recovered deployment
+// whose point estimates are bit-for-bit answers the identical top-k
+// list. k larger than the catalogue is clamped; t and k are assumed
+// range-checked by the caller (the ldp and transport boundaries
+// validate), and out-of-range values panic.
+func (r *itemReader) TopK(t, k int) []ItemCount {
+	out, _ := r.AppendTopK(nil, t, k)
+	return out
+}
+
+// AppendTopK appends the TopK result to dst and returns the extended
+// slice, plus whether the selection was served from the version-keyed
+// memo (an unchanged accumulator stamp — see the file comment for why a
+// hit is bit-for-bit identical to recomputing). The appended entries
+// are a copy: dst never aliases memo-owned storage, so callers may
+// retain or mutate the result freely. Passing a recycled dst[:0] makes
+// the warm path allocation-free; TopK itself is AppendTopK(nil, …), a
+// fresh caller-owned slice.
+//
+// A hashed sweep hashes catalogue items in ascending order into a
+// k-bounded selection, so memory is O(g + k), never O(m), and it stops
+// at the k-th item of the best bucket (see selectTopK): about g·k items
+// in unless that bucket holds fewer than k.
+func (r *itemReader) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool) {
+	r.checkTime(t)
+	if k < 0 {
+		panic("hh: negative k")
+	}
+	if k > r.enc.M {
+		k = r.enc.M
+	}
+	mm := &r.memo
+	mm.mu.Lock()
+	defer mm.mu.Unlock()
+	v := r.acc.Version()
+	if mm.topValid && mm.topT == t && mm.topK == k && mm.topStamp == v {
+		return append(dst, mm.top...), true
+	}
+	est := r.sweepLocked(t, v)
+	// No ceiling for distinct items: they rarely tie at the maximum, so
+	// finding it would cost a pass over m estimates to save nothing. Every
+	// item of a bucket shares its value, so there the best one's is.
+	count, ceiling := func(x int) float64 { return est[x] }, math.Inf(1)
+	if r.enc.Hashed() {
+		count, ceiling = func(x int) float64 { return est[r.enc.Bucket(x)] }, slices.Max(est)
+	}
+	mm.top = selectTopK(mm.top, r.enc.M, k, ceiling, count)
+	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
+	return append(dst, mm.top...), false
+}
+
+// sweepLocked returns every row's value at t — the item estimates under
+// the exact encoding, the decoded bucket values under a hashed one (with
+// the total N̂ summed in fixed bucket order) — stamped with version v,
+// which the caller must have loaded before calling, serving the memo
+// when (t, v) is unchanged. The caller must hold memo.mu; the returned
+// slice is memo-owned. The float operations and their order are
+// identical whether the sweep is served warm or recomputed.
+func (r *itemReader) sweepLocked(t int, v uint64) []float64 {
+	mm := &r.memo
+	if mm.estValid && mm.estT == t && mm.estStamp == v {
+		return mm.est
+	}
+	if mm.est == nil {
+		mm.est = make([]float64, r.enc.Rows())
+		mm.tmp = make([]int64, r.enc.Rows())
+	}
+	est := r.acc.EstimateAllAtInto(mm.est, mm.tmp, t)
+	if r.enc.Hashed() {
+		g := float64(r.enc.G)
+		var total float64
+		for _, bv := range est {
+			total += bv
+		}
+		for b, bv := range est {
+			est[b] = decode(bv, total, g)
+		}
+	}
+	mm.estValid, mm.estT, mm.estStamp = true, t, v
+	return est
 }
 
 // selectTopK writes the k largest of count(0), …, count(n−1) into h

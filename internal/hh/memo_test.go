@@ -438,3 +438,60 @@ func TestSelectTopKStopsEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestHashedTopKTiesAtOneHash pins a defect of today's hashed encoding
+// instead of hiding it: with one epoch hash every item of a bucket reads
+// the bucket's one decoded value, so a full-catalogue TopK of the top
+// bucket is a ranking by id. A heavy item x* at an id ≥ m/4 makes its
+// bucket b* the top one (reports go straight into the rows, no
+// randomizer), and TopK(t, 5) returns the five smallest ids hashing to
+// b*, x* not among them. ROADMAP item 14 (H epoch hashes, where two
+// items tie only if they collide under all H) is the change that flips
+// this test: at H > 1 the heavy item separates from its bucket mates.
+func TestHashedTopKTiesAtOneHash(t *testing.T) {
+	const d, m, g, k = 4, 4096, 16, 5
+	enc := LolohaEncoding(m, g, 0x5eed)
+	heavy := m/4 + 3
+	best := enc.Bucket(heavy)
+	// Bucket b holds 1 + b%3 users, b* forty, each reporting +1 on every
+	// dyadic interval, so every period reads b* highest.
+	srv := NewHashedDomainServer(d, enc, 1.5, 1)
+	w := srv.Inner().Lock(0)
+	for b := 0; b < g; b++ {
+		users := 1 + b%3
+		if b == best {
+			users = 40
+		}
+		for u := 0; u < users; u++ {
+			w.Register(b, 0)
+			for h := 0; 1<<h <= d; h++ {
+				for j := 1; j <= d>>h; j++ {
+					w.Ingest(b, protocol.Report{User: u, Order: h, J: j, Bit: 1})
+				}
+			}
+		}
+	}
+	w.Unlock()
+
+	var mates []int // the smallest ids in the heavy item's bucket
+	for x := 0; len(mates) < k; x++ {
+		if enc.Bucket(x) == best {
+			mates = append(mates, x)
+		}
+	}
+	for tt := 1; tt <= d; tt++ {
+		val := srv.EstimateItemAt(heavy, tt)
+		top := srv.TopK(tt, k)
+		if len(top) != k {
+			t.Fatalf("t=%d: TopK returned %d items, want %d", tt, len(top), k)
+		}
+		for i, ic := range top {
+			if ic.Item != mates[i] || math.Float64bits(ic.Count) != math.Float64bits(val) {
+				t.Fatalf("t=%d: TopK = %v, want items %v all at the top bucket's value %v", tt, top, mates, val)
+			}
+			if ic.Item == heavy {
+				t.Fatalf("t=%d: heavy item %d ranked among its bucket mates %v", tt, heavy, mates)
+			}
+		}
+	}
+}

@@ -76,7 +76,7 @@ func NewShardedCollector(acc *protocol.Sharded) *Collector {
 // NewDomainCollector builds an exact-domain collector over the given
 // domain server.
 func NewDomainCollector(ds *hh.DomainServer) *Collector {
-	return domainCollector(hh.ExactEncoding(ds.M()), ds, ds)
+	return domainCollector(ds.Encoding(), ds, ds)
 }
 
 // NewHashedDomainCollector builds a hashed-domain collector over the

@@ -195,7 +195,7 @@ func FuzzDomainRead(f *testing.F) {
 			return
 		}
 		for _, s := range states {
-			if !s.mode.Reads().Has(m.Type) || s.mode.ValidateRead(m) != nil {
+			if !s.mode.Ingest().Reads.Has(m.Type) || s.mode.ValidateRead(m) != nil {
 				continue
 			}
 			var buf bytes.Buffer

@@ -111,7 +111,7 @@ func TestDomainReadRefusalText(t *testing.T) {
 			if c.enc != s.name {
 				continue
 			}
-			if mode.Reads().Has(c.m.Type) {
+			if mode.Ingest().Reads.Has(c.m.Type) {
 				err := mode.ValidateRead(c.m)
 				if got := errText(err); got != c.want {
 					t.Errorf("%s ValidateRead(%+v) = %q, want %q", s.name, c.m, got, c.want)

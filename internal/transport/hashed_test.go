@@ -453,8 +453,8 @@ func TestDurableHashedDomainCollector(t *testing.T) {
 	if !reflect.DeepEqual(ref.TopK(d, 10), hs2.TopK(d, 10)) {
 		t.Fatal("recovered TopK differs")
 	}
-	if hs2.Users() != 400 {
-		t.Fatalf("recovered %d users, want 400", hs2.Users())
+	if hs2.Inner().Users() != 400 {
+		t.Fatalf("recovered %d users, want 400", hs2.Inner().Users())
 	}
 
 	// Every axis of the encoding identity is checked at open.

@@ -71,7 +71,7 @@ func FuzzIngestKernel(f *testing.F) {
 		for _, padded := range []bool{false, true} {
 			ms := append(c.ingest(1<<14, 3), c.read)
 			ms = append(append(ms, c.ingest(100, 2)...), c.badRep)
-			body := frame(f, wire.MsgBatch, ms, c.mode.Reads(), padded)[2:]
+			body := frame(f, wire.MsgBatch, ms, c.mode.Ingest().Reads, padded)[2:]
 			f.Add(body, uint8(mode), uint8(0))
 			f.Add(body, uint8(mode), uint8(5))
 			f.Add(body[:len(body)/2], uint8(mode), uint8(1))

@@ -281,7 +281,7 @@ func checkJournalIsApplied(t testing.TB, c wireCase, dir string, applied [][]wir
 // the runs a store must be handed for it.
 func mixedStream(t testing.TB, c wireCase, padded bool) (stream []byte, runs [][]wire.Msg) {
 	t.Helper()
-	reads := c.mode.Reads()
+	reads := c.mode.Ingest().Reads
 	big := c.ingest(1<<14, 150) // 900 messages of 6–9 bytes each
 	a, b, tail := c.ingest(100, 20), c.ingest(1<<21, 20), c.ingest(7, 1)
 	legacy := slices.Concat(a, []wire.Msg{c.read}, b, []wire.Msg{c.read, c.mode.SumsRequest()}, tail)

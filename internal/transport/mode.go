@@ -28,10 +28,6 @@ type Mode interface {
 	// Name is the mode's queries_total mechanism label: "boolean",
 	// "domain" or "hashed-domain".
 	Name() string
-	// Reads is the set of frame types the mode answers (queries and
-	// its raw-sums request); every other type must pass the ingest
-	// contract.
-	Reads() wire.FrameSet
 	// Ingest is the mode's ingest contract: the two message types it
 	// ingests and the ranges of their fields. A front decodes every frame
 	// under it (Decoder.NextFrame) before anything is applied or
@@ -165,9 +161,8 @@ type boolMode struct{ dims }
 // estimator scale.
 func BoolMode(d int, scale float64) Mode { return boolMode{dims{d: d, scale: scale}} }
 
-func (boolMode) Name() string           { return "boolean" }
-func (p boolMode) Reads() wire.FrameSet { return p.Ingest().Reads }
-func (boolMode) SumsRequest() wire.Msg  { return wire.Sums() }
+func (boolMode) Name() string          { return "boolean" }
+func (boolMode) SumsRequest() wire.Msg { return wire.Sums() }
 
 func (p boolMode) Ingest() wire.Ingest { return wire.BoolIngest(p.d) }
 
@@ -274,8 +269,6 @@ func (p *domainMode) Name() string {
 	}
 	return "domain"
 }
-
-func (p *domainMode) Reads() wire.FrameSet { return p.Ingest().Reads }
 
 // SumsRequest is the exact encoding's plain request, or a hashed one's
 // request carrying the full encoding.
