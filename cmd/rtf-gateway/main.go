@@ -29,8 +29,8 @@
 //
 // The protocol parameters (-mechanism, -d, -k, -m, -encoding, -buckets,
 // -hash-seed, -eps) must match the backends' and the clients'; the
-// mechanism must have the clustered capability (its server state merges
-// exactly across machines). They and the process flags (-addr,
+// mechanism must be dyadic (its integer counters merge exactly across
+// machines), and -k at most 1024. They and the process flags (-addr,
 // -metrics, -pprof, -queue, -grace) are rtf-serve's too: both binaries
 // resolve them and run the serve lifecycle through internal/front.
 //

@@ -114,6 +114,7 @@ func TestParseConfig(t *testing.T) {
 		{"non-pow2 d", static + " -d 1000", "d=1000 is not a power of two"},
 		{"unknown mechanism", static + " -mechanism nope", `unknown mechanism "nope"`},
 		{"mechanism not clustered", static + " -mechanism naive-split", "cannot be clustered"},
+		{"k above the verified bound", static + " -k 2048", "-k 2048 exceeds 1024, the largest k"},
 		{"domain size below 2", static + " -m 1", "m=1 must be at least 2"},
 		{"buckets without loloha", static + " -m 64 -buckets 8", "-buckets and -hash-seed only apply with -encoding loloha"},
 		{"encoding without -m", static + " -encoding loloha", "-encoding, -buckets and -hash-seed require domain mode (-m)"},

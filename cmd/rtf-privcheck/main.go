@@ -1,9 +1,11 @@
 // Command rtf-privcheck verifies the privacy guarantees of the
 // implementation by exact computation (no sampling): the worst-case
 // likelihood ratio of the composed randomizer R̃ (Lemma 5.2) at every k
-// in [1..kmax] (the fronts and ldp accept any k ≥ 1), the exhaustive end-to-end client check (Theorem 4.5) for
-// small d and k, and the same check of the shipped domain client under
-// the exact encoding (m = 3) and the loloha encoding (m = 6, g = 2).
+// in [1..kmax] (by default up to probmath.MaxVerifiedK, the largest k the
+// serving fronts accept), the exhaustive end-to-end client check
+// (Theorem 4.5) for small d and k, and the same check of the shipped
+// domain client under the exact encoding (m = 3) and the loloha encoding
+// (m = 6, g = 2).
 //
 // Example:
 //
@@ -24,7 +26,7 @@ import (
 func main() {
 	var (
 		eps     = flag.Float64("eps", 1.0, "privacy budget")
-		kmax    = flag.Int("kmax", 1024, "largest k for the randomizer check (every k from 1)")
+		kmax    = flag.Int("kmax", probmath.MaxVerifiedK, "largest k for the randomizer check (every k from 1)")
 		d       = flag.Int("d", 8, "horizon for the exhaustive client check (power of two <= 8)")
 		kclient = flag.Int("kclient", 2, "largest k for the exhaustive client check")
 	)

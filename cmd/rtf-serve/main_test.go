@@ -33,6 +33,7 @@ func TestParseConfig(t *testing.T) {
 		{"membership × loloha", loloha + " -membership -id n0", "hashed-domain"},
 		{"hashed membership durable", loloha + " -membership -id n0 -data-dir /tmp/x", "hashed-domain"},
 		{"other mechanism", "-mechanism erlingsson -d 256 -k 4 -eps 0.5 -shards 16", "boolean"},
+		{"k at the verified bound", "-d 64 -k 1024", "boolean"},
 	}
 	for _, tc := range accepted {
 		t.Run("accepts "+tc.name, func(t *testing.T) {
@@ -56,6 +57,7 @@ func TestParseConfig(t *testing.T) {
 		{"unknown mechanism", "-mechanism nope", `unknown mechanism "nope"`},
 		{"mechanism not sharded", "-mechanism naive-split", "cannot be hosted on the sharded accumulator"},
 		{"mechanism not domain-capable", "-mechanism central-binary -m 8", "cannot host domain tracking"},
+		{"k above the verified bound", "-k 2048", "-k 2048 exceeds 1024, the largest k"},
 		{"domain size below 2", "-m 1", "m=1 must be at least 2"},
 		{"exact domain over the row cap", "-m 5000", "exceeds the exact encoding's 4096 limit"},
 		{"buckets without loloha", "-m 64 -buckets 8", "-buckets and -hash-seed only apply with -encoding loloha"},

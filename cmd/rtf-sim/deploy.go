@@ -57,11 +57,11 @@ func deploy(t topology, modeFlags []string, serveBin, gatewayBin string) (d *dep
 	if d.dir, err = os.MkdirTemp("", "rtf-sim-"); err != nil {
 		return nil, err
 	}
-	defer func() {
+	defer func(d *deployment) { // the error returns nil the named d
 		if err != nil {
 			d.close()
 		}
-	}()
+	}(d)
 	for len(d.backends) < t.backends {
 		if _, err := d.addBackend(); err != nil {
 			return nil, err

@@ -189,15 +189,12 @@ func main() {
 // serve runs a server-driving scenario: build the mode, deploy the
 // topology in it, hand both to the choreography.
 func serve(o *options, sc *scenario) error {
+	if mech, _ := ldp.Lookup(ldp.Protocol(o.proto)); !mech.Dyadic() { // nor is an unregistered protocol
+		return fmt.Errorf("%s needs a dyadic mechanism (one rtf-serve hosts on the sharded accumulator); -protocol %q is not", dashed(sc.selects), o.proto)
+	}
 	topo, err := sc.topology(o)
 	if err != nil {
 		return err
-	}
-	need := sc.needs
-	need.Clustered = need.Clustered || topo.gateway != ""
-	mech, _ := ldp.Lookup(ldp.Protocol(o.proto)) // an unregistered protocol has no capabilities
-	if missing := lacking(mech.Caps, need); len(missing) > 0 {
-		return fmt.Errorf("%s needs a mechanism with the %v capabilities, -protocol %q lacks them", dashed(sc.selects), missing, o.proto)
 	}
 	if o.conns < 1 || o.batch < 1 {
 		return fmt.Errorf("-conns %d and -batch %d must be >= 1", o.conns, o.batch)
@@ -251,7 +248,7 @@ func offline(o *options, out io.Writer) error {
 	fmt.Fprintf(out, "max error  %.1f\n", maxErr)
 	fmt.Fprintf(out, "MAE        %.1f\n", stats.MAE(est, truth))
 	fmt.Fprintf(out, "RMSE       %.1f\n", stats.RMSE(est, truth))
-	if m, _ := ldp.Lookup(ldp.Protocol(o.proto)); m.Caps.ErrorBound {
+	if m, _ := ldp.Lookup(ldp.Protocol(o.proto)); m.ErrorBound != nil {
 		if b, err := m.ErrorBound(w.N, w.D, w.K, o.eps, 0.05); err == nil && b > 0 {
 			fmt.Fprintf(out, "Hoeffding bound (beta=0.05)  %.1f  (slack %.1fx)\n", b, b/maxErr)
 		}

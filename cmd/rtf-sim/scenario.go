@@ -2,16 +2,15 @@ package main
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
 	"strings"
-
-	"rtf/ldp"
 )
 
 // scenario is one row of the acceptance matrix: the flags that select it,
-// the protocol mode it drives, the topology it deploys, the choreography
-// it runs over the two, and what it needs of the mechanism.
+// the protocol mode it drives, the topology it deploys, and the
+// choreography it runs over the two. Every server-driving row needs a
+// dyadic mechanism (ldp.Mechanism.Dyadic), the only kind rtf-serve and
+// rtf-gateway host.
 type scenario struct {
 	name     string   // output prefix, and the row's name in the docs
 	selects  []string // the selector flags that, set together and alone, pick this row
@@ -19,7 +18,6 @@ type scenario struct {
 	mode     func(*options) (m mode, users int, err error)
 	topology func(*options) (topology, error)
 	run      func(name string, dep *deployment, st *driver, o *options) error
-	needs    ldp.Capabilities // a deployed gateway adds Clustered
 }
 
 // selectors are the flags that pick a scenario, in the order error
@@ -37,8 +35,6 @@ const (
 	soakReads   = " qps duration soak-backends queue p99-ceiling metrics-dump"
 )
 
-type caps = ldp.Capabilities
-
 // scenarios is the matrix. Adding a cell is adding a row; a combination
 // that is not a row does not exist and is refused by resolve. Among rows
 // that fit a refused flag set equally well the first is the one the error
@@ -46,27 +42,27 @@ type caps = ldp.Capabilities
 var scenarios = []scenario{
 	{name: "offline", reads: boolReads + " write-workload exact consistency series"},
 	{name: "drive", selects: []string{"drive"}, reads: boolReads + connReads,
-		mode: newBoolMode, topology: external, run: crash, needs: caps{Sharded: true}},
+		mode: newBoolMode, topology: external, run: crash},
 	{name: "recover", selects: []string{"recover"}, reads: boolReads + spawnReads,
-		mode: newBoolMode, topology: single, run: crash, needs: caps{Sharded: true, Durable: true}},
+		mode: newBoolMode, topology: single, run: crash},
 	{name: "cluster", selects: []string{"cluster"}, reads: boolReads + spawnReads,
-		mode: newBoolMode, topology: static3, run: crash, needs: caps{Clustered: true, Durable: true}},
+		mode: newBoolMode, topology: static3, run: crash},
 	{name: "domain", selects: []string{"domain"}, reads: domainReads + spawnReads,
-		mode: newExactMode, topology: static3, run: crash, needs: caps{Domain: true, Clustered: true, Durable: true}},
+		mode: newExactMode, topology: static3, run: crash},
 	{name: "hashed", selects: []string{"domain", "hashed"}, reads: domainReads + " buckets" + spawnReads,
-		mode: newHashedMode, topology: static3, run: crash, needs: caps{HashedDomain: true, Clustered: true, Durable: true}},
+		mode: newHashedMode, topology: static3, run: crash},
 	{name: "recover-domain", selects: []string{"recover", "domain"}, reads: domainReads + spawnReads,
-		mode: newExactMode, topology: single, run: crash, needs: caps{Domain: true, Durable: true}},
+		mode: newExactMode, topology: single, run: crash},
 	{name: "recover-hashed", selects: []string{"recover", "domain", "hashed"}, reads: domainReads + " buckets" + spawnReads,
-		mode: newHashedMode, topology: single, run: crash, needs: caps{HashedDomain: true, Durable: true}},
+		mode: newHashedMode, topology: single, run: crash},
 	{name: "membership", selects: []string{"membership"}, reads: boolReads + spawnReads,
-		mode: newBoolMode, topology: members3, run: membership, needs: caps{Clustered: true}},
+		mode: newBoolMode, topology: members3, run: membership},
 	{name: "membership-domain", selects: []string{"domain", "membership"}, reads: domainReads + spawnReads,
-		mode: newExactMode, topology: members3, run: membership, needs: caps{Domain: true, Clustered: true}},
+		mode: newExactMode, topology: members3, run: membership},
 	{name: "membership-hashed", selects: []string{"domain", "hashed", "membership"}, reads: domainReads + " buckets" + spawnReads,
-		mode: newHashedMode, topology: members3, run: membership, needs: caps{HashedDomain: true, Clustered: true}},
+		mode: newHashedMode, topology: members3, run: membership},
 	{name: "soak", selects: []string{"soak"}, reads: boolReads + spawnReads + soakReads,
-		mode: newBoolMode, topology: soakTarget, run: soak, needs: caps{Sharded: true}},
+		mode: newBoolMode, topology: soakTarget, run: soak},
 }
 
 // dashed spells a flag list for an error message.
@@ -118,16 +114,4 @@ func resolve(set []string) (*scenario, error) {
 		}
 	}
 	return row, nil
-}
-
-// lacking names the capabilities of need that have is missing.
-func lacking(have, need ldp.Capabilities) []string {
-	var out []string
-	h, n := reflect.ValueOf(have), reflect.ValueOf(need)
-	for i := 0; i < n.NumField(); i++ {
-		if n.Field(i).Bool() && !h.Field(i).Bool() {
-			out = append(out, n.Type().Field(i).Name)
-		}
-	}
-	return out
 }

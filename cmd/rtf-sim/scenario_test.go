@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 // TestScenarioTable checks the table against itself, the flag set and
 // the mechanism registry: rows are told apart by their selectors, name
 // only flags that exist, every flag is read by some row, and the default
-// mechanism has what every row needs.
+// mechanism is one every server-driving row can run.
 func TestScenarioTable(t *testing.T) {
 	fs := flagSet(new(options))
 	declared := map[string]bool{}
@@ -24,9 +25,8 @@ func TestScenarioTable(t *testing.T) {
 	if len(declared) != 32 {
 		t.Errorf("rtf-sim declares %d flags, want the same 32 as ever", len(declared))
 	}
-	mech, ok := ldp.Lookup(ldp.FutureRand)
-	if !ok {
-		t.Fatal("futurerand not registered")
+	if mech, ok := ldp.Lookup(ldp.FutureRand); !ok || !mech.Dyadic() {
+		t.Fatal("futurerand is not a registered dyadic mechanism")
 	}
 	read := map[string]bool{}
 	seen := map[string]string{}
@@ -52,9 +52,6 @@ func TestScenarioTable(t *testing.T) {
 		if (sc.run == nil) != (sc.mode == nil) || (sc.run == nil) != (sc.topology == nil) {
 			t.Errorf("row %s has only some of mode, topology and choreography", sc.name)
 		}
-		if missing := lacking(mech.Caps, sc.needs); len(missing) > 0 {
-			t.Errorf("row %s needs %v, which futurerand lacks", sc.name, missing)
-		}
 		args := []string{}
 		for _, f := range sc.selects {
 			if args = append(args, "-"+f); f == "drive" {
@@ -70,8 +67,35 @@ func TestScenarioTable(t *testing.T) {
 			t.Errorf("no row reads -%s", f)
 		}
 	}
-	if got := lacking(ldp.Capabilities{Sharded: true}, ldp.Capabilities{Sharded: true, Durable: true, Domain: true}); !slices.Equal(got, []string{"Durable", "Domain"}) {
-		t.Errorf("lacking names %v, want [Durable Domain]", got)
+}
+
+// TestServerScenariosRefuseNonDyadic checks that every server-driving
+// row refuses a -protocol that rtf-serve cannot host, before it deploys
+// anything: the binaries it would spawn do not exist.
+func TestServerScenariosRefuseNonDyadic(t *testing.T) {
+	for _, sc := range scenarios {
+		if sc.run == nil {
+			continue
+		}
+		for _, proto := range []string{"naive-split", "central-binary", "bogus"} {
+			args := []string{"-protocol", proto}
+			for _, f := range sc.selects {
+				if args = append(args, "-"+f); f == "drive" {
+					args = append(args, "127.0.0.1:1")
+				}
+			}
+			if sc.name != "drive" { // -drive spawns nothing and reads no binary paths
+				args = append(args, "-serve-bin", "/nonexistent/rtf-serve", "-gateway-bin", "/nonexistent/rtf-gateway")
+			}
+			o, got, err := configure(args)
+			if err != nil || got.name != sc.name {
+				t.Fatalf("%v resolves to %v, %v; want row %s", args, got, err, sc.name)
+			}
+			want := fmt.Sprintf("%s needs a dyadic mechanism (one rtf-serve hosts on the sharded accumulator); -protocol %q is not", dashed(sc.selects), proto)
+			if err := serve(o, got); err == nil || err.Error() != want {
+				t.Errorf("rtf-sim %s: %v, want %q", strings.Join(args, " "), err, want)
+			}
+		}
 	}
 }
 

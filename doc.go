@@ -50,9 +50,9 @@
 // segmented write-ahead log and checksummed snapshot files, the
 // transport layer journals every ingested frame — the bytes it
 // received, not a re-encoding of what it decoded — before applying it
-// (transport.Durable), and mechanisms expose their server state through
-// the ldp Snapshotter/Restorer capability, so a crashed rtf-serve
-// restarts from snapshot + WAL replay answering every query bit-for-bit
+// (transport.Durable), and every mechanism's server engine implements
+// ldp's Snapshotter and Restorer, so a crashed rtf-serve restarts from
+// snapshot + WAL replay answering every query bit-for-bit
 // as if uninterrupted — reports are spent privacy budget and can never
 // be re-requested from users. The journaling hot path is allocation-free
 // in steady state, and WAL appends group-commit themselves
@@ -102,8 +102,8 @@
 // Domain-valued tracking (the paper's "richer domains" adaptation,
 // Section 1) is a first-class online workload in the same architecture:
 // each user samples one target item from [0..m), streams its Boolean
-// indicator through any mechanism with the Domain capability
-// (ldp.NewDomainClient), and the server runs one dyadic accumulator per
+// indicator through any dyadic mechanism (one that sets EstimatorScale;
+// ldp.NewDomainClient), and the server runs one dyadic accumulator per
 // item with estimates scaled by m (ldp.NewDomainServer), answering the
 // item-scoped query shapes — PointItem, SeriesItem and the TopK
 // heavy-hitter query — online. Past 4096 items the loloha encoding
@@ -134,10 +134,10 @@
 // flags and run this serve lifecycle through one package,
 // rtf/internal/front: a refused flag set exits 1 naming the binary, the
 // /metrics info map and the listening line name the protocol in force
-// (mechanism, d, k, m, ε, encoding, g, seed, scale), and the capability
-// each binary needs of its mechanism — the sharded accumulator for a
-// node, exact cross-machine merge for a gateway — comes from the binary
-// rather than from a flag. A bounded admission queue (-queue)
+// (mechanism, d, k, m, ε, encoding, g, seed, scale), and both binaries
+// serve exactly the dyadic mechanisms, whose integer counters shard on a
+// node and merge exactly across machines, at k ≤ probmath.MaxVerifiedK,
+// the range rtf-privcheck verifies. A bounded admission queue (-queue)
 // sheds acked batches whole — a negative ack, never a partial apply; on
 // the gateway the check runs before any forward — while legacy batches
 // block for natural TCP backpressure; the gateway read path adds per-backend

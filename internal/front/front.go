@@ -9,9 +9,10 @@
 //     -metrics -pprof -queue -grace) and Serve, which runs a
 //     transport.Server from its metrics registry to its drain.
 //
-// The capability a front asks of its mechanism comes from the binary,
-// not from a flag: a single node needs the sharded accumulator, a
-// gateway needs server state that merges across machines.
+// Both fronts serve only dyadic mechanisms (ldp.Mechanism.Dyadic):
+// their server state is the sharded accumulator, whose integer counters
+// also merge across machines. What differs is how each binary words the
+// refusal of any other mechanism.
 package front
 
 import (
@@ -30,25 +31,23 @@ import (
 	"rtf/internal/hh"
 	"rtf/internal/obs"
 	"rtf/internal/persist"
+	"rtf/internal/probmath"
 	"rtf/internal/transport"
 	"rtf/ldp"
 )
 
-// Role is the binary a front runs as: its name and the capability it
-// needs of the mechanism.
+// Role is the binary a front runs as: its name and how it refuses a
+// mechanism that is not dyadic.
 type Role struct {
 	Name  string
-	needs func(ldp.Capabilities) bool
-	lacks string // refusal of a mechanism without the capability
-	kind  string // what a refusal's list of able mechanisms is called
+	lacks string // refusal of a mechanism that is not dyadic
+	kind  string // what a refusal's list of dyadic mechanisms is called
 }
 
 // The two fronts.
 var (
-	Node = Role{"rtf-serve", func(c ldp.Capabilities) bool { return c.Sharded },
-		"cannot be hosted on the sharded accumulator", "hostable"}
-	Gateway = Role{"rtf-gateway", func(c ldp.Capabilities) bool { return c.Clustered },
-		"cannot be clustered (its server state does not merge across machines)", "clustered mechanisms"}
+	Node    = Role{"rtf-serve", "cannot be hosted on the sharded accumulator", "hostable"}
+	Gateway = Role{"rtf-gateway", "cannot be clustered (its server state does not merge across machines)", "clustered mechanisms"}
 )
 
 // Exit ends the process over err: status 0 for a -h request, else the
@@ -86,9 +85,9 @@ type Config struct {
 // Register adds both blocks' flags to fs.
 func (c *Config) Register(fs *flag.FlagSet) {
 	const agree = "; must match every node and client of the deployment"
-	fs.StringVar(&c.Mech, "mechanism", "futurerand", "mechanism (sharded for rtf-serve, clustered for rtf-gateway)"+agree)
+	fs.StringVar(&c.Mech, "mechanism", "futurerand", "mechanism: a dyadic one, whose server is the sharded accumulator"+agree)
 	fs.IntVar(&c.D, "d", 1024, "time periods (power of two)"+agree)
-	fs.IntVar(&c.K, "k", 8, "max changes per user"+agree)
+	fs.IntVar(&c.K, "k", 8, fmt.Sprintf("max changes per user (at most %d)", probmath.MaxVerifiedK)+agree)
 	fs.IntVar(&c.M, "m", 0, "domain size for domain-valued tracking (0 = Boolean protocol)"+agree)
 	fs.StringVar(&c.Encoding, "encoding", hh.EncodingExact, "domain encoding with -m: exact (one row per item) or loloha (hash to -buckets rows)"+agree)
 	fs.IntVar(&c.Buckets, "buckets", 0, "bucket count g with -encoding loloha (2..4096)"+agree)
@@ -111,23 +110,22 @@ func (c *Config) Resolve(r Role) error {
 	if !dyadic.IsPow2(c.D) {
 		return fmt.Errorf("d=%d is not a power of two", c.D)
 	}
+	if c.K > probmath.MaxVerifiedK {
+		return fmt.Errorf("-k %d exceeds %d, the largest k whose randomizer privacy rtf-privcheck verifies", c.K, probmath.MaxVerifiedK)
+	}
 	mc, ok := ldp.Lookup(ldp.Protocol(c.Mech))
 	if !ok {
-		return fmt.Errorf("unknown mechanism %q; %s: %s", c.Mech, r.kind, able(r.needs))
+		return fmt.Errorf("unknown mechanism %q; %s: %s", c.Mech, r.kind, dyadicMechanisms())
 	}
 	var enc hh.DomainEncoding
 	if c.M > 0 {
 		if err := ldp.ValidateDomainSize(c.M, c.Encoding); err != nil {
 			return err
 		}
-		if !mc.Caps.Domain {
-			return fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s",
-				c.Mech, able(func(c ldp.Capabilities) bool { return c.Domain }))
+		if !mc.Dyadic() {
+			return fmt.Errorf("mechanism %q cannot host domain tracking; domain-capable: %s", c.Mech, dyadicMechanisms())
 		}
 		if c.Hashed() {
-			if !mc.Caps.HashedDomain {
-				return fmt.Errorf("mechanism %q cannot host hashed domain tracking", c.Mech)
-			}
 			enc = hh.LolohaEncoding(c.M, c.Buckets, c.HashSeed)
 			if err := enc.Validate(); err != nil {
 				return err
@@ -140,8 +138,8 @@ func (c *Config) Resolve(r Role) error {
 	} else if c.Encoding != hh.EncodingExact || c.Buckets != 0 || c.HashSeed != 0 {
 		return fmt.Errorf("-encoding, -buckets and -hash-seed require domain mode (-m)")
 	}
-	if !r.needs(mc.Caps) {
-		return fmt.Errorf("mechanism %q %s; %s: %s", c.Mech, r.lacks, r.kind, able(r.needs))
+	if !mc.Dyadic() {
+		return fmt.Errorf("mechanism %q %s; %s: %s", c.Mech, r.lacks, r.kind, dyadicMechanisms())
 	}
 	var err error
 	if c.Scale, err = mc.EstimatorScale(ldp.Params{D: c.D, K: c.K, Eps: c.Eps}); err != nil {
@@ -156,11 +154,11 @@ func (c *Config) Resolve(r Role) error {
 	return nil
 }
 
-// able lists the registered mechanisms with a capability.
-func able(has func(ldp.Capabilities) bool) string {
+// dyadicMechanisms lists the registered dyadic mechanisms.
+func dyadicMechanisms() string {
 	var names []string
 	for _, m := range ldp.Mechanisms() {
-		if has(m.Caps) {
+		if m.Dyadic() {
 			names = append(names, string(m.Protocol))
 		}
 	}

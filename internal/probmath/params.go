@@ -6,6 +6,12 @@ import (
 	"math"
 )
 
+// MaxVerifiedK is the largest sparsity bound k at which the privacy of
+// R̃ is verified by exact computation: rtf-privcheck checks every k in
+// [1..MaxVerifiedK] by default, and the serving fronts refuse a larger
+// -k, so nothing is served at a k no check has covered.
+const MaxVerifiedK = 1024
+
 // Params bundles an annulus with the protocol-level parameters that
 // produced it. It is the single source of truth shared by the sampler
 // (internal/core), the server's estimator scaling, and the verifier.

@@ -46,11 +46,42 @@ type RecoveryStats struct {
 	Hellos, Reports int64
 }
 
-// durableJournal is the persistence machinery behind Durable: the write-ahead log, the snapshot
-// directory, and the lock that orders journal+apply pairs against
-// snapshot cuts. What state gets restored, applied and marshalled is
-// the wrapping collector's business; the journal only moves bytes.
-type durableJournal struct {
+// DurabilityStats is a point-in-time reading of a durable collector's
+// persistence state, exported as gauges on the metrics endpoint.
+type DurabilityStats struct {
+	// LastSeq is the highest WAL sequence number appended (or recovered).
+	LastSeq uint64
+	// SnapshotCursor is the cursor of the newest snapshot (0 if none).
+	SnapshotCursor uint64
+	// WALLagRecords is LastSeq − SnapshotCursor: the records a restart
+	// would replay.
+	WALLagRecords uint64
+	// WALAppendedBytes is what the log has written since open, record
+	// and segment headers included: divided by the reports ingested over
+	// the same time it is the WAL's bytes per report.
+	WALAppendedBytes int64
+	// SnapshotAge is the time since the newest snapshot was written, or
+	// since the journal was opened when no snapshot has been cut yet.
+	SnapshotAge time.Duration
+}
+
+// journaled is what a Durable wraps: a store that can move its whole
+// state in and out of a snapshot. Collector and ShardMap implement it.
+type journaled interface {
+	Store
+	marshalState() []byte
+	restoreState(state []byte) error
+}
+
+// Durable wraps a Collector or a ShardMap with the persistence
+// subsystem: every run is journaled to the write-ahead log and
+// only then applied, so an acknowledged frame survives a crash.
+// Snapshot cuts a consistent point-in-time copy of the state with its
+// WAL cursor and compacts the log behind it. What state gets restored,
+// applied and marshalled is the wrapped store's business; Durable only
+// moves bytes.
+type Durable struct {
+	journaled
 	wal   *persist.WAL
 	dir   string
 	meta  persist.Meta
@@ -71,53 +102,26 @@ type durableJournal struct {
 	snapUnixNano atomic.Int64
 }
 
-// DurabilityStats is a point-in-time reading of a durable collector's
-// persistence state, exported as gauges on the metrics endpoint.
-type DurabilityStats struct {
-	// LastSeq is the highest WAL sequence number appended (or recovered).
-	LastSeq uint64
-	// SnapshotCursor is the cursor of the newest snapshot (0 if none).
-	SnapshotCursor uint64
-	// WALLagRecords is LastSeq − SnapshotCursor: the records a restart
-	// would replay.
-	WALLagRecords uint64
-	// WALAppendedBytes is what the log has written since open, record
-	// and segment headers included: divided by the reports ingested over
-	// the same time it is the WAL's bytes per report.
-	WALAppendedBytes int64
-	// SnapshotAge is the time since the newest snapshot was written, or
-	// since the journal was opened when no snapshot has been cut yet.
-	SnapshotAge time.Duration
-}
-
-// durabilityStats reads the journal's current persistence state.
-func (j *durableJournal) durabilityStats() DurabilityStats {
-	last := j.wal.LastSeq()
-	cur := j.snapCursor.Load()
-	lag := uint64(0)
-	if last > cur {
-		lag = last - cur
-	}
-	return DurabilityStats{
-		LastSeq:          last,
-		SnapshotCursor:   cur,
-		WALLagRecords:    lag,
-		WALAppendedBytes: j.wal.AppendedBytes(),
-		SnapshotAge:      time.Since(time.Unix(0, j.snapUnixNano.Load())),
-	}
-}
-
-// openJournal recovers durable state from dir — newest snapshot
-// through restore, then WAL replay past its cursor through replay — and
-// returns a journal accepting further appends there. A record is decoded
-// like a live frame, under the mode's ingest contract (the log holds no
-// reads, so none are allowed). meta is checked against the snapshot's, so
-// a data directory written under different parameters is rejected rather
-// than misinterpreted.
-func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest wire.Ingest,
-	restore func(state []byte) error, replay func(run []wire.Rec) error) (*durableJournal, RecoveryStats, error) {
-	ingest.Reads = 0
+// OpenDurableStore recovers inner's durable state from dir — newest
+// snapshot through inner's restoreState, then WAL replay past its
+// cursor through inner's Apply — and returns a store that journals all
+// further ingestion there. inner must be freshly constructed. A record
+// is decoded like a live frame, under the mode's ingest contract (the
+// log holds no reads, so none are allowed). meta must describe the
+// hosting configuration, and is checked against both the mode and the
+// newest snapshot, so a data directory written under different
+// parameters is rejected rather than misinterpreted.
+func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
 	var stats RecoveryStats
+	in, ok := inner.(journaled)
+	if !ok {
+		return nil, stats, fmt.Errorf("transport: %T cannot be journaled", inner)
+	}
+	if err := in.Mode().CheckMeta(meta); err != nil {
+		return nil, stats, err
+	}
+	ingest := in.Mode().Ingest()
+	ingest.Reads = 0
 	if err := persist.CleanTemp(dir); err != nil {
 		return nil, stats, fmt.Errorf("transport: cleaning stale snapshot temp files: %w", err)
 	}
@@ -130,7 +134,7 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest wire.In
 		if err := snap.Meta.Check(meta); err != nil {
 			return nil, stats, err
 		}
-		if err := restore(snap.State); err != nil {
+		if err := in.restoreState(snap.State); err != nil {
 			return nil, stats, fmt.Errorf("transport: restoring snapshot state: %w", err)
 		}
 		after = snap.Cursor
@@ -148,7 +152,7 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest wire.In
 				if err != nil {
 					return fmt.Errorf("decoding record %d: %w", seq, err)
 				}
-				if err := replay(f.Recs); err != nil {
+				if err := in.Apply(0, f.Recs, nil); err != nil {
 					return fmt.Errorf("applying record %d: %w", seq, err)
 				}
 			}
@@ -170,25 +174,30 @@ func openJournal(dir string, meta persist.Meta, o DurableOptions, ingest wire.In
 	if err != nil {
 		return nil, stats, fmt.Errorf("transport: opening WAL: %w", err)
 	}
-	j := &durableJournal{wal: wal, dir: dir, meta: meta, fsync: o.Fsync}
-	j.snapCursor.Store(stats.SnapshotCursor)
-	j.snapUnixNano.Store(time.Now().UnixNano())
-	return j, stats, nil
+	c := &Durable{journaled: in, wal: wal, dir: dir, meta: meta, fsync: o.Fsync}
+	c.snapCursor.Store(stats.SnapshotCursor)
+	c.snapUnixNano.Store(time.Now().UnixNano())
+	stats.Hellos, stats.Reports, _ = in.Stats()
+	return c, stats, nil
 }
 
-// journal appends one run to the write-ahead log and applies it to
-// inner — in that order, under the shared half of the snapshot lock, so
-// any batch a query response can reflect is already durable; on a
-// journaling error the apply never runs. The journal validates nothing:
-// the record is a MsgBatch header counting the run followed by raw, the
-// bytes that encoded the run as they arrived (Frame.Wire) — which replay
-// reads back like a live frame, and which are the bytes
-// wire.Encoder.EncodeBatch would write whenever the sender encoded
-// canonically. The append
-// copies raw before it returns (a queued append returns once its group
-// has landed), so the caller's buffer is free again when journal
-// returns.
-func (j *durableJournal) journal(shard int, run []wire.Rec, raw []byte, inner Store) error {
+// OpenDurable is OpenDurableStore over a Boolean collector on acc.
+func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
+	return OpenDurableStore(NewShardedCollector(acc), dir, meta, o)
+}
+
+// Apply implements Store: it appends the run to the write-ahead log
+// and applies it to the wrapped store — in that order, under the shared
+// half of the snapshot lock, so any batch a query response can reflect
+// is already durable; on a journaling error the apply never runs. The
+// journal validates nothing: the record is a MsgBatch header counting
+// the run followed by raw, the bytes that encoded the run as they
+// arrived (Frame.Wire) — which replay reads back like a live frame, and
+// which are the bytes wire.Encoder.EncodeBatch would write whenever the
+// sender encoded canonically. The append copies raw before it returns
+// (a queued append returns once its group has landed), so the caller's
+// buffer is free again when Apply returns.
+func (c *Durable) Apply(shard int, run []wire.Rec, raw []byte) error {
 	if len(raw) == 0 && len(run) > 0 {
 		return errors.New("transport: durable store handed a run without its wire bytes")
 	}
@@ -199,91 +208,12 @@ func (j *durableJournal) journal(shard int, run []wire.Rec, raw []byte, inner St
 	// so a snapshot cut (which takes it exclusively) always sees a cursor
 	// covering every applied batch — grouping never lets an applied
 	// batch slip past the cursor of the snapshot that should contain it.
-	j.mu.RLock()
-	defer j.mu.RUnlock()
-	if _, err := j.wal.Append(head, raw); err != nil {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if _, err := c.wal.Append(head, raw); err != nil {
 		return err
 	}
-	return inner.Apply(shard, run, nil)
-}
-
-// snapshot writes a durable snapshot of the state produced by marshal
-// and compacts the WAL segments (and older snapshots) it supersedes. It
-// returns the snapshot's cursor. Ingestion is paused only while the
-// counters are folded, not while the file is written.
-func (j *durableJournal) snapshot(marshal func() []byte) (uint64, error) {
-	j.mu.Lock()
-	cursor := j.wal.LastSeq()
-	state := marshal()
-	j.mu.Unlock()
-
-	snap := &persist.Snapshot{Cursor: cursor, Meta: j.meta, State: state}
-	if err := persist.WriteSnapshot(j.dir, snap, j.fsync); err != nil {
-		return cursor, fmt.Errorf("transport: writing snapshot: %w", err)
-	}
-	if err := j.wal.Compact(cursor); err != nil {
-		return cursor, fmt.Errorf("transport: compacting WAL: %w", err)
-	}
-	if err := persist.CompactSnapshots(j.dir, 2); err != nil {
-		return cursor, fmt.Errorf("transport: compacting snapshots: %w", err)
-	}
-	j.snapCursor.Store(cursor)
-	j.snapUnixNano.Store(time.Now().UnixNano())
-	return cursor, nil
-}
-
-// journaled is what a Durable wraps: a store that can move its whole
-// state in and out of a snapshot. Collector and ShardMap implement it.
-type journaled interface {
-	Store
-	marshalState() []byte
-	restoreState(state []byte) error
-}
-
-// Durable wraps a Collector or a ShardMap with the persistence
-// subsystem: every run is journaled to the write-ahead log and
-// only then applied, so an acknowledged frame survives a crash.
-// Snapshot cuts a consistent point-in-time copy of the state with its
-// WAL cursor and compacts the log behind it.
-type Durable struct {
-	journaled
-	j *durableJournal
-}
-
-// OpenDurableStore recovers inner's durable state from dir (newest
-// snapshot, then WAL replay past its cursor) and returns a store that
-// journals all further ingestion there. inner must be freshly
-// constructed; meta must describe the hosting configuration, and is
-// checked against both the mode and the newest snapshot, so a data
-// directory written under different parameters is rejected rather than
-// misinterpreted.
-func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
-	in, ok := inner.(journaled)
-	if !ok {
-		return nil, RecoveryStats{}, fmt.Errorf("transport: %T cannot be journaled", inner)
-	}
-	if err := in.Mode().CheckMeta(meta); err != nil {
-		return nil, RecoveryStats{}, err
-	}
-	j, stats, err := openJournal(dir, meta, o, in.Mode().Ingest(), in.restoreState,
-		func(run []wire.Rec) error { return in.Apply(0, run, nil) })
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Hellos, stats.Reports, _ = in.Stats()
-	return &Durable{journaled: in, j: j}, stats, nil
-}
-
-// OpenDurable is OpenDurableStore over a Boolean collector on acc.
-func OpenDurable(acc *protocol.Sharded, dir string, meta persist.Meta, o DurableOptions) (*Durable, RecoveryStats, error) {
-	return OpenDurableStore(NewShardedCollector(acc), dir, meta, o)
-}
-
-// Apply implements Store: the run is journaled as raw, the bytes that
-// encoded it, and then applied to the wrapped store. See
-// durableJournal.journal.
-func (c *Durable) Apply(shard int, run []wire.Rec, raw []byte) error {
-	return c.j.journal(shard, run, raw, c.journaled)
+	return c.journaled.Apply(shard, run, nil)
 }
 
 // InstallShard replaces one virtual shard's state (the store must wrap
@@ -306,14 +236,48 @@ func (c *Durable) InstallShard(shard int, state []byte) error {
 
 // Snapshot writes a durable snapshot of the current state and compacts
 // the WAL segments (and older snapshots) it supersedes. It returns the
-// snapshot's cursor.
-func (c *Durable) Snapshot() (uint64, error) { return c.j.snapshot(c.marshalState) }
+// snapshot's cursor. Ingestion is paused only while the counters are
+// folded, not while the file is written.
+func (c *Durable) Snapshot() (uint64, error) {
+	c.mu.Lock()
+	cursor := c.wal.LastSeq()
+	state := c.marshalState()
+	c.mu.Unlock()
+
+	snap := &persist.Snapshot{Cursor: cursor, Meta: c.meta, State: state}
+	if err := persist.WriteSnapshot(c.dir, snap, c.fsync); err != nil {
+		return cursor, fmt.Errorf("transport: writing snapshot: %w", err)
+	}
+	if err := c.wal.Compact(cursor); err != nil {
+		return cursor, fmt.Errorf("transport: compacting WAL: %w", err)
+	}
+	if err := persist.CompactSnapshots(c.dir, 2); err != nil {
+		return cursor, fmt.Errorf("transport: compacting snapshots: %w", err)
+	}
+	c.snapCursor.Store(cursor)
+	c.snapUnixNano.Store(time.Now().UnixNano())
+	return cursor, nil
+}
 
 // DurabilityStats reads the store's current WAL and snapshot state
 // (lock-free on the snapshot side; the WAL sequence takes the WAL's own
 // short mutex).
-func (c *Durable) DurabilityStats() DurabilityStats { return c.j.durabilityStats() }
+func (c *Durable) DurabilityStats() DurabilityStats {
+	last := c.wal.LastSeq()
+	cur := c.snapCursor.Load()
+	lag := uint64(0)
+	if last > cur {
+		lag = last - cur
+	}
+	return DurabilityStats{
+		LastSeq:          last,
+		SnapshotCursor:   cur,
+		WALLagRecords:    lag,
+		WALAppendedBytes: c.wal.AppendedBytes(),
+		SnapshotAge:      time.Since(time.Unix(0, c.snapUnixNano.Load())),
+	}
+}
 
 // Close closes the write-ahead log. It does not snapshot; callers that
 // want a final cut call Snapshot first.
-func (c *Durable) Close() error { return c.j.wal.Close() }
+func (c *Durable) Close() error { return c.wal.Close() }

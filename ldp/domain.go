@@ -12,8 +12,8 @@ import (
 // This file is the public face of domain-valued tracking (the paper's
 // "richer domains via existing techniques" adaptation, Section 1): each
 // user samples one target item x_u ∈ [0..m) uniformly, tracks the
-// Boolean indicator stream 1{v_u[t] = x_u} with any mechanism that
-// declares the Domain capability, and the server runs one dyadic
+// Boolean indicator stream 1{v_u[t] = x_u} with any dyadic mechanism
+// (Mechanism.Dyadic), and the server runs one dyadic
 // accumulator per item with estimates scaled by m. The streaming API
 // (NewDomainClient / NewDomainServer) mirrors the Boolean one.
 
@@ -109,18 +109,16 @@ func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	}
 }
 
-// domainMechanism resolves a protocol to a registered mechanism with
-// the Domain capability (and HashedDomain when the encoding hashes).
-func domainMechanism(p Protocol, enc hh.DomainEncoding) (Mechanism, error) {
+// domainMechanism resolves a protocol to a registered dyadic mechanism:
+// the reduction runs one dyadic accumulator per item or bucket, under
+// either encoding.
+func domainMechanism(p Protocol) (Mechanism, error) {
 	m, err := lookupErr(p)
 	if err != nil {
 		return Mechanism{}, err
 	}
-	if !m.Caps.Domain {
+	if !m.Dyadic() {
 		return Mechanism{}, fmt.Errorf("ldp: mechanism %q does not support domain tracking", p)
-	}
-	if enc.Hashed() && !m.Caps.HashedDomain {
-		return Mechanism{}, fmt.Errorf("ldp: mechanism %q does not support hashed domain encodings", p)
 	}
 	return m, nil
 }
@@ -146,7 +144,7 @@ type DomainClient struct {
 // NewDomainClient creates a domain client for the given user over
 // horizon d (a power of two) and domain size m. Mechanism, sparsity and
 // budget come from options and must match the server's; the mechanism
-// must declare the Domain capability. The target item and the client's
+// must be dyadic (Mechanism.Dyadic). The target item and the client's
 // randomness both derive from WithSeed mixed with the user id, exactly
 // like NewClient; use DomainClientFactory.NewClient for explicit
 // per-user seed control.
@@ -180,7 +178,7 @@ func newDomainClientFactory(d, m int, cfg config) (*DomainClientFactory, error) 
 	if err != nil {
 		return nil, err
 	}
-	mech, err := domainMechanism(cfg.mech, enc)
+	mech, err := domainMechanism(cfg.mech)
 	if err != nil {
 		return nil, err
 	}
@@ -210,6 +208,9 @@ func (f *DomainClientFactory) Encoding() hh.DomainEncoding { return f.enc }
 // client's randomness, through disjoint streams, drawn in that order —
 // the order exact clients have always drawn in.
 func (f *DomainClientFactory) NewClient(user int, seed int64) (*DomainClient, error) {
+	if err := checkUser(user); err != nil {
+		return nil, err
+	}
 	g := rng.NewFromSeed(seed)
 	row := g.IntN(f.enc.Rows())
 	eng, err := f.build(user, g.Int64())
@@ -262,8 +263,8 @@ type DomainServer struct {
 
 // NewDomainServer creates a domain server for horizon d (a power of
 // two) and domain size m. Mechanism, sparsity, budget and encoding
-// come from options and must match the clients'; the mechanism must
-// declare the Domain capability (HashedDomain for hashed encodings).
+// come from options and must match the clients'; the mechanism must be
+// dyadic (Mechanism.Dyadic).
 func NewDomainServer(d, m int, opts ...Option) (*DomainServer, error) {
 	cfg := newConfig(opts)
 	enc, err := domainEncodingOf(cfg, m)
@@ -274,7 +275,7 @@ func NewDomainServer(d, m int, opts ...Option) (*DomainServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	mech, err := domainMechanism(cfg.mech, enc)
+	mech, err := domainMechanism(cfg.mech)
 	if err != nil {
 		return nil, err
 	}

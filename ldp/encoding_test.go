@@ -63,8 +63,8 @@ func TestValidateDomainSize(t *testing.T) {
 
 // TestDomainEncodingOptions covers the option-resolution boundary:
 // exact rejects stray hash parameters, loloha requires a bucket count
-// (explicit or via the budget split), and hashed encodings demand the
-// HashedDomain capability.
+// (explicit or via the budget split), and hashed encodings demand a
+// dyadic mechanism.
 func TestDomainEncodingOptions(t *testing.T) {
 	if _, err := NewDomainServer(16, 8, WithBuckets(4)); err == nil {
 		t.Error("exact encoding with WithBuckets accepted")

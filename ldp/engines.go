@@ -17,55 +17,39 @@ import (
 
 func init() {
 	MustRegister(Mechanism{
-		Protocol:    FutureRand,
-		Description: "the paper's protocol (Theorem 4.1): error O((1/ε)·log d·√(k·n·log(d/β)))",
-		Caps:        Capabilities{ErrorBound: true, Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(protocol.FutureRand),
-		Server:      frameworkServer(protocol.FutureRand),
-		EstimatorScale: func(p Params) (float64, error) {
-			return protocol.FutureRand.Scale(p.D, p.K, p.Eps)
-		},
-		ErrorBound: ErrorBound,
+		Protocol:       FutureRand,
+		Description:    "the paper's protocol (Theorem 4.1): error O((1/ε)·log d·√(k·n·log(d/β)))",
+		Clients:        frameworkClients(protocol.FutureRand),
+		EstimatorScale: frameworkScale(protocol.FutureRand),
+		ErrorBound:     ErrorBound,
 	})
 	MustRegister(Mechanism{
-		Protocol:    Independent,
-		Description: "Example 4.2's ε/k composition: error linear in k",
-		Caps:        Capabilities{Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(protocol.Independent),
-		Server:      frameworkServer(protocol.Independent),
-		EstimatorScale: func(p Params) (float64, error) {
-			return protocol.Independent.Scale(p.D, p.K, p.Eps)
-		},
+		Protocol:       Independent,
+		Description:    "Example 4.2's ε/k composition: error linear in k",
+		Clients:        frameworkClients(protocol.Independent),
+		EstimatorScale: frameworkScale(protocol.Independent),
 	})
 	MustRegister(Mechanism{
-		Protocol:    Bun,
-		Description: "the Bun–Nelson–Stemmer composition made online: √ln(k/ε) worse than FutureRand",
-		Caps:        Capabilities{Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
-		Clients:     frameworkClients(protocol.Bun),
-		Server:      frameworkServer(protocol.Bun),
-		EstimatorScale: func(p Params) (float64, error) {
-			return protocol.Bun.Scale(p.D, p.K, p.Eps)
-		},
+		Protocol:       Bun,
+		Description:    "the Bun–Nelson–Stemmer composition made online: √ln(k/ε) worse than FutureRand",
+		Clients:        frameworkClients(protocol.Bun),
+		EstimatorScale: frameworkScale(protocol.Bun),
 	})
 	MustRegister(Mechanism{
 		Protocol:       Erlingsson,
 		Description:    "the 2020 change-sampling baseline: one kept change, RR at ε/2, ×k estimator",
-		Caps:           Capabilities{Sharded: true, Durable: true, Clustered: true, Domain: true, HashedDomain: true},
 		Clients:        erlingssonClients,
-		Server:         erlingssonServer,
 		EstimatorScale: erlingssonScale,
 	})
 	MustRegister(Mechanism{
 		Protocol:    NaiveSplit,
 		Description: "a fresh randomized response per period at budget ε/d: error linear in d",
-		Caps:        Capabilities{Durable: true},
 		Clients:     naiveClients,
 		Server:      naiveServer,
 	})
 	MustRegister(Mechanism{
 		Protocol:    CentralBinary,
 		Description: "the trusted-curator binary mechanism (Section 6), for central-vs-local comparisons",
-		Caps:        Capabilities{Durable: true},
 		Clients:     centralClients,
 		Server:      centralServer,
 	})
@@ -87,9 +71,6 @@ func frameworkClients(kind protocol.RandomizerKind) func(p Params) (ClientBuilde
 			clipK = p.K
 		}
 		return func(user int, seed int64) (ClientEngine, error) {
-			if user < 0 {
-				return nil, fmt.Errorf("ldp: negative user id %d", user)
-			}
 			return protocol.NewSeededClient(user, d, clipK, factories, seed), nil
 		}, nil
 	}
@@ -108,9 +89,6 @@ func erlingssonClients(p Params) (ClientBuilder, error) {
 	}
 	d, k := p.D, p.K
 	return func(user int, seed int64) (ClientEngine, error) {
-		if user < 0 {
-			return nil, fmt.Errorf("ldp: negative user id %d", user)
-		}
 		return protocol.NewSeededErlingssonClient(user, d, k, factories, seed), nil
 	}, nil
 }
@@ -139,9 +117,6 @@ func naiveClients(p Params) (ClientBuilder, error) {
 	}
 	d, eps := p.D, p.Eps
 	return func(user int, seed int64) (ClientEngine, error) {
-		if user < 0 {
-			return nil, fmt.Errorf("ldp: negative user id %d", user)
-		}
 		return naiveClientEngine{protocol.NewNaiveSplitClient(user, d, eps, rng.NewFromSeed(seed))}, nil
 	}, nil
 }
@@ -152,9 +127,6 @@ func centralClients(p Params) (ClientBuilder, error) {
 	}
 	d := p.D
 	return func(user int, seed int64) (ClientEngine, error) {
-		if user < 0 {
-			return nil, fmt.Errorf("ldp: negative user id %d", user)
-		}
 		return central.NewClient(user, d), nil
 	}, nil
 }
@@ -162,9 +134,10 @@ func centralClients(p Params) (ClientBuilder, error) {
 // ---------------------------------------------------------------------------
 // Server engines.
 
-// dyadicEngine wraps the standard dyadic-accumulator server used by the
-// framework mechanisms and the Erlingsson baseline; only the estimator
-// scale differs between them.
+// dyadicEngine wraps the dyadic-accumulator server of Algorithm 2, the
+// server of every dyadic mechanism (Mechanism.Dyadic) at its
+// EstimatorScale: the framework mechanisms and the Erlingsson baseline
+// differ only in that scale.
 type dyadicEngine struct {
 	inner    *protocol.Server
 	maxOrder int
@@ -207,14 +180,9 @@ func (e *dyadicEngine) EstimateSeriesTo(r int) []float64 { return e.inner.Estima
 func (e *dyadicEngine) EstimateChange(l, r int) float64  { return e.inner.EstimateChange(l, r) }
 func (e *dyadicEngine) Users() int                       { return e.inner.Users() }
 
-func frameworkServer(kind protocol.RandomizerKind) func(p Params) (ServerEngine, error) {
-	return func(p Params) (ServerEngine, error) {
-		scale, err := kind.Scale(p.D, p.K, p.Eps)
-		if err != nil {
-			return nil, err
-		}
-		return newDyadicEngine(p.D, scale), nil
-	}
+// frameworkScale is a framework mechanism's EstimatorScale.
+func frameworkScale(kind protocol.RandomizerKind) func(p Params) (float64, error) {
+	return func(p Params) (float64, error) { return kind.Scale(p.D, p.K, p.Eps) }
 }
 
 func erlingssonScale(p Params) (float64, error) {
@@ -225,14 +193,6 @@ func erlingssonScale(p Params) (float64, error) {
 		return 0, fmt.Errorf("ldp: epsilon %v must be positive", p.Eps)
 	}
 	return protocol.ErlingssonScale(p.D, p.K, p.Eps), nil
-}
-
-func erlingssonServer(p Params) (ServerEngine, error) {
-	scale, err := erlingssonScale(p)
-	if err != nil {
-		return nil, err
-	}
-	return newDyadicEngine(p.D, scale), nil
 }
 
 // naiveEngine serves the per-period randomized-response baseline: all

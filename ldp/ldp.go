@@ -147,8 +147,8 @@ func WithClipping() Option { return func(c *config) { c.clip = true } }
 // constructors: "exact" (the default — one server row per catalogue
 // item, m ≤ 4096) or "loloha" (longitudinal local hashing — items hash
 // to g buckets under a shared epoch seed, m up to 2^24 with server
-// memory scaling in g). The mechanism must declare the HashedDomain
-// capability for "loloha". Ignored by the Boolean constructors.
+// memory scaling in g). Either encoding takes any dyadic mechanism
+// (Mechanism.Dyadic). Ignored by the Boolean constructors.
 func WithDomainEncoding(name string) Option { return func(c *config) { c.encoding = name } }
 
 // WithBuckets sets the hashed encoding's bucket count g (2..4096).
@@ -220,6 +220,15 @@ func NewClippedClient(user, d int, opts ...Option) (*Client, error) {
 	return NewClient(user, d, append(append([]Option{}, opts...), WithClipping())...)
 }
 
+// checkUser refuses a negative user id, once for every mechanism: the
+// client factories call it before a ClientBuilder runs.
+func checkUser(user int) error {
+	if user < 0 {
+		return fmt.Errorf("ldp: negative user id %d", user)
+	}
+	return nil
+}
+
 // ClientFactory stamps out per-user clients that share the mechanism's
 // parameter tables — for FutureRand, the one-time exact annulus
 // computation — so constructing a million clients costs the expensive
@@ -256,6 +265,9 @@ func (f *ClientFactory) Mechanism() Protocol { return f.mech }
 
 // NewClient builds the client for one user, seeded deterministically.
 func (f *ClientFactory) NewClient(user int, seed int64) (*Client, error) {
+	if err := checkUser(user); err != nil {
+		return nil, err
+	}
 	eng, err := f.build(user, seed)
 	if err != nil {
 		return nil, err
@@ -298,7 +310,7 @@ func NewServer(d int, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := m.Server(p)
+	eng, err := m.newServer(p)
 	if err != nil {
 		return nil, err
 	}

@@ -7,42 +7,6 @@ import (
 	"sync"
 )
 
-// Capabilities is the metadata a Mechanism declares about itself; the
-// registry and the service layer use it to decide what a mechanism can
-// be asked to do.
-type Capabilities struct {
-	// ErrorBound: a closed-form high-probability ℓ∞ error bound is
-	// available (Mechanism.ErrorBound is set).
-	ErrorBound bool
-	// Sharded: the mechanism's server state is the standard dyadic
-	// accumulator, so rtf-serve can host it on the sharded ingestion
-	// path and answer queries from live counters.
-	Sharded bool
-	// Durable: the mechanism's server engine implements Snapshotter and
-	// Restorer, so its state survives restarts via the persistence
-	// subsystem (snapshot + write-ahead log).
-	Durable bool
-	// Clustered: the mechanism's server state is additive integer
-	// counters (the dyadic accumulator), so partial states from N
-	// partitioned rtf-serve backends merge — as raw sums, not scaled
-	// floats — into answers bit-for-bit identical to one serial server.
-	// rtf-gateway hosts only clustered mechanisms. Implies Sharded.
-	Clustered bool
-	// Domain: the mechanism supports the richer-domain reduction
-	// (Section 1): its streaming clients can track the item-indicator
-	// stream and its server state is the standard dyadic accumulator,
-	// so a DomainServer can run one instance per item and scale
-	// estimates by m. Implies Sharded.
-	Domain bool
-	// HashedDomain: the mechanism supports hashed domain encodings
-	// (LOLOHA): its clients can track the bucket-indicator stream
-	// 1{B(v) = b} exactly as they track an item indicator, so the
-	// reduction runs over g hash buckets instead of m items and server
-	// memory scales with g. Implies Domain — a hashed encoding is a
-	// domain reduction whose rows are buckets.
-	HashedDomain bool
-}
-
 // Params carries the protocol parameters shared by a mechanism's
 // clients and server. D is the horizon (a power of two: the ldp
 // constructors check it before they call a factory), K the per-user
@@ -91,30 +55,54 @@ type ServerEngine interface {
 // annulus computation).
 type ClientBuilder func(user int, seed int64) (ClientEngine, error)
 
-// Mechanism is one registered protocol: capability metadata plus the
-// client and server factories the streaming API dispatches to. The six paper protocols are
-// registered at init; external packages may Register additional
-// mechanisms under new Protocol names.
+// Mechanism is one registered protocol: a client factory and one server
+// declaration, which the streaming API dispatches to. The six paper
+// protocols are registered at init; external packages may Register
+// additional mechanisms under new Protocol names.
+//
+// What a mechanism can be served on follows from what it provides. A
+// mechanism that sets EstimatorScale is dyadic (Dyadic): its server is
+// the paper's Algorithm 2 accumulator at that scale, so rtf-serve hosts
+// it on the sharded accumulator, rtf-gateway merges it across machines,
+// and the domain constructors run it per item or bucket. A mechanism
+// that sets Server instead is served only in process, by NewServer.
+// Every built-in engine implements Snapshotter and Restorer.
 type Mechanism struct {
 	// Protocol is the registry key.
 	Protocol Protocol
 	// Description is a one-line summary for listings.
 	Description string
-	// Caps declares what the mechanism supports.
-	Caps Capabilities
 	// Clients returns a per-user client factory for the parameters.
 	// Required.
 	Clients func(p Params) (ClientBuilder, error)
-	// Server returns a fresh server engine for the parameters.
-	// Required.
-	Server func(p Params) (ServerEngine, error)
 	// EstimatorScale returns the dyadic accumulator's estimator scale
-	// for the parameters. Required when Caps.Sharded; rtf-serve uses it
-	// to host the mechanism on the sharded ingestion path.
+	// (Algorithm 2, line 5) for the parameters. Set exactly one of
+	// EstimatorScale and Server.
 	EstimatorScale func(p Params) (float64, error)
+	// Server returns a fresh server engine for the parameters, for a
+	// mechanism whose server is not the dyadic accumulator.
+	Server func(p Params) (ServerEngine, error)
 	// ErrorBound returns the closed-form high-probability ℓ∞ bound at
-	// failure probability beta. Required when Caps.ErrorBound.
+	// failure probability beta; nil when the mechanism has none.
 	ErrorBound func(n, d, k int, eps, beta float64) (float64, error)
+}
+
+// Dyadic reports whether m's server is the dyadic accumulator: the one
+// predicate behind what rtf-serve, rtf-gateway, rtf-sim's server
+// scenarios and the domain constructors accept.
+func (m Mechanism) Dyadic() bool { return m.EstimatorScale != nil }
+
+// newServer builds m's server engine: the dyadic accumulator at
+// EstimatorScale's scale, or whatever Server returns.
+func (m Mechanism) newServer(p Params) (ServerEngine, error) {
+	if !m.Dyadic() {
+		return m.Server(p)
+	}
+	scale, err := m.EstimatorScale(p)
+	if err != nil {
+		return nil, err
+	}
+	return newDyadicEngine(p.D, scale), nil
 }
 
 var (
@@ -123,29 +111,17 @@ var (
 )
 
 // Register adds a mechanism to the registry. It fails on an empty or
-// duplicate protocol name and on factories missing for the declared
-// capabilities.
+// duplicate protocol name, a missing client factory, and a mechanism
+// that sets both or neither of EstimatorScale and Server.
 func Register(m Mechanism) error {
 	if m.Protocol == "" {
 		return errors.New("ldp: mechanism with empty protocol name")
 	}
-	if m.Clients == nil || m.Server == nil {
-		return fmt.Errorf("ldp: mechanism %q missing client or server factory", m.Protocol)
+	if m.Clients == nil {
+		return fmt.Errorf("ldp: mechanism %q missing client factory", m.Protocol)
 	}
-	if m.Caps.Sharded && m.EstimatorScale == nil {
-		return fmt.Errorf("ldp: sharded mechanism %q missing estimator scale", m.Protocol)
-	}
-	if m.Caps.Clustered && !m.Caps.Sharded {
-		return fmt.Errorf("ldp: clustered mechanism %q must be sharded (the gateway scatters over rtf-serve backends)", m.Protocol)
-	}
-	if m.Caps.Domain && !m.Caps.Sharded {
-		return fmt.Errorf("ldp: domain mechanism %q must be sharded (the reduction runs per-item dyadic accumulators)", m.Protocol)
-	}
-	if m.Caps.HashedDomain && !m.Caps.Domain {
-		return fmt.Errorf("ldp: hashed-domain mechanism %q must support the domain reduction (a hashed encoding is a domain reduction over buckets)", m.Protocol)
-	}
-	if m.Caps.ErrorBound && m.ErrorBound == nil {
-		return fmt.Errorf("ldp: mechanism %q declares an error bound but provides none", m.Protocol)
+	if (m.Server == nil) == (m.EstimatorScale == nil) {
+		return fmt.Errorf("ldp: mechanism %q must set exactly one of EstimatorScale and Server", m.Protocol)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -49,23 +49,25 @@ func TestRegistryContents(t *testing.T) {
 		if !ok {
 			t.Fatalf("built-in %q not registered", p)
 		}
-		if m.Clients == nil || m.Server == nil {
-			t.Errorf("%q: every built-in mechanism needs client and server factories", p)
+		if m.Clients == nil || (m.Server == nil) == (m.EstimatorScale == nil) {
+			t.Errorf("%q: every built-in mechanism needs a client factory and exactly one of EstimatorScale and Server", p)
 		}
 		if m.Description == "" {
 			t.Errorf("%q: empty description", p)
 		}
-		if m.Caps.Sharded && m.EstimatorScale == nil {
-			t.Errorf("%q: sharded without estimator scale", p)
+	}
+	// Durability is not declared: every registered engine provides it.
+	for _, m := range ms {
+		srv, err := NewServer(32, WithMechanism(m.Protocol), WithSparsity(2), WithEpsilon(1))
+		if err != nil {
+			t.Fatalf("%s: %v", m.Protocol, err)
 		}
-	}
-	fr, _ := Lookup(FutureRand)
-	if !fr.Caps.ErrorBound || !fr.Caps.Sharded {
-		t.Errorf("futurerand caps incomplete: %+v", fr.Caps)
-	}
-	erl, _ := Lookup(Erlingsson)
-	if erl.Caps.ErrorBound || !erl.Caps.Sharded {
-		t.Errorf("erlingsson caps wrong: %+v", erl.Caps)
+		if _, ok := srv.eng.(Snapshotter); !ok {
+			t.Errorf("%s: engine has no MarshalState", m.Protocol)
+		}
+		if _, ok := srv.eng.(Restorer); !ok {
+			t.Errorf("%s: engine has no RestoreState", m.Protocol)
+		}
 	}
 	if _, ok := Lookup("nonexistent"); ok {
 		t.Error("Lookup found an unregistered mechanism")
@@ -83,14 +85,9 @@ func TestRegisterValidation(t *testing.T) {
 		{"duplicate", Mechanism{Protocol: FutureRand, Clients: clients, Server: server}},
 		{"no client factory", Mechanism{Protocol: "x-no-clients", Server: server}},
 		{"no server factory", Mechanism{Protocol: "x-no-server", Clients: clients}},
-		{"sharded without scale", Mechanism{
-			Protocol: "x-shard", Clients: clients, Server: server, Caps: Capabilities{Sharded: true},
-		}},
-		{"domain without sharding", Mechanism{
-			Protocol: "x-domain", Clients: clients, Server: server, Caps: Capabilities{Domain: true},
-		}},
-		{"bound without func", Mechanism{
-			Protocol: "x-bound", Clients: clients, Server: server, Caps: Capabilities{ErrorBound: true},
+		{"both server declarations", Mechanism{
+			Protocol: "x-both", Clients: clients, Server: server,
+			EstimatorScale: func(Params) (float64, error) { return 1, nil },
 		}},
 	}
 	for _, c := range cases {

@@ -4,8 +4,9 @@ import "fmt"
 
 // Snapshotter is the optional ServerEngine capability behind the
 // persistence subsystem: a mechanism whose accumulated server state can
-// be serialized into an opaque snapshot payload. Mechanisms declaring
-// Capabilities.Durable implement it (and Restorer) on their engines.
+// be serialized into an opaque snapshot payload. Every built-in
+// mechanism's engine implements it (and Restorer); the Server methods
+// below check for it at run time.
 type Snapshotter interface {
 	// MarshalState serializes the engine's accumulated state. The
 	// payload is versioned and self-validating: restoring it into an
@@ -24,7 +25,7 @@ type Restorer interface {
 }
 
 // MarshalState serializes the server's accumulated state for a durable
-// snapshot, when the mechanism supports it (Capabilities.Durable).
+// snapshot, when the mechanism's engine is a Snapshotter.
 func (s *Server) MarshalState() ([]byte, error) {
 	eng, ok := s.eng.(Snapshotter)
 	if !ok {

@@ -7,11 +7,11 @@ import (
 	"rtf/workload"
 )
 
-// TestDurableMechanismsRoundTrip drives every mechanism that declares
-// the Durable capability through a snapshot/restore cycle: a server is
-// fed real client reports, its state is marshaled, restored into a
-// fresh server built with the same options, and every query shape must
-// answer bit-for-bit identically.
+// TestDurableMechanismsRoundTrip drives every registered mechanism
+// through a snapshot/restore cycle: a server is fed real client reports,
+// its state is marshaled, restored into a fresh server built with the
+// same options, and every query shape must answer bit-for-bit
+// identically.
 func TestDurableMechanismsRoundTrip(t *testing.T) {
 	const d, n = 64, 120
 	w, err := workload.Generate(workload.Uniform{N: n, D: d, K: 3}, 5)
@@ -19,9 +19,6 @@ func TestDurableMechanismsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Mechanisms() {
-		if !m.Caps.Durable {
-			continue
-		}
 		t.Run(string(m.Protocol), func(t *testing.T) {
 			opts := []Option{WithMechanism(m.Protocol), WithSparsity(3), WithEpsilon(1), WithSeed(42)}
 			src, err := NewServer(d, opts...)
@@ -144,27 +141,6 @@ func TestCentralRestorePinsParameters(t *testing.T) {
 		}
 		if err := other.RestoreState(state); err == nil || !strings.Contains(err.Error(), "noise checksum") {
 			t.Errorf("%s: got %v, want noise-checksum rejection", tc.name, err)
-		}
-	}
-}
-
-// TestDurableCapabilityDeclared cross-checks the metadata: every
-// mechanism declaring Durable must actually implement Snapshotter and
-// Restorer on its server engine.
-func TestDurableCapabilityDeclared(t *testing.T) {
-	for _, m := range Mechanisms() {
-		if !m.Caps.Durable {
-			continue
-		}
-		srv, err := NewServer(32, WithMechanism(m.Protocol), WithSparsity(2), WithEpsilon(1))
-		if err != nil {
-			t.Fatalf("%s: %v", m.Protocol, err)
-		}
-		if _, ok := srv.eng.(Snapshotter); !ok {
-			t.Errorf("%s: declares Durable but engine has no MarshalState", m.Protocol)
-		}
-		if _, ok := srv.eng.(Restorer); !ok {
-			t.Errorf("%s: declares Durable but engine has no RestoreState", m.Protocol)
 		}
 	}
 }
