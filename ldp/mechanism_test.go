@@ -56,19 +56,6 @@ func TestRegistryContents(t *testing.T) {
 			t.Errorf("%q: empty description", p)
 		}
 	}
-	// Durability is not declared: every registered engine provides it.
-	for _, m := range ms {
-		srv, err := NewServer(32, WithMechanism(m.Protocol), WithSparsity(2), WithEpsilon(1))
-		if err != nil {
-			t.Fatalf("%s: %v", m.Protocol, err)
-		}
-		if _, ok := srv.eng.(Snapshotter); !ok {
-			t.Errorf("%s: engine has no MarshalState", m.Protocol)
-		}
-		if _, ok := srv.eng.(Restorer); !ok {
-			t.Errorf("%s: engine has no RestoreState", m.Protocol)
-		}
-	}
 	if _, ok := Lookup("nonexistent"); ok {
 		t.Error("Lookup found an unregistered mechanism")
 	}

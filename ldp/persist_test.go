@@ -145,6 +145,24 @@ func TestCentralRestorePinsParameters(t *testing.T) {
 	}
 }
 
+// TestDurableCapabilityDeclared checks that durability needs no
+// declaration: every registered mechanism's server engine implements
+// Snapshotter and Restorer.
+func TestDurableCapabilityDeclared(t *testing.T) {
+	for _, m := range Mechanisms() {
+		srv, err := NewServer(32, WithMechanism(m.Protocol), WithSparsity(2), WithEpsilon(1))
+		if err != nil {
+			t.Fatalf("%s: %v", m.Protocol, err)
+		}
+		if _, ok := srv.eng.(Snapshotter); !ok {
+			t.Errorf("%s: engine has no MarshalState", m.Protocol)
+		}
+		if _, ok := srv.eng.(Restorer); !ok {
+			t.Errorf("%s: engine has no RestoreState", m.Protocol)
+		}
+	}
+}
+
 // TestNonDurableEngineErrors covers the public API's descriptive error
 // for an engine without the capability.
 func TestNonDurableEngineErrors(t *testing.T) {
