@@ -339,6 +339,109 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
+// The client half of the wire: what a client pays to encode a batch of
+// reports and to decode an answer, in process. End to end these sit
+// inside fleet-online's reports_per_s and query_p95_ms.
+
+// loopReader serves its bytes over and over, so one Decoder reads the
+// same frame once per iteration through its own buffer refills, the way
+// a client reads answers off a connection.
+type loopReader struct {
+	b   []byte
+	off int
+}
+
+func (r *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, r.b[r.off:])
+	r.off = (r.off + n) % len(r.b)
+	return n, nil
+}
+
+// BenchmarkAnswerDecode measures a client's decode of one answer frame:
+// a point answer, a 1,024-value Series (what fleet-online times) and a
+// 256-value domain SeriesItem.
+func BenchmarkAnswerDecode(b *testing.B) {
+	values := func(n int) []float64 {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(i)*0.37 - 12
+		}
+		return vs
+	}
+	for _, c := range []struct {
+		name   string
+		encode func(*wire.Encoder) error
+		decode func(*wire.Decoder) error
+	}{
+		{"point",
+			func(e *wire.Encoder) error {
+				return e.EncodeAnswer(wire.AnswerFrame{Kind: wire.QueryPoint, L: 512, Values: values(1)})
+			},
+			func(d *wire.Decoder) error { _, err := d.ReadAnswer(); return err }},
+		{"series-1024",
+			func(e *wire.Encoder) error {
+				return e.EncodeAnswer(wire.AnswerFrame{Kind: wire.QuerySeries, Values: values(1024)})
+			},
+			func(d *wire.Decoder) error { _, err := d.ReadAnswer(); return err }},
+		{"domain-series-256",
+			func(e *wire.Encoder) error {
+				return e.EncodeDomainAnswer(wire.DomainAnswerFrame{Kind: wire.QuerySeriesItem, Item: 17, Values: values(256)})
+			},
+			func(d *wire.Decoder) error { _, err := d.ReadDomainAnswer(); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			enc := wire.NewEncoder(&buf)
+			if err := c.encode(enc); err != nil {
+				b.Fatal(err)
+			}
+			if err := enc.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			dec := wire.NewDecoder(&loopReader{b: buf.Bytes()})
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.decode(dec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClientEncodeBatch measures a client's encode of one acked
+// batch of 2,048 Boolean reports (d = 1024, user ids of one to three
+// bytes) on a warmed encoder.
+func BenchmarkClientEncodeBatch(b *testing.B) {
+	const reports, d = 2048, 1024
+	g := rng.New(31, 32)
+	ms := make([]wire.Msg, reports)
+	for i := range ms {
+		h := g.IntN(dyadic.NumOrders(d))
+		bit := int8(1)
+		if g.Bernoulli(0.5) {
+			bit = -1
+		}
+		ms[i] = wire.FromReport(protocol.Report{User: g.IntN(1 << 18), Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit})
+	}
+	var sink writableBuffer
+	enc := wire.NewEncoder(&sink)
+	if err := enc.EncodeAckedBatch(ms); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.EncodeAckedBatch(ms); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reports), "ns/report")
+}
+
+// ---------------------------------------------------------------------------
 // Ingestion-service benchmarks: the single-message, single-shard path
 // versus sharded batched ingestion (the rtf-serve data path), at the
 // same total report count. The single path decodes one frame per report

@@ -106,7 +106,7 @@ func (m *boolMode) user(u int) ([]wire.Msg, func() error, error) {
 		}
 	}
 	return ms, func() error {
-		if err := m.ref.Register(ms[0].Order); err != nil {
+		if err := m.ref.Register(int(ms[0].Order)); err != nil {
 			return err
 		}
 		for _, msg := range ms[1:] {
@@ -283,12 +283,12 @@ func (m *domainMode) user(u int) ([]wire.Msg, func() error, error) {
 		}
 	}
 	return ms, func() error {
-		if err := m.ref.Register(ms[0].Item, ms[0].Order); err != nil {
+		if err := m.ref.Register(int(ms[0].Item), int(ms[0].Order)); err != nil {
 			return err
 		}
 		for _, msg := range ms[1:] {
-			rep := ldp.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit}
-			if err := m.ref.Ingest(ldp.DomainReport{Item: msg.Item, Report: rep}); err != nil {
+			rep := ldp.Report{User: msg.User, Order: int(msg.Order), J: msg.J, Bit: msg.Bit}
+			if err := m.ref.Ingest(ldp.DomainReport{Item: int(msg.Item), Report: rep}); err != nil {
 				return err
 			}
 		}

@@ -132,7 +132,7 @@ func testAnswerCacheExact(t *testing.T, pl testPlacement) {
 	for _, seed := range []uint64{21, 22} {
 		for _, m := range clusterMsgs(seed, d, map[uint64]int{21: 40, 22: 30}[seed], map[uint64]int{21: 6, 22: 4}[seed]) {
 			if m.Type == wire.MsgHello {
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			} else {
 				serial.Ingest(m.Report())
 			}
@@ -201,7 +201,7 @@ func testQueryCoalesced(t *testing.T, pl testPlacement) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range clusterMsgs(31, d, 60, 8) {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}
@@ -381,7 +381,7 @@ func testCacheChurnBoolean(t *testing.T, pl testPlacement) {
 		for r := 0; r < rounds; r++ {
 			for _, m := range clusterMsgs(uint64(500+w*rounds+r), d, 20, 4) {
 				if m.Type == wire.MsgHello {
-					serial.Register(m.Order)
+					serial.Register(int(m.Order))
 				} else {
 					serial.Ingest(m.Report())
 				}
@@ -522,16 +522,16 @@ func testCacheChurnDomain(t *testing.T, pl testPlacement, hashed bool) {
 				switch msg.Type {
 				case wire.MsgDomainHello, wire.MsgHashedDomainHello:
 					if hashed {
-						ref.(*hh.HashedDomainServer).Inner().Register(0, msg.Item, msg.Order)
+						ref.(*hh.HashedDomainServer).Inner().Register(0, int(msg.Item), int(msg.Order))
 					} else {
-						ref.(*hh.DomainServer).Register(0, msg.Item, msg.Order)
+						ref.(*hh.DomainServer).Register(0, int(msg.Item), int(msg.Order))
 					}
 				case wire.MsgDomainReport:
-					rep := protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit}
+					rep := protocol.Report{User: msg.User, Order: int(msg.Order), J: msg.J, Bit: msg.Bit}
 					if hashed {
-						ref.(*hh.HashedDomainServer).Inner().Ingest(0, msg.Item, rep)
+						ref.(*hh.HashedDomainServer).Inner().Ingest(0, int(msg.Item), rep)
 					} else {
-						ref.(*hh.DomainServer).Ingest(0, msg.Item, rep)
+						ref.(*hh.DomainServer).Ingest(0, int(msg.Item), rep)
 					}
 				}
 			}
@@ -588,7 +588,7 @@ func serialOf(d int, scale float64, batches ...[]wire.Msg) *protocol.Server {
 	for _, ms := range batches {
 		for _, m := range ms {
 			if m.Type == wire.MsgHello {
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			} else {
 				serial.Ingest(m.Report())
 			}
@@ -723,9 +723,9 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, m := range ms {
 		if m.Type == wire.MsgHashedDomainHello {
-			serial.Inner().Register(0, m.Item, m.Order)
+			serial.Inner().Register(0, int(m.Item), int(m.Order))
 		} else {
-			serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+			serial.Inner().Ingest(0, int(m.Item), protocol.Report{User: m.User, Order: int(m.Order), J: m.J, Bit: m.Bit})
 		}
 	}
 	pointItem := func(item, at int) float64 {

@@ -111,7 +111,7 @@ func TestGatewayScatterGather(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}
@@ -277,7 +277,7 @@ func TestGatewayBackendRestart(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}
@@ -325,7 +325,7 @@ func TestGatewayStacked(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}
@@ -421,7 +421,7 @@ func TestGatewayConcurrentSessions(t *testing.T) {
 	for s := 0; s < sessions; s++ {
 		for _, m := range clusterMsgs(uint64(100+s), d, 50, 8) {
 			if m.Type == wire.MsgHello {
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			} else {
 				serial.Ingest(m.Report())
 			}
@@ -535,9 +535,9 @@ func TestGatewayDomainScatterGather(t *testing.T) {
 	serial := hh.NewDomainServer(d, m, scale, 1)
 	for _, msg := range ms {
 		if msg.Type == wire.MsgDomainHello {
-			serial.Register(0, msg.Item, msg.Order)
+			serial.Register(0, int(msg.Item), int(msg.Order))
 		} else {
-			serial.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
+			serial.Ingest(0, int(msg.Item), protocol.Report{User: msg.User, Order: int(msg.Order), J: msg.J, Bit: msg.Bit})
 		}
 	}
 

@@ -77,17 +77,17 @@ func (o *confOracle) answer(q ldp.Query) (ldp.Answer, error) {
 func (o *confOracle) feed(t *testing.T, ms []wire.Msg) {
 	t.Helper()
 	for _, m := range ms {
-		r := ldp.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit}
+		r := ldp.Report{User: m.User, Order: int(m.Order), J: m.J, Bit: m.Bit}
 		var err error
 		switch m.Type {
 		case wire.MsgHello:
-			err = o.b.Register(m.Order)
+			err = o.b.Register(int(m.Order))
 		case wire.MsgReport:
 			err = o.b.Ingest(r)
 		case wire.MsgDomainHello, wire.MsgHashedDomainHello:
-			err = o.d.Register(m.Item, m.Order)
+			err = o.d.Register(int(m.Item), int(m.Order))
 		case wire.MsgDomainReport:
-			err = o.d.Ingest(ldp.DomainReport{Item: m.Item, Report: r})
+			err = o.d.Ingest(ldp.DomainReport{Item: int(m.Item), Report: r})
 		default:
 			t.Fatalf("oracle fed message type %d", m.Type)
 		}
@@ -277,7 +277,7 @@ func confModes(t *testing.T) []confMode {
 				return ms
 			},
 			poison: []wire.Msg{wire.DomainQuery(wire.QueryPointItem, confEnc.M, 1, 0, 0),
-				{Type: wire.MsgDomainReport, User: 901, Item: confEnc.G, Order: 0, J: 1, Bit: 1}},
+				{Type: wire.MsgDomainReport, User: 901, Item: int32(confEnc.G), Order: 0, J: 1, Bit: 1}},
 			offMode: []wire.Msg{boolHello, domainHello, wire.DomainSums(),
 				wire.HashedDomainHello(900, 0, 0, confEnc.Seed+1),
 				wire.HashedDomainSums(confEnc.M, confEnc.G, confEnc.Seed+1)},

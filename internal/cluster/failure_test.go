@@ -358,7 +358,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 			}
 			for _, m := range ms {
 				if m.Type == wire.MsgHello {
-					serial.Register(m.Order)
+					serial.Register(int(m.Order))
 				} else {
 					serial.Ingest(m.Report())
 				}
@@ -522,7 +522,7 @@ func TestGatewayAckedBatchShedWhole(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range batch {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}

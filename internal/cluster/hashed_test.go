@@ -100,9 +100,9 @@ func TestGatewayHashedDomainScatterGather(t *testing.T) {
 	serial := hh.NewHashedDomainServer(d, enc0, scale, 1)
 	for _, msg := range ms {
 		if msg.Type == wire.MsgHashedDomainHello {
-			serial.Inner().Register(0, msg.Item, msg.Order)
+			serial.Inner().Register(0, int(msg.Item), int(msg.Order))
 		} else {
-			serial.Inner().Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
+			serial.Inner().Ingest(0, int(msg.Item), protocol.Report{User: msg.User, Order: int(msg.Order), J: msg.J, Bit: msg.Bit})
 		}
 	}
 

@@ -161,7 +161,7 @@ func TestMemberGatewayQuorumEndToEnd(t *testing.T) {
 	serial := protocol.NewServer(d, scale)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			serial.Register(m.Order)
+			serial.Register(int(m.Order))
 		} else {
 			serial.Ingest(m.Report())
 		}
@@ -283,7 +283,7 @@ func TestMemberGatewayReshard(t *testing.T) {
 	apply := func(ms []wire.Msg) {
 		for _, m := range ms {
 			if m.Type == wire.MsgHello {
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			} else {
 				serial.Ingest(m.Report())
 			}

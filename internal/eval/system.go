@@ -196,7 +196,7 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 	coll.Drain(func(m wire.Msg) {
 		switch m.Type {
 		case wire.MsgHello:
-			srv.Register(m.Order)
+			srv.Register(int(m.Order))
 		case wire.MsgReport:
 			srv.Ingest(m.Report())
 		}

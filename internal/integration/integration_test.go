@@ -129,7 +129,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 	coll.Drain(func(m wire.Msg) {
 		switch m.Type {
 		case wire.MsgHello:
-			srv.Register(m.Order)
+			srv.Register(int(m.Order))
 		case wire.MsgReport:
 			srv.Ingest(m.Report())
 		}

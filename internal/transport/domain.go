@@ -25,17 +25,17 @@ import (
 // item query. The frame's slices remain owned by the caller and never
 // alias server-internal storage.
 func AnswerDomainQueryInto(items hh.Items, msg wire.Msg, a *wire.DomainAnswerFrame, sc *TopKScratch) (cached bool, err error) {
-	a.Kind, a.Item, a.L, a.R, a.K = msg.Kind, msg.Item, msg.L, msg.R, msg.K
+	a.Kind, a.Item, a.L, a.R, a.K = msg.Kind, int(msg.Item), msg.L, msg.R, int(msg.K)
 	a.Items, a.Values = a.Items[:0], a.Values[:0]
 	switch msg.Kind {
 	case wire.QueryPointItem:
 		var v float64
-		v, cached = items.EstimateItemAtCached(msg.Item, msg.L)
+		v, cached = items.EstimateItemAtCached(int(msg.Item), msg.L)
 		a.Values = append(a.Values, v)
 	case wire.QuerySeriesItem:
-		a.Values = append(a.Values, items.EstimateItemSeries(msg.Item)...)
+		a.Values = append(a.Values, items.EstimateItemSeries(int(msg.Item))...)
 	case wire.QueryTopK:
-		sc.top, cached = items.AppendTopK(sc.top[:0], msg.L, msg.K)
+		sc.top, cached = items.AppendTopK(sc.top[:0], msg.L, int(msg.K))
 		for _, ic := range sc.top {
 			a.Items = append(a.Items, ic.Item)
 			a.Values = append(a.Values, ic.Count)

@@ -218,7 +218,7 @@ func FuzzDomainRead(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: answer to %+v does not decode: %v", s.mode.Name(), m, err)
 			}
-			if a.Kind != m.Kind || a.Item != m.Item || a.L != m.L || a.K != m.K {
+			if a.Kind != m.Kind || a.Item != int(m.Item) || a.L != m.L || a.K != int(m.K) {
 				t.Fatalf("%s: answer %+v does not echo query %+v", s.mode.Name(), a, m)
 			}
 		}

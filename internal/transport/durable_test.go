@@ -62,7 +62,7 @@ func TestDurableCollectorCrashRecovery(t *testing.T) {
 	feedSerial := func(batch []wire.Msg) {
 		for _, m := range batch {
 			if m.Type == wire.MsgHello {
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			} else {
 				serial.Ingest(m.Report())
 			}

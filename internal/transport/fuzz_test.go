@@ -116,7 +116,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			if !bit {
 				b = -1
 			}
-			m = wire.Msg{Type: wire.MsgReport, User: int(user), Order: int(order), J: int(j), Bit: b}
+			m = wire.Msg{Type: wire.MsgReport, User: int(user), Order: int16(order), J: int(j), Bit: b}
 		case 2:
 			m = pointQ(int(tt))
 		case 3:
@@ -162,7 +162,7 @@ func FuzzBatchRoundTrip(f *testing.F) {
 				if s%2 == 0 {
 					b = -1
 				}
-				ms[i] = wire.Msg{Type: wire.MsgReport, User: int(s % 1000), Order: int(s % 32), J: int(s%4096) + 1, Bit: b}
+				ms[i] = wire.Msg{Type: wire.MsgReport, User: int(s % 1000), Order: int16(s % 32), J: int(s%4096) + 1, Bit: b}
 			}
 		}
 		var buf bytes.Buffer

@@ -308,9 +308,9 @@ func TestHashedDomainIngestServerEndToEnd(t *testing.T) {
 		for _, m := range hashedConnMsgs(uint64(c), d, perC) {
 			switch m.Type {
 			case wire.MsgHashedDomainHello:
-				serial.Inner().Register(0, m.Item, m.Order)
+				serial.Inner().Register(0, int(m.Item), int(m.Order))
 			case wire.MsgDomainReport:
-				serial.Inner().Ingest(0, m.Item, protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+				serial.Inner().Ingest(0, int(m.Item), protocol.Report{User: m.User, Order: int(m.Order), J: m.J, Bit: m.Bit})
 			}
 		}
 	}

@@ -35,9 +35,9 @@ func TestIngestContractAgreesWithValidators(t *testing.T) {
 			if !ok {
 				return
 			}
-			want := wire.Msg{Type: m.Type, User: r.User, Order: int(r.Order), J: int(r.J), Bit: r.Bit, Seed: m.Seed}
+			want := wire.Msg{Type: m.Type, User: r.User, Order: int16(r.Order), J: int(r.J), Bit: r.Bit, Seed: m.Seed}
 			if c.name != "bool" {
-				want.Item = int(r.Item)
+				want.Item = int32(r.Item)
 			} else {
 				want.Item = m.Item // not on the Boolean wire; ignored
 			}
@@ -56,12 +56,12 @@ func TestIngestContractAgreesWithValidators(t *testing.T) {
 					for _, o := range orders {
 						for _, j := range js {
 							for _, b := range bits {
-								try(wire.Msg{Type: typ, User: u, Item: it, Order: o, J: j, Bit: b, Seed: enc.Seed})
+								try(wire.Msg{Type: typ, User: u, Item: int32(it), Order: int16(o), J: j, Bit: b, Seed: enc.Seed})
 								n++
 							}
 						}
 						for _, s := range seeds {
-							try(wire.Msg{Type: typ, User: u, Item: it, Order: o, Seed: s})
+							try(wire.Msg{Type: typ, User: u, Item: int32(it), Order: int16(o), Seed: s})
 							n++
 						}
 					}

@@ -162,7 +162,7 @@ func (c *streamConn) Write(p []byte) (int, error) { return len(p), nil }
 func recMsgs(c wire.Ingest, run []wire.Rec) []wire.Msg {
 	ms := make([]wire.Msg, len(run))
 	for i, r := range run {
-		ms[i] = wire.Msg{Type: c.Report, User: r.User, Item: int(r.Item), Order: int(r.Order), J: int(r.J), Bit: r.Bit}
+		ms[i] = wire.Msg{Type: c.Report, User: r.User, Item: int32(r.Item), Order: int16(r.Order), J: int(r.J), Bit: r.Bit}
 		if r.Bit == 0 {
 			ms[i].Type = c.Hello
 			if c.Hello == wire.MsgHashedDomainHello {

@@ -288,7 +288,7 @@ func (p *domainMode) ValidateRead(m wire.Msg) error {
 	if m.Type == wire.MsgDomainQuery {
 		return wire.ValidateDomainQuery(p.d, p.enc, m)
 	}
-	if m.Type == wire.MsgHashedDomainSums && (m.Item != p.enc.M || m.K != p.enc.G || m.Seed != p.enc.Seed) {
+	if m.Type == wire.MsgHashedDomainSums && (int(m.Item) != p.enc.M || int(m.K) != p.enc.G || m.Seed != p.enc.Seed) {
 		return fmt.Errorf("hashed sums request for m=%d g=%d seed=%d, this node encodes m=%d g=%d under a different seed",
 			m.Item, m.K, m.Seed, p.enc.M, p.enc.G)
 	}

@@ -119,9 +119,9 @@ func sendBoth(t *testing.T, c *Collector, shard int, srv *protocol.Server, ms []
 	}
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			srv.Register(m.Order)
+			srv.Register(int(m.Order))
 		} else {
-			srv.Ingest(protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit})
+			srv.Ingest(protocol.Report{User: m.User, Order: int(m.Order), J: m.J, Bit: m.Bit})
 		}
 	}
 }

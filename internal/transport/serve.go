@@ -262,7 +262,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 			return fmt.Errorf("message type %d (query) inside acked batch", m.Type)
 		}
 		if m.Type == wire.MsgShardSums {
-			if n := s.control.NumShards(); m.Shard < 0 || m.Shard >= n {
+			if n := s.control.NumShards(); m.Shard < 0 || int(m.Shard) >= n {
 				return fmt.Errorf("shard %d out of range [0..%d)", m.Shard, n)
 			}
 		}
@@ -346,7 +346,7 @@ func (s *Server) handleControl(m wire.Msg, dec *wire.Decoder, enc *wire.Encoder,
 	case wire.MsgView:
 		applied, err = s.control.SetView(dec.TakeView())
 	case wire.MsgShardTransfer:
-		err = s.install(m.Shard, dec.TakeShardState())
+		err = s.install(int(m.Shard), dec.TakeShardState())
 	default:
 		return false, nil
 	}

@@ -113,7 +113,7 @@ func TestIngestServerEndToEnd(t *testing.T) {
 		for _, m := range connReports(uint64(c), d, perC) {
 			switch m.Type {
 			case wire.MsgHello:
-				serial.Register(m.Order)
+				serial.Register(int(m.Order))
 			case wire.MsgReport:
 				serial.Ingest(m.Report())
 			}

@@ -148,7 +148,7 @@ func (b *bucketScratch) sort(run []wire.Rec) {
 func (c *ShardMap) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
 	scope := c.mode.Scope(m)
 	if m.Type == wire.MsgShardSums {
-		return false, false, c.mode.EncodeSums(e, c.ShardSums(m.Shard, scope))
+		return false, false, c.mode.EncodeSums(e, c.ShardSums(int(m.Shard), scope))
 	}
 	frames := make([]wire.RawSums, len(c.shards))
 	c.imu.RLock()

@@ -42,7 +42,7 @@ func applySerial(d int, scale float64, ms []wire.Msg) *protocol.Sharded {
 	ref := protocol.NewSharded(d, scale, 1)
 	for _, m := range ms {
 		if m.Type == wire.MsgHello {
-			registerAt(ref, 0, m.Order)
+			registerAt(ref, 0, int(m.Order))
 		} else {
 			ingestAt(ref, 0, m.Report())
 		}
@@ -307,9 +307,9 @@ func TestDomainShardMapEquivalence(t *testing.T) {
 	ref := hh.NewDomainServer(d, m, scale, 1)
 	for _, msg := range ms {
 		if msg.Type == wire.MsgDomainHello {
-			ref.Register(0, msg.Item, msg.Order)
+			ref.Register(0, int(msg.Item), int(msg.Order))
 		} else {
-			ref.Ingest(0, msg.Item, protocol.Report{User: msg.User, Order: msg.Order, J: msg.J, Bit: msg.Bit})
+			ref.Ingest(0, int(msg.Item), protocol.Report{User: msg.User, Order: int(msg.Order), J: msg.J, Bit: msg.Bit})
 		}
 	}
 	folded := hh.NewDomainServer(d, m, scale, 1)
@@ -371,13 +371,13 @@ func TestDurableShardMapRecovery(t *testing.T) {
 		{"bool", BoolMode(d, scale), durableMeta(d, scale), func(b wire.Msg) wire.Msg { return b }},
 		{"exact", DomainMode(d, hh.ExactEncoding(m), scale), exactMeta, func(b wire.Msg) wire.Msg {
 			if b.Type == wire.MsgHello {
-				return wire.DomainHello(b.User, b.User%m, b.Order)
+				return wire.DomainHello(b.User, b.User%m, int(b.Order))
 			}
 			return wire.FromDomainReport(b.User%m, b.Report())
 		}},
 		{"hashed", DomainMode(d, enc, scale), hashedMeta, func(b wire.Msg) wire.Msg {
 			if b.Type == wire.MsgHello {
-				return wire.HashedDomainHello(b.User, b.User%enc.G, b.Order, enc.Seed)
+				return wire.HashedDomainHello(b.User, b.User%enc.G, int(b.Order), enc.Seed)
 			}
 			return wire.FromDomainReport(b.User%enc.G, b.Report())
 		}},

@@ -226,9 +226,37 @@ func TestQueryConnKeepsSmallReadBuffer(t *testing.T) {
 	}
 }
 
+// TestAnswerConnGrowsForLongAnswers: a client connection keeps the small
+// read buffer while its answers fit it, and moves to the large one at the
+// first value block longer than the buffer — a 1,024-value Series — so
+// that answer and every later one arrive in one read.
+func TestAnswerConnGrowsForLongAnswers(t *testing.T) {
+	frame := func(n int) []byte {
+		b, err := appendAnswer(nil, AnswerFrame{Kind: QuerySeries, Values: make([]float64, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fits := smallReadBuffer / 8
+	dec := NewDecoder(bytes.NewReader(append(bytes.Repeat(frame(fits), 3), frame(1024)...)))
+	for _, want := range []int{fits, fits, fits, 1024} {
+		if got := dec.r.Size(); want == 1024 && got != smallReadBuffer {
+			t.Fatalf("after answers that fit, the connection reads through %d bytes, want %d", got, smallReadBuffer)
+		}
+		if a, err := dec.ReadAnswer(); err != nil || len(a.Values) != want {
+			t.Fatalf("answer of %d values: %d, %v", want, len(a.Values), err)
+		}
+	}
+	if got := dec.r.Size(); got != largeReadBuffer {
+		t.Fatalf("after a 1,024-value answer the connection reads through %d bytes, want %d", got, largeReadBuffer)
+	}
+}
+
 // TestDecodeRefusalText pins, byte for byte, the general decoder's
 // short-message, overflow and bit-byte errors on each of the five ingest
-// types — the decoder half of internal/transport's TestIngestRefusalText.
+// types — the decoder half of internal/transport's TestIngestRefusalText —
+// and its refusal of a value too large for each narrowed Msg field.
 // A changed string is a changed wire contract, not a test to update.
 func TestDecodeRefusalText(t *testing.T) {
 	// 2^63 is one past the largest int, 2^64−1 the largest uvarint.
@@ -239,6 +267,11 @@ func TestDecodeRefusalText(t *testing.T) {
 	}
 	one, zero, bad := []byte{1}, []byte{0}, []byte{2}
 	seedBytes := binary.AppendUvarint(nil, 0x5eed5eed)
+	// The narrowed Msg fields: 2^31 is one past an int32 item, bucket, k,
+	// m, g or shard; 2^15 is one past an int16 order, and 2^15 − 1, which
+	// a constructor clamps a larger order to, is refused too.
+	over32, over16, top16 := binary.AppendUvarint(nil, 1<<31), binary.AppendUvarint(nil, 1<<15), binary.AppendUvarint(nil, 1<<15-1)
+	v1 := []byte{queryWireVersion}
 	decodes := []struct {
 		b    []byte
 		want string
@@ -263,6 +296,18 @@ func TestDecodeRefusalText(t *testing.T) {
 		{cat(MsgHashedDomainHello, one, over, zero, seedBytes), "transport: bucket 9223372036854775808 overflows"},
 		{cat(MsgHashedDomainHello, one, one, zero), "transport: short message"},
 		{cat(MsgHashedDomainHello, one, one, zero, []byte{0x80}), "transport: short message"},
+		{cat(MsgDomainHello, one, over32, zero), "transport: item 2147483648 overflows"},
+		{cat(MsgDomainReport, one, over32, zero, one, one), "transport: item 2147483648 overflows"},
+		{cat(MsgHashedDomainHello, one, over32, zero, seedBytes), "transport: bucket 2147483648 overflows"},
+		{cat(MsgHello, one, over16), "transport: order 32768 overflows"},
+		{cat(MsgHello, one, top16), "transport: order 32767 overflows"},
+		{cat(MsgReport, one, over16, one, one), "transport: order 32768 overflows"},
+		{cat(MsgDomainReport, one, one, top16, one, one), "transport: order 32767 overflows"},
+		{cat(MsgDomainQuery, v1, []byte{byte(QueryTopK)}, one, one, zero, over32), "transport: domain query field overflows"},
+		{cat(MsgDomainQuery, v1, []byte{byte(QueryPointItem)}, over32, one, zero, zero), "transport: domain query field overflows"},
+		{cat(MsgHashedDomainSums, v1, over32, one, seedBytes), "transport: hashed-sums field overflows"},
+		{cat(MsgHashedDomainSums, v1, one, over32, seedBytes), "transport: hashed-sums field overflows"},
+		{cat(MsgShardSums, v1, over32), "transport: shard 2147483648 exceeds limit 65536"},
 	}
 	for _, c := range decodes {
 		if _, err := decodeScalarInto(c.b, new(Msg)); err == nil || err.Error() != c.want {

@@ -1,10 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"rtf/internal/hh"
@@ -47,14 +47,14 @@ func ValidateDomainQuery(d int, enc hh.DomainEncoding, msg Msg) error {
 	m := enc.M
 	switch msg.Kind {
 	case QueryPointItem:
-		if msg.Item < 0 || msg.Item >= m {
+		if msg.Item < 0 || int(msg.Item) >= m {
 			return fmt.Errorf("transport: point-item query item %d out of range [0..%d)", msg.Item, m)
 		}
 		if msg.L < 1 || msg.L > d {
 			return fmt.Errorf("transport: point-item query time %d out of range [1..%d]", msg.L, d)
 		}
 	case QuerySeriesItem:
-		if msg.Item < 0 || msg.Item >= m {
+		if msg.Item < 0 || int(msg.Item) >= m {
 			return fmt.Errorf("transport: series-item query item %d out of range [0..%d)", msg.Item, m)
 		}
 	case QueryTopK:
@@ -163,16 +163,9 @@ func (d *Decoder) ReadDomainAnswer() (DomainAnswerFrame, error) {
 	}
 	if nItems > 0 {
 		a.Items = make([]int, nItems)
-	}
-	for i := range a.Items {
-		v, err := binary.ReadUvarint(d.r)
-		if err != nil {
-			return DomainAnswerFrame{}, truncated(err)
+		if err := readItems(d.r, a.Items); err != nil {
+			return DomainAnswerFrame{}, err
 		}
-		if v > math.MaxInt {
-			return DomainAnswerFrame{}, fmt.Errorf("transport: domain answer item overflows")
-		}
-		a.Items[i] = int(v)
 	}
 	nValues, err := binary.ReadUvarint(d.r)
 	if err != nil {
@@ -183,13 +176,42 @@ func (d *Decoder) ReadDomainAnswer() (DomainAnswerFrame, error) {
 	}
 	if nValues > 0 {
 		a.Values = make([]float64, nValues)
-	}
-	var raw [8]byte
-	for i := range a.Values {
-		if _, err := io.ReadFull(d.r, raw[:]); err != nil {
-			return DomainAnswerFrame{}, truncated(err)
+		if err := d.readFloats(a.Values); err != nil {
+			return DomainAnswerFrame{}, err
 		}
-		a.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 	}
 	return a, nil
+}
+
+// readItems decodes len(dst) item uvarints into dst — value for value,
+// and failure for failure, what one binary.ReadUvarint per item would —
+// out of the buffered window, the way ReadVarints reads counters: one
+// Peek and one Discard per window, and the per-value read only for an
+// item the window's end may cut short, an overlong one or one past
+// math.MaxInt, which also performs the refill and builds the error.
+func readItems(r *bufio.Reader, dst []int) error {
+	for len(dst) > 0 {
+		win, _ := r.Peek(r.Buffered())
+		used, i := 0, 0
+		for ; i < len(dst); i++ {
+			v, n := binary.Uvarint(win[used:])
+			if n <= 0 || v > math.MaxInt {
+				break
+			}
+			dst[i], used = int(v), used+n
+		}
+		r.Discard(used)
+		if dst = dst[i:]; len(dst) == 0 {
+			break
+		}
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			return truncated(err)
+		}
+		if v > math.MaxInt {
+			return errors.New("transport: domain answer item overflows")
+		}
+		dst[0], dst = int(v), dst[1:]
+	}
+	return nil
 }

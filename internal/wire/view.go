@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"rtf/internal/membership"
 )
@@ -162,7 +161,7 @@ func (e *Encoder) EncodeShardTransfer(shard int, state []byte) error {
 
 // readShardPayloadBody decodes a shard transfer frame (type byte
 // already consumed): version, shard, bounded state bytes.
-func (d *Decoder) readShardPayloadBody() (int, []byte, error) {
+func (d *Decoder) readShardPayloadBody() (int32, []byte, error) {
 	ver, err := d.r.ReadByte()
 	if err != nil {
 		return 0, nil, truncated(err)
@@ -188,10 +187,7 @@ func (d *Decoder) readShardPayloadBody() (int, []byte, error) {
 	if _, err := io.ReadFull(d.r, state); err != nil {
 		return 0, nil, truncated(err)
 	}
-	if shard > math.MaxInt {
-		return 0, nil, fmt.Errorf("transport: shard %d overflows", shard)
-	}
-	return int(shard), state, nil
+	return int32(shard), state, nil
 }
 
 // EncodeMemberAck writes the backend's response to a MsgView or

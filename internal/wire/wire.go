@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"rtf/internal/membership"
@@ -138,23 +139,44 @@ const MaxAnswerLen = 1 << 20
 // Msg is a decoded scalar wire message. Batch frames are handled at the
 // Encoder/Decoder level (EncodeBatch, NextBatch); Msg stays a flat value
 // type so it can be compared and copied freely.
+//
+// Its layout keeps a copy to inline moves (64 bytes, where Go copies
+// larger values through runtime.duffcopy), which a client pays once per
+// report: the int fields come first, the narrowed ones after, and the
+// byte-sized tags share the last word. The constructors saturate a value
+// too large for its field instead of wrapping it, and the decoder refuses
+// one (see decodeScalarInto), so a narrowed field never turns an
+// out-of-range value into a valid one.
 type Msg struct {
+	User int
+	J    int    // report only
+	L, R int    // v2 and domain queries: range (point queries use L = t); sums requests: scope, 0 for every column
+	Seed uint64 // hashed domain messages only: the shared epoch hash seed
+	Item int32  // domain messages only: the sampled target item
+	K    int32  // domain top-k query only: how many items
+	// Shard is the virtual shard of a membership shard request.
+	Shard int32
+	// Order is the user's order. Orders never exceed 63; a constructor
+	// clamps a larger one to maxOrder, which the codec refuses both ways.
+	Order int16
 	Type  MsgType
-	User  int
-	Order int
-	J     int       // report only
 	Bit   int8      // report only, ±1
 	Kind  QueryKind // v2 and domain queries only
-	L, R  int       // v2 and domain queries: range (point queries use L = t); sums requests: scope, 0 for every column
-	Item  int       // domain messages only: the sampled target item
-	K     int       // domain top-k query only: how many items
-	Shard int       // membership shard requests only: the virtual shard
-	Seed  uint64    // hashed domain messages only: the shared epoch hash seed
 }
+
+// maxOrder is the order a constructor clamps an out-of-range one to, and
+// the smallest order the encoder and the decoder refuse: a Msg order
+// below it is the order it was built from.
+const maxOrder = math.MaxInt16
+
+// sat32 and sat16 narrow a constructor argument into a Msg field,
+// saturating instead of wrapping.
+func sat32(v int) int32 { return int32(min(max(v, math.MinInt32), math.MaxInt32)) }
+func sat16(v int) int16 { return int16(min(max(v, math.MinInt16), math.MaxInt16)) }
 
 // Hello constructs an order-announcement message.
 func Hello(user, order int) Msg {
-	return Msg{Type: MsgHello, User: user, Order: order}
+	return Msg{Type: MsgHello, User: user, Order: sat16(order)}
 }
 
 // QueryV2 constructs a versioned query frame. Point and series queries
@@ -175,21 +197,22 @@ func Sums() Msg {
 // server: the user's sampled target item and the wrapped Boolean
 // client's order, both data-independent and safe in the clear.
 func DomainHello(user, item, order int) Msg {
-	return Msg{Type: MsgDomainHello, User: user, Item: item, Order: order}
+	return Msg{Type: MsgDomainHello, User: user, Item: sat32(item), Order: sat16(order)}
 }
 
 // FromDomainReport tags a protocol report with its target item for a
 // domain server.
 func FromDomainReport(item int, r protocol.Report) Msg {
-	return Msg{Type: MsgDomainReport, User: r.User, Item: item, Order: r.Order, J: r.J, Bit: r.Bit}
+	return Msg{Type: MsgDomainReport, User: r.User, Item: sat32(item), Order: sat16(r.Order), J: r.J, Bit: r.Bit}
 }
 
 // DomainQuery constructs a versioned item-scoped query frame.
 // Point-item queries use l for the time; series-item queries ignore the
 // bounds; top-k queries use l for the time and k for the item count
-// (item is ignored).
+// (item is ignored). A k beyond 32 bits asks for the whole catalogue,
+// as MaxInt32 does.
 func DomainQuery(kind QueryKind, item, l, r, k int) Msg {
-	return Msg{Type: MsgDomainQuery, Kind: kind, Item: item, L: l, R: r, K: k}
+	return Msg{Type: MsgDomainQuery, Kind: kind, Item: sat32(item), L: l, R: r, K: sat32(k)}
 }
 
 // DomainSums constructs a per-item raw-sums request: the server answers
@@ -206,7 +229,7 @@ func DomainSums() Msg {
 // clear — so the server can refuse a client whose item→bucket map
 // differs from its own.
 func HashedDomainHello(user, bucket, order int, seed uint64) Msg {
-	return Msg{Type: MsgHashedDomainHello, User: user, Item: bucket, Order: order, Seed: seed}
+	return Msg{Type: MsgHashedDomainHello, User: user, Item: sat32(bucket), Order: sat16(order), Seed: seed}
 }
 
 // HashedDomainSums constructs a per-bucket raw-sums request carrying
@@ -216,7 +239,7 @@ func HashedDomainHello(user, bucket, order int, seed uint64) Msg {
 // after checking all three parameters match its own encoding, so two
 // deployments hashing differently can never silently merge counters.
 func HashedDomainSums(m, g int, seed uint64) Msg {
-	return Msg{Type: MsgHashedDomainSums, Item: m, K: g, Seed: seed}
+	return Msg{Type: MsgHashedDomainSums, Item: sat32(m), K: sat32(g), Seed: seed}
 }
 
 // ShardSums constructs a per-virtual-shard raw-sums request: a
@@ -225,12 +248,12 @@ func HashedDomainSums(m, g int, seed uint64) Msg {
 // member gateway scatters these to a quorum of the shard's replicas
 // and compares the exact integer counters.
 func ShardSums(shard int) Msg {
-	return Msg{Type: MsgShardSums, Shard: shard}
+	return Msg{Type: MsgShardSums, Shard: sat32(shard)}
 }
 
 // FromReport converts a protocol report to a wire message.
 func FromReport(r protocol.Report) Msg {
-	return Msg{Type: MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit}
+	return Msg{Type: MsgReport, User: r.User, Order: sat16(r.Order), J: r.J, Bit: r.Bit}
 }
 
 // Report converts a decoded message back to a protocol report. It panics
@@ -239,7 +262,7 @@ func (m Msg) Report() protocol.Report {
 	if m.Type != MsgReport {
 		panic("transport: not a report message")
 	}
-	return protocol.Report{User: m.User, Order: m.Order, J: m.J, Bit: m.Bit}
+	return protocol.Report{User: m.User, Order: int(m.Order), J: m.J, Bit: m.Bit}
 }
 
 // Encoder writes messages to a stream in the varint wire format.
@@ -267,6 +290,9 @@ func (e *Encoder) Encode(m Msg) error {
 // appendMsg appends the scalar wire encoding of m to b. It takes the
 // Msg by pointer: this is the inner loop of every batch encode.
 func appendMsg(b []byte, m *Msg) ([]byte, error) {
+	if m.Order >= maxOrder {
+		return nil, fmt.Errorf("transport: order %d overflows", m.Order)
+	}
 	b = append(b, byte(m.Type))
 	switch m.Type {
 	case MsgHello:
@@ -412,18 +438,92 @@ func AppendBatchHeader(b []byte, typ MsgType, n int) []byte {
 }
 
 // AppendMsgs appends the scalar encodings of ms back to back: a batch
-// frame's body.
+// frame's body. Reports and domain reports, nearly every message a
+// client sends, are written in place by appendReport and
+// appendDomainReport; every other message, and any report they leave,
+// goes through appendMsg, which writes the same bytes or the error.
 func AppendMsgs(b []byte, ms []Msg) ([]byte, error) {
 	var err error
 	for i := range ms {
-		if t := ms[i].Type; t == MsgBatch || t == MsgBatchAcked {
+		m := &ms[i]
+		if cap(b)-len(b) < MaxMsgLen {
+			// Room for the rest of the batch at a typical report's length,
+			// and for the longest message: a fresh buffer grows about once
+			// a batch, a reused one that held a batch this size not at all.
+			b = slices.Grow(b, (len(ms)-i)*typicalMsgLen+MaxMsgLen)
+		}
+		n := len(b)
+		switch m.Type {
+		case MsgReport:
+			b = appendReport(b, m)
+		case MsgDomainReport:
+			b = appendDomainReport(b, m)
+		case MsgBatch, MsgBatchAcked:
 			return nil, errors.New("transport: nested batch")
 		}
-		if b, err = appendMsg(b, &ms[i]); err != nil {
-			return nil, err
+		if len(b) == n {
+			if b, err = appendMsg(b, m); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return b, nil
+}
+
+// typicalMsgLen is what AppendMsgs reserves per message: a report of a
+// user below 2^21 with a one- or two-byte index.
+const typicalMsgLen = 8
+
+// appendReport writes the report m in place behind b, which has room for
+// MaxMsgLen more bytes, and returns b grown by it — or b unchanged if m
+// is anything appendMsg might refuse, has an order longer than one byte
+// or a user or index of 2^21 or more. Its fields are the ones
+// Ingest.decode reads, each uvarint written by putUvarint21, the
+// encoding twin of uvarint23.
+func appendReport(b []byte, m *Msg) []byte {
+	if uint64(m.User)|uint64(m.J) >= 1<<21 || uint16(m.Order) >= 0x80 || m.Bit != 1 && m.Bit != -1 {
+		return b
+	}
+	n := len(b)
+	w := b[n : n+MaxMsgLen]
+	w[0] = byte(MsgReport)
+	off := putUvarint21(w, 1, uint64(m.User))
+	w[off] = byte(m.Order)
+	off = putUvarint21(w, off+1, uint64(m.J))
+	w[off] = byte(m.Bit+1) >> 1
+	return b[:n+off+1]
+}
+
+// appendDomainReport is appendReport for a domain report, whose item
+// sits between the user and the order.
+func appendDomainReport(b []byte, m *Msg) []byte {
+	if uint64(m.User)|uint64(m.J)|uint64(m.Item) >= 1<<21 || uint16(m.Order) >= 0x80 || m.Bit != 1 && m.Bit != -1 {
+		return b
+	}
+	n := len(b)
+	w := b[n : n+MaxMsgLen]
+	w[0] = byte(MsgDomainReport)
+	off := putUvarint21(w, 1, uint64(m.User))
+	off = putUvarint21(w, off, uint64(m.Item))
+	w[off] = byte(m.Order)
+	off = putUvarint21(w, off+1, uint64(m.J))
+	w[off] = byte(m.Bit+1) >> 1
+	return b[:n+off+1]
+}
+
+// putUvarint21 writes v < 2^21 as a one-, two- or three-byte uvarint at
+// w[at:] and returns the offset behind it.
+func putUvarint21(w []byte, at int, v uint64) int {
+	if v < 1<<7 {
+		w[at] = byte(v)
+		return at + 1
+	}
+	if v < 1<<14 {
+		w[at], w[at+1] = byte(v)|0x80, byte(v>>7)
+		return at + 2
+	}
+	w[at], w[at+1], w[at+2] = byte(v)|0x80, byte(v>>7)|0x80, byte(v>>14)
+	return at + 3
 }
 
 // appendBatch appends one batch frame carrying all the given hello and
@@ -530,6 +630,15 @@ const (
 	smallReadBuffer = 4 << 10
 	largeReadBuffer = 64 << 10
 )
+
+// growBuffer moves the decoder to the large read buffer for good, if it
+// is not there yet, keeping the bytes the small one holds.
+func (d *Decoder) growBuffer() {
+	if d.r.Size() < largeReadBuffer {
+		rest, _ := d.r.Peek(d.r.Buffered())
+		d.r = bufio.NewReaderSize(io.MultiReader(bytes.NewReader(bytes.Clone(rest)), d.src), largeReadBuffer)
+	}
+}
 
 // NewDecoder wraps a reader.
 func NewDecoder(r io.Reader) *Decoder { return newDecoderSize(r, smallReadBuffer) }
@@ -686,10 +795,9 @@ func (d *Decoder) readFrame(c *Ingest) error {
 		if done += k; done == n {
 			break
 		}
-		if len(win) == d.r.Size() && len(win) < largeReadBuffer {
+		if len(win) == d.r.Size() {
 			// The frame overran a full buffer: see smallReadBuffer.
-			rest, _ := d.r.Peek(d.r.Buffered())
-			d.r = bufio.NewReaderSize(io.MultiReader(bytes.NewReader(bytes.Clone(rest)), d.src), largeReadBuffer)
+			d.growBuffer()
 		}
 		if _, err := d.r.Peek(d.r.Buffered() + 1); err != nil {
 			return truncated(err)
@@ -876,13 +984,16 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if user > math.MaxInt {
 			return 0, fmt.Errorf("transport: user id %d overflows", user)
 		}
-		if item > math.MaxInt {
+		if item > math.MaxInt32 {
 			if m.Type == MsgHashedDomainHello {
 				return 0, fmt.Errorf("transport: bucket %d overflows", item)
 			}
 			return 0, fmt.Errorf("transport: item %d overflows", item)
 		}
-		m.User, m.Item, m.Order = int(user), int(item), int(h)
+		if h >= maxOrder {
+			return 0, fmt.Errorf("transport: order %d overflows", h)
+		}
+		m.User, m.Item, m.Order = int(user), int32(item), int16(h)
 		if !report {
 			m.Seed = last
 			break
@@ -955,10 +1066,10 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if !ok {
 			return 0, errShortMsg
 		}
-		if item > math.MaxInt || l > math.MaxInt || r > math.MaxInt || k > math.MaxInt {
+		if item > math.MaxInt32 || l > math.MaxInt || r > math.MaxInt || k > math.MaxInt32 {
 			return 0, fmt.Errorf("transport: domain query field overflows")
 		}
-		m.Item, m.L, m.R, m.K = int(item), int(l), int(r), int(k)
+		m.Item, m.L, m.R, m.K = int32(item), int(l), int(r), int32(k)
 	case MsgDomainSums:
 		if off >= len(b) {
 			return 0, errShortMsg
@@ -987,10 +1098,10 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if !ok {
 			return 0, errShortMsg
 		}
-		if mm > math.MaxInt || g > math.MaxInt {
+		if mm > math.MaxInt32 || g > math.MaxInt32 {
 			return 0, fmt.Errorf("transport: hashed-sums field overflows")
 		}
-		m.Item, m.K, m.Seed = int(mm), int(g), seed
+		m.Item, m.K, m.Seed = int32(mm), int32(g), seed
 		return decodeScope(b, off, m)
 	case MsgShardSums:
 		if off >= len(b) {
@@ -1007,7 +1118,7 @@ func decodeScalarInto(b []byte, m *Msg) (int, error) {
 		if shard > membership.MaxShards {
 			return 0, fmt.Errorf("transport: shard %d exceeds limit %d", shard, membership.MaxShards)
 		}
-		m.Shard = int(shard)
+		m.Shard = int32(shard)
 		return decodeScope(b, off, m)
 	case MsgView:
 		return 0, errors.New("transport: view frame inside batch")
@@ -1173,15 +1284,37 @@ func (d *Decoder) ReadAnswer() (AnswerFrame, error) {
 	a := AnswerFrame{Kind: QueryKind(kind), L: int(l), R: int(r)}
 	if n > 0 {
 		a.Values = make([]float64, n)
-	}
-	var raw [8]byte
-	for i := range a.Values {
-		if _, err := io.ReadFull(d.r, raw[:]); err != nil {
-			return AnswerFrame{}, truncated(err)
+		if err := d.readFloats(a.Values); err != nil {
+			return AnswerFrame{}, err
 		}
-		a.Values[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
 	}
 	return a, nil
+}
+
+// readFloats decodes len(dst) little-endian float64 bit patterns into
+// dst — value for value, and failure for failure, what one io.ReadFull
+// of eight bytes per value would — out of the buffered window: one Peek
+// and one Discard per buffer's worth instead of a read call per value.
+// A block longer than the small read buffer moves the connection to the
+// large one, as an overrunning batch frame does, so a Series answer
+// arrives in one read. It never asks the stream for more than the values
+// still owed need, so it does not wait on bytes the peer has not sent.
+func (d *Decoder) readFloats(dst []float64) error {
+	if len(dst)*8 > d.r.Size() {
+		d.growBuffer()
+	}
+	for len(dst) > 0 {
+		win, err := d.r.Peek(min(len(dst)*8, d.r.Size()))
+		k := len(win) / 8
+		for i := range k {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(win[8*i:]))
+		}
+		d.r.Discard(8 * k)
+		if dst = dst[k:]; k == 0 && err != nil {
+			return truncated(err)
+		}
+	}
+	return nil
 }
 
 // ReadBatchAck decodes one MsgBatchAck frame: the server's verdict on

@@ -48,9 +48,7 @@ func (b *BatchReporter) Report(r Report) error {
 	if r.Bit != 1 && r.Bit != -1 {
 		return fmt.Errorf("ldp: report bit %d must be ±1", r.Bit)
 	}
-	return b.push(wire.Msg{
-		Type: wire.MsgReport, User: r.User, Order: r.Order, J: r.J, Bit: r.Bit,
-	})
+	return b.push(wire.FromReport(r))
 }
 
 func (b *BatchReporter) push(m wire.Msg) error {

@@ -92,6 +92,27 @@ func TestBatchReporterValidation(t *testing.T) {
 	}
 }
 
+// TestBatchReporterRefusesOversizedOrder checks that a report whose order
+// does not fit the wire message's 16-bit field fails at Flush, whose
+// batch then ships nothing, instead of wrapping into a small valid order
+// (2^16 + 1 wraps to 1).
+func TestBatchReporterRefusesOversizedOrder(t *testing.T) {
+	var buf bytes.Buffer
+	rep, err := ldp.NewBatchReporter(&buf, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Report(ldp.Report{User: 3, Order: 1<<16 + 1, J: 1, Bit: 1}); err != nil {
+		t.Fatalf("Report refuses before Flush: %v", err)
+	}
+	if err := rep.Flush(); err == nil || !strings.Contains(err.Error(), "order") {
+		t.Fatalf("Flush of an order beyond 16 bits: %v, want an order refusal", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("a refused batch wrote %d bytes", buf.Len())
+	}
+}
+
 // TestIngestFromRejects checks that corrupt streams and out-of-protocol
 // messages are rejected with descriptive errors.
 func TestIngestFromRejects(t *testing.T) {
