@@ -357,6 +357,61 @@ func (r *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// ackReader is a client's side of an acked ingest stream: after an
+// optional prefix (served in reads of at most 4 KiB) every Read returns
+// exactly one positive batch ack, as a socket does when the server's
+// acks arrive one per write.
+type ackReader struct{ prefix []byte }
+
+func (r *ackReader) Read(p []byte) (int, error) {
+	if len(r.prefix) > 0 {
+		n := copy(p[:min(len(p), 4<<10)], r.prefix)
+		r.prefix = r.prefix[n:]
+		return n, nil
+	}
+	return copy(p, []byte{byte(wire.MsgBatchAck), 1}), nil
+}
+
+// BenchmarkIngestAckRead measures a client's read of one batch ack per
+// iteration, each a refill from the source: /fresh on a decoder still on
+// its small read buffer, /grown on one that a 1,024-value Series answer
+// moved to the large buffer, whose later refills pass through the
+// reader that holds what the small buffer had buffered.
+func BenchmarkIngestAckRead(b *testing.B) {
+	var series bytes.Buffer
+	enc := wire.NewEncoder(&series)
+	if err := enc.EncodeAnswer(wire.AnswerFrame{Kind: wire.QuerySeries, Values: make([]float64, 1024)}); err != nil {
+		b.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		grown bool
+	}{{"fresh", false}, {"grown", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			src := new(ackReader)
+			if c.grown {
+				src.prefix = series.Bytes()
+			}
+			dec := wire.NewDecoder(src)
+			if c.grown {
+				if _, err := dec.ReadAnswer(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if applied, err := dec.ReadBatchAck(); err != nil || !applied {
+					b.Fatalf("ack %d: applied=%v err=%v", i, applied, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAnswerDecode measures a client's decode of one answer frame:
 // a point answer, a 1,024-value Series (what fleet-online times) and a
 // 256-value domain SeriesItem.
@@ -1749,23 +1804,30 @@ func BenchmarkShardMapPointRead(b *testing.B) {
 // sweep dominates a cold top-k answer and the memo pays for itself.
 const readPathBenchM = 4096
 
-// populateReadPathBench builds an m-row domain server fed
-// ingestBenchReports reports, version-stamped once at the end the way
-// the collectors do per applied batch.
+// populateReadPathBench builds an m-row domain server over two counter
+// shards fed ingestBenchReports reports through shard 0,
+// version-stamped once at the end the way the collectors do per applied
+// batch.
 func populateReadPathBench(b *testing.B, m int) *hh.DomainServer {
+	return populateDomainBench(b, ingestBenchD, m, 2)
+}
+
+// populateDomainBench is populateReadPathBench at horizon d over the
+// given number of counter shards, of which only shard 0 is written.
+func populateDomainBench(b *testing.B, d, m, shards int) *hh.DomainServer {
 	b.Helper()
-	ds := hh.NewDomainServer(ingestBenchD, m, 100, 2)
+	ds := hh.NewDomainServer(d, m, 100, shards)
 	g := rng.New(91, 92)
 	for i := 0; i < ingestBenchReports; i++ {
 		item := g.IntN(m)
-		h := g.IntN(dyadic.NumOrders(ingestBenchD))
+		h := g.IntN(dyadic.NumOrders(d))
 		bit := int8(1)
 		if g.Bernoulli(0.5) {
 			bit = -1
 		}
 		ds.Register(0, item, h)
 		ds.Ingest(0, item, protocol.Report{
-			User: i, Order: h, J: 1 + g.IntN(ingestBenchD>>uint(h)), Bit: bit,
+			User: i, Order: h, J: 1 + g.IntN(d>>uint(h)), Bit: bit,
 		})
 	}
 	ds.AdvanceVersion(0)
@@ -1779,6 +1841,34 @@ func BenchmarkAnswerTopKCold(b *testing.B) {
 	ds := populateReadPathBench(b, readPathBenchM)
 	q := wire.DomainQuery(wire.QueryTopK, 0, ingestBenchD/2, 0, 10)
 	mode := transport.DomainMode(ingestBenchD, hh.ExactEncoding(readPathBenchM), 100)
+	var ans wire.DomainAnswerFrame
+	var sc transport.TopKScratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds.AdvanceVersion(0)
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnswerTopKColdIdleShards is the uncached top-k answer at
+// m = 1024, d = 256 on an accumulator of eight counter shards of which
+// one was ever written — a server with -shards 8 fed by one connection.
+// A never-written shard has no matrix, so the sweep costs what a
+// one-shard accumulator's does; a sweep that folded every configured
+// shard would cost about eight times as much.
+func BenchmarkAnswerTopKColdIdleShards(b *testing.B) {
+	const d, m = 256, 1024
+	ds := populateDomainBench(b, d, m, 8)
+	if n, _ := ds.Resident(); n != 1 {
+		b.Fatalf("%d counter shards allocated, want 1", n)
+	}
+	q := wire.DomainQuery(wire.QueryTopK, 0, d/2, 0, 10)
+	mode := transport.DomainMode(d, hh.ExactEncoding(m), 100)
 	var ans wire.DomainAnswerFrame
 	var sc transport.TopKScratch
 	b.ResetTimer()

@@ -212,6 +212,7 @@ func main() {
 
 	err = cfg.Serve(logger, srv.Server, front.Hooks{
 		Mount: func(reg *obs.Registry, _ *http.ServeMux) {
+			srv.Metrics.RegisterCounters(store)
 			if durable != nil {
 				srv.Metrics.RegisterDurability(durable)
 			}

@@ -110,8 +110,8 @@ func (c *Config) Resolve(r Role) error {
 	if !dyadic.IsPow2(c.D) {
 		return fmt.Errorf("d=%d is not a power of two", c.D)
 	}
-	if c.K > probmath.MaxVerifiedK {
-		return fmt.Errorf("-k %d exceeds %d, the largest k whose randomizer privacy rtf-privcheck verifies", c.K, probmath.MaxVerifiedK)
+	if err := probmath.CheckVerifiedK(c.K); err != nil {
+		return fmt.Errorf("-%w", err)
 	}
 	mc, ok := ldp.Lookup(ldp.Protocol(c.Mech))
 	if !ok {

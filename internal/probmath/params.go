@@ -8,9 +8,20 @@ import (
 
 // MaxVerifiedK is the largest sparsity bound k at which the privacy of
 // R̃ is verified by exact computation: rtf-privcheck checks every k in
-// [1..MaxVerifiedK] by default, and the serving fronts refuse a larger
-// -k, so nothing is served at a k no check has covered.
+// [1..MaxVerifiedK] by default, and the serving fronts and the ldp
+// constructors refuse a larger k (CheckVerifiedK), so nothing is served
+// or sampled at a k no check has covered.
 const MaxVerifiedK = 1024
+
+// CheckVerifiedK refuses a sparsity bound above MaxVerifiedK, in the one
+// wording the fronts (prefixed "-", naming the flag) and the ldp
+// constructors give.
+func CheckVerifiedK(k int) error {
+	if k > MaxVerifiedK {
+		return fmt.Errorf("k %d exceeds %d, the largest k whose randomizer privacy rtf-privcheck verifies", k, MaxVerifiedK)
+	}
+	return nil
+}
 
 // Params bundles an annulus with the protocol-level parameters that
 // produced it. It is the single source of truth shared by the sampler

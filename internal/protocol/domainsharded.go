@@ -81,9 +81,14 @@ func sumAt(cols []int, flat int) int {
 // bit-for-bit identical to a serial Server fed that row's reports in any
 // order and under any shard assignment, and FoldRowsInto/MergeRaw ship
 // the same raw integers a cluster gateway exchanges between nodes.
-// Callers route by shard index (e.g. connection id modulo the shard
-// count) so that concurrent writers land on distinct shards. The lock discipline,
-// written once here:
+// Callers route by shard index so that concurrent writers land on
+// distinct shards (a served connection writes to the lowest shard slot
+// no other live connection holds). A shard's matrix is allocated the
+// first time a writer takes it, and reads fold only the shards that have
+// one: a never-written shard would only add exact zeros, so neither
+// estimates nor bytes depend on how many shards were written, and read
+// cost and memory follow the shards writers use, not the shard count.
+// The lock discipline, written once here:
 //
 //   - Every shard has one sync.RWMutex and a version stamp (shardLock).
 //   - A writer holds exactly one shard's write lock, for a whole run:
@@ -122,8 +127,12 @@ type DomainSharded struct {
 	// shards holds one counter matrix per shard, allocated separately so
 	// writers on different shards touch disjoint cache lines; item x's
 	// counters are the row [x·stride : (x+1)·stride] in RawStride layout.
-	shards [][]int64
-	locks  shardLocks // one per shard; nil over adopted counters
+	// A shard's matrix is nil until its first writer allocates it, under
+	// the shard's write lock; readers skip nil matrices under the read
+	// locks.
+	shards    [][]int64
+	locks     shardLocks   // one per shard; nil over adopted counters
+	allocated atomic.Int32 // shards with a matrix, read without a lock by Resident
 }
 
 // shardLock is one shard's lock and monotone mutation counter (see
@@ -170,7 +179,8 @@ func (l shardLocks) index(i int) int {
 
 // NewDomainSharded builds an accumulator for horizon d (a power of two)
 // with m rows (at least 1), the given per-row estimator scale and shard
-// count (at least 1; shard assignment never affects estimates).
+// count (at least 1; shard assignment never affects estimates). No
+// shard has a matrix yet: each gets one from its first writer.
 func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 	if shards < 1 {
 		panic(fmt.Sprintf("protocol: shard count %d < 1", shards))
@@ -178,9 +188,6 @@ func NewDomainSharded(d, m int, scale float64, shards int) *DomainSharded {
 	s := newDomainSharded(d, m, scale)
 	s.shards = make([][]int64, shards)
 	s.locks = make(shardLocks, shards)
-	for i := range s.shards {
-		s.shards[i] = make([]int64, m*s.stride)
-	}
 	return s
 }
 
@@ -202,6 +209,7 @@ func DomainShardedOver(d, m int, scale float64, l, r int, cells []int64) (*Domai
 		return nil, err
 	}
 	s.shards = [][]int64{cells}
+	s.allocated.Store(1)
 	return s, nil
 }
 
@@ -237,11 +245,29 @@ type DomainWriter struct {
 	l     *shardLock
 }
 
-// Lock takes the given shard's write lock for a run of writes.
+// Lock takes the given shard's write lock for a run of writes,
+// allocating the shard's matrix if this is its first writer.
 func (s *DomainSharded) Lock(shard int) DomainWriter {
 	i := s.locks.index(shard)
 	s.locks[i].mu.Lock()
-	return DomainWriter{s, s.shards[i], &s.locks[i]}
+	return DomainWriter{s, s.matrix(i), &s.locks[i]}
+}
+
+// matrix returns shard i's counters, allocating them on the shard's
+// first write. The caller holds shard i's write lock.
+func (s *DomainSharded) matrix(i int) []int64 {
+	if s.shards[i] == nil {
+		s.shards[i] = make([]int64, s.m*s.stride)
+		s.allocated.Add(1)
+	}
+	return s.shards[i]
+}
+
+// Resident reports how many shards have a counter matrix and the bytes
+// those matrices hold. It takes no lock.
+func (s *DomainSharded) Resident() (shards int, bytes int64) {
+	n := int(s.allocated.Load())
+	return n, int64(n) * int64(s.m*s.stride) * 8
 }
 
 // Unlock ends the run: it bumps the shard's version stamp once, then
@@ -332,7 +358,7 @@ func (s *DomainSharded) Ingest(shard, item int, r Report) {
 	c := s.cell(item, r)
 	i := s.locks.index(shard)
 	s.locks[i].mu.Lock()
-	s.shards[i][c] += int64(r.Bit)
+	s.matrix(i)[c] += int64(r.Bit)
 	s.locks[i].mu.Unlock()
 }
 
@@ -368,16 +394,33 @@ func (s *DomainSharded) Users() int {
 	return int(n)
 }
 
-// itemCell folds one counter of one item's row across shards. Pure
-// int64 addition, so the result is independent of shard assignment.
-// The caller holds the read locks.
+// itemCell folds one counter of one item's row across the written
+// shards. Pure int64 addition, so the result is independent of shard
+// assignment. The caller holds the read locks.
 func (s *DomainSharded) itemCell(item, col int) int64 {
 	var sum int64
 	off := item*s.stride + col
 	for _, cells := range s.shards {
-		sum += cells[off]
+		if cells != nil {
+			sum += cells[off]
+		}
 	}
 	return sum
+}
+
+// only returns the one written shard's matrix when exactly one shard
+// has been written, nil otherwise. The caller holds the read locks.
+func (s *DomainSharded) only() []int64 {
+	var one []int64
+	for _, cells := range s.shards {
+		if cells != nil {
+			if one != nil {
+				return nil
+			}
+			one = cells
+		}
+	}
+	return one
 }
 
 // sumCol is the row column holding interval sum flat.
@@ -414,6 +457,8 @@ func (s *DomainSharded) estimate(item int, cover []dyadic.Interval) float64 {
 // per-item cross-shard integer sums are folded first, then scaled and
 // accumulated — the identical float operations, in the identical order,
 // as calling EstimateAt once per item, so the two are bit-for-bit equal.
+// When one shard has been written its counters are those sums, and the
+// sweep scales them straight into est without the integer pass.
 // est and tmp must both have length m (est is overwritten, tmp is
 // scratch). It returns est. The memoized read path in internal/hh uses
 // the caller-owned buffers to keep repeated sweeps allocation-free.
@@ -429,12 +474,24 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 	}
 	s.locks.rlock()
 	defer s.locks.runlock()
+	if one := s.only(); one != nil {
+		for _, iv := range dyadic.Decompose(t, s.d) {
+			col := s.sumCol(s.tree.FlatIndex(iv))
+			for x := 0; x < s.m; x++ {
+				est[x] += s.scale * float64(one[x*s.stride+col])
+			}
+		}
+		return est
+	}
 	for _, iv := range dyadic.Decompose(t, s.d) {
 		col := s.sumCol(s.tree.FlatIndex(iv))
 		for x := range tmp {
 			tmp[x] = 0
 		}
 		for _, cells := range s.shards {
+			if cells == nil {
+				continue
+			}
 			for x := 0; x < s.m; x++ {
 				tmp[x] += cells[x*s.stride+col]
 			}
@@ -547,17 +604,22 @@ func (s *DomainSharded) FoldRowsInto(lo, hi int, cols []int, dst []int64) {
 	}
 }
 
-// foldRow overwrites row with item's fold. The caller holds the read
-// locks.
+// foldRow overwrites row with item's fold over the written shards (all
+// zeros when none has been). The caller holds the read locks.
 func (s *DomainSharded) foldRow(item int, cols []int, row []int64) {
 	head := row[:s.sumOff]
 	if cols == nil {
 		head = row[:s.stride]
 	}
 	sums := row[len(head) : len(head)+len(cols)]
-	for i, all := range s.shards {
+	first := true
+	for _, all := range s.shards {
+		if all == nil {
+			continue
+		}
 		cells := all[item*s.stride : (item+1)*s.stride]
-		if i == 0 {
+		if first {
+			first = false
 			copy(head, cells)
 			for j, c := range cols {
 				sums[j] = cells[c]
@@ -570,6 +632,10 @@ func (s *DomainSharded) foldRow(item int, cols []int, row []int64) {
 		for j, c := range cols {
 			sums[j] += cells[c]
 		}
+	}
+	if first {
+		clear(head)
+		clear(sums)
 	}
 }
 

@@ -56,6 +56,10 @@ func (s *Sharded) IngestSum(shard int, iv dyadic.Interval, sum int64) {
 	w.cells[s.m.sumOff+s.m.tree.FlatIndex(iv)] += sum
 }
 
+// Resident reports the shards that have a counter row and the bytes
+// they hold (see DomainSharded.Resident).
+func (s *Sharded) Resident() (shards int, bytes int64) { return s.m.Resident() }
+
 // Version returns the monotone mutation stamp (see DomainSharded.Version).
 func (s *Sharded) Version() uint64 { return s.m.Version() }
 

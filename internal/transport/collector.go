@@ -22,13 +22,17 @@ type Store interface {
 	// decoder. raw must be the bytes that encoded exactly run (a stretch
 	// of Frame.Wire): a durable store journals them as they are, and is
 	// done with them when Apply returns. An in-memory store ignores them.
-	// shard is a routing hint — typically the connection id — that
-	// spreads hot counters across cache lines.
+	// shard is a routing hint — the connection's shard slot — that
+	// spreads concurrent writers across counter shards.
 	Apply(shard int, run []wire.Rec, raw []byte) error
 	// Stats returns the number of hellos, reports and batches ingested.
 	Stats() (hellos, reports, batches int64)
 	// Users returns the number of registered users.
 	Users() int
+	// Resident reports the counter shards that hold a matrix and the
+	// bytes those matrices occupy (see State.Resident), summed over
+	// every accumulator the store keeps.
+	Resident() (shards int, bytes int64)
 }
 
 // ingestStats counts what a store has applied.
@@ -95,6 +99,9 @@ func (c *Collector) Mode() Mode { return c.mode }
 
 // Users implements Store.
 func (c *Collector) Users() int { return c.st.Users() }
+
+// Resident implements Store.
+func (c *Collector) Resident() (shards int, bytes int64) { return c.st.Resident() }
 
 // Answer implements Reader from the live accumulator.
 func (c *Collector) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {

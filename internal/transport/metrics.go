@@ -203,6 +203,21 @@ func (m *ServerMetrics) RegisterQueue(q *IngestQueue) {
 	m.reg.GaugeFunc("ingest_queue_capacity", func() float64 { return float64(q.Capacity()) })
 }
 
+// RegisterCounters exports what a store's counters hold in memory:
+// counter_shards_allocated (counter shards with a matrix; a shard gets
+// one from its first writer) and counter_resident_bytes (the bytes those
+// matrices occupy).
+func (m *ServerMetrics) RegisterCounters(s Store) {
+	m.reg.GaugeFunc("counter_shards_allocated", func() float64 {
+		n, _ := s.Resident()
+		return float64(n)
+	})
+	m.reg.GaugeFunc("counter_resident_bytes", func() float64 {
+		_, b := s.Resident()
+		return float64(b)
+	})
+}
+
 // DurabilityStatser is satisfied by Durable.
 type DurabilityStatser interface {
 	DurabilityStats() DurabilityStats

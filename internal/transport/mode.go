@@ -91,6 +91,10 @@ type State interface {
 	MarshalState() []byte
 	RestoreState(b []byte) error
 	Users() int
+	// Resident reports how many counter shards hold a matrix — a shard
+	// gets one from its first writer — and the bytes those matrices
+	// occupy.
+	Resident() (shards int, bytes int64)
 }
 
 // AnswerScratch is the per-connection answer frame and selection
@@ -242,6 +246,7 @@ func (s boolState) Sums(sc wire.Scope) wire.RawSums {
 func (s boolState) MarshalState() []byte        { return s.acc.MarshalState() }
 func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
 func (s boolState) Users() int                  { return s.acc.Users() }
+func (s boolState) Resident() (int, int64)      { return s.acc.Resident() }
 
 // ---------------------------------------------------------------------------
 // Domain mode.
@@ -395,6 +400,7 @@ func (s domainState) Sums(sc wire.Scope) wire.RawSums {
 func (s domainState) MarshalState() []byte        { return s.rows.MarshalState() }
 func (s domainState) RestoreState(b []byte) error { return s.rows.RestoreState(b) }
 func (s domainState) Users() int                  { return s.rows.Users() }
+func (s domainState) Resident() (int, int64)      { return s.rows.Resident() }
 
 // ---------------------------------------------------------------------------
 // Gathered sums.

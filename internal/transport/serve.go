@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -70,33 +71,42 @@ type Server struct {
 
 	mode    Mode
 	label   string // queries_total mechanism label
-	open    func(id int) Session
+	open    func(slot int) Session
 	onClose func()    // runs once the connections are gone; may be nil
 	control *ShardMap // membership control plane; nil on every other front
 	install func(shard int, state []byte) error
 
 	mu       sync.Mutex
-	listener net.Listener // set by ListenAndServe so Close can unblock it
-	conns    map[net.Conn]struct{}
+	listener net.Listener     // set by ListenAndServe so Close can unblock it
+	conns    map[net.Conn]int // each live connection's shard slot
+	slots    []bool           // slots[i]: a live connection holds slot i
 	closed   bool
 	nextID   int
 	wg       sync.WaitGroup
 }
 
 // NewServer builds a serving core for mode. label is the front's
-// queries_total mechanism label; open builds the Session of connection
-// id; onClose, when non-nil, runs after Shutdown or Close has dealt
-// with the connections (the gateway closes its backend pools there).
-func NewServer(mode Mode, label string, open func(id int) Session, onClose func()) *Server {
-	return &Server{mode: mode, label: label, open: open, onClose: onClose, conns: make(map[net.Conn]struct{})}
+// queries_total mechanism label; open builds the Session of a
+// connection from its shard slot, the lowest slot no other live
+// connection holds; onClose, when non-nil, runs after Shutdown or Close
+// has dealt with the connections (the gateway closes its backend pools
+// there).
+func NewServer(mode Mode, label string, open func(slot int) Session, onClose func()) *Server {
+	return &Server{mode: mode, label: label, open: open, onClose: onClose, conns: make(map[net.Conn]int)}
 }
 
 // IngestServer is the single-node front, the engine behind
 // cmd/rtf-serve: sessions apply runs to a Store under their connection's
 // counter shard (so ingestion scales with cores) and answer reads from
 // the store's live state, bit-for-bit like a serial server fed the same
-// reports. Over a ShardMap (membership mode) it also serves the
-// membership control plane on the same connections.
+// reports. A connection's counter shard is its shard slot (modulo the
+// shard count): the lowest slot no other live connection holds, freed
+// when the connection closes. Concurrent writers so land on distinct
+// shards while there are enough of them, and since a shard's counters
+// are allocated by its first writer, reconnects and pool churn allocate
+// only as many shards as there were concurrent writers at peak. Over a
+// ShardMap (membership mode) it also serves the membership control
+// plane on the same connections.
 type IngestServer struct {
 	*Server
 	store Store
@@ -108,7 +118,7 @@ type IngestServer struct {
 func NewIngestServer(store Store) *IngestServer {
 	s := &IngestServer{store: store}
 	s.Server = NewServer(store.Mode(), store.Mode().Name(),
-		func(id int) Session { return storeSession{store, id} }, nil)
+		func(slot int) Session { return storeSession{store, slot} }, nil)
 	switch st := store.(type) {
 	case *ShardMap:
 		s.control, s.install = st, st.InstallShard
@@ -136,13 +146,14 @@ func MemberLabel(prefix string, mode Mode) string {
 	return prefix
 }
 
-// storeSession is a connection of the single-node front.
+// storeSession is a connection of the single-node front, writing to
+// the counter shard of its slot.
 type storeSession struct {
 	store Store
-	id    int
+	slot  int
 }
 
-func (s storeSession) Apply(run []wire.Rec, raw []byte) error { return s.store.Apply(s.id, run, raw) }
+func (s storeSession) Apply(run []wire.Rec, raw []byte) error { return s.store.Apply(s.slot, run, raw) }
 func (s storeSession) Gather(wire.Msg) (Reader, error)        { return s.store, nil }
 func (s storeSession) Close(bool)                             {}
 
@@ -159,7 +170,7 @@ func (s *Server) Serve(l net.Listener) error {
 			}
 			return err
 		}
-		id, ok := s.track(conn)
+		id, slot, ok := s.track(conn)
 		if !ok {
 			conn.Close()
 			return nil
@@ -168,7 +179,7 @@ func (s *Server) Serve(l net.Listener) error {
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
-			if err := s.serveConn(id, conn); err != nil && s.ErrorLog != nil {
+			if err := s.serveConn(slot, conn); err != nil && s.ErrorLog != nil {
 				s.ErrorLog(fmt.Errorf("transport: conn %d: %w", id, err))
 			}
 		}()
@@ -230,7 +241,7 @@ func (s flushBeforeRead) Read(p []byte) (int, error) {
 // when the decoder goes back to the socket (flushBeforeRead): a burst of
 // pipelined frames read in one wake-up is acknowledged in one write, in
 // order, negative acks of shed frames included.
-func (s *Server) serveConn(id int, conn net.Conn) (err error) {
+func (s *Server) serveConn(slot int, conn net.Conn) (err error) {
 	enc := wire.NewEncoder(conn)
 	acks := 0 // encoded since the last flush
 	flush := func() error {
@@ -244,7 +255,7 @@ func (s *Server) serveConn(id int, conn net.Conn) (err error) {
 		return enc.Flush()
 	}
 	dec := wire.NewDecoder(flushBeforeRead{conn, flush})
-	sess := s.open(id)
+	sess := s.open(slot)
 	defer func() {
 		// Frames applied before a failure keep their acks, if the
 		// connection still takes them.
@@ -514,25 +525,33 @@ func (s *Server) isClosed() bool {
 	return s.closed
 }
 
-// track registers an accepted connection and assigns its id; it refuses
-// once the server is closed.
-func (s *Server) track(conn net.Conn) (id int, ok bool) {
+// track registers an accepted connection and assigns its log id, unique
+// for the server's lifetime, and its shard slot, the lowest no live
+// connection holds; it refuses once the server is closed.
+func (s *Server) track(conn net.Conn) (id, slot int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, false
+		return 0, 0, false
 	}
-	s.conns[conn] = struct{}{}
+	if slot = slices.Index(s.slots, false); slot < 0 {
+		slot = len(s.slots)
+		s.slots = append(s.slots, false)
+	}
+	s.slots[slot] = true
+	s.conns[conn] = slot
 	if s.Metrics != nil {
 		s.Metrics.ActiveConns.Add(1)
 	}
 	id = s.nextID
 	s.nextID++
-	return id, true
+	return id, slot, true
 }
 
+// untrack forgets a finished connection and frees its shard slot.
 func (s *Server) untrack(conn net.Conn) {
 	s.mu.Lock()
+	s.slots[s.conns[conn]] = false
 	delete(s.conns, conn)
 	if s.Metrics != nil {
 		s.Metrics.ActiveConns.Add(-1)

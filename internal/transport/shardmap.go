@@ -83,6 +83,17 @@ func (c *ShardMap) Users() int {
 	return n
 }
 
+// Resident implements Store over every virtual shard's accumulator.
+func (c *ShardMap) Resident() (shards int, bytes int64) {
+	c.imu.RLock()
+	defer c.imu.RUnlock()
+	for _, st := range c.shards {
+		n, b := st.Resident()
+		shards, bytes = shards+n, bytes+b
+	}
+	return shards, bytes
+}
+
 // Apply implements Store: it buckets the run's records by virtual shard
 // and hands each bucket to that shard's state as one run, so a frame
 // takes one write lock per shard it touches, however its users

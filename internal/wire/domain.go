@@ -123,6 +123,7 @@ func (d *Decoder) ReadDomainAnswer() (DomainAnswerFrame, error) {
 	if d.next < len(d.pending) {
 		return DomainAnswerFrame{}, errors.New("transport: domain answer frame inside batch")
 	}
+	d.unwrap()
 	tb, err := d.r.ReadByte()
 	if err != nil {
 		return DomainAnswerFrame{}, err // io.EOF passes through

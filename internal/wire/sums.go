@@ -252,6 +252,7 @@ func (d *Decoder) readSums(typ MsgType) (RawSums, error) {
 	if d.next < len(d.pending) {
 		return RawSums{}, errors.New("transport: sums frame inside batch")
 	}
+	d.unwrap()
 	tb, err := d.r.ReadByte()
 	if err != nil {
 		return RawSums{}, err // io.EOF passes through

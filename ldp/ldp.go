@@ -116,10 +116,15 @@ func newConfig(opts []Option) config {
 }
 
 // params resolves the options for horizon d. It is the one check that
-// d is a power of two: every mechanism factory may assume it.
+// d is a power of two and that k is at most probmath.MaxVerifiedK, the
+// fronts' bound, in their words: every mechanism factory may assume
+// both.
 func (c config) params(d int) (Params, error) {
 	if !dyadic.IsPow2(d) {
 		return Params{}, fmt.Errorf("ldp: d=%d is not a power of two", d)
+	}
+	if err := probmath.CheckVerifiedK(c.k); err != nil {
+		return Params{}, fmt.Errorf("ldp: %w", err)
 	}
 	return Params{D: d, K: c.k, Eps: c.eps, Clip: c.clip, Seed: c.seed}, nil
 }
@@ -131,7 +136,8 @@ func WithMechanism(p Protocol) Option { return func(c *config) { c.mech = p } }
 // WithEpsilon sets the per-user privacy budget (default 1).
 func WithEpsilon(eps float64) Option { return func(c *config) { c.eps = eps } }
 
-// WithSparsity sets the per-user bound k on value changes (default 1).
+// WithSparsity sets the per-user bound k on value changes (default 1,
+// at most 1024, the largest k whose privacy is verified exactly).
 func WithSparsity(k int) Option { return func(c *config) { c.k = k } }
 
 // WithSeed seeds the constructed object's randomness (a client's

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rtf/internal/probmath"
 	"rtf/internal/stats"
 )
 
@@ -116,6 +117,30 @@ func TestStreamingValidation(t *testing.T) {
 		}
 	}()
 	c.Observe(true)
+}
+
+// TestConstructorsRefuseUnverifiedK: every constructor that resolves a
+// sparsity bound refuses k above probmath.MaxVerifiedK in the fronts'
+// words, and accepts the bound itself.
+func TestConstructorsRefuseUnverifiedK(t *testing.T) {
+	const d, m = 8, 4
+	for _, tc := range []struct {
+		name string
+		make func(k int) error
+	}{
+		{"NewClientFactory", func(k int) error { _, err := NewClientFactory(d, WithSparsity(k)); return err }},
+		{"NewServer", func(k int) error { _, err := NewServer(d, WithSparsity(k)); return err }},
+		{"NewDomainClientFactory", func(k int) error { _, err := NewDomainClientFactory(d, m, WithSparsity(k)); return err }},
+		{"NewDomainServer", func(k int) error { _, err := NewDomainServer(d, m, WithSparsity(k)); return err }},
+	} {
+		const want = "ldp: k 1025 exceeds 1024, the largest k whose randomizer privacy rtf-privcheck verifies"
+		if err := tc.make(1025); err == nil || err.Error() != want {
+			t.Errorf("%s at k = 1025: %v, want %q", tc.name, err, want)
+		}
+		if err := tc.make(probmath.MaxVerifiedK); err != nil {
+			t.Errorf("%s at k = %d: %v", tc.name, probmath.MaxVerifiedK, err)
+		}
+	}
 }
 
 func TestClippedClientPublic(t *testing.T) {
