@@ -76,7 +76,7 @@ func BenchmarkFastSimParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: -1}
+	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Workers: -1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -277,7 +277,7 @@ func BenchmarkFastSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
+	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -286,14 +286,16 @@ func BenchmarkFastSim(b *testing.B) {
 	}
 }
 
-// BenchmarkExactSim measures the per-user exact engine (audit path).
+// BenchmarkExactSim measures the exact engine: the shipped ldp client
+// and server, one client per user, the reference the fast engines are
+// tested against.
 func BenchmarkExactSim(b *testing.B) {
 	g := rng.New(9, 10)
 	w, err := (workload.UniformGen{N: 1000, D: 256, K: 4}).Generate(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: false}
+	sys := sim.Exact{Protocol: ldp.FutureRand, Eps: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sys.Run(w, g.Split()); err != nil {
@@ -558,26 +560,22 @@ func encodeIngestStreams(b *testing.B, streams int, batched bool) [][]byte {
 }
 
 // BenchmarkIngestSingleMessage is the baseline: one stream of
-// per-message frames, decoded serially, pushed one message at a time
-// through the mutex Collector and drained into a serial Server.
+// per-message frames, decoded serially and ingested one message at a
+// time into a serial Server.
 func BenchmarkIngestSingleMessage(b *testing.B) {
 	streams := encodeIngestStreams(b, 1, false)
 	b.SetBytes(int64(len(streams[0])))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		srv := protocol.NewServer(ingestBenchD, 100)
-		col := eval.NewCollector()
 		dec := wire.NewDecoder(bytes.NewReader(streams[0]))
 		for {
 			m, err := dec.Next()
 			if err != nil {
 				break
 			}
-			if err := col.Send(m); err != nil {
-				b.Fatal(err)
-			}
+			srv.Ingest(m.Report())
 		}
-		col.Drain(func(m wire.Msg) { srv.Ingest(m.Report()) })
 	}
 	b.ReportMetric(float64(ingestBenchReports)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 }
@@ -629,7 +627,7 @@ func msgViewIngest(st transport.Store, shard int, stream []byte) error {
 // batch frames into records and apply each frame's run to their own
 // shard of the sharded accumulator under its write lock. With
 // GOMAXPROCS ≥ shards the streams decode in parallel; even
-// single-threaded, batching amortizes the per-message collector and
+// single-threaded, batching amortizes the per-message decode and
 // dispatch overhead.
 func BenchmarkIngestBatchedSharded(b *testing.B) {
 	counts := []int{1, 4, runtime.GOMAXPROCS(0)}

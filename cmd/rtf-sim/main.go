@@ -62,12 +62,12 @@
 // — a shed batch that half-applied breaks the equality. -metrics-dump
 // writes the final metrics snapshot as JSON.
 //
-// The offline run needs no server: it runs the protocol's batch engine
-// from internal/sim — distributionally identical to the streaming
-// clients and server, fast by default, the per-user engine with -exact,
-// the least-squares consistency post-processing with -consistency
-// (framework protocols only) — and prints error metrics against the
-// workload's truth:
+// The offline run needs no server: it runs -protocol's fast engine from
+// internal/sim (distributionally identical to the streaming clients and
+// server), or with -exact the shipped ldp client and server themselves,
+// one client per user; -consistency adds the least-squares consistency
+// post-processing (framework protocols, fast engine only). It prints
+// error metrics against the workload's truth:
 //
 //	rtf-sim -n 50000 -d 1024 -k 8 -eps 1.0
 //	rtf-sim -protocol erlingsson -workload bursty -series
@@ -120,7 +120,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.proto, "protocol", "futurerand", "protocol: futurerand|independent|bun|erlingsson|naive-split|central-binary")
 	fs.StringVar(&o.workload, "workload", "uniform", "workload: uniform|max-changes|bursty|zipf|step|adversarial|periodic|static")
 	fs.Int64Var(&o.seed, "seed", 1, "random seed")
-	fs.BoolVar(&o.exact, "exact", false, "offline run: use the exact per-user engine")
+	fs.BoolVar(&o.exact, "exact", false, "offline run: run the shipped ldp client and server, one client per user")
 	fs.BoolVar(&o.consist, "consistency", false, "offline run: apply consistency post-processing")
 	fs.BoolVar(&o.series, "series", false, "offline run: print the t,truth,estimate series as CSV")
 	fs.StringVar(&o.wlOut, "write-workload", "", "offline run: write the generated workload as CSV to this file")
@@ -264,37 +264,36 @@ func offline(o *options, out io.Writer) error {
 	return nil
 }
 
-// offlineSystem picks -protocol's batch engine, refusing a flag the
-// engine would silently ignore. The framework protocols differ only in
-// the client randomizer, whose kind is named after its protocol.
+// offlineSystem resolves -protocol through the ldp registry to the
+// engine that runs it, refusing a flag the engine would silently ignore.
 func offlineSystem(o *options) (sim.System, error) {
-	for _, kind := range []protocol.RandomizerKind{protocol.FutureRand, protocol.Independent, protocol.Bun} {
-		if kind.String() == o.proto {
-			fw := sim.Framework{Kind: kind, Eps: o.eps, Fast: !o.exact}
-			if o.consist {
-				return sim.Consistent{Framework: fw}, nil
-			}
-			return fw, nil
-		}
-	}
-	var sys sim.System
-	switch ldp.Protocol(o.proto) {
-	case ldp.Erlingsson:
-		sys = sim.Erlingsson{Eps: o.eps, Fast: !o.exact}
-	case ldp.NaiveSplit:
-		sys = sim.NaiveSplit{Eps: o.eps, Fast: !o.exact}
-	case ldp.CentralBinary:
-		if o.exact {
-			return nil, errors.New("-exact does not apply to central-binary: the trusted curator has one engine")
-		}
-		sys = sim.Central{Eps: o.eps}
-	default:
+	p := ldp.Protocol(o.proto)
+	if _, ok := ldp.Lookup(p); !ok {
 		return nil, fmt.Errorf("unknown protocol %q", o.proto)
 	}
-	if o.consist {
-		return nil, errors.New("consistency post-processing applies to framework protocols only")
+	if o.exact {
+		if o.consist {
+			return nil, errors.New("-exact does not combine with -consistency: the post-processing runs on the fast engine")
+		}
+		return sim.Exact{Protocol: p, Eps: o.eps}, nil
 	}
-	return sys, nil
+	fast, ok := map[ldp.Protocol]sim.System{
+		ldp.FutureRand:    sim.Framework{Kind: protocol.FutureRand, Eps: o.eps},
+		ldp.Independent:   sim.Framework{Kind: protocol.Independent, Eps: o.eps},
+		ldp.Bun:           sim.Framework{Kind: protocol.Bun, Eps: o.eps},
+		ldp.Erlingsson:    sim.Erlingsson{Eps: o.eps},
+		ldp.NaiveSplit:    sim.NaiveSplit{Eps: o.eps},
+		ldp.CentralBinary: sim.Central{Eps: o.eps},
+	}[p]
+	switch fw, framework := fast.(sim.Framework); {
+	case !ok:
+		return nil, fmt.Errorf("protocol %q has no fast engine; run it with -exact", o.proto)
+	case !o.consist:
+		return fast, nil
+	case framework:
+		return sim.Consistent{Framework: fw}, nil
+	}
+	return nil, errors.New("consistency post-processing applies to framework protocols only")
 }
 
 // loadWorkload reads or generates the Boolean workload.

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"rtf/ldp"
 )
 
 // runOffline resolves args, which must select the offline run, and
@@ -49,7 +51,7 @@ func metric(t *testing.T, out, name string) float64 {
 // flag its engine would silently ignore is an error, not a no-op.
 func TestOfflineRefusals(t *testing.T) {
 	for args, want := range map[string]string{
-		"-exact -protocol central-binary":       "-exact does not apply to central-binary",
+		"-exact -consistency":                   "-exact does not combine with -consistency",
 		"-consistency -protocol erlingsson":     "consistency post-processing applies to framework protocols only",
 		"-consistency -protocol naive-split":    "consistency post-processing applies to framework protocols only",
 		"-consistency -protocol central-binary": "consistency post-processing applies to framework protocols only",
@@ -66,8 +68,9 @@ func TestOfflineRefusals(t *testing.T) {
 }
 
 // TestOfflineRunsEveryProtocol: every built-in protocol runs offline
-// and prints its metrics, a fixed seed reproduces the output, the exact
-// engines run, the FutureRand error sits inside its Hoeffding bound, and
+// and prints its metrics, a fixed seed reproduces the output, every
+// registered mechanism runs through the shipped client and server with
+// -exact, the FutureRand error sits inside its Hoeffding bound, and
 // consistency post-processing lowers the RMSE.
 func TestOfflineRunsEveryProtocol(t *testing.T) {
 	const small = " -n 1000 -d 32 -k 2 -seed 3"
@@ -87,9 +90,9 @@ func TestOfflineRunsEveryProtocol(t *testing.T) {
 			t.Errorf("%s: the same seed printed\n%s\nthen\n%s", p, out, again)
 		}
 	}
-	for _, p := range []string{"futurerand", "erlingsson", "naive-split"} {
-		if _, err := runOffline(t, "-exact -protocol "+p+" -n 200 -d 16 -k 2"); err != nil {
-			t.Errorf("-exact %s: %v", p, err)
+	for _, m := range ldp.Mechanisms() {
+		if _, err := runOffline(t, "-exact -protocol "+string(m.Protocol)+" -n 200 -d 16 -k 2"); err != nil {
+			t.Errorf("-exact %s: %v", m.Protocol, err)
 		}
 	}
 	out, err := runOffline(t, "-series"+small)

@@ -82,8 +82,8 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
-	// Same seed ⇒ identical output (E5 is cheap and fully deterministic;
-	// E8 exercises the simulation path).
+	// Same seed ⇒ identical output (E5, the c_gap table, and E7, the
+	// dyadic decomposition, are cheap and fully deterministic).
 	for _, id := range []string{"E5", "E7"} {
 		e, ok := ByID(id)
 		if !ok {

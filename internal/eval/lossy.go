@@ -1,50 +1,10 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"rtf/internal/rng"
-	"rtf/internal/wire"
 )
-
-// The in-process message path of experiment E15: clients Send wire
-// messages through a LossyLink into a Collector, and the experiment
-// drains them into a serial server.
-
-// Collector is a concurrency-safe fan-in point: any number of client
-// goroutines Send messages; one consumer drains them in arrival order.
-type Collector struct {
-	mu     sync.Mutex
-	closed bool
-	msgs   []wire.Msg
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector { return &Collector{} }
-
-// Send appends a message. It returns an error after Close.
-func (c *Collector) Send(m wire.Msg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return errors.New("eval: collector closed")
-	}
-	c.msgs = append(c.msgs, m)
-	return nil
-}
-
-// Drain invokes fn on every collected message and clears the buffer.
-func (c *Collector) Drain(fn func(wire.Msg)) {
-	c.mu.Lock()
-	msgs := c.msgs
-	c.msgs = nil
-	c.mu.Unlock()
-	for _, m := range msgs {
-		fn(m)
-	}
-}
 
 // LossyLink drops each delivered message independently with probability
 // DropProb — the failure-injection half of experiment E15. It is not safe

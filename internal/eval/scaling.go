@@ -14,7 +14,7 @@ import (
 	"rtf/internal/workload"
 )
 
-// runClipped executes the exact engine with clipping clients whose
+// runClipped runs one FutureRand clipping client per user, whose
 // sparsity budget kProto may be below the workload's true maximum. It
 // returns the estimate series and the clipping bias: the ℓ∞ distance
 // between the true counts and the counts of the clipped effective
@@ -60,10 +60,10 @@ func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]f
 // scalingSystems are the head-to-head protocols for E1–E4.
 func scalingSystems(eps float64) []sim.System {
 	return []sim.System{
-		sim.Framework{Kind: protocol.FutureRand, Eps: eps, Fast: true},
-		sim.Framework{Kind: protocol.Independent, Eps: eps, Fast: true},
-		sim.Framework{Kind: protocol.Bun, Eps: eps, Fast: true},
-		sim.Erlingsson{Eps: eps, Fast: true},
+		sim.Framework{Kind: protocol.FutureRand, Eps: eps},
+		sim.Framework{Kind: protocol.Independent, Eps: eps},
+		sim.Framework{Kind: protocol.Bun, Eps: eps},
+		sim.Erlingsson{Eps: eps},
 	}
 }
 
@@ -218,11 +218,11 @@ func init() {
 			fmt.Fprintln(tw, "k\tfuturerand\tbun\tratio bun/fr")
 			for _, k := range ks {
 				gen := workload.MaxChangesGen{N: n, D: d, K: k}
-				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
-				bn, err := runTrials(sim.Framework{Kind: protocol.Bun, Eps: 1, Fast: true}, gen, trials, g.Split())
+				bn, err := runTrials(sim.Framework{Kind: protocol.Bun, Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -250,11 +250,11 @@ func init() {
 			var xs, naive []float64
 			for _, d := range ds {
 				gen := workload.MaxChangesGen{N: n, D: d, K: k}
-				nv, err := runTrials(sim.NaiveSplit{Eps: 1, Fast: true}, gen, trials, g.Split())
+				nv, err := runTrials(sim.NaiveSplit{Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
-				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				fr, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -294,7 +294,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				loc, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				loc, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -329,7 +329,7 @@ func init() {
 					return err
 				}
 				gen := workload.MaxChangesGen{N: p.n, D: d, K: p.k}
-				te, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}, gen, trials, g.Split())
+				te, err := runTrials(sim.Framework{Kind: protocol.FutureRand, Eps: 1}, gen, trials, g.Split())
 				if err != nil {
 					return err
 				}
@@ -405,7 +405,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
+			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1}
 			series := make([][]float64, trials)
 			for i := range series {
 				est, err := sys.Run(wl, g.Split())
@@ -459,7 +459,7 @@ func init() {
 			checkTimes := []int{1, d / 3, d / 2, d}
 			sums := make([]float64, d)
 			sqs := make([]float64, d)
-			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
+			sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1}
 			for i := 0; i < trials; i++ {
 				est, err := sys.Run(wl, g.Split())
 				if err != nil {

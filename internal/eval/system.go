@@ -10,7 +10,6 @@ import (
 	"rtf/internal/rng"
 	"rtf/internal/sim"
 	"rtf/internal/stats"
-	"rtf/internal/wire"
 	"rtf/internal/workload"
 	"rtf/ldp"
 )
@@ -33,7 +32,7 @@ func init() {
 				workload.BurstyGen{N: n, D: d, K: k, Start: d / 4, End: d / 2, InBurst: 0.8},
 				workload.StepGen{N: n, D: d, T0: d / 2, Jitter: d / 16, Fraction: 0.5},
 			}
-			raw := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}
+			raw := sim.Framework{Kind: protocol.FutureRand, Eps: 1}
 			smooth := sim.Consistent{Framework: raw}
 			tw := table(w)
 			fmt.Fprintln(tw, "workload\traw maxerr\t+consistent maxerr\traw RMSE\t+consistent RMSE\tRMSE gain")
@@ -158,11 +157,10 @@ func init() {
 	})
 }
 
-// runLossy executes the exact FutureRand protocol through the transport
-// layer with a lossy link on the report path (order announcements are
-// assumed reliable — they are one-time registration). It returns the raw
-// estimate series, the loss-rescaled series (bits scaled by 1/(1−p)), and
-// delivery counts.
+// runLossy executes the exact FutureRand protocol with a lossy link on
+// the report path (order announcements are assumed reliable — they are
+// one-time registration). It returns the raw estimate series, the
+// loss-rescaled series (bits scaled by 1/(1−p)), and delivery counts.
 func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, rescaled []float64, delivered, total int, err error) {
 	k := wl.K
 	if k < 1 {
@@ -173,34 +171,17 @@ func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, re
 		return nil, nil, 0, 0, err
 	}
 	srv := protocol.NewServer(wl.D, protocol.EstimatorScale(wl.D, factories[0].CGap()))
-	coll := NewCollector()
 	link := NewLossyLink(dropProb, g)
 	for u, us := range wl.Users {
 		c := protocol.NewClient(u, wl.D, factories, g)
-		if err := coll.Send(wire.Hello(u, c.Order())); err != nil {
-			return nil, nil, 0, 0, err
-		}
+		srv.Register(c.Order())
 		vals := us.Values(wl.D)
 		for t := 1; t <= wl.D; t++ {
-			rep, ok := c.Observe(vals[t-1] != 0)
-			if !ok {
-				continue
-			}
-			if link.Deliver() {
-				if err := coll.Send(wire.FromReport(rep)); err != nil {
-					return nil, nil, 0, 0, err
-				}
+			if rep, ok := c.Observe(vals[t-1] != 0); ok && link.Deliver() {
+				srv.Ingest(rep)
 			}
 		}
 	}
-	coll.Drain(func(m wire.Msg) {
-		switch m.Type {
-		case wire.MsgHello:
-			srv.Register(int(m.Order))
-		case wire.MsgReport:
-			srv.Ingest(m.Report())
-		}
-	})
 	raw = srv.EstimateSeries()
 	rescaled = make([]float64, len(raw))
 	scale := 1 / (1 - dropProb)

@@ -14,7 +14,6 @@ import (
 
 	"rtf/internal/consistency"
 	"rtf/internal/dyadic"
-	"rtf/internal/eval"
 	"rtf/internal/probmath"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
@@ -22,6 +21,7 @@ import (
 	"rtf/internal/stats"
 	"rtf/internal/wire"
 	"rtf/internal/workload"
+	"rtf/ldp"
 )
 
 // TestWirePathEqualsDirectPath runs the same seeded clients twice — once
@@ -88,8 +88,10 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 }
 
 // TestConcurrentClientsThroughCollector runs every client in its own
-// goroutine, funnels reports through the collector, and checks the
-// result is a valid protocol execution (unbiasedness within noise).
+// goroutine, each the only writer of its own shard of one
+// protocol.Sharded (as the parallel simulation engine and the ingest
+// service write), and checks the result is a valid protocol execution
+// (unbiasedness within noise).
 func TestConcurrentClientsThroughCollector(t *testing.T) {
 	const n, d, k = 500, 32, 2
 	w, err := (workload.UniformGen{N: n, D: d, K: k}).Generate(rng.New(3, 4))
@@ -100,8 +102,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := protocol.NewServer(d, protocol.EstimatorScale(d, factories[0].CGap()))
-	coll := eval.NewCollector()
+	acc := protocol.NewSharded(d, protocol.EstimatorScale(d, factories[0].CGap()), n)
 	base := rng.New(5, 6)
 
 	var wg sync.WaitGroup
@@ -109,35 +110,23 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 		wg.Add(1)
 		go func(u int, g *rng.RNG) {
 			defer wg.Done()
+			wr := acc.Lock(u)
+			defer wr.Unlock()
 			c := protocol.NewClient(u, d, factories, g)
-			if err := coll.Send(wire.Hello(u, c.Order())); err != nil {
-				t.Error(err)
-				return
-			}
+			wr.Register(0, c.Order())
 			vals := w.Users[u].Values(d)
 			for tt := 1; tt <= d; tt++ {
 				if rep, ok := c.Observe(vals[tt-1] != 0); ok {
-					if err := coll.Send(wire.FromReport(rep)); err != nil {
-						t.Error(err)
-						return
-					}
+					wr.Ingest(0, rep)
 				}
 			}
 		}(u, base.Derive(uint64(u)))
 	}
 	wg.Wait()
-	coll.Drain(func(m wire.Msg) {
-		switch m.Type {
-		case wire.MsgHello:
-			srv.Register(int(m.Order))
-		case wire.MsgReport:
-			srv.Ingest(m.Report())
-		}
-	})
-	if srv.Users() != n {
-		t.Fatalf("registered %d users, want %d", srv.Users(), n)
+	if acc.Users() != n {
+		t.Fatalf("registered %d users, want %d", acc.Users(), n)
 	}
-	est := srv.EstimateSeries()
+	est := acc.EstimateSeries()
 	truth := w.Truth()
 	// Not a statistical test (single run): just require the estimate to
 	// be within the generous Hoeffding bound, which holds w.p. ≥ 95%.
@@ -263,16 +252,17 @@ func TestAllWorkloadsAllSystems(t *testing.T) {
 		workload.StaticGen{N: n, D: d},
 	}
 	systems := []sim.System{
-		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true},
 		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5},
-		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true, Workers: 3},
-		sim.Framework{Kind: protocol.Independent, Eps: 0.5, Fast: true},
-		sim.Framework{Kind: protocol.Bun, Eps: 0.5, Fast: true},
-		sim.Consistent{Framework: sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Fast: true}},
-		sim.Erlingsson{Eps: 0.5, Fast: true},
+		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Workers: 3},
+		sim.Framework{Kind: protocol.Independent, Eps: 0.5},
+		sim.Framework{Kind: protocol.Bun, Eps: 0.5},
+		sim.Consistent{Framework: sim.Framework{Kind: protocol.FutureRand, Eps: 0.5}},
 		sim.Erlingsson{Eps: 0.5},
-		sim.NaiveSplit{Eps: 0.5, Fast: true},
+		sim.NaiveSplit{Eps: 0.5},
 		sim.Central{Eps: 0.5},
+	}
+	for _, m := range ldp.Mechanisms() {
+		systems = append(systems, sim.Exact{Protocol: m.Protocol, Eps: 0.5})
 	}
 	for _, gen := range gens {
 		wl, err := gen.Generate(g.Split())

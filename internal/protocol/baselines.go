@@ -31,32 +31,21 @@ type ErlingssonClient struct {
 	keptSign int8 // sign of the kept coordinate of X_u: ±1
 }
 
-// NewErlingssonClient builds a baseline client drawing from g; the
-// per-order factory table must contain basic-randomizer factories at
-// ε̃ = ε/2 (see ErlingssonFactories).
-func NewErlingssonClient(user, d, k int, factories []core.Factory, g *rng.RNG) *ErlingssonClient {
-	c := new(ErlingssonClient)
-	c.init(user, d, k, factories, g)
-	return c
-}
-
-// NewSeededErlingssonClient is NewErlingssonClient drawing the stream
-// rng.NewFromSeed(seed) would produce from a generator inside the
-// client (one allocation, as NewSeededClient).
+// NewSeededErlingssonClient builds a baseline client drawing the stream
+// rng.NewFromSeed(seed) would produce from a generator inside the client
+// (one allocation, as NewSeededClient); the per-order factory table must
+// contain basic-randomizer factories at ε̃ = ε/2 (see
+// ErlingssonFactories).
 func NewSeededErlingssonClient(user, d, k int, factories []core.Factory, seed int64) *ErlingssonClient {
-	c := new(ErlingssonClient)
-	c.own.Seed(seed)
-	c.init(user, d, k, factories, &c.own)
-	return c
-}
-
-func (c *ErlingssonClient) init(user, d, k int, factories []core.Factory, g *rng.RNG) {
 	if k < 1 {
 		panic("protocol: Erlingsson baseline needs k >= 1")
 	}
-	h := SampleOrder(g, d)
-	c.keepIdx = 1 + g.IntN(k)
-	c.reporter.init(user, d, h, factories[h], g)
+	c := new(ErlingssonClient)
+	c.own.Seed(seed)
+	h := SampleOrder(&c.own, d)
+	c.keepIdx = 1 + c.own.IntN(k)
+	c.reporter.init(user, d, h, factories[h], &c.own)
+	return c
 }
 
 // Observe consumes st_u[t] and emits a report at multiples of 2^h, like

@@ -376,7 +376,7 @@ func TestErlingssonClientSparsification(t *testing.T) {
 	// Stream with 3 changes at t = 2, 5, 9.
 	vals := []uint8{0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
 	for trial := 0; trial < 50; trial++ {
-		c := NewErlingssonClient(0, d, 3, fs, g)
+		c := NewSeededErlingssonClient(0, d, 3, fs, g.Int64())
 		n := 0
 		for tt := 1; tt <= d; tt++ {
 			if _, ok := c.Observe(vals[tt-1] != 0); ok {
@@ -402,7 +402,7 @@ func TestErlingssonKeepsOneSignedChange(t *testing.T) {
 	keptAt2, keptAt5 := 0, 0
 	const trials = 4000
 	for i := 0; i < trials; i++ {
-		c := NewErlingssonClient(0, d, 2, fs, g)
+		c := NewSeededErlingssonClient(0, d, 2, fs, g.Int64())
 		for tt := 1; tt <= d; tt++ {
 			c.Observe(vals[tt-1] != 0)
 		}
@@ -441,7 +441,7 @@ func TestErlingssonFewerChangesThanK(t *testing.T) {
 	kept := 0
 	const trials = 6000
 	for i := 0; i < trials; i++ {
-		c := NewErlingssonClient(0, d, 3, fs, g)
+		c := NewSeededErlingssonClient(0, d, 3, fs, g.Int64())
 		for tt := 1; tt <= d; tt++ {
 			c.Observe(vals[tt-1] != 0)
 		}
@@ -501,7 +501,7 @@ func TestNaiveSplitPanics(t *testing.T) {
 		"overfeed":   func() { c := NewNaiveSplitClient(0, 1, 1, rng.New(1, 1)); c.Observe(0); c.Observe(0) },
 		"bad value":  func() { NewNaiveSplitClient(0, 4, 1, rng.New(1, 1)).Observe(3) },
 		"bad report": func() { NewNaiveSplitServer(4, 1).Ingest(NaiveReport{T: 5, Bit: 1}) },
-		"erl k=0":    func() { NewErlingssonClient(0, 8, 0, nil, rng.New(1, 1)) },
+		"erl k=0":    func() { NewSeededErlingssonClient(0, 8, 0, nil, 1) },
 	} {
 		func() {
 			defer func() {
@@ -519,7 +519,7 @@ func TestErlingssonObserveOverfeedPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewErlingssonClient(0, 2, 1, fs, rng.New(19, 20))
+	c := NewSeededErlingssonClient(0, 2, 1, fs, 19)
 	c.Observe(false)
 	c.Observe(false)
 	defer func() {

@@ -20,12 +20,10 @@ import (
 // the worker count decides which users share a shard's stream), and
 // distributionally identical to the serial engines.
 func runFrameworkFastParallel(w *workload.Workload, factories []core.Factory, srv *protocol.Server, g *rng.RNG, workers int) {
-	if workers <= 0 {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > w.N {
-		workers = w.N
-	}
+	workers = max(1, min(workers, w.N)) // an empty workload still needs one shard
 	tree := srv.Tree()
 
 	acc := protocol.NewSharded(srv.D(), srv.Scale(), workers)

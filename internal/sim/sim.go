@@ -1,22 +1,24 @@
 // Package sim runs complete protocol executions on synthetic workloads.
-// It provides two engines for the paper's framework:
+// It has one exact engine and the fast engines that stand in for it at
+// scale:
 //
-//   - the exact engine instantiates every client object and feeds it the
-//     full stream, exercising the real protocol code path end to end;
-//   - the fast engine exploits Property III: the reports of all users
+//   - Exact runs a registered mechanism as it ships: one ldp client per
+//     user, built by the mechanism's client factory, feeding one ldp
+//     server;
+//   - the fast engines exploit Property III: the reports of all users
 //     whose partial sum at a cell is zero are i.i.d. fair coins, so their
 //     sum is sampled directly as 2·Binomial(m,½)−m (exact, via popcount),
 //     while non-zero coordinates still go through the real randomizer.
 //
-// The two engines are distributionally identical (verified by tests and
-// experiment E8/E12 cross-checks); the fast engine makes n = 10⁶ runs
-// tractable. Baselines (Erlingsson et al., naive budget splitting, the
-// central-model binary mechanism) and the consistency post-processing
-// wrapper are exposed through the same System interface.
+// Each fast engine is distributionally identical to Exact on its
+// mechanism (TestExactFastEquivalence, TestErlingssonExactFastEquivalence
+// and TestNaiveSplitExactFastEquivalence compare them); the fast engines
+// make n = 10⁶ runs tractable. Baselines (Erlingsson et al., naive budget
+// splitting, the central-model binary mechanism) and the consistency
+// post-processing wrapper are exposed through the same System interface.
 package sim
 
 import (
-	"fmt"
 	"math"
 
 	"rtf/internal/central"
@@ -26,6 +28,7 @@ import (
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
 	"rtf/internal/workload"
+	"rtf/ldp"
 )
 
 // System is a complete protocol (client + server) runnable on a workload.
@@ -36,24 +39,66 @@ type System interface {
 	Run(w *workload.Workload, g *rng.RNG) ([]float64, error)
 }
 
-// Framework is the paper's protocol with a selectable randomizer.
+// Exact runs a registered mechanism through the shipped ldp client
+// factory and server: every user gets its own client, seeded from the
+// run's RNG, and feeds it the full stream. It serves every registered
+// mechanism, central-binary included.
+type Exact struct {
+	Protocol ldp.Protocol
+	Eps      float64
+}
+
+// Name implements System.
+func (e Exact) Name() string { return string(e.Protocol) }
+
+// Run implements System.
+func (e Exact) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
+	opts := []ldp.Option{ldp.WithMechanism(e.Protocol), ldp.WithEpsilon(e.Eps),
+		ldp.WithSparsity(max(w.K, 1)), ldp.WithSeed(g.Int64())}
+	srv, err := ldp.NewServer(w.D, opts...)
+	if err != nil {
+		return nil, err
+	}
+	factory, err := ldp.NewClientFactory(w.D, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for u, us := range w.Users {
+		c, err := factory.NewClient(u, g.Int64())
+		if err != nil {
+			return nil, err
+		}
+		if err := srv.Register(c.Order()); err != nil {
+			return nil, err
+		}
+		for _, v := range us.Values(w.D) {
+			if rep, ok := c.Observe(v != 0); ok {
+				if err := srv.Ingest(rep); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return srv.Estimates(), nil
+}
+
+// ---------------------------------------------------------------------------
+
+// Framework is the fast engine of the paper's protocol with a selectable
+// randomizer.
 type Framework struct {
 	Kind protocol.RandomizerKind
 	Eps  float64
-	Fast bool // use the aggregate engine for zero coordinates
-	// Workers > 0 shards the fast engine across that many goroutines
+	// Workers > 0 shards the engine across that many goroutines
 	// (scheduling-independent results); Workers < 0 uses GOMAXPROCS.
-	// Requires Fast.
 	Workers int
 }
 
 // Name implements System.
-func (f Framework) Name() string {
-	if f.Fast {
-		return f.Kind.String() + "-fast"
-	}
-	return f.Kind.String()
-}
+func (f Framework) Name() string { return f.Kind.String() + "-fast" }
 
 // Run implements System.
 func (f Framework) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
@@ -76,34 +121,12 @@ func (f Framework) RunServer(w *workload.Workload, g *rng.RNG) (*protocol.Server
 		return nil, err
 	}
 	srv := protocol.NewServer(w.D, protocol.EstimatorScale(w.D, factories[0].CGap()))
-	switch {
-	case f.Workers != 0 && !f.Fast:
-		return nil, fmt.Errorf("sim: parallel execution requires the fast engine")
-	case f.Workers != 0:
-		workers := f.Workers
-		if workers < 0 {
-			workers = 0 // GOMAXPROCS
-		}
-		runFrameworkFastParallel(w, factories, srv, g, workers)
-	case f.Fast:
+	if f.Workers != 0 {
+		runFrameworkFastParallel(w, factories, srv, g, f.Workers)
+	} else {
 		runFrameworkFast(w, factories, srv, g)
-	default:
-		runFrameworkExact(w, factories, srv, g)
 	}
 	return srv, nil
-}
-
-func runFrameworkExact(w *workload.Workload, factories []core.Factory, srv *protocol.Server, g *rng.RNG) {
-	for u, us := range w.Users {
-		c := protocol.NewClient(u, w.D, factories, g)
-		srv.Register(c.Order())
-		vals := us.Values(w.D)
-		for t := 1; t <= w.D; t++ {
-			if rep, ok := c.Observe(vals[t-1] != 0); ok {
-				srv.Ingest(rep)
-			}
-		}
-	}
 }
 
 // runFrameworkFast runs non-zero partial sums through the real randomizer
@@ -218,20 +241,15 @@ func (c Consistent) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 
 // ---------------------------------------------------------------------------
 
-// Erlingsson is the Section 6 baseline: keep one sampled change, perturb
-// with the basic randomizer at ε/2, scale the estimator by k.
+// Erlingsson is the fast engine of the Section 6 baseline: keep one
+// sampled change, perturb with the basic randomizer at ε/2, scale the
+// estimator by k.
 type Erlingsson struct {
-	Eps  float64
-	Fast bool
+	Eps float64
 }
 
 // Name implements System.
-func (e Erlingsson) Name() string {
-	if e.Fast {
-		return "erlingsson-fast"
-	}
-	return "erlingsson"
-}
+func (e Erlingsson) Name() string { return "erlingsson-fast" }
 
 // Run implements System.
 func (e Erlingsson) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
@@ -244,28 +262,6 @@ func (e Erlingsson) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 		return nil, err
 	}
 	srv := protocol.NewServer(w.D, protocol.ErlingssonScale(w.D, k, e.Eps))
-	if e.Fast {
-		e.runFast(w, k, factories, srv, g)
-	} else {
-		e.runExact(w, k, factories, srv, g)
-	}
-	return srv.EstimateSeries(), nil
-}
-
-func (e Erlingsson) runExact(w *workload.Workload, k int, factories []core.Factory, srv *protocol.Server, g *rng.RNG) {
-	for u, us := range w.Users {
-		c := protocol.NewErlingssonClient(u, w.D, k, factories, g)
-		srv.Register(c.Order())
-		vals := us.Values(w.D)
-		for t := 1; t <= w.D; t++ {
-			if rep, ok := c.Observe(vals[t-1] != 0); ok {
-				srv.Ingest(rep)
-			}
-		}
-	}
-}
-
-func (e Erlingsson) runFast(w *workload.Workload, k int, factories []core.Factory, srv *protocol.Server, g *rng.RNG) {
 	tree := srv.Tree()
 	nonzero := make([]int, tree.Size())
 	for u, us := range w.Users {
@@ -288,24 +284,19 @@ func (e Erlingsson) runFast(w *workload.Workload, k int, factories []core.Factor
 		nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: j})]++
 	}
 	injectZeroCoins(srv, nonzero, g)
+	return srv.EstimateSeries(), nil
 }
 
 // ---------------------------------------------------------------------------
 
-// NaiveSplit is the Section 1 strawman: a fresh randomized response at
-// every period with per-report budget ε/d.
+// NaiveSplit is the fast engine of the Section 1 strawman: a fresh
+// randomized response at every period with per-report budget ε/d.
 type NaiveSplit struct {
-	Eps  float64
-	Fast bool
+	Eps float64
 }
 
 // Name implements System.
-func (n NaiveSplit) Name() string {
-	if n.Fast {
-		return "naive-split-fast"
-	}
-	return "naive-split"
-}
+func (n NaiveSplit) Name() string { return "naive-split-fast" }
 
 // Run implements System.
 func (n NaiveSplit) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
@@ -313,28 +304,17 @@ func (n NaiveSplit) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 		return nil, err
 	}
 	srv := protocol.NewNaiveSplitServer(w.D, n.Eps)
-	if n.Fast {
-		truth := w.Truth()
-		keep := (1 + srv.CGap()) / 2
-		for t := 1; t <= w.D; t++ {
-			a := truth[t-1]
-			// Users at value 1 report +1 w.p. keep; users at 0 report +1
-			// w.p. 1−keep. Aggregate the ±1 sum from two binomials.
-			plus := g.BinomialApprox(a, keep) + g.BinomialApprox(w.N-a, 1-keep)
-			srv.IngestSum(t, int64(2*plus-w.N))
-		}
-		for i := 0; i < w.N; i++ {
-			srv.Register()
-		}
-	} else {
-		for u, us := range w.Users {
-			c := protocol.NewNaiveSplitClient(u, w.D, n.Eps, g)
-			srv.Register()
-			vals := us.Values(w.D)
-			for t := 1; t <= w.D; t++ {
-				srv.Ingest(c.Observe(vals[t-1]))
-			}
-		}
+	truth := w.Truth()
+	keep := (1 + srv.CGap()) / 2
+	for t := 1; t <= w.D; t++ {
+		a := truth[t-1]
+		// Users at value 1 report +1 w.p. keep; users at 0 report +1
+		// w.p. 1−keep. Aggregate the ±1 sum from two binomials.
+		plus := g.BinomialApprox(a, keep) + g.BinomialApprox(w.N-a, 1-keep)
+		srv.IngestSum(t, int64(2*plus-w.N))
+	}
+	for i := 0; i < w.N; i++ {
+		srv.Register()
 	}
 	return srv.EstimateSeries(), nil
 }

@@ -9,6 +9,7 @@ import (
 	"rtf/internal/rng"
 	"rtf/internal/stats"
 	"rtf/internal/workload"
+	"rtf/ldp"
 )
 
 func genUniform(t *testing.T, n, d, k int) *workload.Workload {
@@ -62,16 +63,17 @@ func TestNonzeroPartialSums(t *testing.T) {
 }
 
 func TestExactFastEquivalence(t *testing.T) {
-	// The exact and fast engines must agree in distribution. Compare mean
-	// and standard deviation of â[d] over many trials.
+	// The fast engine must agree in distribution with the shipped client
+	// and server (Exact). Compare mean and standard deviation of â[d] over
+	// many trials.
 	w := genUniform(t, 300, 16, 3)
 	truth := w.Truth()
 	g := rng.New(5, 6)
 	const trials = 250
-	collect := func(fast bool) []float64 {
+	collect := func(sys System) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: fast}.Run(w, g.Split())
+			est, err := sys.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +81,8 @@ func TestExactFastEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	ex, fa := stats.Summarize(collect(false)), stats.Summarize(collect(true))
+	ex := stats.Summarize(collect(Exact{Protocol: ldp.FutureRand, Eps: 1}))
+	fa := stats.Summarize(collect(Framework{Kind: protocol.FutureRand, Eps: 1}))
 	// Means agree within combined standard errors; stds within 20%.
 	se := math.Hypot(ex.Std, fa.Std) / math.Sqrt(trials)
 	if math.Abs(ex.Mean-fa.Mean) > 6*se {
@@ -100,10 +103,10 @@ func TestErlingssonExactFastEquivalence(t *testing.T) {
 	w := genUniform(t, 300, 16, 3)
 	g := rng.New(7, 8)
 	const trials = 250
-	collect := func(fast bool) []float64 {
+	collect := func(sys System) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := Erlingsson{Eps: 1, Fast: fast}.Run(w, g.Split())
+			est, err := sys.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +114,8 @@ func TestErlingssonExactFastEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	ex, fa := stats.Summarize(collect(false)), stats.Summarize(collect(true))
+	ex := stats.Summarize(collect(Exact{Protocol: ldp.Erlingsson, Eps: 1}))
+	fa := stats.Summarize(collect(Erlingsson{Eps: 1}))
 	se := math.Hypot(ex.Std, fa.Std) / math.Sqrt(trials)
 	if math.Abs(ex.Mean-fa.Mean) > 6*se {
 		t.Errorf("means differ: exact %v, fast %v (se %v)", ex.Mean, fa.Mean, se)
@@ -134,11 +138,11 @@ func TestUnbiasednessAllSystems(t *testing.T) {
 	truth := w.Truth()
 	g := rng.New(9, 10)
 	systems := []System{
-		Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true},
-		Framework{Kind: protocol.Independent, Eps: 1, Fast: true},
-		Framework{Kind: protocol.Bun, Eps: 1, Fast: true},
-		Erlingsson{Eps: 1, Fast: true},
-		NaiveSplit{Eps: 1, Fast: true},
+		Framework{Kind: protocol.FutureRand, Eps: 1},
+		Framework{Kind: protocol.Independent, Eps: 1},
+		Framework{Kind: protocol.Bun, Eps: 1},
+		Erlingsson{Eps: 1},
+		NaiveSplit{Eps: 1},
 	}
 	const trials = 400
 	for _, sys := range systems {
@@ -176,7 +180,7 @@ func TestHoeffdingBoundHolds(t *testing.T) {
 	const trials = 100
 	fails := 0
 	for i := 0; i < trials; i++ {
-		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +205,7 @@ func TestCentralBeatsLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		l, err := Framework{Kind: protocol.FutureRand, Eps: 1}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,11 +226,11 @@ func TestConsistentImprovesErrors(t *testing.T) {
 	const trials = 40
 	for i := 0; i < trials; i++ {
 		gg := g.Split()
-		r, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, gg)
+		r, err := Framework{Kind: protocol.FutureRand, Eps: 1}.Run(w, gg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Consistent{Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}}.Run(w, g.Split())
+		s, err := Consistent{Framework{Kind: protocol.FutureRand, Eps: 1}}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +252,11 @@ func TestNaiveSplitMuchWorseAtLargeD(t *testing.T) {
 	truth := w.Truth()
 	var naive, fr []float64
 	for i := 0; i < 20; i++ {
-		nEst, err := NaiveSplit{Eps: 1, Fast: true}.Run(w, g.Split())
+		nEst, err := NaiveSplit{Eps: 1}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fEst, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		fEst, err := Framework{Kind: protocol.FutureRand, Eps: 1}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,10 +272,10 @@ func TestNaiveSplitExactFastEquivalence(t *testing.T) {
 	w := genUniform(t, 100, 8, 2)
 	g := rng.New(19, 20)
 	const trials = 200
-	collect := func(fast bool) []float64 {
+	collect := func(sys System) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := NaiveSplit{Eps: 1, Fast: fast}.Run(w, g.Split())
+			est, err := sys.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +283,8 @@ func TestNaiveSplitExactFastEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	ex, fa := stats.Summarize(collect(false)), stats.Summarize(collect(true))
+	ex := stats.Summarize(collect(Exact{Protocol: ldp.NaiveSplit, Eps: 1}))
+	fa := stats.Summarize(collect(NaiveSplit{Eps: 1}))
 	se := math.Hypot(ex.Std, fa.Std) / math.Sqrt(trials)
 	if math.Abs(ex.Mean-fa.Mean) > 6*se {
 		t.Errorf("means differ: exact %v, fast %v", ex.Mean, fa.Mean)
@@ -291,16 +296,13 @@ func TestNaiveSplitExactFastEquivalence(t *testing.T) {
 
 func TestSystemNames(t *testing.T) {
 	cases := map[string]System{
-		"futurerand":            Framework{Kind: protocol.FutureRand},
-		"futurerand-fast":       Framework{Kind: protocol.FutureRand, Fast: true},
-		"independent":           Framework{Kind: protocol.Independent},
-		"bun":                   Framework{Kind: protocol.Bun},
-		"futurerand+consistent": Consistent{Framework{Kind: protocol.FutureRand}},
-		"erlingsson":            Erlingsson{},
-		"erlingsson-fast":       Erlingsson{Fast: true},
-		"naive-split":           NaiveSplit{},
-		"naive-split-fast":      NaiveSplit{Fast: true},
-		"central-binary":        Central{},
+		"futurerand-fast":            Framework{Kind: protocol.FutureRand},
+		"independent-fast":           Framework{Kind: protocol.Independent},
+		"bun-fast":                   Framework{Kind: protocol.Bun},
+		"futurerand-fast+consistent": Consistent{Framework{Kind: protocol.FutureRand}},
+		"erlingsson-fast":            Erlingsson{},
+		"naive-split-fast":           NaiveSplit{},
+		"central-binary":             Central{},
 	}
 	for want, sys := range cases {
 		if got := sys.Name(); got != want {
@@ -331,6 +333,12 @@ func TestRunValidatesWorkloadAndParams(t *testing.T) {
 	if _, err := (NaiveSplit{Eps: 1}).Run(bad, g); err == nil {
 		t.Error("NaiveSplit accepted invalid workload")
 	}
+	if _, err := (Exact{Protocol: ldp.FutureRand, Eps: 1}).Run(bad, g); err == nil {
+		t.Error("Exact accepted invalid workload")
+	}
+	if _, err := (Exact{Protocol: "bogus", Eps: 1}).Run(w, g); err == nil {
+		t.Error("Exact accepted an unregistered protocol")
+	}
 }
 
 func TestStaticWorkloadNoiseOnly(t *testing.T) {
@@ -345,7 +353,7 @@ func TestStaticWorkloadNoiseOnly(t *testing.T) {
 	const trials = 200
 	var sq float64
 	for i := 0; i < trials; i++ {
-		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true}.Run(w, g.Split())
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1}.Run(w, g.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +372,7 @@ func TestParallelEngineDeterministic(t *testing.T) {
 	// and worker count (per-shard derived RNG streams).
 	w := genUniform(t, 4000, 64, 3)
 	run := func(workers int) []float64 {
-		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, rng.New(77, 78))
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Workers: workers}.Run(w, rng.New(77, 78))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,6 +387,11 @@ func TestParallelEngineDeterministic(t *testing.T) {
 			t.Fatal("parallel run not reproducible at fixed worker count")
 		}
 	}
+	// An empty workload is valid and still runs, on one shard.
+	w = &workload.Workload{N: 0, D: 64, K: 3}
+	if est := run(3); len(est) != w.D {
+		t.Fatalf("empty workload: series length %d, want %d", len(est), w.D)
+	}
 }
 
 func TestParallelEngineEquivalence(t *testing.T) {
@@ -390,7 +403,7 @@ func TestParallelEngineEquivalence(t *testing.T) {
 	collect := func(workers int) []float64 {
 		var out []float64
 		for i := 0; i < trials; i++ {
-			est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Fast: true, Workers: workers}.Run(w, g.Split())
+			est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Workers: workers}.Run(w, g.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,13 +423,6 @@ func TestParallelEngineEquivalence(t *testing.T) {
 		if math.Abs(m.Mean-float64(truth[w.D-1])) > 6*m.Std/math.Sqrt(trials) {
 			t.Errorf("biased: mean %v, truth %d", m.Mean, truth[w.D-1])
 		}
-	}
-}
-
-func TestParallelRequiresFast(t *testing.T) {
-	w := genUniform(t, 10, 8, 1)
-	if _, err := (Framework{Kind: protocol.FutureRand, Eps: 1, Workers: 2}).Run(w, rng.New(1, 1)); err == nil {
-		t.Error("parallel exact engine accepted")
 	}
 }
 
