@@ -10,9 +10,10 @@
 // rtf-gateway processes (deploy.go; binaries via -serve-bin and
 // -gateway-bin, else next to this one, else $PATH) and a choreography run
 // over the two by one driver (driver.go), which ships per-user clients'
-// real randomized reports over -conns TCP connections in batches of
-// -batch and checks every answer against an in-process ldp server fed
-// the same reports. A flag combination that is not a row is refused.
+// real randomized reports through ldp.Conn over -conns TCP connections
+// in acked batches of whole users, -batch messages or just over, and
+// checks every answer against an in-process ldp server fed the same
+// reports. A flag combination that is not a row is refused.
 //
 //	flags                       mode     topology                       choreography
 //	(none)                      —        —                              offline run (below)
@@ -127,7 +128,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.StringVar(&o.wlIn, "read-workload", "", "read the Boolean workload from this CSV file instead of generating")
 	fs.StringVar(&o.drive, "drive", "", "scenario: load-test a running rtf-serve at this address (freshly started: the bit-for-bit check compares its cumulative state against this run alone)")
 	fs.IntVar(&o.conns, "conns", 4, "parallel connections of a server scenario")
-	fs.IntVar(&o.batch, "batch", 256, "messages per batch frame of a server scenario")
+	fs.IntVar(&o.batch, "batch", 256, "messages per batch frame of a server scenario (whole users: this many or just over)")
 	fs.Bool("recover", false, "scenario: crash choreography over one durable rtf-serve (with -domain [-hashed]: in that mode)")
 	fs.Bool("cluster", false, "scenario: crash choreography over rtf-gateway and three rtf-serve backends, one durable")
 	fs.Bool("domain", false, "scenario: crash choreography in exact domain mode over a gateway and three backends; with -recover, -hashed or -membership: their domain variants")
@@ -203,7 +204,7 @@ func serve(o *options, sc *scenario) error {
 	if err != nil {
 		return err
 	}
-	dep, err := deploy(topo, m.serveFlags(), o.serveBin, o.gatewayBin)
+	dep, err := deploy(topo, m.flags, o.serveBin, o.gatewayBin)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ type scenario struct {
 	name     string   // output prefix, and the row's name in the docs
 	selects  []string // the selector flags that, set together and alone, pick this row
 	reads    string   // the other flags the row reads, beyond commonReads
-	mode     func(*options) (m mode, users int, err error)
+	mode     func(*options) (m *mode, users int, err error)
 	topology func(*options) (topology, error)
 	run      func(name string, dep *deployment, st *driver, o *options) error
 }

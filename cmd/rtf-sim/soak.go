@@ -3,14 +3,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"rtf/internal/obs"
-	"rtf/internal/wire"
+	"rtf/ldp"
 )
 
 // soakCounters is the harness's own view of the run, to cross-check
@@ -63,13 +62,7 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 		start    = time.Now()
 		deadline = start.Add(o.duration)
 		burstAt  = start.Add(markAt / 2)
-		workers  = make(chan error, st.conns)
 	)
-	for c := 0; c < st.conns; c++ {
-		go func() {
-			workers <- st.soakWorker(addr, deadline, burstAt, o.qps/float64(st.conns), o.queue, &ctr)
-		}()
-	}
 
 	// The scraper: sample /metrics twice a second, record the early RSS
 	// mark and the worst queue depth seen. It owns these variables until
@@ -115,12 +108,9 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 		}
 	}()
 
-	var workErr error
-	for c := 0; c < st.conns; c++ {
-		if err := <-workers; err != nil && workErr == nil {
-			workErr = err
-		}
-	}
+	workErr := fanOut(st.conns, func(int) error {
+		return st.soakWorker(addr, deadline, burstAt, o.qps/float64(st.conns), o.queue, &ctr)
+	})
 	close(scrapeStop)
 	<-scrapeDone
 	if workErr != nil {
@@ -260,53 +250,51 @@ func soak(name string, dep *deployment, st *driver, o *options) error {
 // only if its ack says applied. In the paced phase the worker runs
 // closed-loop (one batch in flight, sleeping toward a per-message
 // schedule). During the burst window (until the first shed anywhere)
-// it pipelines several unacknowledged batches per connection, which
-// keeps every server connection goroutine continuously applying and
-// deterministically overruns the admission queue — a closed-loop
-// worker holds a queue slot only for the tiny apply window of its one
-// in-flight batch, and a capacity-2 queue can ride out even four such
-// workers indefinitely.
+// it pipelines ldp.MaxUnacked — eight — unacknowledged batches per
+// connection, which keeps every server connection goroutine
+// continuously applying and deterministically overruns the admission
+// queue — a closed-loop worker holds a queue slot only for the tiny
+// apply window of its one in-flight batch, and a capacity-2 queue can
+// ride out even four such workers indefinitely.
 func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float64, queueCap int, ctr *soakCounters) error {
-	conn, err := net.Dial("tcp", addr)
+	c, nc, err := st.dial(addr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	enc, dec := wire.NewEncoder(conn), wire.NewDecoder(conn)
+	defer nc.Close()
 
-	// A batch is its messages and its users' folds; inflight is the FIFO
-	// of batches sent but not yet acknowledged: acks come back in send
-	// order on the one connection.
+	// A batch is its users; inflight is the FIFO of batches sent but not
+	// yet acknowledged: acks come back in send order on the one
+	// connection.
 	type batch struct {
-		ms    []wire.Msg
-		folds []func() error
+		users []user
+		msgs  int
 	}
 	var (
 		cur      batch
 		inflight []batch
 		next     = time.Now()
 	)
-	readAck := func() error {
-		applied, err := dec.ReadBatchAck()
-		if err != nil {
-			return fmt.Errorf("reading batch ack: %w", err)
-		}
-		b := inflight[0]
-		inflight = inflight[1:]
-		if !applied {
-			ctr.shedBatches.Add(1)
-			return nil
-		}
-		ctr.appliedBatches.Add(1)
-		ctr.appliedMsgs.Add(int64(len(b.ms)))
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		for _, fold := range b.folds {
-			if err := fold(); err != nil {
-				return err
+	// settle takes the verdicts of the oldest batches in flight, and
+	// then err.
+	settle := func(acks []bool, err error) error {
+		for _, applied := range acks {
+			b := inflight[0]
+			inflight = inflight[1:]
+			if !applied {
+				ctr.shedBatches.Add(1)
+				continue
+			}
+			ctr.appliedBatches.Add(1)
+			ctr.appliedMsgs.Add(int64(b.msgs))
+			st.mu.Lock()
+			foldErr := andEach(nil, b.users, func(u user) error { return u.fold() })
+			st.mu.Unlock()
+			if foldErr != nil {
+				return foldErr
 			}
 		}
-		return nil
+		return err
 	}
 	for time.Now().Before(deadline) {
 		// While bursting the last assembled batch is re-sent back to back,
@@ -318,16 +306,16 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 		bursting := queueCap > 0 && time.Now().After(burstAt) && ctr.shedBatches.Load() == 0
 		window := 1
 		if bursting {
-			window = 8
+			window = ldp.MaxUnacked
 		}
-		if !bursting || len(cur.ms) == 0 {
+		if !bursting || cur.msgs == 0 {
 			cur = batch{} // never reused: batches in flight hold the old one
-			for len(cur.ms) < st.batch {
-				ms, fold, err := st.mode.user(int(ctr.nextUser.Add(1) - 1))
+			for cur.msgs < st.batch {
+				us, err := st.mode.user(int(ctr.nextUser.Add(1) - 1))
 				if err != nil {
 					return err
 				}
-				cur.ms, cur.folds = append(cur.ms, ms...), append(cur.folds, fold)
+				cur.users, cur.msgs = append(cur.users, us), cur.msgs+us.msgs
 			}
 		}
 		if !bursting {
@@ -338,32 +326,22 @@ func (st *driver) soakWorker(addr string, deadline, burstAt time.Time, qps float
 			if now := time.Now(); next.Before(now.Add(-time.Second)) {
 				next = now
 			}
-			next = next.Add(time.Duration(float64(len(cur.ms)) / qps * float64(time.Second)))
+			next = next.Add(time.Duration(float64(cur.msgs) / qps * float64(time.Second)))
 		}
-		if err := enc.EncodeAckedBatch(cur.ms); err != nil {
+		if err := andEach(nil, cur.users, func(u user) error { return u.send(c) }); err != nil {
 			return err
 		}
-		if err := enc.Flush(); err != nil {
+		if err := c.Send(); err != nil {
 			return err
 		}
 		ctr.sentBatches.Add(1)
 		inflight = append(inflight, cur)
-		for len(inflight) >= window {
-			if err := readAck(); err != nil {
-				return err
-			}
-		}
-	}
-	for len(inflight) > 0 {
-		if err := readAck(); err != nil {
+		if err := settle(c.Acks(window - 1)); err != nil {
 			return err
 		}
 	}
 	// One read round-trip proves the target (and, through a gateway's
 	// session leases, every backend) applied everything this connection's
 	// acked batches forwarded.
-	if err := st.mode.fence(enc, dec); err != nil {
-		return fmt.Errorf("fence query: %w", err)
-	}
-	return nil
+	return settle(c.Fence())
 }

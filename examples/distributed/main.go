@@ -1,9 +1,11 @@
 // Distributed: the protocol as a real networked system. A server listens
-// on a TCP loopback socket; 5,000 concurrent client goroutines dial in,
-// announce their sampled order, and stream wire-format reports for 128
-// periods, then wait for the server's answer to one read. The server is
-// transport.IngestServer over a sharded collector, the engine behind
-// cmd/rtf-serve: it decodes every frame under the Boolean ingest
+// on a TCP loopback socket; 5,000 client goroutines, at most 200 of them
+// connected at once, each dial in and run ldp.Conn, the client of the
+// served protocol: it announces the user's sampled order, ships the
+// user's reports for 128 periods as one acknowledged batch, and fences —
+// the server's answer to one read certifies the batch is applied. The
+// server is transport.IngestServer over a sharded collector, the engine
+// behind cmd/rtf-serve: it decodes every frame under the Boolean ingest
 // contract and aggregates into per-connection counter shards; the
 // example prints online estimates once it has drained. Only the dial
 // address would change in a deployment.
@@ -13,14 +15,14 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"rtf/internal/protocol"
-	"rtf/internal/rng"
 	"rtf/internal/transport"
-	"rtf/internal/wire"
-	"rtf/internal/workload"
+	"rtf/ldp"
+	"rtf/workload"
 )
 
 const (
@@ -31,17 +33,22 @@ const (
 )
 
 func main() {
-	w, err := (workload.UniformGen{N: users, D: periods, K: k}).Generate(rng.NewFromSeed(31))
+	w, err := workload.Generate(workload.Uniform{N: users, D: periods, K: k}, 31)
 	if err != nil {
 		log.Fatal(err)
 	}
 	truth := w.Truth()
 
-	factories, err := protocol.FutureRandFactories(periods, k, eps)
+	factory, err := ldp.NewClientFactory(periods, ldp.WithSparsity(k), ldp.WithEpsilon(eps))
 	if err != nil {
 		log.Fatal(err)
 	}
-	acc := protocol.NewSharded(periods, protocol.EstimatorScale(periods, factories[0].CGap()), 4)
+	mech, _ := ldp.Lookup(ldp.FutureRand)
+	scale, err := mech.EstimatorScale(ldp.Params{D: periods, K: k, Eps: eps})
+	if err != nil {
+		log.Fatal(err)
+	}
+	acc := protocol.NewSharded(periods, scale, 4)
 	srv := transport.NewIngestServer(transport.NewShardedCollector(acc))
 	srv.ErrorLog = func(err error) { log.Print(err) }
 
@@ -56,48 +63,45 @@ func main() {
 	}
 	fmt.Println("server listening on", addr)
 
-	// Clients: each user dials, runs Algorithm 1 and streams reports. A
+	// Clients: each user dials, runs Algorithm 1 and ships its reports. A
 	// semaphore caps concurrent sockets below typical fd limits.
-	base := rng.NewFromSeed(77)
 	sem := make(chan struct{}, 200)
 	var clientWG sync.WaitGroup
 	for u := 0; u < users; u++ {
 		clientWG.Add(1)
-		go func(u int, g *rng.RNG) {
+		go func(u int) {
 			defer clientWG.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			conn, err := net.Dial("tcp", addr)
+			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer conn.Close()
-			enc := wire.NewEncoder(conn)
-			c := protocol.NewClient(u, periods, factories, g)
-			if err := enc.Encode(wire.Hello(u, c.Order())); err != nil {
+			defer nc.Close()
+			conn, err := ldp.NewConn(nc, periods)
+			if err != nil {
 				log.Fatal(err)
 			}
-			vals := w.Users[u].Values(periods)
-			for t := 1; t <= periods; t++ {
-				if rep, ok := c.Observe(vals[t-1] != 0); ok {
-					if err := enc.Encode(wire.FromReport(rep)); err != nil {
+			c, err := factory.NewClient(u, 77+int64(u))
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := conn.Hello(u, c.Order()); err != nil {
+				log.Fatal(err)
+			}
+			for _, v := range w.Users[u].Values(periods) {
+				if rep, ok := c.Observe(v != 0); ok {
+					if err := conn.Report(rep); err != nil {
 						log.Fatal(err)
 					}
 				}
 			}
-			// The server handles a connection's frames in order, so its
-			// answer to a read is its word that every report before it is
-			// applied: a client that has it may hang up.
-			if err := enc.Encode(wire.QueryV2(wire.QueryPoint, periods, 0)); err != nil {
-				log.Fatal(err)
+			// A client whose fence returns may hang up: the server applied
+			// every batch the verdicts say it did.
+			if acks, err := conn.Fence(); err != nil || slices.Contains(acks, false) {
+				log.Fatalf("user %d: fence verdicts %v, %v", u, acks, err)
 			}
-			if err := enc.Flush(); err != nil {
-				log.Fatal(err)
-			}
-			if _, err := wire.NewDecoder(conn).ReadAnswer(); err != nil {
-				log.Fatal(err)
-			}
-		}(u, base.Derive(uint64(u)))
+		}(u)
 	}
 	clientWG.Wait()
 	// Every stream is applied: Shutdown stops listening and returns once

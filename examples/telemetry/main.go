@@ -1,9 +1,9 @@
 // Telemetry: the streaming client/server API in the shape of a real
-// deployment. 20,000 devices report whether a feature is enabled; a
+// deployment. 200,000 devices report whether a feature is enabled; a
 // silent rollout flips half the fleet around period 96. Each device runs
-// its own ldp.Client (Algorithm 1), reports travel through the wire
-// format with 5% random loss, and the server (Algorithm 2) answers
-// online estimates while periods are still arriving.
+// its own ldp.Client (Algorithm 1), reports cross a link that loses 5%
+// of them at random, and the server (Algorithm 2) answers online
+// estimates while periods are still arriving.
 package main
 
 import (

@@ -29,6 +29,8 @@ var exportAllowlist = map[string]string{
 	"rtf/internal/sparse.SupportAtOrder":            "protocol's tests count the reports a user sends with it",
 	"rtf/internal/protocol.Sharded.IngestSum":       "root BenchmarkAnswerSeriesCold fills a server with it",
 	"rtf/internal/wire.Decoder.Next":                "transport's codec tests and fuzzers and root BenchmarkIngestSingleMessage decode with it",
+	"rtf/internal/wire.Encoder.EncodeBatch":         "no shipped client sends MsgBatch since ldp.Conn, but the fronts still serve it, and transport's, cluster's and wire's tests encode it",
+	"rtf/internal/wire.Msg.Report":                  "transport's, cluster's and integration's tests feed a generated message's report to their serial oracle",
 	"rtf/internal/transport.ServerMetrics.Registry": "cluster's tests read a front's counters through it",
 	"rtf/internal/transport.IngestServer.Store":     "cluster's tests reach a backend's store through it",
 	"rtf/internal/transport.Server.Close":           "cluster's tests close gateways through the embedded Server",

@@ -92,15 +92,16 @@ func ExampleClient() {
 	// estimates: 8
 }
 
-// The batch transport: clients queue their randomized reports into a
-// BatchReporter, which ships compact batch frames to any io.Writer — a
-// buffer here, a TCP connection to an rtf-serve aggregation service in
-// a deployment. The server re-ingests the frames with IngestFrom;
-// batching never changes the estimates.
-func ExampleBatchReporter() {
+// The client of the served protocol: a Conn queues each user's hello
+// and randomized reports and ships them as one acknowledged batch frame
+// — into a buffer here, over a TCP connection to rtf-serve in a
+// deployment, where Fence and Answer also read the server's acks and
+// answers. IngestFrom re-ingests the frames; batching never changes the
+// estimates.
+func ExampleConn() {
 	const d = 8
 	var wire bytes.Buffer
-	rep, err := ldp.NewBatchReporter(&wire, 32)
+	conn, err := ldp.NewConn(&wire, d)
 	if err != nil {
 		panic(err)
 	}
@@ -113,18 +114,18 @@ func ExampleBatchReporter() {
 		if err != nil {
 			panic(err)
 		}
-		if err := rep.Hello(u, c.Order()); err != nil {
+		if err := conn.Hello(u, c.Order()); err != nil {
 			panic(err)
 		}
 		for t := 1; t <= d; t++ {
 			if r, ok := c.Observe(true); ok {
-				if err := rep.Report(r); err != nil {
+				if err := conn.Report(r); err != nil {
 					panic(err)
 				}
 			}
 		}
 	}
-	if err := rep.Flush(); err != nil {
+	if err := conn.Send(); err != nil {
 		panic(err)
 	}
 

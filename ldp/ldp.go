@@ -18,9 +18,20 @@
 //
 // The query level asks one entry point — Server.Answer — for any of the
 // four query shapes (Point, Change, Series, Window), uniformly across
-// mechanisms; the same queries travel over TCP to an rtf-serve instance
-// as versioned wire frames. Domain-valued streams have the same two
-// levels (NewDomainClient, NewDomainServer and the item-scoped queries).
+// mechanisms. Domain-valued streams have the same two levels
+// (NewDomainClient, NewDomainServer and the item-scoped queries).
+//
+// Conn is the client of the served protocol, over a connection the
+// caller dials to an rtf-serve instance or an rtf-gateway: it ships the
+// clients' hellos and reports in acknowledged batches, hands back which
+// batches the server's bounded queue shed, answers any Query as the
+// in-process server would, bit for bit, and fences.
+//
+//	nc, _ := net.Dial("tcp", addr)
+//	conn, _ := ldp.NewConn(nc, d)
+//	conn.Hello(user, c.Order()) // then conn.Report(rep) for every report
+//	verdicts, _ := conn.Fence() // false: that batch was shed whole
+//	a, _ := conn.Answer(ldp.PointQuery(t))
 package ldp
 
 import (
