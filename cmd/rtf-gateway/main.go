@@ -49,18 +49,19 @@
 // Both topologies are one cluster.Gateway over a placement: -backends is
 // the view that never changes (N shards, one owner each, every backend
 // read whole), -members the epoched rendezvous view read per owned
-// shard. Every mode, the answer cache, -hedge, -fetch-timeout and
-// -answer-cache-ttl work over either (see the "serving core" section of
-// README.md).
+// shard. Every mode, the answer cache and -fetch-timeout work over
+// either (see the "serving core" section of README.md). The answer cache
+// is exact-only: it serves an entry only while the ingest epoch proves
+// it bit-for-bit equal to a fresh scatter/gather.
 //
 // The process logs in logfmt to stderr and -metrics mounts a JSON
 // snapshot of every instrument — including per-backend scatter-fetch
 // latency histograms — at http://ADDR/metrics. -queue bounds
 // concurrent batch admission before anything is forwarded: a shed
 // acked batch gets a negative ack and reaches no backend at all.
-// -fetch-timeout deadlines each scatter fetch (retried on a fresh
-// connection), and -hedge races a slow clean-session fetch against a
-// second connection, first answer winning.
+// -fetch-timeout deadlines each scatter fetch: a hung backend
+// connection costs at most that long, after which a clean session
+// retries on a fresh connection.
 //
 // Examples:
 //
@@ -75,7 +76,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"rtf/internal/cluster"
 	"rtf/internal/front"
@@ -89,8 +89,7 @@ import (
 // flags.
 type config struct {
 	front.Config
-	opts     transport.ClusterOptions
-	cacheTTL time.Duration
+	opts transport.ClusterOptions
 
 	backends []string // static partition map; nil under -members
 
@@ -105,7 +104,7 @@ type config struct {
 // dials.
 func parseConfig(args []string) (config, error) {
 	var c config
-	if err := flagSet(&c).Parse(args); err != nil {
+	if err := front.Parse(flagSet(&c), args); err != nil {
 		return c, err
 	}
 	err := c.check()
@@ -120,11 +119,9 @@ func flagSet(c *config) *flag.FlagSet {
 	fs.IntVar(&c.opts.DialAttempts, "dial-attempts", 10, "re-dial attempts per backend operation (exponential backoff between attempts)")
 	fs.IntVar(&c.opts.PoolSize, "pool", 4, "idle connections pooled per backend")
 	fs.DurationVar(&c.opts.FetchTimeout, "fetch-timeout", 0, "per-backend scatter fetch deadline; a timed-out fetch is retried on a fresh connection (0 = no deadline)")
-	fs.DurationVar(&c.opts.HedgeDelay, "hedge", 0, "hedged-read delay: a clean-session fetch not answered within this is raced against a fresh connection (0 = off)")
 	fs.StringVar(&c.membersSpec, "members", "", "dynamic membership mode: comma-separated id=addr member list (mutually exclusive with -backends); backends must run rtf-serve -membership")
 	fs.IntVar(&c.replicas, "replicas", 2, "replication factor K under -members: every virtual shard is written to and quorum-read from K members")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -members; must match the backends' -vshards")
-	fs.DurationVar(&c.cacheTTL, "answer-cache-ttl", 0, "bounded-staleness reads: serve a cached scatter/gather up to this old to clean sessions even when ingest has advanced; a writer's read-your-writes fence refreshes it sooner (0 = off; the cache then serves only provably exact entries)")
 	return fs
 }
 
@@ -166,7 +163,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	gw.AnswerCacheTTL = cfg.cacheTTL
 	if cfg.members != nil {
 		// Backends may still be coming up; the announce rides the pool's
 		// dial backoff.

@@ -81,15 +81,13 @@ func TestParseConfig(t *testing.T) {
 		hashed     bool
 	}{
 		{name: "bool static", args: static, backends: 2},
-		{name: "bool static with read-path flags", args: static + " -hedge 5ms -fetch-timeout 1s -answer-cache-ttl 50ms", backends: 2},
+		{name: "bool static with read-path flags", args: static + " -fetch-timeout 1s", backends: 2},
 		{name: "exact static", args: static + " -m 64", backends: 2},
 		{name: "hashed static", args: static + " " + loloha, backends: 2, hashed: true},
 		{name: "bool members", args: members + " -replicas 2 -vshards 16", members: 3},
 		{name: "exact members", args: members + " -m 64", members: 3},
 		{name: "members × loloha", args: members + " " + loloha, members: 3, hashed: true},
-		{name: "members × hedge", args: members + " -hedge 5ms", members: 3},
 		{name: "members × fetch-timeout", args: members + " -fetch-timeout 1s", members: 3},
-		{name: "members × answer-cache-ttl", args: members + " -answer-cache-ttl 50ms", members: 3},
 	}
 	for _, tc := range accepted {
 		t.Run("accepts "+tc.name, func(t *testing.T) {
@@ -125,6 +123,8 @@ func TestParseConfig(t *testing.T) {
 		{"duplicate backend", "-backends a:1,a:1", "lists a:1 twice"},
 		{"eps out of range", static + " -eps 0", "epsilon 0 must be positive"},
 		{"unknown flag", "-no-such-flag", "flag provided but not defined"},
+		{"removed -hedge", static + " -hedge 5ms", "flag provided but not defined: -hedge"},
+		{"removed -answer-cache-ttl", static + " -answer-cache-ttl 50ms", "flag provided but not defined: -answer-cache-ttl"},
 	}
 	for _, tc := range refused {
 		t.Run("refuses "+tc.name, func(t *testing.T) {
@@ -145,7 +145,6 @@ func TestParseConfig(t *testing.T) {
 func TestFlagSet(t *testing.T) {
 	want := [][2]string{
 		{"addr", ":7609"},
-		{"answer-cache-ttl", "0s"},
 		{"backends", ""},
 		{"buckets", "0"},
 		{"d", "1024"},
@@ -155,7 +154,6 @@ func TestFlagSet(t *testing.T) {
 		{"fetch-timeout", "0s"},
 		{"grace", "10s"},
 		{"hash-seed", "0"},
-		{"hedge", "0s"},
 		{"k", "8"},
 		{"m", "0"},
 		{"mechanism", "futurerand"},

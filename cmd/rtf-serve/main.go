@@ -111,7 +111,7 @@ type config struct {
 // with a message naming the flags at fault, before anything listens.
 func parseConfig(args []string) (config, error) {
 	var c config
-	if err := flagSet(&c).Parse(args); err != nil {
+	if err := front.Parse(flagSet(&c), args); err != nil {
 		return c, err
 	}
 	err := c.check()

@@ -141,8 +141,8 @@
 // sheds acked batches whole — a negative ack, never a partial apply; on
 // the gateway the check runs before any forward — while legacy batches
 // block for natural TCP backpressure; the gateway read path adds per-backend
-// fetch deadlines (-fetch-timeout) and hedged reads (-hedge) against
-// slow backends.
+// fetch deadlines (-fetch-timeout), after which a session with nothing
+// unacknowledged retries on a fresh connection.
 //
 // cmd/rtf-sim holds all of the above to the exactness invariant against
 // real processes. Its acceptance scenarios are rows of one table — the

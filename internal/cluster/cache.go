@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
 	"rtf/internal/transport"
 	"rtf/internal/wire"
@@ -75,12 +74,11 @@ import (
 //
 // Publication. Only a flight's leader publishes, and only an entry that a
 // reader arriving at that moment would be served: one whose stamp is the
-// current epoch, or any inside the TTL. Leaders take turns at the latch
-// and each loads found after its predecessor's check, so stamps never
-// decrease and an entry is never replaced by an older one. A gather that
-// runs beside a flight — other columns, a failed or stale flight, an
-// unclean session, which may not join — answers its own query and
-// publishes nothing.
+// current epoch. Leaders take turns at the latch and each loads found
+// after its predecessor's check, so stamps never decrease and an entry is
+// never replaced by an older one. A gather that runs beside a flight —
+// other columns, a failed or stale flight, an unclean session, which may
+// not join — answers its own query and publishes nothing.
 //
 // Who may read. A session with unfenced forwards never reads an entry and
 // never joins a flight: its query doubles as the fence certifying its
@@ -90,12 +88,6 @@ import (
 // on — so a write burst costs one gather, not the fence and then a miss.
 // Clean sessions arriving during a fence gather join it as they join any
 // flight.
-//
-// The opt-in TTL mode (Gateway.AnswerCacheTTL > 0) additionally accepts
-// an entry younger than the TTL even when its stamp is stale — bounded
-// staleness in exchange for a scatter-free read path under sustained
-// ingest. Off by default. Writers' fences refresh the entry there too,
-// which only makes what is served fresher.
 //
 // Scope. A gather fetches the columns its read evaluates
 // (transport.Scope: a point or top-k at t needs [1..t]'s dyadic cover,
@@ -113,8 +105,7 @@ import (
 // number of connections may share one entry concurrently.
 type cacheEntry struct {
 	*transport.Gathered
-	stamp  uint64    // ingest epoch the gather left, or the stale one it found
-	filled time.Time // gather completion, for the opt-in TTL mode
+	stamp uint64 // ingest epoch the gather left, or the stale one it found
 }
 
 // answerCache is the entry slot plus the single-flight latch. Both are
@@ -148,17 +139,6 @@ func (s *session) clean() bool {
 	return true
 }
 
-// entryCurrent reports whether a cache entry may answer a query right
-// now: always when its stamp equals the current ingest epoch (provably
-// bit-for-bit fresh), and additionally within AnswerCacheTTL of its
-// fill time when the operator opted into bounded staleness.
-func (g *Gateway) entryCurrent(e *cacheEntry, epoch uint64, now time.Time) bool {
-	if e.stamp == epoch {
-		return true
-	}
-	return g.AnswerCacheTTL > 0 && now.Sub(e.filled) < g.AnswerCacheTTL
-}
-
 // joinAttempts bounds how many completed-but-stale flights a waiter
 // rides before giving up and gathering itself.
 const joinAttempts = 2
@@ -177,7 +157,7 @@ func (g *Gateway) acquireEntry(s *session, scope wire.Scope) (e *cacheEntry, hit
 	for attempt := 0; attempt < joinAttempts; attempt++ {
 		epoch := g.ingestEpoch.Load()
 		c.mu.Lock()
-		if e := c.entry; !fence && e != nil && g.entryCurrent(e, epoch, time.Now()) {
+		if e := c.entry; !fence && e != nil && e.stamp == epoch {
 			if e.Scope().Covers(scope) {
 				c.mu.Unlock()
 				return e, true, false, nil
@@ -195,8 +175,8 @@ func (g *Gateway) acquireEntry(s *session, scope wire.Scope) (e *cacheEntry, hit
 			c.mu.Lock()
 			c.flight = nil
 			// Published only if a reader arriving now would be served it:
-			// under a stamp the gather proved, or inside the TTL.
-			published := err == nil && g.entryCurrent(e, g.ingestEpoch.Load(), e.filled)
+			// under a stamp the gather proved.
+			published := err == nil && e.stamp == g.ingestEpoch.Load()
 			if published {
 				c.entry = e
 			}
@@ -222,7 +202,7 @@ func (g *Gateway) acquireEntry(s *session, scope wire.Scope) (e *cacheEntry, hit
 			// so gather on our own leases below.
 			break
 		}
-		if g.entryCurrent(f.entry, g.ingestEpoch.Load(), time.Now()) {
+		if f.entry.stamp == g.ingestEpoch.Load() {
 			return f.entry, false, true, nil
 		}
 		// The flight's result went stale while we waited; retry — the

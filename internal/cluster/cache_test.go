@@ -254,69 +254,6 @@ func testQueryCoalesced(t *testing.T, pl testPlacement) {
 	}
 }
 
-// TestGatewayAnswerCacheTTL pins the opt-in bounded-staleness mode: a
-// writer's fence refreshes the entry for everyone, and a cached answer
-// younger than the TTL keeps being served even though later ingest has
-// made it stale — bit-for-bit the answer that was cached, never a partial
-// or merged state.
-func TestGatewayAnswerCacheTTL(t *testing.T) {
-	for _, pl := range testPlacements {
-		t.Run(pl.name, func(t *testing.T) { testAnswerCacheTTL(t, pl) })
-	}
-}
-
-func testAnswerCacheTTL(t *testing.T, pl testPlacement) {
-	const d, scale = 16, 2.0
-	gwAddr := pl.serve(t, transport.BoolMode(d, scale), transport.ClusterOptions{},
-		func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour }).addr
-	first, second := clusterMsgs(41, d, 40, 6), clusterMsgs(42, d, 30, 4)
-
-	writer := dialGateway(t, gwAddr)
-	defer writer.close()
-	writer.ingestAndFence(t, first)
-
-	reader := dialGateway(t, gwAddr)
-	defer reader.close()
-	reader.series(t) // a full entry under the first batch, for the fence to replace
-
-	// The writer ships a second batch WITHOUT a fence and queries on the
-	// same connection: the session has unfenced forwards, so bounded
-	// staleness must not apply — the query runs its own gather, fencing
-	// the batch and reflecting every report bit-for-bit.
-	if err := writer.enc.EncodeBatch(second); err != nil {
-		t.Fatal(err)
-	}
-	writerView := writer.series(t)
-	want := serialOf(d, scale, first, second).EstimateSeries()
-	for i := range want {
-		if writerView[i] != want[i] {
-			t.Fatalf("unfenced writer's view value %d: gateway %v, serial %v", i, writerView[i], want[i])
-		}
-	}
-	// That gather refreshed the entry: the clean reader is served the
-	// writer's view, which is fresher than the TTL obliges.
-	cachedAnswer := reader.series(t)
-	for i := range want {
-		if cachedAnswer[i] != want[i] {
-			t.Fatalf("value %d behind the writer's fence: reader %v, serial %v", i, cachedAnswer[i], want[i])
-		}
-	}
-
-	// A third batch nobody reads behind makes the entry stale (its ack says
-	// the gateway forwarded it). The clean reader keeps getting the cached
-	// answer: bounded staleness served within the TTL, bit-for-bit the
-	// entry that was cached — never a partial or merged state.
-	if err := writer.sendAcked(clusterMsgs(43, d, 20, 4)); err != nil {
-		t.Fatal(err)
-	}
-	stale := reader.series(t)
-	for i := range cachedAnswer {
-		if stale[i] != cachedAnswer[i] {
-			t.Fatalf("TTL-mode value %d changed under the reader: %v != cached %v", i, stale[i], cachedAnswer[i])
-		}
-	}
-}
-
 // TestGatewayCacheBitForBitUnderConcurrentIngest is the cluster half of
 // the race-pass property test, run for all three modes: writer sessions
 // forward and fence batches while reader sessions hammer queries
@@ -766,44 +703,6 @@ func TestGatewayCacheScopeSweep(t *testing.T) {
 	}
 }
 
-// TestGatewayCacheScopeTTL pins that bounded staleness is bounded by
-// coverage too: within the TTL a stale entry keeps answering its own
-// range, never another. It runs over replicas, where the gather behind a
-// write nobody fenced fences it first, so what that gather must answer is
-// known to the bit.
-func TestGatewayCacheScopeTTL(t *testing.T) {
-	const d, scale = 16, 2.0
-	_, gwReg, gwAddr, _ := scopeCluster(t, testPlacements[1], d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
-	first, second := clusterMsgs(81, d, 40, 6), clusterMsgs(82, d, 30, 4)
-	writer := dialGateway(t, gwAddr)
-	defer writer.close()
-	if err := writer.enc.EncodeBatch(first); err != nil {
-		t.Fatal(err)
-	}
-	cached := writer.point(t, 5) // the fence fills a [1..5] entry
-	reader := dialGateway(t, gwAddr)
-	defer reader.close()
-	// The second batch is forwarded (its ack says so) and nobody reads
-	// behind it: the entry is stale and inside the TTL.
-	if err := writer.sendAcked(second); err != nil {
-		t.Fatal(err)
-	}
-	if got := reader.point(t, 5); got != cached {
-		t.Fatalf("within the TTL the [1..5] entry answered %v, cached %v", got, cached)
-	}
-	both := serialOf(d, scale, first, second)
-	if got, want := reader.point(t, 7), both.EstimateAt(7); got != want {
-		t.Fatalf("point 7 = %v, want the fresh %v: a stale [1..5] entry has no period 7", got, want)
-	}
-	if r, f := gathersOf(gwReg); f != 1 {
-		t.Fatalf("gathers range/full = %d/%d, want one full gather", r, f)
-	}
-	// The full entry that gather filled now answers everything.
-	if got, want := reader.point(t, 5), both.EstimateAt(5); got != want {
-		t.Fatalf("point 5 after the full gather = %v, want %v", got, want)
-	}
-}
-
 // TestGatewayFlightScope pins the single-flight rule: a clean read joins
 // an in-flight gather only if that gather covers its scope; otherwise it
 // gathers its own columns at once and publishes nothing.
@@ -822,6 +721,23 @@ func TestGatewayFlightScope(t *testing.T) {
 		return s
 	}
 	five, seven := wire.Scope{L: 1, R: 5}, wire.Scope{L: 1, R: 7}
+
+	// land plays a leader coming back with e, except that the flight stays
+	// installed, done, until the test clears it: a joiner that is still on
+	// its way finds the landed flight rather than no flight, so what it
+	// gets does not depend on when it is scheduled.
+	land := func(f *gatherFlight, e *cacheEntry) {
+		e.stamp = gw.ingestEpoch.Load()
+		gw.cache.mu.Lock()
+		f.entry = e
+		gw.cache.mu.Unlock()
+		close(f.done)
+	}
+	clearFlight := func() {
+		gw.cache.mu.Lock()
+		gw.cache.flight = nil
+		gw.cache.mu.Unlock()
+	}
 
 	// A leader is out gathering [1..5] and will not be back for a while.
 	flight := &gatherFlight{done: make(chan struct{}), scope: five}
@@ -852,34 +768,31 @@ func TestGatewayFlightScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	led.stamp = gw.ingestEpoch.Load()
-	gw.cache.mu.Lock()
-	gw.cache.flight, flight.entry = nil, led
-	gw.cache.mu.Unlock()
-	close(flight.done)
+	land(flight, led)
 	if got := <-joined; got != led {
 		t.Fatalf("the joiner got %v, the leader gathered %v", got, led)
 	}
+	clearFlight()
 
 	// A full flight covers every read.
 	flight = &gatherFlight{done: make(chan struct{}), scope: wire.Scope{}}
 	gw.cache.flight = flight
 	go func() {
-		e, _, _, _ := gw.acquireEntry(open(), seven)
+		e, _, coalesced, err := gw.acquireEntry(open(), seven)
+		if err != nil || !coalesced {
+			t.Errorf("a [1..7] read beside a full flight: coalesced=%v err=%v", coalesced, err)
+		}
 		joined <- e
 	}()
 	whole, err := open().scatter(wire.Scope{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole.stamp = gw.ingestEpoch.Load()
-	gw.cache.mu.Lock()
-	gw.cache.flight, flight.entry = nil, whole
-	gw.cache.mu.Unlock()
-	close(flight.done)
+	land(flight, whole)
 	if got := <-joined; got != whole {
 		t.Fatalf("a [1..7] read beside a full flight got %v, want the flight's %v", got, whole)
 	}
+	clearFlight()
 }
 
 // TestGatewayStackedScope checks scopes pass through stacked gateways: a

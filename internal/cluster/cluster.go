@@ -129,14 +129,6 @@ type Gateway struct {
 	// one partition and dropped on another.
 	*transport.Server
 
-	// AnswerCacheTTL, when positive, opts the gateway into bounded-
-	// staleness reads: a cached gather younger than this may answer a
-	// clean session's query even when ingest has advanced since it was
-	// filled. Zero (the default) keeps the cache exact — an entry is
-	// served only when the ingest epoch proves it bit-for-bit equal to a
-	// fresh scatter/gather. See cache.go.
-	AnswerCacheTTL time.Duration
-
 	pools *transport.ReplicaClient
 	mode  transport.Mode
 	place Placement
@@ -386,50 +378,24 @@ func (s *session) Apply(run []wire.Rec, raw []byte) error {
 // pool's full backoff schedule.
 const fetchAttempts = 3
 
-// fetched carries one backend's fetch outcome — a frame per owned shard —
-// with the connection that produced it, so a hedged race knows which
-// connection won. fatal marks a failure over unfenced forwards, fenced a
-// round trip that certified some: one step of the ingest epoch.
+// fetched carries one backend's fetch outcome — a frame per owned shard.
+// fatal marks a failure over unfenced forwards, fenced a round trip that
+// certified some: one step of the ingest epoch.
 type fetched struct {
 	frames []wire.RawSums
 	err    error
 	fatal  bool
 	fenced bool
-	bc     *transport.BackendConn
 }
 
 // fetch runs backend i's reads, under the given scope, sequentially on
 // the session's lease (the first round trip fences the
 // session's prior forwards there), with the full failure discipline:
 // FetchTimeout bounds each attempt, an error over unfenced forwards is
-// fatal to the session, a clean-session error retries on a fresh
-// connection, and a clean-session attempt that outlives HedgeDelay is
-// raced against a second one on a freshly leased connection (hedged read
-// — safe because the fetch is read-only and idempotent).
+// fatal to the session, and a clean-session error — a hung connection
+// included, once FetchTimeout expires — retries on a fresh connection.
 func (s *session) fetch(i int, scope wire.Scope) fetched {
-	g, l, opts := s.g, s.links[i], s.g.pools.Options()
-	bounded := func(bc *transport.BackendConn) fetched {
-		r := fetched{bc: bc, frames: make([]wire.RawSums, 0, len(s.lay.reads[i]))}
-		if opts.FetchTimeout > 0 {
-			bc.SetDeadline(time.Now().Add(opts.FetchTimeout))
-		}
-		before := bc.BytesRead()
-		for _, sh := range s.lay.reads[i] {
-			f, err := bc.FetchSums(g.mode, sh, scope)
-			if err != nil {
-				r.err = err
-				return r
-			}
-			r.frames = append(r.frames, f)
-		}
-		if g.Metrics != nil {
-			g.Metrics.CountSumsFrameBytes(bc.BytesRead() - before)
-		}
-		if opts.FetchTimeout > 0 {
-			r.err = bc.SetDeadline(time.Time{})
-		}
-		return r
-	}
+	l, opts := s.links[i], s.g.pools.Options()
 	var lastErr error
 	for attempt := 0; attempt < fetchAttempts; attempt++ {
 		bc, err := s.lease(i)
@@ -437,73 +403,43 @@ func (s *session) fetch(i int, scope wire.Scope) fetched {
 			lastErr = err
 			continue
 		}
-		var r fetched
-		if opts.HedgeDelay > 0 && !l.unfenced.Load() {
-			r = s.hedge(i, bc, opts.HedgeDelay, bounded)
-		} else {
-			r = bounded(bc)
-		}
-		if r.err != nil {
+		frames, err := s.fetchOnce(bc, i, scope, opts.FetchTimeout)
+		if err != nil {
 			s.drop(i)
 			if l.unfenced.Load() {
-				return fetched{fatal: true, err: fmt.Errorf("%s connection failed with unacknowledged forwards: %w", s.name(i), r.err)}
+				return fetched{fatal: true, err: fmt.Errorf("%s connection failed with unacknowledged forwards: %w", s.name(i), err)}
 			}
-			lastErr = r.err
+			lastErr = err
 			continue
 		}
-		if r.bc != l.bc {
-			// The hedge connection won: the primary lease has a stale
-			// in-flight request on it and cannot be reused — replace it.
-			l.bc.Close()
-			l.bc = r.bc
-		}
-		r.fenced = s.certify(l)
-		return r
+		return fetched{frames: frames, fenced: s.certify(l)}
 	}
 	return fetched{err: fmt.Errorf("fetching sums from %s: %w", s.name(i), lastErr)}
 }
 
-// hedge races bounded(primary) against a second fetch on a freshly
-// leased connection once the primary has been quiet for delay. The
-// loser's connection is closed (its response, if any, dies with it), so
-// whichever connection this returns is the only one with a completed —
-// or no — round-trip outstanding.
-func (s *session) hedge(i int, primary *transport.BackendConn, delay time.Duration,
-	bounded func(*transport.BackendConn) fetched) fetched {
-	ch := make(chan fetched, 2) // one slot per racer: neither send blocks
-	go func() { ch <- bounded(primary) }()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r
-	case <-timer.C:
+// fetchOnce is one attempt of fetch: backend i's frames, in read order,
+// over bc, inside the deadline when one is set.
+func (s *session) fetchOnce(bc *transport.BackendConn, i int, scope wire.Scope, timeout time.Duration) ([]wire.RawSums, error) {
+	g := s.g
+	if timeout > 0 {
+		bc.SetDeadline(time.Now().Add(timeout))
 	}
-	hc, err := s.g.pools.Lease(s.lay.Members[i].Addr)
-	if err != nil {
-		// No hedge connection to be had; fall back to the primary.
-		return <-ch
+	before := bc.BytesRead()
+	frames := make([]wire.RawSums, 0, len(s.lay.reads[i]))
+	for _, sh := range s.lay.reads[i] {
+		f, err := bc.FetchSums(g.mode, sh, scope)
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, f)
 	}
-	go func() { ch <- bounded(hc) }()
-	r := <-ch
-	if r.err != nil {
-		// First finisher failed (either side); the survivor decides.
-		r = <-ch
+	if g.Metrics != nil {
+		g.Metrics.CountSumsFrameBytes(bc.BytesRead() - before)
 	}
-	loser := primary
-	if r.bc == primary {
-		loser = hc
+	if timeout > 0 {
+		return frames, bc.SetDeadline(time.Time{})
 	}
-	if r.err != nil {
-		// Both failed: close both; the caller drops the primary lease.
-		hc.Close()
-	} else {
-		loser.Close()
-	}
-	if m := s.g.Metrics; m != nil {
-		m.CountHedge(r.err == nil && r.bc == hc)
-	}
-	return r
+	return frames, nil
 }
 
 // Gather obtains the cluster-wide sums read m is answered from — the
@@ -639,5 +575,5 @@ func (s *session) scatter(scope wire.Scope) (*cacheEntry, error) {
 	if left := found + own; g.ingestEpoch.Load() == left {
 		stamp = left
 	}
-	return &cacheEntry{Gathered: gathered, stamp: stamp, filled: time.Now()}, nil
+	return &cacheEntry{Gathered: gathered, stamp: stamp}, nil
 }

@@ -54,7 +54,7 @@ func startBlackhole(t *testing.T) (addr string, stop func()) {
 // FIRST accepted connection is a black hole (reads and discards
 // forever) while every later connection is piped through to the real
 // backend — a backend that hangs one connection but serves fresh ones,
-// the shape hedged reads are built for.
+// the shape a clean session's retry on a fresh connection recovers.
 func startFirstConnBlackholeProxy(t *testing.T, backendAddr string) (addr string, stop func()) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -185,9 +185,6 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 	}
 	withTimeout := fast
 	withTimeout.FetchTimeout = 100 * time.Millisecond
-	withHedge := fast
-	withHedge.FetchTimeout = 2 * time.Second
-	withHedge.HedgeDelay = 30 * time.Millisecond
 
 	cases := []struct {
 		name string
@@ -205,7 +202,12 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 		// on it).
 		forwardToFailing bool
 		wantAnswer       bool
-		wantErr          string
+		// retried marks a row whose first connection to the failing
+		// backend hangs past FetchTimeout and whose clean session then
+		// answers from a fresh one: no owner is skipped, and the new
+		// lease carries a second write and read.
+		retried bool
+		wantErr string
 	}{
 		{
 			name: "backend down at query time",
@@ -242,13 +244,14 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 			wantErr:          "unacknowledged forwards",
 		},
 		{
-			name: "hedged read beats a hung connection",
-			opts: withHedge,
+			name: "clean retry outlasts a hung connection",
+			opts: withTimeout,
 			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
 				addr, stop := startFirstConnBlackholeProxy(t, real.addr)
 				return addr, nil, stop
 			},
 			wantAnswer: true,
+			retried:    true,
 		},
 		{
 			// Over replicas a member that times out clean is not the end of
@@ -267,14 +270,15 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 		{
 			// The connection that carried the view push hangs; fresh ones
 			// are served.
-			name:    "hedged read beats a hung member connection",
-			opts:    withHedge,
+			name:    "clean retry outlasts a hung member connection",
+			opts:    withTimeout,
 			members: true,
 			failing: func(t *testing.T, real *testBackend) (string, func(), func()) {
 				addr, hang, stop := startValveProxy(t, real.addr)
 				return addr, func() { hang(false) }, stop
 			},
 			wantAnswer: true,
+			retried:    true,
 		},
 	}
 
@@ -345,30 +349,53 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 			enc := wire.NewEncoder(conn)
 			dec := wire.NewDecoder(conn)
 
+			// send forwards users [from, to) that keep selects, and feeds
+			// them to the serial reference too.
+			serial := protocol.NewServer(d, scale)
+			send := func(from, to int, keep func(u int) bool) {
+				var ms []wire.Msg
+				for u := from; u < to; u++ {
+					if !keep(u) {
+						continue
+					}
+					ms = append(ms, wire.Hello(u, 1),
+						wire.FromReport(protocol.Report{User: u, Order: 1, J: 1 + u%(d/2), Bit: 1}))
+					serial.Register(1)
+					serial.Ingest(ms[len(ms)-1].Report())
+				}
+				if err := enc.EncodeBatch(ms); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			series := func() ([]float64, error) {
+				if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := enc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				a, err := dec.ReadAnswer()
+				return a.Values, err
+			}
+			exact := func(got []float64) {
+				t.Helper()
+				want := serial.EstimateSeries()
+				if len(got) != len(want) {
+					t.Fatalf("series of %d values, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("series value %d: gateway %v, serial %v", i, got[i], want[i])
+					}
+				}
+			}
+
 			// Ingest only users routed to the two good backends unless the
 			// case wants unfenced forwards on the failing one.
-			serial := protocol.NewServer(d, scale)
-			var ms []wire.Msg
-			for u := 0; u < 30; u++ {
-				if toFailing(u) && !tc.forwardToFailing {
-					continue
-				}
-				ms = append(ms, wire.Hello(u, 1),
-					wire.FromReport(protocol.Report{User: u, Order: 1, J: 1 + u%(d/2), Bit: 1}))
-			}
-			for _, m := range ms {
-				if m.Type == wire.MsgHello {
-					serial.Register(int(m.Order))
-				} else {
-					serial.Ingest(m.Report())
-				}
-			}
-			if err := enc.EncodeBatch(ms); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			send(0, 30, func(u int) bool { return tc.forwardToFailing || !toFailing(u) })
 			if tc.forwardToFailing {
 				// Wait until the gateway's forward has landed on the
 				// failing backend (its collector saw the reports), so
@@ -389,42 +416,29 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				<-real.done
 			}
 
-			if err := enc.Encode(wire.QueryV2(wire.QuerySeries, 0, 0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := enc.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			a, err := dec.ReadAnswer()
+			start := time.Now()
+			got, err := series()
 			if tc.wantAnswer {
 				if err != nil {
 					t.Fatalf("query failed: %v", err)
 				}
-				want := serial.EstimateSeries()
-				if len(a.Values) != len(want) {
-					t.Fatalf("series of %d values, want %d", len(a.Values), len(want))
-				}
-				for i := range want {
-					if a.Values[i] != want[i] {
-						t.Fatalf("series value %d: gateway %v, serial %v", i, a.Values[i], want[i])
+				exact(got)
+				if tc.retried {
+					if took := time.Since(start); took < tc.opts.FetchTimeout {
+						t.Fatalf("answered in %v, inside FetchTimeout: the hung connection was never read", took)
 					}
-				}
-				if tc.opts.HedgeDelay > 0 {
-					s := gw.Metrics.Registry().Snapshot()
-					if s.Counters["gateway_hedged_fetches_total"] < 1 || s.Counters["gateway_hedge_wins_total"] < 1 {
-						t.Fatalf("hedge counters = %d armed / %d wins, want >= 1 each",
-							s.Counters["gateway_hedged_fetches_total"], s.Counters["gateway_hedge_wins_total"])
+					if n := gw.ShortReads(); n != 0 {
+						t.Fatalf("%d short reads: the retry should have answered for every owner", n)
 					}
-					// A second query must work on the installed hedge lease.
-					if err := enc.Encode(wire.QueryV2(wire.QueryPoint, 1, 0)); err != nil {
-						t.Fatal(err)
+					// The fresh connection is the session's lease now: it
+					// carries forwards to the failing backend and the read
+					// that fences them.
+					send(30, 60, toFailing)
+					got, err := series()
+					if err != nil {
+						t.Fatalf("second query on the new lease failed: %v", err)
 					}
-					if err := enc.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := dec.ReadAnswer(); err != nil {
-						t.Fatal(err)
-					}
+					exact(got)
 				} else if gw.ShortReads() == 0 {
 					t.Fatal("answered without the failing backend, yet counted no short read")
 				}
@@ -432,7 +446,7 @@ func TestGatewayBackendFailureQueryPaths(t *testing.T) {
 				// Failure cases: the client connection must die without any
 				// answer bytes — a partially-merged answer is the bug class
 				// under test.
-				t.Fatalf("got an answer (%d values) from a cluster with a failed backend", len(a.Values))
+				t.Fatalf("got an answer (%d values) from a cluster with a failed backend", len(got))
 			}
 			errMu.Lock()
 			defer errMu.Unlock()

@@ -341,9 +341,7 @@ func TestGatewayUncleanSessionNeverShares(t *testing.T) {
 
 func testUncleanNeverShares(t *testing.T, pl testPlacement) {
 	const d, scale = 16, 2.0
-	// Under a TTL an entry stays servable whatever the epoch does, so the
-	// writer below finds one that any clean session would be served.
-	gw, reg, addr, _ := scopeCluster(t, pl, d, scale, func(gw *Gateway) { gw.AnswerCacheTTL = time.Hour })
+	gw, reg, addr, _ := scopeCluster(t, pl, d, scale, nil)
 	first, second, third := clusterMsgs(121, d, 40, 6), clusterMsgs(122, d, 30, 4), clusterMsgs(123, d, 20, 4)
 	shared := func() int64 {
 		return reg.Counter("query_cache_hits_total").Value() + reg.Counter("query_coalesced_total").Value()
@@ -361,10 +359,16 @@ func testUncleanNeverShares(t *testing.T, pl testPlacement) {
 		t.Fatalf("a clean read of the fence-filled entry: err=%v, %d hits", err, shared())
 	}
 
-	// A servable entry that covers the read.
-	if err := writer.enc.EncodeBatch(second); err != nil {
+	// A servable entry that covers the read: once the second batch is
+	// forwarded (its ack says so) and left unfenced, the entry under the
+	// first batch alone is planted under the epoch of that moment, so a
+	// clean session would be served it as exact.
+	if err := writer.sendAcked(second); err != nil {
 		t.Fatal(err)
 	}
+	gw.cache.mu.Lock()
+	gw.cache.entry = &cacheEntry{Gathered: gw.cache.entry.Gathered, stamp: gw.ingestEpoch.Load()}
+	gw.cache.mu.Unlock()
 	_, got, err := writer.ask(seriesQuery)
 	if err != nil {
 		t.Fatal(err)

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -49,6 +50,21 @@ var (
 	Node    = Role{"rtf-serve", "cannot be hosted on the sharded accumulator", "hostable"}
 	Gateway = Role{"rtf-gateway", "cannot be clustered (its server state does not merge across machines)", "clustered mechanisms"}
 )
+
+// Parse parses args into fs without the flag package's own printing, so
+// a refused flag — an unknown name included — reaches Exit, which names
+// the binary first on stderr. -h still prints the usage to fs's output
+// and returns flag.ErrHelp.
+func Parse(fs *flag.FlagSet, args []string) error {
+	out := fs.Output()
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(out)
+		fs.Usage()
+	}
+	return err
+}
 
 // Exit ends the process over err: status 0 for a -h request, else the
 // error on stderr after the binary's name, and status 1.

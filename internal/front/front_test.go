@@ -1,6 +1,7 @@
 package front
 
 import (
+	"errors"
 	"flag"
 	"reflect"
 	"slices"
@@ -151,5 +152,30 @@ func TestRegisterDerivesCapabilities(t *testing.T) {
 		} else if list := strings.Split(strings.TrimPrefix(err.Error(), tc.want), ", "); !slices.Contains(list, "x-dyadic") || slices.Contains(list, "x-server") {
 			t.Errorf("%s: Resolve(x-server) lists %v, want x-dyadic and not x-server", tc.role.Name, list)
 		}
+	}
+}
+
+// TestParsePrintsOnlyHelp: a refused flag set prints nothing of its own,
+// so the binary's Exit line is the first thing on stderr; -h prints the
+// usage and returns flag.ErrHelp.
+func TestParsePrintsOnlyHelp(t *testing.T) {
+	parse := func(args ...string) (string, error) {
+		var out strings.Builder
+		var c Config
+		fs := flag.NewFlagSet("front", flag.ContinueOnError)
+		fs.SetOutput(&out)
+		c.Register(fs)
+		err := Parse(fs, args)
+		return out.String(), err
+	}
+	for _, args := range [][]string{{"-no-such-flag"}, {"-d", "x"}} {
+		out, err := parse(args...)
+		if err == nil || out != "" {
+			t.Fatalf("Parse(%q) = %v, printed %q; want an error and no output", args, err, out)
+		}
+	}
+	out, err := parse("-h")
+	if !errors.Is(err, flag.ErrHelp) || !strings.Contains(out, "Usage of front:") || !strings.Contains(out, "-eps") {
+		t.Fatalf("Parse(-h) = %v, printed %q; want flag.ErrHelp and the usage", err, out)
 	}
 }

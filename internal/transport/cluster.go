@@ -42,13 +42,6 @@ type ClusterOptions struct {
 	// to the session otherwise. Zero means no deadline (the default,
 	// preserving pre-timeout behavior).
 	FetchTimeout time.Duration
-	// HedgeDelay, when positive, arms hedged reads: a clean-session
-	// sums fetch that has not answered within HedgeDelay is raced
-	// against a second fetch on a freshly leased connection, and the
-	// first answer wins. Only read-only idempotent fetches with no
-	// unfenced forwards are hedged, so duplicated requests cannot
-	// double-apply anything. Zero disables hedging.
-	HedgeDelay time.Duration
 }
 
 func (o ClusterOptions) withDefaults() ClusterOptions {

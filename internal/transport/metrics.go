@@ -141,16 +141,6 @@ func (m *ServerMetrics) CountSumsFrameBytes(n int64) {
 	m.reg.Counter("sums_frame_bytes_total").Add(n)
 }
 
-// CountHedge records one hedged fetch: armed when the primary fetch
-// outlived the hedge delay, and won when the hedge connection answered
-// first.
-func (m *ServerMetrics) CountHedge(won bool) {
-	m.reg.Counter("gateway_hedged_fetches_total").Inc()
-	if won {
-		m.reg.Counter("gateway_hedge_wins_total").Inc()
-	}
-}
-
 // CountQuery increments queries_total for one answered query. The
 // labeled counter is looked up in the registry (one short mutex
 // acquisition); queries are off the ingest hot path, so the lookup cost
