@@ -1881,6 +1881,38 @@ func BenchmarkAnswerTopKColdIdleShards(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerTopKColdCycle is the uncached top-k answer at
+// domain-rw's shape — m = 1024, d = 256, one written counter shard —
+// with t cycling over eight periods whose prefix covers hold one to
+// eight intervals (128, 192, …, 255), as the workload's reads at random
+// periods do: the sweep's cost grows with the cover, and the benchmarks
+// above, at t = d/2, read a one-interval cover. It reports allocations;
+// the cold path makes none.
+func BenchmarkAnswerTopKColdCycle(b *testing.B) {
+	const d, m = 256, 1024
+	ds := populateDomainBench(b, d, m, 1)
+	var qs [8]wire.Msg
+	for i := range qs {
+		t := d - d>>(i+1) // i+1 set bits
+		qs[i] = wire.DomainQuery(wire.QueryTopK, 0, t, 0, 10)
+	}
+	mode := transport.DomainMode(d, hh.ExactEncoding(m), 100)
+	var ans wire.DomainAnswerFrame
+	var sc transport.TopKScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		ds.AdvanceVersion(0)
+		if err := mode.ValidateRead(q); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := transport.AnswerDomainQueryInto(ds, q, &ans, &sc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAnswerTopKWarm is the same query against an unchanged
 // version stamp: the memoized selection is copied out without touching
 // the counters. The gap to BenchmarkAnswerTopKCold is the read-path

@@ -220,7 +220,6 @@ func (g *Gateway) countCacheOutcome(hit, coalesced bool) {
 	if g.Metrics == nil {
 		return
 	}
-	g.Metrics.CountCacheEligible()
 	g.Metrics.CountCacheResult(hit)
 	if coalesced {
 		g.Metrics.CountCoalesced()

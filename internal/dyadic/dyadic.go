@@ -73,28 +73,40 @@ func All(d int) []Interval {
 	return out
 }
 
+// MaxCover is the length of the longest cover Decompose or
+// DecomposeRange returns at a horizon below 2^32: a range needs at most
+// 2·log₂ d intervals. It sizes the stack buffers the Append forms are
+// called with on read paths that must not allocate; a longer cover
+// still appends correctly, onto the heap.
+const MaxCover = 64
+
 // Decompose returns C(t): the minimum collection of disjoint dyadic
 // intervals with distinct orders whose union is [1..t] (Fact 3.8),
 // ordered left to right (decreasing order h). It panics if t is outside
 // [1..d] or d is not a power of two.
+func Decompose(t, d int) []Interval {
+	return AppendDecompose(make([]Interval, 0, bits.OnesCount(uint(t))), t, d)
+}
+
+// AppendDecompose appends C(t) to dst and returns the extended slice:
+// Decompose into a caller's buffer.
 //
 // The construction reads the binary representation of t: each set bit
 // 2^h contributes the next interval of order h after the prefix covered
 // so far.
-func Decompose(t, d int) []Interval {
+func AppendDecompose(dst []Interval, t, d int) []Interval {
 	logd := Log2(d)
 	if t < 1 || t > d {
 		panic(fmt.Sprintf("dyadic: t=%d out of range [1..%d]", t, d))
 	}
-	out := make([]Interval, 0, bits.OnesCount(uint(t)))
 	covered := 0
 	for h := logd; h >= 0; h-- {
 		if t&(1<<uint(h)) != 0 {
 			covered += 1 << uint(h)
-			out = append(out, Interval{Order: h, Index: covered >> uint(h)})
+			dst = append(dst, Interval{Order: h, Index: covered >> uint(h)})
 		}
 	}
-	return out
+	return dst
 }
 
 // DecomposeRange returns a minimum collection of disjoint dyadic
@@ -102,16 +114,21 @@ func Decompose(t, d int) []Interval {
 // Fact 3.8 in the paper, a general range needs at most 2·⌈log₂(r−l+1)⌉
 // intervals and, unlike prefix decompositions, may repeat orders. The
 // result is ordered left to right.
+func DecomposeRange(l, r, d int) []Interval {
+	return AppendDecomposeRange(make([]Interval, 0, 2*bits.Len(uint(max(r-l+1, 0)))), l, r, d)
+}
+
+// AppendDecomposeRange appends DecomposeRange(l, r, d) to dst and
+// returns the extended slice.
 //
 // The construction is the classic segment-tree walk: grow greedily from
 // l with the largest aligned block that fits, which yields blocks of
 // increasing then decreasing order.
-func DecomposeRange(l, r, d int) []Interval {
+func AppendDecomposeRange(dst []Interval, l, r, d int) []Interval {
 	Log2(d) // validate d
 	if l < 1 || r > d || l > r {
 		panic(fmt.Sprintf("dyadic: range [%d..%d] invalid for d=%d", l, r, d))
 	}
-	out := make([]Interval, 0, 2*bits.Len(uint(r-l+1)))
 	for l <= r {
 		// Largest h such that 2^h divides (l−1) and l−1+2^h ≤ r.
 		h := 0
@@ -122,10 +139,10 @@ func DecomposeRange(l, r, d int) []Interval {
 			}
 			h++
 		}
-		out = append(out, Interval{Order: h, Index: (l-1)>>uint(h) + 1})
+		dst = append(dst, Interval{Order: h, Index: (l-1)>>uint(h) + 1})
 		l += 1 << uint(h)
 	}
-	return out
+	return dst
 }
 
 // Tree provides O(1) flat indexing of all dyadic intervals over [d],

@@ -316,3 +316,39 @@ func (iv Interval) Len() int { return 1 << uint(iv.Order) }
 
 // Contains reports whether time period t lies in the interval.
 func (iv Interval) Contains(t int) bool { return t >= iv.Start() && t <= iv.End() }
+
+// TestAppendCoversIntoStackBuffer checks the Append forms against the
+// allocating ones at every prefix and range of d = 64, appended after a
+// sentinel so a form that overwrites instead of appending shows, and
+// that a MaxCover stack buffer takes every cover without allocating.
+func TestAppendCoversIntoStackBuffer(t *testing.T) {
+	const d = 64
+	sentinel := Interval{Order: -1, Index: -1}
+	same := func(name string, got, want []Interval) {
+		t.Helper()
+		if len(got) != len(want)+1 || got[0] != sentinel {
+			t.Fatalf("%s: got %v, want the sentinel then %v", name, got, want)
+		}
+		for i := range want {
+			if got[i+1] != want[i] {
+				t.Fatalf("%s: got %v, want the sentinel then %v", name, got, want)
+			}
+		}
+	}
+	for r := 1; r <= d; r++ {
+		same("AppendDecompose", AppendDecompose([]Interval{sentinel}, r, d), Decompose(r, d))
+		for l := 1; l <= r; l++ {
+			same("AppendDecomposeRange", AppendDecomposeRange([]Interval{sentinel}, l, r, d), DecomposeRange(l, r, d))
+		}
+	}
+	const big = 1 << 31
+	allocs := testing.AllocsPerRun(100, func() {
+		var buf [MaxCover]Interval
+		if len(AppendDecompose(buf[:0], big-1, big)) != 31 || len(AppendDecomposeRange(buf[:0], 2, big-1, big)) != 60 {
+			t.Fatal("unexpected cover length at d = 2^31")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("covers into a MaxCover stack buffer allocate %.1f times, want 0", allocs)
+	}
+}

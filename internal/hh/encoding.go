@@ -172,11 +172,16 @@ func OptimalBuckets(epsPerm, eps1 float64) int {
 // HashedDomainServer over bucket rows. Both are the one item reader of
 // memo.go under their encoding.
 type Items interface {
+	// D returns the horizon.
+	D() int
 	// EstimateItemAtCached returns f̂(item, t) and whether it came from
 	// a version-keyed memo (see memo.go).
 	EstimateItemAtCached(item, t int) (float64, bool)
 	// EstimateItemSeries returns f̂(item, 1..d) in a caller-owned slice.
 	EstimateItemSeries(item int) []float64
+	// AppendItemSeries appends the same values to dst, folding an exact
+	// read into the caller's scratch row (see itemReader).
+	AppendItemSeries(dst []float64, item int, row []int64) []float64
 	// AppendTopK appends the k items with the largest estimate at t, in
 	// decreasing order with ties toward the smaller item, and reports
 	// whether the selection came from the memo.

@@ -40,9 +40,7 @@ package hh
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"rtf/internal/protocol"
@@ -148,9 +146,24 @@ func (r *itemReader) EstimateItemAtCached(item, t int) (float64, bool) {
 
 // EstimateItemSeries returns f̂(item, 1..d). The caller owns the slice.
 func (r *itemReader) EstimateItemSeries(item int) []float64 {
+	return r.AppendItemSeries(nil, item, nil)
+}
+
+// AppendItemSeries appends f̂(item, 1..d) to dst and returns the
+// extended slice. An exact read folds the item's counters into row, the
+// caller's scratch of protocol.RawStride(d) counters (a row of any other
+// length allocates one for the read), so a recycled dst and row make it
+// allocation-free. A hashed read ignores row: it decodes the item's
+// bucket against every bucket's series, folded in one cut, and
+// allocates them.
+func (r *itemReader) AppendItemSeries(dst []float64, item int, row []int64) []float64 {
 	r.checkItem(item)
+	n := len(dst)
+	dst = slices.Grow(dst, r.d)[:n+r.d]
+	out := dst[n:]
 	if !r.enc.Hashed() {
-		return r.acc.EstimateSeries(item)
+		r.acc.SeriesInto(item, row, out)
+		return dst
 	}
 	total := make([]float64, r.d)
 	rows := r.acc.EstimateAllSeries()
@@ -161,11 +174,10 @@ func (r *itemReader) EstimateItemSeries(item int) []float64 {
 	}
 	own := rows[r.enc.Bucket(item)]
 	g := float64(r.enc.G)
-	out := make([]float64, r.d)
 	for t := range out {
 		out[t] = decode(own[t], total[t], g)
 	}
-	return out
+	return dst
 }
 
 // TopK returns the k items with the largest estimated frequency at time
@@ -211,14 +223,13 @@ func (r *itemReader) AppendTopK(dst []ItemCount, t, k int) ([]ItemCount, bool) {
 		return append(dst, mm.top...), true
 	}
 	est := r.sweepLocked(t, v)
-	// No ceiling for distinct items: they rarely tie at the maximum, so
-	// finding it would cost a pass over m estimates to save nothing. Every
-	// item of a bucket shares its value, so there the best one's is.
-	count, ceiling := func(x int) float64 { return est[x] }, math.Inf(1)
 	if r.enc.Hashed() {
-		count, ceiling = func(x int) float64 { return est[r.enc.Bucket(x)] }, slices.Max(est)
+		// Every item of a bucket shares its value, so the best one's is a
+		// ceiling.
+		mm.top = selectTopK(mm.top, r.enc.M, k, slices.Max(est), func(x int) float64 { return est[r.enc.Bucket(x)] })
+	} else {
+		mm.top = selectTopKRows(mm.top, est, k)
 	}
-	mm.top = selectTopK(mm.top, r.enc.M, k, ceiling, count)
 	mm.topValid, mm.topT, mm.topK, mm.topStamp = true, t, k, v
 	return append(dst, mm.top...), false
 }
@@ -260,68 +271,33 @@ func (r *itemReader) sweepLocked(t int, v uint64) []float64 {
 // the full-sort-and-truncate ordering, in O(n + k log k) instead of
 // O(n log n).
 //
-// The heap h is a min-heap of the k best so far; worse = smaller count,
-// ties toward the larger item, so the root is always the entry a better
-// candidate should displace. Items arrive in ascending order, so a
-// candidate equal to the root never displaces it — among boundary ties
-// the smaller items win, matching the full sort.
+// The heap h is a min-heap of the k best so far (see worse): its root is
+// always the entry a better candidate should displace. Items arrive in
+// ascending order, so a candidate equal to the root never displaces it —
+// among boundary ties the smaller items win, matching the full sort.
 //
-// ceiling must be at least every count(x); +Inf is always valid. Once
-// the heap is full and its root equals the ceiling, all k entries sit
-// at the ceiling and every later item is both no larger and a bigger
-// index, so nothing can displace an entry and the sweep stops. On a
-// hashed catalogue every item of a bucket shares the bucket's value, so
-// with the largest bucket value as ceiling the sweep ends at the k-th
-// item of the best bucket — about g·k items in, not m. It never fires
-// while the items at the ceiling seen so far number fewer than k (a
-// best bucket holding under k items), where the sweep is the full one
-// it always was.
+// ceiling must be at least every count(x); +Inf is always valid. Once the heap is full and its
+// root equals the ceiling, all k entries sit at the ceiling and every
+// later item is both no larger and a bigger index, so nothing can
+// displace an entry and the sweep stops. On a hashed catalogue every
+// item of a bucket shares the bucket's value, so with the largest bucket
+// value as ceiling the sweep ends at the k-th item of the best bucket —
+// about g·k items in, not m. It never fires while the items at the
+// ceiling seen so far number fewer than k (a best bucket holding under k
+// items), where the sweep is the full one it always was.
 func selectTopK(h []ItemCount, n, k int, ceiling float64, count func(int) float64) []ItemCount {
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 	h = h[:0]
 	if k <= 0 {
 		return h
 	}
-	worse := func(a, b ItemCount) bool {
-		if a.Count != b.Count {
-			return a.Count < b.Count
-		}
-		return a.Item > b.Item
-	}
-	siftDown := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			min := i
-			if l < len(h) && worse(h[l], h[min]) {
-				min = l
-			}
-			if r < len(h) && worse(h[r], h[min]) {
-				min = r
-			}
-			if min == i {
-				return
-			}
-			h[i], h[min] = h[min], h[i]
-			i = min
-		}
-	}
 	for x := 0; x < n; x++ {
 		c := ItemCount{Item: x, Count: count(x)}
 		if len(h) < k {
-			h = append(h, c)
-			for i := len(h) - 1; i > 0; {
-				p := (i - 1) / 2
-				if !worse(h[i], h[p]) {
-					break
-				}
-				h[i], h[p] = h[p], h[i]
-				i = p
-			}
-		} else if worse(h[0], c) {
+			h = heapPush(h, c)
+		} else if c.Count > h[0].Count {
 			h[0] = c
-			siftDown(0)
+			siftDown(h, 0)
 		} else {
 			continue
 		}
@@ -330,11 +306,90 @@ func selectTopK(h []ItemCount, n, k int, ceiling float64, count func(int) float6
 			break
 		}
 	}
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].Count != h[j].Count {
-			return h[i].Count > h[j].Count
-		}
-		return h[i].Item < h[j].Item
-	})
+	sortTop(h)
 	return h
+}
+
+// selectTopKRows is selectTopK over one value per item, est[x] for item
+// x, without a ceiling: distinct items rarely tie at the maximum, so
+// finding it would cost a pass over the values to save nothing. Once the
+// heap holds k items the sweep is one comparison per item against the
+// root's value.
+func selectTopKRows(h []ItemCount, est []float64, k int) []ItemCount {
+	k = min(k, len(est))
+	h = h[:0]
+	if k <= 0 {
+		return h
+	}
+	for x, v := range est[:k] {
+		h = heapPush(h, ItemCount{Item: x, Count: v})
+	}
+	root := h[0].Count
+	for x := k; x < len(est); x++ {
+		if v := est[x]; v > root {
+			h[0] = ItemCount{Item: x, Count: v}
+			siftDown(h, 0)
+			root = h[0].Count
+		}
+	}
+	sortTop(h)
+	return h
+}
+
+// worse is the selection heap's order: the smaller count, ties toward
+// the larger item. A later item — a larger index — equal to an entry is
+// never better than it, so the sweeps admit a candidate only on a
+// strictly larger count.
+func worse(a, b ItemCount) bool {
+	if a.Count != b.Count {
+		return a.Count < b.Count
+	}
+	return a.Item > b.Item
+}
+
+// heapPush appends c to the heap and sifts it up.
+func heapPush(h []ItemCount, c ItemCount) []ItemCount {
+	h = append(h, c)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !worse(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// siftDown restores the heap below entry i after it was replaced.
+func siftDown(h []ItemCount, i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(h) && worse(h[l], h[min]) {
+			min = l
+		}
+		if r < len(h) && worse(h[r], h[min]) {
+			min = r
+		}
+		if min == i {
+			return
+		}
+		h[i], h[min] = h[min], h[i]
+		i = min
+	}
+}
+
+// sortTop puts a selection in answer order: decreasing count, ties
+// toward the smaller item.
+func sortTop(h []ItemCount) {
+	slices.SortFunc(h, func(a, b ItemCount) int {
+		switch {
+		case a.Count > b.Count:
+			return -1
+		case a.Count < b.Count:
+			return 1
+		}
+		return a.Item - b.Item
+	})
 }

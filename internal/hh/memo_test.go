@@ -44,26 +44,34 @@ func sameTopK(a, b []ItemCount) bool {
 	return true
 }
 
-// TestSelectTopKMatchesFullSort pins the partial selection against the
+// TestSelectTopKMatchesFullSort pins both partial selections — the
+// hashed encoding's, through a count function with a ceiling, and the
+// exact encoding's threshold loop over the values — against the
 // full-sort-and-truncate specification, including heavy ties and edge
-// k values.
+// k values, at small n and in the thousands.
 func TestSelectTopKMatchesFullSort(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + r.Intn(64)
+	for trial := 0; trial < 260; trial++ {
+		n, distinct := 1+r.Intn(64), 5
+		if trial >= 200 {
+			n, distinct = 1000+r.Intn(4000), 1+r.Intn(12)
+		}
 		est := make([]float64, n)
 		for i := range est {
 			// Few distinct values so ties are common.
-			est[i] = float64(r.Intn(5)) * 1.25
+			est[i] = float64(r.Intn(distinct)) * 1.25
 		}
-		for _, k := range []int{0, 1, n / 2, n - 1, n, n + 3} {
+		for _, k := range []int{0, 1, 2, 10, n / 2, n - 1, n, n + 3} {
 			if k < 0 {
 				continue
 			}
-			got := selectTopK(nil, n, k, slices.Max(est), func(x int) float64 { return est[x] })
 			want := refTopK(est, k)
+			got := selectTopK(nil, n, k, slices.Max(est), func(x int) float64 { return est[x] })
 			if !sameTopK(got, want) {
 				t.Fatalf("n=%d k=%d: selectTopK %v != full sort %v (est %v)", n, k, got, want, est)
+			}
+			if got := selectTopKRows(got, est, k); !sameTopK(got, want) {
+				t.Fatalf("n=%d k=%d: selectTopKRows %v != full sort %v (est %v)", n, k, got, want, est)
 			}
 		}
 	}

@@ -37,7 +37,8 @@ func ScopedStride(d, l, r int) int {
 	if l == 0 && r == 0 {
 		return RawStride(d)
 	}
-	return 1 + dyadic.NumOrders(d) + len(dyadic.DecomposeRange(l, r, d))
+	var buf [dyadic.MaxCover]dyadic.Interval
+	return 1 + dyadic.NumOrders(d) + len(dyadic.AppendDecomposeRange(buf[:0], l, r, d))
 }
 
 // scopeColumns returns the flat tree indexes of the interval sums a row
@@ -437,7 +438,8 @@ func (s *DomainSharded) sumCol(flat int) int {
 // serial server fed the item's reports bit for bit.
 func (s *DomainSharded) EstimateAt(item, t int) float64 {
 	s.checkItem(item)
-	return s.estimate(item, dyadic.Decompose(t, s.d))
+	var buf [dyadic.MaxCover]dyadic.Interval
+	return s.estimate(item, dyadic.AppendDecompose(buf[:0], t, s.d))
 }
 
 // estimate sums item's scaled interval totals over a cover, in cover
@@ -472,10 +474,12 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 	for x := range est {
 		est[x] = 0
 	}
+	var buf [dyadic.MaxCover]dyadic.Interval
+	cover := dyadic.AppendDecompose(buf[:0], t, s.d)
 	s.locks.rlock()
 	defer s.locks.runlock()
 	if one := s.only(); one != nil {
-		for _, iv := range dyadic.Decompose(t, s.d) {
+		for _, iv := range cover {
 			col := s.sumCol(s.tree.FlatIndex(iv))
 			for x := 0; x < s.m; x++ {
 				est[x] += s.scale * float64(one[x*s.stride+col])
@@ -483,7 +487,7 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 		}
 		return est
 	}
-	for _, iv := range dyadic.Decompose(t, s.d) {
+	for _, iv := range cover {
 		col := s.sumCol(s.tree.FlatIndex(iv))
 		for x := range tmp {
 			tmp[x] = 0
@@ -503,11 +507,6 @@ func (s *DomainSharded) EstimateAllAtInto(est []float64, tmp []int64, t int) []f
 	return est
 }
 
-// EstimateSeries returns item's â[1..d] from the live counters.
-func (s *DomainSharded) EstimateSeries(item int) []float64 {
-	return s.EstimateSeriesTo(item, s.d)
-}
-
 // EstimateSeriesTo returns item's â[1..r] with the same prefix
 // recurrence and float addition order as Server.EstimateSeriesTo. The
 // recurrence at t only reads earlier entries, so the truncated series is
@@ -519,15 +518,28 @@ func (s *DomainSharded) EstimateSeriesTo(item, r int) []float64 {
 		panic(fmt.Sprintf("protocol: series bound %d out of range [1..%d]", r, s.d))
 	}
 	out := make([]float64, r)
-	_, _, sums := SplitRaw(s.d, s.cut(item, item+1))
-	prefixSeries(s.tree, s.scale, sums, out)
+	s.SeriesInto(item, nil, out)
 	return out
+}
+
+// SeriesInto writes item's â[1..len(out)] into out, bit-for-bit
+// EstimateSeriesTo(item, len(out)), folding the item's row into row: the
+// caller's scratch of RawStride(d) counters, allocated here when it is
+// any other length. An accumulator over adopted counters reads its own
+// row and leaves row alone.
+func (s *DomainSharded) SeriesInto(item int, row []int64, out []float64) {
+	s.checkItem(item)
+	if len(out) > s.d {
+		panic(fmt.Sprintf("protocol: series of %d periods at d=%d", len(out), s.d))
+	}
+	_, _, sums := SplitRaw(s.d, s.cut(item, item+1, row))
+	prefixSeries(s.tree, s.scale, sums, out)
 }
 
 // EstimateAllSeries returns every item's â[1..d], row by row, from one
 // point-in-time cut: each bit-for-bit EstimateSeries of its item.
 func (s *DomainSharded) EstimateAllSeries() [][]float64 {
-	rows := s.cut(0, s.m)
+	rows := s.cut(0, s.m, nil)
 	out := make([][]float64, s.m)
 	for x := range out {
 		_, _, sums := SplitRaw(s.d, rows[x*s.stride:(x+1)*s.stride])
@@ -538,17 +550,20 @@ func (s *DomainSharded) EstimateAllSeries() [][]float64 {
 }
 
 // cut returns the full rows [lo, hi) summed across shards, one
-// point-in-time cut: folded under the read locks on a live accumulator,
-// the adopted counters themselves otherwise. A series reads every
-// interval sum, which a scoped state does not have.
-func (s *DomainSharded) cut(lo, hi int) []int64 {
+// point-in-time cut: folded under the read locks into rows (allocated
+// unless it holds exactly those rows) on a live accumulator, the adopted
+// counters themselves otherwise. A series reads every interval sum,
+// which a scoped state does not have.
+func (s *DomainSharded) cut(lo, hi int, rows []int64) []int64 {
 	if s.cols != nil {
 		panic("protocol: a series reads every interval sum, outside the scope this state was built over")
 	}
 	if s.locks == nil {
 		return s.shards[0][lo*s.stride : hi*s.stride]
 	}
-	rows := make([]int64, (hi-lo)*s.stride)
+	if len(rows) != (hi-lo)*s.stride {
+		rows = make([]int64, (hi-lo)*s.stride)
+	}
 	s.FoldRowsInto(lo, hi, nil, rows)
 	return rows
 }

@@ -9,6 +9,12 @@ import (
 	"rtf/internal/rng"
 )
 
+// EstimateSeries returns item's â[1..d] from the live counters: the
+// tests' whole-series read of one row.
+func (s *DomainSharded) EstimateSeries(item int) []float64 {
+	return s.EstimateSeriesTo(item, s.d)
+}
+
 // feedDomain drives a DomainSharded and one serial Server per item with
 // the identical sequence of registers and ingests, so every test below
 // holds the matrix to an independent reference: m dyadic accumulators

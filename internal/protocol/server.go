@@ -85,8 +85,9 @@ func (s *Server) IngestSum(iv dyadic.Interval, sum int64) {
 
 // EstimateAt returns â[t] via the dyadic decomposition C(t) (line 6).
 func (s *Server) EstimateAt(t int) float64 {
+	var buf [dyadic.MaxCover]dyadic.Interval
 	var est float64
-	for _, iv := range dyadic.Decompose(t, s.d) {
+	for _, iv := range dyadic.AppendDecompose(buf[:0], t, s.d) {
 		est += s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
 	}
 	return est
@@ -119,8 +120,9 @@ func (s *Server) EstimateSeriesTo(r int) []float64 {
 // short ranges get proportionally less noise). Valid online once time r
 // has passed.
 func (s *Server) EstimateChange(l, r int) float64 {
+	var buf [dyadic.MaxCover]dyadic.Interval
 	var est float64
-	for _, iv := range dyadic.DecomposeRange(l, r, s.d) {
+	for _, iv := range dyadic.AppendDecomposeRange(buf[:0], l, r, s.d) {
 		est += s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
 	}
 	return est

@@ -70,7 +70,7 @@ func (s *Sharded) Users() int { return s.m.Users() }
 func (s *Sharded) EstimateAt(t int) float64 { return s.m.EstimateAt(0, t) }
 
 // EstimateSeries returns â[1..d].
-func (s *Sharded) EstimateSeries() []float64 { return s.m.EstimateSeries(0) }
+func (s *Sharded) EstimateSeries() []float64 { return s.EstimateSeriesTo(s.m.d) }
 
 // EstimateSeriesTo returns â[1..r], bit-for-bit a prefix of
 // EstimateSeries.
@@ -90,7 +90,8 @@ func (s *Sharded) PrefixSeries(sums []int64, out []float64) {
 // EstimateChange returns the unbiased estimate of a[r] − a[l−1] over the
 // direct dyadic cover of [l..r], mirroring Server.EstimateChange.
 func (s *Sharded) EstimateChange(l, r int) float64 {
-	return s.m.estimate(0, dyadic.DecomposeRange(l, r, s.m.d))
+	var buf [dyadic.MaxCover]dyadic.Interval
+	return s.m.estimate(0, dyadic.AppendDecomposeRange(buf[:0], l, r, s.m.d))
 }
 
 // Fold returns the accumulator's raw state summed across shards: the

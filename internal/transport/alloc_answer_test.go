@@ -66,6 +66,8 @@ func TestAnswerIntoAllocFree(t *testing.T) {
 		{"domain top-k", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, L: d / 2, K: k}, false},
 		{"hashed top-k", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryTopK, L: d / 2, K: k}, true},
 		{"hashed point-item", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: 7, L: d / 2}, true},
+		{"domain point-item", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QueryPointItem, Item: 7, L: d - 1}, false},
+		{"domain series-item", wire.Msg{Type: wire.MsgDomainQuery, Kind: wire.QuerySeriesItem, Item: 7}, false},
 	}
 	for _, tc := range cases {
 		// Warm the memo and grow the reusable buffers before measuring.

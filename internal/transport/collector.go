@@ -74,7 +74,7 @@ func NewCollector(mode Mode, shards int) *Collector {
 // NewShardedCollector builds a Boolean collector over the given
 // accumulator.
 func NewShardedCollector(acc *protocol.Sharded) *Collector {
-	return &Collector{mode: BoolMode(acc.D(), acc.Scale()), st: liveBoolState(acc)}
+	return &Collector{mode: BoolMode(acc.D(), acc.Scale()), st: newBoolState(acc)}
 }
 
 // NewDomainCollector builds an exact-domain collector over the given

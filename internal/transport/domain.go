@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rtf/internal/hh"
+	"rtf/internal/protocol"
 	"rtf/internal/wire"
 )
 
@@ -15,12 +16,12 @@ import (
 // AnswerDomainQueryInto answers an item-scoped query frame, already
 // validated (Mode.ValidateRead, in the frame loop), from a live item
 // reader into a reusable frame: a's Items/Values buffers and sc's
-// selection scratch are truncated and re-appended, so a serve loop
-// recycling one frame and scratch per connection answers warm top-k and
-// point-item queries without allocating. Estimates are bit-for-bit a
-// serial server's: every answer is a fixed function of the per-row
-// point estimates, which sum the same dyadic decomposition in the same
-// order everywhere. It reports whether the answer was served from the
+// selection and fold scratch are truncated and re-appended, so a serve
+// loop recycling one frame and scratch per connection answers every
+// item read but a hashed series-item without allocating. Estimates are
+// bit-for-bit a serial server's: every answer is a fixed function of
+// the per-row point estimates, which sum the same dyadic decomposition
+// in the same order everywhere. It reports whether the answer was served from the
 // reader's version-keyed memo, and refuses only a kind that is not an
 // item query. The frame's slices remain owned by the caller and never
 // alias server-internal storage.
@@ -33,7 +34,10 @@ func AnswerDomainQueryInto(items hh.Items, msg wire.Msg, a *wire.DomainAnswerFra
 		v, cached = items.EstimateItemAtCached(int(msg.Item), msg.L)
 		a.Values = append(a.Values, v)
 	case wire.QuerySeriesItem:
-		a.Values = append(a.Values, items.EstimateItemSeries(int(msg.Item))...)
+		if n := protocol.RawStride(items.D()); len(sc.row) != n {
+			sc.row = make([]int64, n)
+		}
+		a.Values = items.AppendItemSeries(a.Values, int(msg.Item), sc.row)
 	case wire.QueryTopK:
 		sc.top, cached = items.AppendTopK(sc.top[:0], msg.L, int(msg.K))
 		for _, ic := range sc.top {
@@ -46,10 +50,12 @@ func AnswerDomainQueryInto(items hh.Items, msg wire.Msg, a *wire.DomainAnswerFra
 	return cached, nil
 }
 
-// TopKScratch is the reusable selection buffer for the Into answer
-// paths. It lives outside DomainAnswerFrame so frames stay plain
-// values whose equality means payload equality; a serve loop holds one
-// scratch per connection alongside its reusable frame.
+// TopKScratch is the reusable selection and fold buffer of the Into
+// answer paths: top-k selections and exact series-item folds. It lives
+// outside DomainAnswerFrame so frames stay plain values whose equality
+// means payload equality; a serve loop holds one scratch per connection
+// alongside its reusable frame.
 type TopKScratch struct {
 	top []hh.ItemCount
+	row []int64
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rtf/internal/obs"
@@ -10,9 +11,11 @@ import (
 )
 
 // ServerMetrics is the instrument set of a serving process, shared by
-// every front of the serving core. All instruments live in
-// one obs.Registry (mounted at /metrics by the binaries), and the hot
-// ones are plain atomic handles resolved once at construction:
+// every front of the serving core. All instruments live in one
+// obs.Registry (mounted at /metrics by the binaries), and every one a
+// served batch or read records into is a plain atomic handle resolved
+// once, so recording takes neither the registry's lock nor an
+// allocation. The ingest set is resolved at construction:
 //
 //	ingest_messages_total      counter: ingest messages applied
 //	ingest_batches_total       counter: batches applied
@@ -26,11 +29,22 @@ import (
 //	ingest_latency_seconds     histogram: frame-decoded to applied-and-ack-
 //	    buffered latency per batch (the ack's own write is not in it)
 //	conns_active               gauge: currently served connections
+//
+// The read path's handles are resolved at their first event, so a
+// snapshot lists only the instruments something has recorded into:
+//
 //	queries_total{mechanism,kind} counters: answered reads by the
 //	    front's label (the Mode's name — "boolean", "domain",
 //	    "hashed-domain" — or, on the membership fronts, "membership" /
 //	    "member" with a "-domain" suffix in domain mode) and kind (see
-//	    QueryKindName)
+//	    queryKindNames); a connection looks its front's set up once
+//	query_cache_eligible_total, query_cache_hits_total,
+//	    query_cache_misses_total, query_coalesced_total counters: see
+//	    CountCacheResult and CountCoalesced
+//	gathers_total{scope}, gather_fetch_seconds, gather_fold_seconds,
+//	    sums_frame_bytes_total: see CountGather and ObserveGather
+//	answer_cache_fills_total{by} counters: see CountCacheFill
+//	scatter_latency_seconds{backend} histograms: see ObserveScatter
 //
 // Shed batches are deliberately excluded from the size and latency
 // histograms and the message counter — those describe applied work, and
@@ -47,6 +61,16 @@ type ServerMetrics struct {
 	BatchSize    *obs.Histogram
 	Latency      *obs.Histogram
 	ActiveConns  *obs.Gauge
+
+	cacheEligible, cacheHits, cacheMisses lazyCounter
+	coalesced, sumsFrameBytes             lazyCounter
+	gathers                               [2]lazyCounter // by scope: range, full
+	fills                                 [2]lazyCounter // by: miss, fence
+	gatherFetch, gatherFold               lazyHistogram
+
+	// queries holds each front label's queries_total counters.
+	queriesMu sync.Mutex
+	queries   map[string]*queryCounters
 
 	// scatter holds the scatter_latency_seconds{backend="i"} histograms,
 	// each resolved at backend i's first fetch.
@@ -66,7 +90,57 @@ func NewServerMetrics(r *obs.Registry) *ServerMetrics {
 		BatchSize:    r.Histogram("ingest_batch_size", obs.ExpBuckets(1, 2, 16)),
 		Latency:      r.Histogram("ingest_latency_seconds", obs.ExpBuckets(1e-5, 2, 20)),
 		ActiveConns:  r.Gauge("conns_active"),
+
+		cacheEligible:  lazyCounter{name: "query_cache_eligible_total"},
+		cacheHits:      lazyCounter{name: "query_cache_hits_total"},
+		cacheMisses:    lazyCounter{name: "query_cache_misses_total"},
+		coalesced:      lazyCounter{name: "query_coalesced_total"},
+		sumsFrameBytes: lazyCounter{name: "sums_frame_bytes_total"},
+		gathers: [2]lazyCounter{
+			{name: obs.Label("gathers_total", "scope", "range")},
+			{name: obs.Label("gathers_total", "scope", "full")},
+		},
+		fills: [2]lazyCounter{
+			{name: obs.Label("answer_cache_fills_total", "by", "miss")},
+			{name: obs.Label("answer_cache_fills_total", "by", "fence")},
+		},
+		gatherFetch: lazyHistogram{name: "gather_fetch_seconds", bounds: obs.ExpBuckets(1e-5, 2, 20)},
+		gatherFold:  lazyHistogram{name: "gather_fold_seconds", bounds: obs.ExpBuckets(1e-6, 2, 20)},
+		queries:     make(map[string]*queryCounters),
 	}
+}
+
+// lazyCounter is a registry counter resolved at its first event: one
+// registry lookup, then an atomic load per event. Concurrent first
+// events resolve the same get-or-create counter.
+type lazyCounter struct {
+	name string
+	c    atomic.Pointer[obs.Counter]
+}
+
+func (l *lazyCounter) get(r *obs.Registry) *obs.Counter {
+	c := l.c.Load()
+	if c == nil {
+		c = r.Counter(l.name)
+		l.c.Store(c)
+	}
+	return c
+}
+
+// lazyHistogram is lazyCounter's histogram.
+type lazyHistogram struct {
+	name   string
+	bounds []float64
+	h      atomic.Pointer[obs.Histogram]
+}
+
+func (l *lazyHistogram) get(r *obs.Registry) *obs.Histogram {
+	h := l.h.Load()
+	if h == nil {
+		h = r.Histogram(l.name, l.bounds)
+		l.h.Store(h)
+	}
+	return h
 }
 
 // Registry returns the registry the instruments live in. Only tests call
@@ -98,7 +172,8 @@ func (m *ServerMetrics) ObserveShed() {
 
 // ObserveScatter records one successful scatter fetch against backend i
 // in scatter_latency_seconds{backend="i"} — the gateway's per-backend
-// read-path latency.
+// read-path latency. A gather's fetches are the only callers, so the
+// handles are looked up under a mutex of their own.
 func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 	m.scatterMu.Lock()
 	if i >= len(m.scatter) {
@@ -117,11 +192,11 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 // gathers_total{scope}: "range" when it moved only the columns of one
 // period range, "full" when it moved every column.
 func (m *ServerMetrics) CountGather(scope wire.Scope) {
-	label := "range"
+	full := 0
 	if scope == (wire.Scope{}) {
-		label = "full"
+		full = 1
 	}
-	m.reg.Counter(obs.Label("gathers_total", "scope", label)).Inc()
+	m.gathers[full].get(m.reg).Inc()
 }
 
 // ObserveGather records one completed scatter/gather round under the
@@ -131,47 +206,34 @@ func (m *ServerMetrics) CountGather(scope wire.Scope) {
 // plus the construction of the state the answer is read from.
 func (m *ServerMetrics) ObserveGather(scope wire.Scope, fetch, fold time.Duration) {
 	m.CountGather(scope)
-	m.reg.Histogram("gather_fetch_seconds", obs.ExpBuckets(1e-5, 2, 20)).Observe(fetch.Seconds())
-	m.reg.Histogram("gather_fold_seconds", obs.ExpBuckets(1e-6, 2, 20)).Observe(fold.Seconds())
+	m.gatherFetch.get(m.reg).Observe(fetch.Seconds())
+	m.gatherFold.get(m.reg).Observe(fold.Seconds())
 }
 
 // CountSumsFrameBytes adds one fetched sums frame's wire size to
 // sums_frame_bytes_total.
 func (m *ServerMetrics) CountSumsFrameBytes(n int64) {
-	m.reg.Counter("sums_frame_bytes_total").Add(n)
+	m.sumsFrameBytes.get(m.reg).Add(n)
 }
 
-// CountQuery increments queries_total for one answered query. The
-// labeled counter is looked up in the registry (one short mutex
-// acquisition); queries are off the ingest hot path, so the lookup cost
-// is irrelevant.
-func (m *ServerMetrics) CountQuery(mechanism, kind string) {
-	m.reg.Counter(obs.Label("queries_total", "mechanism", mechanism, "kind", kind)).Inc()
-}
-
-// CountCacheEligible records one answered query whose answer path is
-// backed by a version-keyed memo (query_cache_eligible_total). Every
-// eligible query is also counted as exactly one hit or miss, so at any
-// quiescent scrape hits + misses == eligible.
-func (m *ServerMetrics) CountCacheEligible() {
-	m.reg.Counter("query_cache_eligible_total").Inc()
-}
-
-// CountCacheResult records whether an eligible query was answered from
-// a warm memo (query_cache_hits_total) or recomputed
-// (query_cache_misses_total).
+// CountCacheResult records one answered query whose answer path is
+// backed by a version-keyed memo, in query_cache_eligible_total, and
+// whether it was answered from a warm memo (query_cache_hits_total) or
+// recomputed (query_cache_misses_total): at any quiescent scrape
+// hits + misses == eligible.
 func (m *ServerMetrics) CountCacheResult(hit bool) {
+	m.cacheEligible.get(m.reg).Inc()
 	if hit {
-		m.reg.Counter("query_cache_hits_total").Inc()
+		m.cacheHits.get(m.reg).Inc()
 	} else {
-		m.reg.Counter("query_cache_misses_total").Inc()
+		m.cacheMisses.get(m.reg).Inc()
 	}
 }
 
 // CountCoalesced records one query that joined an in-flight identical
 // scatter/gather instead of starting its own (query_coalesced_total).
 func (m *ServerMetrics) CountCoalesced() {
-	m.reg.Counter("query_coalesced_total").Inc()
+	m.coalesced.get(m.reg).Inc()
 }
 
 // CountCacheFill records one gather whose entry a gateway published in
@@ -180,11 +242,56 @@ func (m *ServerMetrics) CountCoalesced() {
 // which could not have been served from the cache), "miss" when it was a
 // clean session that found nothing current.
 func (m *ServerMetrics) CountCacheFill(fence bool) {
-	by := "miss"
+	by := 0
 	if fence {
-		by = "fence"
+		by = 1
 	}
-	m.reg.Counter(obs.Label("answer_cache_fills_total", "by", by)).Inc()
+	m.fills[by].get(m.reg).Inc()
+}
+
+// queryCounters is one front label's queries_total counters, one per
+// kind, each resolved at the first query of its kind.
+type queryCounters struct {
+	reg   *obs.Registry
+	kinds [len(queryKindNames)]lazyCounter
+}
+
+// queriesOf returns the queries_total counters of a front label,
+// built at the label's first lookup.
+func (m *ServerMetrics) queriesOf(label string) *queryCounters {
+	m.queriesMu.Lock()
+	defer m.queriesMu.Unlock()
+	q := m.queries[label]
+	if q == nil {
+		q = &queryCounters{reg: m.reg}
+		for k, name := range queryKindNames {
+			q.kinds[k].name = obs.Label("queries_total", "mechanism", label, "kind", name)
+		}
+		m.queries[label] = q
+	}
+	return q
+}
+
+// count increments queries_total for one answered read frame.
+func (q *queryCounters) count(m wire.Msg) { q.kinds[queryKind(m)].get(q.reg).Inc() }
+
+// queryKindNames are the queries_total kind labels: index k in 1..7 is
+// the query kind of wire value k, then a mode's raw-sums request and a
+// per-shard one; 0 is a kind no validated read carries.
+var queryKindNames = [...]string{"unknown", "point", "change", "series", "window", "point_item", "series_item", "topk", "sums", "shard_sums"}
+
+// queryKind maps an answered read frame to its index in queryKindNames.
+func queryKind(m wire.Msg) int {
+	switch m.Type {
+	case wire.MsgSums, wire.MsgDomainSums, wire.MsgHashedDomainSums:
+		return 8
+	case wire.MsgShardSums:
+		return 9
+	}
+	if m.Kind >= wire.QueryPoint && m.Kind <= wire.QueryTopK {
+		return int(m.Kind)
+	}
+	return 0
 }
 
 // RegisterQueue exports the queue's live depth and capacity as gauges.
@@ -233,32 +340,4 @@ func (m *ServerMetrics) RegisterDurability(ds DurabilityStatser) {
 	m.reg.GaugeFunc("snapshot_age_seconds", func() float64 {
 		return ds.DurabilityStats().SnapshotAge.Seconds()
 	})
-}
-
-// QueryKindName maps an answered query frame to its queries_total kind
-// label.
-func QueryKindName(m wire.Msg) string {
-	switch m.Type {
-	case wire.MsgSums, wire.MsgDomainSums, wire.MsgHashedDomainSums:
-		return "sums"
-	case wire.MsgShardSums:
-		return "shard_sums"
-	}
-	switch m.Kind {
-	case wire.QueryPoint:
-		return "point"
-	case wire.QueryChange:
-		return "change"
-	case wire.QuerySeries:
-		return "series"
-	case wire.QueryWindow:
-		return "window"
-	case wire.QueryPointItem:
-		return "point_item"
-	case wire.QuerySeriesItem:
-		return "series_item"
-	case wire.QueryTopK:
-		return "topk"
-	}
-	return "unknown"
 }

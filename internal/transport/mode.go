@@ -178,7 +178,7 @@ func (p boolMode) ValidateRead(m wire.Msg) error {
 }
 
 func (p boolMode) NewState(shards int) State {
-	return liveBoolState(protocol.NewSharded(p.d, p.scale, shards))
+	return newBoolState(protocol.NewSharded(p.d, p.scale, shards))
 }
 
 func (p boolMode) Fold(frames []wire.RawSums) (State, error) {
@@ -190,7 +190,7 @@ func (p boolMode) Fold(frames []wire.RawSums) (State, error) {
 	if err != nil {
 		return nil, err
 	}
-	return boolState{acc: acc}, nil
+	return newBoolState(acc), nil
 }
 
 func (boolMode) ReadSums(d *wire.Decoder) (wire.RawSums, error) {
@@ -203,16 +203,16 @@ func (boolMode) EncodeSums(e *wire.Encoder, f wire.RawSums) error {
 
 func (boolMode) CheckMeta(persist.Meta) error { return nil }
 
-// boolState is the Boolean accumulator and, on a live one, its
-// version-keyed series memo (seriesmemo.go). A fold has none: it is
-// built for one gather.
+// boolState is the Boolean accumulator and its version-keyed series
+// memo (seriesmemo.go). A fold's accumulator never changes version, so
+// its memo, once filled, serves every series read of the gather.
 type boolState struct {
 	acc  *protocol.Sharded
 	memo *seriesMemo
 }
 
-// liveBoolState is a live accumulator's state, memo included.
-func liveBoolState(acc *protocol.Sharded) boolState { return boolState{acc, new(seriesMemo)} }
+// newBoolState is an accumulator's state, with an empty memo.
+func newBoolState(acc *protocol.Sharded) boolState { return boolState{acc, new(seriesMemo)} }
 
 func (s boolState) Apply(shard int, run []wire.Rec) (hellos, reports int64) {
 	return applyRun(s.acc.Lock(shard), run)
@@ -222,15 +222,13 @@ func (s boolState) Answer(m wire.Msg, e *wire.Encoder, _ *AnswerScratch) (memo, 
 	if m.Type != wire.MsgQueryV2 {
 		return false, false, e.EncodeSums(wire.SumsFrame(s.Sums(wire.Scope{L: m.L, R: m.R})))
 	}
-	if s.memo == nil || m.Kind == wire.QueryChange {
-		ans, err := AnswerQuery(s.acc, m)
-		if err != nil {
-			return false, false, err
-		}
-		return false, false, e.EncodeAnswer(ans)
-	}
 	if err := wire.ValidateQuery(s.acc.D(), m); err != nil {
 		return false, false, err
+	}
+	if m.Kind == wire.QueryChange {
+		// A change reads its own direct cover, never the series.
+		a := wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R, Values: []float64{s.acc.EstimateChange(m.L, m.R)}}
+		return false, false, e.EncodeAnswer(a)
 	}
 	hit, err = s.memo.answer(s.acc, m, e)
 	return true, hit, err
@@ -411,8 +409,10 @@ func (s domainState) Resident() (int, int64)      { return s.rows.Resident() }
 // stack. Because the fold adds exact integers and the estimator is a
 // fixed linear function of them, the answer is bit-for-bit a serial
 // server's. Immutable once built, so any number of connections may
-// share one. Frames gathered under a scope fold into a state that holds
-// only that scope's columns, and answers only the reads it covers.
+// share one; the folded state's memos, filled under their own locks by
+// the first read that needs them, serve every later one. Frames
+// gathered under a scope fold into a state that holds only that scope's
+// columns, and answers only the reads it covers.
 type Gathered struct {
 	st    State
 	mode  Mode

@@ -144,8 +144,47 @@ func TestNegativeUserRejected(t *testing.T) {
 	}
 }
 
-// TestAnswerQueryMatchesSerial checks AnswerQuery against a serial
-// Server fed the same reports, for every query kind, bit for bit.
+// Estimator is the read side of a dyadic accumulator: both the
+// run-locked protocol.Sharded and the serial protocol.Server satisfy
+// it, so AnswerQuery reads either.
+type Estimator interface {
+	D() int
+	EstimateAt(t int) float64
+	EstimateChange(l, r int) float64
+	EstimateSeries() []float64
+	EstimateSeriesTo(r int) []float64
+}
+
+// AnswerQuery is the tests' reference answer to a v2 query frame: each
+// value straight from the estimator's own methods, with no memo and no
+// scratch, so a serial protocol.Server answers through it what the
+// served Boolean state must answer bit for bit. The returned values are
+// owned by the caller: series and window answers are fresh copies
+// (windows clipped to exactly R−L+1 elements), never a view into an
+// engine's backing array that a buffer-reusing engine could scribble
+// over.
+func AnswerQuery(est Estimator, m wire.Msg) (wire.AnswerFrame, error) {
+	if err := wire.ValidateQuery(est.D(), m); err != nil {
+		return wire.AnswerFrame{}, err
+	}
+	a := wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
+	switch m.Kind {
+	case wire.QueryPoint:
+		a.Values = []float64{est.EstimateAt(m.L)}
+	case wire.QueryChange:
+		a.Values = []float64{est.EstimateChange(m.L, m.R)}
+	case wire.QuerySeries:
+		a.Values = append([]float64(nil), est.EstimateSeries()...)
+	case wire.QueryWindow:
+		a.Values = append(make([]float64, 0, m.R-m.L+1), est.EstimateSeriesTo(m.R)[m.L-1:]...)
+	}
+	return a, nil
+}
+
+// TestAnswerQueryMatchesSerial checks AnswerQuery on the live sharded
+// accumulator, and the served Boolean state over it (cold, then through
+// its memo), against a serial Server fed the same reports, for every
+// query kind, bit for bit.
 func TestAnswerQueryMatchesSerial(t *testing.T) {
 	const d, scale = 64, 2.5
 	acc := protocol.NewSharded(d, scale, 4)
@@ -161,6 +200,8 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 		serial.Ingest(r)
 	}
 
+	served := NewShardedCollector(acc)
+	var sc AnswerScratch
 	check := func(m wire.Msg, want []float64) {
 		t.Helper()
 		a, err := AnswerQuery(acc, m)
@@ -173,6 +214,23 @@ func TestAnswerQueryMatchesSerial(t *testing.T) {
 		for i := range want {
 			if a.Values[i] != want[i] {
 				t.Fatalf("%s value %d: got %v, want %v", m.Kind, i, a.Values[i], want[i])
+			}
+		}
+		var wantBytes bytes.Buffer
+		enc := wire.NewEncoder(&wantBytes)
+		if err := enc.EncodeAnswer(wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R, Values: want}); err != nil {
+			t.Fatal(err)
+		}
+		enc.Flush()
+		for pass := 0; pass < 2; pass++ {
+			var got bytes.Buffer
+			enc := wire.NewEncoder(&got)
+			if _, _, err := served.Answer(m, enc, &sc); err != nil {
+				t.Fatal(err)
+			}
+			enc.Flush()
+			if !bytes.Equal(got.Bytes(), wantBytes.Bytes()) {
+				t.Fatalf("%s: served answer (pass %d) differs from the serial server's", m.Kind, pass)
 			}
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"rtf/internal/wire"
 )
 
-// This file is the live Boolean state's read cache. Algorithm 2's
+// This file is the Boolean state's read cache. Algorithm 2's
 // output is a fixed linear function of the interval counters, so
 // between two runs the whole answer â[1..d] is one vector: Series,
 // Window and warm Point reads are served from one prefix series stamped

@@ -279,9 +279,13 @@ func (s *Server) serveConn(slot int, conn net.Conn) (err error) {
 		}
 		return s.mode.ValidateRead(m)
 	}
+	var queries *queryCounters
+	if s.Metrics != nil {
+		queries = s.Metrics.queriesOf(s.label)
+	}
 	answer := func(m wire.Msg) error {
-		if s.Metrics != nil {
-			s.Metrics.CountQuery(s.label, QueryKindName(m))
+		if queries != nil {
+			queries.count(m)
 			if s.control != nil && m.Type != wire.MsgShardSums {
 				// A shard-mapped store folds its virtual shards per read.
 				s.Metrics.CountGather(s.mode.Scope(m))
@@ -296,7 +300,6 @@ func (s *Server) serveConn(slot int, conn net.Conn) (err error) {
 			return err
 		}
 		if memo && s.Metrics != nil {
-			s.Metrics.CountCacheEligible()
 			s.Metrics.CountCacheResult(hit)
 		}
 		return flush()
@@ -417,44 +420,6 @@ func (s *Server) finishBatch(acked bool, enc *wire.Encoder, n int, start time.Ti
 		s.Metrics.ObserveBatch(n, time.Since(start), acked)
 	}
 	return nil
-}
-
-// Estimator is the read side of a dyadic accumulator: both the
-// run-locked protocol.Sharded (the live ingest path) and the serial
-// protocol.Server (the gateway's fold of cluster-wide raw sums) satisfy
-// it, so AnswerQuery serves either.
-type Estimator interface {
-	D() int
-	EstimateAt(t int) float64
-	EstimateChange(l, r int) float64
-	EstimateSeries() []float64
-	EstimateSeriesTo(r int) []float64
-}
-
-// AnswerQuery computes the answer to a v2 query frame from the live
-// accumulator. The estimates are bit-for-bit identical to a serial
-// protocol.Server fed the same reports: point and change queries sum the
-// same dyadic decomposition in the same order, and series and window
-// queries use the same prefix recurrence. The returned values are owned
-// by the caller: series and window answers are fresh copies (windows
-// clipped to exactly R−L+1 elements), never a view into an engine's
-// backing array that a buffer-reusing engine could scribble over.
-func AnswerQuery(est Estimator, m wire.Msg) (wire.AnswerFrame, error) {
-	if err := wire.ValidateQuery(est.D(), m); err != nil {
-		return wire.AnswerFrame{}, err
-	}
-	a := wire.AnswerFrame{Kind: m.Kind, L: m.L, R: m.R}
-	switch m.Kind {
-	case wire.QueryPoint:
-		a.Values = []float64{est.EstimateAt(m.L)}
-	case wire.QueryChange:
-		a.Values = []float64{est.EstimateChange(m.L, m.R)}
-	case wire.QuerySeries:
-		a.Values = append([]float64(nil), est.EstimateSeries()...)
-	case wire.QueryWindow:
-		a.Values = append(make([]float64, 0, m.R-m.L+1), est.EstimateSeriesTo(m.R)[m.L-1:]...)
-	}
-	return a, nil
 }
 
 // Shutdown drains the server gracefully: it stops accepting new
