@@ -315,7 +315,11 @@ func TestShutdownDrains(t *testing.T) {
 // stream: the snapshot format, the WAL records and the meta checks did
 // not move. testdata/parent-datadir was generated with that commit's
 // OpenDurable, OpenDurableDomain, OpenDurableHashedDomain and
-// OpenDurableShardMap over fixtureStream.
+// OpenDurableShardMap over fixtureStream — the first two thirds as one
+// frame, a snapshot, then the rest as a second frame. The
+// shardmap-domain and shardmap-hashed directories were generated the
+// same way, with OpenDurableStore, while every virtual shard of a
+// ShardMap was still its own accumulator.
 func TestRecoverParentDataDir(t *testing.T) {
 	const d, scale, m, users, S = 16, 2.5, 4, 12, 4
 	enc := hh.LolohaEncoding(1000, 8, 0xfeed)
@@ -364,6 +368,8 @@ func TestRecoverParentDataDir(t *testing.T) {
 		{"domain", domainMeta, func() Store { return NewCollector(DomainMode(d, hh.ExactEncoding(m), scale), 2) }},
 		{"hashed", hashedMeta, func() Store { return NewCollector(DomainMode(d, enc, scale), 2) }},
 		{"shardmap", base, func() Store { return NewShardMap(BoolMode(d, scale), S, "n0") }},
+		{"shardmap-domain", domainMeta, func() Store { return NewShardMap(DomainMode(d, hh.ExactEncoding(m), scale), S, "n0") }},
+		{"shardmap-hashed", hashedMeta, func() Store { return NewShardMap(DomainMode(d, enc, scale), S, "n0") }},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
 			// Recovery writes into the directory, so it runs on a copy.

@@ -2,11 +2,15 @@ package transport
 
 import (
 	"bytes"
+	"encoding/hex"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"rtf/internal/dyadic"
 	"rtf/internal/hh"
 	"rtf/internal/membership"
 	"rtf/internal/persist"
@@ -232,6 +236,71 @@ func TestShardMapInstallReplaces(t *testing.T) {
 	}
 	if err := dst.InstallShard(0, []byte("junk")); err == nil {
 		t.Error("InstallShard accepted junk state")
+	}
+}
+
+// goldenShardMap is a small populated shard map of the mode (d = 16,
+// four virtual shards, m = 4 exact rows or g = 8 loloha buckets): forty
+// users' hellos and reports in one frame, none of them on shard 3, which
+// stays empty.
+func goldenShardMap(t *testing.T, name string) *ShardMap {
+	t.Helper()
+	const d, scale, S = 16, 2.5, 4
+	mode := map[string]Mode{
+		"bool":   BoolMode(d, scale),
+		"exact":  DomainMode(d, hh.ExactEncoding(4), scale),
+		"hashed": DomainMode(d, hh.LolohaEncoding(1000, 8, 0xfeed), scale),
+	}[name]
+	sm := NewShardMap(mode, S, "n0")
+	g, rows := rng.New(48, 4), max(modeRows(mode), 1)
+	var run []wire.Rec
+	for u := 0; u < 40; u++ {
+		if u%S == 3 {
+			continue
+		}
+		h, item := g.IntN(dyadic.NumOrders(d)), uint32(g.IntN(rows))
+		run = append(run, wire.Rec{User: u, Item: item, Order: uint8(h)})
+		for r := 0; r < 3; r++ {
+			run = append(run, wire.Rec{User: u, Item: item, Order: uint8(h), J: uint32(1 + g.IntN(d>>uint(h))), Bit: int8(1 - 2*g.IntN(2))})
+		}
+	}
+	if err := sm.Apply(0, run, nil); err != nil {
+		t.Fatal(err)
+	}
+	return sm
+}
+
+// TestShardMapStateGolden pins the snapshot a membership backend cuts,
+// per mode, to the bytes testdata/shardmap-state holds: the
+// persist.EncodeShardStates container of one state per virtual shard,
+// each what a one-shard accumulator holding that shard's users
+// marshals (an empty shard's included). The pins were written while
+// every virtual shard was its own accumulator; a diff here breaks the
+// data directories of deployed members. The pinned bytes also restore
+// and re-marshal unchanged.
+func TestShardMapStateGolden(t *testing.T) {
+	for _, name := range []string{"bool", "exact", "hashed"} {
+		t.Run(name, func(t *testing.T) {
+			pin, err := os.ReadFile(filepath.Join("testdata", "shardmap-state", name+".hex"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := hex.DecodeString(strings.TrimSpace(string(pin)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sm := goldenShardMap(t, name)
+			if got := sm.marshalState(); !bytes.Equal(got, want) {
+				t.Fatalf("snapshot state changed:\n got  %x\n want %x", got, want)
+			}
+			back := NewShardMap(sm.Mode(), sm.NumShards(), "n1")
+			if err := back.restoreState(want); err != nil {
+				t.Fatal(err)
+			}
+			if got := back.marshalState(); !bytes.Equal(got, want) {
+				t.Fatalf("restored state re-marshals to %x, want %x", got, want)
+			}
+		})
 	}
 }
 
