@@ -1755,10 +1755,11 @@ func BenchmarkGatewayGatherHashed(b *testing.B) {
 }
 
 // BenchmarkShardMapPointRead is one point-item read at a shard-mapped
-// exact-domain store (16 virtual shards, m = 256, d = 256): every read
-// there folds the shards' raw sums into a fresh state. /scoped is the
-// read as served — each shard exports the columns the query evaluates —
-// and /full a SeriesItem read of the same item, which needs them all.
+// exact-domain store (16 virtual shards, m = 256, d = 256), answered from
+// its live accumulator like a Collector's. /scoped is the PointItem read,
+// which sums the counters of its period's cover across the shards, and
+// /full a SeriesItem read of the same item, which folds the item's whole
+// row.
 func BenchmarkShardMapPointRead(b *testing.B) {
 	const d, m, shards = 256, 256, 16
 	sm := transport.NewShardMap(transport.DomainMode(d, hh.ExactEncoding(m), 100), shards, "n0")

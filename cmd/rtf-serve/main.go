@@ -29,8 +29,9 @@
 // the encoding-checked MsgHashedDomainSums.
 //
 // With -membership (plus -id and -vshards) the service joins a dynamic
-// cluster fronted by rtf-gateway -members: it keeps one accumulator per
-// virtual shard instead of one global accumulator, and serves the
+// cluster fronted by rtf-gateway -members: its accumulator's counter
+// shards are the -vshards virtual shards (which replace -shards), each
+// user's reports land in shard user mod -vshards, and it serves the
 // membership control plane on the same port — cluster view pushes,
 // per-shard raw-sums requests (the gateway's quorum reads, and its
 // export of a shard to reshard) and shard transfer installs (reshard
@@ -72,7 +73,7 @@
 // Examples:
 //
 //	rtf-serve -addr :7609 -d 1024 -k 8 -eps 1.0
-//	rtf-serve -addr :7609 -mechanism erlingsson -d 256 -k 4 -eps 0.5 -shards 16 -stats 5s
+//	rtf-serve -addr :7609 -mechanism erlingsson -d 256 -k 4 -eps 0.5 -shards 16
 //	rtf-serve -addr :7609 -d 1024 -k 8 -data-dir /var/lib/rtf -snapshot-every 30s -fsync
 //	rtf-serve -addr :7609 -d 256 -k 4 -m 64  # domain-valued tracking over 64 items
 //	rtf-serve -addr :7609 -d 1024 -k 8 -metrics :9609 -queue 64
@@ -98,7 +99,6 @@ import (
 type config struct {
 	front.Config
 	shards     int
-	stats      time.Duration
 	dataDir    string
 	snapEvery  time.Duration
 	durable    transport.DurableOptions
@@ -111,10 +111,13 @@ type config struct {
 // with a message naming the flags at fault, before anything listens.
 func parseConfig(args []string) (config, error) {
 	var c config
-	if err := front.Parse(flagSet(&c), args); err != nil {
+	fs := flagSet(&c)
+	if err := front.Parse(fs, args); err != nil {
 		return c, err
 	}
-	err := c.check()
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	err := c.check(set)
 	return c, err
 }
 
@@ -122,34 +125,36 @@ func parseConfig(args []string) (config, error) {
 func flagSet(c *config) *flag.FlagSet {
 	fs := flag.NewFlagSet("rtf-serve", flag.ContinueOnError)
 	c.Register(fs)
-	fs.IntVar(&c.shards, "shards", runtime.GOMAXPROCS(0), "accumulator shards (>= 1)")
-	fs.DurationVar(&c.stats, "stats", 0, "print throughput every interval (0 = off)")
+	fs.IntVar(&c.shards, "shards", runtime.GOMAXPROCS(0), "accumulator shards (>= 1; under -membership the counter shards are the -vshards virtual shards)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "persist state here (snapshot + write-ahead log); empty = in-memory only")
 	fs.DurationVar(&c.snapEvery, "snapshot-every", time.Minute, "periodic snapshot interval with -data-dir (0 = final snapshot only)")
 	fs.BoolVar(&c.durable.Fsync, "fsync", false, "fsync every WAL write before acking (survive power loss, not just crashes); batches from all connections that arrive during a write share the next write and fsync")
 	fs.BoolVar(&c.durable.TolerateTornTail, "tolerate-torn-tail", false, "boot through a torn final WAL record (the artifact of a power loss mid-append) by truncating it; off = fail with a descriptive error so the operator decides")
-	fs.BoolVar(&c.membership, "membership", false, "membership mode: host one accumulator per virtual shard and serve the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
+	fs.BoolVar(&c.membership, "membership", false, "membership mode: the accumulator's counter shards are -vshards virtual shards, and the node serves the dynamic-cluster control plane (view pushes, per-shard sums, shard transfers) for an rtf-gateway -members front")
 	fs.StringVar(&c.id, "id", "", "this backend's member ID under -membership (must match the gateway's -members entry)")
 	fs.IntVar(&c.vshards, "vshards", 64, "virtual shard count under -membership; must match the gateway's -vshards")
 	return fs
 }
 
 // check resolves the protocol block for a single node and refuses
-// every unsupported combination of rtf-serve's own flags.
-func (c *config) check() error {
+// every unsupported combination of rtf-serve's own flags; set names the
+// flags the command line gave.
+func (c *config) check(set map[string]bool) error {
 	if err := c.Resolve(front.Node); err != nil {
 		return err
 	}
 	if c.shards < 1 {
 		return fmt.Errorf("shards=%d must be >= 1", c.shards)
 	}
-	if c.membership {
-		if c.id == "" {
-			return fmt.Errorf("-membership requires -id (the member ID the gateway routes by)")
-		}
-		if c.vshards < 1 || c.vshards > membership.MaxShards {
-			return fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
-		}
+	switch {
+	case !c.membership && (set["id"] || set["vshards"]):
+		return fmt.Errorf("-id and -vshards only apply with -membership")
+	case c.membership && set["shards"]:
+		return fmt.Errorf("-shards does not apply with -membership: the counter shards are the -vshards virtual shards")
+	case c.membership && c.id == "":
+		return fmt.Errorf("-membership requires -id (the member ID the gateway routes by)")
+	case c.membership && (c.vshards < 1 || c.vshards > membership.MaxShards):
+		return fmt.Errorf("vshards=%d outside [1..%d]", c.vshards, membership.MaxShards)
 	}
 	return nil
 }
@@ -189,25 +194,23 @@ func main() {
 	}
 	srv := transport.NewIngestServer(store)
 
-	// The tickers stop when the drain starts.
+	// The snapshot ticker stops when the drain starts.
 	stop := make(chan struct{})
 	if durable != nil && cfg.snapEvery > 0 {
-		go every(cfg.snapEvery, stop, func() {
-			if _, err := durable.Snapshot(); err != nil {
-				logger.Error("snapshot", "err", err)
+		go func() {
+			tick := time.NewTicker(cfg.snapEvery)
+			defer tick.Stop()
+			for {
+				select {
+				case <-tick.C:
+					if _, err := durable.Snapshot(); err != nil {
+						logger.Error("snapshot", "err", err)
+					}
+				case <-stop:
+					return
+				}
 			}
-		})
-	}
-	if cfg.stats > 0 {
-		var lastReports int64
-		last := time.Now()
-		go every(cfg.stats, stop, func() {
-			hellos, reports, batches := store.Stats()
-			rate := float64(reports-lastReports) / time.Since(last).Seconds()
-			logger.Info("throughput", "users", hellos, "reports", reports,
-				"batches", batches, "rate", fmt.Sprintf("%.0f", rate))
-			lastReports, last = reports, time.Now()
-		})
+		}()
 	}
 
 	err = cfg.Serve(logger, srv.Server, front.Hooks{
@@ -244,20 +247,6 @@ func main() {
 	}
 	hellos, reports, batches := store.Stats()
 	logger.Info("done", "users", hellos, "reports", reports, "batches", batches)
-}
-
-// every calls fn every d until stop is closed.
-func every(d time.Duration, stop <-chan struct{}, fn func()) {
-	tick := time.NewTicker(d)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			fn()
-		case <-stop:
-			return
-		}
-	}
 }
 
 // fatal ends the process over a flag or serving error.

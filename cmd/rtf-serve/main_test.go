@@ -67,6 +67,9 @@ func TestParseConfig(t *testing.T) {
 		{"loloha without buckets", "-m 100000 -encoding loloha", "bucket count g=0"},
 		{"membership without id", "-membership", "-membership requires -id"},
 		{"vshards out of range", "-membership -id n0 -vshards 0", "vshards=0 outside"},
+		{"shards with membership", "-membership -id n0 -shards 4", "-shards does not apply with -membership"},
+		{"id without membership", "-id n0", "-id and -vshards only apply with -membership"},
+		{"vshards without membership", "-vshards 16", "-id and -vshards only apply with -membership"},
 		{"shards below 1", "-shards 0", "shards=0 must be >= 1"},
 		{"eps out of range", "-eps 0", "epsilon 0 must be positive"},
 		{"unknown flag", "-no-such-flag", "flag provided but not defined"},
@@ -109,7 +112,6 @@ func TestFlagSet(t *testing.T) {
 		{"queue", "0"},
 		{"shards", strconv.Itoa(runtime.GOMAXPROCS(0))},
 		{"snapshot-every", "1m0s"},
-		{"stats", "0s"},
 		{"tolerate-torn-tail", "false"},
 		{"vshards", "64"},
 	}

@@ -861,7 +861,7 @@ func TestGatewayStackedScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := st.Sums(got.Scope); !got.Equal(want) {
+	if want := st.(interface{ Sums(wire.Scope) wire.RawSums }).Sums(got.Scope); !got.Equal(want) {
 		t.Fatalf("scoped frame through two gateways %+v, the full frame's columns %+v", got, want)
 	}
 	if users, _, _ := got.Row(0); users != 40 {

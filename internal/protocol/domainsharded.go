@@ -654,6 +654,50 @@ func (s *DomainSharded) foldRow(item int, cols []int, row []int64) {
 	}
 }
 
+// shard is a read-only view of counter shard i alone — its matrix slot
+// and lock, shared with s — for the per-shard reads a membership
+// backend makes, whose virtual shards are its counter shards.
+func (s *DomainSharded) shard(i int) *DomainSharded {
+	i = s.locks.index(i)
+	return &DomainSharded{d: s.d, m: s.m, scale: s.scale, tree: s.tree, base: s.base, stride: s.stride, sumOff: s.sumOff,
+		shards: s.shards[i : i+1 : i+1], locks: s.locks[i : i+1 : i+1]}
+}
+
+// FoldShardInto is FoldRowsInto over counter shard i alone.
+func (s *DomainSharded) FoldShardInto(shard, lo, hi int, cols []int, dst []int64) {
+	s.shard(shard).FoldRowsInto(lo, hi, cols, dst)
+}
+
+// MarshalShard is MarshalState over counter shard i alone: what a
+// one-shard accumulator holding its counters marshals.
+func (s *DomainSharded) MarshalShard(shard int) []byte { return s.shard(shard).MarshalState() }
+
+// ReplaceShard replaces counter shard i's counters with a kind-3
+// payload's (see replace).
+func (s *DomainSharded) ReplaceShard(shard int, b []byte) error {
+	return s.replace(shard, (*DomainSharded).RestoreState, b)
+}
+
+// replace restores b into a fresh one-shard accumulator, so that on an
+// error nothing changes, and swaps its matrix in as shard i's as one run:
+// under the write lock, and advancing the version stamp memos key on.
+func (s *DomainSharded) replace(shard int, restore func(*DomainSharded, []byte) error, b []byte) error {
+	fresh := NewDomainSharded(s.d, s.m, s.scale, 1)
+	if err := restore(fresh, b); err != nil {
+		return err
+	}
+	i := s.locks.index(shard)
+	l := &s.locks[i]
+	l.mu.Lock()
+	if s.shards[i] == nil {
+		s.allocated.Add(1)
+	}
+	s.shards[i] = fresh.shards[0]
+	l.version.Add(1)
+	l.mu.Unlock()
+	return nil
+}
+
 // checkRaw validates a raw matrix against the accumulator's shape: the
 // length, and no negative user or per-order count in any row.
 func (s *DomainSharded) checkRaw(cells []int64) error {

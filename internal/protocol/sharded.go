@@ -117,6 +117,11 @@ func (s *Sharded) Columns(l, r int) []int { return s.m.Columns(l, r) }
 // one, RawStride(d) counters in all).
 func (s *Sharded) FoldInto(cols []int, row []int64) { s.m.FoldRowsInto(0, 1, cols, row) }
 
+// FoldShardInto is FoldInto over counter shard i alone.
+func (s *Sharded) FoldShardInto(shard int, cols []int, row []int64) {
+	s.m.FoldShardInto(shard, 0, 1, cols, row)
+}
+
 // MergeRaw folds raw accumulator state — a user count, per-order user
 // counts and per-interval bit sums as produced by Fold or shipped from
 // another machine — into shard 0 as one run. It fails, without
@@ -147,6 +152,15 @@ func (s *Sharded) RestoreState(b []byte) error {
 	w := s.m.Lock(0)
 	defer w.Unlock()
 	return w.restoreRow(0, b)
+}
+
+// MarshalShard is MarshalState over counter shard i alone.
+func (s *Sharded) MarshalShard(shard int) []byte { return (&Sharded{s.m.shard(shard)}).MarshalState() }
+
+// ReplaceShard replaces counter shard i's counters with a kind-1
+// payload's, as DomainSharded.ReplaceShard does with a kind-3 one.
+func (s *Sharded) ReplaceShard(shard int, b []byte) error {
+	return s.m.replace(shard, func(m *DomainSharded, b []byte) error { return (&Sharded{m}).RestoreState(b) }, b)
 }
 
 // MergeSharded folds a sharded accumulator's state into s, the same way

@@ -193,8 +193,8 @@ func TestStateRunsUnderReadersMatchSerial(t *testing.T) {
 				if _, err := answerBytes(st, reads[i%len(reads)]); err != nil {
 					failed.Store(err.Error())
 				}
-				_ = st.Sums(wire.Scope{})
-				_ = st.Sums(wire.Scope{L: 1, R: 1 + i%d})
+				_ = stateSums(st, wire.Scope{})
+				_ = stateSums(st, wire.Scope{L: 1, R: 1 + i%d})
 				_ = st.MarshalState()
 				_ = st.Users()
 			})
@@ -252,13 +252,13 @@ func TestStateFoldsSeeRunsWhole(t *testing.T) {
 			st := mode.NewState(shards)
 			var torn atomic.Int64
 			applyUnderReaders(st, runs, shards, 2, func(i int) {
-				f := st.Sums(wire.Scope{})
+				f := stateSums(st, wire.Scope{})
 				if i%2 == 1 {
 					fresh := mode.NewState(1)
 					if err := fresh.RestoreState(st.MarshalState()); err != nil {
 						panic(err)
 					}
-					f = fresh.Sums(wire.Scope{})
+					f = stateSums(fresh, wire.Scope{})
 				}
 				var ab int64
 				for x := 0; x < rows; x++ {
@@ -338,7 +338,7 @@ func TestGatheredStateHasNoWriter(t *testing.T) {
 	for _, mode := range scopeModes(d, scale) {
 		t.Run(mode.Name(), func(t *testing.T) {
 			live := liveState(rng.New(1, 2), d, mode, 400)
-			folded, err := mode.Fold([]wire.RawSums{live.Sums(wire.Scope{})})
+			folded, err := mode.Fold([]wire.RawSums{stateSums(live, wire.Scope{})})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,8 @@ import (
 //	    query_cache_misses_total, query_coalesced_total counters: see
 //	    CountCacheResult and CountCoalesced
 //	gathers_total{scope}, gather_fetch_seconds, gather_fold_seconds,
-//	    sums_frame_bytes_total: see CountGather and ObserveGather
+//	    sums_frame_bytes_total: see CountGather and ObserveGather (a
+//	    gateway's alone: a single node, shard map included, gathers nothing)
 //	answer_cache_fills_total{by} counters: see CountCacheFill
 //	scatter_latency_seconds{backend} histograms: see ObserveScatter
 //
@@ -187,8 +188,7 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// CountGather records one gather of raw sums — a gateway's scatter/gather
-// round, a shard map's fold of its virtual shards — in
+// CountGather records one gateway scatter/gather round of raw sums in
 // gathers_total{scope}: "range" when it moved only the columns of one
 // period range, "full" when it moved every column.
 func (m *ServerMetrics) CountGather(scope wire.Scope) {

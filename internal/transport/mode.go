@@ -84,12 +84,14 @@ type State interface {
 	// and the run advances the version stamp its reads' memos key on
 	// once, before the lock is released.
 	Apply(shard int, run []wire.Rec) (hellos, reports int64)
-	// Sums exports the raw counters under a scope: a point-in-time cut
-	// at run granularity. Fence ingestion first when the cut must hold a
-	// particular connection's writes.
-	Sums(sc wire.Scope) wire.RawSums
 	MarshalState() []byte
 	RestoreState(b []byte) error
+	// ShardSums exports one counter shard's raw counters under a scope,
+	// MarshalShard serializes that shard alone, and ReplaceShard replaces
+	// its counters with a MarshalShard payload's as one run.
+	ShardSums(shard int, sc wire.Scope) wire.RawSums
+	MarshalShard(shard int) []byte
+	ReplaceShard(shard int, b []byte) error
 	Users() int
 	// Resident reports how many counter shards hold a matrix — a shard
 	// gets one from its first writer — and the bytes those matrices
@@ -241,10 +243,19 @@ func (s boolState) Sums(sc wire.Scope) wire.RawSums {
 	return f
 }
 
-func (s boolState) MarshalState() []byte        { return s.acc.MarshalState() }
-func (s boolState) RestoreState(b []byte) error { return s.acc.RestoreState(b) }
-func (s boolState) Users() int                  { return s.acc.Users() }
-func (s boolState) Resident() (int, int64)      { return s.acc.Resident() }
+func (s boolState) ShardSums(shard int, sc wire.Scope) wire.RawSums {
+	f := wire.RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
+	f.Counters = make([]int64, protocol.ScopedStride(f.D, sc.L, sc.R))
+	s.acc.FoldShardInto(shard, s.acc.Columns(sc.L, sc.R), f.Counters)
+	return f
+}
+
+func (s boolState) MarshalState() []byte                   { return s.acc.MarshalState() }
+func (s boolState) RestoreState(b []byte) error            { return s.acc.RestoreState(b) }
+func (s boolState) MarshalShard(shard int) []byte          { return s.acc.MarshalShard(shard) }
+func (s boolState) ReplaceShard(shard int, b []byte) error { return s.acc.ReplaceShard(shard, b) }
+func (s boolState) Users() int                             { return s.acc.Users() }
+func (s boolState) Resident() (int, int64)                 { return s.acc.Resident() }
 
 // ---------------------------------------------------------------------------
 // Domain mode.
@@ -395,16 +406,25 @@ func (s domainState) Sums(sc wire.Scope) wire.RawSums {
 	return f
 }
 
-func (s domainState) MarshalState() []byte        { return s.rows.MarshalState() }
-func (s domainState) RestoreState(b []byte) error { return s.rows.RestoreState(b) }
-func (s domainState) Users() int                  { return s.rows.Users() }
-func (s domainState) Resident() (int, int64)      { return s.rows.Resident() }
+func (s domainState) ShardSums(shard int, sc wire.Scope) wire.RawSums {
+	f := wire.RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
+	f.Counters = make([]int64, f.M*protocol.ScopedStride(f.D, sc.L, sc.R))
+	s.rows.FoldShardInto(shard, 0, f.M, s.rows.Columns(sc.L, sc.R), f.Counters)
+	return f
+}
+
+func (s domainState) MarshalState() []byte                   { return s.rows.MarshalState() }
+func (s domainState) RestoreState(b []byte) error            { return s.rows.RestoreState(b) }
+func (s domainState) MarshalShard(shard int) []byte          { return s.rows.MarshalShard(shard) }
+func (s domainState) ReplaceShard(shard int, b []byte) error { return s.rows.ReplaceShard(shard, b) }
+func (s domainState) Users() int                             { return s.rows.Users() }
+func (s domainState) Resident() (int, int64)                 { return s.rows.Resident() }
 
 // ---------------------------------------------------------------------------
 // Gathered sums.
 
-// Gathered is a completed gather: the raw-sums frames of every backend
-// or virtual shard folded into one read-only state, which answers every
+// Gathered is a completed gather: the raw-sums frames a gateway read
+// from its backends folded into one read-only state, which answers every
 // read frame of the mode — a raw-sums request included, so fronts
 // stack. Because the fold adds exact integers and the estimator is a
 // fixed linear function of them, the answer is bit-for-bit a serial

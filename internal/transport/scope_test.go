@@ -34,6 +34,12 @@ func scopeModes(d int, scale float64) []Mode {
 
 func modeRows(mode Mode) int { return mode.Ingest().Rows }
 
+// stateSums is a state's whole raw-sums export under a scope, which
+// every mode's state has and the read paths call on the concrete type.
+func stateSums(st State, sc wire.Scope) wire.RawSums {
+	return st.(interface{ Sums(wire.Scope) wire.RawSums }).Sums(sc)
+}
+
 // randomFullFrame is a full frame of the mode's shape with arbitrary
 // counters: header counts non-negative, interval sums of either sign and
 // of one to ten wire bytes.
@@ -143,7 +149,7 @@ func checkScoped(t *testing.T, mode Mode, g *rng.RNG, d int, sc wire.Scope, stat
 	t.Helper()
 	var full, scoped []wire.RawSums
 	for i, st := range states {
-		f := st.Sums(wire.Scope{})
+		f := stateSums(st, wire.Scope{})
 		want := project(f, sc)
 		raw, err := answerBytes(st, scopedRequest(mode, sc))
 		if err != nil {
@@ -156,7 +162,7 @@ func checkScoped(t *testing.T, mode Mode, g *rng.RNG, d int, sc wire.Scope, stat
 		if !got.Equal(want) {
 			t.Fatalf("node %d scope %v: scoped frame %+v, the full frame projects to %+v", i, sc, got, want)
 		}
-		if exported := st.Sums(sc); !exported.Equal(want) {
+		if exported := stateSums(st, sc); !exported.Equal(want) {
 			t.Fatalf("node %d scope %v: Sums exports %+v, want %+v", i, sc, exported, want)
 		}
 		var back bytes.Buffer
@@ -206,7 +212,7 @@ func checkScoped(t *testing.T, mode Mode, g *rng.RNG, d int, sc wire.Scope, stat
 		if other == sc {
 			other = wire.Scope{L: 1, R: 1}
 		}
-		mixed := append(cloneFrames(scoped), states[0].Sums(other))
+		mixed := append(cloneFrames(scoped), stateSums(states[0], other))
 		if _, err := NewGathered(mode, mixed); err == nil {
 			t.Fatalf("frames of scopes %v and %v merged", sc, other)
 		}
@@ -239,7 +245,7 @@ func TestScopedSumsEveryRange(t *testing.T) {
 func TestScopedStateRefusesOtherColumns(t *testing.T) {
 	const d = 16
 	for _, mode := range scopeModes(d, 2) {
-		st, err := mode.Fold([]wire.RawSums{liveState(rng.New(5, 5), d, mode, 50).Sums(wire.Scope{L: 1, R: 5})})
+		st, err := mode.Fold([]wire.RawSums{stateSums(liveState(rng.New(5, 5), d, mode, 50), wire.Scope{L: 1, R: 5})})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -453,7 +459,7 @@ func TestScopedFoldAllocatesNoMatrix(t *testing.T) {
 	const d, g = 1024, 256
 	mode := DomainMode(d, hh.LolohaEncoding(1<<12, g, 7), 100)
 	sc := wire.Scope{L: 1, R: d - 1}
-	frames := []wire.RawSums{liveState(rng.New(1, 2), d, mode, 1000).Sums(sc), liveState(rng.New(3, 4), d, mode, 1000).Sums(sc)}
+	frames := []wire.RawSums{stateSums(liveState(rng.New(1, 2), d, mode, 1000), sc), stateSums(liveState(rng.New(3, 4), d, mode, 1000), sc)}
 	q := wire.DomainQuery(wire.QueryTopK, 0, d-1, 0, 10)
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()

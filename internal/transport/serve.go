@@ -286,10 +286,6 @@ func (s *Server) serveConn(slot int, conn net.Conn) (err error) {
 	answer := func(m wire.Msg) error {
 		if queries != nil {
 			queries.count(m)
-			if s.control != nil && m.Type != wire.MsgShardSums {
-				// A shard-mapped store folds its virtual shards per read.
-				s.Metrics.CountGather(s.mode.Scope(m))
-			}
 		}
 		r, err := sess.Gather(m)
 		if err != nil {

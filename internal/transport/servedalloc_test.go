@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -51,6 +52,36 @@ func servedStores() (boolean, exact, hashed Store) {
 	return NewShardedCollector(acc), NewDomainCollector(ds), NewHashedDomainCollector(hs)
 }
 
+// servedShardMaps builds one populated membership store per mode, keyed
+// like servedReads: four virtual shards, the users of servedStores as
+// one frame of records, so every shard is written.
+func servedShardMaps() map[string]Store {
+	maps := map[string]Store{
+		"boolean": NewShardMap(BoolMode(servedD, servedScale), 4, "n0"),
+		"exact":   NewShardMap(DomainMode(servedD, hh.ExactEncoding(servedM), servedScale), 4, "n0"),
+		"hashed":  NewShardMap(DomainMode(servedD, hh.LolohaEncoding(servedCat, servedG, servedSeed), servedScale), 4, "n0"),
+	}
+	for _, sm := range maps {
+		rows := max(sm.Mode().Ingest().Rows, 1)
+		var run []wire.Rec
+		for u := 0; u < 96; u++ {
+			bit := int8(1)
+			if u%3 == 0 {
+				bit = -1
+			}
+			order := u % dyadic.NumOrders(servedD)
+			run = append(run, wire.Rec{User: u, Item: uint32(u % rows), Order: uint8(order)})
+			for j := 1; j <= servedD>>order; j += 1 + u%4 {
+				run = append(run, wire.Rec{User: u, Item: uint32(u % rows), Order: uint8(order), J: uint32(j), Bit: bit})
+			}
+		}
+		if err := sm.Apply(0, run, nil); err != nil {
+			panic(err)
+		}
+	}
+	return maps
+}
+
 // servedRead is one read kind as the allocation pin drives it: the
 // frames one measured run sends, in order. Two frames at different
 // periods keep every top-k sweep cold.
@@ -93,70 +124,80 @@ func servedReads() []struct {
 }
 
 // TestServedReadsAllocFree pins every warm read a node serves at zero
-// allocations: a client on one end of a net.Pipe writes pre-encoded
-// query frames and reads each answer's known bytes into a fixed buffer,
-// so testing.AllocsPerRun counts only the server's frame loop, which
-// runs with metrics on as every front runs it. The expected bytes are
-// the store's own in-process answers, so the pin also checks the served
-// answers bit for bit.
+// allocations, at a collector and at a membership backend's shard map
+// of each mode (a shard's sums request, a gateway's export, is not a
+// client read and stays out): a client on one end of a net.Pipe writes
+// pre-encoded query frames and reads each answer's known bytes into a
+// fixed buffer, so testing.AllocsPerRun counts only the server's frame
+// loop, which runs with metrics on as every front runs it. The expected
+// bytes are the store's own in-process answers, so the pin also checks
+// the served answers bit for bit.
 func TestServedReadsAllocFree(t *testing.T) {
 	boolean, exact, hashed := servedStores()
-	stores := map[string]Store{"boolean": boolean, "exact": exact, "hashed": hashed}
+	maps := servedShardMaps()
+	stores := map[string][]Store{
+		"boolean": {boolean, maps["boolean"]},
+		"exact":   {exact, maps["exact"]},
+		"hashed":  {hashed, maps["hashed"]},
+	}
 	for _, s := range servedReads() {
-		store := stores[s.store]
-		srv := NewIngestServer(store)
-		srv.Metrics = NewServerMetrics(obs.NewRegistry())
-		client, server := net.Pipe()
-		done := make(chan error, 1)
-		go func() { done <- srv.serveConn(0, server) }()
-		buf := make([]byte, 1<<16)
-		for _, r := range s.reads {
-			frames, wants := make([][]byte, len(r.msgs)), make([][]byte, len(r.msgs))
-			for i := range r.msgs {
-				var err error
-				if frames[i], err = appendMsg(nil, &r.msgs[i]); err != nil {
-					t.Fatal(err)
-				}
-				var want bytes.Buffer
-				enc := wire.NewEncoder(&want)
-				if _, _, err := store.Answer(r.msgs[i], enc, new(AnswerScratch)); err != nil {
-					t.Fatal(err)
-				}
-				if err := enc.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				wants[i] = want.Bytes()
-			}
-			read := func() {
-				for i, f := range frames {
-					if _, err := client.Write(f); err != nil {
+		for _, store := range stores[s.store] {
+			label := fmt.Sprintf("%s %T", s.store, store)
+			srv := NewIngestServer(store)
+			srv.Metrics = NewServerMetrics(obs.NewRegistry())
+			client, server := net.Pipe()
+			done := make(chan error, 1)
+			go func() { done <- srv.serveConn(0, server) }()
+			buf := make([]byte, 1<<16)
+			for _, r := range s.reads {
+				frames, wants := make([][]byte, len(r.msgs)), make([][]byte, len(r.msgs))
+				for i := range r.msgs {
+					var err error
+					if frames[i], err = appendMsg(nil, &r.msgs[i]); err != nil {
 						t.Fatal(err)
 					}
-					got := buf[:len(wants[i])]
-					if _, err := io.ReadFull(client, got); err != nil {
+					var want bytes.Buffer
+					enc := wire.NewEncoder(&want)
+					if _, _, err := store.Answer(r.msgs[i], enc, new(AnswerScratch)); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got, wants[i]) {
-						t.Fatalf("%s %s: served answer differs from the in-process one", s.store, r.name)
+					if err := enc.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					wants[i] = want.Bytes()
+				}
+				read := func() {
+					for i, f := range frames {
+						if _, err := client.Write(f); err != nil {
+							t.Fatal(err)
+						}
+						got := buf[:len(wants[i])]
+						if _, err := io.ReadFull(client, got); err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(got, wants[i]) {
+							t.Fatalf("%s %s: served answer differs from the in-process one", label, r.name)
+						}
 					}
 				}
+				read() // grow the connection's buffers and warm what is warm
+				if allocs := testing.AllocsPerRun(50, read) / float64(len(frames)); allocs != 0 {
+					t.Errorf("%s %s: %.1f allocations per read, want 0", label, r.name, allocs)
+				}
 			}
-			read() // grow the connection's buffers and warm what is warm
-			if allocs := testing.AllocsPerRun(50, read) / float64(len(frames)); allocs != 0 {
-				t.Errorf("%s %s: %.1f allocations per read, want 0", s.store, r.name, allocs)
+			client.Close()
+			if err := <-done; err != nil {
+				t.Fatal(err)
 			}
-		}
-		client.Close()
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
 // TestServedReadCounters runs one fixed read sequence through the frame
 // loops of four fronts sharing one instrument set — Boolean, exact
-// domain, hashed domain, and a Boolean shard map's membership front —
-// plus the gateway's own read-path events, and asserts the exact counter
+// domain, hashed domain, and a Boolean shard map's membership front,
+// which answers from its live accumulator and gathers nothing — plus
+// the gateway's own read-path events, and asserts the exact counter
 // map: every counter a handle records into under the name and label
 // spelling, and with the value, that a registry lookup per event gave,
 // and no counter for a kind or label nothing recorded.
@@ -191,10 +232,10 @@ func TestServedReadCounters(t *testing.T) {
 			wire.HashedDomainSums(servedCat, servedG, servedSeed),
 		}},
 		{NewShardMap(BoolMode(d, servedScale), 4, "n0"), []wire.Msg{
-			wire.QueryV2(wire.QueryPoint, 5, 0),  // a range gather
-			wire.QueryV2(wire.QuerySeries, 0, 0), // a full gather
-			wire.ShardSums(2),                    // one shard: no gather
-			wire.Sums(),                          // a full gather
+			wire.QueryV2(wire.QueryPoint, 5, 0),  // the live accumulator's: a miss
+			wire.QueryV2(wire.QuerySeries, 0, 0), // a miss that fills
+			wire.ShardSums(2),                    // one shard: no memo
+			wire.Sums(),                          // no memo
 		}},
 	}
 	for _, f := range fronts {
@@ -265,13 +306,12 @@ func TestServedReadCounters(t *testing.T) {
 		`queries_total{mechanism="membership",kind="shard_sums"}`: 1,
 		`queries_total{mechanism="membership",kind="sums"}`:       1,
 
-		"query_cache_eligible_total": 9,
+		"query_cache_eligible_total": 11,
 		"query_cache_hits_total":     4,
-		"query_cache_misses_total":   5,
+		"query_cache_misses_total":   7,
 		"query_coalesced_total":      1,
 
-		`gathers_total{scope="range"}`:         2,
-		`gathers_total{scope="full"}`:          2,
+		`gathers_total{scope="range"}`:         1,
 		`answer_cache_fills_total{by="miss"}`:  1,
 		`answer_cache_fills_total{by="fence"}`: 2,
 		"sums_frame_bytes_total":               127,

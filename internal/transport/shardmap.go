@@ -10,41 +10,29 @@ import (
 	"rtf/internal/wire"
 )
 
-// This file is the backend half of dynamic membership: a membership-
-// mode rtf-serve keeps one accumulator per virtual shard (instead of
-// one global accumulator), so any shard's state can be exported,
-// shipped to a new owner and installed there without disturbing the
-// others. Users hash statically onto virtual shards (user mod S);
-// rendezvous hashing places shards on members. Queries fold the
-// owned shards' raw integer sums in fixed shard order into a fresh
-// serial accumulator, so answers stay bit-for-bit identical to a
-// single serial server fed the same reports.
+// This file is the backend half of dynamic membership: users hash
+// statically onto virtual shards (user mod S), and rendezvous hashing
+// places shards on members.
 
-// ShardMap keeps one accumulator of its Mode per virtual shard and
-// routes every ingested message to its user's shard. It is safe for
-// concurrent use: ingestion and reads take a shared lock, shard
-// installs take it exclusively (an install REPLACES the shard's
-// accumulator — restore folds additively, so installs build a fresh
-// accumulator and swap it in; a member that re-gains a shard it once
-// held must not double-count its stale copy).
+// ShardMap is a Collector whose counter shards are the virtual shards:
+// it routes every record to its user's shard and answers client reads
+// from the live accumulator, each one point-in-time cut across every
+// virtual shard, bit-for-bit a serial server's fed the same reports. Any
+// shard can be exported, shipped to a new owner and installed there
+// under that shard's lock alone (see protocol.DomainSharded). An install
+// REPLACES the shard's counters — restore folds additively, so a member
+// that re-gains a shard it once held must not double-count its stale
+// copy.
 type ShardMap struct {
-	mode Mode
-	ingestStats
-
-	// imu orders message application and reads against shard installs:
-	// apply holds it shared, InstallShard exclusively. Each virtual
-	// shard's accumulator has its own run lock (see protocol.DomainSharded);
-	// this lock only prevents a swap from stranding an in-flight write on
-	// a replaced accumulator.
-	imu    sync.RWMutex
-	shards []State
+	*Collector
+	shards int
 
 	// buckets holds Apply's reusable *bucketScratch, sized to the shard
 	// count.
 	buckets sync.Pool
 
 	// vmu guards the pushed cluster view (bookkeeping only: routing
-	// is by the message's user id, queries fold every shard; the view
+	// is by the message's user id, reads cover every shard; the view
 	// feeds gauges and staleness checks).
 	vmu    sync.Mutex
 	view   membership.View
@@ -58,44 +46,16 @@ func NewShardMap(mode Mode, numShards int, selfID string) *ShardMap {
 	if numShards < 1 || numShards > membership.MaxShards {
 		panic(fmt.Sprintf("transport: numShards %d outside [1..%d]", numShards, membership.MaxShards))
 	}
-	c := &ShardMap{mode: mode, selfID: selfID, shards: make([]State, numShards)}
-	for s := range c.shards {
-		c.shards[s] = mode.NewState(1)
-	}
+	c := &ShardMap{Collector: NewCollector(mode, numShards), shards: numShards, selfID: selfID}
 	c.buckets.New = func() any { return &bucketScratch{count: make([]int32, numShards)} }
 	return c
 }
 
-// Mode implements Store.
-func (c *ShardMap) Mode() Mode { return c.mode }
-
 // NumShards returns the virtual-shard count.
-func (c *ShardMap) NumShards() int { return len(c.shards) }
-
-// Users implements Store.
-func (c *ShardMap) Users() int {
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	n := 0
-	for _, st := range c.shards {
-		n += st.Users()
-	}
-	return n
-}
-
-// Resident implements Store over every virtual shard's accumulator.
-func (c *ShardMap) Resident() (shards int, bytes int64) {
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	for _, st := range c.shards {
-		n, b := st.Resident()
-		shards, bytes = shards+n, bytes+b
-	}
-	return shards, bytes
-}
+func (c *ShardMap) NumShards() int { return c.shards }
 
 // Apply implements Store: it buckets the run's records by virtual shard
-// and hands each bucket to that shard's state as one run, so a frame
+// and hands each bucket to that counter shard as one run, so a frame
 // takes one write lock per shard it touches, however its users
 // interleave (consecutive user ids land on consecutive shards). Records
 // were validated before Apply and addition is commutative, so the
@@ -106,14 +66,12 @@ func (c *ShardMap) Apply(_ int, run []wire.Rec, _ []byte) error {
 	b.sort(run)
 	var hellos, reports int64
 	start := int32(0)
-	c.imu.RLock()
 	for _, sh := range b.used {
 		end := b.count[sh]
-		h, r := c.shards[sh].Apply(0, b.recs[start:end])
+		h, r := c.st.Apply(int(sh), b.recs[start:end])
 		hellos, reports = hellos+h, reports+r
 		b.count[sh], start = 0, end
 	}
-	c.imu.RUnlock()
 	c.buckets.Put(b)
 	c.count(hellos, reports)
 	return nil
@@ -154,49 +112,29 @@ func (b *bucketScratch) sort(run []wire.Rec) {
 
 // Answer implements Reader. A shard's raw-sums request — a quorum-
 // reading gateway's read, or its export of a shard to reshard — answers
-// from that shard alone; every other read answers from all shards'
-// sums, gathered under the read's scope in fixed shard order.
+// from that counter shard alone; every other read is the Collector's.
 func (c *ShardMap) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (memo, hit bool, err error) {
-	scope := c.mode.Scope(m)
 	if m.Type == wire.MsgShardSums {
-		return false, false, c.mode.EncodeSums(e, c.ShardSums(int(m.Shard), scope))
+		return false, false, c.mode.EncodeSums(e, c.ShardSums(int(m.Shard), c.mode.Scope(m)))
 	}
-	frames := make([]wire.RawSums, len(c.shards))
-	c.imu.RLock()
-	for s, st := range c.shards {
-		frames[s] = st.Sums(scope)
-	}
-	c.imu.RUnlock()
-	g, err := NewGathered(c.mode, frames)
-	if err != nil {
-		return false, false, err
-	}
-	return g.Answer(m, e, sc)
+	return c.Collector.Answer(m, e, sc)
 }
 
 // ShardSums exports one virtual shard's raw sums under a scope.
 func (c *ShardMap) ShardSums(shard int, scope wire.Scope) wire.RawSums {
-	c.imu.RLock()
-	defer c.imu.RUnlock()
-	return c.shards[shard].Sums(scope)
+	return c.st.ShardSums(shard, scope)
 }
 
-// InstallShard REPLACES one virtual shard's accumulator with the given
-// serialized state: a fresh accumulator restores the bytes and is
-// swapped in whole. Restore folds additively, so installing into the
-// live accumulator would double-count on a member that already held a
-// (stale) copy of the shard.
+// InstallShard REPLACES one virtual shard's counters (see ShardMap) with
+// the given serialized state, decoded whole before the shard's lock is
+// taken.
 func (c *ShardMap) InstallShard(shard int, state []byte) error {
-	if shard < 0 || shard >= len(c.shards) {
-		return fmt.Errorf("transport: shard %d out of range [0..%d)", shard, len(c.shards))
+	if shard < 0 || shard >= c.shards {
+		return fmt.Errorf("transport: shard %d out of range [0..%d)", shard, c.shards)
 	}
-	fresh := c.mode.NewState(1)
-	if err := fresh.RestoreState(state); err != nil {
+	if err := c.st.ReplaceShard(shard, state); err != nil {
 		return fmt.Errorf("transport: restoring shard %d state: %w", shard, err)
 	}
-	c.imu.Lock()
-	c.shards[shard] = fresh
-	c.imu.Unlock()
 	return nil
 }
 
@@ -205,12 +143,10 @@ func (c *ShardMap) InstallShard(shard int, state []byte) error {
 // under the journal's exclusive snapshot lock, so the cut is consistent
 // with the WAL cursor.
 func (c *ShardMap) marshalState() []byte {
-	states := make([][]byte, len(c.shards))
-	c.imu.RLock()
-	for s, st := range c.shards {
-		states[s] = st.MarshalState()
+	states := make([][]byte, c.shards)
+	for s := range states {
+		states[s] = c.st.MarshalShard(s)
 	}
-	c.imu.RUnlock()
 	b, err := persist.EncodeShardStates(states)
 	if err != nil {
 		// Lengths are bounded by construction; an error here is a bug.
@@ -226,8 +162,8 @@ func (c *ShardMap) restoreState(b []byte) error {
 	if err != nil {
 		return err
 	}
-	if len(states) != len(c.shards) {
-		return fmt.Errorf("transport: snapshot has %d shards, collector has %d", len(states), len(c.shards))
+	if len(states) != c.shards {
+		return fmt.Errorf("transport: snapshot has %d shards, collector has %d", len(states), c.shards)
 	}
 	for s, st := range states {
 		if err := c.InstallShard(s, st); err != nil {
@@ -248,8 +184,8 @@ func (c *ShardMap) SetView(v membership.View) (applied bool, err error) {
 	if err := v.Validate(); err != nil {
 		return false, err
 	}
-	if v.NumShards != len(c.shards) {
-		return false, fmt.Errorf("transport: view has %d shards, backend has %d", v.NumShards, len(c.shards))
+	if v.NumShards != c.shards {
+		return false, fmt.Errorf("transport: view has %d shards, backend has %d", v.NumShards, c.shards)
 	}
 	c.vmu.Lock()
 	defer c.vmu.Unlock()

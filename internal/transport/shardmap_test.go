@@ -3,11 +3,15 @@ package transport
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"rtf/internal/dyadic"
@@ -151,46 +155,47 @@ func TestShardMapEquivalence(t *testing.T) {
 	}
 }
 
-// countingState counts the runs applied to a state.
-type countingState struct {
-	State
-	runs *int
-}
-
-func (s countingState) Apply(shard int, run []wire.Rec) (hellos, reports int64) {
-	*s.runs++
-	return s.State.Apply(shard, run)
+// versionOf reads the version stamp of a state's counter matrix.
+func versionOf(st State) uint64 {
+	switch s := st.(type) {
+	case boolState:
+		return s.acc.Version()
+	case domainState:
+		return s.rows.Version()
+	}
+	panic(fmt.Sprintf("versionOf(%T)", st))
 }
 
 // TestShardMapAppliesOneRunPerShard: a frame whose consecutive users
 // land on a different virtual shard at every record reaches each shard
-// as one run — one write lock per shard per frame, not one per record —
-// and leaves every shard exactly as a serial state fed its users'
-// records does.
+// as one run — one write lock per shard per frame, not one per record,
+// so the accumulator's version advances by exactly the number of shards
+// the frame touches — and leaves every shard exactly as a serial state
+// fed its users' records does.
 func TestShardMapAppliesOneRunPerShard(t *testing.T) {
 	const d, scale, S = 32, 1.5, 5
 	for _, mode := range scopeModes(d, scale) {
 		t.Run(mode.Name(), func(t *testing.T) {
 			sm := NewShardMap(mode, S, "n0")
-			runs := make([]int, S)
 			ref := make([]State, S)
-			for s := range sm.shards {
-				sm.shards[s] = countingState{sm.shards[s], &runs[s]}
+			for s := range ref {
 				ref[s] = mode.NewState(1)
 			}
 			var hellos, reports int64
 			for i, frame := range lockRecRuns(rng.New(5, 6), mode, d, 1, 3, 4*S+3)[0] {
+				before := versionOf(sm.st)
 				if err := sm.Apply(0, frame, nil); err != nil {
 					t.Fatal(err)
 				}
+				touched := map[int]bool{}
 				for _, r := range frame {
-					h, n := ref[membership.ShardOf(r.User, S)].Apply(0, []wire.Rec{r})
+					s := membership.ShardOf(r.User, S)
+					touched[s] = true
+					h, n := ref[s].Apply(0, []wire.Rec{r})
 					hellos, reports = hellos+h, reports+n
 				}
-				for s, n := range runs {
-					if n != i+1 {
-						t.Fatalf("after frame %d: shard %d took %d runs, want %d", i, s, n, i+1)
-					}
+				if got := versionOf(sm.st) - before; got != uint64(len(touched)) {
+					t.Fatalf("frame %d touched %d shards and advanced the version by %d", i, len(touched), got)
 				}
 			}
 			for s := range ref {
@@ -236,6 +241,171 @@ func TestShardMapInstallReplaces(t *testing.T) {
 	}
 	if err := dst.InstallShard(0, []byte("junk")); err == nil {
 		t.Error("InstallShard accepted junk state")
+	}
+}
+
+// applyRuns applies each run to a store as one frame.
+func applyRuns(t testing.TB, st Store, runs [][]wire.Rec) {
+	t.Helper()
+	for _, run := range runs {
+		if err := st.Apply(0, run, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShardMapInstallInvalidatesMemo warms the memo behind one read of
+// each mode — a Boolean series, an exact top-k, a hashed point-item —
+// then installs a virtual shard: the next read must miss the memo and
+// answer, bit for bit, what a serial state fed the map's post-install
+// stream answers.
+func TestShardMapInstallInvalidatesMemo(t *testing.T) {
+	const d, scale, S, shard = 32, 1.5, 4, 1
+	modes := scopeModes(d, scale)
+	for i, q := range []wire.Msg{
+		wire.QueryV2(wire.QuerySeries, 0, 0),
+		wire.DomainQuery(wire.QueryTopK, 0, d-1, 0, 2),
+		wire.DomainQuery(wire.QueryPointItem, 7, d-3, 0, 0),
+	} {
+		mode := modes[i]
+		t.Run(mode.Name(), func(t *testing.T) {
+			answer := func(r Reader) ([]byte, bool) {
+				var buf bytes.Buffer
+				e := wire.NewEncoder(&buf)
+				memo, hit, err := r.Answer(q, e, new(AnswerScratch))
+				if err == nil {
+					err = e.Flush()
+				}
+				if err != nil || !memo {
+					t.Fatalf("read %+v: memo %v, err %v", q, memo, err)
+				}
+				return buf.Bytes(), hit
+			}
+			live := lockRecRuns(rng.New(11, 1), mode, d, 1, 4, 32)[0]
+			donated := lockRecRuns(rng.New(12, 2), mode, d, 1, 4, 32)[0]
+			sm, donor := NewShardMap(mode, S, "n0"), NewShardMap(mode, S, "donor")
+			applyRuns(t, sm, live)
+			applyRuns(t, donor, donated)
+			before, _ := answer(sm)
+			if _, hit := answer(sm); !hit {
+				t.Fatal("a repeated read missed the memo")
+			}
+			if err := sm.InstallShard(shard, exportShard(t, donor, shard)); err != nil {
+				t.Fatal(err)
+			}
+			// The post-install stream: the live records off the shard, the
+			// donor's on it.
+			ref := mode.NewState(1)
+			for k, runs := range [][][]wire.Rec{live, donated} {
+				for _, run := range runs {
+					for _, r := range run {
+						if (membership.ShardOf(r.User, S) == shard) == (k == 1) {
+							ref.Apply(0, []wire.Rec{r})
+						}
+					}
+				}
+			}
+			got, hit := answer(sm)
+			if hit {
+				t.Error("the first read after the install hit the memo")
+			}
+			if want, _ := answer(ref); !bytes.Equal(got, want) {
+				t.Fatalf("answer after the install %x, want %x", got, want)
+			}
+			if bytes.Equal(got, before) {
+				t.Fatalf("the install left the answer as it was (%x), so the test shows nothing", got)
+			}
+		})
+	}
+}
+
+// TestShardMapInstallRacesIngest installs virtual shards while two
+// writers apply frames that touch every shard and readers answer every
+// read of the mode, a shard's sums and the snapshot included: run under
+// -race, it checks the installs' locking. The race leaves the installed
+// shards' counters to the interleaving, so a last install fixes them
+// and more frames follow; the map must then equal, byte for byte, a map
+// that took the racing frames, the installs and then the rest serially.
+func TestShardMapInstallRacesIngest(t *testing.T) {
+	const d, scale, S = 32, 1.5, 4
+	for _, mode := range scopeModes(d, scale) {
+		t.Run(mode.Name(), func(t *testing.T) {
+			g := rng.New(13, uint64(modeRows(mode)))
+			racing := lockRecRuns(g, mode, d, 2, 20, 24)
+			rest := lockRecRuns(g, mode, d, 1, 4, 24)[0]
+			donor := NewShardMap(mode, S, "donor")
+			applyRuns(t, donor, lockRecRuns(g, mode, d, 1, 4, 24)[0])
+			states := [][]byte{exportShard(t, donor, 0), exportShard(t, donor, 1)}
+			reads := append(lockReads(mode, d), wire.ShardSums(0), wire.ShardSums(2))
+
+			sm := NewShardMap(mode, S, "n0")
+			var busy, reading sync.WaitGroup
+			var stop atomic.Bool
+			for r := 0; r < 2; r++ {
+				reading.Add(1)
+				go func(r int) {
+					defer reading.Done()
+					for i := r; !stop.Load(); i += 2 {
+						if _, err := answerBytes(sm, reads[i%len(reads)]); err != nil {
+							t.Error(err)
+							return
+						}
+						if i%len(reads) == 0 {
+							sm.marshalState()
+						}
+					}
+				}(r)
+			}
+			for w := range racing {
+				busy.Add(1)
+				go func(w int) {
+					defer busy.Done()
+					for _, run := range racing[w] {
+						if err := sm.Apply(0, run, nil); err != nil {
+							t.Error(err)
+						}
+					}
+				}(w)
+			}
+			busy.Add(1)
+			go func() {
+				defer busy.Done()
+				for i := 0; i < 40; i++ {
+					if err := sm.InstallShard(i%2, states[i/2%2]); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+			busy.Wait()
+			stop.Store(true)
+			reading.Wait()
+
+			twin := NewShardMap(mode, S, "twin")
+			applyRuns(t, twin, slices.Concat(racing...))
+			for _, m := range []*ShardMap{sm, twin} {
+				for s, state := range states {
+					if err := m.InstallShard(s, state); err != nil {
+						t.Fatal(err)
+					}
+				}
+				applyRuns(t, m, rest)
+			}
+			if got, want := sm.marshalState(), twin.marshalState(); !bytes.Equal(got, want) {
+				t.Fatal("state after the race differs from the serial replace-then-apply state")
+			}
+			for _, q := range reads {
+				got, err := answerBytes(sm, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, _ := answerBytes(twin, q); !bytes.Equal(got, want) {
+					t.Errorf("read %+v after the race differs from the serial map's", q)
+				}
+			}
+			if n, _ := sm.Resident(); n != S {
+				t.Errorf("%d of %d shards resident", n, S)
+			}
+		})
 	}
 }
 

@@ -449,7 +449,7 @@ func TestSumsPathAllocs(t *testing.T) {
 		export() // sizes the encoder's buffer
 		var viaMatrix bytes.Buffer
 		enc2 := wire.NewEncoder(&viaMatrix)
-		if err := enc2.EncodeDomainSums(st.Sums(wire.Scope{})); err != nil {
+		if err := enc2.EncodeDomainSums(stateSums(st, wire.Scope{})); err != nil {
 			t.Fatal(err)
 		}
 		if err := enc2.Flush(); err != nil {
