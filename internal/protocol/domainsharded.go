@@ -96,14 +96,15 @@ func sumAt(cols []int, flat int) int {
 //     Lock returns the run's writer, whose Register and Ingest are plain
 //     bounds-checked indexed adds, and the writer's Unlock bumps the
 //     shard's version stamp once — after the run's writes, before the
-//     lock is released — then releases it. Register, MergeRaw and
-//     RestoreState (and Sharded's IngestSum) are runs of one call each;
-//     the per-report Ingest is a one-record run that leaves the stamp
-//     alone. A writer never acquires a second lock.
-//   - A reader takes every shard's read lock, in ascending shard order,
-//     once, at its public entry point, and reads through unlocked
-//     helpers: no read locks recursively, and no lock is held across
-//     I/O. A series read folds its rows under the locks and runs the
+//     lock is released — then releases it. Register, MergeRaw,
+//     RestoreState and ReplaceShard (and Sharded's IngestSum) are runs
+//     of one call each; the per-report Ingest is a one-record run that
+//     leaves the stamp alone. A writer never acquires a second lock.
+//   - A reader takes every shard's read lock, in ascending shard order
+//     (a per-shard read, FoldShardInto or MarshalShard, that shard's
+//     alone), once, at its public entry point, and reads through
+//     unlocked helpers: no read locks recursively, and no lock is held
+//     across I/O. A series read folds its rows under the locks and runs the
 //     prefix recurrence after releasing them.
 //   - Version stamps stay atomic, so Version takes no lock.
 //   - An accumulator built over adopted counters (DomainShardedOver,
@@ -373,9 +374,9 @@ func (s *DomainSharded) AdvanceVersion(shard int) {
 // Version folds the per-shard mutation counters into one monotone
 // stamp. Each component only grows, so the sum observed by a reader can
 // only grow; if two Version calls bracketing a derived computation
-// return the same value, no run (Register/MergeRaw/RestoreState/a
-// Lock…Unlock run) and no AdvanceVersion completed in between, and the
-// derived result may be served again verbatim.
+// return the same value, no run (Register/MergeRaw/RestoreState/
+// ReplaceShard/a Lock…Unlock run) and no AdvanceVersion completed in
+// between, and the derived result may be served again verbatim.
 func (s *DomainSharded) Version() uint64 {
 	var v int64
 	for i := range s.locks {

@@ -42,8 +42,8 @@ import (
 //	    query_cache_misses_total, query_coalesced_total counters: see
 //	    CountCacheResult and CountCoalesced
 //	gathers_total{scope}, gather_fetch_seconds, gather_fold_seconds,
-//	    sums_frame_bytes_total: see CountGather and ObserveGather (a
-//	    gateway's alone: a single node, shard map included, gathers nothing)
+//	    sums_frame_bytes_total: see ObserveGather (a gateway's alone: a
+//	    single node, shard map included, gathers nothing)
 //	answer_cache_fills_total{by} counters: see CountCacheFill
 //	scatter_latency_seconds{backend} histograms: see ObserveScatter
 //
@@ -188,24 +188,19 @@ func (m *ServerMetrics) ObserveScatter(i int, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// CountGather records one gateway scatter/gather round of raw sums in
-// gathers_total{scope}: "range" when it moved only the columns of one
-// period range, "full" when it moved every column.
-func (m *ServerMetrics) CountGather(scope wire.Scope) {
+// ObserveGather records one completed gateway scatter/gather round: in
+// gathers_total{scope}, "range" when it moved only the columns of one
+// period range and "full" when it moved every column, and under the
+// benchmark ledger's layer names, gather_fetch_seconds for the fetch
+// phase (every backend's fenced sums round-trip, in parallel, up to the
+// last frame decoded) and gather_fold_seconds for the merge of the
+// frames plus the construction of the state the answer is read from.
+func (m *ServerMetrics) ObserveGather(scope wire.Scope, fetch, fold time.Duration) {
 	full := 0
 	if scope == (wire.Scope{}) {
 		full = 1
 	}
 	m.gathers[full].get(m.reg).Inc()
-}
-
-// ObserveGather records one completed scatter/gather round under the
-// benchmark ledger's layer names: gather_fetch_seconds is the fetch
-// phase (every backend's fenced sums round-trip, in parallel, up to the
-// last frame decoded) and gather_fold_seconds the merge of the frames
-// plus the construction of the state the answer is read from.
-func (m *ServerMetrics) ObserveGather(scope wire.Scope, fetch, fold time.Duration) {
-	m.CountGather(scope)
 	m.gatherFetch.get(m.reg).Observe(fetch.Seconds())
 	m.gatherFold.get(m.reg).Observe(fold.Seconds())
 }

@@ -351,7 +351,7 @@ func TestServerMetricsConcurrentFirstUse(t *testing.T) {
 			for i := 0; i < events; i++ {
 				q.count(wire.QueryV2(wire.QueryPoint, 1, 0))
 				m.CountCacheResult(i%2 == 0)
-				m.CountGather(wire.Scope{})
+				m.ObserveGather(wire.Scope{}, 0, 0)
 				m.CountCacheFill(true)
 				m.CountCoalesced()
 				m.CountSumsFrameBytes(3)
