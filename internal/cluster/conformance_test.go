@@ -526,8 +526,9 @@ func durableFront(t *testing.T, m confMode, store transport.Store) confFront {
 var confFronts = []struct {
 	name string
 	// gathers reports whether the front answers reads from raw sums it
-	// gathers per read from backends. A shard map answers from its live
-	// accumulator, whose counter shards are its virtual shards.
+	// gathers per read from backends. A shard map, like a collector,
+	// answers from its live accumulator, whose counter shards are its
+	// virtual shards.
 	gathers bool
 	start   func(t *testing.T, m confMode) confFront
 }{
@@ -744,8 +745,10 @@ func TestFrameLoopConformance(t *testing.T) {
 				// needs every column (or an unscoped sums request, which is
 				// answered with the version-1 frame it always was) moves the
 				// matrix. Each read rides behind a one-user batch, so it is its
-				// session's fence and gathers for itself whatever is cached.
-				if fr.gathers {
+				// session's fence and gathers for itself whatever is cached. A
+				// front that answers from its own accumulator answers the same
+				// reads and counts no gather.
+				{
 					rows := max(m.mode.Ingest().Rows, 1)
 					gathers := func(scope string) int64 {
 						return f.srv.Metrics.Registry().Counter(obs.Label("gathers_total", "scope", scope)).Value()
@@ -783,9 +786,12 @@ func TestFrameLoopConformance(t *testing.T) {
 						if err != nil {
 							t.Fatalf("read %+v: %v", q, err)
 						}
-						want := [2]int64{before[0], before[1] + 1}
-						if ranged {
-							want = [2]int64{before[0] + 1, before[1]}
+						want := before
+						switch {
+						case fr.gathers && ranged:
+							want[0]++
+						case fr.gathers:
+							want[1]++
 						}
 						if got := [2]int64{gathers("range"), gathers("full")}; got != want {
 							t.Fatalf("read %+v: gathers_total range/full went %v -> %v, want %v", q, before, got, want)

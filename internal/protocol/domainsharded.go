@@ -669,8 +669,7 @@ func (s *DomainSharded) FoldShardInto(shard, lo, hi int, cols []int, dst []int64
 	s.shard(shard).FoldRowsInto(lo, hi, cols, dst)
 }
 
-// MarshalShard is MarshalState over counter shard i alone: what a
-// one-shard accumulator holding its counters marshals.
+// MarshalShard is a one-shard accumulator's MarshalState of counter shard i.
 func (s *DomainSharded) MarshalShard(shard int) []byte { return s.shard(shard).MarshalState() }
 
 // ReplaceShard replaces counter shard i's counters with a kind-3
@@ -688,14 +687,13 @@ func (s *DomainSharded) replace(shard int, restore func(*DomainSharded, []byte) 
 		return err
 	}
 	i := s.locks.index(shard)
-	l := &s.locks[i]
-	l.mu.Lock()
+	s.locks[i].mu.Lock()
 	if s.shards[i] == nil {
 		s.allocated.Add(1)
 	}
 	s.shards[i] = fresh.shards[0]
-	l.version.Add(1)
-	l.mu.Unlock()
+	s.locks[i].version.Add(1)
+	s.locks[i].mu.Unlock()
 	return nil
 }
 

@@ -157,8 +157,7 @@ func (s *Sharded) RestoreState(b []byte) error {
 // MarshalShard is MarshalState over counter shard i alone.
 func (s *Sharded) MarshalShard(shard int) []byte { return (&Sharded{s.m.shard(shard)}).MarshalState() }
 
-// ReplaceShard replaces counter shard i's counters with a kind-1
-// payload's, as DomainSharded.ReplaceShard does with a kind-3 one.
+// ReplaceShard is DomainSharded.ReplaceShard with a kind-1 payload.
 func (s *Sharded) ReplaceShard(shard int, b []byte) error {
 	return s.m.replace(shard, func(m *DomainSharded, b []byte) error { return (&Sharded{m}).RestoreState(b) }, b)
 }

@@ -20,8 +20,8 @@ import (
 //   - aliases and forwarders for the codec names bench/ reaches through
 //     this package. They forward rather than alias a func-typed var so
 //     that each inlines into the harness's timed loops;
-//   - the Msg view of ingest: Collector.SendBatch, Durable.SendBatch and
-//     ValidateIngest, ValidateDomainIngest, ValidateHashedDomainIngest,
+//   - the Msg view of ingest: Collector.SendBatch, ShardMap.SendBatch,
+//     Durable.SendBatch and ValidateIngest, ValidateDomainIngest, ValidateHashedDomainIngest,
 //     each of the last three one call of the contract's refusal builder,
 //     Ingest.Explain.
 //
@@ -82,6 +82,10 @@ func ValidateHashedDomainIngest(d int, enc hh.DomainEncoding, msg Msg) error {
 // nothing is applied. The frame loop decodes straight into records
 // instead.
 func (c *Collector) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
+
+// SendBatch is Collector.SendBatch through ShardMap.Apply, which routes
+// each record to its user's virtual shard.
+func (c *ShardMap) SendBatch(shard int, ms []Msg) error { return sendBatch(c, shard, ms, false) }
 
 // SendBatch is Collector.SendBatch through the journal: the run is
 // encoded again, journaled, then applied.

@@ -236,17 +236,17 @@ func (s boolState) Answer(m wire.Msg, e *wire.Encoder, _ *AnswerScratch) (memo, 
 	return true, hit, err
 }
 
-func (s boolState) Sums(sc wire.Scope) wire.RawSums {
-	f := wire.RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
-	f.Counters = make([]int64, protocol.ScopedStride(f.D, sc.L, sc.R))
-	s.acc.FoldInto(s.acc.Columns(sc.L, sc.R), f.Counters)
-	return f
-}
+func (s boolState) Sums(sc wire.Scope) wire.RawSums { return s.sums(sc, s.acc.FoldInto) }
 
 func (s boolState) ShardSums(shard int, sc wire.Scope) wire.RawSums {
+	return s.sums(sc, func(cols []int, dst []int64) { s.acc.FoldShardInto(shard, cols, dst) })
+}
+
+// sums is a raw-sums export under a scope whose counters fold fills.
+func (s boolState) sums(sc wire.Scope, fold func(cols []int, dst []int64)) wire.RawSums {
 	f := wire.RawSums{D: s.acc.D(), Scale: s.acc.Scale(), Scope: sc}
 	f.Counters = make([]int64, protocol.ScopedStride(f.D, sc.L, sc.R))
-	s.acc.FoldShardInto(shard, s.acc.Columns(sc.L, sc.R), f.Counters)
+	fold(s.acc.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
 
@@ -400,16 +400,18 @@ func (s domainState) Answer(m wire.Msg, e *wire.Encoder, sc *AnswerScratch) (mem
 }
 
 func (s domainState) Sums(sc wire.Scope) wire.RawSums {
-	f := wire.RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
-	f.Counters = make([]int64, f.M*protocol.ScopedStride(f.D, sc.L, sc.R))
-	s.rows.FoldRowsInto(0, f.M, s.rows.Columns(sc.L, sc.R), f.Counters)
-	return f
+	return s.sums(sc, func(cols []int, dst []int64) { s.rows.FoldRowsInto(0, s.rows.M(), cols, dst) })
 }
 
 func (s domainState) ShardSums(shard int, sc wire.Scope) wire.RawSums {
+	return s.sums(sc, func(cols []int, dst []int64) { s.rows.FoldShardInto(shard, 0, s.rows.M(), cols, dst) })
+}
+
+// sums is a raw-sums export under a scope whose counters fold fills.
+func (s domainState) sums(sc wire.Scope, fold func(cols []int, dst []int64)) wire.RawSums {
 	f := wire.RawSums{D: s.rows.D(), M: s.rows.M(), Scale: s.rows.BoolScale(), Scope: sc}
 	f.Counters = make([]int64, f.M*protocol.ScopedStride(f.D, sc.L, sc.R))
-	s.rows.FoldShardInto(shard, 0, f.M, s.rows.Columns(sc.L, sc.R), f.Counters)
+	fold(s.rows.Columns(sc.L, sc.R), f.Counters)
 	return f
 }
 

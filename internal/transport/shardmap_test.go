@@ -210,6 +210,24 @@ func TestShardMapAppliesOneRunPerShard(t *testing.T) {
 	}
 }
 
+// TestShardMapSendBatchRoutesByUser pins the Msg view of ingest on a
+// shard map to the served path: SendBatch routes each record to its
+// user's virtual shard, as Apply does, not to the shard it names.
+func TestShardMapSendBatchRoutesByUser(t *testing.T) {
+	const d, scale, S = 32, 1.5, 4
+	ms := genMsgs(d, 30)
+	viaApply, viaSend := NewShardMap(BoolMode(d, scale), S, "n0"), NewShardMap(BoolMode(d, scale), S, "n0")
+	if err := ingestRun(viaApply, 0, ms); err != nil {
+		t.Fatal(err)
+	}
+	if err := viaSend.SendBatch(0, ms); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(viaSend.marshalState(), viaApply.marshalState()) {
+		t.Fatal("SendBatch into a shard map left other shard states than Apply")
+	}
+}
+
 // TestShardMapInstallReplaces pins the replace-not-fold discipline:
 // installing a shard's state over a member that already holds a stale
 // copy must yield the source's state exactly, even when installed
