@@ -101,11 +101,20 @@ func boolGolden(t *testing.T, mech Protocol, clip bool) []goldenStream {
 }
 
 // domainGolden runs the 32 domain users of one encoding over
-// futurerand: the value is unset until the first change and then walks
-// a fixed item sequence.
-func domainGolden(t *testing.T, m int, opts ...Option) []goldenStream {
+// futurerand. Unclipped, the value is unset until the first change and
+// then walks a fixed item sequence, within the sparsity contract.
+// Clipped users get up to 2k changes and toggle between an item in
+// their target row and one outside it, so every value change is a
+// change of the indicator stream the wrapped Boolean client sees and
+// the freeze path runs.
+func domainGolden(t *testing.T, m int, clip bool, opts ...Option) []goldenStream {
 	t.Helper()
 	opts = append([]Option{WithEpsilon(1), WithSparsity(goldenK)}, opts...)
+	maxChanges := goldenK
+	if clip {
+		opts = append(opts, WithClipping())
+		maxChanges = 2 * goldenK
+	}
 	f, err := NewDomainClientFactory(goldenD, m, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +125,29 @@ func domainGolden(t *testing.T, m int, opts ...Option) []goldenStream {
 		if err != nil {
 			t.Fatal(err)
 		}
+		in, away := -1, -1 // the first items in and outside the target row
+		for v := 0; v < m && (in < 0 || away < 0); v++ {
+			switch inRow := f.Encoding().Row(v) == c.Item(); {
+			case inRow && in < 0:
+				in = v
+			case !inRow && away < 0:
+				away = v
+			}
+		}
 		h := fnv.New64a()
-		times := goldenChangeTimes(u, goldenK)
+		times := goldenChangeTimes(u, maxChanges)
 		value, changes := -1, 0
 		for p := 1; p <= goldenD; p++ {
 			if len(times) > 0 && times[0] == p {
-				value, times = (u*5+changes*3)%m, times[1:]
+				switch {
+				case !clip:
+					value = (u*5 + changes*3) % m
+				case changes%2 == 0:
+					value = in
+				default:
+					value = away
+				}
+				times = times[1:]
 				changes++
 			}
 			r, ok, err := c.Observe(value)
@@ -153,10 +179,14 @@ func TestGoldenStreams(t *testing.T) {
 		{"independent", func(t *testing.T) []goldenStream { return boolGolden(t, Independent, false) }, goldenIndependent},
 		{"independent/clipped", func(t *testing.T) []goldenStream { return boolGolden(t, Independent, true) }, goldenIndependentClipped},
 		{"erlingsson", func(t *testing.T) []goldenStream { return boolGolden(t, Erlingsson, false) }, goldenErlingsson},
-		{"domain/exact", func(t *testing.T) []goldenStream { return domainGolden(t, 16) }, goldenDomainExact},
+		{"domain/exact", func(t *testing.T) []goldenStream { return domainGolden(t, 16, false) }, goldenDomainExact},
+		{"domain/exact/clipped", func(t *testing.T) []goldenStream { return domainGolden(t, 16, true) }, goldenDomainExactClipped},
 		{"domain/loloha", func(t *testing.T) []goldenStream {
-			return domainGolden(t, 1000, WithDomainEncoding("loloha"), WithBuckets(8), WithHashSeed(42))
+			return domainGolden(t, 1000, false, WithDomainEncoding("loloha"), WithBuckets(8), WithHashSeed(42))
 		}, goldenDomainLoloha},
+		{"domain/loloha/clipped", func(t *testing.T) []goldenStream {
+			return domainGolden(t, 1000, true, WithDomainEncoding("loloha"), WithBuckets(8), WithHashSeed(42))
+		}, goldenDomainLolohaClipped},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -191,7 +221,9 @@ func TestGoldenStreams(t *testing.T) {
 
 // TestGoldenClippedStreamsExceedBudget guards the fixture itself: the
 // clipped cases must feed streams that really exceed k, or the freeze
-// path would go unpinned.
+// path would go unpinned. The Boolean and the domain clipped rows share
+// these change times, and a clipped domain user's every value change is
+// a change of its indicator stream, so the guard covers both.
 func TestGoldenClippedStreamsExceedBudget(t *testing.T) {
 	over := 0
 	for u := 0; u < goldenUsers; u++ {
@@ -329,6 +361,34 @@ var (
 			0xda288f7e3753e3a5, 0xe81e3a756bc5e527, 0x062e56fd89e4d78d, 0x5ff01f5b1204ba15,
 			0xa873377c3609ea96, 0xf4cd758c3d7308b1, 0x8ff55e47881e8398, 0xaef02550930dcdb9,
 			0x03d6439a8915c11c, 0xcd05d7921e2ff335, 0x1513290972075f44, 0x49d6087dc9ba405e,
+		},
+	}
+	// The two clipped domain rows were generated at commit 9da7538, with
+	// clipping still an option, switched on.
+	goldenDomainExactClipped = goldenWant{
+		orders: "53650004224610011222163254661236",
+		sums: []uint64{
+			0xa873377c3609ea96, 0x22e6568030b3cd94, 0x140a42235c615b14, 0xa6ab97102a5a893f,
+			0x30273dce12389cb5, 0x831ad28db022fa35, 0x5384158de406a63c, 0xc78e16cd34fd3288,
+			0xc2d6023bec33f01c, 0xd698cb05c6b52f95, 0x0058ad10cdf259d8, 0x6409569997830dab,
+			0x4e57cf603614de2c, 0x6b2c5892f02b04f5, 0x60833aa6715a17f5, 0xc8a488bffc423dcc,
+			0xfe6358b84fc1d40c, 0xe0ee1f49b867d725, 0xcb651ac3435e0ebc, 0xac3a137b200d03ac,
+			0xe0d84f724cc5b8ec, 0x49d6087dc9ba405e, 0x8f23c9ceed730774, 0xd46427f0dd7459d5,
+			0x67d4471768de745f, 0x4124dfbb1819e718, 0x981f25ff30a43290, 0xb719ed083b937cb1,
+			0x91444c7ef4a0f6c5, 0xb937b09d2f80cdf5, 0x3e3c41cbd044a04d, 0x51ffd035723fef56,
+		},
+	}
+	goldenDomainLolohaClipped = goldenWant{
+		orders: "53650004224610011222163254661236",
+		sums: []uint64{
+			0xa873377c3609ea96, 0x53cf06f7521827a4, 0x0be07a6bb3dbac1c, 0xd99af5fcea923c3f,
+			0x30273dce12389cb5, 0x831ad28db022fa35, 0x5384158de406a63c, 0x696bccc728ccd268,
+			0xc2d6023bec33f01c, 0xd698cb05c6b52f95, 0x0058ad10cdf259d8, 0x6c331e514008bca3,
+			0x4ccc8d94ea2f5d0c, 0x4211b2640501c0e5, 0x60833aa6715a17f5, 0xb5026efe953c997c,
+			0x2d38771e0d82116c, 0xe0ee1f49b867d725, 0xa30704aebb18087c, 0xcad34ce6d520e9ac,
+			0x1d7a896f7d1408dc, 0x49d6087dc9ba405e, 0x8f23c9ceed730774, 0xd46427f0dd7459d5,
+			0x9ac3a6042916275f, 0x18be89947957bd08, 0x8ff55e47881e8398, 0xaef02550930dcdb9,
+			0x91444c7ef4a0f6c5, 0xf33437a903cfc435, 0x3e3c41cbd044a04d, 0x49d6087dc9ba405e,
 		},
 	}
 )
