@@ -907,10 +907,12 @@ func BenchmarkIngestServed(b *testing.B) {
 
 // BenchmarkIngestServedConns is BenchmarkIngestServed under contention:
 // C connections into one 2-shard IngestServer, each writing its share of
-// the b.N frames with eight in flight. Connections take counter shards
-// by id, so at C = 4 every shard has two writers taking turns at its
-// lock, one run per frame — the number behind "ingestion scales with
-// shards" (on a 2-vCPU host, C = 1 leaves a core to the client).
+// the b.N frames with eight in flight. A connection writes the counter
+// shard of its slot (the lowest slot no other live connection holds)
+// modulo the shard count, so at C = 4 slots 0–3 land on shards 0, 1, 0,
+// 1 and every shard has two writers taking turns at its lock, one run
+// per frame — the number behind "ingestion scales with shards" (on a
+// 2-vCPU host, C = 1 leaves a core to the client).
 func BenchmarkIngestServedConns(b *testing.B) {
 	for _, c := range servedBenchCases()[:2] {
 		for _, conns := range []int{1, 2, 4} {

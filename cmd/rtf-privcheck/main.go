@@ -5,7 +5,9 @@
 // serving fronts accept), the exhaustive end-to-end client check
 // (Theorem 4.5) for small d and k, and the same check of the shipped
 // domain client under the exact encoding (m = 3) and the loloha encoding
-// (m = 6, g = 2).
+// (m = 6, g = 2). Each client check runs over streams with k, k+1 and
+// k+2 changes, the last two through the clip every client applies past
+// k.
 //
 // Example:
 //
@@ -36,43 +38,36 @@ func main() {
 	fmt.Fprintln(tw, "check\tparams\trealized ε\tbudget ε\tmargin\tok")
 
 	failures := 0
+	row := func(check, params string, r privacy.RatioReport, err error) {
+		if err != nil {
+			fatal(err)
+		}
+		ok := r.Satisfied()
+		if !ok {
+			failures++
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%.6f\t%.3f\t%.2fx\t%v\n",
+			check, params, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
+	}
 	for k := 1; k <= *kmax; k++ {
 		p, err := probmath.NewFutureRand(k, *eps)
 		if err != nil {
 			fatal(err)
 		}
-		r := privacy.RandomizerRatio(p)
-		ok := r.Satisfied()
-		if !ok {
-			failures++
-		}
-		fmt.Fprintf(tw, "randomizer R̃\tk=%d\t%.6f\t%.3f\t%.2fx\t%v\n",
-			k, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
+		row("randomizer R̃", fmt.Sprintf("k=%d", k), privacy.RandomizerRatio(p), nil)
 	}
 	for k := 1; k <= *kclient; k++ {
-		r, err := privacy.ClientRatio(*d, k, *eps)
-		if err != nil {
-			fatal(err)
+		for changes := k; changes <= k+2; changes++ {
+			r, err := privacy.ClientRatio(*d, changes, k, *eps)
+			row("client Aclt (exhaustive)", fmt.Sprintf("d=%d k=%d changes=%d", *d, k, changes), r, err)
 		}
-		ok := r.Satisfied()
-		if !ok {
-			failures++
-		}
-		fmt.Fprintf(tw, "client Aclt (exhaustive)\td=%d k=%d\t%.6f\t%.3f\t%.2fx\t%v\n",
-			*d, k, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
 	}
 	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(3), hh.LolohaEncoding(6, 2, 1)} {
 		for k := 1; k <= *kclient; k++ {
-			r, err := privacy.DomainClientRatio(*d, k, *eps, enc)
-			if err != nil {
-				fatal(err)
+			for changes := k; changes <= k+2; changes++ {
+				r, err := privacy.DomainClientRatio(*d, changes, k, *eps, enc)
+				row("domain client (exhaustive)", fmt.Sprintf("d=%d k=%d changes=%d %s m=%d g=%d", *d, k, changes, enc.Name, enc.M, enc.G), r, err)
 			}
-			ok := r.Satisfied()
-			if !ok {
-				failures++
-			}
-			fmt.Fprintf(tw, "domain client (exhaustive)\td=%d k=%d %s m=%d g=%d\t%.6f\t%.3f\t%.2fx\t%v\n",
-				*d, k, enc.Name, enc.M, enc.G, r.EpsRealized, r.EpsBudget, r.EpsBudget/r.EpsRealized, ok)
 		}
 	}
 	tw.Flush()

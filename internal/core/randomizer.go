@@ -59,6 +59,10 @@ func (m *Instance) Perturb(v int8) int8 {
 	return -v
 }
 
+// K returns the instance's cap on non-zero inputs: the sparsity bound k
+// of every framework randomizer, 0 for the basic randomizer.
+func (m *Instance) K() int { return m.k }
+
 // Factory builds per-user randomizer instances with shared parameters.
 type Factory interface {
 	// NewInstance returns a fresh Instance drawing randomness from g.

@@ -83,7 +83,7 @@ func init() {
 				cases = []dk{{2, 1}, {4, 1}, {4, 2}, {8, 1}, {8, 2}, {8, 3}}
 			}
 			for _, c := range cases {
-				r, err := privacy.ClientRatio(c.d, c.k, eps)
+				r, err := privacy.ClientRatio(c.d, c.k, c.k, eps)
 				if err != nil {
 					return err
 				}

@@ -14,11 +14,11 @@ import (
 	"rtf/internal/workload"
 )
 
-// runClipped runs one FutureRand clipping client per user, whose
-// sparsity budget kProto may be below the workload's true maximum. It
-// returns the estimate series and the clipping bias: the ℓ∞ distance
-// between the true counts and the counts of the clipped effective
-// streams (the systematic error floor clipping introduces).
+// runClipped runs one FutureRand client per user at sparsity bound
+// kProto, which may be below the workload's true maximum, so the
+// clients clip. It returns the estimate series and the clipping bias:
+// the ℓ∞ distance between the true counts and the counts of the clipped
+// effective streams (the systematic error floor clipping introduces).
 func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]float64, float64, error) {
 	factories, err := protocol.FutureRandFactories(wl.D, kProto, eps)
 	if err != nil {
@@ -27,21 +27,13 @@ func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]f
 	srv := protocol.NewServer(wl.D, protocol.EstimatorScale(wl.D, factories[0].CGap()))
 	clippedTruth := make([]int, wl.D)
 	for u, us := range wl.Users {
-		c := protocol.NewClippedClient(u, wl.D, kProto, factories, g)
+		c := protocol.NewClient(u, wl.D, factories, g)
 		srv.Register(c.Order())
 		vals := us.Values(wl.D)
-		// Recompute the clipped effective stream for the bias metric.
-		eff := uint8(0)
-		changes := 0
-		for t := 1; t <= wl.D; t++ {
-			v := vals[t-1]
-			if v != eff {
-				if changes < kProto {
-					changes++
-					eff = v
-				}
-			}
-			clippedTruth[t-1] += int(eff)
+		for t, v := range protocol.ClipStream(vals, kProto) {
+			clippedTruth[t] += int(v)
+		}
+		for _, v := range vals {
 			if rep, ok := c.Observe(v != 0); ok {
 				srv.Ingest(rep)
 			}

@@ -9,18 +9,19 @@
 //     tractable.
 //
 //   - ClientRatio checks Theorem 4.5 end to end: it enumerates every
-//     admissible user stream for small (d, k), computes the exact output
-//     distribution of the client Aclt (order h, report vector ω), and
-//     maximizes the likelihood ratio over all stream pairs and outputs.
-//     This exercises the full pipeline: derivative, partial sums, support
-//     compaction, the online pre-computation trick and the zero-
-//     coordinate coins.
+//     user stream with up to a given number of changes for small (d, k),
+//     clips each at k with the shipped clip rule, computes the exact
+//     output distribution of the client Aclt (order h, report vector ω),
+//     and maximizes the likelihood ratio over all stream pairs and
+//     outputs. This exercises the full pipeline: clip, derivative,
+//     partial sums, support compaction, the online pre-computation trick
+//     and the zero-coordinate coins.
 //
 //   - DomainClientRatio extends ClientRatio to the domain client that
 //     ships, under either encoding: catalogue streams are turned into
 //     the indicator stream each target row sees by the shipped
-//     hh.DomainClient itself, and the ratio is taken over the full
-//     output (row, h, ω).
+//     hh.DomainClient itself, clipped as its Boolean client clips, and
+//     the ratio is taken over the full output (row, h, ω).
 package privacy
 
 import (
@@ -118,9 +119,13 @@ func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
 
 // ClientRatio exhaustively verifies Theorem 4.5 for small d and k: it
 // returns the worst-case likelihood ratio of the full client output
-// (h, ω) over every pair of admissible streams. d must be a power of two
-// with d ≤ 10 to keep enumeration tractable.
-func ClientRatio(d, k int, eps float64) (RatioReport, error) {
+// (h, ω) over every pair of streams with at most changes changes, each
+// passed through the shipped clip rule (protocol.ClipStream) at k
+// first, as the shipped client does. changes = k is the theorem's own
+// setting; a larger value checks that the clip keeps streams past the
+// bound within budget. d must be a power of two with d ≤ 10 to keep
+// enumeration tractable.
+func ClientRatio(d, changes, k int, eps float64) (RatioReport, error) {
 	if !dyadic.IsPow2(d) || d > 1024 {
 		return RatioReport{}, fmt.Errorf("privacy: d=%d must be a small power of two", d)
 	}
@@ -131,35 +136,9 @@ func ClientRatio(d, k int, eps float64) (RatioReport, error) {
 	if err != nil {
 		return RatioReport{}, err
 	}
-	streams := StreamEnumerator(d, k)
-	dists := make([]map[[2]int]float64, len(streams))
-	for i, st := range streams {
-		dists[i] = ClientDist(st, d, p)
-		// Sanity: the distribution must sum to 1.
-		sum := 0.0
-		for _, pr := range dists[i] {
-			sum += pr
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return RatioReport{}, fmt.Errorf("privacy: client distribution sums to %v for stream %v", sum, st)
-		}
-	}
-	worst := 0.0
-	for i := range dists {
-		for j := range dists {
-			if i == j {
-				continue
-			}
-			for key, pi := range dists[i] {
-				pj := dists[j][key]
-				if pi <= 0 || pj <= 0 {
-					return RatioReport{}, fmt.Errorf("privacy: zero-probability output %v", key)
-				}
-				if r := math.Log(pi / pj); r > worst {
-					worst = r
-				}
-			}
-		}
+	worst, err := worstRatio(effective(StreamEnumerator(d, changes), k), d, p)
+	if err != nil {
+		return RatioReport{}, err
 	}
 	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
 }
@@ -167,23 +146,15 @@ func ClientRatio(d, k int, eps float64) (RatioReport, error) {
 // DomainClientRatio exhaustively verifies the domain reduction for small
 // d, k and catalogue: it returns the worst-case likelihood ratio of the
 // domain client's output (row, h, ω) over every pair of catalogue
-// streams with at most k value changes (the first assignment counts as
-// a change, as in hh.DomainStream). Each stream's indicator stream at
-// each target row is what the shipped hh.DomainClient feeds its Boolean
-// client, recorded through an Observer. The row is uniform over
+// streams with at most changes value changes (the first assignment
+// counts as a change, as in hh.DomainStream), against a mechanism
+// configured for k. Each stream's indicator stream at each target row
+// is what the shipped hh.DomainClient feeds its Boolean client,
+// recorded through an Observer, and the Boolean client clips it at k
+// (protocol.ClipStream) before it randomizes. The row is uniform over
 // enc.Rows() and drawn independently of the data, so at a fixed row the
-// ratio is that of ClientDist over the two indicator streams; streams
-// inducing the same indicator stream at a row share one distribution.
-func DomainClientRatio(d, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
-	return domainClientRatio(d, k, k, eps, enc)
-}
-
-// domainClientRatio is DomainClientRatio over catalogue streams with up
-// to changes value changes, against a mechanism configured for k. An
-// indicator stream with more than k changes is outside the mechanism's
-// guarantee (the shipped client refuses its k+1-th non-zero partial
-// sum), and fails the check.
-func domainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
+// ratio is that of ClientDist over the two effective streams.
+func DomainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
 	if !dyadic.IsPow2(d) || d > 10 {
 		return RatioReport{}, fmt.Errorf("privacy: d=%d must be a power of two no larger than 8", d)
 	}
@@ -194,12 +165,7 @@ func domainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (R
 	if err != nil {
 		return RatioReport{}, err
 	}
-	// Distinct indicator streams per row, in first-seen order.
-	seen := make([]map[string]bool, enc.Rows())
 	induced := make([][][]uint8, enc.Rows())
-	for r := range seen {
-		seen[r] = make(map[string]bool)
-	}
 	var rec recorder
 	for _, vals := range catalogueStreams(d, changes, enc.M) {
 		for r := range induced {
@@ -213,33 +179,68 @@ func domainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (R
 					return RatioReport{}, err
 				}
 			}
-			st := append([]uint8(nil), rec.bits...)
-			if n := sparse.NumChanges(st); n > k {
-				return RatioReport{}, fmt.Errorf("privacy: catalogue stream %v gives row %d the indicator stream %v with %d changes, past the mechanism's k=%d", vals, r, st, n, k)
-			}
-			if !seen[r][string(st)] {
-				seen[r][string(st)] = true
-				induced[r] = append(induced[r], st)
-			}
+			induced[r] = append(induced[r], append([]uint8(nil), rec.bits...))
 		}
 	}
 	worst := 0.0
 	for _, streams := range induced {
-		dists := make([]map[[2]int]float64, len(streams))
-		for i, st := range streams {
-			dists[i] = ClientDist(st, d, p)
+		w, err := worstRatio(effective(streams, k), d, p)
+		if err != nil {
+			return RatioReport{}, err
 		}
-		for i := range dists {
-			for j := range dists {
-				for key, pi := range dists[i] {
-					if r := math.Log(pi / dists[j][key]); r > worst {
-						worst = r
-					}
+		worst = max(worst, w)
+	}
+	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
+}
+
+// effective passes each stream through the shipped clip rule at k and
+// returns the distinct effective streams, in first-seen order.
+func effective(streams [][]uint8, k int) [][]uint8 {
+	seen := make(map[string]bool)
+	var out [][]uint8
+	for _, st := range streams {
+		if eff := protocol.ClipStream(st, k); !seen[string(eff)] {
+			seen[string(eff)] = true
+			out = append(out, eff)
+		}
+	}
+	return out
+}
+
+// worstRatio returns the largest ln(Pr[o | a] / Pr[o | b]) of the exact
+// client law ClientDist over every pair of streams a ≠ b and every
+// output o, after checking that each law sums to 1 and gives every
+// output positive probability.
+func worstRatio(streams [][]uint8, d int, p *probmath.Params) (float64, error) {
+	dists := make([]map[[2]int]float64, len(streams))
+	for i, st := range streams {
+		dists[i] = ClientDist(st, d, p)
+		sum := 0.0
+		for _, pr := range dists[i] {
+			sum += pr
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			return 0, fmt.Errorf("privacy: client distribution sums to %v for stream %v", sum, st)
+		}
+	}
+	worst := 0.0
+	for i := range dists {
+		for j := range dists {
+			if i == j {
+				continue
+			}
+			for key, pi := range dists[i] {
+				pj := dists[j][key]
+				if pi <= 0 || pj <= 0 {
+					return 0, fmt.Errorf("privacy: zero-probability output %v", key)
+				}
+				if r := math.Log(pi / pj); r > worst {
+					worst = r
 				}
 			}
 		}
 	}
-	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
+	return worst, nil
 }
 
 // catalogueStreams enumerates the value series over d periods of every

@@ -2,7 +2,6 @@ package privacy
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"rtf/internal/hh"
@@ -67,8 +66,11 @@ func TestClientDistributionsSumToOne(t *testing.T) {
 	}
 }
 
+// TestClientRatioSmallCases verifies Theorem 4.5 exactly: the end-to-end
+// client is ε-DP. Over streams with k+1 and k+2 changes the clip maps
+// every stream onto one with at most k, and every such stream onto
+// itself, so the realized ε is exactly the k-change value.
 func TestClientRatioSmallCases(t *testing.T) {
-	// Theorem 4.5: the end-to-end client is ε-DP. Verify exactly.
 	cases := []struct {
 		d, k int
 		eps  float64
@@ -80,7 +82,7 @@ func TestClientRatioSmallCases(t *testing.T) {
 		{8, 3, 0.3},
 	}
 	for _, c := range cases {
-		r, err := ClientRatio(c.d, c.k, c.eps)
+		r, err := ClientRatio(c.d, c.k, c.k, c.eps)
 		if err != nil {
 			t.Fatalf("d=%d k=%d: %v", c.d, c.k, err)
 		}
@@ -90,17 +92,26 @@ func TestClientRatioSmallCases(t *testing.T) {
 		if r.EpsRealized <= 0 {
 			t.Errorf("d=%d k=%d: zero realized ratio suspicious", c.d, c.k)
 		}
+		for changes := c.k + 1; changes <= min(c.k+2, c.d); changes++ {
+			past, err := ClientRatio(c.d, changes, c.k, c.eps)
+			if err != nil {
+				t.Fatalf("d=%d k=%d, %d changes: %v", c.d, c.k, changes, err)
+			}
+			if past != r {
+				t.Errorf("d=%d k=%d, %d changes: %+v, want the k-change %+v", c.d, c.k, changes, past, r)
+			}
+		}
 	}
 }
 
 func TestClientRatioRejectsLargeD(t *testing.T) {
-	if _, err := ClientRatio(16, 2, 1.0); err == nil {
+	if _, err := ClientRatio(16, 2, 2, 1.0); err == nil {
 		t.Error("d=16 accepted for exhaustive enumeration")
 	}
-	if _, err := ClientRatio(6, 2, 1.0); err == nil {
+	if _, err := ClientRatio(6, 2, 2, 1.0); err == nil {
 		t.Error("non-power-of-two d accepted")
 	}
-	if _, err := ClientRatio(4, 0, 1.0); err == nil {
+	if _, err := ClientRatio(4, 0, 0, 1.0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -135,15 +146,15 @@ func TestOnlineOfflineTVPanicsLargeK(t *testing.T) {
 // TestDomainClientRatioWithinBudget runs the exact check of the shipped
 // domain client under both encodings — an exact domain of 3 items, and
 // a loloha catalogue of 6 items hashed to 2 buckets — at d = 8: the
-// realized ε is within budget for k ≤ 2. Admitting catalogue streams
-// with k + 1 changes fails the check: some target row then sees an
-// indicator stream with k + 1 changes, outside the mechanism's
-// guarantee.
+// realized ε is within budget for k ≤ 2. Catalogue streams with k + 1
+// and k + 2 changes give some target row an indicator stream past k,
+// which the Boolean client clips onto one with at most k changes, so
+// the realized ε stays the k-change value.
 func TestDomainClientRatioWithinBudget(t *testing.T) {
 	const d, eps = 8, 1.0
 	for _, enc := range []hh.DomainEncoding{hh.ExactEncoding(3), hh.LolohaEncoding(6, 2, 1)} {
 		for k := 1; k <= 2; k++ {
-			r, err := DomainClientRatio(d, k, eps, enc)
+			r, err := DomainClientRatio(d, k, k, eps, enc)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", enc.Name, k, err)
 			}
@@ -154,8 +165,14 @@ func TestDomainClientRatioWithinBudget(t *testing.T) {
 			if r.EpsRealized <= 0 {
 				t.Errorf("%s k=%d: non-positive realized ratio %v", enc.Name, k, r.EpsRealized)
 			}
-			if _, err := domainClientRatio(d, k+1, k, eps, enc); err == nil || !strings.Contains(err.Error(), "past the mechanism's k=") {
-				t.Errorf("%s k=%d: streams with %d changes pass the check (err %v)", enc.Name, k, k+1, err)
+			for changes := k + 1; changes <= k+2; changes++ {
+				past, err := DomainClientRatio(d, changes, k, eps, enc)
+				if err != nil {
+					t.Fatalf("%s k=%d, %d changes: %v", enc.Name, k, changes, err)
+				}
+				if past != r {
+					t.Errorf("%s k=%d, %d changes: %+v, want the k-change %+v", enc.Name, k, changes, past, r)
+				}
 			}
 		}
 	}

@@ -81,28 +81,63 @@ func bit(value bool) uint8 {
 	return 0
 }
 
+// clip is the clip rule, the one definition of it: the effective
+// stream follows the raw one through its k-th change, counted per
+// Definition 3.1 from the implicit st[0] = 0, and then keeps the value
+// that change set. It is the identity on a stream with at most k
+// changes, and past k it is a function of the user's own stream alone,
+// so the ε-LDP randomizer behind it sees an admissible input whatever
+// the data does.
+type clip struct {
+	k, changes int
+	eff        uint8
+}
+
+// next returns the effective value of the period whose raw value is v.
+func (c *clip) next(v uint8) uint8 {
+	if v != c.eff && c.changes < c.k {
+		c.changes++
+		c.eff = v
+	}
+	return c.eff
+}
+
+// ClipStream returns st's effective stream under the clip rule at bound
+// k: the stream a Client whose randomizer has sparsity bound k perturbs
+// when fed st.
+func ClipStream(st []uint8, k int) []uint8 {
+	c := clip{k: k}
+	out := make([]uint8, len(st))
+	for i, v := range st {
+		out[i] = c.next(v)
+	}
+	return out
+}
+
 // Client is the client-side algorithm Aclt. Feed it one stream value per
 // time period with Observe; it emits a report exactly when 2^h divides t.
-// A Client must not be copied once built: a seeded one holds the
-// generator its randomizer points at.
+// It perturbs the effective stream: the raw one clipped at its
+// randomizer's sparsity bound k, so a stream with more than k changes
+// is frozen after the k-th, never refused. A Client must not be copied
+// once built: a seeded one holds the generator its randomizer points at.
 type Client struct {
 	reporter
-	lastVal uint8 // st_u at the previous multiple of 2^h (Observation 3.7; st_u[0] = 0)
+	clip    clip
+	lastVal uint8 // effective st_u at the previous multiple of 2^h (Observation 3.7; st_u[0] = 0)
+}
 
-	// Clipping state: when clipK ≥ 1 the client freezes its effective
-	// stream after clipK changes so the sparsity contract holds even if
-	// the true stream exceeds the bound (a deployment necessity the paper
-	// assumes away). prevEff is the effective value at t−1; changes counts
-	// effective changes per Definition 3.1 (the implicit st[0] = 0).
-	clipK   int
-	prevEff uint8
-	changes int
+// init fixes the order and the randomizer (reporter.init) and clips at
+// the randomizer's k.
+func (c *Client) init(user, d, h int, f core.Factory, g *rng.RNG) {
+	c.reporter.init(user, d, h, f, g)
+	c.clip.k = c.inst.K()
 }
 
 // NewClient builds a client for user u over horizon d. The order h_u is
 // sampled from g, and the randomizer instance is initialized from the
 // order's entry in the per-order factory table (M.init), which keeps
-// drawing from g afterwards.
+// drawing from g afterwards. The table must be a framework randomizer's
+// (FutureRand, Independent, Bun): its k is the client's clip bound.
 func NewClient(user, d int, factories []core.Factory, g *rng.RNG) *Client {
 	h := SampleOrder(g, d)
 	return NewClientWithOrder(user, d, h, factories[h], g)
@@ -117,26 +152,11 @@ func NewClientWithOrder(user, d, h int, f core.Factory, g *rng.RNG) *Client {
 	return c
 }
 
-// NewClippedClient is NewClient for streams that may exceed the k bound:
-// the client freezes its effective value after the k-th change, keeping
-// the randomizer's sparsity contract at the cost of bias for users who
-// change more than k times. Experiment E20 quantifies the trade-off of
-// choosing k too small versus too large.
-func NewClippedClient(user, d, k int, factories []core.Factory, g *rng.RNG) *Client {
-	if k < 1 {
-		panic("protocol: clipping bound must be >= 1")
-	}
-	c := NewClient(user, d, factories, g)
-	c.clipK = k
-	return c
-}
-
-// NewSeededClient is NewClient (clipK = 0) or NewClippedClient
-// (clipK ≥ 1) drawing the stream rng.NewFromSeed(seed) would produce
-// from a generator inside the client, so the client, its randomizer and
-// its generator are one allocation.
-func NewSeededClient(user, d, clipK int, factories []core.Factory, seed int64) *Client {
-	c := &Client{clipK: clipK}
+// NewSeededClient is NewClient drawing the stream rng.NewFromSeed(seed)
+// would produce from a generator inside the client, so the client, its
+// randomizer and its generator are one allocation.
+func NewSeededClient(user, d int, factories []core.Factory, seed int64) *Client {
+	c := new(Client)
 	c.own.Seed(seed)
 	h := SampleOrder(&c.own, d)
 	c.init(user, d, h, factories[h], &c.own)
@@ -149,15 +169,7 @@ func NewSeededClient(user, d, clipK int, factories []core.Factory, seed int64) *
 // construction, so a (d+1)-th observation is a caller bug.
 func (c *Client) Observe(value bool) (Report, bool) {
 	reporting := c.tick()
-	v := bit(value)
-	if c.clipK > 0 && v != c.prevEff {
-		if c.changes >= c.clipK {
-			v = c.prevEff // frozen: drop changes beyond the budget
-		} else {
-			c.changes++
-			c.prevEff = v
-		}
-	}
+	v := c.clip.next(bit(value))
 	if !reporting {
 		return Report{}, false
 	}

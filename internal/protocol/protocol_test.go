@@ -129,8 +129,11 @@ func TestClientSumsMatchPartialSums(t *testing.T) {
 			shared := NewClientWithOrder(0, d, h, fs[h], g)
 			var seeded *Client
 			for seed := int64(trial); seeded == nil || seeded.Order() != h; seed += 1000 {
-				seeded = NewSeededClient(0, d, 0, fs, seed)
+				seeded = NewSeededClient(0, d, fs, seed)
 			}
+			// The cap is the order-h support, which the stream's change
+			// count may exceed: lift the clip so both perturb st itself.
+			shared.clip.k, seeded.clip.k = d, d
 			for tt := 1; tt <= d; tt++ {
 				for name, c := range map[string]*Client{"shared": shared, "seeded": seeded} {
 					rep, ok := c.Observe(st[tt-1] != 0)
@@ -184,6 +187,23 @@ func TestClientWithOrderPanics(t *testing.T) {
 	NewClientWithOrder(0, 8, 4, fs[0], rng.New(9, 10))
 }
 
+// TestClipStream pins the clip rule: the identity through the k-th
+// change, then the value that change set.
+func TestClipStream(t *testing.T) {
+	st := []uint8{0, 1, 1, 0, 0, 1, 0, 1}
+	for k, want := range map[int][]uint8{
+		1: {0, 1, 1, 1, 1, 1, 1, 1},
+		2: {0, 1, 1, 0, 0, 0, 0, 0},
+		3: {0, 1, 1, 0, 0, 1, 1, 1},
+		5: st,
+		8: st,
+	} {
+		if got := ClipStream(st, k); string(got) != string(want) {
+			t.Errorf("k=%d: %v, want %v", k, got, want)
+		}
+	}
+}
+
 func TestClippedClientSurvivesExcessChanges(t *testing.T) {
 	// A stream with 8 changes fed to a client with budget k=2 must not
 	// panic and must report on schedule.
@@ -192,7 +212,7 @@ func TestClippedClientSurvivesExcessChanges(t *testing.T) {
 	g := rng.New(41, 42)
 	vals := []uint8{1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	for trial := 0; trial < 100; trial++ {
-		c := NewClippedClient(0, d, 2, fs, g)
+		c := NewClient(0, d, fs, g)
 		n := 0
 		for tt := 1; tt <= d; tt++ {
 			if _, ok := c.Observe(vals[tt-1] != 0); ok {
@@ -206,13 +226,11 @@ func TestClippedClientSurvivesExcessChanges(t *testing.T) {
 }
 
 func TestClippedClientFreezesAfterBudget(t *testing.T) {
-	// With k=2 the effective stream follows the true one through changes
-	// 1 and 2, then freezes. Verify via order-0 clients whose reports
-	// reveal the effective partial sums statistically: after freezing at
-	// value 1 (changes at t=2: 0→1, t=4: 1→0 — wait, budget 2 admits
-	// both, freezing at the value after change 2). Use budget 1: only the
-	// first change applies, so the effective stream is 0,1,1,1,... and
-	// the order-0 partial sums are (0,+1,0,0,...).
+	// The effective stream follows the true one through its k-th change,
+	// then freezes. Verify via order-0 clients whose reports reveal the
+	// effective partial sums statistically. At k=1 only the first change
+	// applies, so the effective stream is 0,1,1,1,... and the order-0
+	// partial sums are (0,+1,0,0,...).
 	d := 8
 	fs := frFactories(t, d, 1, 1.0)
 	g := rng.New(43, 44)
@@ -223,7 +241,7 @@ func TestClippedClientFreezesAfterBudget(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		var c *Client
 		for {
-			c = NewClippedClient(0, d, 1, fs, g)
+			c = NewClient(0, d, fs, g)
 			if c.Order() == 0 {
 				break
 			}
@@ -255,12 +273,13 @@ func TestClippedClientFreezesAfterBudget(t *testing.T) {
 
 func TestClippedClientMatchesUnclippedWithinBudget(t *testing.T) {
 	// When the stream respects the bound, clipping must be a no-op: same
-	// reports for the same seed.
+	// reports for the same seed as a client whose clip never binds.
 	d := 16
 	fs := frFactories(t, d, 3, 1.0)
 	vals := []uint8{0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
-	a := NewClippedClient(0, d, 3, fs, rng.New(45, 46))
+	a := NewClient(0, d, fs, rng.New(45, 46))
 	b := NewClient(0, d, fs, rng.New(45, 46))
+	b.clip.k = d
 	for tt := 1; tt <= d; tt++ {
 		ra, oka := a.Observe(vals[tt-1] != 0)
 		rb, okb := b.Observe(vals[tt-1] != 0)
@@ -268,16 +287,6 @@ func TestClippedClientMatchesUnclippedWithinBudget(t *testing.T) {
 			t.Fatalf("t=%d: clipped %v/%v, unclipped %v/%v", tt, ra, oka, rb, okb)
 		}
 	}
-}
-
-func TestClippedClientPanicsOnBadBudget(t *testing.T) {
-	fs := frFactories(t, 4, 1, 1.0)
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 did not panic")
-		}
-	}()
-	NewClippedClient(0, 4, 0, fs, rng.New(1, 1))
 }
 
 func TestServerDeterministicAggregation(t *testing.T) {

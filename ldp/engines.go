@@ -1,7 +1,6 @@
 package ldp
 
 import (
-	"errors"
 	"fmt"
 
 	"rtf/internal/central"
@@ -59,27 +58,22 @@ func init() {
 // Client engines.
 
 // frameworkClients builds per-user framework clients sharing one factory
-// table (and so one annulus computation) across all users.
+// table (and so one annulus computation) across all users. Each clips
+// its stream at p.K (protocol.Client).
 func frameworkClients(kind protocol.RandomizerKind) func(p Params) (ClientBuilder, error) {
 	return func(p Params) (ClientBuilder, error) {
 		factories, err := kind.Factories(p.D, p.K, p.Eps)
 		if err != nil {
 			return nil, err
 		}
-		d, clipK := p.D, 0
-		if p.Clip {
-			clipK = p.K
-		}
+		d := p.D
 		return func(user int, seed int64) (ClientEngine, error) {
-			return protocol.NewSeededClient(user, d, clipK, factories, seed), nil
+			return protocol.NewSeededClient(user, d, factories, seed), nil
 		}, nil
 	}
 }
 
 func erlingssonClients(p Params) (ClientBuilder, error) {
-	if p.Clip {
-		return nil, errors.New("ldp: clipping applies to framework mechanisms only")
-	}
 	if p.K < 1 {
 		return nil, fmt.Errorf("ldp: sparsity bound %d < 1", p.K)
 	}
@@ -109,9 +103,6 @@ func (c naiveClientEngine) Observe(value bool) (Report, bool) {
 }
 
 func naiveClients(p Params) (ClientBuilder, error) {
-	if p.Clip {
-		return nil, errors.New("ldp: clipping applies to framework mechanisms only")
-	}
 	if !(p.Eps > 0) {
 		return nil, fmt.Errorf("ldp: epsilon %v must be positive", p.Eps)
 	}
@@ -122,9 +113,6 @@ func naiveClients(p Params) (ClientBuilder, error) {
 }
 
 func centralClients(p Params) (ClientBuilder, error) {
-	if p.Clip {
-		return nil, errors.New("ldp: clipping applies to framework mechanisms only")
-	}
 	d := p.D
 	return func(user int, seed int64) (ClientEngine, error) {
 		return central.NewClient(user, d), nil

@@ -105,7 +105,6 @@ type config struct {
 	k    int
 	eps  float64
 	seed int64
-	clip bool
 
 	// Domain encoding selection (domain constructors only). encoding ""
 	// means exact; buckets/hashSeed and the split (epsPerm, eps1, set by
@@ -137,7 +136,7 @@ func (c config) params(d int) (Params, error) {
 	if err := probmath.CheckVerifiedK(c.k); err != nil {
 		return Params{}, fmt.Errorf("ldp: %w", err)
 	}
-	return Params{D: d, K: c.k, Eps: c.eps, Clip: c.clip, Seed: c.seed}, nil
+	return Params{D: d, K: c.k, Eps: c.eps, Seed: c.seed}, nil
 }
 
 // WithMechanism selects the protocol (default FutureRand). Clients and
@@ -148,17 +147,18 @@ func WithMechanism(p Protocol) Option { return func(c *config) { c.mech = p } }
 func WithEpsilon(eps float64) Option { return func(c *config) { c.eps = eps } }
 
 // WithSparsity sets the per-user bound k on value changes (default 1,
-// at most 1024, the largest k whose privacy is verified exactly).
+// at most 1024, the largest k whose privacy is verified exactly). A
+// FutureRand, Independent or Bun client clips its stream at k: after
+// the k-th change it keeps the value that change set and reports on,
+// so a stream past the bound costs accuracy, never a refusal or a
+// panic, and the guarantee holds for every stream. A domain client
+// clips the same way at the indicator level, through the Boolean
+// client it wraps.
 func WithSparsity(k int) Option { return func(c *config) { c.k = k } }
 
 // WithSeed seeds the constructed object's randomness (a client's
 // randomizer; the central mechanism's server-side noise). Default 0.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithClipping freezes a client's effective stream after the k-th
-// change, keeping the sparsity contract on streams that exceed the
-// bound (framework mechanisms only).
-func WithClipping() Option { return func(c *config) { c.clip = true } }
 
 // WithDomainEncoding selects the domain encoding for the domain
 // constructors: "exact" (the default — one server row per catalogue
@@ -228,13 +228,6 @@ func NewClient(user, d int, opts ...Option) (*Client, error) {
 		return nil, err
 	}
 	return f.NewClient(user, perUserSeed(cfg.seed, user))
-}
-
-// NewClippedClient is NewClient with WithClipping: the effective stream
-// freezes after the k-th change, trading bias on hyper-active users for
-// an intact privacy and sparsity contract.
-func NewClippedClient(user, d int, opts ...Option) (*Client, error) {
-	return NewClient(user, d, append(append([]Option{}, opts...), WithClipping())...)
 }
 
 // checkUser refuses a negative user id, once for every mechanism: the

@@ -143,12 +143,13 @@ func TestConstructorsRefuseUnverifiedK(t *testing.T) {
 	}
 }
 
+// TestClippedClientPublic feeds a client at the default k = 1 a stream
+// with 4 changes: it clips, so it neither panics nor skips a report.
 func TestClippedClientPublic(t *testing.T) {
-	c, err := NewClippedClient(0, 8, WithSeed(3))
+	c, err := NewClient(0, 8, WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Feed a stream with 4 changes; must not panic with budget 1.
 	vals := []bool{true, false, true, false, false, false, false, false}
 	reports := 0
 	for _, v := range vals {
@@ -159,10 +160,10 @@ func TestClippedClientPublic(t *testing.T) {
 	if want := 8 >> uint(c.Order()); reports != want {
 		t.Errorf("%d reports, want %d", reports, want)
 	}
-	if _, err := NewClippedClient(0, 6); err == nil {
+	if _, err := NewClient(0, 6); err == nil {
 		t.Error("bad d accepted")
 	}
-	if _, err := NewClippedClient(0, 8, WithSparsity(0)); err == nil {
+	if _, err := NewClient(0, 8, WithSparsity(0)); err == nil {
 		t.Error("k=0 accepted")
 	}
 }

@@ -10,13 +10,13 @@ import (
 // Params carries the protocol parameters shared by a mechanism's
 // clients and server. D is the horizon (a power of two: the ldp
 // constructors check it before they call a factory), K the per-user
-// sparsity bound, Eps the privacy budget. Clip enables client-side
-// change clipping (framework mechanisms only); Seed seeds server-side
-// noise for mechanisms that draw any (the central baseline).
+// sparsity bound, Eps the privacy budget, Seed the seed of server-side
+// noise for mechanisms that draw any (the central baseline). A client
+// must accept any stream: the framework clients clip theirs at K, the
+// k-th change's value held from then on.
 type Params struct {
 	D, K int
 	Eps  float64
-	Clip bool
 	Seed int64
 }
 
@@ -59,6 +59,13 @@ type ClientBuilder func(user int, seed int64) (ClientEngine, error)
 // declaration, which the streaming API dispatches to. The six paper
 // protocols are registered at init; external packages may Register
 // additional mechanisms under new Protocol names.
+//
+// Every client takes every stream. FutureRand, Independent and Bun
+// clip theirs at K, freezing the effective stream after its K-th
+// change; Erlingsson keeps one of the first K changes, uniformly, so
+// its ×K estimator counts the K-clipped stream; the naive split has no
+// K. The central baseline's clients send raw values to a trusted
+// curator, whose noise scale Δ = K·(1+log₂ D) assumes the bound.
 //
 // What a mechanism can be served on follows from what it provides. A
 // mechanism that sets EstimatorScale is dyadic (Dyadic): its server is

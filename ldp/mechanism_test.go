@@ -1,6 +1,8 @@
 package ldp
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -190,6 +192,106 @@ func TestStreamingAllMechanisms(t *testing.T) {
 	}
 }
 
+// TestEveryClientTakesEveryStream feeds every registered mechanism's
+// client — the Boolean one, and for a dyadic mechanism the exact and the
+// loloha domain client — streams with up to d changes, far past k. No
+// client may panic, and each must report at exactly the periods t with
+// 2^h | t: a stream past the bound is clipped, never refused, so when a
+// user's reports stop is never a function of the user's data.
+func TestEveryClientTakesEveryStream(t *testing.T) {
+	const d, k, users = 64, 2, 200
+	// run feeds one client the d periods of its stream through observe,
+	// recovering a panic into an error.
+	run := func(order int, observe func(t int) (Report, bool, error)) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		for p := 1; p <= d; p++ {
+			r, ok, err := observe(p)
+			if err != nil {
+				return err
+			}
+			if want := p%(1<<order) == 0; ok != want {
+				return fmt.Errorf("t=%d, order %d: reported %v, want %v", p, order, ok, want)
+			}
+			if ok && (r.Order != order || r.J != p>>order) {
+				return fmt.Errorf("t=%d, order %d: report %+v", p, order, r)
+			}
+		}
+		return nil
+	}
+	// each runs users clients, failing with how many broke and the first
+	// error.
+	each := func(t *testing.T, client func(u int) error) {
+		failed, first := 0, error(nil)
+		for u := 0; u < users; u++ {
+			if err := client(u); err != nil {
+				failed++
+				first = cmp.Or(first, fmt.Errorf("user %d: %w", u, err))
+			}
+		}
+		if failed > 0 {
+			t.Fatalf("%d of %d clients failed; first: %v", failed, users, first)
+		}
+	}
+	for _, m := range Mechanisms() {
+		opts := []Option{WithMechanism(m.Protocol), WithSparsity(k), WithEpsilon(1)}
+		t.Run(string(m.Protocol), func(t *testing.T) {
+			t.Run("boolean", func(t *testing.T) {
+				f, err := NewClientFactory(d, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				each(t, func(u int) error {
+					c, err := f.NewClient(u, int64(u))
+					if err != nil {
+						t.Fatal(err)
+					}
+					every := 1 + u%8 // the value flips every `every` periods
+					return run(c.Order(), func(p int) (Report, bool, error) {
+						r, ok := c.Observe(p/every%2 == 1)
+						return r, ok, nil
+					})
+				})
+			})
+			if !m.Dyadic() {
+				return
+			}
+			for _, enc := range []struct {
+				name string
+				m    int
+				opts []Option
+			}{
+				{"exact", 16, nil},
+				{"loloha", 64, []Option{WithDomainEncoding("loloha"), WithBuckets(4), WithHashSeed(42)}},
+			} {
+				t.Run(enc.name, func(t *testing.T) {
+					f, err := NewDomainClientFactory(d, enc.m, append(enc.opts, opts...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					each(t, func(u int) error {
+						c, err := f.NewClient(u, int64(u))
+						if err != nil {
+							t.Fatal(err)
+						}
+						step := 1 + u%3 // the value changes every period
+						return run(c.Order(), func(p int) (Report, bool, error) {
+							r, ok, err := c.Observe((u*7 + p*step) % enc.m)
+							if ok && r.Item != c.Item() {
+								err = fmt.Errorf("t=%d: report item %d, client item %d", p, r.Item, c.Item())
+							}
+							return r.Report, ok, err
+						})
+					})
+				})
+			}
+		})
+	}
+}
+
 func TestQueryValidation(t *testing.T) {
 	srv, err := NewServer(16)
 	if err != nil {
@@ -237,16 +339,6 @@ func TestIngestRejectsNegativeUser(t *testing.T) {
 }
 
 func TestStreamingConstructorErrors(t *testing.T) {
-	// Clipping is a framework-mechanism feature.
-	for _, p := range []Protocol{Erlingsson, NaiveSplit, CentralBinary} {
-		if _, err := NewClippedClient(0, 16, WithMechanism(p)); err == nil {
-			t.Errorf("%s: clipped client accepted", p)
-		}
-	}
-	// Clipped framework clients still work through options.
-	if _, err := NewClippedClient(0, 16, WithMechanism(Bun), WithSparsity(2)); err != nil {
-		t.Errorf("bun clipped client rejected: %v", err)
-	}
 	// Bad parameters surface from every mechanism's validation.
 	for _, p := range allProtocols {
 		if _, err := NewServer(15, WithMechanism(p)); err == nil {

@@ -60,18 +60,16 @@ func hashReport(h hash.Hash64, fields ...int) {
 	}
 }
 
-// boolGolden runs the 32 Boolean users of one mechanism. Clipped
-// clients get up to 2k changes, so the freeze path is exercised;
-// unclipped ones stay within the sparsity contract.
+// boolGolden runs the 32 Boolean users of one mechanism. Clipped rows
+// feed up to 2k changes, so the freeze path every client takes past k
+// is exercised; the others stay within the sparsity contract.
 func boolGolden(t *testing.T, mech Protocol, clip bool) []goldenStream {
 	t.Helper()
-	opts := []Option{WithMechanism(mech), WithEpsilon(1), WithSparsity(goldenK)}
 	maxChanges := goldenK
 	if clip {
-		opts = append(opts, WithClipping())
 		maxChanges = 2 * goldenK
 	}
-	f, err := NewClientFactory(goldenD, opts...)
+	f, err := NewClientFactory(goldenD, WithMechanism(mech), WithEpsilon(1), WithSparsity(goldenK))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +110,6 @@ func domainGolden(t *testing.T, m int, clip bool, opts ...Option) []goldenStream
 	opts = append([]Option{WithEpsilon(1), WithSparsity(goldenK)}, opts...)
 	maxChanges := goldenK
 	if clip {
-		opts = append(opts, WithClipping())
 		maxChanges = 2 * goldenK
 	}
 	f, err := NewDomainClientFactory(goldenD, m, opts...)
@@ -363,8 +360,8 @@ var (
 			0x03d6439a8915c11c, 0xcd05d7921e2ff335, 0x1513290972075f44, 0x49d6087dc9ba405e,
 		},
 	}
-	// The two clipped domain rows were generated at commit 9da7538, with
-	// clipping still an option, switched on.
+	// The two clipped domain rows were generated at commit 9da7538, where
+	// clipping was an option, with it switched on.
 	goldenDomainExactClipped = goldenWant{
 		orders: "53650004224610011222163254661236",
 		sums: []uint64{
