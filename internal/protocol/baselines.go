@@ -18,7 +18,9 @@ import (
 // is perturbed with the basic randomizer R at ε̃ = ε/2. Because every
 // change survives with probability exactly 1/k — even for users with
 // fewer than k changes — the server multiplies its estimator by k and
-// remains unbiased.
+// remains unbiased. A change past the k-th is never kept, so on a
+// stream with more changes the estimate is of the k-clipped stream, the
+// one a framework client perturbs (ClipStream).
 
 // ErlingssonClient implements the baseline client. Like Client it must
 // not be copied once built.

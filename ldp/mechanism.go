@@ -13,7 +13,7 @@ import (
 // sparsity bound, Eps the privacy budget, Seed the seed of server-side
 // noise for mechanisms that draw any (the central baseline). A client
 // must accept any stream: the framework clients clip theirs at K, the
-// k-th change's value held from then on.
+// K-th change's value held from then on.
 type Params struct {
 	D, K int
 	Eps  float64
