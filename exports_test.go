@@ -27,7 +27,8 @@ var exportAllowlist = map[string]string{
 	"rtf/internal/probmath.Annulus.DistanceProb":    "core's tests check the sampler's distance law against it",
 	"rtf/internal/probmath.Annulus.CGapLogSpace":    "root BenchmarkCGapLogSpace times it against CGap",
 	"rtf/internal/sparse.SupportAtOrder":            "protocol's tests count the reports a user sends with it",
-	"rtf/internal/protocol.Sharded.IngestSum":       "root BenchmarkAnswerSeriesCold fills a server with it",
+	"rtf/internal/protocol.Server.UsersAtOrder":     "transport's lock tests read the serial oracle's per-order counts with it",
+	"rtf/internal/protocol.Server.IntervalSums":     "transport's lock tests read the serial oracle's interval sums with it",
 	"rtf/internal/wire.Decoder.Next":                "transport's codec tests and fuzzers and root BenchmarkIngestSingleMessage decode with it",
 	"rtf/internal/wire.Encoder.EncodeBatch":         "no shipped client sends MsgBatch since ldp.Conn, but the fronts still serve it, and transport's, cluster's and wire's tests encode it",
 	"rtf/internal/wire.Msg.Report":                  "transport's, cluster's and integration's tests feed a generated message's report to their serial oracle",

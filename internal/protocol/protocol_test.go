@@ -621,6 +621,14 @@ func (s *Server) IntervalEstimate(iv dyadic.Interval) float64 {
 	return s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
 }
 
+// IngestSum adds a pre-aggregated sum of ±1 bits for one interval.
+func (s *Server) IngestSum(iv dyadic.Interval, sum int64) {
+	s.sums[s.tree.FlatIndex(iv)] += sum
+}
+
+// Tree returns the dyadic index used by this server.
+func (s *Server) Tree() *dyadic.Tree { return s.tree }
+
 // Merge adds another server's accumulated state into s. Both must have
 // the same horizon and scale.
 func (s *Server) Merge(o *Server) {

@@ -17,7 +17,10 @@ import (
 // k·(1+log₂ d)·c_gap⁻¹ for the Erlingsson et al. baseline (Section 6).
 //
 // The server is online: an estimate at time t uses only intervals ending
-// at or before t, whose reports have all arrived by time t.
+// at or before t, whose reports have all arrived by time t. It is the
+// serial reference: ldp.Server's engine for the dyadic mechanisms, and
+// the oracle that the sharded accumulators' tests compare against bit for
+// bit. The simulator and the served collectors run Sharded.
 type Server struct {
 	d        int
 	scale    float64
@@ -76,13 +79,6 @@ func (s *Server) Ingest(r Report) {
 	s.sums[flat] += int64(r.Bit)
 }
 
-// IngestSum adds a pre-aggregated sum of ±1 bits for one interval; the
-// fast simulation engine uses this to inject binomially-sampled zero-
-// coordinate noise without materializing individual reports.
-func (s *Server) IngestSum(iv dyadic.Interval, sum int64) {
-	s.sums[s.tree.FlatIndex(iv)] += sum
-}
-
 // EstimateAt returns â[t] via the dyadic decomposition C(t) (line 6).
 func (s *Server) EstimateAt(t int) float64 {
 	var buf [dyadic.MaxCover]dyadic.Interval
@@ -128,8 +124,8 @@ func (s *Server) EstimateChange(l, r int) float64 {
 	return est
 }
 
-// IntervalSums exposes the raw per-interval bit sums (for the consistency
-// post-processing extension, which re-weights them).
+// IntervalSums exposes the raw per-interval bit sums, in flat tree
+// order: the state a sharded accumulator's Fold must reproduce.
 func (s *Server) IntervalSums() []int64 { return s.sums }
 
 // MergeRaw folds raw accumulator state — a user count, per-order user
@@ -167,9 +163,6 @@ func (s *Server) MergeRaw(users int64, perOrder, sums []int64) error {
 
 // Scale returns the estimator scale.
 func (s *Server) Scale() float64 { return s.scale }
-
-// Tree returns the dyadic index used by this server.
-func (s *Server) Tree() *dyadic.Tree { return s.tree }
 
 // D returns the horizon.
 func (s *Server) D() int { return s.d }

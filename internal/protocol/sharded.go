@@ -13,8 +13,8 @@ import (
 // exactness argument and the lock discipline. Every method is the
 // matrix's at row 0, so estimates are bit-for-bit a serial Server's fed
 // the same reports, in any order and under any shard assignment. The
-// parallel simulation engine and the rtf-serve Boolean ingest service
-// are both built on this type.
+// fast simulation engines and the rtf-serve Boolean ingest service are
+// both built on this type.
 type Sharded struct{ m *DomainSharded }
 
 // NewSharded builds a sharded accumulator for horizon d with the given
@@ -47,9 +47,8 @@ func (s *Sharded) Scale() float64 { return s.m.scale }
 func (s *Sharded) Lock(shard int) DomainWriter { return s.m.Lock(shard) }
 
 // IngestSum adds a pre-aggregated sum of ±1 bits for one interval into
-// the given shard: a run of one. Only tests and benchmarks call it, the
-// root package's BenchmarkAnswerSeriesCold and transport's
-// TestSeriesMemoAllocFree among them.
+// the given shard: a run of one. The fast simulation engines inject the
+// fair coins of every zero partial sum through it as one draw.
 func (s *Sharded) IngestSum(shard int, iv dyadic.Interval, sum int64) {
 	w := s.m.Lock(shard)
 	defer w.Unlock()
@@ -160,16 +159,4 @@ func (s *Sharded) MarshalShard(shard int) []byte { return (&Sharded{s.m.shard(sh
 // ReplaceShard is DomainSharded.ReplaceShard with a kind-1 payload.
 func (s *Sharded) ReplaceShard(shard int, b []byte) error {
 	return s.m.replace(shard, func(m *DomainSharded, b []byte) error { return (&Sharded{m}).RestoreState(b) }, b)
-}
-
-// MergeSharded folds a sharded accumulator's state into s, the same way
-// Merge folds another serial server — a point-in-time cut of o. Both
-// must have the same horizon and scale.
-func (s *Server) MergeSharded(o *Sharded) {
-	if o.D() != s.d || o.Scale() != s.scale {
-		panic("protocol: merging incompatible servers")
-	}
-	if err := s.MergeRaw(o.Fold()); err != nil {
-		panic(err)
-	}
 }

@@ -132,7 +132,9 @@ func TestMergeShardedIntoNonEmpty(t *testing.T) {
 	srv.IngestSum(iv, 5)
 	acc := NewSharded(d, 2, 4)
 	acc.IngestSum(2, iv, 7)
-	srv.MergeSharded(acc)
+	if err := srv.MergeRaw(acc.Fold()); err != nil {
+		t.Fatal(err)
+	}
 	if got, want := srv.IntervalEstimate(iv), 2*float64(12); got != want {
 		t.Fatalf("merged estimate: got %v, want %v", got, want)
 	}
@@ -155,8 +157,9 @@ func TestShardedPanics(t *testing.T) {
 	acc := NewSharded(8, 1, 2)
 	mustPanic("bad bit", func() { acc.Ingest(0, Report{Order: 0, J: 1, Bit: 0}) })
 	mustPanic("bad order", func() { acc.Register(0, 99) })
-	srv := NewServer(16, 1)
-	mustPanic("incompatible merge", func() { srv.MergeSharded(acc) })
+	if err := NewServer(16, 1).MergeRaw(acc.Fold()); err == nil {
+		t.Fatal("incompatible merge accepted")
+	}
 }
 
 // TestPrefixSeriesEqualsEstimateAt: at every horizon d ∈ {2 … 2¹²},
@@ -245,6 +248,8 @@ func (s *Sharded) Ingest(shard int, r Report) { s.m.Ingest(shard, 0, r) }
 // post-processing are available.
 func (s *Sharded) Snapshot() *Server {
 	srv := NewServer(s.m.d, s.m.scale)
-	srv.MergeSharded(s)
+	if err := srv.MergeRaw(s.Fold()); err != nil {
+		panic(err)
+	}
 	return srv
 }

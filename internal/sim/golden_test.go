@@ -62,3 +62,19 @@ func TestFastEngineGolden(t *testing.T) {
 		t.Errorf("RunServer reads\n got %#x\nwant %#x", got, want)
 	}
 }
+
+// TestOneWorkerIsSerial checks that Workers: 1 is the serial engine bit
+// for bit: a run on one shard draws from the run's RNG itself.
+func TestOneWorkerIsSerial(t *testing.T) {
+	w := genUniform(t, 500, 32, 3)
+	run := func(workers int) []uint64 {
+		est, err := Framework{Kind: protocol.FutureRand, Eps: 1, Workers: workers}.Run(w, rng.New(105, 106))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bits(est...)
+	}
+	if serial, one := run(0), run(1); !slices.Equal(serial, one) {
+		t.Errorf("Workers 1 differs from Workers 0:\n%#x\n%#x", one, serial)
+	}
+}

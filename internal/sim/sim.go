@@ -9,6 +9,10 @@
 //     whose partial sum at a cell is zero are i.i.d. fair coins, so their
 //     sum is sampled directly as 2·Binomial(m,½)−m (exact, via popcount),
 //     while non-zero coordinates still go through the real randomizer.
+//     The framework's engine and the Erlingsson baseline's share one
+//     per-user loop (runFast) over protocol.Sharded, the accumulator the
+//     servers run; they differ only in which partial sums a user
+//     perturbs.
 //
 // Each fast engine is distributionally identical to Exact on its
 // mechanism (TestExactFastEquivalence, TestErlingssonExactFastEquivalence
@@ -23,7 +27,6 @@ import (
 
 	"rtf/internal/central"
 	"rtf/internal/consistency"
-	"rtf/internal/core"
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
 	"rtf/internal/rng"
@@ -92,8 +95,10 @@ func (e Exact) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 type Framework struct {
 	Kind protocol.RandomizerKind
 	Eps  float64
-	// Workers > 0 shards the engine across that many goroutines
-	// (scheduling-independent results); Workers < 0 uses GOMAXPROCS.
+	// Workers splits the users over that many goroutines and shards, each
+	// drawing from its own derived RNG stream (scheduling-independent
+	// results); Workers < 0 uses GOMAXPROCS. At 0 or 1 the one shard draws
+	// from the run's RNG itself.
 	Workers int
 }
 
@@ -102,103 +107,28 @@ func (f Framework) Name() string { return f.Kind.String() + "-fast" }
 
 // Run implements System.
 func (f Framework) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
-	srv, err := f.RunServer(w, g)
+	acc, err := f.RunServer(w, g)
 	if err != nil {
 		return nil, err
 	}
-	return srv.EstimateSeries(), nil
+	return acc.EstimateSeries(), nil
 }
 
-// RunServer executes the protocol and returns the server, exposing the
-// per-interval state for post-processing (consistency extension).
-func (f Framework) RunServer(w *workload.Workload, g *rng.RNG) (*protocol.Server, error) {
+// RunServer executes the protocol and returns the accumulator, exposing
+// the per-interval state for range reads and post-processing
+// (consistency extension).
+func (f Framework) RunServer(w *workload.Workload, g *rng.RNG) (*protocol.Sharded, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	k := max(w.K, 1)
-	factories, err := f.Kind.Factories(w.D, k, f.Eps)
+	factories, err := f.Kind.Factories(w.D, max(w.K, 1), f.Eps)
 	if err != nil {
 		return nil, err
 	}
-	srv := protocol.NewServer(w.D, protocol.EstimatorScale(w.D, factories[0].CGap()))
-	if f.Workers != 0 {
-		runFrameworkFastParallel(w, factories, srv, g, f.Workers)
-	} else {
-		runFrameworkFast(w, factories, srv, g)
-	}
-	return srv, nil
-}
-
-// runFrameworkFast runs non-zero partial sums through the real randomizer
-// per user, then injects the aggregate of the zero-coordinate fair coins
-// per interval.
-func runFrameworkFast(w *workload.Workload, factories []core.Factory, srv *protocol.Server, g *rng.RNG) {
-	tree := srv.Tree()
-	nonzero := make([]int, tree.Size())
-	for u, us := range w.Users {
-		h := protocol.SampleOrder(g, w.D)
-		srv.Register(h)
-		if us.NumChanges() == 0 {
-			continue
-		}
-		inst := factories[h].NewInstance(g)
-		for _, nz := range nonzeroPartialSums(us, h) {
-			bit := inst.Perturb(nz.sign)
-			srv.Ingest(protocol.Report{User: u, Order: h, J: nz.j, Bit: bit})
-			nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: nz.j})]++
-		}
-	}
-	injectZeroCoins(srv, nonzero, g)
-}
-
-// nzSum is a non-zero partial sum at interval index j of the user's order.
-type nzSum struct {
-	j    int
-	sign int8
-}
-
-// nonzeroPartialSums lists, in increasing j, the intervals of order h over
-// which the user's value changes an odd number of times, with the sign of
-// the resulting partial sum (+1 for a net 0→1 transition across the
-// interval, −1 for 1→0).
-func nonzeroPartialSums(us workload.UserStream, h int) []nzSum {
-	var out []nzSum
-	i := 0
-	n := len(us.ChangeTimes)
-	parityBefore := 0 // value entering the current interval
-	for i < n {
-		j := (us.ChangeTimes[i] - 1) >> uint(h) // 0-based interval index
-		cnt := 0
-		for i < n && (us.ChangeTimes[i]-1)>>uint(h) == j {
-			cnt++
-			i++
-		}
-		if cnt%2 == 1 {
-			sign := int8(1)
-			if parityBefore == 1 {
-				sign = -1
-			}
-			out = append(out, nzSum{j: j + 1, sign: sign})
-			parityBefore ^= 1
-		}
-	}
-	return out
-}
-
-// injectZeroCoins adds, for every interval, the exact aggregate of the
-// fair ±1 coins reported by users whose partial sum there was zero.
-func injectZeroCoins(srv *protocol.Server, nonzero []int, g *rng.RNG) {
-	tree := srv.Tree()
-	for h := 0; h <= dyadic.Log2(srv.D()); h++ {
-		uh := srv.UsersAtOrder(h)
-		for j := 1; j <= dyadic.CountAtOrder(srv.D(), h); j++ {
-			iv := dyadic.Interval{Order: h, Index: j}
-			zeros := uh - nonzero[tree.FlatIndex(iv)]
-			if zeros > 0 {
-				srv.IngestSum(iv, int64(g.SignedBinomialHalfSum(zeros)))
-			}
-		}
-	}
+	scale := protocol.EstimatorScale(w.D, factories[0].CGap())
+	return runFast(w, factories, scale, f.Workers, g, func(dst []nzSum, us workload.UserStream, h int, _ *rng.RNG) ([]nzSum, bool) {
+		return nonzeroPartialSums(dst, us, h), us.NumChanges() > 0
+	}), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -216,25 +146,26 @@ func (c Consistent) Name() string { return c.Framework.Name() + "+consistent" }
 
 // Run implements System.
 func (c Consistent) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
-	srv, err := c.RunServer(w, g)
+	acc, err := c.RunServer(w, g)
 	if err != nil {
 		return nil, err
 	}
-	tree := srv.Tree()
-	est := make([]float64, tree.Size())
-	for i, s := range srv.IntervalSums() {
-		est[i] = srv.Scale() * float64(s)
+	_, perOrder, sums := acc.Fold()
+	est := make([]float64, len(sums))
+	for i, s := range sums {
+		est[i] = acc.Scale() * float64(s)
 	}
 	// Var Ŝ(I_{h,j}) ≤ |U_h|·scale² (each report contributes scale·(±1)
 	// with variance ≤ scale²); orders with no users carry no information.
-	varByOrder := make([]float64, dyadic.NumOrders(w.D))
-	for h := range varByOrder {
-		if uh := srv.UsersAtOrder(h); uh > 0 {
-			varByOrder[h] = float64(uh) * srv.Scale() * srv.Scale()
+	varByOrder := make([]float64, len(perOrder))
+	for h, uh := range perOrder {
+		if uh > 0 {
+			varByOrder[h] = float64(uh) * acc.Scale() * acc.Scale()
 		} else {
 			varByOrder[h] = math.Inf(1)
 		}
 	}
+	tree := dyadic.NewTree(w.D)
 	smooth := consistency.Smooth(tree, est, varByOrder)
 	return consistency.SeriesFromTree(tree, smooth), nil
 }
@@ -261,15 +192,10 @@ func (e Erlingsson) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := protocol.NewServer(w.D, protocol.ErlingssonScale(w.D, k, e.Eps))
-	tree := srv.Tree()
-	nonzero := make([]int, tree.Size())
-	for u, us := range w.Users {
-		h := protocol.SampleOrder(g, w.D)
-		srv.Register(h)
+	acc := runFast(w, factories, protocol.ErlingssonScale(w.D, k, e.Eps), 0, g, func(dst []nzSum, us workload.UserStream, h int, g *rng.RNG) ([]nzSum, bool) {
 		keep := g.IntN(k) // keep change #keep (0-based) if it exists
 		if keep >= us.NumChanges() {
-			continue
+			return dst, false
 		}
 		// The sparsified derivative has a single non-zero coordinate at
 		// the kept change time; changes alternate 0→1, 1→0, ... from the
@@ -278,13 +204,9 @@ func (e Erlingsson) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 		if keep%2 == 1 {
 			sign = -1
 		}
-		inst := factories[h].NewInstance(g)
-		j := (us.ChangeTimes[keep]-1)>>uint(h) + 1
-		srv.Ingest(protocol.Report{User: u, Order: h, J: j, Bit: inst.Perturb(sign)})
-		nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: j})]++
-	}
-	injectZeroCoins(srv, nonzero, g)
-	return srv.EstimateSeries(), nil
+		return append(dst, nzSum{j: (us.ChangeTimes[keep]-1)>>uint(h) + 1, sign: sign}), true
+	})
+	return acc.EstimateSeries(), nil
 }
 
 // ---------------------------------------------------------------------------

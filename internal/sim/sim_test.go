@@ -36,7 +36,7 @@ func TestNonzeroPartialSums(t *testing.T) {
 		us := workload.UserStream{ChangeTimes: times}
 		vals := us.Values(d)
 		for h := 0; h <= 6; h++ {
-			got := nonzeroPartialSums(us, h)
+			got := nonzeroPartialSums(nil, us, h)
 			// Brute force over intervals of order h.
 			gi := 0
 			for j := 1; j <= d>>uint(h); j++ {

@@ -40,7 +40,9 @@ func ingestAt(acc *protocol.Sharded, shard int, r protocol.Report) {
 // snapshotOf folds a Boolean accumulator into a serial server.
 func snapshotOf(acc *protocol.Sharded) *protocol.Server {
 	srv := protocol.NewServer(acc.D(), acc.Scale())
-	srv.MergeSharded(acc)
+	if err := srv.MergeRaw(acc.Fold()); err != nil {
+		panic(err)
+	}
 	return srv
 }
 
