@@ -12,41 +12,40 @@ import (
 	"rtf/internal/sim"
 	"rtf/internal/stats"
 	"rtf/internal/workload"
+	"rtf/ldp"
 )
 
-// runClipped runs one FutureRand client per user at sparsity bound
-// kProto, which may be below the workload's true maximum, so the
-// clients clip. It returns the estimate series and the clipping bias:
-// the ℓ∞ distance between the true counts and the counts of the clipped
-// effective streams (the systematic error floor clipping introduces).
+// runClipped runs the shipped FutureRand client and server (sim.Exact)
+// at sparsity bound kProto, which may be below the workload's true
+// maximum, over the workload clipped at kProto: the client's own clip is
+// the identity on a clipped stream, so its reports have the law of a
+// client clipping the raw one. It returns the estimate series and the
+// clipping bias: the ℓ∞ distance between the true counts and the counts
+// of the clipped effective streams (the systematic error floor clipping
+// introduces).
 func runClipped(wl *workload.Workload, kProto int, eps float64, g *rng.RNG) ([]float64, float64, error) {
-	factories, err := protocol.FutureRandFactories(wl.D, kProto, eps)
-	if err != nil {
-		return nil, 0, err
-	}
-	srv := protocol.NewServer(wl.D, protocol.EstimatorScale(wl.D, factories[0].CGap()))
-	clippedTruth := make([]int, wl.D)
+	clipped := &workload.Workload{N: wl.N, D: wl.D, K: kProto, Users: make([]workload.UserStream, wl.N)}
 	for u, us := range wl.Users {
-		c := protocol.NewClient(u, wl.D, factories, g)
-		srv.Register(c.Order())
-		vals := us.Values(wl.D)
-		for t, v := range protocol.ClipStream(vals, kProto) {
-			clippedTruth[t] += int(v)
-		}
-		for _, v := range vals {
-			if rep, ok := c.Observe(v != 0); ok {
-				srv.Ingest(rep)
+		var prev uint8
+		for t, v := range protocol.ClipStream(us.Values(wl.D), kProto) {
+			if v != prev {
+				clipped.Users[u].ChangeTimes = append(clipped.Users[u].ChangeTimes, t+1)
+				prev = v
 			}
 		}
 	}
-	truth := wl.Truth()
+	est, err := sim.Exact{Protocol: ldp.FutureRand, Eps: eps}.Run(clipped, g)
+	if err != nil {
+		return nil, 0, err
+	}
+	truth, clippedTruth := wl.Truth(), clipped.Truth()
 	bias := 0.0
 	for i := range truth {
 		if d := math.Abs(float64(truth[i] - clippedTruth[i])); d > bias {
 			bias = d
 		}
 	}
-	return srv.EstimateSeries(), bias, nil
+	return est, bias, nil
 }
 
 // scalingSystems are the head-to-head protocols for E1–E4.
