@@ -157,32 +157,39 @@ func init() {
 	})
 }
 
-// runLossy executes the exact FutureRand protocol with a lossy link on
-// the report path (order announcements are assumed reliable — they are
-// one-time registration). It returns the raw estimate series, the
+// runLossy runs the shipped FutureRand client factory and server with a
+// lossy link on the report path (order announcements are assumed
+// reliable — they are one-time registration); each client is seeded from
+// g, as sim.Exact seeds them. It returns the raw estimate series, the
 // loss-rescaled series (bits scaled by 1/(1−p)), and delivery counts.
 func runLossy(wl *workload.Workload, eps, dropProb float64, g *rng.RNG) (raw, rescaled []float64, delivered, total int, err error) {
-	k := wl.K
-	if k < 1 {
-		k = 1
-	}
-	factories, err := protocol.FutureRandFactories(wl.D, k, eps)
+	opts := []ldp.Option{ldp.WithMechanism(ldp.FutureRand), ldp.WithEpsilon(eps), ldp.WithSparsity(max(wl.K, 1))}
+	srv, err := ldp.NewServer(wl.D, opts...)
 	if err != nil {
 		return nil, nil, 0, 0, err
 	}
-	srv := protocol.NewServer(wl.D, protocol.EstimatorScale(wl.D, factories[0].CGap()))
+	factory, err := ldp.NewClientFactory(wl.D, opts...)
+	if err != nil {
+		return nil, nil, 0, 0, err
+	}
 	link := NewLossyLink(dropProb, g)
 	for u, us := range wl.Users {
-		c := protocol.NewClient(u, wl.D, factories, g)
-		srv.Register(c.Order())
-		vals := us.Values(wl.D)
-		for t := 1; t <= wl.D; t++ {
-			if rep, ok := c.Observe(vals[t-1] != 0); ok && link.Deliver() {
-				srv.Ingest(rep)
+		c, err := factory.NewClient(u, g.Int64())
+		if err != nil {
+			return nil, nil, 0, 0, err
+		}
+		if err := srv.Register(c.Order()); err != nil {
+			return nil, nil, 0, 0, err
+		}
+		for _, v := range us.Values(wl.D) {
+			if rep, ok := c.Observe(v != 0); ok && link.Deliver() {
+				if err := srv.Ingest(rep); err != nil {
+					return nil, nil, 0, 0, err
+				}
 			}
 		}
 	}
-	raw = srv.EstimateSeries()
+	raw = srv.Estimates()
 	rescaled = make([]float64, len(raw))
 	scale := 1 / (1 - dropProb)
 	for i, v := range raw {
