@@ -197,7 +197,7 @@ func runHashedStreaming(t *testing.T, w *DomainWorkload, buckets int, eps float6
 	srv := NewHashedDomainServer(w.D, enc, scale, 1)
 	for u, us := range w.Users {
 		bucket := g.IntN(enc.G)
-		c, err := NewDomainClient(bucket, enc, protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(bucket, enc, protocol.NewSeededClient(u, w.D, factories, g.Int64()))
 		if err != nil {
 			t.Fatal(err)
 		}

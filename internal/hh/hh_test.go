@@ -203,7 +203,7 @@ func runStreaming(t *testing.T, w *DomainWorkload, eps float64, g *rng.RNG) *Dom
 	srv := NewDomainServer(w.D, w.M, scale, 1)
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewSeededClient(u, w.D, factories, g.Int64()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -417,7 +417,7 @@ func TestMergeRawEqualsSerial(t *testing.T) {
 	}
 	for u, us := range w.Users {
 		item := g.IntN(w.M)
-		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewClient(u, w.D, factories, g.Split()))
+		c, err := NewDomainClient(item, ExactEncoding(w.M), protocol.NewSeededClient(u, w.D, factories, g.Int64()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,7 +45,7 @@ func TestWirePathEqualsDirectPath(t *testing.T) {
 		enc := wire.NewEncoder(&buf)
 		g := rng.New(42, 43) // same client randomness both times
 		for u, us := range w.Users {
-			c := protocol.NewClient(u, d, factories, g)
+			c := protocol.NewSeededClient(u, d, factories, g.Int64())
 			srv.Register(c.Order())
 			vals := us.Values(d)
 			for tt := 1; tt <= d; tt++ {
@@ -112,7 +112,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 			defer wg.Done()
 			wr := acc.Lock(u)
 			defer wr.Unlock()
-			c := protocol.NewClient(u, d, factories, g)
+			c := protocol.NewSeededClient(u, d, factories, g.Int64())
 			wr.Register(0, c.Order())
 			vals := w.Users[u].Values(d)
 			for tt := 1; tt <= d; tt++ {
@@ -154,7 +154,7 @@ func TestNetPipeTransport(t *testing.T) {
 		defer clientEnd.Close()
 		enc := wire.NewEncoder(clientEnd)
 		g := rng.New(11, 12)
-		c := protocol.NewClient(3, d, factories, g)
+		c := protocol.NewSeededClient(3, d, factories, g.Int64())
 		if err := enc.Encode(wire.Hello(3, c.Order())); err != nil {
 			t.Error(err)
 			return

@@ -33,15 +33,14 @@ func SampleOrder(g *rng.RNG, d int) int {
 }
 
 // reporter is what the dyadic clients share: the user's identity and
-// sampled order, the clock, the randomizer M and — for a client built
-// from a seed — the generator M draws from, all held by value so one
-// client is one object.
+// sampled order, the clock, the randomizer M and the generator M draws
+// from, all held by value so one client is one object.
 type reporter struct {
 	user, d, order int
 	t              int
 	mask           int // 2^h − 1: period t reports when t&mask == 0
 	inst           core.Instance
-	own            rng.RNG // unseeded when the caller supplied the generator
+	own            rng.RNG // unseeded when a test supplies the generator
 }
 
 // init fixes the (already sampled) order h and performs M.init from f,
@@ -119,7 +118,7 @@ func ClipStream(st []uint8, k int) []uint8 {
 // It perturbs the effective stream: the raw one clipped at its
 // randomizer's sparsity bound k, so a stream with more than k changes
 // is frozen after the k-th, never refused. A Client must not be copied
-// once built: a seeded one holds the generator its randomizer points at.
+// once built: it holds the generator its randomizer points at.
 type Client struct {
 	reporter
 	clip    clip
@@ -133,28 +132,13 @@ func (c *Client) init(user, d, h int, f core.Factory, g *rng.RNG) {
 	c.clip.k = c.inst.K()
 }
 
-// NewClient builds a client for user u over horizon d. The order h_u is
-// sampled from g, and the randomizer instance is initialized from the
-// order's entry in the per-order factory table (M.init), which keeps
-// drawing from g afterwards. The table must be a framework randomizer's
+// NewSeededClient builds the client for user u over horizon d. Its
+// generator, seeded with seed, lives inside the client, so the client,
+// its randomizer and its generator are one allocation. The order h_u is
+// sampled from it, and the randomizer instance is initialized from the
+// order's entry in the per-order factory table (M.init) and keeps
+// drawing from it. The table must be a framework randomizer's
 // (FutureRand, Independent, Bun): its k is the client's clip bound.
-func NewClient(user, d int, factories []core.Factory, g *rng.RNG) *Client {
-	h := SampleOrder(g, d)
-	return NewClientWithOrder(user, d, h, factories[h], g)
-}
-
-// NewClientWithOrder builds a client with a fixed (already sampled)
-// order h. The factory must be parameterized for sequences of length
-// L = d/2^h.
-func NewClientWithOrder(user, d, h int, f core.Factory, g *rng.RNG) *Client {
-	c := new(Client)
-	c.init(user, d, h, f, g)
-	return c
-}
-
-// NewSeededClient is NewClient drawing the stream rng.NewFromSeed(seed)
-// would produce from a generator inside the client, so the client, its
-// randomizer and its generator are one allocation.
 func NewSeededClient(user, d int, factories []core.Factory, seed int64) *Client {
 	c := new(Client)
 	c.own.Seed(seed)

@@ -76,7 +76,7 @@ func TestClientReportingSchedule(t *testing.T) {
 	fs := frFactories(t, d, 2, 1.0)
 	g := rng.New(3, 4)
 	for h := 0; h <= 5; h++ {
-		c := NewClientWithOrder(7, d, h, fs[h], g)
+		c := newClientWithOrder(7, d, h, fs[h], g)
 		if c.Order() != h || c.User() != 7 {
 			t.Fatalf("metadata wrong: order %d user %d", c.Order(), c.User())
 		}
@@ -126,7 +126,7 @@ func TestClientSumsMatchPartialSums(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared := NewClientWithOrder(0, d, h, fs[h], g)
+			shared := newClientWithOrder(0, d, h, fs[h], g)
 			var seeded *Client
 			for seed := int64(trial); seeded == nil || seeded.Order() != h; seed += 1000 {
 				seeded = NewSeededClient(0, d, fs, seed)
@@ -152,7 +152,7 @@ func TestClientSumsMatchPartialSums(t *testing.T) {
 
 func TestClientTooManyObservations(t *testing.T) {
 	fs := frFactories(t, 4, 1, 1.0)
-	c := NewClientWithOrder(0, 4, 0, fs[0], rng.New(5, 6))
+	c := newClientWithOrder(0, 4, 0, fs[0], rng.New(5, 6))
 	for tt := 0; tt < 4; tt++ {
 		c.Observe(true)
 	}
@@ -169,7 +169,7 @@ func TestNewClientSamplesOrder(t *testing.T) {
 	g := rng.New(7, 8)
 	seen := make(map[int]bool)
 	for i := 0; i < 200; i++ {
-		c := NewClient(i, 16, fs, g)
+		c := NewSeededClient(i, 16, fs, g.Int64())
 		seen[c.Order()] = true
 	}
 	if len(seen) != dyadic.NumOrders(16) {
@@ -184,7 +184,7 @@ func TestClientWithOrderPanics(t *testing.T) {
 			t.Error("order out of range did not panic")
 		}
 	}()
-	NewClientWithOrder(0, 8, 4, fs[0], rng.New(9, 10))
+	newClientWithOrder(0, 8, 4, fs[0], rng.New(9, 10))
 }
 
 // TestClipStream pins the clip rule: the identity through the k-th
@@ -212,7 +212,7 @@ func TestClippedClientSurvivesExcessChanges(t *testing.T) {
 	g := rng.New(41, 42)
 	vals := []uint8{1, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0}
 	for trial := 0; trial < 100; trial++ {
-		c := NewClient(0, d, fs, g)
+		c := NewSeededClient(0, d, fs, g.Int64())
 		n := 0
 		for tt := 1; tt <= d; tt++ {
 			if _, ok := c.Observe(vals[tt-1] != 0); ok {
@@ -241,7 +241,7 @@ func TestClippedClientFreezesAfterBudget(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		var c *Client
 		for {
-			c = NewClient(0, d, fs, g)
+			c = NewSeededClient(0, d, fs, g.Int64())
 			if c.Order() == 0 {
 				break
 			}
@@ -277,8 +277,8 @@ func TestClippedClientMatchesUnclippedWithinBudget(t *testing.T) {
 	d := 16
 	fs := frFactories(t, d, 3, 1.0)
 	vals := []uint8{0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1}
-	a := NewClient(0, d, fs, rng.New(45, 46))
-	b := NewClient(0, d, fs, rng.New(45, 46))
+	a := NewSeededClient(0, d, fs, 45)
+	b := NewSeededClient(0, d, fs, 45)
 	b.clip.k = d
 	for tt := 1; tt <= d; tt++ {
 		ra, oka := a.Observe(vals[tt-1] != 0)
@@ -619,6 +619,14 @@ func TestServerMerge(t *testing.T) {
 // IntervalEstimate returns Ŝ(I) = scale · Σ bits for one interval.
 func (s *Server) IntervalEstimate(iv dyadic.Interval) float64 {
 	return s.scale * float64(s.sums[s.tree.FlatIndex(iv)])
+}
+
+// newClientWithOrder builds a client with a fixed order h whose
+// randomizer draws from the caller's generator g.
+func newClientWithOrder(user, d, h int, f core.Factory, g *rng.RNG) *Client {
+	c := new(Client)
+	c.init(user, d, h, f, g)
+	return c
 }
 
 // IngestSum adds a pre-aggregated sum of ±1 bits for one interval.
