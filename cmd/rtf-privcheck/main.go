@@ -40,7 +40,7 @@ func main() {
 	failures := 0
 	row := func(check, params string, r privacy.RatioReport, err error) {
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("%s %s: %w", check, params, err))
 		}
 		ok := r.Satisfied()
 		if !ok {

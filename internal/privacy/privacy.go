@@ -82,8 +82,10 @@ func StreamEnumerator(d, k int) [][]uint8 {
 // probability 2^−(L−σ) for any fixed pattern. The support outputs follow
 // the prefix marginals of R̃(1^k) (Section 5.4): for a pattern w on the
 // support with m₁ mismatches w_{j_i} ≠ v_{j_i}, the probability is
-// MarginalPrefix(σ, m₁).
-func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
+// MarginalPrefix(σ, m₁). It fails when σ exceeds the params' k at some
+// order: the randomizer takes no such input, so st has no law under p
+// (a stream with more than k changes must be clipped first).
+func ClientDist(st []uint8, d int, p *probmath.Params) (map[[2]int]float64, error) {
 	out := make(map[[2]int]float64)
 	numOrders := dyadic.NumOrders(d)
 	pOrder := 1 / float64(numOrders)
@@ -97,11 +99,13 @@ func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
 			}
 		}
 		sigma := len(support)
+		if sigma > p.K {
+			return nil, fmt.Errorf("privacy: stream %v has %d non-zero partial sums at order %d, more than k=%d", st, sigma, h, p.K)
+		}
 		coinProb := math.Pow(0.5, float64(L-sigma))
 		for omega := 0; omega < 1<<uint(L); omega++ {
 			m1 := 0
-			for i, j := range support {
-				_ = i
+			for _, j := range support {
 				wj := int8(1)
 				if omega>>uint(j)&1 == 1 {
 					wj = -1
@@ -114,7 +118,7 @@ func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
 			out[[2]int{h, omega}] = pr
 		}
 	}
-	return out
+	return out, nil
 }
 
 // ClientRatio exhaustively verifies Theorem 4.5 for small d and k: it
@@ -123,14 +127,11 @@ func ClientDist(st []uint8, d int, p *probmath.Params) map[[2]int]float64 {
 // passed through the shipped clip rule (protocol.ClipStream) at k
 // first, as the shipped client does. changes = k is the theorem's own
 // setting; a larger value checks that the clip keeps streams past the
-// bound within budget. d must be a power of two with d ≤ 10 to keep
-// enumeration tractable.
+// bound within budget. d must be a power of two no larger than
+// maxEnumD.
 func ClientRatio(d, changes, k int, eps float64) (RatioReport, error) {
-	if !dyadic.IsPow2(d) || d > 1024 {
-		return RatioReport{}, fmt.Errorf("privacy: d=%d must be a small power of two", d)
-	}
-	if d > 10 {
-		return RatioReport{}, fmt.Errorf("privacy: d=%d too large for exhaustive enumeration", d)
+	if err := checkHorizon(d); err != nil {
+		return RatioReport{}, err
 	}
 	p, err := probmath.NewFutureRand(k, eps)
 	if err != nil {
@@ -155,8 +156,8 @@ func ClientRatio(d, changes, k int, eps float64) (RatioReport, error) {
 // enc.Rows() and drawn independently of the data, so at a fixed row the
 // ratio is that of ClientDist over the two effective streams.
 func DomainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (RatioReport, error) {
-	if !dyadic.IsPow2(d) || d > 10 {
-		return RatioReport{}, fmt.Errorf("privacy: d=%d must be a power of two no larger than 8", d)
+	if err := checkHorizon(d); err != nil {
+		return RatioReport{}, err
 	}
 	if err := enc.Validate(); err != nil {
 		return RatioReport{}, err
@@ -193,6 +194,18 @@ func DomainClientRatio(d, changes, k int, eps float64, enc hh.DomainEncoding) (R
 	return RatioReport{EpsBudget: eps, EpsRealized: worst}, nil
 }
 
+// maxEnumD is the largest horizon the exhaustive client checks take:
+// they enumerate every stream over d periods and every output over 2^d.
+const maxEnumD = 8
+
+// checkHorizon refuses a horizon the exhaustive checks cannot take.
+func checkHorizon(d int) error {
+	if !dyadic.IsPow2(d) || d > maxEnumD {
+		return fmt.Errorf("privacy: d=%d must be a power of two no larger than %d for exhaustive enumeration", d, maxEnumD)
+	}
+	return nil
+}
+
 // effective passes each stream through the shipped clip rule at k and
 // returns the distinct effective streams, in first-seen order.
 func effective(streams [][]uint8, k int) [][]uint8 {
@@ -214,7 +227,10 @@ func effective(streams [][]uint8, k int) [][]uint8 {
 func worstRatio(streams [][]uint8, d int, p *probmath.Params) (float64, error) {
 	dists := make([]map[[2]int]float64, len(streams))
 	for i, st := range streams {
-		dists[i] = ClientDist(st, d, p)
+		var err error
+		if dists[i], err = ClientDist(st, d, p); err != nil {
+			return 0, err
+		}
 		sum := 0.0
 		for _, pr := range dists[i] {
 			sum += pr

@@ -2,6 +2,7 @@ package privacy
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"rtf/internal/hh"
@@ -52,7 +53,10 @@ func TestClientDistributionsSumToOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, st := range StreamEnumerator(4, 2) {
-		dist := ClientDist(st, 4, p)
+		dist, err := ClientDist(st, 4, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sum := 0.0
 		for _, pr := range dist {
 			if pr < 0 {
@@ -63,6 +67,25 @@ func TestClientDistributionsSumToOne(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("stream %v: distribution sums to %v", st, sum)
 		}
+	}
+}
+
+// TestClientDistRefusesUnclippedStream feeds ClientDist a stream with
+// k+1 changes, which has k+1 non-zero partial sums at order 0: it has no
+// law under a randomizer for k, and ClientDist says so instead of
+// panicking, as do the ratio checks that call it.
+func TestClientDistRefusesUnclippedStream(t *testing.T) {
+	const d, k = 8, 2
+	p, err := probmath.NewFutureRand(k, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := []uint8{1, 0, 1, 1, 1, 1, 1, 1} // changes at 1, 2 and 3
+	if _, err := ClientDist(st, d, p); err == nil || !strings.Contains(err.Error(), "more than k=2") {
+		t.Errorf("ClientDist on %d changes at k=%d: err %v", k+1, k, err)
+	}
+	if _, err := worstRatio([][]uint8{make([]uint8, d), st}, d, p); err == nil {
+		t.Error("worstRatio passed over the unclipped stream")
 	}
 }
 

@@ -54,7 +54,10 @@ func TestShippedClientMatchesExactDistribution(t *testing.T) {
 			}
 			counts[[2]int{c.Order(), omega}]++
 		}
-		exact := privacy.ClientDist(st, d, p)
+		exact, err := privacy.ClientDist(st, d, p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tv := 0.0
 		for key, pr := range exact {
 			tv += math.Abs(float64(counts[key])/clients - pr)
@@ -144,7 +147,11 @@ func TestShippedDomainClientMatchesExactDistribution(t *testing.T) {
 						st[i] = 1
 					}
 				}
-				for key, pr := range privacy.ClientDist(st, d, p) {
+				exact, err := privacy.ClientDist(st, d, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for key, pr := range exact {
 					outcome := [3]int{row, key[0], key[1]}
 					tv += math.Abs(float64(counts[outcome])/clients - pr/float64(rows))
 					delete(counts, outcome)
