@@ -102,6 +102,40 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// TestQuickTablesGolden pins every experiment's quick-scale output at
+// seed 7, byte for byte, to testdata/quick-seed7.golden. The tables hold
+// no timings, and the engines draw the same numbers at any GOMAXPROCS,
+// so the file moves only when a change moves a table: such a change
+// rewrites the file in its own commit and says which tables moved.
+func TestQuickTablesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/quick-seed7.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, e := range All() {
+		if err := e.Run(&got, Config{Quick: true, Seed: 7}); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	g, w := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("quick tables differ from the golden at line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+}
+
 func TestE6AllChecksPass(t *testing.T) {
 	e, _ := ByID("E6")
 	var buf bytes.Buffer
