@@ -3,6 +3,7 @@ package front
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -93,65 +94,57 @@ func TestRoleRefusals(t *testing.T) {
 	}
 }
 
-// TestRegisterDerivesCapabilities checks that what a mechanism can be
-// served on follows from what it provides. One registered with only
-// Clients and EstimatorScale is served wherever the built-in dyadic
-// mechanisms are: NewServer, NewDomainServer under both encodings, and
-// both fronts at the scale it declares. One with only Clients and
-// Server is served by NewServer alone; the domain constructors and both
-// fronts refuse it under their usual texts.
+// TestRegisterDerivesCapabilities checks that what a built-in mechanism
+// can be served on follows from what it provides. The four that set
+// EstimatorScale are served wherever a dyadic mechanism is:
+// NewDomainServer under both encodings, and both fronts at the scale
+// they declare. The two that set Server are served by NewServer alone;
+// the domain constructors and both fronts refuse them under their usual
+// texts, listing exactly the four.
 func TestRegisterDerivesCapabilities(t *testing.T) {
-	fr, _ := ldp.Lookup(ldp.FutureRand)
-	naive, _ := ldp.Lookup(ldp.NaiveSplit)
-	for _, m := range []ldp.Mechanism{
-		{Protocol: "x-dyadic", Clients: fr.Clients, EstimatorScale: fr.EstimatorScale},
-		{Protocol: "x-server", Clients: naive.Clients, Server: naive.Server},
-	} {
-		if _, ok := ldp.Lookup(m.Protocol); !ok { // -count=N reruns the test over one registry
-			if err := ldp.Register(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	const d, k, m, eps = 64, 2, 16, 1.0
 	encodings := map[string][]ldp.Option{"exact": nil, "loloha": {ldp.WithDomainEncoding("loloha"), ldp.WithBuckets(8)}}
-	for _, p := range []ldp.Protocol{"x-dyadic", "x-server"} {
+	dyadic := []string{"bun", "erlingsson", "futurerand", "independent"}
+	var got []string
+	for _, mech := range ldp.Mechanisms() {
+		p := mech.Protocol
 		opts := []ldp.Option{ldp.WithMechanism(p), ldp.WithSparsity(k), ldp.WithEpsilon(eps)}
 		if _, err := ldp.NewServer(d, opts...); err != nil {
 			t.Errorf("NewServer(%s): %v", p, err)
 		}
+		if mech.Dyadic() {
+			got = append(got, string(p))
+		}
 		for name, enc := range encodings {
 			_, err := ldp.NewDomainServer(d, m, append(enc, opts...)...)
-			switch refused := `ldp: mechanism "x-server" does not support domain tracking`; {
-			case p == "x-dyadic" && err != nil:
+			switch refused := fmt.Sprintf("ldp: mechanism %q does not support domain tracking", p); {
+			case mech.Dyadic() && err != nil:
 				t.Errorf("NewDomainServer(%s, %s): %v", p, name, err)
-			case p == "x-server" && (err == nil || err.Error() != refused):
+			case !mech.Dyadic() && (err == nil || err.Error() != refused):
 				t.Errorf("NewDomainServer(%s, %s) = %v, want %q", p, name, err, refused)
 			}
 		}
-	}
-	scale, err := fr.EstimatorScale(ldp.Params{D: d, K: k, Eps: eps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		role Role
-		want string
-	}{
-		{Node, `mechanism "x-server" cannot be hosted on the sharded accumulator; hostable: `},
-		{Gateway, `mechanism "x-server" cannot be clustered (its server state does not merge across machines); clustered mechanisms: `},
-	} {
-		c := Config{Mech: "x-dyadic", D: d, K: k, Encoding: "exact", Eps: eps}
-		if err := c.Resolve(tc.role); err != nil || c.Scale != scale {
-			t.Errorf("%s: Resolve(x-dyadic) = %v at scale %v, want nil at %v", tc.role.Name, err, c.Scale, scale)
+		for _, tc := range []struct {
+			role Role
+			want string
+		}{
+			{Node, fmt.Sprintf("mechanism %q cannot be hosted on the sharded accumulator; hostable: ", p)},
+			{Gateway, fmt.Sprintf("mechanism %q cannot be clustered (its server state does not merge across machines); clustered mechanisms: ", p)},
+		} {
+			c := Config{Mech: string(p), D: d, K: k, Encoding: "exact", Eps: eps}
+			err := c.Resolve(tc.role)
+			if mech.Dyadic() {
+				scale, serr := mech.EstimatorScale(ldp.Params{D: d, K: k, Eps: eps})
+				if serr != nil || err != nil || c.Scale != scale {
+					t.Errorf("%s: Resolve(%s) = %v at scale %v, want nil at %v (%v)", tc.role.Name, p, err, c.Scale, scale, serr)
+				}
+			} else if err == nil || err.Error() != tc.want+strings.Join(dyadic, ", ") {
+				t.Errorf("%s: Resolve(%s) = %v, want %q followed by the dyadic mechanisms", tc.role.Name, p, err, tc.want)
+			}
 		}
-		c = Config{Mech: "x-server", D: d, K: k, Encoding: "exact", Eps: eps}
-		err := c.Resolve(tc.role)
-		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
-			t.Errorf("%s: Resolve(x-server) = %v, want %q followed by the dyadic mechanisms", tc.role.Name, err, tc.want)
-		} else if list := strings.Split(strings.TrimPrefix(err.Error(), tc.want), ", "); !slices.Contains(list, "x-dyadic") || slices.Contains(list, "x-server") {
-			t.Errorf("%s: Resolve(x-server) lists %v, want x-dyadic and not x-server", tc.role.Name, list)
-		}
+	}
+	if !slices.Equal(got, dyadic) {
+		t.Fatalf("dyadic built-ins %v, want %v", got, dyadic)
 	}
 }
 

@@ -15,10 +15,7 @@ package hh
 // themselves, or the HashedDomainServer below. Both are the one item
 // reader of memo.go, which holds the decode, each with its own memo.
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Encoding names. EncodingExact is the per-item indicator reduction
 // (one server row per catalogue item); EncodingLoloha is longitudinal
@@ -132,39 +129,6 @@ func (e DomainEncoding) Row(item int) int {
 		return e.Bucket(item)
 	}
 	return item
-}
-
-// OptimalBuckets returns LOLOHA's optimal bucket count g* for the
-// two-level budget split: epsPerm is the permanent (infinity-report)
-// budget ε_perm and eps1 the per-report budget ε_1 < ε_perm. The closed
-// form (Arcolezi et al., arXiv:2210.00262, eq. 8, with α = ε_1/ε_perm)
-// minimizes LOLOHA's estimator variance over g: per-user hashes under a
-// two-round GRR chain that spends (ε_perm, ε_1). It is not shown to be
-// the optimum for this system, which samples one bucket under one
-// shared epoch hash and runs the paper's randomizer at one ε (ROADMAP
-// item 7.2). Outside the closed form's real-valued domain (tiny budgets)
-// it returns the binary split g = 2, and it returns 2 for any split
-// outside 0 < ε_1 < ε_perm too; ldp refuses such a split before asking.
-func OptimalBuckets(epsPerm, eps1 float64) int {
-	if !(epsPerm > 0) || !(eps1 > 0) || eps1 >= epsPerm {
-		return 2
-	}
-	a := eps1 / epsPerm
-	e := epsPerm
-	disc := math.Exp(4*e) - 14*math.Exp(2*e) - 12*math.Exp(2*e*(a+1)) +
-		12*math.Exp(e*(a+1)) + 12*math.Exp(e*(a+3)) + 1
-	if disc < 0 {
-		return 2
-	}
-	g := math.Round((math.Sqrt(disc) - math.Exp(2*e) + 6*math.Exp(e) - 6*math.Exp(e*a) + 1) /
-		(6 * (math.Exp(e) - math.Exp(e*a))))
-	if math.IsNaN(g) || g < 2 {
-		return 2
-	}
-	if g > MaxDomainRows {
-		return MaxDomainRows
-	}
-	return int(g)
 }
 
 // Items is the read side of a domain server in catalogue terms — what

@@ -93,30 +93,6 @@ func TestBucketRangeAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestOptimalBuckets(t *testing.T) {
-	// Outside the formula's domain the binary split is optimal.
-	for _, c := range [][2]float64{{0, 0.5}, {1, 0}, {1, 1}, {1, 2}, {-1, 0.5}} {
-		if g := OptimalBuckets(c[0], c[1]); g != 2 {
-			t.Errorf("OptimalBuckets(%v, %v) = %d, want 2", c[0], c[1], g)
-		}
-	}
-	// Within it, g grows with the permanent budget and stays capped.
-	prev := 0
-	for _, eps := range []float64{1, 2, 4, 8} {
-		g := OptimalBuckets(eps, eps/2)
-		if g < 2 || g > MaxDomainRows {
-			t.Fatalf("OptimalBuckets(%v, %v) = %d outside [2..%d]", eps, eps/2, g, MaxDomainRows)
-		}
-		if g < prev {
-			t.Errorf("OptimalBuckets not monotone at eps=%v: %d < %d", eps, g, prev)
-		}
-		prev = g
-	}
-	if g := OptimalBuckets(64, 32); g != MaxDomainRows {
-		t.Errorf("huge budget gives g=%d, want cap %d", g, MaxDomainRows)
-	}
-}
-
 // TestHashedClientIndicator pins the hashed reduction: the wrapped
 // Boolean client sees the bucket indicator 1{B(v) = bucket}, and -1
 // (no item) never matches.

@@ -591,7 +591,7 @@ func (e *Encoder) BytesWritten() int64 { return e.n }
 // Decoder reads messages from a stream. It has two views of an ingest
 // frame, filled by the same window loop (readFrame): NextFrame decodes
 // straight into validated records under a mode's contract — what every
-// server and ldp.Server.IngestFrom run — and Next / NextBatch decode
+// server runs — and Next / NextBatch decode
 // into unvalidated Msgs for callers that have no mode, which outside
 // tests is only the benchmark ladder.
 type Decoder struct {

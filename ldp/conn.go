@@ -1,7 +1,6 @@
 package ldp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -60,7 +59,7 @@ func NewConn(rw io.ReadWriter, d int) (*Conn, error) {
 
 // NewDomainConn returns the client of a domain deployment over horizon d
 // and domain size m on rw. The encoding options — WithDomainEncoding,
-// WithBuckets, WithHashSeed, WithBudgetSplit — must match the servers',
+// WithBuckets, WithHashSeed — must match the servers',
 // as for NewDomainServer; a hashed encoding's hellos carry its hash seed.
 func NewDomainConn(rw io.ReadWriter, d, m int, opts ...Option) (*Conn, error) {
 	enc, err := domainEncodingOf(newConfig(opts), m)
@@ -249,35 +248,3 @@ func (c *Conn) Answer(q Query) (Answer, error) {
 
 // BytesWritten returns the wire bytes the Conn has written.
 func (c *Conn) BytesWritten() int64 { return c.enc.BytesWritten() }
-
-// IngestFrom decodes framed messages from r — single messages or batch
-// frames, as a Conn writes them — and applies them to the server until
-// EOF: order announcements register users, reports accumulate. Each
-// frame is decoded whole under the Boolean ingest contract before any of
-// it applies, so a malformed or out-of-range message fails its frame
-// with nothing of that frame applied. It is the reader-side counterpart
-// of a Conn for deployments that move reports through files, pipes or
-// message queues rather than the live rtf-serve TCP service.
-func (s *Server) IngestFrom(r io.Reader) error {
-	dec := wire.NewDecoder(r)
-	c := wire.BoolIngest(s.d)
-	c.Reads = 0 // an ingest stream: a query fails it
-	for {
-		f, err := dec.NextFrame(&c)
-		if errors.Is(err, io.EOF) {
-			return nil
-		} else if err != nil {
-			return err
-		}
-		for _, rec := range f.Recs {
-			if rec.Bit == 0 {
-				err = s.Register(int(rec.Order))
-			} else {
-				err = s.Ingest(Report{User: rec.User, Order: int(rec.Order), J: int(rec.J), Bit: rec.Bit})
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-}

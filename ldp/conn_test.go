@@ -105,40 +105,27 @@ func boolUser(t *testing.T, c *ldp.Conn, u, d int, opts ...ldp.Option) (int, []l
 	return cl.Order(), reps
 }
 
-// TestBatchRoundTripMatchesDirect checks that reports a Conn writes into
-// a buffer and IngestFrom re-ingests produce a server bit-for-bit
-// identical to one fed the same reports directly.
+// TestBatchRoundTripMatchesDirect checks a Conn's batching over a
+// stream that sends no acks: it ships what is queued on each Send, keeps
+// a partial batch queued until the next, and counts every byte it
+// writes. TestConnBooleanRoundTrip checks what a server makes of them.
 func TestBatchRoundTripMatchesDirect(t *testing.T) {
 	const d, k, users = 32, 2, 200
-	direct, err := ldp.NewServer(d, ldp.WithSparsity(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := ldp.NewServer(d, ldp.WithSparsity(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	var buf bytes.Buffer
 	c, err := ldp.NewConn(&buf, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < users; u++ {
-		order, reps := boolUser(t, c, u, d, ldp.WithSparsity(k))
-		if err := direct.Register(order); err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range reps {
-			if err := direct.Ingest(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+		boolUser(t, c, u, d, ldp.WithSparsity(k))
 		// A buffer sends no acks: five batches stay inside the unacked
 		// bound.
 		if u%64 == 0 {
 			if err := c.Send(); err != nil {
 				t.Fatal(err)
+			}
+			if c.Queued() != 0 || c.BytesWritten() != int64(buf.Len()) {
+				t.Fatalf("after Send: %d queued, %d bytes counted, %d written", c.Queued(), c.BytesWritten(), buf.Len())
 			}
 		}
 	}
@@ -150,19 +137,6 @@ func TestBatchRoundTripMatchesDirect(t *testing.T) {
 	}
 	if c.Queued() != 0 || c.BytesWritten() != int64(buf.Len()) {
 		t.Fatalf("after Send: %d queued, %d bytes counted, %d written", c.Queued(), c.BytesWritten(), buf.Len())
-	}
-
-	if err := batched.IngestFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if batched.Users() != direct.Users() {
-		t.Fatalf("users: got %d, want %d", batched.Users(), direct.Users())
-	}
-	be, de := batched.Estimates(), direct.Estimates()
-	for i := range be {
-		if be[i] != de[i] {
-			t.Fatalf("estimate %d: got %v, want %v", i, be[i], de[i])
-		}
 	}
 }
 
@@ -218,8 +192,8 @@ func TestBatchReporterRefusesOversizedOrder(t *testing.T) {
 // ingest.
 func TestConnRefusesBadInput(t *testing.T) {
 	const d = 16
-	var buf bytes.Buffer
-	c, err := ldp.NewConn(&buf, d)
+	addr, _ := serveLoopback(t, transport.BoolMode(d, dyadicScale(t, d, 2)), 0)
+	c, err := ldp.NewConn(dial(t, addr), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,19 +236,18 @@ func TestConnRefusesBadInput(t *testing.T) {
 		}
 		valid(c.Queued())
 	}
-	if err := c.Send(); err != nil {
-		t.Fatal(err)
+	if acks, err := c.Fence(); err != nil || len(acks) != 1 || !acks[0] {
+		t.Fatalf("the valid messages around the refusals: verdicts %v, %v", acks, err)
 	}
-	got, err := ldp.NewServer(d, ldp.WithSparsity(2))
+	got, err := c.Answer(ldp.SeriesQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.IngestFrom(&buf); err != nil {
-		t.Fatalf("the valid messages around the refusals: %v", err)
+	want, err := ref.Answer(ldp.SeriesQuery())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Users() != ref.Users() || !slices.Equal(got.Estimates(), ref.Estimates()) {
-		t.Fatalf("after the refusals: %d users %v, want %d users %v", got.Users(), got.Estimates(), ref.Users(), ref.Estimates())
-	}
+	sameAnswer(t, got, want)
 }
 
 // TestConnBooleanRoundTrip checks every Boolean query kind through a
@@ -557,25 +530,5 @@ func TestConnFailsAfterBrokenStream(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s after a failed read: succeeded", what)
 		}
-	}
-}
-
-// TestIngestFromRejects checks that corrupt streams and out-of-protocol
-// messages are rejected with descriptive errors.
-func TestIngestFromRejects(t *testing.T) {
-	srv, err := ldp.NewServer(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.IngestFrom(strings.NewReader("\x63garbage")); err == nil {
-		t.Error("garbage: expected error")
-	}
-	// A query frame is valid wire format but not an ingest message.
-	if err := srv.IngestFrom(bytes.NewReader([]byte{4, 3})); err == nil {
-		t.Error("query in ingest stream: expected error")
-	}
-	// A report violating the dyadic bounds must be rejected.
-	if err := srv.IngestFrom(bytes.NewReader([]byte{2, 0, 0, 200, 1, 1})); err == nil {
-		t.Error("out-of-range report: expected error")
 	}
 }

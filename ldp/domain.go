@@ -2,7 +2,6 @@ package ldp
 
 import (
 	"fmt"
-	"math"
 
 	"rtf/internal/dyadic"
 	"rtf/internal/hh"
@@ -72,8 +71,7 @@ func ValidateDomainSize(m int, encoding string) error {
 
 // domainEncodingOf resolves the configured encoding for domain size m.
 // Exact (the default) rejects stray hash parameters; loloha takes its
-// bucket count from WithBuckets, falling back to WithBudgetSplit's
-// hh.OptimalBuckets, and refuses a budget split outside its domain.
+// bucket count from WithBuckets.
 func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	name := cfg.encoding
 	if name == "" {
@@ -84,24 +82,15 @@ func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	}
 	switch name {
 	case hh.EncodingExact:
-		if cfg.buckets != 0 || cfg.hashSeed != 0 || cfg.split {
-			return hh.DomainEncoding{}, fmt.Errorf("ldp: the exact encoding takes no buckets, hash seed or budget split")
+		if cfg.buckets != 0 || cfg.hashSeed != 0 {
+			return hh.DomainEncoding{}, fmt.Errorf("ldp: the exact encoding takes no buckets or hash seed")
 		}
 		return hh.ExactEncoding(m), nil
 	default: // hh.EncodingLoloha — ValidateDomainSize rejected anything else
-		// OptimalBuckets answers 2 for any split outside its domain, which
-		// would pass a refusal off as a choice of g.
-		if cfg.split && !(cfg.eps1 > 0 && cfg.eps1 < cfg.epsPerm && !math.IsInf(cfg.epsPerm, 1)) {
-			return hh.DomainEncoding{}, fmt.Errorf("ldp: budget split (epsPerm %v, eps1 %v) needs finite budgets with 0 < eps1 < epsPerm", cfg.epsPerm, cfg.eps1)
+		if cfg.buckets == 0 {
+			return hh.DomainEncoding{}, fmt.Errorf("ldp: the loloha encoding needs WithBuckets to fix its bucket count")
 		}
-		g := cfg.buckets
-		if g == 0 && cfg.split {
-			g = hh.OptimalBuckets(cfg.epsPerm, cfg.eps1)
-		}
-		if g == 0 {
-			return hh.DomainEncoding{}, fmt.Errorf("ldp: the loloha encoding needs WithBuckets or WithBudgetSplit to fix its bucket count")
-		}
-		enc := hh.LolohaEncoding(m, g, cfg.hashSeed)
+		enc := hh.LolohaEncoding(m, cfg.buckets, cfg.hashSeed)
 		if err := enc.Validate(); err != nil {
 			return hh.DomainEncoding{}, err
 		}
@@ -109,7 +98,7 @@ func domainEncodingOf(cfg config, m int) (hh.DomainEncoding, error) {
 	}
 }
 
-// domainMechanism resolves a protocol to a registered dyadic mechanism:
+// domainMechanism resolves a protocol to a built-in dyadic mechanism:
 // the reduction runs one dyadic accumulator per item or bucket, under
 // either encoding.
 func domainMechanism(p Protocol) (Mechanism, error) {

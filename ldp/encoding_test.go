@@ -62,9 +62,8 @@ func TestValidateDomainSize(t *testing.T) {
 }
 
 // TestDomainEncodingOptions covers the option-resolution boundary:
-// exact rejects stray hash parameters, loloha requires a bucket count
-// (explicit or via the budget split), and hashed encodings demand a
-// dyadic mechanism.
+// exact rejects stray hash parameters, loloha requires WithBuckets, and
+// hashed encodings demand a dyadic mechanism.
 func TestDomainEncodingOptions(t *testing.T) {
 	if _, err := NewDomainServer(16, 8, WithBuckets(4)); err == nil {
 		t.Error("exact encoding with WithBuckets accepted")
@@ -72,11 +71,9 @@ func TestDomainEncodingOptions(t *testing.T) {
 	if _, err := NewDomainServer(16, 8, WithHashSeed(7)); err == nil {
 		t.Error("exact encoding with WithHashSeed accepted")
 	}
-	if _, err := NewDomainServer(16, 8, WithBudgetSplit(1, 0.5)); err == nil {
-		t.Error("exact encoding with WithBudgetSplit accepted")
-	}
-	if _, err := NewDomainServer(16, 8, WithDomainEncoding("loloha")); err == nil {
-		t.Error("loloha without a bucket count accepted")
+	want := "ldp: the loloha encoding needs WithBuckets to fix its bucket count"
+	if _, err := NewDomainServer(16, 8, WithDomainEncoding("loloha")); err == nil || err.Error() != want {
+		t.Errorf("loloha without a bucket count: %v, want %q", err, want)
 	}
 	if _, err := NewDomainServer(16, 8, WithDomainEncoding("loloha"), WithBuckets(1)); err == nil {
 		t.Error("loloha with one bucket accepted")
@@ -93,32 +90,13 @@ func TestDomainEncodingOptions(t *testing.T) {
 	if _, err := NewDomainClient(0, 16, 8, WithDomainEncoding("loloha"), WithBuckets(4), WithMechanism(CentralBinary)); err == nil {
 		t.Error("non-hashed-domain mechanism accepted for hashed client")
 	}
-	// A budget split outside 0 < ε₁ < ε_perm, or not finite, is refused
-	// with or without an explicit bucket count: OptimalBuckets would
-	// answer g = 2 for every one of these.
-	for _, split := range [][2]float64{{0.5, 1}, {1, 1}, {-1, 0.5}, {1, math.NaN()}, {math.Inf(1), 0.5}} {
-		for _, extra := range [][]Option{nil, {WithBuckets(4)}} {
-			opts := append([]Option{WithDomainEncoding("loloha"), WithBudgetSplit(split[0], split[1])}, extra...)
-			if _, err := NewDomainClientFactory(16, 1<<20, opts...); err == nil {
-				t.Errorf("budget split %v accepted (with %d more options)", split, len(extra))
-			}
-		}
-	}
-	// The happy paths: an explicit bucket count, and the budget split's
-	// closed-form optimum.
+	// The happy path: an explicit bucket count.
 	srv, err := NewDomainServer(16, MaxDomainSize*4, WithDomainEncoding("loloha"), WithBuckets(64), WithHashSeed(9))
 	if err != nil {
 		t.Fatalf("loloha server rejected: %v", err)
 	}
 	if enc := srv.Encoding(); !enc.Hashed() || enc.G != 64 || enc.Seed != 9 || enc.M != MaxDomainSize*4 {
 		t.Fatalf("server encoding = %+v", enc)
-	}
-	f, err := NewDomainClientFactory(16, 1<<20, WithDomainEncoding("loloha"), WithBudgetSplit(2, 0.8))
-	if err != nil {
-		t.Fatalf("budget-split factory rejected: %v", err)
-	}
-	if want := hh.OptimalBuckets(2, 0.8); f.Encoding().G != want {
-		t.Fatalf("budget-split bucket count = %d, want OptimalBuckets(2, 0.8) = %d", f.Encoding().G, want)
 	}
 }
 

@@ -11,47 +11,49 @@ import (
 
 // This file implements the built-in mechanisms: the engine adapters that
 // put every protocol of the paper behind the same streaming Client and
-// Server shape, and the init-time registration wiring them into the
-// registry.
+// Server shape, and the table that names them.
 
-func init() {
-	MustRegister(Mechanism{
+// mechanisms is the built-in table, sorted by protocol name (the order
+// Mechanisms returns). Each entry sets Clients and exactly one of
+// EstimatorScale and Server.
+var mechanisms = []Mechanism{
+	{
+		Protocol:       Bun,
+		Description:    "the Bun–Nelson–Stemmer composition made online: √ln(k/ε) worse than FutureRand",
+		Clients:        frameworkClients(protocol.Bun),
+		EstimatorScale: frameworkScale(protocol.Bun),
+	},
+	{
+		Protocol:    CentralBinary,
+		Description: "the trusted-curator binary mechanism (Section 6), for central-vs-local comparisons",
+		Clients:     centralClients,
+		Server:      centralServer,
+	},
+	{
+		Protocol:       Erlingsson,
+		Description:    "the 2020 change-sampling baseline: one kept change, RR at ε/2, ×k estimator",
+		Clients:        erlingssonClients,
+		EstimatorScale: erlingssonScale,
+	},
+	{
 		Protocol:       FutureRand,
 		Description:    "the paper's protocol (Theorem 4.1): error O((1/ε)·log d·√(k·n·log(d/β)))",
 		Clients:        frameworkClients(protocol.FutureRand),
 		EstimatorScale: frameworkScale(protocol.FutureRand),
 		ErrorBound:     ErrorBound,
-	})
-	MustRegister(Mechanism{
+	},
+	{
 		Protocol:       Independent,
 		Description:    "Example 4.2's ε/k composition: error linear in k",
 		Clients:        frameworkClients(protocol.Independent),
 		EstimatorScale: frameworkScale(protocol.Independent),
-	})
-	MustRegister(Mechanism{
-		Protocol:       Bun,
-		Description:    "the Bun–Nelson–Stemmer composition made online: √ln(k/ε) worse than FutureRand",
-		Clients:        frameworkClients(protocol.Bun),
-		EstimatorScale: frameworkScale(protocol.Bun),
-	})
-	MustRegister(Mechanism{
-		Protocol:       Erlingsson,
-		Description:    "the 2020 change-sampling baseline: one kept change, RR at ε/2, ×k estimator",
-		Clients:        erlingssonClients,
-		EstimatorScale: erlingssonScale,
-	})
-	MustRegister(Mechanism{
+	},
+	{
 		Protocol:    NaiveSplit,
 		Description: "a fresh randomized response per period at budget ε/d: error linear in d",
 		Clients:     naiveClients,
 		Server:      naiveServer,
-	})
-	MustRegister(Mechanism{
-		Protocol:    CentralBinary,
-		Description: "the trusted-curator binary mechanism (Section 6), for central-vs-local comparisons",
-		Clients:     centralClients,
-		Server:      centralServer,
-	})
+	},
 }
 
 // ---------------------------------------------------------------------------
@@ -154,11 +156,10 @@ func (e *dyadicEngine) Ingest(r Report) error {
 	return nil
 }
 
-// MarshalState implements Snapshotter via the dyadic accumulator's
-// shared state encoding.
+// MarshalState is the dyadic accumulator's shared state encoding.
 func (e *dyadicEngine) MarshalState() ([]byte, error) { return e.inner.MarshalState(), nil }
 
-// RestoreState implements Restorer; the payload's horizon and scale
+// RestoreState reloads that encoding; the payload's horizon and scale
 // must match this engine's.
 func (e *dyadicEngine) RestoreState(state []byte) error { return e.inner.RestoreState(state) }
 
@@ -187,8 +188,8 @@ func erlingssonScale(p Params) (float64, error) {
 // reports arrive at order 0 with J = t, and range changes are estimated
 // by differencing per-period estimates (there is no dyadic structure to
 // cover a range directly). The embedded server answers EstimateAt,
-// EstimateSeries and Users, and restores state (Restorer; the payload's
-// horizon and c_gap, which pins the per-report budget ε/d, must match).
+// EstimateSeries and Users, and restores state (the payload's horizon
+// and c_gap, which pins the per-report budget ε/d, must match).
 type naiveEngine struct {
 	*protocol.NaiveSplitServer
 	d int
@@ -220,7 +221,7 @@ func (e *naiveEngine) Ingest(r Report) error {
 	return nil
 }
 
-// MarshalState implements Snapshotter over the per-period sums.
+// MarshalState serializes the per-period sums.
 func (e *naiveEngine) MarshalState() ([]byte, error) { return e.NaiveSplitServer.MarshalState(), nil }
 
 func (e *naiveEngine) EstimateSeriesTo(r int) []float64 {

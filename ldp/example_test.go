@@ -96,8 +96,7 @@ func ExampleClient() {
 // and randomized reports and ships them as one acknowledged batch frame
 // — into a buffer here, over a TCP connection to rtf-serve in a
 // deployment, where Fence and Answer also read the server's acks and
-// answers. IngestFrom re-ingests the frames; batching never changes the
-// estimates.
+// answers.
 func ExampleConn() {
 	const d = 8
 	var wire bytes.Buffer
@@ -125,25 +124,19 @@ func ExampleConn() {
 			}
 		}
 	}
+	fmt.Println("queued:", conn.Queued())
 	if err := conn.Send(); err != nil {
 		panic(err)
 	}
-
-	srv, err := ldp.NewServer(d)
-	if err != nil {
-		panic(err)
-	}
-	if err := srv.IngestFrom(&wire); err != nil {
-		panic(err)
-	}
-	fmt.Println("users:", srv.Users())
-	fmt.Println("estimates:", len(srv.Estimates()))
+	fmt.Println("queued after Send:", conn.Queued())
+	fmt.Println("bytes written:", conn.BytesWritten(), wire.Len())
 	// Output:
-	// users: 100
-	// estimates: 8
+	// queued: 464
+	// queued after Send: 0
+	// bytes written: 2123 2123
 }
 
-// Any registered mechanism runs behind the same streaming API: here the
+// Any built-in mechanism runs behind the same streaming API: here the
 // Erlingsson et al. baseline streams reports into a server that answers
 // the unified query shapes — a point estimate, the net change over a
 // window, and a sub-series — through one Answer entry point.

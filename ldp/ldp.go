@@ -3,7 +3,7 @@
 // the PODS 2022 paper "Randomize the Future" (Ohrimenko, Wirth, Wu).
 //
 // Every protocol in the paper — FutureRand and the baselines it is
-// compared against — is a Mechanism in a registry (Register, Lookup,
+// compared against — is a Mechanism in one fixed table (Lookup,
 // Mechanisms), and two levels of API dispatch through it.
 //
 // The streaming level is the client/server split of Algorithms 1–2, for
@@ -42,7 +42,7 @@ import (
 	"rtf/internal/protocol"
 )
 
-// Protocol selects which mechanism runs; it is the registry key.
+// Protocol selects which mechanism runs; it is the table key.
 type Protocol string
 
 // Built-in protocols.
@@ -107,14 +107,10 @@ type config struct {
 	seed int64
 
 	// Domain encoding selection (domain constructors only). encoding ""
-	// means exact; buckets/hashSeed and the split (epsPerm, eps1, set by
-	// WithBudgetSplit) configure loloha.
+	// means exact; buckets and hashSeed configure loloha.
 	encoding string
 	buckets  int
 	hashSeed uint64
-	split    bool
-	epsPerm  float64
-	eps1     float64
 }
 
 func newConfig(opts []Option) config {
@@ -168,11 +164,10 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // (Mechanism.Dyadic). Ignored by the Boolean constructors.
 func WithDomainEncoding(name string) Option { return func(c *config) { c.encoding = name } }
 
-// WithBuckets sets the hashed encoding's bucket count g (2..4096).
-// Only meaningful with WithDomainEncoding("loloha"); when unset, the
-// bucket count comes from WithBudgetSplit. Nothing shows which g is best
-// for this system's decoder (see WithBudgetSplit and ROADMAP item 7.2),
-// so choosing g here is the deliberate path.
+// WithBuckets sets the hashed encoding's bucket count g (2..4096),
+// which WithDomainEncoding("loloha") requires and the exact encoding
+// refuses. No g is known to be best for this system's decoder (ROADMAP
+// item 7.2), so g is always the caller's choice.
 func WithBuckets(g int) Option { return func(c *config) { c.buckets = g } }
 
 // WithHashSeed sets the shared epoch hash seed of a hashed encoding.
@@ -180,23 +175,6 @@ func WithBuckets(g int) Option { return func(c *config) { c.buckets = g } }
 // seed — the bucket counters only decode into item estimates because
 // the server can recompute each item's bucket. Default 0.
 func WithHashSeed(seed uint64) Option { return func(c *config) { c.hashSeed = seed } }
-
-// WithBudgetSplit records LOLOHA's two-level budget split — epsPerm is
-// the permanent (infinity-report) budget and eps1 the per-report budget,
-// both finite with 0 < eps1 < epsPerm, or the domain constructors refuse
-// it — and, when WithBuckets is not given, takes the bucket count from
-// hh.OptimalBuckets(epsPerm, eps1). The split only selects g; the
-// wrapped mechanism still runs at the budget given by WithEpsilon.
-//
-// That g is LOLOHA's variance optimum (Arcolezi et al.,
-// arXiv:2210.00262, eq. 8), derived for per-user hashes under a
-// two-round GRR chain that spends (epsPerm, eps1). This system samples
-// one bucket under one shared epoch hash and runs the paper's randomizer
-// at WithEpsilon's budget, and nothing shows the same g is optimal for
-// it: ROADMAP item 7.2 derives this decoder's variance.
-func WithBudgetSplit(epsPerm, eps1 float64) Option {
-	return func(c *config) { c.split, c.epsPerm, c.eps1 = true, epsPerm, eps1 }
-}
 
 // Client is the client-side half of the streaming protocol for one
 // user, for whatever mechanism it was built with.
@@ -380,3 +358,13 @@ func (s *Server) EstimateChange(l, r int) (float64, error) {
 
 // Users returns the number of registered users.
 func (s *Server) Users() int { return s.eng.Users() }
+
+// MarshalState serializes the server's accumulated state for a durable
+// snapshot.
+func (s *Server) MarshalState() ([]byte, error) { return s.eng.MarshalState() }
+
+// RestoreState reloads state produced by MarshalState on a server built
+// with the same mechanism and parameters. Call it on a fresh server;
+// restoring is equivalent to replaying the original ingestion, so
+// estimates afterwards are bit-for-bit those of the snapshotted server.
+func (s *Server) RestoreState(state []byte) error { return s.eng.RestoreState(state) }

@@ -1,10 +1,8 @@
 package ldp
 
 import (
-	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
 // Params carries the protocol parameters shared by a mechanism's
@@ -48,6 +46,15 @@ type ServerEngine interface {
 	EstimateSeriesTo(r int) []float64
 	EstimateChange(l, r int) float64
 	Users() int
+	// MarshalState serializes the accumulated state for a durable
+	// snapshot. The payload is versioned and self-validating: restoring
+	// it into an engine with different parameters fails rather than
+	// mis-scaling.
+	MarshalState() ([]byte, error)
+	// RestoreState folds a MarshalState payload into a freshly built
+	// engine. It fails, without modifying the engine, on version or
+	// configuration mismatches and on malformed input; it never panics.
+	RestoreState(state []byte) error
 }
 
 // ClientBuilder stamps out per-user client engines sharing the
@@ -55,10 +62,9 @@ type ServerEngine interface {
 // annulus computation).
 type ClientBuilder func(user int, seed int64) (ClientEngine, error)
 
-// Mechanism is one registered protocol: a client factory and one server
-// declaration, which the streaming API dispatches to. The six paper
-// protocols are registered at init; external packages may Register
-// additional mechanisms under new Protocol names.
+// Mechanism is one protocol of the paper: a client factory and one
+// server declaration, which the streaming API dispatches to. The six
+// built-in protocols are the whole table (Lookup, Mechanisms).
 //
 // Every client takes every stream. FutureRand, Independent and Bun
 // clip theirs at K, freezing the effective stream after its K-th
@@ -73,9 +79,8 @@ type ClientBuilder func(user int, seed int64) (ClientEngine, error)
 // it on the sharded accumulator, rtf-gateway merges it across machines,
 // and the domain constructors run it per item or bucket. A mechanism
 // that sets Server instead is served only in process, by NewServer.
-// Every built-in engine implements Snapshotter and Restorer.
 type Mechanism struct {
-	// Protocol is the registry key.
+	// Protocol is the table key.
 	Protocol Protocol
 	// Description is a one-line summary for listings.
 	Description string
@@ -112,60 +117,18 @@ func (m Mechanism) newServer(p Params) (ServerEngine, error) {
 	return newDyadicEngine(p.D, scale), nil
 }
 
-var (
-	regMu     sync.RWMutex
-	mechanism = map[Protocol]Mechanism{}
-)
-
-// Register adds a mechanism to the registry. It fails on an empty or
-// duplicate protocol name, a missing client factory, and a mechanism
-// that sets both or neither of EstimatorScale and Server.
-func Register(m Mechanism) error {
-	if m.Protocol == "" {
-		return errors.New("ldp: mechanism with empty protocol name")
-	}
-	if m.Clients == nil {
-		return fmt.Errorf("ldp: mechanism %q missing client factory", m.Protocol)
-	}
-	if (m.Server == nil) == (m.EstimatorScale == nil) {
-		return fmt.Errorf("ldp: mechanism %q must set exactly one of EstimatorScale and Server", m.Protocol)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := mechanism[m.Protocol]; dup {
-		return fmt.Errorf("ldp: mechanism %q already registered", m.Protocol)
-	}
-	mechanism[m.Protocol] = m
-	return nil
-}
-
-// MustRegister is Register, panicking on error (for init-time use).
-func MustRegister(m Mechanism) {
-	if err := Register(m); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup finds a registered mechanism.
+// Lookup finds a built-in mechanism.
 func Lookup(p Protocol) (Mechanism, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	m, ok := mechanism[p]
-	return m, ok
+	for _, m := range mechanisms {
+		if m.Protocol == p {
+			return m, true
+		}
+	}
+	return Mechanism{}, false
 }
 
-// Mechanisms returns every registered mechanism, sorted by protocol
-// name.
-func Mechanisms() []Mechanism {
-	regMu.RLock()
-	out := make([]Mechanism, 0, len(mechanism))
-	for _, m := range mechanism {
-		out = append(out, m)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Protocol < out[j].Protocol })
-	return out
-}
+// Mechanisms returns every built-in mechanism, sorted by protocol name.
+func Mechanisms() []Mechanism { return slices.Clone(mechanisms) }
 
 // lookupErr is Lookup with the standard unknown-mechanism error.
 func lookupErr(p Protocol) (Mechanism, error) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -36,53 +37,29 @@ func TestQueryKindWireValues(t *testing.T) {
 // allProtocols is every built-in mechanism.
 var allProtocols = []Protocol{FutureRand, Independent, Bun, Erlingsson, NaiveSplit, CentralBinary}
 
+// TestRegistryContents checks the closed table: exactly the six
+// built-ins, sorted by protocol name, each well formed.
 func TestRegistryContents(t *testing.T) {
-	ms := Mechanisms()
-	if len(ms) < len(allProtocols) {
-		t.Fatalf("%d mechanisms registered, want >= %d", len(ms), len(allProtocols))
-	}
-	for i := 1; i < len(ms); i++ {
-		if ms[i-1].Protocol >= ms[i].Protocol {
-			t.Fatalf("Mechanisms() not sorted: %q before %q", ms[i-1].Protocol, ms[i].Protocol)
-		}
-	}
-	for _, p := range allProtocols {
-		m, ok := Lookup(p)
-		if !ok {
-			t.Fatalf("built-in %q not registered", p)
-		}
+	var got []Protocol
+	for _, m := range Mechanisms() {
+		got = append(got, m.Protocol)
 		if m.Clients == nil || (m.Server == nil) == (m.EstimatorScale == nil) {
-			t.Errorf("%q: every built-in mechanism needs a client factory and exactly one of EstimatorScale and Server", p)
+			t.Errorf("%q: every built-in mechanism needs a client factory and exactly one of EstimatorScale and Server", m.Protocol)
 		}
 		if m.Description == "" {
-			t.Errorf("%q: empty description", p)
+			t.Errorf("%q: empty description", m.Protocol)
 		}
+		if l, ok := Lookup(m.Protocol); !ok || l.Protocol != m.Protocol {
+			t.Errorf("Lookup(%q) = %q, %v", m.Protocol, l.Protocol, ok)
+		}
+	}
+	want := slices.Clone(allProtocols)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Mechanisms() = %q, want %q", got, want)
 	}
 	if _, ok := Lookup("nonexistent"); ok {
-		t.Error("Lookup found an unregistered mechanism")
-	}
-}
-
-func TestRegisterValidation(t *testing.T) {
-	clients := func(Params) (ClientBuilder, error) { return nil, nil }
-	server := func(Params) (ServerEngine, error) { return nil, nil }
-	cases := []struct {
-		name string
-		m    Mechanism
-	}{
-		{"empty name", Mechanism{Clients: clients, Server: server}},
-		{"duplicate", Mechanism{Protocol: FutureRand, Clients: clients, Server: server}},
-		{"no client factory", Mechanism{Protocol: "x-no-clients", Server: server}},
-		{"no server factory", Mechanism{Protocol: "x-no-server", Clients: clients}},
-		{"both server declarations", Mechanism{
-			Protocol: "x-both", Clients: clients, Server: server,
-			EstimatorScale: func(Params) (float64, error) { return 1, nil },
-		}},
-	}
-	for _, c := range cases {
-		if err := Register(c.m); err == nil {
-			t.Errorf("%s: Register accepted %+v", c.name, c.m)
-		}
+		t.Error("Lookup found an unknown mechanism")
 	}
 }
 

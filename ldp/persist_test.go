@@ -144,44 +144,3 @@ func TestCentralRestorePinsParameters(t *testing.T) {
 		}
 	}
 }
-
-// TestDurableCapabilityDeclared checks that durability needs no
-// declaration: every registered mechanism's server engine implements
-// Snapshotter and Restorer.
-func TestDurableCapabilityDeclared(t *testing.T) {
-	for _, m := range Mechanisms() {
-		srv, err := NewServer(32, WithMechanism(m.Protocol), WithSparsity(2), WithEpsilon(1))
-		if err != nil {
-			t.Fatalf("%s: %v", m.Protocol, err)
-		}
-		if _, ok := srv.eng.(Snapshotter); !ok {
-			t.Errorf("%s: engine has no MarshalState", m.Protocol)
-		}
-		if _, ok := srv.eng.(Restorer); !ok {
-			t.Errorf("%s: engine has no RestoreState", m.Protocol)
-		}
-	}
-}
-
-// TestNonDurableEngineErrors covers the public API's descriptive error
-// for an engine without the capability.
-func TestNonDurableEngineErrors(t *testing.T) {
-	srv := &Server{eng: stubEngine{}, d: 8, mech: "stub"}
-	if _, err := srv.MarshalState(); err == nil || !strings.Contains(err.Error(), "does not support state snapshots") {
-		t.Fatalf("MarshalState: %v", err)
-	}
-	if err := srv.RestoreState(nil); err == nil || !strings.Contains(err.Error(), "does not support state snapshots") {
-		t.Fatalf("RestoreState: %v", err)
-	}
-}
-
-// stubEngine implements ServerEngine but neither persistence interface.
-type stubEngine struct{}
-
-func (stubEngine) Register(int) error              { return nil }
-func (stubEngine) Ingest(Report) error             { return nil }
-func (stubEngine) EstimateAt(int) float64          { return 0 }
-func (stubEngine) EstimateSeries() []float64       { return nil }
-func (stubEngine) EstimateSeriesTo(int) []float64  { return nil }
-func (stubEngine) EstimateChange(int, int) float64 { return 0 }
-func (stubEngine) Users() int                      { return 0 }

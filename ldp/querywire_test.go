@@ -71,6 +71,8 @@ func (e *reusingEngine) EstimateSeriesTo(r int) []float64 {
 }
 func (e *reusingEngine) EstimateChange(l, r int) float64 { return float64(r - l) }
 func (e *reusingEngine) Users() int                      { return 0 }
+func (e *reusingEngine) MarshalState() ([]byte, error)   { return nil, nil }
+func (e *reusingEngine) RestoreState([]byte) error       { return nil }
 
 // TestAnswerWindowNoAliasing is the regression test for the window-
 // answer aliasing bug: Answer used to return a view into the engine's
