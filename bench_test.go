@@ -69,22 +69,6 @@ func BenchmarkExpE18AnnulusAblation(b *testing.B)    { benchExperiment(b, "E18")
 func BenchmarkExpE19VariancePrediction(b *testing.B) { benchExperiment(b, "E19") }
 func BenchmarkExpE20MisspecifiedK(b *testing.B)      { benchExperiment(b, "E20") }
 
-// BenchmarkFastSimParallel measures the sharded fast engine.
-func BenchmarkFastSimParallel(b *testing.B) {
-	g := rng.New(17, 18)
-	w, err := (workload.UniformGen{N: 100000, D: 1024, K: 8}).Generate(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys := sim.Framework{Kind: protocol.FutureRand, Eps: 1, Workers: -1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Run(w, g.Split()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Micro-benchmarks: the hot paths of the library.
 

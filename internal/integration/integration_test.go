@@ -108,11 +108,11 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 	var wg sync.WaitGroup
 	for u := 0; u < n; u++ {
 		wg.Add(1)
-		go func(u int, g *rng.RNG) {
+		go func(u int, seed int64) {
 			defer wg.Done()
 			wr := acc.Lock(u)
 			defer wr.Unlock()
-			c := protocol.NewSeededClient(u, d, factories, g.Int64())
+			c := protocol.NewSeededClient(u, d, factories, seed)
 			wr.Register(0, c.Order())
 			vals := w.Users[u].Values(d)
 			for tt := 1; tt <= d; tt++ {
@@ -120,7 +120,7 @@ func TestConcurrentClientsThroughCollector(t *testing.T) {
 					wr.Ingest(0, rep)
 				}
 			}
-		}(u, base.Derive(uint64(u)))
+		}(u, base.Int64()) // drawn here, in user order, before the goroutine starts
 	}
 	wg.Wait()
 	if acc.Users() != n {
@@ -253,7 +253,6 @@ func TestAllWorkloadsAllSystems(t *testing.T) {
 	}
 	systems := []sim.System{
 		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5},
-		sim.Framework{Kind: protocol.FutureRand, Eps: 0.5, Workers: 3},
 		sim.Framework{Kind: protocol.Independent, Eps: 0.5},
 		sim.Framework{Kind: protocol.Bun, Eps: 0.5},
 		sim.Consistent{Framework: sim.Framework{Kind: protocol.FutureRand, Eps: 0.5}},

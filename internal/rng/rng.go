@@ -78,17 +78,6 @@ func (g *RNG) Split() *RNG {
 	)
 }
 
-// Derive returns the idx-th child stream of g deterministically: unlike
-// Split it does not depend on call order, so parallel code can assign
-// stream i to shard i and produce identical results regardless of
-// scheduling.
-func (g *RNG) Derive(idx uint64) *RNG {
-	return New(
-		splitmix(g.s0^splitmix(idx^0xa0761d6478bd642f)),
-		splitmix(g.s1+splitmix(idx)*0xe7037ed1a0b428db),
-	)
-}
-
 // Uint64 returns a uniformly random 64-bit word.
 func (g *RNG) Uint64() uint64 { return g.pcg.Uint64() }
 

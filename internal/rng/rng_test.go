@@ -59,32 +59,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestDeriveIndependentOfCallOrder(t *testing.T) {
-	// Derive(i) must not depend on other calls, unlike Split.
-	a := New(42, 43)
-	b := New(42, 43)
-	a.Derive(5) // extra calls must not perturb later derivations
-	a.Derive(9)
-	x := a.Derive(7)
-	y := b.Derive(7)
-	for i := 0; i < 100; i++ {
-		if x.Uint64() != y.Uint64() {
-			t.Fatal("Derive depends on call order")
-		}
-	}
-	// Distinct indices give distinct streams.
-	p, q := a.Derive(1), a.Derive(2)
-	same := 0
-	for i := 0; i < 64; i++ {
-		if p.Uint64() == q.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("derived streams 1 and 2 matched on %d/64 words", same)
-	}
-}
-
 func TestNormalMoments(t *testing.T) {
 	g := New(33, 34)
 	const n = 200000
@@ -482,8 +456,8 @@ func TestPerm(t *testing.T) {
 
 // TestRNGInPlaceSeedMatchesNew pins the in-place seeding entry against
 // the allocating constructor: the same mixed draws, word for word, the
-// same Split and Derive children, and a re-Seed that restarts the
-// stream (Split counter included). It also pins that the math/rand/v2
+// same Split children, and a re-Seed that restarts the stream (Split
+// counter included). It also pins that the math/rand/v2
 // view behind Float64/IntN costs no allocation.
 func TestRNGInPlaceSeedMatchesNew(t *testing.T) {
 	draw := func(g *RNG, i int) uint64 {
@@ -515,9 +489,6 @@ func TestRNGInPlaceSeedMatchesNew(t *testing.T) {
 			if a, b := got.Split().Uint64(), want.Split().Uint64(); a != b {
 				t.Fatalf("seed %d: Split child %d differs", seed, i)
 			}
-			if a, b := got.Derive(uint64(i)).Float64(), want.Derive(uint64(i)).Float64(); a != b {
-				t.Fatalf("seed %d: Derive child %d differs", seed, i)
-			}
 		}
 		got.Seed(seed)
 		fresh := NewFromSeed(seed)
@@ -530,9 +501,9 @@ func TestRNGInPlaceSeedMatchesNew(t *testing.T) {
 	// over one state.
 	p := NewFromSeed(42)
 	got := []uint64{p.Uint64(), math.Float64bits(p.Float64()), uint64(p.IntN(1000)), uint64(p.Perm(5)[0]),
-		math.Float64bits(p.Normal()), p.Split().Uint64(), p.Derive(3).Uint64(), p.Uint64()}
+		math.Float64bits(p.Normal()), p.Split().Uint64(), p.Uint64()}
 	want := []uint64{0x61c88529c9612c1b, 0x3fd1b1460eb542d0, 328, 3,
-		0xbfdcc344294e22a8, 0x9bd62670a7ada3ac, 0x4abf5fd428472f9a, 0xb861fcb318761276}
+		0xbfdcc344294e22a8, 0x9bd62670a7ada3ac, 0xb861fcb318761276}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("pinned draw %d: %#x, want %#x", i, got[i], want[i])

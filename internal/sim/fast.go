@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"runtime"
-	"sync"
-
 	"rtf/internal/core"
 	"rtf/internal/dyadic"
 	"rtf/internal/protocol"
@@ -53,52 +50,29 @@ type userSums func(dst []nzSum, us workload.UserStream, h int, g *rng.RNG) ([]nz
 // runFast is the fast engines' one per-user loop. Each user samples and
 // registers an order; its non-zero partial sums, as sums lists them, go
 // through the real randomizer, and the fair coins of every zero partial
-// sum are injected per interval as one draw (Property III). Users are
-// split into contiguous runs, one per shard of the returned accumulator
-// and one goroutine each (workers < 0: GOMAXPROCS). One shard draws from
-// g itself; several draw from g.Derive(shard) each, so a run is
-// deterministic for a fixed seed and worker count whatever the
-// interleaving (the count decides which users share a stream) and has
-// the same law at every count. The zero coins draw from g.
-func runFast(w *workload.Workload, factories []core.Factory, scale float64, workers int, g *rng.RNG, sums userSums) *protocol.Sharded {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	shards := max(1, min(workers, w.N)) // an empty workload still needs one shard
-	acc := protocol.NewSharded(w.D, scale, shards)
+// sum are injected per interval as one draw (Property III). Every draw
+// comes from g, in user order, so a run is a function of the seed.
+func runFast(w *workload.Workload, factories []core.Factory, scale float64, g *rng.RNG, sums userSums) *protocol.Sharded {
+	acc := protocol.NewSharded(w.D, scale, 1)
 	tree := dyadic.NewTree(w.D)
-	nonzero := make([][]int, shards)
-	per := (w.N + shards - 1) / shards
-	var wg sync.WaitGroup
-	for s := range shards {
-		gg := g
-		if shards > 1 {
-			gg = g.Derive(uint64(s))
+	nonzero := make([]int, tree.Size())
+	// The loop is the shard's only writer: one run, one lock.
+	wr := acc.Lock(0)
+	var buf []nzSum
+	for u := range w.N {
+		h := protocol.SampleOrder(g, w.D)
+		wr.Register(0, h)
+		var ok bool
+		if buf, ok = sums(buf[:0], w.Users[u], h, g); !ok {
+			continue
 		}
-		nonzero[s] = make([]int, tree.Size())
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			// The worker is its shard's only writer: one run, one lock.
-			wr := acc.Lock(s)
-			defer wr.Unlock()
-			var buf []nzSum
-			for u := s * per; u < min((s+1)*per, w.N); u++ {
-				h := protocol.SampleOrder(gg, w.D)
-				wr.Register(0, h)
-				var ok bool
-				if buf, ok = sums(buf[:0], w.Users[u], h, gg); !ok {
-					continue
-				}
-				inst := factories[h].NewInstance(gg)
-				for _, nz := range buf {
-					wr.Ingest(0, protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
-					nonzero[s][tree.FlatIndex(dyadic.Interval{Order: h, Index: nz.j})]++
-				}
-			}
-		}(s)
+		inst := factories[h].NewInstance(g)
+		for _, nz := range buf {
+			wr.Ingest(0, protocol.Report{User: u, Order: h, J: nz.j, Bit: inst.Perturb(nz.sign)})
+			nonzero[tree.FlatIndex(dyadic.Interval{Order: h, Index: nz.j})]++
+		}
 	}
-	wg.Wait()
+	wr.Unlock()
 
 	// Every user at order h whose partial sum at I_{h,j} is zero reports
 	// a fair ±1 coin there: their sum is one signed binomial draw.
@@ -106,11 +80,7 @@ func runFast(w *workload.Workload, factories []core.Factory, scale float64, work
 	for h, uh := range perOrder {
 		for j := 1; j <= dyadic.CountAtOrder(w.D, h); j++ {
 			iv := dyadic.Interval{Order: h, Index: j}
-			zeros := int(uh)
-			for _, nz := range nonzero {
-				zeros -= nz[tree.FlatIndex(iv)]
-			}
-			if zeros > 0 {
+			if zeros := int(uh) - nonzero[tree.FlatIndex(iv)]; zeros > 0 {
 				acc.IngestSum(0, iv, int64(g.SignedBinomialHalfSum(zeros)))
 			}
 		}

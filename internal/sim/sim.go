@@ -95,11 +95,6 @@ func (e Exact) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 type Framework struct {
 	Kind protocol.RandomizerKind
 	Eps  float64
-	// Workers splits the users over that many goroutines and shards, each
-	// drawing from its own derived RNG stream (scheduling-independent
-	// results); Workers < 0 uses GOMAXPROCS. At 0 or 1 the one shard draws
-	// from the run's RNG itself.
-	Workers int
 }
 
 // Name implements System.
@@ -126,7 +121,7 @@ func (f Framework) RunServer(w *workload.Workload, g *rng.RNG) (*protocol.Sharde
 		return nil, err
 	}
 	scale := protocol.EstimatorScale(w.D, factories[0].CGap())
-	return runFast(w, factories, scale, f.Workers, g, func(dst []nzSum, us workload.UserStream, h int, _ *rng.RNG) ([]nzSum, bool) {
+	return runFast(w, factories, scale, g, func(dst []nzSum, us workload.UserStream, h int, _ *rng.RNG) ([]nzSum, bool) {
 		return nonzeroPartialSums(dst, us, h), us.NumChanges() > 0
 	}), nil
 }
@@ -192,7 +187,7 @@ func (e Erlingsson) Run(w *workload.Workload, g *rng.RNG) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	acc := runFast(w, factories, protocol.ErlingssonScale(w.D, k, e.Eps), 0, g, func(dst []nzSum, us workload.UserStream, h int, g *rng.RNG) ([]nzSum, bool) {
+	acc := runFast(w, factories, protocol.ErlingssonScale(w.D, k, e.Eps), g, func(dst []nzSum, us workload.UserStream, h int, g *rng.RNG) ([]nzSum, bool) {
 		keep := g.IntN(k) // keep change #keep (0-based) if it exists
 		if keep >= us.NumChanges() {
 			return dst, false
