@@ -348,7 +348,7 @@ func init() {
 			n := pick(cfg, 1000, 100000)
 			d := pick(cfg, 64, 128)
 			kTrue := pick(cfg, 8, 16)
-			trials := pick(cfg, 2, 2)
+			trials := pick(cfg, 2, 10)
 			g := rng.NewFromSeed(cfg.Seed)
 			kProtos := pickInts(cfg, []int{2, 8, 32}, []int{2, 4, 8, 16, 32, 64})
 			tw := table(w)
