@@ -7,6 +7,10 @@
 //	rtf-experiments                 # all experiments, full scale
 //	rtf-experiments -quick          # all experiments, reduced scale
 //	rtf-experiments -exp E1,E5,E6   # a subset
+//
+// Stdout (and -out) holds only the tables, a function of -quick and
+// -seed, so two runs can be diffed directly; the timing lines go to
+// stderr.
 package main
 
 import (
@@ -70,7 +74,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rtf-experiments: %s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(w, "   [%s completed in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "   [%s completed in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
-	fmt.Fprintf(w, "\nall %d experiments completed in %v\n", len(selected), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "all %d experiments completed in %v\n", len(selected), time.Since(start).Round(time.Millisecond))
 }
