@@ -1,5 +1,5 @@
 // Command rtf-serve runs the sharded batch-ingest aggregation service
-// for any registered mechanism whose server state is the dyadic
+// for any built-in mechanism whose server state is the dyadic
 // accumulator (futurerand, independent, bun, erlingsson): a TCP server
 // that accepts framed hello/report messages — single or batched — from
 // any number of client connections, accumulates them into a sharded

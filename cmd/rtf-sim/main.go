@@ -265,7 +265,7 @@ func offline(o *options, out io.Writer) error {
 	return nil
 }
 
-// offlineSystem resolves -protocol through the ldp registry to the
+// offlineSystem resolves -protocol through ldp's mechanism table to the
 // engine that runs it, refusing a flag the engine would silently ignore.
 func offlineSystem(o *options) (sim.System, error) {
 	p := ldp.Protocol(o.proto)

@@ -3,7 +3,7 @@
 // Estimation Protocol for Longitudinal Data" (Ohrimenko, Wirth, Wu;
 // PODS 2022).
 //
-// The public API lives in rtf/ldp (the Mechanism registry over every
+// The public API lives in rtf/ldp (one fixed table of Mechanisms, every
 // protocol of the paper, mechanism-agnostic streaming client/server with
 // a unified Query/Answer entry point, batch transport, domain extension) and rtf/workload (synthetic dataset
 // generation and CSV IO). A program that imports rtf/ldp links the
@@ -50,9 +50,9 @@
 // segmented write-ahead log and checksummed snapshot files, the
 // transport layer journals every ingested frame — the bytes it
 // received, not a re-encoding of what it decoded — before applying it
-// (transport.Durable), and every mechanism's server engine implements
-// ldp's Snapshotter and Restorer, so a crashed rtf-serve restarts from
-// snapshot + WAL replay answering every query bit-for-bit
+// (transport.Durable), and every mechanism's server engine marshals and
+// restores its state (ldp.ServerEngine), so a crashed rtf-serve
+// restarts from snapshot + WAL replay answering every query bit-for-bit
 // as if uninterrupted — reports are spent privacy budget and can never
 // be re-requested from users. The journaling hot path is allocation-free
 // in steady state, and WAL appends group-commit themselves

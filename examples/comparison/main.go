@@ -25,8 +25,8 @@ func main() {
 	}
 	fmt.Printf("n=%d users, d=%d periods, k=%d changes each, eps=1\n\n", w.N, w.D, w.K)
 
-	// Every registered mechanism competes: adding a protocol to the
-	// registry adds its row here.
+	// Every built-in mechanism competes: a protocol added to ldp's
+	// table adds its row here.
 	truth := w.Truth()
 	fmt.Println("protocol                      max error   RMSE")
 	for _, m := range ldp.Mechanisms() {

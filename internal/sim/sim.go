@@ -2,7 +2,7 @@
 // It has one exact engine and the fast engines that stand in for it at
 // scale:
 //
-//   - Exact runs a registered mechanism as it ships: one ldp client per
+//   - Exact runs a built-in mechanism as it ships: one ldp client per
 //     user, built by the mechanism's client factory, feeding one ldp
 //     server;
 //   - the fast engines exploit Property III: the reports of all users
@@ -42,9 +42,9 @@ type System interface {
 	Run(w *workload.Workload, g *rng.RNG) ([]float64, error)
 }
 
-// Exact runs a registered mechanism through the shipped ldp client
+// Exact runs a built-in mechanism through the shipped ldp client
 // factory and server: every user gets its own client, seeded from the
-// run's RNG, and feeds it the full stream. It serves every registered
+// run's RNG, and feeds it the full stream. It serves every built-in
 // mechanism, central-binary included.
 type Exact struct {
 	Protocol ldp.Protocol
