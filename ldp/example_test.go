@@ -129,11 +129,11 @@ func ExampleConn() {
 		panic(err)
 	}
 	fmt.Println("queued after Send:", conn.Queued())
-	fmt.Println("bytes written:", conn.BytesWritten(), wire.Len())
+	fmt.Println("bytes written:", conn.BytesWritten())
 	// Output:
 	// queued: 464
 	// queued after Send: 0
-	// bytes written: 2123 2123
+	// bytes written: 2123
 }
 
 // Any built-in mechanism runs behind the same streaming API: here the
