@@ -970,6 +970,45 @@ func BenchmarkIngestKernel(b *testing.B) {
 	}
 }
 
+// walReplayFrames is the length of BenchmarkIngestWALReplay's log in
+// 2,048-report frames.
+const walReplayFrames = 64
+
+// BenchmarkIngestWALReplay is recovery: OpenDurable over a snapshot-free
+// log of walReplayFrames journaled frames of BenchmarkIngestServed's
+// boolean cell, every record decoded through the ingest kernel and
+// applied, as a restarted durable rtf-serve does before it listens. One
+// op is one recovery into a fresh accumulator; what it allocates does
+// not grow with the log (TestWALReplayAllocsPerFrame).
+func BenchmarkIngestWALReplay(b *testing.B) {
+	c := servedBenchCases()[0]
+	meta := persist.Meta{Mechanism: "bench", D: ingestBenchD, K: 8, Eps: 1, Scale: 100}
+	dir := b.TempDir()
+	dur, _, err := transport.OpenDurable(protocol.NewSharded(ingestBenchD, 100, 2), dir, meta, transport.DurableOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stream := bytes.Join(c.frames(b), nil)
+	for f := 0; f < walReplayFrames; f += servedBenchFrames {
+		if err := servedIngest(dur, 0, stream); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := dur.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dur, stats, err := transport.OpenDurable(protocol.NewSharded(ingestBenchD, 100, 2), dir, meta, transport.DurableOptions{})
+		if err != nil || stats.Replayed != walReplayFrames {
+			b.Fatalf("replayed %d records, want %d: %v", stats.Replayed, walReplayFrames, err)
+		}
+		dur.Close()
+	}
+	b.ReportMetric(float64(walReplayFrames*servedBenchFrame)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+}
+
 // BenchmarkAnswerChangeVsDiffPoints compares the two ways to estimate a
 // range change through the unified query API: one Answer(Change) over
 // the direct dyadic cover versus differencing two Answer(Point) prefix

@@ -58,9 +58,6 @@ func TestByID(t *testing.T) {
 // TestAllExperimentsQuick runs every experiment at quick scale: each must
 // complete without error and produce a plausible table.
 func TestAllExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take ~1 min combined")
-	}
 	cfg := Config{Quick: true, Seed: 42}
 	for _, e := range All() {
 		e := e

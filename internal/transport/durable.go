@@ -141,9 +141,14 @@ func OpenDurableStore(inner Store, dir string, meta persist.Meta, o DurableOptio
 		stats.SnapshotCursor = snap.Cursor
 	}
 
+	// One decoder reads the whole log, a record at a time: the buffers
+	// its first records grow serve every later one, so replay allocates
+	// nothing per record.
+	src := bytes.NewReader(nil)
+	dec := wire.NewDecoder(src)
 	last, n, err := persist.ReplayWAL(dir, persist.ReplayOptions{After: after, TolerateTornTail: o.TolerateTornTail},
 		func(seq uint64, payload []byte) error {
-			dec := wire.NewDecoder(bytes.NewReader(payload))
+			src.Reset(payload)
 			for {
 				f, err := dec.NextFrame(&ingest)
 				if errors.Is(err, io.EOF) {

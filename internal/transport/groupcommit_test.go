@@ -151,6 +151,55 @@ func TestDurableIngestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWALReplayAllocsPerFrame pins recovery's allocations to the log's
+// segments, not its records: one decoder reads every record, so
+// OpenDurable over a log four times as long — frames large enough to
+// outgrow the decoder's first read buffer — allocates no more often.
+func TestWALReplayAllocsPerFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	const d, scale = 1 << 10, 3.0
+	batch := make([]wire.Msg, 0, 2048)
+	for i := 0; i < cap(batch); i++ {
+		batch = append(batch, wire.FromReport(protocol.Report{User: 1000 + i, Order: i % 3, J: 1 + i%(d>>uint(i%3)), Bit: 1}))
+	}
+	frame, err := appendBatch(nil, wire.MsgBatchAcked, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(dir string) *Durable {
+		dc, _, err := OpenDurable(protocol.NewSharded(d, scale, 2), dir, durableMeta(d, scale), DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dc
+	}
+	allocs := func(frames int) float64 {
+		dir := t.TempDir()
+		dc := open(dir)
+		dec := wire.NewDecoder(&loopReader{b: frame})
+		ingest := dc.Mode().Ingest()
+		for i := 0; i < frames; i++ {
+			f, err := dec.NextFrame(&ingest)
+			if err == nil {
+				err = dc.Apply(0, f.Recs, f.Wire)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		dc.Close()
+		return testing.AllocsPerRun(5, func() { open(dir).Close() })
+	}
+	// The count is process-wide, so a goroutine another test left
+	// winding down can add a stray allocation or two; a per-frame
+	// allocation adds 24 at least.
+	if short, long := allocs(8), allocs(32); long > short+2 {
+		t.Fatalf("recovery allocates %.0f times over 8 frames, %.0f over 32: %.2f per frame, want 0", short, long, (long-short)/24)
+	}
+}
+
 // TestDurableGroupCommitCrashLosesOnlyUnacked pins the crash contract
 // under group commit: a batch queued behind a write in flight has
 // written nothing to the log, so a kill -9 loses exactly batches whose

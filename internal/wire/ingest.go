@@ -78,72 +78,94 @@ func (s FrameSet) Has(t MsgType) bool { return t < 32 && s>>t&1 != 0 }
 // and shard transfers.
 const ControlFrames FrameSet = 1<<MsgShardSums | 1<<MsgView | 1<<MsgShardTransfer
 
-// decode is the fused decode-and-validate kernel: it reads the ingest
-// message at the front of b — which must hold at least MaxMsgLen
-// bytes, so no field can run off its end — into r, checking each field
-// against the contract before narrowing it. It returns the message's
-// length, or 0 for anything it does not accept as is (a read, a
-// malformed or out-of-range message, a varint longer than three bytes):
-// the general decoder then reads those bytes again and either accepts
-// them or builds the error. Whatever decode accepts, decodeScalarInto
-// followed by Check accepts with the same record.
-func (c *Ingest) decode(b []byte, r *Rec) int {
-	b = b[:MaxMsgLen]
-	typ := MsgType(b[0])
-	user, off := uint64(b[1]), 2
-	if user >= 0x80 {
-		if user, off = uvarint23(b, 1); off == 0 {
-			return 0
-		}
-	}
-	var item uint64
-	if c.Rows != 0 {
-		item = uint64(b[off])
-		off++
-		if item >= 0x80 {
-			if item, off = uvarint23(b, off-1); off == 0 {
-				return 0
+// run is the fused decode-and-validate kernel: it reads the ingest
+// messages of win from offset at into recs, one record each, checking
+// every field against the contract while it is still in a register and
+// before narrowing it, and returns the offset behind the last message
+// it took and how many it took. It loads the contract once per call and
+// stops — never failing — when recs is full, when fewer than MaxMsgLen
+// bytes stand behind at (so no field can run off the window), or at the
+// first message it does not accept as is: a read, a malformed or
+// out-of-range message, a varint longer than three bytes. The general
+// decoder then reads that one message again and either accepts it or
+// builds the error, and the caller resumes the kernel behind it.
+// Whatever run accepts, decodeScalarInto followed by Check accepts with
+// the same record.
+func (c *Ingest) run(win []byte, at int, recs []Rec) (int, int) {
+	rows, logD, d := uint64(c.Rows), uint(c.LogD), uint64(c.D)
+	hello, report := c.Hello, c.Report
+	n := 0
+loop:
+	for ; n < len(recs) && len(win)-at >= MaxMsgLen; n++ {
+		b := win[at : at+MaxMsgLen]
+		typ := MsgType(b[0])
+		user, off := uint64(b[1]), 2
+		if user >= 0x80 {
+			if user, off = uvarint23(b, 1); off == 0 {
+				break loop
 			}
 		}
-		if item >= uint64(c.Rows) {
-			return 0
-		}
-	}
-	// Orders are at most 63: one byte, or the general path's business.
-	order := uint(b[off])
-	off++
-	if order > uint(c.LogD) {
-		return 0
-	}
-	var j uint64
-	var bit int8
-	switch typ {
-	case c.Report:
-		j = uint64(b[off])
-		off++
-		if j >= 0x80 {
-			if j, off = uvarint23(b, off-1); off == 0 {
-				return 0
+		var item uint64
+		if rows != 0 {
+			item = uint64(b[off])
+			off++
+			if item >= 0x80 {
+				if item, off = uvarint23(b, off-1); off == 0 {
+					break loop
+				}
+			}
+			if item >= rows {
+				break loop
 			}
 		}
-		if j-1 >= uint64(c.D)>>order || b[off] > 1 {
-			return 0
-		}
-		bit = int8(b[off])<<1 - 1
+		// Orders are at most 63: one byte, or the general path's business.
+		order := uint(b[off])
 		off++
-	case c.Hello:
-		if typ == MsgHashedDomainHello {
-			seed, n := binary.Uvarint(b[off:])
-			if n <= 0 || seed != c.Seed {
-				return 0
-			}
-			off += n
+		if order > logD {
+			break loop
 		}
-	default:
-		return 0
+		var j uint64
+		var bit int8
+		switch typ {
+		case report:
+			j = uint64(b[off])
+			off++
+			if j >= 0x80 {
+				if j, off = uvarint23(b, off-1); off == 0 {
+					break loop
+				}
+			}
+			if j-1 >= d>>order || b[off] > 1 {
+				break loop
+			}
+			bit = int8(b[off])<<1 - 1
+			off++
+		case hello:
+			if typ == MsgHashedDomainHello {
+				seed, k := binary.Uvarint(b[off:])
+				if k <= 0 || seed != c.Seed {
+					break loop
+				}
+				off += k
+			}
+		default:
+			break loop
+		}
+		// One store per field, straight into the slot. Assigning a
+		// composite literal through r instead makes the compiler build
+		// the record on the stack with narrow stores and copy it out with
+		// wide loads, which cannot be forwarded from those pending stores:
+		// a stall on every message, about half the kernel's time.
+		r := &recs[n]
+		r.User = int(user)
+		r.Item = uint32(item)
+		r.J = uint32(j)
+		r.Order = uint8(order)
+		r.Bit = bit
+		r.Len = uint8(off)
+		at += off
 	}
-	*r = Rec{User: int(user), Item: uint32(item), J: uint32(j), Order: uint8(order), Bit: bit, Len: uint8(off)}
-	return off
+	return at, n
 }
 
 // uvarint23 decodes the two- or three-byte uvarint at b[at:] (its first

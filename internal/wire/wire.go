@@ -477,9 +477,9 @@ const typicalMsgLen = 8
 // appendReport writes the report m in place behind b, which has room for
 // MaxMsgLen more bytes, and returns b grown by it — or b unchanged if m
 // is anything appendMsg might refuse, has an order longer than one byte
-// or a user or index of 2^21 or more. Its fields are the ones
-// Ingest.decode reads, each uvarint written by putUvarint21, the
-// encoding twin of uvarint23.
+// or a user or index of 2^21 or more. Its fields are the ones the
+// ingest kernel (Ingest.run) reads, each uvarint written by
+// putUvarint21, the encoding twin of uvarint23.
 func appendReport(b []byte, m *Msg) []byte {
 	if uint64(m.User)|uint64(m.J) >= 1<<21 || uint16(m.Order) >= 0x80 || m.Bit != 1 && m.Bit != -1 {
 		return b
@@ -848,68 +848,60 @@ func roomFor[T any](s []T, extra, limit int) []T {
 // window decodes up to want messages of a frame declaring limit out of
 // win, the reader's buffered bytes, and returns the bytes consumed and
 // the messages decoded; it stops early, without error, at a message the
-// window cuts short. The per-message step is the view's: without a
-// contract the general decoder fills a Msg; with one the kernel fills a
-// record, and the general decoder only sees what the kernel does not
-// take — a read, a refusal, an odd spelling, or the last MaxMsgLen
-// bytes of the window, where the kernel's precondition fails — and what
-// it decodes goes through the same contract.
+// window cuts short. Without a contract the general decoder fills a Msg
+// per message. With one the kernel fills records for as long as it
+// accepts what it reads, and the general decoder takes only the one
+// message it stops at — a read, a refusal, an odd spelling, or a
+// message in the last MaxMsgLen bytes of the window, where the kernel's
+// precondition fails — through the same contract, after which the
+// kernel resumes.
 func (d *Decoder) window(c *Ingest, win []byte, want, limit int) (used, k int, err error) {
 	// Make room for every message this window could hold (each scalar is
 	// at least two bytes; a lone type byte can already be refused), so
-	// the loop indexes slots with no per-message capacity check.
+	// the loops index slots with no per-message capacity check.
 	want = min(want, (len(win)+1)/2)
-	var (
-		msgs []Msg
-		recs []Rec
-	)
-	base, nr := len(d.pending), len(d.f.Recs)
 	if c == nil {
+		base := len(d.pending)
 		d.pending = roomFor(d.pending, want, limit)
-		msgs = d.pending[base : base+want]
+		msgs := d.pending[base : base+want]
 		// decodeScalarInto writes only the fields it decodes: one
 		// vectorized clear of the reused slots instead of a struct zero
 		// per message.
 		clear(msgs)
-	} else {
-		recs = roomFor(d.f.Recs, want, limit)[:nr+want]
-	}
-loop:
-	for ; k < want; k++ {
-		rest, n := win[used:], 0
-		switch {
-		case c == nil:
-			if n, err = decodeScalarInto(rest, &msgs[k]); err != nil {
-				break loop
+		for ; k < want; k++ {
+			var n int
+			if n, err = decodeScalarInto(win[used:], &msgs[k]); err != nil {
+				break
 			}
-		case len(rest) >= MaxMsgLen:
-			n = c.decode(rest, &recs[nr])
+			used += n
 		}
-		if n == 0 {
-			// Under a contract, and not the kernel's: the general decoder,
-			// then the same contract.
+		d.pending = d.pending[:base+k]
+	} else {
+		nr := len(d.f.Recs)
+		recs := roomFor(d.f.Recs, want, limit)[:nr+want]
+		for k < want {
+			var n int
+			used, n = c.run(win, used, recs[nr:nr+want-k])
+			if nr, k = nr+n, k+n; k == want {
+				break
+			}
 			var m Msg
-			if n, err = decodeScalarInto(rest, &m); err != nil {
-				break loop
+			if n, err = decodeScalarInto(win[used:], &m); err != nil {
+				break
 			}
 			if c.Reads.Has(m.Type) {
 				off := len(d.f.Wire) + used
 				d.f.Reads = append(d.f.Reads, FrameRead{At: nr, Off: off, End: off + n, Msg: m})
-				used += n
-				continue
-			}
-			if !c.Check(&m, &recs[nr]) {
+			} else if !c.Check(&m, &recs[nr]) {
 				err = c.Explain(&m)
-				break loop
+				break
+			} else {
+				recs[nr].Len = uint8(n)
+				nr++
 			}
-			recs[nr].Len = uint8(n)
+			used += n
+			k++
 		}
-		used += n
-		nr++
-	}
-	if c == nil {
-		d.pending = d.pending[:base+k]
-	} else {
 		// The window is the reader's own buffer, overwritten by its next
 		// fill: keep this stretch of the frame — one copy per window, not
 		// per message.
